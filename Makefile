@@ -1,8 +1,8 @@
 # Convenience targets; everything is plain pip + pytest underneath.
 
 .PHONY: install test test-resilience test-chaos test-service serve bench \
-	bench-json bench-compare bench-large examples lint lint-fix typecheck \
-	import-graph
+	bench-json bench-compare bench-large perf perf-check examples lint \
+	lint-fix typecheck import-graph
 
 # Compare the two newest BENCH_*.json snapshots (override with
 # BENCH_OLD=... BENCH_NEW=...); fails on >10% kernel regressions.
@@ -72,6 +72,15 @@ bench-compare:
 
 bench-large:
 	REPRO_BENCH_N=2000 pytest benchmarks/ --benchmark-only
+
+# The end-to-end performance ledger (perf/README.md): every workload's
+# end-to-end metrics (~90 s), and its self-test plus the check-size
+# golden digests of every workload (~8 s, no timing; blocking in CI).
+perf:
+	python3 perf/run.py all
+
+perf-check:
+	python3 perf/run.py check
 
 # Static analysis: the project-invariant linter always runs (stdlib
 # only) — per-file rules plus the whole-program pass (import layering,

@@ -120,16 +120,41 @@ class RoundData:
 
     state: DeploymentState
     node_secure: np.ndarray
+    deploying_providers: np.ndarray  # int32 [n]: per stub, providers that deploy
     breaks_ties: np.ndarray
     dest_states: list[DestState]
     utilities: np.ndarray          # per node, under the configured model
     sec_matrix: np.ndarray         # bool [num_dests, n]: source path security
     any_sec_matrix: np.ndarray     # bool [num_dests, n]: secure tiebreak cand.
     secure_dest_positions: np.ndarray  # positions k with a secure destination
+    secure_dest_sec: np.ndarray        # sec_matrix[secure_dest_positions]
+    secure_dest_any_sec: np.ndarray    # any_sec_matrix[secure_dest_positions]
 
     def dest_state(self, pos: int) -> DestState:
         """Per-destination state by position in the cache's dest list."""
         return self.dest_states[pos]
+
+    def flipped(
+        self, deriver: StateDeriver, isp: int, turning_on: bool
+    ) -> tuple[dict[int, bool], np.ndarray, np.ndarray]:
+        """``(flips, node_secure, breaks_ties)`` if ``isp`` flipped alone.
+
+        ``flips`` maps ``isp`` and then each stub customer whose derived
+        security moves with it (in :meth:`StateDeriver.stubs_of` order)
+        to the new flag; the two vectors are this round's with those
+        flips applied.
+        """
+        stubs = deriver.flipped_stubs(
+            isp, turning_on, self.state, self.node_secure, self.deploying_providers
+        )
+        nodes = [isp, *stubs]
+        node_secure_new = self.node_secure.copy()
+        node_secure_new[nodes] = turning_on
+        return (
+            dict.fromkeys(nodes, turning_on),
+            node_secure_new,
+            deriver.breaks_ties(node_secure_new),
+        )
 
 
 def compute_round_data(
@@ -147,7 +172,7 @@ def compute_round_data(
     no per-destination copies.
     """
     graph = cache.graph
-    node_secure = deriver.node_secure(state)
+    node_secure, deploying_providers = deriver.derive(state)
     breaks = deriver.breaks_ties(node_secure)
     w = graph.weights
 
@@ -179,12 +204,15 @@ def compute_round_data(
     return RoundData(
         state=state,
         node_secure=node_secure,
+        deploying_providers=deploying_providers,
         breaks_ties=breaks,
         dest_states=dest_states,
         utilities=utilities,
         sec_matrix=bt.secure,
         any_sec_matrix=bt.any_secure,
         secure_dest_positions=secure_positions,
+        secure_dest_sec=bt.secure[secure_positions],
+        secure_dest_any_sec=bt.any_secure[secure_positions],
     )
 
 

@@ -149,17 +149,7 @@ def local_project_flip(
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    if turning_on:
-        stubs = deriver.newly_secured_stubs(rd.state, isp)
-        flips: dict[int, bool] = {isp: True, **{s: True for s in stubs}}
-    else:
-        stubs = deriver.orphaned_stubs(rd.state, isp)
-        flips = {isp: False, **{s: False for s in stubs}}
-
-    node_secure_new = rd.node_secure.copy()
-    for node, flag in flips.items():
-        node_secure_new[node] = flag
-    breaks_new = deriver.breaks_ties(node_secure_new)
+    flips, node_secure_new, breaks_new = rd.flipped(deriver, isp, turning_on)
     w = cache.graph.weights
 
     # destinations whose trees can react: currently-secure ones plus the

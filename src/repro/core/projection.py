@@ -78,22 +78,8 @@ def project_flip(
     engine: ProjectionEngine = ProjectionEngine.INCREMENTAL,
 ) -> Projection:
     """Projected utility of ``isp`` if it flipped its action this round."""
-    graph = cache.graph
-    if turning_on:
-        stubs = deriver.newly_secured_stubs(rd.state, isp)
-        flips: dict[int, bool] = {isp: True}
-        flips.update({s: True for s in stubs})
-    else:
-        stubs = deriver.orphaned_stubs(rd.state, isp)
-        flips = {isp: False}
-        flips.update({s: False for s in stubs})
-
-    node_secure_new = rd.node_secure.copy()
-    for node, flag in flips.items():
-        node_secure_new[node] = flag
-    breaks_new = deriver.breaks_ties(node_secure_new)
-
-    w = graph.weights
+    flips, node_secure_new, breaks_new = rd.flipped(deriver, isp, turning_on)
+    w = cache.graph.weights
 
     if cache.policy.state_dependent:
         # the flip moves classes/lengths, not just tie-breaks: rebuild
@@ -240,30 +226,21 @@ def _recompute_dest_states(
 ):
     """Yield ``(pos, DestState)`` for fully recomputed destinations.
 
-    When the cache carries a :class:`~repro.routing.arena.RoutingArena`
-    (the normal case after the first round), all requested destinations
-    are resolved in a single stacked pass of the batched kernel; the
-    per-destination loop below is the fallback for caches warmed without
-    an arena.
+    All requested destinations are resolved in a single stacked pass of
+    the batched kernel over the cache's
+    :class:`~repro.routing.arena.RoutingArena` (which
+    :func:`~repro.core.engine.compute_round_data` built for ``rd``).
     """
     if not positions:
         return
-    arena = cache.arena
-    if arena is not None and len(positions) > 1:
-        slots = np.asarray(positions, dtype=np.int64)
-        bt = compute_trees_batched(arena, slots, node_secure_new, breaks_new)
-        w2d = subtree_weights_batched(arena, slots, bt.choice, node_weights)
-        for i, pos in enumerate(positions):
-            yield pos, DestState(
-                dr=rd.dest_states[pos].dr, tree=bt.tree(i), weights=w2d[i]
-            )
-    else:
-        for pos in positions:
-            dr = rd.dest_states[pos].dr
-            tree = compute_tree(dr, node_secure_new, breaks_new)
-            yield pos, DestState(
-                dr=dr, tree=tree, weights=subtree_weights(dr, tree, node_weights)
-            )
+    arena = cache.ensure_arena()
+    slots = np.asarray(positions, dtype=np.int64)
+    bt = compute_trees_batched(arena, slots, node_secure_new, breaks_new)
+    w2d = subtree_weights_batched(arena, slots, bt.choice, node_weights)
+    for i, pos in enumerate(positions):
+        yield pos, DestState(
+            dr=rd.dest_states[pos].dr, tree=bt.tree(i), weights=w2d[i]
+        )
 
 
 def _candidate_positions(
@@ -282,10 +259,10 @@ def _candidate_positions(
     if turning_on:
         # a flipped node can only start influencing SecP decisions if it
         # can acquire a secure chosen path, i.e. has a secure candidate
-        possible = rd.any_sec_matrix[np.ix_(secure_pos, flip_nodes)].any(axis=1)
+        possible = rd.secure_dest_any_sec[:, flip_nodes].any(axis=1)
     else:
         # symmetric: it must currently have a secure chosen path to lose
-        possible = rd.sec_matrix[np.ix_(secure_pos, flip_nodes)].any(axis=1)
+        possible = rd.secure_dest_sec[:, flip_nodes].any(axis=1)
     positions = secure_pos[possible]
     if model is UtilityModel.OUTGOING and len(positions):
         # only destinations n reaches via a customer edge contribute

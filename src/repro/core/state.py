@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.routing.compiled import CompiledGraph, gather_neighbors
+from repro.routing.compiled import CompiledGraph
 from repro.topology.graph import ASGraph
 from repro.topology.relationships import ASRole
 
@@ -84,28 +84,40 @@ class StateDeriver:
         self.is_stub = roles == int(ASRole.STUB)
         self.is_isp = roles == int(ASRole.ISP)
         self.is_cp = roles == int(ASRole.CP)
-        self.stub_indices = np.flatnonzero(self.is_stub)
         #: static policy: which nodes would apply SecP *if* secure
         self.break_policy = ~self.is_stub | bool(stub_breaks_ties)
+        # State-independent index of the stub<-provider edges, kept both
+        # flat (for the segment reduce in :meth:`derive`) and as a CSR
+        # over providers (for :meth:`stubs_of`).
+        cg = self.compiled
+        to_stub = self.is_stub[cg.cust_idx]
+        self._edge_stub = cg.cust_idx[to_stub]
+        self._edge_prov = cg.cust_src[to_stub]
+        self._stub_indptr = np.concatenate(([0], np.cumsum(to_stub)))[cg.cust_indptr]
+
+    def derive(self, state: DeploymentState) -> tuple[np.ndarray, np.ndarray]:
+        """``(node_secure, deploying_providers)`` of ``state`` in one pass.
+
+        ``node_secure`` is bool[n]: deliberate deployers plus derived
+        simplex stubs.  ``deploying_providers`` is int32[n]: per stub,
+        how many of its providers deploy (0 for non-stubs) — a stub is
+        secure iff it deployed itself (early adopter) or that count is
+        positive.
+        """
+        n = self.graph.n
+        secure = np.zeros(n, dtype=bool)
+        secure[np.fromiter(state.deployers, np.intp, len(state.deployers))] = True
+        # providers are never stubs, so ``secure`` still holds exactly
+        # the deployers when the edges read it
+        counts = np.bincount(
+            self._edge_stub[secure[self._edge_prov]], minlength=n
+        ).astype(np.int32)
+        secure |= counts > 0
+        return secure, counts
 
     def node_secure(self, state: DeploymentState) -> np.ndarray:
         """bool[n]: deliberate deployers plus derived simplex stubs."""
-        n = self.graph.n
-        secure = np.zeros(n, dtype=bool)
-        if state.deployers:
-            secure[list(state.deployers)] = True
-        # a stub is secure iff it deployed itself (early adopter) or has
-        # a provider that deploys
-        prov_indptr, prov_idx = self.compiled.prov_indptr, self.compiled.prov_idx
-        stubs = self.stub_indices
-        if len(stubs):
-            provs = gather_neighbors(prov_indptr, prov_idx, stubs)
-            counts = (prov_indptr[stubs + 1] - prov_indptr[stubs]).astype(np.int64)
-            rows = np.repeat(np.arange(len(stubs), dtype=np.int64), counts)
-            has_secure_prov = np.zeros(len(stubs), dtype=bool)
-            np.logical_or.at(has_secure_prov, rows, secure[provs])
-            secure[stubs] |= has_secure_prov
-        return secure
+        return self.derive(state)[0]
 
     def breaks_ties(self, node_secure: np.ndarray) -> np.ndarray:
         """bool[n]: nodes that actually apply the SecP criterion."""
@@ -113,19 +125,37 @@ class StateDeriver:
 
     def stubs_of(self, isp: int) -> np.ndarray:
         """Dense indices of ``isp``'s stub customers."""
-        cust = self.compiled
-        members = gather_neighbors(cust.cust_indptr, cust.cust_idx, np.array([isp]))
-        return members[self.is_stub[members]]
+        return self._edge_stub[self._stub_indptr[isp]:self._stub_indptr[isp + 1]]
+
+    def flipped_stubs(
+        self,
+        isp: int,
+        turning_on: bool,
+        state: DeploymentState,
+        node_secure: np.ndarray,
+        deploying_providers: np.ndarray,
+    ) -> list[int]:
+        """Stub customers of ``isp`` whose security flips when ``isp`` does.
+
+        Reads the derived vectors of ``state`` (see :meth:`derive`), so
+        it costs O(stub customers of ``isp``).  Turning on secures the
+        stubs that are not secure yet.  Turning off orphans the stubs
+        that neither deployed themselves nor have a second deploying
+        provider — and nobody when ``isp`` does not deploy or is a
+        pinned early adopter.
+        """
+        stubs = self.stubs_of(isp)
+        if turning_on:
+            return stubs[~node_secure[stubs]].tolist()
+        if isp not in state.deployers or isp in state.early_adopters:
+            return []
+        sole = stubs[deploying_providers[stubs] == 1].tolist()
+        return [s for s in sole if s not in state.deployers]
 
     def newly_secured_stubs(self, state: DeploymentState, isp: int) -> list[int]:
         """Stubs that would *become* secure if ``isp`` deployed."""
-        secure = self.node_secure(state)
-        return [int(s) for s in self.stubs_of(isp) if not secure[s]]
+        return self.flipped_stubs(isp, True, state, *self.derive(state))
 
     def orphaned_stubs(self, state: DeploymentState, isp: int) -> list[int]:
         """Stubs that would *lose* security if ``isp`` turned S*BGP off."""
-        if isp not in state.deployers:
-            return []
-        after = state.with_flips(turn_off=[isp])
-        secure_after = self.node_secure(after)
-        return [int(s) for s in self.stubs_of(isp) if not secure_after[s]]
+        return self.flipped_stubs(isp, False, state, *self.derive(state))

@@ -50,13 +50,16 @@ class ExperimentEnv:
         graph = self.graph
         num_isps = max(1, len(graph.isp_indices))
         big = max(10, num_isps // 3)
+        # one degree ranking of the ISPs: every top-k entry is a prefix
+        ranked = top_degree_isps(graph, big)
+        cps = content_providers(graph)
         return {
             "none": [],
-            "top-5": top_degree_isps(graph, 5),
-            "top-10": top_degree_isps(graph, 10),
-            f"top-{big}": top_degree_isps(graph, big),
-            "5-cps": content_providers(graph),
-            "cps+top-5": cps_plus_top_isps(graph, 5),
+            "top-5": ranked[:5],
+            "top-10": ranked[:10],
+            f"top-{big}": ranked,
+            "5-cps": cps,
+            "cps+top-5": cps + ranked[:5],
             f"random-{big}": random_isps(graph, big, seed=random_seed),
         }
 

@@ -69,7 +69,12 @@ class CompiledGraph:
 
 
 def gather_neighbors(indptr: np.ndarray, idx: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Concatenate ``idx[indptr[v]:indptr[v+1]]`` for every ``v`` in ``nodes``."""
+    """Concatenate ``idx[indptr[v]:indptr[v+1]]`` for every ``v`` in ``nodes``.
+
+    Read-only for callers: a single row comes back as a view of ``idx``.
+    """
+    if len(nodes) == 1:
+        return idx[indptr[nodes[0]]:indptr[nodes[0] + 1]]
     counts = (indptr[nodes + 1] - indptr[nodes]).astype(np.int64)
     total = int(counts.sum())
     if total == 0:

@@ -60,9 +60,8 @@ def top_by_degree(graph: ASGraph, k: int, role: ASRole | None = ASRole.ISP) -> l
     heuristic for choosing Tier-1 early adopters ("top five Tier 1 ASes
     in terms of degree", §5).
     """
-    degrees = degree_array(graph)
     candidates = range(graph.n) if role is None else graph.indices_with_role(role)
-    ranked = sorted(candidates, key=lambda i: (-int(degrees[i]), graph.asn(i)))
+    ranked = sorted(candidates, key=lambda i: (-graph.degree_of_index(i), graph.asn(i)))
     return [graph.asn(i) for i in ranked[:k]]
 
 

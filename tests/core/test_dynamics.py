@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
+from repro.core import dynamics
 from repro.core.config import SimulationConfig, UtilityModel
 from repro.core.dynamics import DeploymentSimulation, Outcome, run_deployment
+from repro.core.state import StateDeriver
 from repro.gadgets.diamond import build_diamond
 from repro.topology.generator import generate_topology
 from repro.topology.traffic import apply_traffic_model
@@ -162,3 +166,47 @@ class TestOscillation:
         result = sim.run()
         assert result.outcome is Outcome.OSCILLATION
         assert any(r.turned_off for r in result.rounds)
+
+
+class TestRoundScopedState:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_state_derived_once_per_round_never_per_projection(
+        self, sim_graph, monkeypatch, workers
+    ):
+        """Pins the call count, not a timing: one derivation per
+        ``compute_round_data``, in this process and in forked workers."""
+        if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("parallel projection needs the fork start method")
+        from repro.core.adopters import cps_plus_top_isps
+
+        # shared memory, so derivations inside forked workers count too;
+        # node_secure goes through derive, so this sees either entry
+        derivations = multiprocessing.Value("i", 0)
+        derive = StateDeriver.derive
+
+        def counting_derive(self, state):
+            with derivations.get_lock():
+                derivations.value += 1
+            return derive(self, state)
+
+        round_data_calls = []
+        compute_round_data = dynamics.compute_round_data
+
+        def counting_round_data(*args):
+            round_data_calls.append(args)
+            return compute_round_data(*args)
+
+        monkeypatch.setattr(StateDeriver, "derive", counting_derive)
+        monkeypatch.setattr(dynamics, "compute_round_data", counting_round_data)
+
+        graph = sim_graph.graph
+        result = run_deployment(
+            graph, cps_plus_top_isps(graph, 3),
+            SimulationConfig(theta=0.05, workers=workers),
+        )
+        flipping = sum(1 for r in result.rounds if r.turned_on or r.turned_off)
+        projections = sum(len(r.projections) for r in result.rounds)
+        # starting utilities + the initial state + one per flipping round
+        assert len(round_data_calls) == 2 + flipping
+        assert derivations.value == len(round_data_calls)
+        assert projections > derivations.value

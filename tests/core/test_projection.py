@@ -13,7 +13,9 @@ from repro.core.config import ProjectionEngine, UtilityModel
 from repro.core.engine import compute_round_data
 from repro.core.projection import per_destination_turn_off_gains, project_flip
 from repro.core.state import DeploymentState, StateDeriver
+from repro.routing import backends as kernel_backends
 from repro.routing.cache import RoutingCache
+from repro.routing.errors import BackendUnavailable
 from repro.topology.generator import generate_topology
 from repro.topology.traffic import apply_traffic_model
 
@@ -38,10 +40,25 @@ def setup():
     return g, cache
 
 
-@pytest.mark.parametrize("model", [UtilityModel.OUTGOING, UtilityModel.INCOMING])
-@pytest.mark.parametrize("stub_breaks", [True, False])
-def test_projection_equals_ground_truth(setup, model, stub_breaks):
-    g, cache = setup
+@pytest.fixture(scope="module", params=["numpy", "cext", "security_2nd"])
+def sampled_cache(request, setup):
+    """Every third destination, so most flipped stubs are *not*
+    destinations — on the numpy and cext kernels, and under a
+    state-dependent policy (the full-rebuild projection path)."""
+    g, _ = setup
+    options = {}
+    if request.param == "cext":
+        try:
+            kernel_backends.load_backend("cext")
+        except BackendUnavailable as exc:
+            pytest.skip(f"cext backend not loadable here: {exc}")
+        options["backend"] = "cext"
+    if request.param == "security_2nd":
+        options["policy"] = "security_2nd"
+    return RoutingCache(g, destinations=list(range(0, g.n, 3)), **options)
+
+
+def _assert_projections_equal_ground_truth(g, cache, model, stub_breaks):
     deriver = StateDeriver(g, stub_breaks_ties=stub_breaks, compiled=cache.compiled)
     rng = random.Random(5)
     isps = g.isp_indices
@@ -52,13 +69,36 @@ def test_projection_equals_ground_truth(setup, model, stub_breaks):
 
     on_candidates = [i for i in isps if i not in state.deployers][:10]
     off_candidates = extra
-    for isp, on in [(i, True) for i in on_candidates] + [(i, False) for i in off_candidates]:
+    jobs = [(i, True) for i in on_candidates] + [(i, False) for i in off_candidates]
+    # project first: under a state-dependent policy the brute force
+    # below rebuilds the cache's structures for every flipped state
+    projections = {
+        (isp, on, engine): project_flip(cache, deriver, rd, isp, on, model, engine)
+        for isp, on in jobs
+        for engine in (ProjectionEngine.INCREMENTAL, ProjectionEngine.FULL)
+    }
+    for (isp, on, engine), proj in projections.items():
         truth = brute_force_utility(cache, deriver, state, isp, on, model)
-        for engine in (ProjectionEngine.INCREMENTAL, ProjectionEngine.FULL):
-            proj = project_flip(cache, deriver, rd, isp, on, model, engine)
-            assert proj.utility == pytest.approx(truth, abs=1e-6), (
-                isp, on, model, engine
-            )
+        assert proj.utility == pytest.approx(truth, abs=1e-6), (isp, on, model, engine)
+    return projections
+
+
+@pytest.mark.parametrize("model", [UtilityModel.OUTGOING, UtilityModel.INCOMING])
+@pytest.mark.parametrize("stub_breaks", [True, False])
+def test_projection_equals_ground_truth(setup, model, stub_breaks):
+    g, cache = setup
+    _assert_projections_equal_ground_truth(g, cache, model, stub_breaks)
+
+
+@pytest.mark.parametrize("model", [UtilityModel.OUTGOING, UtilityModel.INCOMING])
+@pytest.mark.parametrize("stub_breaks", [True, False])
+def test_projection_equals_ground_truth_sampled(setup, sampled_cache, model, stub_breaks):
+    g, _ = setup
+    projections = _assert_projections_equal_ground_truth(
+        g, sampled_cache, model, stub_breaks
+    )
+    flipped = {node for proj in projections.values() for node in proj.flips}
+    assert any(sampled_cache.position_of(node) is None for node in flipped)
 
 
 def test_projection_reports_flips(setup):
