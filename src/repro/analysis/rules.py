@@ -508,9 +508,9 @@ class DirectKernelImplImport(Rule):
     )
     rationale = (
         "PR 8 made the batched kernels pluggable: numpy is the differential "
-        "ground truth, compiled tiers (numba, cext) are optional and may be "
+        "ground truth, the compiled cext tier is optional and may be "
         "missing or fail to build on a given host.  Importing numpy_impl/"
-        "numba_impl/cext_impl/_loops directly pins one implementation, skips "
+        "cext_impl/_loops directly pins one implementation, skips "
         "the registry's lazy loading, ladder degradation and per-backend "
         "telemetry, and crashes on hosts without that backend's toolchain."
     )
@@ -518,7 +518,7 @@ class DirectKernelImplImport(Rule):
     _PACKAGE = "repro.routing.backends"
     #: implementation submodules — the package itself (the registry) is
     #: the sanctioned import
-    _IMPLS = frozenset({"numpy_impl", "numba_impl", "cext_impl", "_loops"})
+    _IMPLS = frozenset({"numpy_impl", "cext_impl", "_loops"})
 
     def _check(self, ctx: FileContext, node: ast.AST, dotted: str) -> None:
         if ctx.in_package(self._PACKAGE):

@@ -85,7 +85,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         choices=[*available_backends(), kernel_backends.AUTO],
                         help="kernel backend for the batched routing kernels "
                              f"(one of: {', '.join(available_backends())}, "
-                             "or 'auto' to prefer a compiled tier; default: "
+                             "or 'auto' for cext when it loads; default: "
                              f"${kernel_backends.ENV_VAR} or numpy; an "
                              "unusable compiled backend degrades to numpy)")
     parser.add_argument("--metrics-out", default=None, metavar="PATH",

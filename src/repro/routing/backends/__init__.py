@@ -1,35 +1,32 @@
-"""Kernel backend registry: one namespace, several implementations.
+"""Kernel backend registry: one namespace, three implementation tiers.
 
-The four hot kernels — the batched tree resolver, the batched subtree
-weights, the synchronous-Jacobi fixpoint sweep, and its multi-origin
-attack variant — exist in multiple implementations ("backends") behind
-this registry:
+The three hot kernels — the batched tree resolver (``trees_level``),
+the batched subtree weights (``weights_level``) and the synchronous-
+Jacobi best-response step (``jacobi_sweep``, single- and multi-origin
+alike: a row without an adversary carries ``attacker = -1``) — exist in
+three implementations ("backends") behind this registry:
 
-- ``numpy``: the original vectorised code, moved verbatim into
+- ``numpy``: the vectorised code in
   :mod:`repro.routing.backends.numpy_impl`.  It is the **differential
   ground truth**: every other backend must produce bit-identical
   outputs (asserted by ``tests/routing/test_backends.py``).
-- ``numba``: ``@njit``-compiled level loops over the arena's flat CSR
-  pools (:mod:`repro.routing.backends.numba_impl`).  Numba is an
-  *optional* dependency (the ``compiled`` extra); the module is only
-  imported when the backend is requested, compiles with ``cache=True``
-  so warm processes skip recompilation, and warms up on tiny inputs at
-  load so the first real kernel call never pays the JIT.
-- ``cext``: the same loops as a small C translation unit, compiled once
-  per source digest with the system C compiler and bound through
-  ``ctypes`` (:mod:`repro.routing.backends.cext_impl`).  No build-time
-  dependency beyond ``cc``; the shared object is cached on disk.
-- ``python``: the pure-Python loop bodies that ``numba`` compiles
+- ``cext``: the same kernels as scalar loops in a small C translation
+  unit, compiled once per source digest with the system C compiler and
+  bound through ``ctypes`` (:mod:`repro.routing.backends.cext_impl`).
+  No build-time dependency beyond ``cc``; the shared object is cached
+  on disk.
+- ``python``: the C loops' executable spec in pure Python
   (:mod:`repro.routing.backends._loops`), registered *hidden* so the
-  parity suite can exercise the exact compiled control flow without a
-  JIT.  Far too slow for real runs; never selected by ``auto``.
+  parity suite can pin the exact control flow the C code transliterates
+  without a compiler.  Far too slow for real runs; never selected by
+  ``auto``.
 
 Selection: explicit name > ``SBGP_KERNEL_BACKEND`` env var > ``numpy``.
-``auto`` picks the fastest *usable* compiled backend.  An explicitly
+``auto`` is ``cext`` when it loads, else ``numpy``.  An explicitly
 requested backend that cannot load **degrades** to numpy through the
 resource guard's ``compiled_to_numpy`` ladder rung — a counted,
-observable event, never an error — so a run specced for numba still
-completes on a box without it.
+observable event, never an error — so a run specced for cext still
+completes on a box without a compiler.
 
 Kernel *implementation* modules must never be imported outside this
 package (lint rule RPR013): consumers go through
@@ -41,7 +38,6 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
-import importlib.util
 import os
 import shutil
 import threading
@@ -62,6 +58,7 @@ __all__ = [
     "available_backends",
     "backend_status",
     "default_backend_name",
+    "find_compiler",
     "get_backend",
     "kernels_for",
     "load_backend",
@@ -77,31 +74,28 @@ ENV_VAR = "SBGP_KERNEL_BACKEND"
 #: The differential ground truth and universal fallback.
 DEFAULT_BACKEND = "numpy"
 
-#: Pseudo-name: pick the best usable compiled backend, else numpy.
+#: Pseudo-name: the compiled tier when it loads, else numpy.
 AUTO = "auto"
 
-#: ``auto`` preference order among compiled backends.
-_COMPILED_PREFERENCE = ("numba", "cext")
+#: The compiled tier ``auto`` tries first.
+_COMPILED_BACKEND = "cext"
 
 
 @dataclasses.dataclass(frozen=True)
 class KernelBackend:
     """Registry descriptor for one kernel implementation tier.
 
-    ``module`` is imported lazily on first use; ``requires`` lists
-    third-party modules that must be importable (checked cheaply with
-    ``find_spec`` by :func:`probe`, without triggering compilation);
-    ``needs_cc`` marks backends that additionally want a C compiler on
-    PATH.  ``hidden`` keeps test-only backends out of user-facing
-    listings (CLI choices, ``/healthz``) while leaving them resolvable
-    by exact name.
+    ``module`` is imported lazily on first use; ``needs_cc`` marks
+    backends that want a C compiler on PATH (checked cheaply by
+    :func:`probe`, without triggering compilation).  ``hidden`` keeps
+    test-only backends out of user-facing listings (CLI choices,
+    ``/healthz``) while leaving them resolvable by exact name.
     """
 
     name: str
     description: str
     module: str
     compiled: bool = False
-    requires: tuple[str, ...] = ()
     needs_cc: bool = False
     hidden: bool = False
 
@@ -141,17 +135,25 @@ def available_backends() -> list[str]:
     return sorted(n for n, b in _REGISTRY.items() if not b.hidden)
 
 
-def _have_compiler() -> bool:
-    cc = os.environ.get("CC") or "cc"
-    return shutil.which(cc) is not None or shutil.which("gcc") is not None
+def find_compiler() -> str | None:
+    """The C compiler the ``cext`` tier builds with, or None.
+
+    The one lookup both :func:`probe` and the loader use, so a
+    prediction and the load it predicts never disagree about which
+    compilers count.
+    """
+    for candidate in (os.environ.get("CC"), "cc", "gcc", "clang"):
+        if candidate and shutil.which(candidate):
+            return candidate
+    return None
 
 
 def probe(name: str) -> bool:
-    """Cheap availability check — no import, no JIT, no compilation.
+    """Cheap availability check — no import, no compilation.
 
     Used by the daemon's ``/healthz`` and by ``auto`` selection, so it
-    must stay O(find_spec).  A ``True`` is a *prediction*; the load can
-    still fail, in which case the caller degrades.
+    must stay O(PATH lookup).  A ``True`` is a *prediction*; the load
+    can still fail, in which case the caller degrades.
     """
     if name in _IMPLS:
         return True
@@ -160,15 +162,7 @@ def probe(name: str) -> bool:
     backend = _REGISTRY.get(name)
     if backend is None:
         return False
-    try:
-        for module in backend.requires:
-            if importlib.util.find_spec(module) is None:
-                return False
-    except (ImportError, ValueError):
-        return False
-    if backend.needs_cc and not _have_compiler():
-        return False
-    return True
+    return not backend.needs_cc or find_compiler() is not None
 
 
 def usable_backends() -> list[str]:
@@ -193,8 +187,7 @@ def load_backend(name: str) -> Any:
     """Import (and for compiled tiers, compile + warm) backend ``name``.
 
     Returns the implementation module exposing ``trees_level``,
-    ``weights_level``, ``fixpoint_sweep`` and ``attack_sweep``.  Load
-    results are cached
+    ``weights_level`` and ``jacobi_sweep``.  Load results are cached
     both ways: a success is never re-imported, a failure is never
     retried within the process (compilation attempts are expensive and
     deterministic).
@@ -226,7 +219,7 @@ def load_backend(name: str) -> Any:
                 f"kernel backend {name!r} unavailable: {exc}"
             ) from exc
         if backend.compiled:
-            # JIT/cc time for the whole tier (cache hits land near zero, so
+            # cc time for the whole tier (cache hits land near zero, so
             # the histogram doubles as a compile-cache effectiveness probe).
             registry.histogram("routing.backend.compile_seconds").observe(
                 time.perf_counter() - started
@@ -253,26 +246,21 @@ def default_backend_name() -> str:
 def resolve_backend(name: str | None = None) -> str:
     """Resolve a requested backend to a *loaded*, usable backend name.
 
-    ``None`` defers to :func:`default_backend_name`; ``auto`` picks the
-    first loadable entry of ``numba > cext``, else numpy.  An explicit
-    name that is registered but will not load degrades to numpy via the
-    guard's ``compiled_to_numpy`` rung.  Only a name that is not
-    registered at all raises (that is a spelling error, not a resource
-    condition).
+    ``None`` defers to :func:`default_backend_name`; ``auto`` is
+    ``cext`` when it loads, else numpy.  An explicit name that is
+    registered but will not load degrades to numpy via the guard's
+    ``compiled_to_numpy`` rung.  Only a name that is not registered at
+    all raises (that is a spelling error, not a resource condition).
     """
     requested = name if name is not None else default_backend_name()
     if requested == AUTO:
-        for candidate in _COMPILED_PREFERENCE:
-            if candidate in _REGISTRY and probe(candidate):
-                try:
-                    load_backend(candidate)
-                except BackendUnavailable:
-                    continue
-                _note_active(candidate)
-                return candidate
-        load_backend(DEFAULT_BACKEND)
-        _note_active(DEFAULT_BACKEND)
-        return DEFAULT_BACKEND
+        requested = DEFAULT_BACKEND
+        if probe(_COMPILED_BACKEND):
+            try:
+                load_backend(_COMPILED_BACKEND)
+                requested = _COMPILED_BACKEND
+            except BackendUnavailable:
+                pass  # the probe was a prediction; auto falls back quietly
     backend = get_backend(requested)
     try:
         load_backend(backend.name)
@@ -319,15 +307,6 @@ register_backend(
 )
 register_backend(
     KernelBackend(
-        name="numba",
-        description="@njit-compiled level loops (optional 'compiled' extra)",
-        module="repro.routing.backends.numba_impl",
-        compiled=True,
-        requires=("numba",),
-    )
-)
-register_backend(
-    KernelBackend(
         name="cext",
         description="C translation unit compiled with the system cc, via ctypes",
         module="repro.routing.backends.cext_impl",
@@ -338,7 +317,7 @@ register_backend(
 register_backend(
     KernelBackend(
         name="python",
-        description="pure-Python loop bodies (numba's source; parity tests only)",
+        description="pure-Python spec of the C loops (parity tests only)",
         module="repro.routing.backends._loops",
         hidden=True,
     )

@@ -1,21 +1,21 @@
-"""Pure-Python loop bodies shared by the compiled backends.
+"""The compiled kernels' executable spec, in pure Python.
 
-Each function here is written in the *nopython* subset: scalar loops,
-typed numpy indexing, no Python objects — exactly what
-:mod:`repro.routing.backends.numba_impl` passes to ``@njit`` and what
-the C translation unit in :mod:`repro.routing.backends.cext_impl`
-transliterates line for line.  The module is also registered as the
-hidden ``python`` backend so the parity suite can run the compiled
-control flow under plain CPython (slow, but it pins the semantics the
-JIT and the C code inherit).
+Each function here is the scalar loop that the C translation unit in
+:mod:`repro.routing.backends.cext_impl` transliterates line for line:
+typed numpy indexing, no Python objects, no vectorisation.  The module
+is registered as the hidden ``python`` backend so the parity suite can
+run that control flow under plain CPython — far too slow for real work,
+but it pins, against the numpy ground truth, the semantics the C code
+inherits, and it is where a reader checks what the C loops mean.
 
 Calling convention (all backends):
 
 - outputs are written **in place**; the functions return ``None``;
 - dtypes are fixed by the dispatchers: ``nodes``/``cands``/``node_b``/
   ``choice`` int32, ``sizes``/``starts``/``row_of_edge`` int64,
-  ``keys``/``tie_key`` uint64, masks bool, weights float64, fixpoint
-  labels int8/int32/bool, rank metadata int64 codes + uint32 widths;
+  ``keys``/``tie_key`` uint64, masks bool, weights float64, sweep
+  labels int8/int32/bool, ``attacker`` int64, rank metadata int64 codes
+  + uint32 widths;
 - 2-D arrays are C-contiguous ``[batch, n]`` matrices.
 
 Bit-identity with the numpy backend is structural, not accidental:
@@ -28,9 +28,9 @@ Bit-identity with the numpy backend is structural, not accidental:
   and ``0.0 + x == x`` exactly in IEEE-754, so accumulating child by
   child in stack order reproduces ``bincount``'s left-to-right sum bit
   for bit;
-- the fixpoint sweep recomputes each edge's rank key in two passes
-  (min, then tie mask) rather than materialising the key row — the key
-  is a deterministic pure function of the labels, so both passes agree.
+- the Jacobi sweep recomputes each edge's rank key in two passes (min,
+  then tie mask) rather than materialising the key row — the key is a
+  deterministic pure function of the labels, so both passes agree.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ _BLOCKED = np.uint64(2**64 - 1)
 _POS_MASK = np.uint64(0xFFFF)       # (1 << POSITION_BITS) - 1
 _INVALID_A = np.uint32(0xFFFFFFFF)
 
-# The loop bodies inline these as literals (numba freezes globals at
-# compile time; the C code hardcodes them), so pin them to the enum.
+# The C code hardcodes these as literals, so pin them to the enum.
 _SELF = 3          # RouteClass.SELF
 _CUSTOMER = 2      # RouteClass.CUSTOMER
 _UNREACHABLE = -1  # RouteClass.UNREACHABLE
@@ -99,90 +98,22 @@ def weights_level(nodes, node_b, choice, node_weights, w):
             w[b, p] += w[b, u] + node_weights[u]
 
 
-def fixpoint_sweep(u, v, route_cls, seg_starts, seg_sizes, seg_u, tie_key,
-                   lp_field, is_provider_edge, rank_codes, rank_widths,
-                   cls, length, sec, applies_edge, node_secure,
-                   new_cls, new_len, new_sec, tied):
-    """One synchronous best-response step over the segment-sorted edges."""
-    for row in range(cls.shape[0]):
-        for s in range(seg_starts.shape[0]):
-            lo = seg_starts[s]
-            m = seg_sizes[s]
-            best = _INVALID_A
-            for e in range(lo, lo + m):
-                k = _edge_key(e, row, v, route_cls, lp_field,
-                              is_provider_edge, applies_edge,
-                              rank_codes, rank_widths, cls, length, sec)
-                if k < best:
-                    best = k
-            best_tie = _BLOCKED
-            for e in range(lo, lo + m):
-                k = _edge_key(e, row, v, route_cls, lp_field,
-                              is_provider_edge, applies_edge,
-                              rank_codes, rank_widths, cls, length, sec)
-                t = best != _INVALID_A and k == best
-                tied[row, e] = t
-                if t and tie_key[e] < best_tie:
-                    best_tie = tie_key[e]
-            uu = seg_u[s]
-            if best != _INVALID_A:
-                eidx = lo + np.int64(best_tie & _POS_MASK)
-                vv = v[eidx]
-                new_cls[row, uu] = route_cls[eidx]
-                new_len[row, uu] = length[row, vv] + 1
-                new_sec[row, uu] = node_secure[uu] and sec[row, vv]
-            else:
-                new_cls[row, uu] = _UNREACHABLE
-                new_len[row, uu] = -1
-                new_sec[row, uu] = False
-
-
-def _edge_key(e, row, v, route_cls, lp_field, is_provider_edge,
-              applies_edge, rank_codes, rank_widths, cls, length, sec):
-    """Packed uint32 rank key of one offer; ``_INVALID_A`` if barred."""
-    vv = v[e]
-    cv = cls[row, vv]
-    if cv == _UNREACHABLE:
-        return _INVALID_A
-    # GR2: only customer routes / the origin's own prefix are exported
-    # across peerings and up to providers.
-    if not (is_provider_edge[e] or cv == _CUSTOMER or cv == _SELF):
-        return _INVALID_A
-    lv = length[row, vv]
-    if lv < 0:
-        lv = 0
-    sp = np.uint32(lv + 1)
-    if applies_edge[e] and sec[row, vv]:
-        secp = np.uint32(0)
-    else:
-        secp = np.uint32(1)
-    key = np.uint32(0)
-    for i in range(rank_codes.shape[0]):
-        code = rank_codes[i]
-        if code == 0:
-            field = np.uint32(lp_field[e])
-        elif code == 1:
-            field = sp
-        else:
-            field = secp
-        key = np.uint32((key << rank_widths[i]) | field)
-    return key
-
-
-def attack_sweep(u, v, route_cls, seg_starts, seg_sizes, seg_u, tie_key,
+def jacobi_sweep(u, v, route_cls, seg_starts, seg_sizes, seg_u, tie_key,
                  lp_field, is_provider_edge, rank_codes, rank_widths,
                  attacker, gullible_edge, validators, leak, drop,
                  cls, length, sec, att, applies_edge, node_secure,
-                 new_cls, new_len, new_sec, new_att):
-    """One multi-origin (victim + attacker) best-response step.
+                 new_cls, new_len, new_sec, new_att, tied=None):
+    """One synchronous best-response step over the segment-sorted edges.
 
-    The fixpoint sweep with a per-row adversary: ``att`` tracks which
-    labels descend from the attacker's announcement, ``gullible_edge``
-    marks the provider edges where a simplex stub would believe the
-    attacker's word (§2.2.1), ``validators`` + ``drop`` bar unvalidated
-    routes at fully-validating ASes, and ``leak`` lets offers *from*
-    the attacker bypass GR2 (a route leak).  The caller pins the
-    principals' labels after each step.
+    Every row carries its own adversary (``attacker[row]``, ``-1`` for
+    none — no node id equals it, so such a row is plain single-origin
+    BGP): ``att`` tracks which labels descend from the attacker's
+    announcement, ``gullible_edge`` marks the provider edges where a
+    simplex stub would believe the attacker's word (§2.2.1),
+    ``validators`` + ``drop`` bar unvalidated routes at fully-validating
+    ASes, and ``leak`` lets offers *from* the attacker bypass GR2 (a
+    route leak).  The caller pins the origins' labels after each step.
+    ``tied``, when given, receives the per-edge tiebreak-set mask.
     """
     for row in range(cls.shape[0]):
         att_row = attacker[row]
@@ -193,14 +124,17 @@ def attack_sweep(u, v, route_cls, seg_starts, seg_sizes, seg_u, tie_key,
             drop_u = drop and validators[uu]
             best = _INVALID_A
             for e in range(lo, lo + m):
-                k = _attack_edge_key(e, row, att_row, drop_u, leak,
-                                     v, lp_field, is_provider_edge,
-                                     applies_edge, gullible_edge,
-                                     rank_codes, rank_widths,
-                                     cls, length, sec, att)
+                k = _offer_key(e, row, att_row, drop_u, leak,
+                               v, lp_field, is_provider_edge,
+                               applies_edge, gullible_edge,
+                               rank_codes, rank_widths,
+                               cls, length, sec, att)
                 if k < best:
                     best = k
             if best == _INVALID_A:
+                if tied is not None:
+                    for e in range(lo, lo + m):
+                        tied[row, e] = False
                 new_cls[row, uu] = _UNREACHABLE
                 new_len[row, uu] = -1
                 new_sec[row, uu] = False
@@ -208,12 +142,15 @@ def attack_sweep(u, v, route_cls, seg_starts, seg_sizes, seg_u, tie_key,
                 continue
             best_tie = _BLOCKED
             for e in range(lo, lo + m):
-                k = _attack_edge_key(e, row, att_row, drop_u, leak,
-                                     v, lp_field, is_provider_edge,
-                                     applies_edge, gullible_edge,
-                                     rank_codes, rank_widths,
-                                     cls, length, sec, att)
-                if k == best and tie_key[e] < best_tie:
+                k = _offer_key(e, row, att_row, drop_u, leak,
+                               v, lp_field, is_provider_edge,
+                               applies_edge, gullible_edge,
+                               rank_codes, rank_widths,
+                               cls, length, sec, att)
+                t = k == best
+                if tied is not None:
+                    tied[row, e] = t
+                if t and tie_key[e] < best_tie:
                     best_tie = tie_key[e]
             eidx = lo + np.int64(best_tie & _POS_MASK)
             vv = v[eidx]
@@ -226,17 +163,18 @@ def attack_sweep(u, v, route_cls, seg_starts, seg_sizes, seg_u, tie_key,
             new_att[row, uu] = att[row, vv]
 
 
-def _attack_edge_key(e, row, att_row, drop_u, leak,
-                     v, lp_field, is_provider_edge,
-                     applies_edge, gullible_edge,
-                     rank_codes, rank_widths, cls, length, sec, att):
-    """Rank key of one offer under attack; ``_INVALID_A`` if barred."""
+def _offer_key(e, row, att_row, drop_u, leak,
+               v, lp_field, is_provider_edge,
+               applies_edge, gullible_edge,
+               rank_codes, rank_widths, cls, length, sec, att):
+    """Packed uint32 rank key of one offer; ``_INVALID_A`` if barred."""
     vv = v[e]
     cv = cls[row, vv]
     if cv == _UNREACHABLE:
         return _INVALID_A
-    # GR2, with the leak escape hatch: the attacker exports its selected
-    # route to every neighbor regardless of class.
+    # GR2: only customer routes / the origin's own prefix are exported
+    # across peerings and up to providers — with the leak escape hatch:
+    # the attacker exports its selected route to every neighbor.
     if not (is_provider_edge[e] or cv == _CUSTOMER or cv == _SELF
             or (leak and vv == att_row)):
         return _INVALID_A

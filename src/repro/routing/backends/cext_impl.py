@@ -13,7 +13,7 @@ Import errors — no compiler, compile failure, dlopen failure — raise
 that into a counted ``compiled_to_numpy`` degradation, never a crash.
 
 Why ctypes and not a real extension module: the kernels take flat typed
-buffers and return nothing, so the FFI surface is six pointer-and-
+buffers and return nothing, so the FFI surface is three pointer-and-
 stride signatures — not worth a build system.  The Python-side wrappers
 enforce dtype and contiguity *loudly* (a silent mismatch would corrupt
 memory), which the parity suite exercises.
@@ -24,14 +24,13 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
-import shutil
 import subprocess
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from repro.routing.backends import BackendUnavailable
+from repro.routing.backends import BackendUnavailable, find_compiler
 from repro.routing.policy import POSITION_BITS, RouteClass
 from repro.runtime.atomic import atomic_write_text
 
@@ -112,92 +111,7 @@ void sbgp_weights_level(
     }
 }
 
-static inline uint32_t sbgp_edge_key(
-    int64_t e, const int32_t *v, const int8_t *cls_r, const int32_t *len_r,
-    const uint8_t *sec_r, const uint32_t *lp_field,
-    const uint8_t *is_provider_edge, const uint8_t *applies_edge,
-    const int64_t *rank_codes, const uint32_t *rank_widths)
-{
-    int32_t vv = v[e];
-    int8_t cv = cls_r[vv];
-    if (cv == -1)
-        return INVALID_KEY;
-    /* GR2: only customer routes (2) / the origin itself (3) are
-     * exported across peerings and up to providers. */
-    if (!(is_provider_edge[e] || cv == 2 || cv == 3))
-        return INVALID_KEY;
-    int32_t lv = len_r[vv];
-    if (lv < 0)
-        lv = 0;
-    uint32_t sp = (uint32_t)(lv + 1);
-    uint32_t secp = (applies_edge[e] && sec_r[vv]) ? 0u : 1u;
-    uint32_t key = 0;
-    for (int i = 0; i < 3; i++) {
-        uint32_t field = rank_codes[i] == 0
-            ? lp_field[e]
-            : (rank_codes[i] == 1 ? sp : secp);
-        key = (key << rank_widths[i]) | field;
-    }
-    return key;
-}
-
-void sbgp_fixpoint_sweep(
-    int64_t chunk, int64_t n, int64_t num_edges, int64_t num_segs,
-    const int32_t *v, const int8_t *route_cls,
-    const int64_t *seg_starts, const int64_t *seg_sizes,
-    const int32_t *seg_u, const uint64_t *tie_key,
-    const uint32_t *lp_field, const uint8_t *is_provider_edge,
-    const int64_t *rank_codes, const uint32_t *rank_widths,
-    const int8_t *cls, const int32_t *length, const uint8_t *sec,
-    const uint8_t *applies_edge, const uint8_t *node_secure,
-    int8_t *new_cls, int32_t *new_len, uint8_t *new_sec, uint8_t *tied)
-{
-    for (int64_t row = 0; row < chunk; row++) {
-        const int8_t *cls_r = cls + row * n;
-        const int32_t *len_r = length + row * n;
-        const uint8_t *sec_r = sec + row * n;
-        uint8_t *tied_r = tied + row * num_edges;
-        for (int64_t s = 0; s < num_segs; s++) {
-            int64_t lo = seg_starts[s];
-            int64_t m = seg_sizes[s];
-            uint32_t best = INVALID_KEY;
-            for (int64_t e = lo; e < lo + m; e++) {
-                uint32_t k = sbgp_edge_key(e, v, cls_r, len_r, sec_r,
-                                           lp_field, is_provider_edge,
-                                           applies_edge, rank_codes,
-                                           rank_widths);
-                if (k < best)
-                    best = k;
-            }
-            uint64_t best_tie = UINT64_MAX;
-            for (int64_t e = lo; e < lo + m; e++) {
-                uint32_t k = sbgp_edge_key(e, v, cls_r, len_r, sec_r,
-                                           lp_field, is_provider_edge,
-                                           applies_edge, rank_codes,
-                                           rank_widths);
-                int t = (best != INVALID_KEY) && (k == best);
-                tied_r[e] = (uint8_t)t;
-                if (t && tie_key[e] < best_tie)
-                    best_tie = tie_key[e];
-            }
-            int64_t uu = seg_u[s];
-            if (best != INVALID_KEY) {
-                int64_t eidx = lo + (int64_t)(best_tie & POS_MASK);
-                int32_t vv = v[eidx];
-                new_cls[row * n + uu] = route_cls[eidx];
-                new_len[row * n + uu] = len_r[vv] + 1;
-                new_sec[row * n + uu] =
-                    (uint8_t)(node_secure[uu] && sec_r[vv]);
-            } else {
-                new_cls[row * n + uu] = -1;
-                new_len[row * n + uu] = -1;
-                new_sec[row * n + uu] = 0;
-            }
-        }
-    }
-}
-
-static inline uint32_t sbgp_attack_edge_key(
+static inline uint32_t sbgp_offer_key(
     int64_t e, int64_t att_row, int drop_u, int leak,
     const int32_t *v, const uint32_t *lp_field,
     const uint8_t *is_provider_edge, const uint8_t *applies_edge,
@@ -210,13 +124,15 @@ static inline uint32_t sbgp_attack_edge_key(
     int8_t cv = cls_r[vv];
     if (cv == -1)
         return INVALID_KEY;
-    /* GR2, with the leak escape hatch: the attacker exports its
-     * selected route to every neighbor regardless of class. */
+    /* GR2: only customer routes (2) / the origin itself (3) are
+     * exported across peerings and up to providers -- with the leak
+     * escape hatch: the attacker exports its selected route to every
+     * neighbor.  att_row == -1 (no adversary) equals no node id. */
     if (!(is_provider_edge[e] || cv == 2 || cv == 3 ||
           (leak && vv == att_row)))
         return INVALID_KEY;
     /* end-state filtering: validators reject what cannot be validated
-     * (genuine security only — gullible belief fails ROV). */
+     * (genuine security only -- gullible belief fails ROV). */
     if (drop_u && !sec_r[vv])
         return INVALID_KEY;
     int32_t lv = len_r[vv];
@@ -236,8 +152,9 @@ static inline uint32_t sbgp_attack_edge_key(
     return key;
 }
 
-void sbgp_attack_sweep(
-    int64_t chunk, int64_t n, int64_t num_segs,
+/* tied may be NULL: only structure building asks for the tie mask. */
+void sbgp_jacobi_sweep(
+    int64_t chunk, int64_t n, int64_t num_edges, int64_t num_segs,
     const int32_t *v, const int8_t *route_cls,
     const int64_t *seg_starts, const int64_t *seg_sizes,
     const int32_t *seg_u, const uint64_t *tie_key,
@@ -248,13 +165,15 @@ void sbgp_attack_sweep(
     const int8_t *cls, const int32_t *length, const uint8_t *sec,
     const uint8_t *att, const uint8_t *applies_edge,
     const uint8_t *node_secure,
-    int8_t *new_cls, int32_t *new_len, uint8_t *new_sec, uint8_t *new_att)
+    int8_t *new_cls, int32_t *new_len, uint8_t *new_sec, uint8_t *new_att,
+    uint8_t *tied)
 {
     for (int64_t row = 0; row < chunk; row++) {
         const int8_t *cls_r = cls + row * n;
         const int32_t *len_r = length + row * n;
         const uint8_t *sec_r = sec + row * n;
         const uint8_t *att_r = att + row * n;
+        uint8_t *tied_r = tied ? tied + row * num_edges : 0;
         int64_t att_row = attacker[row];
         for (int64_t s = 0; s < num_segs; s++) {
             int64_t lo = seg_starts[s];
@@ -263,7 +182,7 @@ void sbgp_attack_sweep(
             int drop_u = drop && validators[uu];
             uint32_t best = INVALID_KEY;
             for (int64_t e = lo; e < lo + m; e++) {
-                uint32_t k = sbgp_attack_edge_key(
+                uint32_t k = sbgp_offer_key(
                     e, att_row, drop_u, (int)leak, v, lp_field,
                     is_provider_edge, applies_edge, gullible_edge,
                     rank_codes, rank_widths, cls_r, len_r, sec_r, att_r);
@@ -271,6 +190,9 @@ void sbgp_attack_sweep(
                     best = k;
             }
             if (best == INVALID_KEY) {
+                if (tied_r)
+                    for (int64_t e = lo; e < lo + m; e++)
+                        tied_r[e] = 0;
                 new_cls[row * n + uu] = -1;
                 new_len[row * n + uu] = -1;
                 new_sec[row * n + uu] = 0;
@@ -279,11 +201,14 @@ void sbgp_attack_sweep(
             }
             uint64_t best_tie = UINT64_MAX;
             for (int64_t e = lo; e < lo + m; e++) {
-                uint32_t k = sbgp_attack_edge_key(
+                uint32_t k = sbgp_offer_key(
                     e, att_row, drop_u, (int)leak, v, lp_field,
                     is_provider_edge, applies_edge, gullible_edge,
                     rank_codes, rank_widths, cls_r, len_r, sec_r, att_r);
-                if (k == best && tie_key[e] < best_tie)
+                int t = (k == best);
+                if (tied_r)
+                    tied_r[e] = (uint8_t)t;
+                if (t && tie_key[e] < best_tie)
                     best_tie = tie_key[e];
             }
             int64_t eidx = lo + (int64_t)(best_tie & POS_MASK);
@@ -307,13 +232,6 @@ def _cache_dir() -> Path:
     return Path.home() / ".cache" / "sbgp-kernels"
 
 
-def _find_compiler() -> str | None:
-    for candidate in (os.environ.get("CC"), "cc", "gcc", "clang"):
-        if candidate and shutil.which(candidate):
-            return candidate
-    return None
-
-
 def _build_shared_object() -> Path:
     """Compile (or reuse) the kernels; returns the cached ``.so`` path."""
     digest = hashlib.blake2b(_C_SOURCE.encode(), digest_size=12).hexdigest()
@@ -321,7 +239,7 @@ def _build_shared_object() -> Path:
     so_path = cache_dir / f"sbgp_kernels_{digest}.so"
     if so_path.exists():
         return so_path
-    cc = _find_compiler()
+    cc = find_compiler()
     if cc is None:
         raise BackendUnavailable("no C compiler (cc/gcc/clang) on PATH")
     cache_dir.mkdir(parents=True, exist_ok=True)
@@ -352,7 +270,7 @@ def _load_library() -> ctypes.CDLL:
     except OSError as exc:  # dlopen failure
         raise BackendUnavailable(f"cannot load compiled kernels: {exc}") from exc
     for name in ("sbgp_trees_level", "sbgp_weights_level",
-                 "sbgp_fixpoint_sweep", "sbgp_attack_sweep"):
+                 "sbgp_jacobi_sweep"):
         fn = getattr(lib, name)
         fn.restype = None
     return lib
@@ -397,34 +315,15 @@ def weights_level(nodes, node_b, choice, node_weights, w):
     )
 
 
-def fixpoint_sweep(u, v, route_cls, seg_starts, seg_sizes, seg_u, tie_key,
-                   lp_field, is_provider_edge, rank_codes, rank_widths,
-                   cls, length, sec, applies_edge, node_secure,
-                   new_cls, new_len, new_sec, tied):
-    """One synchronous best-response step over the segment-sorted edges."""
-    _LIB.sbgp_fixpoint_sweep(
-        _I64(cls.shape[0]), _I64(cls.shape[1]),
-        _I64(len(v)), _I64(len(seg_starts)),
-        _ptr(v, np.int32), _ptr(route_cls, np.int8),
-        _ptr(seg_starts, np.int64), _ptr(seg_sizes, np.int64),
-        _ptr(seg_u, np.int32), _ptr(tie_key, np.uint64),
-        _ptr(lp_field, np.uint32), _ptr(is_provider_edge, np.bool_),
-        _ptr(rank_codes, np.int64), _ptr(rank_widths, np.uint32),
-        _ptr(cls, np.int8), _ptr(length, np.int32), _ptr(sec, np.bool_),
-        _ptr(applies_edge, np.bool_), _ptr(node_secure, np.bool_),
-        _ptr(new_cls, np.int8), _ptr(new_len, np.int32),
-        _ptr(new_sec, np.bool_), _ptr(tied, np.bool_),
-    )
-
-
-def attack_sweep(u, v, route_cls, seg_starts, seg_sizes, seg_u, tie_key,
+def jacobi_sweep(u, v, route_cls, seg_starts, seg_sizes, seg_u, tie_key,
                  lp_field, is_provider_edge, rank_codes, rank_widths,
                  attacker, gullible_edge, validators, leak, drop,
                  cls, length, sec, att, applies_edge, node_secure,
-                 new_cls, new_len, new_sec, new_att):
-    """One multi-origin (victim + attacker) best-response step."""
-    _LIB.sbgp_attack_sweep(
-        _I64(cls.shape[0]), _I64(cls.shape[1]), _I64(len(seg_starts)),
+                 new_cls, new_len, new_sec, new_att, tied=None):
+    """One synchronous best-response step over the segment-sorted edges."""
+    _LIB.sbgp_jacobi_sweep(
+        _I64(cls.shape[0]), _I64(cls.shape[1]),
+        _I64(len(v)), _I64(len(seg_starts)),
         _ptr(v, np.int32), _ptr(route_cls, np.int8),
         _ptr(seg_starts, np.int64), _ptr(seg_sizes, np.int64),
         _ptr(seg_u, np.int32), _ptr(tie_key, np.uint64),
@@ -437,4 +336,5 @@ def attack_sweep(u, v, route_cls, seg_starts, seg_sizes, seg_u, tie_key,
         _ptr(node_secure, np.bool_),
         _ptr(new_cls, np.int8), _ptr(new_len, np.int32),
         _ptr(new_sec, np.bool_), _ptr(new_att, np.bool_),
+        None if tied is None else _ptr(tied, np.bool_),
     )

@@ -1,13 +1,12 @@
 """Vectorised numpy kernels — the differential ground truth.
 
-These are the original level/sweep bodies of
-``repro.routing.arena.compute_trees_batched``,
-``repro.routing.arena.subtree_weights_batched`` and
-``repro.routing.fixpoint._sweep``, moved here verbatim so every other
-backend has a fixed point of comparison: the parity suite asserts
-**bit-identical** outputs against this module.  Do not "improve" the
-numerics here — a change to operation order is a change to the ground
-truth.
+The level bodies of ``repro.routing.arena.compute_trees_batched`` and
+``repro.routing.arena.subtree_weights_batched`` and the Jacobi step that
+:class:`repro.routing.fixpoint.JacobiDriver` iterates, kept here so
+every other backend has a fixed point of comparison: the parity suite
+asserts **bit-identical** outputs against this module.  Do not
+"improve" the numerics here — a change to operation order is a change
+to the ground truth.
 
 All three kernels share the calling convention documented in
 :mod:`repro.routing.backends._loops` (same signatures, same dtypes,
@@ -74,70 +73,7 @@ def weights_level(
     ).reshape(w.shape)
 
 
-def fixpoint_sweep(
-    u: np.ndarray,
-    v: np.ndarray,
-    route_cls: np.ndarray,
-    seg_starts: np.ndarray,
-    seg_sizes: np.ndarray,
-    seg_u: np.ndarray,
-    tie_key: np.ndarray,
-    lp_field: np.ndarray,
-    is_provider_edge: np.ndarray,
-    rank_codes: np.ndarray,
-    rank_widths: np.ndarray,
-    cls: np.ndarray,
-    length: np.ndarray,
-    sec: np.ndarray,
-    applies_edge: np.ndarray,
-    node_secure: np.ndarray,
-    new_cls: np.ndarray,
-    new_len: np.ndarray,
-    new_sec: np.ndarray,
-    tied: np.ndarray,
-) -> None:
-    """One synchronous best-response step over the edge table."""
-    cls_v = cls[:, v]
-    # GR2: across a peering or up to a provider only customer routes and
-    # the origin's own prefix travel; down to a customer anything does.
-    announces = (cls_v == _CUSTOMER) | (cls_v == _SELF)
-    valid = (cls_v != _UNREACHABLE) & (is_provider_edge | announces)
-
-    sp_field = (np.maximum(length[:, v], 0) + 1).astype(np.uint32)
-    secp_field = 1 - (applies_edge & sec[:, v]).astype(np.uint32)
-    key = np.zeros(valid.shape, dtype=np.uint32)
-    for i in range(len(rank_codes)):
-        code = int(rank_codes[i])
-        if code == 0:
-            field: np.ndarray = lp_field
-        elif code == 1:
-            field = sp_field
-        else:
-            field = secp_field
-        key = (key << np.uint32(rank_widths[i])) | field
-    key_a = np.where(valid, key, _INVALID_A)
-
-    best_a = np.minimum.reduceat(key_a, seg_starts, axis=1)
-    tied[:] = (key_a == np.repeat(best_a, seg_sizes, axis=1)) & (
-        key_a != _INVALID_A
-    )
-    key_b = np.where(tied, tie_key[None, :], _BLOCKED)
-    chosen = np.minimum.reduceat(key_b, seg_starts, axis=1)
-    reachable = best_a != _INVALID_A
-    eidx = seg_starts[None, :] + np.where(
-        reachable, (chosen & _POS_MASK).astype(np.int64), 0
-    )
-    v_sel = v[eidx]
-    sec_v = np.take_along_axis(sec, v_sel, axis=1)
-    len_v = np.take_along_axis(length, v_sel, axis=1)
-    new_cls[:, seg_u] = np.where(
-        reachable, route_cls[eidx], np.int8(_UNREACHABLE)
-    )
-    new_len[:, seg_u] = np.where(reachable, len_v + 1, -1)
-    new_sec[:, seg_u] = reachable & node_secure[seg_u] & sec_v
-
-
-def attack_sweep(
+def jacobi_sweep(
     u: np.ndarray,
     v: np.ndarray,
     route_cls: np.ndarray,
@@ -164,21 +100,30 @@ def attack_sweep(
     new_len: np.ndarray,
     new_sec: np.ndarray,
     new_att: np.ndarray,
+    tied: np.ndarray | None = None,
 ) -> None:
-    """One multi-origin (victim + attacker) best-response step.
+    """One synchronous best-response step over the edge table.
 
-    The fixpoint sweep with a per-row adversary (``attacker[row]``):
-    ``att`` marks labels descending from the attacker's announcement,
-    ``gullible_edge`` the provider edges where a simplex stub believes
-    the attacker's word (§2.2.1), ``validators`` + ``drop`` bar
-    unvalidated routes at fully-validating ASes, and ``leak`` lets
-    offers *from* the attacker bypass GR2.  The caller pins the
-    principals' labels after each step.
+    Every row carries its own adversary (``attacker[row]``, ``-1`` for
+    none): ``att`` marks labels descending from the attacker's
+    announcement, ``gullible_edge`` the provider edges where a simplex
+    stub believes the attacker's word (§2.2.1), ``validators`` + ``drop``
+    bar unvalidated routes at fully-validating ASes, and ``leak`` lets
+    offers *from* the attacker bypass GR2.  ``-1`` equals no node id, so
+    a row without an adversary is plain single-origin BGP and may share
+    a chunk with rows that have one.  The caller pins the origins'
+    labels after each step.  ``tied``, when given, receives the
+    per-edge tiebreak-set mask.
     """
-    att_col = attacker[:, None]
-    from_attacker = v[None, :] == att_col
+    # the adversary terms cost a [chunk, edges] pass each, so they are
+    # skipped when their inputs are empty (always, for attacker = -1 rows)
+    gullible = bool(gullible_edge.any())
+    if leak or gullible:
+        from_attacker = v[None, :] == attacker[:, None]
     cls_v = cls[:, v]
     sec_v = sec[:, v]
+    # GR2: across a peering or up to a provider only customer routes and
+    # the origin's own prefix travel; down to a customer anything does.
     announces = (cls_v == _CUSTOMER) | (cls_v == _SELF)
     exportable = is_provider_edge | announces
     if leak:
@@ -186,7 +131,9 @@ def attack_sweep(
     valid = (cls_v != _UNREACHABLE) & exportable
     if drop:
         valid &= sec_v | ~validators[u][None, :]
-    seen = sec_v | (gullible_edge[None, :] & from_attacker & att[:, v])
+    seen = sec_v
+    if gullible:
+        seen = sec_v | (gullible_edge[None, :] & from_attacker & att[:, v])
 
     sp_field = (np.maximum(length[:, v], 0) + 1).astype(np.uint32)
     secp_field = 1 - (applies_edge & seen).astype(np.uint32)
@@ -203,8 +150,10 @@ def attack_sweep(
     key_a = np.where(valid, key, _INVALID_A)
 
     best_a = np.minimum.reduceat(key_a, seg_starts, axis=1)
-    tied = (key_a == np.repeat(best_a, seg_sizes, axis=1)) & (
-        key_a != _INVALID_A
+    tied = np.logical_and(
+        key_a == np.repeat(best_a, seg_sizes, axis=1),
+        key_a != _INVALID_A,
+        out=tied,
     )
     key_b = np.where(tied, tie_key[None, :], _BLOCKED)
     chosen = np.minimum.reduceat(key_b, seg_starts, axis=1)
@@ -213,7 +162,6 @@ def attack_sweep(
         reachable, (chosen & _POS_MASK).astype(np.int64), 0
     )
     v_sel = v[eidx]
-    sec_sel = np.take_along_axis(sec, v_sel, axis=1)
     len_sel = np.take_along_axis(length, v_sel, axis=1)
     att_sel = np.take_along_axis(att, v_sel, axis=1)
     seen_sel = np.take_along_axis(seen, eidx, axis=1)

@@ -7,8 +7,8 @@ class BackendUnavailable(RuntimeError):
     """A registered kernel backend cannot be imported or compiled.
 
     Raised by :func:`repro.routing.backends.load_backend` when a
-    backend's dependencies are missing (no numba, no C compiler) or its
-    compilation fails.  Registry callers rarely see it: resolution
+    backend's toolchain is missing (no C compiler) or its compilation
+    fails.  Registry callers rarely see it: resolution
     degrades to the numpy backend (a counted ladder rung) instead of
     propagating, so only a direct ``load_backend`` call — or numpy
     itself failing — surfaces the error.

@@ -23,6 +23,12 @@ every ranking), tie sets at SecP-applying nodes are security-
 homogeneous, and fixpoint selections are loop-free because lengths
 decrease by one along the choice chain.
 
+The iteration itself is :class:`JacobiDriver`, shared with the attack
+layer (:mod:`repro.security.hijack`): App. A's ranking does not change
+when a second AS originates the prefix, so one backend kernel
+(``jacobi_sweep``) serves both, and single-origin structure building
+is its no-adversary case — every row carries ``attacker = -1``.
+
 Convergence: rankings with LP first (``security_2nd``, and the default)
 admit no dispute wheel under GR1 topologies, so the iteration reaches
 the unique stable state in about one sweep per path-length level.
@@ -33,7 +39,7 @@ silent wrong answer.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -70,11 +76,16 @@ _HASH_MASK = ~_POS_MASK
 _WIDTH = {Criterion.LP: 2, Criterion.SP: 21, Criterion.SECP: 1}
 
 #: criterion -> integer code in the backend kernels' rank metadata
-#: (kernels take plain arrays, not enums, so they stay JIT/C-compatible)
+#: (kernels take plain arrays, not enums, so they stay C-compatible)
 _RANK_CODE = {Criterion.LP: 0, Criterion.SP: 1, Criterion.SECP: 2}
 
 #: destinations per Jacobi batch — bounds the [chunk, edges] working set
 _CHUNK = 128
+
+#: one chunk's route labels: ``(cls int8, length int32, sec bool, att
+#: bool)``, each ``[chunk, n]``; ``att`` marks routes that descend from
+#: an attacker's announcement
+Labels = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 class _EdgeTable:
@@ -131,48 +142,115 @@ class _EdgeTable:
         self.is_provider_edge = self.route_cls == _PROVIDER
 
 
-def _rank_metadata(
-    ranking: Sequence[Criterion],
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(codes int64[3], widths uint32[3])`` for the backend kernels."""
-    codes = np.array([_RANK_CODE[crit] for crit in ranking], dtype=np.int64)
-    widths = np.array([_WIDTH[crit] for crit in ranking], dtype=np.uint32)
-    return codes, widths
+class JacobiDriver:
+    """The one iterate-to-fixpoint loop over the backends' ``jacobi_sweep``.
 
+    Built once per ``(CompiledGraph, policy, deployment state)``, it
+    owns everything structure building and attack simulation share: the
+    edge table, the policy's rank metadata, backend dispatch, the sweep
+    cap and the convergence test.  Callers differ only in data — which
+    labels they pin after each sweep, and whether a row has an
+    adversary (``attackers[row]``; ``-1``, the default, is none).
 
-def _sweep(
-    table: _EdgeTable,
-    kernels: Any,
-    rank_codes: np.ndarray,
-    rank_widths: np.ndarray,
-    dests: np.ndarray,
-    node_secure: np.ndarray,
-    applies_edge: np.ndarray,
-    cls: np.ndarray,
-    length: np.ndarray,
-    sec: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One synchronous best-response step; returns new labels + tie mask."""
-    chunk = len(dests)
-    rows = np.arange(chunk)
-    new_cls = np.full((chunk, table.n), _UNREACHABLE, dtype=np.int8)
-    new_len = np.full((chunk, table.n), -1, dtype=np.int32)
-    new_sec = np.zeros((chunk, table.n), dtype=bool)
-    tied = np.zeros((chunk, table.num_edges), dtype=bool)
-    if table.num_edges:
-        kernels.fixpoint_sweep(
-            table.u, table.v, table.route_cls,
-            table.seg_starts, table.seg_sizes, table.seg_u, table.tie_key,
-            table.lp_field, table.is_provider_edge,
-            rank_codes, rank_widths,
-            cls, length, sec, applies_edge, node_secure,
-            new_cls, new_len, new_sec, tied,
+    ``applies`` marks the nodes that exercise SecP; ``gullible`` the
+    nodes that believe an attacking provider's word, ``validators`` +
+    ``drop`` the nodes that reject unvalidated routes (all empty by
+    default: the honest world).  ``backend`` resolves through
+    :mod:`repro.routing.backends`; ``max_sweeps`` defaults to ``n + 8``.
+    """
+
+    def __init__(
+        self,
+        cg: CompiledGraph,
+        policy: "RoutingPolicy",
+        node_secure: np.ndarray,
+        applies: np.ndarray,
+        *,
+        gullible: np.ndarray | None = None,
+        validators: np.ndarray | None = None,
+        drop: bool = False,
+        backend: str | None = None,
+        max_sweeps: int | None = None,
+    ) -> None:
+        self.table = table = _EdgeTable(cg)
+        self.n = cg.n
+        self.cap = max_sweeps if max_sweeps is not None else cg.n + 8
+        backend_name, self._kernels = kernel_backends.kernels_for(
+            kernel_backends.resolve_backend(backend)
         )
-    # the destination always keeps its own (empty, trivially best) route
-    new_cls[rows, dests] = _SELF
-    new_len[rows, dests] = 0
-    new_sec[rows, dests] = node_secure[dests]
-    return new_cls, new_len, new_sec, tied
+        registry = get_registry()
+        if registry.enabled:
+            registry.counter(f"routing.backend.calls.{backend_name}").inc()
+        self._rank_codes = np.array(
+            [_RANK_CODE[crit] for crit in policy.ranking], dtype=np.int64
+        )
+        self._rank_widths = np.array(
+            [_WIDTH[crit] for crit in policy.ranking], dtype=np.uint32
+        )
+        self._node_secure = node_secure
+        self._applies_edge = applies[table.u]
+        if gullible is None:
+            self._gullible_edge = np.zeros(table.num_edges, dtype=bool)
+        else:
+            self._gullible_edge = table.is_provider_edge & gullible[table.u]
+        self._validators = (
+            np.zeros(cg.n, dtype=bool) if validators is None else validators
+        )
+        self._drop = drop
+
+    def blank(self, chunk: int) -> Labels:
+        """All-unreachable ``(cls, length, sec, att)`` for ``chunk`` rows."""
+        return (
+            np.full((chunk, self.n), _UNREACHABLE, dtype=np.int8),
+            np.full((chunk, self.n), -1, dtype=np.int32),
+            np.zeros((chunk, self.n), dtype=bool),
+            np.zeros((chunk, self.n), dtype=bool),
+        )
+
+    def converge(
+        self,
+        labels: Labels,
+        pin: Callable[..., None],
+        what: str,
+        *,
+        attackers: np.ndarray | None = None,
+        leak: bool = False,
+        tied: np.ndarray | None = None,
+    ) -> Labels:
+        """Pin ``labels``, then sweep until a sweep changes nothing.
+
+        ``pin(cls, length, sec, att)`` overwrites the origins' labels in
+        place; it runs on the starting labels and after every sweep.
+        ``tied``, when given, ends up holding the converged tiebreak-set
+        mask per edge.  Raises :class:`ConvergenceError` naming ``what``
+        when the cap is reached — a real possibility for
+        ``security_1st``, which admits dispute wheels.
+        """
+        table = self.table
+        chunk = labels[0].shape[0]
+        if attackers is None:
+            attackers = np.full(chunk, -1, dtype=np.int64)
+        pin(*labels)
+        for _ in range(self.cap):
+            new = self.blank(chunk)
+            if table.num_edges:
+                self._kernels.jacobi_sweep(
+                    table.u, table.v, table.route_cls,
+                    table.seg_starts, table.seg_sizes, table.seg_u,
+                    table.tie_key, table.lp_field, table.is_provider_edge,
+                    self._rank_codes, self._rank_widths,
+                    attackers, self._gullible_edge, self._validators,
+                    leak, self._drop,
+                    *labels, self._applies_edge, self._node_secure,
+                    *new, tied,
+                )
+            pin(*new)
+            if all(np.array_equal(a, b) for a, b in zip(new, labels)):
+                return labels
+            labels = new
+        raise ConvergenceError(
+            f"{what} did not converge within {self.cap} sweeps"
+        )
 
 
 def _assemble(
@@ -243,58 +321,38 @@ def fixpoint_dest_routings(
     degrades to numpy.
     """
     cg = compiled or CompiledGraph.from_graph(graph)
-    table = _EdgeTable(cg)
     n = cg.n
-    backend_name, kernels = kernel_backends.kernels_for(
-        kernel_backends.resolve_backend(backend)
-    )
-    registry = get_registry()
-    if registry.enabled:
-        registry.counter(f"routing.backend.calls.{backend_name}").inc()
-    rank_codes, rank_widths = _rank_metadata(policy.ranking)
     if node_secure is None:
         node_secure = np.zeros(n, dtype=bool)
     if breaks_ties is None:
         breaks_ties = np.zeros(n, dtype=bool)
     node_secure = np.asarray(node_secure, dtype=bool)
-    applies = node_secure & np.asarray(breaks_ties, dtype=bool)
-    applies_edge = applies[table.u] if table.num_edges else applies[:0]
-    cap = max_sweeps if max_sweeps is not None else n + 8
+    driver = JacobiDriver(
+        cg, policy, node_secure,
+        node_secure & np.asarray(breaks_ties, dtype=bool),
+        backend=backend, max_sweeps=max_sweeps,
+    )
+    table = driver.table
 
     dest_arr = np.asarray(list(dests), dtype=np.int64)
     out: list[DestRouting] = []
     for start in range(0, len(dest_arr), _CHUNK):
         batch = dest_arr[start:start + _CHUNK]
-        chunk = len(batch)
-        rows = np.arange(chunk)
-        cls = np.full((chunk, n), _UNREACHABLE, dtype=np.int8)
-        length = np.full((chunk, n), -1, dtype=np.int32)
-        sec = np.zeros((chunk, n), dtype=bool)
-        cls[rows, batch] = _SELF
-        length[rows, batch] = 0
-        sec[rows, batch] = node_secure[batch]
+        rows = np.arange(len(batch))
 
-        tied = np.zeros((chunk, table.num_edges), dtype=bool)
-        for _ in range(cap):
-            new_cls, new_len, new_sec, tied = _sweep(
-                table, kernels, rank_codes, rank_widths,
-                batch, node_secure, applies_edge,
-                cls, length, sec,
-            )
-            if (
-                np.array_equal(new_cls, cls)
-                and np.array_equal(new_len, length)
-                and np.array_equal(new_sec, sec)
-            ):
-                break
-            cls, length, sec = new_cls, new_len, new_sec
-        else:
-            raise ConvergenceError(
-                f"policy {policy.name!r} did not converge within {cap} sweeps "
-                f"(destinations {batch[:4].tolist()}...)"
-            )
-        for k in range(chunk):
-            out.append(
-                _assemble(table, int(batch[k]), cls[k], length[k], tied[k])
-            )
+        def pin(cls, length, sec, att):
+            # the destination always keeps its own (empty, trivially
+            # best) route
+            cls[rows, batch] = _SELF
+            length[rows, batch] = 0
+            sec[rows, batch] = node_secure[batch]
+
+        tied = np.zeros((len(batch), table.num_edges), dtype=bool)
+        cls, length, _, _ = driver.converge(
+            driver.blank(len(batch)), pin,
+            f"policy {policy.name!r} (destinations {batch[:4].tolist()}...)",
+            tied=tied,
+        )
+        for k, dest in enumerate(batch):
+            out.append(_assemble(table, int(dest), cls[k], length[k], tied[k]))
     return out

@@ -32,9 +32,9 @@ two pinned labels.  Two implementations exist:
 - :func:`simulate_hijack` — a per-pair scalar reference in plain
   Python, the differential ground truth;
 - :func:`simulate_attacks_batched` — the same iteration vectorised
-  over (victim, attacker) pairs on the fixpoint edge table, dispatched
-  through the kernel-backend registry (``attack_sweep`` in
-  :mod:`repro.routing.backends`).  The parity suite pins it
+  over (victim, attacker) pairs: the
+  :class:`~repro.routing.fixpoint.JacobiDriver` that builds routing
+  structures, with an adversary per row.  The parity suite pins it
   bit-identical to the scalar reference.
 """
 
@@ -45,8 +45,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.routing import backends as kernel_backends
 from repro.routing.compiled import CompiledGraph
+from repro.routing.fixpoint import JacobiDriver
 from repro.routing.policy import (
     POSITION_BITS,
     Criterion,
@@ -349,16 +349,13 @@ def simulate_attacks_batched(
 ) -> list[HijackOutcome]:
     """Batched :func:`simulate_hijack` over (victim, attacker) pairs.
 
-    The multi-origin Jacobi iteration vectorised on the fixpoint edge
-    table, in chunks of pairs, dispatched through the kernel-backend
-    registry (``backend`` as in
+    The multi-origin Jacobi iteration in chunks of pairs, on the
+    :class:`~repro.routing.fixpoint.JacobiDriver` (``backend`` as in
     :func:`repro.routing.fixpoint.fixpoint_dest_routings`).  One
     deployment state, one scenario, one policy, many pairs — the inner
     loop of every attack-matrix cell.  Bit-identical to the scalar
     reference, outcome for outcome.
     """
-    from repro.routing.fixpoint import _EdgeTable, _rank_metadata
-
     scen = get_scenario(scenario)
     pol = get_policy(policy)
     pair_arr = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
@@ -369,30 +366,20 @@ def simulate_attacks_batched(
     if (pair_arr[:, 0] == pair_arr[:, 1]).any():
         raise ValueError("victim and attacker must differ")
 
-    cg = compiled or CompiledGraph.from_graph(graph)
-    table = _EdgeTable(cg)
-    n = cg.n
-    backend_name, kernels = kernel_backends.kernels_for(
-        kernel_backends.resolve_backend(backend)
-    )
     registry = get_registry()
     if registry.enabled:
         registry.counter("security.attack.batches").inc()
         registry.counter("security.attack.pairs").inc(len(pair_arr))
-        registry.counter(f"routing.backend.calls.{backend_name}").inc()
-    rank_codes, rank_widths = _rank_metadata(pol.ranking)
     node_secure, applies, validators, is_stub, gullible, drop = _attack_flags(
         graph, scen, pol, node_secure, breaks_ties,
         attacker_convinces_own_stubs, drop_unvalidated,
     )
-    applies_edge = applies[table.u] if table.num_edges else applies[:0]
-    if gullible and table.num_edges:
-        gullible_edge = (
-            table.is_provider_edge & is_stub[table.u] & node_secure[table.u]
-        )
-    else:
-        gullible_edge = np.zeros(table.num_edges, dtype=bool)
-    cap = max_sweeps if max_sweeps is not None else n + 8
+    driver = JacobiDriver(
+        compiled or CompiledGraph.from_graph(graph), pol, node_secure, applies,
+        gullible=is_stub & node_secure if gullible else None,
+        validators=validators, drop=drop,
+        backend=backend, max_sweeps=max_sweeps,
+    )
 
     outcomes: list[HijackOutcome] = []
     tracer = get_tracer()
@@ -403,38 +390,10 @@ def simulate_attacks_batched(
         attackers = np.ascontiguousarray(batch[:, 1])
         chunk = len(batch)
         rows = np.arange(chunk)
-
-        def iterate(cls, length, sec, att, pin, leaking):
-            for _ in range(cap):
-                new_cls = np.full((chunk, n), _UNREACHABLE, dtype=np.int8)
-                new_len = np.full((chunk, n), -1, dtype=np.int32)
-                new_sec = np.zeros((chunk, n), dtype=bool)
-                new_att = np.zeros((chunk, n), dtype=bool)
-                if table.num_edges:
-                    kernels.attack_sweep(
-                        table.u, table.v, table.route_cls,
-                        table.seg_starts, table.seg_sizes, table.seg_u,
-                        table.tie_key, table.lp_field,
-                        table.is_provider_edge, rank_codes, rank_widths,
-                        attackers, gullible_edge, validators,
-                        leaking, drop,
-                        cls, length, sec, att, applies_edge, node_secure,
-                        new_cls, new_len, new_sec, new_att,
-                    )
-                pin(new_cls, new_len, new_sec, new_att)
-                if (
-                    np.array_equal(new_cls, cls)
-                    and np.array_equal(new_len, length)
-                    and np.array_equal(new_sec, sec)
-                    and np.array_equal(new_att, att)
-                ):
-                    return cls, length, sec, att
-                cls, length, sec, att = new_cls, new_len, new_sec, new_att
-            raise ConvergenceError(
-                f"attack scenario {scen.name!r} under policy "
-                f"{pol.name!r} did not converge within {cap} sweeps "
-                f"(pairs {batch[:4].tolist()}...)"
-            )
+        what = (
+            f"attack scenario {scen.name!r} under policy {pol.name!r} "
+            f"(pairs {batch[:4].tolist()}...)"
+        )
 
         def pin_victim(c, ln, s, a):
             if scen.victim_originates:
@@ -443,23 +402,14 @@ def simulate_attacks_batched(
                 s[rows, victims] = node_secure[victims]
                 a[rows, victims] = False
 
-        cls = np.full((chunk, n), _UNREACHABLE, dtype=np.int8)
-        length = np.full((chunk, n), -1, dtype=np.int32)
-        sec = np.zeros((chunk, n), dtype=bool)
-        att = np.zeros((chunk, n), dtype=bool)
-
         with tracer.span("attack.batch", pairs=chunk):
             if leak_replay:
-                # phase 1: the honest single-origin world, to freeze
-                # the leaker's route (see simulate_hijack); phase 2
-                # pins that label and propagates the leak from it.
-                pin_victim(cls, length, sec, att)
-                cls, length, sec, att = iterate(
-                    cls, length, sec, att, pin_victim, leaking=False
-                )
-                a_cls = cls[rows, attackers].copy()
-                a_len = length[rows, attackers].copy()
-                a_sec = sec[rows, attackers].copy()
+                # phase 1: the honest single-origin world (no row has
+                # an adversary), to freeze the leaker's route (see
+                # simulate_hijack); phase 2 pins that label and
+                # propagates the leak from it.
+                labels = driver.converge(driver.blank(chunk), pin_victim, what)
+                a_cls, a_len, a_sec = (x[rows, attackers] for x in labels[:3])
 
                 def pin(c, ln, s, a):
                     pin_victim(c, ln, s, a)
@@ -468,10 +418,8 @@ def simulate_attacks_batched(
                     s[rows, attackers] = a_sec
                     a[rows, attackers] = True
 
-                att = att.copy()
-                att[rows, attackers] = True
-                cls, length, sec, att = iterate(
-                    cls, length, sec, att, pin, leaking=True
+                cls, _, _, att = driver.converge(
+                    labels, pin, what, attackers=attackers, leak=True
                 )
             else:
                 def pin(c, ln, s, a):
@@ -482,9 +430,9 @@ def simulate_attacks_batched(
                         s[rows, attackers] = False
                     a[rows, attackers] = True
 
-                pin(cls, length, sec, att)
-                cls, length, sec, att = iterate(
-                    cls, length, sec, att, pin, leaking=scen.attacker_leaks
+                cls, _, _, att = driver.converge(
+                    driver.blank(chunk), pin, what,
+                    attackers=attackers, leak=scen.attacker_leaks,
                 )
 
         for k in range(chunk):

@@ -33,6 +33,7 @@ import time
 from pathlib import Path
 from typing import Any
 
+from repro.routing import backends as kernel_backends
 from repro.runtime.atomic import atomic_write_json, load_checked_json
 from repro.runtime.journal import RunJournal
 from repro.service.errors import JobNotFoundError, JobStateError
@@ -55,6 +56,25 @@ TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
 #: per-job event ring size (events older than this are dropped from the
 #: stream; their effects survive in the job record itself)
 MAX_EVENTS = 1000
+
+
+def _journaled_spec(payload: dict[str, Any]) -> tuple[JobSpec, str | None]:
+    """Parse a journaled spec: ``(spec, retired backend name or None)``.
+
+    Submit-time validation rejects unknown ``kernel_backend`` names, but
+    a journal outlives the build that wrote it.  The backend is an
+    execution detail outside the spec digest (results are bit-identical),
+    so a name this build no longer registers must not lock the daemon
+    out of its own store: the job keeps its identity and runs on the
+    default backend.
+    """
+    name = payload.get("kernel_backend")
+    if name is not None:
+        try:
+            kernel_backends.get_backend(name)
+        except ValueError:
+            return parse_spec({**payload, "kernel_backend": None}), name
+    return parse_spec(payload), None
 
 
 class Job:
@@ -122,8 +142,14 @@ class JobStore:
         for record in self._journal.iter_records():
             kind = record.get("type")
             if kind == "submitted":
-                spec = parse_spec(record["spec"])
+                spec, retired = _journaled_spec(record["spec"])
                 job = Job(record["id"], int(record["seq"]), spec, record["digest"])
+                if retired is not None:
+                    job.add_event(
+                        "recovered",
+                        note=f"kernel backend {retired!r} is no longer "
+                        "registered; using the default backend",
+                    )
                 self._jobs[job.id] = job
                 self._next_seq = max(self._next_seq, job.seq + 1)
             elif kind == "state":

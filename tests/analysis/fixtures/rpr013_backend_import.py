@@ -6,9 +6,9 @@ from repro.routing import backends
 from repro.routing.backends import cext_impl  # expect: RPR013
 from repro.routing.backends import kernels_for
 from repro.routing.backends._loops import trees_level  # expect: RPR013
-from repro.routing.backends.numba_impl import weights_level  # expect: RPR013
+from repro.routing.backends.cext_impl import weights_level  # expect: RPR013
 from repro.routing.backends.numpy_impl import (  # repro-lint: disable=RPR013 -- fixture waiver
-    fixpoint_sweep,
+    jacobi_sweep,
 )
 
 
@@ -28,5 +28,5 @@ def uses_the_pinned_impls():
         cext_impl,
         trees_level,
         weights_level,
-        fixpoint_sweep,
+        jacobi_sweep,
     )

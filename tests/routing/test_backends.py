@@ -1,16 +1,16 @@
 """Kernel-backend registry and bit-identity parity suite (PR 8).
 
 The numpy backend is the differential ground truth.  Every other
-backend — the compiled tiers and the hidden ``python`` backend (the
-exact loop bodies numba compiles) — must produce **bit-identical**
-outputs on all three hot kernels, across every registered policy.
-``tobytes()`` comparisons make "identical" literal: same bytes, not
-just allclose.
+backend — the compiled ``cext`` tier and the hidden ``python`` backend
+(the executable spec the C loops transliterate) — must produce
+**bit-identical** outputs on all three hot kernels, across every
+registered policy.  ``tobytes()`` comparisons make "identical" literal:
+same bytes, not just allclose.
 
-The suite is environment-adaptive: compiled backends that cannot load
-here (no numba wheel, no C compiler) are skipped for parity but their
-*degradation* path is tested instead — a numpy-only environment must
-pass this whole file.
+The suite is environment-adaptive: without a C compiler ``cext`` is
+skipped for parity, and the *degradation* path runs everywhere on a
+deliberately unloadable backend — a numpy-only environment must pass
+this whole file.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ def _load_ok(name: str) -> bool:
 
 
 #: every backend that can actually load here, ground truth first;
-#: "python" (hidden) is always loadable and exercises numba's exact
-#: control flow without a JIT
+#: "python" (hidden) is always loadable and exercises the C loops'
+#: exact control flow without a compiler
 PARITY_BACKENDS = ["numpy"] + [
     name
     for name in [*kb.usable_backends(), "python"]
@@ -53,6 +53,23 @@ PARITY_BACKENDS = ["numpy"] + [
 ]
 
 ALT_BACKENDS = [name for name in PARITY_BACKENDS if name != "numpy"]
+
+
+@pytest.fixture()
+def ghost_backend():
+    """A registered backend whose module does not exist: the missing
+    compiled tier, on every machine (deregistered again afterwards)."""
+    spec = kb.register_backend(
+        kb.KernelBackend(
+            name="ghost",
+            description="unloadable on purpose (tests only)",
+            module="repro.routing.backends.no_such_impl",
+            compiled=True,
+        )
+    )
+    yield spec.name
+    del kb._REGISTRY[spec.name]
+    kb._FAILURES.pop(spec.name, None)
 
 
 def _arena_for(graph, policy: str, backend: str, dests) -> RoutingArena:
@@ -113,43 +130,76 @@ class TestRegistry:
         assert name in kb.available_backends()
         assert kb.backend_status()[name] == "loaded"
 
-    def test_load_failure_is_cached(self):
-        # whichever compiled backend is missing here (CI runs this in a
-        # numpy-only env too) must fail identically on the second call
-        missing = [n for n in kb.available_backends() if not kb.probe(n)]
-        for name in missing:
-            with pytest.raises(BackendUnavailable):
-                kb.load_backend(name)
-            with pytest.raises(BackendUnavailable):
-                kb.load_backend(name)
+    def test_load_failure_is_cached(self, ghost_backend, monkeypatch):
+        assert kb.probe(ghost_backend)  # a prediction: nothing imported yet
+        with pytest.raises(BackendUnavailable, match="no_such_impl"):
+            kb.load_backend(ghost_backend)
+        assert not kb.probe(ghost_backend)
+        assert kb.backend_status()[ghost_backend] == "unavailable"
+
+        def no_retry(module):
+            raise AssertionError(f"failed load retried: import {module}")
+
+        monkeypatch.setattr(kb.importlib, "import_module", no_retry)
+        with pytest.raises(BackendUnavailable, match="no_such_impl"):
+            kb.load_backend(ghost_backend)
+
+    @pytest.mark.parametrize(
+        "on_path, cc_env, expected",
+        [
+            ({"clang"}, None, "clang"),               # a clang-only box
+            ({"cc"}, "no-such-compiler", "cc"),       # $CC set but absent
+            ({"cc", "tcc"}, "tcc", "tcc"),            # $CC wins when present
+            (set(), None, None),
+        ],
+    )
+    def test_probe_follows_the_compiler_lookup(
+        self, monkeypatch, on_path, cc_env, expected
+    ):
+        monkeypatch.setattr(
+            kb.shutil, "which",
+            lambda name: f"/usr/bin/{name}" if name in on_path else None,
+        )
+        if cc_env is None:
+            monkeypatch.delenv("CC", raising=False)
+        else:
+            monkeypatch.setenv("CC", cc_env)
+        # probe() of a not-yet-loaded cext tier is exactly this lookup
+        monkeypatch.delitem(kb._IMPLS, "cext", raising=False)
+        monkeypatch.delitem(kb._FAILURES, "cext", raising=False)
+        assert kb.find_compiler() == expected
+        assert kb.probe("cext") is (expected is not None)
+        assert ("cext" in kb.usable_backends()) is (expected is not None)
+
+    @pytest.mark.skipif("cext" not in ALT_BACKENDS, reason="needs a C compiler")
+    def test_loader_asks_the_same_compiler_lookup(self, monkeypatch, tmp_path):
+        cext = kb.load_backend("cext")
+        monkeypatch.setenv("SBGP_KERNEL_CACHE", str(tmp_path))  # nothing built here
+        monkeypatch.setattr(kb.shutil, "which", lambda name: None)
+        with pytest.raises(BackendUnavailable, match="no C compiler"):
+            cext._build_shared_object()
 
 
 class TestDegradation:
-    def test_unloadable_backend_degrades_to_numpy_with_counted_rung(self):
-        missing = [n for n in kb.available_backends() if not kb.probe(n)]
-        if not missing:
-            pytest.skip("every registered backend is usable here")
+    def test_unloadable_backend_degrades_to_numpy_with_counted_rung(
+        self, ghost_backend
+    ):
         guard = RuntimeGuard()
         with use_guard(guard):
-            assert kb.resolve_backend(missing[0]) == "numpy"
+            assert kb.resolve_backend(ghost_backend) == "numpy"
         assert guard.ladder.taken("compiled_to_numpy") == 1
 
-    def test_kernels_for_degrades_at_call_time(self):
-        missing = [n for n in kb.available_backends() if not kb.probe(n)]
-        if not missing:
-            pytest.skip("every registered backend is usable here")
+    def test_kernels_for_degrades_at_call_time(self, ghost_backend):
         guard = RuntimeGuard()
         with use_guard(guard):
-            name, impl = kb.kernels_for(missing[0])
+            name, impl = kb.kernels_for(ghost_backend)
         assert name == "numpy"
         assert impl is kb.load_backend("numpy")
         assert guard.ladder.taken("compiled_to_numpy") == 1
 
-    def test_numpy_only_cache_never_errors(self):
+    def test_numpy_only_cache_never_errors(self, ghost_backend):
         # the acceptance bar: a run specced for a compiled backend on a
         # host without it completes on numpy, arena included
-        missing = [n for n in kb.available_backends() if not kb.probe(n)]
-        requested = missing[0] if missing else "numpy"
         from repro.topology.generator import generate_topology
         from repro.topology.traffic import apply_traffic_model
 
@@ -158,13 +208,14 @@ class TestDegradation:
         guard = RuntimeGuard()
         with use_guard(guard):
             cache = RoutingCache(
-                graph, destinations=list(range(12)), backend=requested
+                graph, destinations=list(range(12)), backend=ghost_backend
             )
             cache.warm()
             arena = cache.ensure_arena()
             secure, breaks = _security_state(graph.n)
             bt = compute_trees_batched(arena, arena.all_slots(), secure, breaks)
-        assert cache.backend_name == ("numpy" if missing else "numpy")
+        assert cache.backend_name == "numpy"
+        assert guard.ladder.taken("compiled_to_numpy") >= 1
         assert bt.choice.shape == (12, graph.n)
 
 
@@ -254,6 +305,46 @@ class TestKernelParityProperty:
             at = compute_trees_batched(alt_arena, alt_arena.all_slots(), secure, breaks)
             assert rt.choice.tobytes() == at.choice.tobytes()
             assert rt.secure.tobytes() == at.secure.tobytes()
+
+
+@pytest.mark.skipif("cext" not in ALT_BACKENDS, reason="needs a C compiler")
+class TestCextArgumentChecks:
+    """The ctypes wrapper must reject, loudly, any array the C code
+    would misread — a silent dtype or stride mismatch corrupts memory."""
+
+    @pytest.fixture()
+    def sweep_call(self, small_graph, monkeypatch):
+        """``(kernel, args)`` of one genuine structure-building sweep."""
+        cext = kb.load_backend("cext")
+        kernel = cext.jacobi_sweep
+        calls: list[tuple] = []
+        monkeypatch.setattr(
+            cext, "jacobi_sweep",
+            lambda *args: (calls.append(args), kernel(*args))[1],
+        )
+        secure, breaks = _security_state(small_graph.n)
+        get_policy("security_2nd").build_many(
+            small_graph, [0, 1], node_secure=secure, breaks_ties=breaks,
+            backend="cext",
+        )
+        return kernel, calls[0]
+
+    def test_every_array_argument_is_checked(self, sweep_call):
+        kernel, args = sweep_call
+        kernel(*args)             # the recorded call itself is valid
+        kernel(*args[:-1])        # ... and so is leaving ``tied`` out
+        checked = [
+            i for i, arg in enumerate(args)
+            if isinstance(arg, np.ndarray) and i != 0  # ``u`` never reaches C
+        ]
+        assert len(checked) == 24 and checked[-1] == len(args) - 1  # tied too
+        for i in checked:
+            good = args[i]
+            strided = np.repeat(good, 2, axis=-1)[..., ::2]
+            assert np.array_equal(strided, good) and not strided.flags.c_contiguous
+            for bad in (good.astype(np.float64), strided):
+                with pytest.raises(TypeError, match="cext kernel expects"):
+                    kernel(*args[:i], bad, *args[i + 1:])
 
 
 class TestArenaBackendPlumbing:

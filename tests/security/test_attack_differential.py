@@ -9,6 +9,10 @@ symmetric too: if any scalar pair oscillates, the batch raises.
 
 A hypothesis pass then sweeps random GR1 graphs × random deployment
 masks for the same agreement.
+
+``TestMixedChunk`` pins the fact the whole layer rests on: there is one
+Jacobi kernel, a row without an adversary is its ``attacker = -1`` row,
+and rows never interact — so honest and attacked rows may share a chunk.
 """
 
 from __future__ import annotations
@@ -21,12 +25,24 @@ from hypothesis import strategies as st
 from repro.gadgets.hardness import SetCoverInstance, build_set_cover_network
 from repro.gadgets.oscillator import build_chicken
 from repro.routing import backends as kernel_backends
-from repro.routing.policy import available_policies
-from repro.routing.reference import ConvergenceError
+from repro.routing.compiled import CompiledGraph
+from repro.routing.fixpoint import JacobiDriver
+from repro.routing.policy import (
+    Criterion,
+    RouteClass,
+    available_policies,
+    get_policy,
+)
+from repro.routing.reference import (
+    ConvergenceError,
+    secure_flags_from_selection,
+    simulate_bgp,
+)
 from repro.security.hijack import simulate_attacks_batched, simulate_hijack
 from repro.security.metrics import sample_pairs
 from repro.security.scenarios import available_scenarios
 from repro.topology.generator import generate_topology
+from repro.topology.relationships import ASRole
 
 from tests.strategies import graphs_with_security
 
@@ -138,6 +154,178 @@ class TestBackendParity:
             _assert_bit_identical(
                 seeded_graph, pairs, secure, secure.copy(),
                 scenario, "security_3rd", backend=backend,
+            )
+
+
+#: every tier usable here, the hidden executable spec included (a tier
+#: that then fails to load degrades to numpy, as everywhere)
+ALL_BACKENDS = [*kernel_backends.usable_backends(), "python"]
+
+_SELF = int(RouteClass.SELF)
+_UNREACHABLE = int(RouteClass.UNREACHABLE)
+
+
+def _converge_rows(driver, node_secure, victims, attackers, leak, want_tied):
+    """``(labels, tied)`` for rows ``(victim, attacker or -1)``; None if
+    the chunk oscillates.  Attacker rows replay ``origin_hijack`` — or,
+    with ``leak``, the two phases of ``route_leak``."""
+    rows = np.arange(len(victims))
+    has_attacker = attackers >= 0
+    a_rows, a_nodes = rows[has_attacker], attackers[has_attacker]
+    tied = (
+        np.zeros((len(rows), driver.table.num_edges), dtype=bool)
+        if want_tied else None
+    )
+
+    def pin_victim(c, ln, s, a):
+        c[rows, victims] = _SELF
+        ln[rows, victims] = 0
+        s[rows, victims] = node_secure[victims]
+        a[rows, victims] = False
+
+    try:
+        if leak:
+            labels = driver.converge(
+                driver.blank(len(rows)), pin_victim, "honest world"
+            )
+            frozen = [x[a_rows, a_nodes] for x in labels[:3]]
+
+            def pin(c, ln, s, a):
+                pin_victim(c, ln, s, a)
+                c[a_rows, a_nodes] = frozen[0]
+                ln[a_rows, a_nodes] = frozen[1]
+                s[a_rows, a_nodes] = frozen[2]
+                a[a_rows, a_nodes] = True
+        else:
+            labels = driver.blank(len(rows))
+
+            def pin(c, ln, s, a):
+                pin_victim(c, ln, s, a)
+                c[a_rows, a_nodes] = _SELF
+                ln[a_rows, a_nodes] = 0
+                s[a_rows, a_nodes] = False
+                a[a_rows, a_nodes] = True
+
+        labels = driver.converge(
+            labels, pin, "mixed chunk",
+            attackers=attackers, leak=leak, tied=tied,
+        )
+    except ConvergenceError:
+        return None
+    return labels, tied
+
+
+def _assert_rows_independent(graph, node_secure, policy, backend, pairs):
+    """One chunk interleaving ``(victim, -1)`` and ``(victim, attacker)``
+    rows: each row equals itself run alone, the ``-1`` rows are plain
+    BGP, the attacker rows are the scalar hijack reference."""
+    pol = get_policy(policy)
+    is_stub = graph.roles == int(ASRole.STUB)
+    applies = node_secure.copy()  # every secure node breaks ties on security
+    sticky = pol.sticky_mask(graph.n)
+    if sticky is not None:
+        applies &= ~sticky
+    victims = np.repeat(np.array([v for v, _ in pairs], dtype=np.int64), 2)
+    attackers = np.array([x for _, a in pairs for x in (-1, a)], dtype=np.int64)
+    cg = CompiledGraph.from_graph(graph)
+
+    for leak, drop in ((False, False), (True, False), (False, True)):
+        driver = JacobiDriver(
+            cg, pol, node_secure, applies,
+            gullible=is_stub & node_secure,
+            validators=node_secure & ~is_stub, drop=drop, backend=backend,
+        )
+        context = (policy, backend, leak, drop)
+        mixed = _converge_rows(driver, node_secure, victims, attackers, leak, True)
+        alone = [
+            _converge_rows(
+                driver, node_secure, victims[k:k + 1], attackers[k:k + 1],
+                leak, True,
+            )
+            for k in range(len(victims))
+        ]
+        if mixed is None:
+            # rows never interact: a chunk oscillates iff one of its rows does
+            assert any(single is None for single in alone), context
+            continue
+        assert all(single is not None for single in alone), context
+        labels, tied = mixed
+        for k, (row_labels, row_tied) in enumerate(alone):
+            for whole, single in zip((*labels, tied), (*row_labels, row_tied)):
+                assert whole[k].tobytes() == single[0].tobytes(), (context, k)
+
+        untied, none = _converge_rows(
+            driver, node_secure, victims, attackers, leak, False
+        )
+        assert none is None
+        for with_tied, without in zip(labels, untied):
+            assert with_tied.tobytes() == without.tobytes(), context
+
+        cls, length, sec, att = labels
+        for k, (victim, attacker) in enumerate(zip(victims, attackers)):
+            if attacker >= 0:
+                ref = simulate_hijack(
+                    graph, int(victim), int(attacker), node_secure, node_secure,
+                    drop_unvalidated=drop, policy=policy,
+                    scenario="route_leak" if leak else "origin_hijack",
+                )
+                fooled = att[k].copy()
+                fooled[[victim, attacker]] = False
+                assert np.array_equal(fooled, ref.routes_to_attacker), (context, k)
+                assert np.array_equal(
+                    cls[k] != _UNREACHABLE, ref.reachable
+                ), (context, k)
+                continue
+            # no adversary: nothing descends from one, and (a leak only
+            # frees offers *from* the attacker) the row is plain BGP.
+            # SecP-first rankings admit several stable states, so only
+            # the others are held to the Gauss-Seidel reference's.
+            assert not att[k].any(), (context, k)
+            if drop or pol.ranking[0] is Criterion.SECP:
+                continue
+            selection = simulate_bgp(
+                graph, int(victim), node_secure, applies, policy=pol
+            )
+            reached = np.zeros(graph.n, dtype=bool)
+            reached[list(selection)] = True
+            assert np.array_equal(cls[k] != _UNREACHABLE, reached), (context, k)
+            for node, route in selection.items():
+                assert cls[k, node] == int(route.route_class), (context, k, node)
+                assert length[k, node] == route.length, (context, k, node)
+            assert np.array_equal(
+                sec[k], secure_flags_from_selection(selection, node_secure, graph.n)
+            ), (context, k)
+
+
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+class TestMixedChunk:
+    """Single-origin routing is the ``attacker = -1`` row of the attack
+    sweep: same kernel, same chunk, no interaction between rows."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_fixed_graphs(self, seeded_graph, chicken_graph, policy, backend):
+        for graph, seed in ((seeded_graph, 21), (chicken_graph, 5)):
+            _assert_rows_independent(
+                graph, _mask(graph.n, 0.4, seed=seed), policy, backend,
+                sample_pairs(graph, samples=2, seed=7),
+            )
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        case=graphs_with_security(min_nodes=4, max_nodes=12),
+        pair_seed=st.integers(0, 10_000),
+    )
+    def test_random_graphs(self, backend, case, pair_seed):
+        graph, secure_nodes = case
+        victim = pair_seed % graph.n
+        attacker = (victim + 1 + pair_seed // graph.n) % graph.n
+        assume(victim != attacker)
+        secure = np.zeros(graph.n, dtype=bool)
+        secure[list(secure_nodes)] = True
+        for policy in POLICIES:
+            _assert_rows_independent(
+                graph, secure, policy, backend,
+                [(victim, attacker), (attacker, victim)],
             )
 
 

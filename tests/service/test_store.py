@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
-from repro.service.errors import JobNotFoundError, JobStateError
-from repro.service.specs import parse_spec
+from repro.service.cache import ResultCache
+from repro.service.errors import JobNotFoundError, JobStateError, SpecError
+from repro.service.scheduler import Scheduler
+from repro.service.specs import parse_spec, spec_digest, spec_to_dict
 from repro.service.store import JOBS_JOURNAL_KIND, JobStore
 from repro.runtime.journal import RunJournal
 
@@ -119,6 +123,51 @@ class TestRestartRecovery:
         reborn = JobStore(tmp_path)
         again, created = reborn.submit(spec())
         assert not created and again.id == job.id
+
+    def test_retired_backend_name_replays_on_the_default_backend(self, tmp_path):
+        """A store written while ``numba`` was a registered backend must
+        still open: the name is an execution detail, not job identity."""
+        journal = RunJournal(tmp_path / "jobs.jsonl")
+        journal.ensure_header(JOBS_JOURNAL_KIND, {})
+        ids = []
+        for seq, thetas in ((1, [0.0]), (2, [0.05])):
+            accepted = spec(thetas=thetas, adopter_sets=["top-5"])
+            digest = spec_digest(accepted)
+            ids.append(f"j{seq:06d}-{digest[:8]}")
+            journal.append({
+                "type": "submitted", "id": ids[-1], "seq": seq, "digest": digest,
+                "spec": {**spec_to_dict(accepted), "kernel_backend": "numba"},
+            })
+        for state in ("running", "done"):
+            journal.append(
+                {"type": "state", "id": ids[0], "state": state, "error": None}
+            )
+        with pytest.raises(SpecError, match="unknown kernel backend 'numba'"):
+            spec(kernel_backend="numba")  # new submissions stay strict
+
+        store = JobStore(tmp_path)
+        done, queued = store.jobs()
+        assert [done.id, queued.id] == ids
+        assert (done.state, queued.state) == ("done", "queued")
+        for job in (done, queued):
+            assert job.spec.kernel_backend is None  # i.e. the default backend
+            assert job.digest == spec_digest(job.spec)  # identity untouched
+            assert any(
+                e["event"] == "recovered" and "'numba'" in e["note"]
+                for e in job.events
+            )
+
+        scheduler = Scheduler(store, ResultCache(), workers=1)
+        scheduler.start()
+        try:
+            deadline = time.monotonic() + 120.0
+            while queued.state in ("queued", "running"):
+                assert time.monotonic() < deadline, "recovered job never finished"
+                time.sleep(0.05)
+        finally:
+            scheduler.stop()
+        assert queued.state == "done", queued.error
+        assert store.load_result(queued)["id"] == queued.id
 
     def test_priority_orders_resumable_queue(self, tmp_path):
         store = JobStore(tmp_path)
