@@ -16,6 +16,8 @@ from repro.core.dynamics import (
     Outcome,
     RoundRecord,
     SimulationResult,
+    StateEvaluation,
+    StateMemo,
     run_deployment,
 )
 from repro.core.engine import (
@@ -33,6 +35,7 @@ from repro.core.metrics import (
     deployment_outcome,
     projection_accuracy,
     security_snapshot,
+    snapshot_from_counts,
     zero_sum_analysis,
 )
 from repro.core.forecast import (
@@ -75,6 +78,8 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "StateDeriver",
+    "StateEvaluation",
+    "StateMemo",
     "UtilityModel",
     "ZeroSumAnalysis",
     "compute_round_data",
@@ -95,6 +100,7 @@ __all__ = [
     "random_isps",
     "run_deployment",
     "security_snapshot",
+    "snapshot_from_counts",
     "top_degree_isps",
     "uniform_thresholds",
     "utilities_for_state",

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import hashlib
 import time
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from repro.core.projection import Projection, project_flip
 from repro.core.state import DeploymentState, StateDeriver
 from repro.routing.cache import RoutingCache
 from repro.routing.policy import DEFAULT_POLICY
+from repro.runtime.errors import StateMemoScopeError
 from repro.runtime.guard import current_guard
 from repro.runtime.journal import RunJournal, coerce_journal
 from repro.telemetry.metrics import get_registry
@@ -47,6 +49,61 @@ class Outcome(enum.Enum):
     STABLE = "stable"
     OSCILLATION = "oscillation"
     MAX_ROUNDS = "max-rounds"
+
+
+#: nobody deploys: the state every game's starting utilities are read in
+_EMPTY_STATE = DeploymentState.initial(())
+
+
+@dataclasses.dataclass
+class StateEvaluation:
+    """Everything update rule (3) reads about one state; none of it is theta's.
+
+    Built from exactly one :func:`compute_round_data`; the ``[num_dests,
+    n]`` :class:`RoundData` behind it is dropped once the projections
+    are in, so an evaluation costs a few KB.  The arrays are read-only:
+    round records and results of every game that visits the state share
+    them.
+    """
+
+    state: DeploymentState
+    node_secure: np.ndarray
+    utilities: np.ndarray
+    secure_pairs: int  # true entries of ``sec_matrix``: all the snapshot needs
+    #: ``isp -> Projection`` in job order, once a round was played here
+    projections: dict[int, Projection] | None = None
+
+
+class StateMemo(dict[DeploymentState, StateEvaluation]):
+    """``state -> StateEvaluation`` for games that differ only in theta.
+
+    Keyed by the whole state, because the early adopters steer which
+    stubs a flip takes along and who decides.  Everything else an
+    evaluation depends on is pinned as the memo's *scope* by the first
+    simulation that uses it; a later simulation with another scope
+    raises :class:`StateMemoScopeError` instead of reading another
+    configuration's numbers.  Owned by the loop that knows its inputs
+    stay fixed (one theta row of a sweep), never by the cache: traffic
+    weights may be re-applied under a live cache.
+    """
+
+    _scope: dict[str, object] | None = None
+
+    def bind(self, scope: dict[str, object]) -> None:
+        """Pin ``scope`` at first use; raise if a later one differs."""
+        if self._scope is None:
+            self._scope = scope
+            return
+        differing = sorted(k for k, v in scope.items() if self._scope[k] != v)
+        if differing:
+            raise StateMemoScopeError(differing)
+
+    def discard_trajectories(self) -> None:
+        """Drop everything but the empty state, which every game starts from."""
+        empty = self.get(_EMPTY_STATE)
+        self.clear()
+        if empty is not None:
+            self[_EMPTY_STATE] = empty
 
 
 @dataclasses.dataclass
@@ -80,6 +137,10 @@ class SimulationResult:
     final_utilities: np.ndarray
     starting_utilities: np.ndarray
     outcome: Outcome
+    #: (source, destination) pairs routed securely in the final state,
+    #: out of ``num_dests * graph.n`` (Fig. 9's numerator)
+    final_secure_pairs: int
+    num_dests: int
 
     @property
     def num_rounds(self) -> int:
@@ -148,6 +209,11 @@ class DeploymentSimulation:
         Optional :class:`~repro.core.pricing.Pricing` mapping traffic
         to revenue before the update rule compares utilities (§8.4);
         defaults to the paper's linear model.
+    memo:
+        Optional :class:`StateMemo` shared with other games of the same
+        configuration (a theta row): a state one of them evaluated is
+        not evaluated again.  Thresholds and pricing only enter the
+        comparison, so they may differ between the games.
     """
 
     def __init__(
@@ -159,6 +225,7 @@ class DeploymentSimulation:
         player_asns: Iterable[int] | None = None,
         thresholds: np.ndarray | None = None,
         pricing: Pricing | None = None,
+        memo: StateMemo | None = None,
     ):
         self.graph = graph
         self.config = config or SimulationConfig()
@@ -185,6 +252,7 @@ class DeploymentSimulation:
             )
         self.thresholds = thresholds
         self.pricing = pricing or LINEAR_PRICING
+        self.memo = memo if memo is not None else StateMemo()
         adopters = frozenset(graph.index(asn) for asn in early_adopter_asns)
         self.state = DeploymentState.initial(adopters)
         roles = graph.roles
@@ -211,21 +279,21 @@ class DeploymentSimulation:
         journal = coerce_journal(journal)
         if journal is not None:
             journal.ensure_header(SIMULATION_JOURNAL_KIND, self._journal_meta())
-        starting = self._starting_utilities()
+        self.memo.bind(self._memo_scope())
+        # utilities before the process began (nobody secure, §5.5)
+        starting = self._evaluate(_EMPTY_STATE).utilities
         rounds: list[RoundRecord] = []
         seen_states: dict[frozenset[int], int] = {self.state.deployers: 0}
         outcome = Outcome.MAX_ROUNDS
         round_timer = registry.histogram("sim.round_seconds")
         guard = current_guard()
         with tracer.span("simulation", n=self.graph.n, theta=cfg.theta):
-            rd = compute_round_data(self.cache, self.deriver, self.state, cfg.utility_model)
-
             for index in range(1, cfg.max_rounds + 1):
                 # round boundary: every completed round is already
                 # journaled, so an expired budget loses no work
                 guard.check_deadline(f"simulation round {index}")
                 with tracer.span("round", index=index), round_timer.time():
-                    record = self._play_round(index, rd)
+                    record = self._play_round(index)
                     rounds.append(record)
                     if journal is not None:
                         journal.append(self._round_summary(record))
@@ -235,21 +303,20 @@ class DeploymentSimulation:
                     self.state = self.state.with_flips(
                         turn_on=record.turned_on, turn_off=record.turned_off
                     )
-                    rd = compute_round_data(
-                        self.cache, self.deriver, self.state, cfg.utility_model
-                    )
                     key = self.state.deployers
                     if key in seen_states:
                         outcome = Outcome.OSCILLATION
                         break
                     seen_states[key] = index
+            # already in the memo unless the round cap cut the game short
+            final = self._evaluate(self.state)
 
         if journal is not None:
             journal.append({
                 "type": "final",
                 "outcome": outcome.value,
                 "num_rounds": len(rounds),
-                "final_secure_ases": int(rd.node_secure.sum()),
+                "final_secure_ases": int(final.node_secure.sum()),
             })
         return SimulationResult(
             graph=self.graph,
@@ -257,11 +324,64 @@ class DeploymentSimulation:
             early_adopters=self.state.early_adopters,
             rounds=rounds,
             final_state=self.state,
-            final_node_secure=rd.node_secure,
-            final_utilities=rd.utilities,
+            final_node_secure=final.node_secure,
+            final_utilities=final.utilities,
             starting_utilities=starting,
             outcome=outcome,
+            final_secure_pairs=final.secure_pairs,
+            num_dests=len(self.cache.destinations),
         )
+
+    def _memo_scope(self) -> dict[str, object]:
+        """Everything but the state that an evaluation's numbers depend on."""
+        cfg = self.config
+        weights = self.cache.graph.weights  # re-applied in place, so digested
+        return {
+            "cache": self.cache,
+            "policy": self.cache.policy_name,
+            "utility model": cfg.utility_model,
+            "stub_breaks_ties": cfg.stub_breaks_ties,
+            "projection engine": cfg.projection,
+            "allow_turn_off": cfg.allow_turn_off,
+            "player set": self._isp_indices.tobytes(),
+            "graph weights": hashlib.blake2b(weights.tobytes()).digest(),
+        }
+
+    def _evaluate(self, state: DeploymentState, project: bool = False) -> StateEvaluation:
+        """The memo's evaluation of ``state``, computed here if it is missing.
+
+        With ``project`` it also carries the flip projection of every
+        decision maker.  This is the only place a :class:`RoundData`
+        lives: at most one per call, dropped on return.
+        """
+        cfg = self.config
+        registry = get_registry()
+        evaluation = self.memo.get(state)
+        if evaluation is not None and not (project and evaluation.projections is None):
+            registry.counter("sim.state_memo_hits").inc()
+            return evaluation
+        rd = compute_round_data(self.cache, self.deriver, state, cfg.utility_model)
+        registry.counter("sim.states_evaluated").inc()
+        if evaluation is None:
+            rd.node_secure.setflags(write=False)
+            rd.utilities.setflags(write=False)
+            evaluation = self.memo[state] = StateEvaluation(
+                state=state,
+                node_secure=rd.node_secure,
+                utilities=rd.utilities,
+                secure_pairs=int(np.count_nonzero(rd.sec_matrix)),
+            )
+        if project:
+            proj_start = time.perf_counter() if registry.enabled else 0.0
+            jobs = self._jobs(state)
+            evaluation.projections = {
+                isp: proj for (isp, _), proj in zip(jobs, self._project_jobs(rd, jobs))
+            }
+            if registry.enabled:
+                registry.histogram("sim.projection_seconds").observe(
+                    time.perf_counter() - proj_start
+                )
+        return evaluation
 
     def _journal_meta(self) -> dict:
         graph = self.graph
@@ -292,36 +412,20 @@ class DeploymentSimulation:
             return float(self.thresholds[isp])
         return self.config.theta
 
-    def _wants_flip(self, isp: int, rd: RoundData, proj: Projection) -> bool:
-        return self.pricing.improves(
-            float(rd.utilities[isp]), proj.utility, self._theta_of(isp)
-        )
-
-    def _play_round(self, index: int, rd: RoundData) -> RoundRecord:
-        cfg = self.config
+    def _play_round(self, index: int) -> RoundRecord:
+        """Project the state if nobody has yet, then compare against theta."""
         registry = get_registry()
-        projections: dict[int, Projection] = {}
+        evaluation = self._evaluate(self.state, project=True)
+        projections = evaluation.projections
         turned_on: list[int] = []
         turned_off: list[int] = []
-        proj_start = time.perf_counter() if registry.enabled else 0.0
-
-        jobs: list[tuple[int, bool]] = [
-            (int(isp), True) for isp in self._decision_makers(turning_on=True)
-        ]
-        if cfg.turn_off_enabled:
-            jobs.extend(
-                (int(isp), False) for isp in self._decision_makers(turning_on=False)
-            )
-
-        for (isp, turning_on), proj in zip(jobs, self._project_jobs(rd, jobs)):
-            projections[isp] = proj
-            if self._wants_flip(isp, rd, proj):
-                (turned_on if turning_on else turned_off).append(isp)
+        for isp, proj in projections.items():
+            if self.pricing.improves(
+                float(evaluation.utilities[isp]), proj.utility, self._theta_of(isp)
+            ):
+                (turned_on if proj.turning_on else turned_off).append(isp)
 
         if registry.enabled:
-            registry.histogram("sim.projection_seconds").observe(
-                time.perf_counter() - proj_start
-            )
             registry.counter("sim.rounds").inc()
             registry.counter("sim.decision_makers_evaluated").inc(len(projections))
             registry.counter("sim.flips_on").inc(len(turned_on))
@@ -329,10 +433,10 @@ class DeploymentSimulation:
 
         return RoundRecord(
             index=index,
-            state=rd.state,
-            node_secure=rd.node_secure,
-            utilities=rd.utilities.copy() if cfg.record_utilities else None,
-            projections=projections,
+            state=evaluation.state,
+            node_secure=evaluation.node_secure,
+            utilities=evaluation.utilities if self.config.record_utilities else None,
+            projections=dict(projections),
             turned_on=turned_on,
             turned_off=turned_off,
         )
@@ -362,22 +466,18 @@ class DeploymentSimulation:
             for isp, turning_on in jobs
         ]
 
-    def _decision_makers(self, turning_on: bool) -> Sequence[int]:
-        deployers = self.state.deployers
-        if turning_on:
-            return [i for i in self._isp_indices if i not in deployers]
-        # Theorem 6.2 is enforced by turn_off_enabled; early adopters
-        # are pinned and never reconsider.
-        return [
-            i for i in self._isp_indices
-            if i in deployers and i not in self.state.early_adopters
-        ]
-
-    def _starting_utilities(self) -> np.ndarray:
-        """Utilities before the process began (nobody secure, §5.5)."""
-        empty = DeploymentState(frozenset(), frozenset())
-        rd = compute_round_data(self.cache, self.deriver, empty, self.config.utility_model)
-        return rd.utilities
+    def _jobs(self, state: DeploymentState) -> list[tuple[int, bool]]:
+        """``(isp, turning_on)`` per decision maker of ``state``, turn-ons first."""
+        deployers = state.deployers
+        jobs = [(int(i), True) for i in self._isp_indices if i not in deployers]
+        if self.config.turn_off_enabled:
+            # Theorem 6.2 is enforced by turn_off_enabled; early adopters
+            # are pinned and never reconsider.
+            jobs.extend(
+                (int(i), False) for i in self._isp_indices
+                if i in deployers and i not in state.early_adopters
+            )
+        return jobs
 
 
 def run_deployment(
@@ -389,9 +489,10 @@ def run_deployment(
     thresholds: np.ndarray | None = None,
     pricing: Pricing | None = None,
     journal: RunJournal | str | Path | None = None,
+    memo: StateMemo | None = None,
 ) -> SimulationResult:
     """One-call wrapper around :class:`DeploymentSimulation`."""
     sim = DeploymentSimulation(
-        graph, early_adopter_asns, config, cache, player_asns, thresholds, pricing
+        graph, early_adopter_asns, config, cache, player_asns, thresholds, pricing, memo
     )
     return sim.run(journal=journal)

@@ -39,24 +39,26 @@ class SecuritySnapshot:
 
 def security_snapshot(graph: ASGraph, rd: RoundData) -> SecuritySnapshot:
     """Compute a :class:`SecuritySnapshot` from resolved round data."""
-    n = graph.n
-    node_secure = rd.node_secure
-    f = float(node_secure.sum()) / n if n else 0.0
-
-    roles = graph.roles
-    isps = roles == int(ASRole.ISP)
-    f_isp = float(node_secure[isps].sum()) / max(1, int(isps.sum()))
-
-    # sec_matrix[k, i] is the security of i's chosen path to dest k; a
-    # (src=dest) pair counts as secure iff the AS itself is secure,
-    # mirroring the paper's (36K)^2 accounting.
-    num_dests = rd.sec_matrix.shape[0]
-    secure_pairs = float(rd.sec_matrix.sum())
-    dests = np.asarray(
-        [rd.dest_states[k].dr.dest for k in range(num_dests)], dtype=np.int64
+    return snapshot_from_counts(
+        graph, rd.node_secure, int(np.count_nonzero(rd.sec_matrix)), len(rd.sec_matrix)
     )
-    # sec_matrix rows have sec[dest] = node_secure[dest]; that diagonal
-    # entry stands for the trivial path and is kept.
+
+
+def snapshot_from_counts(
+    graph: ASGraph, node_secure: np.ndarray, secure_pairs: int, num_dests: int
+) -> SecuritySnapshot:
+    """The snapshot of a state from its secure flags and secure-pair count.
+
+    ``secure_pairs`` counts the true entries of ``sec_matrix`` over the
+    ``num_dests`` resolved destinations: ``sec_matrix[k, i]`` is the
+    security of ``i``'s chosen path to destination ``k``, and a
+    (src=dest) pair counts as secure iff the AS itself is secure,
+    mirroring the paper's (36K)^2 accounting.
+    """
+    n = graph.n
+    f = float(node_secure.sum()) / n if n else 0.0
+    isps = graph.roles == int(ASRole.ISP)
+    f_isp = float(node_secure[isps].sum()) / max(1, int(isps.sum()))
     total_pairs = float(num_dests * n)
     return SecuritySnapshot(
         fraction_secure_ases=f,

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from repro.core.adopters import content_providers, top_degree_isps
 from repro.core.config import SimulationConfig, UtilityModel
-from repro.core.dynamics import DeploymentSimulation
+from repro.core.dynamics import DeploymentSimulation, StateMemo
 from repro.core.metrics import deployment_outcome
 from repro.experiments.setup import ExperimentEnv, build_environment
 from repro.topology.traffic import apply_traffic_model
@@ -54,10 +54,13 @@ def run_cp_vs_tier1(
     cells: list[CpVsTier1Cell] = []
     for x in x_values:
         apply_traffic_model(graph, x)
+        memo = StateMemo()  # per x: utilities move with the weights
         for name, adopters in sets.items():
             for theta in thetas:
                 config = SimulationConfig(theta=theta, utility_model=UtilityModel.OUTGOING)
-                result = DeploymentSimulation(graph, adopters, config, env.cache).run()
+                result = DeploymentSimulation(
+                    graph, adopters, config, env.cache, memo=memo
+                ).run()
                 outcome = deployment_outcome(result)
                 cells.append(
                     CpVsTier1Cell(

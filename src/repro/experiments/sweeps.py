@@ -2,8 +2,10 @@
 
 One sweep = run the deployment game to termination for every
 (early-adopter set, theta) pair and record adoption and security
-outcomes.  The cache is shared across all runs on the same graph, so
-each extra cell costs only the game rounds.
+outcomes.  The cache is shared across all runs on the same graph, and
+the games of one adopter set share their theta-free state evaluations
+(:class:`~repro.core.dynamics.StateMemo`), so each extra cell costs only
+the states no earlier theta of its row has visited.
 
 Sweeps are the repo's longest computations (the paper reran this grid
 for every parameterisation, hours per run), so they checkpoint: pass a
@@ -21,14 +23,12 @@ from pathlib import Path
 from typing import Callable, Iterable, Protocol, Sequence
 
 from repro.core.config import SimulationConfig, UtilityModel
-from repro.core.dynamics import DeploymentSimulation
-from repro.core.engine import compute_round_data
+from repro.core.dynamics import DeploymentSimulation, StateMemo
 from repro.core.metrics import (
     deployment_outcome,
     projection_accuracy,
-    security_snapshot,
+    snapshot_from_counts,
 )
-from repro.core.state import StateDeriver
 from repro.experiments.setup import ExperimentEnv
 from repro.runtime.errors import SchemaError
 from repro.runtime.guard import current_guard
@@ -159,6 +159,7 @@ def _run_cell(
     attack_scenarios: Sequence[str] = (),
     attack_samples: int = 8,
     attack_seed: int = 0,
+    memo: StateMemo | None = None,
 ) -> SweepCell:
     """Simulate one (adopter set, theta) pair to termination."""
     config = SimulationConfig(
@@ -168,17 +169,13 @@ def _run_cell(
         max_rounds=max_rounds,
         policy=env.cache.policy_name,
     )
-    sim = DeploymentSimulation(env.graph, adopters, config, env.cache)
+    sim = DeploymentSimulation(env.graph, adopters, config, env.cache, memo=memo)
     result = sim.run()
     outcome = deployment_outcome(result)
-    deriver = StateDeriver(env.graph, stub_breaks_ties, env.cache.compiled)
-    final_rd = compute_round_data(
-        env.cache,
-        deriver,
-        result.final_state,
-        utility_model,
+    snapshot = snapshot_from_counts(
+        env.graph, result.final_node_secure,
+        result.final_secure_pairs, result.num_dests,
     )
-    snapshot = security_snapshot(env.graph, final_rd)
     ratios: tuple[float, ...] = ()
     if collect_projection_accuracy:
         ratios = tuple(projection_accuracy(result))
@@ -189,7 +186,7 @@ def _run_cell(
         impacts = []
         for scenario in attack_scenarios:
             impact = impact_for_state(
-                env.graph, deriver, result.final_state,
+                env.graph, sim.deriver, result.final_state,
                 samples=attack_samples, seed=attack_seed,
                 scenario=scenario, policy=env.cache.policy_name,
             )
@@ -298,8 +295,12 @@ def run_sweep(
     guard = current_guard()
     cell_timer = registry.histogram("sweep.cell_seconds")
     cells: list[SweepCell] = []
+    # nothing but theta changes along a row, so its games share their
+    # state evaluations; across rows only the empty state's carries over
+    memo = StateMemo()
     with tracer.span("sweep", cells=len(adopter_sets) * len(thetas)):
         for name, adopters in adopter_sets.items():
+            memo.discard_trajectories()
             for theta in thetas:
                 replayed = done.get((name, float(theta)))
                 if replayed is not None:
@@ -330,7 +331,7 @@ def run_sweep(
                     cell = _run_cell(
                         env, name, adopters, theta, stub_breaks_ties,
                         utility_model, collect_projection_accuracy, max_rounds,
-                        attack_scenarios, attack_samples, attack_seed,
+                        attack_scenarios, attack_samples, attack_seed, memo,
                     )
                 registry.counter("sweep.cells").inc()
                 if journal is not None:

@@ -136,6 +136,25 @@ class EngineShutdownError(RuntimeError):
         )
 
 
+class StateMemoScopeError(ValueError):
+    """A state memo met a simulation other than the kind that filled it.
+
+    A :class:`~repro.core.dynamics.StateMemo` holds theta-free state
+    evaluations that are only valid for the configuration pinned at its
+    first use; ``differing`` names the scope entries (cache, policy,
+    utility model, player set, graph weights...) that do not match, so
+    the caller sees stale sharing instead of another run's numbers.
+    """
+
+    def __init__(self, differing: list[str]):
+        self.differing = differing
+        super().__init__(
+            f"state memo was filled under a different {', '.join(differing)}; "
+            "its evaluations do not apply to this simulation (use one memo "
+            "per fixed configuration)"
+        )
+
+
 class ItemFailedError(Exception):
     """One mapped item kept failing even in the serial fallback.
 

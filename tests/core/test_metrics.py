@@ -13,6 +13,7 @@ from repro.core.metrics import (
     deployment_outcome,
     projection_accuracy,
     security_snapshot,
+    snapshot_from_counts,
     zero_sum_analysis,
 )
 from repro.core.state import DeploymentState, StateDeriver
@@ -59,6 +60,11 @@ class TestSecuritySnapshot:
         # Fig. 9: secure-path fraction sits just below f^2
         assert snap.fraction_secure_paths <= snap.f_squared + 1e-9
         assert snap.fraction_secure_paths >= 0.5 * snap.f_squared
+        # what the finished game carries is all the snapshot needs
+        assert snap == snapshot_from_counts(
+            small_graph, finished.final_node_secure,
+            finished.final_secure_pairs, finished.num_dests,
+        )
 
 
 class TestDeploymentOutcome:

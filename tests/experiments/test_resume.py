@@ -77,6 +77,34 @@ class TestInProcessResume:
         assert path.read_text().startswith(before)
         assert len(journal) == len(clean)
 
+    def test_resume_after_the_first_theta_of_every_row(self, tiny_env, tmp_path):
+        """The replayed cells fill no state memo: the rest of each row
+        must come out as if its first game had been played here."""
+        sets = adopter_sets(tiny_env)
+        thetas = (0.0, 0.05, 0.30)
+        clean = run_sweep(tiny_env, thetas=thetas, adopter_sets=sets)
+
+        journal = RunJournal(tmp_path / "sweep.jsonl")
+        run_sweep(tiny_env, thetas=thetas, adopter_sets=sets, journal=journal)
+        header = journal.header()
+        first = [
+            record for record in journal.iter_records()
+            if record.get("type") == "cell" and record["cell"]["theta"] == thetas[0]
+        ]
+        assert len(first) == len(sets)
+        partial = RunJournal(tmp_path / "partial.jsonl")
+        partial.ensure_header(header["kind"], header["meta"])
+        for record in first:
+            partial.append(record)
+
+        sources: list[str] = []
+        resumed = run_sweep(
+            tiny_env, thetas=thetas, adopter_sets=sets, journal=partial,
+            on_cell=lambda cell, source: sources.append(source),
+        )
+        assert resumed == clean
+        assert sources == ["replayed", "computed", "computed"] * len(sets)
+
     def test_completed_journal_runs_nothing(self, tiny_env, tmp_path):
         sets = adopter_sets(tiny_env)
         path = tmp_path / "sweep.jsonl"

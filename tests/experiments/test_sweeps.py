@@ -91,3 +91,68 @@ def test_cells_to_rows(cells):
     rows = cells_to_rows(cells)
     assert len(rows) == len(cells)
     assert len(rows[0]) == 8
+
+
+class TestStateSharing:
+    """Nothing but theta changes along a row, so a state is evaluated once."""
+
+    THETAS = (0.0, 0.05, 0.30)
+
+    def sets(self, env):
+        menu = env.adopter_sets()
+        return {name: menu[name] for name in ("top-5", "5-cps", "cps+top-5")}
+
+    def test_grid_resolves_each_distinct_state_once(self, medium_env, monkeypatch):
+        """Pins the count, not a timing.  ``RoundData`` is only ever built
+        by ``compute_round_data``, whichever module calls it."""
+        from repro.core import engine
+        from repro.core.dynamics import DeploymentSimulation
+
+        resolved, running = [], []
+        run, round_data = DeploymentSimulation.run, engine.RoundData
+
+        def tracking_run(self, *args, **kwargs):
+            running.append(self)
+            try:
+                return run(self, *args, **kwargs)
+            finally:
+                running.pop()
+
+        def counting_round_data(**fields):
+            assert running, "compute_round_data called after sim.run() returned"
+            resolved.append(fields["state"])
+            return round_data(**fields)
+
+        monkeypatch.setattr(DeploymentSimulation, "run", tracking_run)
+        monkeypatch.setattr(engine, "RoundData", counting_round_data)
+        cells = run_sweep(medium_env, thetas=self.THETAS, adopter_sets=self.sets(medium_env))
+        assert len(cells) == 9
+        assert len(resolved) == len(set(resolved))
+        # every game's starting utilities come from one evaluation
+        assert sum(1 for state in resolved if not state.deployers) == 1
+        # ... and nine memo-less games resolve well over that many states
+        rounds = sum(c.num_rounds for c in cells)
+        assert len(resolved) < rounds + len(cells)
+
+    def test_state_dependent_policy_rebuilds_less(self):
+        """Under Lychev et al.'s rankings every repeated evaluation drags
+        a fixpoint rebuild of the whole cache behind it."""
+        from repro.experiments.setup import build_environment
+
+        def rebuilds_of(run):
+            env = build_environment(n=90, seed=11, policy="security_2nd", warm=True)
+            sets = {"top-5": env.adopter_sets()["top-5"]}
+            before = env.cache.stats().state_rebuilds
+            cells = run(env, sets)
+            return cells, env.cache.stats().state_rebuilds - before
+
+        row, shared = rebuilds_of(
+            lambda env, sets: run_sweep(env, thetas=self.THETAS, adopter_sets=sets)
+        )
+        # one sweep per cell: each game starts from an empty memo
+        alone, unshared = rebuilds_of(lambda env, sets: [
+            cell for theta in self.THETAS
+            for cell in run_sweep(env, thetas=(theta,), adopter_sets=sets)
+        ])
+        assert row == alone
+        assert 0 < shared < unshared

@@ -247,10 +247,15 @@ class TestCrashResume:
 
     def test_sigkill_midjob_then_restart_resumes_and_completes(self, tmp_path):
         store = tmp_path / "store"
+        # big enough that most of the grid is still ahead when two cells
+        # are done: a row shares its state evaluations, so the "none"
+        # row is one evaluation and small grids finish between two polls
+        big = {"n": 400, "seed": 7, "x": 0.10}
+        names = ["none", "top-5", "5-cps", "cps+top-5"]
         wide = {
-            **ENV,
+            **big,
             "thetas": [0.0, 0.02, 0.05, 0.10, 0.20, 0.30, 0.40, 0.50],
-            "adopter_sets": ["none", "top-5"],  # 16 cells
+            "adopter_sets": names,  # 32 cells
         }
         proc, base = self.serve(store)
         try:
@@ -281,7 +286,7 @@ class TestCrashResume:
                 "[" + ",".join(request(base2, f"/v1/jobs/{job['id']}/events")[1].splitlines()) + "]"
             ))
             _, result = request(base2, f"/v1/jobs/{job['id']}/result")
-            assert len(result["cells"]) == 16
+            assert len(result["cells"]) == 32
             # the restarted run extended (never rewrote) the journal
             assert journal.read_bytes().startswith(pre_kill)
         finally:
@@ -293,11 +298,11 @@ class TestCrashResume:
                 raise
 
         # and the resumed result matches a cold in-process sweep
-        env = build_environment(**ENV, warm=True)
+        env = build_environment(**big, warm=True)
         sets = env.adopter_sets()
         cold = sorted(
             run_sweep(env, thetas=tuple(wide["thetas"]),
-                      adopter_sets={"none": sets["none"], "top-5": sets["top-5"]}),
+                      adopter_sets={name: sets[name] for name in names}),
             key=lambda c: (c.adopters, c.theta),
         )
         served = sorted(

@@ -48,6 +48,34 @@ class TestSimulationInstrumentation:
         assert names.count("round") == result.num_rounds
         assert names.count("simulation") == 1
 
+    def test_state_sharing_counters(self, medium_env, registry):
+        """A run can say how much it shared: evaluations vs memo hits."""
+        from repro.core.dynamics import StateMemo
+
+        memo = StateMemo()
+        adopters = medium_env.case_study_adopters()
+
+        def play(theta):
+            config = SimulationConfig(theta=theta, max_rounds=20)
+            return DeploymentSimulation(
+                medium_env.graph, adopters, config, medium_env.cache, memo=memo
+            ).run()
+
+        first = play(0.05)
+        counters = registry.snapshot()["counters"]
+        # the empty state plus every state a round was played on; the
+        # stable final state is the last round's, found in the memo
+        assert counters["sim.states_evaluated"] == first.num_rounds + 1 == len(memo)
+        assert counters["sim.state_memo_hits"] == 1
+        play(0.05)
+        snap = registry.snapshot()
+        assert snap["counters"]["sim.states_evaluated"] == len(memo)
+        # the replay hits on the empty state, every round and the final state
+        assert snap["counters"]["sim.state_memo_hits"] == 1 + first.num_rounds + 2
+        # projection time is observed where projections are made
+        assert snap["histograms"]["sim.projection_seconds"]["count"] == first.num_rounds
+        assert snap["counters"]["sim.rounds"] == 2 * first.num_rounds
+
     def test_cache_hit_counters_flow(self, medium_env, registry):
         config = SimulationConfig(theta=0.05, max_rounds=5)
         DeploymentSimulation(
