@@ -59,15 +59,24 @@ bench-json:
 # kernel because the gate is a *kernel* regression gate (artifact
 # benches run once and can't clear a 10% bar on shared hardware).
 # --speedup pins two headlines in the same snapshot: batched trees on
-# the cext backend at least 3x faster than numpy, and the batched
+# the cext backend at least 2x faster than numpy, and the batched
 # multi-origin attack kernel at least 3x faster than the per-pair
-# scalar reference (it measures ~50-100x; 3x is the do-not-regress bar).
+# scalar reference (it measures ~40-100x; 3x is the do-not-regress bar).
+# The trees pin was 3.0 while numpy ran SecP/TB selection over every
+# stacked row.  Since the one-/multi-candidate split (DESIGN.md §10
+# item 3) both tiers walk the same two sub-stacks and numpy stopped
+# doing the wasted work, so the ratio fell because its denominator did:
+# at REPRO_BENCH_BACKEND_N=12000, 64 dests, --stat min, parent and
+# change on one machine, trees[numpy] 62.6 -> 12.6 ms and trees[cext]
+# 8.30 -> 4.21 ms, i.e. 7.5x -> 3.0x (BENCH_20261001_kernel_levels.json;
+# a second pair of runs read 6.8x -> 2.7x).  cext itself is still held
+# by the 10% per-kernel rule on kernel_backend_*[cext].
 bench-compare:
 	python scripts/bench_compare.py $(BENCH_OLD) $(BENCH_NEW) \
 		--require kernel --require kernel_policy \
 		--require kernel_backend --require kernel_attack \
 		--stat min --only kernel \
-		--speedup "kernel_backend_trees[cext]:kernel_backend_trees[numpy]:3.0" \
+		--speedup "kernel_backend_trees[cext]:kernel_backend_trees[numpy]:2.0" \
 		--speedup "kernel_attack_batched[origin_hijack-numpy]:kernel_attack_scalar:3.0"
 
 bench-large:

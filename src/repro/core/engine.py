@@ -37,34 +37,12 @@ from repro.runtime.guard import current_guard
 _CUSTOMER = int(RouteClass.CUSTOMER)
 _PROVIDER = int(RouteClass.PROVIDER)
 
-#: Per-``(dest, node)`` bytes of the batched kernels' working set:
-#: ``choice`` int32 + ``secure``/``any_secure`` bool outputs, the
-#: float64 subtree weights, and roughly one int32 of scratch.
+#: Per-``(dest, node)`` bytes of the batched kernels' working set, on
+#: every backend: ``choice`` int32 + ``secure``/``any_secure`` bool
+#: outputs, the float64 subtree weights, the two per-row bool masks the
+#: tree kernel looks up by flat index, and a margin for the per-level
+#: temporaries (they scale with one level's rows, not with the matrix).
 _KERNEL_ROW_BYTES_PER_NODE = 18
-
-#: The numpy (vectorised) kernels additionally materialise a float64
-#: ``bincount`` temporary per weights level, so their working set is
-#: one float64 per ``(dest, node)`` larger than the compiled loops'.
-_NUMPY_EXTRA_ROW_BYTES_PER_NODE = 8
-
-
-def _kernel_row_bytes(backend: str) -> int:
-    """Per-(dest, node) working-set bytes for the named backend.
-
-    Planning only — probes instead of resolving so an unusable compiled
-    backend does not burn a ladder rung here *and* at the kernel call.
-    An unusable (or unknown) backend plans with the numpy working set,
-    which is the conservative (larger) forecast.
-    """
-    from repro.routing import backends as kernel_backends
-
-    try:
-        spec = kernel_backends.get_backend(backend)
-    except ValueError:
-        spec = None
-    if spec is not None and spec.compiled and kernel_backends.probe(spec.name):
-        return _KERNEL_ROW_BYTES_PER_NODE
-    return _KERNEL_ROW_BYTES_PER_NODE + _NUMPY_EXTRA_ROW_BYTES_PER_NODE
 
 
 @dataclasses.dataclass
@@ -182,7 +160,7 @@ def compute_round_data(
     arena = cache.ensure_arena()
     slots = arena.all_slots()
     chunk_rows = current_guard().plan_batch_rows(
-        arena.num_dests, _kernel_row_bytes(arena.backend) * graph.n,
+        arena.num_dests, _KERNEL_ROW_BYTES_PER_NODE * graph.n,
         what="round kernel",
     )
     if chunk_rows >= arena.num_dests:

@@ -26,12 +26,14 @@ pools, so all existing per-destination code keeps working unchanged.
 
 On top of the pools, :func:`compute_trees_batched` resolves *many*
 destinations in one level-synchronous pass: same-path-length segments
-are stacked across destinations (the arena precomputes this level-major
-layout), so the Python-level loop runs over the handful of **global**
-levels instead of ``n_dests x n_levels``.  Candidates always sit one
-level below their row's node, so interleaving destinations within a
-level is safe — each destination still sees its own already-resolved
-previous level.
+are stacked across destinations (the arena builds this level-major
+mirror once, on first use), so the Python-level loop runs over the
+handful of **global** levels instead of ``n_dests x n_levels``.
+Candidates always sit one level below their row's node, so interleaving
+destinations within a level is safe — each destination still sees its
+own already-resolved previous level.  Each level is stacked as two
+sub-stacks, rows with one tiebreak candidate and rows with several
+(:class:`_TreeStacks`): only the second kind has a route to select.
 
 Because every pool is a flat typed buffer, the arena also serialises to
 a single byte blob (:meth:`RoutingArena.to_blocks` /
@@ -46,8 +48,9 @@ import dataclasses
 import numpy as np
 
 from repro.routing import backends as kernel_backends
-from repro.routing.compiled import gather_neighbors
+from repro.routing.compiled import segment_index
 from repro.routing.fast_tree import RoutingTree
+from repro.routing.policy import POSITION_BITS
 from repro.routing.tree import DestRouting, compute_tie_keys
 from repro.telemetry.metrics import get_registry
 
@@ -70,37 +73,151 @@ ARENA_FIELDS: tuple[tuple[str, str], ...] = (
     ("keys_pool", "uint64"),
 )
 
+_POS_MASK = np.uint64((1 << POSITION_BITS) - 1)
+
+
+def _offsets(counts) -> np.ndarray:
+    """``[0, c0, c0 + c1, ...]``: the CSR index of runs of ``counts``."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
 
 def _concat_with_ptr(arrays: list[np.ndarray], dtype) -> tuple[np.ndarray, np.ndarray]:
     """Concatenate ``arrays`` into one pool plus an int64 offset table."""
-    ptr = np.zeros(len(arrays) + 1, dtype=np.int64)
     if arrays:
-        np.cumsum([len(a) for a in arrays], out=ptr[1:])
         pool = np.concatenate(arrays).astype(dtype, copy=False)
     else:
         pool = np.empty(0, dtype=dtype)
-    return pool, ptr
+    return pool, _offsets([len(a) for a in arrays])
+
+
+def _array_bytes(obj) -> int:
+    return sum(v.nbytes for v in vars(obj).values() if isinstance(v, np.ndarray))
 
 
 @dataclasses.dataclass
-class _LevelSlice:
-    """Level-major stacked layout for one global path-length level.
+class _TreeStacks:
+    """Level-major stacks the tree kernel walks (layout v2).
 
-    ``node_ptr`` / ``edge_ptr`` are per-destination-slot segment tables
-    (length ``num_dests + 1``) into the stacked arrays, so a *subset*
-    of destinations extracts its stack with one vectorised gather.
+    Every non-destination row of every batched tree is stacked by global
+    path-length level, then batch row, then BFS row ("stack order"),
+    and each level is held as **two sub-stacks**: rows with exactly one
+    tiebreak candidate, where routing has nothing to decide, and rows
+    with several — the only ones SecP/TB selection runs over (Fig 10:
+    about a fifth of all rows).  Positions are flat indices into the
+    C-contiguous ``[B, n]`` output matrices (``flat = row * n + node``,
+    ``cflat = row * n + candidate``), so a level body is 1-D gathers and
+    scatters.
+
+    Level ``i`` is ``one_*[one_off[i]:one_off[i + 1]]`` and
+    ``multi_*[multi_off[i]:multi_off[i + 1]]``.  ``starts`` is one CSR
+    index over *all* multi-candidate rows into the ``edge_*`` / ``keys``
+    arrays (absolute offsets, closing entry included); ``pick`` is the
+    absolute edge index of each row's hash-minimal candidate — what TB
+    selects whenever SecP does not apply, known without the state.
     """
 
-    node_ptr: np.ndarray   # int64[num_dests + 1]
-    nodes: np.ndarray      # int32; global node ids, stacked by slot
-    sizes: np.ndarray      # int64; tiebreak-set size per stacked node
-    edge_ptr: np.ndarray   # int64[num_dests + 1]
-    cands: np.ndarray      # int32; stacked candidate node ids
-    keys: np.ndarray       # uint64; stacked tie-break keys
-    # full-set fast path (slots == arange(num_dests)):
-    node_slot: np.ndarray  # int32; destination slot per stacked node
-    starts: np.ndarray     # int64; reduceat starts per stacked node
-    row_of_edge: np.ndarray  # int64; stacked-node row per stacked edge
+    one_off: np.ndarray     # int64[num_levels + 1]
+    multi_off: np.ndarray   # int64[num_levels + 1]
+    one_flat: np.ndarray    # int64
+    one_cflat: np.ndarray   # int64; the one candidate's flat index
+    one_cands: np.ndarray   # int32; the one candidate
+    multi_flat: np.ndarray  # int64
+    starts: np.ndarray      # int64[len(multi_flat) + 1]
+    pick: np.ndarray        # int64
+    edge_cflat: np.ndarray  # int64
+    edge_cands: np.ndarray  # int32
+    keys: np.ndarray        # uint64
+
+
+@dataclasses.dataclass
+class _WeightStack:
+    """Both kinds of rows together, in stack order, for the weights pass.
+
+    Not split: a parent's children must be added in stack order or the
+    float64 sums (and the golden digests) move.  Level ``i`` is
+    ``flat[off[i]:off[i + 1]]``.
+    """
+
+    off: np.ndarray         # int64[num_levels + 1]
+    flat: np.ndarray        # int64
+    nodes: np.ndarray       # int32; node id per ``flat`` entry
+
+
+@dataclasses.dataclass
+class _LevelMajor:
+    """The arena's level-major mirror: the stacks over *all* slots plus
+    the per-(level, slot) segment table a subset batch is cut with.
+
+    ``ptr[0, i, k]:ptr[0, i, k + 1]`` is slot ``k``'s segment of level
+    ``i`` in the one-candidate arrays, ``ptr[1]`` the same for the
+    multi-candidate arrays; their sum indexes the weights stack.
+    """
+
+    trees: _TreeStacks
+    weights: _WeightStack
+    ptr: np.ndarray         # int64[2, num_levels, num_dests + 1]
+
+    @property
+    def nbytes(self) -> int:
+        return self.ptr.nbytes + _array_bytes(self.trees) + _array_bytes(self.weights)
+
+    @staticmethod
+    def _cut(
+        lo: np.ndarray, hi: np.ndarray, slots: np.ndarray, n: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Select the segments ``lo[..., i]:hi[..., i]`` of batch row
+        ``i``, in C order: ``(index, what to add to a flat index to move
+        it from its slot's row to its batch row, segment lengths)``."""
+        counts = hi - lo
+        shift = np.empty(counts.shape, dtype=np.int64)
+        shift[...] = (np.arange(len(slots), dtype=np.int64) - slots) * n
+        flat_counts = counts.reshape(-1)
+        index = segment_index(lo.reshape(-1), flat_counts)
+        return index, np.repeat(shift.reshape(-1), flat_counts), counts
+
+    def tree_stacks(self, slots: np.ndarray, n: int) -> _TreeStacks:
+        """The sub-stacks of the batch ``slots`` (any order, repeats
+        allowed), cut in one pass over both kinds and all levels."""
+        full = self.trees
+        index, shift, counts = self._cut(
+            self.ptr[:, :, slots], self.ptr[:, :, slots + 1], slots, n
+        )
+        one_off = _offsets(counts[0].sum(axis=1))
+        multi_off = _offsets(counts[1].sum(axis=1))
+        num_one = one_off[-1]
+        one, multi, multi_shift = index[:num_one], index[num_one:], shift[num_one:]
+        edge_lo = full.starts[multi]
+        sizes = full.starts[multi + 1] - edge_lo
+        edges = segment_index(edge_lo, sizes)
+        starts = _offsets(sizes)
+        return _TreeStacks(
+            one_off=one_off,
+            multi_off=multi_off,
+            one_flat=full.one_flat[one] + shift[:num_one],
+            one_cflat=full.one_cflat[one] + shift[:num_one],
+            one_cands=full.one_cands[one],
+            multi_flat=full.multi_flat[multi] + multi_shift,
+            starts=starts,
+            pick=full.pick[multi] + (starts[:-1] - edge_lo),
+            edge_cflat=full.edge_cflat[edges] + np.repeat(multi_shift, sizes),
+            edge_cands=full.edge_cands[edges],
+            keys=full.keys[edges],
+        )
+
+    def weight_stack(self, slots: np.ndarray, n: int) -> _WeightStack:
+        """The weights stack of the batch ``slots``."""
+        rows, shift, counts = self._cut(
+            self.ptr[:, :, slots].sum(axis=0),
+            self.ptr[:, :, slots + 1].sum(axis=0),
+            slots, n,
+        )
+        return _WeightStack(
+            off=_offsets(counts.sum(axis=1)),
+            flat=self.weights.flat[rows] + shift,
+            nodes=self.weights.nodes[rows],
+        )
 
 
 @dataclasses.dataclass
@@ -157,7 +274,7 @@ class RoutingArena:
             if str(arr.dtype) != dtype:
                 raise ValueError(f"arena field {name}: expected {dtype}, got {arr.dtype}")
             setattr(self, name, arr)
-        self._levels: list[_LevelSlice] | None = None
+        self._mirror: _LevelMajor | None = None
         self._full_slots = np.arange(self.num_dests, dtype=np.int64)
 
     # -- construction --------------------------------------------------
@@ -275,10 +392,16 @@ class RoutingArena:
 
         ``avg_reach_fraction`` scales the per-destination reach (1.0 =
         every node reaches every destination, the connected-graph
-        worst case).  ``include_level_major`` also counts the stacked
-        level-major mirror the batched kernel builds lazily (roughly a
-        second copy of the CSR pools) — that mirror is resident during
-        every round, so planning without it would undercount by ~2x.
+        worst case).  ``include_level_major`` also counts the level-major
+        mirror the batched kernels build lazily
+        (:attr:`level_major_nbytes`) — it is resident during every
+        round, so planning without it would undercount by ~2x.  Per
+        :class:`_TreeStacks` / :class:`_WeightStack`: 12 bytes per row
+        for the weights stack, 20 per one-candidate row, 24 per
+        multi-candidate row plus 20 per candidate of such a row.  The
+        forecast only knows the totals, so it assumes the fewest
+        one-candidate rows they allow (every other row holding two
+        candidates), which is the costliest split.
         """
         if num_dests < 0 or n < 0:
             raise ValueError("num_dests and n must be >= 0")
@@ -291,14 +414,18 @@ class RoutingArena:
         level_pool = 4 * num_dests * 24    # level_starts: one int32 per level
         total = dense + csr_pools + cand_pools + tables + level_pool
         if include_level_major:
-            # nodes/sizes/cands/keys/starts/node_slot/row_of_edge stacks,
-            # plus the per-level node_ptr/edge_ptr segment tables (two
-            # int64[num_dests+1] per level; 24 levels matches the
-            # level_pool allowance above).  The tables are what grows
-            # with num_dests alone, so at paper scale (36K dests) they
-            # are no longer noise — re-validated at N=36964 by
+            one_rows = max(0.0, 2 * reach - cands)
+            multi_rows = reach - one_rows
+            multi_cands = cands - one_rows
+            total += reach * (8 + 4)                # flat + nodes
+            total += one_rows * (8 + 8 + 4)         # one_flat/one_cflat/one_cands
+            total += multi_rows * (8 + 8 + 8)       # multi_flat/starts/pick
+            total += multi_cands * (8 + 4 + 8)      # edge_cflat/edge_cands/keys
+            # the ``ptr`` segment table (two int64[num_dests+1] per level;
+            # 24 levels matches the level_pool allowance above).  It is
+            # what grows with num_dests alone, so at paper scale (36K
+            # dests) it is no longer noise — re-validated at N=36964 by
             # tests/runtime/test_guard_chaos.py.
-            total += reach * (4 + 8 + 8 + 4) + cands * (4 + 8 + 8)
             total += 2 * 8 * (num_dests + 1) * 24
         return int(total)
 
@@ -376,76 +503,129 @@ class RoutingArena:
 
     @property
     def num_levels(self) -> int:
-        """Global level count (max path length over all destinations + 1)."""
-        return len(self._level_major())
+        """Number of stacked levels: the longest selected route over all
+        destinations (level 0, the destination itself, is not stacked)."""
+        if not self.num_dests:
+            return 0
+        return max(int(np.diff(self.level_ptr).max()) - 2, 0)
 
-    def _level_major(self) -> list[_LevelSlice]:
-        """Build (once) the level-major stacked layout over all slots."""
-        if self._levels is not None:
-            return self._levels
-        num = self.num_dests
-        max_levels = 0
-        for k in range(num):
-            max_levels = max(max_levels, int(self.level_ptr[k + 1] - self.level_ptr[k]) - 1)
-        levels: list[_LevelSlice] = []
-        for level in range(1, max_levels):
-            node_chunks: list[np.ndarray] = []
-            size_chunks: list[np.ndarray] = []
-            cand_chunks: list[np.ndarray] = []
-            key_chunks: list[np.ndarray] = []
-            node_ptr = np.zeros(num + 1, dtype=np.int64)
-            edge_ptr = np.zeros(num + 1, dtype=np.int64)
-            for k in range(num):
-                l_lo, l_hi = int(self.level_ptr[k]), int(self.level_ptr[k + 1])
-                n_levels = l_hi - l_lo - 1
-                if level >= n_levels:
-                    node_ptr[k + 1] = node_ptr[k]
-                    edge_ptr[k + 1] = edge_ptr[k]
-                    continue
-                lo = int(self.level_pool[l_lo + level])
-                hi = int(self.level_pool[l_lo + level + 1])
-                o_lo = int(self.order_ptr[k])
-                i_lo = int(self.indptr_ptr[k])
-                c_lo = int(self.cand_ptr[k])
-                indptr = self.indptr_pool[i_lo + lo:i_lo + hi + 1]
-                seg_lo, seg_hi = int(indptr[0]), int(indptr[-1])
-                node_chunks.append(self.order_pool[o_lo + lo:o_lo + hi])
-                size_chunks.append(np.diff(indptr))
-                cand_chunks.append(self.cands_pool[c_lo + seg_lo:c_lo + seg_hi])
-                key_chunks.append(self.keys_pool[c_lo + seg_lo:c_lo + seg_hi])
-                node_ptr[k + 1] = node_ptr[k] + (hi - lo)
-                edge_ptr[k + 1] = edge_ptr[k] + (seg_hi - seg_lo)
-            nodes, _ = _concat_with_ptr(node_chunks, np.int32)
-            sizes, _ = _concat_with_ptr(size_chunks, np.int64)
-            cands, _ = _concat_with_ptr(cand_chunks, np.int32)
-            keys, _ = _concat_with_ptr(key_chunks, np.uint64)
-            counts = np.diff(node_ptr)
-            node_slot = np.repeat(
-                np.arange(num, dtype=np.int32), counts
-            )
-            starts = np.zeros(len(nodes), dtype=np.int64)
-            if len(nodes):
-                np.cumsum(sizes[:-1], out=starts[1:])
-            row_of_edge = np.repeat(np.arange(len(nodes), dtype=np.int64), sizes)
-            levels.append(
-                _LevelSlice(
-                    node_ptr=node_ptr,
-                    nodes=nodes,
-                    sizes=sizes,
-                    edge_ptr=edge_ptr,
-                    cands=cands,
-                    keys=keys,
-                    node_slot=node_slot,
-                    starts=starts,
-                    row_of_edge=row_of_edge,
-                )
-            )
-        self._levels = levels
-        return levels
+    @property
+    def level_major_nbytes(self) -> int:
+        """Bytes of the level-major mirror (built on first use; it is
+        not part of :attr:`nbytes`, which counts what is shipped)."""
+        return self._level_major().nbytes
+
+    def _level_major(self) -> _LevelMajor:
+        """Build (once) the level-major mirror: one pass over the pools."""
+        if self._mirror is not None:
+            return self._mirror
+        num, n, num_levels = self.num_dests, self.graph_n, self.num_levels
+
+        # One run per (slot, level): consecutive rows of the pools.  The
+        # runs of the stacked levels (level 0 is the destination itself)
+        # go in level-major order; a stable sort keeps slot order.
+        levels_of_slot = np.diff(self.level_ptr) - 1
+        run_rows = np.delete(np.diff(self.level_pool), self.level_ptr[1:-1] - 1)
+        run_start = np.cumsum(run_rows) - run_rows
+        run_slot = np.repeat(np.arange(num, dtype=np.int32), levels_of_slot)
+        run_level = np.arange(len(run_rows), dtype=np.int64) - np.repeat(
+            self.level_ptr[:-1] - np.arange(num), levels_of_slot
+        )
+        stacked = np.flatnonzero(run_level > 0)
+        stacked = stacked[np.argsort(run_level[stacked], kind="stable")]
+        run_rows, run_start = run_rows[stacked], run_start[stacked]
+        run_slot, run_level = run_slot[stacked], run_level[stacked]
+
+        # ``all_ptr[i, k]``: where slot k's rows of level i + 1 start in
+        # the stack (a slot has at most one run per level)
+        cum = np.zeros(num_levels * num + 1, dtype=np.int64)
+        cum[(run_level - 1) * num + run_slot + 1] = run_rows
+        np.cumsum(cum, out=cum)
+        all_ptr = np.empty((num_levels, num + 1), dtype=np.int64)
+        all_ptr[:, :-1] = cum[:-1].reshape(num_levels, num)
+        all_ptr[:, -1] = cum[num * np.arange(1, num_levels + 1)]
+
+        # Per stacked row, in stack order: node, tiebreak-set size and
+        # where its candidates start in cands_pool (a slot's indptr is
+        # relative to its own candidates and has one closing entry).
+        # The arrays are as long as the mirror's own, so each is freed
+        # or reused in place as soon as it has served.
+        rows = segment_index(run_start, run_rows)  # into order_pool
+        slot = np.repeat(run_slot, run_rows)
+        nodes = self.order_pool[rows]
+        rows += slot
+        edge_lo = self.indptr_pool[rows]
+        rows += 1
+        # (a set's size fits POSITION_BITS; narrow, the array is short-lived)
+        size = (self.indptr_pool[rows] - edge_lo).astype(np.int32)
+        edge_lo += self.cand_ptr[slot]
+        if len(size) and size.min() < 1:
+            raise ValueError("arena row without a tiebreak candidate")
+        flat = np.multiply(slot, n, out=rows, dtype=np.int64)   # rows' buffer
+        del rows, slot
+        flat += nodes
+
+        # the split; the one-candidate rows before each boundary of
+        # all_ptr give ptr[0], the rest is ptr[1]
+        one = np.flatnonzero(size == 1)
+        multi = np.flatnonzero(size != 1)
+        ptr = np.empty((2, num_levels, num + 1), dtype=np.int64)
+        ptr[0] = np.searchsorted(one, all_ptr)
+        ptr[1] = all_ptr - ptr[0]
+        starts = _offsets(size[multi])
+        del size
+        one_cands = self.cands_pool[edge_lo[one]]
+        edge_lo = edge_lo[multi]
+        one_flat = flat[one]
+        one_cflat = one_flat - nodes[one]   # the row's base, slot * n ...
+        del one
+        one_cflat += one_cands              # ... plus the candidate
+        multi_flat = flat[multi]
+        base = multi_flat - nodes[multi]
+        del multi
+        sizes = np.diff(starts)
+        edges = segment_index(edge_lo, sizes)
+        del edge_lo
+        edge_cands = self.cands_pool[edges]
+        keys = self.keys_pool[edges]
+        del edges
+        edge_cflat = np.repeat(base, sizes)
+        del base, sizes
+        edge_cflat += edge_cands
+        pick = starts[:-1].copy()
+        if len(pick):
+            pick += (np.minimum.reduceat(keys, pick) & _POS_MASK).astype(np.int64)
+
+        self._mirror = _LevelMajor(
+            trees=_TreeStacks(
+                one_off=np.append(ptr[0, :, 0], len(one_flat)),
+                multi_off=np.append(ptr[1, :, 0], len(multi_flat)),
+                one_flat=one_flat,
+                one_cflat=one_cflat,
+                one_cands=one_cands,
+                multi_flat=multi_flat,
+                starts=starts,
+                pick=pick,
+                edge_cflat=edge_cflat,
+                edge_cands=edge_cands,
+                keys=keys,
+            ),
+            weights=_WeightStack(
+                off=np.append(all_ptr[:, 0], len(flat)), flat=flat, nodes=nodes
+            ),
+            ptr=ptr,
+        )
+        get_registry().gauge("routing.arena.level_major_bytes").set(
+            self._mirror.nbytes
+        )
+        return self._mirror
 
     def all_slots(self) -> np.ndarray:
         """``arange(num_dests)`` — the full-batch slot vector."""
         return self._full_slots
+
+    def _is_full_batch(self, slots: np.ndarray) -> bool:
+        return len(slots) == self.num_dests and np.array_equal(slots, self._full_slots)
 
 
 def compute_trees_batched(
@@ -460,13 +640,14 @@ def compute_trees_batched(
     :func:`~repro.routing.fast_tree.compute_tree` per destination
     (asserted by the differential suite in
     ``tests/routing/test_arena.py``), but the Python-level loop runs
-    over *global* path-length levels.  The per-level body dispatches
-    through the arena's kernel backend
-    (:mod:`repro.routing.backends`): ``numpy`` stacks the segments of
-    every batched destination and resolves them with one set of numpy
-    segment operations; the compiled tiers run the same selection as a
-    native loop over the stacked arrays.  All backends are bit-identical
-    (asserted by ``tests/routing/test_backends.py``).
+    over *global* path-length levels.  A row with one tiebreak candidate
+    takes it; SecP/TB selection runs over the multi-candidate rows only
+    (:class:`_TreeStacks`).  The per-level body dispatches through the
+    arena's kernel backend (:mod:`repro.routing.backends`): ``numpy``
+    resolves each sub-stack with a handful of flat numpy operations; the
+    compiled tiers run the same selection as a native loop over the
+    same arrays.  All backends are bit-identical (asserted by
+    ``tests/routing/test_backends.py``).
     """
     slots = np.asarray(slots, dtype=np.int64)
     B = len(slots)
@@ -480,40 +661,28 @@ def compute_trees_batched(
     secure[np.arange(B), dest_ids] = node_secure[dest_ids]
 
     backend, kernels = kernel_backends.kernels_for(arena.backend)
-    full = B == arena.num_dests and np.array_equal(slots, arena.all_slots())
-    levels = arena._level_major()
+    mirror = arena._level_major()
+    st = mirror.trees if arena._is_full_batch(slots) else mirror.tree_stacks(slots, n)
     registry = get_registry()
     if registry.enabled:
         registry.counter("routing.batched.calls").inc()
         registry.counter("routing.batched.trees").inc(B)
-        registry.counter("routing.batched.levels").inc(len(levels))
+        registry.counter("routing.batched.levels").inc(len(st.one_off) - 1)
+        registry.counter("routing.batched.rows").inc(
+            len(st.one_flat) + len(st.multi_flat)
+        )
+        registry.counter("routing.batched.multi_rows").inc(len(st.multi_flat))
         registry.counter(f"routing.backend.calls.{backend}").inc()
 
-    for lvl in levels:
-        if full:
-            nodes, sizes = lvl.nodes, lvl.sizes
-            cands, keys = lvl.cands, lvl.keys
-            node_b = lvl.node_slot
-            starts, row_of_edge = lvl.starts, lvl.row_of_edge
-        else:
-            nodes = gather_neighbors(lvl.node_ptr, lvl.nodes, slots)
-            if not len(nodes):
-                continue
-            sizes = gather_neighbors(lvl.node_ptr, lvl.sizes, slots)
-            cands = gather_neighbors(lvl.edge_ptr, lvl.cands, slots)
-            keys = gather_neighbors(lvl.edge_ptr, lvl.keys, slots)
-            counts = lvl.node_ptr[slots + 1] - lvl.node_ptr[slots]
-            node_b = np.repeat(np.arange(B, dtype=np.int32), counts)
-            starts = np.zeros(len(nodes), dtype=np.int64)
-            np.cumsum(sizes[:-1], out=starts[1:])
-            row_of_edge = np.repeat(np.arange(len(nodes), dtype=np.int64), sizes)
-        if not len(nodes):
-            continue
-
-        kernels.trees_level(
-            nodes, sizes, starts, row_of_edge, cands, keys, node_b,
-            node_secure, breaks_ties, choice, secure, any_secure,
-        )
+    # the outputs go in flat, and the per-node masks replicated per batch
+    # row, so that one kind of index serves every lookup in the kernels
+    kernels.trees_stacked(
+        st.one_off, st.multi_off, st.one_flat, st.one_cflat, st.one_cands,
+        st.multi_flat, st.starts, st.pick,
+        st.edge_cflat, st.edge_cands, st.keys,
+        np.tile(node_secure, B), np.tile(node_secure & breaks_ties, B),
+        choice.reshape(-1), secure.reshape(-1), any_secure.reshape(-1),
+    )
 
     return BatchedTrees(
         dest_ids=dest_ids,
@@ -549,17 +718,9 @@ def subtree_weights_batched(
     registry = get_registry()
     if registry.enabled:
         registry.counter(f"routing.backend.calls.{backend}").inc()
-    full = B == arena.num_dests and np.array_equal(slots, arena.all_slots())
-    for lvl in reversed(arena._level_major()):
-        if full:
-            nodes, node_b = lvl.nodes, lvl.node_slot
-        else:
-            nodes = gather_neighbors(lvl.node_ptr, lvl.nodes, slots)
-            if not len(nodes):
-                continue
-            counts = lvl.node_ptr[slots + 1] - lvl.node_ptr[slots]
-            node_b = np.repeat(np.arange(B, dtype=np.int32), counts)
-        if not len(nodes):
-            continue
-        kernels.weights_level(nodes, node_b, choice, weights, w)
+    mirror = arena._level_major()
+    st = mirror.weights if arena._is_full_batch(slots) else mirror.weight_stack(slots, n)
+    kernels.weights_stacked(
+        st.off, st.flat, st.nodes, choice.reshape(-1), weights, w.reshape(-1)
+    )
     return w

@@ -1,7 +1,7 @@
 """Kernel backend registry: one namespace, three implementation tiers.
 
-The three hot kernels — the batched tree resolver (``trees_level``),
-the batched subtree weights (``weights_level``) and the synchronous-
+The three hot kernels — the batched tree resolver (``trees_stacked``),
+the batched subtree weights (``weights_stacked``) and the synchronous-
 Jacobi best-response step (``jacobi_sweep``, single- and multi-origin
 alike: a row without an adversary carries ``attacker = -1``) — exist in
 three implementations ("backends") behind this registry:
@@ -186,8 +186,8 @@ def backend_status() -> dict[str, str]:
 def load_backend(name: str) -> Any:
     """Import (and for compiled tiers, compile + warm) backend ``name``.
 
-    Returns the implementation module exposing ``trees_level``,
-    ``weights_level`` and ``jacobi_sweep``.  Load results are cached
+    Returns the implementation module exposing ``trees_stacked``,
+    ``weights_stacked`` and ``jacobi_sweep``.  Load results are cached
     both ways: a success is never re-imported, a failure is never
     retried within the process (compilation attempts are expensive and
     deterministic).

@@ -11,22 +11,32 @@ inherits, and it is where a reader checks what the C loops mean.
 Calling convention (all backends):
 
 - outputs are written **in place**; the functions return ``None``;
-- dtypes are fixed by the dispatchers: ``nodes``/``cands``/``node_b``/
-  ``choice`` int32, ``sizes``/``starts``/``row_of_edge`` int64,
-  ``keys``/``tie_key`` uint64, masks bool, weights float64, sweep
-  labels int8/int32/bool, ``attacker`` int64, rank metadata int64 codes
-  + uint32 widths;
-- 2-D arrays are C-contiguous ``[batch, n]`` matrices.
+- the batched kernels see the arena's level-major stacks
+  (``repro.routing.arena._TreeStacks`` / ``_WeightStack``) as plain
+  arrays, all levels in one call: ``*_off`` int64 level offsets,
+  ``*flat`` / ``starts`` / ``pick`` int64, ``nodes`` / ``*cands`` int32,
+  ``keys`` uint64, masks bool, weights float64.  ``choice`` (int32),
+  ``secure`` / ``any_secure`` (bool) and ``w`` (float64) are the
+  C-contiguous ``[batch, n]`` outputs taken flat, and a ``flat`` index is
+  ``batch row * n + node``; ``secure_rows`` / ``secp_rows`` are
+  ``node_secure`` and ``node_secure & breaks_ties`` repeated per batch
+  row so that they take the same index;
+- the sweep: ``tie_key`` uint64, labels int8/int32/bool as C-contiguous
+  ``[batch, n]`` matrices, ``attacker`` int64, rank metadata int64 codes
+  + uint32 widths.
 
 Bit-identity with the numpy backend is structural, not accidental:
 
-- tree levels select a per-node *minimum* key — order-independent, and
-  candidates live one level below their node, so per-node loops see the
-  same already-resolved state the whole-level gather sees;
+- tree levels: a row with one candidate takes it; a row with several
+  takes the *minimum* key over its secure candidates where SecP applies
+  and there are any, and otherwise the precomputed hash-minimal ``pick``
+  — minima are order-independent, and candidates live one level below
+  their row, so per-row loops see the same already-resolved state the
+  whole-level gather sees;
 - subtree weights: every parent receives contributions only while its
   children's level is processed (children sit exactly one level deeper)
   and ``0.0 + x == x`` exactly in IEEE-754, so accumulating child by
-  child in stack order reproduces ``bincount``'s left-to-right sum bit
+  child in stack order reproduces ``np.add.at``'s sequential sum bit
   for bit;
 - the Jacobi sweep recomputes each edge's rank key in two passes (min,
   then tie mask) rather than materialising the key row — the key is a
@@ -57,45 +67,45 @@ if (_SELF, _CUSTOMER, _UNREACHABLE) != (
     )
 
 
-def trees_level(nodes, sizes, starts, row_of_edge, cands, keys, node_b,
-                node_secure, breaks_ties, choice, secure, any_secure):
-    """Resolve one stacked path-length level, one node at a time."""
-    for r in range(nodes.shape[0]):
-        u = nodes[r]
-        b = node_b[r]
-        s = starts[r]
-        m = sizes[r]
-        if m <= 0:
-            continue
-        any_sec = False
-        min_all = _BLOCKED
-        min_sec = _BLOCKED
-        for e in range(s, s + m):
-            k = keys[e]
-            if k < min_all:
-                min_all = k
-            if secure[b, cands[e]]:
-                any_sec = True
-                if k < min_sec:
-                    min_sec = k
-        any_secure[b, u] = any_sec
-        if node_secure[u] and breaks_ties[u] and any_sec:
-            kmin = min_sec
-        else:
-            kmin = min_all
-        c = cands[s + np.int64(kmin & _POS_MASK)]
-        choice[b, u] = c
-        secure[b, u] = node_secure[u] and secure[b, c]
+def trees_stacked(one_off, multi_off, one_flat, one_cflat, one_cands,
+                  multi_flat, starts, pick, edge_cflat, edge_cands, keys,
+                  secure_rows, secp_rows, choice, secure, any_secure):
+    """Resolve every stacked path-length level, one row at a time."""
+    for level in range(one_off.shape[0] - 1):
+        for r in range(one_off[level], one_off[level + 1]):
+            f = one_flat[r]
+            csec = secure[one_cflat[r]]
+            choice[f] = one_cands[r]
+            any_secure[f] = csec
+            secure[f] = secure_rows[f] and csec
+        for r in range(multi_off[level], multi_off[level + 1]):
+            f = multi_flat[r]
+            s = starts[r]
+            any_sec = False
+            min_sec = _BLOCKED
+            for e in range(s, starts[r + 1]):
+                if secure[edge_cflat[e]]:
+                    any_sec = True
+                    if keys[e] < min_sec:
+                        min_sec = keys[e]
+            any_secure[f] = any_sec
+            if secp_rows[f] and any_sec:
+                e = s + np.int64(min_sec & _POS_MASK)
+            else:
+                e = pick[r]
+            choice[f] = edge_cands[e]
+            secure[f] = secure_rows[f] and secure[edge_cflat[e]]
 
 
-def weights_level(nodes, node_b, choice, node_weights, w):
-    """Push one level's subtree weights up to the chosen parents."""
-    for r in range(nodes.shape[0]):
-        u = nodes[r]
-        b = node_b[r]
-        p = choice[b, u]
-        if p >= 0:
-            w[b, p] += w[b, u] + node_weights[u]
+def weights_stacked(off, flat, nodes, choice, node_weights, w):
+    """Push subtree weights up to the chosen parents, deepest level first."""
+    for level in range(off.shape[0] - 2, -1, -1):
+        for r in range(off[level], off[level + 1]):
+            f = flat[r]
+            u = nodes[r]
+            p = choice[f]
+            if p >= 0:
+                w[f - u + p] += w[f] + node_weights[u]
 
 
 def jacobi_sweep(u, v, route_cls, seg_starts, seg_sizes, seg_u, tie_key,

@@ -54,60 +54,74 @@ _C_SOURCE = r"""
 #define POS_MASK 0xFFFFu
 #define INVALID_KEY 0xFFFFFFFFu
 
-void sbgp_trees_level(
-    int64_t num_nodes,
-    const int32_t *nodes, const int64_t *sizes, const int64_t *starts,
-    const int32_t *cands, const uint64_t *keys, const int32_t *node_b,
-    const uint8_t *node_secure, const uint8_t *breaks_ties,
-    int64_t n, int32_t *choice, uint8_t *secure, uint8_t *any_secure)
+/* choice / secure / any_secure / w are the C-contiguous [batch, n]
+ * outputs taken flat; every *flat index below is row * n + node.
+ * secure_rows / secp_rows are node_secure and node_secure & breaks_ties
+ * replicated per batch row, so they take the same index.  Level i is
+ * rows one_off[i]..one_off[i+1] of the one-candidate arrays and rows
+ * multi_off[i]..multi_off[i+1] of the multi-candidate arrays. */
+void sbgp_trees_stacked(
+    int64_t num_levels, const int64_t *one_off, const int64_t *multi_off,
+    const int64_t *one_flat, const int64_t *one_cflat,
+    const int32_t *one_cands,
+    const int64_t *multi_flat, const int64_t *starts, const int64_t *pick,
+    const int64_t *edge_cflat, const int32_t *edge_cands,
+    const uint64_t *keys,
+    const uint8_t *secure_rows, const uint8_t *secp_rows,
+    int32_t *choice, uint8_t *secure, uint8_t *any_secure)
 {
-    for (int64_t r = 0; r < num_nodes; r++) {
-        int64_t u = nodes[r];
-        int64_t b = node_b[r];
-        int64_t s = starts[r];
-        int64_t m = sizes[r];
-        if (m <= 0)
-            continue;
-        const uint8_t *srow = secure + b * n;
-        uint64_t min_all = UINT64_MAX;
-        uint64_t min_sec = UINT64_MAX;
-        int any_sec = 0;
-        for (int64_t e = s; e < s + m; e++) {
-            uint64_t k = keys[e];
-            if (k < min_all)
-                min_all = k;
-            if (srow[cands[e]]) {
-                any_sec = 1;
-                if (k < min_sec)
-                    min_sec = k;
-            }
+    /* Candidates sit one level below their row: secure[] is read where
+     * an earlier level wrote and written where this level's rows are,
+     * so reads and writes never alias within a level. */
+    for (int64_t level = 0; level < num_levels; level++) {
+        for (int64_t r = one_off[level]; r < one_off[level + 1]; r++) {
+            int64_t f = one_flat[r];
+            uint8_t csec = secure[one_cflat[r]];
+            choice[f] = one_cands[r];
+            any_secure[f] = csec;
+            secure[f] = (uint8_t)(secure_rows[f] && csec);
         }
-        any_secure[b * n + u] = (uint8_t)any_sec;
-        uint64_t kmin =
-            (node_secure[u] && breaks_ties[u] && any_sec) ? min_sec : min_all;
-        int32_t c = cands[s + (int64_t)(kmin & POS_MASK)];
-        choice[b * n + u] = c;
-        /* c sits one level below u: srow[c] was resolved by an earlier
-         * level, never by this loop, so the read/write never alias. */
-        secure[b * n + u] = (uint8_t)(node_secure[u] && srow[c]);
+        for (int64_t r = multi_off[level]; r < multi_off[level + 1]; r++) {
+            int64_t f = multi_flat[r];
+            int64_t s = starts[r];
+            int64_t end = starts[r + 1];
+            uint64_t min_sec = UINT64_MAX;
+            int any_sec = 0;
+            for (int64_t e = s; e < end; e++) {
+                if (secure[edge_cflat[e]]) {
+                    any_sec = 1;
+                    if (keys[e] < min_sec)
+                        min_sec = keys[e];
+                }
+            }
+            any_secure[f] = (uint8_t)any_sec;
+            int64_t e = (secp_rows[f] && any_sec)
+                ? s + (int64_t)(min_sec & POS_MASK)
+                : pick[r];
+            choice[f] = edge_cands[e];
+            secure[f] = (uint8_t)(secure_rows[f] && secure[edge_cflat[e]]);
+        }
     }
 }
 
-void sbgp_weights_level(
-    int64_t num_nodes,
-    const int32_t *nodes, const int32_t *node_b, const int32_t *choice,
-    const double *node_weights, int64_t n, double *w)
+void sbgp_weights_stacked(
+    int64_t num_levels, const int64_t *off,
+    const int64_t *flat, const int32_t *nodes, const int32_t *choice,
+    const double *node_weights, double *w)
 {
-    for (int64_t r = 0; r < num_nodes; r++) {
-        int64_t u = nodes[r];
-        int64_t b = node_b[r];
-        int32_t p = choice[b * n + u];
-        /* Parents sit one level up, so w[b*n+p] is only *written* here
-         * and only *read* when the next (shallower) level runs; with
-         * 0.0 + x == x exactly, child-by-child accumulation matches
-         * numpy's bincount sum bit for bit. */
-        if (p >= 0)
-            w[b * n + p] += w[b * n + u] + node_weights[u];
+    for (int64_t level = num_levels - 1; level >= 0; level--) {
+        for (int64_t r = off[level]; r < off[level + 1]; r++) {
+            int64_t f = flat[r];
+            int64_t u = nodes[r];
+            int32_t p = choice[f];
+            /* Parents sit one level up, so w[f - u + p] is only
+             * *written* here and only *read* when the next (shallower)
+             * level runs; with 0.0 + x == x exactly, child-by-child
+             * accumulation in stack order matches numpy's np.add.at
+             * bit for bit. */
+            if (p >= 0)
+                w[f - u + p] += w[f] + node_weights[u];
+        }
     }
 }
 
@@ -269,7 +283,7 @@ def _load_library() -> ctypes.CDLL:
         lib = ctypes.CDLL(str(_build_shared_object()))
     except OSError as exc:  # dlopen failure
         raise BackendUnavailable(f"cannot load compiled kernels: {exc}") from exc
-    for name in ("sbgp_trees_level", "sbgp_weights_level",
+    for name in ("sbgp_trees_stacked", "sbgp_weights_stacked",
                  "sbgp_jacobi_sweep"):
         fn = getattr(lib, name)
         fn.restype = None
@@ -291,27 +305,47 @@ def _ptr(array: np.ndarray, dtype: type) -> ctypes.c_void_p:
     return ctypes.c_void_p(array.ctypes.data)
 
 
-def trees_level(nodes, sizes, starts, row_of_edge, cands, keys, node_b,
-                node_secure, breaks_ties, choice, secure, any_secure):
-    """Resolve one stacked path-length level (row_of_edge unused here)."""
-    _LIB.sbgp_trees_level(
-        _I64(len(nodes)),
-        _ptr(nodes, np.int32), _ptr(sizes, np.int64), _ptr(starts, np.int64),
-        _ptr(cands, np.int32), _ptr(keys, np.uint64), _ptr(node_b, np.int32),
-        _ptr(node_secure, np.bool_), _ptr(breaks_ties, np.bool_),
-        _I64(choice.shape[1]),
+def _check_rows(off: np.ndarray, *aligned: np.ndarray) -> None:
+    """Level offsets must stay inside their row arrays, which must be
+    equally long: the C loops index all of them with one counter."""
+    if len(off) < 1 or any(len(a) != len(aligned[0]) for a in aligned) or (
+        off[-1] > len(aligned[0])
+    ):
+        raise ValueError("cext kernel: stack arrays out of step")
+
+
+def trees_stacked(one_off, multi_off, one_flat, one_cflat, one_cands,
+                  multi_flat, starts, pick, edge_cflat, edge_cands, keys,
+                  secure_rows, secp_rows, choice, secure, any_secure):
+    """Resolve every stacked path-length level."""
+    _check_rows(one_off, one_flat, one_cflat, one_cands)
+    _check_rows(multi_off, multi_flat, pick, starts[:-1])
+    _check_rows(starts, keys, edge_cflat, edge_cands)
+    if len(multi_off) != len(one_off):
+        raise ValueError("cext kernel: stack arrays out of step")
+    _LIB.sbgp_trees_stacked(
+        _I64(len(one_off) - 1),
+        _ptr(one_off, np.int64), _ptr(multi_off, np.int64),
+        _ptr(one_flat, np.int64), _ptr(one_cflat, np.int64),
+        _ptr(one_cands, np.int32),
+        _ptr(multi_flat, np.int64), _ptr(starts, np.int64),
+        _ptr(pick, np.int64),
+        _ptr(edge_cflat, np.int64), _ptr(edge_cands, np.int32),
+        _ptr(keys, np.uint64),
+        _ptr(secure_rows, np.bool_), _ptr(secp_rows, np.bool_),
         _ptr(choice, np.int32), _ptr(secure, np.bool_),
         _ptr(any_secure, np.bool_),
     )
 
 
-def weights_level(nodes, node_b, choice, node_weights, w):
-    """Push one level's subtree weights up to the chosen parents."""
-    _LIB.sbgp_weights_level(
-        _I64(len(nodes)),
-        _ptr(nodes, np.int32), _ptr(node_b, np.int32),
+def weights_stacked(off, flat, nodes, choice, node_weights, w):
+    """Push subtree weights up to the chosen parents, deepest level first."""
+    _check_rows(off, flat, nodes)
+    _LIB.sbgp_weights_stacked(
+        _I64(len(off) - 1), _ptr(off, np.int64),
+        _ptr(flat, np.int64), _ptr(nodes, np.int32),
         _ptr(choice, np.int32), _ptr(node_weights, np.float64),
-        _I64(w.shape[1]), _ptr(w, np.float64),
+        _ptr(w, np.float64),
     )
 
 

@@ -1,12 +1,20 @@
 """Vectorised numpy kernels — the differential ground truth.
 
-The level bodies of ``repro.routing.arena.compute_trees_batched`` and
+The bodies of ``repro.routing.arena.compute_trees_batched`` and
 ``repro.routing.arena.subtree_weights_batched`` and the Jacobi step that
 :class:`repro.routing.fixpoint.JacobiDriver` iterates, kept here so
 every other backend has a fixed point of comparison: the parity suite
-asserts **bit-identical** outputs against this module.  Do not
-"improve" the numerics here — a change to operation order is a change
-to the ground truth.
+asserts **bit-identical** outputs against this module.
+
+The contract is the *outputs*, not the instruction sequence: integer
+and boolean results are exact whatever the order of evaluation, so how
+a level is cut up (one-candidate rows apart from multi-candidate rows,
+rows in blocks) is free to change.  The one thing that is not free is
+each parent's **summation order** in ``weights_stacked``: its children
+are added in stack order (batch row, then BFS row), one after the other
+— float64 addition does not associate, so a different order is a
+different ground truth (``perf/golden.json`` and the ``uint64`` views in
+the parity suite would move).
 
 All three kernels share the calling convention documented in
 :mod:`repro.routing.backends._loops` (same signatures, same dtypes,
@@ -23,54 +31,90 @@ _POS_MASK = np.uint64((1 << POSITION_BITS) - 1)
 _BLOCKED = np.uint64(2**64 - 1)
 _INVALID_A = np.uint32(0xFFFFFFFF)
 
+#: Rows per block of the weights pass.  The temporaries stay cache-sized
+#: however many rows a level holds (measured at N=1000: 13 ms against 23
+#: unblocked), and ``np.add.at`` applies the blocks' rows in the same
+#: order as one call over the whole level would.
+_BLOCK_ROWS = 1 << 14
+
 _SELF = int(RouteClass.SELF)
 _CUSTOMER = int(RouteClass.CUSTOMER)
 _UNREACHABLE = int(RouteClass.UNREACHABLE)
 
 
-def trees_level(
-    nodes: np.ndarray,
-    sizes: np.ndarray,
+def trees_stacked(
+    one_off: np.ndarray,
+    multi_off: np.ndarray,
+    one_flat: np.ndarray,
+    one_cflat: np.ndarray,
+    one_cands: np.ndarray,
+    multi_flat: np.ndarray,
     starts: np.ndarray,
-    row_of_edge: np.ndarray,
-    cands: np.ndarray,
+    pick: np.ndarray,
+    edge_cflat: np.ndarray,
+    edge_cands: np.ndarray,
     keys: np.ndarray,
-    node_b: np.ndarray,
-    node_secure: np.ndarray,
-    breaks_ties: np.ndarray,
+    secure_rows: np.ndarray,
+    secp_rows: np.ndarray,
     choice: np.ndarray,
     secure: np.ndarray,
     any_secure: np.ndarray,
 ) -> None:
-    """Resolve one stacked path-length level of the batched tree kernel."""
-    edge_b = node_b[row_of_edge]
-    csec = secure[edge_b, cands]
-    any_sec = np.logical_or.reduceat(csec, starts)
-    any_secure[node_b, nodes] = any_sec
-    use_sec = node_secure[nodes] & breaks_ties[nodes] & any_sec
+    """Resolve every stacked path-length level of the batched tree kernel."""
+    one_off, multi_off = one_off.tolist(), multi_off.tolist()
+    for level in range(len(one_off) - 1):
+        a, b = one_off[level], one_off[level + 1]
+        if b > a:
+            # one candidate: nothing to select
+            f = one_flat[a:b]
+            csec = secure[one_cflat[a:b]]
+            choice[f] = one_cands[a:b]
+            any_secure[f] = csec
+            secure[f] = csec & secure_rows[f]
+        a, b = multi_off[level], multi_off[level + 1]
+        if b > a:
+            f = multi_flat[a:b]
+            begin = starts[a:b]
+            lo, hi = begin[0], starts[b]
+            # the hash-minimal *secure* candidate per row; all-blocked
+            # means no candidate is secure (a real key never has every
+            # position bit set: the row would need 2**POSITION_BITS
+            # candidates)
+            ksec = np.where(secure[edge_cflat[lo:hi]], keys[lo:hi], _BLOCKED)
+            kmin = np.minimum.reduceat(ksec, begin - lo)
+            any_sec = kmin != _BLOCKED
+            any_secure[f] = any_sec
+            # SecP narrows the set to its secure candidates where it
+            # applies and there are any; everywhere else TB's pick is
+            # static
+            chosen = np.where(
+                secp_rows[f] & any_sec,
+                begin + (kmin & _POS_MASK).astype(np.int64),
+                pick[a:b],
+            )
+            choice[f] = edge_cands[chosen]
+            secure[f] = secure_rows[f] & secure[edge_cflat[chosen]]
 
-    key = np.where(csec | ~use_sec[row_of_edge], keys, _BLOCKED)
-    kmin = np.minimum.reduceat(key, starts)
-    chosen = starts + (kmin & _POS_MASK).astype(np.int64)
-    choice[node_b, nodes] = cands[chosen]
-    secure[node_b, nodes] = node_secure[nodes] & csec[chosen]
 
-
-def weights_level(
+def weights_stacked(
+    off: np.ndarray,
+    flat: np.ndarray,
     nodes: np.ndarray,
-    node_b: np.ndarray,
     choice: np.ndarray,
     node_weights: np.ndarray,
     w: np.ndarray,
 ) -> None:
-    """Push one level's subtree weights up to the chosen parents."""
-    n = w.shape[1]
-    nb = node_b.astype(np.int64)
-    parents = choice[nb, nodes].astype(np.int64)
-    vals = w[nb, nodes] + node_weights[nodes]
-    w += np.bincount(
-        nb * n + parents, weights=vals, minlength=w.size
-    ).reshape(w.shape)
+    """Push subtree weights up to the chosen parents, deepest level first."""
+    off = off.tolist()
+    for level in range(len(off) - 2, -1, -1):
+        for lo in range(off[level], off[level + 1], _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, off[level + 1])
+            f, u = flat[lo:hi], nodes[lo:hi]
+            vals = w[f]
+            vals += node_weights[u]
+            parents = f - u        # the batch row's base ...
+            parents += choice[f]   # ... plus the chosen next hop
+            np.add.at(w, parents, vals)
 
 
 def jacobi_sweep(

@@ -68,6 +68,14 @@ class CompiledGraph:
         )
 
 
+def segment_index(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenate ``arange(starts[i], starts[i] + counts[i])`` over ``i``."""
+    ends = np.cumsum(counts)
+    index = np.repeat(starts - (ends - counts), counts)
+    index += np.arange(len(index), dtype=np.int64)
+    return index
+
+
 def gather_neighbors(indptr: np.ndarray, idx: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Concatenate ``idx[indptr[v]:indptr[v+1]]`` for every ``v`` in ``nodes``.
 
@@ -75,12 +83,8 @@ def gather_neighbors(indptr: np.ndarray, idx: np.ndarray, nodes: np.ndarray) -> 
     """
     if len(nodes) == 1:
         return idx[indptr[nodes[0]]:indptr[nodes[0] + 1]]
-    counts = (indptr[nodes + 1] - indptr[nodes]).astype(np.int64)
-    total = int(counts.sum())
-    if total == 0:
-        return idx[0:0]
     starts = indptr[nodes].astype(np.int64)
-    base = np.repeat(starts, counts)
-    cum = np.cumsum(counts) - counts
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(cum, counts)
-    return idx[base + offsets]
+    counts = indptr[nodes + 1].astype(np.int64) - starts
+    if not counts.any():
+        return idx[0:0]
+    return idx[segment_index(starts, counts)]

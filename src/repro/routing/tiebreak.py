@@ -11,8 +11,9 @@ suffices to drive deployment.
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter
 from typing import Callable, Iterable
+
+import numpy as np
 
 from repro.routing.tree import DestRouting, compute_dest_routing
 from repro.topology.graph import ASGraph
@@ -60,41 +61,36 @@ def collect_tiebreak_stats(
     if dest_routing is None:
         dest_routing = lambda d: compute_dest_routing(graph, d)  # noqa: E731
 
-    roles = graph.roles
-    hist: Counter[int] = Counter()
-    total = 0.0
-    count = 0
-    isp_total = 0.0
-    isp_count = 0
-    isp_multi = 0
-    stub_total = 0.0
-    stub_count = 0
-    multi = 0
-
+    # pairs[size, role]: how many (source, destination) pairs have a
+    # tiebreak set of that size at a source of that role (a set cannot
+    # outgrow the graph); one flat bincount per destination
+    num_roles = len(ASRole)
+    roles = np.asarray(graph.roles, dtype=np.int64)
+    pairs = np.zeros((graph.n + 1, num_roles), dtype=np.int64)
     for dest in destinations:
         dr = dest_routing(dest)
-        sizes = dr.tiebreak_sizes()
-        src_roles = roles[dr.order]
-        for size, role, node in zip(sizes, src_roles, dr.order):
-            if node == dest:
-                continue
-            size = int(size)
-            hist[size] += 1
-            total += size
-            count += 1
-            if size > 1:
-                multi += 1
-            if role == ASRole.ISP:
-                isp_total += size
-                isp_count += 1
-                if size > 1:
-                    isp_multi += 1
-            elif role == ASRole.STUB:
-                stub_total += size
-                stub_count += 1
+        sources = dr.order != dest
+        pairs += np.bincount(
+            dr.tiebreak_sizes()[sources] * num_roles + roles[dr.order[sources]],
+            minlength=pairs.size,
+        ).reshape(pairs.shape)
+    by_size = pairs.sum(axis=1)
+
+    def totals(sizes: np.ndarray) -> tuple[int, int, int]:
+        """``(pairs, summed sizes, pairs with size > 1)`` as exact ints."""
+        sizes = sizes.tolist()
+        return (
+            sum(sizes),
+            sum(size * k for size, k in enumerate(sizes)),
+            sum(sizes[2:]),
+        )
+
+    count, total, multi = totals(by_size)
+    isp_count, isp_total, isp_multi = totals(pairs[:, ASRole.ISP])
+    stub_count, stub_total, _ = totals(pairs[:, ASRole.STUB])
 
     return TiebreakStats(
-        histogram=dict(hist),
+        histogram={size: k for size, k in enumerate(by_size.tolist()) if k},
         mean=total / count if count else 0.0,
         mean_isp=isp_total / isp_count if isp_count else 0.0,
         mean_stub=stub_total / stub_count if stub_count else 0.0,

@@ -10,11 +10,14 @@ partial ``breaks_ties`` masks.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.setup import build_environment
 from repro.routing.arena import (
     RoutingArena,
     compute_trees_batched,
@@ -27,6 +30,7 @@ from repro.routing.fast_tree import (
     subtree_weights,
 )
 from repro.routing.tree import DestRouting, compute_dest_routing, compute_tie_keys
+from repro.telemetry.metrics import MetricsRegistry, use_registry
 from repro.topology.graph import ASGraph
 
 from tests.strategies import as_graphs
@@ -148,6 +152,73 @@ class TestSubsetBatches:
             np.zeros(n, dtype=bool), np.zeros(n, dtype=bool),
         )
         assert bt.choice.shape == (0, n)
+
+
+class TestLayoutPins:
+    """What layout v2 is for, as numbers the program reports — no timing.
+
+    On the default seeded environment at N=500: SecP/TB selection runs
+    over the multi-candidate rows only, those are the minority Fig 10
+    says they are, and the weights pass no longer holds a second
+    ``[D, n]`` float64 matrix.
+    """
+
+    @pytest.fixture(scope="class")
+    def env(self):
+        return build_environment(n=500, seed=2011)
+
+    def test_counters_report_the_static_row_counts(self, env):
+        arena = env.cache.ensure_arena()
+        sizes = np.concatenate([dr.tiebreak_sizes() for dr in arena.views()])
+        rows, multi_rows = int((sizes > 0).sum()), int((sizes > 1).sum())
+        secure = np.zeros(env.graph.n, dtype=bool)
+        secure[::3] = True
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            for _ in range(2):   # per call, whatever the state
+                compute_trees_batched(arena, arena.all_slots(), secure, secure)
+                secure = ~secure
+        counters = registry.snapshot()["counters"]
+        assert counters["routing.batched.calls"] == 2
+        assert counters["routing.batched.rows"] == 2 * rows
+        assert counters["routing.batched.multi_rows"] == 2 * multi_rows
+        # Fig 10 / sec 6.6: about a fifth of tiebreak sets hold a choice
+        assert 0.15 <= multi_rows / rows <= 0.35
+
+    def test_mirror_bytes_are_reported(self, env):
+        arena = env.cache.ensure_arena()
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            clone = RoutingArena.from_buffer(
+                arena.graph_n, *_packed(arena), backend="numpy"
+            )
+            nbytes = clone.level_major_nbytes
+        assert nbytes == arena.level_major_nbytes > 0
+        assert registry.snapshot()["gauges"]["routing.arena.level_major_bytes"] == nbytes
+
+    def test_weights_pass_holds_no_second_matrix(self, env):
+        arena = env.cache.ensure_arena()
+        assert arena.backend == "numpy"
+        none = np.zeros(env.graph.n, dtype=bool)
+        slots = arena.all_slots()
+        choice = compute_trees_batched(arena, slots, none, none).choice
+        weights = env.graph.weights
+        subtree_weights_batched(arena, slots, choice, weights)   # mirror built
+        tracemalloc.start()
+        try:
+            w2d = subtree_weights_batched(arena, slots, choice, weights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert w2d.nbytes == 8 * arena.num_dests * env.graph.n
+        assert peak < 1.5 * w2d.nbytes
+
+
+def _packed(arena: RoutingArena):
+    total, layout = arena.to_blocks()
+    buf = bytearray(total)
+    arena.pack_into(buf)
+    return buf, layout
 
 
 class TestArenaStructure:

@@ -27,8 +27,12 @@ from repro.routing.arena import (
 )
 from repro.routing.cache import RoutingCache
 from repro.routing.errors import BackendUnavailable
+from repro.routing.fast_tree import compute_tree_scalar, subtree_weights
 from repro.routing.policy import available_policies, get_policy
+from repro.routing.tree import compute_dest_routing
 from repro.runtime.guard import RuntimeGuard, use_guard
+from repro.telemetry.metrics import MetricsRegistry, use_registry
+from repro.topology.graph import ASGraph
 
 from tests.strategies import graphs_with_security
 
@@ -307,30 +311,158 @@ class TestKernelParityProperty:
             assert rt.secure.tobytes() == at.secure.tobytes()
 
 
+def _graph(num: int, provider_of: dict[int, list[int]], peers=()) -> ASGraph:
+    """ASes ``1..num``; ``provider_of[c]`` lists the providers of ``c``."""
+    g = ASGraph()
+    for asn in range(1, num + 1):
+        g.add_as(asn)
+    for customer, providers in provider_of.items():
+        for provider in providers:
+            g.add_customer_provider(provider=provider, customer=customer)
+    for a, b in peers:
+        g.add_peering(a, b)
+    return g
+
+
+#: name -> (graph, destination ASNs or None for all).  Between them the
+#: shapes leave each sub-stack of a level empty at least once.
+SPLIT_SHAPES = {
+    # a provider chain and a pure tree: every row has one candidate
+    "chain": (_graph(6, {c: [c - 1] for c in range(2, 7)}), None),
+    "tree": (_graph(7, {2: [1], 3: [1], 4: [2], 5: [2], 6: [3], 7: [3]}), None),
+    # toward AS 4 the top of the diamond is alone on level 2, with two
+    # candidates: a level with multi-candidate rows only
+    "diamond_top": (_graph(4, {2: [1], 3: [1], 4: [2, 3]}), [4]),
+    # two components plus an AS with no links at all: unreachable rows
+    "islands": (_graph(7, {2: [1], 3: [1, 2], 5: [4], 6: [4, 5]}), None),
+    # every level past the first mixes both kinds
+    "mesh": (
+        _graph(
+            8, {3: [1, 2], 4: [1, 2], 5: [3], 6: [3, 4], 7: [5, 6], 8: [6]},
+            peers=[(1, 2), (3, 4)],
+        ),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("backend", PARITY_BACKENDS)
+class TestSplitStackParity:
+    """Layout v2 against the scalar references, tier by tier.
+
+    Every tier (numpy included: here the oracle is the per-destination
+    scalar code, not numpy) walks the one-candidate and the
+    multi-candidate sub-stack of each level; full-set and subset batches
+    must equal ``compute_tree_scalar`` / ``subtree_weights`` row for row
+    — weights as ``uint64``, so a reordered float sum cannot hide.
+    """
+
+    @staticmethod
+    def _check(graph, backend, dests, slots, secure, breaks):
+        rng = np.random.default_rng(graph.n)
+        weights = rng.uniform(0.1, 9.0, size=graph.n)
+        routings = [compute_dest_routing(graph, d) for d in dests]
+        arena = RoutingArena.build(graph.n, dests, routings, backend=backend)
+        slots = np.asarray(slots, dtype=np.int64)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            bt = compute_trees_batched(arena, slots, secure, breaks)
+        w2d = subtree_weights_batched(arena, slots, bt.choice, weights)
+        assert bt.choice.shape == w2d.shape == (len(slots), graph.n)
+        for i, slot in enumerate(slots.tolist()):
+            dr = routings[slot]
+            ref = compute_tree_scalar(dr, secure, breaks)
+            where = (backend, dests[slot], i)
+            assert bt.dest_ids[i] == dests[slot], where
+            assert bt.choice[i].tolist() == ref.choice.tolist(), where
+            assert bt.secure[i].tolist() == ref.secure.tolist(), where
+            assert bt.any_secure[i].tolist() == ref.any_secure_candidate.tolist(), where
+            ref_w = subtree_weights(dr, ref, weights)
+            assert w2d[i].view(np.uint64).tolist() == ref_w.view(np.uint64).tolist(), where
+        # the work the call reports is the work the structures hold
+        sizes = [routings[slot].tiebreak_sizes() for slot in slots.tolist()]
+        counters = registry.snapshot()["counters"]
+        assert counters["routing.batched.rows"] == sum(int((s > 0).sum()) for s in sizes)
+        assert counters["routing.batched.multi_rows"] == sum(
+            int((s > 1).sum()) for s in sizes
+        )
+        return counters
+
+    @pytest.mark.parametrize("shape", sorted(SPLIT_SHAPES))
+    def test_degenerate_shapes(self, backend, shape):
+        graph, dest_asns = SPLIT_SHAPES[shape]
+        dests = (
+            list(range(graph.n)) if dest_asns is None
+            else [graph.index(a) for a in dest_asns]
+        )
+        secure = np.zeros(graph.n, dtype=bool)
+        secure[::2] = True
+        for breaks in (secure, np.zeros(graph.n, dtype=bool)):
+            full = self._check(
+                graph, backend, dests, range(len(dests)), secure, breaks
+            )
+            # unsorted, with a repeat, and a single slot
+            k = len(dests)
+            self._check(
+                graph, backend, dests, [k - 1, 0, k // 2, k - 1], secure, breaks
+            )
+            self._check(graph, backend, dests, [k // 2], secure, breaks)
+        if shape in ("chain", "tree"):
+            assert full["routing.batched.multi_rows"] == 0
+        if shape == "diamond_top":
+            assert full["routing.batched.multi_rows"] == 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=graphs_with_security(min_nodes=4, max_nodes=14))
+    def test_random_gr1_graphs(self, backend, case):
+        graph, secure_nodes = case
+        secure = np.zeros(graph.n, dtype=bool)
+        secure[secure_nodes] = True
+        breaks = secure.copy()
+        breaks[::3] = False    # simplex stubs: secure without SecP
+        dests = list(range(graph.n))
+        self._check(graph, backend, dests, range(graph.n), secure, breaks)
+        # odd slots descending, then slot 0 twice
+        subset = [*range(graph.n - 1, -1, -2), 0, 0]
+        self._check(graph, backend, dests, subset, secure, breaks)
+
+
 @pytest.mark.skipif("cext" not in ALT_BACKENDS, reason="needs a C compiler")
 class TestCextArgumentChecks:
     """The ctypes wrapper must reject, loudly, any array the C code
     would misread — a silent dtype or stride mismatch corrupts memory."""
 
-    @pytest.fixture()
-    def sweep_call(self, small_graph, monkeypatch):
-        """``(kernel, args)`` of one genuine structure-building sweep."""
-        cext = kb.load_backend("cext")
-        kernel = cext.jacobi_sweep
+    @staticmethod
+    def _record(cext, name, monkeypatch, run) -> tuple:
+        """``(kernel, args)`` of the first genuine ``name`` call ``run`` makes."""
+        kernel = getattr(cext, name)
         calls: list[tuple] = []
         monkeypatch.setattr(
-            cext, "jacobi_sweep",
-            lambda *args: (calls.append(args), kernel(*args))[1],
+            cext, name, lambda *args: (calls.append(args), kernel(*args))[1]
         )
-        secure, breaks = _security_state(small_graph.n)
-        get_policy("security_2nd").build_many(
-            small_graph, [0, 1], node_secure=secure, breaks_ties=breaks,
-            backend="cext",
-        )
+        run()
         return kernel, calls[0]
 
-    def test_every_array_argument_is_checked(self, sweep_call):
-        kernel, args = sweep_call
+    @staticmethod
+    def _assert_checked(kernel, args, checked):
+        for i in checked:
+            good = args[i]
+            strided = np.repeat(good, 2, axis=-1)[..., ::2]
+            assert np.array_equal(strided, good) and not strided.flags.c_contiguous
+            other = np.float32 if good.dtype == np.float64 else np.float64
+            for bad in (good.astype(other), strided):
+                with pytest.raises(TypeError, match="cext kernel expects"):
+                    kernel(*args[:i], bad, *args[i + 1:])
+
+    def test_every_array_argument_is_checked(self, small_graph, monkeypatch):
+        secure, breaks = _security_state(small_graph.n)
+        kernel, args = self._record(
+            kb.load_backend("cext"), "jacobi_sweep", monkeypatch,
+            lambda: get_policy("security_2nd").build_many(
+                small_graph, [0, 1], node_secure=secure, breaks_ties=breaks,
+                backend="cext",
+            ),
+        )
         kernel(*args)             # the recorded call itself is valid
         kernel(*args[:-1])        # ... and so is leaving ``tied`` out
         checked = [
@@ -338,13 +470,33 @@ class TestCextArgumentChecks:
             if isinstance(arg, np.ndarray) and i != 0  # ``u`` never reaches C
         ]
         assert len(checked) == 24 and checked[-1] == len(args) - 1  # tied too
-        for i in checked:
-            good = args[i]
-            strided = np.repeat(good, 2, axis=-1)[..., ::2]
-            assert np.array_equal(strided, good) and not strided.flags.c_contiguous
-            for bad in (good.astype(np.float64), strided):
-                with pytest.raises(TypeError, match="cext kernel expects"):
-                    kernel(*args[:i], bad, *args[i + 1:])
+        self._assert_checked(kernel, args, checked)
+
+    @pytest.mark.parametrize(
+        "name, num_arrays, stack",
+        [("trees_stacked", 16, range(2, 11)), ("weights_stacked", 6, (1, 2))],
+    )
+    def test_every_stack_array_is_checked(
+        self, small_graph, monkeypatch, name, num_arrays, stack
+    ):
+        secure, breaks = _security_state(small_graph.n)
+        arena = _arena_for(small_graph, "security_3rd", "cext", [0, 1, 5])
+
+        def run():
+            bt = compute_trees_batched(arena, arena.all_slots(), secure, breaks)
+            subtree_weights_batched(
+                arena, arena.all_slots(), bt.choice, small_graph.weights
+            )
+
+        kernel, args = self._record(kb.load_backend("cext"), name, monkeypatch, run)
+        kernel(*args)
+        assert len(args) == num_arrays
+        assert all(isinstance(arg, np.ndarray) and arg.size for arg in args)
+        self._assert_checked(kernel, args, range(num_arrays))
+        # ... and a stack array shorter than its level offsets say
+        for i in stack:
+            with pytest.raises(ValueError, match="out of step"):
+                kernel(*args[:i], args[i][:-1].copy(), *args[i + 1:])
 
 
 class TestArenaBackendPlumbing:

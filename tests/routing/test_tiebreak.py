@@ -2,27 +2,111 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
 
 from repro.routing.tiebreak import (
+    TiebreakStats,
     collect_tiebreak_stats,
     mean_path_length,
     security_sensitive_decision_fraction,
 )
+from repro.routing.tree import compute_dest_routing
 from repro.topology.graph import ASGraph
+from repro.topology.relationships import ASRole
+
+from tests.strategies import as_graphs
+
+
+def _diamond() -> ASGraph:
+    g = ASGraph()
+    for asn in (1, 2, 3, 4):
+        g.add_as(asn)
+    g.add_customer_provider(provider=1, customer=2)
+    g.add_customer_provider(provider=1, customer=3)
+    g.add_customer_provider(provider=2, customer=4)
+    g.add_customer_provider(provider=3, customer=4)
+    return g
+
+
+def _collect_tiebreak_stats_loop(graph: ASGraph, destinations=None) -> TiebreakStats:
+    """The pair-by-pair loop ``collect_tiebreak_stats`` used to be, kept
+    verbatim as the reference for the ``np.bincount`` version."""
+    if destinations is None:
+        destinations = range(graph.n)
+    roles = graph.roles
+    hist: Counter[int] = Counter()
+    total = 0.0
+    count = 0
+    isp_total = 0.0
+    isp_count = 0
+    isp_multi = 0
+    stub_total = 0.0
+    stub_count = 0
+    multi = 0
+
+    for dest in destinations:
+        dr = compute_dest_routing(graph, dest)
+        sizes = dr.tiebreak_sizes()
+        src_roles = roles[dr.order]
+        for size, role, node in zip(sizes, src_roles, dr.order):
+            if node == dest:
+                continue
+            size = int(size)
+            hist[size] += 1
+            total += size
+            count += 1
+            if size > 1:
+                multi += 1
+            if role == ASRole.ISP:
+                isp_total += size
+                isp_count += 1
+                if size > 1:
+                    isp_multi += 1
+            elif role == ASRole.STUB:
+                stub_total += size
+                stub_count += 1
+
+    return TiebreakStats(
+        histogram=dict(hist),
+        mean=total / count if count else 0.0,
+        mean_isp=isp_total / isp_count if isp_count else 0.0,
+        mean_stub=stub_total / stub_count if stub_count else 0.0,
+        multi_path_fraction=multi / count if count else 0.0,
+        multi_path_fraction_isp=isp_multi / isp_count if isp_count else 0.0,
+    )
+
+
+class TestBincountMatchesLoop:
+    """Exactly equal, not approximately: the histogram and every count
+    are integers and each mean is the same ``total / count``."""
+
+    def test_diamond(self):
+        g = _diamond()
+        assert collect_tiebreak_stats(g) == _collect_tiebreak_stats_loop(g)
+        subset = [g.index(4), g.index(1)]
+        assert collect_tiebreak_stats(g, destinations=subset) == (
+            _collect_tiebreak_stats_loop(g, destinations=subset)
+        )
+
+    def test_no_destinations(self):
+        g = _diamond()
+        assert collect_tiebreak_stats(g, destinations=[]) == (
+            _collect_tiebreak_stats_loop(g, destinations=[])
+        )
+
+    @given(as_graphs(min_nodes=4, max_nodes=18, with_cps=True))
+    @settings(max_examples=60, deadline=None)
+    def test_random_gr1_graphs(self, graph):
+        assert collect_tiebreak_stats(graph) == _collect_tiebreak_stats_loop(graph)
 
 
 class TestSmallGraph:
     @pytest.fixture()
     def diamond(self) -> ASGraph:
-        g = ASGraph()
-        for asn in (1, 2, 3, 4):
-            g.add_as(asn)
-        g.add_customer_provider(provider=1, customer=2)
-        g.add_customer_provider(provider=1, customer=3)
-        g.add_customer_provider(provider=2, customer=4)
-        g.add_customer_provider(provider=3, customer=4)
-        return g
+        return _diamond()
 
     def test_histogram_counts_pairs(self, diamond):
         stats = collect_tiebreak_stats(diamond)

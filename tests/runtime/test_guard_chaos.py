@@ -273,6 +273,23 @@ class TestPaperScaleForecast:
         assert estimate >= actual
         assert estimate < 60 * actual  # an over-estimate, not a fantasy
 
+    @pytest.mark.parametrize("n, sample", [(600, 48), (300, None)])
+    def test_forecast_bounds_the_level_major_mirror(self, n, sample):
+        """The forecast covers what is resident during a round: the
+        pools *and* the mirror the batched kernels build from them
+        (``to_blocks`` above leaves the mirror out)."""
+        env = build_environment(n=n, seed=11, x=0.10, warm=True,
+                                sample_destinations=sample)
+        arena = env.cache.ensure_arena()
+        resident = arena.nbytes + arena.level_major_nbytes
+        assert arena.level_major_nbytes > 0
+        estimate = RoutingArena.estimate_bytes(arena.num_dests, env.graph.n)
+        assert resident <= estimate < 10 * resident
+        pools_only = RoutingArena.estimate_bytes(
+            arena.num_dests, env.graph.n, include_level_major=False
+        )
+        assert arena.nbytes <= pools_only < estimate
+
 
 class TestRoundTripProperties:
     @settings(max_examples=40, deadline=None)
