@@ -1,9 +1,10 @@
 """Kernel ablation: serial vs process-pool cache warming.
 
-The map step (per-destination DestRouting construction) is what the
-paper distributed over DryadLINQ.  At laptop scales the serial engine
-often wins (fork + pickle overhead); the bench quantifies the
-crossover, which is why ``workers=1`` is the default.
+The map step (DestRouting construction) is what the paper distributed
+over DryadLINQ.  At laptop scales the serial engine often wins (fork +
+pickle overhead); the bench quantifies the crossover, which is why
+``workers=1`` is the default.  ``workers=1`` is ``RoutingCache.warm()``:
+the chunk-batched structure build, one chunk at a time.
 """
 
 from __future__ import annotations

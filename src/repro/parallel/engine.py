@@ -711,13 +711,17 @@ def parallel_warm_cache(cache, workers: int = 1, transport: str = "auto") -> Non
         engine, num_partitions = _plan_warm_engine(
             guard, engine, len(todo), cache.graph.n
         )
-    start = time.perf_counter()
-    multi = (
+    if not (
         isinstance(engine, ProcessEngine)
         and engine.start_method is not None
         and len(todo) > 1
-    )
-    if transport != "pickle" and multi:
+    ):
+        # nothing would run in another process: the cache's own chunked
+        # warm is the serial path (it keeps its own time and counts)
+        cache.warm()
+        return
+    start = time.perf_counter()
+    if transport != "pickle":
         from repro.parallel.shm import shm_available
 
         if shm_available():

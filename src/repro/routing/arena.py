@@ -16,13 +16,15 @@ contiguous pools with a per-destination offset table:
   ``k``'s slice);
 - ``keys_pool``: the state-independent tie-break keys (hash high bits |
   row-position low bits) for every tiebreak candidate.  These do not
-  depend on the deployment state, so the arena computes them exactly
-  once per destination instead of on every ``compute_tree`` call;
+  depend on the deployment state, so they are computed once, when the
+  structures are built, instead of on every ``compute_tree`` call;
 - ``cls`` / ``lengths`` / ``row_of``: dense ``[num_dests, n]`` matrices
   (``cls`` doubles as the projection engine's class matrix).
 
-``view(k)`` reconstitutes a zero-copy :class:`DestRouting` over the
-pools, so all existing per-destination code keeps working unchanged.
+That layout is :class:`~repro.routing.tree.StructurePools`, what the
+structure builder emits per destination chunk; the arena is the join of
+a cache's chunks.  ``view(k)`` reconstitutes a zero-copy
+:class:`DestRouting` over the pools, so per-destination code keeps working.
 
 On top of the pools, :func:`compute_trees_batched` resolves *many*
 destinations in one level-synchronous pass: same-path-length segments
@@ -48,48 +50,13 @@ import dataclasses
 import numpy as np
 
 from repro.routing import backends as kernel_backends
-from repro.routing.compiled import segment_index
+from repro.routing.compiled import offsets, segment_index
 from repro.routing.fast_tree import RoutingTree
 from repro.routing.policy import POSITION_BITS
-from repro.routing.tree import DestRouting, compute_tie_keys
+from repro.routing.tree import ARENA_FIELDS, DestRouting, StructurePools
 from repro.telemetry.metrics import get_registry
 
-#: (field name, dtype) of every pooled array, in serialisation order.
-#: ``*_ptr`` tables have length ``num_dests + 1``; matrices are
-#: ``[num_dests, n]``; pools are flat.
-ARENA_FIELDS: tuple[tuple[str, str], ...] = (
-    ("dest_ids", "int32"),
-    ("cls", "int8"),
-    ("lengths", "int32"),
-    ("row_of", "int32"),
-    ("order_ptr", "int64"),
-    ("order_pool", "int32"),
-    ("level_ptr", "int64"),
-    ("level_pool", "int32"),
-    ("indptr_ptr", "int64"),
-    ("indptr_pool", "int64"),
-    ("cand_ptr", "int64"),
-    ("cands_pool", "int32"),
-    ("keys_pool", "uint64"),
-)
-
 _POS_MASK = np.uint64((1 << POSITION_BITS) - 1)
-
-
-def _offsets(counts) -> np.ndarray:
-    """``[0, c0, c0 + c1, ...]``: the CSR index of runs of ``counts``."""
-    out = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=out[1:])
-    return out
-
-
-def _concat_with_ptr(arrays: list[np.ndarray], dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate ``arrays`` into one pool plus an int64 offset table."""
-    if arrays:
-        pool = np.concatenate(arrays).astype(dtype, copy=False)
-    else:
-        pool = np.empty(0, dtype=dtype)
-    return pool, _offsets([len(a) for a in arrays])
 
 
 def _array_bytes(obj) -> int:
@@ -184,14 +151,14 @@ class _LevelMajor:
         index, shift, counts = self._cut(
             self.ptr[:, :, slots], self.ptr[:, :, slots + 1], slots, n
         )
-        one_off = _offsets(counts[0].sum(axis=1))
-        multi_off = _offsets(counts[1].sum(axis=1))
+        one_off = offsets(counts[0].sum(axis=1))
+        multi_off = offsets(counts[1].sum(axis=1))
         num_one = one_off[-1]
         one, multi, multi_shift = index[:num_one], index[num_one:], shift[num_one:]
         edge_lo = full.starts[multi]
         sizes = full.starts[multi + 1] - edge_lo
         edges = segment_index(edge_lo, sizes)
-        starts = _offsets(sizes)
+        starts = offsets(sizes)
         return _TreeStacks(
             one_off=one_off,
             multi_off=multi_off,
@@ -214,7 +181,7 @@ class _LevelMajor:
             slots, n,
         )
         return _WeightStack(
-            off=_offsets(counts.sum(axis=1)),
+            off=offsets(counts.sum(axis=1)),
             flat=self.weights.flat[rows] + shift,
             nodes=self.weights.nodes[rows],
         )
@@ -245,7 +212,7 @@ class BatchedTrees:
         )
 
 
-class RoutingArena:
+class RoutingArena(StructurePools):
     """Pooled, contiguous routing structures for a destination set."""
 
     def __init__(
@@ -256,10 +223,8 @@ class RoutingArena:
         state_key: str | None = None,
         backend: str = "numpy",
     ):
+        super().__init__(arrays, policy)  # install_arena refuses another policy
         self.graph_n = graph_n
-        #: registry name of the routing policy the structures were built
-        #: under; :meth:`RoutingCache.install_arena` refuses a mismatch
-        self.policy = policy
         #: deployment-state digest for state-dependent policies (None
         #: for state-independent structures, which serve every state)
         self.state_key = state_key
@@ -269,11 +234,6 @@ class RoutingArena:
         #: *consuming* process resolves it — and degrades to numpy —
         #: at call time.
         self.backend = backend
-        for name, dtype in ARENA_FIELDS:
-            arr = arrays[name]
-            if str(arr.dtype) != dtype:
-                raise ValueError(f"arena field {name}: expected {dtype}, got {arr.dtype}")
-            setattr(self, name, arr)
         self._mirror: _LevelMajor | None = None
         self._full_slots = np.arange(self.num_dests, dtype=np.int64)
 
@@ -289,63 +249,16 @@ class RoutingArena:
         state_key: str | None = None,
         backend: str = "numpy",
     ) -> "RoutingArena":
-        """Pack per-destination :class:`DestRouting` structures.
-
-        ``routings[k]`` must be the structure for ``dest_ids[k]``; the
-        slot order of the arena is the order given here.  ``policy`` /
-        ``state_key`` / ``backend`` are carried as metadata so a shipped
-        arena can never be re-used under a different policy or
-        deployment state, and so kernel dispatch follows the arena.
+        """Pack per-destination :class:`DestRouting` structures
+        (:meth:`StructurePools.join`; ``routings[k]``, the structure for
+        ``dest_ids[k]``, becomes slot ``k``).  ``policy`` / ``state_key``
+        / ``backend`` are carried as metadata so a shipped arena can
+        never be re-used under a different policy or deployment state,
+        and so kernel dispatch follows the arena.
         """
-        if len(dest_ids) != len(routings):
-            raise ValueError("dest_ids and routings must align")
-        num = len(routings)
-        order_pool, order_ptr = _concat_with_ptr([r.order for r in routings], np.int32)
-        level_pool, level_ptr = _concat_with_ptr(
-            [r.level_starts for r in routings], np.int32
-        )
-        indptr_pool, indptr_ptr = _concat_with_ptr(
-            [r.indptr for r in routings], np.int64
-        )
-        cands_pool, cand_ptr = _concat_with_ptr([r.cands for r in routings], np.int32)
-
-        cls_mat = np.empty((num, graph_n), dtype=np.int8)
-        lengths = np.empty((num, graph_n), dtype=np.int32)
-        row_of = np.empty((num, graph_n), dtype=np.int32)
-        for k, r in enumerate(routings):
-            cls_mat[k] = r.cls
-            lengths[k] = r.lengths
-            row_of[k] = r.row_of
-
-        # Tie-break keys for the whole pool, computed exactly once per
-        # destination (state-independent: Observation C.1 extends to TB).
-        keys_pool = np.empty(len(cands_pool), dtype=np.uint64)
-        for k in range(num):
-            lo, hi = int(cand_ptr[k]), int(cand_ptr[k + 1])
-            r = routings[k]
-            cached = r._tie_keys
-            keys_pool[lo:hi] = (
-                cached if cached is not None
-                else compute_tie_keys(r.order, r.indptr, r.cands)
-            )
-
         arena = cls(
             graph_n,
-            {
-                "dest_ids": np.asarray(dest_ids, dtype=np.int32),
-                "cls": cls_mat,
-                "lengths": lengths,
-                "row_of": row_of,
-                "order_ptr": order_ptr,
-                "order_pool": order_pool,
-                "level_ptr": level_ptr,
-                "level_pool": level_pool,
-                "indptr_ptr": indptr_ptr,
-                "indptr_pool": indptr_pool,
-                "cand_ptr": cand_ptr,
-                "cands_pool": cands_pool,
-                "keys_pool": keys_pool,
-            },
+            cls.join(graph_n, dest_ids, routings),
             policy=policy,
             state_key=state_key,
             backend=backend,
@@ -356,10 +269,6 @@ class RoutingArena:
         return arena
 
     # -- basic accessors -----------------------------------------------
-
-    @property
-    def num_dests(self) -> int:
-        return len(self.dest_ids)
 
     @property
     def nbytes(self) -> int:
@@ -428,29 +337,6 @@ class RoutingArena:
             # tests/runtime/test_guard_chaos.py.
             total += 2 * 8 * (num_dests + 1) * 24
         return int(total)
-
-    def view(self, slot: int) -> DestRouting:
-        """Zero-copy :class:`DestRouting` for destination slot ``slot``."""
-        o_lo, o_hi = int(self.order_ptr[slot]), int(self.order_ptr[slot + 1])
-        l_lo, l_hi = int(self.level_ptr[slot]), int(self.level_ptr[slot + 1])
-        i_lo, i_hi = int(self.indptr_ptr[slot]), int(self.indptr_ptr[slot + 1])
-        c_lo, c_hi = int(self.cand_ptr[slot]), int(self.cand_ptr[slot + 1])
-        return DestRouting(
-            dest=int(self.dest_ids[slot]),
-            cls=self.cls[slot],
-            lengths=self.lengths[slot],
-            order=self.order_pool[o_lo:o_hi],
-            row_of=self.row_of[slot],
-            level_starts=self.level_pool[l_lo:l_hi],
-            indptr=self.indptr_pool[i_lo:i_hi],
-            cands=self.cands_pool[c_lo:c_hi],
-            _tie_keys=self.keys_pool[c_lo:c_hi],
-            policy=self.policy,
-        )
-
-    def views(self) -> list[DestRouting]:
-        """Zero-copy views for every destination slot, in slot order."""
-        return [self.view(k) for k in range(self.num_dests)]
 
     # -- serialisation (the shared-memory data plane) ------------------
 
@@ -572,7 +458,7 @@ class RoutingArena:
         ptr = np.empty((2, num_levels, num + 1), dtype=np.int64)
         ptr[0] = np.searchsorted(one, all_ptr)
         ptr[1] = all_ptr - ptr[0]
-        starts = _offsets(size[multi])
+        starts = offsets(size[multi])
         del size
         one_cands = self.cands_pool[edge_lo[one]]
         edge_lo = edge_lo[multi]

@@ -32,13 +32,10 @@ from repro.routing import backends as kernel_backends
 from repro.routing.arena import RoutingArena
 from repro.routing.compiled import CompiledGraph
 from repro.routing.policy import RoutingPolicy, get_policy
-from repro.routing.tree import DestRouting
+from repro.routing.tree import DestRouting, destination_chunks
 from repro.runtime.guard import current_guard
 from repro.telemetry.metrics import get_registry
 from repro.topology.graph import ASGraph
-
-#: destinations warmed between deadline checks in the serial warm loop
-_WARM_CHECK_STRIDE = 64
 
 
 def state_digest(node_secure: np.ndarray, breaks_ties: np.ndarray) -> str:
@@ -185,8 +182,11 @@ class RoutingCache:
         """
         return self._node_secure, self._breaks_ties
 
-    def _build(self, dests: list[int]) -> list[DestRouting]:
-        """Build (and transform, and tag) structures for ``dests``."""
+    def _build(self, dests: list[int]) -> None:
+        """Build (transform, tag) and cache ``dests`` — a chunk or one lazy
+        lookup, all misses — with the accounting of every in-process build."""
+        registry = get_registry()
+        start = time.perf_counter()
         routings = self.policy.build_many(
             self.graph,
             dests,
@@ -199,61 +199,38 @@ class RoutingCache:
             routings = [self.transform(dr) for dr in routings]
             for dr in routings:
                 dr.policy = self.policy.name
-        return routings
+        elapsed = time.perf_counter() - start
+        self._routing.update(zip(dests, routings))
+        self._misses += len(dests)
+        self._builds += len(dests)
+        self._warm_seconds += elapsed
+        registry.counter("routing.cache.misses").inc(len(dests))
+        registry.counter("routing.tree_builds").inc(len(dests))
+        hist = registry.histogram("routing.tree_build_seconds")
+        for _ in dests:  # one observation per tree, whatever built it
+            hist.observe(elapsed / len(dests))
 
     def dest_routing(self, dest: int) -> DestRouting:
         """The :class:`DestRouting` for ``dest`` (computed on first use)."""
-        dr = self._routing.get(dest)
-        registry = get_registry()
-        if dr is None:
-            self._misses += 1
-            registry.counter("routing.cache.misses").inc()
-            start = time.perf_counter()
-            dr = self._build([dest])[0]
-            elapsed = time.perf_counter() - start
-            self._builds += 1
-            self._warm_seconds += elapsed
-            registry.counter("routing.tree_builds").inc()
-            registry.histogram("routing.tree_build_seconds").observe(elapsed)
-            self._routing[dest] = dr
+        if dest not in self._routing:
+            self._build([dest])
         else:
             self._hits += 1
-            registry.counter("routing.cache.hits").inc()
-        return dr
+            get_registry().counter("routing.cache.hits").inc()
+        return self._routing[dest]
 
     def warm(self) -> None:
         """Precompute every destination in ``destinations``.
 
-        State-dependent policies warm in one batched fixpoint run (the
-        Jacobi sweeps are shared across the whole destination chunk)
-        instead of destination-by-destination.
+        Structures are built a chunk of destinations at a time
+        (:func:`~repro.routing.tree.destination_chunks`; for a
+        state-dependent policy a chunk is one batched fixpoint run),
+        with the deadline checked between chunks: finished chunks stay
+        cached, so an expired budget resumes where warming stopped.
         """
-        pending = self.pending_destinations()
-        if not pending:
-            return
-        guard = current_guard()
-        if self.policy.state_dependent:
-            # the batched fixpoint is all-or-nothing; check once up front
-            guard.check_deadline("cache warm (batched fixpoint)")
-            registry = get_registry()
-            start = time.perf_counter()
-            routings = self._build(pending)
-            elapsed = time.perf_counter() - start
-            for dest, dr in zip(pending, routings):
-                self._routing[dest] = dr
-            self._misses += len(pending)
-            self._builds += len(pending)
-            self._warm_seconds += elapsed
-            registry.counter("routing.cache.misses").inc(len(pending))
-            registry.counter("routing.tree_builds").inc(len(pending))
-            registry.histogram("routing.tree_build_seconds").observe(elapsed)
-        else:
-            for k, dest in enumerate(pending):
-                if k % _WARM_CHECK_STRIDE == 0:
-                    # already-computed destinations stay cached, so an
-                    # expired budget here resumes where warming stopped
-                    guard.check_deadline("cache warm")
-                self.dest_routing(dest)
+        for chunk in destination_chunks(self.compiled, self.pending_destinations()):
+            current_guard().check_deadline("cache warm")
+            self._build(chunk)
 
     def ensure_state(
         self, node_secure: np.ndarray, breaks_ties: np.ndarray
@@ -295,13 +272,11 @@ class RoutingCache:
     def ensure_arena(self) -> RoutingArena:
         """Warm everything and pack it into a :class:`RoutingArena`.
 
-        The cached per-destination :class:`DestRouting` objects are
-        replaced by zero-copy views into the arena pools, so subsequent
-        :meth:`dest_routing` lookups hand out pool-backed structures
-        (with their tie-break keys precomputed) and the original
-        fragmented arrays are released.  Idempotent after the first
-        call; a shared arena installed via :meth:`install_arena` is
-        reused as-is.
+        A warm leaves views of a handful of chunk pools, which the arena
+        joins chunk by chunk; the cached :class:`DestRouting` objects are
+        then replaced by zero-copy views into the arena pools and the
+        chunk pools are released.  Idempotent after the first call; a
+        shared arena installed via :meth:`install_arena` is reused as-is.
         """
         if self._arena is None:
             self.warm()
@@ -346,8 +321,7 @@ class RoutingCache:
 
     def _adopt_arena(self, arena: RoutingArena) -> None:
         self._arena = arena
-        for k, dest in enumerate(self.destinations):
-            self._routing[dest] = arena.view(k)
+        self._routing.update(zip(self.destinations, arena.views()))
         self._cls_matrix = arena.cls
         registry = get_registry()
         registry.gauge("routing.arena.bytes").set(arena.nbytes)

@@ -68,23 +68,16 @@ class CompiledGraph:
         )
 
 
+def offsets(counts) -> np.ndarray:
+    """``[0, c0, c0 + c1, ...]``: the CSR index of runs of ``counts``."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
 def segment_index(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenate ``arange(starts[i], starts[i] + counts[i])`` over ``i``."""
     ends = np.cumsum(counts)
     index = np.repeat(starts - (ends - counts), counts)
     index += np.arange(len(index), dtype=np.int64)
     return index
-
-
-def gather_neighbors(indptr: np.ndarray, idx: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Concatenate ``idx[indptr[v]:indptr[v+1]]`` for every ``v`` in ``nodes``.
-
-    Read-only for callers: a single row comes back as a view of ``idx``.
-    """
-    if len(nodes) == 1:
-        return idx[indptr[nodes[0]]:indptr[nodes[0] + 1]]
-    starts = indptr[nodes].astype(np.int64)
-    counts = indptr[nodes + 1].astype(np.int64) - starts
-    if not counts.any():
-        return idx[0:0]
-    return idx[segment_index(starts, counts)]

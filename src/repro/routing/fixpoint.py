@@ -52,7 +52,7 @@ from repro.routing.policy import (
     tie_hash_array,
 )
 from repro.routing.reference import ConvergenceError
-from repro.routing.tree import DestRouting
+from repro.routing.tree import DestRouting, assemble_pools, destination_chunks
 from repro.telemetry.metrics import get_registry
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -79,9 +79,6 @@ _WIDTH = {Criterion.LP: 2, Criterion.SP: 21, Criterion.SECP: 1}
 #: (kernels take plain arrays, not enums, so they stay C-compatible)
 _RANK_CODE = {Criterion.LP: 0, Criterion.SP: 1, Criterion.SECP: 2}
 
-#: destinations per Jacobi batch — bounds the [chunk, edges] working set
-_CHUNK = 128
-
 #: one chunk's route labels: ``(cls int8, length int32, sec bool, att
 #: bool)``, each ``[chunk, n]``; ``att`` marks routes that descend from
 #: an attacker's announcement
@@ -91,9 +88,9 @@ Labels = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 class _EdgeTable:
     """The directed offer graph ``u <- v`` in segment-sorted flat form.
 
-    Edges are concatenated class-by-class (customer, peer, provider —
-    the same order :func:`~repro.routing.tree.compute_dest_routing`
-    uses) and stable-sorted by ``(u, v)``, so the position of an edge
+    Edges are concatenated class-by-class (customer, peer, provider)
+    and stable-sorted by ``(u, v)`` — the order the structure
+    assembler gives candidates — so the position of an edge
     within its ``u``-segment orders candidates exactly like the rows of
     the tiebreak CSR.  That makes the static tie-break key
     ``hash(u, v) | segment_position`` decide ties identically to
@@ -253,50 +250,6 @@ class JacobiDriver:
         )
 
 
-def _assemble(
-    table: _EdgeTable,
-    dest: int,
-    cls: np.ndarray,
-    length: np.ndarray,
-    tied: np.ndarray,
-) -> DestRouting:
-    """Package one destination's converged labels as a :class:`DestRouting`."""
-    n = table.n
-    order = np.flatnonzero(cls != _UNREACHABLE).astype(np.int32)
-    sort = np.argsort(length[order], kind="stable")
-    order = order[sort]
-    row_of = np.full(n, -1, dtype=np.int32)
-    row_of[order] = np.arange(len(order), dtype=np.int32)
-
-    max_len = int(length[order[-1]]) if len(order) else 0
-    level_starts = np.searchsorted(
-        length[order], np.arange(max_len + 2), side="left"
-    ).astype(np.int32)
-
-    keep = tied.copy()
-    if table.num_edges:
-        keep &= table.u != dest
-    srcs = table.u[keep]
-    dsts = table.v[keep]
-    rows = row_of[srcs]
-    sort = np.argsort(rows.astype(np.int64) * n + dsts, kind="stable")
-    rows, cands = rows[sort], dsts[sort].astype(np.int32)
-    counts = np.bincount(rows, minlength=len(order))
-    indptr = np.zeros(len(order) + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-
-    return DestRouting(
-        dest=dest,
-        cls=cls.astype(np.int8),
-        lengths=length.astype(np.int32),
-        order=order,
-        row_of=row_of,
-        level_starts=level_starts,
-        indptr=indptr,
-        cands=cands,
-    )
-
-
 def fixpoint_dest_routings(
     graph: "ASGraph",
     dests: Sequence[int],
@@ -334,10 +287,10 @@ def fixpoint_dest_routings(
     )
     table = driver.table
 
-    dest_arr = np.asarray(list(dests), dtype=np.int64)
     out: list[DestRouting] = []
-    for start in range(0, len(dest_arr), _CHUNK):
-        batch = dest_arr[start:start + _CHUNK]
+    # the same chunks as the state-independent build: they bound the
+    # [chunk, edges] working set of a Jacobi batch just as well
+    for batch in destination_chunks(cg, np.asarray(list(dests), dtype=np.int64)):
         rows = np.arange(len(batch))
 
         def pin(cls, length, sec, att):
@@ -353,6 +306,10 @@ def fixpoint_dest_routings(
             f"policy {policy.name!r} (destinations {batch[:4].tolist()}...)",
             tied=tied,
         )
-        for k, dest in enumerate(batch):
-            out.append(_assemble(table, int(dest), cls[k], length[k], tied[k]))
+        # a node's tiebreak set is its tied offers; the destination's
+        # own row keeps none (it is pinned, whatever it was offered)
+        row, edge = np.nonzero(tied)
+        keep = table.u[edge] != batch[row]
+        src = row[keep] * n + table.u[edge[keep]]
+        out += assemble_pools(batch, cls, length, src, table.v[edge[keep]]).views()
     return out

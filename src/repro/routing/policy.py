@@ -48,12 +48,13 @@ from __future__ import annotations
 import dataclasses
 import enum
 from collections import defaultdict
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
+from repro.routing.compiled import CompiledGraph
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle (tree imports policy)
-    from repro.routing.compiled import CompiledGraph
     from repro.routing.tree import DestRouting
     from repro.topology.graph import ASGraph
 
@@ -110,7 +111,8 @@ def tie_hash(node: int, candidate: int) -> int:
 
 def tie_hash_array(nodes: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """Vectorised :func:`tie_hash` over aligned uint64 arrays."""
-    x = nodes.astype(np.uint64) * _MIX_1 + candidates.astype(np.uint64) * _MIX_3
+    x = nodes.astype(np.uint64, copy=False) * _MIX_1
+    x += candidates.astype(np.uint64, copy=False) * _MIX_3
     x ^= x >> _U64(30)
     x *= _MIX_2
     x ^= x >> _U64(27)
@@ -264,35 +266,29 @@ class RoutingPolicy:
     ) -> "list[DestRouting]":
         """Batched :meth:`build_dest_routing` (one fixpoint sweep set
         covers the whole batch for state-dependent policies)."""
+        from repro.routing.tree import StructurePools, compute_dest_routings
+
         dests = [int(d) for d in dests]
+        cg = compiled or CompiledGraph.from_graph(graph)
         if self.state_dependent:
             from repro.routing.fixpoint import fixpoint_dest_routings
 
             routings = fixpoint_dest_routings(
-                graph, dests, self, compiled,
+                graph, dests, self, cg,
                 node_secure=node_secure, breaks_ties=breaks_ties,
                 backend=backend,
             )
+        elif self.ranking[0] is Criterion.SP:
+            routings = [compute_dest_routing_sp_first(graph, d, cg) for d in dests]
         else:
-            base = self._base_builder()
-            from repro.routing.compiled import CompiledGraph
-
-            cg = compiled or CompiledGraph.from_graph(graph)
-            routings = [base(graph, d, cg) for d in dests]
+            routings = list(compute_dest_routings(cg, dests))
         sticky = self.sticky_mask(graph.n)
         if sticky is not None:
-            routings = [restrict_to_primary(r, sticky) for r in routings]
+            pools = StructurePools(StructurePools.join(graph.n, dests, routings))
+            routings = pools.restrict_to_primary(sticky).views()
         for r in routings:
             r.policy = self.name
         return routings
-
-    def _base_builder(self) -> "Callable[..., DestRouting]":
-        """State-independent structure builder for this ranking."""
-        if self.ranking[0] is Criterion.SP:
-            return compute_dest_routing_sp_first
-        from repro.routing.tree import compute_dest_routing
-
-        return compute_dest_routing
 
 
 # -- the §8.3 variant builders ------------------------------------------
@@ -304,7 +300,7 @@ class RoutingPolicy:
 # - shortest-path-first ("we speculate that considering shortest path
 #   routing policy would lead to overly optimistic results"): ranking
 #   SP > LP > SecP > TB, built by compute_dest_routing_sp_first below
-#   and selected by _base_builder when SP leads the ranking;
+#   and selected by build_many when SP leads the ranking;
 # - sticky primaries ("if a large fraction of multihomed ASes always
 #   use one provider as primary ... our current analysis is likely to
 #   be overly optimistic"): restrict_to_primary collapses sticky nodes'
@@ -324,7 +320,7 @@ def compute_dest_routing_sp_first(
     second criterion), and its tiebreak set is the candidates matching
     that (length, class) optimum.
     """
-    from repro.routing.tree import DestRouting
+    from repro.routing.tree import assemble_pools
 
     n = graph.n
     dist = np.full(n, -1, dtype=np.int32)
@@ -368,39 +364,12 @@ def compute_dest_routing_sp_first(
                     candidates[v].append((u, class_at_v))
         level += 1
 
-    order = np.flatnonzero(dist != -1).astype(np.int32)
-    sort = np.lexsort((order, dist[order]))
-    order = order[sort]
-    row_of = np.full(n, -1, dtype=np.int32)
-    row_of[order] = np.arange(len(order), dtype=np.int32)
-
-    max_len = int(dist[order[-1]]) if len(order) else 0
-    level_starts = np.searchsorted(
-        dist[order], np.arange(max_len + 2), side="left"
-    ).astype(np.int32)
-
-    indptr = np.zeros(len(order) + 1, dtype=np.int64)
-    flat: list[int] = []
-    for row, v in enumerate(order):
-        v = int(v)
-        if v == dest:
-            indptr[row + 1] = indptr[row]
-            continue
-        best_class = cls[v]
-        chosen = sorted(u for u, c in candidates[v] if c == best_class)
-        flat.extend(chosen)
-        indptr[row + 1] = indptr[row] + len(chosen)
-
-    return DestRouting(
-        dest=dest,
-        cls=cls,
-        lengths=dist,
-        order=order,
-        row_of=row_of,
-        level_starts=level_starts,
-        indptr=indptr,
-        cands=np.asarray(flat, dtype=np.int32),
-    )
+    # tiebreak sets: each node's minimum-length candidates of its class
+    pairs = [
+        (v, u) for v, offers in candidates.items() for u, c in offers if c == cls[v]
+    ]
+    src, dst = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    return assemble_pools([dest], cls[None], dist[None], src, dst).view(0)
 
 
 def _neighbor_views(graph: "ASGraph", u: int):
@@ -421,36 +390,13 @@ def restrict_to_primary(
     ``sticky`` is a bool[n] mask.  The primary is the candidate the
     node's hash tie-break would pick in a security-free world, so the
     restriction never changes insecure routing — it only removes the
-    competition SecP could have exploited.
+    competition SecP could have exploited.  (One structure's worth of
+    ``StructurePools.restrict_to_primary``, in the shape of a
+    :class:`~repro.routing.cache.RoutingCache` ``transform``.)
     """
-    from repro.routing.tree import DestRouting
+    from repro.routing.tree import StructurePools
 
-    order, indptr, cands = dr.order, dr.indptr, dr.cands
-    new_cands: list[int] = []
-    new_indptr = np.zeros(len(order) + 1, dtype=np.int64)
-    for row, node in enumerate(order):
-        node = int(node)
-        cs = cands[indptr[row]:indptr[row + 1]]
-        if len(cs) > 1 and sticky[node]:
-            keys = tie_hash_array(
-                np.full(len(cs), node, dtype=np.uint64), cs.astype(np.uint64)
-            )
-            keys = (keys & ~np.uint64((1 << POSITION_BITS) - 1)) | np.arange(
-                len(cs), dtype=np.uint64
-            )
-            cs = cs[int(np.argmin(keys)):][:1]
-        new_cands.extend(int(c) for c in cs)
-        new_indptr[row + 1] = new_indptr[row] + len(cs)
-    return DestRouting(
-        dest=dr.dest,
-        cls=dr.cls,
-        lengths=dr.lengths,
-        order=order,
-        row_of=dr.row_of,
-        level_starts=dr.level_starts,
-        indptr=new_indptr,
-        cands=np.asarray(new_cands, dtype=np.int32),
-    )
+    return StructurePools.of(dr).restrict_to_primary(sticky).view(0)
 
 
 # -- the registry -------------------------------------------------------

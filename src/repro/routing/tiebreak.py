@@ -15,7 +15,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from repro.routing.tree import DestRouting, compute_dest_routing
+from repro.routing.compiled import CompiledGraph
+from repro.routing.tree import DestRouting, compute_dest_routings, route_labels
 from repro.topology.graph import ASGraph
 from repro.topology.relationships import ASRole
 
@@ -58,8 +59,10 @@ def collect_tiebreak_stats(
     """
     if destinations is None:
         destinations = range(graph.n)
-    if dest_routing is None:
-        dest_routing = lambda d: compute_dest_routing(graph, d)  # noqa: E731
+    if dest_routing is None:  # built as the loop gets there, a chunk at a time
+        routings = compute_dest_routings(CompiledGraph.from_graph(graph), destinations)
+    else:
+        routings = map(dest_routing, destinations)
 
     # pairs[size, role]: how many (source, destination) pairs have a
     # tiebreak set of that size at a source of that role (a set cannot
@@ -67,9 +70,8 @@ def collect_tiebreak_stats(
     num_roles = len(ASRole)
     roles = np.asarray(graph.roles, dtype=np.int64)
     pairs = np.zeros((graph.n + 1, num_roles), dtype=np.int64)
-    for dest in destinations:
-        dr = dest_routing(dest)
-        sources = dr.order != dest
+    for dr in routings:
+        sources = dr.order != dr.dest
         pairs += np.bincount(
             dr.tiebreak_sizes()[sources] * num_roles + roles[dr.order[sources]],
             minlength=pairs.size,
@@ -116,13 +118,10 @@ def security_sensitive_decision_fraction(graph: ASGraph, stats: TiebreakStats) -
 
 def mean_path_length(graph: ASGraph, destinations: Iterable[int] | None = None) -> float:
     """Mean selected-route length over all reachable (src, dest) pairs."""
-    if destinations is None:
-        destinations = range(graph.n)
-    total = 0.0
-    count = 0
-    for dest in destinations:
-        dr = compute_dest_routing(graph, dest)
-        lengths = dr.lengths[dr.order]
-        total += float(lengths.sum())
-        count += max(0, len(dr.order) - 1)  # exclude the destination itself
+    dests = list(range(graph.n) if destinations is None else destinations)
+    total = count = 0
+    for _, _, lengths in route_labels(CompiledGraph.from_graph(graph), dests):
+        routed = lengths > 0  # reachable, and not the destination itself
+        total += int(lengths[routed].sum())
+        count += int(routed.sum())
     return total / count if count else 0.0

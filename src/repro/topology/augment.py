@@ -15,6 +15,9 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from typing import Sequence
+
+import numpy as np
 
 from repro.topology.graph import ASGraph
 
@@ -35,39 +38,30 @@ def mean_cp_path_length(graph: ASGraph, cp_asn: int) -> float:
     excluded (mirroring the Knodes-style measurement the paper compares
     against).
     """
-    from repro.routing.tree import route_classes_and_lengths
-
     src = graph.index(cp_asn)
-    total = 0.0
-    count = 0
-    for dest in range(graph.n):
-        if dest == src:
-            continue
-        info = route_classes_and_lengths(graph, dest)
-        length = info.lengths[src]
-        if length >= 0:
-            total += length
-            count += 1
-    return total / count if count else float("inf")
+    return _mean_path_lengths_sampled(graph, [src], range(graph.n))[src]
 
 
 def _mean_path_lengths_sampled(
-    graph: ASGraph, cp_indices: list[int], sample: list[int]
+    graph: ASGraph, cp_indices: list[int], sample: Sequence[int]
 ) -> dict[int, float]:
-    """Mean path length of each CP over a sample of destinations."""
-    from repro.routing.tree import route_classes_and_lengths
+    """Mean path length of each CP over a sample of destinations, on
+    ``graph`` as it is now (compiled here: call again after mutating it)."""
+    from repro.routing.compiled import CompiledGraph
+    from repro.routing.tree import route_labels
 
-    totals = {i: 0.0 for i in cp_indices}
-    counts = {i: 0 for i in cp_indices}
-    for dest in sample:
-        info = route_classes_and_lengths(graph, dest)
-        for i in cp_indices:
-            if i == dest:
-                continue
-            if info.lengths[i] >= 0:
-                totals[i] += info.lengths[i]
-                counts[i] += 1
-    return {i: (totals[i] / counts[i] if counts[i] else float("inf")) for i in cp_indices}
+    cps = np.asarray(cp_indices, dtype=np.int64)
+    totals = np.zeros(len(cps), dtype=np.int64)
+    counts = np.zeros(len(cps), dtype=np.int64)
+    for dests, _, lengths in route_labels(CompiledGraph.from_graph(graph), sample):
+        to_cp = lengths[:, cps]
+        routed = (to_cp >= 0) & (dests[:, None] != cps)
+        totals += np.where(routed, to_cp, 0).sum(axis=0)
+        counts += routed.sum(axis=0)
+    return {
+        i: (total / count if count else float("inf"))
+        for i, total, count in zip(cp_indices, totals.tolist(), counts.tolist())
+    }
 
 
 def augment_cp_peering(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.routing.cache import RoutingCache
-from repro.routing.compiled import CompiledGraph, gather_neighbors
+from repro.routing.compiled import CompiledGraph
 from repro.routing.policy import RouteClass
 from repro.topology.generator import generate_topology
 
@@ -24,18 +24,6 @@ class TestCompiledGraph:
         for k, src in enumerate(cg.cust_src):
             cust = cg.cust_idx[k]
             assert cust in small_graph.customers[src]
-
-    def test_gather_neighbors(self, small_graph):
-        cg = CompiledGraph.from_graph(small_graph)
-        nodes = np.array([0, 3, 7], dtype=np.int64)
-        got = list(gather_neighbors(cg.cust_indptr, cg.cust_idx, nodes))
-        want = small_graph.customers[0] + small_graph.customers[3] + small_graph.customers[7]
-        assert got == want
-
-    def test_gather_empty(self, small_graph):
-        cg = CompiledGraph.from_graph(small_graph)
-        out = gather_neighbors(cg.cust_indptr, cg.cust_idx, np.array([], dtype=np.int64))
-        assert len(out) == 0
 
 
 class TestRoutingCache:

@@ -7,8 +7,15 @@ import pytest
 
 from repro.routing.cache import RoutingCache
 from repro.routing.fast_tree import compute_tree, subtree_weights
-from repro.routing.policy import RouteClass, available_policies, get_policy
+from repro.routing.policy import (
+    POSITION_BITS,
+    RouteClass,
+    available_policies,
+    get_policy,
+    tie_hash_array,
+)
 from repro.routing.policy import compute_dest_routing_sp_first, restrict_to_primary
+from repro.routing.tree import DestRouting, compute_tie_keys
 from repro.topology.graph import ASGraph
 
 
@@ -102,7 +109,71 @@ class TestSpFirst:
         assert get_policy("sp-first").name == "sp_first"
 
 
+def restrict_to_primary_reference(dr: DestRouting, sticky: np.ndarray) -> DestRouting:
+    """The row-by-row restriction ``restrict_to_primary`` vectorises:
+    each sticky node with several candidates keeps the hash-minimal one."""
+    order, indptr, cands = dr.order, dr.indptr, dr.cands
+    new_cands: list[int] = []
+    new_indptr = np.zeros(len(order) + 1, dtype=np.int64)
+    for row, node in enumerate(order):
+        node = int(node)
+        cs = cands[indptr[row]:indptr[row + 1]]
+        if len(cs) > 1 and sticky[node]:
+            keys = tie_hash_array(
+                np.full(len(cs), node, dtype=np.uint64), cs.astype(np.uint64)
+            )
+            keys = (keys & ~np.uint64((1 << POSITION_BITS) - 1)) | np.arange(
+                len(cs), dtype=np.uint64
+            )
+            cs = cs[int(np.argmin(keys)):][:1]
+        new_cands.extend(int(c) for c in cs)
+        new_indptr[row + 1] = new_indptr[row] + len(cs)
+    return DestRouting(
+        dest=dr.dest,
+        cls=dr.cls,
+        lengths=dr.lengths,
+        order=order,
+        row_of=dr.row_of,
+        level_starts=dr.level_starts,
+        indptr=new_indptr,
+        cands=np.asarray(new_cands, dtype=np.int32),
+    )
+
+
+def _assert_same_structure(got: DestRouting, want: DestRouting) -> None:
+    for name in ("cls", "lengths", "order", "row_of", "level_starts", "indptr", "cands"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.tie_keys().tobytes() == compute_tie_keys(
+        want.order, want.indptr, want.cands
+    ).tobytes()
+
+
 class TestStickyPrimaries:
+    @pytest.mark.parametrize("fraction", [0.0, 0.3, 1.0])
+    def test_matches_row_by_row_reference(self, small_graph, small_cache, fraction):
+        sticky = np.random.default_rng(5).random(small_graph.n) < fraction
+        for dest in (0, 7, 11, 60, 199):
+            dr = small_cache.dest_routing(dest)
+            before = (dr.indptr.tobytes(), dr.cands.tobytes(), dr.tie_keys().tobytes())
+            _assert_same_structure(
+                restrict_to_primary(dr, sticky),
+                restrict_to_primary_reference(dr, sticky),
+            )
+            assert before == (dr.indptr.tobytes(), dr.cands.tobytes(), dr.tie_keys().tobytes())
+
+    def test_registered_policy_matches_reference_per_chunk(self, small_graph):
+        """``sticky_primaries`` restricts a whole chunk at once; every
+        destination of it equals the reference applied to the default
+        policy's structure."""
+        policy = get_policy("sticky_primaries")
+        sticky = policy.sticky_mask(small_graph.n)
+        dests = list(range(0, small_graph.n, 4)) + [3, 3]
+        plain = get_policy("security_3rd").build_many(small_graph, dests)
+        for got, dr in zip(policy.build_many(small_graph, dests), plain, strict=True):
+            assert got.policy == "sticky_primaries"
+            _assert_same_structure(got, restrict_to_primary_reference(dr, sticky))
+
     def test_sticky_nodes_get_singletons(self, small_graph, small_cache):
         dr = small_cache.dest_routing(7)
         sticky = np.ones(small_graph.n, dtype=bool)
