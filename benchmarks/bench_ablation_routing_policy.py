@@ -15,30 +15,33 @@ The bench runs the same deployment game under three routing substrates:
 
 from __future__ import annotations
 
-import numpy as np
+import dataclasses
 
 from repro.core.adopters import cps_plus_top_isps
 from repro.core.config import SimulationConfig
 from repro.core.dynamics import run_deployment
 from repro.experiments.report import format_table
 from repro.routing.cache import RoutingCache
+from repro.routing.policy import get_policy, register_policy
 from repro.routing.tiebreak import collect_tiebreak_stats
-from repro.routing.policy import restrict_to_primary
 
 THETA = 0.05
+
+#: §8.3's sticky primaries with *every* AS pinned, not the registered half
+ALL_STICKY = register_policy(dataclasses.replace(
+    get_policy("sticky_primaries"), name="all_sticky", sticky_fraction=1.0,
+    description="every AS pins a fixed primary next hop (§8.3, the extreme)",
+))
 
 
 def test_ablation_routing_policy(benchmark, env, capsys):
     def run_all():
         graph = env.graph
         adopters = cps_plus_top_isps(graph, 5)
-        sticky = np.ones(graph.n, dtype=bool)
         caches = {
             "gao-rexford": env.cache,
             "sp-first": RoutingCache(graph, policy="sp-first"),
-            "sticky": RoutingCache(
-                graph, transform=lambda dr: restrict_to_primary(dr, sticky)
-            ),
+            "sticky": RoutingCache(graph, policy=ALL_STICKY),
         }
         rows = []
         for name, cache in caches.items():

@@ -104,11 +104,11 @@ def test_kernel_backend_fixpoint(benchmark, bench_env, bench_state, backend):
     """Synchronous-Jacobi structure build (state-dependent policy)."""
     pol = get_policy("security_2nd")
     dests = list(bench_env.cache.destinations[:FIXPOINT_DESTS])
-    routings = benchmark(
-        lambda: pol.build_many(
+    pools = benchmark(
+        lambda: pol.build_pools(
             bench_env.graph, dests, bench_env.cache.compiled,
             node_secure=bench_state, breaks_ties=bench_state,
             backend=backend,
         )
     )
-    assert len(routings) == len(dests)
+    assert pools.dest_ids.tolist() == dests

@@ -40,25 +40,25 @@ def _dests(env) -> list[int]:
 def test_kernel_policy_structure_build(benchmark, env, bench_state, policy):
     pol = get_policy(policy)
     dests = _dests(env)
-    routings = benchmark(
-        lambda: pol.build_many(
+    pools = benchmark(
+        lambda: pol.build_pools(
             env.graph, dests, env.cache.compiled,
             node_secure=bench_state, breaks_ties=bench_state,
         )
     )
-    assert len(routings) == len(dests)
-    assert all(r.policy == policy for r in routings)
+    assert pools.dest_ids.tolist() == dests
+    assert pools.policy == policy
 
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_kernel_policy_batched_trees(benchmark, env, bench_state, policy):
     pol = get_policy(policy)
     dests = _dests(env)
-    routings = pol.build_many(
+    pools = pol.build_pools(
         env.graph, dests, env.cache.compiled,
         node_secure=bench_state, breaks_ties=bench_state,
     )
-    arena = RoutingArena.build(env.graph.n, dests, routings, policy=pol.name)
+    arena = RoutingArena.build(env.graph.n, [pools], policy=pol.name)
     slots = arena.all_slots()
     bt = benchmark(
         lambda: compute_trees_batched(arena, slots, bench_state, bench_state)

@@ -16,9 +16,8 @@ Usage::
 
 from __future__ import annotations
 
+import dataclasses
 import sys
-
-import numpy as np
 
 from repro import build_environment
 from repro.core import (
@@ -31,7 +30,7 @@ from repro.core import (
     run_deployment,
 )
 from repro.experiments.report import format_table
-from repro.routing import RoutingCache, restrict_to_primary
+from repro.routing import RoutingCache, get_policy, register_policy
 from repro.topology import EvolutionConfig, EvolvingDeployment
 
 THETA = 0.05
@@ -56,12 +55,13 @@ def main() -> None:
     record("SP-first routing (sec 8.3)",
            run_deployment(graph, adopters, cfg, sp_cache))
 
-    sticky = np.ones(graph.n, dtype=bool)
-    sticky_cache = RoutingCache(
-        graph, transform=lambda dr: restrict_to_primary(dr, sticky)
-    )
-    record("sticky primaries (sec 8.3)",
-           run_deployment(graph, adopters, cfg, sticky_cache))
+    # the registered "sticky_primaries" pins half the ASes; a variant of
+    # a policy is another registered policy
+    all_sticky = register_policy(dataclasses.replace(
+        get_policy("sticky_primaries"), name="all_sticky", sticky_fraction=1.0
+    ))
+    record("sticky primaries, every AS (sec 8.3)",
+           run_deployment(graph, adopters, cfg, RoutingCache(graph, policy=all_sticky)))
 
     record("lognormal theta, sigma=0.5 (sec 8.2)",
            run_deployment(graph, adopters, cfg, env.cache,

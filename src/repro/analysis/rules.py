@@ -136,17 +136,17 @@ class PrivateRoutingAccess(Rule):
     code = "RPR003"
     name = "private-cache-access"
     message = (
-        "private RoutingCache state (._routing/._arena) touched outside "
-        "repro.routing; use the public API (get/install/ensure_arena/stats/"
-        "pending_destinations)"
+        "private RoutingCache state (._parts/._arena) touched outside "
+        "repro.routing; use the public API (dest_routing/pools_for/build_pools/"
+        "install_pools/ensure_arena/stats/pending_runs)"
     )
     rationale = (
-        "PR 1 replaced ad-hoc _routing poking with a public RoutingCache API; "
-        "PR 3 made the arena an invariant-carrying structure.  Outside access "
-        "bypasses state-digest keying and corrupts cache provenance."
+        "PR 1 replaced ad-hoc poking at the cache's store with a public "
+        "RoutingCache API; PR 3 made the arena an invariant-carrying structure.  "
+        "Outside access bypasses state-digest keying and corrupts cache provenance."
     )
 
-    _PRIVATE = frozenset({"_routing", "_arena"})
+    _PRIVATE = frozenset({"_parts", "_arena"})
 
     def visit_attribute(self, ctx: FileContext, node: ast.Attribute) -> None:
         if node.attr in self._PRIVATE and not ctx.in_package("repro.routing"):

@@ -24,8 +24,7 @@ from repro.core.engine import (
     DestState,
     RoundData,
     compute_round_data,
-    incoming_contribution,
-    outgoing_contribution,
+    contributions,
     utilities_for_state,
 )
 from repro.core.metrics import (
@@ -84,17 +83,16 @@ __all__ = [
     "ZeroSumAnalysis",
     "compute_round_data",
     "content_providers",
+    "contributions",
     "degree_scaled_thresholds",
     "cps_plus_top_isps",
     "deployment_outcome",
     "diamond_census",
     "forecast_error_study",
     "greedy_early_adopters",
-    "incoming_contribution",
     "local_project_flip",
     "lognormal_thresholds",
     "no_early_adopters",
-    "outgoing_contribution",
     "project_flip",
     "projection_accuracy",
     "random_isps",

@@ -16,6 +16,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable
 
+import numpy as np
+
 from repro.routing.cache import RoutingCache
 from repro.topology.graph import ASGraph
 from repro.topology.relationships import ASRole
@@ -46,9 +48,12 @@ def diamond_census(
     """Count diamonds between each early adopter and stub destinations.
 
     ``destinations`` restricts the stub destinations examined (dense
-    indices); by default all stubs are scanned.
+    indices); by default all stubs are scanned.  Tiebreak-set sizes are
+    read from pooled structures a chunk at a time: ``cache``'s arena for
+    the stubs on its destination list, pools built and dropped for the
+    others (under its policy; the default policy without a cache).
     """
-    cache = cache or RoutingCache(graph)
+    cache = cache or RoutingCache(graph, destinations=[])
     roles = graph.roles
     if destinations is None:
         stub_dests = graph.stub_indices
@@ -59,14 +64,10 @@ def diamond_census(
     contested = {graph.asn(a): 0 for a in adopters}
     pairs = {graph.asn(a): 0 for a in adopters}
 
-    for dest in stub_dests:
-        dr = cache.dest_routing(dest)
+    for pools, slots in cache.pools_for(stub_dests):
         for a in adopters:
-            if a == dest:
-                continue
-            size = len(dr.tiebreak_set(a))
-            if size >= 2:
-                asn = graph.asn(a)
-                contested[asn] += 1
-                pairs[asn] += size * (size - 1) // 2
+            sizes = pools.tiebreak_sizes_of(a, slots)
+            asn = graph.asn(a)
+            contested[asn] += int(np.count_nonzero(sizes >= 2))
+            pairs[asn] += int((sizes * (sizes - 1) // 2).sum())
     return DiamondCensus(contested_stubs=contested, competitor_pairs=pairs)

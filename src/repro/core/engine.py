@@ -10,8 +10,10 @@ outgoing / incoming utility of every AS (Section 3.3):
 - incoming (Eq. 2): ``u_n = sum over all destinations of the weights of
   the subtrees hanging off n via customer edges``.
 
-The per-destination results are retained for the round so that the
-projection engine can compute deltas against them.
+The resolved ``[num_dests, n]`` matrices are retained for the round so
+that the projection engine can compute deltas against them; a
+per-destination :class:`DestState` is a view of one row, made when a
+per-destination consumer asks for it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from repro.routing.arena import (
     subtree_weights_batched,
 )
 from repro.routing.cache import RoutingCache
-from repro.routing.fast_tree import RoutingTree  # noqa: F401  (re-export)
+from repro.routing.paths import RoutingTree
 from repro.routing.policy import RouteClass
 from repro.routing.tree import DestRouting
 from repro.runtime.guard import current_guard
@@ -74,43 +76,76 @@ class DestState:
         return idx[indptr[node]:indptr[node + 1]]
 
 
-def outgoing_contribution(ds: DestState, node: int) -> float:
-    """Contribution of this destination to ``node``'s outgoing utility."""
-    if ds.dr.cls[node] != _CUSTOMER:
-        return 0.0
-    return float(ds.weights[node])
+def contributions(
+    cls: np.ndarray,
+    choice: np.ndarray,
+    weights: np.ndarray,
+    node: int,
+    node_weights: np.ndarray,
+    model: UtilityModel,
+    rows: np.ndarray | slice = slice(None),
+) -> np.ndarray:
+    """What each destination adds to ``node``'s utility under ``model``.
 
-
-def incoming_contribution(ds: DestState, node: int, node_weights: np.ndarray) -> float:
-    """Contribution of this destination to ``node``'s incoming utility."""
-    kids = ds.children_of(node)
-    if not len(kids):
-        return 0.0
-    customer_kids = kids[ds.dr.cls[kids] == _PROVIDER]
-    if not len(customer_kids):
-        return 0.0
-    return float((ds.weights[customer_kids] + node_weights[customer_kids]).sum())
+    ``cls`` / ``choice`` / ``weights`` are matching ``[num_dests, n]``
+    route classes, next hops and subtree weights; returns one float64
+    per destination of ``rows`` (default: all).  Outgoing (Eq. 1): the
+    weight of ``node``'s subtree where it reaches the destination over a
+    customer edge.  Incoming (Eq. 2): the subtrees (and own weights) of
+    the children that reach ``node`` as their provider, summed per
+    destination in node order.
+    """
+    if model is UtilityModel.OUTGOING:
+        return np.where(cls[rows, node] == _CUSTOMER, weights[rows, node], 0.0)
+    index = np.arange(len(cls))[rows]
+    out = np.zeros(len(index), dtype=np.float64)
+    row, kids = np.nonzero((choice[rows] == node) & (cls[rows] == _PROVIDER))
+    terms = weights[index[row], kids] + node_weights[kids]
+    bounds = np.flatnonzero(np.diff(row, prepend=-1, append=-1))
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        out[row[lo]] = terms[lo:hi].sum()
+    return out
 
 
 @dataclasses.dataclass
 class RoundData:
-    """Everything the decision rule needs about the current round."""
+    """Everything the decision rule needs about the current round.
+
+    The matrices are ``[num_dests, n]``, row ``k`` for
+    ``cache.destinations[k]``, resolved on ``arena``.
+    """
 
     state: DeploymentState
     node_secure: np.ndarray
     deploying_providers: np.ndarray  # int32 [n]: per stub, providers that deploy
     breaks_ties: np.ndarray
-    dest_states: list[DestState]
+    arena: RoutingArena            # the structures the round was resolved on
+    choice: np.ndarray             # int32: next hop, -1 for dest/unreachable
+    weights: np.ndarray            # float64: subtree weight (excluding the node)
     utilities: np.ndarray          # per node, under the configured model
-    sec_matrix: np.ndarray         # bool [num_dests, n]: source path security
-    any_sec_matrix: np.ndarray     # bool [num_dests, n]: secure tiebreak cand.
+    sec_matrix: np.ndarray         # bool: source path security
+    any_sec_matrix: np.ndarray     # bool: secure tiebreak cand.
     secure_dest_positions: np.ndarray  # positions k with a secure destination
     secure_dest_sec: np.ndarray        # sec_matrix[secure_dest_positions]
     secure_dest_any_sec: np.ndarray    # any_sec_matrix[secure_dest_positions]
+    _dest_states: dict[int, DestState] = dataclasses.field(default_factory=dict, repr=False)
 
     def dest_state(self, pos: int) -> DestState:
-        """Per-destination state by position in the cache's dest list."""
-        return self.dest_states[pos]
+        """Row ``pos`` as a :class:`DestState` (views, made on first
+        request and kept), for consumers that walk one tree."""
+        ds = self._dest_states.get(pos)
+        if ds is None:
+            ds = self._dest_states[pos] = DestState(
+                dr=self.arena.view(pos),
+                tree=RoutingTree(
+                    dest=int(self.arena.dest_ids[pos]),
+                    choice=self.choice[pos],
+                    secure=self.sec_matrix[pos],
+                    any_secure_candidate=self.any_sec_matrix[pos],
+                ),
+                weights=self.weights[pos],
+            )
+        return ds
 
     def flipped(
         self, deriver: StateDeriver, isp: int, turning_on: bool
@@ -170,10 +205,6 @@ def compute_round_data(
         bt, w2d = _chunked_round_kernels(
             arena, slots, node_secure, breaks, w, chunk_rows
         )
-    dest_states = [
-        DestState(dr=cache.dest_routing(dest), tree=bt.tree(k), weights=w2d[k])
-        for k, dest in enumerate(cache.destinations)
-    ]
     utilities = _batched_utilities(arena, bt, w2d, w, model)
 
     secure_positions = np.flatnonzero(
@@ -184,7 +215,9 @@ def compute_round_data(
         node_secure=node_secure,
         deploying_providers=deploying_providers,
         breaks_ties=breaks,
-        dest_states=dest_states,
+        arena=arena,
+        choice=bt.choice,
+        weights=w2d,
         utilities=utilities,
         sec_matrix=bt.secure,
         any_sec_matrix=bt.any_secure,

@@ -23,19 +23,12 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
 from repro.core.config import UtilityModel
 from repro.core.engine import RoundData
-from repro.core.projection import (
-    _collect_old_subtrees,
-    _incoming_walk_delta,
-    _outgoing_walk_delta,
-    _recompute_node,
-    project_flip,
-)
+from repro.core.projection import _incremental_delta, project_flip
 from repro.core.state import StateDeriver
 from repro.routing.cache import RoutingCache
+from repro.routing.policy import RouteClass
 
 
 @dataclasses.dataclass(frozen=True)
@@ -61,76 +54,6 @@ class LocalForecast:
         if self.current_utility == 0:
             return 0.0
         return (self.estimated_utility - self.exact_utility) / self.current_utility
-
-
-def _bounded_delta(
-    ds,
-    node_secure_new: np.ndarray,
-    breaks_new: np.ndarray,
-    flips: dict[int, bool],
-    isp: int,
-    model: UtilityModel,
-    node_weights: np.ndarray,
-    horizon: int,
-) -> float:
-    """Depth-capped version of the incremental per-destination delta."""
-    dr = ds.dr
-    tree = ds.tree
-    old_choice = tree.choice
-    old_secure = tree.secure
-    lengths = dr.lengths
-    dest = dr.dest
-
-    changed_sec: dict[int, bool] = {}
-    changed_choice: dict[int, int] = {}
-    pending: dict[int, list[tuple[int, int]]] = {}
-
-    def schedule(node: int, depth: int) -> None:
-        pending.setdefault(int(lengths[node]), []).append((node, depth))
-
-    for node in flips:
-        if dr.row_of[node] < 0:
-            continue
-        if node == dest:
-            # the destination's own security changed; its dependents see it
-            new_sec = bool(node_secure_new[dest])
-            if new_sec != bool(old_secure[dest]):
-                changed_sec[dest] = new_sec
-                for dep in dr.dependents_of(dest):
-                    schedule(int(dep), 1)
-            continue
-        schedule(node, 0)
-    if not pending:
-        return 0.0
-
-    level = min(pending)
-    max_level = max(pending)
-    seen: set[int] = set()
-    while level <= max_level:
-        for u, depth in pending.pop(level, ()):  # noqa: B909
-            if u in seen or depth > horizon:
-                continue
-            seen.add(u)
-            new_choice, new_sec = _recompute_node(
-                dr, u, old_secure, changed_sec, node_secure_new, breaks_new
-            )
-            if new_choice != old_choice[u]:
-                changed_choice[u] = new_choice
-            if new_sec != bool(old_secure[u]):
-                changed_sec[u] = new_sec
-                for dep in dr.dependents_of(u):
-                    dep_level = int(lengths[dep])
-                    schedule(int(dep), depth + 1)
-                    if dep_level > max_level:
-                        max_level = dep_level
-        level += 1
-
-    if not changed_choice:
-        return 0.0
-    affected = _collect_old_subtrees(ds, list(changed_choice))
-    if model is UtilityModel.OUTGOING:
-        return _outgoing_walk_delta(ds, changed_choice, affected, isp, node_weights)
-    return _incoming_walk_delta(ds, changed_choice, affected, isp, node_weights)
 
 
 def local_project_flip(
@@ -161,17 +84,15 @@ def local_project_flip(
             positions.add(pos)
     if model is UtilityModel.OUTGOING:
         # only destinations reached over a customer edge pay (Eq. 1)
-        from repro.routing.policy import RouteClass
-
         customer = int(RouteClass.CUSTOMER)
         positions = {
-            pos for pos in positions if cache.cls_matrix[pos, isp] == customer
+            pos for pos in positions if rd.arena.cls[pos, isp] == customer
         }
 
     delta = 0.0
     for pos in positions:
-        delta += _bounded_delta(
-            rd.dest_states[pos], node_secure_new, breaks_new, flips, isp,
+        delta += _incremental_delta(
+            rd.dest_state(pos), node_secure_new, breaks_new, flips, isp,
             model, w, horizon,
         )
     return float(rd.utilities[isp]) + delta

@@ -25,10 +25,11 @@ Two engines with identical outputs:
 
 Both engines assume Observation C.1 (structures are state-independent;
 only tie-breaks move).  Under the state-dependent policies
-(``security_1st`` / ``security_2nd``) every projection instead takes a
-dedicated full-rebuild path that re-runs the fixpoint builder for the
-destinations that can react to the flip — see
-:func:`_project_flip_state_dependent`.
+(``security_1st`` / ``security_2nd``) every projection instead rebuilds
+the structures of the destinations that can react to the flip with the
+fixpoint builder — see :func:`_resolved_deltas`.  Whatever is re-resolved
+is re-resolved as one stack of destinations, and its utility deltas are
+read off the resulting matrices row by row.
 """
 
 from __future__ import annotations
@@ -38,16 +39,10 @@ import dataclasses
 import numpy as np
 
 from repro.core.config import ProjectionEngine, UtilityModel
-from repro.core.engine import (
-    DestState,
-    RoundData,
-    incoming_contribution,
-    outgoing_contribution,
-)
+from repro.core.engine import DestState, RoundData, contributions
 from repro.core.state import StateDeriver
-from repro.routing.arena import compute_trees_batched, subtree_weights_batched
+from repro.routing.arena import RoutingArena, compute_trees_batched, subtree_weights_batched
 from repro.routing.cache import RoutingCache
-from repro.routing.fast_tree import compute_tree, subtree_weights
 from repro.routing.policy import RouteClass
 from repro.routing.tree import DestRouting
 
@@ -75,176 +70,107 @@ def project_flip(
     isp: int,
     turning_on: bool,
     model: UtilityModel,
-    engine: ProjectionEngine = ProjectionEngine.INCREMENTAL,
+    engine: ProjectionEngine = ProjectionEngine.FULL,
 ) -> Projection:
     """Projected utility of ``isp`` if it flipped its action this round."""
     flips, node_secure_new, breaks_new = rd.flipped(deriver, isp, turning_on)
     w = cache.graph.weights
 
-    if cache.policy.state_dependent:
-        # the flip moves classes/lengths, not just tie-breaks: rebuild
-        # the affected structures from scratch under the flipped state
-        return _project_flip_state_dependent(
-            cache, rd, isp, turning_on, flips,
-            node_secure_new, breaks_new, model,
-        )
-
-    delta = 0.0
-    recomputed = 0
-    touched = 0
-
     # Destinations whose *own* security status changes always need a
     # full recompute; under the FULL engine so do all reroutable
     # candidates.  Everything needing a full recompute goes through the
-    # batched arena kernel in ONE stacked pass.
-    special_positions: set[int] = set()
-    for node in flips:
-        pos = cache.position_of(node)
-        if pos is not None:
-            special_positions.add(pos)
-    candidates = _candidate_positions(cache, rd, isp, flips, turning_on, model)
-
-    if engine is ProjectionEngine.FULL:
-        full_positions = sorted(special_positions.union(int(p) for p in candidates))
-        incremental_positions: list[int] = []
+    # batched arena kernel in ONE stacked pass.  (Most projections of a
+    # sampled cache resolve nothing at all, so the bookkeeping around
+    # that pass stays in plain sets.)
+    special = {pos for node in flips if (pos := cache.position_of(node)) is not None}
+    incremental: list[int] = []
+    if cache.policy.state_dependent:
+        # The flip moves classes and lengths, not just tie-breaks, so the
+        # tiebreak-only machinery (incremental propagation, the
+        # ``sec``/``any_sec`` candidate refinements) is invalid.  What
+        # survives is the coarse pruning: a destination that is insecure
+        # in *both* states has all-insecure paths under any ranking, so
+        # its routing collapses to the security-free order of the policy
+        # and cannot react to the flip.
+        dest_idx = np.asarray(cache.destinations, dtype=np.int64)
+        relevant = rd.node_secure[dest_idx] | node_secure_new[dest_idx]
+        full = special.union(np.flatnonzero(relevant).tolist())
     else:
-        full_positions = sorted(special_positions)
-        incremental_positions = [
-            int(p) for p in candidates if int(p) not in special_positions
-        ]
+        candidates = _candidate_positions(rd, isp, flips, turning_on, model).tolist()
+        if engine is ProjectionEngine.FULL:
+            full = special.union(candidates)
+        else:
+            full = special
+            incremental = [pos for pos in candidates if pos not in special]
 
-    for pos, new_ds in _recompute_dest_states(
-        cache, rd, full_positions, node_secure_new, breaks_new, w
-    ):
-        old_ds = rd.dest_states[pos]
-        d = _contribution(new_ds, isp, w, model) - _contribution(old_ds, isp, w, model)
-        recomputed += 1
-        if pos not in special_positions and d:
-            touched += 1
-        delta += d
+    positions = np.asarray(sorted(full), dtype=np.int64)
+    deltas = _resolved_deltas(cache, rd, positions, node_secure_new, breaks_new, isp, model)
+    # left to right, as a running sum over the destinations would
+    delta = float(np.cumsum(deltas)[-1]) if len(deltas) else 0.0
+    touched = np.count_nonzero(deltas)
+    if special:
+        touched -= np.count_nonzero(deltas[np.searchsorted(positions, list(special))])
 
     # Remaining candidates: exact deltas via local propagation.
-    for pos in incremental_positions:
+    for pos in incremental:
         d = _incremental_delta(
-            rd.dest_states[pos], node_secure_new, breaks_new, flips, isp, model, w
+            rd.dest_state(pos), node_secure_new, breaks_new, flips, isp, model, w
         )
         if d:
             touched += 1
         delta += d
-
-    current = float(rd.utilities[isp])
-    return Projection(
-        isp=isp,
-        turning_on=turning_on,
-        utility=current + delta,
-        flips=flips,
-        dests_recomputed=recomputed,
-        dests_delta=touched,
-    )
-
-
-def _contribution(ds: DestState, node: int, node_weights: np.ndarray, model: UtilityModel) -> float:
-    if model is UtilityModel.OUTGOING:
-        return outgoing_contribution(ds, node)
-    return incoming_contribution(ds, node, node_weights)
-
-
-def _project_flip_state_dependent(
-    cache: RoutingCache,
-    rd: RoundData,
-    isp: int,
-    turning_on: bool,
-    flips: dict[int, bool],
-    node_secure_new: np.ndarray,
-    breaks_new: np.ndarray,
-    model: UtilityModel,
-) -> Projection:
-    """FULL projection for policies where structures move with the state.
-
-    The tiebreak-only machinery (arena re-resolution, incremental
-    propagation, the ``sec``/``any_sec`` candidate refinements) assumes
-    Observation C.1 and is invalid here.  What survives is the coarse
-    pruning: a destination that is insecure in *both* states has
-    all-insecure paths under any ranking, so its routing collapses to
-    the security-free order of the policy and cannot react to the flip.
-    Everything else — destinations secure in either state, plus the
-    flipped nodes themselves — is rebuilt by the batched fixpoint under
-    the flipped state and resolved per destination.
-    """
-    graph = cache.graph
-    w = graph.weights
-    dest_idx = np.asarray(cache.destinations, dtype=np.int64)
-    relevant = rd.node_secure[dest_idx] | node_secure_new[dest_idx]
-    special_positions = {
-        pos for node in flips
-        if (pos := cache.position_of(node)) is not None
-    }
-    positions = sorted(set(np.flatnonzero(relevant).tolist()) | special_positions)
-
-    delta = 0.0
-    touched = 0
-    if positions:
-        routings = cache.policy.build_many(
-            graph,
-            [cache.destinations[p] for p in positions],
-            cache.compiled,
-            node_secure=node_secure_new,
-            breaks_ties=breaks_new,
-        )
-        for pos, dr_new in zip(positions, routings):
-            tree = compute_tree(dr_new, node_secure_new, breaks_new)
-            new_ds = DestState(
-                dr=dr_new,
-                tree=tree,
-                weights=subtree_weights(dr_new, tree, w),
-            )
-            old_ds = rd.dest_states[pos]
-            d = _contribution(new_ds, isp, w, model) - _contribution(
-                old_ds, isp, w, model
-            )
-            if pos not in special_positions and d:
-                touched += 1
-            delta += d
 
     return Projection(
         isp=isp,
         turning_on=turning_on,
         utility=float(rd.utilities[isp]) + delta,
         flips=flips,
-        dests_recomputed=len(positions),
+        dests_recomputed=len(full),
         dests_delta=touched,
     )
 
 
-def _recompute_dest_states(
+def _resolved_deltas(
     cache: RoutingCache,
     rd: RoundData,
-    positions: list[int],
+    positions: np.ndarray,
     node_secure_new: np.ndarray,
     breaks_new: np.ndarray,
-    node_weights: np.ndarray,
-):
-    """Yield ``(pos, DestState)`` for fully recomputed destinations.
-
-    All requested destinations are resolved in a single stacked pass of
-    the batched kernel over the cache's
-    :class:`~repro.routing.arena.RoutingArena` (which
-    :func:`~repro.core.engine.compute_round_data` built for ``rd``).
+    isp: int,
+    model: UtilityModel,
+) -> np.ndarray:
+    """What the flip adds to ``isp``'s utility at each destination of
+    ``positions``: their trees resolved under the flipped state in a
+    single stacked pass, against the round's rows.  Where structures
+    move with the state they are rebuilt under the flipped state first
+    (one batched fixpoint build, slot ``i`` for ``positions[i]``).
     """
-    if not positions:
-        return
-    arena = cache.ensure_arena()
-    slots = np.asarray(positions, dtype=np.int64)
-    bt = compute_trees_batched(arena, slots, node_secure_new, breaks_new)
-    w2d = subtree_weights_batched(arena, slots, bt.choice, node_weights)
-    for i, pos in enumerate(positions):
-        yield pos, DestState(
-            dr=rd.dest_states[pos].dr, tree=bt.tree(i), weights=w2d[i]
+    if not len(positions):
+        return np.zeros(0, dtype=np.float64)
+    n, w = cache.graph.n, cache.graph.weights
+    arena, slots = rd.arena, positions
+    if cache.policy.state_dependent:
+        pools = cache.policy.build_pools(
+            cache.graph,
+            [cache.destinations[p] for p in positions],
+            cache.compiled,
+            node_secure=node_secure_new,
+            breaks_ties=breaks_new,
+            backend=cache.backend_name,
         )
+        arena = RoutingArena(
+            n, RoutingArena.concat(n, [pools], keys=True),
+            policy=pools.policy, backend=cache.backend_name,
+        )
+        slots = arena.all_slots()
+    bt = compute_trees_batched(arena, slots, node_secure_new, breaks_new)
+    w2d = subtree_weights_batched(arena, slots, bt.choice, w)
+    new = contributions(arena.cls[slots], bt.choice, w2d, isp, w, model)
+    old = contributions(rd.arena.cls, rd.choice, rd.weights, isp, w, model, rows=positions)
+    return new - old
 
 
 def _candidate_positions(
-    cache: RoutingCache,
     rd: RoundData,
     isp: int,
     flips: dict[int, bool],
@@ -266,7 +192,7 @@ def _candidate_positions(
     positions = secure_pos[possible]
     if model is UtilityModel.OUTGOING and len(positions):
         # only destinations n reaches via a customer edge contribute
-        via_customer = cache.cls_matrix[positions, isp] == _CUSTOMER
+        via_customer = rd.arena.cls[positions, isp] == _CUSTOMER
         positions = positions[via_customer]
     return positions
 
@@ -279,8 +205,14 @@ def _incremental_delta(
     isp: int,
     model: UtilityModel,
     node_weights: np.ndarray,
+    horizon: int | None = None,
 ) -> float:
-    """Exact utility delta for one destination via local propagation."""
+    """Exact utility delta for one destination via local propagation.
+
+    Security changes travel up the tiebreak-dependency graph level by
+    level from the flipped nodes; with a ``horizon`` only that many hops
+    (the §8.2 local forecast), and what lies further keeps its route.
+    """
     dr = ds.dr
     tree = ds.tree
     old_choice = tree.choice
@@ -290,33 +222,44 @@ def _incremental_delta(
 
     changed_sec: dict[int, bool] = {}
     changed_choice: dict[int, int] = {}
-    pending: dict[int, set[int]] = {}
+    pending: dict[int, list[tuple[int, int]]] = {}
+
+    def schedule(node: int, depth: int) -> None:
+        pending.setdefault(int(lengths[node]), []).append((node, depth))
 
     for node in flips:
-        if node == dest or dr.row_of[node] < 0:
+        if dr.row_of[node] < 0:
             continue
-        pending.setdefault(int(lengths[node]), set()).add(node)
+        if node == dest:
+            # the destination's own security changed; its dependents see it
+            new_sec = bool(node_secure_new[dest])
+            if new_sec != bool(old_secure[dest]):
+                changed_sec[dest] = new_sec
+                for dep in dr.dependents_of(dest):
+                    schedule(int(dep), 1)
+            continue
+        schedule(node, 0)
     if not pending:
         return 0.0
 
     level = min(pending)
     max_level = max(pending)
+    seen: set[int] = set()
     while level <= max_level:
-        nodes = pending.pop(level, None)
-        if nodes:
-            for u in nodes:
-                new_choice, new_sec = _recompute_node(
-                    dr, u, old_secure, changed_sec, node_secure_new, breaks_new
-                )
-                if new_choice != old_choice[u]:
-                    changed_choice[u] = new_choice
-                if new_sec != bool(old_secure[u]):
-                    changed_sec[u] = new_sec
-                    for dep in dr.dependents_of(u):
-                        dep_level = int(lengths[dep])
-                        pending.setdefault(dep_level, set()).add(int(dep))
-                        if dep_level > max_level:
-                            max_level = dep_level
+        for u, depth in pending.pop(level, ()):  # noqa: B909
+            if u in seen or (horizon is not None and depth > horizon):
+                continue
+            seen.add(u)
+            new_choice, new_sec = _recompute_node(
+                dr, u, old_secure, changed_sec, node_secure_new, breaks_new
+            )
+            if new_choice != old_choice[u]:
+                changed_choice[u] = new_choice
+            if new_sec != bool(old_secure[u]):
+                changed_sec[u] = new_sec
+                for dep in dr.dependents_of(u):
+                    schedule(int(dep), depth + 1)
+                    max_level = max(max_level, int(lengths[dep]))
         level += 1
 
     if not changed_choice:
@@ -490,32 +433,19 @@ def per_destination_turn_off_gains(
     if not candidates:
         return gains
     if cache.policy.state_dependent:
-        # incremental propagation is tiebreak-only; rebuild each
-        # candidate destination's structure under the downgraded state
-        routings = cache.policy.build_many(
-            cache.graph,
-            [cache.destinations[p] for p in candidates],
-            cache.compiled,
-            node_secure=node_secure_new,
-            breaks_ties=breaks_new,
+        # incremental propagation is tiebreak-only
+        deltas = _resolved_deltas(
+            cache, rd, np.asarray(candidates, dtype=np.int64),
+            node_secure_new, breaks_new, isp, UtilityModel.INCOMING,
         )
-        for pos, dr_new in zip(candidates, routings):
-            tree = compute_tree(dr_new, node_secure_new, breaks_new)
-            new_ds = DestState(
-                dr=dr_new,
-                tree=tree,
-                weights=subtree_weights(dr_new, tree, w),
-            )
-            delta = _contribution(
-                new_ds, isp, w, UtilityModel.INCOMING
-            ) - _contribution(rd.dest_states[pos], isp, w, UtilityModel.INCOMING)
-            if delta > 0:
-                gains[cache.destinations[pos]] = delta
-        return gains
+        return {
+            cache.destinations[pos]: delta
+            for pos, delta in zip(candidates, deltas.tolist()) if delta > 0
+        }
     for pos in candidates:
         dest = cache.destinations[pos]
         delta = _incremental_delta(
-            rd.dest_states[pos], node_secure_new, breaks_new, flips, isp,
+            rd.dest_state(pos), node_secure_new, breaks_new, flips, isp,
             UtilityModel.INCOMING, w,
         )
         if delta > 0:

@@ -104,17 +104,8 @@ def _discard_abandoned_payload(payload: object) -> None:
         return
     for entry in payload:
         value = entry[1] if isinstance(entry, tuple) and len(entry) == 2 else entry
-        handle = None
         if isinstance(value, ArenaHandle):
-            handle = value
-        elif (
-            isinstance(value, tuple)
-            and len(value) == 2
-            and isinstance(value[1], ArenaHandle)
-        ):
-            handle = value[1]
-        if handle is not None:
-            discard_published_arena(handle)
+            discard_published_arena(value)
 
 
 #: start methods in preference order: fork keeps read-only graph
@@ -565,191 +556,79 @@ def default_engine(workers: int = 1) -> MapReduceEngine:
     return ProcessEngine(workers=workers)
 
 
-class _DestRoutingBuilder:
-    """Picklable map function: destination index -> DestRouting.
+class _PartitionBuilder:
+    """Map function over runs ``(start, stop)`` of a cache's destination
+    list, for the parallel warm.
 
-    Carries the graph, its compiled form, the cache's policy name,
-    transform, and (for state-dependent policies) the deployment state
-    the structures must be built under; with the fork context the
-    pickle cost is paid once per partition, and page sharing keeps the
-    memory overhead low.
+    The worker builds the run's structures through the cache's own
+    builder (so policy, deployment state, backend and build telemetry
+    are the serial warm's), packs them into a partition
+    :class:`~repro.routing.arena.RoutingArena`, publishes that as a
+    shared-memory segment and returns only a pipe-sized
+    :class:`~repro.parallel.shm.ArenaHandle`.  A worker that cannot get
+    a segment returns the arena itself — pickled pools; the fallback is
+    counted (``parallel.shm.fallbacks``).  Under the fork context the
+    cache is shared copy-on-write, never pickled.
     """
 
-    def __init__(
-        self,
-        graph,
-        compiled,
-        policy: str = "security_3rd",
-        transform=None,
-        node_secure=None,
-        breaks_ties=None,
-        backend: str | None = None,
-    ):
-        self.graph = graph
-        self.compiled = compiled
-        self.policy = policy
-        self.transform = transform
-        self.node_secure = node_secure
-        self.breaks_ties = breaks_ties
-        # the backend travels by *name* (plain pickle data); the worker
-        # process resolves it locally and may degrade to numpy there
-        self.backend = backend
+    def __init__(self, cache):
+        self.cache = cache
 
-    def build_many(self, dests):
-        from repro.routing.policy import get_policy
-
-        routings = get_policy(self.policy).build_many(
-            self.graph,
-            dests,
-            self.compiled,
-            node_secure=self.node_secure,
-            breaks_ties=self.breaks_ties,
-            backend=self.backend,
-        )
-        if self.transform is not None:
-            routings = [self.transform(dr) for dr in routings]
-            for dr in routings:
-                dr.policy = get_policy(self.policy).name
-        return routings
-
-    def __call__(self, dest: int):
-        registry = get_registry()
-        with registry.histogram("routing.tree_build_seconds").time():
-            dr = self.build_many([dest])[0]
-        registry.counter("routing.tree_builds").inc()
-        return dr
-
-
-class _PartitionArenaBuilder:
-    """Map function over destination *chunks* for the shm warm path.
-
-    The worker builds every :class:`DestRouting` of its chunk, packs
-    them into a partition :class:`~repro.routing.arena.RoutingArena`,
-    publishes the arena as a shared-memory segment, and returns only a
-    pipe-sized :class:`~repro.parallel.shm.ArenaHandle` — no tree is
-    ever pickled through the result pipe.  When the worker cannot get a
-    segment it degrades to ``("pickle", dests, routings)`` and the
-    fallback is counted (``parallel.shm.fallbacks``).
-    """
-
-    def __init__(
-        self,
-        graph,
-        compiled,
-        policy: str = "security_3rd",
-        transform=None,
-        node_secure=None,
-        breaks_ties=None,
-        state_key=None,
-        backend: str | None = None,
-    ):
-        self.build = _DestRoutingBuilder(
-            graph, compiled, policy, transform, node_secure, breaks_ties,
-            backend=backend,
-        )
-        self.state_key = state_key
-        self.backend = backend
-
-    def __call__(self, dests: tuple[int, ...]):
+    def __call__(self, run: tuple[int, int]):
         from repro.parallel.shm import publish_arena
-        from repro.routing.arena import RoutingArena
-        from repro.routing.policy import get_policy
 
-        registry = get_registry()
-        hist = registry.histogram("routing.tree_build_seconds")
-        start = time.perf_counter()
-        routings = self.build.build_many(list(dests))
-        per_tree = (time.perf_counter() - start) / max(len(dests), 1)
-        for _ in dests:  # one observation per tree, as on the serial path
-            hist.observe(per_tree)
-        registry.counter("routing.tree_builds").inc(len(dests))
-        arena = RoutingArena.build(
-            self.build.graph.n,
-            list(dests),
-            routings,
-            policy=get_policy(self.build.policy).name,
-            state_key=self.state_key,
-            backend=self.backend or "numpy",
-        )
-        published = publish_arena(arena, dests=tuple(dests))
+        cache = self.cache
+        start, stop = run
+        arena = cache.arena_of([cache.build_pools(cache.destinations[start:stop])])
+        published = publish_arena(arena)
         if published is None:
-            return ("pickle", tuple(dests), routings)
+            return arena
         handle, segment = published
         segment.close()  # keep the name alive; the parent unlinks
-        return ("shm", handle)
+        return handle
 
 
-def parallel_warm_cache(cache, workers: int = 1, transport: str = "auto") -> None:
+def parallel_warm_cache(cache, workers: int = 1) -> None:
     """Warm a :class:`~repro.routing.cache.RoutingCache` with workers.
 
-    The per-destination :class:`DestRouting` structures are independent,
-    so this is a pure map; results are installed into the cache through
-    its public :meth:`~repro.routing.cache.RoutingCache.install` API.
-
-    ``transport`` selects how results travel back from workers:
-
-    - ``"shm"``: workers pack each destination partition into a
-      shared-memory arena and send only the segment handle
-      (zero-copy backhaul, no pickled trees);
-    - ``"pickle"``: classic per-destination result pickling;
-    - ``"auto"`` (default): shm whenever a multi-process map will
-      actually run and shared memory is importable.
-
-    Either way a partition whose segment cannot be attached (or whose
-    worker could not create one) falls back to the pickle path — warm
-    never fails because shared memory did.
+    Destination chunks are independent, so this is a pure map over runs
+    of whole chunks; each worker ships its run back as one partition
+    arena — a shared-memory segment handle, or the pickled pools when it
+    cannot get a segment, so warm never fails because shared memory did
+    — and the cache adopts it through its public
+    :meth:`~repro.routing.cache.RoutingCache.install_pools` API.
     """
-    if transport not in ("auto", "shm", "pickle"):
-        raise ValueError(f"transport must be 'auto', 'shm' or 'pickle', got {transport!r}")
-    todo = cache.pending_destinations()
-    if not todo:
+    runs = cache.pending_runs()
+    if not runs:
         return
-    guard = current_guard()
     engine = default_engine(workers)
-    num_partitions = None
+    num_dests = sum(stop - start for start, stop in runs)
     if isinstance(engine, ProcessEngine):
         engine, num_partitions = _plan_warm_engine(
-            guard, engine, len(todo), cache.graph.n
+            current_guard(), engine, num_dests, cache.graph.n
         )
-    if not (
-        isinstance(engine, ProcessEngine)
-        and engine.start_method is not None
-        and len(todo) > 1
-    ):
-        # nothing would run in another process: the cache's own chunked
-        # warm is the serial path (it keeps its own time and counts)
-        cache.warm()
-        return
-    start = time.perf_counter()
-    if transport != "pickle":
-        from repro.parallel.shm import shm_available
-
-        if shm_available():
-            _warm_via_shm(cache, engine, todo, num_partitions=num_partitions)
-            cache.note_warm_time(time.perf_counter() - start)
+    if isinstance(engine, ProcessEngine) and engine.start_method is not None:
+        # whole chunks per partition, so that what comes back is a run
+        # of the cache's own chunks
+        rows = cache.rows_per_chunk
+        per = rows * max(1, -(-num_dests // (rows * num_partitions)))
+        runs = [
+            (at, min(at + per, stop))
+            for start, stop in runs for at in range(start, stop, per)
+        ]
+        if len(runs) > 1:
+            start_time = time.perf_counter()
+            _warm_partitions(cache, engine, runs)
+            cache.note_warm_time(time.perf_counter() - start_time)
             return
-        if transport == "shm":
-            from repro.parallel.shm import _note_fallback
-
-            _note_fallback("multiprocessing.shared_memory not importable")
-            guard.degrade(
-                "shm_to_pickle",
-                "shared memory requested but multiprocessing.shared_memory "
-                "is not importable",
-            )
-    node_secure, breaks_ties = cache.current_state()
-    build = _DestRoutingBuilder(
-        cache.graph, cache.compiled, cache.policy.name, cache.transform,
-        node_secure, breaks_ties, backend=cache.backend_name,
-    )
-    for dest, dr in zip(todo, engine.map(build, todo)):
-        cache.install(dest, dr)
-    cache.note_warm_time(time.perf_counter() - start)
+    # nothing would run in another process: the cache's own chunked
+    # warm is the serial path (it keeps its own time and counts)
+    cache.warm()
 
 
 def _plan_warm_engine(
     guard, engine: ProcessEngine, num_dests: int, n: int
-) -> tuple[MapReduceEngine, int | None]:
+) -> tuple[MapReduceEngine, int]:
     """Fit the warm map's partition count and worker count to the budget.
 
     In-flight memory during a parallel warm is ``workers x (one
@@ -757,12 +636,11 @@ def _plan_warm_engine(
     plan (a) raises the partition count until one partition's forecast
     fits the warm share of the budget, then (b) halves the worker count
     until the concurrent total fits — each step a visible ladder rung.
-    Returns the (possibly downgraded) engine and the partition count
-    (``None``: engine default).
+    Returns the (possibly downgraded) engine and the partition count.
     """
     default_parts = engine.workers * engine.partitions_per_worker
     if guard.memory is None or num_dests <= 1:
-        return engine, None
+        return engine, default_parts
     from repro.routing.arena import RoutingArena
 
     total = RoutingArena.estimate_bytes(num_dests, n)
@@ -786,53 +664,36 @@ def _plan_warm_engine(
     return engine, num_parts
 
 
-def _warm_via_shm(
-    cache, engine: ProcessEngine, todo: list[int], num_partitions: int | None = None
-) -> None:
-    """Shared-memory warm backhaul: chunk -> worker arena -> handle."""
-    from repro.parallel.shm import consume_published_arena, ensure_tracker_running
+def _warm_partitions(cache, engine: ProcessEngine, runs: list[tuple[int, int]]) -> None:
+    """The warm backhaul: run -> worker arena -> handle -> ``install_pools``."""
+    from repro.parallel.shm import ArenaHandle, consume_published_arena, ensure_tracker_running
 
     # must happen before the first fork: workers that lazily start
     # their own resource tracker get their segments unlinked at exit
     ensure_tracker_running()
-    if num_partitions is None:
-        num_partitions = engine.workers * engine.partitions_per_worker
-    chunks = [tuple(c) for c in partition(todo, num_partitions)]
-    node_secure, breaks_ties = cache.current_state()
-    build = _PartitionArenaBuilder(
-        cache.graph, cache.compiled, cache.policy.name, cache.transform,
-        node_secure, breaks_ties, cache.state_key,
-        backend=cache.backend_name,
-    )
+    build = _PartitionBuilder(cache)
     pickled_partitions = 0
-    for result in engine.map(build, chunks):
-        kind = result[0]
-        if kind == "shm":
-            handle = result[1]
-            arena = consume_published_arena(handle)
-            if arena is None:
-                # segment vanished (publisher crashed mid-handoff):
-                # recompute the partition in-parent from the handle
-                for dest in handle.dests:
-                    cache.dest_routing(dest)
+    for (start, _), result in zip(runs, engine.map(build, runs)):
+        if isinstance(result, ArenaHandle):
+            result = consume_published_arena(result)
+            if result is None:
+                # segment vanished (publisher crashed mid-handoff): the
+                # closing warm below rebuilds the run in-parent
                 continue
-            for k, dest in enumerate(handle.dests):
-                cache.install(int(dest), arena.view(k))
         else:
-            _, dests, routings = result
             pickled_partitions += 1
-            for dest, dr in zip(dests, routings):
-                cache.install(int(dest), dr)
+        cache.install_pools(start, result)
     if pickled_partitions:
         current_guard().degrade(
             "shm_to_pickle",
             f"{pickled_partitions} warm partition(s) fell back to pickled "
-            "trees (workers could not publish shared-memory segments)",
+            "pools (workers could not publish shared-memory segments)",
         )
         log.warning(
-            "%d warm partition(s) fell back to pickled trees (no shared memory)",
+            "%d warm partition(s) fell back to pickled pools (no shared memory)",
             pickled_partitions,
         )
+    cache.warm()  # whatever did not arrive
 
 
 class _FlipProjector:

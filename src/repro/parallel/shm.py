@@ -5,15 +5,14 @@ The arena serialises to one flat typed buffer (see
 natural fit for ``multiprocessing.shared_memory``: a worker that built
 the routing structures for a destination partition publishes them as a
 named segment and ships only a pipe-sized :class:`ArenaHandle` back to
-the parent — no :class:`~repro.routing.tree.DestRouting` objects are
-ever pickled.  In the other direction, a parent can publish its warm
+the parent — no routing structure is ever pickled.  In the other direction, a parent can publish its warm
 arena and have workers attach zero-copy views.
 
 Semantics:
 
 - :func:`publish_arena` creates a segment and packs the arena into it
   (returns ``None`` on platforms or sandboxes without usable shared
-  memory — callers fall back to the pickle path and the
+  memory — callers ship the pickled arena instead and the
   ``parallel.shm.fallbacks`` counter records it);
 - :func:`attach_arena` attaches **once per process** per segment name
   and refcounts further attaches, so many call sites in one process
@@ -58,10 +57,7 @@ Layout = tuple[tuple[str, str, tuple[int, ...], int], ...]
 class ArenaHandle:
     """Pipe-sized ticket for an arena published in shared memory.
 
-    ``dests`` duplicates the arena's slot order so a consumer can
-    recover (recompute) the partition even when the segment itself is
-    gone — the crash-recovery path of the parallel warm.  ``policy``
-    and ``state_key`` carry the arena's provenance metadata across the
+    ``policy`` and ``state_key`` carry the arena's provenance metadata across the
     process boundary so an attached arena is exactly as restricted as
     a locally-built one; ``backend`` carries the kernel-backend name so
     shm peers dispatch the batched kernels the same way (the consumer
@@ -72,20 +68,14 @@ class ArenaHandle:
     graph_n: int
     total_bytes: int
     layout: Layout
-    dests: tuple[int, ...]
     policy: str = "security_3rd"
     state_key: str | None = None
     backend: str = "numpy"
 
 
-def shm_available() -> bool:
-    """True when ``multiprocessing.shared_memory`` is importable."""
-    return _shared_memory is not None
-
-
 def _note_fallback(reason: str) -> None:
     """Record one pickle-path degradation (warning + counter)."""
-    log.warning("shared-memory transport unavailable (%s); falling back to pickled trees", reason)
+    log.warning("shared-memory transport unavailable (%s); falling back to pickled pools", reason)
     get_registry().counter("parallel.shm.fallbacks").inc()
 
 
@@ -107,13 +97,13 @@ def ensure_tracker_running() -> None:
         pass
 
 
-def publish_arena(arena: RoutingArena, dests: tuple[int, ...] | None = None):
+def publish_arena(arena: RoutingArena):
     """Pack ``arena`` into a fresh shared-memory segment.
 
     Returns ``(handle, segment)`` — the caller keeps ``segment`` open at
     least until a consumer has attached, and is responsible for the
     eventual unlink — or ``None`` when shared memory is unavailable
-    (callers then take the pickle path; the fallback is counted).
+    (callers then ship the pickled arena; the fallback is counted).
     """
     if _shared_memory is None:  # pragma: no cover - always present on CPython
         _note_fallback("multiprocessing.shared_memory not importable")
@@ -130,7 +120,6 @@ def publish_arena(arena: RoutingArena, dests: tuple[int, ...] | None = None):
         graph_n=arena.graph_n,
         total_bytes=total,
         layout=tuple(layout),
-        dests=tuple(int(d) for d in arena.dest_ids) if dests is None else tuple(dests),
         policy=arena.policy,
         state_key=arena.state_key,
         backend=arena.backend,
@@ -244,8 +233,8 @@ def consume_published_arena(handle: ArenaHandle) -> RoutingArena | None:
     The parent-side half of the warm backhaul: attach, copy the pools
     onto the parent heap (one memcpy), close the mapping and unlink the
     segment.  Returns ``None`` when the segment cannot be attached (the
-    publisher died before the name reached us) — callers recompute the
-    partition from ``handle.dests``.
+    publisher died before the name reached us) — callers rebuild the
+    partition themselves.
     """
     if _shared_memory is None:  # pragma: no cover
         return None

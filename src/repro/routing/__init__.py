@@ -1,13 +1,7 @@
 """BGP policy-routing substrate: route classes, tiebreak sets, trees."""
 
 from repro.routing.cache import CacheStats, RoutingCache
-from repro.routing.fixpoint import fixpoint_dest_routings
-from repro.routing.fast_tree import (
-    RoutingTree,
-    compute_tree,
-    compute_tree_scalar,
-    subtree_weights,
-)
+from repro.routing.fixpoint import fixpoint_pools
 from repro.routing.flows import (
     TrafficShift,
     deployment_traffic_shift,
@@ -15,7 +9,7 @@ from repro.routing.flows import (
     top_loaded_links,
     traffic_shift,
 )
-from repro.routing.paths import as_path, path_is_secure, transit_nodes
+from repro.routing.paths import RoutingTree, as_path, path_is_secure, transit_nodes
 from repro.routing.policy import (
     Criterion,
     RouteClass,
@@ -26,7 +20,6 @@ from repro.routing.policy import (
     get_policy,
     policy_table,
     register_policy,
-    restrict_to_primary,
     tie_hash,
     tie_hash_array,
 )
@@ -66,23 +59,19 @@ __all__ = [
     "collect_tiebreak_stats",
     "compute_dest_routing",
     "compute_dest_routing_sp_first",
-    "compute_tree",
-    "compute_tree_scalar",
     "deployment_traffic_shift",
     "exportable_to",
-    "fixpoint_dest_routings",
+    "fixpoint_pools",
     "get_policy",
     "policy_table",
     "register_policy",
     "link_loads",
     "mean_path_length",
     "path_is_secure",
-    "restrict_to_primary",
     "route_classes_and_lengths",
     "secure_flags_from_selection",
     "security_sensitive_decision_fraction",
     "simulate_bgp",
-    "subtree_weights",
     "tie_hash",
     "tie_hash_array",
     "top_loaded_links",

@@ -1,14 +1,10 @@
 """Pooled structure-of-arrays routing arena + batched tree kernel.
 
-The per-destination :class:`~repro.routing.tree.DestRouting` objects are
-individually compact, but a warm cache holds thousands of them: a dict
-of Python objects, each owning half a dozen small numpy arrays.  That
-layout costs allocator overhead, defeats zero-copy transport between
-processes, and forces every routing-state sweep to run a Python loop of
-``n_dests x n_levels`` kernel launches.
-
-:class:`RoutingArena` packs *all* destinations into a handful of
-contiguous pools with a per-destination offset table:
+:class:`RoutingArena` holds the routing structures of *all* of a cache's
+destinations in a handful of contiguous pools with a per-destination
+offset table — no Python object per destination, zero-copy transport
+between processes, and routing-state sweeps that loop over a handful of
+levels instead of ``n_dests x n_levels`` kernel launches:
 
 - ``order_pool`` / ``level_pool`` / ``indptr_pool`` / ``cands_pool``:
   the CSR structures of every destination, concatenated, with
@@ -17,14 +13,15 @@ contiguous pools with a per-destination offset table:
 - ``keys_pool``: the state-independent tie-break keys (hash high bits |
   row-position low bits) for every tiebreak candidate.  These do not
   depend on the deployment state, so they are computed once, when the
-  structures are built, instead of on every ``compute_tree`` call;
+  chunks are concatenated, instead of on every tree resolution;
 - ``cls`` / ``lengths`` / ``row_of``: dense ``[num_dests, n]`` matrices
   (``cls`` doubles as the projection engine's class matrix).
 
 That layout is :class:`~repro.routing.tree.StructurePools`, what the
-structure builder emits per destination chunk; the arena is the join of
-a cache's chunks.  ``view(k)`` reconstitutes a zero-copy
-:class:`DestRouting` over the pools, so per-destination code keeps working.
+structure builder emits per destination chunk; the arena is the
+concatenation of a cache's chunks.  ``view(k)`` is a zero-copy
+:class:`~repro.routing.tree.DestRouting` over the pools, for the
+consumers that work one destination at a time.
 
 On top of the pools, :func:`compute_trees_batched` resolves *many*
 destinations in one level-synchronous pass: same-path-length segments
@@ -46,14 +43,15 @@ plane in :mod:`repro.parallel.shm` ships between processes.
 from __future__ import annotations
 
 import dataclasses
+from typing import Sequence
 
 import numpy as np
 
 from repro.routing import backends as kernel_backends
 from repro.routing.compiled import offsets, segment_index
-from repro.routing.fast_tree import RoutingTree
+from repro.routing.paths import RoutingTree
 from repro.routing.policy import POSITION_BITS
-from repro.routing.tree import ARENA_FIELDS, DestRouting, StructurePools
+from repro.routing.tree import ARENA_FIELDS, StructurePools
 from repro.telemetry.metrics import get_registry
 
 _POS_MASK = np.uint64((1 << POSITION_BITS) - 1)
@@ -243,22 +241,20 @@ class RoutingArena(StructurePools):
     def build(
         cls,
         graph_n: int,
-        dest_ids: list[int],
-        routings: list[DestRouting],
+        parts: Sequence[StructurePools],
         policy: str = "security_3rd",
         state_key: str | None = None,
         backend: str = "numpy",
     ) -> "RoutingArena":
-        """Pack per-destination :class:`DestRouting` structures
-        (:meth:`StructurePools.join`; ``routings[k]``, the structure for
-        ``dest_ids[k]``, becomes slot ``k``).  ``policy`` / ``state_key``
+        """Concatenate chunk pools, in order, and pool their tie-break
+        keys (:meth:`StructurePools.concat`).  ``policy`` / ``state_key``
         / ``backend`` are carried as metadata so a shipped arena can
         never be re-used under a different policy or deployment state,
         and so kernel dispatch follows the arena.
         """
         arena = cls(
             graph_n,
-            cls.join(graph_n, dest_ids, routings),
+            cls.concat(graph_n, parts, keys=True),
             policy=policy,
             state_key=state_key,
             backend=backend,
@@ -522,11 +518,10 @@ def compute_trees_batched(
 ) -> BatchedTrees:
     """Resolve the routing trees of many destinations in one pass.
 
-    Bit-identical to calling
-    :func:`~repro.routing.fast_tree.compute_tree` per destination
-    (asserted by the differential suite in
-    ``tests/routing/test_arena.py``), but the Python-level loop runs
-    over *global* path-length levels.  A row with one tiebreak candidate
+    Bit-identical to resolving each destination on its own (the
+    ``compute_tree`` reference of ``tests/references.py``, asserted by
+    the differential suite in ``tests/routing/test_arena.py``), but the
+    Python-level loop runs over *global* path-length levels.  A row with one tiebreak candidate
     takes it; SecP/TB selection runs over the multi-candidate rows only
     (:class:`_TreeStacks`).  The per-level body dispatches through the
     arena's kernel backend (:mod:`repro.routing.backends`): ``numpy``
@@ -585,12 +580,14 @@ def subtree_weights_batched(
     choice: np.ndarray,
     weights: np.ndarray,
 ) -> np.ndarray:
-    """Batched :func:`~repro.routing.fast_tree.subtree_weights`.
+    """Weight of the subtree routing *through* each node, per tree.
 
-    ``choice`` is the ``[B, n]`` matrix from
+    ``W[i, v] = sum of w_j over nodes j != v whose path to destination
+    ``slots[i]`` traverses v``, the quantity the paper's utility
+    definitions sum (Section 3.3; the worked example excludes the ISP's
+    own weight).  ``choice`` is the ``[B, n]`` matrix from
     :func:`compute_trees_batched`; returns the matching ``[B, n]``
-    float64 subtree-weight matrix (row ``i`` excludes node weights of
-    the nodes themselves, exactly like the per-destination kernel).
+    float64 matrix.
     Levels dispatch through the arena's kernel backend, like
     :func:`compute_trees_batched`.
     """

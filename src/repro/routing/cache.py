@@ -1,17 +1,19 @@
-"""Cache of per-destination routing structures for a fixed graph.
+"""Cache of the routing structures of a destination list on a fixed graph.
 
 Under state-independent policies (Observation C.1: SecP ranked last)
-everything in :class:`DestRouting` is reusable across deployment
-states, so a simulation computes it once per destination and keeps it
-for every round and every projected state.  The cache also exposes the
-dense class matrix (``cls_matrix[d, i]`` = route class of node ``i``
-toward destination ``d``) that the projection engine uses to filter
-destinations.
+the structures are reusable across deployment states, so a simulation
+computes them once and keeps them for every round and every projected
+state.  What the cache stores is pooled
+(:class:`~repro.routing.tree.StructurePools`): one pools object per
+destination chunk while it fills, their concatenation — the
+:class:`~repro.routing.arena.RoutingArena` — once a round needs them
+all.  A :class:`~repro.routing.tree.DestRouting` is a view, made when a
+per-destination consumer asks :meth:`RoutingCache.dest_routing` for one.
 
 The cache is bound to one :class:`~repro.routing.policy.RoutingPolicy`
 for its lifetime; the policy name travels with every structure it hands
-out (``DestRouting.policy``, ``RoutingArena.policy``), and installing a
-structure built under a different policy raises — mixed-policy reuse is
+out (``StructurePools.policy``, ``DestRouting.policy``), and installing
+structures built under a different policy raises — mixed-policy reuse is
 a silent-wrong-results bug, not a recoverable condition.  For
 *state-dependent* policies (``security_1st`` / ``security_2nd``) the
 structures are additionally keyed by the deployment state:
@@ -24,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import time
-from typing import Callable
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from repro.routing import backends as kernel_backends
 from repro.routing.arena import RoutingArena
 from repro.routing.compiled import CompiledGraph
 from repro.routing.policy import RoutingPolicy, get_policy
-from repro.routing.tree import DestRouting, destination_chunks
+from repro.routing.tree import DestRouting, StructurePools, chunk_rows, destination_chunks
 from repro.runtime.guard import current_guard
 from repro.telemetry.metrics import get_registry
 from repro.topology.graph import ASGraph
@@ -50,11 +52,14 @@ def state_digest(node_secure: np.ndarray, breaks_ties: np.ndarray) -> str:
 class CacheStats:
     """Public accounting for one :class:`RoutingCache` instance.
 
-    ``warm_seconds`` sums in-process tree-build time plus any parallel
-    warm wall time noted via :meth:`RoutingCache.note_warm_time`;
-    ``installs`` counts trees computed elsewhere (worker processes) and
-    shipped in, whose per-tree build time lives in the workers'
-    telemetry snapshots rather than here.  ``state_rebuilds`` counts
+    ``hits`` and ``misses`` count :meth:`RoutingCache.dest_routing`
+    lookups and the destinations a build had to cover; nothing on the
+    warm, arena or round path looks a destination up.  ``warm_seconds``
+    sums in-process build time plus any parallel warm wall time noted
+    via :meth:`RoutingCache.note_warm_time`; ``installs`` counts
+    structures computed elsewhere (worker processes) and shipped in,
+    whose build time lives in the workers' telemetry snapshots rather
+    than here.  ``state_rebuilds`` counts
     full drop-and-rebuild cycles triggered by deployment-state changes
     (always 0 for state-independent policies); ``arena_bytes`` is the
     pooled arena's footprint (0 until one is built).
@@ -85,7 +90,7 @@ class CacheStats:
 
 
 class RoutingCache:
-    """Lazily computed :class:`DestRouting` per destination.
+    """The pooled routing structures of ``destinations``, built lazily.
 
     Parameters
     ----------
@@ -100,12 +105,6 @@ class RoutingCache:
         A :class:`~repro.routing.policy.RoutingPolicy` or registry name
         / alias (``"security_3rd"`` default; see
         :func:`repro.routing.policy.available_policies`).
-    transform:
-        Optional post-processor applied to each computed
-        :class:`DestRouting` (e.g. the sticky-primary restriction of
-        :func:`repro.routing.policy.restrict_to_primary` with a
-        custom mask — the registered ``sticky_primaries`` policy covers
-        the standard §8.3 configuration without this hook).
     backend:
         Kernel backend name for the batched tree/weight/fixpoint kernels
         (:mod:`repro.routing.backends`).  ``None`` resolves through the
@@ -120,19 +119,25 @@ class RoutingCache:
         graph: ASGraph,
         destinations: list[int] | None = None,
         policy: str | RoutingPolicy = "security_3rd",
-        transform: Callable[[DestRouting], DestRouting] | None = None,
         backend: str | None = None,
     ):
         self.policy = get_policy(policy)
-        self.transform = transform
         self.backend_name = kernel_backends.resolve_backend(backend)
         self.graph = graph
         self.compiled = CompiledGraph.from_graph(graph)
         self.destinations = list(range(graph.n)) if destinations is None else list(destinations)
         self._dest_pos = {d: k for k, d in enumerate(self.destinations)}
-        self._routing: dict[int, DestRouting] = {}
+        #: destinations per chunk: the cache's pools cover runs of
+        #: ``destinations`` cut where :func:`destination_chunks` cuts
+        #: them, so a miss builds its chunk once and the arena is the
+        #: concatenation of the chunks
+        self.rows_per_chunk = chunk_rows(self.compiled)
+        #: per chunk, ``(pools, slot of the chunk's first destination)``
+        #: once built or installed; all None again once the arena holds them
+        self._parts: list[tuple[StructurePools, int] | None] = [None] * len(
+            range(0, len(self.destinations), self.rows_per_chunk)
+        )
         self._arena: RoutingArena | None = None
-        self._cls_matrix: np.ndarray | None = None
         # deployment state the structures were built under; only
         # meaningful for state-dependent policies (None = all-insecure)
         self._node_secure: np.ndarray | None = None
@@ -172,22 +177,15 @@ class RoutingCache:
         """
         return self._state_key
 
-    def current_state(self) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """``(node_secure, breaks_ties)`` the structures are built under.
-
-        ``(None, None)`` means the all-insecure default (and is the
-        permanent answer for state-independent policies).  Parallel
-        warmers ship this to worker processes so remotely-built
-        structures match the cache's state.
+    def build_pools(self, dests: Sequence[int]) -> StructurePools:
+        """The structures of ``dests`` under this cache's policy,
+        deployment state and backend, with the accounting of every
+        in-process build — built, not kept.  Parallel warmers run this
+        in their workers (:func:`repro.parallel.engine.parallel_warm_cache`).
         """
-        return self._node_secure, self._breaks_ties
-
-    def _build(self, dests: list[int]) -> None:
-        """Build (transform, tag) and cache ``dests`` — a chunk or one lazy
-        lookup, all misses — with the accounting of every in-process build."""
         registry = get_registry()
         start = time.perf_counter()
-        routings = self.policy.build_many(
+        pools = self.policy.build_pools(
             self.graph,
             dests,
             self.compiled,
@@ -195,12 +193,7 @@ class RoutingCache:
             breaks_ties=self._breaks_ties,
             backend=self.backend_name,
         )
-        if self.transform is not None:
-            routings = [self.transform(dr) for dr in routings]
-            for dr in routings:
-                dr.policy = self.policy.name
         elapsed = time.perf_counter() - start
-        self._routing.update(zip(dests, routings))
         self._misses += len(dests)
         self._builds += len(dests)
         self._warm_seconds += elapsed
@@ -209,28 +202,74 @@ class RoutingCache:
         hist = registry.histogram("routing.tree_build_seconds")
         for _ in dests:  # one observation per tree, whatever built it
             hist.observe(elapsed / len(dests))
+        return pools
+
+    def arena_of(self, parts: Sequence[StructurePools]) -> RoutingArena:
+        """``parts`` concatenated into an arena that carries this
+        cache's policy, deployment state and backend."""
+        return RoutingArena.build(
+            self.graph.n,
+            parts,
+            policy=self.policy.name,
+            state_key=self._state_key,
+            backend=self.backend_name,
+        )
+
+    def _chunk(self, index: int) -> range:
+        """Positions in ``destinations`` of chunk ``index``."""
+        start = index * self.rows_per_chunk
+        return range(start, min(start + self.rows_per_chunk, len(self.destinations)))
+
+    def pools_for(self, dests: Iterable[int]) -> Iterator[tuple[StructurePools, np.ndarray]]:
+        """``(pools, slots)`` pairs that together hold the structures of
+        ``dests``: the arena's rows for this cache's own destinations,
+        then chunk pools built for the others — a destination outside
+        the cache's list is answered, never kept."""
+        dests = list(dests)
+        own = [self._dest_pos[d] for d in dests if d in self._dest_pos]
+        if own:
+            yield self.ensure_arena(), np.asarray(own, dtype=np.int64)
+        others = [d for d in dests if d not in self._dest_pos]
+        for chunk in destination_chunks(self.compiled, others):
+            yield self.build_pools(chunk), np.arange(len(chunk))
 
     def dest_routing(self, dest: int) -> DestRouting:
-        """The :class:`DestRouting` for ``dest`` (computed on first use)."""
-        if dest not in self._routing:
-            self._build([dest])
+        """The :class:`DestRouting` view for ``dest``, for consumers
+        that work one destination at a time (its chunk is built on
+        first use)."""
+        pos = self._dest_pos.get(dest)
+        if pos is None:
+            return self.build_pools([dest]).view(0)
+        index, offset = divmod(pos, self.rows_per_chunk)
+        if self._arena is None and self._parts[index] is None:
+            self._build_chunk(index)
         else:
             self._hits += 1
             get_registry().counter("routing.cache.hits").inc()
-        return self._routing[dest]
+        if self._arena is not None:
+            return self._arena.view(pos)
+        pools, base = self._parts[index]
+        return pools.view(base + offset)
+
+    def _build_chunk(self, index: int) -> None:
+        chunk = self._chunk(index)
+        self._parts[index] = (
+            self.build_pools(self.destinations[chunk.start:chunk.stop]), 0
+        )
 
     def warm(self) -> None:
-        """Precompute every destination in ``destinations``.
+        """Build every chunk of ``destinations`` not built yet.
 
-        Structures are built a chunk of destinations at a time
-        (:func:`~repro.routing.tree.destination_chunks`; for a
-        state-dependent policy a chunk is one batched fixpoint run),
-        with the deadline checked between chunks: finished chunks stay
-        cached, so an expired budget resumes where warming stopped.
+        For a state-dependent policy a chunk is one batched fixpoint
+        run.  The deadline is checked between chunks: finished chunks
+        stay cached, so an expired budget resumes where warming stopped.
         """
-        for chunk in destination_chunks(self.compiled, self.pending_destinations()):
-            current_guard().check_deadline("cache warm")
-            self._build(chunk)
+        if self._arena is not None:
+            return
+        for index, part in enumerate(self._parts):
+            if part is None:
+                current_guard().check_deadline("cache warm")
+                self._build_chunk(index)
 
     def ensure_state(
         self, node_secure: np.ndarray, breaks_ties: np.ndarray
@@ -239,10 +278,9 @@ class RoutingCache:
 
         No-op (returns False) for state-independent policies and when
         the state matches what is already cached.  Otherwise every
-        structure — per-destination routings, the arena, the class
-        matrix — is dropped and rebuilt under the new state; returns
-        True.  Callers on the round loop invoke this before
-        :meth:`ensure_arena`.
+        structure — chunk pools and the arena — is dropped and rebuilt
+        under the new state; returns True.  Callers on the round loop
+        invoke this before :meth:`ensure_arena`.
         """
         if not self.policy.state_dependent:
             return False
@@ -252,14 +290,12 @@ class RoutingCache:
         self._node_secure = np.array(node_secure, dtype=bool)
         self._breaks_ties = np.array(breaks_ties, dtype=bool)
         self._state_key = key
-        had_routings = bool(self._routing)
         had_arena = self._arena is not None
-        self._routing.clear()
-        self._arena = None
-        self._cls_matrix = None
-        if had_routings or had_arena:
+        if had_arena or any(self._parts):
             self._state_rebuilds += 1
             get_registry().counter("routing.cache.state_rebuilds").inc()
+        self._parts = [None] * len(self._parts)
+        self._arena = None
         if had_arena:
             self.ensure_arena()
         return True
@@ -270,26 +306,34 @@ class RoutingCache:
         return self._arena
 
     def ensure_arena(self) -> RoutingArena:
-        """Warm everything and pack it into a :class:`RoutingArena`.
+        """Warm everything and concatenate it into a :class:`RoutingArena`.
 
-        A warm leaves views of a handful of chunk pools, which the arena
-        joins chunk by chunk; the cached :class:`DestRouting` objects are
-        then replaced by zero-copy views into the arena pools and the
-        chunk pools are released.  Idempotent after the first call; a
-        shared arena installed via :meth:`install_arena` is reused as-is.
+        A warm leaves a handful of chunk pools; the arena takes them in
+        order, pools their tie-break keys, and the chunk pools are
+        released.  Idempotent after the first call; a shared arena
+        installed via :meth:`install_arena` is reused as-is.
         """
         if self._arena is None:
             self.warm()
-            arena = RoutingArena.build(
-                self.graph.n,
-                self.destinations,
-                [self._routing[d] for d in self.destinations],
-                policy=self.policy.name,
-                state_key=self._state_key,
-                backend=self.backend_name,
+            # a part that spans several chunks is listed under each
+            self._adopt_arena(
+                self.arena_of([pools for pools, base in self._parts if base == 0])
             )
-            self._adopt_arena(arena)
         return self._arena
+
+    def _check_provenance(self, pools: RoutingArena, dests: Sequence[int]) -> None:
+        if pools.dest_ids.tolist() != list(dests):
+            raise ValueError("arena destinations do not match this cache")
+        if pools.policy != self.policy.name:
+            raise ValueError(
+                f"arena was built under policy {pools.policy!r}; this cache "
+                f"uses {self.policy.name!r} (mixed-policy reuse is invalid)"
+            )
+        if pools.state_key != self._state_key:
+            raise ValueError(
+                f"arena was built for deployment state {pools.state_key!r}; "
+                f"this cache is at {self._state_key!r}"
+            )
 
     def install_arena(self, arena: RoutingArena) -> None:
         """Adopt a pre-built arena (e.g. attached from shared memory).
@@ -298,20 +342,9 @@ class RoutingCache:
         and it must have been built under the same policy (and, for
         state-dependent policies, the same deployment state); every
         destination is then considered cached (counted as installs,
-        like trees shipped in from parallel warm workers).
+        like structures shipped in from parallel warm workers).
         """
-        if list(arena.dest_ids) != list(self.destinations):
-            raise ValueError("arena destinations do not match this cache")
-        if arena.policy != self.policy.name:
-            raise ValueError(
-                f"arena was built under policy {arena.policy!r}; this cache "
-                f"uses {self.policy.name!r} (mixed-policy reuse is invalid)"
-            )
-        if arena.state_key != self._state_key:
-            raise ValueError(
-                f"arena was built for deployment state {arena.state_key!r}; "
-                f"this cache is at {self._state_key!r}"
-            )
+        self._check_provenance(arena, self.destinations)
         # The backend tag is execution metadata, not structure: kernels
         # are bit-identical across backends, so an arena shipped from a
         # peer simply runs on *this* cache's resolved backend.
@@ -321,61 +354,64 @@ class RoutingCache:
 
     def _adopt_arena(self, arena: RoutingArena) -> None:
         self._arena = arena
-        self._routing.update(zip(self.destinations, arena.views()))
-        self._cls_matrix = arena.cls
-        registry = get_registry()
-        registry.gauge("routing.arena.bytes").set(arena.nbytes)
+        self._parts = [None] * len(self._parts)
+        get_registry().gauge("routing.arena.bytes").set(arena.nbytes)
 
-    def install(self, dest: int, routing: DestRouting) -> None:
-        """Install a :class:`DestRouting` computed elsewhere.
-
-        Public entry point for parallel warmers (the per-destination
-        structures are computed in worker processes and shipped back).
-        The structure must carry this cache's policy name (the worker
-        builders tag it); ``dest`` must be one of ``destinations``.
+    def install_pools(self, start: int, pools: RoutingArena) -> None:
+        """Adopt the structures of ``destinations[start:start +
+        pools.num_dests]`` built elsewhere: the entry point for parallel
+        warmers, whose workers ship one partition arena per run of
+        :meth:`pending_runs`.  The run must cover whole chunks and carry
+        this cache's policy and deployment state.
         """
-        if dest not in self._dest_pos:
-            raise KeyError(f"destination {dest} not in cache")
-        if routing.policy != self.policy.name:
-            raise ValueError(
-                f"routing for destination {dest} was built under policy "
-                f"{routing.policy!r}; this cache uses {self.policy.name!r}"
-            )
-        self._installs += 1
-        self._routing[dest] = routing
+        rows, stop = self.rows_per_chunk, start + pools.num_dests
+        if start % rows or (stop % rows and stop != len(self.destinations)):
+            raise ValueError(f"destinations[{start}:{stop}] does not cover whole chunks")
+        self._check_provenance(pools, self.destinations[start:stop])
+        self._installs += pools.num_dests
+        for base in range(0, pools.num_dests, rows):
+            self._parts[(start + base) // rows] = (pools, base)
 
     def note_warm_time(self, seconds: float) -> None:
         """Attribute externally-measured warm wall time to this cache.
 
         Called by :func:`repro.parallel.engine.parallel_warm_cache` with
-        the wall time of the whole warm map, since installed trees carry
-        no per-tree timing of their own.
+        the wall time of the whole warm map, since installed structures
+        carry no build timing of their own.
         """
         self._warm_seconds += seconds
 
+    def pending_runs(self) -> list[tuple[int, int]]:
+        """Maximal ``(start, stop)`` runs of positions in
+        ``destinations`` whose chunks are not built yet, in order."""
+        if self._arena is not None:
+            return []
+        runs: list[tuple[int, int]] = []
+        for index, part in enumerate(self._parts):
+            if part is None:
+                chunk = self._chunk(index)
+                if runs and runs[-1][1] == chunk.start:
+                    runs[-1] = (runs[-1][0], chunk.stop)
+                else:
+                    runs.append((chunk.start, chunk.stop))
+        return runs
+
     def stats(self) -> CacheStats:
         """Current :class:`CacheStats` (hits, misses, warm time, fill)."""
+        total = len(self.destinations)
         return CacheStats(
             hits=self._hits,
             misses=self._misses,
             builds=self._builds,
             installs=self._installs,
             warm_seconds=self._warm_seconds,
-            cached=len(self._routing),
-            total=len(self.destinations),
+            cached=total - sum(stop - start for start, stop in self.pending_runs()),
+            total=total,
             policy=self.policy.name,
             state_rebuilds=self._state_rebuilds,
             arena_bytes=self._arena.nbytes if self._arena is not None else 0,
             backend=self.backend_name,
         )
-
-    def is_cached(self, dest: int) -> bool:
-        """True if ``dest`` has already been computed or installed."""
-        return dest in self._routing
-
-    def pending_destinations(self) -> list[int]:
-        """Destinations not yet computed, in ``destinations`` order."""
-        return [d for d in self.destinations if d not in self._routing]
 
     @property
     def cls_matrix(self) -> np.ndarray:
@@ -385,12 +421,7 @@ class RoutingCache:
         state-dependent policies the matrix reflects the state last
         passed to :meth:`ensure_state`.
         """
-        if self._cls_matrix is None:
-            mat = np.empty((len(self.destinations), self.graph.n), dtype=np.int8)
-            for k, dest in enumerate(self.destinations):
-                mat[k] = self.dest_routing(dest).cls
-            self._cls_matrix = mat
-        return self._cls_matrix
+        return self.ensure_arena().cls
 
     def position_of(self, dest: int) -> int | None:
         """Row index of ``dest`` within ``destinations`` (None if absent)."""

@@ -15,10 +15,9 @@ to ``u`` if GR2 allows the export; ``u`` takes the minimum of a packed
 criterion in the highest bits).  Edges tied on the rank key form the
 tiebreak set, and the representative choice is the minimum of the
 static tie-break key ``hash(u, v) | position`` — the *same* rule the
-tree kernels apply, so a converged structure fed to
-:func:`~repro.routing.fast_tree.compute_tree` (or the batched arena
-kernel) under the same deployment state reproduces the fixpoint's
-choices exactly: tied candidates always share one length (SP is in
+tree kernels apply, so a converged structure resolved by
+:func:`~repro.routing.arena.compute_trees_batched` under the same
+deployment state reproduces the fixpoint's choices exactly: tied candidates always share one length (SP is in
 every ranking), tie sets at SecP-applying nodes are security-
 homogeneous, and fixpoint selections are loop-free because lengths
 decrease by one along the choice chain.
@@ -52,7 +51,7 @@ from repro.routing.policy import (
     tie_hash_array,
 )
 from repro.routing.reference import ConvergenceError
-from repro.routing.tree import DestRouting, assemble_pools, destination_chunks
+from repro.routing.tree import StructurePools, assemble_pools, destination_chunks
 from repro.telemetry.metrics import get_registry
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -250,7 +249,7 @@ class JacobiDriver:
         )
 
 
-def fixpoint_dest_routings(
+def fixpoint_pools(
     graph: "ASGraph",
     dests: Sequence[int],
     policy: "RoutingPolicy",
@@ -259,8 +258,9 @@ def fixpoint_dest_routings(
     breaks_ties: np.ndarray | None = None,
     max_sweeps: int | None = None,
     backend: str | None = None,
-) -> list[DestRouting]:
-    """Converged :class:`DestRouting` per destination under ``policy``.
+) -> list[StructurePools]:
+    """Converged structures of ``dests`` under ``policy``, one
+    :class:`StructurePools` per destination chunk.
 
     ``node_secure`` / ``breaks_ties`` default to all-insecure, in which
     case SecP never discriminates and any ranking degenerates to its
@@ -287,7 +287,7 @@ def fixpoint_dest_routings(
     )
     table = driver.table
 
-    out: list[DestRouting] = []
+    out: list[StructurePools] = []
     # the same chunks as the state-independent build: they bound the
     # [chunk, edges] working set of a Jacobi batch just as well
     for batch in destination_chunks(cg, np.asarray(list(dests), dtype=np.int64)):
@@ -311,5 +311,5 @@ def fixpoint_dest_routings(
         row, edge = np.nonzero(tied)
         keep = table.u[edge] != batch[row]
         src = row[keep] * n + table.u[edge[keep]]
-        out += assemble_pools(batch, cls, length, src, table.v[edge[keep]]).views()
+        out.append(assemble_pools(batch, cls, length, src, table.v[edge[keep]]))
     return out

@@ -34,18 +34,12 @@ def link_loads(rd: "RoundData", weights: np.ndarray) -> dict[tuple[int, int], fl
     subtree weight plus the node's own weight over every destination
     whose tree uses that edge.
     """
-    loads: dict[tuple[int, int], float] = {}
-    for ds in rd.dest_states:
-        choice = ds.tree.choice
-        w = ds.weights
-        for node in ds.dr.order:
-            node = int(node)
-            nxt = int(choice[node])
-            if nxt < 0:
-                continue
-            key = (node, nxt)
-            loads[key] = loads.get(key, 0.0) + float(w[node] + weights[node])
-    return loads
+    n = rd.choice.shape[1]
+    # by destination, then node: bincount adds a link's terms in that order
+    dests, nodes = np.nonzero(rd.choice >= 0)
+    links, link_of = np.unique(nodes * n + rd.choice[dests, nodes], return_inverse=True)
+    loads = np.bincount(link_of, weights=rd.weights[dests, nodes] + weights[nodes])
+    return dict(zip(zip((links // n).tolist(), (links % n).tolist()), loads.tolist()))
 
 
 @dataclasses.dataclass(frozen=True)

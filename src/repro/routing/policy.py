@@ -55,7 +55,7 @@ import numpy as np
 from repro.routing.compiled import CompiledGraph
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (tree imports policy)
-    from repro.routing.tree import DestRouting
+    from repro.routing.tree import DestRouting, StructurePools
     from repro.topology.graph import ASGraph
 
 
@@ -233,29 +233,7 @@ class RoutingPolicy:
 
     # -- structure builders --------------------------------------------
 
-    def build_dest_routing(
-        self,
-        graph: "ASGraph",
-        dest: int,
-        compiled: "CompiledGraph | None" = None,
-        node_secure: np.ndarray | None = None,
-        breaks_ties: np.ndarray | None = None,
-        backend: str | None = None,
-    ) -> "DestRouting":
-        """Build the per-destination structure under this policy.
-
-        For state-independent policies ``node_secure``/``breaks_ties``
-        are ignored (the structure serves every state).  For
-        state-dependent policies they default to all-insecure.
-        ``backend`` names the kernel backend for the fixpoint sweeps
-        (:mod:`repro.routing.backends`; ``None`` = env var, then numpy).
-        """
-        return self.build_many(
-            graph, [dest], compiled, node_secure=node_secure,
-            breaks_ties=breaks_ties, backend=backend,
-        )[0]
-
-    def build_many(
+    def build_pools(
         self,
         graph: "ASGraph",
         dests: Iterable[int],
@@ -263,32 +241,36 @@ class RoutingPolicy:
         node_secure: np.ndarray | None = None,
         breaks_ties: np.ndarray | None = None,
         backend: str | None = None,
-    ) -> "list[DestRouting]":
-        """Batched :meth:`build_dest_routing` (one fixpoint sweep set
-        covers the whole batch for state-dependent policies)."""
-        from repro.routing.tree import StructurePools, compute_dest_routings
+    ) -> "StructurePools":
+        """The structures of ``dests`` under this policy, pooled (slot
+        ``k`` is ``dests[k]``), built a destination chunk at a time.
+
+        For state-independent policies ``node_secure``/``breaks_ties``
+        are ignored (the structure serves every state).  For
+        state-dependent policies they default to all-insecure, and one
+        fixpoint sweep set covers each chunk.  ``backend`` names the
+        kernel backend for the fixpoint sweeps
+        (:mod:`repro.routing.backends`; ``None`` = env var, then numpy).
+        """
+        from repro.routing.tree import StructurePools, chunk_pools
 
         dests = [int(d) for d in dests]
         cg = compiled or CompiledGraph.from_graph(graph)
         if self.state_dependent:
-            from repro.routing.fixpoint import fixpoint_dest_routings
+            from repro.routing.fixpoint import fixpoint_pools
 
-            routings = fixpoint_dest_routings(
+            parts = fixpoint_pools(
                 graph, dests, self, cg,
                 node_secure=node_secure, breaks_ties=breaks_ties,
                 backend=backend,
             )
         elif self.ranking[0] is Criterion.SP:
-            routings = [compute_dest_routing_sp_first(graph, d, cg) for d in dests]
+            parts = [_sp_first_pools(graph, d) for d in dests]
         else:
-            routings = list(compute_dest_routings(cg, dests))
+            parts = list(chunk_pools(cg, dests))
+        pools = StructurePools(StructurePools.concat(graph.n, parts), self.name)
         sticky = self.sticky_mask(graph.n)
-        if sticky is not None:
-            pools = StructurePools(StructurePools.join(graph.n, dests, routings))
-            routings = pools.restrict_to_primary(sticky).views()
-        for r in routings:
-            r.policy = self.name
-        return routings
+        return pools if sticky is None else pools.restrict_to_primary(sticky)
 
 
 # -- the §8.3 variant builders ------------------------------------------
@@ -300,17 +282,23 @@ class RoutingPolicy:
 # - shortest-path-first ("we speculate that considering shortest path
 #   routing policy would lead to overly optimistic results"): ranking
 #   SP > LP > SecP > TB, built by compute_dest_routing_sp_first below
-#   and selected by build_many when SP leads the ranking;
+#   and selected by build_pools when SP leads the ranking;
 # - sticky primaries ("if a large fraction of multihomed ASes always
 #   use one provider as primary ... our current analysis is likely to
-#   be overly optimistic"): restrict_to_primary collapses sticky nodes'
-#   tiebreak sets to a single fixed choice after the structure is built.
+#   be overly optimistic"): StructurePools.restrict_to_primary collapses
+#   sticky nodes' tiebreak sets to a single fixed choice after the
+#   structure is built.
 
 
 def compute_dest_routing_sp_first(
     graph: "ASGraph", dest: int, compiled: "CompiledGraph | None" = None
 ) -> "DestRouting":
-    """Per-destination routing with ``SP > LP`` ranking (GR2 export).
+    """The :class:`DestRouting` for ``dest`` with ``SP > LP`` ranking."""
+    return _sp_first_pools(graph, dest).view(0)
+
+
+def _sp_first_pools(graph: "ASGraph", dest: int) -> "StructurePools":
+    """One destination's structure with ``SP > LP`` ranking (GR2 export).
 
     Selected routes are found by bucketed Dijkstra over unit weights:
     when a node is finalised, its selected class determines what it may
@@ -369,7 +357,7 @@ def compute_dest_routing_sp_first(
         (v, u) for v, offers in candidates.items() for u, c in offers if c == cls[v]
     ]
     src, dst = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
-    return assemble_pools([dest], cls[None], dist[None], src, dst).view(0)
+    return assemble_pools([dest], cls[None], dist[None], src, dst)
 
 
 def _neighbor_views(graph: "ASGraph", u: int):
@@ -380,23 +368,6 @@ def _neighbor_views(graph: "ASGraph", u: int):
         yield v, _CUSTOMER   # v reaches u as its customer
     for v in graph.peers[u]:
         yield v, _PEER
-
-
-def restrict_to_primary(
-    dr: "DestRouting", sticky: np.ndarray
-) -> "DestRouting":
-    """Collapse sticky nodes' tiebreak sets to their fixed primary.
-
-    ``sticky`` is a bool[n] mask.  The primary is the candidate the
-    node's hash tie-break would pick in a security-free world, so the
-    restriction never changes insecure routing — it only removes the
-    competition SecP could have exploited.  (One structure's worth of
-    ``StructurePools.restrict_to_primary``, in the shape of a
-    :class:`~repro.routing.cache.RoutingCache` ``transform``.)
-    """
-    from repro.routing.tree import StructurePools
-
-    return StructurePools.of(dr).restrict_to_primary(sticky).view(0)
 
 
 # -- the registry -------------------------------------------------------

@@ -10,8 +10,8 @@ fixpoint, which Lemma G.1 guarantees exists under the default policy;
 ``security_1st`` rankings may not converge (Lychev et al.).
 
 It is quadratic-ish and only suitable for small graphs; the property
-tests use it to validate :mod:`repro.routing.fast_tree` exactly,
-including the security annotations.
+tests use it to validate the tree kernels exactly, including the
+security annotations.
 """
 
 from __future__ import annotations

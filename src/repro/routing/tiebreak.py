@@ -16,7 +16,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from repro.routing.compiled import CompiledGraph
-from repro.routing.tree import DestRouting, compute_dest_routings, route_labels
+from repro.routing.tree import DestRouting, chunk_pools, route_labels
 from repro.topology.graph import ASGraph
 from repro.topology.relationships import ASRole
 
@@ -55,25 +55,33 @@ def collect_tiebreak_stats(
 
     ``destinations`` defaults to every node; pass a sample for speed.
     ``dest_routing`` lets callers supply cached :class:`DestRouting`
-    structures.
+    structures (:meth:`repro.routing.cache.RoutingCache.dest_routing`,
+    which keeps nothing for a destination outside its list).
     """
     if destinations is None:
         destinations = range(graph.n)
+    # (node, tiebreak-set size) per routed row, a batch at a time
     if dest_routing is None:  # built as the loop gets there, a chunk at a time
-        routings = compute_dest_routings(CompiledGraph.from_graph(graph), destinations)
+        batches = (
+            (pools.order_pool, pools.row_sizes(0, pools.num_dests))
+            for pools in chunk_pools(CompiledGraph.from_graph(graph), destinations)
+        )
     else:
-        routings = map(dest_routing, destinations)
+        batches = (
+            (dr.order, dr.tiebreak_sizes()) for dr in map(dest_routing, destinations)
+        )
 
     # pairs[size, role]: how many (source, destination) pairs have a
     # tiebreak set of that size at a source of that role (a set cannot
-    # outgrow the graph); one flat bincount per destination
+    # outgrow the graph); one flat bincount per batch.  Only a
+    # destination's own row holds no candidate, and it is no source.
     num_roles = len(ASRole)
     roles = np.asarray(graph.roles, dtype=np.int64)
     pairs = np.zeros((graph.n + 1, num_roles), dtype=np.int64)
-    for dr in routings:
-        sources = dr.order != dr.dest
+    for nodes, sizes in batches:
+        sources = sizes > 0
         pairs += np.bincount(
-            dr.tiebreak_sizes()[sources] * num_roles + roles[dr.order[sources]],
+            sizes[sources] * num_roles + roles[nodes[sources]],
             minlength=pairs.size,
         ).reshape(pairs.shape)
     by_size = pairs.sum(axis=1)

@@ -14,16 +14,14 @@ into the chunk's ``[rows, n]`` labels (:func:`_three_passes`), and one
 assembler (:func:`assemble_pools`) turns labels plus candidate edges
 into :class:`StructurePools` — the pooled CSR form of the routing arena,
 ordered by path length for the level-synchronous routing trees of
-Appendix C.2.  A :class:`DestRouting` is a zero-copy view of one slot.
-
-A straightforward scalar implementation is kept for differential tests.
+Appendix C.2.  Pools are what every stage stores and passes on; a
+:class:`DestRouting` is a zero-copy view of one slot, made when a
+per-destination consumer asks for it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import heapq
-from collections import deque
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -59,15 +57,17 @@ class RouteInfo:
     lengths: np.ndarray  # int32, -1 where unreachable
 
 
-def destination_chunks(cg: CompiledGraph, dests: Sequence[int]) -> Iterator[Sequence[int]]:
-    """Cut ``dests`` into the chunks structures are built in.
-
-    The chunk size follows from the graph (``_CHUNK_CELLS`` over nodes
-    plus directed edges), so the transient working set of a build is
-    bounded whatever the graph and nobody has to tune it.
-    """
+def chunk_rows(cg: CompiledGraph) -> int:
+    """Destinations per chunk on this graph: ``_CHUNK_CELLS`` over nodes
+    plus directed edges, so the transient working set of a build is
+    bounded whatever the graph and nobody has to tune it."""
     edges = len(cg.cust_idx) + len(cg.peer_idx) + len(cg.prov_idx)
-    rows = max(1, _CHUNK_CELLS // (cg.n + edges))
+    return max(1, _CHUNK_CELLS // (cg.n + edges))
+
+
+def destination_chunks(cg: CompiledGraph, dests: Sequence[int]) -> Iterator[Sequence[int]]:
+    """Cut ``dests`` into the chunks structures are built in."""
+    rows = chunk_rows(cg)
     for start in range(0, len(dests), rows):
         yield dests[start:start + rows]
 
@@ -164,71 +164,6 @@ def route_classes_and_lengths(
     return RouteInfo(dest=dest, cls=cls[0], lengths=lengths[0])
 
 
-def route_classes_and_lengths_scalar(graph: ASGraph, dest: int) -> RouteInfo:
-    """Scalar reference implementation of :func:`route_classes_and_lengths`."""
-    n = graph.n
-    dist_cust = np.full(n, _UNSET, dtype=np.int32)
-    dist_peer = np.full(n, _UNSET, dtype=np.int32)
-    dist_prov = np.full(n, _UNSET, dtype=np.int32)
-
-    dist_cust[dest] = 0
-    queue: deque[int] = deque([dest])
-    while queue:
-        u = queue.popleft()
-        for p in graph.providers[u]:
-            if dist_cust[p] == _UNSET:
-                dist_cust[p] = dist_cust[u] + 1
-                queue.append(p)
-
-    for i in range(n):
-        if i == dest:
-            continue
-        best = _UNSET
-        for p in graph.peers[i]:
-            dp = dist_cust[p]
-            if dp != _UNSET and (best == _UNSET or dp + 1 < best):
-                best = dp + 1
-        dist_peer[i] = best
-
-    selected_len = np.full(n, _UNSET, dtype=np.int32)
-    heap: list[tuple[int, int]] = []
-    for i in range(n):
-        if dist_cust[i] != _UNSET:
-            selected_len[i] = dist_cust[i]
-        elif dist_peer[i] != _UNSET:
-            selected_len[i] = dist_peer[i]
-        if selected_len[i] != _UNSET:
-            heapq.heappush(heap, (int(selected_len[i]), i))
-
-    done = np.zeros(n, dtype=bool)
-    while heap:
-        du, u = heapq.heappop(heap)
-        if done[u] or du != selected_len[u]:
-            continue
-        done[u] = True
-        for c in graph.customers[u]:
-            if dist_cust[c] != _UNSET or dist_peer[c] != _UNSET:
-                continue
-            cand = du + 1
-            if dist_prov[c] == _UNSET or cand < dist_prov[c]:
-                dist_prov[c] = cand
-                selected_len[c] = cand
-                heapq.heappush(heap, (cand, c))
-
-    cls = np.full(n, _UNREACHABLE, dtype=np.int8)
-    cls[dest] = _SELF
-    for i in range(n):
-        if i == dest:
-            continue
-        if dist_cust[i] != _UNSET:
-            cls[i] = _CUSTOMER
-        elif dist_peer[i] != _UNSET:
-            cls[i] = _PEER
-        elif dist_prov[i] != _UNSET:
-            cls[i] = _PROVIDER
-    return RouteInfo(dest=dest, cls=cls, lengths=selected_len)
-
-
 @dataclasses.dataclass
 class DestRouting:
     """State-independent routing structure for one destination.
@@ -253,8 +188,7 @@ class DestRouting:
     #: uint64[nnz] state-independent tie-break keys, aligned with
     #: ``cands``: hash high bits | within-row position low bits.  The
     #: keys do not depend on the deployment state, so they are computed
-    #: once (lazily here; an arena view carries its slice) instead of on
-    #: every ``compute_tree`` call.
+    #: once (lazily here; an arena view carries its slice).
     _tie_keys: np.ndarray | None = dataclasses.field(
         default=None, repr=False, compare=False
     )
@@ -262,16 +196,6 @@ class DestRouting:
     #: this structure was built under.  Metadata only (the arrays fully
     #: describe routing), so it never participates in equality.
     policy: str = dataclasses.field(default="security_3rd", compare=False)
-    #: ``(pools, slot)`` when the arrays are views of a
-    #: :class:`StructurePools`: lets :meth:`StructurePools.join` copy a
-    #: run of neighbouring slots as one slice per pool.
-    _pools: "tuple[StructurePools, int] | None" = dataclasses.field(
-        default=None, repr=False, compare=False
-    )
-
-    def __getstate__(self) -> dict:
-        # a pickled view ships its own slices, never the pools behind it
-        return {**self.__dict__, "_pools": None}
 
     @property
     def num_reachable(self) -> int:
@@ -369,7 +293,7 @@ class StructurePools:
     the ``*_ptr[k]:*_ptr[k + 1]`` slice of the matching pool, its
     ``cls`` / ``lengths`` / ``row_of`` row ``k`` of the dense matrices.
     The builder emits one per destination chunk; the routing arena is
-    the join of those.  Only a joined set pools its tie-break keys
+    the concatenation of those.  Only the arena pools its tie-break keys
     (``keys_pool`` is None on a chunk, :meth:`tie_keys` derives them),
     so the largest field is never held twice while chunks are joined.
     Pools are never written after construction: views are handed out.
@@ -384,6 +308,7 @@ class StructurePools:
             if arr is not None and arr.dtype != dtype:
                 raise ValueError(f"arena field {name}: expected {dtype}, got {arr.dtype}")
             setattr(self, name, arr)
+        self._views: dict[int, DestRouting] = {}
 
     @property
     def num_dests(self) -> int:
@@ -394,6 +319,14 @@ class StructurePools:
         slot's ``indptr`` run closes with one extra entry: those go)."""
         ptr = self.indptr_ptr[lo:hi + 1]
         return np.delete(np.diff(self.indptr_pool[ptr[0]:ptr[-1]]), ptr[1:-1] - ptr[0] - 1)
+
+    def tiebreak_sizes_of(self, node: int, slots: np.ndarray) -> np.ndarray:
+        """Size of ``node``'s tiebreak set toward each destination of
+        ``slots`` it has a row for (0 toward itself; an unreachable
+        destination has no entry)."""
+        row = self.row_of[slots, node]
+        at = (self.indptr_ptr[slots] + row)[row >= 0]
+        return self.indptr_pool[at + 1] - self.indptr_pool[at]
 
     def tie_keys(self, lo: int, hi: int) -> np.ndarray:
         """Tie-break keys of every candidate of slots ``lo:hi``."""
@@ -407,51 +340,39 @@ class StructurePools:
         )
 
     def view(self, slot: int) -> DestRouting:
-        """Zero-copy :class:`DestRouting` for destination slot ``slot``."""
-        o_lo, o_hi = self.order_ptr[slot:slot + 2].tolist()
-        l_lo, l_hi = self.level_ptr[slot:slot + 2].tolist()
-        i_lo, i_hi = self.indptr_ptr[slot:slot + 2].tolist()
-        c_lo, c_hi = self.cand_ptr[slot:slot + 2].tolist()
-        return DestRouting(
-            dest=int(self.dest_ids[slot]),
-            cls=self.cls[slot],
-            lengths=self.lengths[slot],
-            order=self.order_pool[o_lo:o_hi],
-            row_of=self.row_of[slot],
-            level_starts=self.level_pool[l_lo:l_hi],
-            indptr=self.indptr_pool[i_lo:i_hi],
-            cands=self.cands_pool[c_lo:c_hi],
-            _tie_keys=None if self.keys_pool is None else self.keys_pool[c_lo:c_hi],
-            policy=self.policy,
-            _pools=(self, slot),
-        )
+        """Zero-copy :class:`DestRouting` of destination slot ``slot``:
+        made on first request and kept, so what a per-destination
+        consumer caches on it (the reverse tiebreak CSR) stays."""
+        view = self._views.get(slot)
+        if view is None:
+            o_lo, o_hi = self.order_ptr[slot:slot + 2].tolist()
+            l_lo, l_hi = self.level_ptr[slot:slot + 2].tolist()
+            i_lo, i_hi = self.indptr_ptr[slot:slot + 2].tolist()
+            c_lo, c_hi = self.cand_ptr[slot:slot + 2].tolist()
+            view = self._views[slot] = DestRouting(
+                dest=int(self.dest_ids[slot]),
+                cls=self.cls[slot],
+                lengths=self.lengths[slot],
+                order=self.order_pool[o_lo:o_hi],
+                row_of=self.row_of[slot],
+                level_starts=self.level_pool[l_lo:l_hi],
+                indptr=self.indptr_pool[i_lo:i_hi],
+                cands=self.cands_pool[c_lo:c_hi],
+                _tie_keys=None if self.keys_pool is None else self.keys_pool[c_lo:c_hi],
+                policy=self.policy,
+            )
+        return view
 
     def views(self) -> list[DestRouting]:
-        """Zero-copy views for every destination slot, in slot order."""
+        """The view of every destination slot, in slot order."""
         return [self.view(k) for k in range(self.num_dests)]
-
-    @classmethod
-    def of(cls, routing: DestRouting) -> "StructurePools":
-        """A free-standing :class:`DestRouting` as one-slot pools (its
-        arrays are shared, not copied, when their dtypes already fit)."""
-        given = {
-            "dest_ids": [routing.dest], "cls": routing.cls[None],
-            "lengths": routing.lengths[None], "row_of": routing.row_of[None],
-            "order_pool": routing.order, "level_pool": routing.level_starts,
-            "indptr_pool": routing.indptr, "cands_pool": routing.cands,
-        }
-        for ptr, pool in _POOL_OF_PTR:
-            given[ptr] = [0, len(given[pool])]
-        dtypes = dict(ARENA_FIELDS)
-        return cls(
-            {name: np.asarray(arr, dtype=dtypes[name]) for name, arr in given.items()},
-            routing.policy,
-        )
 
     def restrict_to_primary(self, sticky: np.ndarray) -> "StructurePools":
         """New pools in which every ``sticky`` (bool[n]) node with
         several candidates keeps only its primary: the minimum of the
-        row's tie keys, what TB picks in a security-free world (§8.3).
+        row's tie keys, what TB picks in a security-free world (§8.3),
+        so the restriction never changes insecure routing — it only
+        removes the competition SecP could have exploited.
         ``self`` is left as it was; untouched arrays are shared."""
         sizes = self.row_sizes(0, self.num_dests)
         starts = offsets(sizes)
@@ -472,44 +393,35 @@ class StructurePools:
         return StructurePools(arrays, self.policy)
 
     @staticmethod
-    def join(n: int, dest_ids: Sequence[int], routings: Sequence[DestRouting]) -> dict:
-        """Pool ``routings`` (``routings[k]`` is slot ``k``, the
-        structure for ``dest_ids[k]``) into one array per field.  Views
-        of neighbouring slots of one pools object are copied as a single
-        run — whole chunks, after a warm — a free-standing structure as
-        a run of one."""
-        if len(dest_ids) != len(routings):
-            raise ValueError("dest_ids and routings must align")
-        runs: list[list] = []
-        for routing in routings:
-            pools, slot = routing._pools or (StructurePools.of(routing), 0)
-            if runs and runs[-1][0] is pools and runs[-1][2] == slot:
-                runs[-1][2] = slot + 1
-            else:
-                runs.append([pools, slot, slot + 1])
+    def concat(n: int, parts: "Sequence[StructurePools]", keys: bool = False) -> dict:
+        """One array per field over the slots of ``parts``, in order
+        (every part built on an ``n``-node graph).  With ``keys`` the
+        tie-break keys are pooled too, derived a part at a time.  A lone
+        part's arrays are shared, not copied."""
+        if any(p.cls.shape[1] != n for p in parts):
+            raise ValueError(f"pools were built for another graph than one of {n} nodes")
+        arrays: dict[str, np.ndarray] = {}
+        if keys:
+            # first, while the rest is not there yet: deriving the keys
+            # is what takes scratch memory
+            ends = np.cumsum([0] + [len(p.cands_pool) for p in parts])
+            arrays["keys_pool"] = np.empty(ends[-1], dtype=np.uint64)
+            for p, at, end in zip(parts, ends, ends[1:]):
+                arrays["keys_pool"][at:end] = p.tie_keys(0, p.num_dests)
+        if len(parts) == 1:
+            return {name: getattr(parts[0], name) for name, _ in ARENA_FIELDS[:-1]} | arrays
         dtypes = dict(ARENA_FIELDS)
 
-        def cat(name, parts, shape=(0,)):
-            # the empty head fixes dtype and shape when there is no run
-            return np.concatenate([np.empty(shape, dtype=dtypes[name]), *parts])
+        def cat(name, pieces, shape=(0,)):
+            # the empty head fixes dtype and shape when there is no part
+            return np.concatenate([np.empty(shape, dtype=dtypes[name]), *pieces])
 
-        # the keys first, a run at a time, while the rest of the arena
-        # is not there yet: deriving them is what takes scratch memory
-        ends = np.cumsum([0] + [int(p.cand_ptr[hi] - p.cand_ptr[lo]) for p, lo, hi in runs])
-        keys = np.empty(ends[-1], dtype=np.uint64)
-        for (p, lo, hi), at, end in zip(runs, ends, ends[1:]):
-            keys[at:end] = p.tie_keys(lo, hi)
-        arrays = {"dest_ids": np.asarray(dest_ids, dtype=np.int32), "keys_pool": keys}
+        arrays["dest_ids"] = cat("dest_ids", [p.dest_ids for p in parts])
         for name in ("cls", "lengths", "row_of"):
-            arrays[name] = cat(
-                name, [getattr(p, name)[lo:hi] for p, lo, hi in runs], (0, n)
-            )
+            arrays[name] = cat(name, [getattr(p, name) for p in parts], (0, n))
         for ptr, pool in _POOL_OF_PTR:
-            spans = [getattr(p, ptr)[lo:hi + 1] for p, lo, hi in runs]
-            arrays[ptr] = offsets(cat(ptr, [np.diff(span) for span in spans]))
-            arrays[pool] = cat(pool, [
-                getattr(p, pool)[span[0]:span[-1]] for (p, _, _), span in zip(runs, spans)
-            ])
+            arrays[ptr] = offsets(cat(ptr, [np.diff(getattr(p, ptr)) for p in parts]))
+            arrays[pool] = cat(pool, [getattr(p, pool) for p in parts])
         return arrays
 
 
@@ -597,22 +509,22 @@ def assemble_pools(
     })
 
 
-def compute_dest_routings(cg: CompiledGraph, dests: Iterable[int]) -> Iterator[DestRouting]:
-    """Yield the :class:`DestRouting` of every destination in ``dests``
-    (dense indices, any order, repeats allowed): views of one
-    :class:`StructurePools` per chunk, built as the iteration gets there.
+def chunk_pools(cg: CompiledGraph, dests: Iterable[int]) -> Iterator[StructurePools]:
+    """The structures of ``dests`` (dense indices, any order, repeats
+    allowed), one :class:`StructurePools` per chunk, built as the
+    iteration gets there.
 
     This is the state-independent builder for rankings with SecP last
     (``security_3rd``, the Appendix-A default); other rankings go
-    through :meth:`repro.routing.policy.RoutingPolicy.build_many`.
+    through :meth:`repro.routing.policy.RoutingPolicy.build_pools`.
     """
     for chunk in destination_chunks(cg, [int(d) for d in dests]):
-        yield from assemble_pools(chunk, *_three_passes(cg, chunk)).views()
+        yield assemble_pools(chunk, *_three_passes(cg, chunk))
 
 
 def compute_dest_routing(
     graph: ASGraph, dest: int, compiled: CompiledGraph | None = None
 ) -> DestRouting:
-    """The :class:`DestRouting` for ``dest`` (dense index): the one-row
-    chunk of :func:`compute_dest_routings`."""
-    return next(compute_dest_routings(compiled or CompiledGraph.from_graph(graph), [dest]))
+    """The :class:`DestRouting` for ``dest`` (dense index): the view of
+    a one-row chunk."""
+    return next(chunk_pools(compiled or CompiledGraph.from_graph(graph), [dest])).view(0)

@@ -351,7 +351,7 @@ def simulate_attacks_batched(
 
     The multi-origin Jacobi iteration in chunks of pairs, on the
     :class:`~repro.routing.fixpoint.JacobiDriver` (``backend`` as in
-    :func:`repro.routing.fixpoint.fixpoint_dest_routings`).  One
+    :func:`repro.routing.fixpoint.fixpoint_pools`).  One
     deployment state, one scenario, one policy, many pairs — the inner
     loop of every attack-matrix cell.  Bit-identical to the scalar
     reference, outcome for outcome.

@@ -90,7 +90,7 @@ def test_repo_is_program_clean():
     assert summary.modules > 50
     assert summary.packages >= 10
     assert summary.edges_eager > summary.edges_lazy
-    assert summary.entrypoints >= 5
+    assert summary.entrypoints >= 4
     assert summary.reachable_functions > 100
     assert summary.public_symbols > 300
     assert summary.manifest_source is not None

@@ -28,7 +28,7 @@ class TestAtomicWriteScoping:
 
 
 class TestPrivateCacheScoping:
-    SOURCE = "n = len(cache._routing)\n"
+    SOURCE = "n = len(cache._parts)\n"
 
     def test_flagged_outside_routing(self):
         assert codes(self.SOURCE, module="repro.core.engine") == ["RPR003"]

@@ -12,6 +12,7 @@ import threading
 
 import pytest
 
+import repro.routing.tree as tree_module
 from repro.experiments.setup import ExperimentEnv, build_environment
 from repro.routing.cache import RoutingCache
 from repro.topology.generator import GeneratedTopology, generate_topology
@@ -60,6 +61,16 @@ def pytest_runtest_call(item):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def small_chunks(monkeypatch) -> None:
+    """Destination chunks of a few rows on the small test topologies
+    (one chunk holds hundreds of their destinations otherwise), for
+    tests about what happens *between* chunks: a parallel warm hands out
+    runs of whole chunks, a lazy miss builds one.  Forked workers
+    inherit the patched size."""
+    monkeypatch.setattr(tree_module, "_CHUNK_CELLS", 1 << 12)
 
 
 @pytest.fixture(scope="session")

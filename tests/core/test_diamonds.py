@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.diamonds import diamond_census
+from repro.core.adopters import cps_plus_top_isps
+from repro.core.diamonds import DiamondCensus, diamond_census
+from repro.experiments.case_study import run_case_study
+from repro.experiments.setup import build_environment
 from repro.gadgets.diamond import build_diamond
+from repro.routing.cache import RoutingCache
 from repro.topology.graph import ASGraph
 
 
@@ -63,3 +67,50 @@ class TestGraphCensus:
         stub_asn = small_graph.asn(small_graph.stub_indices[0])
         census = diamond_census(small_graph, [stub_asn], small_cache)
         assert stub_asn in census.contested_stubs
+
+
+def census_by_destination(graph, early_adopter_asns, policy) -> DiamondCensus:
+    """The census as a loop over one ``DestRouting`` per stub."""
+    cache = RoutingCache(graph, policy=policy)
+    adopters = [graph.index(asn) for asn in early_adopter_asns]
+    contested = {asn: 0 for asn in early_adopter_asns}
+    pairs = {asn: 0 for asn in early_adopter_asns}
+    for dest in graph.stub_indices:
+        dr = cache.dest_routing(dest)
+        for a in adopters:
+            size = len(dr.tiebreak_set(a)) if a != dest else 0
+            if size >= 2:
+                contested[graph.asn(a)] += 1
+                pairs[graph.asn(a)] += size * (size - 1) // 2
+    return DiamondCensus(contested_stubs=contested, competitor_pairs=pairs)
+
+
+class TestCensusReadsPools:
+    @pytest.mark.parametrize("policy", ["security_3rd", "sticky_primaries", "sp_first"])
+    def test_same_integers_however_the_stubs_are_covered(self, small_graph, policy):
+        adopters = cps_plus_top_isps(small_graph, 5) + [
+            small_graph.asn(small_graph.stub_indices[3])
+        ]
+        want = census_by_destination(small_graph, adopters, policy)
+        assert want.total_pairs > want.total_contested > 0
+        stubs = small_graph.stub_indices
+        for destinations in (None, stubs[::3] + [0, 1], []):
+            cache = RoutingCache(small_graph, destinations=destinations, policy=policy)
+            assert diamond_census(small_graph, adopters, cache) == want
+            # the arena's rows for its own stubs, nothing kept for the others
+            stats = cache.stats()
+            assert stats.cached == stats.total == len(cache.destinations)
+            assert stats.hits == 0
+        if policy == "security_3rd":
+            assert diamond_census(small_graph, adopters) == want
+
+    def test_a_sampled_cache_does_not_grow_past_its_sample(self):
+        sampled = build_environment(n=300, seed=2011, sample_destinations=32)
+        assert sampled.cache.stats().cached == 32
+        report = run_case_study(sampled)
+        stats = sampled.cache.stats()
+        assert (stats.cached, stats.total, stats.hits) == (32, 32, 0)
+        full = build_environment(n=300, seed=2011)
+        adopters = full.case_study_adopters()
+        assert report.table1 == diamond_census(full.graph, adopters, full.cache)
+        assert report.table1.total_contested > 32  # stubs far beyond the sample

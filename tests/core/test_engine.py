@@ -6,15 +6,12 @@ import numpy as np
 import pytest
 
 from repro.core.config import UtilityModel
-from repro.core.engine import (
-    compute_round_data,
-    incoming_contribution,
-    outgoing_contribution,
-    utilities_for_state,
-)
+from repro.core.engine import compute_round_data, contributions, utilities_for_state
 from repro.core.state import DeploymentState, StateDeriver
 from repro.routing.cache import RoutingCache
 from repro.topology.graph import ASGraph
+
+from tests.references import incoming_contribution
 
 
 @pytest.fixture()
@@ -94,28 +91,45 @@ class TestIncomingUtility:
         deriver = StateDeriver(small_graph)
         rd = compute_round_data(small_cache, deriver, empty_state(), UtilityModel.OUTGOING)
         node = small_graph.isp_indices[0]
-        total = sum(
-            outgoing_contribution(rd.dest_states[k], node)
-            for k in range(len(small_cache.destinations))
+        per_dest = contributions(
+            rd.arena.cls, rd.choice, rd.weights, node, small_graph.weights,
+            UtilityModel.OUTGOING,
         )
-        assert total == pytest.approx(float(rd.utilities[node]))
+        assert per_dest.shape == (len(small_cache.destinations),)
+        assert per_dest.sum() == pytest.approx(float(rd.utilities[node]))
+        some = np.arange(3, len(per_dest), 11)
+        assert contributions(
+            rd.arena.cls, rd.choice, rd.weights, node, small_graph.weights,
+            UtilityModel.OUTGOING, rows=some,
+        ).tolist() == per_dest[some].tolist()
 
     def test_incoming_contribution_helper(self, small_graph, small_cache):
         deriver = StateDeriver(small_graph)
         rd = compute_round_data(small_cache, deriver, empty_state(), UtilityModel.INCOMING)
         node = small_graph.isp_indices[1]
-        total = sum(
-            incoming_contribution(rd.dest_states[k], node, small_graph.weights)
-            for k in range(len(small_cache.destinations))
+        per_dest = contributions(
+            rd.arena.cls, rd.choice, rd.weights, node, small_graph.weights,
+            UtilityModel.INCOMING,
         )
-        assert total == pytest.approx(float(rd.utilities[node]))
+        assert per_dest.sum() == pytest.approx(float(rd.utilities[node]))
+        # row by row, the sum over one DestState's customer children
+        for k in range(0, len(per_dest), 7):
+            assert per_dest[k].hex() == float(
+                incoming_contribution(rd.dest_state(k), node, small_graph.weights)
+            ).hex()
+        some = np.arange(3, len(per_dest), 11)
+        assert contributions(
+            rd.arena.cls, rd.choice, rd.weights, node, small_graph.weights,
+            UtilityModel.INCOMING, rows=some,
+        ).tolist() == per_dest[some].tolist()
 
 
 class TestRoundData:
     def test_children_csr_inverts_choice(self, small_graph, small_cache):
         deriver = StateDeriver(small_graph)
         rd = compute_round_data(small_cache, deriver, empty_state(), UtilityModel.OUTGOING)
-        ds = rd.dest_states[7]
+        ds = rd.dest_state(7)
+        assert rd.dest_state(7) is ds  # made once
         for child in range(small_graph.n):
             parent = ds.tree.choice[child]
             if parent >= 0:

@@ -13,11 +13,16 @@ from repro.core.config import ProjectionEngine, UtilityModel
 from repro.core.engine import compute_round_data
 from repro.core.projection import per_destination_turn_off_gains, project_flip
 from repro.core.state import DeploymentState, StateDeriver
+from repro.experiments.setup import build_environment
+from repro.gadgets.diamond import build_diamond
+from repro.gadgets.oscillator import build_chicken
 from repro.routing import backends as kernel_backends
 from repro.routing.cache import RoutingCache
 from repro.routing.errors import BackendUnavailable
 from repro.topology.generator import generate_topology
 from repro.topology.traffic import apply_traffic_model
+
+from tests.references import project_flip_per_destination
 
 
 def brute_force_utility(cache, deriver, state, isp, turning_on, model) -> float:
@@ -138,3 +143,58 @@ def test_per_destination_turn_off_gains(setup):
         for dest, gain in gains.items():
             assert gain > 0
             assert dest != isp
+
+
+def _assert_equals_the_per_destination_loop(cache, state, isps) -> int:
+    """FULL projections of ``isps`` flipping out of ``state``, both
+    utility models: the deltas read off the stacked matrices must be the
+    per-destination loop's to the last bit, the counts equal.  Returns
+    how many projections moved a utility at all."""
+    graph = cache.graph
+    deriver = StateDeriver(graph, stub_breaks_ties=True, compiled=cache.compiled)
+    moved = 0
+    for model in UtilityModel:
+        rd = compute_round_data(cache, deriver, state, model)
+        for isp in isps:
+            on = isp not in state.deployers
+            got = project_flip(cache, deriver, rd, isp, on, model)  # FULL by default
+            utility, recomputed, touched = project_flip_per_destination(
+                cache, deriver, rd, isp, on, model
+            )
+            assert got.utility.hex() == utility.hex(), (model, isp, on)
+            assert (got.dests_recomputed, got.dests_delta) == (recomputed, touched)
+            moved += got.utility != float(rd.utilities[isp])
+    return moved
+
+
+class TestMatrixDeltasEqualThePerDestinationLoop:
+    @pytest.mark.parametrize("policy, jobs", [("security_3rd", None), ("security_2nd", 10)])
+    def test_seeded_topology(self, policy, jobs):
+        env = build_environment(n=300, seed=2011, policy=policy)
+        graph = env.graph
+        adopters = [graph.index(asn) for asn in env.case_study_adopters()]
+        others = [i for i in graph.isp_indices if i not in adopters]
+        state = DeploymentState.initial(adopters).with_flips(turn_on=others[:15])
+        # every ISP that is not an early adopter, switching on or off
+        moved = _assert_equals_the_per_destination_loop(env.cache, state, others[:jobs])
+        assert moved >= len(others[:jobs])
+
+    @pytest.mark.parametrize("policy", ["security_3rd", "security_2nd"])
+    @pytest.mark.parametrize("gadget", [build_diamond, build_chicken])
+    def test_gadgets(self, gadget, policy):
+        graph = gadget().graph
+        isps = list(graph.isp_indices)
+        moved = 0
+        for deployed in (isps[:0], isps[:1], isps[::2]):
+            moved += _assert_equals_the_per_destination_loop(
+                RoutingCache(graph, policy=policy),
+                DeploymentState.initial(isps[-1:]).with_flips(turn_on=deployed),
+                isps[:-1],
+            )
+        assert moved > 0
+
+    def test_default_engine_is_the_one_games_run(self):
+        from repro.core.config import SimulationConfig
+
+        assert SimulationConfig(theta=0.05).projection is ProjectionEngine.FULL
+        assert project_flip.__defaults__ == (ProjectionEngine.FULL,)

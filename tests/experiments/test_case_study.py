@@ -75,3 +75,50 @@ class TestCaseStudy:
 
     def test_zero_sum_insecure_lose(self, report):
         assert report.zero_sum.mean_final_over_start_insecure <= 1.0
+
+
+class TestNoPerDestinationObjects:
+    """Pools in, matrices out: on the default policy nothing between
+    ``build_environment`` and the finished report makes a Python object
+    per destination, or looks one up."""
+
+    @pytest.fixture
+    def constructed(self, monkeypatch):
+        from repro.core.engine import DestState
+        from repro.routing.paths import RoutingTree
+        from repro.routing.tree import DestRouting
+
+        counts = {}
+        for cls in (DestRouting, DestState, RoutingTree):
+            counts[cls.__name__] = 0
+
+            def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                counts[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        return counts
+
+    def test_a_game_and_its_report_construct_none(self, constructed):
+        from repro.core.config import SimulationConfig
+        from repro.core.dynamics import run_deployment
+        from repro.experiments.setup import build_environment
+
+        env = build_environment(n=300)
+        hits = env.cache.stats().hits
+        result = run_deployment(
+            env.graph, env.case_study_adopters(), SimulationConfig(theta=0.05),
+            cache=env.cache,
+        )
+        assert result.num_rounds >= 2
+        assert constructed == {"DestRouting": 0, "DestState": 0, "RoutingTree": 0}
+        assert env.cache.stats().hits == hits
+        report = run_case_study(env)  # the census reads pools
+        assert report.table1.total_contested > 0
+        assert constructed == {"DestRouting": 0, "DestState": 0, "RoutingTree": 0}
+        assert env.cache.stats().hits == hits
+        # the counters count: a per-destination consumer makes one view
+        env.cache.dest_routing(5)
+        env.cache.dest_routing(5)
+        assert constructed["DestRouting"] == 1
+        assert env.cache.stats().hits == hits + 2

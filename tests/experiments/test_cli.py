@@ -51,7 +51,7 @@ class TestExperimentValidation:
 
 
 class TestTelemetryFlags:
-    def test_sweep_writes_metrics_and_trace(self, capsys, tmp_path):
+    def test_sweep_writes_metrics_and_trace(self, capsys, tmp_path, small_chunks):
         import json
 
         metrics = tmp_path / "m.json"

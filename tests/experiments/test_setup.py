@@ -42,9 +42,9 @@ class TestBuildEnvironment:
 
     def test_unwarmed_cache_lazy(self):
         env = build_environment(n=100, seed=9, warm=False)
-        assert len(env.cache._routing) == 0
+        assert env.cache.stats().cached == 0
         env.cache.dest_routing(3)
-        assert len(env.cache._routing) == 1
+        assert env.cache.stats().cached == min(env.cache.rows_per_chunk, 100)
 
 
 class TestDestinationSampling:

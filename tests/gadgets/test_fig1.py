@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import UtilityModel
-from repro.core.engine import compute_round_data, outgoing_contribution
+from repro.core.engine import compute_round_data, contributions
 from repro.core.state import DeploymentState, StateDeriver
 from repro.gadgets.fig1 import build_fig1
 from repro.routing.cache import RoutingCache
@@ -42,15 +42,18 @@ class TestFig1:
         net, cache, deriver, state, rd = fig1
         g = net.graph
         pos = cache.dest_pos(g.index(31420))
-        contribution = outgoing_contribution(rd.dest_states[pos], g.index(8866))
-        assert contribution == pytest.approx(2 * 821.0 + 3)
+        contribution = contributions(
+            rd.arena.cls, rd.choice, rd.weights, g.index(8866), g.weights,
+            UtilityModel.OUTGOING, rows=[pos],
+        )
+        assert contribution.tolist() == pytest.approx([2 * 821.0 + 3])
 
     def test_subtree_toward_limelight(self, fig1):
         """T_8866(22822, S) contains ASes 31420, 25076 and 34376."""
         net, cache, deriver, state, rd = fig1
         g = net.graph
         pos = cache.dest_pos(g.index(22822))
-        tree = rd.dest_states[pos].tree
+        tree = rd.dest_state(pos).tree
         through = set()
         for src in range(g.n):
             node = src

@@ -48,10 +48,11 @@ def test_case_study_differs_from_default(policy, default_curve):
 
 
 @pytest.mark.parametrize("policy", ["security_1st", "security_2nd"])
-def test_parallel_warm_under_policy(policy):
+def test_parallel_warm_under_policy(policy, small_chunks):
     """workers>1 exercises the process engine + shm arena transport with
     policy and state metadata crossing the process boundary."""
     env = build_environment(n=N, seed=SEED, x=0.10, policy=policy, workers=2)
+    assert env.cache.stats().installs == env.graph.n
     assert env.cache.policy_name == policy
     assert env.cache.arena is not None
     assert env.cache.arena.policy == policy

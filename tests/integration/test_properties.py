@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.state import DeploymentState, StateDeriver
-from repro.routing.fast_tree import compute_tree, subtree_weights
 from repro.routing.tree import compute_dest_routing
 from repro.topology.serialization import dumps_as_rel, loads_as_rel
 
+from tests.references import compute_tree, subtree_weights
 from tests.strategies import as_graphs, graphs_with_security
 
 

@@ -50,12 +50,13 @@ class TestEngines:
 
 
 class TestCacheWarming:
-    def test_parallel_warm_matches_serial(self):
+    def test_parallel_warm_matches_serial(self, small_chunks):
         top = generate_topology(n=120, seed=19)
         serial = RoutingCache(top.graph)
         parallel_warm_cache(serial, workers=1)
         parallel = RoutingCache(top.graph)
         parallel_warm_cache(parallel, workers=2)
+        assert (serial.stats().installs, parallel.stats().installs) == (0, 120)
         for dest in (0, 13, 77):
             a, b = serial.dest_routing(dest), parallel.dest_routing(dest)
             assert (a.order == b.order).all()

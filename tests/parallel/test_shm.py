@@ -1,9 +1,10 @@
 """Shared-memory data plane: publish/attach semantics and the warm path.
 
-The load-bearing guarantee: with the shm transport, a parallel warm
-ships **no pickled** :class:`~repro.routing.tree.DestRouting` over the
-result pipes — only pipe-sized segment handles — and degrades to the
-pickle path (warning + counter) when shared memory is unavailable.
+The load-bearing guarantee: a parallel warm ships **no pickled**
+:class:`~repro.routing.tree.DestRouting` over the result pipes — only
+pipe-sized segment handles, or (warning + counter) the pickled pools of
+a partition when shared memory is unavailable — and what the cache ends
+up with is a serial warm's arena, byte for byte.
 """
 
 from __future__ import annotations
@@ -15,11 +16,13 @@ import pickle
 import numpy as np
 import pytest
 
+import repro.routing.tree as tree_module
 from repro.parallel import shm
 from repro.parallel.engine import parallel_warm_cache
-from repro.routing.arena import RoutingArena, compute_trees_batched
+from repro.routing.arena import ARENA_FIELDS, RoutingArena, compute_trees_batched
 from repro.routing.cache import RoutingCache
-from repro.routing.tree import DestRouting, compute_dest_routing
+from repro.routing.compiled import CompiledGraph
+from repro.routing.tree import DestRouting, chunk_pools, compute_dest_routing
 from repro.telemetry.metrics import MetricsRegistry, use_registry
 
 needs_fork = pytest.mark.skipif(
@@ -36,7 +39,7 @@ def registry():
 
 def _arena_for(graph, dests):
     return RoutingArena.build(
-        graph.n, list(dests), [compute_dest_routing(graph, d) for d in dests]
+        graph.n, list(chunk_pools(CompiledGraph.from_graph(graph), dests))
     )
 
 
@@ -79,7 +82,7 @@ class TestPublishAttach:
 
     def test_consume_copies_and_unlinks(self, small_graph):
         arena = _arena_for(small_graph, [2, 4, 6])
-        published = shm.publish_arena(arena, dests=(2, 4, 6))
+        published = shm.publish_arena(arena)
         assert published is not None
         handle, segment = published
         segment.close()  # publisher side done; consumer owns the rest
@@ -116,58 +119,107 @@ def _poison_reduce(self, *args, **kwargs):
     raise AssertionError("DestRouting crossed a process pipe")
 
 
+@pytest.fixture
+def four_chunk_cache(small_graph, monkeypatch):
+    """Twelve destinations in three-row chunks: a parallel warm has
+    four runs to hand out.  (Forked workers inherit the patched size.)"""
+    cg = CompiledGraph.from_graph(small_graph)
+    cells = cg.n + len(cg.cust_idx) + len(cg.peer_idx) + len(cg.prov_idx)
+    monkeypatch.setattr(tree_module, "_CHUNK_CELLS", 3 * cells)
+
+    def make(policy="security_3rd"):
+        cache = RoutingCache(small_graph, destinations=list(range(12)), policy=policy)
+        assert cache.rows_per_chunk == 3
+        return cache
+
+    return make
+
+
+def _assert_same_arena(cache: RoutingCache, serial: RoutingCache) -> None:
+    got, want = cache.ensure_arena(), serial.ensure_arena()
+    for name, dtype in ARENA_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert str(a.dtype) == str(b.dtype) == dtype, name
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
 @needs_fork
 class TestWarmTransport:
-    def test_shm_warm_pickles_no_trees(self, small_graph, registry, monkeypatch):
+    def test_shm_warm_pickles_no_trees(self, four_chunk_cache, registry, monkeypatch):
         monkeypatch.setattr(DestRouting, "__reduce__", _poison_reduce)
         with pytest.raises(AssertionError):
-            pickle.dumps(compute_dest_routing(small_graph, 0))  # poison armed
-        cache = RoutingCache(small_graph, destinations=list(range(12)))
-        parallel_warm_cache(cache, workers=2, transport="shm")
-        assert cache.stats().installs == 12
-        assert cache.stats().cached_fraction == 1.0
+            pickle.dumps(compute_dest_routing(four_chunk_cache().graph, 0))  # poison armed
+        cache = four_chunk_cache()
+        parallel_warm_cache(cache, workers=2)
+        stats = cache.stats()
+        assert (stats.installs, stats.builds, stats.cached_fraction) == (12, 0, 1.0)
         snap = registry.snapshot()
         # a genuinely parallel map, with no worker failures quietly
         # degraded to in-parent serial execution (which would mask a
         # pickled tree)
-        assert snap["counters"]["engine.dispatched"] >= 1
+        assert snap["counters"]["engine.dispatched"] >= 2
         assert snap["counters"].get("engine.worker_errors", 0) == 0
         assert snap["counters"].get("engine.serial_fallback_items", 0) == 0
-        assert snap["counters"]["parallel.shm.attaches"] >= 1
+        assert snap["counters"]["parallel.shm.attaches"] >= 2
         assert snap["counters"].get("parallel.shm.fallbacks", 0) == 0
+        # built through the cache's own builder: one observation per tree
+        assert snap["counters"]["routing.tree_builds"] == 12
+        serial = four_chunk_cache()
+        serial.warm()
+        _assert_same_arena(cache, serial)
 
-    def test_shm_warm_matches_serial_warm(self, small_graph):
-        shm_cache = RoutingCache(small_graph, destinations=list(range(10)))
-        parallel_warm_cache(shm_cache, workers=2, transport="shm")
-        serial_cache = RoutingCache(small_graph, destinations=list(range(10)))
-        serial_cache.warm()
-        for dest in range(10):
-            a, b = shm_cache.dest_routing(dest), serial_cache.dest_routing(dest)
-            np.testing.assert_array_equal(a.order, b.order)
-            np.testing.assert_array_equal(a.cands, b.cands)
-            np.testing.assert_array_equal(a.cls, b.cls)
+    def test_shm_warm_matches_serial_warm(self, four_chunk_cache):
+        secure = np.zeros(four_chunk_cache().graph.n, dtype=bool)
+        secure[::3] = True
+        for policy in ("sticky_primaries", "security_2nd"):
+            caches = four_chunk_cache(policy), four_chunk_cache(policy)
+            for cache in caches:
+                cache.ensure_state(secure, secure)
+            parallel_warm_cache(caches[0], workers=2)
+            assert caches[0].stats().installs == 12
+            caches[1].warm()
+            _assert_same_arena(*caches)
+            assert caches[0].arena.policy == policy
 
     def test_fallback_when_shared_memory_unusable(
-        self, small_graph, registry, monkeypatch, caplog
+        self, four_chunk_cache, registry, monkeypatch, caplog
     ):
         class _Broken:
             def SharedMemory(self, *args, **kwargs):
                 raise OSError("no /dev/shm in this sandbox")
 
         monkeypatch.setattr(shm, "_shared_memory", _Broken())
-        cache = RoutingCache(small_graph, destinations=list(range(8)))
+        monkeypatch.setattr(DestRouting, "__reduce__", _poison_reduce)
+        cache = four_chunk_cache()
         with caplog.at_level(logging.WARNING, logger="repro.parallel"):
-            parallel_warm_cache(cache, workers=2, transport="shm")
-        assert cache.stats().installs == 8  # warm never fails because shm did
-        assert registry.snapshot()["counters"]["parallel.shm.fallbacks"] >= 1
-        assert any("fell back to pickled trees" in r.message for r in caplog.records)
+            parallel_warm_cache(cache, workers=2)
+        assert cache.stats().installs == 12  # warm never fails because shm did
+        counters = registry.snapshot()["counters"]
+        assert counters["parallel.shm.fallbacks"] >= 2
+        assert counters.get("engine.worker_errors", 0) == 0
+        assert any("fell back to pickled pools" in r.message for r in caplog.records)
+        serial = four_chunk_cache()
+        serial.warm()
+        _assert_same_arena(cache, serial)
 
-    def test_pickle_transport_still_available(self, small_graph):
-        cache = RoutingCache(small_graph, destinations=list(range(6)))
-        parallel_warm_cache(cache, workers=2, transport="pickle")
-        assert cache.stats().installs == 6
+    def test_a_run_whose_segment_vanished_is_rebuilt_in_the_parent(
+        self, four_chunk_cache, monkeypatch
+    ):
+        consume, lost = shm.consume_published_arena, []
 
-    def test_bad_transport_rejected(self, small_graph):
-        cache = RoutingCache(small_graph, destinations=[0])
-        with pytest.raises(ValueError, match="transport"):
-            parallel_warm_cache(cache, workers=2, transport="carrier-pigeon")
+        def lose_the_first(handle):
+            if lost:
+                return consume(handle)
+            lost.append(handle)
+            shm.discard_published_arena(handle)
+            return None
+
+        monkeypatch.setattr(shm, "consume_published_arena", lose_the_first)
+        cache = four_chunk_cache()
+        parallel_warm_cache(cache, workers=2)
+        stats = cache.stats()
+        assert len(lost) == 1 and stats.cached == 12
+        assert stats.builds > 0 and stats.builds + stats.installs == 12
+        serial = four_chunk_cache()
+        serial.warm()
+        _assert_same_arena(cache, serial)

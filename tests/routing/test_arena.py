@@ -23,16 +23,18 @@ from repro.routing.arena import (
     compute_trees_batched,
     subtree_weights_batched,
 )
-from repro.routing.fast_tree import (
-    RoutingTree,
-    compute_tree,
-    compute_tree_scalar,
-    subtree_weights,
+from repro.routing.compiled import CompiledGraph
+from repro.routing.paths import RoutingTree
+from repro.routing.tree import (
+    DestRouting,
+    chunk_pools,
+    compute_dest_routing,
+    compute_tie_keys,
 )
-from repro.routing.tree import DestRouting, compute_dest_routing, compute_tie_keys
 from repro.telemetry.metrics import MetricsRegistry, use_registry
 from repro.topology.graph import ASGraph
 
+from tests.references import compute_tree, compute_tree_scalar, subtree_weights
 from tests.strategies import as_graphs
 
 
@@ -43,8 +45,9 @@ def _flags(n: int, idx: list[int]) -> np.ndarray:
 
 
 def _arena_for(graph: ASGraph, dests: list[int]) -> RoutingArena:
-    routings = [compute_dest_routing(graph, d) for d in dests]
-    return RoutingArena.build(graph.n, dests, routings)
+    return RoutingArena.build(
+        graph.n, list(chunk_pools(CompiledGraph.from_graph(graph), dests))
+    )
 
 
 @st.composite
@@ -225,7 +228,7 @@ class TestArenaStructure:
     def test_views_equal_originals(self, small_graph):
         dests = list(range(0, small_graph.n, 7))
         routings = [compute_dest_routing(small_graph, d) for d in dests]
-        arena = RoutingArena.build(small_graph.n, dests, routings)
+        arena = _arena_for(small_graph, dests)
         for k, r in enumerate(routings):
             v = arena.view(k)
             assert v.dest == r.dest
@@ -260,8 +263,9 @@ class TestArenaStructure:
         np.testing.assert_array_equal(a.secure, b.secure)
 
     def test_build_rejects_misaligned_inputs(self, small_graph):
-        with pytest.raises(ValueError):
-            RoutingArena.build(small_graph.n, [0, 1], [])
+        cg = CompiledGraph.from_graph(small_graph)
+        with pytest.raises(ValueError, match="another graph"):
+            RoutingArena.build(small_graph.n + 1, list(chunk_pools(cg, [0, 1])))
 
     def test_tie_keys_precomputed_once(self, small_graph):
         dr = compute_dest_routing(small_graph, 3)

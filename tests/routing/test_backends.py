@@ -27,13 +27,13 @@ from repro.routing.arena import (
 )
 from repro.routing.cache import RoutingCache
 from repro.routing.errors import BackendUnavailable
-from repro.routing.fast_tree import compute_tree_scalar, subtree_weights
 from repro.routing.policy import available_policies, get_policy
 from repro.routing.tree import compute_dest_routing
 from repro.runtime.guard import RuntimeGuard, use_guard
 from repro.telemetry.metrics import MetricsRegistry, use_registry
 from repro.topology.graph import ASGraph
 
+from tests.references import compute_tree_scalar, subtree_weights
 from tests.strategies import graphs_with_security
 
 POLICIES = available_policies()
@@ -77,10 +77,8 @@ def ghost_backend():
 
 
 def _arena_for(graph, policy: str, backend: str, dests) -> RoutingArena:
-    routings = get_policy(policy).build_many(graph, dests)
-    return RoutingArena.build(
-        graph.n, dests, routings, policy=policy, backend=backend
-    )
+    pools = get_policy(policy).build_pools(graph, dests)
+    return RoutingArena.build(graph.n, [pools], policy=policy, backend=backend)
 
 
 def _security_state(n: int):
@@ -271,9 +269,9 @@ class TestKernelParity:
 
     def test_fixpoint_structures_bit_identical(self, small_graph, policy, backend):
         dests = list(range(0, small_graph.n, 13))
-        ref = get_policy(policy).build_many(small_graph, dests, backend="numpy")
-        alt = get_policy(policy).build_many(small_graph, dests, backend=backend)
-        for dest, r, a in zip(dests, ref, alt):
+        ref = get_policy(policy).build_pools(small_graph, dests, backend="numpy")
+        alt = get_policy(policy).build_pools(small_graph, dests, backend=backend)
+        for dest, r, a in zip(dests, ref.views(), alt.views()):
             assert r.cls.tobytes() == a.cls.tobytes(), (policy, backend, dest)
             assert r.lengths.tobytes() == a.lengths.tobytes(), (policy, backend, dest)
             assert r.order.tobytes() == a.order.tobytes(), (policy, backend, dest)
@@ -294,16 +292,15 @@ class TestKernelParityProperty:
         breaks = secure.copy()
         dests = list(range(graph.n))
         for policy in ("security_1st", "security_3rd"):
-            ref = get_policy(policy).build_many(graph, dests, backend="numpy")
-            alt = get_policy(policy).build_many(graph, dests, backend=backend)
-            for r, a in zip(ref, alt):
-                assert r.cls.tobytes() == a.cls.tobytes()
-                assert r.cands.tobytes() == a.cands.tobytes()
+            ref = get_policy(policy).build_pools(graph, dests, backend="numpy")
+            alt = get_policy(policy).build_pools(graph, dests, backend=backend)
+            assert ref.cls.tobytes() == alt.cls.tobytes()
+            assert ref.cands_pool.tobytes() == alt.cands_pool.tobytes()
             ref_arena = RoutingArena.build(
-                graph.n, dests, ref, policy=policy, backend="numpy"
+                graph.n, [ref], policy=policy, backend="numpy"
             )
             alt_arena = RoutingArena.build(
-                graph.n, dests, alt, policy=policy, backend=backend
+                graph.n, [alt], policy=policy, backend=backend
             )
             rt = compute_trees_batched(ref_arena, ref_arena.all_slots(), secure, breaks)
             at = compute_trees_batched(alt_arena, alt_arena.all_slots(), secure, breaks)
@@ -362,7 +359,10 @@ class TestSplitStackParity:
         rng = np.random.default_rng(graph.n)
         weights = rng.uniform(0.1, 9.0, size=graph.n)
         routings = [compute_dest_routing(graph, d) for d in dests]
-        arena = RoutingArena.build(graph.n, dests, routings, backend=backend)
+        arena = RoutingArena.build(
+            graph.n, [get_policy("security_3rd").build_pools(graph, dests)],
+            backend=backend,
+        )
         slots = np.asarray(slots, dtype=np.int64)
         registry = MetricsRegistry()
         with use_registry(registry):
@@ -458,7 +458,7 @@ class TestCextArgumentChecks:
         secure, breaks = _security_state(small_graph.n)
         kernel, args = self._record(
             kb.load_backend("cext"), "jacobi_sweep", monkeypatch,
-            lambda: get_policy("security_2nd").build_many(
+            lambda: get_policy("security_2nd").build_pools(
                 small_graph, [0, 1], node_secure=secure, breaks_ties=breaks,
                 backend="cext",
             ),
@@ -508,7 +508,7 @@ class TestArenaBackendPlumbing:
         total, layout = arena.to_blocks()
         handle = ArenaHandle(
             name="x", graph_n=arena.graph_n, total_bytes=total,
-            layout=tuple(layout), dests=tuple(dests), backend=arena.backend,
+            layout=tuple(layout), backend=arena.backend,
         )
         buf = bytearray(total)
         arena.pack_into(buf)

@@ -52,4 +52,5 @@ class TestRoutingCache:
         top = generate_topology(n=60, seed=1)
         cache = RoutingCache(top.graph)
         cache.warm()
-        assert len(cache._routing) == top.graph.n
+        assert cache.stats().cached == top.graph.n
+        assert not cache.pending_runs()

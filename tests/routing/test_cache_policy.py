@@ -13,17 +13,23 @@ from repro.routing.policy import get_policy
 class TestPolicyBinding:
     def test_mixed_policy_install_rejected(self, small_graph):
         cache = RoutingCache(small_graph, policy="security_3rd")
-        foreign = get_policy("sp_first").build_dest_routing(small_graph, 0)
+        foreign = RoutingCache(small_graph, policy="sp_first")
+        dests = cache.destinations[:cache.rows_per_chunk]
+        run = foreign.arena_of([foreign.build_pools(dests)])
         with pytest.raises(ValueError, match="sp_first"):
-            cache.install(0, foreign)
+            cache.install_pools(0, run)
+        assert cache.stats().installs == 0
+        # the cache's own policy, but not a run of its chunks
+        own = cache.arena_of([cache.build_pools(dests[1:])])
+        with pytest.raises(ValueError, match="whole chunks"):
+            cache.install_pools(1, own)
+        with pytest.raises(ValueError, match="do not match"):
+            cache.install_pools(0, cache.arena_of([cache.build_pools(dests[::-1])]))
 
     def test_mixed_policy_arena_rejected(self, small_graph):
         cache = RoutingCache(small_graph, policy="security_3rd")
-        dests = cache.destinations
-        routings = get_policy("sp_first").build_many(small_graph, dests)
-        arena = RoutingArena.build(
-            small_graph.n, dests, routings, policy="sp_first"
-        )
+        pools = get_policy("sp_first").build_pools(small_graph, cache.destinations)
+        arena = RoutingArena.build(small_graph.n, [pools], policy="sp_first")
         with pytest.raises(ValueError, match="mixed-policy"):
             cache.install_arena(arena)
 
@@ -32,12 +38,12 @@ class TestPolicyBinding:
         secure[::2] = True
         cache = RoutingCache(small_graph, policy="security_2nd")
         pol = get_policy("security_2nd")
-        routings = pol.build_many(
+        pools = pol.build_pools(
             small_graph, cache.destinations,
             node_secure=secure, breaks_ties=secure,
         )
         arena = RoutingArena.build(
-            small_graph.n, cache.destinations, routings,
+            small_graph.n, [pools],
             policy="security_2nd", state_key=state_digest(secure, secure),
         )
         # the cache is still at the all-insecure default state

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.routing.fast_tree import compute_tree, compute_tree_scalar, subtree_weights
 from repro.routing.tree import compute_dest_routing
 from repro.topology.graph import ASGraph
 
+from tests.references import compute_tree, compute_tree_scalar, subtree_weights
 from tests.strategies import graphs_with_security
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.adopters import cps_plus_top_isps
@@ -55,13 +56,33 @@ class TestLinkLoads:
         )
         loads = link_loads(rd, small_graph.weights)
         total = sum(loads.values())
-        expected = 0.0
-        for ds in rd.dest_states:
-            lengths = ds.dr.lengths[ds.dr.order]
-            expected += float(
-                (small_graph.weights[ds.dr.order] * lengths).sum()
-            )
+        lengths = np.maximum(rd.arena.lengths, 0)  # unreachable: -1
+        expected = float((small_graph.weights * lengths).sum())
         assert total == pytest.approx(expected)
+
+    def test_equals_the_walk_over_every_destination_and_node(self, small_graph, small_cache):
+        """The loop ``link_loads`` was: one dict update per (destination,
+        node) pair, destinations outermost — the same links, and the
+        same float sums to the last bit."""
+        secure = frozenset(small_graph.isp_indices[:8])
+        rd = compute_round_data(
+            small_cache, StateDeriver(small_graph), DeploymentState(secure, secure),
+            UtilityModel.OUTGOING,
+        )
+        weights = small_graph.weights
+        want: dict[tuple[int, int], float] = {}
+        for pos in range(len(small_cache.destinations)):
+            ds = rd.dest_state(pos)
+            for node in ds.dr.order.tolist():
+                nxt = int(ds.tree.choice[node])
+                if nxt >= 0:
+                    want[node, nxt] = want.get((node, nxt), 0.0) + float(
+                        ds.weights[node] + weights[node]
+                    )
+        got = link_loads(rd, weights)
+        assert got.keys() == want.keys() and len(got) > small_graph.n
+        assert all(got[link].hex() == want[link].hex() for link in want)
+        assert all(type(a) is int and type(b) is int for a, b in got)
 
     def test_top_loaded_links(self, small_graph, small_cache):
         deriver = StateDeriver(small_graph)

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.routing.fast_tree import compute_tree
 from repro.routing.paths import as_path, path_is_secure, transit_nodes
 from repro.routing.tree import compute_dest_routing
 from repro.topology.graph import ASGraph
+
+from tests.references import compute_tree
 
 
 def make_chain() -> ASGraph:

@@ -20,11 +20,11 @@ import pytest
 from hypothesis import assume, given, settings
 
 from repro.routing.arena import RoutingArena, compute_trees_batched
-from repro.routing.fast_tree import compute_tree
 from repro.routing.policy import RouteClass, get_policy
 from repro.routing.reference import ConvergenceError, simulate_bgp
 from repro.routing.tree import compute_dest_routing
 
+from tests.references import compute_tree
 from tests.strategies import graphs_with_security
 
 _CUSTOMER = int(RouteClass.CUSTOMER)
@@ -57,7 +57,7 @@ class TestDefaultPolicyIsPureRefactor:
         pol = get_policy("security_3rd")
         for dest in range(0, small_graph.n, 17):
             base = compute_dest_routing(small_graph, dest)
-            via_policy = pol.build_dest_routing(small_graph, dest)
+            via_policy = pol.build_pools(small_graph, [dest]).view(0)
             _assert_structures_identical(base, via_policy, dest)
             assert via_policy.policy == "security_3rd"
 
@@ -69,14 +69,12 @@ class TestDefaultPolicyIsPureRefactor:
         """Scalar tree, vectorised tree, and the batched arena kernel
         must produce identical choices on policy-built structures."""
         dests = list(range(0, small_graph.n, 11))
-        routings = get_policy("security_3rd").build_many(small_graph, dests)
+        pools = get_policy("security_3rd").build_pools(small_graph, dests)
         secure = np.zeros(small_graph.n, dtype=bool)
         secure[::3] = True
-        arena = RoutingArena.build(
-            small_graph.n, dests, routings, policy="security_3rd"
-        )
+        arena = RoutingArena.build(small_graph.n, [pools], policy="security_3rd")
         bt = compute_trees_batched(arena, arena.all_slots(), secure, secure)
-        for k, dr in enumerate(routings):
+        for k, dr in enumerate(pools.views()):
             tree = compute_tree(dr, secure, secure)
             assert (bt.choice[k] == tree.choice).all(), dests[k]
             assert (bt.secure[k] == tree.secure).all(), dests[k]
@@ -92,9 +90,9 @@ def test_security_2nd_matches_reference(graph_and_secure):
     node_secure[secure_list] = True
     pol = get_policy("security_2nd")
     dests = list(range(graph.n))
-    routings = pol.build_many(
+    routings = pol.build_pools(
         graph, dests, node_secure=node_secure, breaks_ties=node_secure
-    )
+    ).views()
     for dest, dr in zip(dests, routings):
         try:
             selection = simulate_bgp(
@@ -126,9 +124,9 @@ def test_security_1st_fixpoint_is_stable(graph_and_secure):
     pol = get_policy("security_1st")
     dests = list(range(graph.n))
     try:
-        routings = pol.build_many(
+        routings = pol.build_pools(
             graph, dests, node_secure=node_secure, breaks_ties=node_secure
-        )
+        ).views()
     except ConvergenceError:
         assume(False)  # oscillating instance: nothing to check
     for dest, dr in zip(dests, routings):
@@ -173,9 +171,9 @@ def test_state_dependent_builders_on_generated_topology(small_graph, policy):
     secure = np.zeros(small_graph.n, dtype=bool)
     secure[::4] = True
     dests = list(range(0, small_graph.n, 23))
-    routings = pol.build_many(
+    routings = pol.build_pools(
         small_graph, dests, node_secure=secure, breaks_ties=secure
-    )
+    ).views()
     for dest, dr in zip(dests, routings):
         assert dr.policy == policy
         assert dr.cls[dest] == int(RouteClass.SELF)

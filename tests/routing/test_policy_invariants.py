@@ -31,10 +31,10 @@ _UNREACHABLE = int(RouteClass.UNREACHABLE)
 def _build_all(graph, policy, node_secure):
     """Structures for every destination (skip oscillating instances)."""
     try:
-        return policy.build_many(
+        return policy.build_pools(
             graph, list(range(graph.n)),
             node_secure=node_secure, breaks_ties=node_secure,
-        )
+        ).views()
     except ConvergenceError:
         assume(False)
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings
 
-from repro.routing.fast_tree import compute_tree
 from repro.routing.reference import secure_flags_from_selection, simulate_bgp
 from repro.routing.tree import compute_dest_routing
 
+from tests.references import compute_tree
 from tests.strategies import graphs_with_security
 
 

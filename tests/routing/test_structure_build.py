@@ -8,7 +8,9 @@ one-destination passes and packaging of ``repro.routing.tree``),
 ``RoutingArena.build``) and ``_reference_assemble`` (``_assemble`` of
 ``repro.routing.fixpoint``), with the ``gather_neighbors`` helper only
 they called.  Everything the batched path produces must
-equal them bit for bit: dtype, shape and bytes of all 13 pooled fields.
+equal them bit for bit: dtype, shape and bytes of all 13 pooled fields —
+whichever way a cache came by its pools (a warm, a resumed warm, lazy
+misses in any order, worker processes).
 Nothing here depends on a kernel backend, and nothing is timed.
 """
 
@@ -26,16 +28,20 @@ from repro.parallel.engine import parallel_warm_cache
 from repro.routing.arena import ARENA_FIELDS, RoutingArena
 from repro.routing.cache import RoutingCache
 from repro.routing.compiled import CompiledGraph, segment_index
-from repro.routing.fixpoint import JacobiDriver, fixpoint_dest_routings
-from repro.routing.policy import RouteClass, get_policy, restrict_to_primary
+from repro.routing.fixpoint import JacobiDriver, fixpoint_pools
+from repro.routing.policy import (
+    RouteClass,
+    available_policies,
+    compute_dest_routing_sp_first,
+    get_policy,
+)
 from repro.routing.tree import (
     DestRouting,
+    chunk_pools,
     compute_dest_routing,
-    compute_dest_routings,
     compute_tie_keys,
     destination_chunks,
     route_classes_and_lengths,
-    route_classes_and_lengths_scalar,
     route_labels,
 )
 from repro.runtime.errors import DeadlineExceeded
@@ -44,6 +50,8 @@ from repro.telemetry.metrics import MetricsRegistry, use_registry
 from repro.topology.generator import generate_topology
 from repro.topology.graph import ASGraph
 
+from tests.references import route_classes_and_lengths_scalar
+from tests.routing.test_variants import restrict_to_primary_reference
 from tests.strategies import as_graphs
 
 _UNSET = -1
@@ -274,9 +282,8 @@ def _force_rows(monkeypatch, cg: CompiledGraph, rows: int) -> None:
 
 def _check_against_references(graph: ASGraph, dests: list[int]) -> None:
     cg = CompiledGraph.from_graph(graph)
-    routings = list(compute_dest_routings(cg, dests))
-    assert [r.dest for r in routings] == dests
-    arena = RoutingArena.build(graph.n, dests, routings)
+    arena = RoutingArena.build(graph.n, list(chunk_pools(cg, dests)))
+    assert arena.dest_ids.tolist() == dests
     _assert_fields_equal(
         arena, _reference_arrays(graph.n, [_reference_routing(cg, d) for d in dests])
     )
@@ -362,7 +369,7 @@ class TestFixpointThroughTheAssembler:
         breaks[::2] = False
         dests = [5, 0, 17, 42, 89, 17]
 
-        routings = fixpoint_dest_routings(
+        parts = fixpoint_pools(
             graph, dests, policy, cg, node_secure=secure, breaks_ties=breaks
         )
 
@@ -387,13 +394,14 @@ class TestFixpointThroughTheAssembler:
             for k, d in enumerate(dests)
         ]
         _assert_fields_equal(
-            RoutingArena.build(graph.n, dests, routings, policy=policy.name),
+            RoutingArena.build(graph.n, parts, policy=policy.name),
             _reference_arrays(graph.n, want),
         )
         # something moved with the state, or this would test nothing
-        insecure = fixpoint_dest_routings(graph, dests, policy, cg)
+        insecure = fixpoint_pools(graph, dests, policy, cg)
         assert any(
-            a.cands.tobytes() != b.cands.tobytes() for a, b in zip(routings, insecure)
+            a.cands_pool.tobytes() != b.cands_pool.tobytes()
+            for a, b in zip(parts, insecure, strict=True)
         )
 
 
@@ -417,60 +425,154 @@ class TestChunkAccounting:
         assert (stats.builds, stats.misses, stats.installs) == (graph.n, graph.n, 0)
         assert stats.warm_seconds > 0
 
-    def test_lazy_miss_is_a_one_row_chunk(self, small_graph):
+    def test_lazy_miss_builds_its_chunk_once(self, small_graph, monkeypatch):
         with use_registry(MetricsRegistry()) as registry:
             cache = RoutingCache(small_graph)
-            cache.dest_routing(3)
-            cache.dest_routing(3)
+            _force_rows(monkeypatch, cache.compiled, 16)
+            cache = RoutingCache(small_graph)
+            first = cache.dest_routing(35)
+            assert cache.dest_routing(35) is first
+            assert cache.dest_routing(47).dest == 47  # same chunk
             counters = registry.snapshot()["counters"]
         assert counters["routing.structure.chunks"] == 1
-        assert counters["routing.tree_builds"] == 1
+        assert counters["routing.tree_builds"] == 16
+        stats = cache.stats()
+        assert (stats.cached, stats.misses, stats.hits) == (16, 16, 2)
+        assert cache.pending_runs() == [(0, 32), (48, small_graph.n)]
 
     def test_deadline_between_chunks_keeps_finished_chunks(self, small_graph, monkeypatch):
+        _force_rows(monkeypatch, CompiledGraph.from_graph(small_graph), 16)
         cache = RoutingCache(small_graph)
-        _force_rows(monkeypatch, cache.compiled, 16)
         ticks = iter(range(10 ** 6))
         # one tick at construction, one per check: the third check expires
         guard = RuntimeGuard(deadline=Deadline(2.5, clock=lambda: next(ticks)))
         with use_guard(guard), pytest.raises(DeadlineExceeded, match="cache warm"):
             parallel_warm_cache(cache, workers=1)
         assert cache.stats().cached == 32
-        assert cache.pending_destinations() == cache.destinations[32:]
+        assert cache.pending_runs() == [(32, small_graph.n)]
         cache.warm()  # resumes where it stopped
         assert cache.stats().builds == small_graph.n
 
+    def test_a_destination_outside_the_list_is_answered_and_not_kept(self, small_graph):
+        cache = RoutingCache(small_graph, destinations=[4, 9])
+        cache.ensure_arena()
+        outside = cache.dest_routing(7)
+        want = compute_dest_routing(small_graph, 7, cache.compiled)
+        assert outside.dest == 7 and outside.cands.tobytes() == want.cands.tobytes()
+        assert cache.dest_routing(7) is not outside
+        stats = cache.stats()
+        assert (stats.cached, stats.total, stats.hits) == (2, 2, 0)
+
+
+def _mixed_state(graph: ASGraph) -> tuple[np.ndarray, np.ndarray]:
+    secure = np.zeros(graph.n, dtype=bool)
+    secure[::3] = True
+    secure[graph.isp_indices[:6]] = True
+    breaks = secure.copy()
+    breaks[::2] = False
+    return secure, breaks
+
+
+def _reference_for(policy_name: str, graph: ASGraph, dests: list[int]) -> dict[str, np.ndarray]:
+    """The 13 fields of ``dests`` under a registered policy, one
+    destination at a time (state-dependent ones under ``_mixed_state``)."""
+    cg = CompiledGraph.from_graph(graph)
+    policy = get_policy(policy_name)
+    if policy.state_dependent:
+        secure, breaks = _mixed_state(graph)
+        driver = JacobiDriver(cg, policy, secure, secure & breaks)
+        batch, rows = np.asarray(dests, dtype=np.int64), np.arange(len(dests))
+
+        def pin(cls, length, sec, att):
+            cls[rows, batch] = _SELF
+            length[rows, batch] = 0
+            sec[rows, batch] = secure[batch]
+
+        tied = np.zeros((len(dests), driver.table.num_edges), dtype=bool)
+        cls, length, _, _ = driver.converge(
+            driver.blank(len(dests)), pin, "reference", tied=tied
+        )
+        routings = [
+            _reference_assemble(driver.table, d, cls[k].copy(), length[k].copy(), tied[k])
+            for k, d in enumerate(dests)
+        ]
+    elif policy_name == "sp_first":
+        routings = [compute_dest_routing_sp_first(graph, d) for d in dests]
+    else:
+        routings = [_reference_routing(cg, d) for d in dests]
+        sticky = policy.sticky_mask(graph.n)
+        if sticky is not None:
+            routings = [restrict_to_primary_reference(r, sticky) for r in routings]
+    return _reference_arrays(graph.n, routings)
+
+
+@pytest.mark.parametrize("policy_name", available_policies())
+class TestCachePoolsParity:
+    """However a cache comes by its pools, the arena it concatenates
+    from them is the per-destination references', byte for byte."""
+
+    GRAPH = generate_topology(n=90, seed=31).graph
+    DESTS = list(range(0, 90, 2)) + [1, 89]  # 47 destinations, unsorted tail
+
+    def _cache(self, policy_name, monkeypatch) -> RoutingCache:
+        _force_rows(monkeypatch, CompiledGraph.from_graph(self.GRAPH), 8)
+        cache = RoutingCache(self.GRAPH, destinations=self.DESTS, policy=policy_name)
+        if cache.policy.state_dependent:
+            cache.ensure_state(*_mixed_state(self.GRAPH))
+        assert len(cache.pending_runs()) == 1 and cache.rows_per_chunk == 8
+        return cache
+
+    def _check(self, cache: RoutingCache) -> None:
+        arena = cache.ensure_arena()
+        assert (arena.policy, arena.state_key) == (cache.policy_name, cache.state_key)
+        _assert_fields_equal(arena, _reference_for(cache.policy_name, self.GRAPH, self.DESTS))
+        assert cache.stats().cached == len(self.DESTS) and not cache.pending_runs()
+
+    def test_full_warm(self, policy_name, monkeypatch):
+        cache = self._cache(policy_name, monkeypatch)
+        cache.warm()
+        assert cache.stats().builds == len(self.DESTS)
+        self._check(cache)
+
+    def test_warm_interrupted_by_a_deadline_and_resumed(self, policy_name, monkeypatch):
+        cache = self._cache(policy_name, monkeypatch)
+        ticks = iter(range(10 ** 6))
+        guard = RuntimeGuard(deadline=Deadline(3.5, clock=lambda: next(ticks)))
+        with use_guard(guard), pytest.raises(DeadlineExceeded):
+            cache.warm()
+        assert 0 < cache.stats().cached < len(self.DESTS)
+        self._check(cache)
+        assert cache.stats().builds == len(self.DESTS)  # nothing built twice
+
+    def test_out_of_order_lazy_misses(self, policy_name, monkeypatch):
+        cache = self._cache(policy_name, monkeypatch)
+        for dest in (self.DESTS[40], self.DESTS[3], self.DESTS[46], self.DESTS[17]):
+            assert cache.dest_routing(dest).dest == dest
+        assert cache.pending_runs() == [(8, 16), (24, 40)]
+        self._check(cache)
+        assert cache.stats().builds == len(self.DESTS)
+
 
 class TestViewsLeaveThePoolsAlone:
-    def test_transform_and_restriction_do_not_write_the_chunk(self, small_graph):
+    def test_restriction_writes_no_chunk(self, small_graph):
         cg = CompiledGraph.from_graph(small_graph)
-        views = list(compute_dest_routings(cg, range(24)))
-        pools = views[0]._pools[0]
-        assert all(v._pools == (pools, k) for k, v in enumerate(views))
+        (pools,) = chunk_pools(cg, range(24))
         before = _pool_bytes(pools)
-        sticky = np.ones(small_graph.n, dtype=bool)
-        restricted = [restrict_to_primary(v, sticky) for v in views]
-        assert any(len(r.cands) < len(v.cands) for r, v in zip(restricted, views))
+        restricted = pools.restrict_to_primary(np.ones(small_graph.n, dtype=bool))
+        assert len(restricted.cands_pool) < len(pools.cands_pool)
         assert _pool_bytes(pools) == before
 
-        # the registered policy restricts whole chunks; the cache's
-        # transform hook sees views of those
-        seen = []
-        cache = RoutingCache(
-            small_graph, destinations=list(range(24)), policy="sticky_primaries",
-            transform=lambda dr: seen.append(dr) or restrict_to_primary(dr, sticky),
-        )
-        cache.warm()
-        chunk = seen[0]._pools[0]
-        before = _pool_bytes(chunk)
-        cache.ensure_arena()
-        assert _pool_bytes(chunk) == before
+        # ... and neither does the arena that concatenates chunks
+        before = _pool_bytes(restricted)
+        arena = RoutingArena.build(small_graph.n, [restricted, pools])
+        assert arena.num_dests == 48 and not np.shares_memory(arena.cls, pools.cls)
+        assert _pool_bytes(restricted) == before
 
     def test_a_pickled_view_ships_its_own_slices_only(self, small_graph):
         cg = CompiledGraph.from_graph(small_graph)
-        views = list(compute_dest_routings(cg, range(40)))
+        (pools,) = chunk_pools(cg, range(40))
         alone = compute_dest_routing(small_graph, 7, cg)
-        shipped = pickle.loads(pickle.dumps(views[7]))
-        assert shipped._pools is None
-        assert len(pickle.dumps(views[7])) < 2 * len(pickle.dumps(alone))
+        shipped = pickle.loads(pickle.dumps(pools.view(7)))
+        assert len(pickle.dumps(pools.view(7))) < 2 * len(pickle.dumps(alone))
         assert shipped.cands.tobytes() == alone.cands.tobytes()
         assert shipped.tie_keys().tobytes() == alone.tie_keys().tobytes()

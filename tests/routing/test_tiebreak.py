@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
+from repro.routing.cache import RoutingCache
 from repro.routing.tiebreak import (
     TiebreakStats,
     collect_tiebreak_stats,
@@ -101,6 +102,18 @@ class TestBincountMatchesLoop:
     @settings(max_examples=60, deadline=None)
     def test_random_gr1_graphs(self, graph):
         assert collect_tiebreak_stats(graph) == _collect_tiebreak_stats_loop(graph)
+
+
+    def test_through_a_sampled_cache(self, small_graph):
+        """Views for the cache's own destinations, one-row builds for
+        the others — the same integers, and nothing kept for those."""
+        cache = RoutingCache(small_graph, destinations=list(range(0, small_graph.n, 9)))
+        sample = list(range(0, small_graph.n, 4))
+        assert collect_tiebreak_stats(
+            small_graph, sample, dest_routing=cache.dest_routing
+        ) == collect_tiebreak_stats(small_graph, sample)
+        stats = cache.stats()
+        assert stats.cached == stats.total == len(cache.destinations)
 
 
 class TestSmallGraph:

@@ -8,13 +8,10 @@ from hypothesis import given, settings
 
 from repro.routing.compiled import CompiledGraph
 from repro.routing.policy import RouteClass
-from repro.routing.tree import (
-    compute_dest_routing,
-    route_classes_and_lengths,
-    route_classes_and_lengths_scalar,
-)
+from repro.routing.tree import compute_dest_routing, route_classes_and_lengths
 from repro.topology.graph import ASGraph
 
+from tests.references import route_classes_and_lengths_scalar
 from tests.strategies import as_graphs
 
 

@@ -2,21 +2,26 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import repro.routing.policy as policy_module
 from repro.routing.cache import RoutingCache
-from repro.routing.fast_tree import compute_tree, subtree_weights
 from repro.routing.policy import (
     POSITION_BITS,
     RouteClass,
     available_policies,
+    compute_dest_routing_sp_first,
     get_policy,
+    register_policy,
     tie_hash_array,
 )
-from repro.routing.policy import compute_dest_routing_sp_first, restrict_to_primary
 from repro.routing.tree import DestRouting, compute_tie_keys
 from repro.topology.graph import ASGraph
+
+from tests.references import compute_tree, subtree_weights
 
 
 def valley_graph() -> ASGraph:
@@ -109,6 +114,23 @@ class TestSpFirst:
         assert get_policy("sp-first").name == "sp_first"
 
 
+def restrict_to_primary(graph: ASGraph, dest: int, sticky: np.ndarray) -> DestRouting:
+    """One destination's default structure through the pooled restriction."""
+    pools = get_policy("security_3rd").build_pools(graph, [dest])
+    return pools.restrict_to_primary(sticky).view(0)
+
+
+@pytest.fixture
+def all_sticky():
+    """§8.3's variant with *every* AS pinning a primary, registered for
+    the test (what a ``transform=`` hook with an all-ones mask did)."""
+    policy = register_policy(dataclasses.replace(
+        get_policy("sticky_primaries"), name="all_sticky", sticky_fraction=1.0
+    ))
+    yield policy
+    del policy_module._REGISTRY[policy.name]
+
+
 def restrict_to_primary_reference(dr: DestRouting, sticky: np.ndarray) -> DestRouting:
     """The row-by-row restriction ``restrict_to_primary`` vectorises:
     each sticky node with several candidates keeps the hash-minimal one."""
@@ -157,7 +179,7 @@ class TestStickyPrimaries:
             dr = small_cache.dest_routing(dest)
             before = (dr.indptr.tobytes(), dr.cands.tobytes(), dr.tie_keys().tobytes())
             _assert_same_structure(
-                restrict_to_primary(dr, sticky),
+                restrict_to_primary(small_graph, dest, sticky),
                 restrict_to_primary_reference(dr, sticky),
             )
             assert before == (dr.indptr.tobytes(), dr.cands.tobytes(), dr.tie_keys().tobytes())
@@ -169,15 +191,14 @@ class TestStickyPrimaries:
         policy = get_policy("sticky_primaries")
         sticky = policy.sticky_mask(small_graph.n)
         dests = list(range(0, small_graph.n, 4)) + [3, 3]
-        plain = get_policy("security_3rd").build_many(small_graph, dests)
-        for got, dr in zip(policy.build_many(small_graph, dests), plain, strict=True):
+        plain = get_policy("security_3rd").build_pools(small_graph, dests).views()
+        for got, dr in zip(policy.build_pools(small_graph, dests).views(), plain, strict=True):
             assert got.policy == "sticky_primaries"
             _assert_same_structure(got, restrict_to_primary_reference(dr, sticky))
 
     def test_sticky_nodes_get_singletons(self, small_graph, small_cache):
-        dr = small_cache.dest_routing(7)
         sticky = np.ones(small_graph.n, dtype=bool)
-        restricted = restrict_to_primary(dr, sticky)
+        restricted = restrict_to_primary(small_graph, 7, sticky)
         sizes = restricted.tiebreak_sizes()
         assert (sizes[1:] == 1).all()
 
@@ -188,20 +209,23 @@ class TestStickyPrimaries:
         none = np.zeros(small_graph.n, dtype=bool)
         before = compute_tree(dr, none, none)
         sticky = np.ones(small_graph.n, dtype=bool)
-        after = compute_tree(restrict_to_primary(dr, sticky), none, none)
+        after = compute_tree(restrict_to_primary(small_graph, 11, sticky), none, none)
         assert (before.choice == after.choice).all()
 
     def test_non_sticky_untouched(self, small_graph, small_cache):
         dr = small_cache.dest_routing(5)
         sticky = np.zeros(small_graph.n, dtype=bool)
-        restricted = restrict_to_primary(dr, sticky)
+        restricted = restrict_to_primary(small_graph, 5, sticky)
         assert (restricted.indptr == dr.indptr).all()
         assert (restricted.cands == dr.cands).all()
 
-    def test_cache_transform_hook(self, small_graph):
-        sticky = np.ones(small_graph.n, dtype=bool)
-        cache = RoutingCache(
-            small_graph, transform=lambda dr: restrict_to_primary(dr, sticky)
-        )
-        sizes = cache.dest_routing(9).tiebreak_sizes()
-        assert (sizes[1:] == 1).all()
+    def test_all_sticky_policy_through_the_cache(self, small_graph, small_cache, all_sticky):
+        assert all_sticky.sticky_mask(small_graph.n).all()
+        cache = RoutingCache(small_graph, policy="all_sticky")
+        for dest in (9, 60):
+            got = cache.dest_routing(dest)
+            assert got.policy == "all_sticky"
+            assert (got.tiebreak_sizes()[1:] == 1).all()
+            _assert_same_structure(got, restrict_to_primary_reference(
+                small_cache.dest_routing(dest), np.ones(small_graph.n, dtype=bool)
+            ))

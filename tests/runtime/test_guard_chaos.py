@@ -6,8 +6,8 @@ The acceptance tests for the runtime guard as a whole:
   faults, then cut off by a deadline mid-grid, must journal-resume to a
   grid bit-identical to an unfaulted run;
 - a run given an artificially small memory budget plus an injected
-  shared-memory failure must complete by walking the ladder — pickle
-  transport, chunked batches, reduced workers — with every rung visible
+  shared-memory failure must complete by walking the ladder — pickled
+  pools, chunked batches, reduced workers — with every rung visible
   as ``runtime.guard.degraded`` counters and unchanged results;
 - preflight repair must be a no-op on clean dumps (hypothesis
   round-trip properties: ``repair(dump(g)) == g``).
@@ -24,9 +24,10 @@ from repro.experiments.setup import build_environment
 from repro.experiments.sweeps import run_sweep
 from repro.parallel.engine import (
     ProcessEngine,
-    _DestRoutingBuilder,
+    _PartitionBuilder,
     parallel_warm_cache,
 )
+from repro.parallel.shm import consume_published_arena, ensure_tracker_running
 from repro.routing.arena import RoutingArena
 from repro.runtime.errors import DeadlineExceeded
 from repro.runtime.faults import FaultInjector
@@ -86,37 +87,42 @@ class _ClockAdvancingJournal(RunJournal):
 
 
 def _warm_under_faults(cache, state_root) -> ProcessEngine:
-    """Warm every destination through an engine injecting kill+hang+slow.
+    """Warm every chunk through an engine injecting kill+hang+slow.
 
-    The injectors chain around the cache's own builder, so the engine is
-    mapping real tree builds; results land via the public install API.
+    The injectors chain around the parallel warm's own builder, so the
+    engine is mapping real structure builds; results land via the
+    cache's public ``install_pools`` API.
     """
-    node_secure, breaks_ties = cache.current_state()
-    build = _DestRoutingBuilder(
-        cache.graph, cache.compiled, cache.policy.name, cache.transform,
-        node_secure, breaks_ties,
-    )
+    rows = cache.rows_per_chunk
+    runs = [
+        (at, min(at + rows, stop))
+        for start, stop in cache.pending_runs() for at in range(start, stop, rows)
+    ]
+    assert len(runs) >= 12
     for sub in ("hang", "kill"):
         (state_root / sub).mkdir(exist_ok=True)
-    slow = FaultInjector({3, 29}, mode="slow", slow_seconds=0.05, fn=build)
+    slow = FaultInjector(
+        {runs[1], runs[7]}, mode="slow", slow_seconds=0.05, fn=_PartitionBuilder(cache)
+    )
     hung = FaultInjector(
-        {17}, mode="hang", fail_times=1, state_dir=state_root / "hang",
+        {runs[4]}, mode="hang", fail_times=1, state_dir=state_root / "hang",
         hang_seconds=60.0, fn=slow,
     )
     chaos = FaultInjector(
-        {41}, mode="kill", fail_times=1, state_dir=state_root / "kill", fn=hung,
+        {runs[10]}, mode="kill", fail_times=1, state_dir=state_root / "kill", fn=hung,
     )
     engine = ProcessEngine(workers=2, retry=FAST_RETRY, partition_timeout=0.5)
-    todo = cache.pending_destinations()
-    for dest, dr in zip(todo, engine.map(chaos, todo)):
-        cache.install(dest, dr)
+    ensure_tracker_running()  # before the first fork, as the warm itself does
+    for (start, _), handle in zip(runs, engine.map(chaos, runs)):
+        cache.install_pools(start, consume_published_arena(handle))
+    assert not cache.pending_runs()
     return engine
 
 
 @fork_only
 class TestDeadlineResumeUnderFaults:
     def test_faulted_sweep_resumes_bit_identically(
-        self, clean_cells, tmp_path
+        self, clean_cells, tmp_path, small_chunks
     ):
         """Acceptance: kill+hang+slow warm, deadline mid-grid, resume."""
         env = build_environment(n=120, seed=11, x=0.10, warm=False)
@@ -151,15 +157,15 @@ class TestDeadlineResumeUnderFaults:
 @fork_only
 class TestDegradationLadderEndToEnd:
     def test_small_budget_and_shm_failure_walk_the_ladder(
-        self, clean_cells, monkeypatch
+        self, clean_cells, monkeypatch, small_chunks
     ):
-        """Acceptance: pickle transport + chunked batches + reduced
+        """Acceptance: pickled pools + chunked batches + reduced
         workers, each rung a visible counter, results unchanged."""
         import repro.parallel.shm as shm
 
         # workers resolve publish_arena at call time, after the fork,
         # so patching the module attribute reaches every child
-        monkeypatch.setattr(shm, "publish_arena", lambda arena, dests=(): None)
+        monkeypatch.setattr(shm, "publish_arena", lambda arena: None)
 
         env = build_environment(n=120, seed=11, x=0.10, warm=False)
         num_dests = len(env.cache.destinations)
@@ -172,7 +178,8 @@ class TestDegradationLadderEndToEnd:
 
         with use_registry(MetricsRegistry()) as registry, use_guard(guard):
             parallel_warm_cache(env.cache, workers=8)
-            assert not env.cache.pending_destinations()  # warm completed
+            assert not env.cache.pending_runs()  # warm completed
+            assert env.cache.stats().installs == num_dests
             env.cache.ensure_arena()
             cells = run_sweep(env, thetas=THETAS, adopter_sets=adopter_sets(env))
 
@@ -191,7 +198,7 @@ class TestDegradationLadderEndToEnd:
         with use_guard(guard):
             env = build_environment(n=60, seed=11, x=0.10, warm=True)
         assert guard.ladder.taken("lazy_warm") == 1
-        assert env.cache.pending_destinations()  # nothing built eagerly
+        assert env.cache.pending_runs() == [(0, 60)]  # nothing built eagerly
 
 
 @fork_only

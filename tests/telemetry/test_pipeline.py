@@ -77,13 +77,20 @@ class TestSimulationInstrumentation:
         assert snap["counters"]["sim.rounds"] == 2 * first.num_rounds
 
     def test_cache_hit_counters_flow(self, medium_env, registry):
+        """From per-destination consumers only: nothing on the round or
+        projection path looks a destination up, so a game leaves the
+        hit count where it was."""
+        cache = medium_env.cache
+        before = cache.stats().hits
         config = SimulationConfig(theta=0.05, max_rounds=5)
         DeploymentSimulation(
-            medium_env.graph, medium_env.case_study_adopters(), config,
-            medium_env.cache,
+            medium_env.graph, medium_env.case_study_adopters(), config, cache,
         ).run()
-        snap = registry.snapshot()
-        assert snap["counters"]["routing.cache.hits"] > 0
+        assert cache.stats().hits == before
+        assert "routing.cache.hits" not in registry.snapshot()["counters"]
+        cache.dest_routing(3)
+        assert cache.stats().hits == before + 1
+        assert registry.snapshot()["counters"]["routing.cache.hits"] == 1
 
 
 class TestSweepInstrumentation:
@@ -106,21 +113,24 @@ class TestSweepInstrumentation:
 
 
 class TestCacheStats:
-    def test_stats_counts_hits_misses_and_builds(self, small_graph):
+    def test_stats_counts_hits_misses_and_builds(self, small_graph, small_chunks):
         cache = RoutingCache(small_graph)
+        rows = cache.rows_per_chunk
+        assert 1 < rows < 10
+        cache.dest_routing(0)  # a miss builds its chunk ...
         cache.dest_routing(0)
-        cache.dest_routing(0)
-        cache.dest_routing(1)
+        cache.dest_routing(1)  # ... so its neighbour is a hit
+        cache.dest_routing(rows)
         stats = cache.stats()
-        assert stats.misses == stats.builds == 2
-        assert stats.hits == 1
-        assert stats.hit_rate == pytest.approx(1 / 3)
+        assert stats.misses == stats.builds == 2 * rows
+        assert stats.hits == 2
+        assert stats.hit_rate == pytest.approx(2 / (2 + 2 * rows))
         assert stats.warm_seconds > 0
-        assert stats.cached == 2
+        assert stats.cached == 2 * rows
         assert stats.total == small_graph.n
-        assert stats.cached_fraction == pytest.approx(2 / small_graph.n)
+        assert stats.cached_fraction == pytest.approx(2 * rows / small_graph.n)
 
-    def test_parallel_warm_counts_installs(self, small_graph):
+    def test_parallel_warm_counts_installs(self, small_graph, small_chunks):
         cache = RoutingCache(small_graph, destinations=list(range(6)))
         parallel_warm_cache(cache, workers=2)
         stats = cache.stats()
@@ -130,7 +140,7 @@ class TestCacheStats:
 
 
 class TestCrossProcessMerge:
-    def test_worker_counters_merge_into_parent(self, registry):
+    def test_worker_counters_merge_into_parent(self, registry, small_chunks):
         env = build_environment(n=120, seed=9, warm=False, workers=1)
         parallel_warm_cache(env.cache, workers=2)
         snap = registry.snapshot()
