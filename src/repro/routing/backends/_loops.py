@@ -21,7 +21,8 @@ Calling convention (all backends):
   ``batch row * n + node``; ``secure_rows`` / ``secp_rows`` are
   ``node_secure`` and ``node_secure & breaks_ties`` repeated per batch
   row so that they take the same index;
-- the sweep: ``tie_key`` uint64, labels int8/int32/bool as C-contiguous
+- the sweep: ``tie_rank`` / ``lp_field`` uint32, ``rank_edge`` int64,
+  ``edge_flags`` uint8, labels int8/int32/bool as C-contiguous
   ``[batch, n]`` matrices, ``attacker`` int64, rank metadata int64 codes
   + uint32 widths.
 
@@ -38,9 +39,11 @@ Bit-identity with the numpy backend is structural, not accidental:
   and ``0.0 + x == x`` exactly in IEEE-754, so accumulating child by
   child in stack order reproduces ``np.add.at``'s sequential sum bit
   for bit;
-- the Jacobi sweep recomputes each edge's rank key in two passes (min,
-  then tie mask) rather than materialising the key row — the key is a
-  deterministic pure function of the labels, so both passes agree.
+- the Jacobi sweep takes the minimum of ``rank_key << 32 | tie_rank``
+  over a segment in one pass, the word the numpy step gathers per edge;
+  minima are order-independent.  Only the tie mask needs the keys again
+  (the key is a pure function of the labels, so both passes agree), and
+  only structure building asks for it.
 """
 
 from __future__ import annotations
@@ -51,7 +54,14 @@ from repro.routing.policy import POSITION_BITS, RouteClass
 
 _BLOCKED = np.uint64(2**64 - 1)
 _POS_MASK = np.uint64(0xFFFF)       # (1 << POSITION_BITS) - 1
-_INVALID_A = np.uint32(0xFFFFFFFF)
+_INVALID_KEY = np.uint32(0xFFFFFFFF)
+
+# The sweep's selection word: rank key above, tie rank below.
+_KEY_SHIFT = np.uint64(32)
+_RANK_MASK = np.uint64(0xFFFFFFFF)
+
+# Bits of the sweep's ``edge_flags`` (set by fixpoint.JacobiDriver).
+_APPLIES, _NONPROVIDER, _GULLIBLE, _DROPS = 1, 2, 4, 8
 
 # The C code hardcodes these as literals, so pin them to the enum.
 _SELF = 3          # RouteClass.SELF
@@ -108,22 +118,22 @@ def weights_stacked(off, flat, nodes, choice, node_weights, w):
                 w[f - u + p] += w[f] + node_weights[u]
 
 
-def jacobi_sweep(u, v, route_cls, seg_starts, seg_sizes, seg_u, tie_key,
-                 lp_field, is_provider_edge, rank_codes, rank_widths,
-                 attacker, gullible_edge, validators, leak, drop,
-                 cls, length, sec, att, applies_edge, node_secure,
+def jacobi_sweep(v, route_cls, seg_starts, seg_sizes, seg_u, tie_rank,
+                 rank_edge, lp_field, edge_flags, rank_codes, rank_widths,
+                 attacker, leak, cls, length, sec, att, node_secure,
                  new_cls, new_len, new_sec, new_att, tied=None):
     """One synchronous best-response step over the segment-sorted edges.
 
     Every row carries its own adversary (``attacker[row]``, ``-1`` for
     none — no node id equals it, so such a row is plain single-origin
     BGP): ``att`` tracks which labels descend from the attacker's
-    announcement, ``gullible_edge`` marks the provider edges where a
-    simplex stub would believe the attacker's word (§2.2.1),
-    ``validators`` + ``drop`` bar unvalidated routes at fully-validating
-    ASes, and ``leak`` lets offers *from* the attacker bypass GR2 (a
-    route leak).  The caller pins the origins' labels after each step.
-    ``tied``, when given, receives the per-edge tiebreak-set mask.
+    announcement, and ``leak`` lets offers *from* the attacker bypass
+    GR2 (a route leak).  ``edge_flags`` holds the static bits of an
+    edge ``u <- v``: ``u`` applies SecP, ``v`` is not ``u``'s provider,
+    ``u`` is a simplex stub that believes the attacker's word over this
+    provider edge (§2.2.1), ``u`` rejects routes it cannot validate.
+    The caller pins the origins' labels after each step.  ``tied``,
+    when given, receives the per-edge tiebreak-set mask.
     """
     for row in range(cls.shape[0]):
         att_row = attacker[row]
@@ -131,41 +141,35 @@ def jacobi_sweep(u, v, route_cls, seg_starts, seg_sizes, seg_u, tie_key,
             lo = seg_starts[s]
             m = seg_sizes[s]
             uu = seg_u[s]
-            drop_u = drop and validators[uu]
-            best = _INVALID_A
+            # the least selection word: rank key above, tie rank below
+            best = _BLOCKED
             for e in range(lo, lo + m):
-                k = _offer_key(e, row, att_row, drop_u, leak,
-                               v, lp_field, is_provider_edge,
-                               applies_edge, gullible_edge,
-                               rank_codes, rank_widths,
+                k = _offer_key(e, row, att_row, leak, v, lp_field,
+                               edge_flags, rank_codes, rank_widths,
                                cls, length, sec, att)
-                if k < best:
-                    best = k
-            if best == _INVALID_A:
-                if tied is not None:
-                    for e in range(lo, lo + m):
-                        tied[row, e] = False
+                if k != _INVALID_KEY:
+                    word = (np.uint64(k) << _KEY_SHIFT) | np.uint64(tie_rank[e])
+                    if word < best:
+                        best = word
+            if tied is not None:
+                # the tie mask is the one thing that needs the keys twice
+                for e in range(lo, lo + m):
+                    k = _offer_key(e, row, att_row, leak, v, lp_field,
+                                   edge_flags, rank_codes, rank_widths,
+                                   cls, length, sec, att)
+                    tied[row, e] = (
+                        k != _INVALID_KEY and np.uint64(k) == best >> _KEY_SHIFT
+                    )
+            if best == _BLOCKED:
                 new_cls[row, uu] = _UNREACHABLE
                 new_len[row, uu] = -1
                 new_sec[row, uu] = False
                 new_att[row, uu] = False
                 continue
-            best_tie = _BLOCKED
-            for e in range(lo, lo + m):
-                k = _offer_key(e, row, att_row, drop_u, leak,
-                               v, lp_field, is_provider_edge,
-                               applies_edge, gullible_edge,
-                               rank_codes, rank_widths,
-                               cls, length, sec, att)
-                t = k == best
-                if tied is not None:
-                    tied[row, e] = t
-                if t and tie_key[e] < best_tie:
-                    best_tie = tie_key[e]
-            eidx = lo + np.int64(best_tie & _POS_MASK)
+            eidx = rank_edge[lo + np.int64(best & _RANK_MASK)]
             vv = v[eidx]
             seen = sec[row, vv] or (
-                gullible_edge[eidx] and vv == att_row and att[row, vv]
+                edge_flags[eidx] & _GULLIBLE and vv == att_row and att[row, vv]
             )
             new_cls[row, uu] = route_cls[eidx]
             new_len[row, uu] = length[row, vv] + 1
@@ -173,33 +177,33 @@ def jacobi_sweep(u, v, route_cls, seg_starts, seg_sizes, seg_u, tie_key,
             new_att[row, uu] = att[row, vv]
 
 
-def _offer_key(e, row, att_row, drop_u, leak,
-               v, lp_field, is_provider_edge,
-               applies_edge, gullible_edge,
+def _offer_key(e, row, att_row, leak, v, lp_field, edge_flags,
                rank_codes, rank_widths, cls, length, sec, att):
-    """Packed uint32 rank key of one offer; ``_INVALID_A`` if barred."""
+    """Packed uint32 rank key of one offer; ``_INVALID_KEY`` if barred."""
     vv = v[e]
+    flags = edge_flags[e]
     cv = cls[row, vv]
     if cv == _UNREACHABLE:
-        return _INVALID_A
+        return _INVALID_KEY
     # GR2: only customer routes / the origin's own prefix are exported
     # across peerings and up to providers — with the leak escape hatch:
     # the attacker exports its selected route to every neighbor.
-    if not (is_provider_edge[e] or cv == _CUSTOMER or cv == _SELF
-            or (leak and vv == att_row)):
-        return _INVALID_A
+    if flags & _NONPROVIDER and not (
+        cv == _CUSTOMER or cv == _SELF or (leak and vv == att_row)
+    ):
+        return _INVALID_KEY
     # end-state filtering: validators reject what cannot be validated
     # (genuine security only — gullible belief does not survive ROV).
-    if drop_u and not sec[row, vv]:
-        return _INVALID_A
+    if flags & _DROPS and not sec[row, vv]:
+        return _INVALID_KEY
     lv = length[row, vv]
     if lv < 0:
         lv = 0
     sp = np.uint32(lv + 1)
     seen = sec[row, vv] or (
-        gullible_edge[e] and vv == att_row and att[row, vv]
+        flags & _GULLIBLE and vv == att_row and att[row, vv]
     )
-    if applies_edge[e] and seen:
+    if flags & _APPLIES and seen:
         secp = np.uint32(0)
     else:
         secp = np.uint32(1)

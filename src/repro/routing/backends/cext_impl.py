@@ -49,7 +49,7 @@ _C_SOURCE = r"""
 #include <stdint.h>
 
 /* Constants mirrored from repro.routing: POSITION_BITS=16 (tie-key low
- * bits hold the candidate's position in its segment), RouteClass
+ * bits hold the candidate's position in its row), RouteClass
  * CUSTOMER=2 / SELF=3 / UNREACHABLE=-1. */
 #define POS_MASK 0xFFFFu
 #define INVALID_KEY 0xFFFFFFFFu
@@ -125,16 +125,21 @@ void sbgp_weights_stacked(
     }
 }
 
+/* Bits of edge_flags for an edge u <- v (set by fixpoint.JacobiDriver). */
+#define EDGE_APPLIES 1u     /* u applies SecP */
+#define EDGE_NONPROVIDER 2u /* v is not u's provider: GR2 restricts */
+#define EDGE_GULLIBLE 4u    /* provider edge of a stub that believes the attacker */
+#define EDGE_DROPS 8u       /* u rejects routes it cannot validate */
+
 static inline uint32_t sbgp_offer_key(
-    int64_t e, int64_t att_row, int drop_u, int leak,
-    const int32_t *v, const uint32_t *lp_field,
-    const uint8_t *is_provider_edge, const uint8_t *applies_edge,
-    const uint8_t *gullible_edge,
+    int64_t e, int64_t att_row, int leak,
+    const int32_t *v, const uint32_t *lp_field, const uint8_t *edge_flags,
     const int64_t *rank_codes, const uint32_t *rank_widths,
     const int8_t *cls_r, const int32_t *len_r, const uint8_t *sec_r,
     const uint8_t *att_r)
 {
     int32_t vv = v[e];
+    uint32_t flags = edge_flags[e];
     int8_t cv = cls_r[vv];
     if (cv == -1)
         return INVALID_KEY;
@@ -142,20 +147,20 @@ static inline uint32_t sbgp_offer_key(
      * exported across peerings and up to providers -- with the leak
      * escape hatch: the attacker exports its selected route to every
      * neighbor.  att_row == -1 (no adversary) equals no node id. */
-    if (!(is_provider_edge[e] || cv == 2 || cv == 3 ||
-          (leak && vv == att_row)))
+    if ((flags & EDGE_NONPROVIDER) &&
+        !(cv == 2 || cv == 3 || (leak && vv == att_row)))
         return INVALID_KEY;
     /* end-state filtering: validators reject what cannot be validated
      * (genuine security only -- gullible belief fails ROV). */
-    if (drop_u && !sec_r[vv])
+    if ((flags & EDGE_DROPS) && !sec_r[vv])
         return INVALID_KEY;
     int32_t lv = len_r[vv];
     if (lv < 0)
         lv = 0;
     uint32_t sp = (uint32_t)(lv + 1);
     int seen = sec_r[vv] ||
-        (gullible_edge[e] && vv == att_row && att_r[vv]);
-    uint32_t secp = (applies_edge[e] && seen) ? 0u : 1u;
+        ((flags & EDGE_GULLIBLE) && vv == att_row && att_r[vv]);
+    uint32_t secp = ((flags & EDGE_APPLIES) && seen) ? 0u : 1u;
     uint32_t key = 0;
     for (int i = 0; i < 3; i++) {
         uint32_t field = rank_codes[i] == 0
@@ -166,19 +171,22 @@ static inline uint32_t sbgp_offer_key(
     return key;
 }
 
-/* tied may be NULL: only structure building asks for the tie mask. */
+/* Every node takes the offer with the least selection word
+ * rank_key << 32 | tie_rank; rank_edge[lo + r] is the edge of segment
+ * lo.. that holds tie rank r.  tied may be NULL: only structure
+ * building asks for the tie mask, the one thing that needs the keys
+ * twice. */
 void sbgp_jacobi_sweep(
     int64_t chunk, int64_t n, int64_t num_edges, int64_t num_segs,
     const int32_t *v, const int8_t *route_cls,
     const int64_t *seg_starts, const int64_t *seg_sizes,
-    const int32_t *seg_u, const uint64_t *tie_key,
-    const uint32_t *lp_field, const uint8_t *is_provider_edge,
+    const int32_t *seg_u, const uint32_t *tie_rank,
+    const int64_t *rank_edge, const uint32_t *lp_field,
+    const uint8_t *edge_flags,
     const int64_t *rank_codes, const uint32_t *rank_widths,
-    const int64_t *attacker, const uint8_t *gullible_edge,
-    const uint8_t *validators, int64_t leak, int64_t drop,
+    const int64_t *attacker, int64_t leak,
     const int8_t *cls, const int32_t *length, const uint8_t *sec,
-    const uint8_t *att, const uint8_t *applies_edge,
-    const uint8_t *node_secure,
+    const uint8_t *att, const uint8_t *node_secure,
     int8_t *new_cls, int32_t *new_len, uint8_t *new_sec, uint8_t *new_att,
     uint8_t *tied)
 {
@@ -193,42 +201,38 @@ void sbgp_jacobi_sweep(
             int64_t lo = seg_starts[s];
             int64_t m = seg_sizes[s];
             int64_t uu = seg_u[s];
-            int drop_u = drop && validators[uu];
-            uint32_t best = INVALID_KEY;
+            uint64_t best = UINT64_MAX;
             for (int64_t e = lo; e < lo + m; e++) {
                 uint32_t k = sbgp_offer_key(
-                    e, att_row, drop_u, (int)leak, v, lp_field,
-                    is_provider_edge, applies_edge, gullible_edge,
+                    e, att_row, (int)leak, v, lp_field, edge_flags,
                     rank_codes, rank_widths, cls_r, len_r, sec_r, att_r);
-                if (k < best)
-                    best = k;
+                if (k != INVALID_KEY) {
+                    uint64_t word = ((uint64_t)k << 32) | tie_rank[e];
+                    if (word < best)
+                        best = word;
+                }
             }
-            if (best == INVALID_KEY) {
-                if (tied_r)
-                    for (int64_t e = lo; e < lo + m; e++)
-                        tied_r[e] = 0;
+            if (tied_r) {
+                for (int64_t e = lo; e < lo + m; e++) {
+                    uint32_t k = sbgp_offer_key(
+                        e, att_row, (int)leak, v, lp_field, edge_flags,
+                        rank_codes, rank_widths, cls_r, len_r, sec_r, att_r);
+                    tied_r[e] = (uint8_t)(
+                        k != INVALID_KEY && (uint64_t)k == best >> 32);
+                }
+            }
+            if (best == UINT64_MAX) {
                 new_cls[row * n + uu] = -1;
                 new_len[row * n + uu] = -1;
                 new_sec[row * n + uu] = 0;
                 new_att[row * n + uu] = 0;
                 continue;
             }
-            uint64_t best_tie = UINT64_MAX;
-            for (int64_t e = lo; e < lo + m; e++) {
-                uint32_t k = sbgp_offer_key(
-                    e, att_row, drop_u, (int)leak, v, lp_field,
-                    is_provider_edge, applies_edge, gullible_edge,
-                    rank_codes, rank_widths, cls_r, len_r, sec_r, att_r);
-                int t = (k == best);
-                if (tied_r)
-                    tied_r[e] = (uint8_t)t;
-                if (t && tie_key[e] < best_tie)
-                    best_tie = tie_key[e];
-            }
-            int64_t eidx = lo + (int64_t)(best_tie & POS_MASK);
+            int64_t eidx = rank_edge[lo + (int64_t)(best & 0xFFFFFFFFu)];
             int32_t vv = v[eidx];
             int seen = sec_r[vv] ||
-                (gullible_edge[eidx] && vv == att_row && att_r[vv]);
+                ((edge_flags[eidx] & EDGE_GULLIBLE) && vv == att_row &&
+                 att_r[vv]);
             new_cls[row * n + uu] = route_cls[eidx];
             new_len[row * n + uu] = len_r[vv] + 1;
             new_sec[row * n + uu] = (uint8_t)(node_secure[uu] && seen);
@@ -349,10 +353,9 @@ def weights_stacked(off, flat, nodes, choice, node_weights, w):
     )
 
 
-def jacobi_sweep(u, v, route_cls, seg_starts, seg_sizes, seg_u, tie_key,
-                 lp_field, is_provider_edge, rank_codes, rank_widths,
-                 attacker, gullible_edge, validators, leak, drop,
-                 cls, length, sec, att, applies_edge, node_secure,
+def jacobi_sweep(v, route_cls, seg_starts, seg_sizes, seg_u, tie_rank,
+                 rank_edge, lp_field, edge_flags, rank_codes, rank_widths,
+                 attacker, leak, cls, length, sec, att, node_secure,
                  new_cls, new_len, new_sec, new_att, tied=None):
     """One synchronous best-response step over the segment-sorted edges."""
     _LIB.sbgp_jacobi_sweep(
@@ -360,14 +363,13 @@ def jacobi_sweep(u, v, route_cls, seg_starts, seg_sizes, seg_u, tie_key,
         _I64(len(v)), _I64(len(seg_starts)),
         _ptr(v, np.int32), _ptr(route_cls, np.int8),
         _ptr(seg_starts, np.int64), _ptr(seg_sizes, np.int64),
-        _ptr(seg_u, np.int32), _ptr(tie_key, np.uint64),
-        _ptr(lp_field, np.uint32), _ptr(is_provider_edge, np.bool_),
+        _ptr(seg_u, np.int32), _ptr(tie_rank, np.uint32),
+        _ptr(rank_edge, np.int64), _ptr(lp_field, np.uint32),
+        _ptr(edge_flags, np.uint8),
         _ptr(rank_codes, np.int64), _ptr(rank_widths, np.uint32),
-        _ptr(attacker, np.int64), _ptr(gullible_edge, np.bool_),
-        _ptr(validators, np.bool_), _I64(int(leak)), _I64(int(drop)),
+        _ptr(attacker, np.int64), _I64(int(leak)),
         _ptr(cls, np.int8), _ptr(length, np.int32), _ptr(sec, np.bool_),
-        _ptr(att, np.bool_), _ptr(applies_edge, np.bool_),
-        _ptr(node_secure, np.bool_),
+        _ptr(att, np.bool_), _ptr(node_secure, np.bool_),
         _ptr(new_cls, np.int8), _ptr(new_len, np.int32),
         _ptr(new_sec, np.bool_), _ptr(new_att, np.bool_),
         None if tied is None else _ptr(tied, np.bool_),

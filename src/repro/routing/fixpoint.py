@@ -10,30 +10,39 @@ best-response iteration over the edge table, batched across
 destinations.
 
 Per sweep, every directed edge ``u <- v`` offers ``v``'s current label
-to ``u`` if GR2 allows the export; ``u`` takes the minimum of a packed
-``uint32`` rank key whose fields follow the policy ranking (first
-criterion in the highest bits).  Edges tied on the rank key form the
-tiebreak set, and the representative choice is the minimum of the
-static tie-break key ``hash(u, v) | position`` — the *same* rule the
-tree kernels apply, so a converged structure resolved by
+to ``u`` if GR2 allows the export, and ``u`` takes the offer with the
+smallest **selection word** ``rank_key << 32 | tie_rank``.  ``rank_key``
+is a packed ``uint32`` whose fields follow the policy ranking (first
+criterion in the highest bits); edges equal on it form the tiebreak
+set.  ``tie_rank`` is the edge's place, within ``u``'s segment, in the
+order of the static tie-break key ``hash(u, v) | position`` — the key
+the tree kernels minimise — so one minimum over the word picks the
+offer the two-stage rule (best rank key, then least tie-break key among
+the tied) picks, and a converged structure resolved by
 :func:`~repro.routing.arena.compute_trees_batched` under the same
-deployment state reproduces the fixpoint's choices exactly: tied candidates always share one length (SP is in
-every ranking), tie sets at SecP-applying nodes are security-
-homogeneous, and fixpoint selections are loop-free because lengths
-decrease by one along the choice chain.
+deployment state reproduces the fixpoint's choices exactly: tied
+candidates always share one length (SP is in every ranking), tie sets
+at SecP-applying nodes are security-homogeneous, and fixpoint
+selections are loop-free because lengths decrease by one along the
+choice chain.
 
 The iteration itself is :class:`JacobiDriver`, shared with the attack
 layer (:mod:`repro.security.hijack`): App. A's ranking does not change
 when a second AS originates the prefix, so one backend kernel
 (``jacobi_sweep``) serves both, and single-origin structure building
-is its no-adversary case — every row carries ``attacker = -1``.
+is its no-adversary case — every row carries ``attacker = -1``.  Rows
+never interact and the step is deterministic, so the driver works row
+by row inside a chunk: a row that a sweep left unchanged is at its
+fixed point and is retired, only rows that moved are swept again, and a
+moving row that is back at the labels it held two sweeps earlier is in
+a 2-cycle and will never converge.
 
 Convergence: rankings with LP first (``security_2nd``, and the default)
 admit no dispute wheel under GR1 topologies, so the iteration reaches
 the unique stable state in about one sweep per path-length level.
 ``security_1st`` can genuinely oscillate (Lychev et al., PAPERS.md);
-the sweep cap turns that into a :class:`ConvergenceError` rather than a
-silent wrong answer.
+the 2-cycle test and, for longer cycles, the sweep cap turn that into a
+:class:`ConvergenceError` rather than a silent wrong answer.
 """
 
 from __future__ import annotations
@@ -44,14 +53,14 @@ import numpy as np
 
 from repro.routing import backends as kernel_backends
 from repro.routing.compiled import CompiledGraph
-from repro.routing.policy import (
-    POSITION_BITS,
-    Criterion,
-    RouteClass,
-    tie_hash_array,
-)
+from repro.routing.policy import POSITION_BITS, Criterion, RouteClass
 from repro.routing.reference import ConvergenceError
-from repro.routing.tree import StructurePools, assemble_pools, destination_chunks
+from repro.routing.tree import (
+    StructurePools,
+    assemble_pools,
+    compute_tie_keys,
+    destination_chunks,
+)
 from repro.telemetry.metrics import get_registry
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -64,19 +73,21 @@ _PEER = int(RouteClass.PEER)
 _PROVIDER = int(RouteClass.PROVIDER)
 _UNREACHABLE = int(RouteClass.UNREACHABLE)
 
-# Rank/tie-key sentinels (inadmissible offer, non-tied edge) live with
-# the kernel implementations in repro.routing.backends; here only the
-# tie-key split is needed to build the static edge table.
-_POS_MASK = np.uint64((1 << POSITION_BITS) - 1)
-_HASH_MASK = ~_POS_MASK
-
 #: rank-key field widths (bits); LP + SP + SECP must fit in 31 bits so
-#: every valid key is strictly below ``_INVALID_A``
+#: every valid selection word is strictly below the all-ones "barred"
 _WIDTH = {Criterion.LP: 2, Criterion.SP: 21, Criterion.SECP: 1}
 
 #: criterion -> integer code in the backend kernels' rank metadata
 #: (kernels take plain arrays, not enums, so they stay C-compatible)
 _RANK_CODE = {Criterion.LP: 0, Criterion.SP: 1, Criterion.SECP: 2}
+
+# Bits of the kernels' per-edge ``edge_flags``: everything static that
+# decides what ``v`` may offer ``u`` over an edge and how ``u`` ranks
+# it.  The kernels hardcode the same values.
+_APPLIES = 1      # u applies SecP
+_NONPROVIDER = 2  # v is not u's provider: GR2 restricts the export
+_GULLIBLE = 4     # provider edge of a stub that believes the attacker
+_DROPS = 8        # u rejects routes it cannot validate
 
 #: one chunk's route labels: ``(cls int8, length int32, sec bool, att
 #: bool)``, each ``[chunk, n]``; ``att`` marks routes that descend from
@@ -91,10 +102,15 @@ class _EdgeTable:
     and stable-sorted by ``(u, v)`` — the order the structure
     assembler gives candidates — so the position of an edge
     within its ``u``-segment orders candidates exactly like the rows of
-    the tiebreak CSR.  That makes the static tie-break key
-    ``hash(u, v) | segment_position`` decide ties identically to
-    :func:`~repro.routing.tree.compute_tie_keys` restricted to any tie
-    set.
+    the tiebreak CSR, and :func:`~repro.routing.tree.compute_tie_keys`
+    over the segments is the tie-break key the tree kernels minimise
+    over any tie set.  The keys of a segment are distinct and never
+    change, so the table keeps their *order* instead: ``tie_rank[e]``
+    is edge ``e``'s place in its segment by ascending key, and
+    ``rank_edge[seg_start + r]`` is the edge that holds place ``r``.
+
+    It depends on the graph alone; :func:`_edge_table` builds it once
+    per :class:`CompiledGraph`.
     """
 
     def __init__(self, cg: CompiledGraph) -> None:
@@ -125,17 +141,35 @@ class _EdgeTable:
         self.seg_u = self.u[self.seg_starts] if self.num_edges else self.u[:0]
         bounds = np.concatenate([self.seg_starts, [self.num_edges]])
         self.seg_sizes = np.diff(bounds)
-        seg_pos = (
-            np.arange(self.num_edges, dtype=np.uint64)
-            - np.repeat(self.seg_starts, self.seg_sizes).astype(np.uint64)
-        )
-        self.tie_key = (
-            tie_hash_array(self.u.astype(np.uint64), self.v.astype(np.uint64))
-            & _HASH_MASK
-        ) | seg_pos
+        tie_key = compute_tie_keys(self.seg_u, bounds, self.v)
+        # u is sorted, so this orders each segment's edges by tie key
+        self.rank_edge = np.lexsort((tie_key, self.u)).astype(np.int64)
+        self.tie_rank = np.empty(self.num_edges, dtype=np.uint32)
+        self.tie_rank[self.rank_edge] = np.arange(
+            self.num_edges, dtype=np.int64
+        ) - np.repeat(self.seg_starts, self.seg_sizes)
         # static LP field: customer (best) -> 0, peer -> 1, provider -> 2
         self.lp_field = (2 - self.route_cls).astype(np.uint32)
         self.is_provider_edge = self.route_cls == _PROVIDER
+
+
+def _edge_table(cg: CompiledGraph) -> _EdgeTable:
+    """``cg``'s edge table, built on first use and kept on ``cg``."""
+    table = cg.__dict__.get("_edge_table")
+    if table is None:
+        # a frozen dataclass refuses setattr, not a write to its __dict__
+        table = cg.__dict__["_edge_table"] = _EdgeTable(cg)
+    return table
+
+
+def _rows_differ(a: Labels, b: Labels) -> np.ndarray:
+    """Per row: does any of the four labels differ between ``a`` and ``b``?"""
+    differ = (a[1] != b[1]).any(axis=1)  # lengths first: they move most
+    for i in (0, 2, 3):
+        if differ.all():
+            break
+        differ |= (a[i] != b[i]).any(axis=1)
+    return differ
 
 
 class JacobiDriver:
@@ -143,10 +177,11 @@ class JacobiDriver:
 
     Built once per ``(CompiledGraph, policy, deployment state)``, it
     owns everything structure building and attack simulation share: the
-    edge table, the policy's rank metadata, backend dispatch, the sweep
-    cap and the convergence test.  Callers differ only in data — which
-    labels they pin after each sweep, and whether a row has an
-    adversary (``attackers[row]``; ``-1``, the default, is none).
+    graph's edge table, the per-state edge flags, the policy's rank
+    metadata, backend dispatch, the sweep cap and the convergence test.
+    Callers differ only in data — which labels they pin after each
+    sweep, and whether a row has an adversary (``attackers[row]``;
+    ``-1``, the default, is none).
 
     ``applies`` marks the nodes that exercise SecP; ``gullible`` the
     nodes that believe an attacking provider's word, ``validators`` +
@@ -168,7 +203,7 @@ class JacobiDriver:
         backend: str | None = None,
         max_sweeps: int | None = None,
     ) -> None:
-        self.table = table = _EdgeTable(cg)
+        self.table = table = _edge_table(cg)
         self.n = cg.n
         self.cap = max_sweeps if max_sweeps is not None else cg.n + 8
         backend_name, self._kernels = kernel_backends.kernels_for(
@@ -184,15 +219,13 @@ class JacobiDriver:
             [_WIDTH[crit] for crit in policy.ranking], dtype=np.uint32
         )
         self._node_secure = node_secure
-        self._applies_edge = applies[table.u]
-        if gullible is None:
-            self._gullible_edge = np.zeros(table.num_edges, dtype=bool)
-        else:
-            self._gullible_edge = table.is_provider_edge & gullible[table.u]
-        self._validators = (
-            np.zeros(cg.n, dtype=bool) if validators is None else validators
-        )
-        self._drop = drop
+        flags = np.where(table.is_provider_edge, 0, _NONPROVIDER).astype(np.uint8)
+        flags[applies[table.u]] |= _APPLIES
+        if gullible is not None:
+            flags[table.is_provider_edge & gullible[table.u]] |= _GULLIBLE
+        if drop and validators is not None:
+            flags[validators[table.u]] |= _DROPS
+        self._edge_flags = flags
 
     def blank(self, chunk: int) -> Labels:
         """All-unreachable ``(cls, length, sec, att)`` for ``chunk`` rows."""
@@ -213,37 +246,76 @@ class JacobiDriver:
         leak: bool = False,
         tied: np.ndarray | None = None,
     ) -> Labels:
-        """Pin ``labels``, then sweep until a sweep changes nothing.
+        """Pin ``labels``, then sweep each row until a sweep leaves it alone.
 
-        ``pin(cls, length, sec, att)`` overwrites the origins' labels in
-        place; it runs on the starting labels and after every sweep.
-        ``tied``, when given, ends up holding the converged tiebreak-set
-        mask per edge.  Raises :class:`ConvergenceError` naming ``what``
-        when the cap is reached — a real possibility for
-        ``security_1st``, which admits dispute wheels.
+        ``pin(cls, length, sec, att, rows)`` overwrites the origins'
+        labels in place; the arrays hold the chunk's rows ``rows``, in
+        that order — all of them on the starting labels, after a sweep
+        the rows that sweep covered.  ``tied``, when given, ends up
+        holding the converged tiebreak-set mask per edge.  Raises
+        :class:`ConvergenceError` naming ``what`` for a row that
+        revisits the state it held two sweeps before, or still moves
+        after ``max_sweeps`` — a real possibility for ``security_1st``,
+        which admits dispute wheels.
         """
         table = self.table
-        chunk = labels[0].shape[0]
+        live = np.arange(labels[0].shape[0])
         if attackers is None:
-            attackers = np.full(chunk, -1, dtype=np.int64)
-        pin(*labels)
-        for _ in range(self.cap):
-            new = self.blank(chunk)
-            if table.num_edges:
-                self._kernels.jacobi_sweep(
-                    table.u, table.v, table.route_cls,
-                    table.seg_starts, table.seg_sizes, table.seg_u,
-                    table.tie_key, table.lp_field, table.is_provider_edge,
-                    self._rank_codes, self._rank_widths,
-                    attackers, self._gullible_edge, self._validators,
-                    leak, self._drop,
-                    *labels, self._applies_edge, self._node_secure,
-                    *new, tied,
+            attackers = np.full(len(live), -1, dtype=np.int64)
+        pin(*labels, live)
+        # ``cur`` steps to ``new``; ``prev`` is the step before ``cur``.
+        # A sweep writes every node that has a segment and ``pin`` the
+        # origins, so a set blanked once stays right everywhere else
+        # and is written over again two sweeps on (``spare``) — except
+        # the caller's ``labels``, whose other nodes hold what the
+        # caller put there.
+        prev: Labels | None = None
+        cur = labels
+        spare: list[Labels] = []
+        done: Labels | None = None  # where retired rows end up
+        live_tied = tied
+        for sweep in range(1, self.cap + 1):
+            new = spare.pop() if spare else self.blank(len(live))
+            self._kernels.jacobi_sweep(
+                table.v, table.route_cls,
+                table.seg_starts, table.seg_sizes, table.seg_u,
+                table.tie_rank, table.rank_edge, table.lp_field,
+                self._edge_flags, self._rank_codes, self._rank_widths,
+                attackers, leak,
+                *cur, self._node_secure,
+                *new, live_tied,
+            )
+            pin(*new, live)
+            moved = _rows_differ(new, cur)
+            if prev is not None and not (_rows_differ(new, prev) | ~moved).all():
+                raise ConvergenceError(
+                    f"{what} did not converge: sweep {sweep} revisits the "
+                    f"state of two sweeps before"
                 )
-            pin(*new)
-            if all(np.array_equal(a, b) for a, b in zip(new, labels)):
-                return labels
-            labels = new
+            if moved.all():
+                if prev is not None and prev is not labels:
+                    spare.append(prev)
+                prev, cur = cur, new
+                continue
+            # the other rows are at their fixed point: they retire
+            if done is None:
+                # the first to go: ``live`` is still every row, so their
+                # labels (and their part of ``tied``) sit in place
+                done = cur
+            else:
+                idle = live[~moved]
+                for kept, last in zip(done, cur):
+                    kept[idle] = last[~moved]
+                if tied is not None:
+                    tied[idle] = live_tied[~moved]
+            if not moved.any():
+                return done
+            live, attackers = live[moved], attackers[moved]
+            prev = tuple(x[moved] for x in cur)
+            cur = tuple(x[moved] for x in new)
+            spare = []
+            if tied is not None:
+                live_tied = np.empty((len(live), table.num_edges), dtype=bool)
         raise ConvergenceError(
             f"{what} did not converge within {self.cap} sweeps"
         )
@@ -291,14 +363,13 @@ def fixpoint_pools(
     # the same chunks as the state-independent build: they bound the
     # [chunk, edges] working set of a Jacobi batch just as well
     for batch in destination_chunks(cg, np.asarray(list(dests), dtype=np.int64)):
-        rows = np.arange(len(batch))
-
-        def pin(cls, length, sec, att):
+        def pin(cls, length, sec, att, rows):
             # the destination always keeps its own (empty, trivially
             # best) route
-            cls[rows, batch] = _SELF
-            length[rows, batch] = 0
-            sec[rows, batch] = node_secure[batch]
+            at = np.arange(len(rows)), batch[rows]
+            cls[at] = _SELF
+            length[at] = 0
+            sec[at] = node_secure[at[1]]
 
         tied = np.zeros((len(batch), table.num_edges), dtype=bool)
         cls, length, _, _ = driver.converge(

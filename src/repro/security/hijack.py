@@ -389,18 +389,19 @@ def simulate_attacks_batched(
         victims = batch[:, 0]
         attackers = np.ascontiguousarray(batch[:, 1])
         chunk = len(batch)
-        rows = np.arange(chunk)
         what = (
             f"attack scenario {scen.name!r} under policy {pol.name!r} "
             f"(pairs {batch[:4].tolist()}...)"
         )
 
-        def pin_victim(c, ln, s, a):
+        # the driver hands a pin the chunk rows its arrays hold
+        def pin_victim(c, ln, s, a, rows):
             if scen.victim_originates:
-                c[rows, victims] = _SELF
-                ln[rows, victims] = 0
-                s[rows, victims] = node_secure[victims]
-                a[rows, victims] = False
+                at = np.arange(len(rows)), victims[rows]
+                c[at] = _SELF
+                ln[at] = 0
+                s[at] = node_secure[at[1]]
+                a[at] = False
 
         with tracer.span("attack.batch", pairs=chunk):
             if leak_replay:
@@ -409,26 +410,30 @@ def simulate_attacks_batched(
                 # simulate_hijack); phase 2 pins that label and
                 # propagates the leak from it.
                 labels = driver.converge(driver.blank(chunk), pin_victim, what)
-                a_cls, a_len, a_sec = (x[rows, attackers] for x in labels[:3])
+                a_cls, a_len, a_sec = (
+                    x[np.arange(chunk), attackers] for x in labels[:3]
+                )
 
-                def pin(c, ln, s, a):
-                    pin_victim(c, ln, s, a)
-                    c[rows, attackers] = a_cls
-                    ln[rows, attackers] = a_len
-                    s[rows, attackers] = a_sec
-                    a[rows, attackers] = True
+                def pin(c, ln, s, a, rows):
+                    pin_victim(c, ln, s, a, rows)
+                    at = np.arange(len(rows)), attackers[rows]
+                    c[at] = a_cls[rows]
+                    ln[at] = a_len[rows]
+                    s[at] = a_sec[rows]
+                    a[at] = True
 
                 cls, _, _, att = driver.converge(
                     labels, pin, what, attackers=attackers, leak=True
                 )
             else:
-                def pin(c, ln, s, a):
-                    pin_victim(c, ln, s, a)
+                def pin(c, ln, s, a, rows):
+                    pin_victim(c, ln, s, a, rows)
+                    at = np.arange(len(rows)), attackers[rows]
                     if scen.attacker_originates:
-                        c[rows, attackers] = _SELF
-                        ln[rows, attackers] = scen.attacker_path_offset
-                        s[rows, attackers] = False
-                    a[rows, attackers] = True
+                        c[at] = _SELF
+                        ln[at] = scen.attacker_path_offset
+                        s[at] = False
+                    a[at] = True
 
                 cls, _, _, att = driver.converge(
                     driver.blank(chunk), pin, what,

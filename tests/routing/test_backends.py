@@ -465,11 +465,10 @@ class TestCextArgumentChecks:
         )
         kernel(*args)             # the recorded call itself is valid
         kernel(*args[:-1])        # ... and so is leaving ``tied`` out
-        checked = [
-            i for i, arg in enumerate(args)
-            if isinstance(arg, np.ndarray) and i != 0  # ``u`` never reaches C
-        ]
-        assert len(checked) == 24 and checked[-1] == len(args) - 1  # tied too
+        # every argument but ``leak`` is an array, and every array reaches C
+        checked = [i for i, arg in enumerate(args) if isinstance(arg, np.ndarray)]
+        assert len(args) == 23 and len(checked) == 22
+        assert checked[-1] == len(args) - 1  # tied too
         self._assert_checked(kernel, args, checked)
 
     @pytest.mark.parametrize(

@@ -375,12 +375,13 @@ class TestFixpointThroughTheAssembler:
 
         # the same converged labels, assembled one destination at a time
         driver = JacobiDriver(cg, policy, secure, secure & breaks)
-        batch, rows = np.asarray(dests, dtype=np.int64), np.arange(len(dests))
+        batch = np.asarray(dests, dtype=np.int64)
 
-        def pin(cls, length, sec, att):
-            cls[rows, batch] = _SELF
-            length[rows, batch] = 0
-            sec[rows, batch] = secure[batch]
+        def pin(cls, length, sec, att, rows):
+            at = np.arange(len(rows)), batch[rows]
+            cls[at] = _SELF
+            length[at] = 0
+            sec[at] = secure[at[1]]
 
         tied = np.zeros((len(dests), driver.table.num_edges), dtype=bool)
         cls, length, _, _ = driver.converge(
@@ -481,12 +482,13 @@ def _reference_for(policy_name: str, graph: ASGraph, dests: list[int]) -> dict[s
     if policy.state_dependent:
         secure, breaks = _mixed_state(graph)
         driver = JacobiDriver(cg, policy, secure, secure & breaks)
-        batch, rows = np.asarray(dests, dtype=np.int64), np.arange(len(dests))
+        batch = np.asarray(dests, dtype=np.int64)
 
-        def pin(cls, length, sec, att):
-            cls[rows, batch] = _SELF
-            length[rows, batch] = 0
-            sec[rows, batch] = secure[batch]
+        def pin(cls, length, sec, att, rows):
+            at = np.arange(len(rows)), batch[rows]
+            cls[at] = _SELF
+            length[at] = 0
+            sec[at] = secure[at[1]]
 
         tied = np.zeros((len(dests), driver.table.num_edges), dtype=bool)
         cls, length, _, _ = driver.converge(

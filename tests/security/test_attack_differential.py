@@ -12,7 +12,10 @@ masks for the same agreement.
 
 ``TestMixedChunk`` pins the fact the whole layer rests on: there is one
 Jacobi kernel, a row without an adversary is its ``attacker = -1`` row,
-and rows never interact — so honest and attacked rows may share a chunk.
+and rows never interact — so honest and attacked rows may share a chunk,
+a row retires from it as soon as a sweep leaves it alone, and a row on a
+``security_1st`` dispute wheel (hand-built below) is caught the moment
+it comes round, not at the sweep cap.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from repro.security.hijack import simulate_attacks_batched, simulate_hijack
 from repro.security.metrics import sample_pairs
 from repro.security.scenarios import available_scenarios
 from repro.topology.generator import generate_topology
+from repro.topology.graph import ASGraph
 from repro.topology.relationships import ASRole
 
 from tests.strategies import graphs_with_security
@@ -169,42 +173,50 @@ def _converge_rows(driver, node_secure, victims, attackers, leak, want_tied):
     """``(labels, tied)`` for rows ``(victim, attacker or -1)``; None if
     the chunk oscillates.  Attacker rows replay ``origin_hijack`` — or,
     with ``leak``, the two phases of ``route_leak``."""
-    rows = np.arange(len(victims))
+    num_rows = len(victims)
     has_attacker = attackers >= 0
-    a_rows, a_nodes = rows[has_attacker], attackers[has_attacker]
     tied = (
-        np.zeros((len(rows), driver.table.num_edges), dtype=bool)
+        np.zeros((num_rows, driver.table.num_edges), dtype=bool)
         if want_tied else None
     )
 
-    def pin_victim(c, ln, s, a):
-        c[rows, victims] = _SELF
-        ln[rows, victims] = 0
-        s[rows, victims] = node_secure[victims]
-        a[rows, victims] = False
+    # a pin sees the chunk rows ``rows``, in that order: the driver
+    # retires a row once a sweep leaves it alone
+    def pin_victim(c, ln, s, a, rows):
+        at = np.arange(len(rows)), victims[rows]
+        c[at] = _SELF
+        ln[at] = 0
+        s[at] = node_secure[at[1]]
+        a[at] = False
+
+    def attacker_cells(rows):
+        held = np.flatnonzero(has_attacker[rows])
+        return held, attackers[rows[held]]
 
     try:
         if leak:
             labels = driver.converge(
-                driver.blank(len(rows)), pin_victim, "honest world"
+                driver.blank(num_rows), pin_victim, "honest world"
             )
-            frozen = [x[a_rows, a_nodes] for x in labels[:3]]
+            frozen = [x[np.arange(num_rows), attackers] for x in labels[:3]]
 
-            def pin(c, ln, s, a):
-                pin_victim(c, ln, s, a)
-                c[a_rows, a_nodes] = frozen[0]
-                ln[a_rows, a_nodes] = frozen[1]
-                s[a_rows, a_nodes] = frozen[2]
-                a[a_rows, a_nodes] = True
+            def pin(c, ln, s, a, rows):
+                pin_victim(c, ln, s, a, rows)
+                at = attacker_cells(rows)
+                c[at] = frozen[0][rows[at[0]]]
+                ln[at] = frozen[1][rows[at[0]]]
+                s[at] = frozen[2][rows[at[0]]]
+                a[at] = True
         else:
-            labels = driver.blank(len(rows))
+            labels = driver.blank(num_rows)
 
-            def pin(c, ln, s, a):
-                pin_victim(c, ln, s, a)
-                c[a_rows, a_nodes] = _SELF
-                ln[a_rows, a_nodes] = 0
-                s[a_rows, a_nodes] = False
-                a[a_rows, a_nodes] = True
+            def pin(c, ln, s, a, rows):
+                pin_victim(c, ln, s, a, rows)
+                at = attacker_cells(rows)
+                c[at] = _SELF
+                ln[at] = 0
+                s[at] = False
+                a[at] = True
 
         labels = driver.converge(
             labels, pin, "mixed chunk",
@@ -297,6 +309,71 @@ def _assert_rows_independent(graph, node_secure, policy, backend, pairs):
             ), (context, k)
 
 
+def _wheel_graph():
+    """Three components: a pair, a customer chain, and a ``security_1st``
+    dispute wheel (Lychev et al., PAPERS.md).
+
+    In the wheel, ``A`` reaches ``d`` over an insecure customer ``x`` or
+    over its provider ``Q``; ``Q`` over its customer ``A`` or over its
+    secure peer ``s``.  ``A`` ranks security first, so it takes ``Q``'s
+    route whenever that is the secure one over ``s`` — a provider route,
+    which GR2 stops it from announcing back up to ``Q``.  ``Q`` is secure
+    but does not rank security, so it takes its customer's route whenever
+    ``A`` announces one.  Either may have its way (a wedgie: two stable
+    states), and stepped in lockstep they both switch, then both switch
+    back, for ever.
+
+    Returns ``(graph, secure, applies, dests)``; ``dests`` are the pair's
+    end (one sweep and a second to confirm), the chain's (one sweep per
+    link) and ``d``.
+    """
+    graph = ASGraph()
+    names = ["p", "q", *(f"c{i}" for i in range(7)), "d", "x", "s", "A", "Q"]
+    asn = {name: 100 + i for i, name in enumerate(names)}
+    for name in names:
+        graph.add_as(asn[name])
+    graph.add_customer_provider(provider=asn["q"], customer=asn["p"])
+    for i in range(6):
+        graph.add_customer_provider(provider=asn[f"c{i + 1}"], customer=asn[f"c{i}"])
+    graph.add_customer_provider(provider=asn["x"], customer=asn["d"])
+    graph.add_customer_provider(provider=asn["s"], customer=asn["d"])
+    graph.add_customer_provider(provider=asn["A"], customer=asn["x"])
+    graph.add_customer_provider(provider=asn["Q"], customer=asn["A"])
+    graph.add_peering(asn["Q"], asn["s"])
+    graph.validate()
+    at = {name: graph.index(asn[name]) for name in names}
+    secure = np.zeros(graph.n, dtype=bool)
+    secure[[at["d"], at["s"], at["A"], at["Q"]]] = True
+    applies = secure.copy()
+    applies[at["Q"]] = False
+    return graph, secure, applies, [at["p"], at["c0"], at["d"]]
+
+
+def _wheel_rows(backend, dests, count=None, max_sweeps=None):
+    """``(labels, tied)`` of destinations ``dests`` of :func:`_wheel_graph`
+    under ``security_1st``; ``count`` collects the rows of every pin."""
+    graph, secure, applies, _ = _wheel_graph()
+    driver = JacobiDriver(
+        CompiledGraph.from_graph(graph), get_policy("security_1st"),
+        secure, applies, backend=backend, max_sweeps=max_sweeps,
+    )
+    dests = np.asarray(dests, dtype=np.int64)
+    tied = np.zeros((len(dests), driver.table.num_edges), dtype=bool)
+
+    def pin(c, ln, s, a, rows):
+        if count is not None:
+            count.append(rows.tolist())
+        at = np.arange(len(rows)), dests[rows]
+        c[at] = _SELF
+        ln[at] = 0
+        s[at] = secure[at[1]]
+
+    labels = driver.converge(
+        driver.blank(len(dests)), pin, "wheel graph", tied=tied
+    )
+    return labels, tied
+
+
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
 class TestMixedChunk:
     """Single-origin routing is the ``attacker = -1`` row of the attack
@@ -327,6 +404,37 @@ class TestMixedChunk:
                 graph, secure, policy, backend,
                 [(victim, attacker), (attacker, victim)],
             )
+
+    def test_quick_row_retires_beside_slow_row(self, backend):
+        """The driver sweeps a row until a sweep leaves it alone,
+        whatever the rest of its chunk still does."""
+        *_, (quick, slow, _) = _wheel_graph()
+        pins: list[list[int]] = []
+        labels, tied = _wheel_rows(backend, [quick, slow], count=pins)
+        # pinned at the start, then once per sweep over the rows it covered
+        assert pins[:3] == [[0, 1], [0, 1], [0, 1]]
+        assert pins[3:] == [[1]] * (len(pins) - 3) and len(pins) - 1 >= 6
+        for k, dest in enumerate((quick, slow)):
+            alone, alone_tied = _wheel_rows(backend, [dest])
+            for whole, single in zip((*labels, tied), (*alone, alone_tied)):
+                assert whole[k].tobytes() == single[0].tobytes(), (backend, k)
+
+    def test_wheel_is_caught_when_it_comes_round(self, backend):
+        """Same error as the sweep cap raises, a thousand sweeps sooner."""
+        *_, (quick, slow, wheel) = _wheel_graph()
+        pins: list[list[int]] = []
+        with pytest.raises(ConvergenceError, match="revisits"):
+            _wheel_rows(backend, [wheel], count=pins, max_sweeps=1000)
+        assert len(pins) - 1 <= 8
+        # a chunk is stuck as soon as one of its rows is
+        for dests in ([quick, wheel, slow], [wheel, quick]):
+            with pytest.raises(ConvergenceError, match="revisits"):
+                _wheel_rows(backend, dests, max_sweeps=1000)
+
+    def test_longer_cycles_still_meet_the_cap(self, backend):
+        *_, (_, slow, _) = _wheel_graph()
+        with pytest.raises(ConvergenceError, match="within 3 sweeps"):
+            _wheel_rows(backend, [slow], max_sweeps=3)
 
 
 class TestBatchedValidation:
