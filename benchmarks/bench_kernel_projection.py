@@ -1,18 +1,30 @@
-"""Kernel ablation: incremental vs full projected-utility engines.
+"""Kernel ablation: incremental vs full projected-utility engines, and
+a whole round's projections as one stack vs one call per ISP.
 
-DESIGN.md calls this out: both produce identical values (tests assert
-it); the incremental engine prunes non-reactive destinations and
+DESIGN.md calls this out: both engines produce identical values (tests
+assert it); the incremental engine prunes non-reactive destinations and
 propagates deltas, which is what makes whole-graph sweeps tractable.
+
+The round-pass entries replay the first round of the section-5 game
+(the round with the most deciding ISPs) at N=500 and N=1000 on each
+loadable tier: ``stack`` is the one ``project_flips`` call a round makes,
+``loop`` the same jobs through the one-job ``project_flip``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.config import ProjectionEngine, UtilityModel
+from repro.core.config import ProjectionEngine, SimulationConfig, UtilityModel
 from repro.core.engine import compute_round_data
-from repro.core.projection import project_flip
+from repro.core.projection import project_flip, project_flips
 from repro.core.state import DeploymentState, StateDeriver
+from repro.experiments.case_study import run_case_study
+from repro.experiments.setup import build_environment
+from repro.routing import backends as kernel_backends
+from repro.routing.errors import BackendUnavailable
+
+from benchmarks.conftest import BENCH_SEED
 
 
 @pytest.fixture(scope="module")
@@ -54,3 +66,45 @@ def test_kernel_engines_identical(env, game_state):
     full = project_flip(env.cache, deriver, rd, isp, True,
                         UtilityModel.OUTGOING, ProjectionEngine.FULL)
     assert inc.utility == pytest.approx(full.utility)
+
+
+def _loadable(name: str) -> bool:
+    try:
+        kernel_backends.load_backend(name)
+    except BackendUnavailable:
+        return False
+    return True
+
+
+ROUND_BACKENDS = [name for name in ("numpy", "cext") if _loadable(name)]
+
+
+@pytest.fixture(scope="module", params=[500, 1000])
+def recorded_round(request):
+    """The first round of the case-study game at ``N``: its round data
+    and the jobs it projected."""
+    env = build_environment(n=request.param, seed=BENCH_SEED, x=0.10)
+    config = SimulationConfig(theta=0.05, max_rounds=1)
+    record = run_case_study(env, config=config).result.rounds[0]
+    deriver = StateDeriver(env.graph, config.stub_breaks_ties, env.cache.compiled)
+    rd = compute_round_data(env.cache, deriver, record.state, config.utility_model)
+    jobs = [(isp, proj.turning_on) for isp, proj in record.projections.items()]
+    return env.cache, deriver, rd, jobs, list(record.projections.values())
+
+
+@pytest.mark.parametrize("backend", ROUND_BACKENDS)
+def test_kernel_projection_round_stack(benchmark, recorded_round, backend):
+    cache, deriver, rd, jobs, recorded = recorded_round
+    rd.arena.backend = backend
+    out = benchmark(lambda: project_flips(cache, deriver, rd, jobs, UtilityModel.OUTGOING))
+    assert out == recorded
+
+
+@pytest.mark.parametrize("backend", ROUND_BACKENDS)
+def test_kernel_projection_round_loop(benchmark, recorded_round, backend):
+    cache, deriver, rd, jobs, recorded = recorded_round
+    rd.arena.backend = backend
+    out = benchmark(lambda: [
+        project_flip(cache, deriver, rd, isp, on, UtilityModel.OUTGOING) for isp, on in jobs
+    ])
+    assert out == recorded

@@ -483,6 +483,7 @@ class InlineKernelCall(Rule):
             "compute_trees_batched",
             "subtree_weights_batched",
             "project_flip",
+            "project_flips",
             "parallel_warm_cache",
             "parallel_project_flips",
         }

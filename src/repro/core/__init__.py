@@ -48,7 +48,7 @@ from repro.core.perlink import (
     utility_with_links,
 )
 from repro.core.pricing import LINEAR_PRICING, Pricing, PricingModel
-from repro.core.projection import Projection, project_flip
+from repro.core.projection import Projection, project_flip, project_flips
 from repro.core.state import DeploymentState, StateDeriver
 from repro.core.thresholds import (
     degree_scaled_thresholds,
@@ -94,6 +94,7 @@ __all__ = [
     "lognormal_thresholds",
     "no_early_adopters",
     "project_flip",
+    "project_flips",
     "projection_accuracy",
     "random_isps",
     "run_deployment",

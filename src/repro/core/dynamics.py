@@ -27,7 +27,7 @@ from pathlib import Path
 from repro.core.config import SimulationConfig
 from repro.core.engine import RoundData, compute_round_data
 from repro.core.pricing import LINEAR_PRICING, Pricing
-from repro.core.projection import Projection, project_flip
+from repro.core.projection import Projection, project_flips
 from repro.core.state import DeploymentState, StateDeriver
 from repro.routing.cache import RoutingCache
 from repro.routing.policy import DEFAULT_POLICY
@@ -442,10 +442,10 @@ class DeploymentSimulation:
         )
 
     def _project_jobs(self, rd: RoundData, jobs: list[tuple[int, bool]]) -> list[Projection]:
-        """Evaluate the round's flip projections, serially or fanned out.
+        """Evaluate the round's flip projections, in one stack or fanned out.
 
-        With ``config.workers > 1`` the independent per-ISP projections
-        run on the process engine (fork copy-on-write; only index pairs
+        With ``config.workers > 1`` each worker process stacks one
+        contiguous run of the jobs (fork copy-on-write; only index pairs
         and scalar-sized projections cross the pipes — see
         :func:`repro.parallel.engine.parallel_project_flips`).
         """
@@ -458,13 +458,9 @@ class DeploymentSimulation:
                 model=cfg.utility_model, projection=cfg.projection,
                 workers=cfg.workers,
             )
-        return [
-            project_flip(
-                self.cache, self.deriver, rd, isp,
-                turning_on=turning_on, model=cfg.utility_model, engine=cfg.projection,
-            )
-            for isp, turning_on in jobs
-        ]
+        return project_flips(
+            self.cache, self.deriver, rd, jobs, cfg.utility_model, cfg.projection
+        )
 
     def _jobs(self, state: DeploymentState) -> list[tuple[int, bool]]:
         """``(isp, turning_on)`` per decision maker of ``state``, turn-ons first."""

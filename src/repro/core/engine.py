@@ -80,7 +80,7 @@ def contributions(
     cls: np.ndarray,
     choice: np.ndarray,
     weights: np.ndarray,
-    node: int,
+    node: int | np.ndarray,
     node_weights: np.ndarray,
     model: UtilityModel,
     rows: np.ndarray | slice = slice(None),
@@ -89,17 +89,19 @@ def contributions(
 
     ``cls`` / ``choice`` / ``weights`` are matching ``[num_dests, n]``
     route classes, next hops and subtree weights; returns one float64
-    per destination of ``rows`` (default: all).  Outgoing (Eq. 1): the
-    weight of ``node``'s subtree where it reaches the destination over a
+    per destination of ``rows`` (default: all).  ``node`` is one node
+    for every row, or one node per row.  Outgoing (Eq. 1): the weight
+    of ``node``'s subtree where it reaches the destination over a
     customer edge.  Incoming (Eq. 2): the subtrees (and own weights) of
     the children that reach ``node`` as their provider, summed per
     destination in node order.
     """
-    if model is UtilityModel.OUTGOING:
-        return np.where(cls[rows, node] == _CUSTOMER, weights[rows, node], 0.0)
     index = np.arange(len(cls))[rows]
+    if model is UtilityModel.OUTGOING:
+        return np.where(cls[index, node] == _CUSTOMER, weights[index, node], 0.0)
     out = np.zeros(len(index), dtype=np.float64)
-    row, kids = np.nonzero((choice[rows] == node) & (cls[rows] == _PROVIDER))
+    of_row = np.reshape(node, (-1, 1))
+    row, kids = np.nonzero((choice[rows] == of_row) & (cls[rows] == _PROVIDER))
     terms = weights[index[row], kids] + node_weights[kids]
     bounds = np.flatnonzero(np.diff(row, prepend=-1, append=-1))
     for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
@@ -157,10 +159,10 @@ class RoundData:
         to the new flag; the two vectors are this round's with those
         flips applied.
         """
-        stubs = deriver.flipped_stubs(
-            isp, turning_on, self.state, self.node_secure, self.deploying_providers
+        _, stubs = deriver.flipped_stubs(
+            [isp], [turning_on], self.state, self.node_secure, self.deploying_providers
         )
-        nodes = [isp, *stubs]
+        nodes = [isp, *stubs.tolist()]
         node_secure_new = self.node_secure.copy()
         node_secure_new[nodes] = turning_on
         return (

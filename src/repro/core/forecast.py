@@ -25,7 +25,7 @@ import dataclasses
 
 from repro.core.config import UtilityModel
 from repro.core.engine import RoundData
-from repro.core.projection import _incremental_delta, project_flip
+from repro.core.projection import _incremental_delta, project_flips
 from repro.core.state import StateDeriver
 from repro.routing.cache import RoutingCache
 from repro.routing.policy import RouteClass
@@ -107,21 +107,16 @@ def forecast_error_study(
     horizon: int = 1,
 ) -> list[LocalForecast]:
     """Compare local estimates against exact projections for ``isps``."""
-    out: list[LocalForecast] = []
-    for isp in isps:
-        exact = project_flip(
-            cache, deriver, rd, isp, turning_on=True, model=model
-        ).utility
-        estimated = local_project_flip(
-            cache, deriver, rd, isp, turning_on=True, model=model, horizon=horizon
+    exact = project_flips(cache, deriver, rd, [(isp, True) for isp in isps], model)
+    return [
+        LocalForecast(
+            isp=isp,
+            horizon=horizon,
+            estimated_utility=local_project_flip(
+                cache, deriver, rd, isp, turning_on=True, model=model, horizon=horizon
+            ),
+            exact_utility=proj.utility,
+            current_utility=float(rd.utilities[isp]),
         )
-        out.append(
-            LocalForecast(
-                isp=isp,
-                horizon=horizon,
-                estimated_utility=estimated,
-                exact_utility=exact,
-                current_utility=float(rd.utilities[isp]),
-            )
-        )
-    return out
+        for isp, proj in zip(isps, exact)
+    ]

@@ -3,52 +3,83 @@
 An ISP evaluates the utility it *would* obtain if it flipped its
 deployment action while everyone else stayed put — including the side
 effect that deploying secures its not-yet-secure stub customers (and
-turning off orphans stubs whose only secure provider it was).
+turning off orphans stubs whose only secure provider it was).  Update
+rule (3) asks this of every deciding ISP each round, and
+:func:`project_flips` answers for all of them together, in two phases.
 
-Two engines with identical outputs:
+**Job phase** (arrays over all jobs, no per-ISP Python).  The flipped
+stubs of every job as one CSR; the *special* positions, destinations
+whose own security a job flips; and the *candidate* positions, secure
+destinations a job can reroute (Appendix C.4: destinations insecure in
+both states route identically): one ``[secure dests, flip nodes]``
+gather of the round's matrices, reduced per job, taken a run of jobs at
+a time.  One sort over ``job * D + position`` leaves the
+``(job, position)`` rows to resolve, by job, then position.
+
+**Row phase.**  The rows go through the batched tree and weight kernels
+with a *per-row state*, the round's ``node_secure`` with the row's own
+job's flips patched in, so rows of different ISPs share a pass (two ISPs
+sharing a multi-homed stub put that slot in a pass twice).  A pass holds
+at most :data:`_PASS_ENTRIES` ``rows x n`` entries, fewer under a memory
+budget: the kernels' temporaries stay cache-sized however many rows a
+round has, which is both the fast and the flat-memory way to run them.
+Each row's delta is read off the resolved matrices against the round's
+rows, and each job's deltas are added left to right.
+
+Two engines with identical outputs share all of the above:
 
 ``FULL``
-    Re-resolve the routing tree of every *relevant* destination in the
-    flipped state.  Relevance pruning per Appendix C.4: destinations
-    that are insecure in both states route identically, so only
-    currently-secure destinations plus destinations whose own security
-    the flip changes (the ISP itself and its stubs) can differ.
+    resolves special and candidate rows alike in the stack.
 
 ``INCREMENTAL``
-    Additionally prune destinations where the flip demonstrably cannot
-    change any routing decision (no member of the flip set has a secure
-    tiebreak candidate to gain, or a secure path to lose), and for the
-    remaining destinations propagate security changes level-by-level
-    through the reverse tiebreak graph, touching only affected nodes.
-    Traffic deltas are then integrated by walking the short paths of
-    the sources whose routes moved.
+    stacks only the special rows; at each remaining candidate it
+    propagates security changes level by level through the reverse
+    tiebreak graph, touching only affected nodes, and integrates the
+    traffic delta by walking the short paths of the sources whose routes
+    moved.
 
-Both engines assume Observation C.1 (structures are state-independent;
-only tie-breaks move).  Under the state-dependent policies
-(``security_1st`` / ``security_2nd``) every projection instead rebuilds
-the structures of the destinations that can react to the flip with the
-fixpoint builder — see :func:`_resolved_deltas`.  Whatever is re-resolved
-is re-resolved as one stack of destinations, and its utility deltas are
-read off the resulting matrices row by row.
+Both assume Observation C.1 (structures are state-independent; only
+tie-breaks move).  Under the state-dependent policies (``security_1st``
+/ ``security_2nd``) a flip moves classes and lengths too, so each job
+rebuilds the structures of the destinations that can react with the
+fixpoint builder and resolves them as a stack of its own.
+:func:`project_flip` is the one-job call.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.core.config import ProjectionEngine, UtilityModel
-from repro.core.engine import DestState, RoundData, contributions
+from repro.core.engine import (
+    _KERNEL_ROW_BYTES_PER_NODE,
+    DestState,
+    RoundData,
+    contributions,
+)
 from repro.core.state import StateDeriver
 from repro.routing.arena import RoutingArena, compute_trees_batched, subtree_weights_batched
 from repro.routing.cache import RoutingCache
+from repro.routing.compiled import segment_index
 from repro.routing.policy import RouteClass
 from repro.routing.tree import DestRouting
+from repro.runtime.guard import current_guard
+from repro.telemetry.metrics import get_registry
 
 _CUSTOMER = int(RouteClass.CUSTOMER)
 _PROVIDER = int(RouteClass.PROVIDER)
 _BLOCKED = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+#: ``rows x n`` entries per pass of the row phase (and per candidate
+#: gather of the job phase).  Like ``numpy_impl._BLOCK_ROWS``, it keeps
+#: the kernels' per-pass outputs and temporaries near cache size.
+#: Scanned on the ``sweep`` workload (N=500), ``wall_s`` / peak RSS:
+#: 16 K 0.31-0.34 s / 83.5 MiB, 32 K 0.29 / 83.3, 64 K 0.25-0.30 / 82.9,
+#: 128 K 0.24-0.26 / 86.4, 256 K 0.33 / 94.6, one pass 0.28-0.35 / 101.4.
+_PASS_ENTRIES = 1 << 16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,6 +94,62 @@ class Projection:
     dests_delta: int          # incremental destinations actually touched
 
 
+@dataclasses.dataclass
+class _FlipSets:
+    """The jobs of one call as arrays: job ``j`` sets
+    ``nodes[ptr[j]:ptr[j + 1]]`` — ``isps[j]``, then each stub customer
+    whose derived security moves with it, in
+    :meth:`StateDeriver.stubs_of` order — to ``on[j]``."""
+
+    isps: np.ndarray    # int64[J]
+    on: np.ndarray      # bool[J]
+    ptr: np.ndarray     # int64[J + 1]
+    nodes: np.ndarray   # int64
+
+    @classmethod
+    def derive(
+        cls, deriver: StateDeriver, rd: RoundData, jobs: Sequence[tuple[int, bool]]
+    ) -> "_FlipSets":
+        isps = np.fromiter((isp for isp, _ in jobs), np.int64, len(jobs))
+        on = np.fromiter((on for _, on in jobs), bool, len(jobs))
+        stub_ptr, stubs = deriver.flipped_stubs(
+            isps, on, rd.state, rd.node_secure, rd.deploying_providers
+        )
+        ptr = stub_ptr + np.arange(len(jobs) + 1)
+        nodes = np.empty(ptr[-1], dtype=np.int64)
+        is_stub = np.ones(len(nodes), dtype=bool)
+        is_stub[ptr[:-1]] = False
+        nodes[ptr[:-1]] = isps
+        nodes[is_stub] = stubs
+        return cls(isps, on, ptr, nodes)
+
+    def nodes_of(self, job: int) -> np.ndarray:
+        return self.nodes[self.ptr[job]:self.ptr[job + 1]]
+
+    def job_of_node(self) -> np.ndarray:
+        """The job each entry of ``nodes`` belongs to."""
+        return np.repeat(np.arange(len(self.isps)), np.diff(self.ptr))
+
+    def state(
+        self, rd: RoundData, deriver: StateDeriver, job: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(node_secure, breaks_ties)`` of the round with ``job`` applied."""
+        node_secure_new = rd.node_secure.copy()
+        node_secure_new[self.nodes_of(job)] = self.on[job]
+        return node_secure_new, deriver.breaks_ties(node_secure_new)
+
+    def patched(self, node_secure: np.ndarray, of_row: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out[i]`` = ``node_secure`` with job ``of_row[i]`` applied."""
+        out[:] = node_secure
+        first = self.ptr[of_row]
+        counts = self.ptr[of_row + 1] - first
+        out[
+            np.repeat(np.arange(len(of_row)), counts),
+            self.nodes[segment_index(first, counts)],
+        ] = np.repeat(self.on[of_row], counts)
+        return out
+
+
 def project_flip(
     cache: RoutingCache,
     deriver: StateDeriver,
@@ -73,18 +160,132 @@ def project_flip(
     engine: ProjectionEngine = ProjectionEngine.FULL,
 ) -> Projection:
     """Projected utility of ``isp`` if it flipped its action this round."""
-    flips, node_secure_new, breaks_new = rd.flipped(deriver, isp, turning_on)
-    w = cache.graph.weights
+    return project_flips(cache, deriver, rd, [(isp, turning_on)], model, engine)[0]
 
-    # Destinations whose *own* security status changes always need a
-    # full recompute; under the FULL engine so do all reroutable
-    # candidates.  Everything needing a full recompute goes through the
-    # batched arena kernel in ONE stacked pass.  (Most projections of a
-    # sampled cache resolve nothing at all, so the bookkeeping around
-    # that pass stays in plain sets.)
-    special = {pos for node in flips if (pos := cache.position_of(node)) is not None}
-    incremental: list[int] = []
-    if cache.policy.state_dependent:
+
+def project_flips(
+    cache: RoutingCache,
+    deriver: StateDeriver,
+    rd: RoundData,
+    jobs: Sequence[tuple[int, bool]],
+    model: UtilityModel,
+    engine: ProjectionEngine = ProjectionEngine.FULL,
+) -> list[Projection]:
+    """One :class:`Projection` per ``(isp, turning_on)`` job: each ISP's
+    utility if it alone flipped its action this round."""
+    if not len(jobs):
+        return []
+    n, w = cache.graph.n, cache.graph.weights
+    num_dests = max(1, rd.arena.num_dests)
+    rebuilds = cache.policy.state_dependent
+    pass_rows = _pass_rows(n)
+    flips = _FlipSets.derive(deriver, rd, jobs)
+    isps, num_jobs = flips.isps, len(flips.isps)
+
+    rows, is_special = _rows_to_resolve(rd, flips, model, rebuilds, num_dests, pass_rows * n)
+    incremental = rows[:0]
+    if engine is ProjectionEngine.INCREMENTAL and not rebuilds:
+        # only the special rows are stacked
+        incremental, rows = rows[~is_special], rows[is_special]
+        is_special = np.ones(len(rows), dtype=bool)
+    row_job, row_pos = np.divmod(rows, num_dests)
+
+    deltas = np.empty(len(rows), dtype=np.float64)
+    passes = 0
+    if rebuilds:
+        # structures move with the state: one rebuilt stack per job
+        bounds = np.searchsorted(row_job, np.arange(num_jobs + 1))
+        for job in np.flatnonzero(np.diff(bounds)).tolist():
+            passes += 1
+            lo, hi = bounds[job], bounds[job + 1]
+            deltas[lo:hi] = _rebuilt_deltas(
+                cache, rd, row_pos[lo:hi], int(isps[job]),
+                *flips.state(rd, deriver, job), model,
+            )
+    else:
+        states = np.empty((min(pass_rows, len(rows)), n), dtype=bool)
+        for lo in range(0, len(rows), pass_rows):
+            passes += 1
+            of_row, slots = row_job[lo:lo + pass_rows], row_pos[lo:lo + pass_rows]
+            secure = flips.patched(rd.node_secure, of_row, out=states[:len(slots)])
+            deltas[lo:lo + pass_rows] = _resolved_deltas(
+                rd.arena, slots, rd, slots, isps[of_row],
+                secure, deriver.breaks_ties(secure), w, model,
+            )
+    registry = get_registry()
+    if registry.enabled:
+        registry.counter("sim.projection.rows").inc(len(rows))
+        registry.counter("sim.projection.passes").inc(passes)
+
+    # each job's deltas, added left to right as a running sum over its
+    # destinations would (``add.at`` applies its operands in order)
+    delta = np.zeros(num_jobs, dtype=np.float64)
+    np.add.at(delta, row_job, deltas)
+    moved = (deltas != 0) & ~is_special
+    touched = np.bincount(row_job[moved], minlength=num_jobs).tolist()
+    recomputed = np.bincount(row_job, minlength=num_jobs).tolist()
+    utility = (rd.utilities[isps] + delta).tolist()
+
+    # Remaining candidates: exact deltas via local propagation.
+    inc_job, inc_pos = np.divmod(incremental, num_dests)
+    bounds = np.searchsorted(inc_job, np.arange(num_jobs + 1))
+    for job in np.flatnonzero(np.diff(bounds)).tolist():
+        node_secure_new, breaks_new = flips.state(rd, deriver, job)
+        nodes = flips.nodes_of(job).tolist()
+        total = float(delta[job])
+        for pos in inc_pos[bounds[job]:bounds[job + 1]].tolist():
+            d = _incremental_delta(
+                rd.dest_state(pos), node_secure_new, breaks_new, nodes,
+                int(isps[job]), model, w,
+            )
+            if d:
+                touched[job] += 1
+            total += d
+        utility[job] = float(rd.utilities[isps[job]]) + total
+
+    nodes, ends = flips.nodes.tolist(), flips.ptr.tolist()
+    return [
+        Projection(
+            isp=int(isp),
+            turning_on=bool(turning_on),
+            utility=utility[job],
+            flips=dict.fromkeys(nodes[ends[job]:ends[job + 1]], bool(turning_on)),
+            dests_recomputed=recomputed[job],
+            dests_delta=touched[job],
+        )
+        for job, (isp, turning_on) in enumerate(jobs)
+    ]
+
+
+def _pass_rows(n: int) -> int:
+    """Rows per pass: :data:`_PASS_ENTRIES` entries, fewer where the
+    memory budget cannot hold that many rows' kernel working set."""
+    rows = max(1, _PASS_ENTRIES // n)
+    return current_guard().plan_batch_rows(
+        rows, _KERNEL_ROW_BYTES_PER_NODE * n, what="projection pass"
+    )
+
+
+def _rows_to_resolve(
+    rd: RoundData,
+    flips: _FlipSets,
+    model: UtilityModel,
+    rebuilds: bool,
+    num_dests: int,
+    max_entries: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, is_special)``: every ``(job, position)`` whose tree the
+    job's flip can change, keyed ``job * num_dests + position``, ascending.
+
+    Destinations whose *own* security status changes (the special rows)
+    always need a full recompute; so do all reroutable candidates,
+    unless the INCREMENTAL engine propagates through them instead.
+    """
+    position_of = np.full(rd.arena.graph_n, -1, dtype=np.int64)
+    position_of[rd.arena.dest_ids] = np.arange(rd.arena.num_dests)
+    at = position_of[flips.nodes]
+    special = flips.job_of_node()[at >= 0] * num_dests + at[at >= 0]
+    if rebuilds:
         # The flip moves classes and lengths, not just tie-breaks, so the
         # tiebreak-only machinery (incremental propagation, the
         # ``sec``/``any_sec`` candidate refinements) is invalid.  What
@@ -92,116 +293,131 @@ def project_flip(
         # in *both* states has all-insecure paths under any ranking, so
         # its routing collapses to the security-free order of the policy
         # and cannot react to the flip.
-        dest_idx = np.asarray(cache.destinations, dtype=np.int64)
-        relevant = rd.node_secure[dest_idx] | node_secure_new[dest_idx]
-        full = special.union(np.flatnonzero(relevant).tolist())
+        candidates = (
+            np.arange(len(flips.isps))[:, None] * num_dests + rd.secure_dest_positions
+        ).reshape(-1)
     else:
-        candidates = _candidate_positions(rd, isp, flips, turning_on, model).tolist()
-        if engine is ProjectionEngine.FULL:
-            full = special.union(candidates)
+        candidates = _candidate_rows(rd, flips, model, num_dests, max_entries)
+    # one sort orders the rows by job, then position, a special row
+    # ahead of the candidate row it doubles
+    tagged = np.sort(np.concatenate((special * 2, candidates * 2 + 1)))
+    rows = tagged >> 1
+    fresh = np.ones(len(rows), dtype=bool)
+    fresh[1:] = rows[1:] != rows[:-1]
+    return rows[fresh], (tagged[fresh] & 1) == 0
+
+
+def _candidate_rows(
+    rd: RoundData,
+    flips: _FlipSets,
+    model: UtilityModel,
+    num_dests: int,
+    max_entries: int,
+) -> np.ndarray:
+    """``job * num_dests + position`` of the secure destinations where
+    each job's flip could change routing, ascending.  The ``[secure
+    dests, flip nodes]`` gather behind it is taken a run of jobs at a
+    time: at most ``max_entries`` entries, or one job."""
+    secure_pos = rd.secure_dest_positions
+    if not len(secure_pos):
+        return np.zeros(0, dtype=np.int64)
+    found = []
+    ptr, num_jobs = flips.ptr, len(flips.isps)
+    nodes_per_run = max(1, max_entries // len(secure_pos))
+    lo = 0
+    while lo < num_jobs:
+        hi = max(lo + 1, int(np.searchsorted(ptr, ptr[lo] + nodes_per_run, "right")) - 1)
+        nodes = flips.nodes[ptr[lo]:ptr[hi]]
+        turning_on = np.repeat(flips.on[lo:hi], np.diff(ptr[lo:hi + 1]))
+        # turning on, a flipped node can only start influencing SecP
+        # decisions if it can acquire a secure chosen path, i.e. has a
+        # secure candidate; turning off, symmetrically, it must have a
+        # secure chosen path to lose
+        if turning_on.all():
+            reach = rd.secure_dest_any_sec[:, nodes]
         else:
-            full = special
-            incremental = [pos for pos in candidates if pos not in special]
-
-    positions = np.asarray(sorted(full), dtype=np.int64)
-    deltas = _resolved_deltas(cache, rd, positions, node_secure_new, breaks_new, isp, model)
-    # left to right, as a running sum over the destinations would
-    delta = float(np.cumsum(deltas)[-1]) if len(deltas) else 0.0
-    touched = np.count_nonzero(deltas)
-    if special:
-        touched -= np.count_nonzero(deltas[np.searchsorted(positions, list(special))])
-
-    # Remaining candidates: exact deltas via local propagation.
-    for pos in incremental:
-        d = _incremental_delta(
-            rd.dest_state(pos), node_secure_new, breaks_new, flips, isp, model, w
-        )
-        if d:
-            touched += 1
-        delta += d
-
-    return Projection(
-        isp=isp,
-        turning_on=turning_on,
-        utility=float(rd.utilities[isp]) + delta,
-        flips=flips,
-        dests_recomputed=len(full),
-        dests_delta=touched,
-    )
+            reach = rd.secure_dest_sec[:, nodes]
+            if turning_on.any():
+                reach[:, turning_on] = rd.secure_dest_any_sec[:, nodes[turning_on]]
+        possible = np.logical_or.reduceat(reach, ptr[lo:hi] - ptr[lo], axis=1)
+        job, which = np.nonzero(possible.T)
+        job += lo
+        positions = secure_pos[which]
+        if model is UtilityModel.OUTGOING:
+            # only destinations n reaches via a customer edge contribute
+            via_customer = rd.arena.cls[positions, flips.isps[job]] == _CUSTOMER
+            job, positions = job[via_customer], positions[via_customer]
+        found.append(job * num_dests + positions)
+        lo = hi
+    return np.concatenate(found)
 
 
 def _resolved_deltas(
-    cache: RoutingCache,
+    arena: RoutingArena,
+    slots: np.ndarray,
     rd: RoundData,
     positions: np.ndarray,
-    node_secure_new: np.ndarray,
-    breaks_new: np.ndarray,
-    isp: int,
+    nodes: int | np.ndarray,
+    node_secure: np.ndarray,
+    breaks_ties: np.ndarray,
+    node_weights: np.ndarray,
     model: UtilityModel,
 ) -> np.ndarray:
-    """What the flip adds to ``isp``'s utility at each destination of
-    ``positions``: their trees resolved under the flipped state in a
-    single stacked pass, against the round's rows.  Where structures
-    move with the state they are rebuilt under the flipped state first
-    (one batched fixpoint build, slot ``i`` for ``positions[i]``).
+    """Per row ``i``: what the state ``node_secure[i]`` adds to
+    ``nodes[i]``'s utility at destination ``positions[i]`` of the round
+    (``nodes``: one node per row, or one for all).
+
+    The trees of ``slots`` (``arena``'s structures of those
+    destinations: the round's own, or a rebuild under the flipped state)
+    resolved in one stacked pass under the rows' states — ``[n]`` for one
+    state, ``[B, n]`` for a state per row — against the round's rows.
     """
-    if not len(positions):
-        return np.zeros(0, dtype=np.float64)
-    n, w = cache.graph.n, cache.graph.weights
-    arena, slots = rd.arena, positions
-    if cache.policy.state_dependent:
-        pools = cache.policy.build_pools(
-            cache.graph,
-            [cache.destinations[p] for p in positions],
-            cache.compiled,
-            node_secure=node_secure_new,
-            breaks_ties=breaks_new,
-            backend=cache.backend_name,
-        )
-        arena = RoutingArena(
-            n, RoutingArena.concat(n, [pools], keys=True),
-            policy=pools.policy, backend=cache.backend_name,
-        )
-        slots = arena.all_slots()
-    bt = compute_trees_batched(arena, slots, node_secure_new, breaks_new)
-    w2d = subtree_weights_batched(arena, slots, bt.choice, w)
-    new = contributions(arena.cls[slots], bt.choice, w2d, isp, w, model)
-    old = contributions(rd.arena.cls, rd.choice, rd.weights, isp, w, model, rows=positions)
+    bt = compute_trees_batched(arena, slots, node_secure, breaks_ties)
+    w2d = subtree_weights_batched(arena, slots, bt.choice, node_weights)
+    new = contributions(arena.cls[slots], bt.choice, w2d, nodes, node_weights, model)
+    old = contributions(
+        rd.arena.cls, rd.choice, rd.weights, nodes, node_weights, model, rows=positions
+    )
     return new - old
 
 
-def _candidate_positions(
+def _rebuilt_deltas(
+    cache: RoutingCache,
     rd: RoundData,
+    positions: np.ndarray,
     isp: int,
-    flips: dict[int, bool],
-    turning_on: bool,
+    node_secure_new: np.ndarray,
+    breaks_new: np.ndarray,
     model: UtilityModel,
 ) -> np.ndarray:
-    """Secure-destination positions where the flip could change routing."""
-    secure_pos = rd.secure_dest_positions
-    if not len(secure_pos):
-        return secure_pos
-    flip_nodes = list(flips)
-    if turning_on:
-        # a flipped node can only start influencing SecP decisions if it
-        # can acquire a secure chosen path, i.e. has a secure candidate
-        possible = rd.secure_dest_any_sec[:, flip_nodes].any(axis=1)
-    else:
-        # symmetric: it must currently have a secure chosen path to lose
-        possible = rd.secure_dest_sec[:, flip_nodes].any(axis=1)
-    positions = secure_pos[possible]
-    if model is UtilityModel.OUTGOING and len(positions):
-        # only destinations n reaches via a customer edge contribute
-        via_customer = rd.arena.cls[positions, isp] == _CUSTOMER
-        positions = positions[via_customer]
-    return positions
+    """What a flip adds to ``isp``'s utility at each destination of
+    ``positions`` where structures move with the state: rebuilt under
+    the flipped state (one batched fixpoint build, slot ``i`` for
+    ``positions[i]``), then resolved as one stack."""
+    n = cache.graph.n
+    pools = cache.policy.build_pools(
+        cache.graph,
+        [cache.destinations[p] for p in positions.tolist()],
+        cache.compiled,
+        node_secure=node_secure_new,
+        breaks_ties=breaks_new,
+        backend=cache.backend_name,
+    )
+    arena = RoutingArena(
+        n, RoutingArena.concat(n, [pools], keys=True),
+        policy=pools.policy, backend=cache.backend_name,
+    )
+    return _resolved_deltas(
+        arena, arena.all_slots(), rd, positions, isp,
+        node_secure_new, breaks_new, cache.graph.weights, model,
+    )
 
 
 def _incremental_delta(
     ds: DestState,
     node_secure_new: np.ndarray,
     breaks_new: np.ndarray,
-    flips: dict[int, bool],
+    flips: Iterable[int],
     isp: int,
     model: UtilityModel,
     node_weights: np.ndarray,
@@ -434,9 +650,9 @@ def per_destination_turn_off_gains(
         return gains
     if cache.policy.state_dependent:
         # incremental propagation is tiebreak-only
-        deltas = _resolved_deltas(
-            cache, rd, np.asarray(candidates, dtype=np.int64),
-            node_secure_new, breaks_new, isp, UtilityModel.INCOMING,
+        deltas = _rebuilt_deltas(
+            cache, rd, np.asarray(candidates, dtype=np.int64), isp,
+            node_secure_new, breaks_new, UtilityModel.INCOMING,
         )
         return {
             cache.destinations[pos]: delta

@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.routing.compiled import CompiledGraph
+from repro.routing.compiled import CompiledGraph, offsets, segment_index
 from repro.topology.graph import ASGraph
 from repro.topology.relationships import ASRole
 
@@ -95,6 +95,12 @@ class StateDeriver:
         self._edge_prov = cg.cust_src[to_stub]
         self._stub_indptr = np.concatenate(([0], np.cumsum(to_stub)))[cg.cust_indptr]
 
+    def _members(self, nodes: frozenset[int]) -> np.ndarray:
+        """bool[n]: true at ``nodes``."""
+        mask = np.zeros(self.graph.n, dtype=bool)
+        mask[np.fromiter(nodes, np.intp, len(nodes))] = True
+        return mask
+
     def derive(self, state: DeploymentState) -> tuple[np.ndarray, np.ndarray]:
         """``(node_secure, deploying_providers)`` of ``state`` in one pass.
 
@@ -105,8 +111,7 @@ class StateDeriver:
         positive.
         """
         n = self.graph.n
-        secure = np.zeros(n, dtype=bool)
-        secure[np.fromiter(state.deployers, np.intp, len(state.deployers))] = True
+        secure = self._members(state.deployers)
         # providers are never stubs, so ``secure`` still holds exactly
         # the deployers when the edges read it
         counts = np.bincount(
@@ -129,33 +134,41 @@ class StateDeriver:
 
     def flipped_stubs(
         self,
-        isp: int,
-        turning_on: bool,
+        isps: np.ndarray,
+        turning_on: np.ndarray,
         state: DeploymentState,
         node_secure: np.ndarray,
         deploying_providers: np.ndarray,
-    ) -> list[int]:
-        """Stub customers of ``isp`` whose security flips when ``isp`` does.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per job, the stub customers whose security flips with the ISP.
 
-        Reads the derived vectors of ``state`` (see :meth:`derive`), so
-        it costs O(stub customers of ``isp``).  Turning on secures the
-        stubs that are not secure yet.  Turning off orphans the stubs
-        that neither deployed themselves nor have a second deploying
-        provider — and nobody when ``isp`` does not deploy or is a
-        pinned early adopter.
+        Job ``j`` is ``isps[j]`` flipping to ``turning_on[j]`` on its
+        own; returns a CSR ``(indptr, stubs)`` whose segment ``j`` holds
+        that job's stubs in :meth:`stubs_of` order.  Reads the derived
+        vectors of ``state`` (see :meth:`derive`).  Turning on secures
+        the stubs that are not secure yet.  Turning off orphans the
+        stubs that neither deployed themselves nor have a second
+        deploying provider — and nobody when the ISP does not deploy or
+        is a pinned early adopter.
         """
-        stubs = self.stubs_of(isp)
-        if turning_on:
-            return stubs[~node_secure[stubs]].tolist()
-        if isp not in state.deployers or isp in state.early_adopters:
-            return []
-        sole = stubs[deploying_providers[stubs] == 1].tolist()
-        return [s for s in sole if s not in state.deployers]
+        isps = np.asarray(isps, dtype=np.int64)
+        turning_on = np.asarray(turning_on, dtype=bool)
+        first = self._stub_indptr[isps]
+        counts = self._stub_indptr[isps + 1] - first
+        stubs = self._edge_stub[segment_index(first, counts)]
+        job = np.repeat(np.arange(len(isps)), counts)
+        flips = ~node_secure[stubs]
+        if not turning_on.all():
+            deploys = self._members(state.deployers)
+            leaves = deploys[isps] & ~self._members(state.early_adopters)[isps]
+            orphaned = leaves[job] & (deploying_providers[stubs] == 1) & ~deploys[stubs]
+            flips = np.where(turning_on[job], flips, orphaned)
+        return offsets(np.bincount(job[flips], minlength=len(isps))), stubs[flips]
 
     def newly_secured_stubs(self, state: DeploymentState, isp: int) -> list[int]:
         """Stubs that would *become* secure if ``isp`` deployed."""
-        return self.flipped_stubs(isp, True, state, *self.derive(state))
+        return self.flipped_stubs([isp], [True], state, *self.derive(state))[1].tolist()
 
     def orphaned_stubs(self, state: DeploymentState, isp: int) -> list[int]:
         """Stubs that would *lose* security if ``isp`` turned S*BGP off."""
-        return self.flipped_stubs(isp, False, state, *self.derive(state))
+        return self.flipped_stubs([isp], [False], state, *self.derive(state))[1].tolist()

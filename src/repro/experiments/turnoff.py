@@ -17,7 +17,7 @@ import dataclasses
 
 from repro.core.config import UtilityModel
 from repro.core.engine import RoundData, compute_round_data
-from repro.core.projection import per_destination_turn_off_gains, project_flip
+from repro.core.projection import per_destination_turn_off_gains, project_flips
 from repro.core.state import DeploymentState, StateDeriver
 from repro.experiments.setup import ExperimentEnv
 from repro.topology.relationships import ASRole
@@ -58,14 +58,14 @@ def whole_network_turn_off_census(
     """§7.1: ISPs whose total incoming utility rises by turning off."""
     deriver = StateDeriver(env.graph, stub_breaks_ties, env.cache.compiled)
     rd = compute_round_data(env.cache, deriver, state, UtilityModel.INCOMING)
-    hits: list[int] = []
     candidates = [i for i in _secure_isps(env, rd) if i in state.deployers]
-    for isp in candidates:
-        proj = project_flip(
-            env.cache, deriver, rd, isp, turning_on=False, model=UtilityModel.INCOMING
-        )
-        if proj.utility > (1.0 + theta) * rd.utilities[isp]:
-            hits.append(isp)
+    projections = project_flips(
+        env.cache, deriver, rd, [(isp, False) for isp in candidates], UtilityModel.INCOMING
+    )
+    hits = [
+        proj.isp for proj in projections
+        if proj.utility > (1.0 + theta) * rd.utilities[proj.isp]
+    ]
     return TurnOffCensus(
         num_secure_isps=len(candidates),
         num_with_incentive=len(hits),

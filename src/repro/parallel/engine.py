@@ -37,7 +37,7 @@ import warnings
 import weakref
 from typing import Callable, Sequence, TypeVar
 
-from repro.parallel.partition import partition, partitions_for_budget
+from repro.parallel.partition import chunk, partition, partitions_for_budget
 from repro.runtime.errors import EngineShutdownError, ItemFailedError
 from repro.runtime.guard import current_guard
 from repro.runtime.retry import DEFAULT_RETRY_POLICY, RetryPolicy
@@ -697,7 +697,7 @@ def _warm_partitions(cache, engine: ProcessEngine, runs: list[tuple[int, int]]) 
 
 
 class _FlipProjector:
-    """Map function: ``(isp, turning_on)`` -> Projection.
+    """Map function: a run of ``(isp, turning_on)`` jobs -> Projections.
 
     Carries the cache, deriver and current round data.  Under the fork
     start method nothing here is pickled — children see the parent's
@@ -713,13 +713,11 @@ class _FlipProjector:
         self.model = model
         self.projection = projection
 
-    def __call__(self, job: tuple[int, bool]):
-        from repro.core.projection import project_flip
+    def __call__(self, jobs: list[tuple[int, bool]]) -> list:
+        from repro.core.projection import project_flips
 
-        isp, turning_on = job
-        return project_flip(
-            self.cache, self.deriver, self.rd, int(isp),
-            turning_on=bool(turning_on), model=self.model, engine=self.projection,
+        return project_flips(
+            self.cache, self.deriver, self.rd, jobs, self.model, self.projection
         )
 
 
@@ -729,21 +727,25 @@ def parallel_project_flips(
     """Project many candidate flips, fanned out over worker processes.
 
     ``jobs`` is a sequence of ``(isp, turning_on)`` pairs; returns the
-    matching :class:`~repro.core.projection.Projection` list.  Requires
-    the ``fork`` start method (routing state is shared copy-on-write;
-    pickling a whole round's trees to spawned workers would cost more
-    than it saves) — anything else degrades to a serial loop with a
-    one-line warning.
+    matching :class:`~repro.core.projection.Projection` list.  Each
+    worker stacks one contiguous run of ``ceil(jobs / workers)`` jobs
+    (:func:`~repro.core.projection.project_flips`), so a round costs
+    ``workers`` forks.  Requires the ``fork`` start method (routing
+    state is shared copy-on-write; pickling a whole round's trees to
+    spawned workers would cost more than it saves) — anything else
+    degrades to one serial stack with a one-line warning.
     """
     projector = _FlipProjector(cache, deriver, rd, model, projection)
+    jobs = list(jobs)
     if workers <= 1 or len(jobs) <= 1:
-        return [projector(job) for job in jobs]
+        return projector(jobs)
     if choose_start_method() != "fork":
         log.warning(
             "parallel projection needs the fork start method; running %d "
             "projections serially", len(jobs),
         )
-        return [projector(job) for job in jobs]
+        return projector(jobs)
     cache.ensure_arena()  # share the pooled arena pages, not dict shards
     engine = ProcessEngine(workers=workers, start_method="fork")
-    return engine.map(projector, list(jobs))
+    runs = chunk(jobs, -(-len(jobs) // workers))
+    return [proj for run in engine.map(projector, runs) for proj in run]

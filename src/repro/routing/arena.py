@@ -110,6 +110,15 @@ class _WeightStack:
     nodes: np.ndarray       # int32; node id per ``flat`` entry
 
 
+def _shifted(values: np.ndarray, index: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """``values[index] + shift``, added in place: a cut's index arrays
+    are the largest allocations of a subset pass, and a second
+    temporary per array showed in peak RSS (``sweep``: +2.5 %)."""
+    out = values[index]
+    out += shift
+    return out
+
+
 @dataclasses.dataclass
 class _LevelMajor:
     """The arena's level-major mirror: the stacks over *all* slots plus
@@ -152,7 +161,8 @@ class _LevelMajor:
         one_off = offsets(counts[0].sum(axis=1))
         multi_off = offsets(counts[1].sum(axis=1))
         num_one = one_off[-1]
-        one, multi, multi_shift = index[:num_one], index[num_one:], shift[num_one:]
+        one, multi = index[:num_one], index[num_one:]
+        one_shift, multi_shift = shift[:num_one], shift[num_one:]
         edge_lo = full.starts[multi]
         sizes = full.starts[multi + 1] - edge_lo
         edges = segment_index(edge_lo, sizes)
@@ -160,13 +170,13 @@ class _LevelMajor:
         return _TreeStacks(
             one_off=one_off,
             multi_off=multi_off,
-            one_flat=full.one_flat[one] + shift[:num_one],
-            one_cflat=full.one_cflat[one] + shift[:num_one],
+            one_flat=_shifted(full.one_flat, one, one_shift),
+            one_cflat=_shifted(full.one_cflat, one, one_shift),
             one_cands=full.one_cands[one],
-            multi_flat=full.multi_flat[multi] + multi_shift,
+            multi_flat=_shifted(full.multi_flat, multi, multi_shift),
             starts=starts,
-            pick=full.pick[multi] + (starts[:-1] - edge_lo),
-            edge_cflat=full.edge_cflat[edges] + np.repeat(multi_shift, sizes),
+            pick=_shifted(full.pick, multi, starts[:-1] - edge_lo),
+            edge_cflat=_shifted(full.edge_cflat, edges, np.repeat(multi_shift, sizes)),
             edge_cands=full.edge_cands[edges],
             keys=full.keys[edges],
         )
@@ -180,7 +190,7 @@ class _LevelMajor:
         )
         return _WeightStack(
             off=offsets(counts.sum(axis=1)),
-            flat=self.weights.flat[rows] + shift,
+            flat=_shifted(self.weights.flat, rows, shift),
             nodes=self.weights.nodes[rows],
         )
 
@@ -510,6 +520,17 @@ class RoutingArena(StructurePools):
         return len(slots) == self.num_dests and np.array_equal(slots, self._full_slots)
 
 
+def _per_row(mask: np.ndarray, B: int, n: int) -> np.ndarray:
+    """``mask`` (``[n]``, the same for every batch row, or ``[B, n]``)
+    as the flat ``bool[B * n]`` the tree kernels index."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim == 1:
+        return np.tile(mask, B)
+    if mask.shape != (B, n):
+        raise ValueError(f"per-row mask must be [{B}, {n}], got {list(mask.shape)}")
+    return np.ascontiguousarray(mask).reshape(-1)
+
+
 def compute_trees_batched(
     arena: RoutingArena,
     slots: np.ndarray,
@@ -529,17 +550,26 @@ def compute_trees_batched(
     compiled tiers run the same selection as a native loop over the
     same arrays.  All backends are bit-identical (asserted by
     ``tests/routing/test_backends.py``).
+
+    ``node_secure`` and ``breaks_ties`` are each ``[n]``, one deployment
+    state for the whole batch, or ``[B, n]``, row ``i`` resolved under
+    its own state — the kernels look both up per ``(batch row, node)``
+    either way, so rows of different states share a pass (and a slot may
+    repeat under different states).
     """
     slots = np.asarray(slots, dtype=np.int64)
     B = len(slots)
     n = arena.graph_n
-    node_secure = np.ascontiguousarray(node_secure, dtype=bool)
-    breaks_ties = np.ascontiguousarray(breaks_ties, dtype=bool)
+    # flat, one entry per (batch row, node): one kind of index serves
+    # every lookup in the kernels
+    secure_rows = _per_row(node_secure, B, n)
+    secp_rows = _per_row(np.logical_and(node_secure, breaks_ties), B, n)
     choice = np.full((B, n), -1, dtype=np.int32)
     secure = np.zeros((B, n), dtype=bool)
     any_secure = np.zeros((B, n), dtype=bool)
     dest_ids = arena.dest_ids[slots]
-    secure[np.arange(B), dest_ids] = node_secure[dest_ids]
+    at_dest = np.arange(B) * n + dest_ids
+    secure.reshape(-1)[at_dest] = secure_rows[at_dest]
 
     backend, kernels = kernel_backends.kernels_for(arena.backend)
     mirror = arena._level_major()
@@ -555,13 +585,11 @@ def compute_trees_batched(
         registry.counter("routing.batched.multi_rows").inc(len(st.multi_flat))
         registry.counter(f"routing.backend.calls.{backend}").inc()
 
-    # the outputs go in flat, and the per-node masks replicated per batch
-    # row, so that one kind of index serves every lookup in the kernels
     kernels.trees_stacked(
         st.one_off, st.multi_off, st.one_flat, st.one_cflat, st.one_cands,
         st.multi_flat, st.starts, st.pick,
         st.edge_cflat, st.edge_cands, st.keys,
-        np.tile(node_secure, B), np.tile(node_secure & breaks_ties, B),
+        secure_rows, secp_rows,
         choice.reshape(-1), secure.reshape(-1), any_secure.reshape(-1),
     )
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 
 import numpy as np
@@ -42,25 +43,50 @@ class TestParallelProjection:
         )
 
     def test_projection_values_identical(self, medium_env):
+        """Two workers each stack one contiguous run of the jobs; the
+        flattened result is the serial stack's on every field."""
         cache, graph = medium_env.cache, medium_env.graph
         from repro.core.config import UtilityModel, ProjectionEngine
         from repro.core.state import DeploymentState, StateDeriver
 
         deriver = StateDeriver(graph, compiled=cache.compiled)
-        state = DeploymentState.initial(
-            frozenset(graph.index(a) for a in medium_env.case_study_adopters())
+        isps = [int(i) for i in graph.isp_indices]
+        adopters = frozenset(graph.index(a) for a in medium_env.case_study_adopters())
+        state = DeploymentState.initial(adopters).with_flips(turn_on=isps[20:30])
+        rd = compute_round_data(cache, deriver, state, UtilityModel.INCOMING)
+        # an odd number of jobs, turn-offs among them: the runs differ in length
+        jobs = [(i, i not in state.deployers) for i in isps if i not in adopters][:31]
+        assert not all(on for _, on in jobs)
+        for engine in ProjectionEngine:
+            serial, fanned = (
+                parallel_project_flips(
+                    cache, deriver, rd, jobs,
+                    model=UtilityModel.INCOMING, projection=engine, workers=workers,
+                )
+                for workers in (1, 2)
+            )
+            assert [(p.isp, p.turning_on) for p in fanned] == jobs
+            assert [dataclasses.astuple(p) for p in serial] == [
+                dataclasses.astuple(p) for p in fanned
+            ]
+            assert [p.utility.hex() for p in serial] == [p.utility.hex() for p in fanned]
+            assert [list(p.flips) for p in serial] == [list(p.flips) for p in fanned]
+
+    def test_two_workers_cost_two_partitions(self, medium_env):
+        """A round is ``workers`` runs of jobs, not one partition per job."""
+        from repro.core.config import UtilityModel, ProjectionEngine
+        from repro.core.state import DeploymentState, StateDeriver
+        from repro.telemetry.metrics import MetricsRegistry, use_registry
+
+        cache, graph = medium_env.cache, medium_env.graph
+        deriver = StateDeriver(graph, compiled=cache.compiled)
+        rd = compute_round_data(
+            cache, deriver, DeploymentState.initial(()), UtilityModel.OUTGOING
         )
-        rd = compute_round_data(cache, deriver, state, UtilityModel.OUTGOING)
-        jobs = [(int(i), True) for i in graph.isp_indices[:12]]
-        serial = parallel_project_flips(
-            cache, deriver, rd, jobs,
-            model=UtilityModel.OUTGOING, projection=ProjectionEngine.INCREMENTAL,
-            workers=1,
-        )
-        fanned = parallel_project_flips(
-            cache, deriver, rd, jobs,
-            model=UtilityModel.OUTGOING, projection=ProjectionEngine.INCREMENTAL,
-            workers=2,
-        )
-        assert [p.utility for p in serial] == [p.utility for p in fanned]
-        assert [p.flips for p in serial] == [p.flips for p in fanned]
+        jobs = [(int(i), True) for i in graph.isp_indices[:40]]
+        with use_registry(MetricsRegistry()) as registry:
+            parallel_project_flips(
+                cache, deriver, rd, jobs,
+                model=UtilityModel.OUTGOING, projection=ProjectionEngine.FULL, workers=2,
+            )
+        assert registry.snapshot()["counters"]["engine.dispatched"] == 2

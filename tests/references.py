@@ -254,6 +254,27 @@ def incoming_contribution(ds: DestState, node: int, node_weights: np.ndarray) ->
     return float((ds.weights[customer_kids] + node_weights[customer_kids]).sum())
 
 
+def _candidate_positions(rd, isp, flips, turning_on, model):
+    """Secure-destination positions where one flip could change routing
+    (Appendix C.4), one job at a time."""
+    secure_pos = rd.secure_dest_positions
+    if not len(secure_pos):
+        return secure_pos
+    flip_nodes = list(flips)
+    if turning_on:
+        # a flipped node can only start influencing SecP decisions if it
+        # can acquire a secure chosen path, i.e. has a secure candidate
+        possible = rd.secure_dest_any_sec[:, flip_nodes].any(axis=1)
+    else:
+        # symmetric: it must currently have a secure chosen path to lose
+        possible = rd.secure_dest_sec[:, flip_nodes].any(axis=1)
+    positions = secure_pos[possible]
+    if model is UtilityModel.OUTGOING and len(positions):
+        # only destinations n reaches via a customer edge contribute
+        positions = positions[rd.arena.cls[positions, isp] == _CUSTOMER]
+    return positions
+
+
 def project_flip_per_destination(cache, deriver, rd, isp, turning_on, model):
     """``(utility, dests_recomputed, dests_delta)`` of the FULL
     projection of one flip, one destination at a time: every destination
@@ -262,8 +283,6 @@ def project_flip_per_destination(cache, deriver, rd, isp, turning_on, model):
     the flipped state where structures move with it), its delta taken
     from two ``DestState`` objects and added to a running Python float.
     """
-    from repro.core.projection import _candidate_positions
-
     def contribution(ds):
         if model is UtilityModel.OUTGOING:
             return outgoing_contribution(ds, isp)

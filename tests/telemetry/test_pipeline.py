@@ -44,6 +44,19 @@ class TestSimulationInstrumentation:
         )
         assert snap["histograms"]["sim.round_seconds"]["count"] == result.num_rounds
         assert snap["histograms"]["sim.projection_seconds"]["count"] == result.num_rounds
+        # a round's projections are one stack: every row any of them
+        # resolves, in passes of at most 64 K ``rows x n`` entries
+        rows = sum(p.dests_recomputed for r in result.rounds for p in r.projections.values())
+        per_pass = (1 << 16) // medium_env.graph.n
+        assert snap["counters"]["sim.projection.rows"] == rows > 0
+        assert snap["counters"]["sim.projection.passes"] == sum(
+            -(-sum(p.dests_recomputed for p in r.projections.values()) // per_pass)
+            for r in result.rounds
+        )
+        # the stacks are the only tree batches beside each round's own
+        assert snap["counters"]["routing.batched.calls"] == (
+            snap["counters"]["sim.states_evaluated"] + snap["counters"]["sim.projection.passes"]
+        )
         names = [e.name for e in tracer.events()]
         assert names.count("round") == result.num_rounds
         assert names.count("simulation") == 1
