@@ -8,11 +8,17 @@ propagates deltas, which is what makes whole-graph sweeps tractable.
 The round-pass entries replay the first round of the section-5 game
 (the round with the most deciding ISPs) at N=500 and N=1000 on each
 loadable tier: ``stack`` is the one ``project_flips`` call a round makes,
-``loop`` the same jobs through the one-job ``project_flip``.
+``loop`` the same jobs through the one-job ``project_flip``.  The
+``subset`` entries time the two batched kernels on one projection pass's
+batch of that round — as many rows as a pass holds, slots out of order
+and repeated, a state per row — which is where a subset batch's stacks
+are read from the level-major mirror (in place on the compiled tiers,
+cut out first on numpy).
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.config import ProjectionEngine, SimulationConfig, UtilityModel
@@ -22,6 +28,7 @@ from repro.core.state import DeploymentState, StateDeriver
 from repro.experiments.case_study import run_case_study
 from repro.experiments.setup import build_environment
 from repro.routing import backends as kernel_backends
+from repro.routing.arena import compute_trees_batched, subtree_weights_batched
 from repro.routing.errors import BackendUnavailable
 
 from benchmarks.conftest import BENCH_SEED
@@ -108,3 +115,32 @@ def test_kernel_projection_round_loop(benchmark, recorded_round, backend):
         project_flip(cache, deriver, rd, isp, on, UtilityModel.OUTGOING) for isp, on in jobs
     ])
     assert out == recorded
+
+
+@pytest.fixture(scope="module")
+def pass_batch(recorded_round):
+    """One projection pass of the recorded round: 64 Ki ``rows x n``
+    entries' worth of rows over random slots, the round's state per row."""
+    cache, _, rd, _, _ = recorded_round
+    rows = (1 << 16) // cache.graph.n
+    slots = np.random.default_rng(BENCH_SEED).integers(0, rd.arena.num_dests, size=rows)
+    secure = np.tile(rd.node_secure, (rows, 1))
+    breaks = np.tile(rd.breaks_ties, (rows, 1))
+    return rd.arena, slots, secure, breaks, cache.graph.weights
+
+
+@pytest.mark.parametrize("backend", ROUND_BACKENDS)
+def test_kernel_projection_subset_trees(benchmark, pass_batch, backend):
+    arena, slots, secure, breaks, _ = pass_batch
+    arena.backend = backend
+    bt = benchmark(lambda: compute_trees_batched(arena, slots, secure, breaks))
+    assert bt.choice.shape == secure.shape
+
+
+@pytest.mark.parametrize("backend", ROUND_BACKENDS)
+def test_kernel_projection_subset_weights(benchmark, pass_batch, backend):
+    arena, slots, secure, breaks, weights = pass_batch
+    arena.backend = backend
+    choice = compute_trees_batched(arena, slots, secure, breaks).choice
+    w = benchmark(lambda: subtree_weights_batched(arena, slots, choice, weights))
+    assert w.shape == choice.shape

@@ -86,8 +86,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="kernel backend for the batched routing kernels "
                              f"(one of: {', '.join(available_backends())}, "
                              "or 'auto' for cext when it loads; default: "
-                             f"${kernel_backends.ENV_VAR} or numpy; an "
-                             "unusable compiled backend degrades to numpy)")
+                             f"${kernel_backends.ENV_VAR} or auto; an "
+                             "unusable compiled backend degrades to numpy, "
+                             "and the tier that ran is printed)")
     parser.add_argument("--metrics-out", default=None, metavar="PATH",
                         help="write the merged metrics snapshot (counters, "
                              "gauges, histograms) to PATH as JSON")
@@ -313,6 +314,7 @@ def _cmd_case_study(env, args) -> None:
     print(f"zero-sum: {zs.fraction_isps_above_threshold:.1%} of ISPs end above "
           f"(1+theta)x start; insecure ISPs end at "
           f"{zs.mean_final_over_start_insecure:.3f}x start on average")
+    print(f"kernel backend: {env.cache.backend_name}")
 
 
 def _cmd_sweep(env, args) -> None:
@@ -354,6 +356,7 @@ def _cmd_sweep(env, args) -> None:
         title="Fig 8/9: adoption and secure paths vs theta",
     )
     print(table)
+    print(f"kernel backend: {env.cache.backend_name}")
     if args.out:
         from repro.experiments.report import write_report
 

@@ -90,7 +90,9 @@ def build_environment(
     ``backend`` names the kernel backend the cache dispatches the
     batched routing kernels through (see
     :mod:`repro.routing.backends`); ``None`` defers to the
-    ``SBGP_KERNEL_BACKEND`` environment variable, then numpy.
+    ``SBGP_KERNEL_BACKEND`` environment variable, then ``auto`` (cext
+    when it loads, else numpy); ``env.cache.backend_name`` is the tier
+    that runs.
 
     ``sample_destinations`` restricts the routing cache to a uniform
     sample of that many destinations: utilities (and hence decisions)

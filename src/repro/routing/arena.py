@@ -65,26 +65,26 @@ def _array_bytes(obj) -> int:
 class _TreeStacks:
     """Level-major stacks the tree kernel walks (layout v2).
 
-    Every non-destination row of every batched tree is stacked by global
-    path-length level, then batch row, then BFS row ("stack order"),
-    and each level is held as **two sub-stacks**: rows with exactly one
-    tiebreak candidate, where routing has nothing to decide, and rows
-    with several — the only ones SecP/TB selection runs over (Fig 10:
-    about a fifth of all rows).  Positions are flat indices into the
-    C-contiguous ``[B, n]`` output matrices (``flat = row * n + node``,
-    ``cflat = row * n + candidate``), so a level body is 1-D gathers and
-    scatters.
+    Every non-destination row of every destination is stacked by global
+    path-length level, then slot, then BFS row ("stack order"), and each
+    level is held as **two sub-stacks**: rows with exactly one tiebreak
+    candidate, where routing has nothing to decide, and rows with
+    several — the only ones SecP/TB selection runs over (Fig 10: about a
+    fifth of all rows).  Positions are flat indices into a C-contiguous
+    ``[num_dests, n]`` matrix (``flat = slot * n + node``, ``cflat = slot
+    * n + candidate``); a kernel moves them to its batch row as it reads
+    them, so one mirror serves every batch.
 
-    Level ``i`` is ``one_*[one_off[i]:one_off[i + 1]]`` and
-    ``multi_*[multi_off[i]:multi_off[i + 1]]``.  ``starts`` is one CSR
-    index over *all* multi-candidate rows into the ``edge_*`` / ``keys``
-    arrays (absolute offsets, closing entry included); ``pick`` is the
-    absolute edge index of each row's hash-minimal candidate — what TB
-    selects whenever SecP does not apply, known without the state.
+    ``ptr[0, i, k]:ptr[0, i, k + 1]`` is slot ``k``'s segment of level
+    ``i`` in the ``one_*`` arrays, ``ptr[1]`` the same in the ``multi_*``
+    arrays.  ``starts`` is one CSR index over *all* multi-candidate rows
+    into the ``edge_*`` / ``keys`` arrays (absolute offsets, closing
+    entry included); ``pick`` is the absolute edge index of each row's
+    hash-minimal candidate — what TB selects whenever SecP does not
+    apply, known without the state.
     """
 
-    one_off: np.ndarray     # int64[num_levels + 1]
-    multi_off: np.ndarray   # int64[num_levels + 1]
+    ptr: np.ndarray         # int64[2, num_levels, num_dests + 1]
     one_flat: np.ndarray    # int64
     one_cflat: np.ndarray   # int64; the one candidate's flat index
     one_cands: np.ndarray   # int32; the one candidate
@@ -101,98 +101,27 @@ class _WeightStack:
     """Both kinds of rows together, in stack order, for the weights pass.
 
     Not split: a parent's children must be added in stack order or the
-    float64 sums (and the golden digests) move.  Level ``i`` is
-    ``flat[off[i]:off[i + 1]]``.
+    float64 sums (and the golden digests) move.  ``ptr[i, k]:ptr[i, k +
+    1]`` is slot ``k``'s segment of level ``i`` — the sum of the tree
+    stacks' two planes, kept so no pass has to add them.
     """
 
-    off: np.ndarray         # int64[num_levels + 1]
+    ptr: np.ndarray         # int64[num_levels, num_dests + 1]
     flat: np.ndarray        # int64
     nodes: np.ndarray       # int32; node id per ``flat`` entry
 
 
-def _shifted(values: np.ndarray, index: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """``values[index] + shift``, added in place: a cut's index arrays
-    are the largest allocations of a subset pass, and a second
-    temporary per array showed in peak RSS (``sweep``: +2.5 %)."""
-    out = values[index]
-    out += shift
-    return out
-
-
 @dataclasses.dataclass
 class _LevelMajor:
-    """The arena's level-major mirror: the stacks over *all* slots plus
-    the per-(level, slot) segment table a subset batch is cut with.
-
-    ``ptr[0, i, k]:ptr[0, i, k + 1]`` is slot ``k``'s segment of level
-    ``i`` in the one-candidate arrays, ``ptr[1]`` the same for the
-    multi-candidate arrays; their sum indexes the weights stack.
-    """
+    """The arena's level-major mirror: the stacks over *all* slots, which
+    the kernels read in place for any batch of slots."""
 
     trees: _TreeStacks
     weights: _WeightStack
-    ptr: np.ndarray         # int64[2, num_levels, num_dests + 1]
 
     @property
     def nbytes(self) -> int:
-        return self.ptr.nbytes + _array_bytes(self.trees) + _array_bytes(self.weights)
-
-    @staticmethod
-    def _cut(
-        lo: np.ndarray, hi: np.ndarray, slots: np.ndarray, n: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Select the segments ``lo[..., i]:hi[..., i]`` of batch row
-        ``i``, in C order: ``(index, what to add to a flat index to move
-        it from its slot's row to its batch row, segment lengths)``."""
-        counts = hi - lo
-        shift = np.empty(counts.shape, dtype=np.int64)
-        shift[...] = (np.arange(len(slots), dtype=np.int64) - slots) * n
-        flat_counts = counts.reshape(-1)
-        index = segment_index(lo.reshape(-1), flat_counts)
-        return index, np.repeat(shift.reshape(-1), flat_counts), counts
-
-    def tree_stacks(self, slots: np.ndarray, n: int) -> _TreeStacks:
-        """The sub-stacks of the batch ``slots`` (any order, repeats
-        allowed), cut in one pass over both kinds and all levels."""
-        full = self.trees
-        index, shift, counts = self._cut(
-            self.ptr[:, :, slots], self.ptr[:, :, slots + 1], slots, n
-        )
-        one_off = offsets(counts[0].sum(axis=1))
-        multi_off = offsets(counts[1].sum(axis=1))
-        num_one = one_off[-1]
-        one, multi = index[:num_one], index[num_one:]
-        one_shift, multi_shift = shift[:num_one], shift[num_one:]
-        edge_lo = full.starts[multi]
-        sizes = full.starts[multi + 1] - edge_lo
-        edges = segment_index(edge_lo, sizes)
-        starts = offsets(sizes)
-        return _TreeStacks(
-            one_off=one_off,
-            multi_off=multi_off,
-            one_flat=_shifted(full.one_flat, one, one_shift),
-            one_cflat=_shifted(full.one_cflat, one, one_shift),
-            one_cands=full.one_cands[one],
-            multi_flat=_shifted(full.multi_flat, multi, multi_shift),
-            starts=starts,
-            pick=_shifted(full.pick, multi, starts[:-1] - edge_lo),
-            edge_cflat=_shifted(full.edge_cflat, edges, np.repeat(multi_shift, sizes)),
-            edge_cands=full.edge_cands[edges],
-            keys=full.keys[edges],
-        )
-
-    def weight_stack(self, slots: np.ndarray, n: int) -> _WeightStack:
-        """The weights stack of the batch ``slots``."""
-        rows, shift, counts = self._cut(
-            self.ptr[:, :, slots].sum(axis=0),
-            self.ptr[:, :, slots + 1].sum(axis=0),
-            slots, n,
-        )
-        return _WeightStack(
-            off=offsets(counts.sum(axis=1)),
-            flat=_shifted(self.weights.flat, rows, shift),
-            nodes=self.weights.nodes[rows],
-        )
+        return _array_bytes(self.trees) + _array_bytes(self.weights)
 
 
 @dataclasses.dataclass
@@ -336,12 +265,13 @@ class RoutingArena(StructurePools):
             total += one_rows * (8 + 8 + 4)         # one_flat/one_cflat/one_cands
             total += multi_rows * (8 + 8 + 8)       # multi_flat/starts/pick
             total += multi_cands * (8 + 4 + 8)      # edge_cflat/edge_cands/keys
-            # the ``ptr`` segment table (two int64[num_dests+1] per level;
-            # 24 levels matches the level_pool allowance above).  It is
+            # the segment tables (three int64[num_dests+1] per level: one
+            # per sub-stack and their sum for the weights stack; 24
+            # levels matches the level_pool allowance above).  They are
             # what grows with num_dests alone, so at paper scale (36K
-            # dests) it is no longer noise — re-validated at N=36964 by
-            # tests/runtime/test_guard_chaos.py.
-            total += 2 * 8 * (num_dests + 1) * 24
+            # dests) they are no longer noise — re-validated at N=36964
+            # by tests/runtime/test_guard_chaos.py.
+            total += 3 * 8 * (num_dests + 1) * 24
         return int(total)
 
     # -- serialisation (the shared-memory data plane) ------------------
@@ -490,8 +420,7 @@ class RoutingArena(StructurePools):
 
         self._mirror = _LevelMajor(
             trees=_TreeStacks(
-                one_off=np.append(ptr[0, :, 0], len(one_flat)),
-                multi_off=np.append(ptr[1, :, 0], len(multi_flat)),
+                ptr=ptr,
                 one_flat=one_flat,
                 one_cflat=one_cflat,
                 one_cands=one_cands,
@@ -502,10 +431,7 @@ class RoutingArena(StructurePools):
                 edge_cands=edge_cands,
                 keys=keys,
             ),
-            weights=_WeightStack(
-                off=np.append(all_ptr[:, 0], len(flat)), flat=flat, nodes=nodes
-            ),
-            ptr=ptr,
+            weights=_WeightStack(ptr=all_ptr, flat=flat, nodes=nodes),
         )
         get_registry().gauge("routing.arena.level_major_bytes").set(
             self._mirror.nbytes
@@ -515,9 +441,6 @@ class RoutingArena(StructurePools):
     def all_slots(self) -> np.ndarray:
         """``arange(num_dests)`` — the full-batch slot vector."""
         return self._full_slots
-
-    def _is_full_batch(self, slots: np.ndarray) -> bool:
-        return len(slots) == self.num_dests and np.array_equal(slots, self._full_slots)
 
 
 def _per_row(mask: np.ndarray, B: int, n: int) -> np.ndarray:
@@ -544,12 +467,14 @@ def compute_trees_batched(
     the differential suite in ``tests/routing/test_arena.py``), but the
     Python-level loop runs over *global* path-length levels.  A row with one tiebreak candidate
     takes it; SecP/TB selection runs over the multi-candidate rows only
-    (:class:`_TreeStacks`).  The per-level body dispatches through the
-    arena's kernel backend (:mod:`repro.routing.backends`): ``numpy``
-    resolves each sub-stack with a handful of flat numpy operations; the
-    compiled tiers run the same selection as a native loop over the
-    same arrays.  All backends are bit-identical (asserted by
-    ``tests/routing/test_backends.py``).
+    (:class:`_TreeStacks`).  Every tier is handed the whole mirror and
+    ``slots`` (a full round is ``slots = arange(num_dests)``) and
+    dispatches through the arena's kernel backend
+    (:mod:`repro.routing.backends`): the compiled tiers read each batch
+    row's segments of the mirror in place; ``numpy`` cuts a subset
+    batch's stacks out of it and resolves each sub-stack with a handful
+    of flat numpy operations.  All backends are bit-identical (asserted
+    by ``tests/routing/test_backends.py``).
 
     ``node_secure`` and ``breaks_ties`` are each ``[n]``, one deployment
     state for the whole batch, or ``[B, n]``, row ``i`` resolved under
@@ -557,7 +482,7 @@ def compute_trees_batched(
     either way, so rows of different states share a pass (and a slot may
     repeat under different states).
     """
-    slots = np.asarray(slots, dtype=np.int64)
+    slots = np.ascontiguousarray(slots, dtype=np.int64)
     B = len(slots)
     n = arena.graph_n
     # flat, one entry per (batch row, node): one kind of index serves
@@ -572,21 +497,20 @@ def compute_trees_batched(
     secure.reshape(-1)[at_dest] = secure_rows[at_dest]
 
     backend, kernels = kernel_backends.kernels_for(arena.backend)
-    mirror = arena._level_major()
-    st = mirror.trees if arena._is_full_batch(slots) else mirror.tree_stacks(slots, n)
+    st = arena._level_major().trees
     registry = get_registry()
     if registry.enabled:
+        rows = (st.ptr[:, :, slots + 1] - st.ptr[:, :, slots]).sum(axis=(1, 2))
         registry.counter("routing.batched.calls").inc()
         registry.counter("routing.batched.trees").inc(B)
-        registry.counter("routing.batched.levels").inc(len(st.one_off) - 1)
-        registry.counter("routing.batched.rows").inc(
-            len(st.one_flat) + len(st.multi_flat)
-        )
-        registry.counter("routing.batched.multi_rows").inc(len(st.multi_flat))
+        registry.counter("routing.batched.levels").inc(st.ptr.shape[1])
+        registry.counter("routing.batched.rows").inc(int(rows.sum()))
+        registry.counter("routing.batched.multi_rows").inc(int(rows[1]))
         registry.counter(f"routing.backend.calls.{backend}").inc()
 
     kernels.trees_stacked(
-        st.one_off, st.multi_off, st.one_flat, st.one_cflat, st.one_cands,
+        st.ptr, slots, n,
+        st.one_flat, st.one_cflat, st.one_cands,
         st.multi_flat, st.starts, st.pick,
         st.edge_cflat, st.edge_cands, st.keys,
         secure_rows, secp_rows,
@@ -619,7 +543,7 @@ def subtree_weights_batched(
     Levels dispatch through the arena's kernel backend, like
     :func:`compute_trees_batched`.
     """
-    slots = np.asarray(slots, dtype=np.int64)
+    slots = np.ascontiguousarray(slots, dtype=np.int64)
     B = len(slots)
     n = arena.graph_n
     weights = np.ascontiguousarray(weights, dtype=np.float64)
@@ -629,9 +553,8 @@ def subtree_weights_batched(
     registry = get_registry()
     if registry.enabled:
         registry.counter(f"routing.backend.calls.{backend}").inc()
-    mirror = arena._level_major()
-    st = mirror.weights if arena._is_full_batch(slots) else mirror.weight_stack(slots, n)
+    st = arena._level_major().weights
     kernels.weights_stacked(
-        st.off, st.flat, st.nodes, choice.reshape(-1), weights, w.reshape(-1)
+        st.ptr, slots, n, st.flat, st.nodes, choice.reshape(-1), weights, w.reshape(-1)
     )
     return w

@@ -21,8 +21,10 @@ three implementations ("backends") behind this registry:
   without a compiler.  Far too slow for real runs; never selected by
   ``auto``.
 
-Selection: explicit name > ``SBGP_KERNEL_BACKEND`` env var > ``numpy``.
-``auto`` is ``cext`` when it loads, else ``numpy``.  An explicitly
+Selection: explicit name > ``SBGP_KERNEL_BACKEND`` env var > ``auto``.
+``auto`` is ``cext`` when it loads, else ``numpy``; when it falls back
+(no compiler, a failed compile, a failed dlopen) it logs one warning per
+process and counts ``routing.backend.auto_fallbacks``.  An explicitly
 requested backend that cannot load **degrades** to numpy through the
 resource guard's ``compiled_to_numpy`` ladder rung — a counted,
 observable event, never an error — so a run specced for cext still
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import logging
 import os
 import shutil
 import threading
@@ -48,6 +51,8 @@ from repro.routing.errors import BackendUnavailable
 from repro.runtime.guard import current_guard
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.spans import get_tracer
+
+_log = logging.getLogger(__name__)
 
 __all__ = [
     "AUTO",
@@ -74,7 +79,8 @@ ENV_VAR = "SBGP_KERNEL_BACKEND"
 #: The differential ground truth and universal fallback.
 DEFAULT_BACKEND = "numpy"
 
-#: Pseudo-name: the compiled tier when it loads, else numpy.
+#: Pseudo-name: the compiled tier when it loads, else numpy.  What
+#: selection resolves when nothing names a backend.
 AUTO = "auto"
 
 #: The compiled tier ``auto`` tries first.
@@ -103,6 +109,8 @@ class KernelBackend:
 _REGISTRY: dict[str, KernelBackend] = {}
 _IMPLS: dict[str, Any] = {}
 _FAILURES: dict[str, str] = {}
+#: Whether this process has warned that ``auto`` fell back to numpy.
+_AUTO_WARNED = False
 #: Serialises the import/compile slow path of :func:`load_backend`.
 _LOAD_LOCK = threading.Lock()
 
@@ -239,28 +247,45 @@ def _note_active(name: str) -> None:
 
 
 def default_backend_name() -> str:
-    """The name selection falls back to: env var, else ``numpy``."""
-    return os.environ.get(ENV_VAR, "").strip() or DEFAULT_BACKEND
+    """The name selection falls back to: env var, else ``auto``."""
+    return os.environ.get(ENV_VAR, "").strip() or AUTO
+
+
+def _resolve_auto() -> str:
+    """``cext`` when it loads; else numpy, visibly: one warning per
+    process and a ``routing.backend.auto_fallbacks`` count per fallback."""
+    global _AUTO_WARNED
+    if probe(_COMPILED_BACKEND):
+        try:
+            load_backend(_COMPILED_BACKEND)
+            return _COMPILED_BACKEND
+        except BackendUnavailable:
+            pass  # the probe was a prediction
+    get_registry().counter("routing.backend.auto_fallbacks").inc()
+    with _LOAD_LOCK:
+        warned, _AUTO_WARNED = _AUTO_WARNED, True
+    if not warned:
+        reason = _FAILURES.get(_COMPILED_BACKEND, "no C compiler (cc/gcc/clang) on PATH")
+        _log.warning(
+            "kernel backend %r: %s unavailable (%s); running on the numpy tier",
+            AUTO, _COMPILED_BACKEND, reason,
+        )
+    return DEFAULT_BACKEND
 
 
 def resolve_backend(name: str | None = None) -> str:
     """Resolve a requested backend to a *loaded*, usable backend name.
 
     ``None`` defers to :func:`default_backend_name`; ``auto`` is
-    ``cext`` when it loads, else numpy.  An explicit name that is
-    registered but will not load degrades to numpy via the guard's
-    ``compiled_to_numpy`` rung.  Only a name that is not registered at
-    all raises (that is a spelling error, not a resource condition).
+    ``cext`` when it loads, else numpy (a logged, counted fallback).  An
+    explicit name that is registered but will not load degrades to numpy
+    via the guard's ``compiled_to_numpy`` rung.  Only a name that is not
+    registered at all raises (that is a spelling error, not a resource
+    condition).
     """
     requested = name if name is not None else default_backend_name()
     if requested == AUTO:
-        requested = DEFAULT_BACKEND
-        if probe(_COMPILED_BACKEND):
-            try:
-                load_backend(_COMPILED_BACKEND)
-                requested = _COMPILED_BACKEND
-            except BackendUnavailable:
-                pass  # the probe was a prediction; auto falls back quietly
+        requested = _resolve_auto()
     backend = get_backend(requested)
     try:
         load_backend(backend.name)

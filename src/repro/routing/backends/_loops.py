@@ -11,16 +11,23 @@ inherits, and it is where a reader checks what the C loops mean.
 Calling convention (all backends):
 
 - outputs are written **in place**; the functions return ``None``;
-- the batched kernels see the arena's level-major stacks
+- the batched kernels read the arena's whole level-major mirror
   (``repro.routing.arena._TreeStacks`` / ``_WeightStack``) as plain
-  arrays, all levels in one call: ``*_off`` int64 level offsets,
-  ``*flat`` / ``starts`` / ``pick`` int64, ``nodes`` / ``*cands`` int32,
-  ``keys`` uint64, masks bool, weights float64.  ``choice`` (int32),
-  ``secure`` / ``any_secure`` (bool) and ``w`` (float64) are the
-  C-contiguous ``[batch, n]`` outputs taken flat, and a ``flat`` index is
-  ``batch row * n + node``; ``secure_rows`` / ``secp_rows`` are
-  ``node_secure`` and ``node_secure & breaks_ties`` repeated per batch
-  row so that they take the same index;
+  arrays, all levels in one call, plus its segment table and the
+  batch's ``slots`` (int64, any order, repeats allowed):
+  ``ptr[0, i, k]:ptr[0, i, k + 1]`` is slot ``k``'s segment of level
+  ``i`` in the one-candidate arrays, ``ptr[1]`` the same in the
+  multi-candidate arrays, and the weights kernel's ``ptr`` is their sum,
+  the segments of the weights stack.  Mirror arrays: ``*flat`` /
+  ``starts`` / ``pick`` int64 (``starts`` and ``pick`` index the
+  mirror's own edge arrays), ``nodes`` / ``*cands`` int32, ``keys``
+  uint64.  A mirror ``flat`` index is ``slot * n + node``; batch row
+  ``b`` walks the segments of ``slots[b]`` and adds ``(b - slots[b]) *
+  n`` to every flat index as it reads it, so the batch needs no copy of
+  its stacks.  ``choice`` (int32), ``secure`` / ``any_secure`` (bool)
+  and ``w`` (float64) are the C-contiguous ``[batch, n]`` outputs taken
+  flat; ``secure_rows`` / ``secp_rows`` are ``node_secure`` and
+  ``node_secure & breaks_ties`` per batch row, taken the same way;
 - the sweep: ``tie_rank`` / ``lp_field`` uint32, ``rank_edge`` int64,
   ``edge_flags`` uint8, labels int8/int32/bool as C-contiguous
   ``[batch, n]`` matrices, ``attacker`` int64, rank metadata int64 codes
@@ -77,45 +84,53 @@ if (_SELF, _CUSTOMER, _UNREACHABLE) != (
     )
 
 
-def trees_stacked(one_off, multi_off, one_flat, one_cflat, one_cands,
+def trees_stacked(ptr, slots, n, one_flat, one_cflat, one_cands,
                   multi_flat, starts, pick, edge_cflat, edge_cands, keys,
                   secure_rows, secp_rows, choice, secure, any_secure):
-    """Resolve every stacked path-length level, one row at a time."""
-    for level in range(one_off.shape[0] - 1):
-        for r in range(one_off[level], one_off[level + 1]):
-            f = one_flat[r]
-            csec = secure[one_cflat[r]]
-            choice[f] = one_cands[r]
-            any_secure[f] = csec
-            secure[f] = secure_rows[f] and csec
-        for r in range(multi_off[level], multi_off[level + 1]):
-            f = multi_flat[r]
-            s = starts[r]
-            any_sec = False
-            min_sec = _BLOCKED
-            for e in range(s, starts[r + 1]):
-                if secure[edge_cflat[e]]:
-                    any_sec = True
-                    if keys[e] < min_sec:
-                        min_sec = keys[e]
-            any_secure[f] = any_sec
-            if secp_rows[f] and any_sec:
-                e = s + np.int64(min_sec & _POS_MASK)
-            else:
-                e = pick[r]
-            choice[f] = edge_cands[e]
-            secure[f] = secure_rows[f] and secure[edge_cflat[e]]
+    """Resolve every stacked path-length level: level, then batch row,
+    then that row's slot's segment."""
+    for level in range(ptr.shape[1]):
+        for b in range(slots.shape[0]):
+            k = slots[b]
+            shift = (b - k) * n
+            for r in range(ptr[0, level, k], ptr[0, level, k + 1]):
+                f = one_flat[r] + shift
+                csec = secure[one_cflat[r] + shift]
+                choice[f] = one_cands[r]
+                any_secure[f] = csec
+                secure[f] = secure_rows[f] and csec
+            for r in range(ptr[1, level, k], ptr[1, level, k + 1]):
+                f = multi_flat[r] + shift
+                s = starts[r]
+                any_sec = False
+                min_sec = _BLOCKED
+                for e in range(s, starts[r + 1]):
+                    if secure[edge_cflat[e] + shift]:
+                        any_sec = True
+                        if keys[e] < min_sec:
+                            min_sec = keys[e]
+                any_secure[f] = any_sec
+                if secp_rows[f] and any_sec:
+                    e = s + np.int64(min_sec & _POS_MASK)
+                else:
+                    e = pick[r]
+                choice[f] = edge_cands[e]
+                secure[f] = secure_rows[f] and secure[edge_cflat[e] + shift]
 
 
-def weights_stacked(off, flat, nodes, choice, node_weights, w):
-    """Push subtree weights up to the chosen parents, deepest level first."""
-    for level in range(off.shape[0] - 2, -1, -1):
-        for r in range(off[level], off[level + 1]):
-            f = flat[r]
-            u = nodes[r]
-            p = choice[f]
-            if p >= 0:
-                w[f - u + p] += w[f] + node_weights[u]
+def weights_stacked(ptr, slots, n, flat, nodes, choice, node_weights, w):
+    """Push subtree weights up to the chosen parents, deepest level
+    first; within a level in stack order (batch row, then BFS row)."""
+    for level in range(ptr.shape[0] - 1, -1, -1):
+        for b in range(slots.shape[0]):
+            k = slots[b]
+            shift = (b - k) * n
+            for r in range(ptr[level, k], ptr[level, k + 1]):
+                f = flat[r] + shift
+                u = nodes[r]
+                p = choice[f]
+                if p >= 0:
+                    w[f - u + p] += w[f] + node_weights[u]
 
 
 def jacobi_sweep(v, route_cls, seg_starts, seg_sizes, seg_u, tie_rank,

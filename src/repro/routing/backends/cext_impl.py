@@ -54,14 +54,20 @@ _C_SOURCE = r"""
 #define POS_MASK 0xFFFFu
 #define INVALID_KEY 0xFFFFFFFFu
 
-/* choice / secure / any_secure / w are the C-contiguous [batch, n]
- * outputs taken flat; every *flat index below is row * n + node.
- * secure_rows / secp_rows are node_secure and node_secure & breaks_ties
- * replicated per batch row, so they take the same index.  Level i is
- * rows one_off[i]..one_off[i+1] of the one-candidate arrays and rows
- * multi_off[i]..multi_off[i+1] of the multi-candidate arrays. */
+/* The kernels read the arena's whole level-major mirror.  ptr is
+ * int64[2][num_levels][num_slots + 1]: ptr[0][i][k]..ptr[0][i][k+1] is
+ * slot k's segment of level i in the one-candidate arrays, ptr[1] the
+ * same in the multi-candidate arrays; the weights kernel's ptr is their
+ * sum, one plane.  A mirror flat index is slot * n + node; batch row b
+ * resolves slot slots[b] (any order, repeats allowed), so adding
+ * (b - slots[b]) * n to every flat index as it is read moves it to the
+ * batch row.  choice / secure / any_secure / w are the C-contiguous
+ * [batch, n] outputs taken flat; secure_rows / secp_rows are
+ * node_secure and node_secure & breaks_ties per batch row, taken the
+ * same way.  starts and pick index the mirror's own edge arrays. */
 void sbgp_trees_stacked(
-    int64_t num_levels, const int64_t *one_off, const int64_t *multi_off,
+    int64_t num_levels, int64_t num_slots, int64_t batch, int64_t n,
+    const int64_t *ptr, const int64_t *slots,
     const int64_t *one_flat, const int64_t *one_cflat,
     const int32_t *one_cands,
     const int64_t *multi_flat, const int64_t *starts, const int64_t *pick,
@@ -73,54 +79,70 @@ void sbgp_trees_stacked(
     /* Candidates sit one level below their row: secure[] is read where
      * an earlier level wrote and written where this level's rows are,
      * so reads and writes never alias within a level. */
+    const int64_t stride = num_slots + 1;
     for (int64_t level = 0; level < num_levels; level++) {
-        for (int64_t r = one_off[level]; r < one_off[level + 1]; r++) {
-            int64_t f = one_flat[r];
-            uint8_t csec = secure[one_cflat[r]];
-            choice[f] = one_cands[r];
-            any_secure[f] = csec;
-            secure[f] = (uint8_t)(secure_rows[f] && csec);
-        }
-        for (int64_t r = multi_off[level]; r < multi_off[level + 1]; r++) {
-            int64_t f = multi_flat[r];
-            int64_t s = starts[r];
-            int64_t end = starts[r + 1];
-            uint64_t min_sec = UINT64_MAX;
-            int any_sec = 0;
-            for (int64_t e = s; e < end; e++) {
-                if (secure[edge_cflat[e]]) {
-                    any_sec = 1;
-                    if (keys[e] < min_sec)
-                        min_sec = keys[e];
-                }
+        const int64_t *one_ptr = ptr + level * stride;
+        const int64_t *multi_ptr = ptr + (num_levels + level) * stride;
+        for (int64_t b = 0; b < batch; b++) {
+            int64_t k = slots[b];
+            int64_t shift = (b - k) * n;
+            for (int64_t r = one_ptr[k]; r < one_ptr[k + 1]; r++) {
+                int64_t f = one_flat[r] + shift;
+                uint8_t csec = secure[one_cflat[r] + shift];
+                choice[f] = one_cands[r];
+                any_secure[f] = csec;
+                secure[f] = (uint8_t)(secure_rows[f] && csec);
             }
-            any_secure[f] = (uint8_t)any_sec;
-            int64_t e = (secp_rows[f] && any_sec)
-                ? s + (int64_t)(min_sec & POS_MASK)
-                : pick[r];
-            choice[f] = edge_cands[e];
-            secure[f] = (uint8_t)(secure_rows[f] && secure[edge_cflat[e]]);
+            for (int64_t r = multi_ptr[k]; r < multi_ptr[k + 1]; r++) {
+                int64_t f = multi_flat[r] + shift;
+                int64_t s = starts[r];
+                int64_t end = starts[r + 1];
+                uint64_t min_sec = UINT64_MAX;
+                int any_sec = 0;
+                for (int64_t e = s; e < end; e++) {
+                    if (secure[edge_cflat[e] + shift]) {
+                        any_sec = 1;
+                        if (keys[e] < min_sec)
+                            min_sec = keys[e];
+                    }
+                }
+                any_secure[f] = (uint8_t)any_sec;
+                int64_t e = (secp_rows[f] && any_sec)
+                    ? s + (int64_t)(min_sec & POS_MASK)
+                    : pick[r];
+                choice[f] = edge_cands[e];
+                secure[f] = (uint8_t)(secure_rows[f] &&
+                                      secure[edge_cflat[e] + shift]);
+            }
         }
     }
 }
 
 void sbgp_weights_stacked(
-    int64_t num_levels, const int64_t *off,
+    int64_t num_levels, int64_t num_slots, int64_t batch, int64_t n,
+    const int64_t *ptr, const int64_t *slots,
     const int64_t *flat, const int32_t *nodes, const int32_t *choice,
     const double *node_weights, double *w)
 {
+    const int64_t stride = num_slots + 1;
     for (int64_t level = num_levels - 1; level >= 0; level--) {
-        for (int64_t r = off[level]; r < off[level + 1]; r++) {
-            int64_t f = flat[r];
-            int64_t u = nodes[r];
-            int32_t p = choice[f];
-            /* Parents sit one level up, so w[f - u + p] is only
-             * *written* here and only *read* when the next (shallower)
-             * level runs; with 0.0 + x == x exactly, child-by-child
-             * accumulation in stack order matches numpy's np.add.at
-             * bit for bit. */
-            if (p >= 0)
-                w[f - u + p] += w[f] + node_weights[u];
+        const int64_t *seg = ptr + level * stride;
+        for (int64_t b = 0; b < batch; b++) {
+            int64_t k = slots[b];
+            int64_t shift = (b - k) * n;
+            for (int64_t r = seg[k]; r < seg[k + 1]; r++) {
+                int64_t f = flat[r] + shift;
+                int64_t u = nodes[r];
+                int32_t p = choice[f];
+                /* Parents sit one level up, so w[f - u + p] is only
+                 * *written* here and only *read* when the next
+                 * (shallower) level runs; with 0.0 + x == x exactly,
+                 * child-by-child accumulation in stack order (batch
+                 * row, then BFS row) matches numpy's np.add.at bit for
+                 * bit. */
+                if (p >= 0)
+                    w[f - u + p] += w[f] + node_weights[u];
+            }
         }
     }
 }
@@ -309,27 +331,43 @@ def _ptr(array: np.ndarray, dtype: type) -> ctypes.c_void_p:
     return ctypes.c_void_p(array.ctypes.data)
 
 
-def _check_rows(off: np.ndarray, *aligned: np.ndarray) -> None:
-    """Level offsets must stay inside their row arrays, which must be
-    equally long: the C loops index all of them with one counter."""
-    if len(off) < 1 or any(len(a) != len(aligned[0]) for a in aligned) or (
-        off[-1] > len(aligned[0])
+def _check_rows(end, *aligned: np.ndarray) -> None:
+    """Arrays the C loops index with one counter must be equally long,
+    and as long as the segment table says the mirror is."""
+    if any(len(a) != len(aligned[0]) for a in aligned) or end != len(aligned[0]):
+        raise ValueError("cext kernel: stack arrays out of step")
+
+
+def _check_batch(ptr: np.ndarray, planes: tuple, slots: np.ndarray, n: int,
+                 *per_row: np.ndarray) -> None:
+    """The segment table must be ``planes + [levels, slots + 1]``, the
+    batch must name its slots, and every per-``(batch row, node)`` array
+    must hold ``len(slots) * n`` entries."""
+    if ptr.shape[:-2] != planes or ptr.ndim != len(planes) + 2 or any(
+        len(a) != len(slots) * n for a in per_row
     ):
         raise ValueError("cext kernel: stack arrays out of step")
+    if len(slots) and (slots.min() < 0 or slots.max() >= ptr.shape[-1] - 1):
+        raise ValueError("cext kernel: slot outside the segment table")
 
 
-def trees_stacked(one_off, multi_off, one_flat, one_cflat, one_cands,
+def _ends(ptr: np.ndarray) -> np.ndarray:
+    """Where each plane of the segment table says its stack ends."""
+    return ptr[..., -1, -1] if ptr.shape[-2] else np.zeros(ptr.shape[:-2], np.int64)
+
+
+def trees_stacked(ptr, slots, n, one_flat, one_cflat, one_cands,
                   multi_flat, starts, pick, edge_cflat, edge_cands, keys,
                   secure_rows, secp_rows, choice, secure, any_secure):
-    """Resolve every stacked path-length level."""
-    _check_rows(one_off, one_flat, one_cflat, one_cands)
-    _check_rows(multi_off, multi_flat, pick, starts[:-1])
-    _check_rows(starts, keys, edge_cflat, edge_cands)
-    if len(multi_off) != len(one_off):
-        raise ValueError("cext kernel: stack arrays out of step")
+    """Resolve every stacked path-length level of the batch ``slots``."""
+    _check_batch(ptr, (2,), slots, n, secure_rows, secp_rows, choice, secure, any_secure)
+    one_end, multi_end = _ends(ptr)
+    _check_rows(one_end, one_flat, one_cflat, one_cands)
+    _check_rows(multi_end, multi_flat, pick, starts[:-1])
+    _check_rows(starts[-1] if len(starts) else -1, keys, edge_cflat, edge_cands)
     _LIB.sbgp_trees_stacked(
-        _I64(len(one_off) - 1),
-        _ptr(one_off, np.int64), _ptr(multi_off, np.int64),
+        _I64(ptr.shape[1]), _I64(ptr.shape[2] - 1), _I64(len(slots)), _I64(n),
+        _ptr(ptr, np.int64), _ptr(slots, np.int64),
         _ptr(one_flat, np.int64), _ptr(one_cflat, np.int64),
         _ptr(one_cands, np.int32),
         _ptr(multi_flat, np.int64), _ptr(starts, np.int64),
@@ -342,11 +380,15 @@ def trees_stacked(one_off, multi_off, one_flat, one_cflat, one_cands,
     )
 
 
-def weights_stacked(off, flat, nodes, choice, node_weights, w):
+def weights_stacked(ptr, slots, n, flat, nodes, choice, node_weights, w):
     """Push subtree weights up to the chosen parents, deepest level first."""
-    _check_rows(off, flat, nodes)
+    _check_batch(ptr, (), slots, n, choice, w)
+    _check_rows(_ends(ptr), flat, nodes)
+    if len(node_weights) != n:
+        raise ValueError("cext kernel: stack arrays out of step")
     _LIB.sbgp_weights_stacked(
-        _I64(len(off) - 1), _ptr(off, np.int64),
+        _I64(ptr.shape[0]), _I64(ptr.shape[1] - 1), _I64(len(slots)), _I64(n),
+        _ptr(ptr, np.int64), _ptr(slots, np.int64),
         _ptr(flat, np.int64), _ptr(nodes, np.int32),
         _ptr(choice, np.int32), _ptr(node_weights, np.float64),
         _ptr(w, np.float64),

@@ -21,7 +21,10 @@ the parity suite would move).
 
 All three kernels share the calling convention documented in
 :mod:`repro.routing.backends._loops` (same signatures, same dtypes,
-outputs written in place).
+outputs written in place).  The compiled tiers read a batch's segments
+of the level-major mirror in place; a whole-level numpy gather wants the
+batch's rows contiguous, so here a batch other than the mirror's own
+slot order is first cut out of it (``_cut``), in the same stack order.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import weakref
 
 import numpy as np
 
+from repro.routing.compiled import offsets, segment_index
 from repro.routing.policy import POSITION_BITS, RouteClass
 
 _POS_MASK = np.uint64((1 << POSITION_BITS) - 1)
@@ -54,9 +58,39 @@ _CUSTOMER = int(RouteClass.CUSTOMER)
 _UNREACHABLE = int(RouteClass.UNREACHABLE)
 
 
+def _full_batch(ptr: np.ndarray, slots: np.ndarray) -> bool:
+    return len(slots) == ptr.shape[-1] - 1 and bool(
+        (slots == np.arange(len(slots))).all()
+    )
+
+
+def _cut(
+    lo: np.ndarray, hi: np.ndarray, slots: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Select the segments ``lo[..., i]:hi[..., i]`` of batch row ``i``,
+    in C order: ``(index, what to add to a flat index to move it from
+    its slot's row to its batch row, segment lengths)``."""
+    counts = hi - lo
+    shift = np.empty(counts.shape, dtype=np.int64)
+    shift[...] = (np.arange(len(slots), dtype=np.int64) - slots) * n
+    flat_counts = counts.reshape(-1)
+    index = segment_index(lo.reshape(-1), flat_counts)
+    return index, np.repeat(shift.reshape(-1), flat_counts), counts
+
+
+def _shifted(values: np.ndarray, index: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """``values[index] + shift``, added in place: a cut's index arrays
+    are the largest allocations of a subset pass, and a second
+    temporary per array showed in peak RSS (``sweep``: +2.5 %)."""
+    out = values[index]
+    out += shift
+    return out
+
+
 def trees_stacked(
-    one_off: np.ndarray,
-    multi_off: np.ndarray,
+    ptr: np.ndarray,
+    slots: np.ndarray,
+    n: int,
     one_flat: np.ndarray,
     one_cflat: np.ndarray,
     one_cands: np.ndarray,
@@ -72,8 +106,32 @@ def trees_stacked(
     secure: np.ndarray,
     any_secure: np.ndarray,
 ) -> None:
-    """Resolve every stacked path-length level of the batched tree kernel."""
-    one_off, multi_off = one_off.tolist(), multi_off.tolist()
+    """Resolve every stacked path-length level of the batch ``slots``
+    (a subset batch is cut out of the mirror first, in one pass over
+    both kinds and all levels)."""
+    if _full_batch(ptr, slots):
+        one_off = [*ptr[0, :, 0].tolist(), len(one_flat)]
+        multi_off = [*ptr[1, :, 0].tolist(), len(multi_flat)]
+    else:
+        index, shift, counts = _cut(ptr[:, :, slots], ptr[:, :, slots + 1], slots, n)
+        one_off = offsets(counts[0].sum(axis=1)).tolist()
+        multi_off = offsets(counts[1].sum(axis=1)).tolist()
+        num_one = one_off[-1]
+        one, multi = index[:num_one], index[num_one:]
+        one_shift, multi_shift = shift[:num_one], shift[num_one:]
+        edge_lo = starts[multi]
+        sizes = starts[multi + 1] - edge_lo
+        edges = segment_index(edge_lo, sizes)
+        starts = offsets(sizes)
+        one_flat = _shifted(one_flat, one, one_shift)
+        one_cflat = _shifted(one_cflat, one, one_shift)
+        one_cands = one_cands[one]
+        multi_flat = _shifted(multi_flat, multi, multi_shift)
+        pick = _shifted(pick, multi, starts[:-1] - edge_lo)
+        edge_cflat = _shifted(edge_cflat, edges, np.repeat(multi_shift, sizes))
+        edge_cands = edge_cands[edges]
+        keys = keys[edges]
+
     for level in range(len(one_off) - 1):
         a, b = one_off[level], one_off[level + 1]
         if b > a:
@@ -109,15 +167,25 @@ def trees_stacked(
 
 
 def weights_stacked(
-    off: np.ndarray,
+    ptr: np.ndarray,
+    slots: np.ndarray,
+    n: int,
     flat: np.ndarray,
     nodes: np.ndarray,
     choice: np.ndarray,
     node_weights: np.ndarray,
     w: np.ndarray,
 ) -> None:
-    """Push subtree weights up to the chosen parents, deepest level first."""
-    off = off.tolist()
+    """Push subtree weights up to the chosen parents, deepest level first
+    (a subset batch is cut out of the mirror first, in stack order:
+    level, batch row, BFS row)."""
+    if _full_batch(ptr, slots):
+        off = [*ptr[:, 0].tolist(), len(flat)]
+    else:
+        rows, shift, counts = _cut(ptr[:, slots], ptr[:, slots + 1], slots, n)
+        off = offsets(counts.sum(axis=1)).tolist()
+        flat = _shifted(flat, rows, shift)
+        nodes = nodes[rows]
     for level in range(len(off) - 2, -1, -1):
         for lo in range(off[level], off[level + 1], _BLOCK_ROWS):
             hi = min(lo + _BLOCK_ROWS, off[level + 1])

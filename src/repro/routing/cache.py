@@ -108,10 +108,12 @@ class RoutingCache:
     backend:
         Kernel backend name for the batched tree/weight/fixpoint kernels
         (:mod:`repro.routing.backends`).  ``None`` resolves through the
-        ``SBGP_KERNEL_BACKEND`` env var (default ``numpy``); an unusable
-        compiled backend degrades to numpy via the resource guard's
-        ``compiled_to_numpy`` rung.  Resolved once here, so every arena
-        this cache builds or adopts runs on one backend.
+        ``SBGP_KERNEL_BACKEND`` env var, else ``auto``: cext when it
+        loads, numpy otherwise (a logged, counted fallback); an unusable
+        explicitly named compiled backend degrades to numpy via the
+        resource guard's ``compiled_to_numpy`` rung.  Resolved once
+        here, so every arena this cache builds or adopts runs on one
+        backend.
     """
 
     def __init__(

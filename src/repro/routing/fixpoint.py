@@ -342,8 +342,8 @@ def fixpoint_pools(
 
     ``backend`` selects the sweep kernel implementation
     (:mod:`repro.routing.backends`); ``None`` resolves through the
-    ``SBGP_KERNEL_BACKEND`` env var, and an unusable compiled backend
-    degrades to numpy.
+    ``SBGP_KERNEL_BACKEND`` env var, then ``auto`` (cext when it loads,
+    else numpy), and an unusable compiled backend degrades to numpy.
     """
     cg = compiled or CompiledGraph.from_graph(graph)
     n = cg.n

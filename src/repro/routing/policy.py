@@ -250,7 +250,7 @@ class RoutingPolicy:
         state-dependent policies they default to all-insecure, and one
         fixpoint sweep set covers each chunk.  ``backend`` names the
         kernel backend for the fixpoint sweeps
-        (:mod:`repro.routing.backends`; ``None`` = env var, then numpy).
+        (:mod:`repro.routing.backends`; ``None`` = env var, then ``auto``).
         """
         from repro.routing.tree import StructurePools, chunk_pools
 

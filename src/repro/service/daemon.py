@@ -196,6 +196,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
         states: dict[str, int] = {}
         for job in self.service.store.jobs():
             states[job.state] = states.get(job.state, 0) + 1
+        backends = backend_status()
+        registry = get_registry()
         self._send_json(200, {
             "status": "ok",
             "jobs": states,
@@ -203,7 +205,14 @@ class ServiceHandler(BaseHTTPRequestHandler):
             "cache_entries": len(self.service.cache),
             # kernel-backend availability on THIS host (loaded backends
             # were exercised; available ones would load on first use)
-            "backends": backend_status(),
+            "backends": backends,
+            # the tier the last backend resolution chose, i.e. the one
+            # the latest job ran on (None before any job)
+            "kernel_backend": next(
+                (name for name in backends
+                 if registry.gauge(f"routing.backend.active.{name}").value == 1.0),
+                None,
+            ),
         })
         return True
 

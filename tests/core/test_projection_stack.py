@@ -23,7 +23,7 @@ from repro.core.engine import compute_round_data
 from repro.core.projection import project_flip, project_flips
 from repro.core.state import DeploymentState, StateDeriver
 from repro.routing import backends as kernel_backends
-from repro.routing.arena import RoutingArena, compute_trees_batched
+from repro.routing.arena import RoutingArena, compute_trees_batched, subtree_weights_batched
 from repro.routing.cache import RoutingCache
 from repro.routing.errors import BackendUnavailable
 from repro.routing.policy import get_policy
@@ -230,19 +230,38 @@ class TestPerRowStateOnEveryTier:
         dests = list(range(0, n, 9))
         pools = get_policy(policy).build_pools(small_graph, dests)
         arena = RoutingArena.build(n, [pools], policy=policy, backend=backend)
+        truth = RoutingArena.build(n, [pools], policy=policy, backend="numpy")
         rng = np.random.default_rng(5)
-        # slots out of order and repeated, every row under its own state
-        slots = rng.integers(0, len(dests), size=40)
-        secure = rng.random((len(slots), n)) < 0.5
-        breaks = rng.random((len(slots), n)) < 0.7
-        batch = compute_trees_batched(arena, slots, secure, breaks)
-        for i, slot in enumerate(slots):
-            row = compute_trees_batched(arena, [slot], secure[i], breaks[i])
+        depth = np.diff(arena.level_ptr)
+        shallow, deep = int(np.argmin(depth)), int(np.argmax(depth))
+        assert depth[shallow] < depth[deep]   # no rows at the deepest levels
+        batches = {
+            "unsorted, repeated": rng.integers(0, len(dests), size=40),
+            "full": arena.all_slots(),
+            "one row": np.array([deep]),
+            "a slot without deep rows": np.array([shallow, deep, shallow]),
+        }
+        for label, slots in batches.items():
+            # every row under its own state
+            secure = rng.random((len(slots), n)) < 0.5
+            breaks = rng.random((len(slots), n)) < 0.7
+            batch = compute_trees_batched(arena, slots, secure, breaks)
+            ref = compute_trees_batched(truth, slots, secure, breaks)
             for name in ("choice", "secure", "any_secure"):
-                assert getattr(batch, name)[i].tobytes() == getattr(row, name)[0].tobytes()
+                assert getattr(batch, name).tobytes() == getattr(ref, name).tobytes(), label
+            weights = subtree_weights_batched(arena, slots, batch.choice, small_graph.weights)
+            ref_weights = subtree_weights_batched(truth, slots, ref.choice, small_graph.weights)
+            assert weights.tobytes() == ref_weights.tobytes(), label
+            for i, slot in enumerate(slots):
+                row = compute_trees_batched(arena, [slot], secure[i], breaks[i])
+                for name in ("choice", "secure", "any_secure"):
+                    assert getattr(batch, name)[i].tobytes() == getattr(row, name)[0].tobytes()
         # mixed shapes: one state for all rows, a tie-break mask per row
-        shared = compute_trees_batched(arena, slots, secure[0], breaks)
-        tiled = compute_trees_batched(arena, slots, np.tile(secure[0], (len(slots), 1)), breaks)
+        slots = batches["unsorted, repeated"]
+        secure = rng.random(n) < 0.5
+        breaks = rng.random((len(slots), n)) < 0.7
+        shared = compute_trees_batched(arena, slots, secure, breaks)
+        tiled = compute_trees_batched(arena, slots, np.tile(secure, (len(slots), 1)), breaks)
         assert shared.choice.tobytes() == tiled.choice.tobytes()
         assert shared.secure.tobytes() == tiled.secure.tobytes()
 

@@ -35,6 +35,15 @@ class TestCommands:
         assert main(["case-study", "--n", "60", "--theta", "0.05"]) == 0
         assert "early adopters" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["case-study", "sweep", "graph-stats"])
+    def test_output_names_the_tier_that_ran(self, capsys, command):
+        assert main([command, "--n", "60", "--kernel-backend", "numpy"]) == 0
+        out = capsys.readouterr().out
+        if command == "graph-stats":   # the routing cache table's row
+            assert out.splitlines()[-1].split()[:2] == ["security_3rd", "numpy"]
+        else:
+            assert "kernel backend: numpy" in out
+
 
 class TestExperimentValidation:
     def test_unknown_id_fails_fast_with_valid_ids(self, capsys):

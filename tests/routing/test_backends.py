@@ -15,6 +15,10 @@ this whole file.
 
 from __future__ import annotations
 
+import json
+import logging
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,7 +124,7 @@ class TestRegistry:
         assert kb.default_backend_name() == "python"
         assert kb.resolve_backend(None) == "python"
         monkeypatch.delenv(kb.ENV_VAR)
-        assert kb.default_backend_name() == "numpy"
+        assert kb.default_backend_name() == kb.AUTO
 
     def test_backend_status_shape(self):
         status = kb.backend_status()
@@ -219,6 +223,64 @@ class TestDegradation:
         assert cache.backend_name == "numpy"
         assert guard.ladder.taken("compiled_to_numpy") >= 1
         assert bt.choice.shape == (12, graph.n)
+
+
+class TestAutoFallback:
+    """``auto``, the default, falls back to numpy *visibly* — one warning
+    per process, one ``routing.backend.auto_fallbacks`` count per
+    fallback, never the ``compiled_to_numpy`` rung of explicit requests —
+    and the run computes what it computes on the compiled tier."""
+
+    @staticmethod
+    def _case_study() -> tuple[str, str]:
+        from repro.experiments.case_study import run_case_study
+        from repro.experiments.persistence import result_to_dict
+        from repro.experiments.setup import build_environment
+
+        env = build_environment(n=60, seed=9)
+        report = run_case_study(env)
+        return env.cache.backend_name, json.dumps(result_to_dict(report.result))
+
+    @staticmethod
+    def _no_compiler(monkeypatch, tmp_path) -> None:
+        monkeypatch.setattr(kb, "find_compiler", lambda: None)
+
+    @staticmethod
+    def _compile_fails(monkeypatch, tmp_path) -> None:
+        cc = tmp_path / "failing-cc"
+        cc.write_text("#!/bin/sh\necho 'cc: internal error' >&2\nexit 1\n")
+        cc.chmod(0o755)
+        monkeypatch.setenv("CC", str(cc))
+        monkeypatch.setenv("SBGP_KERNEL_CACHE", str(tmp_path / "kernels"))
+
+    @pytest.mark.parametrize("cause", ["no_compiler", "compile_fails"])
+    def test_default_falls_back_to_numpy_visibly(
+        self, monkeypatch, tmp_path, caplog, cause
+    ):
+        monkeypatch.delenv(kb.ENV_VAR, raising=False)
+        _, expected = self._case_study()
+        # a process that has neither loaded nor tried the compiled tier
+        monkeypatch.setattr(kb, "_AUTO_WARNED", False)
+        monkeypatch.setattr(kb, "_FAILURES", {})
+        monkeypatch.setattr(
+            kb, "_IMPLS", {k: v for k, v in kb._IMPLS.items() if k != "cext"}
+        )
+        monkeypatch.delitem(sys.modules, "repro.routing.backends.cext_impl", raising=False)
+        getattr(self, f"_{cause}")(monkeypatch, tmp_path)
+
+        registry, guard = MetricsRegistry(), RuntimeGuard()
+        with use_registry(registry), use_guard(guard), caplog.at_level(
+            logging.WARNING, logger=kb.__name__
+        ):
+            name, got = self._case_study()
+            assert kb.resolve_backend(None) == "numpy"
+        assert name == "numpy" and got == expected
+        assert registry.snapshot()["counters"]["routing.backend.auto_fallbacks"] >= 2
+        assert guard.ladder.taken("compiled_to_numpy") == 0
+        warnings = [r for r in caplog.records if r.name == kb.__name__]
+        assert len(warnings) == 1 and "numpy" in warnings[0].getMessage()
+        if cause == "compile_fails":
+            assert "internal error" in warnings[0].getMessage()
 
 
 @pytest.mark.parametrize("backend", ALT_BACKENDS)
@@ -397,6 +459,8 @@ class TestSplitStackParity:
         )
         secure = np.zeros(graph.n, dtype=bool)
         secure[::2] = True
+        depth = [len(compute_dest_routing(graph, d).level_starts) for d in dests]
+        shallow, deep = int(np.argmin(depth)), int(np.argmax(depth))
         for breaks in (secure, np.zeros(graph.n, dtype=bool)):
             full = self._check(
                 graph, backend, dests, range(len(dests)), secure, breaks
@@ -407,6 +471,10 @@ class TestSplitStackParity:
                 graph, backend, dests, [k - 1, 0, k // 2, k - 1], secure, breaks
             )
             self._check(graph, backend, dests, [k // 2], secure, breaks)
+            # a slot with no rows at the levels its batch neighbour fills
+            self._check(graph, backend, dests, [shallow, deep, shallow], secure, breaks)
+        if shape != "diamond_top":
+            assert depth[shallow] < depth[deep]
         if shape in ("chain", "tree"):
             assert full["routing.batched.multi_rows"] == 0
         if shape == "diamond_top":
@@ -471,31 +539,37 @@ class TestCextArgumentChecks:
         assert checked[-1] == len(args) - 1  # tied too
         self._assert_checked(kernel, args, checked)
 
+    @pytest.mark.parametrize("slots", [None, [2, 0, 2]], ids=["full", "subset"])
     @pytest.mark.parametrize(
-        "name, num_arrays, stack",
-        [("trees_stacked", 16, range(2, 11)), ("weights_stacked", 6, (1, 2))],
+        "name, num_arrays", [("trees_stacked", 16), ("weights_stacked", 7)]
     )
     def test_every_stack_array_is_checked(
-        self, small_graph, monkeypatch, name, num_arrays, stack
+        self, small_graph, monkeypatch, name, num_arrays, slots
     ):
         secure, breaks = _security_state(small_graph.n)
         arena = _arena_for(small_graph, "security_3rd", "cext", [0, 1, 5])
+        batch = arena.all_slots() if slots is None else np.array(slots)
 
         def run():
-            bt = compute_trees_batched(arena, arena.all_slots(), secure, breaks)
-            subtree_weights_batched(
-                arena, arena.all_slots(), bt.choice, small_graph.weights
-            )
+            bt = compute_trees_batched(arena, batch, secure, breaks)
+            subtree_weights_batched(arena, batch, bt.choice, small_graph.weights)
 
         kernel, args = self._record(kb.load_backend("cext"), name, monkeypatch, run)
         kernel(*args)
-        assert len(args) == num_arrays
-        assert all(isinstance(arg, np.ndarray) and arg.size for arg in args)
-        self._assert_checked(kernel, args, range(num_arrays))
-        # ... and a stack array shorter than its level offsets say
-        for i in stack:
+        # the segment table, the slots, ``n``, then arrays only
+        assert args[2] == small_graph.n and len(args) == num_arrays + 1
+        arrays = [i for i, arg in enumerate(args) if isinstance(arg, np.ndarray)]
+        assert len(arrays) == num_arrays
+        assert all(args[i].size for i in arrays)
+        self._assert_checked(kernel, args, arrays)
+        # ... and any array one entry short of what the table and the
+        # batch say (the table one plane short)
+        for i in arrays:
             with pytest.raises(ValueError, match="out of step"):
                 kernel(*args[:i], args[i][:-1].copy(), *args[i + 1:])
+        for bad in (-1, arena.num_dests):
+            with pytest.raises(ValueError, match="slot outside"):
+                kernel(args[0], np.full_like(args[1], bad), *args[2:])
 
 
 class TestArenaBackendPlumbing:

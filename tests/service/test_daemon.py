@@ -87,6 +87,16 @@ class TestRoutes:
         assert endpoint["format"] == "repro.service-endpoint/1"
         assert endpoint["url"] == base
 
+    def test_healthz_names_the_kernel_tier_that_ran(self, service):
+        _, base = service
+        assert request(base, "/healthz")[1]["kernel_backend"] is None
+        _, job = request(base, "/v1/jobs", "POST", SPEC)
+        assert poll_until(base, job["id"])["state"] == "done"
+        _, result = request(base, f"/v1/jobs/{job['id']}/result")
+        _, body = request(base, "/healthz")
+        assert body["kernel_backend"] == result["backend"]
+        assert body["backends"][result["backend"]] == "loaded"
+
     def test_submit_poll_events_result(self, service):
         _, base = service
         status, job = request(base, "/v1/jobs", "POST", SPEC)
