@@ -77,7 +77,7 @@ def test_kernel_backend_trees(benchmark, bench_env, bench_state, backend):
     arena = bench_env.cache.ensure_arena()
     arena.backend = backend
     slots = arena.all_slots()
-    # warm outside the timer: first call pays lazy level-major stacking
+    # warm outside the timer: numpy's first call builds its level-major mirror
     compute_trees_batched(arena, slots, bench_state, bench_state)
     bt = benchmark(
         lambda: compute_trees_batched(arena, slots, bench_state, bench_state)

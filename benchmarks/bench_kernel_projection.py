@@ -11,9 +11,11 @@ loadable tier: ``stack`` is the one ``project_flips`` call a round makes,
 ``loop`` the same jobs through the one-job ``project_flip``.  The
 ``subset`` entries time the two batched kernels on one projection pass's
 batch of that round — as many rows as a pass holds, slots out of order
-and repeated, a state per row — which is where a subset batch's stacks
-are read from the level-major mirror (in place on the compiled tiers,
-cut out first on numpy).
+and repeated, a state per row: the compiled tiers walk those slots'
+pools in place, numpy cuts the batch's stacks out of its level-major
+mirror.  ``mirror_build`` times building that mirror from the round's
+arena, which the numpy tier pays once per arena and the compiled tiers
+never pay (``extra_info`` carries its size).
 """
 
 from __future__ import annotations
@@ -144,3 +146,16 @@ def test_kernel_projection_subset_weights(benchmark, pass_batch, backend):
     choice = compute_trees_batched(arena, slots, secure, breaks).choice
     w = benchmark(lambda: subtree_weights_batched(arena, slots, choice, weights))
     assert w.shape == choice.shape
+
+
+def test_kernel_projection_mirror_build(benchmark, recorded_round):
+    _, _, rd, _, _ = recorded_round
+    arena = rd.arena
+    numpy_tier = kernel_backends.load_backend("numpy")
+    pools = [getattr(arena, name) for name in (
+        "order_ptr", "order_pool", "level_ptr", "level_pool", "indptr_ptr",
+        "indptr_pool", "cand_ptr", "cands_pool", "keys_pool",
+    )]
+    nbytes = benchmark(lambda: numpy_tier.build_level_major(arena.graph_n, *pools))
+    benchmark.extra_info["mirror_mib"] = round(nbytes / 2**20, 2)
+    assert nbytes > 0

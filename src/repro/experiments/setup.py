@@ -119,7 +119,9 @@ def build_environment(
     cache = RoutingCache(graph, destinations=destinations, policy=policy, backend=backend)
     if warm:
         guard = current_guard()
-        estimate = RoutingArena.estimate_bytes(len(cache.destinations), graph.n)
+        estimate = RoutingArena.estimate_bytes(
+            len(cache.destinations), graph.n, backend=cache.backend_name
+        )
         if not guard.fits_memory(estimate):
             # last ladder rung: skip the eager warm + arena entirely and
             # let trees build lazily per destination as rounds touch them

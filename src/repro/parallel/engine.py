@@ -605,7 +605,7 @@ def parallel_warm_cache(cache, workers: int = 1) -> None:
     num_dests = sum(stop - start for start, stop in runs)
     if isinstance(engine, ProcessEngine):
         engine, num_partitions = _plan_warm_engine(
-            current_guard(), engine, num_dests, cache.graph.n
+            current_guard(), engine, num_dests, cache.graph.n, cache.backend_name
         )
     if isinstance(engine, ProcessEngine) and engine.start_method is not None:
         # whole chunks per partition, so that what comes back is a run
@@ -627,7 +627,7 @@ def parallel_warm_cache(cache, workers: int = 1) -> None:
 
 
 def _plan_warm_engine(
-    guard, engine: ProcessEngine, num_dests: int, n: int
+    guard, engine: ProcessEngine, num_dests: int, n: int, backend: str
 ) -> tuple[MapReduceEngine, int]:
     """Fit the warm map's partition count and worker count to the budget.
 
@@ -643,7 +643,7 @@ def _plan_warm_engine(
         return engine, default_parts
     from repro.routing.arena import RoutingArena
 
-    total = RoutingArena.estimate_bytes(num_dests, n)
+    total = RoutingArena.estimate_bytes(num_dests, n, backend=backend)
     per_dest = max(1, total // num_dests)
     share = guard.memory.headroom() // _WARM_SHARE_DIVISOR
     num_parts = partitions_for_budget(num_dests, default_parts, per_dest, share)

@@ -24,15 +24,16 @@ concatenation of a cache's chunks.  ``view(k)`` is a zero-copy
 consumers that work one destination at a time.
 
 On top of the pools, :func:`compute_trees_batched` resolves *many*
-destinations in one level-synchronous pass: same-path-length segments
-are stacked across destinations (the arena builds this level-major
-mirror once, on first use), so the Python-level loop runs over the
-handful of **global** levels instead of ``n_dests x n_levels``.
-Candidates always sit one level below their row's node, so interleaving
-destinations within a level is safe — each destination still sees its
-own already-resolved previous level.  Each level is stacked as two
-sub-stacks, rows with one tiebreak candidate and rows with several
-(:class:`_TreeStacks`): only the second kind has a route to select.
+destinations in one call, and :func:`subtree_weights_batched` sums their
+subtrees.  Every tier is handed the pools themselves plus the batch's
+slots.  A slot's rows are sorted by ``(path length, node)`` and every
+tiebreak candidate sits one level below its row, so the compiled tiers
+resolve a batch row by walking its slot's rows in pool order, level by
+level, in place.  Only the numpy tier, whose level body is a
+whole-level gather across destinations, stacks the pools level-major;
+that mirror is its own, built and cached in
+:mod:`repro.routing.backends.numpy_impl`, and no other tier holds a
+second copy of the arena.
 
 Because every pool is a flat typed buffer, the arena also serialises to
 a single byte blob (:meth:`RoutingArena.to_blocks` /
@@ -48,80 +49,9 @@ from typing import Sequence
 import numpy as np
 
 from repro.routing import backends as kernel_backends
-from repro.routing.compiled import offsets, segment_index
 from repro.routing.paths import RoutingTree
-from repro.routing.policy import POSITION_BITS
 from repro.routing.tree import ARENA_FIELDS, StructurePools
 from repro.telemetry.metrics import get_registry
-
-_POS_MASK = np.uint64((1 << POSITION_BITS) - 1)
-
-
-def _array_bytes(obj) -> int:
-    return sum(v.nbytes for v in vars(obj).values() if isinstance(v, np.ndarray))
-
-
-@dataclasses.dataclass
-class _TreeStacks:
-    """Level-major stacks the tree kernel walks (layout v2).
-
-    Every non-destination row of every destination is stacked by global
-    path-length level, then slot, then BFS row ("stack order"), and each
-    level is held as **two sub-stacks**: rows with exactly one tiebreak
-    candidate, where routing has nothing to decide, and rows with
-    several — the only ones SecP/TB selection runs over (Fig 10: about a
-    fifth of all rows).  Positions are flat indices into a C-contiguous
-    ``[num_dests, n]`` matrix (``flat = slot * n + node``, ``cflat = slot
-    * n + candidate``); a kernel moves them to its batch row as it reads
-    them, so one mirror serves every batch.
-
-    ``ptr[0, i, k]:ptr[0, i, k + 1]`` is slot ``k``'s segment of level
-    ``i`` in the ``one_*`` arrays, ``ptr[1]`` the same in the ``multi_*``
-    arrays.  ``starts`` is one CSR index over *all* multi-candidate rows
-    into the ``edge_*`` / ``keys`` arrays (absolute offsets, closing
-    entry included); ``pick`` is the absolute edge index of each row's
-    hash-minimal candidate — what TB selects whenever SecP does not
-    apply, known without the state.
-    """
-
-    ptr: np.ndarray         # int64[2, num_levels, num_dests + 1]
-    one_flat: np.ndarray    # int64
-    one_cflat: np.ndarray   # int64; the one candidate's flat index
-    one_cands: np.ndarray   # int32; the one candidate
-    multi_flat: np.ndarray  # int64
-    starts: np.ndarray      # int64[len(multi_flat) + 1]
-    pick: np.ndarray        # int64
-    edge_cflat: np.ndarray  # int64
-    edge_cands: np.ndarray  # int32
-    keys: np.ndarray        # uint64
-
-
-@dataclasses.dataclass
-class _WeightStack:
-    """Both kinds of rows together, in stack order, for the weights pass.
-
-    Not split: a parent's children must be added in stack order or the
-    float64 sums (and the golden digests) move.  ``ptr[i, k]:ptr[i, k +
-    1]`` is slot ``k``'s segment of level ``i`` — the sum of the tree
-    stacks' two planes, kept so no pass has to add them.
-    """
-
-    ptr: np.ndarray         # int64[num_levels, num_dests + 1]
-    flat: np.ndarray        # int64
-    nodes: np.ndarray       # int32; node id per ``flat`` entry
-
-
-@dataclasses.dataclass
-class _LevelMajor:
-    """The arena's level-major mirror: the stacks over *all* slots, which
-    the kernels read in place for any batch of slots."""
-
-    trees: _TreeStacks
-    weights: _WeightStack
-
-    @property
-    def nbytes(self) -> int:
-        return _array_bytes(self.trees) + _array_bytes(self.weights)
 
 
 @dataclasses.dataclass
@@ -171,8 +101,10 @@ class RoutingArena(StructurePools):
         #: *consuming* process resolves it — and degrades to numpy —
         #: at call time.
         self.backend = backend
-        self._mirror: _LevelMajor | None = None
         self._full_slots = np.arange(self.num_dests, dtype=np.int64)
+        #: rows with several tiebreak candidates, per slot (telemetry;
+        #: counted on first use)
+        self._multi_rows: np.ndarray | None = None
 
     # -- construction --------------------------------------------------
 
@@ -217,7 +149,7 @@ class RoutingArena(StructurePools):
         n: int,
         avg_reach_fraction: float = 1.0,
         avg_cands_per_node: float = 1.5,
-        include_level_major: bool = True,
+        backend: str = "numpy",
     ) -> int:
         """Predict the pooled footprint of an arena *before* building it.
 
@@ -236,11 +168,11 @@ class RoutingArena(StructurePools):
 
         ``avg_reach_fraction`` scales the per-destination reach (1.0 =
         every node reaches every destination, the connected-graph
-        worst case).  ``include_level_major`` also counts the level-major
-        mirror the batched kernels build lazily
-        (:attr:`level_major_nbytes`) — it is resident during every
-        round, so planning without it would undercount by ~2x.  Per
-        :class:`_TreeStacks` / :class:`_WeightStack`: 12 bytes per row
+        worst case).  ``backend`` is the resolved kernel tier the arena
+        runs on.  The compiled tiers read the pools in place, so that is
+        the whole forecast.  On ``numpy`` it also counts the tier's own
+        level-major mirror (``numpy_impl._TreeStacks`` /
+        ``_WeightStack``), resident during every round: 12 bytes per row
         for the weights stack, 20 per one-candidate row, 24 per
         multi-candidate row plus 20 per candidate of such a row.  The
         forecast only knows the totals, so it assumes the fewest
@@ -257,7 +189,7 @@ class RoutingArena(StructurePools):
         tables = 5 * 8 * (num_dests + 1) + 4 * num_dests
         level_pool = 4 * num_dests * 24    # level_starts: one int32 per level
         total = dense + csr_pools + cand_pools + tables + level_pool
-        if include_level_major:
+        if backend == kernel_backends.DEFAULT_BACKEND:
             one_rows = max(0.0, 2 * reach - cands)
             multi_rows = reach - one_rows
             multi_cands = cands - one_rows
@@ -269,8 +201,7 @@ class RoutingArena(StructurePools):
             # per sub-stack and their sum for the weights stack; 24
             # levels matches the level_pool allowance above).  They are
             # what grows with num_dests alone, so at paper scale (36K
-            # dests) they are no longer noise — re-validated at N=36964
-            # by tests/runtime/test_guard_chaos.py.
+            # dests) they are no longer noise.
             total += 3 * 8 * (num_dests + 1) * 24
         return int(total)
 
@@ -321,7 +252,7 @@ class RoutingArena(StructurePools):
             graph_n, arrays, policy=policy, state_key=state_key, backend=backend
         )
 
-    # -- the batched kernel --------------------------------------------
+    # -- the batched kernels -------------------------------------------
 
     @property
     def num_levels(self) -> int:
@@ -331,112 +262,17 @@ class RoutingArena(StructurePools):
             return 0
         return max(int(np.diff(self.level_ptr).max()) - 2, 0)
 
-    @property
-    def level_major_nbytes(self) -> int:
-        """Bytes of the level-major mirror (built on first use; it is
-        not part of :attr:`nbytes`, which counts what is shipped)."""
-        return self._level_major().nbytes
-
-    def _level_major(self) -> _LevelMajor:
-        """Build (once) the level-major mirror: one pass over the pools."""
-        if self._mirror is not None:
-            return self._mirror
-        num, n, num_levels = self.num_dests, self.graph_n, self.num_levels
-
-        # One run per (slot, level): consecutive rows of the pools.  The
-        # runs of the stacked levels (level 0 is the destination itself)
-        # go in level-major order; a stable sort keeps slot order.
-        levels_of_slot = np.diff(self.level_ptr) - 1
-        run_rows = np.delete(np.diff(self.level_pool), self.level_ptr[1:-1] - 1)
-        run_start = np.cumsum(run_rows) - run_rows
-        run_slot = np.repeat(np.arange(num, dtype=np.int32), levels_of_slot)
-        run_level = np.arange(len(run_rows), dtype=np.int64) - np.repeat(
-            self.level_ptr[:-1] - np.arange(num), levels_of_slot
-        )
-        stacked = np.flatnonzero(run_level > 0)
-        stacked = stacked[np.argsort(run_level[stacked], kind="stable")]
-        run_rows, run_start = run_rows[stacked], run_start[stacked]
-        run_slot, run_level = run_slot[stacked], run_level[stacked]
-
-        # ``all_ptr[i, k]``: where slot k's rows of level i + 1 start in
-        # the stack (a slot has at most one run per level)
-        cum = np.zeros(num_levels * num + 1, dtype=np.int64)
-        cum[(run_level - 1) * num + run_slot + 1] = run_rows
-        np.cumsum(cum, out=cum)
-        all_ptr = np.empty((num_levels, num + 1), dtype=np.int64)
-        all_ptr[:, :-1] = cum[:-1].reshape(num_levels, num)
-        all_ptr[:, -1] = cum[num * np.arange(1, num_levels + 1)]
-
-        # Per stacked row, in stack order: node, tiebreak-set size and
-        # where its candidates start in cands_pool (a slot's indptr is
-        # relative to its own candidates and has one closing entry).
-        # The arrays are as long as the mirror's own, so each is freed
-        # or reused in place as soon as it has served.
-        rows = segment_index(run_start, run_rows)  # into order_pool
-        slot = np.repeat(run_slot, run_rows)
-        nodes = self.order_pool[rows]
-        rows += slot
-        edge_lo = self.indptr_pool[rows]
-        rows += 1
-        # (a set's size fits POSITION_BITS; narrow, the array is short-lived)
-        size = (self.indptr_pool[rows] - edge_lo).astype(np.int32)
-        edge_lo += self.cand_ptr[slot]
-        if len(size) and size.min() < 1:
-            raise ValueError("arena row without a tiebreak candidate")
-        flat = np.multiply(slot, n, out=rows, dtype=np.int64)   # rows' buffer
-        del rows, slot
-        flat += nodes
-
-        # the split; the one-candidate rows before each boundary of
-        # all_ptr give ptr[0], the rest is ptr[1]
-        one = np.flatnonzero(size == 1)
-        multi = np.flatnonzero(size != 1)
-        ptr = np.empty((2, num_levels, num + 1), dtype=np.int64)
-        ptr[0] = np.searchsorted(one, all_ptr)
-        ptr[1] = all_ptr - ptr[0]
-        starts = offsets(size[multi])
-        del size
-        one_cands = self.cands_pool[edge_lo[one]]
-        edge_lo = edge_lo[multi]
-        one_flat = flat[one]
-        one_cflat = one_flat - nodes[one]   # the row's base, slot * n ...
-        del one
-        one_cflat += one_cands              # ... plus the candidate
-        multi_flat = flat[multi]
-        base = multi_flat - nodes[multi]
-        del multi
-        sizes = np.diff(starts)
-        edges = segment_index(edge_lo, sizes)
-        del edge_lo
-        edge_cands = self.cands_pool[edges]
-        keys = self.keys_pool[edges]
-        del edges
-        edge_cflat = np.repeat(base, sizes)
-        del base, sizes
-        edge_cflat += edge_cands
-        pick = starts[:-1].copy()
-        if len(pick):
-            pick += (np.minimum.reduceat(keys, pick) & _POS_MASK).astype(np.int64)
-
-        self._mirror = _LevelMajor(
-            trees=_TreeStacks(
-                ptr=ptr,
-                one_flat=one_flat,
-                one_cflat=one_cflat,
-                one_cands=one_cands,
-                multi_flat=multi_flat,
-                starts=starts,
-                pick=pick,
-                edge_cflat=edge_cflat,
-                edge_cands=edge_cands,
-                keys=keys,
-            ),
-            weights=_WeightStack(ptr=all_ptr, flat=flat, nodes=nodes),
-        )
-        get_registry().gauge("routing.arena.level_major_bytes").set(
-            self._mirror.nbytes
-        )
-        return self._mirror
+    def _multi_row_count(self, slots: np.ndarray) -> int:
+        """Rows of ``slots`` with several tiebreak candidates, the only
+        ones route selection runs over (Fig 10: about a fifth).  Counted
+        per slot from ``indptr_pool`` on first use."""
+        if self._multi_rows is None:
+            # one running count over every pooled indptr entry; a slot's
+            # rows are its run's entries but the closing one
+            seen = np.zeros(len(self.indptr_pool), dtype=np.int64)
+            np.cumsum(np.diff(self.indptr_pool) > 1, out=seen[1:])
+            self._multi_rows = seen[self.indptr_ptr[1:] - 1] - seen[self.indptr_ptr[:-1]]
+        return int(self._multi_rows[slots].sum())
 
     def all_slots(self) -> np.ndarray:
         """``arange(num_dests)`` — the full-batch slot vector."""
@@ -464,17 +300,17 @@ def compute_trees_batched(
 
     Bit-identical to resolving each destination on its own (the
     ``compute_tree`` reference of ``tests/references.py``, asserted by
-    the differential suite in ``tests/routing/test_arena.py``), but the
-    Python-level loop runs over *global* path-length levels.  A row with one tiebreak candidate
-    takes it; SecP/TB selection runs over the multi-candidate rows only
-    (:class:`_TreeStacks`).  Every tier is handed the whole mirror and
-    ``slots`` (a full round is ``slots = arange(num_dests)``) and
-    dispatches through the arena's kernel backend
-    (:mod:`repro.routing.backends`): the compiled tiers read each batch
-    row's segments of the mirror in place; ``numpy`` cuts a subset
-    batch's stacks out of it and resolves each sub-stack with a handful
-    of flat numpy operations.  All backends are bit-identical (asserted
-    by ``tests/routing/test_backends.py``).
+    the differential suite in ``tests/routing/test_arena.py``).  A row
+    with one tiebreak candidate takes it; SecP/TB selection runs over
+    the multi-candidate rows only.  Every tier is handed the arena's
+    pools and ``slots`` (a full round is ``slots = arange(num_dests)``)
+    and dispatches through the arena's kernel backend
+    (:mod:`repro.routing.backends`): the compiled tiers walk each batch
+    row's slot in place, one linear pass over its rows, which run by
+    path length; ``numpy`` stacks the pools level-major once (its own
+    mirror), cuts a subset batch's stacks out of it and resolves each
+    global level with a handful of flat numpy operations.  All backends
+    are bit-identical (asserted by ``tests/routing/test_backends.py``).
 
     ``node_secure`` and ``breaks_ties`` are each ``[n]``, one deployment
     state for the whole batch, or ``[B, n]``, row ``i`` resolved under
@@ -497,22 +333,22 @@ def compute_trees_batched(
     secure.reshape(-1)[at_dest] = secure_rows[at_dest]
 
     backend, kernels = kernel_backends.kernels_for(arena.backend)
-    st = arena._level_major().trees
     registry = get_registry()
     if registry.enabled:
-        rows = (st.ptr[:, :, slots + 1] - st.ptr[:, :, slots]).sum(axis=(1, 2))
+        # every row but each slot's destination: the work the pools hold
+        rows = arena.order_ptr[slots + 1] - arena.order_ptr[slots] - 1
         registry.counter("routing.batched.calls").inc()
         registry.counter("routing.batched.trees").inc(B)
-        registry.counter("routing.batched.levels").inc(st.ptr.shape[1])
+        registry.counter("routing.batched.levels").inc(arena.num_levels)
         registry.counter("routing.batched.rows").inc(int(rows.sum()))
-        registry.counter("routing.batched.multi_rows").inc(int(rows[1]))
+        registry.counter("routing.batched.multi_rows").inc(arena._multi_row_count(slots))
         registry.counter(f"routing.backend.calls.{backend}").inc()
 
     kernels.trees_stacked(
-        st.ptr, slots, n,
-        st.one_flat, st.one_cflat, st.one_cands,
-        st.multi_flat, st.starts, st.pick,
-        st.edge_cflat, st.edge_cands, st.keys,
+        slots, n,
+        arena.order_ptr, arena.order_pool, arena.level_ptr, arena.level_pool,
+        arena.indptr_ptr, arena.indptr_pool, arena.cand_ptr, arena.cands_pool,
+        arena.keys_pool,
         secure_rows, secp_rows,
         choice.reshape(-1), secure.reshape(-1), any_secure.reshape(-1),
     )
@@ -553,8 +389,9 @@ def subtree_weights_batched(
     registry = get_registry()
     if registry.enabled:
         registry.counter(f"routing.backend.calls.{backend}").inc()
-    st = arena._level_major().weights
     kernels.weights_stacked(
-        st.ptr, slots, n, st.flat, st.nodes, choice.reshape(-1), weights, w.reshape(-1)
+        slots, n,
+        arena.order_ptr, arena.order_pool, arena.level_ptr, arena.level_pool,
+        choice.reshape(-1), weights, w.reshape(-1),
     )
     return w

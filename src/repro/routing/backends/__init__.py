@@ -9,12 +9,16 @@ three implementations ("backends") behind this registry:
 - ``numpy``: the vectorised code in
   :mod:`repro.routing.backends.numpy_impl`.  It is the **differential
   ground truth**: every other backend must produce bit-identical
-  outputs (asserted by ``tests/routing/test_backends.py``).
+  outputs (asserted by ``tests/routing/test_backends.py``).  Its level
+  bodies gather whole path-length levels across destinations, so it
+  keeps a level-major mirror of each arena's pools, its own: built on
+  its first call, dropped with the arena.
 - ``cext``: the same kernels as scalar loops in a small C translation
   unit, compiled once per source digest with the system C compiler and
   bound through ``ctypes`` (:mod:`repro.routing.backends.cext_impl`).
   No build-time dependency beyond ``cc``; the shared object is cached
-  on disk.
+  on disk.  Its tree kernels walk each batch row's slot of the arena's
+  pools in place and hold no second copy of them.
 - ``python``: the C loops' executable spec in pure Python
   (:mod:`repro.routing.backends._loops`), registered *hidden* so the
   parity suite can pin the exact control flow the C code transliterates

@@ -11,23 +11,23 @@ inherits, and it is where a reader checks what the C loops mean.
 Calling convention (all backends):
 
 - outputs are written **in place**; the functions return ``None``;
-- the batched kernels read the arena's whole level-major mirror
-  (``repro.routing.arena._TreeStacks`` / ``_WeightStack``) as plain
-  arrays, all levels in one call, plus its segment table and the
-  batch's ``slots`` (int64, any order, repeats allowed):
-  ``ptr[0, i, k]:ptr[0, i, k + 1]`` is slot ``k``'s segment of level
-  ``i`` in the one-candidate arrays, ``ptr[1]`` the same in the
-  multi-candidate arrays, and the weights kernel's ``ptr`` is their sum,
-  the segments of the weights stack.  Mirror arrays: ``*flat`` /
-  ``starts`` / ``pick`` int64 (``starts`` and ``pick`` index the
-  mirror's own edge arrays), ``nodes`` / ``*cands`` int32, ``keys``
-  uint64.  A mirror ``flat`` index is ``slot * n + node``; batch row
-  ``b`` walks the segments of ``slots[b]`` and adds ``(b - slots[b]) *
-  n`` to every flat index as it reads it, so the batch needs no copy of
-  its stacks.  ``choice`` (int32), ``secure`` / ``any_secure`` (bool)
-  and ``w`` (float64) are the C-contiguous ``[batch, n]`` outputs taken
-  flat; ``secure_rows`` / ``secp_rows`` are ``node_secure`` and
-  ``node_secure & breaks_ties`` per batch row, taken the same way;
+- the batched kernels read the arena's pools in place
+  (``repro.routing.tree.StructurePools``), all of them in one call,
+  plus the batch's ``slots`` (int64, any order, repeats allowed).  Slot
+  ``k``'s rows are ``order_pool[order_ptr[k]:order_ptr[k + 1]]``,
+  reachable nodes by ``(path length, node)``, row 0 its destination;
+  ``level_pool[level_ptr[k]:level_ptr[k + 1]]`` are its
+  ``level_starts`` (where each path length starts among those rows, the
+  last entry closing them); ``indptr_pool[indptr_ptr[k]:]`` is its
+  tiebreak CSR, one entry per row plus a closing one, relative to
+  ``cand_ptr[k]`` in ``cands_pool`` and ``keys_pool``.  Pools: ``*_ptr``
+  / ``indptr_pool`` int64, ``order_pool`` / ``level_pool`` /
+  ``cands_pool`` int32, ``keys_pool`` uint64.  Batch row ``b`` resolves
+  slot ``slots[b]`` into row ``b`` of the C-contiguous ``[batch, n]``
+  outputs ``choice`` (int32), ``secure`` / ``any_secure`` (bool) and
+  ``w`` (float64), taken flat; ``secure_rows`` / ``secp_rows`` are
+  ``node_secure`` and ``node_secure & breaks_ties`` per batch row, taken
+  the same way;
 - the sweep: ``tie_rank`` / ``lp_field`` uint32, ``rank_edge`` int64,
   ``edge_flags`` uint8, labels int8/int32/bool as C-contiguous
   ``[batch, n]`` matrices, ``attacker`` int64, rank metadata int64 codes
@@ -35,17 +35,22 @@ Calling convention (all backends):
 
 Bit-identity with the numpy backend is structural, not accidental:
 
-- tree levels: a row with one candidate takes it; a row with several
-  takes the *minimum* key over its secure candidates where SecP applies
-  and there are any, and otherwise the precomputed hash-minimal ``pick``
-  — minima are order-independent, and candidates live one level below
-  their row, so per-row loops see the same already-resolved state the
+- trees: a row with one candidate takes it; a row with several takes
+  the *minimum* key over its secure candidates where SecP applies and
+  there are any, and otherwise the minimum key over all of them (the
+  numpy mirror's precomputed ``pick``) — minima are order-independent,
+  and every candidate sits one level below its row, so walking a slot's
+  rows level by level in pool order (a level's several-candidate rows
+  settled after its other rows took their first candidate, which no row
+  of the same level reads) sees the same already-resolved state the
   whole-level gather sees;
 - subtree weights: every parent receives contributions only while its
   children's level is processed (children sit exactly one level deeper)
   and ``0.0 + x == x`` exactly in IEEE-754, so accumulating child by
-  child in stack order reproduces ``np.add.at``'s sequential sum bit
-  for bit;
+  child — levels deepest first, a level's rows in pool order —
+  reproduces ``np.add.at``'s sequential sum over the mirror's stack
+  order bit for bit (batch rows write disjoint rows of ``w``, so which
+  batch row goes first does not matter);
 - the Jacobi sweep takes the minimum of ``rank_key << 32 | tie_rank``
   over a segment in one pass, the word the numpy step gathers per edge;
   minima are order-independent.  Only the tie mask needs the keys again
@@ -84,53 +89,73 @@ if (_SELF, _CUSTOMER, _UNREACHABLE) != (
     )
 
 
-def trees_stacked(ptr, slots, n, one_flat, one_cflat, one_cands,
-                  multi_flat, starts, pick, edge_cflat, edge_cands, keys,
+def trees_stacked(slots, n, order_ptr, order_pool, level_ptr, level_pool,
+                  indptr_ptr, indptr_pool, cand_ptr, cands_pool, keys_pool,
                   secure_rows, secp_rows, choice, secure, any_secure):
-    """Resolve every stacked path-length level: level, then batch row,
-    then that row's slot's segment."""
-    for level in range(ptr.shape[1]):
-        for b in range(slots.shape[0]):
-            k = slots[b]
-            shift = (b - k) * n
-            for r in range(ptr[0, level, k], ptr[0, level, k + 1]):
-                f = one_flat[r] + shift
-                csec = secure[one_cflat[r] + shift]
-                choice[f] = one_cands[r]
-                any_secure[f] = csec
-                secure[f] = secure_rows[f] and csec
-            for r in range(ptr[1, level, k], ptr[1, level, k + 1]):
-                f = multi_flat[r] + shift
-                s = starts[r]
+    """Resolve each batch row's tree over its slot's rows, level by level
+    in pool order: every row of a level takes its first candidate, then
+    the rows with several are settled."""
+    multi = np.empty(int(np.diff(order_ptr)[slots].max(initial=1)), dtype=np.int32)
+    for b in range(slots.shape[0]):
+        k = slots[b]
+        base = b * n
+        o = order_ptr[k]
+        starts = level_ptr[k]
+        last = level_ptr[k + 1] - starts - 1
+        ip = indptr_ptr[k]
+        c0 = cand_ptr[k]
+        s = indptr_pool[ip + level_pool[starts + 1]]
+        for level in range(1, last):
+            m = 0
+            for r in range(level_pool[starts + level], level_pool[starts + level + 1]):
+                end = indptr_pool[ip + r + 1]
+                if end == s:
+                    continue   # the builders never leave a row without one
+                f = base + order_pool[o + r]
+                c = cands_pool[c0 + s]
+                choice[f] = c
+                any_secure[f] = secure[base + c]
+                secure[f] = secure_rows[f] and secure[base + c]
+                multi[m] = r
+                m += end - s > 1
+                s = end
+            for i in range(m):
+                r = multi[i]
+                lo = c0 + indptr_pool[ip + r]
+                end = c0 + indptr_pool[ip + r + 1]
+                f = base + order_pool[o + r]
                 any_sec = False
+                min_all = _BLOCKED
                 min_sec = _BLOCKED
-                for e in range(s, starts[r + 1]):
-                    if secure[edge_cflat[e] + shift]:
+                for e in range(lo, end):
+                    if keys_pool[e] < min_all:
+                        min_all = keys_pool[e]
+                    if secure[base + cands_pool[e]]:
                         any_sec = True
-                        if keys[e] < min_sec:
-                            min_sec = keys[e]
+                        if keys_pool[e] < min_sec:
+                            min_sec = keys_pool[e]
+                key = min_sec if secp_rows[f] and any_sec else min_all
+                c = cands_pool[lo + np.int64(key & _POS_MASK)]
+                choice[f] = c
                 any_secure[f] = any_sec
-                if secp_rows[f] and any_sec:
-                    e = s + np.int64(min_sec & _POS_MASK)
-                else:
-                    e = pick[r]
-                choice[f] = edge_cands[e]
-                secure[f] = secure_rows[f] and secure[edge_cflat[e] + shift]
+                secure[f] = secure_rows[f] and secure[base + c]
 
 
-def weights_stacked(ptr, slots, n, flat, nodes, choice, node_weights, w):
-    """Push subtree weights up to the chosen parents, deepest level
-    first; within a level in stack order (batch row, then BFS row)."""
-    for level in range(ptr.shape[0] - 1, -1, -1):
-        for b in range(slots.shape[0]):
-            k = slots[b]
-            shift = (b - k) * n
-            for r in range(ptr[level, k], ptr[level, k + 1]):
-                f = flat[r] + shift
-                u = nodes[r]
-                p = choice[f]
+def weights_stacked(slots, n, order_ptr, order_pool, level_ptr, level_pool,
+                    choice, node_weights, w):
+    """Push subtree weights up to the chosen parents: per batch row,
+    levels deepest first, a level's rows in pool order."""
+    for b in range(slots.shape[0]):
+        k = slots[b]
+        base = b * n
+        o = order_ptr[k]
+        starts = level_ptr[k]
+        for level in range(level_ptr[k + 1] - starts - 2, 0, -1):
+            for r in range(level_pool[starts + level], level_pool[starts + level + 1]):
+                u = order_pool[o + r]
+                p = choice[base + u]
                 if p >= 0:
-                    w[f - u + p] += w[f] + node_weights[u]
+                    w[base + p] += w[base + u] + node_weights[u]
 
 
 def jacobi_sweep(v, route_cls, seg_starts, seg_sizes, seg_u, tie_rank,

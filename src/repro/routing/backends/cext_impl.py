@@ -13,10 +13,11 @@ Import errors — no compiler, compile failure, dlopen failure — raise
 that into a counted ``compiled_to_numpy`` degradation, never a crash.
 
 Why ctypes and not a real extension module: the kernels take flat typed
-buffers and return nothing, so the FFI surface is three pointer-and-
-stride signatures — not worth a build system.  The Python-side wrappers
-enforce dtype and contiguity *loudly* (a silent mismatch would corrupt
-memory), which the parity suite exercises.
+buffers and return at most a status code, so the FFI surface is three
+pointer-and-stride signatures — not worth a build system.  The
+Python-side wrappers enforce dtype, contiguity and lengths *loudly* (a
+silent mismatch would corrupt memory), which the parity suite
+exercises.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ if (
 
 _C_SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
 
 /* Constants mirrored from repro.routing: POSITION_BITS=16 (tie-key low
  * bits hold the candidate's position in its row), RouteClass
@@ -54,94 +56,128 @@ _C_SOURCE = r"""
 #define POS_MASK 0xFFFFu
 #define INVALID_KEY 0xFFFFFFFFu
 
-/* The kernels read the arena's whole level-major mirror.  ptr is
- * int64[2][num_levels][num_slots + 1]: ptr[0][i][k]..ptr[0][i][k+1] is
- * slot k's segment of level i in the one-candidate arrays, ptr[1] the
- * same in the multi-candidate arrays; the weights kernel's ptr is their
- * sum, one plane.  A mirror flat index is slot * n + node; batch row b
- * resolves slot slots[b] (any order, repeats allowed), so adding
- * (b - slots[b]) * n to every flat index as it is read moves it to the
- * batch row.  choice / secure / any_secure / w are the C-contiguous
- * [batch, n] outputs taken flat; secure_rows / secp_rows are
- * node_secure and node_secure & breaks_ties per batch row, taken the
- * same way.  starts and pick index the mirror's own edge arrays. */
-void sbgp_trees_stacked(
-    int64_t num_levels, int64_t num_slots, int64_t batch, int64_t n,
-    const int64_t *ptr, const int64_t *slots,
-    const int64_t *one_flat, const int64_t *one_cflat,
-    const int32_t *one_cands,
-    const int64_t *multi_flat, const int64_t *starts, const int64_t *pick,
-    const int64_t *edge_cflat, const int32_t *edge_cands,
-    const uint64_t *keys,
+/* The tree kernels read the arena's pools in place.  Slot k's rows are
+ * order_pool[order_ptr[k]..order_ptr[k+1]), reachable nodes sorted by
+ * (path length, node), row 0 its destination; level_pool[level_ptr[k]..
+ * level_ptr[k+1]) are its level_starts, where each path length starts
+ * among those rows (the last entry closes them); indptr_pool from
+ * indptr_ptr[k] is its tiebreak CSR, one entry per row plus a closing
+ * one, relative to cand_ptr[k] in cands_pool / keys_pool.  Batch row b
+ * resolves slot slots[b] (any order, repeats allowed) into row b of the
+ * C-contiguous [batch, n] outputs choice / secure / any_secure / w;
+ * secure_rows / secp_rows are node_secure and node_secure & breaks_ties
+ * per batch row, laid out the same way. */
+int sbgp_trees_stacked(
+    int64_t batch, int64_t n, const int64_t *slots,
+    const int64_t *order_ptr, const int32_t *order_pool,
+    const int64_t *level_ptr, const int32_t *level_pool,
+    const int64_t *indptr_ptr, const int64_t *indptr_pool,
+    const int64_t *cand_ptr, const int32_t *cands_pool,
+    const uint64_t *keys_pool,
     const uint8_t *secure_rows, const uint8_t *secp_rows,
     int32_t *choice, uint8_t *secure, uint8_t *any_secure)
 {
-    /* Candidates sit one level below their row: secure[] is read where
-     * an earlier level wrote and written where this level's rows are,
-     * so reads and writes never alias within a level. */
-    const int64_t stride = num_slots + 1;
-    for (int64_t level = 0; level < num_levels; level++) {
-        const int64_t *one_ptr = ptr + level * stride;
-        const int64_t *multi_ptr = ptr + (num_levels + level) * stride;
-        for (int64_t b = 0; b < batch; b++) {
-            int64_t k = slots[b];
-            int64_t shift = (b - k) * n;
-            for (int64_t r = one_ptr[k]; r < one_ptr[k + 1]; r++) {
-                int64_t f = one_flat[r] + shift;
-                uint8_t csec = secure[one_cflat[r] + shift];
-                choice[f] = one_cands[r];
-                any_secure[f] = csec;
-                secure[f] = (uint8_t)(secure_rows[f] && csec);
+    /* scratch: a level's multi-candidate rows, as many as the batch's
+     * longest slot has rows */
+    int64_t most = 1;
+    for (int64_t b = 0; b < batch; b++) {
+        const int64_t rows = order_ptr[slots[b] + 1] - order_ptr[slots[b]];
+        if (rows > most)
+            most = rows;
+    }
+    int32_t *multi = malloc((size_t)most * sizeof(int32_t));
+    if (!multi)
+        return -1;
+    for (int64_t b = 0; b < batch; b++) {
+        const int64_t k = slots[b];
+        const int32_t *order = order_pool + order_ptr[k];
+        const int32_t *starts = level_pool + level_ptr[k];
+        const int64_t last = level_ptr[k + 1] - level_ptr[k] - 1;
+        const int64_t *indptr = indptr_pool + indptr_ptr[k];
+        const int32_t *cands = cands_pool + cand_ptr[k];
+        const uint64_t *keys = keys_pool + cand_ptr[k];
+        const uint8_t *sec_in = secure_rows + b * n;
+        const uint8_t *secp_in = secp_rows + b * n;
+        int32_t *restrict ch = choice + b * n;
+        uint8_t *restrict sec = secure + b * n;
+        uint8_t *restrict any = any_secure + b * n;
+        /* Rows run by path length and every candidate is one level
+         * shorter than its row, so a slot resolves level by level in pool
+         * order, each candidate's sec[] written before it is read.  In a
+         * level, every row first takes its first candidate and the rows
+         * with several are listed, without a branch on the count (which
+         * about a fifth of rows take: Fig 10); those are then settled,
+         * before the next level reads them.  A row's end is the next
+         * row's start: read once, carried over. */
+        int64_t s = indptr[starts[1]];
+        for (int64_t level = 1; level < last; level++) {
+            const int64_t hi = starts[level + 1];
+            int64_t m = 0;
+            for (int64_t r = starts[level]; r < hi; r++) {
+                const int64_t end = indptr[r + 1];
+                if (end == s)
+                    continue;  /* the builders never leave a row without one */
+                const int32_t u = order[r];
+                const int32_t c = cands[s];
+                ch[u] = c;
+                any[u] = sec[c];
+                sec[u] = (uint8_t)(sec_in[u] && sec[c]);
+                multi[m] = (int32_t)r;
+                m += end - s > 1;
+                s = end;
             }
-            for (int64_t r = multi_ptr[k]; r < multi_ptr[k + 1]; r++) {
-                int64_t f = multi_flat[r] + shift;
-                int64_t s = starts[r];
-                int64_t end = starts[r + 1];
-                uint64_t min_sec = UINT64_MAX;
+            for (int64_t i = 0; i < m; i++) {
+                const int64_t r = multi[i];
+                const int64_t lo = indptr[r], end = indptr[r + 1];
+                const int32_t u = order[r];
+                uint64_t min_all = UINT64_MAX, min_sec = UINT64_MAX;
                 int any_sec = 0;
-                for (int64_t e = s; e < end; e++) {
-                    if (secure[edge_cflat[e] + shift]) {
+                for (int64_t e = lo; e < end; e++) {
+                    const uint64_t key = keys[e];
+                    if (key < min_all)
+                        min_all = key;
+                    if (sec[cands[e]]) {
                         any_sec = 1;
-                        if (keys[e] < min_sec)
-                            min_sec = keys[e];
+                        if (key < min_sec)
+                            min_sec = key;
                     }
                 }
-                any_secure[f] = (uint8_t)any_sec;
-                int64_t e = (secp_rows[f] && any_sec)
-                    ? s + (int64_t)(min_sec & POS_MASK)
-                    : pick[r];
-                choice[f] = edge_cands[e];
-                secure[f] = (uint8_t)(secure_rows[f] &&
-                                      secure[edge_cflat[e] + shift]);
+                const uint64_t key = (secp_in[u] && any_sec) ? min_sec : min_all;
+                const int32_t c = cands[lo + (int64_t)(key & POS_MASK)];
+                ch[u] = c;
+                any[u] = (uint8_t)any_sec;
+                sec[u] = (uint8_t)(sec_in[u] && sec[c]);
             }
         }
     }
+    free(multi);
+    return 0;
 }
 
 void sbgp_weights_stacked(
-    int64_t num_levels, int64_t num_slots, int64_t batch, int64_t n,
-    const int64_t *ptr, const int64_t *slots,
-    const int64_t *flat, const int32_t *nodes, const int32_t *choice,
-    const double *node_weights, double *w)
+    int64_t batch, int64_t n, const int64_t *slots,
+    const int64_t *order_ptr, const int32_t *order_pool,
+    const int64_t *level_ptr, const int32_t *level_pool,
+    const int32_t *choice, const double *node_weights, double *w)
 {
-    const int64_t stride = num_slots + 1;
-    for (int64_t level = num_levels - 1; level >= 0; level--) {
-        const int64_t *seg = ptr + level * stride;
-        for (int64_t b = 0; b < batch; b++) {
-            int64_t k = slots[b];
-            int64_t shift = (b - k) * n;
-            for (int64_t r = seg[k]; r < seg[k + 1]; r++) {
-                int64_t f = flat[r] + shift;
-                int64_t u = nodes[r];
-                int32_t p = choice[f];
-                /* Parents sit one level up, so w[f - u + p] is only
-                 * *written* here and only *read* when the next
-                 * (shallower) level runs; with 0.0 + x == x exactly,
-                 * child-by-child accumulation in stack order (batch
-                 * row, then BFS row) matches numpy's np.add.at bit for
-                 * bit. */
+    for (int64_t b = 0; b < batch; b++) {
+        const int64_t k = slots[b];
+        const int32_t *order = order_pool + order_ptr[k];
+        const int32_t *starts = level_pool + level_ptr[k];
+        const int32_t *ch = choice + b * n;
+        double *restrict wb = w + b * n;
+        /* Levels deepest first, a level's rows in pool order.  Parents
+         * sit one level up, so wb[p] is only *written* here and only
+         * *read* when its own level runs; with 0.0 + x == x exactly,
+         * child-by-child accumulation in this order matches numpy's
+         * np.add.at over the mirror's stack order bit for bit. */
+        for (int64_t level = level_ptr[k + 1] - level_ptr[k] - 2; level >= 1; level--) {
+            const int64_t hi = starts[level + 1];
+            for (int64_t r = starts[level]; r < hi; r++) {
+                const int32_t u = order[r];
+                const int32_t p = ch[u];
                 if (p >= 0)
-                    w[f - u + p] += w[f] + node_weights[u];
+                    wb[p] += wb[u] + node_weights[u];
             }
         }
     }
@@ -309,10 +345,12 @@ def _load_library() -> ctypes.CDLL:
         lib = ctypes.CDLL(str(_build_shared_object()))
     except OSError as exc:  # dlopen failure
         raise BackendUnavailable(f"cannot load compiled kernels: {exc}") from exc
-    for name in ("sbgp_trees_stacked", "sbgp_weights_stacked",
-                 "sbgp_jacobi_sweep"):
-        fn = getattr(lib, name)
-        fn.restype = None
+    # (batch, n) then pointers: the slots, the pools, the per-row arrays
+    lib.sbgp_trees_stacked.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 15
+    lib.sbgp_trees_stacked.restype = ctypes.c_int   # -1: no scratch memory
+    lib.sbgp_weights_stacked.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 8
+    lib.sbgp_weights_stacked.restype = None
+    lib.sbgp_jacobi_sweep.restype = None
     return lib
 
 
@@ -331,65 +369,59 @@ def _ptr(array: np.ndarray, dtype: type) -> ctypes.c_void_p:
     return ctypes.c_void_p(array.ctypes.data)
 
 
-def _check_rows(end, *aligned: np.ndarray) -> None:
-    """Arrays the C loops index with one counter must be equally long,
-    and as long as the segment table says the mirror is."""
-    if any(len(a) != len(aligned[0]) for a in aligned) or end != len(aligned[0]):
-        raise ValueError("cext kernel: stack arrays out of step")
-
-
-def _check_batch(ptr: np.ndarray, planes: tuple, slots: np.ndarray, n: int,
+def _check_pools(slots: np.ndarray, n: int, ptrs: tuple, pools: tuple,
                  *per_row: np.ndarray) -> None:
-    """The segment table must be ``planes + [levels, slots + 1]``, the
-    batch must name its slots, and every per-``(batch row, node)`` array
-    must hold ``len(slots) * n`` entries."""
-    if ptr.shape[:-2] != planes or ptr.ndim != len(planes) + 2 or any(
-        len(a) != len(slots) * n for a in per_row
-    ):
-        raise ValueError("cext kernel: stack arrays out of step")
-    if len(slots) and (slots.min() < 0 or slots.max() >= ptr.shape[-1] - 1):
-        raise ValueError("cext kernel: slot outside the segment table")
+    """Every offset table must be ``num_dests + 1`` long and close where
+    its pool ends, the batch must name slots of the arena, and every
+    per-``(batch row, node)`` array must hold ``len(slots) * n``
+    entries."""
+    num_dests = len(ptrs[0]) - 1
+    if num_dests < 0 or any(
+        len(ptr) != num_dests + 1 or ptr[-1] != len(pool)
+        for ptr, pool in zip(ptrs, pools)
+    ) or any(len(a) != len(slots) * n for a in per_row):
+        raise ValueError("cext kernel: pools out of step")
+    if len(slots) and (slots.min() < 0 or slots.max() >= num_dests):
+        raise ValueError("cext kernel: slot outside the arena")
 
 
-def _ends(ptr: np.ndarray) -> np.ndarray:
-    """Where each plane of the segment table says its stack ends."""
-    return ptr[..., -1, -1] if ptr.shape[-2] else np.zeros(ptr.shape[:-2], np.int64)
-
-
-def trees_stacked(ptr, slots, n, one_flat, one_cflat, one_cands,
-                  multi_flat, starts, pick, edge_cflat, edge_cands, keys,
+def trees_stacked(slots, n, order_ptr, order_pool, level_ptr, level_pool,
+                  indptr_ptr, indptr_pool, cand_ptr, cands_pool, keys_pool,
                   secure_rows, secp_rows, choice, secure, any_secure):
-    """Resolve every stacked path-length level of the batch ``slots``."""
-    _check_batch(ptr, (2,), slots, n, secure_rows, secp_rows, choice, secure, any_secure)
-    one_end, multi_end = _ends(ptr)
-    _check_rows(one_end, one_flat, one_cflat, one_cands)
-    _check_rows(multi_end, multi_flat, pick, starts[:-1])
-    _check_rows(starts[-1] if len(starts) else -1, keys, edge_cflat, edge_cands)
-    _LIB.sbgp_trees_stacked(
-        _I64(ptr.shape[1]), _I64(ptr.shape[2] - 1), _I64(len(slots)), _I64(n),
-        _ptr(ptr, np.int64), _ptr(slots, np.int64),
-        _ptr(one_flat, np.int64), _ptr(one_cflat, np.int64),
-        _ptr(one_cands, np.int32),
-        _ptr(multi_flat, np.int64), _ptr(starts, np.int64),
-        _ptr(pick, np.int64),
-        _ptr(edge_cflat, np.int64), _ptr(edge_cands, np.int32),
-        _ptr(keys, np.uint64),
+    """Resolve each batch row's tree over its slot's pools, in place."""
+    _check_pools(
+        slots, n,
+        (order_ptr, level_ptr, indptr_ptr, cand_ptr, cand_ptr),
+        (order_pool, level_pool, indptr_pool, cands_pool, keys_pool),
+        secure_rows, secp_rows, choice, secure, any_secure,
+    )
+    status = _LIB.sbgp_trees_stacked(
+        _I64(len(slots)), _I64(n), _ptr(slots, np.int64),
+        _ptr(order_ptr, np.int64), _ptr(order_pool, np.int32),
+        _ptr(level_ptr, np.int64), _ptr(level_pool, np.int32),
+        _ptr(indptr_ptr, np.int64), _ptr(indptr_pool, np.int64),
+        _ptr(cand_ptr, np.int64), _ptr(cands_pool, np.int32),
+        _ptr(keys_pool, np.uint64),
         _ptr(secure_rows, np.bool_), _ptr(secp_rows, np.bool_),
         _ptr(choice, np.int32), _ptr(secure, np.bool_),
         _ptr(any_secure, np.bool_),
     )
+    if status:
+        raise MemoryError(f"cext kernel: no scratch for a level of {n} rows")
 
 
-def weights_stacked(ptr, slots, n, flat, nodes, choice, node_weights, w):
+def weights_stacked(slots, n, order_ptr, order_pool, level_ptr, level_pool,
+                    choice, node_weights, w):
     """Push subtree weights up to the chosen parents, deepest level first."""
-    _check_batch(ptr, (), slots, n, choice, w)
-    _check_rows(_ends(ptr), flat, nodes)
+    _check_pools(
+        slots, n, (order_ptr, level_ptr), (order_pool, level_pool), choice, w
+    )
     if len(node_weights) != n:
-        raise ValueError("cext kernel: stack arrays out of step")
+        raise ValueError("cext kernel: pools out of step")
     _LIB.sbgp_weights_stacked(
-        _I64(ptr.shape[0]), _I64(ptr.shape[1] - 1), _I64(len(slots)), _I64(n),
-        _ptr(ptr, np.int64), _ptr(slots, np.int64),
-        _ptr(flat, np.int64), _ptr(nodes, np.int32),
+        _I64(len(slots)), _I64(n), _ptr(slots, np.int64),
+        _ptr(order_ptr, np.int64), _ptr(order_pool, np.int32),
+        _ptr(level_ptr, np.int64), _ptr(level_pool, np.int32),
         _ptr(choice, np.int32), _ptr(node_weights, np.float64),
         _ptr(w, np.float64),
     )

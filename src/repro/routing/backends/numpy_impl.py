@@ -21,14 +21,19 @@ the parity suite would move).
 
 All three kernels share the calling convention documented in
 :mod:`repro.routing.backends._loops` (same signatures, same dtypes,
-outputs written in place).  The compiled tiers read a batch's segments
-of the level-major mirror in place; a whole-level numpy gather wants the
-batch's rows contiguous, so here a batch other than the mirror's own
-slot order is first cut out of it (``_cut``), in the same stack order.
+outputs written in place).  The compiled tiers walk each batch row's
+slot of the arena's pools in place.  A numpy level body is a
+whole-level gather, which wants every destination's rows of one path
+length side by side, so this tier keeps its own **level-major mirror**
+of the pools (:class:`_TreeStacks` / :class:`_WeightStack`), built on
+first use and kept for as long as the pools live.  A batch other than
+the mirror's own slot order is cut out of it first (``_cut``), in the
+same stack order.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import weakref
 
@@ -36,6 +41,7 @@ import numpy as np
 
 from repro.routing.compiled import offsets, segment_index
 from repro.routing.policy import POSITION_BITS, RouteClass
+from repro.telemetry.metrics import get_registry
 
 _POS_MASK = np.uint64((1 << POSITION_BITS) - 1)
 _BLOCKED = np.uint64(2**64 - 1)
@@ -56,6 +62,243 @@ _BLOCK_ROWS = 1 << 14
 _SELF = int(RouteClass.SELF)
 _CUSTOMER = int(RouteClass.CUSTOMER)
 _UNREACHABLE = int(RouteClass.UNREACHABLE)
+
+
+@dataclasses.dataclass
+class _TreeStacks:
+    """Level-major stacks the tree kernel walks (layout v2).
+
+    Every non-destination row of every destination is stacked by global
+    path-length level, then slot, then BFS row ("stack order"), and each
+    level is held as **two sub-stacks**: rows with exactly one tiebreak
+    candidate, where routing has nothing to decide, and rows with
+    several — the only ones SecP/TB selection runs over (Fig 10: about a
+    fifth of all rows).  Positions are flat indices into a C-contiguous
+    ``[num_dests, n]`` matrix (``flat = slot * n + node``, ``cflat = slot
+    * n + candidate``); a cut moves them to its batch rows, so one mirror
+    serves every batch.
+
+    ``ptr[0, i, k]:ptr[0, i, k + 1]`` is slot ``k``'s segment of level
+    ``i`` in the ``one_*`` arrays, ``ptr[1]`` the same in the ``multi_*``
+    arrays.  ``starts`` is one CSR index over *all* multi-candidate rows
+    into the ``edge_*`` / ``keys`` arrays (absolute offsets, closing
+    entry included); ``pick`` is the absolute edge index of each row's
+    hash-minimal candidate — what TB selects whenever SecP does not
+    apply, known without the state.
+    """
+
+    ptr: np.ndarray         # int64[2, num_levels, num_dests + 1]
+    one_flat: np.ndarray    # int64
+    one_cflat: np.ndarray   # int64; the one candidate's flat index
+    one_cands: np.ndarray   # int32; the one candidate
+    multi_flat: np.ndarray  # int64
+    starts: np.ndarray      # int64[len(multi_flat) + 1]
+    pick: np.ndarray        # int64
+    edge_cflat: np.ndarray  # int64
+    edge_cands: np.ndarray  # int32
+    keys: np.ndarray        # uint64
+
+
+@dataclasses.dataclass
+class _WeightStack:
+    """Both kinds of rows together, in stack order, for the weights pass.
+
+    Not split: a parent's children must be added in stack order or the
+    float64 sums (and the golden digests) move.  ``ptr[i, k]:ptr[i, k +
+    1]`` is slot ``k``'s segment of level ``i`` — the sum of the tree
+    stacks' two planes, kept so no pass has to add them.
+    """
+
+    ptr: np.ndarray         # int64[num_levels, num_dests + 1]
+    flat: np.ndarray        # int64
+    nodes: np.ndarray       # int32; node id per ``flat`` entry
+
+
+def _nbytes(stacks) -> int:
+    return sum(v.nbytes for v in vars(stacks).values() if isinstance(v, np.ndarray))
+
+
+class _PoolMemo:
+    """What this tier derives from an arena's pools, kept for as long as
+    every pool it was derived from lives.
+
+    Pools are never written once built, so the same array objects mean
+    the same mirror; the entry holds them weakly and leaves with the
+    first of them to go, so a mirror never outlives its arena.
+    """
+
+    def __init__(self):
+        self._entries: dict[tuple[int, ...], tuple[object, tuple, object]] = {}
+        # reentrant: a pool freed while the lock is held runs ``drop``
+        self._lock = threading.RLock()
+
+    def get(self, n: int, pools: tuple[np.ndarray, ...], build):
+        key = (n, *map(id, pools))
+        entry = self._entries.get(key)
+        if entry is not None and all(ref() is p for ref, p in zip(entry[1], pools)):
+            return entry[2]
+        value = build()
+        token = object()
+
+        def drop(_, key=key, token=token):
+            with self._lock:
+                if self._entries.get(key, (None,))[0] is token:
+                    del self._entries[key]
+
+        with self._lock:
+            self._entries[key] = (token, tuple(weakref.ref(p, drop) for p in pools), value)
+        return value
+
+
+_WEIGHT_STACKS = _PoolMemo()
+_TREE_STACKS = _PoolMemo()
+
+
+def _stacked_rows(
+    level_ptr: np.ndarray, level_pool: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(ptr, rows, slot)`` of the stack: ``ptr[i, k]:ptr[i, k + 1]`` is
+    slot ``k``'s segment of level ``i + 1``, and per stacked row, in stack
+    order, its row in ``order_pool`` and its slot."""
+    num = len(level_ptr) - 1
+    levels_of_slot = np.diff(level_ptr) - 1
+    num_levels = max(int(levels_of_slot.max(initial=0)) - 1, 0)
+    # One run per (slot, level): consecutive rows of the pools.  The
+    # runs of the stacked levels (level 0 is the destination itself)
+    # go in level-major order; a stable sort keeps slot order.
+    run_rows = np.delete(np.diff(level_pool), level_ptr[1:-1] - 1)
+    run_start = np.cumsum(run_rows) - run_rows
+    run_slot = np.repeat(np.arange(num, dtype=np.int32), levels_of_slot)
+    run_level = np.arange(len(run_rows), dtype=np.int64) - np.repeat(
+        level_ptr[:-1] - np.arange(num), levels_of_slot
+    )
+    stacked = np.flatnonzero(run_level > 0)
+    stacked = stacked[np.argsort(run_level[stacked], kind="stable")]
+    run_rows, run_start = run_rows[stacked], run_start[stacked]
+    run_slot, run_level = run_slot[stacked], run_level[stacked]
+
+    # ``ptr[i, k]``: where slot k's rows of level i + 1 start in the
+    # stack (a slot has at most one run per level)
+    cum = np.zeros(num_levels * num + 1, dtype=np.int64)
+    cum[(run_level - 1) * num + run_slot + 1] = run_rows
+    np.cumsum(cum, out=cum)
+    ptr = np.empty((num_levels, num + 1), dtype=np.int64)
+    ptr[:, :-1] = cum[:-1].reshape(num_levels, num)
+    ptr[:, -1] = cum[num * np.arange(1, num_levels + 1)]
+    return ptr, segment_index(run_start, run_rows), np.repeat(run_slot, run_rows)
+
+
+def _build_weight_stack(n, order_ptr, order_pool, level_ptr, level_pool) -> _WeightStack:
+    ptr, rows, slot = _stacked_rows(level_ptr, level_pool)
+    nodes = order_pool[rows]
+    flat = np.multiply(slot, n, out=rows, dtype=np.int64)   # rows' buffer
+    flat += nodes
+    return _WeightStack(ptr=ptr, flat=flat, nodes=nodes)
+
+
+def _build_tree_stacks(
+    weights: _WeightStack, level_ptr, level_pool, indptr_pool, cand_ptr,
+    cands_pool, keys_pool,
+) -> _TreeStacks:
+    # Per stacked row, in stack order: tiebreak-set size and where its
+    # candidates start in cands_pool (a slot's indptr run is relative to
+    # its own candidates and has one closing entry, so slot k's run
+    # starts k entries past its first row).  The arrays are as long as
+    # the mirror's own, so each is freed or reused in place as soon as
+    # it has served.
+    _, rows, slot = _stacked_rows(level_ptr, level_pool)
+    rows += slot
+    edge_lo = indptr_pool[rows]
+    rows += 1
+    # (a set's size fits POSITION_BITS; narrow, the array is short-lived)
+    size = (indptr_pool[rows] - edge_lo).astype(np.int32)
+    del rows
+    edge_lo += cand_ptr[slot]
+    del slot
+    if len(size) and size.min() < 1:
+        raise ValueError("arena row without a tiebreak candidate")
+    flat, nodes = weights.flat, weights.nodes
+
+    # the split; the one-candidate rows before each boundary of the
+    # weights stack's table give ptr[0], the rest is ptr[1]
+    one = np.flatnonzero(size == 1)
+    multi = np.flatnonzero(size != 1)
+    ptr = np.empty((2, *weights.ptr.shape), dtype=np.int64)
+    ptr[0] = np.searchsorted(one, weights.ptr)
+    ptr[1] = weights.ptr - ptr[0]
+    starts = offsets(size[multi])
+    del size
+    one_cands = cands_pool[edge_lo[one]]
+    edge_lo = edge_lo[multi]
+    one_flat = flat[one]
+    one_cflat = one_flat - nodes[one]   # the row's base, slot * n ...
+    del one
+    one_cflat += one_cands              # ... plus the candidate
+    multi_flat = flat[multi]
+    base = multi_flat - nodes[multi]
+    del multi
+    sizes = np.diff(starts)
+    edges = segment_index(edge_lo, sizes)
+    del edge_lo
+    edge_cands = cands_pool[edges]
+    keys = keys_pool[edges]
+    del edges
+    edge_cflat = np.repeat(base, sizes)
+    del base, sizes
+    edge_cflat += edge_cands
+    pick = starts[:-1].copy()
+    if len(pick):
+        pick += (np.minimum.reduceat(keys, pick) & _POS_MASK).astype(np.int64)
+    return _TreeStacks(
+        ptr=ptr, one_flat=one_flat, one_cflat=one_cflat, one_cands=one_cands,
+        multi_flat=multi_flat, starts=starts, pick=pick, edge_cflat=edge_cflat,
+        edge_cands=edge_cands, keys=keys,
+    )
+
+
+def _weight_stack(n, order_ptr, order_pool, level_ptr, level_pool) -> _WeightStack:
+    pools = (order_ptr, order_pool, level_ptr, level_pool)
+    return _WEIGHT_STACKS.get(n, pools, lambda: _build_weight_stack(n, *pools))
+
+
+def _tree_stacks(n, order_ptr, order_pool, level_ptr, level_pool, indptr_ptr,
+                 indptr_pool, cand_ptr, cands_pool, keys_pool) -> _TreeStacks:
+    pools = (order_ptr, order_pool, level_ptr, level_pool, indptr_ptr,
+             indptr_pool, cand_ptr, cands_pool, keys_pool)
+
+    def build() -> _TreeStacks:
+        weights = _weight_stack(n, *pools[:4])
+        trees = _build_tree_stacks(
+            weights, level_ptr, level_pool, indptr_pool, cand_ptr, cands_pool, keys_pool
+        )
+        get_registry().gauge("routing.arena.level_major_bytes").set(
+            _nbytes(weights) + _nbytes(trees)
+        )
+        return trees
+
+    return _TREE_STACKS.get(n, pools, build)
+
+
+def build_level_major(
+    n: int,
+    order_ptr: np.ndarray,
+    order_pool: np.ndarray,
+    level_ptr: np.ndarray,
+    level_pool: np.ndarray,
+    indptr_ptr: np.ndarray,
+    indptr_pool: np.ndarray,
+    cand_ptr: np.ndarray,
+    cands_pool: np.ndarray,
+    keys_pool: np.ndarray,
+) -> int:
+    """Build the whole level-major mirror of the pools afresh, bypassing
+    the cache; returns its bytes (the cost the compiled tiers do not
+    pay: they read the pools in place)."""
+    weights = _build_weight_stack(n, order_ptr, order_pool, level_ptr, level_pool)
+    trees = _build_tree_stacks(
+        weights, level_ptr, level_pool, indptr_pool, cand_ptr, cands_pool, keys_pool
+    )
+    return _nbytes(weights) + _nbytes(trees)
 
 
 def _full_batch(ptr: np.ndarray, slots: np.ndarray) -> bool:
@@ -88,18 +331,17 @@ def _shifted(values: np.ndarray, index: np.ndarray, shift: np.ndarray) -> np.nda
 
 
 def trees_stacked(
-    ptr: np.ndarray,
     slots: np.ndarray,
     n: int,
-    one_flat: np.ndarray,
-    one_cflat: np.ndarray,
-    one_cands: np.ndarray,
-    multi_flat: np.ndarray,
-    starts: np.ndarray,
-    pick: np.ndarray,
-    edge_cflat: np.ndarray,
-    edge_cands: np.ndarray,
-    keys: np.ndarray,
+    order_ptr: np.ndarray,
+    order_pool: np.ndarray,
+    level_ptr: np.ndarray,
+    level_pool: np.ndarray,
+    indptr_ptr: np.ndarray,
+    indptr_pool: np.ndarray,
+    cand_ptr: np.ndarray,
+    cands_pool: np.ndarray,
+    keys_pool: np.ndarray,
     secure_rows: np.ndarray,
     secp_rows: np.ndarray,
     choice: np.ndarray,
@@ -107,8 +349,13 @@ def trees_stacked(
     any_secure: np.ndarray,
 ) -> None:
     """Resolve every stacked path-length level of the batch ``slots``
-    (a subset batch is cut out of the mirror first, in one pass over
-    both kinds and all levels)."""
+    off the pools' mirror (a subset batch is cut out of it first, in one
+    pass over both kinds and all levels)."""
+    st = _tree_stacks(n, order_ptr, order_pool, level_ptr, level_pool, indptr_ptr,
+                      indptr_pool, cand_ptr, cands_pool, keys_pool)
+    ptr, one_flat, one_cflat, one_cands = st.ptr, st.one_flat, st.one_cflat, st.one_cands
+    multi_flat, starts, pick = st.multi_flat, st.starts, st.pick
+    edge_cflat, edge_cands, keys = st.edge_cflat, st.edge_cands, st.keys
     if _full_batch(ptr, slots):
         one_off = [*ptr[0, :, 0].tolist(), len(one_flat)]
         multi_off = [*ptr[1, :, 0].tolist(), len(multi_flat)]
@@ -167,11 +414,12 @@ def trees_stacked(
 
 
 def weights_stacked(
-    ptr: np.ndarray,
     slots: np.ndarray,
     n: int,
-    flat: np.ndarray,
-    nodes: np.ndarray,
+    order_ptr: np.ndarray,
+    order_pool: np.ndarray,
+    level_ptr: np.ndarray,
+    level_pool: np.ndarray,
     choice: np.ndarray,
     node_weights: np.ndarray,
     w: np.ndarray,
@@ -179,6 +427,8 @@ def weights_stacked(
     """Push subtree weights up to the chosen parents, deepest level first
     (a subset batch is cut out of the mirror first, in stack order:
     level, batch row, BFS row)."""
+    st = _weight_stack(n, order_ptr, order_pool, level_ptr, level_pool)
+    ptr, flat, nodes = st.ptr, st.flat, st.nodes
     if _full_batch(ptr, slots):
         off = [*ptr[:, 0].tolist(), len(flat)]
     else:

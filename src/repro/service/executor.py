@@ -86,7 +86,9 @@ def _build_env(spec: JobSpec, cache: ResultCache) -> ExperimentEnv:
         env.cache.install_arena(shared)
         return env
     guard = current_guard()
-    estimate = RoutingArena.estimate_bytes(len(env.cache.destinations), env.graph.n)
+    estimate = RoutingArena.estimate_bytes(
+        len(env.cache.destinations), env.graph.n, backend=env.cache.backend_name
+    )
     if not guard.fits_memory(estimate):
         guard.degrade(
             "lazy_warm",

@@ -10,6 +10,7 @@ partial ``breaks_ties`` masks.
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -17,13 +18,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.case_study import run_case_study
 from repro.experiments.setup import build_environment
+from repro.routing import backends as kb
 from repro.routing.arena import (
     RoutingArena,
     compute_trees_batched,
     subtree_weights_batched,
 )
 from repro.routing.compiled import CompiledGraph
+from repro.routing.errors import BackendUnavailable
 from repro.routing.paths import RoutingTree
 from repro.routing.tree import (
     DestRouting,
@@ -37,6 +41,17 @@ from repro.topology.graph import ASGraph
 from tests.references import compute_tree, compute_tree_scalar, subtree_weights
 from tests.strategies import as_graphs
 
+
+def _loadable(name: str) -> bool:
+    try:
+        kb.load_backend(name)
+    except BackendUnavailable:
+        return False
+    return True
+
+
+#: the tiers fast enough for a whole N=500 arena ("python" is not)
+TIERS = [name for name in ("numpy", "cext") if _loadable(name)]
 
 def _flags(n: int, idx: list[int]) -> np.ndarray:
     out = np.zeros(n, dtype=bool)
@@ -171,39 +186,74 @@ class TestLayoutPins:
         return build_environment(n=500, seed=2011)
 
     def test_counters_report_the_static_row_counts(self, env):
-        arena = env.cache.ensure_arena()
-        sizes = np.concatenate([dr.tiebreak_sizes() for dr in arena.views()])
+        sizes = np.concatenate([dr.tiebreak_sizes() for dr in env.cache.ensure_arena().views()])
         rows, multi_rows = int((sizes > 0).sum()), int((sizes > 1).sum())
-        secure = np.zeros(env.graph.n, dtype=bool)
-        secure[::3] = True
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            for _ in range(2):   # per call, whatever the state
-                compute_trees_batched(arena, arena.all_slots(), secure, secure)
-                secure = ~secure
-        counters = registry.snapshot()["counters"]
-        assert counters["routing.batched.calls"] == 2
-        assert counters["routing.batched.rows"] == 2 * rows
-        assert counters["routing.batched.multi_rows"] == 2 * multi_rows
+        for backend in TIERS:   # read off the pools: the same on every tier
+            arena = _clone(env, backend)
+            secure = np.zeros(env.graph.n, dtype=bool)
+            secure[::3] = True
+            registry = MetricsRegistry()
+            with use_registry(registry):
+                for _ in range(2):   # per call, whatever the state
+                    compute_trees_batched(arena, arena.all_slots(), secure, secure)
+                    secure = ~secure
+            counters = registry.snapshot()["counters"]
+            assert counters["routing.batched.calls"] == 2
+            assert counters["routing.batched.rows"] == 2 * rows
+            assert counters["routing.batched.multi_rows"] == 2 * multi_rows
+            assert counters["routing.batched.levels"] == 2 * arena.num_levels
+            assert counters[f"routing.backend.calls.{backend}"] == 2
         # Fig 10 / sec 6.6: about a fifth of tiebreak sets hold a choice
         assert 0.15 <= multi_rows / rows <= 0.35
 
     def test_mirror_bytes_are_reported(self, env):
-        arena = env.cache.ensure_arena()
+        arena = _clone(env, "numpy")
+        none = np.zeros(env.graph.n, dtype=bool)
         registry = MetricsRegistry()
         with use_registry(registry):
-            clone = RoutingArena.from_buffer(
-                arena.graph_n, *_packed(arena), backend="numpy"
-            )
-            nbytes = clone.level_major_nbytes
-        assert nbytes == arena.level_major_nbytes > 0
+            compute_trees_batched(arena, arena.all_slots(), none, none)
+        nbytes = kb.load_backend("numpy").build_level_major(arena.graph_n, *_pools(arena))
+        assert nbytes > 0
         assert registry.snapshot()["gauges"]["routing.arena.level_major_bytes"] == nbytes
+
+    def test_the_numpy_mirror_leaves_with_its_arena(self, env):
+        numpy_tier = kb.load_backend("numpy")
+        memos = (numpy_tier._TREE_STACKS._entries, numpy_tier._WEIGHT_STACKS._entries)
+        gc.collect()   # arenas other tests left in cycles go first
+        held = [len(m) for m in memos]
+        arena = _clone(env, "numpy")
+        none = np.zeros(env.graph.n, dtype=bool)
+        slots = arena.all_slots()
+        choice = compute_trees_batched(arena, slots, none, none).choice
+        subtree_weights_batched(arena, slots, choice, env.graph.weights)
+        compute_trees_batched(arena, slots[::-1], none, none)   # built once
+        assert [len(m) for m in memos] == [h + 1 for h in held]
+        del arena
+        gc.collect()
+        assert [len(m) for m in memos] == held
+
+    @pytest.mark.skipif("cext" not in TIERS, reason="needs a C compiler")
+    def test_a_cext_round_never_builds_a_mirror(self, monkeypatch):
+        numpy_tier = kb.load_backend("numpy")
+
+        def refuse(*args):
+            raise AssertionError("a cext run built the level-major mirror")
+
+        monkeypatch.setattr(numpy_tier, "_build_weight_stack", refuse)
+        monkeypatch.setattr(numpy_tier, "_build_tree_stacks", refuse)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            env = build_environment(n=150, seed=7, backend="cext")
+            result = run_case_study(env).result
+        assert result.rounds
+        snapshot = registry.snapshot()
+        assert "routing.arena.level_major_bytes" not in snapshot["gauges"]
+        assert snapshot["counters"]["routing.backend.calls.cext"] > 0
+        assert "routing.backend.calls.numpy" not in snapshot["counters"]
 
     def test_weights_pass_holds_no_second_matrix(self, env):
         # numpy's blocked pass is what this measures, whatever the default
-        arena = RoutingArena.from_buffer(
-            env.graph.n, *_packed(env.cache.ensure_arena()), backend="numpy"
-        )
+        arena = _clone(env, "numpy")
         none = np.zeros(env.graph.n, dtype=bool)
         slots = arena.all_slots()
         choice = compute_trees_batched(arena, slots, none, none).choice
@@ -224,6 +274,21 @@ def _packed(arena: RoutingArena):
     buf = bytearray(total)
     arena.pack_into(buf)
     return buf, layout
+
+
+def _clone(env, backend: str) -> RoutingArena:
+    """A copy of ``env``'s arena (its own pools) on ``backend``."""
+    return RoutingArena.from_buffer(
+        env.graph.n, *_packed(env.cache.ensure_arena()), backend=backend
+    )
+
+
+def _pools(arena: RoutingArena) -> list[np.ndarray]:
+    """The pools, in the order the tree kernels take them."""
+    return [getattr(arena, name) for name in (
+        "order_ptr", "order_pool", "level_ptr", "level_pool", "indptr_ptr",
+        "indptr_pool", "cand_ptr", "cands_pool", "keys_pool",
+    )]
 
 
 class TestArenaStructure:

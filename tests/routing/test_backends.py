@@ -317,17 +317,29 @@ class TestKernelParity:
         secure, breaks = _security_state(small_graph.n)
         ref_arena = _arena_for(small_graph, policy, "numpy", dests)
         alt_arena = _arena_for(small_graph, policy, backend, dests)
-        subset = np.array([0, 2, 5], dtype=np.int64)
-        ref = compute_trees_batched(ref_arena, subset, secure, breaks)
-        alt = compute_trees_batched(alt_arena, subset, secure, breaks)
-        assert ref.choice.tobytes() == alt.choice.tobytes()
-        ref_w = subtree_weights_batched(
-            ref_arena, subset, ref.choice, small_graph.weights
-        )
-        alt_w = subtree_weights_batched(
-            alt_arena, subset, alt.choice, small_graph.weights
-        )
-        assert ref_w.tobytes() == alt_w.tobytes()
+        rng = np.random.default_rng(len(dests))
+        batches = {
+            "sorted": [0, 2, 5],
+            "unsorted, repeated": [5, 0, 2, 2, 5],
+            "one row": [3],
+            "full": ref_arena.all_slots(),
+        }
+        for label, slots in batches.items():
+            slots = np.asarray(slots, dtype=np.int64)
+            per_row = (rng.random((len(slots), small_graph.n)) < 0.5,
+                       rng.random((len(slots), small_graph.n)) < 0.7)
+            for state in ((secure, breaks), per_row):
+                ref = compute_trees_batched(ref_arena, slots, *state)
+                alt = compute_trees_batched(alt_arena, slots, *state)
+                for name in ("choice", "secure", "any_secure"):
+                    assert getattr(ref, name).tobytes() == getattr(alt, name).tobytes(), label
+                ref_w = subtree_weights_batched(
+                    ref_arena, slots, ref.choice, small_graph.weights
+                )
+                alt_w = subtree_weights_batched(
+                    alt_arena, slots, alt.choice, small_graph.weights
+                )
+                assert ref_w.tobytes() == alt_w.tobytes(), label
 
     def test_fixpoint_structures_bit_identical(self, small_graph, policy, backend):
         dests = list(range(0, small_graph.n, 13))
@@ -368,6 +380,17 @@ class TestKernelParityProperty:
             at = compute_trees_batched(alt_arena, alt_arena.all_slots(), secure, breaks)
             assert rt.choice.tobytes() == at.choice.tobytes()
             assert rt.secure.tobytes() == at.secure.tobytes()
+            # odd slots descending then slot 0 twice, each row its own state
+            slots = np.array([*range(graph.n - 1, -1, -2), 0, 0], dtype=np.int64)
+            rows = np.resize(secure, (len(slots), graph.n))
+            rows[1::2] = ~rows[1::2]
+            rt = compute_trees_batched(ref_arena, slots, rows, rows)
+            at = compute_trees_batched(alt_arena, slots, rows, rows)
+            for name in ("choice", "secure", "any_secure"):
+                assert getattr(rt, name).tobytes() == getattr(at, name).tobytes()
+            rw = subtree_weights_batched(ref_arena, slots, rt.choice, graph.weights)
+            aw = subtree_weights_batched(alt_arena, slots, at.choice, graph.weights)
+            assert rw.tobytes() == aw.tobytes()
 
 
 def _graph(num: int, provider_of: dict[int, list[int]], peers=()) -> ASGraph:
@@ -433,7 +456,10 @@ class TestSplitStackParity:
         assert bt.choice.shape == w2d.shape == (len(slots), graph.n)
         for i, slot in enumerate(slots.tolist()):
             dr = routings[slot]
-            ref = compute_tree_scalar(dr, secure, breaks)
+            ref = compute_tree_scalar(
+                dr, secure[i] if secure.ndim == 2 else secure,
+                breaks[i] if breaks.ndim == 2 else breaks,
+            )
             where = (backend, dests[slot], i)
             assert bt.dest_ids[i] == dests[slot], where
             assert bt.choice[i].tolist() == ref.choice.tolist(), where
@@ -473,6 +499,11 @@ class TestSplitStackParity:
             self._check(graph, backend, dests, [k // 2], secure, breaks)
             # a slot with no rows at the levels its batch neighbour fills
             self._check(graph, backend, dests, [shallow, deep, shallow], secure, breaks)
+            # every row under its own state
+            batch = [k - 1, 0, k // 2, k - 1, deep]
+            rows = np.resize(secure, (len(batch), graph.n))
+            rows[1::2] = ~rows[1::2]
+            self._check(graph, backend, dests, batch, rows, rows & breaks)
         if shape != "diamond_top":
             assert depth[shallow] < depth[deep]
         if shape in ("chain", "tree"):
@@ -493,6 +524,10 @@ class TestSplitStackParity:
         # odd slots descending, then slot 0 twice
         subset = [*range(graph.n - 1, -1, -2), 0, 0]
         self._check(graph, backend, dests, subset, secure, breaks)
+        # ... each row under its own state
+        rows = np.resize(secure, (len(subset), graph.n))
+        rows[::2] = ~rows[::2]
+        self._check(graph, backend, dests, subset, rows, rows & breaks)
 
 
 @pytest.mark.skipif("cext" not in ALT_BACKENDS, reason="needs a C compiler")
@@ -539,37 +574,96 @@ class TestCextArgumentChecks:
         assert checked[-1] == len(args) - 1  # tied too
         self._assert_checked(kernel, args, checked)
 
-    @pytest.mark.parametrize("slots", [None, [2, 0, 2]], ids=["full", "subset"])
-    @pytest.mark.parametrize(
-        "name, num_arrays", [("trees_stacked", 16), ("weights_stacked", 7)]
-    )
-    def test_every_stack_array_is_checked(
-        self, small_graph, monkeypatch, name, num_arrays, slots
-    ):
-        secure, breaks = _security_state(small_graph.n)
-        arena = _arena_for(small_graph, "security_3rd", "cext", [0, 1, 5])
+    @staticmethod
+    def _pool_call(graph, monkeypatch, name: str, slots) -> tuple:
+        """``(kernel, args, arena)`` of a genuine cext ``name`` call on a
+        three-destination arena."""
+        secure, breaks = _security_state(graph.n)
+        arena = _arena_for(graph, "security_3rd", "cext", [0, 1, 5])
         batch = arena.all_slots() if slots is None else np.array(slots)
 
         def run():
             bt = compute_trees_batched(arena, batch, secure, breaks)
-            subtree_weights_batched(arena, batch, bt.choice, small_graph.weights)
+            subtree_weights_batched(arena, batch, bt.choice, graph.weights)
 
-        kernel, args = self._record(kb.load_backend("cext"), name, monkeypatch, run)
+        kernel, args = TestCextArgumentChecks._record(
+            kb.load_backend("cext"), name, monkeypatch, run
+        )
+        return kernel, args, arena
+
+    @pytest.mark.parametrize("slots", [None, [2, 0, 2]], ids=["full", "subset"])
+    @pytest.mark.parametrize(
+        "name, num_arrays", [("trees_stacked", 15), ("weights_stacked", 8)]
+    )
+    def test_every_stack_array_is_checked(
+        self, small_graph, monkeypatch, name, num_arrays, slots
+    ):
+        kernel, args, arena = self._pool_call(small_graph, monkeypatch, name, slots)
         kernel(*args)
-        # the segment table, the slots, ``n``, then arrays only
-        assert args[2] == small_graph.n and len(args) == num_arrays + 1
+        # the slots, ``n``, then arrays only: the pools, then the
+        # per-row inputs and outputs
+        assert args[1] == small_graph.n and len(args) == num_arrays + 1
         arrays = [i for i, arg in enumerate(args) if isinstance(arg, np.ndarray)]
         assert len(arrays) == num_arrays
         assert all(args[i].size for i in arrays)
         self._assert_checked(kernel, args, arrays)
-        # ... and any array one entry short of what the table and the
-        # batch say (the table one plane short)
+        # ... and any array one entry short of what the offset tables
+        # and the batch say
         for i in arrays:
             with pytest.raises(ValueError, match="out of step"):
                 kernel(*args[:i], args[i][:-1].copy(), *args[i + 1:])
         for bad in (-1, arena.num_dests):
             with pytest.raises(ValueError, match="slot outside"):
-                kernel(args[0], np.full_like(args[1], bad), *args[2:])
+                kernel(np.full_like(args[0], bad), *args[1:])
+
+    @pytest.mark.parametrize("name", ["trees_stacked", "weights_stacked"])
+    def test_out_of_range_slot_raises_before_the_c_call(
+        self, small_graph, monkeypatch, name
+    ):
+        kernel, args, arena = self._pool_call(small_graph, monkeypatch, name, [2, 0, 2])
+        calls = _stub_library(monkeypatch)
+        for bad in (-1, arena.num_dests, np.iinfo(np.int64).max):
+            slots = args[0].copy()
+            slots[1] = bad
+            with pytest.raises(ValueError, match="slot outside"):
+                kernel(slots, *args[1:])
+        assert calls == []
+        kernel(*args)   # the stub does see a valid call
+        assert calls == [f"sbgp_{name}"]
+
+    @pytest.mark.parametrize(
+        "name, pools",
+        [
+            # order_pool, level_pool, indptr_pool, cands_pool, keys_pool
+            ("trees_stacked", (3, 5, 7, 9, 10)),
+            ("weights_stacked", (3, 5)),
+        ],
+    )
+    def test_truncated_pool_raises_before_the_c_call(
+        self, small_graph, monkeypatch, name, pools
+    ):
+        kernel, args, _ = self._pool_call(small_graph, monkeypatch, name, None)
+        calls = _stub_library(monkeypatch)
+        for i in pools:
+            # as a torn shared-memory block would leave it: the offset
+            # tables intact, the pool cut short
+            short = args[i][: len(args[i]) // 2].copy()
+            with pytest.raises(ValueError, match="out of step"):
+                kernel(*args[:i], short, *args[i + 1:])
+        assert calls == []
+
+
+def _stub_library(monkeypatch) -> list[str]:
+    """Swap the cext tier's shared library for a stub that records the
+    name of every kernel called through it."""
+    calls: list[str] = []
+
+    class Stub:
+        def __getattr__(self, symbol):
+            return lambda *args: calls.append(symbol) or 0
+
+    monkeypatch.setattr(kb.load_backend("cext"), "_LIB", Stub())
+    return calls
 
 
 class TestArenaBackendPlumbing:

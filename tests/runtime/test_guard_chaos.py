@@ -28,7 +28,9 @@ from repro.parallel.engine import (
     parallel_warm_cache,
 )
 from repro.parallel.shm import consume_published_arena, ensure_tracker_running
+from repro.routing import backends as kernel_backends
 from repro.routing.arena import RoutingArena
+from repro.routing.errors import BackendUnavailable
 from repro.runtime.errors import DeadlineExceeded
 from repro.runtime.faults import FaultInjector
 from repro.runtime.guard import Deadline, MemoryBudget, RuntimeGuard, use_guard
@@ -169,9 +171,12 @@ class TestDegradationLadderEndToEnd:
 
         env = build_environment(n=120, seed=11, x=0.10, warm=False)
         num_dests = len(env.cache.destinations)
-        total = RoutingArena.estimate_bytes(num_dests, env.graph.n)
+        total = RoutingArena.estimate_bytes(
+            num_dests, env.graph.n, backend=env.cache.backend_name
+        )
         per_dest = max(1, total // num_dests)
-        # room for the arena plus ~5 in-flight warm partitions: 8
+        # the planner's own forecast (on the cache's tier), with room for
+        # the arena plus ~5 in-flight warm partitions: 8
         # workers must halve to 4 (reduced_workers) but not to serial,
         # and the full round kernel batch must overflow the kernel share
         guard = RuntimeGuard(memory=MemoryBudget(total + 20 * per_dest))
@@ -280,22 +285,39 @@ class TestPaperScaleForecast:
         assert estimate >= actual
         assert estimate < 60 * actual  # an over-estimate, not a fantasy
 
+    @pytest.mark.parametrize("backend", ["numpy", "cext"])
     @pytest.mark.parametrize("n, sample", [(600, 48), (300, None)])
-    def test_forecast_bounds_the_level_major_mirror(self, n, sample):
-        """The forecast covers what is resident during a round: the
-        pools *and* the mirror the batched kernels build from them
-        (``to_blocks`` above leaves the mirror out)."""
+    def test_forecast_bounds_the_level_major_mirror(self, n, sample, backend):
+        """The forecast covers what is resident during a round on the
+        arena's tier: the pools, plus, on numpy, the level-major mirror
+        that tier builds from them (``to_blocks`` above leaves it out).
+        The compiled tiers read the pools in place and build none."""
+        try:
+            kernel_backends.load_backend(backend)
+        except BackendUnavailable:
+            pytest.skip(f"{backend} backend not loadable here")
         env = build_environment(n=n, seed=11, x=0.10, warm=True,
-                                sample_destinations=sample)
+                                sample_destinations=sample, backend=backend)
         arena = env.cache.ensure_arena()
-        resident = arena.nbytes + arena.level_major_nbytes
-        assert arena.level_major_nbytes > 0
-        estimate = RoutingArena.estimate_bytes(arena.num_dests, env.graph.n)
-        assert resident <= estimate < 10 * resident
-        pools_only = RoutingArena.estimate_bytes(
-            arena.num_dests, env.graph.n, include_level_major=False
+        resident = arena.nbytes
+        if backend == "numpy":
+            pools = [getattr(arena, name) for name in (
+                "order_ptr", "order_pool", "level_ptr", "level_pool", "indptr_ptr",
+                "indptr_pool", "cand_ptr", "cands_pool", "keys_pool",
+            )]
+            mirror = kernel_backends.load_backend("numpy").build_level_major(
+                arena.graph_n, *pools
+            )
+            assert mirror > 0
+            resident += mirror
+        estimate = RoutingArena.estimate_bytes(
+            arena.num_dests, env.graph.n, backend=env.cache.backend_name
         )
-        assert arena.nbytes <= pools_only < estimate
+        assert resident <= estimate < 10 * resident
+        pools_only = RoutingArena.estimate_bytes(arena.num_dests, env.graph.n, backend="cext")
+        assert arena.nbytes <= pools_only < RoutingArena.estimate_bytes(
+            arena.num_dests, env.graph.n, backend="numpy"
+        )
 
 
 class TestRoundTripProperties:
