@@ -11,7 +11,12 @@ the Squeeze?" question asked of every cell at once.
 One seeded (victim, attacker) pair sample is drawn up front and shared
 by *every* cell, so per-cell differences are pure scenario / policy /
 deployment effects, never sampling noise.  Cells run on the batched
-multi-origin kernel (:func:`repro.security.hijack.simulate_attacks_batched`).
+multi-origin kernel (:func:`repro.security.hijack.simulate_attacks_batched`),
+once per distinct ``(deployment state, scenario, policy)`` of a run:
+strategies that reach the same state — the static orderings at level 0
+and at 1.0 — share its evaluation (counted as
+``security.attack.cells_shared``), and each of their cells is still
+journaled and reported as computed.
 
 Like sweeps, matrix runs checkpoint: pass ``journal`` and every
 finished cell is durably appended; a rerun with the same journal
@@ -201,6 +206,10 @@ def run_attack_matrix(
     cell_timer = registry.histogram("security.attack.cell_seconds")
     total = len(scenarios) * len(policies) * len(strategies) * len(levels)
     cells: list[AttackMatrixCell] = []
+    # a cell's outcome is a function of the deployment state, scenario
+    # and policy alone, and strategies share states: each distinct one
+    # is attacked once per run
+    attacked: dict[tuple[bytes, bytes, str, str], AttackMatrixCell] = {}
     with tracer.span("attack.matrix", cells=total):
         for strategy_name in strategies:
             strategy = get_strategy(strategy_name)
@@ -226,17 +235,28 @@ def run_attack_matrix(
                         guard.check_deadline(
                             f"attack-matrix cell {key}"
                         )
+                        state = (
+                            node_secure.tobytes(), breaks.tobytes(),
+                            scenario_name, policy_name,
+                        )
                         with tracer.span(
                             "attack.cell", scenario=scenario_name,
                             policy=policy_name, strategy=strategy_name,
                             level=level,
                         ), cell_timer.time():
-                            cell = _run_cell(
-                                graph, pairs, node_secure, breaks,
-                                scenario_name, policy_name, strategy_name,
-                                level, fraction_secure, backend,
-                                env.cache.compiled,
-                            )
+                            shared = attacked.get(state)
+                            if shared is None:
+                                cell = attacked[state] = _run_cell(
+                                    graph, pairs, node_secure, breaks,
+                                    scenario_name, policy_name, strategy_name,
+                                    level, fraction_secure, backend,
+                                    env.cache.compiled,
+                                )
+                            else:
+                                registry.counter("security.attack.cells_shared").inc()
+                                cell = dataclasses.replace(
+                                    shared, strategy=strategy_name, level=level
+                                )
                         registry.counter("security.attack.cells").inc()
                         if journal is not None:
                             journal.append(

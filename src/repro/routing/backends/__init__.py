@@ -2,9 +2,10 @@
 
 The three hot kernels — the batched tree resolver (``trees_stacked``),
 the batched subtree weights (``weights_stacked``) and the synchronous-
-Jacobi best-response step (``jacobi_sweep``, single- and multi-origin
-alike: a row without an adversary carries ``attacker = -1``) — exist in
-three implementations ("backends") behind this registry:
+Jacobi iteration that converges a chunk of rows (``jacobi_converge``,
+single- and multi-origin alike: a row without an adversary carries
+``attacker = -1``) — exist in three implementations ("backends") behind
+this registry:
 
 - ``numpy``: the vectorised code in
   :mod:`repro.routing.backends.numpy_impl`.  It is the **differential
@@ -12,13 +13,16 @@ three implementations ("backends") behind this registry:
   outputs (asserted by ``tests/routing/test_backends.py``).  Its level
   bodies gather whole path-length levels across destinations, so it
   keeps a level-major mirror of each arena's pools, its own: built on
-  its first call, dropped with the arena.
+  its first call, dropped with the arena.  Its Jacobi sweep re-decides
+  every node of every row still moving, all rows at once.
 - ``cext``: the same kernels as scalar loops in a small C translation
   unit, compiled once per source digest with the system C compiler and
   bound through ``ctypes`` (:mod:`repro.routing.backends.cext_impl`).
   No build-time dependency beyond ``cc``; the shared object is cached
   on disk.  Its tree kernels walk each batch row's slot of the arena's
-  pools in place and hold no second copy of them.
+  pools in place and hold no second copy of them; its Jacobi iteration
+  converges one row at a time and, after the first sweep, re-decides
+  only the nodes that read a node the sweep before changed.
 - ``python``: the C loops' executable spec in pure Python
   (:mod:`repro.routing.backends._loops`), registered *hidden* so the
   parity suite can pin the exact control flow the C code transliterates
@@ -199,7 +203,7 @@ def load_backend(name: str) -> Any:
     """Import (and for compiled tiers, compile + warm) backend ``name``.
 
     Returns the implementation module exposing ``trees_stacked``,
-    ``weights_stacked`` and ``jacobi_sweep``.  Load results are cached
+    ``weights_stacked`` and ``jacobi_converge``.  Load results are cached
     both ways: a success is never re-imported, a failure is never
     retried within the process (compilation attempts are expensive and
     deterministic).

@@ -28,10 +28,14 @@ Calling convention (all backends):
   ``w`` (float64), taken flat; ``secure_rows`` / ``secp_rows`` are
   ``node_secure`` and ``node_secure & breaks_ties`` per batch row, taken
   the same way;
-- the sweep: ``tie_rank`` / ``lp_field`` uint32, ``rank_edge`` int64,
-  ``edge_flags`` uint8, labels int8/int32/bool as C-contiguous
-  ``[batch, n]`` matrices, ``attacker`` int64, rank metadata int64 codes
-  + uint32 widths.
+- the Jacobi iteration takes the edge table of
+  ``repro.routing.fixpoint`` (``v`` int32, ``route_cls`` int8,
+  ``node_ptr`` / ``rev_ptr`` / ``rank_edge`` int64, ``tie_rank`` /
+  ``lp_field`` uint32, ``rev_seg`` int32), ``edge_flags`` uint8,
+  ``rank_shifts`` int64[3], ``attacker`` int64[chunk], ``pins``
+  int64[chunk, MAX_PINS, 6], the labels int8/int32/bool as C-contiguous
+  ``[chunk, n]`` matrices (updated in place), ``stats`` int64[chunk, 3]
+  and the optional ``tied`` bool[chunk, edges].
 
 Bit-identity with the numpy backend is structural, not accidental:
 
@@ -51,42 +55,48 @@ Bit-identity with the numpy backend is structural, not accidental:
   reproduces ``np.add.at``'s sequential sum over the mirror's stack
   order bit for bit (batch rows write disjoint rows of ``w``, so which
   batch row goes first does not matter);
-- the Jacobi sweep takes the minimum of ``rank_key << 32 | tie_rank``
-  over a segment in one pass, the word the numpy step gathers per edge;
-  minima are order-independent.  Only the tie mask needs the keys again
-  (the key is a pure function of the labels, so both passes agree), and
-  only structure building asks for it.
+- the Jacobi iteration takes the minimum of ``rank_key << 32 |
+  tie_rank`` over a segment in one pass, the word the numpy step gathers
+  per edge; minima are order-independent.  Only the tie mask needs the
+  keys again (the key is a pure function of the labels, so both passes
+  agree), and only structure building asks for it.  Which nodes a sweep
+  re-decides changes no label: a node not on the frontier would decide
+  from the same neighbours' labels, and the same pins, as it did the
+  last time it was decided — so it would decide the same, and its part
+  of ``tied`` is the same too.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.routing.fixpoint import (
+    EDGE_APPLIES,
+    EDGE_DROPS,
+    EDGE_GULLIBLE,
+    EDGE_NONPROVIDER,
+    MAX_PINS,
+    PIN_ATT,
+    PIN_CLS,
+    PIN_LEN,
+    PIN_SEC,
+    ROW_CONVERGED,
+    ROW_MOVING,
+    ROW_REVISITS,
+)
 from repro.routing.policy import POSITION_BITS, RouteClass
 
 _BLOCKED = np.uint64(2**64 - 1)
-_POS_MASK = np.uint64(0xFFFF)       # (1 << POSITION_BITS) - 1
+_POS_MASK = np.uint64((1 << POSITION_BITS) - 1)
 _INVALID_KEY = np.uint32(0xFFFFFFFF)
 
 # The sweep's selection word: rank key above, tie rank below.
 _KEY_SHIFT = np.uint64(32)
 _RANK_MASK = np.uint64(0xFFFFFFFF)
 
-# Bits of the sweep's ``edge_flags`` (set by fixpoint.JacobiDriver).
-_APPLIES, _NONPROVIDER, _GULLIBLE, _DROPS = 1, 2, 4, 8
-
-# The C code hardcodes these as literals, so pin them to the enum.
-_SELF = 3          # RouteClass.SELF
-_CUSTOMER = 2      # RouteClass.CUSTOMER
-_UNREACHABLE = -1  # RouteClass.UNREACHABLE
-
-if (_SELF, _CUSTOMER, _UNREACHABLE) != (
-    int(RouteClass.SELF), int(RouteClass.CUSTOMER), int(RouteClass.UNREACHABLE)
-) or int(_POS_MASK) != (1 << POSITION_BITS) - 1:  # pragma: no cover
-    raise AssertionError(
-        "compiled-kernel constants drifted from repro.routing.policy; "
-        "update _loops.py and the C source in cext_impl.py together"
-    )
+_SELF = int(RouteClass.SELF)
+_CUSTOMER = int(RouteClass.CUSTOMER)
+_UNREACHABLE = int(RouteClass.UNREACHABLE)
 
 
 def trees_stacked(slots, n, order_ptr, order_pool, level_ptr, level_pool,
@@ -158,67 +168,180 @@ def weights_stacked(slots, n, order_ptr, order_pool, level_ptr, level_pool,
                     w[base + p] += w[base + u] + node_weights[u]
 
 
-def jacobi_sweep(v, route_cls, seg_starts, seg_sizes, seg_u, tie_rank,
-                 rank_edge, lp_field, edge_flags, rank_codes, rank_widths,
-                 attacker, leak, cls, length, sec, att, node_secure,
-                 new_cls, new_len, new_sec, new_att, tied=None):
-    """One synchronous best-response step over the segment-sorted edges.
+def jacobi_converge(v, route_cls, node_ptr, tie_rank, rank_edge, lp_field,
+                    rev_ptr, rev_seg, edge_flags, rank_shifts, node_secure,
+                    attacker, leak, pins, cap, cls, length, sec, att, stats,
+                    tied=None):
+    """Converge every row of the chunk to its fixed point, in place.
 
     Every row carries its own adversary (``attacker[row]``, ``-1`` for
     none — no node id equals it, so such a row is plain single-origin
     BGP): ``att`` tracks which labels descend from the attacker's
     announcement, and ``leak`` lets offers *from* the attacker bypass
     GR2 (a route leak).  ``edge_flags`` holds the static bits of an
-    edge ``u <- v``: ``u`` applies SecP, ``v`` is not ``u``'s provider,
-    ``u`` is a simplex stub that believes the attacker's word over this
-    provider edge (§2.2.1), ``u`` rejects routes it cannot validate.
-    The caller pins the origins' labels after each step.  ``tied``,
-    when given, receives the per-edge tiebreak-set mask.
+    edge ``u <- v`` (``EDGE_*``): ``u`` applies SecP, ``v`` is not
+    ``u``'s provider, ``u`` is a simplex stub that believes the
+    attacker's word over this provider edge (§2.2.1), ``u`` rejects
+    routes it cannot validate.  ``rank_shifts`` places the LP, SP and
+    SecP fields in the rank key.  ``pins[row, k]`` is a ``(node,
+    fields, cls, length, sec, att)`` record that holds the ``fields``
+    labels of ``node`` fixed, on the starting labels and after every
+    sweep (``node = -1``: none).  ``tied``, when given, receives the
+    per-edge tiebreak-set mask of the converged labels.
+
+    ``stats[row]`` gets ``(status, sweeps, decisions)``: ``ROW_CONVERGED``
+    after the sweep that left the row alone, ``ROW_REVISITS`` at the
+    sweep that brought a moving row back to the labels of two sweeps
+    before, ``ROW_MOVING`` if it still moved at the last sweep it was
+    allowed — ``cap``, or one short of the earliest revisit of a row
+    before it: only that sweep matters once a chunk is known not to
+    converge.  ``decisions`` counts the nodes re-decided.
+
+    A row at a time, with three label buffers: the labels themselves,
+    the frontier's new labels (staged, so every decision of a sweep
+    reads the labels before it), and each node's labels before its last
+    change.  Sweep 1 decides every node; after that only the nodes that
+    read a node the sweep before changed (``rev_seg``), since every
+    other node would decide from the same neighbours' labels as last
+    time.  A node changed by the sweep before that has changed back if
+    its new labels are its before-labels; when every change of a sweep
+    is such a return, and the sweep before changed as many nodes, the
+    row is back at the labels of two sweeps before.
     """
-    for row in range(cls.shape[0]):
+    chunk, n = cls.shape
+    shifts = rank_shifts.astype(np.uint32)
+    front = np.empty(n, dtype=np.int64)     # the nodes a sweep decides
+    moved = np.empty(n, dtype=np.int64)     # the nodes a sweep changed
+    new_cls = np.empty(n, dtype=np.int8)    # staged, by frontier place
+    new_len = np.empty(n, dtype=np.int32)
+    new_sec = np.empty(n, dtype=np.bool_)
+    new_att = np.empty(n, dtype=np.bool_)
+    old_cls = np.empty(n, dtype=np.int8)    # before the last change
+    old_len = np.empty(n, dtype=np.int32)
+    old_sec = np.empty(n, dtype=np.bool_)
+    old_att = np.empty(n, dtype=np.bool_)
+    last = np.zeros(n, dtype=np.int64)      # stamp of the last change
+    mark = np.zeros(n, dtype=np.int64)      # stamp of the last frontier
+    stamp = 0                               # sweeps run, over all rows
+    limit = cap
+    for row in range(chunk):
         att_row = attacker[row]
-        for s in range(seg_starts.shape[0]):
-            lo = seg_starts[s]
-            m = seg_sizes[s]
-            uu = seg_u[s]
-            # the least selection word: rank key above, tie rank below
-            best = _BLOCKED
-            for e in range(lo, lo + m):
-                k = _offer_key(e, row, att_row, leak, v, lp_field,
-                               edge_flags, rank_codes, rank_widths,
-                               cls, length, sec, att)
-                if k != _INVALID_KEY:
-                    word = (np.uint64(k) << _KEY_SHIFT) | np.uint64(tie_rank[e])
-                    if word < best:
-                        best = word
-            if tied is not None:
-                # the tie mask is the one thing that needs the keys twice
-                for e in range(lo, lo + m):
-                    k = _offer_key(e, row, att_row, leak, v, lp_field,
-                                   edge_flags, rank_codes, rank_widths,
-                                   cls, length, sec, att)
-                    tied[row, e] = (
-                        k != _INVALID_KEY and np.uint64(k) == best >> _KEY_SHIFT
-                    )
-            if best == _BLOCKED:
-                new_cls[row, uu] = _UNREACHABLE
-                new_len[row, uu] = -1
-                new_sec[row, uu] = False
-                new_att[row, uu] = False
-                continue
-            eidx = rank_edge[lo + np.int64(best & _RANK_MASK)]
-            vv = v[eidx]
-            seen = sec[row, vv] or (
-                edge_flags[eidx] & _GULLIBLE and vv == att_row and att[row, vv]
-            )
-            new_cls[row, uu] = route_cls[eidx]
-            new_len[row, uu] = length[row, vv] + 1
-            new_sec[row, uu] = node_secure[uu] and seen
-            new_att[row, uu] = att[row, vv]
+        for k in range(MAX_PINS):
+            u = pins[row, k, 0]
+            if u >= 0:
+                cls[row, u], length[row, u], sec[row, u], att[row, u] = _pinned(
+                    pins[row, k], cls[row, u], length[row, u], sec[row, u], att[row, u]
+                )
+        for i in range(n):
+            front[i] = i
+        nf = n
+        prev_changed = -1
+        status = ROW_MOVING
+        sweep = 0
+        decisions = 0
+        while sweep < limit:
+            sweep += 1
+            stamp += 1
+            for i in range(nf):
+                u = front[i]
+                label = _decide(u, row, att_row, leak, v, route_cls, node_ptr,
+                                tie_rank, rank_edge, lp_field, edge_flags,
+                                shifts, node_secure, cls, length, sec, att, tied)
+                for k in range(MAX_PINS):
+                    if pins[row, k, 0] == u:
+                        label = _pinned(pins[row, k], *label)
+                new_cls[i], new_len[i], new_sec[i], new_att[i] = label
+            decisions += nf
+            changed = 0
+            back = 0
+            for i in range(nf):
+                u = front[i]
+                if (new_cls[i] == cls[row, u] and new_len[i] == length[row, u]
+                        and new_sec[i] == sec[row, u] and new_att[i] == att[row, u]):
+                    continue
+                back += (
+                    last[u] == stamp - 1 and new_cls[i] == old_cls[u]
+                    and new_len[i] == old_len[u] and new_sec[i] == old_sec[u]
+                    and new_att[i] == old_att[u]
+                )
+                old_cls[u], old_len[u] = cls[row, u], length[row, u]
+                old_sec[u], old_att[u] = sec[row, u], att[row, u]
+                last[u] = stamp
+                cls[row, u], length[row, u] = new_cls[i], new_len[i]
+                sec[row, u], att[row, u] = new_sec[i], new_att[i]
+                moved[changed] = u
+                changed += 1
+            if changed == 0:
+                status = ROW_CONVERGED
+                break
+            if changed == prev_changed and back == changed:
+                status = ROW_REVISITS
+                limit = sweep - 1
+                break
+            prev_changed = changed
+            # the next frontier: every reader of a changed node, once
+            nf = 0
+            for i in range(changed):
+                x = moved[i]
+                for j in range(rev_ptr[x], rev_ptr[x + 1]):
+                    u = rev_seg[j]
+                    if mark[u] != stamp:
+                        mark[u] = stamp
+                        front[nf] = u
+                        nf += 1
+        stats[row, 0] = status
+        stats[row, 1] = sweep
+        stats[row, 2] = decisions
 
 
-def _offer_key(e, row, att_row, leak, v, lp_field, edge_flags,
-               rank_codes, rank_widths, cls, length, sec, att):
+def _pinned(pin, c, ln, s, a):
+    """Labels ``(c, ln, s, a)`` with the fields ``pin`` holds put in."""
+    fields = pin[1]
+    if fields & PIN_CLS:
+        c = pin[2]
+    if fields & PIN_LEN:
+        ln = pin[3]
+    if fields & PIN_SEC:
+        s = pin[4] != 0
+    if fields & PIN_ATT:
+        a = pin[5] != 0
+    return c, ln, s, a
+
+
+def _decide(u, row, att_row, leak, v, route_cls, node_ptr, tie_rank,
+            rank_edge, lp_field, edge_flags, shifts, node_secure, cls,
+            length, sec, att, tied):
+    """Node ``u``'s new ``(cls, length, sec, att)``: the offer of its
+    segment with the least selection word, rank key above, tie rank
+    below."""
+    lo = node_ptr[u]
+    hi = node_ptr[u + 1]
+    best = _BLOCKED
+    for e in range(lo, hi):
+        k = _offer_key(e, row, att_row, leak, v, lp_field, edge_flags,
+                       shifts, cls, length, sec, att)
+        if k != _INVALID_KEY:
+            word = (np.uint64(k) << _KEY_SHIFT) | np.uint64(tie_rank[e])
+            if word < best:
+                best = word
+    if tied is not None:
+        # the tie mask is the one thing that needs the keys twice
+        for e in range(lo, hi):
+            k = _offer_key(e, row, att_row, leak, v, lp_field, edge_flags,
+                           shifts, cls, length, sec, att)
+            tied[row, e] = k != _INVALID_KEY and np.uint64(k) == best >> _KEY_SHIFT
+    if best == _BLOCKED:
+        return _UNREACHABLE, -1, False, False
+    eidx = rank_edge[lo + np.int64(best & _RANK_MASK)]
+    vv = v[eidx]
+    seen = sec[row, vv] or (
+        edge_flags[eidx] & EDGE_GULLIBLE and vv == att_row and att[row, vv]
+    )
+    return route_cls[eidx], length[row, vv] + 1, node_secure[u] and seen, att[row, vv]
+
+
+def _offer_key(e, row, att_row, leak, v, lp_field, edge_flags, shifts,
+               cls, length, sec, att):
     """Packed uint32 rank key of one offer; ``_INVALID_KEY`` if barred."""
     vv = v[e]
     flags = edge_flags[e]
@@ -228,33 +351,23 @@ def _offer_key(e, row, att_row, leak, v, lp_field, edge_flags,
     # GR2: only customer routes / the origin's own prefix are exported
     # across peerings and up to providers — with the leak escape hatch:
     # the attacker exports its selected route to every neighbor.
-    if flags & _NONPROVIDER and not (
+    if flags & EDGE_NONPROVIDER and not (
         cv == _CUSTOMER or cv == _SELF or (leak and vv == att_row)
     ):
         return _INVALID_KEY
     # end-state filtering: validators reject what cannot be validated
     # (genuine security only — gullible belief does not survive ROV).
-    if flags & _DROPS and not sec[row, vv]:
+    if flags & EDGE_DROPS and not sec[row, vv]:
         return _INVALID_KEY
     lv = length[row, vv]
     if lv < 0:
         lv = 0
-    sp = np.uint32(lv + 1)
     seen = sec[row, vv] or (
-        flags & _GULLIBLE and vv == att_row and att[row, vv]
+        flags & EDGE_GULLIBLE and vv == att_row and att[row, vv]
     )
-    if flags & _APPLIES and seen:
-        secp = np.uint32(0)
-    else:
-        secp = np.uint32(1)
-    key = np.uint32(0)
-    for i in range(rank_codes.shape[0]):
-        code = rank_codes[i]
-        if code == 0:
-            field = np.uint32(lp_field[e])
-        elif code == 1:
-            field = sp
-        else:
-            field = secp
-        key = np.uint32((key << rank_widths[i]) | field)
-    return key
+    secp = np.uint32(0 if flags & EDGE_APPLIES and seen else 1)
+    return (
+        (np.uint32(lp_field[e]) << shifts[0])
+        | (np.uint32(lv + 1) << shifts[1])
+        | (secp << shifts[2])
+    )

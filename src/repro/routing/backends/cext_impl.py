@@ -31,29 +31,31 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.routing import fixpoint
 from repro.routing.backends import BackendUnavailable, find_compiler
 from repro.routing.policy import POSITION_BITS, RouteClass
 from repro.runtime.atomic import atomic_write_text
 
-if (
-    int(RouteClass.SELF),
-    int(RouteClass.CUSTOMER),
-    int(RouteClass.UNREACHABLE),
-    POSITION_BITS,
-) != (3, 2, -1, 16):  # pragma: no cover
-    raise AssertionError(
-        "the C kernels hardcode RouteClass/POSITION_BITS values that "
-        "drifted; update _C_SOURCE together with repro.routing.policy"
-    )
+#: What the C code shares with the other tiers, formatted from where it
+#: is defined: no value is mirrored by hand.
+_DEFINES = {
+    "POS_MASK": f"{(1 << POSITION_BITS) - 1}u",   # a tie key's position bits
+    "CLS_UNREACHABLE": int(RouteClass.UNREACHABLE),
+    "CLS_CUSTOMER": int(RouteClass.CUSTOMER),
+    "CLS_SELF": int(RouteClass.SELF),
+    **{
+        name: getattr(fixpoint, name)
+        for name in (
+            "EDGE_APPLIES", "EDGE_NONPROVIDER", "EDGE_GULLIBLE", "EDGE_DROPS",
+            "PIN_CLS", "PIN_LEN", "PIN_SEC", "PIN_ATT", "MAX_PINS",
+            "ROW_CONVERGED", "ROW_REVISITS", "ROW_MOVING",
+        )
+    },
+}
 
-_C_SOURCE = r"""
-#include <stdint.h>
-#include <stdlib.h>
-
-/* Constants mirrored from repro.routing: POSITION_BITS=16 (tie-key low
- * bits hold the candidate's position in its row), RouteClass
- * CUSTOMER=2 / SELF=3 / UNREACHABLE=-1. */
-#define POS_MASK 0xFFFFu
+_C_SOURCE = "#include <stdint.h>\n#include <stdlib.h>\n\n" + "".join(
+    f"#define {name} ({value})\n" for name, value in _DEFINES.items()
+) + r"""
 #define INVALID_KEY 0xFFFFFFFFu
 
 /* The tree kernels read the arena's pools in place.  Slot k's rows are
@@ -183,120 +185,208 @@ void sbgp_weights_stacked(
     }
 }
 
-/* Bits of edge_flags for an edge u <- v (set by fixpoint.JacobiDriver). */
-#define EDGE_APPLIES 1u     /* u applies SecP */
-#define EDGE_NONPROVIDER 2u /* v is not u's provider: GR2 restricts */
-#define EDGE_GULLIBLE 4u    /* provider edge of a stub that believes the attacker */
-#define EDGE_DROPS 8u       /* u rejects routes it cannot validate */
+typedef struct {
+    const int32_t *v;
+    const uint32_t *lp_field;
+    const uint8_t *edge_flags;
+    uint32_t lp_shift, sp_shift, secp_shift;
+    int64_t att_row;   /* -1 (no adversary) equals no node id */
+    int leak;
+    const int8_t *cls;  /* the row's labels */
+    const int32_t *len;
+    const uint8_t *sec;
+    const uint8_t *att;
+} sbgp_offers;
 
-static inline uint32_t sbgp_offer_key(
-    int64_t e, int64_t att_row, int leak,
-    const int32_t *v, const uint32_t *lp_field, const uint8_t *edge_flags,
-    const int64_t *rank_codes, const uint32_t *rank_widths,
-    const int8_t *cls_r, const int32_t *len_r, const uint8_t *sec_r,
-    const uint8_t *att_r)
+static inline uint32_t sbgp_offer_key(const sbgp_offers *o, int64_t e)
 {
-    int32_t vv = v[e];
-    uint32_t flags = edge_flags[e];
-    int8_t cv = cls_r[vv];
-    if (cv == -1)
+    const int32_t vv = o->v[e];
+    const uint32_t flags = o->edge_flags[e];
+    const int8_t cv = o->cls[vv];
+    if (cv == CLS_UNREACHABLE)
         return INVALID_KEY;
-    /* GR2: only customer routes (2) / the origin itself (3) are
-     * exported across peerings and up to providers -- with the leak
-     * escape hatch: the attacker exports its selected route to every
-     * neighbor.  att_row == -1 (no adversary) equals no node id. */
+    /* GR2: only customer routes / the origin itself are exported across
+     * peerings and up to providers -- with the leak escape hatch: the
+     * attacker exports its selected route to every neighbor. */
     if ((flags & EDGE_NONPROVIDER) &&
-        !(cv == 2 || cv == 3 || (leak && vv == att_row)))
+        !(cv == CLS_CUSTOMER || cv == CLS_SELF || (o->leak && vv == o->att_row)))
         return INVALID_KEY;
     /* end-state filtering: validators reject what cannot be validated
      * (genuine security only -- gullible belief fails ROV). */
-    if ((flags & EDGE_DROPS) && !sec_r[vv])
+    if ((flags & EDGE_DROPS) && !o->sec[vv])
         return INVALID_KEY;
-    int32_t lv = len_r[vv];
+    int32_t lv = o->len[vv];
     if (lv < 0)
         lv = 0;
-    uint32_t sp = (uint32_t)(lv + 1);
-    int seen = sec_r[vv] ||
-        ((flags & EDGE_GULLIBLE) && vv == att_row && att_r[vv]);
-    uint32_t secp = ((flags & EDGE_APPLIES) && seen) ? 0u : 1u;
-    uint32_t key = 0;
-    for (int i = 0; i < 3; i++) {
-        uint32_t field = rank_codes[i] == 0
-            ? lp_field[e]
-            : (rank_codes[i] == 1 ? sp : secp);
-        key = (key << rank_widths[i]) | field;
-    }
-    return key;
+    const int seen = o->sec[vv] ||
+        ((flags & EDGE_GULLIBLE) && vv == o->att_row && o->att[vv]);
+    const uint32_t secp = ((flags & EDGE_APPLIES) && seen) ? 0u : 1u;
+    return (o->lp_field[e] << o->lp_shift) |
+        ((uint32_t)(lv + 1) << o->sp_shift) | (secp << o->secp_shift);
 }
 
-/* Every node takes the offer with the least selection word
- * rank_key << 32 | tie_rank; rank_edge[lo + r] is the edge of segment
- * lo.. that holds tie rank r.  tied may be NULL: only structure
- * building asks for the tie mask, the one thing that needs the keys
- * twice. */
-void sbgp_jacobi_sweep(
-    int64_t chunk, int64_t n, int64_t num_edges, int64_t num_segs,
-    const int32_t *v, const int8_t *route_cls,
-    const int64_t *seg_starts, const int64_t *seg_sizes,
-    const int32_t *seg_u, const uint32_t *tie_rank,
-    const int64_t *rank_edge, const uint32_t *lp_field,
-    const uint8_t *edge_flags,
-    const int64_t *rank_codes, const uint32_t *rank_widths,
-    const int64_t *attacker, int64_t leak,
-    const int8_t *cls, const int32_t *length, const uint8_t *sec,
-    const uint8_t *att, const uint8_t *node_secure,
-    int8_t *new_cls, int32_t *new_len, uint8_t *new_sec, uint8_t *new_att,
-    uint8_t *tied)
+/* Labels (c, l, s, a) with the fields pin holds put in. */
+static inline void sbgp_pinned(const int64_t *pin, int8_t *c, int32_t *l,
+                               uint8_t *s, uint8_t *a)
 {
+    const int64_t fields = pin[1];
+    if (fields & PIN_CLS)
+        *c = (int8_t)pin[2];
+    if (fields & PIN_LEN)
+        *l = (int32_t)pin[3];
+    if (fields & PIN_SEC)
+        *s = pin[4] != 0;
+    if (fields & PIN_ATT)
+        *a = pin[5] != 0;
+}
+
+/* The Jacobi iteration of a chunk, a row at a time, in place: see
+ * _loops.jacobi_converge, which this transliterates.  Every node takes
+ * the offer with the least selection word rank_key << 32 | tie_rank;
+ * rank_edge[node_ptr[u] + r] is the edge of u's segment that holds tie
+ * rank r.  Sweep 1 decides every node, a later sweep only the readers
+ * (rev_seg) of the nodes the sweep before changed.  tied may be NULL:
+ * only structure building asks for the tie mask, the one thing that
+ * needs the keys twice.  stats[row] = (status, sweeps, decisions).
+ * Returns -1 when there is no scratch memory. */
+int sbgp_jacobi_converge(
+    int64_t chunk, int64_t n,
+    const int32_t *v, const int8_t *route_cls, const int64_t *node_ptr,
+    const uint32_t *tie_rank, const int64_t *rank_edge,
+    const uint32_t *lp_field, const int64_t *rev_ptr, const int32_t *rev_seg,
+    const uint8_t *edge_flags, const int64_t *rank_shifts,
+    const uint8_t *node_secure, const int64_t *attacker, int64_t leak,
+    const int64_t *pins, int64_t cap,
+    int8_t *cls, int32_t *len, uint8_t *sec, uint8_t *att,
+    int64_t *stats, uint8_t *tied)
+{
+    const int64_t num_edges = node_ptr[n];
+    /* scratch, n entries each: the frontier, the nodes a sweep changed,
+     * the stamps of each node's last change and last frontier, then the
+     * staged labels (by frontier place) and each node's labels before
+     * its last change */
+    const size_t m = n > 0 ? (size_t)n : 1;
+    char *block = calloc(m, 4 * sizeof(int64_t) + 2 * (sizeof(int8_t) +
+                         sizeof(int32_t) + 2 * sizeof(uint8_t)));
+    if (!block)
+        return -1;
+    int64_t *front = (int64_t *)block, *moved = front + m;
+    int64_t *last = moved + m, *mark = last + m;
+    int32_t *new_len = (int32_t *)(mark + m), *old_len = new_len + m;
+    int8_t *new_cls = (int8_t *)(old_len + m), *old_cls = new_cls + m;
+    uint8_t *new_sec = (uint8_t *)(old_cls + m), *new_att = new_sec + m;
+    uint8_t *old_sec = new_att + m, *old_att = old_sec + m;
+    int64_t stamp = 0, limit = cap;
     for (int64_t row = 0; row < chunk; row++) {
-        const int8_t *cls_r = cls + row * n;
-        const int32_t *len_r = length + row * n;
-        const uint8_t *sec_r = sec + row * n;
-        const uint8_t *att_r = att + row * n;
-        uint8_t *tied_r = tied ? tied + row * num_edges : 0;
-        int64_t att_row = attacker[row];
-        for (int64_t s = 0; s < num_segs; s++) {
-            int64_t lo = seg_starts[s];
-            int64_t m = seg_sizes[s];
-            int64_t uu = seg_u[s];
-            uint64_t best = UINT64_MAX;
-            for (int64_t e = lo; e < lo + m; e++) {
-                uint32_t k = sbgp_offer_key(
-                    e, att_row, (int)leak, v, lp_field, edge_flags,
-                    rank_codes, rank_widths, cls_r, len_r, sec_r, att_r);
-                if (k != INVALID_KEY) {
-                    uint64_t word = ((uint64_t)k << 32) | tie_rank[e];
-                    if (word < best)
-                        best = word;
-                }
-            }
-            if (tied_r) {
-                for (int64_t e = lo; e < lo + m; e++) {
-                    uint32_t k = sbgp_offer_key(
-                        e, att_row, (int)leak, v, lp_field, edge_flags,
-                        rank_codes, rank_widths, cls_r, len_r, sec_r, att_r);
-                    tied_r[e] = (uint8_t)(
-                        k != INVALID_KEY && (uint64_t)k == best >> 32);
-                }
-            }
-            if (best == UINT64_MAX) {
-                new_cls[row * n + uu] = -1;
-                new_len[row * n + uu] = -1;
-                new_sec[row * n + uu] = 0;
-                new_att[row * n + uu] = 0;
-                continue;
-            }
-            int64_t eidx = rank_edge[lo + (int64_t)(best & 0xFFFFFFFFu)];
-            int32_t vv = v[eidx];
-            int seen = sec_r[vv] ||
-                ((edge_flags[eidx] & EDGE_GULLIBLE) && vv == att_row &&
-                 att_r[vv]);
-            new_cls[row * n + uu] = route_cls[eidx];
-            new_len[row * n + uu] = len_r[vv] + 1;
-            new_sec[row * n + uu] = (uint8_t)(node_secure[uu] && seen);
-            new_att[row * n + uu] = att_r[vv];
+        int8_t *c = cls + row * n;
+        int32_t *l = len + row * n;
+        uint8_t *s = sec + row * n, *a = att + row * n;
+        uint8_t *t = tied ? tied + row * num_edges : 0;
+        const int64_t *rp = pins + row * MAX_PINS * 6;
+        const sbgp_offers o = {
+            v, lp_field, edge_flags, (uint32_t)rank_shifts[0],
+            (uint32_t)rank_shifts[1], (uint32_t)rank_shifts[2],
+            attacker[row], (int)leak, c, l, s, a};
+        for (int64_t k = 0; k < MAX_PINS; k++) {
+            const int64_t u = rp[k * 6];
+            if (u >= 0)
+                sbgp_pinned(rp + k * 6, c + u, l + u, s + u, a + u);
         }
+        for (int64_t i = 0; i < n; i++)
+            front[i] = i;
+        int64_t nf = n, prev_changed = -1, status = ROW_MOVING;
+        int64_t sweep = 0, decisions = 0;
+        while (sweep < limit) {
+            sweep++;
+            stamp++;
+            for (int64_t i = 0; i < nf; i++) {
+                const int64_t u = front[i];
+                const int64_t lo = node_ptr[u], hi = node_ptr[u + 1];
+                uint64_t best = UINT64_MAX;
+                for (int64_t e = lo; e < hi; e++) {
+                    const uint32_t k = sbgp_offer_key(&o, e);
+                    if (k != INVALID_KEY) {
+                        const uint64_t word = ((uint64_t)k << 32) | tie_rank[e];
+                        if (word < best)
+                            best = word;
+                    }
+                }
+                if (t) {
+                    for (int64_t e = lo; e < hi; e++) {
+                        const uint32_t k = sbgp_offer_key(&o, e);
+                        t[e] = (uint8_t)(k != INVALID_KEY && (uint64_t)k == best >> 32);
+                    }
+                }
+                if (best == UINT64_MAX) {
+                    new_cls[i] = CLS_UNREACHABLE;
+                    new_len[i] = -1;
+                    new_sec[i] = 0;
+                    new_att[i] = 0;
+                } else {
+                    const int64_t eidx = rank_edge[lo + (int64_t)(best & 0xFFFFFFFFu)];
+                    const int32_t vv = v[eidx];
+                    const int seen = s[vv] ||
+                        ((edge_flags[eidx] & EDGE_GULLIBLE) && vv == o.att_row && a[vv]);
+                    new_cls[i] = route_cls[eidx];
+                    new_len[i] = l[vv] + 1;
+                    new_sec[i] = (uint8_t)(node_secure[u] && seen);
+                    new_att[i] = a[vv];
+                }
+                for (int64_t k = 0; k < MAX_PINS; k++)
+                    if (rp[k * 6] == u)
+                        sbgp_pinned(rp + k * 6, new_cls + i, new_len + i,
+                                    new_sec + i, new_att + i);
+            }
+            decisions += nf;
+            int64_t changed = 0, back = 0;
+            for (int64_t i = 0; i < nf; i++) {
+                const int64_t u = front[i];
+                if (new_cls[i] == c[u] && new_len[i] == l[u] &&
+                    new_sec[i] == s[u] && new_att[i] == a[u])
+                    continue;
+                back += last[u] == stamp - 1 && new_cls[i] == old_cls[u] &&
+                    new_len[i] == old_len[u] && new_sec[i] == old_sec[u] &&
+                    new_att[i] == old_att[u];
+                old_cls[u] = c[u];
+                old_len[u] = l[u];
+                old_sec[u] = s[u];
+                old_att[u] = a[u];
+                last[u] = stamp;
+                c[u] = new_cls[i];
+                l[u] = new_len[i];
+                s[u] = new_sec[i];
+                a[u] = new_att[i];
+                moved[changed++] = u;
+            }
+            if (changed == 0) {
+                status = ROW_CONVERGED;
+                break;
+            }
+            if (changed == prev_changed && back == changed) {
+                status = ROW_REVISITS;
+                limit = sweep - 1;
+                break;
+            }
+            prev_changed = changed;
+            /* the next frontier: every reader of a changed node, once */
+            nf = 0;
+            for (int64_t i = 0; i < changed; i++) {
+                const int64_t x = moved[i];
+                for (int64_t j = rev_ptr[x]; j < rev_ptr[x + 1]; j++) {
+                    const int32_t u = rev_seg[j];
+                    if (mark[u] != stamp) {
+                        mark[u] = stamp;
+                        front[nf++] = u;
+                    }
+                }
+            }
+        }
+        stats[row * 3] = status;
+        stats[row * 3 + 1] = sweep;
+        stats[row * 3 + 2] = decisions;
     }
+    free(block);
+    return 0;
 }
 """
 
@@ -350,7 +440,13 @@ def _load_library() -> ctypes.CDLL:
     lib.sbgp_trees_stacked.restype = ctypes.c_int   # -1: no scratch memory
     lib.sbgp_weights_stacked.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 8
     lib.sbgp_weights_stacked.restype = None
-    lib.sbgp_jacobi_sweep.restype = None
+    # (chunk, n), the edge table ... attacker, leak, pins, cap, the
+    # labels, stats and tied
+    lib.sbgp_jacobi_converge.argtypes = (
+        [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 12
+        + [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 6
+    )
+    lib.sbgp_jacobi_converge.restype = ctypes.c_int   # -1: no scratch memory
     return lib
 
 
@@ -427,24 +523,43 @@ def weights_stacked(slots, n, order_ptr, order_pool, level_ptr, level_pool,
     )
 
 
-def jacobi_sweep(v, route_cls, seg_starts, seg_sizes, seg_u, tie_rank,
-                 rank_edge, lp_field, edge_flags, rank_codes, rank_widths,
-                 attacker, leak, cls, length, sec, att, node_secure,
-                 new_cls, new_len, new_sec, new_att, tied=None):
-    """One synchronous best-response step over the segment-sorted edges."""
-    _LIB.sbgp_jacobi_sweep(
-        _I64(cls.shape[0]), _I64(cls.shape[1]),
-        _I64(len(v)), _I64(len(seg_starts)),
-        _ptr(v, np.int32), _ptr(route_cls, np.int8),
-        _ptr(seg_starts, np.int64), _ptr(seg_sizes, np.int64),
-        _ptr(seg_u, np.int32), _ptr(tie_rank, np.uint32),
-        _ptr(rank_edge, np.int64), _ptr(lp_field, np.uint32),
-        _ptr(edge_flags, np.uint8),
-        _ptr(rank_codes, np.int64), _ptr(rank_widths, np.uint32),
-        _ptr(attacker, np.int64), _I64(int(leak)),
+def jacobi_converge(v, route_cls, node_ptr, tie_rank, rank_edge, lp_field,
+                    rev_ptr, rev_seg, edge_flags, rank_shifts, node_secure,
+                    attacker, leak, pins, cap, cls, length, sec, att, stats,
+                    tied=None):
+    """Converge every row of the chunk in place, each in one pass of C
+    over its frontier sweeps (``_loops.jacobi_converge`` is the spec)."""
+    num_edges = len(v)
+    n = len(node_ptr) - 1
+    chunk = len(attacker)
+    per_edge = (route_cls, tie_rank, rank_edge, lp_field, rev_seg, edge_flags)
+    if (
+        n < 0 or len(rev_ptr) != n + 1
+        or node_ptr[-1] != num_edges or rev_ptr[-1] != num_edges
+        or any(len(a) != num_edges for a in per_edge)
+        or len(node_secure) != n or len(rank_shifts) != 3
+    ):
+        raise ValueError("cext kernel: edge table out of step")
+    rows = [(x, (chunk, n)) for x in (cls, length, sec, att)]
+    rows += [(stats, (chunk, 3)), (pins, (chunk, fixpoint.MAX_PINS, 6))]
+    if tied is not None:
+        rows.append((tied, (chunk, num_edges)))
+    if any(x.shape != shape for x, shape in rows):
+        raise ValueError("cext kernel: per-row arrays are not [chunk, ...]")
+    nodes = pins[..., 0]
+    if nodes.size and (nodes.min() < -1 or nodes.max() >= n):
+        raise ValueError("cext kernel: pin outside the graph")
+    status = _LIB.sbgp_jacobi_converge(
+        chunk, n,
+        _ptr(v, np.int32), _ptr(route_cls, np.int8), _ptr(node_ptr, np.int64),
+        _ptr(tie_rank, np.uint32), _ptr(rank_edge, np.int64),
+        _ptr(lp_field, np.uint32), _ptr(rev_ptr, np.int64),
+        _ptr(rev_seg, np.int32), _ptr(edge_flags, np.uint8),
+        _ptr(rank_shifts, np.int64), _ptr(node_secure, np.bool_),
+        _ptr(attacker, np.int64), int(leak), _ptr(pins, np.int64), int(cap),
         _ptr(cls, np.int8), _ptr(length, np.int32), _ptr(sec, np.bool_),
-        _ptr(att, np.bool_), _ptr(node_secure, np.bool_),
-        _ptr(new_cls, np.int8), _ptr(new_len, np.int32),
-        _ptr(new_sec, np.bool_), _ptr(new_att, np.bool_),
+        _ptr(att, np.bool_), _ptr(stats, np.int64),
         None if tied is None else _ptr(tied, np.bool_),
     )
+    if status:
+        raise MemoryError(f"cext kernel: no scratch for a sweep over {n} nodes")

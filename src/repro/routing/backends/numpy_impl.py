@@ -1,8 +1,8 @@
 """Vectorised numpy kernels — the differential ground truth.
 
 The bodies of ``repro.routing.arena.compute_trees_batched`` and
-``repro.routing.arena.subtree_weights_batched`` and the Jacobi step that
-:class:`repro.routing.fixpoint.JacobiDriver` iterates, kept here so
+``repro.routing.arena.subtree_weights_batched`` and the Jacobi iteration
+that :class:`repro.routing.fixpoint.JacobiDriver` calls, kept here so
 every other backend has a fixed point of comparison: the parity suite
 asserts **bit-identical** outputs against this module.
 
@@ -12,7 +12,9 @@ a level is cut up (one-candidate rows apart from multi-candidate rows,
 rows in blocks) is free to change, and so is how the Jacobi step finds
 a node's best offer (one minimum over ``rank_key << 32 | tie_rank``,
 which is the arg-min of the two-stage rule: least rank key, then least
-tie-break key among the tied).  The one thing that is not free is
+tie-break key among the tied) and which nodes a sweep re-decides (here
+all of them; the compiled tiers only those whose neighbours moved).
+The one thing that is not free is
 each parent's **summation order** in ``weights_stacked``: its children
 are added in stack order (batch row, then BFS row), one after the other
 — float64 addition does not associate, so a different order is a
@@ -40,6 +42,19 @@ import weakref
 import numpy as np
 
 from repro.routing.compiled import offsets, segment_index
+from repro.routing.fixpoint import (
+    EDGE_APPLIES,
+    EDGE_DROPS,
+    EDGE_GULLIBLE,
+    EDGE_NONPROVIDER,
+    PIN_ATT,
+    PIN_CLS,
+    PIN_LEN,
+    PIN_SEC,
+    ROW_CONVERGED,
+    ROW_MOVING,
+    ROW_REVISITS,
+)
 from repro.routing.policy import POSITION_BITS, RouteClass
 from repro.telemetry.metrics import get_registry
 
@@ -50,8 +65,6 @@ _BLOCKED = np.uint64(2**64 - 1)
 _KEY_SHIFT = np.uint64(32)
 _RANK_MASK = np.uint64(0xFFFFFFFF)
 
-# Bits of the sweep's ``edge_flags`` (set by fixpoint.JacobiDriver).
-_APPLIES, _NONPROVIDER, _GULLIBLE, _DROPS = 1, 2, 4, 8
 
 #: Rows per block of the weights pass.  The temporaries stay cache-sized
 #: however many rows a level holds (measured at N=1000: 13 ms against 23
@@ -455,44 +468,46 @@ class _SweepPlan:
     word per flag combination the table holds (its *variants*), and
     every edge then reads its word at ``variant * n + v`` — ``index`` —
     and ORs in ``static``, the bits only the edge knows: the LP field
-    and ``tie_rank``.  The winner of a segment is decoded by its place
-    ``seg_start + tie rank``, so what a step reads of it is kept by
-    place.  The two ``[chunk, ...]`` buffers live here too: successive
-    sweeps reuse them (a fresh megabyte per sweep is a megabyte of page
-    faults per sweep).
+    and ``tie_rank``.  A minimum per segment needs the segments that are
+    not empty (``seg_starts`` / ``seg_sizes`` / ``seg_u``); the winner
+    of a segment is decoded by its place ``seg_start + tie rank``, so
+    what a step reads of it is kept by place.  The two ``[chunk, ...]``
+    buffers live here too: successive sweeps reuse them (a fresh
+    megabyte per sweep is a megabyte of page faults per sweep).
 
     A plan is good for as long as the driver that owns ``edge_flags``
-    sweeps, and no longer: it refers to the static arguments weakly,
+    converges, and no longer: it refers to the static arguments weakly,
     and leaves its thread's ``slot`` when ``edge_flags`` goes — kept
     past that, its buffers would sit under the peak of whatever the
     process builds next.
     """
 
-    def __init__(self, slot, n, v, route_cls, seg_u, tie_rank, rank_edge,
-                 lp_field, edge_flags, rank_codes, rank_widths):
+    def __init__(self, slot, n, v, route_cls, node_ptr, tie_rank, rank_edge,
+                 lp_field, edge_flags, rank_shifts):
         self.key = (
             weakref.ref(edge_flags, lambda _: slot.pop("plan", None)),
-            weakref.ref(v), weakref.ref(tie_rank), weakref.ref(rank_codes),
+            weakref.ref(v), weakref.ref(tie_rank), weakref.ref(rank_shifts),
         )
+        sizes = np.diff(node_ptr)
+        self.seg_u = np.flatnonzero(sizes)
+        self.seg_starts = node_ptr[self.seg_u]
+        self.seg_sizes = sizes[self.seg_u]
         self.variants = np.flatnonzero(np.bincount(edge_flags, minlength=1)).tolist()
         variant_of = np.zeros(max(self.variants, default=0) + 1, dtype=np.int64)
         variant_of[self.variants] = np.arange(len(self.variants))
         self.index = variant_of[edge_flags] * n + v
-        # the ranking's first criterion sits in the highest bits
-        shift, at = {}, _KEY_SHIFT
-        for code, width in zip(rank_codes[::-1].tolist(), rank_widths[::-1].tolist()):
-            shift[code] = at
-            at += width
-        self.static = (lp_field.astype(np.uint64) << np.uint64(shift[0])) | tie_rank
-        self.sp_shift = np.uint64(shift[1])
-        self.secp_bit = np.uint64(1 << shift[2])
+        # the rank key sits above the tie rank in the selection word
+        lp_shift, sp_shift, secp_shift = (int(s) + 32 for s in rank_shifts)
+        self.static = (lp_field.astype(np.uint64) << np.uint64(lp_shift)) | tie_rank
+        self.sp_shift = np.uint64(sp_shift)
+        self.secp_bit = np.uint64(1 << secp_shift)
         self.place_v = v[rank_edge].astype(np.int64)
         self.place_cls = route_cls[rank_edge]
-        self.place_gullible = (edge_flags[rank_edge] & _GULLIBLE) != 0
+        self.place_gullible = (edge_flags[rank_edge] & EDGE_GULLIBLE) != 0
         self.gullible = bool(self.place_gullible.any())
         # every node has a segment on a connected graph: then the
         # segments *are* the columns, in order
-        self.columns = slice(None) if len(seg_u) == n else seg_u
+        self.columns = slice(None) if len(self.seg_u) == n else self.seg_u
         self.row_base = np.zeros((0, 1), dtype=np.int64)
         self.table = np.empty((0, len(self.variants), n), dtype=np.uint64)
         self.words = np.empty((0, len(v)), dtype=np.uint64)
@@ -508,73 +523,25 @@ class _SweepPlan:
         return self.table[:chunk], self.words[:chunk], self.row_base[:chunk]
 
 
-#: ``plan``: the plan of this thread's last sweep — a driver sweeps
-#: the same static arrays until its chunk converges.  Used through its
+#: ``plan``: the plan of this thread's last converge — a driver
+#: converges its chunks over the same static arrays.  Used through its
 #: ``__dict__``, which a plan's release hook can hold on to whichever
 #: thread ends up dropping ``edge_flags``.
 _THREAD = threading.local()
 
 
-def jacobi_sweep(
-    v: np.ndarray,
-    route_cls: np.ndarray,
-    seg_starts: np.ndarray,
-    seg_sizes: np.ndarray,
-    seg_u: np.ndarray,
-    tie_rank: np.ndarray,
-    rank_edge: np.ndarray,
-    lp_field: np.ndarray,
-    edge_flags: np.ndarray,
-    rank_codes: np.ndarray,
-    rank_widths: np.ndarray,
-    attacker: np.ndarray,
-    leak: bool,
-    cls: np.ndarray,
-    length: np.ndarray,
-    sec: np.ndarray,
-    att: np.ndarray,
-    node_secure: np.ndarray,
-    new_cls: np.ndarray,
-    new_len: np.ndarray,
-    new_sec: np.ndarray,
-    new_att: np.ndarray,
-    tied: np.ndarray | None = None,
-) -> None:
-    """One synchronous best-response step over the edge table.
+def _sweep(plan, attacker, leak, cls, length, sec, att, node_secure,
+           new_cls, new_len, new_sec, new_att, tied):
+    """One synchronous best-response step of every row, into ``new_*``.
 
     Every node takes the offer with the least selection word
     ``rank_key << 32 | tie_rank`` (all-ones: the offer is barred), so a
     step is one gather of a word per edge, one minimum per segment and
-    a decode of the winner's place ``seg_start + tie rank`` (``rank_edge``
-    names the edge that holds it).
-
-    Every row carries its own adversary (``attacker[row]``, ``-1`` for
-    none): ``att`` marks labels descending from the attacker's
-    announcement, and ``leak`` lets offers *from* the attacker bypass
-    GR2.  ``edge_flags`` holds the static bits of an edge ``u <- v``:
-    ``u`` applies SecP (1), ``v`` is not ``u``'s provider, so GR2
-    restricts the export (2), ``u`` is a simplex stub that believes the
-    attacker's word over this provider edge (4, §2.2.1), ``u`` rejects
-    routes it cannot validate (8).  ``-1`` equals no node id, so a row
-    without an adversary is plain single-origin BGP and may share a
-    chunk with rows that have one.  The caller pins the origins' labels
-    after each step.  ``tied``, when given, receives the per-edge
-    tiebreak-set mask.
-
-    The static arguments are never written once built, so the same
-    objects mean the same :class:`_SweepPlan` as the sweep before.
+    a decode of the winner's place ``seg_start + tie rank`` (the plan's
+    ``place_*`` read what the edge that holds it offers).  Nodes without
+    a segment are not written.
     """
     chunk, n = cls.shape
-    slot = _THREAD.__dict__
-    plan = slot.get("plan")
-    if plan is None or any(
-        ref() is not a
-        for ref, a in zip(plan.key, (edge_flags, v, tie_rank, rank_codes))
-    ):
-        plan = slot["plan"] = _SweepPlan(
-            slot, n, v, route_cls, seg_u, tie_rank, rank_edge, lp_field,
-            edge_flags, rank_codes, rank_widths,
-        )
     table, words, row_base = plan.buffers(chunk)
 
     # the label's part of the rank key: SP, and SecP as a node that
@@ -600,42 +567,42 @@ def jacobi_sweep(
     for variant, flags in enumerate(plan.variants):
         word = table[:, variant]
         np.bitwise_or(
-            trusted if flags & _APPLIES else plain,
-            unannounced if flags & _NONPROVIDER else unreached,
+            trusted if flags & EDGE_APPLIES else plain,
+            unannounced if flags & EDGE_NONPROVIDER else unreached,
             out=word,
         )
-        if flags & _DROPS:
+        if flags & EDGE_DROPS:
             word |= unvalidated
         if len(rows) and (
-            flags & _APPLIES and flags & _GULLIBLE
-            or leak and flags & _NONPROVIDER
+            flags & EDGE_APPLIES and flags & EDGE_GULLIBLE
+            or leak and flags & EDGE_NONPROVIDER
         ):
             key = plain[at]
-            if flags & _APPLIES:
-                believed = sec[at] | att[at] if flags & _GULLIBLE else sec[at]
+            if flags & EDGE_APPLIES:
+                believed = sec[at] | att[at] if flags & EDGE_GULLIBLE else sec[at]
                 key ^= believed * plan.secp_bit
-            restricted = flags & _NONPROVIDER and not leak
+            restricted = flags & EDGE_NONPROVIDER and not leak
             key |= unannounced[at] if restricted else unreached[at]
-            if flags & _DROPS:
+            if flags & EDGE_DROPS:
                 key |= unvalidated[at]  # belief does not survive ROV
             word[at] = key
 
     # barred stays all-ones under the OR, so it needs no mask
     np.take(table.reshape(chunk, -1), plan.index, axis=1, out=words, mode="clip")
     words |= plan.static
-    best = np.minimum.reduceat(words, seg_starts, axis=1)
+    best = np.minimum.reduceat(words, plan.seg_starts, axis=1)
     reachable = best != _BLOCKED
     if tied is not None:
         np.equal(
             words >> _KEY_SHIFT,
-            np.repeat(best >> _KEY_SHIFT, seg_sizes, axis=1),
+            np.repeat(best >> _KEY_SHIFT, plan.seg_sizes, axis=1),
             out=tied,
         )
-        tied &= np.repeat(reachable, seg_sizes, axis=1)
+        tied &= np.repeat(reachable, plan.seg_sizes, axis=1)
     # an unreachable node's place is past its segment (clipped: past the
     # table); what it reads there, ``reachable`` masks below
     place = (best & _RANK_MASK).astype(np.int64)
-    place += seg_starts
+    place += plan.seg_starts
     v_sel = np.take(plan.place_v, place, mode="clip")
     at_sel = v_sel + row_base
     att_sel = np.take(att, at_sel)
@@ -651,5 +618,156 @@ def jacobi_sweep(
         reachable, np.take(plan.place_cls, place, mode="clip"), np.int8(_UNREACHABLE)
     )
     new_len[:, cols] = np.where(reachable, np.take(length, at_sel) + 1, -1)
-    new_sec[:, cols] = reachable & node_secure[seg_u] & seen_sel
+    new_sec[:, cols] = reachable & node_secure[plan.seg_u] & seen_sel
     new_att[:, cols] = reachable & att_sel
+
+
+def _blank(chunk: int, n: int) -> tuple[np.ndarray, ...]:
+    return (
+        np.full((chunk, n), _UNREACHABLE, dtype=np.int8),
+        np.full((chunk, n), -1, dtype=np.int32),
+        np.zeros((chunk, n), dtype=bool),
+        np.zeros((chunk, n), dtype=bool),
+    )
+
+
+def _held(pins: np.ndarray) -> list[tuple]:
+    """The pins as assignments ``(rows, nodes, values, fields)``: the
+    chunk rows whose pin in one slot holds the same fields, with its
+    node, its ``[rows, 4]`` values and the labels (by index) it holds,
+    in the order pins apply."""
+    held = []
+    for k in range(pins.shape[1]):
+        node, fields = pins[:, k, 0], pins[:, k, 1]
+        pinned = np.flatnonzero(node >= 0)
+        masks = set(fields[pinned].tolist())
+        for mask in masks:
+            rows = pinned if len(masks) == 1 else pinned[fields[pinned] == mask]
+            fields_held = [
+                j for j, bit in enumerate((PIN_CLS, PIN_LEN, PIN_SEC, PIN_ATT)) if mask & bit
+            ]
+            held.append((rows, node[rows], pins[rows, k, 2:], fields_held))
+    return held
+
+
+def _compact(held: list[tuple], moved: np.ndarray) -> list[tuple]:
+    """``held`` for the rows that moved, numbered as they are compacted."""
+    remap = np.cumsum(moved) - 1
+    out = []
+    for rows, nodes, values, fields in held:
+        keep = moved[rows]
+        out.append((remap[rows[keep]], nodes[keep], values[keep], fields))
+    return out
+
+
+def _pin(labels, held) -> None:
+    for rows, nodes, values, fields in held:
+        for j in fields:
+            labels[j][rows, nodes] = values[:, j]
+
+
+def _rows_differ(a, b) -> np.ndarray:
+    """Per row: does any of the four labels differ between ``a`` and ``b``?"""
+    differ = (a[1] != b[1]).any(axis=1)  # lengths first: they move most
+    for i in (0, 2, 3):
+        if differ.all():
+            break
+        differ |= (a[i] != b[i]).any(axis=1)
+    return differ
+
+
+def jacobi_converge(
+    v: np.ndarray,
+    route_cls: np.ndarray,
+    node_ptr: np.ndarray,
+    tie_rank: np.ndarray,
+    rank_edge: np.ndarray,
+    lp_field: np.ndarray,
+    rev_ptr: np.ndarray,
+    rev_seg: np.ndarray,
+    edge_flags: np.ndarray,
+    rank_shifts: np.ndarray,
+    node_secure: np.ndarray,
+    attacker: np.ndarray,
+    leak: bool,
+    pins: np.ndarray,
+    cap: int,
+    cls: np.ndarray,
+    length: np.ndarray,
+    sec: np.ndarray,
+    att: np.ndarray,
+    stats: np.ndarray,
+    tied: np.ndarray | None = None,
+) -> None:
+    """Converge every row of the chunk, in place, one vectorised sweep
+    across the rows still moving at a time (see
+    ``_loops.jacobi_converge`` for the contract).
+
+    Every sweep re-decides every node, so the reverse index goes unused.
+    A row that a sweep left unchanged retires, its labels (and its part
+    of ``tied``) final, and the rest are compacted into smaller arrays.
+    Label sets ping-pong: a sweep writes every node that has a segment
+    and the pins every pinned field, so a set is blanked once, not once
+    per sweep, and the set of two sweeps back is kept so that a moving
+    row found equal to it is caught the sweep it comes round — which
+    ends the call, since the chunk cannot converge.
+
+    The static arguments are never written once built, so the same
+    objects mean the same :class:`_SweepPlan` as the call before.
+    """
+    chunk, n = cls.shape
+    slot = _THREAD.__dict__
+    plan = slot.get("plan")
+    if plan is None or any(
+        ref() is not a
+        for ref, a in zip(plan.key, (edge_flags, v, tie_rank, rank_shifts))
+    ):
+        plan = slot["plan"] = _SweepPlan(
+            slot, n, v, route_cls, node_ptr, tie_rank, rank_edge, lp_field,
+            edge_flags, rank_shifts,
+        )
+    labels = (cls, length, sec, att)
+    live = np.arange(chunk)
+    held = _held(pins)
+    _pin(labels, held)
+    # a row still moving at the end ran every sweep
+    stats[:, 0], stats[:, 1] = ROW_MOVING, cap
+    # ``cur`` steps to ``new``; ``prev`` is the step before ``cur``.
+    # Spare sets were blanked once; ``labels`` never becomes one, since
+    # its nodes without a segment hold what the caller put there.
+    prev, cur, spare = None, labels, []
+    live_attacker, live_tied = attacker, tied
+    for sweep in range(1, cap + 1):
+        new = spare.pop() if spare else _blank(len(live), n)
+        _sweep(plan, live_attacker, leak, *cur, node_secure, *new, live_tied)
+        _pin(new, held)
+        moved = _rows_differ(new, cur)
+        if prev is not None:
+            back = moved & ~_rows_differ(new, prev)
+            if back.any():
+                stats[live, 1] = sweep
+                stats[live[back], 0] = ROW_REVISITS
+                break
+        if moved.all():
+            if prev is not None and prev is not labels:
+                spare.append(prev)
+            prev, cur = cur, new
+            continue
+        # the other rows are at their fixed point: they retire
+        idle = ~moved
+        stats[live[idle], :2] = ROW_CONVERGED, sweep
+        if cur is not labels:
+            for out, last in zip(labels, cur):
+                out[live[idle]] = last[idle]
+        if live_tied is not tied:
+            tied[live[idle]] = live_tied[idle]
+        if not moved.any():
+            break
+        live, live_attacker = live[moved], live_attacker[moved]
+        held = _compact(held, moved)
+        prev = tuple(x[moved] for x in cur)
+        cur = tuple(x[moved] for x in new)
+        spare = []
+        if tied is not None:
+            live_tied = np.empty((len(live), len(v)), dtype=bool)
+    stats[:, 2] = stats[:, 1] * n   # every node, every sweep

@@ -29,13 +29,23 @@ choice chain.
 The iteration itself is :class:`JacobiDriver`, shared with the attack
 layer (:mod:`repro.security.hijack`): App. A's ranking does not change
 when a second AS originates the prefix, so one backend kernel
-(``jacobi_sweep``) serves both, and single-origin structure building
-is its no-adversary case — every row carries ``attacker = -1``.  Rows
-never interact and the step is deterministic, so the driver works row
-by row inside a chunk: a row that a sweep left unchanged is at its
-fixed point and is retired, only rows that moved are swept again, and a
-moving row that is back at the labels it held two sweeps earlier is in
-a 2-cycle and will never converge.
+(``jacobi_converge``) serves both, and single-origin structure building
+is its no-adversary case — every row carries ``attacker = -1``.  The
+driver hands a backend a whole chunk in one call: the labels, updated
+in place, each row's adversary and its pins — at most :data:`MAX_PINS`
+``(node, fields, cls, length, sec, att)`` records per row, data in
+place of a callback, that hold an origin's labels fixed
+(:func:`pin_table`) — and gets back, per row, whether it converged and
+after how many sweeps.  Rows never interact and the step is
+deterministic, so a row that a sweep left unchanged is at its fixed
+point, and a moving row that is back at the labels it held two sweeps
+earlier is in a 2-cycle and will never converge.  A node's next label
+depends only on its neighbours' labels and its fixed pins, so after the
+first sweep only the nodes that read a node the previous sweep changed
+can move: the compiled tiers re-decide just those (the *frontier*,
+found through the edge table's reverse index), one row at a time; numpy
+re-decides every node of every row still moving, one sweep across the
+chunk at a time.
 
 Convergence: rankings with LP first (``security_2nd``, and the default)
 admit no dispute wheel under GR1 topologies, so the iteration reaches
@@ -47,12 +57,12 @@ the 2-cycle test and, for longer cycles, the sweep cap turn that into a
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.routing import backends as kernel_backends
-from repro.routing.compiled import CompiledGraph
+from repro.routing.compiled import CompiledGraph, offsets
 from repro.routing.policy import POSITION_BITS, Criterion, RouteClass
 from repro.routing.reference import ConvergenceError
 from repro.routing.tree import (
@@ -77,17 +87,31 @@ _UNREACHABLE = int(RouteClass.UNREACHABLE)
 #: every valid selection word is strictly below the all-ones "barred"
 _WIDTH = {Criterion.LP: 2, Criterion.SP: 21, Criterion.SECP: 1}
 
-#: criterion -> integer code in the backend kernels' rank metadata
-#: (kernels take plain arrays, not enums, so they stay C-compatible)
+#: criterion -> its place in the kernels' ``rank_shifts`` (kernels take
+#: plain arrays, not enums, so they stay C-compatible)
 _RANK_CODE = {Criterion.LP: 0, Criterion.SP: 1, Criterion.SECP: 2}
 
-# Bits of the kernels' per-edge ``edge_flags``: everything static that
-# decides what ``v`` may offer ``u`` over an edge and how ``u`` ranks
-# it.  The kernels hardcode the same values.
-_APPLIES = 1      # u applies SecP
-_NONPROVIDER = 2  # v is not u's provider: GR2 restricts the export
-_GULLIBLE = 4     # provider edge of a stub that believes the attacker
-_DROPS = 8        # u rejects routes it cannot validate
+# The values every kernel tier shares, defined here once: numpy_impl and
+# _loops import them, and cext formats them into its C source.
+#
+# Bits of the per-edge ``edge_flags``: everything static that decides
+# what ``v`` may offer ``u`` over an edge and how ``u`` ranks it.
+EDGE_APPLIES = 1      # u applies SecP
+EDGE_NONPROVIDER = 2  # v is not u's provider: GR2 restricts the export
+EDGE_GULLIBLE = 4     # provider edge of a stub that believes the attacker
+EDGE_DROPS = 8        # u rejects routes it cannot validate
+# Bits of a pin's ``fields``: the labels it holds at its node (the sweep
+# decides the others there as for any node).
+PIN_CLS, PIN_LEN, PIN_SEC, PIN_ATT = 1, 2, 4, 8
+PIN_ROUTE = PIN_CLS | PIN_LEN | PIN_SEC  # an origin's own route
+PIN_ALL = PIN_ROUTE | PIN_ATT
+#: pins per row: the victim's and the attacker's
+MAX_PINS = 2
+# A row's status, as a kernel returns it.
+ROW_CONVERGED, ROW_REVISITS, ROW_MOVING = 0, 1, 2
+
+#: bucket bounds of the ``routing.jacobi.sweeps`` histogram
+_SWEEP_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 1024)
 
 #: one chunk's route labels: ``(cls int8, length int32, sec bool, att
 #: bool)``, each ``[chunk, n]``; ``att`` marks routes that descend from
@@ -100,14 +124,21 @@ class _EdgeTable:
 
     Edges are concatenated class-by-class (customer, peer, provider)
     and stable-sorted by ``(u, v)`` — the order the structure
-    assembler gives candidates — so the position of an edge
-    within its ``u``-segment orders candidates exactly like the rows of
-    the tiebreak CSR, and :func:`~repro.routing.tree.compute_tie_keys`
-    over the segments is the tie-break key the tree kernels minimise
-    over any tie set.  The keys of a segment are distinct and never
-    change, so the table keeps their *order* instead: ``tie_rank[e]``
-    is edge ``e``'s place in its segment by ascending key, and
-    ``rank_edge[seg_start + r]`` is the edge that holds place ``r``.
+    assembler gives candidates — so ``node_ptr[u]:node_ptr[u + 1]`` is
+    ``u``'s *segment*, the offers it chooses among (empty for a node
+    without neighbours), and the position of an edge within it orders
+    candidates exactly like the rows of the tiebreak CSR:
+    :func:`~repro.routing.tree.compute_tie_keys` over the segments is
+    the tie-break key the tree kernels minimise over any tie set.  The
+    keys of a segment are distinct and never change, so the table keeps
+    their *order* instead: ``tie_rank[e]`` is edge ``e``'s place in its
+    segment by ascending key, and ``rank_edge[node_ptr[u] + r]`` is the
+    edge that holds place ``r``.
+
+    ``rev_ptr`` / ``rev_seg`` index the edges the other way round:
+    ``rev_seg[rev_ptr[v]:rev_ptr[v + 1]]`` are the segments, named by
+    their node, that read ``v`` — the nodes a change to ``v``'s label
+    can move.
 
     It depends on the graph alone; :func:`_edge_table` builds it once
     per :class:`CompiledGraph`.
@@ -128,29 +159,24 @@ class _EdgeTable:
             ]
         )
         sort = np.argsort(u.astype(np.int64) * cg.n + v, kind="stable")
-        self.n = cg.n
+        self.n = n = cg.n
         self.u = u[sort].astype(np.int32)
         self.v = v[sort].astype(np.int32)
         self.route_cls = route_cls[sort]
         self.num_edges = len(self.u)
-        if self.num_edges:
-            breaks = np.flatnonzero(np.diff(self.u) != 0) + 1
-            self.seg_starts = np.concatenate([[0], breaks]).astype(np.int64)
-        else:
-            self.seg_starts = np.zeros(0, dtype=np.int64)
-        self.seg_u = self.u[self.seg_starts] if self.num_edges else self.u[:0]
-        bounds = np.concatenate([self.seg_starts, [self.num_edges]])
-        self.seg_sizes = np.diff(bounds)
-        tie_key = compute_tie_keys(self.seg_u, bounds, self.v)
+        self.node_ptr = offsets(np.bincount(self.u, minlength=n))
+        tie_key = compute_tie_keys(np.arange(n), self.node_ptr, self.v)
         # u is sorted, so this orders each segment's edges by tie key
         self.rank_edge = np.lexsort((tie_key, self.u)).astype(np.int64)
         self.tie_rank = np.empty(self.num_edges, dtype=np.uint32)
         self.tie_rank[self.rank_edge] = np.arange(
             self.num_edges, dtype=np.int64
-        ) - np.repeat(self.seg_starts, self.seg_sizes)
+        ) - np.repeat(self.node_ptr[:-1], np.diff(self.node_ptr))
         # static LP field: customer (best) -> 0, peer -> 1, provider -> 2
         self.lp_field = (2 - self.route_cls).astype(np.uint32)
         self.is_provider_edge = self.route_cls == _PROVIDER
+        self.rev_ptr = offsets(np.bincount(self.v, minlength=n))
+        self.rev_seg = self.u[np.argsort(self.v, kind="stable")]
 
 
 def _edge_table(cg: CompiledGraph) -> _EdgeTable:
@@ -162,26 +188,48 @@ def _edge_table(cg: CompiledGraph) -> _EdgeTable:
     return table
 
 
-def _rows_differ(a: Labels, b: Labels) -> np.ndarray:
-    """Per row: does any of the four labels differ between ``a`` and ``b``?"""
-    differ = (a[1] != b[1]).any(axis=1)  # lengths first: they move most
-    for i in (0, 2, 3):
-        if differ.all():
-            break
-        differ |= (a[i] != b[i]).any(axis=1)
-    return differ
+def _rank_shifts(ranking: Sequence[Criterion]) -> np.ndarray:
+    """Where each criterion's field sits in the packed rank key, by its
+    :data:`_RANK_CODE`: the ranking's first criterion in the highest
+    bits."""
+    shifts = np.zeros(len(_RANK_CODE), dtype=np.int64)
+    at = 0
+    for crit in reversed(ranking):
+        shifts[_RANK_CODE[crit]] = at
+        at += _WIDTH[crit]
+    return shifts
+
+
+def pin_table(chunk: int, *pins) -> np.ndarray:
+    """The pins of ``chunk`` rows as the kernels take them:
+    ``int64[chunk, MAX_PINS, 6]``.
+
+    Each of ``pins`` is one ``(node, fields, cls, length, sec, att)``
+    record, every entry a scalar or a ``[chunk]`` array; ``fields`` is
+    a mask of ``PIN_*`` bits.  Pins apply in order, to the starting
+    labels and after every sweep.  A row's unused records, and any
+    record whose ``node`` is ``-1``, hold nothing.
+    """
+    if len(pins) > MAX_PINS:
+        raise ValueError(f"at most {MAX_PINS} pins per row, got {len(pins)}")
+    table = np.zeros((chunk, MAX_PINS, 6), dtype=np.int64)
+    table[:, :, 0] = -1
+    for k, pin in enumerate(pins):
+        for field, value in enumerate(pin):
+            table[:, k, field] = value
+    return table
 
 
 class JacobiDriver:
-    """The one iterate-to-fixpoint loop over the backends' ``jacobi_sweep``.
+    """The one iterate-to-fixpoint call: the backends' ``jacobi_converge``.
 
     Built once per ``(CompiledGraph, policy, deployment state)``, it
     owns everything structure building and attack simulation share: the
-    graph's edge table, the per-state edge flags, the policy's rank
-    metadata, backend dispatch, the sweep cap and the convergence test.
-    Callers differ only in data — which labels they pin after each
-    sweep, and whether a row has an adversary (``attackers[row]``;
-    ``-1``, the default, is none).
+    graph's edge table, the per-state edge flags, the policy's rank-key
+    shifts, backend dispatch, the sweep cap, telemetry and the
+    :class:`ConvergenceError`.  Callers differ only in data — which
+    labels they pin, and whether a row has an adversary
+    (``attackers[row]``; ``-1``, the default, is none).
 
     ``applies`` marks the nodes that exercise SecP; ``gullible`` the
     nodes that believe an attacking provider's word, ``validators`` +
@@ -212,19 +260,14 @@ class JacobiDriver:
         registry = get_registry()
         if registry.enabled:
             registry.counter(f"routing.backend.calls.{backend_name}").inc()
-        self._rank_codes = np.array(
-            [_RANK_CODE[crit] for crit in policy.ranking], dtype=np.int64
-        )
-        self._rank_widths = np.array(
-            [_WIDTH[crit] for crit in policy.ranking], dtype=np.uint32
-        )
+        self._rank_shifts = _rank_shifts(policy.ranking)
         self._node_secure = node_secure
-        flags = np.where(table.is_provider_edge, 0, _NONPROVIDER).astype(np.uint8)
-        flags[applies[table.u]] |= _APPLIES
+        flags = np.where(table.is_provider_edge, 0, EDGE_NONPROVIDER).astype(np.uint8)
+        flags[applies[table.u]] |= EDGE_APPLIES
         if gullible is not None:
-            flags[table.is_provider_edge & gullible[table.u]] |= _GULLIBLE
+            flags[table.is_provider_edge & gullible[table.u]] |= EDGE_GULLIBLE
         if drop and validators is not None:
-            flags[validators[table.u]] |= _DROPS
+            flags[validators[table.u]] |= EDGE_DROPS
         self._edge_flags = flags
 
     def blank(self, chunk: int) -> Labels:
@@ -239,86 +282,54 @@ class JacobiDriver:
     def converge(
         self,
         labels: Labels,
-        pin: Callable[..., None],
+        pins: np.ndarray,
         what: str,
         *,
         attackers: np.ndarray | None = None,
         leak: bool = False,
         tied: np.ndarray | None = None,
-    ) -> Labels:
-        """Pin ``labels``, then sweep each row until a sweep leaves it alone.
+    ) -> np.ndarray:
+        """Pin ``labels``, then sweep each row until a sweep leaves it
+        alone, in place; returns the sweeps each row took (the last one
+        changed nothing).
 
-        ``pin(cls, length, sec, att, rows)`` overwrites the origins'
-        labels in place; the arrays hold the chunk's rows ``rows``, in
-        that order — all of them on the starting labels, after a sweep
-        the rows that sweep covered.  ``tied``, when given, ends up
-        holding the converged tiebreak-set mask per edge.  Raises
-        :class:`ConvergenceError` naming ``what`` for a row that
-        revisits the state it held two sweeps before, or still moves
-        after ``max_sweeps`` — a real possibility for ``security_1st``,
+        ``pins`` is the chunk's :func:`pin_table`.  ``tied``, when
+        given, ends up holding the converged tiebreak-set mask per edge.
+        Raises :class:`ConvergenceError` naming ``what`` if a row
+        revisits the state it held two sweeps before — naming the
+        earliest such sweep of any row — or else if a row still moves
+        after ``max_sweeps``: a real possibility for ``security_1st``,
         which admits dispute wheels.
         """
         table = self.table
-        live = np.arange(labels[0].shape[0])
+        chunk = labels[0].shape[0]
         if attackers is None:
-            attackers = np.full(len(live), -1, dtype=np.int64)
-        pin(*labels, live)
-        # ``cur`` steps to ``new``; ``prev`` is the step before ``cur``.
-        # A sweep writes every node that has a segment and ``pin`` the
-        # origins, so a set blanked once stays right everywhere else
-        # and is written over again two sweeps on (``spare``) — except
-        # the caller's ``labels``, whose other nodes hold what the
-        # caller put there.
-        prev: Labels | None = None
-        cur = labels
-        spare: list[Labels] = []
-        done: Labels | None = None  # where retired rows end up
-        live_tied = tied
-        for sweep in range(1, self.cap + 1):
-            new = spare.pop() if spare else self.blank(len(live))
-            self._kernels.jacobi_sweep(
-                table.v, table.route_cls,
-                table.seg_starts, table.seg_sizes, table.seg_u,
-                table.tie_rank, table.rank_edge, table.lp_field,
-                self._edge_flags, self._rank_codes, self._rank_widths,
-                attackers, leak,
-                *cur, self._node_secure,
-                *new, live_tied,
-            )
-            pin(*new, live)
-            moved = _rows_differ(new, cur)
-            if prev is not None and not (_rows_differ(new, prev) | ~moved).all():
-                raise ConvergenceError(
-                    f"{what} did not converge: sweep {sweep} revisits the "
-                    f"state of two sweeps before"
-                )
-            if moved.all():
-                if prev is not None and prev is not labels:
-                    spare.append(prev)
-                prev, cur = cur, new
-                continue
-            # the other rows are at their fixed point: they retire
-            if done is None:
-                # the first to go: ``live`` is still every row, so their
-                # labels (and their part of ``tied``) sit in place
-                done = cur
-            else:
-                idle = live[~moved]
-                for kept, last in zip(done, cur):
-                    kept[idle] = last[~moved]
-                if tied is not None:
-                    tied[idle] = live_tied[~moved]
-            if not moved.any():
-                return done
-            live, attackers = live[moved], attackers[moved]
-            prev = tuple(x[moved] for x in cur)
-            cur = tuple(x[moved] for x in new)
-            spare = []
-            if tied is not None:
-                live_tied = np.empty((len(live), table.num_edges), dtype=bool)
-        raise ConvergenceError(
-            f"{what} did not converge within {self.cap} sweeps"
+            attackers = np.full(chunk, -1, dtype=np.int64)
+        stats = np.zeros((chunk, 3), dtype=np.int64)
+        self._kernels.jacobi_converge(
+            table.v, table.route_cls, table.node_ptr, table.tie_rank,
+            table.rank_edge, table.lp_field, table.rev_ptr, table.rev_seg,
+            self._edge_flags, self._rank_shifts, self._node_secure,
+            attackers, leak, pins, self.cap, *labels, stats, tied,
         )
+        status, sweeps, decisions = stats.T
+        registry = get_registry()
+        if registry.enabled:
+            histogram = registry.histogram("routing.jacobi.sweeps", _SWEEP_BUCKETS)
+            for count in sweeps.tolist():
+                histogram.observe(count)
+            registry.counter("routing.jacobi.decisions").inc(int(decisions.sum()))
+        if (status != ROW_CONVERGED).any():
+            revisits = sweeps[status == ROW_REVISITS]
+            if len(revisits):
+                raise ConvergenceError(
+                    f"{what} did not converge: sweep {int(revisits.min())} "
+                    f"revisits the state of two sweeps before"
+                )
+            raise ConvergenceError(
+                f"{what} did not converge within {self.cap} sweeps"
+            )
+        return sweeps
 
 
 def fixpoint_pools(
@@ -363,20 +374,17 @@ def fixpoint_pools(
     # the same chunks as the state-independent build: they bound the
     # [chunk, edges] working set of a Jacobi batch just as well
     for batch in destination_chunks(cg, np.asarray(list(dests), dtype=np.int64)):
-        def pin(cls, length, sec, att, rows):
-            # the destination always keeps its own (empty, trivially
-            # best) route
-            at = np.arange(len(rows)), batch[rows]
-            cls[at] = _SELF
-            length[at] = 0
-            sec[at] = node_secure[at[1]]
-
+        # the destination always keeps its own (empty, trivially best)
+        # route
+        pins = pin_table(len(batch), (batch, PIN_ROUTE, _SELF, 0, node_secure[batch], 0))
+        labels = driver.blank(len(batch))
         tied = np.zeros((len(batch), table.num_edges), dtype=bool)
-        cls, length, _, _ = driver.converge(
-            driver.blank(len(batch)), pin,
+        driver.converge(
+            labels, pins,
             f"policy {policy.name!r} (destinations {batch[:4].tolist()}...)",
             tied=tied,
         )
+        cls, length, _, _ = labels
         # a node's tiebreak set is its tied offers; the destination's
         # own row keeps none (it is pinned, whatever it was offered)
         row, edge = np.nonzero(tied)

@@ -46,7 +46,13 @@ from typing import Sequence
 import numpy as np
 
 from repro.routing.compiled import CompiledGraph
-from repro.routing.fixpoint import JacobiDriver
+from repro.routing.fixpoint import (
+    PIN_ALL,
+    PIN_ATT,
+    PIN_ROUTE,
+    JacobiDriver,
+    pin_table,
+)
 from repro.routing.policy import (
     POSITION_BITS,
     Criterion,
@@ -393,15 +399,11 @@ def simulate_attacks_batched(
             f"attack scenario {scen.name!r} under policy {pol.name!r} "
             f"(pairs {batch[:4].tolist()}...)"
         )
-
-        # the driver hands a pin the chunk rows its arrays hold
-        def pin_victim(c, ln, s, a, rows):
-            if scen.victim_originates:
-                at = np.arange(len(rows)), victims[rows]
-                c[at] = _SELF
-                ln[at] = 0
-                s[at] = node_secure[at[1]]
-                a[at] = False
+        victim = (
+            [(victims, PIN_ALL, _SELF, 0, node_secure[victims], False)]
+            if scen.victim_originates else []
+        )
+        labels = driver.blank(chunk)
 
         with tracer.span("attack.batch", pairs=chunk):
             if leak_replay:
@@ -409,36 +411,26 @@ def simulate_attacks_batched(
                 # an adversary), to freeze the leaker's route (see
                 # simulate_hijack); phase 2 pins that label and
                 # propagates the leak from it.
-                labels = driver.converge(driver.blank(chunk), pin_victim, what)
-                a_cls, a_len, a_sec = (
-                    x[np.arange(chunk), attackers] for x in labels[:3]
+                driver.converge(labels, pin_table(chunk, *victim), what)
+                rows = np.arange(chunk)
+                leaker = (
+                    attackers, PIN_ALL,
+                    *(x[rows, attackers] for x in labels[:3]), True,
                 )
-
-                def pin(c, ln, s, a, rows):
-                    pin_victim(c, ln, s, a, rows)
-                    at = np.arange(len(rows)), attackers[rows]
-                    c[at] = a_cls[rows]
-                    ln[at] = a_len[rows]
-                    s[at] = a_sec[rows]
-                    a[at] = True
-
-                cls, _, _, att = driver.converge(
-                    labels, pin, what, attackers=attackers, leak=True
+                driver.converge(
+                    labels, pin_table(chunk, *victim, leaker), what,
+                    attackers=attackers, leak=True,
                 )
             else:
-                def pin(c, ln, s, a, rows):
-                    pin_victim(c, ln, s, a, rows)
-                    at = np.arange(len(rows)), attackers[rows]
-                    if scen.attacker_originates:
-                        c[at] = _SELF
-                        ln[at] = scen.attacker_path_offset
-                        s[at] = False
-                    a[at] = True
-
-                cls, _, _, att = driver.converge(
-                    driver.blank(chunk), pin, what,
+                fields = (PIN_ROUTE if scen.attacker_originates else 0) | PIN_ATT
+                attacker = (
+                    attackers, fields, _SELF, scen.attacker_path_offset, False, True,
+                )
+                driver.converge(
+                    labels, pin_table(chunk, *victim, attacker), what,
                     attackers=attackers, leak=scen.attacker_leaks,
                 )
+        cls, _, _, att = labels
 
         for k in range(chunk):
             routes_to_attacker = att[k].copy()

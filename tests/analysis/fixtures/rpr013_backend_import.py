@@ -8,7 +8,7 @@ from repro.routing.backends import kernels_for
 from repro.routing.backends._loops import trees_stacked  # expect: RPR013
 from repro.routing.backends.cext_impl import weights_stacked  # expect: RPR013
 from repro.routing.backends.numpy_impl import (  # repro-lint: disable=RPR013 -- fixture waiver
-    jacobi_sweep,
+    jacobi_converge,
 )
 
 
@@ -28,5 +28,5 @@ def uses_the_pinned_impls():
         cext_impl,
         trees_stacked,
         weights_stacked,
-        jacobi_sweep,
+        jacobi_converge,
     )

@@ -149,3 +149,52 @@ class TestTelemetry:
         assert snapshot["counters"]["security.attack.cells"] == 1
         assert snapshot["counters"]["security.attack.batches"] >= 1
         assert "attack.matrix" in spans and "attack.cell" in spans
+
+
+class TestSharedStates:
+    """Strategies that reach one deployment state share its attacks."""
+
+    KW = dict(
+        scenarios=["origin_hijack", "route_leak"],
+        policies=["security_3rd", "security_1st"],
+        strategies=["top_isp_first", "random"],
+        levels=(0.0, 0.5),
+        samples=3,
+    )
+
+    def test_equals_the_matrix_computed_cell_by_cell(self, medium_env):
+        from repro.telemetry.metrics import MetricsRegistry, use_registry
+
+        with use_registry(MetricsRegistry()) as registry:
+            cells = run_attack_matrix(medium_env, **self.KW)
+            counters = registry.snapshot()["counters"]
+        # everybody's level 0 is nobody deployed: the second strategy's
+        # four cells there are the first's
+        assert counters["security.attack.cells_shared"] == 4
+        assert counters["security.attack.cells"] == len(cells) == 16
+        for cell in cells:
+            alone = run_attack_matrix(
+                medium_env, **dict(
+                    self.KW, scenarios=[cell.scenario], policies=[cell.policy],
+                    strategies=[cell.strategy], levels=(cell.level,),
+                ),
+            )
+            assert alone == [cell]
+
+    def test_shared_cells_are_journaled_computed_and_replayed(self, medium_env, tmp_path):
+        journal = RunJournal(tmp_path / "matrix.jsonl")
+        sources: list[str] = []
+        first = run_attack_matrix(
+            medium_env, journal=journal,
+            on_cell=lambda cell, source: sources.append(source), **self.KW,
+        )
+        assert sources == ["computed"] * len(first)
+        records = [r for r in journal.iter_records() if r.get("type") == "cell"]
+        assert len(records) == len(first)
+        sources.clear()
+        again = run_attack_matrix(
+            medium_env, journal=RunJournal(journal.path),
+            on_cell=lambda cell, source: sources.append(source), **self.KW,
+        )
+        assert again == first
+        assert sources == ["replayed"] * len(first)

@@ -22,7 +22,16 @@ to read, as what the differential suites compare against:
   structure build with queues and a heap;
 - :func:`project_flip_per_destination` — the projection delta summed in
   a Python loop over one ``DestState`` per destination, as
-  ``repro.core.projection`` did before it read the round's matrices.
+  ``repro.core.projection`` did before it read the round's matrices;
+- :func:`jacobi_converge_reference` — the Jacobi iteration of a chunk as
+  :class:`~repro.routing.fixpoint.JacobiDriver` ran it before one
+  backend call converged a chunk: every row still moving swept in
+  lockstep, origins pinned by a callback after every sweep, a row
+  retired once a sweep leaves it alone, the chunk stopped at the first
+  sweep that brings a moving row back to the labels of two sweeps
+  before — each sweep scalar, by the two-stage rule (least rank key,
+  then least tie-break key among the tied) with the rank key packed
+  field by field.
 """
 
 from __future__ import annotations
@@ -34,9 +43,20 @@ import numpy as np
 
 from repro.core.config import UtilityModel
 from repro.core.engine import DestState
+from repro.routing.fixpoint import (
+    EDGE_APPLIES,
+    EDGE_DROPS,
+    EDGE_GULLIBLE,
+    EDGE_NONPROVIDER,
+    PIN_ATT,
+    PIN_CLS,
+    PIN_LEN,
+    PIN_SEC,
+)
 from repro.routing.paths import RoutingTree
-from repro.routing.policy import POSITION_BITS, RouteClass, tie_hash_array
-from repro.routing.tree import DestRouting, RouteInfo
+from repro.routing.policy import POSITION_BITS, Criterion, RouteClass, tie_hash_array
+from repro.routing.reference import ConvergenceError
+from repro.routing.tree import DestRouting, RouteInfo, compute_tie_keys
 from repro.topology.graph import ASGraph
 
 _POS_MASK = np.uint64((1 << POSITION_BITS) - 1)
@@ -316,3 +336,124 @@ def project_flip_per_destination(cache, deriver, rd, isp, turning_on, model):
             touched += 1
         delta += d
     return float(rd.utilities[isp]) + delta, len(positions), touched
+
+
+#: rank-key field widths, as the fixpoint packs them
+_WIDTH = {Criterion.LP: 2, Criterion.SP: 21, Criterion.SECP: 1}
+
+
+def pin_callback(pins: np.ndarray):
+    """``pin(cls, length, sec, att, rows)``: put the pins of chunk rows
+    ``rows`` into label arrays that hold those rows, in that order — a
+    pin table as the callback the driver used to take."""
+    def pin(cls, length, sec, att, rows):
+        for k in range(pins.shape[1]):
+            for i, row in enumerate(rows.tolist()):
+                node, fields, *values = pins[row, k].tolist()
+                if node < 0:
+                    continue
+                for bit, label, value in zip(
+                    (PIN_CLS, PIN_LEN, PIN_SEC, PIN_ATT), (cls, length, sec, att), values
+                ):
+                    if fields & bit:
+                        label[i, node] = value
+    return pin
+
+
+def _sweep_reference(table, tie_keys, flags, ranking, node_secure, attackers, leak, labels):
+    """One synchronous step of every row of ``labels``: ``(new labels, tied)``."""
+    chunk, n = labels[0].shape
+    cls, length, sec, att = (x.tolist() for x in labels)
+    v, route_cls, lp_field = table.v.tolist(), table.route_cls.tolist(), table.lp_field.tolist()
+    node_ptr, flags, keys = table.node_ptr.tolist(), flags.tolist(), tie_keys.tolist()
+    new = (
+        np.full((chunk, n), _UNREACHABLE, dtype=np.int8),
+        np.full((chunk, n), -1, dtype=np.int32),
+        np.zeros((chunk, n), dtype=bool),
+        np.zeros((chunk, n), dtype=bool),
+    )
+    tied = np.zeros((chunk, table.num_edges), dtype=bool)
+    for row, attacker in enumerate(attackers.tolist()):
+        for u in range(n):
+            offers = []
+            for e in range(node_ptr[u], node_ptr[u + 1]):
+                vv, f = v[e], flags[e]
+                cv = cls[row][vv]
+                if cv == _UNREACHABLE:
+                    continue
+                # GR2, with a leaking attacker's escape hatch
+                if f & EDGE_NONPROVIDER and not (
+                    cv in (_CUSTOMER, _SELF) or (leak and vv == attacker)
+                ):
+                    continue
+                if f & EDGE_DROPS and not sec[row][vv]:
+                    continue
+                seen = sec[row][vv] or (f & EDGE_GULLIBLE and vv == attacker and att[row][vv])
+                field = {
+                    Criterion.LP: lp_field[e],
+                    Criterion.SP: max(length[row][vv], 0) + 1,
+                    Criterion.SECP: 0 if f & EDGE_APPLIES and seen else 1,
+                }
+                key = 0
+                for crit in ranking:
+                    key = key << _WIDTH[crit] | field[crit]
+                offers.append((key, keys[e], e, bool(seen)))
+            if not offers:
+                continue
+            best = min(offer[0] for offer in offers)
+            for key, _, e, _ in offers:
+                tied[row, e] = key == best
+            _, _, e, seen = min(offer for offer in offers if offer[0] == best)
+            vv = v[e]
+            new[0][row, u] = route_cls[e]
+            new[1][row, u] = length[row][vv] + 1
+            new[2][row, u] = bool(node_secure[u]) and seen
+            new[3][row, u] = att[row][vv]
+    return new, tied
+
+
+def _rows_differ(a, b) -> np.ndarray:
+    return np.logical_or.reduce([(x != y).any(axis=1) for x, y in zip(a, b)])
+
+
+def jacobi_converge_reference(
+    driver, ranking, labels, pins, what, attackers=None, leak=False, tied=None
+) -> np.ndarray:
+    """What ``driver.converge(labels, pins, what, ...)`` must do: the
+    chunk's labels (and ``tied``) converged in place, the sweeps each
+    row took returned, or the same :class:`ConvergenceError`.
+    ``ranking`` is the driver's policy ranking."""
+    table = driver.table
+    chunk, n = labels[0].shape
+    if attackers is None:
+        attackers = np.full(chunk, -1, dtype=np.int64)
+    tie_keys = compute_tie_keys(np.arange(n), table.node_ptr, table.v)
+    pin = pin_callback(pins)
+    live = np.arange(chunk)
+    pin(*labels, live)
+    sweeps = np.zeros(chunk, dtype=np.int64)
+    prev, cur = None, tuple(x.copy() for x in labels)
+    for sweep in range(1, driver.cap + 1):
+        new, new_tied = _sweep_reference(
+            table, tie_keys, driver._edge_flags, ranking, driver._node_secure,
+            attackers[live], leak, cur,
+        )
+        pin(*new, live)
+        moved = _rows_differ(new, cur)
+        if prev is not None and (moved & ~_rows_differ(new, prev)).any():
+            raise ConvergenceError(
+                f"{what} did not converge: sweep {sweep} revisits the "
+                f"state of two sweeps before"
+            )
+        idle = ~moved
+        sweeps[live[idle]] = sweep
+        for out, last in zip(labels, cur):
+            out[live[idle]] = last[idle]
+        if tied is not None:
+            tied[live[idle]] = new_tied[idle]
+        if not moved.any():
+            return sweeps
+        live = live[moved]
+        prev = tuple(x[moved] for x in cur)
+        cur = tuple(x[moved] for x in new)
+    raise ConvergenceError(f"{what} did not converge within {driver.cap} sweeps")

@@ -557,22 +557,66 @@ class TestCextArgumentChecks:
                 with pytest.raises(TypeError, match="cext kernel expects"):
                     kernel(*args[:i], bad, *args[i + 1:])
 
-    def test_every_array_argument_is_checked(self, small_graph, monkeypatch):
-        secure, breaks = _security_state(small_graph.n)
-        kernel, args = self._record(
-            kb.load_backend("cext"), "jacobi_sweep", monkeypatch,
+    @staticmethod
+    def _converge_call(graph, monkeypatch) -> tuple:
+        """``(kernel, args)`` of a genuine cext ``jacobi_converge`` call."""
+        secure, breaks = _security_state(graph.n)
+        return TestCextArgumentChecks._record(
+            kb.load_backend("cext"), "jacobi_converge", monkeypatch,
             lambda: get_policy("security_2nd").build_pools(
-                small_graph, [0, 1], node_secure=secure, breaks_ties=breaks,
+                graph, [0, 1], node_secure=secure, breaks_ties=breaks,
                 backend="cext",
             ),
         )
+
+    def test_every_array_argument_is_checked(self, small_graph, monkeypatch):
+        kernel, args = self._converge_call(small_graph, monkeypatch)
         kernel(*args)             # the recorded call itself is valid
         kernel(*args[:-1])        # ... and so is leaving ``tied`` out
-        # every argument but ``leak`` is an array, and every array reaches C
+        # every argument but ``leak`` and ``cap`` is an array, and every
+        # array reaches C
         checked = [i for i, arg in enumerate(args) if isinstance(arg, np.ndarray)]
-        assert len(args) == 23 and len(checked) == 22
+        assert len(args) == 21 and len(checked) == 19
         assert checked[-1] == len(args) - 1  # tied too
         self._assert_checked(kernel, args, checked)
+
+    def test_a_pin_outside_the_graph_raises_before_the_c_call(
+        self, small_graph, monkeypatch
+    ):
+        kernel, args = self._converge_call(small_graph, monkeypatch)
+        calls = _stub_library(monkeypatch)
+        for bad in (-2, small_graph.n):
+            pins = args[13].copy()
+            pins[-1, 0, 0] = bad
+            with pytest.raises(ValueError, match="pin outside the graph"):
+                kernel(*args[:13], pins, *args[14:])
+        assert calls == []
+        kernel(*args)   # the stub does see a valid call
+        assert calls == ["sbgp_jacobi_converge"]
+
+    def test_an_open_reverse_index_raises_before_the_c_call(
+        self, small_graph, monkeypatch
+    ):
+        kernel, args = self._converge_call(small_graph, monkeypatch)
+        calls = _stub_library(monkeypatch)
+        rev_ptr, rev_seg = args[6], args[7]
+        short = rev_ptr.copy()
+        short[-1] -= 1   # closes one edge short of the table
+        for bad in ((short, rev_seg), (rev_ptr, rev_seg[:-1].copy())):
+            with pytest.raises(ValueError, match="edge table out of step"):
+                kernel(*args[:6], *bad, *args[8:])
+        assert calls == []
+
+    def test_labels_not_chunk_by_n_raise_before_the_c_call(
+        self, small_graph, monkeypatch
+    ):
+        kernel, args = self._converge_call(small_graph, monkeypatch)
+        calls = _stub_library(monkeypatch)
+        for i in range(15, 19):   # cls, length, sec, att
+            for bad in (args[i][:, :-1].copy(), args[i][:-1].copy(), args[i].reshape(-1)):
+                with pytest.raises(ValueError, match=r"not \[chunk"):
+                    kernel(*args[:i], bad, *args[i + 1:])
+        assert calls == []
 
     @staticmethod
     def _pool_call(graph, monkeypatch, name: str, slots) -> tuple:

@@ -28,7 +28,7 @@ from repro.parallel.engine import parallel_warm_cache
 from repro.routing.arena import ARENA_FIELDS, RoutingArena
 from repro.routing.cache import RoutingCache
 from repro.routing.compiled import CompiledGraph, segment_index
-from repro.routing.fixpoint import JacobiDriver, fixpoint_pools
+from repro.routing.fixpoint import PIN_ROUTE, JacobiDriver, fixpoint_pools, pin_table
 from repro.routing.policy import (
     RouteClass,
     available_policies,
@@ -376,17 +376,11 @@ class TestFixpointThroughTheAssembler:
         # the same converged labels, assembled one destination at a time
         driver = JacobiDriver(cg, policy, secure, secure & breaks)
         batch = np.asarray(dests, dtype=np.int64)
-
-        def pin(cls, length, sec, att, rows):
-            at = np.arange(len(rows)), batch[rows]
-            cls[at] = _SELF
-            length[at] = 0
-            sec[at] = secure[at[1]]
-
+        pins = pin_table(len(dests), (batch, PIN_ROUTE, _SELF, 0, secure[batch], False))
         tied = np.zeros((len(dests), driver.table.num_edges), dtype=bool)
-        cls, length, _, _ = driver.converge(
-            driver.blank(len(dests)), pin, "reference", tied=tied
-        )
+        labels = driver.blank(len(dests))
+        driver.converge(labels, pins, "reference", tied=tied)
+        cls, length, _, _ = labels
         # a stub's providers offer it its own prefix back: tied edges
         # on the destination's segment, which assembly must leave out
         assert tied[2, driver.table.u == dests[2]].any()
@@ -483,17 +477,11 @@ def _reference_for(policy_name: str, graph: ASGraph, dests: list[int]) -> dict[s
         secure, breaks = _mixed_state(graph)
         driver = JacobiDriver(cg, policy, secure, secure & breaks)
         batch = np.asarray(dests, dtype=np.int64)
-
-        def pin(cls, length, sec, att, rows):
-            at = np.arange(len(rows)), batch[rows]
-            cls[at] = _SELF
-            length[at] = 0
-            sec[at] = secure[at[1]]
-
+        pins = pin_table(len(dests), (batch, PIN_ROUTE, _SELF, 0, secure[batch], False))
         tied = np.zeros((len(dests), driver.table.num_edges), dtype=bool)
-        cls, length, _, _ = driver.converge(
-            driver.blank(len(dests)), pin, "reference", tied=tied
-        )
+        labels = driver.blank(len(dests))
+        driver.converge(labels, pins, "reference", tied=tied)
+        cls, length, _, _ = labels
         routings = [
             _reference_assemble(driver.table, d, cls[k].copy(), length[k].copy(), tied[k])
             for k, d in enumerate(dests)

@@ -1,12 +1,19 @@
-"""The Jacobi step, tier against tier, and its one-word selection rule.
+"""The Jacobi iteration, every tier against one oracle, and its
+one-word selection rule.
 
-``TestSweepTiers`` steps the numpy kernel, the pure-Python spec and the
-C kernel from the same labels with every adversary term on at once — a
+``TestSweepTiers`` converges the same chunk on the numpy kernel, the
+pure-Python spec and the C kernel, and holds each to
+:func:`tests.references.jacobi_converge_reference` — the callback
+driver every tier used to run under, over a scalar two-stage sweep:
+labels, ``tied`` and per-row sweep counts byte-equal, or the same
+:class:`ConvergenceError`.  Every adversary term is on at once — a
 leak, dropped unvalidated routes, gullible stubs and SecP-applying
 nodes — in a chunk that mixes ``attacker = -1`` rows with adversary
-rows, with and without the tie mask.  No registered scenario combines
-these flags, so the numpy tier's variant rows for them are built
-nowhere else.
+rows, from arbitrary starting labels under arbitrary pins.  No
+registered scenario combines these flags, so the numpy tier's variant
+rows for them are built nowhere else, and arbitrary labels take the
+frontier through trajectories no real run takes (a reachable class with
+length -1, counting to the cap, a 2-cycle beside a row that converges).
 
 ``TestOneWordSelection`` pins the rule all three tiers select by: the
 minimum of ``rank_key << 32 | tie_rank`` is the offer the two-stage rule
@@ -23,12 +30,25 @@ from hypothesis import strategies as st
 from repro.routing import backends as kb
 from repro.routing.compiled import CompiledGraph
 from repro.routing.errors import BackendUnavailable
-from repro.routing.fixpoint import JacobiDriver
-from repro.routing.policy import available_policies, get_policy
+from repro.routing.fixpoint import (
+    EDGE_APPLIES,
+    EDGE_DROPS,
+    EDGE_GULLIBLE,
+    EDGE_NONPROVIDER,
+    PIN_ALL,
+    PIN_ATT,
+    PIN_CLS,
+    JacobiDriver,
+    pin_table,
+)
+from repro.routing.policy import RouteClass, available_policies, get_policy
+from repro.routing.reference import ConvergenceError
 from repro.routing.tree import compute_tie_keys
+from repro.telemetry.metrics import NULL_REGISTRY, MetricsRegistry, use_registry
 from repro.topology.generator import generate_topology
 from repro.topology.relationships import ASRole
 
+from tests.references import jacobi_converge_reference
 from tests.strategies import graphs_with_security
 
 POLICIES = available_policies()
@@ -45,10 +65,8 @@ def _loads(name: str) -> bool:
 #: the ground truth first, then every other tier that loads here
 TIERS = ["numpy"] + [name for name in ("python", "cext") if _loads(name)]
 
-_APPLIES, _NONPROVIDER, _GULLIBLE, _DROPS = 1, 2, 4, 8
 
-
-def _drivers(graph, policy: str, secure: np.ndarray, applies: np.ndarray):
+def _drivers(graph, policy: str, secure: np.ndarray, applies: np.ndarray, drop=True):
     """One driver per tier, every adversary term on."""
     is_stub = graph.roles == int(ASRole.STUB)
     cg = CompiledGraph.from_graph(graph)
@@ -56,30 +74,14 @@ def _drivers(graph, policy: str, secure: np.ndarray, applies: np.ndarray):
         JacobiDriver(
             cg, get_policy(policy), secure, applies,
             gullible=is_stub & secure, validators=secure & ~is_stub,
-            drop=True, backend=tier,
+            drop=drop, backend=tier,
         )
         for tier in TIERS
     ]
 
 
-def _step(driver, labels, attackers, leak, tied):
-    """One raw kernel step from ``labels`` (no pin), into fresh arrays."""
-    table = driver.table
-    new = driver.blank(len(attackers))
-    driver._kernels.jacobi_sweep(
-        table.v, table.route_cls,
-        table.seg_starts, table.seg_sizes, table.seg_u,
-        table.tie_rank, table.rank_edge, table.lp_field,
-        driver._edge_flags, driver._rank_codes, driver._rank_widths,
-        attackers, leak,
-        *labels, driver._node_secure,
-        *new, tied,
-    )
-    return new
-
-
 def _random_labels(rng, chunk: int, n: int):
-    """Any labels at all: the step is a pure function of them, so the
+    """Any labels at all: each sweep is a pure function of them, so the
     tiers must agree off the reachable trajectories too (a reachable
     class with length -1 included)."""
     return (
@@ -90,34 +92,64 @@ def _random_labels(rng, chunk: int, n: int):
     )
 
 
-def _assert_tiers_agree(graph, policy, secure, applies, seed):
+def _random_pins(rng, secure, attackers):
+    """An origin per row, and each adversary's pin holding some of its
+    labels at arbitrary values (a leak pins a frozen route; an
+    attacker that only re-announces pins nothing but ``att``)."""
+    chunk, n = len(attackers), len(secure)
+    victims = (np.maximum(attackers, 0) + rng.integers(1, n, chunk)) % n
+    fields = rng.choice([PIN_ALL, PIN_ATT, PIN_CLS | PIN_ATT], chunk)
+    return pin_table(
+        chunk,
+        (victims, PIN_ALL, int(RouteClass.SELF), 0, secure[victims], False),
+        (attackers, fields, rng.integers(0, 4, chunk), rng.integers(0, 6, chunk),
+         rng.random(chunk) < 0.5, True),
+    )
+
+
+def _outcome(converge, labels, pins, attackers, leak, tied):
+    """``(labels, tied, sweeps)`` of a converge from copies of
+    ``labels``, or its error message."""
+    labels = tuple(x.copy() for x in labels)
+    try:
+        sweeps = converge(labels, pins.copy(), "chunk", attackers=attackers,
+                          leak=leak, tied=tied)
+    except ConvergenceError as exc:
+        return str(exc)
+    return (*labels, tied, sweeps)
+
+
+def _assert_tiers_agree(graph, policy, secure, applies, seed, drop=True):
     rng = np.random.default_rng(seed)
-    drivers = _drivers(graph, policy, secure, applies)
-    n = graph.n
+    drivers = _drivers(graph, policy, secure, applies, drop)
+    ranking = get_policy(policy).ranking
+    n, num_edges = graph.n, drivers[0].table.num_edges
     # adversary rows between rows without one
     attackers = np.array([-1, seed % n, -1, (seed // 7) % n], dtype=np.int64)
-    num_edges = drivers[0].table.num_edges
     for leak in (True, False):
         labels = _random_labels(rng, len(attackers), n)
-        for _ in range(3):
-            truth = truth_tied = None
-            for tier, driver in zip(TIERS, drivers):
-                tied = np.zeros((len(attackers), num_edges), dtype=bool)
-                got = _step(driver, labels, attackers, leak, tied)
-                untied = _step(driver, labels, attackers, leak, None)
-                context = (policy, tier, leak)
-                for with_tied, without in zip(got, untied):
-                    assert with_tied.tobytes() == without.tobytes(), context
-                if truth is None:
-                    truth, truth_tied = got, tied
-                    continue
-                for want, have in zip((*truth, truth_tied), (*got, tied)):
-                    assert want.dtype == have.dtype, context
-                    assert want.tobytes() == have.tobytes(), context
-            labels = truth
+        pins = _random_pins(rng, secure, attackers)
+
+        def oracle(labels, pins, what, **kw):
+            return jacobi_converge_reference(drivers[0], ranking, labels, pins, what, **kw)
+
+        want = _outcome(oracle, labels, pins, attackers, leak,
+                        np.zeros((len(attackers), num_edges), dtype=bool))
+        for tier, driver in zip(TIERS, drivers):
+            context = (policy, tier, leak, drop)
+            got = _outcome(driver.converge, labels, pins, attackers, leak,
+                           np.zeros((len(attackers), num_edges), dtype=bool))
+            untied = _outcome(driver.converge, labels, pins, attackers, leak, None)
+            if isinstance(want, str):
+                assert got == want and untied == want, context
+                continue
+            assert not isinstance(got, str), (context, got)
+            for a, b in zip(want, got):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), context
+            for a, b in zip(got[:4] + got[5:], untied[:4] + untied[5:]):
+                assert a.tobytes() == b.tobytes(), context
 
 
-@pytest.mark.skipif(len(TIERS) < 2, reason="no second tier loads")
 class TestSweepTiers:
     def test_every_flag_at_once(self):
         """On a seeded topology the edge table holds gullible, dropping
@@ -128,25 +160,27 @@ class TestSweepTiers:
         applies[::3] = False
         flags = _drivers(graph, "security_1st", secure, applies)[0]._edge_flags
         present = np.bitwise_or.reduce(flags)
-        assert present == _APPLIES | _NONPROVIDER | _GULLIBLE | _DROPS
-        assert (flags & (_APPLIES | _GULLIBLE) == _APPLIES | _GULLIBLE).any()
-        assert (flags & (_APPLIES | _DROPS) == _APPLIES | _DROPS).any()
+        assert present == EDGE_APPLIES | EDGE_NONPROVIDER | EDGE_GULLIBLE | EDGE_DROPS
+        assert (flags & (EDGE_APPLIES | EDGE_GULLIBLE) == EDGE_APPLIES | EDGE_GULLIBLE).any()
+        assert (flags & (EDGE_APPLIES | EDGE_DROPS) == EDGE_APPLIES | EDGE_DROPS).any()
         for policy in POLICIES:
-            _assert_tiers_agree(graph, policy, secure, applies, seed=5)
+            for drop in (True, False):
+                _assert_tiers_agree(graph, policy, secure, applies, seed=5, drop=drop)
 
     @settings(max_examples=20, deadline=None)
     @given(
         case=graphs_with_security(min_nodes=4, max_nodes=12),
         seed=st.integers(0, 10_000),
-        policy=st.sampled_from(POLICIES),
+        drop=st.booleans(),
     )
-    def test_random_graphs(self, case, seed, policy):
+    def test_random_graphs(self, case, seed, drop):
         graph, secure_nodes = case
         secure = np.zeros(graph.n, dtype=bool)
         secure[list(secure_nodes)] = True
         applies = secure.copy()
         applies[seed % graph.n] = False
-        _assert_tiers_agree(graph, policy, secure, applies, seed)
+        for policy in POLICIES:
+            _assert_tiers_agree(graph, policy, secure, applies, seed, drop)
 
 
 class TestOneWordSelection:
@@ -162,12 +196,17 @@ class TestOneWordSelection:
 
     @staticmethod
     def _tie_keys(table) -> np.ndarray:
-        bounds = np.concatenate([table.seg_starts, [table.num_edges]])
-        return compute_tie_keys(table.seg_u, bounds, table.v)
+        return compute_tie_keys(np.arange(table.n), table.node_ptr, table.v)
+
+    @staticmethod
+    def _segments(table) -> list[tuple[int, int]]:
+        """``(start, size)`` of every segment that holds an offer."""
+        starts, sizes = table.node_ptr[:-1], np.diff(table.node_ptr)
+        return list(zip(starts[sizes > 0].tolist(), sizes[sizes > 0].tolist()))
 
     def test_tie_rank_orders_each_segment_by_tie_key(self, table):
         tie_key = self._tie_keys(table)
-        for lo, size in zip(table.seg_starts.tolist(), table.seg_sizes.tolist()):
+        for lo, size in self._segments(table):
             seg = slice(lo, lo + size)
             by_key = lo + np.argsort(tie_key[seg], kind="stable")
             assert table.rank_edge[seg].tolist() == by_key.tolist()
@@ -183,15 +222,59 @@ class TestOneWordSelection:
         ).astype(np.uint64)
         tie_key = self._tie_keys(table)
         word = (rank_key << np.uint64(32)) | table.tie_rank
-        best = np.minimum.reduceat(word, table.seg_starts)
+        segments = self._segments(table)
+        seg_starts = np.array([lo for lo, _ in segments], dtype=np.int64)
+        best = np.minimum.reduceat(word, seg_starts)
         one_word = table.rank_edge[
-            table.seg_starts + (best & np.uint64(0xFFFFFFFF)).astype(np.int64)
+            seg_starts + (best & np.uint64(0xFFFFFFFF)).astype(np.int64)
         ]
         # every segment: the degree-1 stubs and the biggest hub included
-        sizes = table.seg_sizes.tolist()
+        sizes = [size for _, size in segments]
         assert min(sizes) == 1 and max(sizes) > 20 * distinct
-        for s, (lo, size) in enumerate(zip(table.seg_starts.tolist(), sizes)):
+        for s, (lo, size) in enumerate(segments):
             seg = slice(lo, lo + size)
             tied = np.flatnonzero(rank_key[seg] == rank_key[seg].min())
             two_stage = lo + tied[np.argmin(tie_key[seg][tied])]
             assert one_word[s] == two_stage, (s, size)
+
+
+@pytest.mark.parametrize("tier", TIERS)
+class TestTelemetry:
+    """``routing.jacobi.*`` come from what the kernel returns, and cost
+    nothing with telemetry off."""
+
+    @staticmethod
+    def _converge(tier):
+        graph = generate_topology(n=60, seed=11).graph
+        none = np.zeros(graph.n, dtype=bool)
+        driver = JacobiDriver(
+            CompiledGraph.from_graph(graph), get_policy("security_3rd"), none, none,
+            backend=tier,
+        )
+        dests = np.arange(0, graph.n, 7)
+        pins = pin_table(len(dests), (dests, PIN_ALL, int(RouteClass.SELF), 0, False, False))
+        return graph.n, driver.converge(driver.blank(len(dests)), pins, "telemetry")
+
+    def test_sweeps_and_decisions(self, tier):
+        with use_registry(MetricsRegistry()) as registry:
+            n, sweeps = self._converge(tier)
+            snapshot = registry.snapshot()
+        histogram = snapshot["histograms"]["routing.jacobi.sweeps"]
+        assert histogram["count"] == len(sweeps)
+        assert histogram["sum"] == sweeps.sum() and sweeps.min() > 1
+        decisions = snapshot["counters"]["routing.jacobi.decisions"]
+        # every node on a row's first sweep; numpy re-decides every node
+        # on every sweep, the frontier tiers only the nodes that can move
+        if tier == "numpy":
+            assert decisions == n * sweeps.sum()
+        else:
+            assert n * len(sweeps) < decisions < n * sweeps.sum()
+
+    def test_nothing_is_asked_of_a_disabled_registry(self, tier, monkeypatch):
+        def asked(*args, **kwargs):
+            raise AssertionError("a disabled registry was asked for an instrument")
+
+        with use_registry(NULL_REGISTRY):
+            for name in ("counter", "histogram", "gauge"):
+                monkeypatch.setattr(NULL_REGISTRY, name, asked)
+            self._converge(tier)

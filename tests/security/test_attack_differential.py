@@ -13,12 +13,15 @@ masks for the same agreement.
 ``TestMixedChunk`` pins the fact the whole layer rests on: there is one
 Jacobi kernel, a row without an adversary is its ``attacker = -1`` row,
 and rows never interact — so honest and attacked rows may share a chunk,
-a row retires from it as soon as a sweep leaves it alone, and a row on a
+a row is done as soon as a sweep leaves it alone, and a row on a
 ``security_1st`` dispute wheel (hand-built below) is caught the moment
-it comes round, not at the sweep cap.
+it comes round, not at the sweep cap — on every tier exactly as the
+callback driver of ``tests/references.py`` catches it.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +32,7 @@ from repro.gadgets.hardness import SetCoverInstance, build_set_cover_network
 from repro.gadgets.oscillator import build_chicken
 from repro.routing import backends as kernel_backends
 from repro.routing.compiled import CompiledGraph
-from repro.routing.fixpoint import JacobiDriver
+from repro.routing.fixpoint import PIN_ALL, PIN_ROUTE, JacobiDriver, pin_table
 from repro.routing.policy import (
     Criterion,
     RouteClass,
@@ -48,6 +51,7 @@ from repro.topology.generator import generate_topology
 from repro.topology.graph import ASGraph
 from repro.topology.relationships import ASRole
 
+from tests.references import jacobi_converge_reference
 from tests.strategies import graphs_with_security
 
 SCENARIOS = available_scenarios()
@@ -174,52 +178,22 @@ def _converge_rows(driver, node_secure, victims, attackers, leak, want_tied):
     the chunk oscillates.  Attacker rows replay ``origin_hijack`` — or,
     with ``leak``, the two phases of ``route_leak``."""
     num_rows = len(victims)
-    has_attacker = attackers >= 0
     tied = (
         np.zeros((num_rows, driver.table.num_edges), dtype=bool)
         if want_tied else None
     )
-
-    # a pin sees the chunk rows ``rows``, in that order: the driver
-    # retires a row once a sweep leaves it alone
-    def pin_victim(c, ln, s, a, rows):
-        at = np.arange(len(rows)), victims[rows]
-        c[at] = _SELF
-        ln[at] = 0
-        s[at] = node_secure[at[1]]
-        a[at] = False
-
-    def attacker_cells(rows):
-        held = np.flatnonzero(has_attacker[rows])
-        return held, attackers[rows[held]]
-
+    victim = (victims, PIN_ALL, _SELF, 0, node_secure[victims], False)
+    labels = driver.blank(num_rows)
     try:
         if leak:
-            labels = driver.converge(
-                driver.blank(num_rows), pin_victim, "honest world"
-            )
-            frozen = [x[np.arange(num_rows), attackers] for x in labels[:3]]
-
-            def pin(c, ln, s, a, rows):
-                pin_victim(c, ln, s, a, rows)
-                at = attacker_cells(rows)
-                c[at] = frozen[0][rows[at[0]]]
-                ln[at] = frozen[1][rows[at[0]]]
-                s[at] = frozen[2][rows[at[0]]]
-                a[at] = True
+            driver.converge(labels, pin_table(num_rows, victim), "honest world")
+            # a ``-1`` row reads a label of no use, and its pin holds nothing
+            rows = np.arange(num_rows)
+            attacker = (attackers, PIN_ALL, *(x[rows, attackers] for x in labels[:3]), True)
         else:
-            labels = driver.blank(num_rows)
-
-            def pin(c, ln, s, a, rows):
-                pin_victim(c, ln, s, a, rows)
-                at = attacker_cells(rows)
-                c[at] = _SELF
-                ln[at] = 0
-                s[at] = False
-                a[at] = True
-
-        labels = driver.converge(
-            labels, pin, "mixed chunk",
+            attacker = (attackers, PIN_ALL, _SELF, 0, False, True)
+        driver.converge(
+            labels, pin_table(num_rows, victim, attacker), "mixed chunk",
             attackers=attackers, leak=leak, tied=tied,
         )
     except ConvergenceError:
@@ -325,10 +299,11 @@ def _wheel_graph():
 
     Returns ``(graph, secure, applies, dests)``; ``dests`` are the pair's
     end (one sweep and a second to confirm), the chain's (one sweep per
-    link) and ``d``.
+    link), ``d``, and ``d``'s secure customer ``e``, whose wheel comes
+    round a sweep after ``d``'s.
     """
     graph = ASGraph()
-    names = ["p", "q", *(f"c{i}" for i in range(7)), "d", "x", "s", "A", "Q"]
+    names = ["p", "q", *(f"c{i}" for i in range(7)), "d", "x", "s", "A", "Q", "e"]
     asn = {name: 100 + i for i, name in enumerate(names)}
     for name in names:
         graph.add_as(asn[name])
@@ -340,38 +315,42 @@ def _wheel_graph():
     graph.add_customer_provider(provider=asn["A"], customer=asn["x"])
     graph.add_customer_provider(provider=asn["Q"], customer=asn["A"])
     graph.add_peering(asn["Q"], asn["s"])
+    graph.add_customer_provider(provider=asn["d"], customer=asn["e"])
     graph.validate()
     at = {name: graph.index(asn[name]) for name in names}
     secure = np.zeros(graph.n, dtype=bool)
-    secure[[at["d"], at["s"], at["A"], at["Q"]]] = True
+    secure[[at["d"], at["s"], at["A"], at["Q"], at["e"]]] = True
     applies = secure.copy()
     applies[at["Q"]] = False
-    return graph, secure, applies, [at["p"], at["c0"], at["d"]]
+    return graph, secure, applies, [at["p"], at["c0"], at["d"], at["e"]]
 
 
-def _wheel_rows(backend, dests, count=None, max_sweeps=None):
-    """``(labels, tied)`` of destinations ``dests`` of :func:`_wheel_graph`
-    under ``security_1st``; ``count`` collects the rows of every pin."""
+def _wheel_rows(backend, dests, max_sweeps=None, oracle=False):
+    """``(labels, tied, sweeps)`` of destinations ``dests`` of
+    :func:`_wheel_graph` under ``security_1st`` — the oracle's, with
+    ``oracle``."""
     graph, secure, applies, _ = _wheel_graph()
+    policy = get_policy("security_1st")
     driver = JacobiDriver(
-        CompiledGraph.from_graph(graph), get_policy("security_1st"),
+        CompiledGraph.from_graph(graph), policy,
         secure, applies, backend=backend, max_sweeps=max_sweeps,
     )
     dests = np.asarray(dests, dtype=np.int64)
     tied = np.zeros((len(dests), driver.table.num_edges), dtype=bool)
+    labels = driver.blank(len(dests))
+    pins = pin_table(len(dests), (dests, PIN_ROUTE, _SELF, 0, secure[dests], False))
+    if oracle:
+        sweeps = jacobi_converge_reference(
+            driver, policy.ranking, labels, pins, "wheel graph", tied=tied
+        )
+    else:
+        sweeps = driver.converge(labels, pins, "wheel graph", tied=tied)
+    return labels, tied, sweeps
 
-    def pin(c, ln, s, a, rows):
-        if count is not None:
-            count.append(rows.tolist())
-        at = np.arange(len(rows)), dests[rows]
-        c[at] = _SELF
-        ln[at] = 0
-        s[at] = secure[at[1]]
 
-    labels = driver.converge(
-        driver.blank(len(dests)), pin, "wheel graph", tied=tied
-    )
-    return labels, tied
+def _revisit(exc: pytest.ExceptionInfo) -> int:
+    """The sweep a revisit error names."""
+    return int(re.search(r"sweep (\d+) revisits", str(exc.value)).group(1))
 
 
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
@@ -406,35 +385,59 @@ class TestMixedChunk:
             )
 
     def test_quick_row_retires_beside_slow_row(self, backend):
-        """The driver sweeps a row until a sweep leaves it alone,
-        whatever the rest of its chunk still does."""
-        *_, (quick, slow, _) = _wheel_graph()
-        pins: list[list[int]] = []
-        labels, tied = _wheel_rows(backend, [quick, slow], count=pins)
-        # pinned at the start, then once per sweep over the rows it covered
-        assert pins[:3] == [[0, 1], [0, 1], [0, 1]]
-        assert pins[3:] == [[1]] * (len(pins) - 3) and len(pins) - 1 >= 6
+        """A row is done when a sweep leaves it alone, whatever the rest
+        of its chunk still does."""
+        *_, (quick, slow, _, _) = _wheel_graph()
+        labels, tied, sweeps = _wheel_rows(backend, [quick, slow])
+        # the pair's end: one sweep, and a second that changes nothing;
+        # the chain's: one sweep per link, then the one that confirms
+        assert sweeps[0] == 2 and sweeps[1] >= 7
         for k, dest in enumerate((quick, slow)):
-            alone, alone_tied = _wheel_rows(backend, [dest])
-            for whole, single in zip((*labels, tied), (*alone, alone_tied)):
+            *alone, alone_sweeps = _wheel_rows(backend, [dest])
+            assert alone_sweeps[0] == sweeps[k]
+            for whole, single in zip((*labels, tied), (*alone[0], alone[1])):
                 assert whole[k].tobytes() == single[0].tobytes(), (backend, k)
 
     def test_wheel_is_caught_when_it_comes_round(self, backend):
         """Same error as the sweep cap raises, a thousand sweeps sooner."""
-        *_, (quick, slow, wheel) = _wheel_graph()
-        pins: list[list[int]] = []
-        with pytest.raises(ConvergenceError, match="revisits"):
-            _wheel_rows(backend, [wheel], count=pins, max_sweeps=1000)
-        assert len(pins) - 1 <= 8
-        # a chunk is stuck as soon as one of its rows is
-        for dests in ([quick, wheel, slow], [wheel, quick]):
-            with pytest.raises(ConvergenceError, match="revisits"):
+        *_, (quick, slow, wheel, later) = _wheel_graph()
+        with pytest.raises(ConvergenceError, match="revisits") as alone:
+            _wheel_rows(backend, [wheel], max_sweeps=1000)
+        assert _revisit(alone) <= 8
+        with pytest.raises(ConvergenceError, match="revisits") as behind:
+            _wheel_rows(backend, [later], max_sweeps=1000)
+        assert _revisit(behind) == _revisit(alone) + 1
+        # a chunk is stuck as soon as one of its rows is, at that sweep
+        for dests in ([quick, wheel, slow], [wheel, quick], [later, wheel]):
+            with pytest.raises(ConvergenceError, match="revisits") as beside:
                 _wheel_rows(backend, dests, max_sweeps=1000)
+            assert _revisit(beside) == _revisit(alone)
 
     def test_longer_cycles_still_meet_the_cap(self, backend):
-        *_, (_, slow, _) = _wheel_graph()
+        *_, (_, slow, _, _) = _wheel_graph()
         with pytest.raises(ConvergenceError, match="within 3 sweeps"):
             _wheel_rows(backend, [slow], max_sweeps=3)
+
+    @pytest.mark.parametrize("max_sweeps", [None, 3, 5])
+    def test_the_oracle_agrees(self, backend, max_sweeps):
+        """Labels, ``tied`` and sweeps, or the error, as the callback
+        driver gives them, whichever row of a chunk is the wheel."""
+        *_, (quick, slow, wheel, later) = _wheel_graph()
+        for dests in (
+            [quick, slow], [slow, wheel, quick], [quick, quick, wheel], [later, wheel],
+        ):
+            outcomes = []
+            for oracle in (True, False):
+                try:
+                    outcomes.append(_wheel_rows(backend, dests, max_sweeps, oracle))
+                except ConvergenceError as exc:
+                    outcomes.append(str(exc))
+            want, got = outcomes
+            if isinstance(want, str):
+                assert got == want, (dests, max_sweeps)
+                continue
+            for a, b in zip((*want[0], *want[1:]), (*got[0], *got[1:])):
+                assert a.tobytes() == b.tobytes(), (dests, max_sweeps)
 
 
 class TestBatchedValidation:
