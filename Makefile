@@ -58,8 +58,9 @@ bench-json:
 # machines have mean runtimes dominated by scheduler outliers; --only
 # kernel because the gate is a *kernel* regression gate (artifact
 # benches run once and can't clear a 10% bar on shared hardware).
-# --speedup pins two headlines in the same snapshot: batched trees on
-# the cext backend at least 2x faster than numpy, and the batched
+# --speedup pins three headlines in the same snapshot: batched trees and
+# the all-destination structure build (warm plus arena pack) on the cext
+# backend each at least 2x faster than numpy, and the batched
 # multi-origin attack kernel at least 3x faster than the per-pair
 # scalar reference (it measures ~40-100x; 3x is the do-not-regress bar).
 # The trees pin was 3.0 while numpy ran SecP/TB selection over every
@@ -77,6 +78,7 @@ bench-compare:
 		--require kernel_backend --require kernel_attack \
 		--stat min --only kernel \
 		--speedup "kernel_backend_trees[cext]:kernel_backend_trees[numpy]:2.0" \
+		--speedup "kernel_backend_structures[cext]:kernel_backend_structures[numpy]:2.0" \
 		--speedup "kernel_attack_batched[origin_hijack-numpy]:kernel_attack_scalar:3.0"
 
 bench-large:

@@ -3,16 +3,17 @@
 One parametrised set of benches per loadable backend, same arena and
 security state, so the per-backend numbers in the snapshot are directly
 comparable.  ``make bench-compare`` asserts the compiled tier's
-headline claim — batched all-destination trees at least 3x faster than
-numpy — against the committed ``BENCH_*_kernel_compiled.json``
-snapshot, so a regression that erodes the compiled speedup fails CI the
-same way a numpy kernel regression does.
+headline claims against the newest committed ``BENCH_*.json`` snapshot
+— batched trees, and the all-destination structure build (warm plus
+arena pack), each at least 2x faster than numpy — so a regression that
+erodes a compiled speedup fails the gate the same way a numpy kernel
+regression does.
 
 Scale: ``REPRO_BENCH_BACKEND_N`` ASes (default 4000 — the CI smoke
-size; the committed snapshot is recorded at 12000, the size the >= 3x
-acceptance gate is specified at).  Destinations are sampled, as at
-paper scale: the kernels stream over ``[num_dests, n]`` blocks either
-way, so per-call cost scales with both knobs independently.
+size).  Destinations are sampled for the round kernels, as at paper
+scale: they stream over ``[num_dests, n]`` blocks either way, so
+per-call cost scales with both knobs independently.  The structure
+build takes every destination, as a fresh environment does.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import pytest
 from repro.experiments.setup import build_environment
 from repro.routing import backends as kernel_backends
 from repro.routing.arena import compute_trees_batched, subtree_weights_batched
+from repro.routing.cache import RoutingCache
 from repro.routing.errors import BackendUnavailable
 from repro.routing.policy import get_policy
 
@@ -97,6 +99,19 @@ def test_kernel_backend_weights(benchmark, bench_env, bench_state, backend):
         )
     )
     assert w.shape == bt.choice.shape
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_kernel_backend_structures(benchmark, bench_env, backend):
+    """Every destination's structures built and packed into an arena:
+    the warm plus pack a fresh cache pays before its first round."""
+    graph = bench_env.graph
+
+    def fresh():
+        return (RoutingCache(graph, backend=backend),), {}
+
+    arena = benchmark.pedantic(lambda cache: cache.ensure_arena(), setup=fresh, rounds=5)
+    assert arena.num_dests == graph.n
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -12,8 +12,8 @@ levels instead of ``n_dests x n_levels`` kernel launches:
   ``k``'s slice);
 - ``keys_pool``: the state-independent tie-break keys (hash high bits |
   row-position low bits) for every tiebreak candidate.  These do not
-  depend on the deployment state, so they are computed once, when the
-  chunks are concatenated, instead of on every tree resolution;
+  depend on the deployment state, so they are computed once, with the
+  chunk that holds them, instead of on every tree resolution;
 - ``cls`` / ``lengths`` / ``row_of``: dense ``[num_dests, n]`` matrices
   (``cls`` doubles as the projection engine's class matrix).
 
@@ -117,15 +117,15 @@ class RoutingArena(StructurePools):
         state_key: str | None = None,
         backend: str = "numpy",
     ) -> "RoutingArena":
-        """Concatenate chunk pools, in order, and pool their tie-break
-        keys (:meth:`StructurePools.concat`).  ``policy`` / ``state_key``
+        """Concatenate chunk pools, in order, moving their tie-break keys
+        in (:meth:`StructurePools.concat`).  ``policy`` / ``state_key``
         / ``backend`` are carried as metadata so a shipped arena can
         never be re-used under a different policy or deployment state,
         and so kernel dispatch follows the arena.
         """
         arena = cls(
             graph_n,
-            cls.concat(graph_n, parts, keys=True),
+            cls.concat(graph_n, parts),
             policy=policy,
             state_key=state_key,
             backend=backend,

@@ -1,10 +1,12 @@
 """Kernel backend registry: one namespace, three implementation tiers.
 
-The three hot kernels — the batched tree resolver (``trees_stacked``),
-the batched subtree weights (``weights_stacked``) and the synchronous-
+The four hot kernels — the batched tree resolver (``trees_stacked``),
+the batched subtree weights (``weights_stacked``), the synchronous-
 Jacobi iteration that converges a chunk of rows (``jacobi_converge``,
 single- and multi-origin alike: a row without an adversary carries
-``attacker = -1``) — exist in three implementations ("backends") behind
+``attacker = -1``) and the structure build of a destination chunk
+(``build_structures``: the three passes, the pooled rows and the
+tie-break keys) — exist in three implementations ("backends") behind
 this registry:
 
 - ``numpy``: the vectorised code in
@@ -22,7 +24,9 @@ this registry:
   on disk.  Its tree kernels walk each batch row's slot of the arena's
   pools in place and hold no second copy of them; its Jacobi iteration
   converges one row at a time and, after the first sweep, re-decides
-  only the nodes that read a node the sweep before changed.
+  only the nodes that read a node the sweep before changed; its
+  structure build walks one destination at a time, first to size the
+  chunk's pools, then to fill them.
 - ``python``: the C loops' executable spec in pure Python
   (:mod:`repro.routing.backends._loops`), registered *hidden* so the
   parity suite can pin the exact control flow the C code transliterates
@@ -203,7 +207,8 @@ def load_backend(name: str) -> Any:
     """Import (and for compiled tiers, compile + warm) backend ``name``.
 
     Returns the implementation module exposing ``trees_stacked``,
-    ``weights_stacked`` and ``jacobi_converge``.  Load results are cached
+    ``weights_stacked``, ``jacobi_converge`` and ``build_structures``.
+    Load results are cached
     both ways: a success is never re-imported, a failure is never
     retried within the process (compilation attempts are expensive and
     deterministic).

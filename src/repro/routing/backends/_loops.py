@@ -35,7 +35,12 @@ Calling convention (all backends):
   ``rank_shifts`` int64[3], ``attacker`` int64[chunk], ``pins``
   int64[chunk, MAX_PINS, 6], the labels int8/int32/bool as C-contiguous
   ``[chunk, n]`` matrices (updated in place), ``stats`` int64[chunk, 3]
-  and the optional ``tied`` bool[chunk, edges].
+  and the optional ``tied`` bool[chunk, edges];
+- the structure build is the one kernel whose outputs the caller cannot
+  size: it takes the ``CompiledGraph`` (its three CSRs, int64
+  ``*_indptr`` and int32 ``*_idx``) and a chunk of destinations (int64,
+  any order, repeats allowed) and returns the chunk's 13
+  ``ARENA_FIELDS``, each allocated exactly once its size is known.
 
 Bit-identity with the numpy backend is structural, not accidental:
 
@@ -63,7 +68,16 @@ Bit-identity with the numpy backend is structural, not accidental:
   re-decides changes no label: a node not on the frontier would decide
   from the same neighbours' labels, and the same pins, as it did the
   last time it was decided — so it would decide the same, and its part
-  of ``tied`` is the same too.
+  of ``tied`` is the same too;
+- the structure build settles a destination's nodes pass by pass in
+  order of their route's length — the order in which the numpy passes
+  relax whole levels — so every node takes the same class and length.
+  A node's tiebreak set is then every neighbour, on the one CSR its
+  class allows, that holds a route it may export to the node and is one
+  hop shorter: exactly the offers that reached the node at the level it
+  was settled.  Rows are counted by length and placed in node order,
+  i.e. by ``(length, node)``, and each row's candidates are sorted: the
+  orders the numpy assembler sorts into.
 """
 
 from __future__ import annotations
@@ -84,10 +98,12 @@ from repro.routing.fixpoint import (
     ROW_MOVING,
     ROW_REVISITS,
 )
-from repro.routing.policy import POSITION_BITS, RouteClass
+from repro.routing.policy import POSITION_BITS, RouteClass, tie_hash
+from repro.routing.tree import sized_pools
 
 _BLOCKED = np.uint64(2**64 - 1)
 _POS_MASK = np.uint64((1 << POSITION_BITS) - 1)
+_HASH_MASK = ~_POS_MASK
 _INVALID_KEY = np.uint32(0xFFFFFFFF)
 
 # The sweep's selection word: rank key above, tie rank below.
@@ -96,6 +112,8 @@ _RANK_MASK = np.uint64(0xFFFFFFFF)
 
 _SELF = int(RouteClass.SELF)
 _CUSTOMER = int(RouteClass.CUSTOMER)
+_PEER = int(RouteClass.PEER)
+_PROVIDER = int(RouteClass.PROVIDER)
 _UNREACHABLE = int(RouteClass.UNREACHABLE)
 
 
@@ -371,3 +389,160 @@ def _offer_key(e, row, att_row, leak, v, lp_field, edge_flags, shifts,
         | (np.uint32(lv + 1) << shifts[1])
         | (secp << shifts[2])
     )
+
+
+def build_structures(cg, dests):
+    """The 13 pooled fields of the destination chunk ``dests``, in two
+    walks per destination: the labels, which size its pools, then the
+    pools and their tie-break keys."""
+    rows, n = len(dests), cg.n
+    cls = np.empty((rows, n), dtype=np.int8)
+    length = np.empty((rows, n), dtype=np.int32)
+    sizes = np.zeros((rows, 3), dtype=np.int64)
+    seq = np.empty(max(n, 1), dtype=np.int32)
+    for row in range(rows):
+        _route_labels(cg, dests[row], cls[row], length[row], seq, sizes[row])
+    arrays = sized_pools(dests, cls, length, sizes)
+    for row in range(rows):
+        _pool_row(cg, arrays, row)
+    return arrays
+
+
+def _offer(u, route_cls, at, cls, length, size):
+    """Offer ``u`` a route of ``route_cls`` and length ``at``: a node
+    without a route takes it (True: ``u`` is settled), a node holding
+    exactly that route ties with it.  Either way it is a candidate."""
+    if cls[u] == _UNREACHABLE:
+        cls[u] = route_cls
+        length[u] = at
+        size[2] += 1
+        return True
+    if cls[u] == route_cls and length[u] == at:
+        size[2] += 1
+    return False
+
+
+def _route_labels(cg, dest, cls, length, seq, size):
+    """Passes 1-3 toward ``dest`` into one row of labels.  ``seq`` lists
+    the nodes as they are settled — the customer cone breadth first,
+    then the peer routes, then the provider routes — each run in length
+    order.  ``size`` gets the row's reachable nodes, level_starts
+    entries and tiebreak candidates."""
+    for u in range(cg.n):
+        cls[u] = _UNREACHABLE
+        length[u] = -1
+    cls[dest] = _SELF
+    length[dest] = 0
+    seq[0] = dest
+    end = 1
+    # pass 1: customer routes, breadth first up provider edges
+    i = 0
+    while i < end:
+        v = seq[i]
+        i += 1
+        for e in range(cg.prov_indptr[v], cg.prov_indptr[v + 1]):
+            if _offer(cg.prov_idx[e], _CUSTOMER, length[v] + 1, cls, length, size):
+                seq[end] = cg.prov_idx[e]
+                end += 1
+    cone = end
+    # pass 2: one peer hop off the cone, nearest level first
+    for i in range(cone):
+        v = seq[i]
+        for e in range(cg.peer_indptr[v], cg.peer_indptr[v + 1]):
+            if _offer(cg.peer_idx[e], _PEER, length[v] + 1, cls, length, size):
+                seq[end] = cg.peer_idx[e]
+                end += 1
+    peers = end
+    # pass 3: provider routes down customer edges by increasing length,
+    # the three runs of seq (the last one growing) merged
+    a, b, c = 0, cone, peers
+    deepest = 0
+    while a < cone or b < peers or c < end:
+        la = length[seq[a]] if a < cone else -1
+        lb = length[seq[b]] if b < peers else -1
+        lc = length[seq[c]] if c < end else -1
+        if la >= 0 and (lb < 0 or la <= lb) and (lc < 0 or la <= lc):
+            v = seq[a]
+            a += 1
+        elif lb >= 0 and (lc < 0 or lb <= lc):
+            v = seq[b]
+            b += 1
+        else:
+            v = seq[c]
+            c += 1
+        deepest = length[v]
+        for e in range(cg.cust_indptr[v], cg.cust_indptr[v + 1]):
+            if _offer(cg.cust_idx[e], _PROVIDER, deepest + 1, cls, length, size):
+                seq[end] = cg.cust_idx[e]
+                end += 1
+    size[0] = end
+    size[1] = deepest + 2
+
+
+def _pool_row(cg, arrays, row):
+    """Slot ``row`` of the pools: its rows by ``(length, node)``, its
+    level_starts, and per row the sorted tiebreak set with its keys."""
+    n = cg.n
+    cls = arrays["cls"][row]
+    length = arrays["lengths"][row]
+    row_of = arrays["row_of"][row]
+    order = arrays["order_pool"][arrays["order_ptr"][row]:arrays["order_ptr"][row + 1]]
+    starts = arrays["level_pool"][arrays["level_ptr"][row]:arrays["level_ptr"][row + 1]]
+    indptr = arrays["indptr_pool"][arrays["indptr_ptr"][row]:arrays["indptr_ptr"][row + 1]]
+    cands = arrays["cands_pool"][arrays["cand_ptr"][row]:arrays["cand_ptr"][row + 1]]
+    keys = arrays["keys_pool"][arrays["cand_ptr"][row]:arrays["cand_ptr"][row + 1]]
+    # a counting sort by length: count, sum, place in node order (which
+    # leaves each entry where the next length starts), shift back
+    levels = starts.shape[0]
+    for i in range(levels):
+        starts[i] = 0
+    for u in range(n):
+        if length[u] >= 0:
+            starts[length[u] + 1] += 1
+    for i in range(1, levels):
+        starts[i] += starts[i - 1]
+    for u in range(n):
+        if length[u] < 0:
+            row_of[u] = -1
+        else:
+            r = starts[length[u]]
+            starts[length[u]] += 1
+            order[r] = u
+            row_of[u] = r
+    for i in range(levels - 1, 0, -1):
+        starts[i] = starts[i - 1]
+    starts[0] = 0
+    # a row pulls its candidates from the one CSR its class allows:
+    # customers or peers whose route they export to it (a customer
+    # route, or the destination's own), providers with any route — one
+    # hop shorter all; then sorts and keys them
+    pos = 0
+    indptr[0] = 0
+    for r in range(order.shape[0]):
+        u = order[r]
+        cu = cls[u]
+        if cu != _SELF:
+            if cu == _CUSTOMER:
+                ptr, idx = cg.cust_indptr, cg.cust_idx
+            elif cu == _PEER:
+                ptr, idx = cg.peer_indptr, cg.peer_idx
+            else:
+                ptr, idx = cg.prov_indptr, cg.prov_idx
+            lo = pos
+            for e in range(ptr[u], ptr[u + 1]):
+                v = idx[e]
+                if length[v] == length[u] - 1 and (
+                    cu == _PROVIDER or cls[v] == _CUSTOMER or cls[v] == _SELF
+                ):
+                    cands[pos] = v
+                    pos += 1
+            for i in range(lo + 1, pos):   # insertion sort
+                x = cands[i]
+                j = i
+                while j > lo and cands[j - 1] > x:
+                    cands[j] = cands[j - 1]
+                    j -= 1
+                cands[j] = x
+            for e in range(lo, pos):
+                keys[e] = (np.uint64(tie_hash(int(u), int(cands[e]))) & _HASH_MASK) | np.uint64(e - lo)
+        indptr[r + 1] = pos

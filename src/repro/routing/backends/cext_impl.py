@@ -13,8 +13,10 @@ Import errors — no compiler, compile failure, dlopen failure — raise
 that into a counted ``compiled_to_numpy`` degradation, never a crash.
 
 Why ctypes and not a real extension module: the kernels take flat typed
-buffers and return at most a status code, so the FFI surface is three
-pointer-and-stride signatures — not worth a build system.  The
+buffers and return at most a status code, so the FFI surface is five
+pointer-and-stride signatures — not worth a build system (the structure
+build is two of them: one sizes the chunk's pools, so Python allocates
+each exactly, and one fills them).  The
 Python-side wrappers enforce dtype, contiguity and lengths *loudly* (a
 silent mismatch would corrupt memory), which the parity suite
 exercises.
@@ -31,9 +33,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.routing import fixpoint
+from repro.routing import fixpoint, policy
 from repro.routing.backends import BackendUnavailable, find_compiler
 from repro.routing.policy import POSITION_BITS, RouteClass
+from repro.routing.tree import sized_pools
 from repro.runtime.atomic import atomic_write_text
 
 #: What the C code shares with the other tiers, formatted from where it
@@ -41,8 +44,12 @@ from repro.runtime.atomic import atomic_write_text
 _DEFINES = {
     "POS_MASK": f"{(1 << POSITION_BITS) - 1}u",   # a tie key's position bits
     "CLS_UNREACHABLE": int(RouteClass.UNREACHABLE),
+    "CLS_PROVIDER": int(RouteClass.PROVIDER),
+    "CLS_PEER": int(RouteClass.PEER),
     "CLS_CUSTOMER": int(RouteClass.CUSTOMER),
     "CLS_SELF": int(RouteClass.SELF),
+    # the tie-break hash's multipliers (policy.tie_hash)
+    **{f"MIX_{k}": f"{int(getattr(policy, f'_MIX_{k}')):#x}ull" for k in (1, 2, 3)},
     **{
         name: getattr(fixpoint, name)
         for name in (
@@ -388,6 +395,212 @@ int sbgp_jacobi_converge(
     free(block);
     return 0;
 }
+
+/* Tie-break hash H(node, candidate): policy.tie_hash, splitmix64-style. */
+static inline uint64_t sbgp_tie_hash(uint64_t node, uint64_t cand)
+{
+    uint64_t x = node * MIX_1 + cand * MIX_3;
+    x ^= x >> 30;
+    x *= MIX_2;
+    x ^= x >> 27;
+    x *= MIX_3;
+    x ^= x >> 31;
+    return x;
+}
+
+/* Offer u a route of class rc and length at: a node without a route
+ * takes it (returns 1: u is settled), a node holding exactly that route
+ * ties with it.  Either way it is one more tiebreak candidate. */
+static inline int sbgp_offer(int32_t u, int8_t rc, int32_t at, int8_t *c,
+                             int32_t *l, int64_t *cands)
+{
+    if (c[u] == CLS_UNREACHABLE) {
+        c[u] = rc;
+        l[u] = at;
+        ++*cands;
+        return 1;
+    }
+    *cands += c[u] == rc && l[u] == at;
+    return 0;
+}
+
+/* Passes 1-3 of a destination chunk into its C-contiguous [rows, n]
+ * labels: see _loops.build_structures, which this transliterates.  seq
+ * lists the nodes as they are settled -- the customer cone breadth
+ * first, then the peer routes, then the provider routes, each run in
+ * length order -- so pass 3 merges the three runs (the last one
+ * growing) to take every node by increasing length.  sizes[row] =
+ * (reachable nodes, level_starts entries, tiebreak candidates): what the
+ * row's slot of the pools holds.  Returns -1 when there is no scratch
+ * memory. */
+int sbgp_structure_labels(
+    int64_t rows, int64_t n, const int64_t *dests,
+    const int64_t *cust_ptr, const int32_t *cust_idx,
+    const int64_t *peer_ptr, const int32_t *peer_idx,
+    const int64_t *prov_ptr, const int32_t *prov_idx,
+    int8_t *cls, int32_t *len, int64_t *sizes)
+{
+    int32_t *seq = malloc((size_t)(n > 0 ? n : 1) * sizeof(int32_t));
+    if (!seq)
+        return -1;
+    for (int64_t row = 0; row < rows; row++) {
+        int8_t *c = cls + row * n;
+        int32_t *l = len + row * n;
+        int64_t cands = 0;
+        for (int64_t u = 0; u < n; u++) {
+            c[u] = CLS_UNREACHABLE;
+            l[u] = -1;
+        }
+        const int32_t dest = (int32_t)dests[row];
+        c[dest] = CLS_SELF;
+        l[dest] = 0;
+        seq[0] = dest;
+        int64_t end = 1;
+        /* pass 1: customer routes, breadth first up provider edges */
+        for (int64_t i = 0; i < end; i++) {
+            const int32_t v = seq[i];
+            for (int64_t e = prov_ptr[v]; e < prov_ptr[v + 1]; e++)
+                if (sbgp_offer(prov_idx[e], CLS_CUSTOMER, l[v] + 1, c, l, &cands))
+                    seq[end++] = prov_idx[e];
+        }
+        const int64_t cone = end;
+        /* pass 2: one peer hop off the cone, nearest level first */
+        for (int64_t i = 0; i < cone; i++) {
+            const int32_t v = seq[i];
+            for (int64_t e = peer_ptr[v]; e < peer_ptr[v + 1]; e++)
+                if (sbgp_offer(peer_idx[e], CLS_PEER, l[v] + 1, c, l, &cands))
+                    seq[end++] = peer_idx[e];
+        }
+        const int64_t peers = end;
+        /* pass 3: provider routes down customer edges, by increasing
+         * length */
+        int64_t a = 0, b = cone, p = peers;
+        int32_t deepest = 0;
+        while (a < cone || b < peers || p < end) {
+            const int32_t la = a < cone ? l[seq[a]] : -1;
+            const int32_t lb = b < peers ? l[seq[b]] : -1;
+            const int32_t lp = p < end ? l[seq[p]] : -1;
+            int32_t v;
+            if (la >= 0 && (lb < 0 || la <= lb) && (lp < 0 || la <= lp))
+                v = seq[a++];
+            else if (lb >= 0 && (lp < 0 || lb <= lp))
+                v = seq[b++];
+            else
+                v = seq[p++];
+            deepest = l[v];
+            for (int64_t e = cust_ptr[v]; e < cust_ptr[v + 1]; e++)
+                if (sbgp_offer(cust_idx[e], CLS_PROVIDER, deepest + 1, c, l, &cands))
+                    seq[end++] = cust_idx[e];
+        }
+        sizes[row * 3] = end;
+        sizes[row * 3 + 1] = deepest + 2;
+        sizes[row * 3 + 2] = cands;
+    }
+    free(seq);
+    return 0;
+}
+
+static int sbgp_cmp_node(const void *x, const void *y)
+{
+    const int32_t a = *(const int32_t *)x, b = *(const int32_t *)y;
+    return (a > b) - (a < b);
+}
+
+/* A tiebreak set in node order: insertion sort, qsort when long. */
+static void sbgp_sort_nodes(int32_t *a, int64_t m)
+{
+    if (m > 32) {
+        qsort(a, (size_t)m, sizeof(int32_t), sbgp_cmp_node);
+        return;
+    }
+    for (int64_t i = 1; i < m; i++) {
+        const int32_t x = a[i];
+        int64_t j = i;
+        while (j > 0 && a[j - 1] > x) {
+            a[j] = a[j - 1];
+            j--;
+        }
+        a[j] = x;
+    }
+}
+
+/* The pools of a destination chunk, from its labels, into pools sized
+ * exactly by sbgp_structure_labels (order_ptr / level_ptr / cand_ptr are
+ * the offsets of its sizes; row k's indptr run starts at order_ptr[k] +
+ * k).  Per row: its rows by (length, node) -- counted by length, placed
+ * in node order, which leaves each level_starts entry where the next
+ * length starts, then shifted back -- and each row's tiebreak set,
+ * pulled from the one CSR its class allows, sorted and keyed. */
+void sbgp_structure_pools(
+    int64_t rows, int64_t n,
+    const int64_t *cust_ptr, const int32_t *cust_idx,
+    const int64_t *peer_ptr, const int32_t *peer_idx,
+    const int64_t *prov_ptr, const int32_t *prov_idx,
+    const int8_t *cls, const int32_t *len,
+    const int64_t *order_ptr, const int64_t *level_ptr, const int64_t *cand_ptr,
+    int32_t *row_of, int32_t *order_pool, int32_t *level_pool,
+    int64_t *indptr_pool, int32_t *cands_pool, uint64_t *keys_pool)
+{
+    for (int64_t row = 0; row < rows; row++) {
+        const int8_t *c = cls + row * n;
+        const int32_t *l = len + row * n;
+        int32_t *ro = row_of + row * n;
+        int32_t *order = order_pool + order_ptr[row];
+        const int64_t reach = order_ptr[row + 1] - order_ptr[row];
+        int32_t *starts = level_pool + level_ptr[row];
+        const int64_t levels = level_ptr[row + 1] - level_ptr[row];
+        int64_t *indptr = indptr_pool + order_ptr[row] + row;
+        int32_t *cands = cands_pool + cand_ptr[row];
+        uint64_t *keys = keys_pool + cand_ptr[row];
+        for (int64_t i = 0; i < levels; i++)
+            starts[i] = 0;
+        for (int64_t u = 0; u < n; u++)
+            if (l[u] >= 0)
+                starts[l[u] + 1]++;
+        for (int64_t i = 1; i < levels; i++)
+            starts[i] += starts[i - 1];
+        for (int64_t u = 0; u < n; u++) {
+            if (l[u] < 0) {
+                ro[u] = -1;
+            } else {
+                const int32_t r = starts[l[u]]++;
+                order[r] = (int32_t)u;
+                ro[u] = r;
+            }
+        }
+        for (int64_t i = levels - 1; i > 0; i--)
+            starts[i] = starts[i - 1];
+        starts[0] = 0;
+        /* customers or peers whose route they export to u (a customer
+         * route, or the destination's own), providers with any route --
+         * one hop shorter all */
+        int64_t pos = 0;
+        indptr[0] = 0;
+        for (int64_t r = 0; r < reach; r++) {
+            const int32_t u = order[r];
+            const int8_t cu = c[u];
+            if (cu != CLS_SELF) {
+                const int64_t *ptr = cu == CLS_CUSTOMER ? cust_ptr
+                    : cu == CLS_PEER ? peer_ptr : prov_ptr;
+                const int32_t *idx = cu == CLS_CUSTOMER ? cust_idx
+                    : cu == CLS_PEER ? peer_idx : prov_idx;
+                const int32_t want = l[u] - 1;
+                const int64_t lo = pos;
+                for (int64_t e = ptr[u]; e < ptr[u + 1]; e++) {
+                    const int32_t v = idx[e];
+                    if (l[v] == want && (cu == CLS_PROVIDER ||
+                                         c[v] == CLS_CUSTOMER || c[v] == CLS_SELF))
+                        cands[pos++] = v;
+                }
+                sbgp_sort_nodes(cands + lo, pos - lo);
+                for (int64_t e = lo; e < pos; e++)
+                    keys[e] = (sbgp_tie_hash((uint64_t)u, (uint64_t)cands[e]) &
+                               ~(uint64_t)POS_MASK) | (uint64_t)(e - lo);
+            }
+            indptr[r + 1] = pos;
+        }
+    }
+}
 """
 
 
@@ -447,6 +660,12 @@ def _load_library() -> ctypes.CDLL:
         + [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 6
     )
     lib.sbgp_jacobi_converge.restype = ctypes.c_int   # -1: no scratch memory
+    # (rows, n), the destinations, the three CSRs, the labels and sizes
+    lib.sbgp_structure_labels.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 10
+    lib.sbgp_structure_labels.restype = ctypes.c_int  # -1: no scratch memory
+    # (rows, n), the three CSRs, the labels, the offset tables, the pools
+    lib.sbgp_structure_pools.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 17
+    lib.sbgp_structure_pools.restype = None
     return lib
 
 
@@ -563,3 +782,41 @@ def jacobi_converge(v, route_cls, node_ptr, tie_rank, rank_edge, lp_field,
     )
     if status:
         raise MemoryError(f"cext kernel: no scratch for a sweep over {n} nodes")
+
+
+def build_structures(cg, dests):
+    """The 13 pooled fields of the chunk ``dests``, in two C calls: the
+    labels, which size every pool, then the pools and their keys
+    (``_loops.build_structures`` is the spec)."""
+    n = cg.n
+    csr = (
+        (cg.cust_indptr, cg.cust_idx), (cg.peer_indptr, cg.peer_idx),
+        (cg.prov_indptr, cg.prov_idx),
+    )
+    graph = [p for indptr, idx in csr for p in (_ptr(indptr, np.int64), _ptr(idx, np.int32))]
+    chunk = _ptr(dests, np.int64)
+    if any(len(indptr) != n + 1 or indptr[0] != 0 or indptr[-1] != len(idx)
+           for indptr, idx in csr):
+        raise ValueError("cext kernel: CSR out of step with the graph")
+    if dests.ndim != 1 or len(dests) and (dests.min() < 0 or dests.max() >= n):
+        raise ValueError("cext kernel: destination outside the graph")
+    rows = len(dests)
+    cls = np.empty((rows, n), dtype=np.int8)
+    length = np.empty((rows, n), dtype=np.int32)
+    sizes = np.zeros((rows, 3), dtype=np.int64)
+    status = _LIB.sbgp_structure_labels(
+        _I64(rows), _I64(n), chunk, *graph,
+        _ptr(cls, np.int8), _ptr(length, np.int32), _ptr(sizes, np.int64),
+    )
+    if status:
+        raise MemoryError(f"cext kernel: no scratch for a walk over {n} nodes")
+    out = sized_pools(dests, cls, length, sizes)
+    _LIB.sbgp_structure_pools(
+        _I64(rows), _I64(n), *graph,
+        _ptr(cls, np.int8), _ptr(length, np.int32),
+        *(_ptr(out[name], np.int64) for name in ("order_ptr", "level_ptr", "cand_ptr")),
+        _ptr(out["row_of"], np.int32), _ptr(out["order_pool"], np.int32),
+        _ptr(out["level_pool"], np.int32), _ptr(out["indptr_pool"], np.int64),
+        _ptr(out["cands_pool"], np.int32), _ptr(out["keys_pool"], np.uint64),
+    )
+    return out

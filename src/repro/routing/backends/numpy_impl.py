@@ -21,10 +21,16 @@ are added in stack order (batch row, then BFS row), one after the other
 different ground truth (``perf/golden.json`` and the ``uint64`` views in
 the parity suite would move).
 
-All three kernels share the calling convention documented in
+The structure build (``build_structures``) is the chunk-stacked passes
+and assembler of :mod:`repro.routing.tree`, the code every structure
+was built with before there were compiled tiers; its outputs are the
+ground truth the compiled build must reproduce byte for byte.
+
+All four kernels share the calling convention documented in
 :mod:`repro.routing.backends._loops` (same signatures, same dtypes,
-outputs written in place).  The compiled tiers walk each batch row's
-slot of the arena's pools in place.  A numpy level body is a
+outputs written in place where the caller can size them).  The
+compiled tiers walk each batch row's slot of the arena's pools in
+place.  A numpy level body is a
 whole-level gather, which wants every destination's rows of one path
 length side by side, so this tier keeps its own **level-major mirror**
 of the pools (:class:`_TreeStacks` / :class:`_WeightStack`), built on
@@ -41,7 +47,7 @@ import weakref
 
 import numpy as np
 
-from repro.routing.compiled import offsets, segment_index
+from repro.routing.compiled import CompiledGraph, offsets, segment_index
 from repro.routing.fixpoint import (
     EDGE_APPLIES,
     EDGE_DROPS,
@@ -56,6 +62,7 @@ from repro.routing.fixpoint import (
     ROW_REVISITS,
 )
 from repro.routing.policy import POSITION_BITS, RouteClass
+from repro.routing.tree import ARENA_FIELDS, _three_passes, assemble_pools
 from repro.telemetry.metrics import get_registry
 
 _POS_MASK = np.uint64((1 << POSITION_BITS) - 1)
@@ -312,6 +319,13 @@ def build_level_major(
         weights, level_ptr, level_pool, indptr_pool, cand_ptr, cands_pool, keys_pool
     )
     return _nbytes(weights) + _nbytes(trees)
+
+
+def build_structures(cg: CompiledGraph, dests: np.ndarray) -> dict[str, np.ndarray]:
+    """The 13 pooled fields of the destination chunk ``dests``: passes
+    1-3 stacked over the chunk, then the assembler."""
+    pools = assemble_pools(dests, *_three_passes(cg, dests))
+    return {name: getattr(pools, name) for name, _ in ARENA_FIELDS}
 
 
 def _full_batch(ptr: np.ndarray, slots: np.ndarray) -> bool:

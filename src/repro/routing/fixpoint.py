@@ -391,4 +391,5 @@ def fixpoint_pools(
         keep = table.u[edge] != batch[row]
         src = row[keep] * n + table.u[edge[keep]]
         out.append(assemble_pools(batch, cls, length, src, table.v[edge[keep]]))
+        get_registry().counter("routing.structure.chunks").inc()
     return out

@@ -53,6 +53,7 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from repro.routing.compiled import CompiledGraph
+from repro.telemetry.metrics import get_registry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (tree imports policy)
     from repro.routing.tree import DestRouting, StructurePools
@@ -249,8 +250,9 @@ class RoutingPolicy:
         are ignored (the structure serves every state).  For
         state-dependent policies they default to all-insecure, and one
         fixpoint sweep set covers each chunk.  ``backend`` names the
-        kernel backend for the fixpoint sweeps
-        (:mod:`repro.routing.backends`; ``None`` = env var, then ``auto``).
+        kernel backend that builds the chunks or runs their fixpoint
+        sweeps (:mod:`repro.routing.backends`; ``None`` = env var, then
+        ``auto``).
         """
         from repro.routing.tree import StructurePools, chunk_pools
 
@@ -267,7 +269,7 @@ class RoutingPolicy:
         elif self.ranking[0] is Criterion.SP:
             parts = [_sp_first_pools(graph, d) for d in dests]
         else:
-            parts = list(chunk_pools(cg, dests))
+            parts = list(chunk_pools(cg, dests, backend))
         pools = StructurePools(StructurePools.concat(graph.n, parts), self.name)
         sticky = self.sticky_mask(graph.n)
         return pools if sticky is None else pools.restrict_to_primary(sticky)
@@ -357,6 +359,7 @@ def _sp_first_pools(graph: "ASGraph", dest: int) -> "StructurePools":
         (v, u) for v, offers in candidates.items() for u, c in offers if c == cls[v]
     ]
     src, dst = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    get_registry().counter("routing.structure.chunks").inc()
     return assemble_pools([dest], cls[None], dist[None], src, dst)
 
 

@@ -8,13 +8,16 @@ equally-good next hops — depends on ``S`` (via the SecP step).
 
 This module computes that state-independent structure once per
 destination with the three-pass algorithm of [15] (customer-route BFS,
-peer hop, provider relaxation by increasing length), stacked across a
-chunk of destinations: frontiers are flat ``row * n + node`` indices
-into the chunk's ``[rows, n]`` labels (:func:`_three_passes`), and one
-assembler (:func:`assemble_pools`) turns labels plus candidate edges
-into :class:`StructurePools` — the pooled CSR form of the routing arena,
+peer hop, provider relaxation by increasing length), a chunk of
+destinations per kernel call (:func:`chunk_pools`, through the kernel
+backends of :mod:`repro.routing.backends`).  Every chunk comes out as
+:class:`StructurePools` — the pooled CSR form of the routing arena,
 ordered by path length for the level-synchronous routing trees of
-Appendix C.2.  Pools are what every stage stores and passes on; a
+Appendix C.2, tie-break keys included.  The numpy tier's build, the
+ground truth, lives here: the passes stacked across the chunk on flat
+``row * n + node`` frontiers (:func:`_three_passes`) and one assembler
+(:func:`assemble_pools`) that turns labels plus candidate edges into
+pools.  Pools are what every stage stores and passes on; a
 :class:`DestRouting` is a zero-copy view of one slot, made when a
 per-destination consumer asks for it.
 """
@@ -26,6 +29,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro.routing import backends as kernel_backends
 from repro.routing.compiled import CompiledGraph, offsets, segment_index
 from repro.routing.policy import POSITION_BITS, RouteClass, tie_hash_array
 from repro.telemetry.metrics import get_registry
@@ -42,7 +46,8 @@ _PROVIDER = int(RouteClass.PROVIDER)
 _UNREACHABLE = int(RouteClass.UNREACHABLE)
 
 #: transient cells one chunk may span: rows x (nodes + directed edges).
-#: Fewer rows pay a build's ~350 numpy calls more often, more fall out
+#: Fewer rows pay a build's fixed cost (~350 numpy calls on numpy, two C
+#: calls and the chunk's allocations compiled) more often, more fall out
 #: of cache: within 5% from 130K to 520K cells at N=500, 1000 and 8000,
 #: and the low end keeps a chunk's scratch memory near 2 MiB.
 _CHUNK_CELLS = 1 << 18
@@ -289,14 +294,15 @@ class StructurePools:
     """The structures of a run of destinations ("slots"), pooled.
 
     One array per :data:`ARENA_FIELDS` entry: a slot's ``order`` /
-    ``level_starts`` / ``indptr`` / ``cands`` (and tie-break keys) are
-    the ``*_ptr[k]:*_ptr[k + 1]`` slice of the matching pool, its
-    ``cls`` / ``lengths`` / ``row_of`` row ``k`` of the dense matrices.
-    The builder emits one per destination chunk; the routing arena is
-    the concatenation of those.  Only the arena pools its tie-break keys
-    (``keys_pool`` is None on a chunk, :meth:`tie_keys` derives them),
-    so the largest field is never held twice while chunks are joined.
-    Pools are never written after construction: views are handed out.
+    ``level_starts`` / ``indptr`` / ``cands`` / tie-break keys are the
+    ``*_ptr[k]:*_ptr[k + 1]`` slice of the matching pool, its ``cls`` /
+    ``lengths`` / ``row_of`` row ``k`` of the dense matrices.  The
+    builder emits one per destination chunk, keys included; the routing
+    arena is the concatenation of those, and takes each chunk's keys
+    over as it goes (:meth:`concat`), so the largest field is never held
+    twice.  That move is the one write pools ever take: views are handed
+    out, and a chunk whose keys moved (``keys_pool`` None) derives them
+    again if asked (:meth:`tie_keys`).
     """
 
     def __init__(self, arrays: dict[str, np.ndarray], policy: str = "security_3rd"):
@@ -378,38 +384,43 @@ class StructurePools:
         starts = offsets(sizes)
         some = np.flatnonzero(sizes)
         collapse = (sticky[self.order_pool] & (sizes > 1))[some]
-        least = np.minimum.reduceat(self.tie_keys(0, self.num_dests), starts[some])
+        keys = self.tie_keys(0, self.num_dests)
+        least = np.minimum.reduceat(keys, starts[some])
         rows = some[collapse]
         keep = np.ones(len(self.cands_pool), dtype=bool)
         keep[segment_index(starts[rows], sizes[rows])] = False
         keep[starts[rows] + (least[collapse] & _POS_MASK).astype(np.int64)] = True
         sizes[rows] = 1
-        indptr_ptr, indptr_pool, cand_ptr = _local_indptr(offsets(sizes), self.order_ptr)
+        cum = offsets(sizes)
+        keys = keys[keep]
+        keys[cum[rows]] &= _HASH_MASK  # a primary is its row's first candidate
+        indptr_ptr, indptr_pool, cand_ptr = _local_indptr(cum, self.order_ptr)
         arrays = {name: getattr(self, name) for name, _ in ARENA_FIELDS[:-1]}
         arrays.update(
             indptr_ptr=indptr_ptr, indptr_pool=indptr_pool, cand_ptr=cand_ptr,
-            cands_pool=self.cands_pool[keep],
+            cands_pool=self.cands_pool[keep], keys_pool=keys,
         )
         return StructurePools(arrays, self.policy)
 
     @staticmethod
-    def concat(n: int, parts: "Sequence[StructurePools]", keys: bool = False) -> dict:
+    def concat(n: int, parts: "Sequence[StructurePools]") -> dict:
         """One array per field over the slots of ``parts``, in order
-        (every part built on an ``n``-node graph).  With ``keys`` the
-        tie-break keys are pooled too, derived a part at a time.  A lone
+        (every part built on an ``n``-node graph).  The tie-break keys
+        move: each part's are copied into the joined pool first, while
+        the rest is not there yet, and released from the part as soon as
+        they are, so the largest field is never held twice.  A lone
         part's arrays are shared, not copied."""
         if any(p.cls.shape[1] != n for p in parts):
             raise ValueError(f"pools were built for another graph than one of {n} nodes")
-        arrays: dict[str, np.ndarray] = {}
-        if keys:
-            # first, while the rest is not there yet: deriving the keys
-            # is what takes scratch memory
-            ends = np.cumsum([0] + [len(p.cands_pool) for p in parts])
-            arrays["keys_pool"] = np.empty(ends[-1], dtype=np.uint64)
-            for p, at, end in zip(parts, ends, ends[1:]):
-                arrays["keys_pool"][at:end] = p.tie_keys(0, p.num_dests)
         if len(parts) == 1:
-            return {name: getattr(parts[0], name) for name, _ in ARENA_FIELDS[:-1]} | arrays
+            (part,) = parts
+            arrays = {name: getattr(part, name) for name, _ in ARENA_FIELDS[:-1]}
+            return arrays | {"keys_pool": part.tie_keys(0, part.num_dests)}
+        ends = np.cumsum([0] + [len(p.cands_pool) for p in parts])
+        arrays = {"keys_pool": np.empty(ends[-1], dtype=np.uint64)}
+        for p, at, end in zip(parts, ends, ends[1:]):
+            arrays["keys_pool"][at:end] = p.tie_keys(0, p.num_dests)
+            p.keys_pool = None
         dtypes = dict(ARENA_FIELDS)
 
         def cat(name, pieces, shape=(0,)):
@@ -423,6 +434,34 @@ class StructurePools:
             arrays[ptr] = offsets(cat(ptr, [np.diff(getattr(p, ptr)) for p in parts]))
             arrays[pool] = cat(pool, [getattr(p, pool) for p in parts])
         return arrays
+
+
+def sized_pools(
+    dests: np.ndarray, cls: np.ndarray, length: np.ndarray, sizes: np.ndarray
+) -> dict[str, np.ndarray]:
+    """A chunk's arrays for a compiled build to fill: its labels, every
+    ``*_ptr`` table from ``sizes[row] = (reachable nodes, level_starts
+    entries, candidates)``, and every pool allocated at exactly its size."""
+    rows, n = cls.shape
+    order_ptr = offsets(sizes[:, 0])
+    level_ptr = offsets(sizes[:, 1])
+    cand_ptr = offsets(sizes[:, 2])
+    return {
+        "dest_ids": dests.astype(np.int32),
+        "cls": cls,
+        "lengths": length,
+        "row_of": np.empty((rows, n), dtype=np.int32),
+        "order_ptr": order_ptr,
+        "order_pool": np.empty(order_ptr[-1], dtype=np.int32),
+        "level_ptr": level_ptr,
+        "level_pool": np.empty(level_ptr[-1], dtype=np.int32),
+        # a slot's indptr run closes with one extra entry
+        "indptr_ptr": order_ptr + np.arange(rows + 1),
+        "indptr_pool": np.empty(order_ptr[-1] + rows, dtype=np.int64),
+        "cand_ptr": cand_ptr,
+        "cands_pool": np.empty(cand_ptr[-1], dtype=np.int32),
+        "keys_pool": np.empty(cand_ptr[-1], dtype=np.uint64),
+    }
 
 
 def _local_indptr(
@@ -454,7 +493,7 @@ def assemble_pools(
     ``dst[i]``; candidates arrive in any order, without duplicates, and
     every reachable node but the destination has at least one.  Rows
     come out by ``(length, node)``, candidates by ``(row, candidate)``
-    — the order the tie-break positions are defined on.
+    — the order the tie-break positions are defined on — and keyed.
     """
     rows, n = cls.shape
     reachable = cls != _UNREACHABLE
@@ -490,9 +529,9 @@ def assemble_pools(
     cands = (packed & ((1 << bits) - 1)).astype(np.int32)
     packed >>= bits
     cum = offsets(np.bincount(packed, minlength=total))
+    del packed
     indptr_ptr, indptr_pool, cand_ptr = _local_indptr(cum, order_ptr)
 
-    get_registry().counter("routing.structure.chunks").inc()
     return StructurePools({
         "dest_ids": np.asarray(dests, dtype=np.int32),
         "cls": cls,
@@ -506,20 +545,29 @@ def assemble_pools(
         "indptr_pool": indptr_pool,
         "cand_ptr": cand_ptr,
         "cands_pool": cands,
+        "keys_pool": compute_tie_keys(order_pool, cum, cands),
     })
 
 
-def chunk_pools(cg: CompiledGraph, dests: Iterable[int]) -> Iterator[StructurePools]:
+def chunk_pools(
+    cg: CompiledGraph, dests: Iterable[int], backend: str | None = None
+) -> Iterator[StructurePools]:
     """The structures of ``dests`` (dense indices, any order, repeats
     allowed), one :class:`StructurePools` per chunk, built as the
-    iteration gets there.
+    iteration gets there: one ``build_structures`` call of the kernel
+    backend ``backend`` names per chunk (:mod:`repro.routing.backends`;
+    ``None`` = env var, then ``auto``), every tier's pools byte-equal
+    to numpy's.  Counter ``routing.structure.chunks`` counts the calls.
 
     This is the state-independent builder for rankings with SecP last
     (``security_3rd``, the Appendix-A default); other rankings go
     through :meth:`repro.routing.policy.RoutingPolicy.build_pools`.
     """
-    for chunk in destination_chunks(cg, [int(d) for d in dests]):
-        yield assemble_pools(chunk, *_three_passes(cg, chunk))
+    _, kernels = kernel_backends.kernels_for(kernel_backends.resolve_backend(backend))
+    for chunk in destination_chunks(cg, np.asarray([int(d) for d in dests], dtype=np.int64)):
+        pools = StructurePools(kernels.build_structures(cg, chunk))
+        get_registry().counter("routing.structure.chunks").inc()
+        yield pools
 
 
 def compute_dest_routing(

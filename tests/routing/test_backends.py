@@ -15,6 +15,7 @@ this whole file.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import sys
@@ -30,9 +31,10 @@ from repro.routing.arena import (
     subtree_weights_batched,
 )
 from repro.routing.cache import RoutingCache
+from repro.routing.compiled import CompiledGraph
 from repro.routing.errors import BackendUnavailable
 from repro.routing.policy import available_policies, get_policy
-from repro.routing.tree import compute_dest_routing
+from repro.routing.tree import chunk_pools, compute_dest_routing
 from repro.runtime.guard import RuntimeGuard, use_guard
 from repro.telemetry.metrics import MetricsRegistry, use_registry
 from repro.topology.graph import ASGraph
@@ -695,6 +697,44 @@ class TestCextArgumentChecks:
             with pytest.raises(ValueError, match="out of step"):
                 kernel(*args[:i], short, *args[i + 1:])
         assert calls == []
+
+    def test_bad_structure_build_inputs_raise_before_the_c_call(
+        self, small_graph, monkeypatch
+    ):
+        cext = kb.load_backend("cext")
+        kernel, (cg, dests) = self._record(
+            cext, "build_structures", monkeypatch,
+            lambda: list(chunk_pools(CompiledGraph.from_graph(small_graph), [5, 0, 5], "cext")),
+        )
+        calls = _stub_library(monkeypatch)
+        for bad in (-1, cg.n, np.iinfo(np.int64).max):
+            chunk = dests.copy()
+            chunk[1] = bad
+            with pytest.raises(ValueError, match="destination outside"):
+                kernel(cg, chunk)
+        for indptr, idx in (("cust_indptr", "cust_idx"), ("peer_indptr", "peer_idx"),
+                            ("prov_indptr", "prov_idx")):
+            ptr, nodes = getattr(cg, indptr), getattr(cg, idx)
+            assert len(nodes)   # or a closing entry one short would still close
+            for bad in (
+                {indptr: ptr[:-1].copy()},                  # not n + 1 long
+                {indptr: np.append(ptr, ptr[-1])},
+                {idx: nodes[:-1].copy()},                   # closes past its idx
+                {indptr: ptr + 1},                          # does not start at 0
+            ):
+                with pytest.raises(ValueError, match="CSR out of step"):
+                    kernel(dataclasses.replace(cg, **bad), dests)
+            for name, good in ((indptr, ptr), (idx, nodes)):
+                strided = np.repeat(good, 2)[::2]
+                for wrong in (good.astype(np.int16), strided):
+                    with pytest.raises(TypeError, match="cext kernel expects"):
+                        kernel(dataclasses.replace(cg, **{name: wrong}), dests)
+        for wrong in (dests.astype(np.int32), np.repeat(dests, 2)[::2]):
+            with pytest.raises(TypeError, match="cext kernel expects"):
+                kernel(cg, wrong)
+        assert calls == []
+        kernel(cg, dests)   # the stub does see a valid call
+        assert calls == ["sbgp_structure_labels", "sbgp_structure_pools"]
 
 
 def _stub_library(monkeypatch) -> list[str]:

@@ -8,10 +8,13 @@ one-destination passes and packaging of ``repro.routing.tree``),
 ``RoutingArena.build``) and ``_reference_assemble`` (``_assemble`` of
 ``repro.routing.fixpoint``), with the ``gather_neighbors`` helper only
 they called.  Everything the batched path produces must
-equal them bit for bit: dtype, shape and bytes of all 13 pooled fields —
-whichever way a cache came by its pools (a warm, a resumed warm, lazy
-misses in any order, worker processes).
-Nothing here depends on a kernel backend, and nothing is timed.
+equal them bit for bit: dtype, shape and bytes of all 13 pooled fields,
+the tie-break keys of every chunk included — whichever way a cache came
+by its pools (a warm, a resumed warm, lazy misses in any order, worker
+processes).  The chunk build is a kernel of every backend tier, so each
+class that builds runs on numpy (its own name) and again on the python
+spec and on cext (``...OnPython`` / ``...OnCext``, which skip when the
+tier does not load).  Nothing is timed.
 """
 
 from __future__ import annotations
@@ -21,13 +24,15 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 
 import repro.routing.tree as tree_module
 from repro.parallel.engine import parallel_warm_cache
+from repro.routing import backends as kb
 from repro.routing.arena import ARENA_FIELDS, RoutingArena
 from repro.routing.cache import RoutingCache
 from repro.routing.compiled import CompiledGraph, segment_index
+from repro.routing.errors import BackendUnavailable
 from repro.routing.fixpoint import PIN_ROUTE, JacobiDriver, fixpoint_pools, pin_table
 from repro.routing.policy import (
     RouteClass,
@@ -235,8 +240,32 @@ def _assert_fields_equal(got, want: dict[str, np.ndarray]) -> None:
 
 
 def _pool_bytes(pools) -> dict[str, bytes]:
-    assert pools.keys_pool is None  # only a joined set pools its keys
-    return {name: getattr(pools, name).tobytes() for name, _ in ARENA_FIELDS[:-1]}
+    assert pools.keys_pool is not None  # every chunk carries its keys
+    return {name: getattr(pools, name).tobytes() for name, _ in ARENA_FIELDS}
+
+
+def _loads(name: str) -> bool:
+    try:
+        kb.load_backend(name)
+    except BackendUnavailable:
+        return False
+    return True
+
+
+@pytest.fixture(scope="class", autouse=True)
+def _class_tier(request):
+    """Inside a class with a ``BACKEND``, every kernel resolution that
+    names no backend — chunk builds, caches, the one-row entry points —
+    resolves to that tier (class-scoped, so hypothesis tests share it)."""
+    backend = getattr(request.cls, "BACKEND", None)
+    if backend is None:
+        yield
+        return
+    if not _loads(backend):
+        pytest.skip(f"kernel backend {backend!r} does not load here")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(kb.ENV_VAR, backend)
+        yield
 
 
 # -- fixed shapes --------------------------------------------------------
@@ -282,11 +311,15 @@ def _force_rows(monkeypatch, cg: CompiledGraph, rows: int) -> None:
 
 def _check_against_references(graph: ASGraph, dests: list[int]) -> None:
     cg = CompiledGraph.from_graph(graph)
-    arena = RoutingArena.build(graph.n, list(chunk_pools(cg, dests)))
+    want = [_reference_routing(cg, d) for d in dests]
+    parts = list(chunk_pools(cg, dests))
+    at = 0
+    for part in parts:   # each chunk as built, keys included
+        _assert_fields_equal(part, _reference_arrays(graph.n, want[at:at + part.num_dests]))
+        at += part.num_dests
+    arena = RoutingArena.build(graph.n, parts)
     assert arena.dest_ids.tolist() == dests
-    _assert_fields_equal(
-        arena, _reference_arrays(graph.n, [_reference_routing(cg, d) for d in dests])
-    )
+    _assert_fields_equal(arena, _reference_arrays(graph.n, want))
     chunks = list(route_labels(cg, dests))
     assert np.concatenate([chunk for chunk, _, _ in chunks]).tolist() == dests
     labels = [row for _, cls, lengths in chunks for row in zip(cls, lengths)]
@@ -296,7 +329,15 @@ def _check_against_references(graph: ASGraph, dests: list[int]) -> None:
         assert lengths.tobytes() == scalar.lengths.tobytes()
 
 
+#: the tier subclasses run the same hypothesis tests, which hypothesis
+#: flags as one test called from several executors: they differ only in
+#: the tier the class fixture selects, which draws nothing
+_PER_TIER = [HealthCheck.differing_executors]
+
+
 class TestBatchedBuildBitIdentity:
+    BACKEND = "numpy"
+
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_fixed_shapes_at_every_chunking(self, shape, monkeypatch):
         graph = SHAPES[shape]
@@ -316,7 +357,7 @@ class TestBatchedBuildBitIdentity:
             _check_against_references(graph, dests)
 
     @given(as_graphs(max_nodes=16))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, suppress_health_check=_PER_TIER)
     def test_random_gr1_graphs(self, graph):
         # the chunk size the graph itself derives, then all destinations
         # reversed with one repeated
@@ -324,7 +365,7 @@ class TestBatchedBuildBitIdentity:
         _check_against_references(graph, [*range(graph.n - 1, -1, -1), 0])
 
     @given(as_graphs(max_nodes=12))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25, deadline=None, suppress_health_check=_PER_TIER)
     def test_random_gr1_graphs_two_row_chunks(self, graph):
         # (no monkeypatch fixture under @given: it is function-scoped)
         saved = tree_module._CHUNK_CELLS
@@ -354,6 +395,14 @@ class TestBatchedBuildBitIdentity:
             assert info.dest == dest
             assert info.cls.tobytes() == want.cls.tobytes()
             assert info.lengths.tobytes() == want.lengths.tobytes()
+
+
+class TestBatchedBuildBitIdentityOnPython(TestBatchedBuildBitIdentity):
+    BACKEND = "python"
+
+
+class TestBatchedBuildBitIdentityOnCext(TestBatchedBuildBitIdentity):
+    BACKEND = "cext"
 
 
 class TestFixpointThroughTheAssembler:
@@ -401,6 +450,8 @@ class TestFixpointThroughTheAssembler:
 
 
 class TestChunkAccounting:
+    BACKEND = "numpy"
+
     def test_full_warm_issues_one_build_per_chunk(self):
         graph = generate_topology(n=500, seed=2011).graph
         with use_registry(MetricsRegistry()) as registry:
@@ -459,6 +510,14 @@ class TestChunkAccounting:
         assert (stats.cached, stats.total, stats.hits) == (2, 2, 0)
 
 
+class TestChunkAccountingOnPython(TestChunkAccounting):
+    BACKEND = "python"
+
+
+class TestChunkAccountingOnCext(TestChunkAccounting):
+    BACKEND = "cext"
+
+
 def _mixed_state(graph: ASGraph) -> tuple[np.ndarray, np.ndarray]:
     secure = np.zeros(graph.n, dtype=bool)
     secure[::3] = True
@@ -475,7 +534,7 @@ def _reference_for(policy_name: str, graph: ASGraph, dests: list[int]) -> dict[s
     policy = get_policy(policy_name)
     if policy.state_dependent:
         secure, breaks = _mixed_state(graph)
-        driver = JacobiDriver(cg, policy, secure, secure & breaks)
+        driver = JacobiDriver(cg, policy, secure, secure & breaks, backend="numpy")
         batch = np.asarray(dests, dtype=np.int64)
         pins = pin_table(len(dests), (batch, PIN_ROUTE, _SELF, 0, secure[batch], False))
         tied = np.zeros((len(dests), driver.table.num_edges), dtype=bool)
@@ -501,6 +560,7 @@ class TestCachePoolsParity:
     """However a cache comes by its pools, the arena it concatenates
     from them is the per-destination references', byte for byte."""
 
+    BACKEND = "numpy"
     GRAPH = generate_topology(n=90, seed=31).graph
     DESTS = list(range(0, 90, 2)) + [1, 89]  # 47 destinations, unsorted tail
 
@@ -543,6 +603,14 @@ class TestCachePoolsParity:
         assert cache.stats().builds == len(self.DESTS)
 
 
+class TestCachePoolsParityOnPython(TestCachePoolsParity):
+    BACKEND = "python"
+
+
+class TestCachePoolsParityOnCext(TestCachePoolsParity):
+    BACKEND = "cext"
+
+
 class TestViewsLeaveThePoolsAlone:
     def test_restriction_writes_no_chunk(self, small_graph):
         cg = CompiledGraph.from_graph(small_graph)
@@ -552,11 +620,18 @@ class TestViewsLeaveThePoolsAlone:
         assert len(restricted.cands_pool) < len(pools.cands_pool)
         assert _pool_bytes(pools) == before
 
-        # ... and neither does the arena that concatenates chunks
-        before = _pool_bytes(restricted)
-        arena = RoutingArena.build(small_graph.n, [restricted, pools])
+        # ... and the arena that concatenates chunks moves their keys in
+        # and writes nothing else; a chunk without its keys derives them
+        parts = (restricted, pools)
+        had = [_pool_bytes(part) for part in parts]
+        arena = RoutingArena.build(small_graph.n, list(parts))
         assert arena.num_dests == 48 and not np.shares_memory(arena.cls, pools.cls)
-        assert _pool_bytes(restricted) == before
+        assert arena.keys_pool.tobytes() == b"".join(h["keys_pool"] for h in had)
+        for part, before in zip(parts, had):
+            assert part.keys_pool is None
+            for name, _ in ARENA_FIELDS[:-1]:
+                assert getattr(part, name).tobytes() == before[name], name
+            assert part.tie_keys(0, part.num_dests).tobytes() == before["keys_pool"]
 
     def test_a_pickled_view_ships_its_own_slices_only(self, small_graph):
         cg = CompiledGraph.from_graph(small_graph)
