@@ -208,7 +208,7 @@ class CallGraph:
                         if local in self.functions:
                             roots.add(local)
                             continue
-                        # ``build = _PartitionBuilder(...); engine.map(build, ...)``
+                        # ``projector = _FlipProjector(...); engine.map(projector, ...)``
                         # — a callable class instance: the worker runs __call__
                         bound = scope.local_binds.get(cand)
                         if bound is not None:

@@ -138,7 +138,7 @@ class PrivateRoutingAccess(Rule):
     message = (
         "private RoutingCache state (._parts/._arena) touched outside "
         "repro.routing; use the public API (dest_routing/pools_for/build_pools/"
-        "install_pools/ensure_arena/stats/pending_runs)"
+        "install_arena/ensure_arena/stats/pending_runs)"
     )
     rationale = (
         "PR 1 replaced ad-hoc poking at the cache's store with a public "
@@ -197,8 +197,8 @@ class TreePickle(Rule):
     code = "RPR005"
     name = "tree-pickle"
     message = (
-        "pickle/deepcopy of a routing tree or arena; DestRouting structures "
-        "cross process boundaries via repro.parallel.shm ArenaHandle only"
+        "pickle/deepcopy of a routing tree or arena; routing structures stay "
+        "in the process that built them (forked workers read them copy-on-write)"
     )
     rationale = (
         "Pickling a DestRouting rebuilds megabytes of per-destination arrays "

@@ -75,7 +75,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--x", type=float, default=0.10, help="CP traffic fraction")
     parser.add_argument("--theta", type=float, default=0.05, help="deployment threshold")
     parser.add_argument("--augmented", action="store_true", help="use the augmented graph")
-    parser.add_argument("--workers", type=int, default=1, help="cache-warm workers")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="ignored: the cache warm runs in one process "
+                             "(accepted so existing command lines parse)")
     parser.add_argument("--policy", default="security_3rd",
                         metavar="NAME",
                         help="routing policy driving route selection "
@@ -104,8 +106,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "code 3) with completed work journaled")
     parser.add_argument("--memory-budget", default=None, metavar="SIZE",
                         help="memory budget like '512MiB' or '2g'; the run "
-                             "degrades (chunked kernels, fewer workers, lazy "
-                             "warm) to stay under it")
+                             "degrades (chunked kernels, lazy warm) to stay "
+                             "under it")
 
 
 def build_parser() -> argparse.ArgumentParser:

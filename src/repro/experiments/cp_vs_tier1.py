@@ -81,13 +81,10 @@ def run_graph_comparison(
     seed: int = 2011,
     x: float = 0.10,
     thetas: Sequence[float] = (0.0, 0.05, 0.10, 0.30),
-    workers: int = 1,
 ) -> dict[bool, list[CpVsTier1Cell]]:
     """Fig. 12b: the same comparison on the original vs augmented graph."""
     out: dict[bool, list[CpVsTier1Cell]] = {}
     for augmented in (False, True):
-        env = build_environment(
-            n=n, seed=seed, x=x, augmented=augmented, workers=workers
-        )
+        env = build_environment(n=n, seed=seed, x=x, augmented=augmented)
         out[augmented] = run_cp_vs_tier1(env, thetas=thetas, x_values=(x,))
     return out

@@ -13,7 +13,6 @@ import dataclasses
 import random
 
 from repro.core.adopters import content_providers, cps_plus_top_isps, random_isps, top_degree_isps
-from repro.parallel.engine import parallel_warm_cache
 from repro.routing.arena import RoutingArena
 from repro.routing.cache import RoutingCache
 from repro.runtime.guard import current_guard
@@ -82,7 +81,10 @@ def build_environment(
 ) -> ExperimentEnv:
     """Generate a topology, apply the traffic model, and warm the cache.
 
-    ``x`` is the CP traffic fraction (§3.1); ``augmented=True`` applies
+    The warm runs in this process: ``workers`` is accepted and ignored
+    (on the default compiled tier a chunk's build is cheaper than
+    forking workers to split it; DESIGN.md §10).  ``x`` is the CP
+    traffic fraction (§3.1); ``augmented=True`` applies
     the Appendix-D CP-peering augmentation before caching.  ``policy``
     names the routing-policy registry entry the cache is bound to (see
     :func:`repro.routing.policy.available_policies`).
@@ -132,7 +134,7 @@ def build_environment(
                 "builds",
             )
         else:
-            parallel_warm_cache(cache, workers=workers)
+            cache.warm()
             cache.ensure_arena()  # pool the trees before the first round
     return ExperimentEnv(
         topology=topology, graph=graph, cache=cache, x=x, augmented=augmented

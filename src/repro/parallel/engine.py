@@ -37,7 +37,7 @@ import warnings
 import weakref
 from typing import Callable, Sequence, TypeVar
 
-from repro.parallel.partition import chunk, partition, partitions_for_budget
+from repro.parallel.partition import chunk, partition
 from repro.runtime.errors import EngineShutdownError, ItemFailedError
 from repro.runtime.guard import current_guard
 from repro.runtime.retry import DEFAULT_RETRY_POLICY, RetryPolicy
@@ -51,11 +51,6 @@ log = logging.getLogger(__name__)
 #: the message means the worker died mid-send; 30s is orders of
 #: magnitude above a pipe write, so hitting it is a death, not a race.
 _RESULT_GRACE_SECONDS = 30.0
-
-#: Fraction of the memory budget the warm path may hold in in-flight
-#: partition structures (the rest covers the final pooled arena and
-#: the parent's own copies during backhaul).
-_WARM_SHARE_DIVISOR = 4
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -79,33 +74,13 @@ def shutdown_active_engines() -> int:
     path.  Each engine stops dispatching, drains (or terminates) its
     in-flight partitions, and raises
     :class:`~repro.runtime.errors.EngineShutdownError` out of its
-    ``map`` — so no worker process or shared-memory segment outlives
-    the daemon.  Returns the number of engines signalled.
+    ``map`` — so no worker process outlives the daemon.  Returns the
+    number of engines signalled.
     """
     engines = list(_active_engines)
     for engine in engines:
         engine.request_shutdown()
     return len(engines)
-
-
-def _discard_abandoned_payload(payload: object) -> None:
-    """Unlink shm segments riding in results nobody will ever consume.
-
-    A drained partition may have published its arena as a shared-memory
-    segment whose handle was about to cross the result pipe; once the
-    map raises, no consumer will attach-and-unlink it, so the drain
-    releases it here instead of leaking it for the daemon's lifetime.
-    """
-    try:
-        from repro.parallel.shm import ArenaHandle, discard_published_arena
-    except ImportError:  # pragma: no cover - shm module always importable
-        return
-    if not isinstance(payload, list):
-        return
-    for entry in payload:
-        value = entry[1] if isinstance(entry, tuple) and len(entry) == 2 else entry
-        if isinstance(value, ArenaHandle):
-            discard_published_arena(value)
 
 
 #: start methods in preference order: fork keeps read-only graph
@@ -348,8 +323,7 @@ class ProcessEngine(MapReduceEngine):
 
         Thread- and signal-safe.  The map stops handing out new
         partitions, drains in-flight ones within a bounded grace (then
-        terminates stragglers), releases any abandoned shared-memory
-        segments, and raises
+        terminates stragglers), and raises
         :class:`~repro.runtime.errors.EngineShutdownError`.  A request
         made while no map is running stops the next one immediately.
         """
@@ -399,8 +373,7 @@ class ProcessEngine(MapReduceEngine):
 
         In-flight workers get :data:`_SHUTDOWN_DRAIN_GRACE` (capped to
         any deadline budget) to deliver; whatever they deliver is
-        discarded — with shared-memory segments explicitly unlinked —
-        because the interrupted map returns nothing.  Returns the number
+        discarded, because the interrupted map returns nothing.  Returns the number
         of items left unfinished (queued + in-flight).
         """
         pending = sum(len(t.pairs) for t in queue)
@@ -416,10 +389,9 @@ class ProcessEngine(MapReduceEngine):
         for worker in live:
             remaining = drain_deadline - time.monotonic()
             if remaining > 0 and worker.conn.poll(remaining):
-                kind, payload, snapshot = worker.reap()
+                kind, _, snapshot = worker.reap()
                 if kind == "ok":
                     merge_worker_snapshot(snapshot)
-                    _discard_abandoned_payload(payload)
             else:
                 worker.terminate()
         live.clear()
@@ -556,144 +528,16 @@ def default_engine(workers: int = 1) -> MapReduceEngine:
     return ProcessEngine(workers=workers)
 
 
-class _PartitionBuilder:
-    """Map function over runs ``(start, stop)`` of a cache's destination
-    list, for the parallel warm.
-
-    The worker builds the run's structures through the cache's own
-    builder (so policy, deployment state, backend and build telemetry
-    are the serial warm's), packs them into a partition
-    :class:`~repro.routing.arena.RoutingArena`, publishes that as a
-    shared-memory segment and returns only a pipe-sized
-    :class:`~repro.parallel.shm.ArenaHandle`.  A worker that cannot get
-    a segment returns the arena itself — pickled pools; the fallback is
-    counted (``parallel.shm.fallbacks``).  Under the fork context the
-    cache is shared copy-on-write, never pickled.
-    """
-
-    def __init__(self, cache):
-        self.cache = cache
-
-    def __call__(self, run: tuple[int, int]):
-        from repro.parallel.shm import publish_arena
-
-        cache = self.cache
-        start, stop = run
-        arena = cache.arena_of([cache.build_pools(cache.destinations[start:stop])])
-        published = publish_arena(arena)
-        if published is None:
-            return arena
-        handle, segment = published
-        segment.close()  # keep the name alive; the parent unlinks
-        return handle
-
-
 def parallel_warm_cache(cache, workers: int = 1) -> None:
-    """Warm a :class:`~repro.routing.cache.RoutingCache` with workers.
+    """Warm a :class:`~repro.routing.cache.RoutingCache`, in this process.
 
-    Destination chunks are independent, so this is a pure map over runs
-    of whole chunks; each worker ships its run back as one partition
-    arena — a shared-memory segment handle, or the pickled pools when it
-    cannot get a segment, so warm never fails because shared memory did
-    — and the cache adopts it through its public
-    :meth:`~repro.routing.cache.RoutingCache.install_pools` API.
+    ``workers`` is accepted and ignored.  On the default (compiled)
+    tier a chunk's build is one walk per destination, so forking
+    workers, shipping their pools back and joining them cost more than
+    the build they split (DESIGN.md §10): the warm is
+    :meth:`RoutingCache.warm`, whatever the worker count.
     """
-    runs = cache.pending_runs()
-    if not runs:
-        return
-    engine = default_engine(workers)
-    num_dests = sum(stop - start for start, stop in runs)
-    if isinstance(engine, ProcessEngine):
-        engine, num_partitions = _plan_warm_engine(
-            current_guard(), engine, num_dests, cache.graph.n, cache.backend_name
-        )
-    if isinstance(engine, ProcessEngine) and engine.start_method is not None:
-        # whole chunks per partition, so that what comes back is a run
-        # of the cache's own chunks
-        rows = cache.rows_per_chunk
-        per = rows * max(1, -(-num_dests // (rows * num_partitions)))
-        runs = [
-            (at, min(at + per, stop))
-            for start, stop in runs for at in range(start, stop, per)
-        ]
-        if len(runs) > 1:
-            start_time = time.perf_counter()
-            _warm_partitions(cache, engine, runs)
-            cache.note_warm_time(time.perf_counter() - start_time)
-            return
-    # nothing would run in another process: the cache's own chunked
-    # warm is the serial path (it keeps its own time and counts)
     cache.warm()
-
-
-def _plan_warm_engine(
-    guard, engine: ProcessEngine, num_dests: int, n: int, backend: str
-) -> tuple[MapReduceEngine, int]:
-    """Fit the warm map's partition count and worker count to the budget.
-
-    In-flight memory during a parallel warm is ``workers x (one
-    partition's structures)`` on top of the final pooled arena, so the
-    plan (a) raises the partition count until one partition's forecast
-    fits the warm share of the budget, then (b) halves the worker count
-    until the concurrent total fits — each step a visible ladder rung.
-    Returns the (possibly downgraded) engine and the partition count.
-    """
-    default_parts = engine.workers * engine.partitions_per_worker
-    if guard.memory is None or num_dests <= 1:
-        return engine, default_parts
-    from repro.routing.arena import RoutingArena
-
-    total = RoutingArena.estimate_bytes(num_dests, n, backend=backend)
-    per_dest = max(1, total // num_dests)
-    share = guard.memory.headroom() // _WARM_SHARE_DIVISOR
-    num_parts = partitions_for_budget(num_dests, default_parts, per_dest, share)
-    if num_parts > default_parts:
-        guard.degrade(
-            "chunked_batches",
-            f"cache warm: forecast ~{total / 2**20:.0f} MiB for {num_dests} "
-            f"destinations; raising partition count {default_parts} -> "
-            f"{num_parts} so one partition fits the budget share",
-        )
-    per_partition = per_dest * max(1, -(-num_dests // num_parts))
-    workers = guard.plan_workers(
-        engine.workers, per_worker_bytes=per_partition, base_bytes=total,
-        what="cache warm",
-    )
-    if workers != engine.workers:
-        return default_engine(workers), num_parts
-    return engine, num_parts
-
-
-def _warm_partitions(cache, engine: ProcessEngine, runs: list[tuple[int, int]]) -> None:
-    """The warm backhaul: run -> worker arena -> handle -> ``install_pools``."""
-    from repro.parallel.shm import ArenaHandle, consume_published_arena, ensure_tracker_running
-
-    # must happen before the first fork: workers that lazily start
-    # their own resource tracker get their segments unlinked at exit
-    ensure_tracker_running()
-    build = _PartitionBuilder(cache)
-    pickled_partitions = 0
-    for (start, _), result in zip(runs, engine.map(build, runs)):
-        if isinstance(result, ArenaHandle):
-            result = consume_published_arena(result)
-            if result is None:
-                # segment vanished (publisher crashed mid-handoff): the
-                # closing warm below rebuilds the run in-parent
-                continue
-        else:
-            pickled_partitions += 1
-        cache.install_pools(start, result)
-    if pickled_partitions:
-        current_guard().degrade(
-            "shm_to_pickle",
-            f"{pickled_partitions} warm partition(s) fell back to pickled "
-            "pools (workers could not publish shared-memory segments)",
-        )
-        log.warning(
-            "%d warm partition(s) fell back to pickled pools (no shared memory)",
-            pickled_partitions,
-        )
-    cache.warm()  # whatever did not arrive
 
 
 class _FlipProjector:

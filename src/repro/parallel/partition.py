@@ -43,9 +43,9 @@ def partitions_for_budget(
 ) -> int:
     """Partition count whose per-partition working set fits the budget.
 
-    The shared-memory warm path materialises one partition's structures
-    per worker at a time; with ``budget_bytes`` set (the guard's memory
-    share for in-flight partitions), the count grows above
+    For a map that holds one partition's working set per worker at a
+    time: with ``budget_bytes`` set (the memory share for in-flight
+    partitions), the count grows above
     ``default_partitions`` until ``ceil(num_items / count) *
     per_item_bytes <= budget_bytes``.  Capped at one item per partition
     — below that there is nothing left to shrink.  ``None`` (no budget)

@@ -2,9 +2,9 @@
 
 :class:`RoutingArena` holds the routing structures of *all* of a cache's
 destinations in a handful of contiguous pools with a per-destination
-offset table — no Python object per destination, zero-copy transport
-between processes, and routing-state sweeps that loop over a handful of
-levels instead of ``n_dests x n_levels`` kernel launches:
+offset table — no Python object per destination, and routing-state
+sweeps that loop over a handful of levels instead of ``n_dests x
+n_levels`` kernel launches:
 
 - ``order_pool`` / ``level_pool`` / ``indptr_pool`` / ``cands_pool``:
   the CSR structures of every destination, concatenated, with
@@ -37,8 +37,7 @@ second copy of the arena.
 
 Because every pool is a flat typed buffer, the arena also serialises to
 a single byte blob (:meth:`RoutingArena.to_blocks` /
-:meth:`RoutingArena.from_buffer`), which is what the shared-memory data
-plane in :mod:`repro.parallel.shm` ships between processes.
+:meth:`RoutingArena.from_buffer`).
 """
 
 from __future__ import annotations
@@ -97,9 +96,9 @@ class RoutingArena(StructurePools):
         self.state_key = state_key
         #: kernel backend name the batched kernels dispatch through
         #: (:mod:`repro.routing.backends`); plain data, so it travels
-        #: with the arena through shared memory and job specs.  The
-        #: *consuming* process resolves it — and degrades to numpy —
-        #: at call time.
+        #: with the arena through buffers and job specs.  The
+        #: *consumer* resolves it — and degrades to numpy — at call
+        #: time.
         self.backend = backend
         self._full_slots = np.arange(self.num_dests, dtype=np.int64)
         #: rows with several tiebreak candidates, per slot (telemetry;
@@ -153,8 +152,8 @@ class RoutingArena(StructurePools):
     ) -> int:
         """Predict the pooled footprint of an arena *before* building it.
 
-        The resource guard consults this forecast to plan worker counts
-        and warm strategy, so it deliberately over- rather than
+        The resource guard consults this forecast to decide whether to
+        warm eagerly, so it deliberately over- rather than
         under-estimates.  Derived from :data:`ARENA_FIELDS`:
 
         - dense matrices (``cls`` int8 + ``lengths``/``row_of`` int32):
@@ -205,7 +204,7 @@ class RoutingArena(StructurePools):
             total += 3 * 8 * (num_dests + 1) * 24
         return int(total)
 
-    # -- serialisation (the shared-memory data plane) ------------------
+    # -- serialisation (one flat buffer) -------------------------------
 
     def to_blocks(self) -> tuple[int, list[tuple[str, str, tuple[int, ...], int]]]:
         """Layout for packing into one flat buffer.

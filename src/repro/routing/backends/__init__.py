@@ -319,9 +319,9 @@ def kernels_for(name: str) -> tuple[str, Any]:
     """``(resolved name, impl module)`` for a kernel call site.
 
     The call-time companion of :func:`resolve_backend`: arenas carry a
-    backend *name* (it travels through shared memory and job specs as
-    plain data), and the consuming process may lack that backend — so
-    the dispatcher, not the producer, owns the degradation.
+    backend *name* (it travels through buffers and job specs as plain
+    data), and the consumer may lack that backend — so the dispatcher,
+    not the producer, owns the degradation.
     """
     try:
         return name, load_backend(name)

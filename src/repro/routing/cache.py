@@ -55,11 +55,10 @@ class CacheStats:
     ``hits`` and ``misses`` count :meth:`RoutingCache.dest_routing`
     lookups and the destinations a build had to cover; nothing on the
     warm, arena or round path looks a destination up.  ``warm_seconds``
-    sums in-process build time plus any parallel warm wall time noted
-    via :meth:`RoutingCache.note_warm_time`; ``installs`` counts
-    structures computed elsewhere (worker processes) and shipped in,
-    whose build time lives in the workers' telemetry snapshots rather
-    than here.  ``state_rebuilds`` counts
+    sums build time; ``installs`` counts destinations of arenas adopted
+    ready-made through :meth:`RoutingCache.install_arena` (the service
+    shares one across jobs), which cost this cache no build.
+    ``state_rebuilds`` counts
     full drop-and-rebuild cycles triggered by deployment-state changes
     (always 0 for state-independent policies); ``arena_bytes`` is the
     pooled arena's footprint (0 until one is built).
@@ -134,9 +133,9 @@ class RoutingCache:
         #: them, so a miss builds its chunk once and the arena is the
         #: concatenation of the chunks
         self.rows_per_chunk = chunk_rows(self.compiled)
-        #: per chunk, ``(pools, slot of the chunk's first destination)``
-        #: once built or installed; all None again once the arena holds them
-        self._parts: list[tuple[StructurePools, int] | None] = [None] * len(
+        #: per chunk, its pools once built; all None again once the
+        #: arena holds them
+        self._parts: list[StructurePools | None] = [None] * len(
             range(0, len(self.destinations), self.rows_per_chunk)
         )
         self._arena: RoutingArena | None = None
@@ -182,9 +181,7 @@ class RoutingCache:
     def build_pools(self, dests: Sequence[int]) -> StructurePools:
         """The structures of ``dests`` under this cache's policy,
         deployment state and backend, with the accounting of every
-        in-process build — built, not kept.  Parallel warmers run this
-        in their workers (:func:`repro.parallel.engine.parallel_warm_cache`).
-        """
+        build — built, not kept."""
         registry = get_registry()
         start = time.perf_counter()
         pools = self.policy.build_pools(
@@ -250,14 +247,11 @@ class RoutingCache:
             get_registry().counter("routing.cache.hits").inc()
         if self._arena is not None:
             return self._arena.view(pos)
-        pools, base = self._parts[index]
-        return pools.view(base + offset)
+        return self._parts[index].view(offset)
 
     def _build_chunk(self, index: int) -> None:
         chunk = self._chunk(index)
-        self._parts[index] = (
-            self.build_pools(self.destinations[chunk.start:chunk.stop]), 0
-        )
+        self._parts[index] = self.build_pools(self.destinations[chunk.start:chunk.stop])
 
     def warm(self) -> None:
         """Build every chunk of ``destinations`` not built yet.
@@ -317,36 +311,29 @@ class RoutingCache:
         """
         if self._arena is None:
             self.warm()
-            # a part that spans several chunks is listed under each
-            self._adopt_arena(
-                self.arena_of([pools for pools, base in self._parts if base == 0])
-            )
+            self._adopt_arena(self.arena_of(self._parts))
         return self._arena
 
-    def _check_provenance(self, pools: RoutingArena, dests: Sequence[int]) -> None:
-        if pools.dest_ids.tolist() != list(dests):
-            raise ValueError("arena destinations do not match this cache")
-        if pools.policy != self.policy.name:
-            raise ValueError(
-                f"arena was built under policy {pools.policy!r}; this cache "
-                f"uses {self.policy.name!r} (mixed-policy reuse is invalid)"
-            )
-        if pools.state_key != self._state_key:
-            raise ValueError(
-                f"arena was built for deployment state {pools.state_key!r}; "
-                f"this cache is at {self._state_key!r}"
-            )
-
     def install_arena(self, arena: RoutingArena) -> None:
-        """Adopt a pre-built arena (e.g. attached from shared memory).
+        """Adopt a pre-built arena (e.g. one another cache built).
 
         The arena's slot order must match this cache's ``destinations``
         and it must have been built under the same policy (and, for
         state-dependent policies, the same deployment state); every
-        destination is then considered cached (counted as installs,
-        like structures shipped in from parallel warm workers).
+        destination is then considered cached (counted as installs).
         """
-        self._check_provenance(arena, self.destinations)
+        if arena.dest_ids.tolist() != self.destinations:
+            raise ValueError("arena destinations do not match this cache")
+        if arena.policy != self.policy.name:
+            raise ValueError(
+                f"arena was built under policy {arena.policy!r}; this cache "
+                f"uses {self.policy.name!r} (mixed-policy reuse is invalid)"
+            )
+        if arena.state_key != self._state_key:
+            raise ValueError(
+                f"arena was built for deployment state {arena.state_key!r}; "
+                f"this cache is at {self._state_key!r}"
+            )
         # The backend tag is execution metadata, not structure: kernels
         # are bit-identical across backends, so an arena shipped from a
         # peer simply runs on *this* cache's resolved backend.
@@ -358,30 +345,6 @@ class RoutingCache:
         self._arena = arena
         self._parts = [None] * len(self._parts)
         get_registry().gauge("routing.arena.bytes").set(arena.nbytes)
-
-    def install_pools(self, start: int, pools: RoutingArena) -> None:
-        """Adopt the structures of ``destinations[start:start +
-        pools.num_dests]`` built elsewhere: the entry point for parallel
-        warmers, whose workers ship one partition arena per run of
-        :meth:`pending_runs`.  The run must cover whole chunks and carry
-        this cache's policy and deployment state.
-        """
-        rows, stop = self.rows_per_chunk, start + pools.num_dests
-        if start % rows or (stop % rows and stop != len(self.destinations)):
-            raise ValueError(f"destinations[{start}:{stop}] does not cover whole chunks")
-        self._check_provenance(pools, self.destinations[start:stop])
-        self._installs += pools.num_dests
-        for base in range(0, pools.num_dests, rows):
-            self._parts[(start + base) // rows] = (pools, base)
-
-    def note_warm_time(self, seconds: float) -> None:
-        """Attribute externally-measured warm wall time to this cache.
-
-        Called by :func:`repro.parallel.engine.parallel_warm_cache` with
-        the wall time of the whole warm map, since installed structures
-        carry no build timing of their own.
-        """
-        self._warm_seconds += seconds
 
     def pending_runs(self) -> list[tuple[int, int]]:
         """Maximal ``(start, stop)`` runs of positions in

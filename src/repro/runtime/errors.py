@@ -102,7 +102,7 @@ class MemoryBudgetExceeded(RuntimeError):
 
     Only raised by :meth:`~repro.runtime.guard.MemoryBudget.require` —
     the degradation ladder prefers shrinking the work (chunked batches,
-    fewer workers, lazy warm) over refusing it, so this surfaces only
+    lazy warm) over refusing it, so this surfaces only
     when even the smallest possible unit exceeds the budget.
     """
 
@@ -123,8 +123,8 @@ class EngineShutdownError(RuntimeError):
     Raised by :meth:`~repro.parallel.engine.ProcessEngine.map` after the
     engine stopped dispatching new partitions, drained (or terminated)
     the in-flight ones, and cleaned up worker processes — so a daemon
-    kill never leaks children or shared-memory segments.  Work mapped so
-    far is abandoned; journal-backed callers resume it on restart.
+    kill never leaks children.  Work mapped so far is abandoned;
+    journal-backed callers resume it on restart.
     """
 
     def __init__(self, pending_items: int):

@@ -52,11 +52,8 @@ Clock = Callable[[], float]
 #: typically descends them.  Names are stable: they key the per-rung
 #: ``runtime.guard.degraded.<rung>`` counters and the DESIGN.md table.
 LADDER_RUNGS: tuple[str, ...] = (
-    "shm_to_pickle",     # shared-memory transport -> pickled trees
     "chunked_batches",   # full-batch kernels -> per-destination-chunk batches
-    "reduced_workers",   # N workers -> N/2 (repeatedly)
-    "serial_workers",    # ... -> serial in-process execution
-    "lazy_warm",         # eager parallel warm -> build-on-first-use
+    "lazy_warm",         # eager warm -> build-on-first-use
     "compiled_to_numpy",  # compiled kernel backend -> pure-numpy kernels
 )
 
@@ -261,32 +258,6 @@ class RuntimeGuard:
     def degrade(self, rung: str, reason: str) -> None:
         """Take a ladder rung (warning + counters)."""
         self.ladder.take(rung, reason)
-
-    def plan_workers(
-        self, requested: int, per_worker_bytes: int, base_bytes: int = 0, what: str = "map"
-    ) -> int:
-        """Worker count that fits the budget: N -> N/2 -> ... -> serial.
-
-        ``base_bytes`` is memory needed regardless of worker count (the
-        final pooled arena); ``per_worker_bytes`` is the concurrent
-        per-worker working set.  Each halving takes the
-        ``reduced_workers`` rung; landing on 1 takes ``serial_workers``.
-        """
-        if self.memory is None or requested <= 1:
-            return requested
-        workers = requested
-        while workers > 1 and not self.memory.fits(
-            base_bytes + per_worker_bytes * workers
-        ):
-            workers = max(1, workers // 2)
-            self.degrade(
-                "reduced_workers" if workers > 1 else "serial_workers",
-                f"{what}: ~{(base_bytes + per_worker_bytes * requested) / 2**20:.0f} "
-                f"MiB at {requested} workers exceeds the "
-                f"{self.memory.limit_bytes / 2**20:.0f} MiB budget; "
-                f"running with {workers}",
-            )
-        return workers
 
     def plan_batch_rows(self, rows: int, row_bytes: int, what: str = "kernel") -> int:
         """Rows per kernel batch under the budget (``rows`` = no limit).

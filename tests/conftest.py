@@ -67,9 +67,10 @@ def pytest_runtest_call(item):
 def small_chunks(monkeypatch) -> None:
     """Destination chunks of a few rows on the small test topologies
     (one chunk holds hundreds of their destinations otherwise), for
-    tests about what happens *between* chunks: a parallel warm hands out
-    runs of whole chunks, a lazy miss builds one.  Forked workers
-    inherit the patched size."""
+    tests about what happens *between* chunks: a warm checks its
+    deadline there, a lazy miss builds one, a map over runs of chunks
+    has several to hand out.  Forked workers inherit the patched
+    size."""
     monkeypatch.setattr(tree_module, "_CHUNK_CELLS", 1 << 12)
 
 

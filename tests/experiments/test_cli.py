@@ -60,7 +60,7 @@ class TestExperimentValidation:
 
 
 class TestTelemetryFlags:
-    def test_sweep_writes_metrics_and_trace(self, capsys, tmp_path, small_chunks):
+    def test_sweep_writes_metrics_and_trace(self, capsys, tmp_path):
         import json
 
         metrics = tmp_path / "m.json"
@@ -77,10 +77,10 @@ class TestTelemetryFlags:
         from repro.telemetry.export import load_metrics
 
         snap = load_metrics(metrics)
-        # worker-side counters (tree builds in the warm workers) merged in
+        # --workers is accepted; the warm builds every tree in-process
         assert snap["counters"]["routing.tree_builds"] == 60
         assert snap["counters"]["sweep.cells"] > 0
-        assert snap["counters"]["engine.maps"] >= 1
+        assert "engine.maps" not in snap["counters"]
 
         payload = json.loads(trace.read_text())
         names = {e["name"] for e in payload["traceEvents"]}

@@ -13,7 +13,7 @@ from repro.topology.traffic import apply_traffic_model
 
 
 def test_graph_comparison_covers_both_graphs():
-    out = run_graph_comparison(n=60, seed=7, thetas=(0.0,), workers=1)
+    out = run_graph_comparison(n=60, seed=7, thetas=(0.0,))
     assert set(out) == {False, True}
     for augmented, cells in out.items():
         assert cells, "comparison produced no cells"

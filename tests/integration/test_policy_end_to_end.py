@@ -1,8 +1,8 @@
 """End-to-end: the full pipeline under the non-default rankings.
 
 The acceptance bar for the policy layer: case study and sweep run to
-completion under ``security_1st`` and ``security_2nd`` — parallel
-engine and journal resume included — and their adoption dynamics
+completion under ``security_1st`` and ``security_2nd`` — worker
+processes and journal resume included — and their adoption dynamics
 *differ* from the default ``security_3rd`` run (promoting SecP in the
 ranking changes partial-deployment outcomes; Lychev et al.).
 """
@@ -21,10 +21,12 @@ N, SEED = 150, 11
 MAX_ROUNDS = 10
 
 
-def _adoption_curve(env, policy):
+def _adoption_curve(env, policy, workers=1):
     result = run_deployment(
         env.graph, env.case_study_adopters(),
-        SimulationConfig(theta=0.05, max_rounds=MAX_ROUNDS, policy=policy),
+        SimulationConfig(
+            theta=0.05, max_rounds=MAX_ROUNDS, policy=policy, workers=workers
+        ),
         env.cache,
     )
     return result.secure_ases_per_round(), result
@@ -48,16 +50,18 @@ def test_case_study_differs_from_default(policy, default_curve):
 
 
 @pytest.mark.parametrize("policy", ["security_1st", "security_2nd"])
-def test_parallel_warm_under_policy(policy, small_chunks):
-    """workers>1 exercises the process engine + shm arena transport with
-    policy and state metadata crossing the process boundary."""
+def test_parallel_warm_under_policy(policy, default_curve):
+    """workers=2 warms in-process under the policy, then fans the
+    round's projections out to forked workers that read the
+    state-keyed structures copy-on-write."""
     env = build_environment(n=N, seed=SEED, x=0.10, policy=policy, workers=2)
-    assert env.cache.stats().installs == env.graph.n
+    assert env.cache.stats().builds == env.graph.n
     assert env.cache.policy_name == policy
     assert env.cache.arena is not None
     assert env.cache.arena.policy == policy
-    curve, _ = _adoption_curve(env, policy)
-    assert len(curve) >= 2
+    curve, _ = _adoption_curve(env, policy, workers=2)
+    serial = build_environment(n=N, seed=SEED, x=0.10, policy=policy)
+    assert curve == _adoption_curve(serial, policy)[0] != default_curve
 
 
 def test_sweep_with_journal_resume_under_security_2nd(tmp_path):

@@ -56,7 +56,7 @@ class TestCacheWarming:
         parallel_warm_cache(serial, workers=1)
         parallel = RoutingCache(top.graph)
         parallel_warm_cache(parallel, workers=2)
-        assert (serial.stats().installs, parallel.stats().installs) == (0, 120)
+        assert serial.stats().builds == parallel.stats().builds == 120
         for dest in (0, 13, 77):
             a, b = serial.dest_routing(dest), parallel.dest_routing(dest)
             assert (a.order == b.order).all()

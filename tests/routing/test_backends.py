@@ -751,20 +751,14 @@ def _stub_library(monkeypatch) -> list[str]:
 
 
 class TestArenaBackendPlumbing:
-    def test_arena_carries_backend_through_shm_handle(self, small_graph):
-        from repro.parallel.shm import ArenaHandle
-
+    def test_arena_carries_backend_through_a_buffer(self, small_graph):
         dests = [0, 1, 2]
         arena = _arena_for(small_graph, "security_3rd", PARITY_BACKENDS[-1], dests)
         total, layout = arena.to_blocks()
-        handle = ArenaHandle(
-            name="x", graph_n=arena.graph_n, total_bytes=total,
-            layout=tuple(layout), backend=arena.backend,
-        )
         buf = bytearray(total)
         arena.pack_into(buf)
         clone = RoutingArena.from_buffer(
-            handle.graph_n, buf, list(handle.layout), backend=handle.backend
+            arena.graph_n, buf, layout, backend=arena.backend
         )
         assert clone.backend == arena.backend
 

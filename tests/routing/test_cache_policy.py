@@ -14,17 +14,16 @@ class TestPolicyBinding:
     def test_mixed_policy_install_rejected(self, small_graph):
         cache = RoutingCache(small_graph, policy="security_3rd")
         foreign = RoutingCache(small_graph, policy="sp_first")
-        dests = cache.destinations[:cache.rows_per_chunk]
-        run = foreign.arena_of([foreign.build_pools(dests)])
+        dests = cache.destinations
         with pytest.raises(ValueError, match="sp_first"):
-            cache.install_pools(0, run)
+            cache.install_arena(foreign.arena_of([foreign.build_pools(dests)]))
         assert cache.stats().installs == 0
-        # the cache's own policy, but not a run of its chunks
-        own = cache.arena_of([cache.build_pools(dests[1:])])
-        with pytest.raises(ValueError, match="whole chunks"):
-            cache.install_pools(1, own)
+        # the cache's own policy, but not its destination list
         with pytest.raises(ValueError, match="do not match"):
-            cache.install_pools(0, cache.arena_of([cache.build_pools(dests[::-1])]))
+            cache.install_arena(cache.arena_of([cache.build_pools(dests[1:])]))
+        with pytest.raises(ValueError, match="do not match"):
+            cache.install_arena(cache.arena_of([cache.build_pools(dests[::-1])]))
+        assert cache.stats().installs == 0
 
     def test_mixed_policy_arena_rejected(self, small_graph):
         cache = RoutingCache(small_graph, policy="security_3rd")

@@ -464,7 +464,7 @@ class TestChunkAccounting:
         counters = snap["counters"]
         assert counters["routing.structure.chunks"] == math.ceil(graph.n / rows)
         assert counters["routing.arena.builds"] == 1
-        # one observation per tree, as on the shared-memory path
+        # one observation per tree, however many a chunk holds
         assert counters["routing.tree_builds"] == graph.n
         assert snap["histograms"]["routing.tree_build_seconds"]["count"] == graph.n
         stats = cache.stats()

@@ -111,7 +111,7 @@ class TestDegradationLadder:
         ladder.take("lazy_warm", "test")
         assert ladder.taken("chunked_batches") == 2
         assert ladder.taken("lazy_warm") == 1
-        assert ladder.taken("shm_to_pickle") == 0
+        assert ladder.taken("compiled_to_numpy") == 0
         assert ladder.rungs_taken() == {"chunked_batches": 2, "lazy_warm": 1}
 
     def test_unknown_rung_rejected(self):
@@ -134,24 +134,7 @@ class TestRuntimeGuard:
         assert NULL_GUARD.cap_timeout(None) is None
         assert NULL_GUARD.cap_timeout(5.0) == 5.0
         assert NULL_GUARD.fits_memory(10**15)
-        assert NULL_GUARD.plan_workers(8, per_worker_bytes=10**12) == 8
         assert NULL_GUARD.plan_batch_rows(1000, row_bytes=10**9) == 1000
-
-    def test_plan_workers_halves_to_fit(self):
-        guard = RuntimeGuard(memory=MemoryBudget(100))
-        # 8 workers x 30 bytes = 240 > 100; 4 x 30 = 120 > 100; 2 x 30 fits
-        assert guard.plan_workers(8, per_worker_bytes=30) == 2
-        assert guard.ladder.taken("reduced_workers") == 2
-        assert guard.ladder.taken("serial_workers") == 0
-
-    def test_plan_workers_lands_on_serial(self):
-        guard = RuntimeGuard(memory=MemoryBudget(100))
-        assert guard.plan_workers(4, per_worker_bytes=90) == 1
-        assert guard.ladder.taken("serial_workers") == 1
-
-    def test_plan_workers_counts_base_bytes(self):
-        guard = RuntimeGuard(memory=MemoryBudget(100))
-        assert guard.plan_workers(2, per_worker_bytes=10, base_bytes=90) == 1
 
     def test_plan_batch_rows_chunks_to_budget_share(self):
         guard = RuntimeGuard(memory=MemoryBudget(800))
@@ -180,10 +163,7 @@ class TestRuntimeGuard:
 class TestLadderRungNames:
     def test_rungs_are_stable(self):
         assert LADDER_RUNGS == (
-            "shm_to_pickle",
             "chunked_batches",
-            "reduced_workers",
-            "serial_workers",
             "lazy_warm",
             "compiled_to_numpy",
         )

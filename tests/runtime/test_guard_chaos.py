@@ -2,13 +2,13 @@
 
 The acceptance tests for the runtime guard as a whole:
 
-- a sweep whose cache was warmed under combined kill + hang + slow
-  faults, then cut off by a deadline mid-grid, must journal-resume to a
-  grid bit-identical to an unfaulted run;
-- a run given an artificially small memory budget plus an injected
-  shared-memory failure must complete by walking the ladder — pickled
-  pools, chunked batches, reduced workers — with every rung visible
-  as ``runtime.guard.degraded`` counters and unchanged results;
+- a sweep whose structures were built under combined kill + hang +
+  slow faults, then cut off by a deadline mid-grid, must journal-resume
+  to a grid bit-identical to an unfaulted run;
+- a run given an artificially small memory budget must complete by
+  chunking its kernel batches — the rung visible as a
+  ``runtime.guard.degraded`` counter — with unchanged results, and
+  warm in one process whatever worker count it was handed;
 - preflight repair must be a no-op on clean dumps (hypothesis
   round-trip properties: ``repair(dump(g)) == g``).
 """
@@ -22,12 +22,7 @@ from hypothesis import given, settings
 
 from repro.experiments.setup import build_environment
 from repro.experiments.sweeps import run_sweep
-from repro.parallel.engine import (
-    ProcessEngine,
-    _PartitionBuilder,
-    parallel_warm_cache,
-)
-from repro.parallel.shm import consume_published_arena, ensure_tracker_running
+from repro.parallel.engine import ProcessEngine, parallel_warm_cache
 from repro.routing import backends as kernel_backends
 from repro.routing.arena import RoutingArena
 from repro.routing.errors import BackendUnavailable
@@ -88,12 +83,25 @@ class _ClockAdvancingJournal(RunJournal):
             self.clock["now"] += 10_000.0
 
 
-def _warm_under_faults(cache, state_root) -> ProcessEngine:
-    """Warm every chunk through an engine injecting kill+hang+slow.
+class _RunBuilder:
+    """Map function: a run ``(start, stop)`` of the cache's destinations
+    -> their structures, built through the cache's own builder."""
 
-    The injectors chain around the parallel warm's own builder, so the
-    engine is mapping real structure builds; results land via the
-    cache's public ``install_pools`` API.
+    def __init__(self, cache):
+        self.cache = cache
+
+    def __call__(self, run: tuple[int, int]):
+        start, stop = run
+        return self.cache.build_pools(self.cache.destinations[start:stop])
+
+
+def _warm_under_faults(cache, state_root) -> ProcessEngine:
+    """Build every chunk through an engine injecting kill+hang+slow.
+
+    The injectors chain around the cache's own builder, so the engine is
+    mapping real structure builds; their pools come back over the pipes
+    and the cache adopts the arena they concatenate to through its
+    public ``install_arena`` API.
     """
     rows = cache.rows_per_chunk
     runs = [
@@ -104,7 +112,7 @@ def _warm_under_faults(cache, state_root) -> ProcessEngine:
     for sub in ("hang", "kill"):
         (state_root / sub).mkdir(exist_ok=True)
     slow = FaultInjector(
-        {runs[1], runs[7]}, mode="slow", slow_seconds=0.05, fn=_PartitionBuilder(cache)
+        {runs[1], runs[7]}, mode="slow", slow_seconds=0.05, fn=_RunBuilder(cache)
     )
     hung = FaultInjector(
         {runs[4]}, mode="hang", fail_times=1, state_dir=state_root / "hang",
@@ -114,9 +122,7 @@ def _warm_under_faults(cache, state_root) -> ProcessEngine:
         {runs[10]}, mode="kill", fail_times=1, state_dir=state_root / "kill", fn=hung,
     )
     engine = ProcessEngine(workers=2, retry=FAST_RETRY, partition_timeout=0.5)
-    ensure_tracker_running()  # before the first fork, as the warm itself does
-    for (start, _), handle in zip(runs, engine.map(chaos, runs)):
-        cache.install_pools(start, consume_published_arena(handle))
+    cache.install_arena(cache.arena_of(engine.map(chaos, runs)))
     assert not cache.pending_runs()
     return engine
 
@@ -131,7 +137,6 @@ class TestDeadlineResumeUnderFaults:
         engine = _warm_under_faults(env.cache, tmp_path)
         assert engine.last_stats.worker_deaths >= 1  # the kill fired
         assert engine.last_stats.timeouts >= 1       # the hang was reaped
-        env.cache.ensure_arena()
 
         clock = {"now": 0.0}
         guard = RuntimeGuard(deadline=Deadline(60.0, clock=lambda: clock["now"]))
@@ -158,43 +163,31 @@ class TestDeadlineResumeUnderFaults:
 
 @fork_only
 class TestDegradationLadderEndToEnd:
-    def test_small_budget_and_shm_failure_walk_the_ladder(
-        self, clean_cells, monkeypatch, small_chunks
-    ):
-        """Acceptance: pickled pools + chunked batches + reduced
-        workers, each rung a visible counter, results unchanged."""
-        import repro.parallel.shm as shm
-
-        # workers resolve publish_arena at call time, after the fork,
-        # so patching the module attribute reaches every child
-        monkeypatch.setattr(shm, "publish_arena", lambda arena: None)
-
+    def test_small_budget_only_chunks_kernels(self, clean_cells):
+        """Acceptance: a budget that fits the arena but not a full round
+        batch chunks the kernels — one visible rung — with results
+        unchanged; eight requested workers fork nothing."""
         env = build_environment(n=120, seed=11, x=0.10, warm=False)
         num_dests = len(env.cache.destinations)
         total = RoutingArena.estimate_bytes(
             num_dests, env.graph.n, backend=env.cache.backend_name
         )
-        per_dest = max(1, total // num_dests)
-        # the planner's own forecast (on the cache's tier), with room for
-        # the arena plus ~5 in-flight warm partitions: 8
-        # workers must halve to 4 (reduced_workers) but not to serial,
-        # and the full round kernel batch must overflow the kernel share
-        guard = RuntimeGuard(memory=MemoryBudget(total + 20 * per_dest))
+        # the setup path's own forecast (on the cache's tier) fits, and
+        # the full round kernel batch overflows the kernel share
+        guard = RuntimeGuard(memory=MemoryBudget(total + 20 * (total // num_dests)))
 
         with use_registry(MetricsRegistry()) as registry, use_guard(guard):
             parallel_warm_cache(env.cache, workers=8)
-            assert not env.cache.pending_runs()  # warm completed
-            assert env.cache.stats().installs == num_dests
+            stats = env.cache.stats()
+            assert (stats.builds, stats.installs) == (num_dests, 0)
             env.cache.ensure_arena()
             cells = run_sweep(env, thetas=THETAS, adopter_sets=adopter_sets(env))
 
         counters = registry.snapshot()["counters"]
-        assert counters["runtime.guard.degraded.shm_to_pickle"] >= 1
-        assert counters["runtime.guard.degraded.reduced_workers"] >= 1
+        assert "engine.maps" not in counters  # the warm forked nothing
         assert counters["runtime.guard.degraded.chunked_batches"] >= 1
-        assert counters["runtime.guard.degraded"] >= 3
-        assert guard.ladder.taken("serial_workers") == 0  # stayed parallel
-        assert cells == clean_cells  # every rung taken, results unchanged
+        assert guard.ladder.rungs_taken().keys() == {"chunked_batches"}
+        assert cells == clean_cells  # the rung taken, results unchanged
 
     def test_tiny_budget_defers_the_warm_entirely(self):
         """The last rung: a budget below the arena estimate skips the
