@@ -208,7 +208,7 @@ class CallGraph:
                         if local in self.functions:
                             roots.add(local)
                             continue
-                        # ``projector = _FlipProjector(...); engine.map(projector, ...)``
+                        # ``mapper = _Mapper(...); engine.map(mapper, ...)``
                         # — a callable class instance: the worker runs __call__
                         bound = scope.local_binds.get(cand)
                         if bound is not None:

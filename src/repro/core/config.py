@@ -60,7 +60,8 @@ class SimulationConfig:
     #: secure ISPs may turn S*BGP off (only meaningful under INCOMING;
     #: Theorem 6.2 rules it out under OUTGOING, where it is ignored)
     allow_turn_off: bool = True
-    #: number of worker processes for the per-destination map step
+    #: accepted and ignored: a game plays in one process whatever the
+    #: count (DESIGN.md §10); kept so existing configs still construct
     workers: int = 1
     #: record per-round utilities of every AS in the history (memory!)
     record_utilities: bool = True

@@ -442,22 +442,12 @@ class DeploymentSimulation:
         )
 
     def _project_jobs(self, rd: RoundData, jobs: list[tuple[int, bool]]) -> list[Projection]:
-        """Evaluate the round's flip projections, in one stack or fanned out.
+        """Evaluate the round's flip projections as one stacked pass.
 
-        With ``config.workers > 1`` each worker process stacks one
-        contiguous run of the jobs (fork copy-on-write; only index pairs
-        and scalar-sized projections cross the pipes — see
-        :func:`repro.parallel.engine.parallel_project_flips`).
+        ``config.workers`` is not consulted: a round's stack costs a few
+        milliseconds, less than forking workers for it (DESIGN.md §10).
         """
         cfg = self.config
-        if cfg.workers > 1 and len(jobs) > 1:
-            from repro.parallel.engine import parallel_project_flips
-
-            return parallel_project_flips(
-                self.cache, self.deriver, rd, jobs,
-                model=cfg.utility_model, projection=cfg.projection,
-                workers=cfg.workers,
-            )
         return project_flips(
             self.cache, self.deriver, rd, jobs, cfg.utility_model, cfg.projection
         )

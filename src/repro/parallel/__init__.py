@@ -10,7 +10,7 @@ from repro.parallel.engine import (
     default_engine,
     parallel_warm_cache,
 )
-from repro.parallel.partition import chunk, partition
+from repro.parallel.partition import partition
 
 __all__ = [
     "ItemFailure",
@@ -19,7 +19,6 @@ __all__ = [
     "ProcessEngine",
     "SerialEngine",
     "choose_start_method",
-    "chunk",
     "default_engine",
     "parallel_warm_cache",
     "partition",

@@ -37,7 +37,7 @@ import warnings
 import weakref
 from typing import Callable, Sequence, TypeVar
 
-from repro.parallel.partition import chunk, partition
+from repro.parallel.partition import partition
 from repro.runtime.errors import EngineShutdownError, ItemFailedError
 from repro.runtime.guard import current_guard
 from repro.runtime.retry import DEFAULT_RETRY_POLICY, RetryPolicy
@@ -540,56 +540,16 @@ def parallel_warm_cache(cache, workers: int = 1) -> None:
     cache.warm()
 
 
-class _FlipProjector:
-    """Map function: a run of ``(isp, turning_on)`` jobs -> Projections.
-
-    Carries the cache, deriver and current round data.  Under the fork
-    start method nothing here is pickled — children see the parent's
-    structures copy-on-write, and only the (index, bool) jobs and the
-    scalar-sized :class:`~repro.core.projection.Projection` results
-    cross the pipes.
-    """
-
-    def __init__(self, cache, deriver, rd, model, projection):
-        self.cache = cache
-        self.deriver = deriver
-        self.rd = rd
-        self.model = model
-        self.projection = projection
-
-    def __call__(self, jobs: list[tuple[int, bool]]) -> list:
-        from repro.core.projection import project_flips
-
-        return project_flips(
-            self.cache, self.deriver, self.rd, jobs, self.model, self.projection
-        )
-
-
 def parallel_project_flips(
     cache, deriver, rd, jobs, model, projection, workers: int = 1
 ) -> list:
-    """Project many candidate flips, fanned out over worker processes.
+    """Project many candidate flips, in this process.
 
-    ``jobs`` is a sequence of ``(isp, turning_on)`` pairs; returns the
-    matching :class:`~repro.core.projection.Projection` list.  Each
-    worker stacks one contiguous run of ``ceil(jobs / workers)`` jobs
-    (:func:`~repro.core.projection.project_flips`), so a round costs
-    ``workers`` forks.  Requires the ``fork`` start method (routing
-    state is shared copy-on-write; pickling a whole round's trees to
-    spawned workers would cost more than it saves) — anything else
-    degrades to one serial stack with a one-line warning.
+    ``workers`` is accepted and ignored, as :func:`parallel_warm_cache`'s
+    is: a round's stacked projection costs milliseconds, less than the
+    two forks it would take to split it (DESIGN.md §10).  Returns
+    :func:`~repro.core.projection.project_flips` on ``jobs``.
     """
-    projector = _FlipProjector(cache, deriver, rd, model, projection)
-    jobs = list(jobs)
-    if workers <= 1 or len(jobs) <= 1:
-        return projector(jobs)
-    if choose_start_method() != "fork":
-        log.warning(
-            "parallel projection needs the fork start method; running %d "
-            "projections serially", len(jobs),
-        )
-        return projector(jobs)
-    cache.ensure_arena()  # share the pooled arena pages, not dict shards
-    engine = ProcessEngine(workers=workers, start_method="fork")
-    runs = chunk(jobs, -(-len(jobs) // workers))
-    return [proj for run in engine.map(projector, runs) for proj in run]
+    from repro.core.projection import project_flips
+
+    return project_flips(cache, deriver, rd, list(jobs), model, projection)

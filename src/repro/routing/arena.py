@@ -34,10 +34,6 @@ whole-level gather across destinations, stacks the pools level-major;
 that mirror is its own, built and cached in
 :mod:`repro.routing.backends.numpy_impl`, and no other tier holds a
 second copy of the arena.
-
-Because every pool is a flat typed buffer, the arena also serialises to
-a single byte blob (:meth:`RoutingArena.to_blocks` /
-:meth:`RoutingArena.from_buffer`).
 """
 
 from __future__ import annotations
@@ -96,9 +92,8 @@ class RoutingArena(StructurePools):
         self.state_key = state_key
         #: kernel backend name the batched kernels dispatch through
         #: (:mod:`repro.routing.backends`); plain data, so it travels
-        #: with the arena through buffers and job specs.  The
-        #: *consumer* resolves it — and degrades to numpy — at call
-        #: time.
+        #: with the arena.  The *consumer* resolves it — and degrades
+        #: to numpy — at call time.
         self.backend = backend
         self._full_slots = np.arange(self.num_dests, dtype=np.int64)
         #: rows with several tiebreak candidates, per slot (telemetry;
@@ -203,53 +198,6 @@ class RoutingArena(StructurePools):
             # dests) they are no longer noise.
             total += 3 * 8 * (num_dests + 1) * 24
         return int(total)
-
-    # -- serialisation (one flat buffer) -------------------------------
-
-    def to_blocks(self) -> tuple[int, list[tuple[str, str, tuple[int, ...], int]]]:
-        """Layout for packing into one flat buffer.
-
-        Returns ``(total_bytes, [(name, dtype, shape, offset), ...])``
-        with every offset 16-byte aligned.
-        """
-        layout: list[tuple[str, str, tuple[int, ...], int]] = []
-        offset = 0
-        for name, dtype in ARENA_FIELDS:
-            arr = getattr(self, name)
-            offset = (offset + 15) & ~15
-            layout.append((name, dtype, arr.shape, offset))
-            offset += arr.nbytes
-        return offset, layout
-
-    def pack_into(self, buf) -> list[tuple[str, str, tuple[int, ...], int]]:
-        """Copy every pool into ``buf`` (a writable buffer); returns layout."""
-        total, layout = self.to_blocks()
-        if len(buf) < total:
-            raise ValueError(f"buffer too small: {len(buf)} < {total}")
-        for name, dtype, shape, offset in layout:
-            dest = np.ndarray(shape, dtype=dtype, buffer=buf, offset=offset)
-            dest[...] = getattr(self, name)
-        return layout
-
-    @classmethod
-    def from_buffer(
-        cls,
-        graph_n: int,
-        buf,
-        layout: list[tuple[str, str, tuple[int, ...], int]],
-        copy: bool = False,
-        policy: str = "security_3rd",
-        state_key: str | None = None,
-        backend: str = "numpy",
-    ) -> "RoutingArena":
-        """Rebuild an arena over ``buf`` (zero-copy views unless ``copy``)."""
-        arrays: dict[str, np.ndarray] = {}
-        for name, dtype, shape, offset in layout:
-            arr = np.ndarray(tuple(shape), dtype=dtype, buffer=buf, offset=offset)
-            arrays[name] = arr.copy() if copy else arr
-        return cls(
-            graph_n, arrays, policy=policy, state_key=state_key, backend=backend
-        )
 
     # -- the batched kernels -------------------------------------------
 

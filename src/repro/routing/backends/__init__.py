@@ -319,8 +319,8 @@ def kernels_for(name: str) -> tuple[str, Any]:
     """``(resolved name, impl module)`` for a kernel call site.
 
     The call-time companion of :func:`resolve_backend`: arenas carry a
-    backend *name* (it travels through buffers and job specs as plain
-    data), and the consumer may lack that backend — so the dispatcher,
+    backend *name* (it travels with them as plain data), and the
+    consumer may lack that backend — so the dispatcher,
     not the producer, owns the degradation.
     """
     try:

@@ -5,12 +5,10 @@ strict submission order within a priority, so no stream of urgent jobs
 can reorder two equal-priority submissions (fairness is FIFO fairness,
 the same contract the paper's cluster scheduler gave its sweep shards).
 
-Execution happens on plain worker threads; the heavy lifting inside a
-job (tree builds, projections) already runs on the crash-tolerant
-:class:`~repro.parallel.engine.ProcessEngine` when the kernel decides
-to, so the scheduler's threads spend their lives waiting on kernels,
-not computing.  Guards are thread-local, so each job's deadline and
-memory budget bind only to the thread running it.
+Execution happens on plain worker threads, and a job's heavy lifting
+(tree builds, projections) runs in the thread that took it: no kernel
+forks worker processes.  Guards are thread-local, so each job's
+deadline and memory budget bind only to the thread running it.
 
 Stopping distinguishes two intents:
 

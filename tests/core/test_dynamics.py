@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import multiprocessing
 
 import numpy as np
 import pytest
@@ -174,19 +173,15 @@ class TestRoundScopedState:
         self, sim_graph, monkeypatch, workers
     ):
         """Pins the call count, not a timing: one derivation per
-        ``compute_round_data``, in this process and in forked workers."""
-        if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("parallel projection needs the fork start method")
+        ``compute_round_data``, whatever the worker count."""
         from repro.core.adopters import cps_plus_top_isps
 
-        # shared memory, so derivations inside forked workers count too;
         # node_secure goes through derive, so this sees either entry
-        derivations = multiprocessing.Value("i", 0)
+        derivations = []
         derive = StateDeriver.derive
 
         def counting_derive(self, state):
-            with derivations.get_lock():
-                derivations.value += 1
+            derivations.append(state)
             return derive(self, state)
 
         round_data_calls = []
@@ -208,5 +203,5 @@ class TestRoundScopedState:
         projections = sum(len(r.projections) for r in result.rounds)
         # starting utilities + the initial state + one per flipping round
         assert len(round_data_calls) == 2 + flipping
-        assert derivations.value == len(round_data_calls)
-        assert projections > derivations.value
+        assert len(derivations) == len(round_data_calls)
+        assert projections > len(derivations)

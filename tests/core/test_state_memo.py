@@ -9,7 +9,6 @@ alive at a time.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import weakref
 
 import numpy as np
@@ -114,8 +113,6 @@ def test_oscillator_ends_in_the_same_round_with_and_without_a_memo():
 
 
 def test_workers_2_parity_through_a_shared_memo(env):
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("parallel projection needs the fork start method")
     graph, cache, adopters = env
     memo = StateMemo()
     for theta, workers in ((0.0, 2), (0.05, 1), (0.3, 2)):

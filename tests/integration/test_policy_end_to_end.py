@@ -1,8 +1,8 @@
 """End-to-end: the full pipeline under the non-default rankings.
 
 The acceptance bar for the policy layer: case study and sweep run to
-completion under ``security_1st`` and ``security_2nd`` — worker
-processes and journal resume included — and their adoption dynamics
+completion under ``security_1st`` and ``security_2nd`` — a ``workers=2``
+config and journal resume included — and their adoption dynamics
 *differ* from the default ``security_3rd`` run (promoting SecP in the
 ranking changes partial-deployment outcomes; Lychev et al.).
 """
@@ -51,9 +51,8 @@ def test_case_study_differs_from_default(policy, default_curve):
 
 @pytest.mark.parametrize("policy", ["security_1st", "security_2nd"])
 def test_parallel_warm_under_policy(policy, default_curve):
-    """workers=2 warms in-process under the policy, then fans the
-    round's projections out to forked workers that read the
-    state-keyed structures copy-on-write."""
+    """workers=2 is ignored: the warm and the game's projections run
+    in-process under the policy, the same as serial."""
     env = build_environment(n=N, seed=SEED, x=0.10, policy=policy, workers=2)
     assert env.cache.stats().builds == env.graph.n
     assert env.cache.policy_name == policy

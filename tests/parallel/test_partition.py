@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.parallel.partition import chunk, partition
+from repro.parallel.partition import partition
 
 
 class TestPartition:
@@ -29,14 +29,3 @@ class TestPartition:
         with pytest.raises(ValueError):
             partition([1], 0)
 
-
-class TestChunk:
-    def test_contiguous(self):
-        assert chunk([1, 2, 3, 4, 5], 2) == [[1, 2], [3, 4], [5]]
-
-    def test_exact_fit(self):
-        assert chunk([1, 2, 3, 4], 2) == [[1, 2], [3, 4]]
-
-    def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            chunk([1], 0)

@@ -1,25 +1,42 @@
-"""Parallel flip projection must be decision-identical to serial."""
+"""A ``workers > 1`` game plays in one process, identical to serial."""
 
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
+import multiprocessing.process
+import struct
 
 import numpy as np
 import pytest
 
-from repro.core.config import SimulationConfig
+from repro.core.config import ProjectionEngine, SimulationConfig
 from repro.core.dynamics import DeploymentSimulation
 from repro.core.engine import compute_round_data
+from repro.experiments.setup import build_environment
 from repro.parallel.engine import parallel_project_flips
 
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="parallel projection shares round state copy-on-write via fork",
-)
+
+def _fields(proj) -> tuple:
+    """A projection's fields, ``utility`` as bytes and ``flips`` in order."""
+    return (
+        proj.isp, proj.turning_on, struct.pack("<d", proj.utility),
+        list(proj.flips.items()), proj.dests_recomputed, proj.dests_delta,
+    )
 
 
-@needs_fork
+def _projections(result) -> list[list[tuple]]:
+    return [
+        [(isp, _fields(proj)) for isp, proj in r.projections.items()]
+        for r in result.rounds
+    ]
+
+
+@pytest.fixture(scope="module", params=["security_3rd", "security_2nd"])
+def policy_env(request):
+    """``security_2nd`` rebuilds its structures per projected state."""
+    return build_environment(n=150, seed=11, x=0.10, policy=request.param)
+
+
 class TestParallelProjection:
     def test_simulation_agrees_with_serial(self, medium_env):
         adopters = medium_env.case_study_adopters()
@@ -43,10 +60,10 @@ class TestParallelProjection:
         )
 
     def test_projection_values_identical(self, medium_env):
-        """Two workers each stack one contiguous run of the jobs; the
-        flattened result is the serial stack's on every field."""
+        """``workers`` is ignored: both counts return the serial stack
+        on every field."""
         cache, graph = medium_env.cache, medium_env.graph
-        from repro.core.config import UtilityModel, ProjectionEngine
+        from repro.core.config import UtilityModel
         from repro.core.state import DeploymentState, StateDeriver
 
         deriver = StateDeriver(graph, compiled=cache.compiled)
@@ -54,7 +71,7 @@ class TestParallelProjection:
         adopters = frozenset(graph.index(a) for a in medium_env.case_study_adopters())
         state = DeploymentState.initial(adopters).with_flips(turn_on=isps[20:30])
         rd = compute_round_data(cache, deriver, state, UtilityModel.INCOMING)
-        # an odd number of jobs, turn-offs among them: the runs differ in length
+        # an odd number of jobs, turn-offs among them
         jobs = [(i, i not in state.deployers) for i in isps if i not in adopters][:31]
         assert not all(on for _, on in jobs)
         for engine in ProjectionEngine:
@@ -72,21 +89,27 @@ class TestParallelProjection:
             assert [p.utility.hex() for p in serial] == [p.utility.hex() for p in fanned]
             assert [list(p.flips) for p in serial] == [list(p.flips) for p in fanned]
 
-    def test_two_workers_cost_two_partitions(self, medium_env):
-        """A round is ``workers`` runs of jobs, not one partition per job."""
-        from repro.core.config import UtilityModel, ProjectionEngine
-        from repro.core.state import DeploymentState, StateDeriver
-        from repro.telemetry.metrics import MetricsRegistry, use_registry
+    @pytest.mark.parametrize("engine", list(ProjectionEngine), ids=lambda e: e.name)
+    def test_two_workers_play_in_one_process(self, policy_env, engine, monkeypatch):
+        """A ``workers=2`` game starts no process, and every projection
+        and the final utilities are the ``workers=1`` game's, byte for
+        byte."""
+        def refuse(self):
+            raise AssertionError(f"a game started a process ({self.name})")
 
-        cache, graph = medium_env.cache, medium_env.graph
-        deriver = StateDeriver(graph, compiled=cache.compiled)
-        rd = compute_round_data(
-            cache, deriver, DeploymentState.initial(()), UtilityModel.OUTGOING
-        )
-        jobs = [(int(i), True) for i in graph.isp_indices[:40]]
-        with use_registry(MetricsRegistry()) as registry:
-            parallel_project_flips(
-                cache, deriver, rd, jobs,
-                model=UtilityModel.OUTGOING, projection=ProjectionEngine.FULL, workers=2,
-            )
-        assert registry.snapshot()["counters"]["engine.dispatched"] == 2
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        results = [
+            DeploymentSimulation(
+                policy_env.graph, policy_env.case_study_adopters(),
+                SimulationConfig(
+                    theta=0.02, max_rounds=6, projection=engine,
+                    policy=policy_env.cache.policy_name, workers=workers,
+                ),
+                policy_env.cache,
+            ).run()
+            for workers in (1, 2)
+        ]
+        serial, two = results
+        assert serial.num_rounds >= 2
+        assert _projections(two) == _projections(serial)
+        assert two.final_utilities.tobytes() == serial.final_utilities.tobytes()

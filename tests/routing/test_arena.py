@@ -30,6 +30,7 @@ from repro.routing.compiled import CompiledGraph
 from repro.routing.errors import BackendUnavailable
 from repro.routing.paths import RoutingTree
 from repro.routing.tree import (
+    ARENA_FIELDS,
     DestRouting,
     chunk_pools,
     compute_dest_routing,
@@ -269,18 +270,11 @@ class TestLayoutPins:
         assert peak < 1.5 * w2d.nbytes
 
 
-def _packed(arena: RoutingArena):
-    total, layout = arena.to_blocks()
-    buf = bytearray(total)
-    arena.pack_into(buf)
-    return buf, layout
-
-
 def _clone(env, backend: str) -> RoutingArena:
     """A copy of ``env``'s arena (its own pools) on ``backend``."""
-    return RoutingArena.from_buffer(
-        env.graph.n, *_packed(env.cache.ensure_arena()), backend=backend
-    )
+    arena = env.cache.ensure_arena()
+    arrays = {name: getattr(arena, name).copy() for name, _ in ARENA_FIELDS}
+    return RoutingArena(env.graph.n, arrays, backend=backend)
 
 
 def _pools(arena: RoutingArena) -> list[np.ndarray]:
@@ -309,25 +303,6 @@ class TestArenaStructure:
         v = arena.view(0)
         assert v.order.base is not None  # a slice of the pool, not a copy
         assert np.shares_memory(v.cls, arena.cls)
-
-    def test_buffer_round_trip(self, small_graph):
-        dests = list(range(0, small_graph.n, 11))
-        arena = _arena_for(small_graph, dests)
-        total, layout = arena.to_blocks()
-        buf = bytearray(total)
-        packed_layout = arena.pack_into(buf)
-        assert packed_layout == layout
-        assert all(offset % 16 == 0 for _, _, _, offset in layout)
-        clone = RoutingArena.from_buffer(small_graph.n, buf, layout, copy=True)
-        for name in ("dest_ids", "cls", "order_pool", "indptr_pool",
-                     "cands_pool", "keys_pool"):
-            np.testing.assert_array_equal(getattr(clone, name), getattr(arena, name))
-        rng = np.random.default_rng(7)
-        secure = rng.random(small_graph.n) < 0.3
-        a = compute_trees_batched(arena, arena.all_slots(), secure, secure)
-        b = compute_trees_batched(clone, clone.all_slots(), secure, secure)
-        np.testing.assert_array_equal(a.choice, b.choice)
-        np.testing.assert_array_equal(a.secure, b.secure)
 
     def test_build_rejects_misaligned_inputs(self, small_graph):
         cg = CompiledGraph.from_graph(small_graph)

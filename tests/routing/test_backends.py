@@ -751,17 +751,6 @@ def _stub_library(monkeypatch) -> list[str]:
 
 
 class TestArenaBackendPlumbing:
-    def test_arena_carries_backend_through_a_buffer(self, small_graph):
-        dests = [0, 1, 2]
-        arena = _arena_for(small_graph, "security_3rd", PARITY_BACKENDS[-1], dests)
-        total, layout = arena.to_blocks()
-        buf = bytearray(total)
-        arena.pack_into(buf)
-        clone = RoutingArena.from_buffer(
-            arena.graph_n, buf, layout, backend=arena.backend
-        )
-        assert clone.backend == arena.backend
-
     def test_cache_stats_report_backend(self, small_graph):
         cache = RoutingCache(small_graph, destinations=[0, 1], backend="python")
         assert cache.backend_name == "python"

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.parallel.partition import partitions_for_budget
 from repro.routing.arena import RoutingArena
 from repro.runtime.errors import DeadlineExceeded, MemoryBudgetExceeded
 from repro.runtime.guard import (
@@ -167,25 +166,6 @@ class TestLadderRungNames:
             "lazy_warm",
             "compiled_to_numpy",
         )
-
-
-class TestPartitionsForBudget:
-    def test_no_budget_returns_default(self):
-        assert partitions_for_budget(100, 4, 10**6, None) == 4
-
-    def test_grows_partitions_to_fit(self):
-        # 100 items x 10 bytes, budget 200 -> 20 items/partition -> 5
-        assert partitions_for_budget(100, 4, 10, 200) == 5
-
-    def test_never_shrinks_below_default(self):
-        assert partitions_for_budget(100, 8, 10, 10**9) == 8
-
-    def test_caps_at_one_item_per_partition(self):
-        assert partitions_for_budget(10, 1, 100, 1) == 10
-
-    def test_invalid_default_rejected(self):
-        with pytest.raises(ValueError):
-            partitions_for_budget(10, 0, 10, 100)
 
 
 class TestArenaEstimate:

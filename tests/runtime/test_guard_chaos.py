@@ -268,12 +268,12 @@ class TestPaperScaleForecast:
         assert guard.ladder.taken("compiled_to_numpy") == 1
 
     def test_forecast_bounds_real_arenas_with_sampled_dests(self):
-        """estimate_bytes >= packed bytes on a 36K-shaped (sampled-dest)
+        """estimate_bytes >= pooled bytes on a 36K-shaped (sampled-dest)
         arena — shrunk to n=600 so the suite can afford to build it."""
         env = build_environment(n=600, seed=11, x=0.10, warm=True,
                                 sample_destinations=48)
         arena = env.cache.ensure_arena()
-        actual, _ = arena.to_blocks()
+        actual = arena.nbytes
         estimate = RoutingArena.estimate_bytes(arena.num_dests, env.graph.n)
         assert estimate >= actual
         assert estimate < 60 * actual  # an over-estimate, not a fantasy
@@ -283,7 +283,7 @@ class TestPaperScaleForecast:
     def test_forecast_bounds_the_level_major_mirror(self, n, sample, backend):
         """The forecast covers what is resident during a round on the
         arena's tier: the pools, plus, on numpy, the level-major mirror
-        that tier builds from them (``to_blocks`` above leaves it out).
+        that tier builds from them (``nbytes`` above leaves it out).
         The compiled tiers read the pools in place and build none."""
         try:
             kernel_backends.load_backend(backend)
