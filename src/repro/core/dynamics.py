@@ -25,7 +25,7 @@ import numpy as np
 from pathlib import Path
 
 from repro.core.config import SimulationConfig
-from repro.core.engine import RoundData, compute_round_data
+from repro.core.engine import RoundBuffers, RoundData, compute_round_data
 from repro.core.pricing import LINEAR_PRICING, Pricing
 from repro.core.projection import Projection, project_flips
 from repro.core.state import DeploymentState, StateDeriver
@@ -253,6 +253,9 @@ class DeploymentSimulation:
         self.thresholds = thresholds
         self.pricing = pricing or LINEAR_PRICING
         self.memo = memo if memo is not None else StateMemo()
+        #: the round kernels' matrices, allocated once for every state
+        #: this game evaluates
+        self._buffers = RoundBuffers()
         adopters = frozenset(graph.index(asn) for asn in early_adopter_asns)
         self.state = DeploymentState.initial(adopters)
         roles = graph.roles
@@ -352,7 +355,9 @@ class DeploymentSimulation:
 
         With ``project`` it also carries the flip projection of every
         decision maker.  This is the only place a :class:`RoundData`
-        lives: at most one per call, dropped on return.
+        lives: at most one per call, dropped on return.  Its matrices
+        are the game's :class:`RoundBuffers`, which the next call
+        overwrites, so nothing it returns may hold one of them.
         """
         cfg = self.config
         registry = get_registry()
@@ -360,7 +365,9 @@ class DeploymentSimulation:
         if evaluation is not None and not (project and evaluation.projections is None):
             registry.counter("sim.state_memo_hits").inc()
             return evaluation
-        rd = compute_round_data(self.cache, self.deriver, state, cfg.utility_model)
+        rd = compute_round_data(
+            self.cache, self.deriver, state, cfg.utility_model, buffers=self._buffers
+        )
         registry.counter("sim.states_evaluated").inc()
         if evaluation is None:
             rd.node_secure.setflags(write=False)

@@ -25,8 +25,8 @@ import numpy as np
 from repro.core.config import UtilityModel
 from repro.core.state import DeploymentState, StateDeriver
 from repro.routing.arena import (
-    BatchedTrees,
     RoutingArena,
+    TreeBuffers,
     compute_trees_batched,
     subtree_weights_batched,
 )
@@ -172,11 +172,37 @@ class RoundData:
         )
 
 
+class RoundBuffers:
+    """The round kernels' ``[num_dests, n]`` arrays, held by a caller
+    that resolves round after round (a :class:`~repro.core.dynamics.
+    DeploymentSimulation`): allocated on first use and again only when
+    the arena's shape or the guard's pass size changes, overwritten by
+    every :func:`compute_round_data` that gets them.  Holding them keeps
+    each round from faulting in megabytes of fresh pages."""
+
+    def __init__(self) -> None:
+        self._shape: tuple[int, int, int] | None = None
+        self.trees: TreeBuffers | None = None
+        self.weights: np.ndarray | None = None
+
+    def take(self, rows: int, n: int, pass_rows: int) -> tuple[TreeBuffers, np.ndarray]:
+        """Tree buffers and subtree weights for ``rows`` destinations of
+        ``n`` nodes, resolved ``pass_rows`` at a time."""
+        if self._shape != (rows, n, pass_rows):
+            self.trees = self.weights = None  # the old ones go first
+            self.trees = TreeBuffers.empty(rows, n, pass_rows)
+            self.weights = np.empty((rows, n), dtype=np.float64)
+            self._shape = (rows, n, pass_rows)
+        return self.trees, self.weights
+
+
 def compute_round_data(
     cache: RoutingCache,
     deriver: StateDeriver,
     state: DeploymentState,
     model: UtilityModel,
+    *,
+    buffers: RoundBuffers | None = None,
 ) -> RoundData:
     """Resolve all routing trees and utilities for ``state``.
 
@@ -184,7 +210,15 @@ def compute_round_data(
     (built on first use): every destination's tree is resolved by the
     batched level-synchronous kernel in one stacked pass, and the
     security/candidate matrices are the kernel's output buffers —
-    no per-destination copies.
+    no per-destination copies.  With ``buffers`` those matrices are the
+    caller's, and the :class:`RoundData` is only good until the next
+    call that gets them; without, they are allocated here.
+
+    When the guard plans fewer rows per pass than the arena has (the
+    ``chunked_batches`` ladder rung), the kernels run over that many
+    destinations at a time, bounding their per-level scratch; because
+    they are independent per destination, the outputs are bit-identical
+    to the one-pass round — degraded runs stay exact, just slower.
     """
     graph = cache.graph
     node_secure, deploying_providers = deriver.derive(state)
@@ -196,18 +230,18 @@ def compute_round_data(
     cache.ensure_state(node_secure, breaks)
     arena = cache.ensure_arena()
     slots = arena.all_slots()
-    chunk_rows = current_guard().plan_batch_rows(
-        arena.num_dests, _KERNEL_ROW_BYTES_PER_NODE * graph.n,
-        what="round kernel",
-    )
-    if chunk_rows >= arena.num_dests:
-        bt = compute_trees_batched(arena, slots, node_secure, breaks)
-        w2d = subtree_weights_batched(arena, slots, bt.choice, w)
-    else:
-        bt, w2d = _chunked_round_kernels(
-            arena, slots, node_secure, breaks, w, chunk_rows
+    num = arena.num_dests
+    pass_rows = max(1, min(num, current_guard().plan_batch_rows(
+        num, _KERNEL_ROW_BYTES_PER_NODE * graph.n, what="round kernel",
+    )))
+    trees, w2d = (buffers or RoundBuffers()).take(num, graph.n, pass_rows)
+    for lo in range(0, num, pass_rows):
+        hi = min(lo + pass_rows, num)
+        part = compute_trees_batched(
+            arena, slots[lo:hi], node_secure, breaks, out=trees.rows(lo, hi)
         )
-    utilities = _batched_utilities(arena, bt, w2d, w, model)
+        subtree_weights_batched(arena, slots[lo:hi], part.choice, w, out=w2d[lo:hi])
+    utilities = _batched_utilities(arena, trees.choice, w2d, w, model)
 
     secure_positions = np.flatnonzero(
         node_secure[np.asarray(cache.destinations, dtype=np.int64)]
@@ -218,63 +252,20 @@ def compute_round_data(
         deploying_providers=deploying_providers,
         breaks_ties=breaks,
         arena=arena,
-        choice=bt.choice,
+        choice=trees.choice,
         weights=w2d,
         utilities=utilities,
-        sec_matrix=bt.secure,
-        any_sec_matrix=bt.any_secure,
+        sec_matrix=trees.secure,
+        any_sec_matrix=trees.any_secure,
         secure_dest_positions=secure_positions,
-        secure_dest_sec=bt.secure[secure_positions],
-        secure_dest_any_sec=bt.any_secure[secure_positions],
+        secure_dest_sec=trees.secure[secure_positions],
+        secure_dest_any_sec=trees.any_secure[secure_positions],
     )
-
-
-def _chunked_round_kernels(
-    arena: RoutingArena,
-    slots: np.ndarray,
-    node_secure: np.ndarray,
-    breaks: np.ndarray,
-    weights: np.ndarray,
-    chunk_rows: int,
-) -> tuple[BatchedTrees, np.ndarray]:
-    """Run the round kernels over destination chunks (degraded mode).
-
-    The ``chunked_batches`` ladder rung: instead of resolving every
-    destination in one stacked pass, the kernels run over ``chunk_rows``
-    slots at a time, bounding the transient per-level gather/scratch
-    arrays by the chunk size.  The ``[num_dests, n]`` output matrices
-    are still materialised (every downstream consumer needs them), and
-    because the kernels are independent per destination the stitched
-    outputs are bit-identical to the full-batch pass — degraded runs
-    stay exact, just slower.
-    """
-    num = arena.num_dests
-    n = arena.graph_n
-    choice = np.empty((num, n), dtype=np.int32)
-    secure = np.empty((num, n), dtype=bool)
-    any_secure = np.empty((num, n), dtype=bool)
-    w2d = np.empty((num, n), dtype=np.float64)
-    for lo in range(0, num, chunk_rows):
-        hi = min(lo + chunk_rows, num)
-        sub = slots[lo:hi]
-        part = compute_trees_batched(arena, sub, node_secure, breaks)
-        choice[lo:hi] = part.choice
-        secure[lo:hi] = part.secure
-        any_secure[lo:hi] = part.any_secure
-        w2d[lo:hi] = subtree_weights_batched(arena, sub, part.choice, weights)
-    bt = BatchedTrees(
-        dest_ids=arena.dest_ids[slots],
-        slots=slots,
-        choice=choice,
-        secure=secure,
-        any_secure=any_secure,
-    )
-    return bt, w2d
 
 
 def _batched_utilities(
     arena: RoutingArena,
-    bt: BatchedTrees,
+    choice: np.ndarray,
     w2d: np.ndarray,
     node_weights: np.ndarray,
     model: UtilityModel,
@@ -283,13 +274,13 @@ def _batched_utilities(
     n = arena.graph_n
     cls2d = arena.cls
     if model is UtilityModel.OUTGOING:
-        return np.where(cls2d == _CUSTOMER, w2d, 0.0).sum(axis=0)
+        return np.sum(w2d, axis=0, where=cls2d == _CUSTOMER)
     mask = cls2d == _PROVIDER
     if not mask.any():
         return np.zeros(n, dtype=np.float64)
     _, src_nodes = np.nonzero(mask)
     return np.bincount(
-        bt.choice[mask],
+        choice[mask],
         weights=w2d[mask] + node_weights[src_nodes],
         minlength=n,
     )

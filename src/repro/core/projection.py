@@ -404,7 +404,7 @@ def _rebuilt_deltas(
         backend=cache.backend_name,
     )
     arena = RoutingArena(
-        n, RoutingArena.concat(n, [pools]),
+        n, pools.arrays(),
         policy=pools.policy, backend=cache.backend_name,
     )
     return _resolved_deltas(

@@ -18,8 +18,9 @@ n_levels`` kernel launches:
   (``cls`` doubles as the projection engine's class matrix).
 
 That layout is :class:`~repro.routing.tree.StructurePools`, what the
-structure builder emits per destination chunk; the arena is the
-concatenation of a cache's chunks.  ``view(k)`` is a zero-copy
+structure builder emits per destination chunk; the arena is a cache's
+chunks assembled into arrays allocated once, at their final size
+(:class:`~repro.routing.tree.PoolsAssembly`).  ``view(k)`` is a zero-copy
 :class:`~repro.routing.tree.DestRouting` over the pools, for the
 consumers that work one destination at a time.
 
@@ -45,7 +46,7 @@ import numpy as np
 
 from repro.routing import backends as kernel_backends
 from repro.routing.paths import RoutingTree
-from repro.routing.tree import ARENA_FIELDS, StructurePools
+from repro.routing.tree import ARENA_FIELDS, PoolsAssembly, StructurePools
 from repro.telemetry.metrics import get_registry
 
 
@@ -71,6 +72,41 @@ class BatchedTrees:
             choice=self.choice[i],
             secure=self.secure[i],
             any_secure_candidate=self.any_secure[i],
+        )
+
+
+@dataclasses.dataclass
+class TreeBuffers:
+    """What :func:`compute_trees_batched` writes for a batch of ``B``
+    rows of ``n`` nodes, allocated by the caller that reuses them: the
+    three ``[B, n]`` outputs, and the two per-row state masks the tree
+    kernels index by flat ``(batch row, node)`` — scratch, at least
+    ``B * n`` long."""
+
+    choice: np.ndarray       # int32[B, n]
+    secure: np.ndarray       # bool[B, n]
+    any_secure: np.ndarray   # bool[B, n]
+    secure_rows: np.ndarray  # bool[>= B * n]: node_secure per batch row
+    secp_rows: np.ndarray    # bool[>= B * n]: node_secure & breaks_ties
+
+    @classmethod
+    def empty(cls, rows: int, n: int, mask_rows: int | None = None) -> "TreeBuffers":
+        """Buffers for ``rows`` batch rows, masks for ``mask_rows`` of
+        them at a time (default: all)."""
+        masks = (rows if mask_rows is None else mask_rows) * n
+        return cls(
+            choice=np.empty((rows, n), dtype=np.int32),
+            secure=np.empty((rows, n), dtype=bool),
+            any_secure=np.empty((rows, n), dtype=bool),
+            secure_rows=np.empty(masks, dtype=bool),
+            secp_rows=np.empty(masks, dtype=bool),
+        )
+
+    def rows(self, lo: int, hi: int) -> "TreeBuffers":
+        """Output rows ``lo:hi`` (views), with the same mask scratch."""
+        return dataclasses.replace(
+            self, choice=self.choice[lo:hi], secure=self.secure[lo:hi],
+            any_secure=self.any_secure[lo:hi],
         )
 
 
@@ -111,18 +147,32 @@ class RoutingArena(StructurePools):
         state_key: str | None = None,
         backend: str = "numpy",
     ) -> "RoutingArena":
-        """Concatenate chunk pools, in order, moving their tie-break keys
-        in (:meth:`StructurePools.concat`).  ``policy`` / ``state_key``
-        / ``backend`` are carried as metadata so a shipped arena can
-        never be re-used under a different policy or deployment state,
-        and so kernel dispatch follows the arena.
+        """The arena of chunk pools ``parts``, in order: each copied into
+        arrays allocated once (:class:`~repro.routing.tree.PoolsAssembly`;
+        a lone part is adopted).  ``policy`` / ``state_key`` / ``backend``
+        are carried as metadata so a shipped arena can never be re-used
+        under a different policy or deployment state, and so kernel
+        dispatch follows the arena.
         """
+        dests = np.concatenate([np.empty(0, dtype=np.int32), *(p.dest_ids for p in parts)])
+        assembly = PoolsAssembly(graph_n, dests)
+        lo = 0
+        for part in parts:
+            assembly.take(lo, part)
+            lo += part.num_dests
+        return cls.assembled(assembly, policy, state_key, backend)
+
+    @classmethod
+    def assembled(
+        cls,
+        assembly: PoolsAssembly,
+        policy: str = "security_3rd",
+        state_key: str | None = None,
+        backend: str = "numpy",
+    ) -> "RoutingArena":
+        """The arena ``assembly`` finishes (metadata as :meth:`build`)."""
         arena = cls(
-            graph_n,
-            cls.concat(graph_n, parts),
-            policy=policy,
-            state_key=state_key,
-            backend=backend,
+            assembly.n, assembly.finish(), policy=policy, state_key=state_key, backend=backend
         )
         registry = get_registry()
         registry.counter("routing.arena.builds").inc()
@@ -226,15 +276,16 @@ class RoutingArena(StructurePools):
         return self._full_slots
 
 
-def _per_row(mask: np.ndarray, B: int, n: int) -> np.ndarray:
+def _per_row(out: np.ndarray, mask: np.ndarray, B: int, n: int) -> np.ndarray:
     """``mask`` (``[n]``, the same for every batch row, or ``[B, n]``)
-    as the flat ``bool[B * n]`` the tree kernels index."""
+    written into the first ``B * n`` entries of ``out``: the flat
+    ``bool[B * n]`` the tree kernels index."""
     mask = np.asarray(mask, dtype=bool)
-    if mask.ndim == 1:
-        return np.tile(mask, B)
-    if mask.shape != (B, n):
+    if mask.ndim != 1 and mask.shape != (B, n):
         raise ValueError(f"per-row mask must be [{B}, {n}], got {list(mask.shape)}")
-    return np.ascontiguousarray(mask).reshape(-1)
+    rows = out[:B * n]
+    np.copyto(rows.reshape(B, n), mask)
+    return rows
 
 
 def compute_trees_batched(
@@ -242,6 +293,8 @@ def compute_trees_batched(
     slots: np.ndarray,
     node_secure: np.ndarray,
     breaks_ties: np.ndarray,
+    *,
+    out: TreeBuffers | None = None,
 ) -> BatchedTrees:
     """Resolve the routing trees of many destinations in one pass.
 
@@ -264,17 +317,28 @@ def compute_trees_batched(
     its own state — the kernels look both up per ``(batch row, node)``
     either way, so rows of different states share a pass (and a slot may
     repeat under different states).
+
+    ``out`` takes buffers the caller reuses across calls
+    (:class:`TreeBuffers` for ``len(slots)`` rows): the returned trees'
+    matrices are its arrays, overwritten by the next call that gets
+    them.  Without it every array is allocated here.
     """
     slots = np.ascontiguousarray(slots, dtype=np.int64)
     B = len(slots)
     n = arena.graph_n
+    buffers = TreeBuffers.empty(B, n) if out is None else out
+    if buffers.choice.shape != (B, n) or len(buffers.secure_rows) < B * n or not all(
+        a.flags.c_contiguous for a in (buffers.choice, buffers.secure, buffers.any_secure)
+    ):
+        raise ValueError(f"tree buffers do not hold a contiguous batch of [{B}, {n}]")
     # flat, one entry per (batch row, node): one kind of index serves
     # every lookup in the kernels
-    secure_rows = _per_row(node_secure, B, n)
-    secp_rows = _per_row(np.logical_and(node_secure, breaks_ties), B, n)
-    choice = np.full((B, n), -1, dtype=np.int32)
-    secure = np.zeros((B, n), dtype=bool)
-    any_secure = np.zeros((B, n), dtype=bool)
+    secure_rows = _per_row(buffers.secure_rows, node_secure, B, n)
+    secp_rows = _per_row(buffers.secp_rows, np.logical_and(node_secure, breaks_ties), B, n)
+    choice, secure, any_secure = buffers.choice, buffers.secure, buffers.any_secure
+    choice.fill(-1)
+    secure.fill(False)
+    any_secure.fill(False)
     dest_ids = arena.dest_ids[slots]
     at_dest = np.arange(B) * n + dest_ids
     secure.reshape(-1)[at_dest] = secure_rows[at_dest]
@@ -314,6 +378,8 @@ def subtree_weights_batched(
     slots: np.ndarray,
     choice: np.ndarray,
     weights: np.ndarray,
+    *,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Weight of the subtree routing *through* each node, per tree.
 
@@ -322,7 +388,7 @@ def subtree_weights_batched(
     definitions sum (Section 3.3; the worked example excludes the ISP's
     own weight).  ``choice`` is the ``[B, n]`` matrix from
     :func:`compute_trees_batched`; returns the matching ``[B, n]``
-    float64 matrix.
+    float64 matrix: ``out``, a buffer the caller reuses, when given.
     Levels dispatch through the arena's kernel backend, like
     :func:`compute_trees_batched`.
     """
@@ -331,7 +397,13 @@ def subtree_weights_batched(
     n = arena.graph_n
     weights = np.ascontiguousarray(weights, dtype=np.float64)
     choice = np.ascontiguousarray(choice, dtype=np.int32)
-    w = np.zeros((B, n), dtype=np.float64)
+    if out is None:
+        w = np.zeros((B, n), dtype=np.float64)
+    elif out.shape != (B, n) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"weights buffer is not a contiguous float64 [{B}, {n}]")
+    else:
+        w = out
+        w.fill(0.0)
     backend, kernels = kernel_backends.kernels_for(arena.backend)
     registry = get_registry()
     if registry.enabled:

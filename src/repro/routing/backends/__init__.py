@@ -24,9 +24,14 @@ this registry:
   on disk.  Its tree kernels walk each batch row's slot of the arena's
   pools in place and hold no second copy of them; its Jacobi iteration
   converges one row at a time and, after the first sweep, re-decides
-  only the nodes that read a node the sweep before changed; its
-  structure build walks one destination at a time, first to size the
-  chunk's pools, then to fill them.
+  only the nodes that read a node the sweep before changed (on the
+  first sweep of a row that starts blank, only its pins and their
+  readers); its structure build walks one destination at a time, first
+  to size the chunk's pools, then to fill them — two kernels of their
+  own (``structure_labels`` / ``structure_pools``, which the python
+  tier has too), so a warm can label every chunk into the arena's rows
+  before any pool is allocated.  numpy cannot size a chunk without
+  building it and has ``build_structures`` alone.
 - ``python``: the C loops' executable spec in pure Python
   (:mod:`repro.routing.backends._loops`), registered *hidden* so the
   parity suite can pin the exact control flow the C code transliterates

@@ -36,11 +36,17 @@ Calling convention (all backends):
   int64[chunk, MAX_PINS, 6], the labels int8/int32/bool as C-contiguous
   ``[chunk, n]`` matrices (updated in place), ``stats`` int64[chunk, 3]
   and the optional ``tied`` bool[chunk, edges];
-- the structure build is the one kernel whose outputs the caller cannot
-  size: it takes the ``CompiledGraph`` (its three CSRs, int64
-  ``*_indptr`` and int32 ``*_idx``) and a chunk of destinations (int64,
-  any order, repeats allowed) and returns the chunk's 13
-  ``ARENA_FIELDS``, each allocated exactly once its size is known.
+- the structure build takes the ``CompiledGraph`` (its three CSRs,
+  int64 ``*_indptr`` and int32 ``*_idx``) and a chunk of destinations
+  (int64, any order, repeats allowed).  ``build_structures`` returns
+  the chunk's 13 ``ARENA_FIELDS``, each allocated exactly once its
+  size is known.  Its two halves are kernels of their own, so the
+  arena's assembly can place a chunk before any pool exists:
+  ``structure_labels`` writes the chunk's ``[rows, n]`` labels and
+  ``sizes`` int64[rows, 3] (reachable nodes, level_starts entries,
+  candidates per row) in place, and ``structure_pools`` fills the rest
+  of the chunk's fields, handed over as a dict whose ``*_ptr`` tables
+  start at 0 — its own arrays, or its slices of the arena's.
 
 Bit-identity with the numpy backend is structural, not accidental:
 
@@ -68,7 +74,9 @@ Bit-identity with the numpy backend is structural, not accidental:
   re-decides changes no label: a node not on the frontier would decide
   from the same neighbours' labels, and the same pins, as it did the
   last time it was decided — so it would decide the same, and its part
-  of ``tied`` is the same too;
+  of ``tied`` is the same too.  On a row that starts blank that holds
+  from sweep 1: a node that neither is pinned nor reads a pin sees
+  only unreachable neighbours, so it would decide blank with no tie;
 - the structure build settles a destination's nodes pass by pass in
   order of their route's length — the order in which the numpy passes
   relax whole levels — so every node takes the same class and length.
@@ -81,6 +89,8 @@ Bit-identity with the numpy backend is structural, not accidental:
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -99,7 +109,7 @@ from repro.routing.fixpoint import (
     ROW_REVISITS,
 )
 from repro.routing.policy import POSITION_BITS, RouteClass, tie_hash
-from repro.routing.tree import sized_pools
+from repro.routing.tree import PoolsAssembly
 
 _BLOCKED = np.uint64(2**64 - 1)
 _POS_MASK = np.uint64((1 << POSITION_BITS) - 1)
@@ -221,10 +231,15 @@ def jacobi_converge(v, route_cls, node_ptr, tie_rank, rank_edge, lp_field,
     change.  Sweep 1 decides every node; after that only the nodes that
     read a node the sweep before changed (``rev_seg``), since every
     other node would decide from the same neighbours' labels as last
-    time.  A node changed by the sweep before that has changed back if
-    its new labels are its before-labels; when every change of a sweep
-    is such a return, and the sweep before changed as many nodes, the
-    row is back at the labels of two sweeps before.
+    time.  A row that starts blank (every label unreachable, as a
+    structure build's and an attack's do) seeds sweep 1 with its pins
+    and their readers alone: every other node reads only unreachable
+    neighbours, so it would decide the blank labels it holds, and its
+    part of ``tied`` is all false.  A node changed by the sweep before
+    that has changed back if its new labels are its before-labels; when
+    every change of a sweep is such a return, and the sweep before
+    changed as many nodes, the row is back at the labels of two sweeps
+    before.
     """
     chunk, n = cls.shape
     shifts = rank_shifts.astype(np.uint32)
@@ -244,15 +259,44 @@ def jacobi_converge(v, route_cls, node_ptr, tie_rank, rank_edge, lp_field,
     limit = cap
     for row in range(chunk):
         att_row = attacker[row]
+        blank = True
+        for i in range(n):
+            if (cls[row, i] != _UNREACHABLE or length[row, i] != -1
+                    or sec[row, i] or att[row, i]):
+                blank = False
+                break
         for k in range(MAX_PINS):
             u = pins[row, k, 0]
             if u >= 0:
                 cls[row, u], length[row, u], sec[row, u], att[row, u] = _pinned(
                     pins[row, k], cls[row, u], length[row, u], sec[row, u], att[row, u]
                 )
-        for i in range(n):
-            front[i] = i
-        nf = n
+        nf = 0
+        if blank:
+            # every node but the pins and their readers reads only
+            # unreachable neighbours, which offer it nothing: it would
+            # decide the blank labels it holds, with no tie
+            stamp += 1
+            for k in range(MAX_PINS):
+                x = pins[row, k, 0]
+                if x < 0:
+                    continue
+                if mark[x] != stamp:
+                    mark[x] = stamp
+                    front[nf] = x
+                    nf += 1
+                for j in range(rev_ptr[x], rev_ptr[x + 1]):
+                    u = rev_seg[j]
+                    if mark[u] != stamp:
+                        mark[u] = stamp
+                        front[nf] = u
+                        nf += 1
+            if tied is not None:
+                tied[row, :] = False
+        else:
+            for i in range(n):
+                front[i] = i
+            nf = n
         prev_changed = -1
         status = ROW_MOVING
         sweep = 0
@@ -395,17 +439,23 @@ def build_structures(cg, dests):
     """The 13 pooled fields of the destination chunk ``dests``, in two
     walks per destination: the labels, which size its pools, then the
     pools and their tie-break keys."""
-    rows, n = len(dests), cg.n
-    cls = np.empty((rows, n), dtype=np.int8)
-    length = np.empty((rows, n), dtype=np.int32)
-    sizes = np.zeros((rows, 3), dtype=np.int64)
-    seq = np.empty(max(n, 1), dtype=np.int32)
-    for row in range(rows):
+    return PoolsAssembly.labelled(cg, dests, sys.modules[__name__])
+
+
+def structure_labels(cg, dests, cls, length, sizes):
+    """Passes 1-3 toward each destination of the chunk into its row of
+    the ``[rows, n]`` labels, and the row's pool sizes into ``sizes``."""
+    sizes[...] = 0
+    seq = np.empty(max(cg.n, 1), dtype=np.int32)
+    for row in range(len(dests)):
         _route_labels(cg, dests[row], cls[row], length[row], seq, sizes[row])
-    arrays = sized_pools(dests, cls, length, sizes)
-    for row in range(rows):
+
+
+def structure_pools(cg, arrays):
+    """Every slot's pools and tie-break keys from its labels, into
+    ``arrays`` (the chunk's 13 fields, its offset tables starting at 0)."""
+    for row in range(len(arrays["order_ptr"]) - 1):
         _pool_row(cg, arrays, row)
-    return arrays
 
 
 def _offer(u, route_cls, at, cls, length, size):

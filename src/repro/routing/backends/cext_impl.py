@@ -28,6 +28,7 @@ import ctypes
 import hashlib
 import os
 import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -36,7 +37,7 @@ import numpy as np
 from repro.routing import fixpoint, policy
 from repro.routing.backends import BackendUnavailable, find_compiler
 from repro.routing.policy import POSITION_BITS, RouteClass
-from repro.routing.tree import sized_pools
+from repro.routing.tree import PoolsAssembly
 from repro.runtime.atomic import atomic_write_text
 
 #: What the C code shares with the other tiers, formatted from where it
@@ -251,7 +252,8 @@ static inline void sbgp_pinned(const int64_t *pin, int8_t *c, int32_t *l,
  * _loops.jacobi_converge, which this transliterates.  Every node takes
  * the offer with the least selection word rank_key << 32 | tie_rank;
  * rank_edge[node_ptr[u] + r] is the edge of u's segment that holds tie
- * rank r.  Sweep 1 decides every node, a later sweep only the readers
+ * rank r.  Sweep 1 decides every node -- only the pins and their
+ * readers when the row starts blank -- a later sweep only the readers
  * (rev_seg) of the nodes the sweep before changed.  tied may be NULL:
  * only structure building asks for the tie mask, the one thing that
  * needs the keys twice.  stats[row] = (status, sweeps, decisions).
@@ -294,14 +296,45 @@ int sbgp_jacobi_converge(
             v, lp_field, edge_flags, (uint32_t)rank_shifts[0],
             (uint32_t)rank_shifts[1], (uint32_t)rank_shifts[2],
             attacker[row], (int)leak, c, l, s, a};
+        int blank = 1;
+        for (int64_t i = 0; i < n && blank; i++)
+            blank = c[i] == CLS_UNREACHABLE && l[i] == -1 && !s[i] && !a[i];
         for (int64_t k = 0; k < MAX_PINS; k++) {
             const int64_t u = rp[k * 6];
             if (u >= 0)
                 sbgp_pinned(rp + k * 6, c + u, l + u, s + u, a + u);
         }
-        for (int64_t i = 0; i < n; i++)
-            front[i] = i;
-        int64_t nf = n, prev_changed = -1, status = ROW_MOVING;
+        int64_t nf = 0;
+        if (blank) {
+            /* every node but the pins and their readers reads only
+             * unreachable neighbours, which offer it nothing: it would
+             * decide the blank labels it holds, with no tie */
+            stamp++;
+            for (int64_t k = 0; k < MAX_PINS; k++) {
+                const int64_t x = rp[k * 6];
+                if (x < 0)
+                    continue;
+                if (mark[x] != stamp) {
+                    mark[x] = stamp;
+                    front[nf++] = x;
+                }
+                for (int64_t j = rev_ptr[x]; j < rev_ptr[x + 1]; j++) {
+                    const int32_t u = rev_seg[j];
+                    if (mark[u] != stamp) {
+                        mark[u] = stamp;
+                        front[nf++] = u;
+                    }
+                }
+            }
+            if (t)
+                for (int64_t e = 0; e < num_edges; e++)
+                    t[e] = 0;
+        } else {
+            for (int64_t i = 0; i < n; i++)
+                front[i] = i;
+            nf = n;
+        }
+        int64_t prev_changed = -1, status = ROW_MOVING;
         int64_t sweep = 0, decisions = 0;
         while (sweep < limit) {
             sweep++;
@@ -784,39 +817,68 @@ def jacobi_converge(v, route_cls, node_ptr, tie_rank, rank_edge, lp_field,
         raise MemoryError(f"cext kernel: no scratch for a sweep over {n} nodes")
 
 
-def build_structures(cg, dests):
-    """The 13 pooled fields of the chunk ``dests``, in two C calls: the
-    labels, which size every pool, then the pools and their keys
-    (``_loops.build_structures`` is the spec)."""
+def _csr_ptrs(cg) -> list[ctypes.c_void_p]:
+    """The graph's three CSRs as pointers, checked against each other."""
     n = cg.n
     csr = (
         (cg.cust_indptr, cg.cust_idx), (cg.peer_indptr, cg.peer_idx),
         (cg.prov_indptr, cg.prov_idx),
     )
-    graph = [p for indptr, idx in csr for p in (_ptr(indptr, np.int64), _ptr(idx, np.int32))]
-    chunk = _ptr(dests, np.int64)
+    ptrs = [p for indptr, idx in csr for p in (_ptr(indptr, np.int64), _ptr(idx, np.int32))]
     if any(len(indptr) != n + 1 or indptr[0] != 0 or indptr[-1] != len(idx)
            for indptr, idx in csr):
         raise ValueError("cext kernel: CSR out of step with the graph")
+    return ptrs
+
+
+def structure_labels(cg, dests, cls, length, sizes):
+    """Passes 1-3 of the chunk ``dests`` into its ``[rows, n]`` labels,
+    in place, and each row's pool sizes into ``sizes`` (one C call)."""
+    n = cg.n
+    graph = _csr_ptrs(cg)
+    chunk = _ptr(dests, np.int64)
     if dests.ndim != 1 or len(dests) and (dests.min() < 0 or dests.max() >= n):
         raise ValueError("cext kernel: destination outside the graph")
     rows = len(dests)
-    cls = np.empty((rows, n), dtype=np.int8)
-    length = np.empty((rows, n), dtype=np.int32)
-    sizes = np.zeros((rows, 3), dtype=np.int64)
+    if cls.shape != (rows, n) or length.shape != (rows, n) or sizes.shape != (rows, 3):
+        raise ValueError("cext kernel: labels are not [rows, n]")
     status = _LIB.sbgp_structure_labels(
         _I64(rows), _I64(n), chunk, *graph,
         _ptr(cls, np.int8), _ptr(length, np.int32), _ptr(sizes, np.int64),
     )
     if status:
         raise MemoryError(f"cext kernel: no scratch for a walk over {n} nodes")
-    out = sized_pools(dests, cls, length, sizes)
+
+
+def structure_pools(cg, arrays):
+    """A chunk's pools and their keys from its labels, into ``arrays``
+    (its 13 fields, the offset tables its own, starting at 0), in one C
+    call."""
+    n = cg.n
+    graph = _csr_ptrs(cg)
+    order_ptr = arrays["order_ptr"]
+    rows = len(order_ptr) - 1
+    if rows < 0 or any(arrays[name].shape != (rows, n) for name in ("cls", "lengths", "row_of")):
+        raise ValueError("cext kernel: labels are not [rows, n]")
+    _check_pools(
+        np.empty(0, dtype=np.int64), n,
+        (order_ptr, arrays["level_ptr"], arrays["cand_ptr"], arrays["cand_ptr"]),
+        (arrays["order_pool"], arrays["level_pool"], arrays["cands_pool"], arrays["keys_pool"]),
+    )
+    if len(arrays["indptr_pool"]) != order_ptr[-1] + rows:
+        raise ValueError("cext kernel: pools out of step")
     _LIB.sbgp_structure_pools(
         _I64(rows), _I64(n), *graph,
-        _ptr(cls, np.int8), _ptr(length, np.int32),
-        *(_ptr(out[name], np.int64) for name in ("order_ptr", "level_ptr", "cand_ptr")),
-        _ptr(out["row_of"], np.int32), _ptr(out["order_pool"], np.int32),
-        _ptr(out["level_pool"], np.int32), _ptr(out["indptr_pool"], np.int64),
-        _ptr(out["cands_pool"], np.int32), _ptr(out["keys_pool"], np.uint64),
+        _ptr(arrays["cls"], np.int8), _ptr(arrays["lengths"], np.int32),
+        *(_ptr(arrays[name], np.int64) for name in ("order_ptr", "level_ptr", "cand_ptr")),
+        _ptr(arrays["row_of"], np.int32), _ptr(arrays["order_pool"], np.int32),
+        _ptr(arrays["level_pool"], np.int32), _ptr(arrays["indptr_pool"], np.int64),
+        _ptr(arrays["cands_pool"], np.int32), _ptr(arrays["keys_pool"], np.uint64),
     )
-    return out
+
+
+def build_structures(cg, dests):
+    """The 13 pooled fields of the chunk ``dests``, in two C calls: the
+    labels, which size every pool, then the pools and their keys
+    (``_loops.build_structures`` is the spec)."""
+    return PoolsAssembly.labelled(cg, dests, sys.modules[__name__])

@@ -62,7 +62,7 @@ from repro.routing.fixpoint import (
     ROW_REVISITS,
 )
 from repro.routing.policy import POSITION_BITS, RouteClass
-from repro.routing.tree import ARENA_FIELDS, _three_passes, assemble_pools
+from repro.routing.tree import _three_passes, assemble_pools
 from repro.telemetry.metrics import get_registry
 
 _POS_MASK = np.uint64((1 << POSITION_BITS) - 1)
@@ -324,8 +324,7 @@ def build_level_major(
 def build_structures(cg: CompiledGraph, dests: np.ndarray) -> dict[str, np.ndarray]:
     """The 13 pooled fields of the destination chunk ``dests``: passes
     1-3 stacked over the chunk, then the assembler."""
-    pools = assemble_pools(dests, *_three_passes(cg, dests))
-    return {name: getattr(pools, name) for name, _ in ARENA_FIELDS}
+    return assemble_pools(dests, *_three_passes(cg, dests)).arrays()
 
 
 def _full_batch(ptr: np.ndarray, slots: np.ndarray) -> bool:

@@ -3,11 +3,13 @@
 Under state-independent policies (Observation C.1: SecP ranked last)
 the structures are reusable across deployment states, so a simulation
 computes them once and keeps them for every round and every projected
-state.  What the cache stores is pooled
-(:class:`~repro.routing.tree.StructurePools`): one pools object per
-destination chunk while it fills, their concatenation — the
-:class:`~repro.routing.arena.RoutingArena` — once a round needs them
-all.  A :class:`~repro.routing.tree.DestRouting` is a view, made when a
+state.  What the cache stores is pooled: while it fills, the
+destination chunks a warm built, in the
+:class:`~repro.routing.tree.PoolsAssembly` that becomes the
+:class:`~repro.routing.arena.RoutingArena` once a round needs them all
+(plus :class:`~repro.routing.tree.StructurePools` of the chunks a
+per-destination consumer asked for first).  A
+:class:`~repro.routing.tree.DestRouting` is a view, made when a
 per-destination consumer asks :meth:`RoutingCache.dest_routing` for one.
 
 The cache is bound to one :class:`~repro.routing.policy.RoutingPolicy`
@@ -34,7 +36,13 @@ from repro.routing import backends as kernel_backends
 from repro.routing.arena import RoutingArena
 from repro.routing.compiled import CompiledGraph
 from repro.routing.policy import RoutingPolicy, get_policy
-from repro.routing.tree import DestRouting, StructurePools, chunk_rows, destination_chunks
+from repro.routing.tree import (
+    DestRouting,
+    PoolsAssembly,
+    StructurePools,
+    chunk_rows,
+    destination_chunks,
+)
 from repro.runtime.guard import current_guard
 from repro.telemetry.metrics import get_registry
 from repro.topology.graph import ASGraph
@@ -128,16 +136,19 @@ class RoutingCache:
         self.compiled = CompiledGraph.from_graph(graph)
         self.destinations = list(range(graph.n)) if destinations is None else list(destinations)
         self._dest_pos = {d: k for k, d in enumerate(self.destinations)}
-        #: destinations per chunk: the cache's pools cover runs of
+        #: destinations per chunk: the cache builds runs of
         #: ``destinations`` cut where :func:`destination_chunks` cuts
-        #: them, so a miss builds its chunk once and the arena is the
-        #: concatenation of the chunks
+        #: them, so a miss builds its chunk once and the arena is
+        #: assembled from the chunks
         self.rows_per_chunk = chunk_rows(self.compiled)
-        #: per chunk, its pools once built; all None again once the
-        #: arena holds them
+        #: per chunk, pools a per-destination consumer was handed (a
+        #: lazy miss builds them); all None again once the arena holds
+        #: them
         self._parts: list[StructurePools | None] = [None] * len(
             range(0, len(self.destinations), self.rows_per_chunk)
         )
+        #: the arena under construction: the chunks a warm built
+        self._assembly: PoolsAssembly | None = None
         self._arena: RoutingArena | None = None
         # deployment state the structures were built under; only
         # meaningful for state-dependent policies (None = all-insecure)
@@ -182,37 +193,41 @@ class RoutingCache:
         """The structures of ``dests`` under this cache's policy,
         deployment state and backend, with the accounting of every
         build — built, not kept."""
-        registry = get_registry()
         start = time.perf_counter()
-        pools = self.policy.build_pools(
-            self.graph,
-            dests,
-            self.compiled,
-            node_secure=self._node_secure,
-            breaks_ties=self._breaks_ties,
-            backend=self.backend_name,
-        )
-        elapsed = time.perf_counter() - start
-        self._misses += len(dests)
-        self._builds += len(dests)
-        self._warm_seconds += elapsed
-        registry.counter("routing.cache.misses").inc(len(dests))
-        registry.counter("routing.tree_builds").inc(len(dests))
-        hist = registry.histogram("routing.tree_build_seconds")
-        for _ in dests:  # one observation per tree, whatever built it
-            hist.observe(elapsed / len(dests))
+        pools = self.policy.build_pools(self.graph, dests, self.compiled, **self._build_args())
+        self._account(len(dests), time.perf_counter() - start)
         return pools
 
+    def _build_args(self) -> dict:
+        return {
+            "node_secure": self._node_secure,
+            "breaks_ties": self._breaks_ties,
+            "backend": self.backend_name,
+        }
+
+    def _account(self, dests: int, elapsed: float) -> None:
+        """Count a build of ``dests`` destinations that took ``elapsed``."""
+        registry = get_registry()
+        self._misses += dests
+        self._builds += dests
+        self._warm_seconds += elapsed
+        registry.counter("routing.cache.misses").inc(dests)
+        registry.counter("routing.tree_builds").inc(dests)
+        hist = registry.histogram("routing.tree_build_seconds")
+        for _ in range(dests):  # one observation per tree, whatever built it
+            hist.observe(elapsed / dests)
+
     def arena_of(self, parts: Sequence[StructurePools]) -> RoutingArena:
-        """``parts`` concatenated into an arena that carries this
+        """``parts`` joined, in order, into an arena that carries this
         cache's policy, deployment state and backend."""
-        return RoutingArena.build(
-            self.graph.n,
-            parts,
-            policy=self.policy.name,
-            state_key=self._state_key,
-            backend=self.backend_name,
-        )
+        return RoutingArena.build(self.graph.n, parts, **self._arena_args())
+
+    def _arena_args(self) -> dict:
+        return {
+            "policy": self.policy.name,
+            "state_key": self._state_key,
+            "backend": self.backend_name,
+        }
 
     def _chunk(self, index: int) -> range:
         """Positions in ``destinations`` of chunk ``index``."""
@@ -239,22 +254,36 @@ class RoutingCache:
         pos = self._dest_pos.get(dest)
         if pos is None:
             return self.build_pools([dest]).view(0)
-        index, offset = divmod(pos, self.rows_per_chunk)
-        if self._arena is None and self._parts[index] is None:
-            self._build_chunk(index)
-        else:
-            self._hits += 1
-            get_registry().counter("routing.cache.hits").inc()
         if self._arena is not None:
+            self._hit()
             return self._arena.view(pos)
+        index, offset = divmod(pos, self.rows_per_chunk)
+        if self._parts[index] is not None:
+            self._hit()
+        elif self._assembled(index):
+            self._hit()
+            self._parts[index] = self._assembly.pools_of(self._chunk(index).start)
+        else:
+            chunk = self._chunk(index)
+            self._parts[index] = self.build_pools(self.destinations[chunk.start:chunk.stop])
         return self._parts[index].view(offset)
 
-    def _build_chunk(self, index: int) -> None:
-        chunk = self._chunk(index)
-        self._parts[index] = self.build_pools(self.destinations[chunk.start:chunk.stop])
+    def _hit(self) -> None:
+        self._hits += 1
+        get_registry().counter("routing.cache.hits").inc()
+
+    def _assembled(self, index: int) -> bool:
+        """Whether a warm built chunk ``index`` into the assembly."""
+        return self._assembly is not None and self._assembly.has(self._chunk(index).start)
+
+    def _built(self, index: int) -> bool:
+        return self._parts[index] is not None or self._assembled(index)
 
     def warm(self) -> None:
-        """Build every chunk of ``destinations`` not built yet.
+        """Build every chunk of ``destinations`` not built yet, into the
+        arena's assembly: on a tier that can, each chunk's labels go
+        straight into the arena's rows and its pools wait for
+        :meth:`ensure_arena`.
 
         For a state-dependent policy a chunk is one batched fixpoint
         run.  The deadline is checked between chunks: finished chunks
@@ -262,10 +291,19 @@ class RoutingCache:
         """
         if self._arena is not None:
             return
-        for index, part in enumerate(self._parts):
-            if part is None:
+        if self._assembly is None:
+            self._assembly = PoolsAssembly(self.graph.n, self.destinations)
+        for index in range(len(self._parts)):
+            if not self._built(index):
                 current_guard().check_deadline("cache warm")
-                self._build_chunk(index)
+                chunk = self._chunk(index)
+                dests = np.asarray(self.destinations[chunk.start:chunk.stop], dtype=np.int64)
+                start = time.perf_counter()
+                self.policy.build_into(
+                    self._assembly, chunk.start, self.graph, dests, self.compiled,
+                    **self._build_args(),
+                )
+                self._account(len(dests), time.perf_counter() - start)
 
     def ensure_state(
         self, node_secure: np.ndarray, breaks_ties: np.ndarray
@@ -287,10 +325,10 @@ class RoutingCache:
         self._breaks_ties = np.array(breaks_ties, dtype=bool)
         self._state_key = key
         had_arena = self._arena is not None
-        if had_arena or any(self._parts):
+        if had_arena or any(map(self._built, range(len(self._parts)))):
             self._state_rebuilds += 1
             get_registry().counter("routing.cache.state_rebuilds").inc()
-        self._parts = [None] * len(self._parts)
+        self._drop_chunks()
         self._arena = None
         if had_arena:
             self.ensure_arena()
@@ -302,16 +340,24 @@ class RoutingCache:
         return self._arena
 
     def ensure_arena(self) -> RoutingArena:
-        """Warm everything and concatenate it into a :class:`RoutingArena`.
+        """Warm everything and finish it into a :class:`RoutingArena`.
 
-        A warm leaves a handful of chunk pools; the arena takes them in
-        order, pools their tie-break keys, and the chunk pools are
-        released.  Idempotent after the first call; a shared arena
-        installed via :meth:`install_arena` is reused as-is.
+        The warm leaves the chunks in an assembly whose dense fields
+        are already the arena's; the pools are allocated once, at their
+        final size, each chunk's slices filled (or copied in from pools
+        a lazy miss built), and the chunks released.  Idempotent after
+        the first call; a shared arena installed via
+        :meth:`install_arena` is reused as-is.
         """
         if self._arena is None:
             self.warm()
-            self._adopt_arena(self.arena_of(self._parts))
+            for index, part in enumerate(self._parts):
+                if part is not None and not self._assembled(index):
+                    self._assembly.take(self._chunk(index).start, part)
+            start = time.perf_counter()
+            arena = RoutingArena.assembled(self._assembly, **self._arena_args())
+            self._warm_seconds += time.perf_counter() - start
+            self._adopt_arena(arena)
         return self._arena
 
     def install_arena(self, arena: RoutingArena) -> None:
@@ -343,8 +389,12 @@ class RoutingCache:
 
     def _adopt_arena(self, arena: RoutingArena) -> None:
         self._arena = arena
-        self._parts = [None] * len(self._parts)
+        self._drop_chunks()
         get_registry().gauge("routing.arena.bytes").set(arena.nbytes)
+
+    def _drop_chunks(self) -> None:
+        self._parts = [None] * len(self._parts)
+        self._assembly = None
 
     def pending_runs(self) -> list[tuple[int, int]]:
         """Maximal ``(start, stop)`` runs of positions in
@@ -352,8 +402,8 @@ class RoutingCache:
         if self._arena is not None:
             return []
         runs: list[tuple[int, int]] = []
-        for index, part in enumerate(self._parts):
-            if part is None:
+        for index in range(len(self._parts)):
+            if not self._built(index):
                 chunk = self._chunk(index)
                 if runs and runs[-1][1] == chunk.start:
                     runs[-1] = (runs[-1][0], chunk.stop)

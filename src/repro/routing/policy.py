@@ -48,7 +48,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 from collections import defaultdict
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -56,7 +56,7 @@ from repro.routing.compiled import CompiledGraph
 from repro.telemetry.metrics import get_registry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (tree imports policy)
-    from repro.routing.tree import DestRouting, StructurePools
+    from repro.routing.tree import DestRouting, PoolsAssembly, StructurePools
     from repro.topology.graph import ASGraph
 
 
@@ -254,9 +254,33 @@ class RoutingPolicy:
         sweeps (:mod:`repro.routing.backends`; ``None`` = env var, then
         ``auto``).
         """
-        from repro.routing.tree import StructurePools, chunk_pools
+        from repro.routing.tree import PoolsAssembly, StructurePools
 
-        dests = [int(d) for d in dests]
+        dests = np.asarray([int(d) for d in dests], dtype=np.int64)
+        assembly = PoolsAssembly(graph.n, dests)
+        self.build_into(assembly, 0, graph, dests, compiled, node_secure, breaks_ties, backend)
+        return StructurePools(assembly.finish(), self.name)
+
+    def build_into(
+        self,
+        assembly: "PoolsAssembly",
+        lo: int,
+        graph: "ASGraph",
+        dests: np.ndarray,
+        compiled: "CompiledGraph | None" = None,
+        node_secure: np.ndarray | None = None,
+        breaks_ties: np.ndarray | None = None,
+        backend: str | None = None,
+    ) -> None:
+        """Build the structures of ``dests`` (int64) into slots ``lo:``
+        of ``assembly``, a destination chunk at a time (arguments as
+        :meth:`build_pools`).  Rankings with SecP last and no sticky
+        nodes label each chunk in place on a tier that can size its
+        pools first (cext, python); every other chunk is built whole and
+        handed over."""
+        from repro.routing import backends as kernel_backends
+        from repro.routing.tree import chunk_pools, destination_chunks
+
         cg = compiled or CompiledGraph.from_graph(graph)
         if self.state_dependent:
             from repro.routing.fixpoint import fixpoint_pools
@@ -267,12 +291,22 @@ class RoutingPolicy:
                 backend=backend,
             )
         elif self.ranking[0] is Criterion.SP:
-            parts = [_sp_first_pools(graph, d) for d in dests]
+            parts = (_sp_first_pools(graph, chunk) for chunk in destination_chunks(cg, dests))
         else:
-            parts = list(chunk_pools(cg, dests, backend))
-        pools = StructurePools(StructurePools.concat(graph.n, parts), self.name)
-        sticky = self.sticky_mask(graph.n)
-        return pools if sticky is None else pools.restrict_to_primary(sticky)
+            sticky = self.sticky_mask(graph.n)
+            name, kernels = kernel_backends.kernels_for(kernel_backends.resolve_backend(backend))
+            if sticky is None and hasattr(kernels, "structure_labels"):
+                for chunk in destination_chunks(cg, dests):
+                    assembly.label(lo, chunk, cg, kernels)
+                    get_registry().counter("routing.structure.chunks").inc()
+                    lo += len(chunk)
+                return
+            parts = chunk_pools(cg, dests, name)
+            if sticky is not None:
+                parts = (part.restrict_to_primary(sticky) for part in parts)
+        for part in parts:
+            assembly.take(lo, part)
+            lo += part.num_dests
 
 
 # -- the §8.3 variant builders ------------------------------------------
@@ -296,11 +330,36 @@ def compute_dest_routing_sp_first(
     graph: "ASGraph", dest: int, compiled: "CompiledGraph | None" = None
 ) -> "DestRouting":
     """The :class:`DestRouting` for ``dest`` with ``SP > LP`` ranking."""
-    return _sp_first_pools(graph, dest).view(0)
+    return _sp_first_pools(graph, [dest]).view(0)
 
 
-def _sp_first_pools(graph: "ASGraph", dest: int) -> "StructurePools":
-    """One destination's structure with ``SP > LP`` ranking (GR2 export).
+def _sp_first_pools(graph: "ASGraph", dests: Sequence[int]) -> "StructurePools":
+    """The structures of ``dests`` with ``SP > LP`` ranking (GR2
+    export), a destination at a time, assembled as one chunk (each
+    destination counts as a chunk of its own)."""
+    from repro.routing.tree import assemble_pools
+
+    n = graph.n
+    cls = np.full((len(dests), n), _UNREACHABLE, dtype=np.int8)
+    dist = np.full((len(dests), n), -1, dtype=np.int32)
+    src: list[int] = []
+    dst: list[int] = []
+    for row, dest in enumerate(dests):
+        for v, u in _sp_first_candidates(graph, int(dest), cls[row], dist[row]):
+            src.append(row * n + v)
+            dst.append(u)
+    get_registry().counter("routing.structure.chunks").inc(len(dests))
+    return assemble_pools(
+        dests, cls, dist, np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    )
+
+
+def _sp_first_candidates(
+    graph: "ASGraph", dest: int, cls: np.ndarray, dist: np.ndarray
+) -> list[tuple[int, int]]:
+    """One destination's labels with ``SP > LP`` ranking, into ``cls``
+    and ``dist`` (blank on entry), and its tiebreak candidates as
+    ``(node, next hop)`` pairs.
 
     Selected routes are found by bucketed Dijkstra over unit weights:
     when a node is finalised, its selected class determines what it may
@@ -310,14 +369,9 @@ def _sp_first_pools(graph: "ASGraph", dest: int) -> "StructurePools":
     second criterion), and its tiebreak set is the candidates matching
     that (length, class) optimum.
     """
-    from repro.routing.tree import assemble_pools
-
     n = graph.n
-    dist = np.full(n, -1, dtype=np.int32)
-    cls = np.full(n, _UNREACHABLE, dtype=np.int8)
     dist[dest] = 0
     cls[dest] = _SELF
-
     # candidates[v] -> list of (next_hop, class_at_v)
     candidates: dict[int, list[tuple[int, int]]] = defaultdict(list)
     buckets: dict[int, list[int]] = {0: [dest]}
@@ -355,12 +409,7 @@ def _sp_first_pools(graph: "ASGraph", dest: int) -> "StructurePools":
         level += 1
 
     # tiebreak sets: each node's minimum-length candidates of its class
-    pairs = [
-        (v, u) for v, offers in candidates.items() for u, c in offers if c == cls[v]
-    ]
-    src, dst = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
-    get_registry().counter("routing.structure.chunks").inc()
-    return assemble_pools([dest], cls[None], dist[None], src, dst)
+    return [(v, u) for v, offers in candidates.items() for u, c in offers if c == cls[v]]
 
 
 def _neighbor_views(graph: "ASGraph", u: int):

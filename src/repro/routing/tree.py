@@ -17,9 +17,12 @@ Appendix C.2, tie-break keys included.  The numpy tier's build, the
 ground truth, lives here: the passes stacked across the chunk on flat
 ``row * n + node`` frontiers (:func:`_three_passes`) and one assembler
 (:func:`assemble_pools`) that turns labels plus candidate edges into
-pools.  Pools are what every stage stores and passes on; a
+pools.  Pools are what every stage passes on; a
 :class:`DestRouting` is a zero-copy view of one slot, made when a
-per-destination consumer asks for it.
+per-destination consumer asks for it.  The routing arena is a
+:class:`PoolsAssembly` of a cache's chunks: arrays allocated once, at
+their final size, that a compiled tier writes each chunk into and every
+other builder's chunks are copied into.
 """
 
 from __future__ import annotations
@@ -296,13 +299,11 @@ class StructurePools:
     One array per :data:`ARENA_FIELDS` entry: a slot's ``order`` /
     ``level_starts`` / ``indptr`` / ``cands`` / tie-break keys are the
     ``*_ptr[k]:*_ptr[k + 1]`` slice of the matching pool, its ``cls`` /
-    ``lengths`` / ``row_of`` row ``k`` of the dense matrices.  The
-    builder emits one per destination chunk, keys included; the routing
-    arena is the concatenation of those, and takes each chunk's keys
-    over as it goes (:meth:`concat`), so the largest field is never held
-    twice.  That move is the one write pools ever take: views are handed
-    out, and a chunk whose keys moved (``keys_pool`` None) derives them
-    again if asked (:meth:`tie_keys`).
+    ``lengths`` / ``row_of`` row ``k`` of the dense matrices.  Every
+    builder emits them keys included, and nothing writes them after
+    construction: views are handed out, and the routing arena is a
+    :class:`PoolsAssembly` of a cache's chunks, each written straight
+    into the arena's arrays or copied there from pools like these.
     """
 
     def __init__(self, arrays: dict[str, np.ndarray], policy: str = "security_3rd"):
@@ -310,8 +311,8 @@ class StructurePools:
         #: under (stamped on every view)
         self.policy = policy
         for name, dtype in ARENA_FIELDS:
-            arr = arrays.get(name) if name == "keys_pool" else arrays[name]
-            if arr is not None and arr.dtype != dtype:
+            arr = arrays[name]
+            if arr.dtype != dtype:
                 raise ValueError(f"arena field {name}: expected {dtype}, got {arr.dtype}")
             setattr(self, name, arr)
         self._views: dict[int, DestRouting] = {}
@@ -319,6 +320,10 @@ class StructurePools:
     @property
     def num_dests(self) -> int:
         return len(self.dest_ids)
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The 13 fields by name: the arrays themselves, not copies."""
+        return {name: getattr(self, name) for name, _ in ARENA_FIELDS}
 
     def row_sizes(self, lo: int, hi: int) -> np.ndarray:
         """Tiebreak-set size of every pooled row of slots ``lo:hi`` (a
@@ -333,17 +338,6 @@ class StructurePools:
         row = self.row_of[slots, node]
         at = (self.indptr_ptr[slots] + row)[row >= 0]
         return self.indptr_pool[at + 1] - self.indptr_pool[at]
-
-    def tie_keys(self, lo: int, hi: int) -> np.ndarray:
-        """Tie-break keys of every candidate of slots ``lo:hi``."""
-        c_lo, c_hi = self.cand_ptr[lo], self.cand_ptr[hi]
-        if self.keys_pool is not None:
-            return self.keys_pool[c_lo:c_hi]
-        return compute_tie_keys(
-            self.order_pool[self.order_ptr[lo]:self.order_ptr[hi]],
-            offsets(self.row_sizes(lo, hi)),
-            self.cands_pool[c_lo:c_hi],
-        )
 
     def view(self, slot: int) -> DestRouting:
         """Zero-copy :class:`DestRouting` of destination slot ``slot``:
@@ -364,7 +358,7 @@ class StructurePools:
                 level_starts=self.level_pool[l_lo:l_hi],
                 indptr=self.indptr_pool[i_lo:i_hi],
                 cands=self.cands_pool[c_lo:c_hi],
-                _tie_keys=None if self.keys_pool is None else self.keys_pool[c_lo:c_hi],
+                _tie_keys=self.keys_pool[c_lo:c_hi],
                 policy=self.policy,
             )
         return view
@@ -384,84 +378,182 @@ class StructurePools:
         starts = offsets(sizes)
         some = np.flatnonzero(sizes)
         collapse = (sticky[self.order_pool] & (sizes > 1))[some]
-        keys = self.tie_keys(0, self.num_dests)
-        least = np.minimum.reduceat(keys, starts[some])
+        least = np.minimum.reduceat(self.keys_pool, starts[some])
         rows = some[collapse]
         keep = np.ones(len(self.cands_pool), dtype=bool)
         keep[segment_index(starts[rows], sizes[rows])] = False
         keep[starts[rows] + (least[collapse] & _POS_MASK).astype(np.int64)] = True
         sizes[rows] = 1
         cum = offsets(sizes)
-        keys = keys[keep]
+        keys = self.keys_pool[keep]
         keys[cum[rows]] &= _HASH_MASK  # a primary is its row's first candidate
         indptr_ptr, indptr_pool, cand_ptr = _local_indptr(cum, self.order_ptr)
-        arrays = {name: getattr(self, name) for name, _ in ARENA_FIELDS[:-1]}
+        arrays = self.arrays()
         arrays.update(
             indptr_ptr=indptr_ptr, indptr_pool=indptr_pool, cand_ptr=cand_ptr,
             cands_pool=self.cands_pool[keep], keys_pool=keys,
         )
         return StructurePools(arrays, self.policy)
 
-    @staticmethod
-    def concat(n: int, parts: "Sequence[StructurePools]") -> dict:
-        """One array per field over the slots of ``parts``, in order
-        (every part built on an ``n``-node graph).  The tie-break keys
-        move: each part's are copied into the joined pool first, while
-        the rest is not there yet, and released from the part as soon as
-        they are, so the largest field is never held twice.  A lone
-        part's arrays are shared, not copied."""
-        if any(p.cls.shape[1] != n for p in parts):
-            raise ValueError(f"pools were built for another graph than one of {n} nodes")
-        if len(parts) == 1:
-            (part,) = parts
-            arrays = {name: getattr(part, name) for name, _ in ARENA_FIELDS[:-1]}
-            return arrays | {"keys_pool": part.tie_keys(0, part.num_dests)}
-        ends = np.cumsum([0] + [len(p.cands_pool) for p in parts])
-        arrays = {"keys_pool": np.empty(ends[-1], dtype=np.uint64)}
-        for p, at, end in zip(parts, ends, ends[1:]):
-            arrays["keys_pool"][at:end] = p.tie_keys(0, p.num_dests)
-            p.keys_pool = None
-        dtypes = dict(ARENA_FIELDS)
 
-        def cat(name, pieces, shape=(0,)):
-            # the empty head fixes dtype and shape when there is no part
-            return np.concatenate([np.empty(shape, dtype=dtypes[name]), *pieces])
-
-        arrays["dest_ids"] = cat("dest_ids", [p.dest_ids for p in parts])
-        for name in ("cls", "lengths", "row_of"):
-            arrays[name] = cat(name, [getattr(p, name) for p in parts], (0, n))
-        for ptr, pool in _POOL_OF_PTR:
-            arrays[ptr] = offsets(cat(ptr, [np.diff(getattr(p, ptr)) for p in parts]))
-            arrays[pool] = cat(pool, [getattr(p, pool) for p in parts])
-        return arrays
+#: every flat pool with the ``*_ptr`` table that cuts it into slots
+_POOLS = _POOL_OF_PTR + (("cand_ptr", "keys_pool"),)
+_DENSE = ("cls", "lengths", "row_of")
+_DTYPES = dict(ARENA_FIELDS)
 
 
-def sized_pools(
-    dests: np.ndarray, cls: np.ndarray, length: np.ndarray, sizes: np.ndarray
-) -> dict[str, np.ndarray]:
-    """A chunk's arrays for a compiled build to fill: its labels, every
-    ``*_ptr`` table from ``sizes[row] = (reachable nodes, level_starts
-    entries, candidates)``, and every pool allocated at exactly its size."""
-    rows, n = cls.shape
+def _ptr_tables(sizes: np.ndarray) -> dict[str, np.ndarray]:
+    """Every ``*_ptr`` table from ``sizes[slot] = (reachable nodes,
+    level_starts entries, candidates)``."""
     order_ptr = offsets(sizes[:, 0])
-    level_ptr = offsets(sizes[:, 1])
-    cand_ptr = offsets(sizes[:, 2])
     return {
-        "dest_ids": dests.astype(np.int32),
-        "cls": cls,
-        "lengths": length,
-        "row_of": np.empty((rows, n), dtype=np.int32),
         "order_ptr": order_ptr,
-        "order_pool": np.empty(order_ptr[-1], dtype=np.int32),
-        "level_ptr": level_ptr,
-        "level_pool": np.empty(level_ptr[-1], dtype=np.int32),
+        "level_ptr": offsets(sizes[:, 1]),
         # a slot's indptr run closes with one extra entry
-        "indptr_ptr": order_ptr + np.arange(rows + 1),
-        "indptr_pool": np.empty(order_ptr[-1] + rows, dtype=np.int64),
-        "cand_ptr": cand_ptr,
-        "cands_pool": np.empty(cand_ptr[-1], dtype=np.int32),
-        "keys_pool": np.empty(cand_ptr[-1], dtype=np.uint64),
+        "indptr_ptr": order_ptr + np.arange(len(sizes) + 1),
+        "cand_ptr": offsets(sizes[:, 2]),
     }
+
+
+def _pool(arrays: dict[str, np.ndarray], ptr: str, pool: str) -> np.ndarray:
+    """``pool`` allocated at the size its ``ptr`` table closes at."""
+    return np.empty(arrays[ptr][-1], dtype=_DTYPES[pool])
+
+
+def _slots_of(arrays: dict[str, np.ndarray], lo: int, hi: int) -> dict[str, np.ndarray]:
+    """Slots ``lo:hi`` of ``arrays`` as a chunk's own fields: the dense
+    rows and the pool slices are views, the ``*_ptr`` tables rebased to
+    start at 0 (what a chunk's pools pass fills, wherever it lives)."""
+    out = {name: arrays[name][lo:hi] for name in ("dest_ids", *_DENSE)}
+    for ptr, pool in _POOLS:
+        table = arrays[ptr][lo:hi + 1]
+        out[ptr] = table - table[0]
+        out[pool] = arrays[pool][table[0]:table[-1]]
+    return out
+
+
+class PoolsAssembly:
+    """The fields of a run of destinations ("slots"), each allocated
+    once at its final size and filled a destination chunk at a time.
+
+    A chunk comes in one of two ways.  A tier that can size a chunk's
+    pools before it fills them (cext and its python spec: the
+    ``structure_labels`` / ``structure_pools`` kernels) writes the
+    chunk's labels straight into its rows of the dense ``[D, n]``
+    fields and records its sizes (:meth:`label`); its pools pass waits
+    for :meth:`finish`, which allocates the pools once every size is
+    known and fills each chunk's slices.  Every other builder — numpy's
+    passes, the fixpoint, the SP-first Dijkstra, the sticky restriction
+    — cannot size a chunk without building it, so it hands over the
+    chunk it built (:meth:`take`): its dense rows are copied in at once,
+    its pools kept until :meth:`finish` copies them in a field at a
+    time, releasing each chunk's copy of a field as soon as it is in.
+    A built chunk that covers every slot is adopted, not copied.
+    """
+
+    def __init__(self, n: int, dests: Sequence[int]):
+        self.n = n
+        self.dest_ids = np.asarray(dests, dtype=np.int32)
+        #: per slot: (reachable nodes, level_starts entries, candidates)
+        self.sizes = np.zeros((len(self.dest_ids), 3), dtype=np.int64)
+        self._dense: dict[str, np.ndarray] | None = None
+        #: chunk start -> (its stop, what fills its pools: the kernels
+        #: and graph of its pools pass, its built pools by name, or the
+        #: whole built chunk when it covers every slot)
+        self._chunks: dict[int, tuple[int, object]] = {}
+
+    @classmethod
+    def labelled(cls, cg: CompiledGraph, dests: np.ndarray, kernels) -> dict[str, np.ndarray]:
+        """The 13 fields of the one chunk ``dests`` (int64), labelled
+        and pooled by ``kernels``: a compiled tier's chunk build."""
+        assembly = cls(cg.n, dests)
+        assembly.label(0, dests, cg, kernels)
+        return assembly.finish()
+
+    def has(self, lo: int) -> bool:
+        """Whether the chunk that starts at slot ``lo`` is in."""
+        return lo in self._chunks
+
+    def _dense_fields(self) -> dict[str, np.ndarray]:
+        if self._dense is None:
+            shape = (len(self.dest_ids), self.n)
+            self._dense = {"dest_ids": self.dest_ids} | {
+                name: np.empty(shape, dtype=_DTYPES[name]) for name in _DENSE
+            }
+        return self._dense
+
+    def label(self, lo: int, dests: np.ndarray, cg: CompiledGraph, kernels) -> None:
+        """Label the chunk ``dests`` (int64) into slots ``lo:`` with
+        ``kernels.structure_labels``; ``kernels.structure_pools`` fills
+        its pools in :meth:`finish`."""
+        hi = lo + len(dests)
+        dense = self._dense_fields()
+        kernels.structure_labels(
+            cg, dests, dense["cls"][lo:hi], dense["lengths"][lo:hi], self.sizes[lo:hi]
+        )
+        self._chunks[lo] = (hi, (kernels, cg))
+
+    def take(self, lo: int, pools: StructurePools) -> None:
+        """Hand over ``pools``, built for slots ``lo:``."""
+        hi = lo + pools.num_dests
+        if pools.cls.shape[1] != self.n:
+            raise ValueError(f"pools were built for another graph than one of {self.n} nodes")
+        if pools.dest_ids.tobytes() != self.dest_ids[lo:hi].tobytes():
+            raise ValueError(f"pools for slots {lo}:{hi} were built for other destinations")
+        for k, ptr in enumerate(("order_ptr", "level_ptr", "cand_ptr")):
+            self.sizes[lo:hi, k] = np.diff(getattr(pools, ptr))
+        if hi - lo == len(self.dest_ids):
+            self._chunks[lo] = (hi, pools)
+            return
+        dense = self._dense_fields()
+        for name in _DENSE:
+            dense[name][lo:hi] = getattr(pools, name)
+        self._chunks[lo] = (hi, {pool: getattr(pools, pool) for _, pool in _POOLS})
+
+    def pools_of(self, lo: int) -> StructurePools:
+        """The chunk that starts at slot ``lo`` as pools of its own, for
+        a consumer that cannot wait for :meth:`finish`: the chunk's
+        dense rows (views) with its built pools, or, for a labelled
+        chunk, pools filled into arrays of their own."""
+        hi, source = self._chunks[lo]
+        if isinstance(source, StructurePools):
+            return source
+        dense = self._dense_fields()
+        arrays = {name: dense[name][lo:hi] for name in ("dest_ids", *_DENSE)}
+        arrays |= _ptr_tables(self.sizes[lo:hi])
+        if isinstance(source, dict):
+            return StructurePools(arrays | source)
+        arrays["row_of"] = np.empty((hi - lo, self.n), dtype=np.int32)
+        arrays |= {pool: _pool(arrays, ptr, pool) for ptr, pool in _POOLS}
+        kernels, cg = source
+        kernels.structure_pools(cg, arrays)
+        return StructurePools(arrays)
+
+    def finish(self) -> dict[str, np.ndarray]:
+        """Every field of every slot.  The pools are allocated from the
+        sizes a field at a time, each built chunk's share copied in and
+        released before the next field; then each labelled chunk's pools
+        pass fills its slices."""
+        covered = sum(hi - lo for lo, (hi, _) in self._chunks.items())
+        if covered != len(self.dest_ids):
+            raise ValueError(f"{covered} of {len(self.dest_ids)} slots were built")
+        chunks, self._chunks = self._chunks, {}
+        _, whole = chunks.get(0, (0, None))
+        if isinstance(whole, StructurePools):  # built for every slot
+            return whole.arrays()
+        arrays = self._dense_fields() | _ptr_tables(self.sizes)
+        self._dense = None
+        for ptr, pool in _POOLS:
+            arrays[pool] = _pool(arrays, ptr, pool)
+            for lo, (hi, source) in chunks.items():
+                if isinstance(source, dict):
+                    at = arrays[ptr][lo:hi + 1]
+                    arrays[pool][at[0]:at[-1]] = source.pop(pool)
+        for lo, (hi, source) in chunks.items():
+            if isinstance(source, tuple):
+                kernels, cg = source
+                kernels.structure_pools(cg, _slots_of(arrays, lo, hi))
+        return arrays
 
 
 def _local_indptr(

@@ -187,9 +187,9 @@ class TestRoundScopedState:
         round_data_calls = []
         compute_round_data = dynamics.compute_round_data
 
-        def counting_round_data(*args):
+        def counting_round_data(*args, **kwargs):
             round_data_calls.append(args)
-            return compute_round_data(*args)
+            return compute_round_data(*args, **kwargs)
 
         monkeypatch.setattr(StateDeriver, "derive", counting_derive)
         monkeypatch.setattr(dynamics, "compute_round_data", counting_round_data)

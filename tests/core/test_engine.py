@@ -6,9 +6,15 @@ import numpy as np
 import pytest
 
 from repro.core.config import UtilityModel
-from repro.core.engine import compute_round_data, contributions, utilities_for_state
+from repro.core.engine import (
+    _batched_utilities,
+    compute_round_data,
+    contributions,
+    utilities_for_state,
+)
 from repro.core.state import DeploymentState, StateDeriver
 from repro.routing.cache import RoutingCache
+from repro.routing.policy import RouteClass
 from repro.topology.graph import ASGraph
 
 from tests.references import incoming_contribution
@@ -73,6 +79,27 @@ class TestOutgoingUtility:
         # passes 1 then 50. Check consistency instead:
         top = g.index(1)
         assert rd.utilities[top] > 0
+
+
+    def test_masked_sum_is_the_zeroed_sum(self, small_graph, small_cache):
+        # the reduction sums the customer cells of each column; zeroing
+        # every other cell first and summing all of them is the same
+        # float64 sequence, since x + 0.0 == x
+        arena = small_cache.ensure_arena()
+        state = DeploymentState.initial(small_graph.isp_indices[:8])
+        rd = compute_round_data(
+            small_cache, StateDeriver(small_graph), state, UtilityModel.OUTGOING
+        )
+        rng = np.random.default_rng(31)
+        shape = (arena.num_dests, small_graph.n)
+        customer = arena.cls == int(RouteClass.CUSTOMER)
+        for w2d in (rd.weights, rng.lognormal(0.0, 30.0, shape), rng.random(shape)):
+            zeroed = np.where(customer, w2d, 0.0).sum(axis=0)
+            got = _batched_utilities(
+                arena, rd.choice, w2d, small_graph.weights, UtilityModel.OUTGOING
+            )
+            assert got.tobytes() == zeroed.tobytes()
+        assert rd.utilities.tobytes() == np.where(customer, rd.weights, 0.0).sum(axis=0).tobytes()
 
 
 class TestIncomingUtility:

@@ -146,11 +146,11 @@ class TestEvaluations:
         issued: list[weakref.ref] = []
         compute_round_data = dynamics.compute_round_data
 
-        def tracking(*args):
+        def tracking(*args, **kwargs):
             assert not [ref for ref in issued if ref() is not None], (
                 "a RoundData outlived its state evaluation"
             )
-            rd = compute_round_data(*args)
+            rd = compute_round_data(*args, **kwargs)
             issued.append(weakref.ref(rd))
             return rd
 

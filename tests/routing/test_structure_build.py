@@ -611,6 +611,61 @@ class TestCachePoolsParityOnCext(TestCachePoolsParity):
     BACKEND = "cext"
 
 
+@pytest.mark.parametrize("policy_name", ["security_3rd", "security_2nd"])
+class TestStoppedWarmHandsOutItsChunks:
+    """A warm stopped by a deadline holds its chunks in the arena's
+    assembly — labelled in place on the compiled tiers, built whole
+    everywhere else.  A per-destination consumer gets such a chunk's
+    views without a second build, and the arena assembled afterwards is
+    still the references', byte for byte."""
+
+    BACKEND = "numpy"
+    GRAPH = TestCachePoolsParity.GRAPH
+    DESTS = TestCachePoolsParity.DESTS
+
+    def test_a_miss_on_a_warmed_chunk_builds_nothing(self, policy_name, monkeypatch):
+        cache = TestCachePoolsParity._cache(self, policy_name, monkeypatch)
+        ticks = iter(range(10 ** 6))
+        guard = RuntimeGuard(deadline=Deadline(3.5, clock=lambda: next(ticks)))
+        with use_guard(guard), pytest.raises(DeadlineExceeded):
+            cache.warm()
+        stats = cache.stats()
+        assert 16 <= stats.cached < len(self.DESTS)
+        want = _reference_for(policy_name, self.GRAPH, self.DESTS)
+        views = {}
+        for pos in (0, 7, 9):   # the first two chunks, both warmed
+            views[pos] = view = cache.dest_routing(self.DESTS[pos])
+            _assert_slot_equal(view, want, pos)
+        assert cache.dest_routing(self.DESTS[7]) is views[7]
+        after = cache.stats()
+        assert (after.builds, after.hits) == (stats.builds, stats.hits + 4)
+        TestCachePoolsParity._check(self, cache)
+        assert cache.stats().builds == len(self.DESTS)
+
+
+class TestStoppedWarmHandsOutItsChunksOnPython(TestStoppedWarmHandsOutItsChunks):
+    BACKEND = "python"
+
+
+class TestStoppedWarmHandsOutItsChunksOnCext(TestStoppedWarmHandsOutItsChunks):
+    BACKEND = "cext"
+
+
+def _assert_slot_equal(view: DestRouting, want: dict[str, np.ndarray], slot: int) -> None:
+    """``view`` is slot ``slot`` of the pooled fields ``want``."""
+    assert view.dest == want["dest_ids"][slot]
+    for name, field in (("cls", "cls"), ("lengths", "lengths"), ("row_of", "row_of")):
+        assert getattr(view, name).tobytes() == want[field][slot].tobytes(), name
+    for name, ptr, pool in (
+        ("order", "order_ptr", "order_pool"), ("level_starts", "level_ptr", "level_pool"),
+        ("indptr", "indptr_ptr", "indptr_pool"), ("cands", "cand_ptr", "cands_pool"),
+    ):
+        lo, hi = want[ptr][slot], want[ptr][slot + 1]
+        assert getattr(view, name).tobytes() == want[pool][lo:hi].tobytes(), name
+    lo, hi = want["cand_ptr"][slot], want["cand_ptr"][slot + 1]
+    assert view.tie_keys().tobytes() == want["keys_pool"][lo:hi].tobytes()
+
+
 class TestViewsLeaveThePoolsAlone:
     def test_restriction_writes_no_chunk(self, small_graph):
         cg = CompiledGraph.from_graph(small_graph)
@@ -620,18 +675,15 @@ class TestViewsLeaveThePoolsAlone:
         assert len(restricted.cands_pool) < len(pools.cands_pool)
         assert _pool_bytes(pools) == before
 
-        # ... and the arena that concatenates chunks moves their keys in
-        # and writes nothing else; a chunk without its keys derives them
+        # ... and the arena that joins chunks copies them in, keys
+        # included, and writes none of them
         parts = (restricted, pools)
         had = [_pool_bytes(part) for part in parts]
         arena = RoutingArena.build(small_graph.n, list(parts))
         assert arena.num_dests == 48 and not np.shares_memory(arena.cls, pools.cls)
         assert arena.keys_pool.tobytes() == b"".join(h["keys_pool"] for h in had)
         for part, before in zip(parts, had):
-            assert part.keys_pool is None
-            for name, _ in ARENA_FIELDS[:-1]:
-                assert getattr(part, name).tobytes() == before[name], name
-            assert part.tie_keys(0, part.num_dests).tobytes() == before["keys_pool"]
+            assert _pool_bytes(part) == before
 
     def test_a_pickled_view_ships_its_own_slices_only(self, small_graph):
         cg = CompiledGraph.from_graph(small_graph)

@@ -243,17 +243,26 @@ class TestTelemetry:
     """``routing.jacobi.*`` come from what the kernel returns, and cost
     nothing with telemetry off."""
 
-    @staticmethod
-    def _converge(tier):
+    DESTS = np.arange(0, 60, 7)
+
+    @classmethod
+    def _converge(cls, tier, max_sweeps=None):
         graph = generate_topology(n=60, seed=11).graph
         none = np.zeros(graph.n, dtype=bool)
         driver = JacobiDriver(
             CompiledGraph.from_graph(graph), get_policy("security_3rd"), none, none,
-            backend=tier,
+            backend=tier, max_sweeps=max_sweeps,
         )
-        dests = np.arange(0, graph.n, 7)
+        dests = cls.DESTS
         pins = pin_table(len(dests), (dests, PIN_ALL, int(RouteClass.SELF), 0, False, False))
         return graph.n, driver.converge(driver.blank(len(dests)), pins, "telemetry")
+
+    @classmethod
+    def _first_sweep_decisions(cls, tier):
+        with use_registry(MetricsRegistry()) as registry:
+            with pytest.raises(ConvergenceError, match="within 1 sweeps"):
+                cls._converge(tier, max_sweeps=1)
+            return registry.snapshot()["counters"]["routing.jacobi.decisions"]
 
     def test_sweeps_and_decisions(self, tier):
         with use_registry(MetricsRegistry()) as registry:
@@ -263,12 +272,26 @@ class TestTelemetry:
         assert histogram["count"] == len(sweeps)
         assert histogram["sum"] == sweeps.sum() and sweeps.min() > 1
         decisions = snapshot["counters"]["routing.jacobi.decisions"]
-        # every node on a row's first sweep; numpy re-decides every node
-        # on every sweep, the frontier tiers only the nodes that can move
+        # numpy re-decides every node on every sweep.  The frontier
+        # tiers decide, on a blank row's first sweep, its pinned
+        # destination and the nodes that read it, and after that only
+        # the readers of the nodes the sweep before changed
         if tier == "numpy":
             assert decisions == n * sweeps.sum()
-        else:
-            assert n * len(sweeps) < decisions < n * sweeps.sum()
+            return
+        table = JacobiDriver(
+            CompiledGraph.from_graph(generate_topology(n=n, seed=11).graph),
+            get_policy("security_3rd"), np.zeros(n, dtype=bool), np.zeros(n, dtype=bool),
+        ).table
+        seeded = sum(
+            len({int(d), *table.rev_seg[table.rev_ptr[d]:table.rev_ptr[d + 1]].tolist()})
+            for d in self.DESTS
+        )
+        assert seeded < n * len(sweeps)
+        assert self._first_sweep_decisions(tier) == seeded
+        assert seeded < decisions < n * sweeps.sum()
+        for other in TIERS[1:]:   # the frontier tiers agree node for node
+            assert self._first_sweep_decisions(other) == seeded, other
 
     def test_nothing_is_asked_of_a_disabled_registry(self, tier, monkeypatch):
         def asked(*args, **kwargs):
