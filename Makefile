@@ -18,20 +18,19 @@ install:
 test:
 	pytest tests/
 
-# Fault-injection and checkpoint/resume tests only (the resilience layer).
+# Guard and checkpoint/resume tests only (the resilience layer).
 test-resilience:
-	pytest tests/runtime tests/parallel/test_faults.py tests/experiments/test_resume.py
+	pytest tests/runtime tests/experiments/test_resume.py
 
-# The chaos suite: combined kill+hang+slow faults under deadlines and
-# memory budgets, plus the degradation-ladder acceptance tests.
+# The chaos suite: a deadline expiring mid-grid and its resume, memory
+# budgets, plus the degradation-ladder acceptance tests.
 test-chaos:
-	pytest tests/runtime/test_guard_chaos.py tests/parallel/test_faults.py -v
+	pytest tests/runtime/test_guard_chaos.py -v
 
 # The simulation service: job store, scheduler, result cache, HTTP
-# daemon, plus its satellites (journal locking, engine shutdown).
+# daemon, plus its satellite (journal locking).
 test-service:
-	pytest tests/service tests/runtime/test_journal_lock.py \
-		tests/parallel/test_engine_shutdown.py -v
+	pytest tests/service tests/runtime/test_journal_lock.py -v
 
 # Run the job daemon locally.  SERVE_STORE defaults to ./service-store;
 # port 0 picks a free port and writes it to $(SERVE_STORE)/endpoint.json.

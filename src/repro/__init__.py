@@ -23,10 +23,8 @@ Subpackages:
 - :mod:`repro.protocol` — RPKI / S-BGP / soBGP message-level substrate
   and the attack library;
 - :mod:`repro.gadgets`  — the paper's theory constructions, runnable;
-- :mod:`repro.parallel` — crash-tolerant map-reduce substrate
-  (DryadLINQ stand-in);
 - :mod:`repro.runtime`  — resilience layer: atomic persistence, run
-  journals (checkpoint/resume), retry policy, fault injection;
+  journals (checkpoint/resume), deadlines and memory budgets;
 - :mod:`repro.experiments` — the harness regenerating every table and
   figure.
 """

@@ -9,8 +9,8 @@ built from the per-file linter's already-parsed ASTs:
   ``[tool.repro.layers]`` (pyproject.toml), and the eager module graph
   must stay acyclic (:mod:`repro.analysis.program.layers`);
 * **RPR016** — fork/thread-safety: no lock-free writes to module-level
-  mutable state in functions reachable from ``ProcessEngine.map``
-  targets or worker threads (:mod:`repro.analysis.program.forksafety`);
+  mutable state in functions reachable from pool ``.map`` targets or
+  worker threads (:mod:`repro.analysis.program.forksafety`);
 * **RPR017** — dead public API: every public top-level symbol must be
   referenced somewhere in src/tests/scripts/benchmarks/examples
   (:mod:`repro.analysis.program.api`).
@@ -78,7 +78,7 @@ PROGRAM_RULES: tuple[ProgramRule, ...] = (
         code="RPR016",
         name="fork-thread-safety",
         rationale=(
-            "Functions reachable from ProcessEngine.map targets and scheduler "
+            "Functions reachable from pool .map targets and scheduler "
             "worker threads run concurrently across forks and threads; a "
             "lock-free write to module-level mutable state there is a lost "
             "update or cross-fork divergence waiting for load."

@@ -1,8 +1,9 @@
 """Fork/thread-safety analysis (RPR016).
 
-``ProcessEngine.map`` forks (or spawns) workers and the service
-scheduler runs jobs on threads; any function reachable from those entry
-points may execute concurrently with the parent and with its siblings.
+The service scheduler runs jobs on threads, and a ``.map`` over a
+thread or process pool (``ThreadPoolExecutor.map``) runs its function
+concurrently; any function reachable from those entry points may
+execute concurrently with its caller and with its siblings.
 A write to module-level mutable state inside that set is either a bug
 (lost updates, cross-fork divergence) or a deliberate per-process cache
 that deserves an explicit waiver naming why it is safe.
@@ -276,7 +277,7 @@ def check_fork_safety(index: ProgramIndex) -> tuple[list[ForkSafetyViolation], i
                     message=(
                         f"module-level state `{write.name}` written "
                         f"({write.description}) inside `{fn.name}`, which is reachable "
-                        "from ProcessEngine.map / worker-thread entry points; guard it "
+                        "from pool .map / worker-thread entry points; guard it "
                         "with a lock, make it thread-local, or waive with the safety "
                         "argument"
                     ),

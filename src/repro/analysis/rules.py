@@ -240,8 +240,8 @@ class ImportTimeMultiprocessing(Rule):
         "and start-method selection still applies"
     )
     rationale = (
-        "The parallel engine picks its start method at call time and must be "
-        "importable in workers; module-level Locks/Queues/Pools bind to the "
+        "A process pool picks its start method at call time and its code must "
+        "be importable in workers; module-level Locks/Queues/Pools bind to the "
         "default context at import, break spawn pickling, and leak fds."
     )
 
@@ -351,7 +351,7 @@ class AdHocException(Rule):
     )
     rationale = (
         "Callers catch by type across layer boundaries (CorruptFileError, "
-        "SchemaError, ItemFailedError...).  Hierarchy roots scattered through "
+        "SchemaError, DeadlineExceeded...).  Hierarchy roots scattered through "
         "feature modules force deep imports and drift into near-duplicates."
     )
 

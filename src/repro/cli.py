@@ -23,6 +23,7 @@ work, so ``sweep --journal ... --resume`` continues where it stopped.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Sequence
 
@@ -57,6 +58,25 @@ from repro.topology.stats import summarize, top_by_degree
 #: exit code for an expired ``--deadline`` (the run is resumable, which
 #: distinguishes it from argparse's 2 and generic failures' 1)
 EXIT_DEADLINE = 3
+
+
+def _seconds(text: str) -> float:
+    """``--deadline``: a number of seconds >= 0 (NaN would never expire)."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = math.nan
+    if not seconds >= 0:
+        raise argparse.ArgumentTypeError(f"expected seconds >= 0, got {text!r}")
+    return seconds
+
+
+def _byte_size(text: str) -> int:
+    """``--memory-budget`` / ``--cache-budget``: :func:`parse_size` > 0."""
+    try:
+        return parse_size(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -100,11 +120,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace-jsonl", default=None, metavar="PATH",
                         help="also write the span stream as JSONL "
                              "(one event per line) to PATH")
-    parser.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
+    parser.add_argument("--deadline", type=_seconds, default=None, metavar="SECONDS",
                         help="cooperative wall-clock budget; when it expires "
                              "the run stops at the next checkpoint (exit "
                              "code 3) with completed work journaled")
-    parser.add_argument("--memory-budget", default=None, metavar="SIZE",
+    parser.add_argument("--memory-budget", type=_byte_size, default=None, metavar="SIZE",
                         help="memory budget like '512MiB' or '2g'; the run "
                              "degrades (chunked kernels, lazy warm) to stay "
                              "under it")
@@ -182,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "endpoint is written to <store>/endpoint.json)")
     sv.add_argument("--job-workers", type=int, default=1,
                     help="concurrent job-executor threads")
-    sv.add_argument("--cache-budget", default="256MiB", metavar="SIZE",
+    sv.add_argument("--cache-budget", type=_byte_size, default="256MiB", metavar="SIZE",
                     help="result-cache byte budget (LRU eviction beyond it)")
     vg = sub.add_parser(
         "validate-graph",
@@ -215,7 +235,7 @@ def _build_guard(args: argparse.Namespace) -> RuntimeGuard:
     budget = getattr(args, "memory_budget", None)
     return RuntimeGuard(
         deadline=Deadline(deadline) if deadline is not None else None,
-        memory=MemoryBudget(parse_size(budget)) if budget else None,
+        memory=MemoryBudget(budget) if budget is not None else None,
     )
 
 
@@ -469,7 +489,7 @@ def _cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         workers=args.job_workers,
-        cache_budget_bytes=parse_size(args.cache_budget),
+        cache_budget_bytes=args.cache_budget,
     )
 
     def _on_signal(signum, frame) -> None:

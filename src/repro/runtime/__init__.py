@@ -1,12 +1,11 @@
-"""Resilience layer: atomic persistence, run journals, retry policy.
+"""Resilience layer: atomic persistence, run journals, resource guard.
 
-The paper's 200-node DryadLINQ cluster restarted failed workers and
-re-ran failed partitions for free; this package is the laptop-scale
-equivalent.  Long computations journal their completed units
-(:class:`RunJournal`), every file write is atomic and checksummed
-(:mod:`repro.runtime.atomic`), worker failure is retried under a
-:class:`RetryPolicy`, and :mod:`repro.runtime.faults` makes all of it
-deterministically testable.
+The paper's 200-node DryadLINQ cluster re-ran failed partitions for
+free; this package is the laptop-scale equivalent.  Long computations
+journal their completed units (:class:`RunJournal`) so an interrupted
+run resumes where it stopped, every file write is atomic and checksummed
+(:mod:`repro.runtime.atomic`), and :class:`RuntimeGuard` bounds a run's
+wall time and memory (:mod:`repro.runtime.guard`).
 """
 
 from repro.runtime.atomic import (
@@ -19,7 +18,6 @@ from repro.runtime.atomic import (
 from repro.runtime.errors import (
     CorruptFileError,
     DeadlineExceeded,
-    ItemFailedError,
     JournalCorruptError,
     JournalError,
     JournalMismatchError,
@@ -27,7 +25,6 @@ from repro.runtime.errors import (
     PersistenceError,
     SchemaError,
 )
-from repro.runtime.faults import FaultInjected, FaultInjector
 from repro.runtime.guard import (
     LADDER_RUNGS,
     NULL_GUARD,
@@ -40,10 +37,8 @@ from repro.runtime.guard import (
     use_guard,
 )
 from repro.runtime.journal import JOURNAL_FORMAT, RunJournal, coerce_journal
-from repro.runtime.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 
 __all__ = [
-    "DEFAULT_RETRY_POLICY",
     "JOURNAL_FORMAT",
     "LADDER_RUNGS",
     "NULL_GUARD",
@@ -51,16 +46,12 @@ __all__ = [
     "Deadline",
     "DeadlineExceeded",
     "DegradationLadder",
-    "FaultInjected",
-    "FaultInjector",
-    "ItemFailedError",
     "JournalCorruptError",
     "JournalError",
     "JournalMismatchError",
     "MemoryBudget",
     "MemoryBudgetExceeded",
     "PersistenceError",
-    "RetryPolicy",
     "RunJournal",
     "RuntimeGuard",
     "SchemaError",

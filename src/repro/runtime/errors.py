@@ -1,9 +1,9 @@
 """Typed errors for the resilience layer.
 
-Every recoverable failure in persistence, journaling, and the parallel
-engine surfaces as one of these instead of a raw ``json.JSONDecodeError``
-or a dead process pool, so callers can distinguish "the file is damaged"
-from "the file is from a different run" from "this one input is bad".
+Every recoverable failure in persistence, journaling and the resource
+guard surfaces as one of these instead of a raw ``json.JSONDecodeError``,
+so callers can distinguish "the file is damaged" from "the file is from
+a different run" from "the budget ran out".
 """
 
 from __future__ import annotations
@@ -117,25 +117,6 @@ class MemoryBudgetExceeded(RuntimeError):
         )
 
 
-class EngineShutdownError(RuntimeError):
-    """A parallel map was stopped by a shutdown request (SIGTERM/SIGINT).
-
-    Raised by :meth:`~repro.parallel.engine.ProcessEngine.map` after the
-    engine stopped dispatching new partitions, drained (or terminated)
-    the in-flight ones, and cleaned up worker processes — so a daemon
-    kill never leaks children.  Work mapped so far is abandoned;
-    journal-backed callers resume it on restart.
-    """
-
-    def __init__(self, pending_items: int):
-        self.pending_items = pending_items
-        super().__init__(
-            f"parallel map interrupted by shutdown request with "
-            f"{pending_items} item(s) unfinished; journaled work resumes "
-            "on restart"
-        )
-
-
 class StateMemoScopeError(ValueError):
     """A state memo met a simulation other than the kind that filled it.
 
@@ -153,20 +134,3 @@ class StateMemoScopeError(ValueError):
             "its evaluations do not apply to this simulation (use one memo "
             "per fixed configuration)"
         )
-
-
-class ItemFailedError(Exception):
-    """One mapped item kept failing even in the serial fallback.
-
-    The parallel engine retries a failing partition at finer and finer
-    granularity; once a single item has exhausted its retries it is run
-    in-process, and if it *still* raises, that exception is chained here
-    with the item identified — one poisoned input is reported, not
-    silently dropped or blamed on the pool.
-    """
-
-    def __init__(self, index: int, item: object, cause: BaseException | str):
-        self.index = index
-        self.item = item
-        detail = cause if isinstance(cause, str) else f"{type(cause).__name__}: {cause}"
-        super().__init__(f"item {index} ({item!r}) failed after retries: {detail}")

@@ -5,13 +5,11 @@ scheduler owned the resource problem; at laptop scale *this* module
 owns it.  Three cooperating pieces:
 
 - :class:`Deadline` — a cooperative wall-clock budget.  It is checked
-  at work-unit boundaries (sweep cells, simulation rounds, the parallel
-  map loop) and raises a typed
+  at work-unit boundaries (sweep cells, simulation rounds, cache warm
+  chunks) and raises a typed
   :class:`~repro.runtime.errors.DeadlineExceeded` *after* completed
   units were journaled, so an interrupted run resumes exactly where the
-  budget ran out.  It also caps blocking timeouts
-  (:meth:`Deadline.cap_timeout`) so a hung worker cannot outlive the
-  budget.
+  budget ran out.
 - :class:`MemoryBudget` — a soft ceiling consulted *before* large
   allocations (the arena size predictor
   :meth:`~repro.routing.arena.RoutingArena.estimate_bytes` supplies the
@@ -26,9 +24,7 @@ owns it.  Three cooperating pieces:
 installs one via :func:`use_guard` and every layer reads it back with
 :func:`current_guard`.  The default guard is permissive (no deadline,
 no budget) and costs a couple of attribute loads per check, so guarded
-code needs no ``if guard is not None`` litter.  Fork-started workers
-inherit the installed guard; ``time.monotonic`` is comparable across
-fork, so a child sees the same remaining budget as its parent.
+code needs no ``if guard is not None`` litter.
 """
 
 from __future__ import annotations
@@ -69,7 +65,7 @@ class Deadline:
     __slots__ = ("budget_seconds", "_clock", "_started")
 
     def __init__(self, seconds: float, clock: Clock = time.monotonic):
-        if seconds < 0:
+        if not seconds >= 0:  # NaN fails too: it would never expire
             raise ValueError(f"deadline must be >= 0 seconds, got {seconds}")
         self.budget_seconds = float(seconds)
         self._clock = clock
@@ -101,19 +97,6 @@ class Deadline:
         if self.expired():
             get_registry().counter("runtime.guard.deadline_exceeded").inc()
             raise DeadlineExceeded(where, self.budget_seconds)
-
-    def cap_timeout(self, timeout: float | None) -> float:
-        """Tighten a blocking timeout so it never outlives the deadline.
-
-        ``None`` (wait forever) becomes the remaining budget; a finite
-        timeout is clamped to it.  Never negative: an expired deadline
-        yields ``0.0`` so the caller polls once and reaches its next
-        :meth:`check`.
-        """
-        remaining = max(self.remaining(), 0.0)
-        if timeout is None:
-            return remaining
-        return min(float(timeout), remaining)
 
 
 _SIZE_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*([kmgt]?)i?b?\s*$", re.IGNORECASE)
@@ -243,12 +226,6 @@ class RuntimeGuard:
         if self.deadline is not None:
             self.deadline.check(where)
 
-    def cap_timeout(self, timeout: float | None) -> float | None:
-        """Clamp a blocking timeout to the remaining deadline budget."""
-        if self.deadline is None:
-            return timeout
-        return self.deadline.cap_timeout(timeout)
-
     # -- memory --------------------------------------------------------
 
     def fits_memory(self, nbytes: int) -> bool:
@@ -294,9 +271,7 @@ class _GuardStack(threading.local):
     Thread-local so concurrent jobs (the simulation service runs one
     sweep per scheduler worker thread) each see their *own* deadline and
     memory budget — a shared stack would hand thread A the guard thread
-    B pushed last.  Fork still inherits correctly: the forking thread
-    survives into the child with its thread-local state intact, so a
-    worker process sees the same remaining budget as its parent.
+    B pushed last.
     """
 
     def __init__(self) -> None:
@@ -316,11 +291,8 @@ def current_guard() -> RuntimeGuard:
 def use_guard(guard: RuntimeGuard) -> Iterator[RuntimeGuard]:
     """Install ``guard`` as this thread's ambient guard for the block.
 
-    Nestable (inner guards shadow outer ones), thread-scoped (each
-    scheduler worker governs only its own job), and fork-friendly: a
-    worker forked inside the block inherits the installed guard, and
-    because ``time.monotonic`` is comparable across fork the child sees
-    the same remaining deadline as its parent.
+    Nestable (inner guards shadow outer ones) and thread-scoped (each
+    scheduler worker governs only its own job).
     """
     _installed.stack.append(guard)
     try:

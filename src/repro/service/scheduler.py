@@ -26,7 +26,6 @@ import heapq
 import logging
 import threading
 
-from repro.parallel.engine import shutdown_active_engines
 from repro.runtime.errors import DeadlineExceeded, MemoryBudgetExceeded
 from repro.service.cache import ResultCache
 from repro.service.errors import JobCancelled, JobStateError, SpecError
@@ -78,17 +77,12 @@ class Scheduler:
         """Graceful shutdown: suspend running jobs at their next cell.
 
         Running jobs re-queue (their journals keep every finished
-        cell); in-flight parallel maps inside kernels drain via
-        :func:`~repro.parallel.engine.shutdown_active_engines`; worker
-        threads are then joined with a bounded grace.
+        cell); worker threads are then joined with a bounded grace.
         """
         self._stopping.set()
         for job in self.store.jobs():
             if job.state == "running":
                 self._cancel_event(job.id).set()
-        interrupted = shutdown_active_engines()
-        if interrupted:
-            log.warning("interrupted %d in-flight parallel map(s) for shutdown", interrupted)
         with self._cond:
             self._cond.notify_all()
         for thread in self._threads:

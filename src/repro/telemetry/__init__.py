@@ -9,12 +9,8 @@ cannot tune or trust.  This package is the repo's eyes:
   no-op (disabled mode costs ~nothing on hot paths);
 - :mod:`repro.telemetry.spans` — nested timed spans exporting to
   Chrome-trace/Perfetto JSON and JSONL;
-- :mod:`repro.telemetry.export` — snapshot merge (counters sum,
-  histograms add bucket-wise), Prometheus text rendering, atomic file
-  output;
-- :mod:`repro.telemetry.worker` — worker-side capture so
-  :class:`~repro.parallel.engine.ProcessEngine` children ship their
-  snapshots back for the parent to aggregate.
+- :mod:`repro.telemetry.export` — Prometheus text rendering, atomic
+  file output and summary tables.
 
 Enable with :func:`enable` (or ``sbgp-sim ... --metrics-out/--trace-out``);
 everything stays a no-op otherwise.
@@ -24,7 +20,6 @@ from __future__ import annotations
 
 from repro.telemetry.export import (
     load_metrics,
-    merge_snapshots,
     render_prometheus,
     summary_rows,
     write_metrics,
@@ -69,7 +64,6 @@ __all__ = [
     "get_tracer",
     "set_tracer",
     "use_tracer",
-    "merge_snapshots",
     "render_prometheus",
     "write_metrics",
     "load_metrics",

@@ -1,4 +1,4 @@
-"""Snapshot export: merge, Prometheus text, files, summary tables.
+"""Snapshot export: Prometheus text, files, summary tables.
 
 A *snapshot* is the plain-dict form produced by
 :meth:`~repro.telemetry.metrics.MetricsRegistry.snapshot`::
@@ -6,26 +6,17 @@ A *snapshot* is the plain-dict form produced by
     {"counters": {...}, "gauges": {...},
      "histograms": {name: {"bounds": [...], "counts": [...],
                            "sum": s, "count": n}}}
-
-Snapshots are the unit of cross-process flow: each
-:class:`~repro.parallel.engine.ProcessEngine` worker snapshots its own
-registry and ships it back with its partition results; the parent folds
-them in with :func:`merge_snapshots` semantics (counters and histogram
-buckets sum, gauges last-write-wins) — the same reduce the paper's
-cluster applied to per-machine partials.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Iterable
 
 from repro.runtime.atomic import atomic_write_json, load_checked_json
 
 __all__ = [
     "METRICS_FORMAT",
-    "merge_snapshots",
     "render_prometheus",
     "write_metrics",
     "load_metrics",
@@ -34,40 +25,6 @@ __all__ = [
 
 #: ``format`` marker embedded in metrics files (validated on load).
 METRICS_FORMAT = "repro.metrics/1"
-
-
-def merge_snapshots(snapshots: Iterable[dict]) -> dict:
-    """Fold snapshots into one: counters sum, histograms add bucket-wise.
-
-    Gauges take the last snapshot's value.  Histograms under the same
-    name must share bucket bounds (they do, by construction: both sides
-    run the same instrumentation); differing bounds raise ``ValueError``
-    rather than merging lossily.
-    """
-    merged: dict = {"counters": {}, "gauges": {}, "histograms": {}}
-    for snap in snapshots:
-        for name, value in snap.get("counters", {}).items():
-            merged["counters"][name] = merged["counters"].get(name, 0.0) + value
-        for name, value in snap.get("gauges", {}).items():
-            merged["gauges"][name] = value
-        for name, data in snap.get("histograms", {}).items():
-            into = merged["histograms"].get(name)
-            if into is None:
-                merged["histograms"][name] = {
-                    "bounds": list(data["bounds"]),
-                    "counts": list(data["counts"]),
-                    "sum": data["sum"],
-                    "count": data["count"],
-                }
-                continue
-            if into["bounds"] != list(data["bounds"]):
-                raise ValueError(
-                    f"histogram {name}: bucket bounds differ across snapshots"
-                )
-            into["counts"] = [a + b for a, b in zip(into["counts"], data["counts"])]
-            into["sum"] += data["sum"]
-            into["count"] += data["count"]
-    return merged
 
 
 def _prom_name(name: str) -> str:

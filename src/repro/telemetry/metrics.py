@@ -9,10 +9,8 @@ The registry model is deliberately two-tier:
   ``tests/telemetry/test_overhead.py``).
 - :class:`MetricsRegistry` (installed via :func:`set_registry` /
   :func:`use_registry`, e.g. by ``sbgp-sim --metrics-out``) records for
-  real and snapshots to plain dicts, which merge across processes
-  (counters sum, histograms add bucket-wise — see
-  :mod:`repro.telemetry.export`) the same way the paper's cluster
-  reduced per-machine partials.
+  real and snapshots to plain dicts (rendered and written by
+  :mod:`repro.telemetry.export`).
 
 Instruments are identified by dotted names (``routing.cache.hits``);
 asking a registry twice for the same name returns the same instrument,
@@ -87,9 +85,7 @@ class Histogram:
 
     ``bounds`` are inclusive upper bounds of the finite buckets; one
     implicit +inf bucket catches the rest, so ``counts`` has
-    ``len(bounds) + 1`` slots.  Bucket-wise addition of two histograms
-    with equal bounds is exact, which is what makes cross-process
-    merging lossless.
+    ``len(bounds) + 1`` slots.
     """
 
     __slots__ = ("name", "bounds", "counts", "total", "count")
@@ -166,7 +162,7 @@ class MetricsRegistry:
         return metric
 
     def snapshot(self) -> dict:
-        """Plain-dict snapshot (JSON-serialisable, mergeable)."""
+        """Plain-dict snapshot (JSON-serialisable)."""
         return {
             "counters": {n: c.value for n, c in sorted(self._counters.items())},
             "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
@@ -180,25 +176,6 @@ class MetricsRegistry:
                 for n, h in sorted(self._histograms.items())
             },
         }
-
-    def merge_snapshot(self, snapshot: dict) -> None:
-        """Fold a snapshot (e.g. from a worker process) into this registry.
-
-        Counters and histogram buckets add; gauges take the incoming
-        value (last write wins — gauges describe a moment, not a total).
-        """
-        for name, value in snapshot.get("counters", {}).items():
-            self.counter(name).inc(value)
-        for name, value in snapshot.get("gauges", {}).items():
-            self.gauge(name).set(value)
-        for name, data in snapshot.get("histograms", {}).items():
-            hist = self.histogram(name, data["bounds"])
-            if list(hist.bounds) != [float(b) for b in data["bounds"]]:
-                raise ValueError(f"histogram {name}: bucket bounds differ; cannot merge")
-            for i, c in enumerate(data["counts"]):
-                hist.counts[i] += c
-            hist.total += data["sum"]
-            hist.count += data["count"]
 
 
 class _NullInstrument:
@@ -253,9 +230,6 @@ class NullRegistry(MetricsRegistry):
     def snapshot(self) -> dict:
         return {"counters": {}, "gauges": {}, "histograms": {}}
 
-    def merge_snapshot(self, snapshot: dict) -> None:
-        pass
-
 
 NULL_REGISTRY = NullRegistry()
 
@@ -271,7 +245,7 @@ def set_registry(registry: MetricsRegistry | None) -> MetricsRegistry:
     """Install ``registry`` (None restores the no-op); returns the previous."""
     global _active
     previous = _active
-    _active = registry if registry is not None else NULL_REGISTRY  # repro-lint: disable=RPR016 -- single reference swap, atomic under the GIL; installed at process/worker startup before kernels run
+    _active = registry if registry is not None else NULL_REGISTRY
     return previous
 
 

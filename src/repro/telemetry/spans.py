@@ -130,11 +130,6 @@ class Tracer:
         with self._lock:
             return list(self._events)
 
-    def add_events(self, events: list[SpanEvent]) -> None:
-        """Adopt spans recorded elsewhere (e.g. shipped from a worker)."""
-        with self._lock:
-            self._events.extend(events)
-
     # -- export -------------------------------------------------------
 
     def to_chrome_trace(self) -> dict:

@@ -90,9 +90,8 @@ def test_repo_is_program_clean():
     assert summary.modules > 50
     assert summary.packages >= 10
     assert summary.edges_eager > summary.edges_lazy
-    # one fewer each since the cache warm and then the flip projections
-    # stopped mapping over worker processes
-    assert summary.entrypoints >= 2
+    # the job scheduler's threads: no process engine maps over workers
+    assert summary.entrypoints >= 1
     assert summary.reachable_functions > 100
     assert summary.public_symbols > 300
     assert summary.manifest_source is not None

@@ -92,7 +92,7 @@ class TestUnboundedBlockingScoping:
         assert codes(self.SOURCE, module="repro.parallel.somewhere") == ["RPR011"]
 
     def test_exempt_inside_runtime(self):
-        assert codes(self.SOURCE, module="repro.runtime.retry") == []
+        assert codes(self.SOURCE, module="repro.runtime.journal") == []
 
     def test_scripts_get_no_exemption(self):
         assert codes(self.SOURCE, module=None) == ["RPR011"]

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import multiprocessing.process
+import struct
 
 import numpy as np
 import pytest
 
 from repro.core import dynamics
-from repro.core.config import SimulationConfig, UtilityModel
+from repro.core.config import ProjectionEngine, SimulationConfig, UtilityModel
 from repro.core.dynamics import DeploymentSimulation, Outcome, run_deployment
 from repro.core.state import StateDeriver
+from repro.experiments.setup import build_environment
 from repro.gadgets.diamond import build_diamond
 from repro.topology.generator import generate_topology
 from repro.topology.traffic import apply_traffic_model
@@ -205,3 +208,72 @@ class TestRoundScopedState:
         assert len(round_data_calls) == 2 + flipping
         assert len(derivations) == len(round_data_calls)
         assert projections > len(derivations)
+
+
+def _projection_fields(result) -> list[list[tuple]]:
+    """Every round's projections, ``utility`` as bytes and ``flips`` in
+    order."""
+    return [
+        [
+            (isp, p.turning_on, struct.pack("<d", p.utility), list(p.flips.items()),
+             p.dests_recomputed, p.dests_delta)
+            for isp, p in r.projections.items()
+        ]
+        for r in result.rounds
+    ]
+
+
+@pytest.fixture(scope="module", params=["security_3rd", "security_2nd"])
+def policy_env(request):
+    """``security_2nd`` rebuilds its structures per projected state."""
+    return build_environment(n=150, seed=11, x=0.10, policy=request.param)
+
+
+class TestWorkersIgnored:
+    """``SimulationConfig.workers`` is accepted and ignored: a game plays
+    in one process."""
+
+    def test_simulation_agrees_with_serial(self, medium_env):
+        adopters = medium_env.case_study_adopters()
+        serial, parallel = (
+            DeploymentSimulation(
+                medium_env.graph, adopters,
+                SimulationConfig(theta=0.02, max_rounds=6, workers=workers),
+                medium_env.cache,
+            ).run()
+            for workers in (1, 2)
+        )
+        assert serial.outcome == parallel.outcome
+        assert [r.turned_on for r in serial.rounds] == [
+            r.turned_on for r in parallel.rounds
+        ]
+        assert [r.turned_off for r in serial.rounds] == [
+            r.turned_off for r in parallel.rounds
+        ]
+        np.testing.assert_array_equal(
+            serial.final_utilities, parallel.final_utilities
+        )
+
+    @pytest.mark.parametrize("engine", list(ProjectionEngine), ids=lambda e: e.name)
+    def test_two_workers_play_in_one_process(self, policy_env, engine, monkeypatch):
+        """A ``workers=2`` game starts no process, and every projection
+        and the final utilities are the ``workers=1`` game's, byte for
+        byte."""
+        def refuse(self):
+            raise AssertionError(f"a game started a process ({self.name})")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        serial, two = (
+            DeploymentSimulation(
+                policy_env.graph, policy_env.case_study_adopters(),
+                SimulationConfig(
+                    theta=0.02, max_rounds=6, projection=engine,
+                    policy=policy_env.cache.policy_name, workers=workers,
+                ),
+                policy_env.cache,
+            ).run()
+            for workers in (1, 2)
+        )
+        assert serial.num_rounds >= 2
+        assert _projection_fields(two) == _projection_fields(serial)
+        assert two.final_utilities.tobytes() == serial.final_utilities.tobytes()

@@ -22,6 +22,7 @@ from repro.core.config import ProjectionEngine, UtilityModel
 from repro.core.engine import compute_round_data
 from repro.core.projection import project_flip, project_flips
 from repro.core.state import DeploymentState, StateDeriver
+from repro.parallel.engine import parallel_project_flips
 from repro.routing import backends as kernel_backends
 from repro.routing.arena import RoutingArena, compute_trees_batched, subtree_weights_batched
 from repro.routing.cache import RoutingCache
@@ -110,6 +111,30 @@ class TestStackEqualsOneJobCalls:
             small_cache, deriver, DeploymentState.initial(()), UtilityModel.OUTGOING
         )
         assert project_flips(small_cache, deriver, rd, [], UtilityModel.OUTGOING) == []
+
+
+class TestParallelProjectFlips:
+    def test_projection_values_identical(self, medium_env):
+        """``perf/``'s ``parallel_project_flips`` is the stack on every
+        field, whatever ``workers`` says."""
+        cache, graph = medium_env.cache, medium_env.graph
+        deriver = StateDeriver(graph, compiled=cache.compiled)
+        isps = [int(i) for i in graph.isp_indices]
+        adopters = frozenset(graph.index(a) for a in medium_env.case_study_adopters())
+        state = DeploymentState.initial(adopters).with_flips(turn_on=isps[20:30])
+        rd = compute_round_data(cache, deriver, state, UtilityModel.INCOMING)
+        # an odd number of jobs, turn-offs among them
+        jobs = [(i, i not in state.deployers) for i in isps if i not in adopters][:31]
+        assert not all(on for _, on in jobs)
+        for engine in ProjectionEngine:
+            want = project_flips(cache, deriver, rd, jobs, UtilityModel.INCOMING, engine)
+            for workers in (1, 2):
+                got = parallel_project_flips(
+                    cache, deriver, rd, iter(jobs),
+                    model=UtilityModel.INCOMING, projection=engine, workers=workers,
+                )
+                assert [(p.isp, p.turning_on) for p in got] == jobs
+                assert [_fields(p) for p in got] == [_fields(p) for p in want]
 
 
 @pytest.fixture()

@@ -20,6 +20,32 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["case-study", "--deadline", "nan"], "--deadline"),
+        (["case-study", "--deadline", "-1"], "--deadline"),
+        (["sweep", "--deadline", "soon"], "--deadline"),
+        (["case-study", "--memory-budget", "0"], "--memory-budget"),
+        (["case-study", "--memory-budget", "lots"], "--memory-budget"),
+        (["serve", "--store", "unused", "--cache-budget", "0"], "--cache-budget"),
+    ])
+    def test_bad_budget_is_a_usage_error(self, capsys, argv, flag):
+        """Rejected while parsing: exit 2 with a usage line, no traceback
+        and no run (a NaN deadline would otherwise never expire)."""
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err
+        assert "Traceback" not in err
+
+    def test_good_budgets_parse_to_numbers(self):
+        parser = build_parser()
+        args = parser.parse_args(
+            ["case-study", "--deadline", "0", "--memory-budget", "2MiB"]
+        )
+        assert (args.deadline, args.memory_budget) == (0.0, 2 * 2**20)
+        assert parser.parse_args(["serve", "--store", "s"]).cache_budget == 256 * 2**20
+
 
 class TestCommands:
     def test_graph_stats(self, capsys):
@@ -80,7 +106,6 @@ class TestTelemetryFlags:
         # --workers is accepted; the warm builds every tree in-process
         assert snap["counters"]["routing.tree_builds"] == 60
         assert snap["counters"]["sweep.cells"] > 0
-        assert "engine.maps" not in snap["counters"]
 
         payload = json.loads(trace.read_text())
         names = {e["name"] for e in payload["traceEvents"]}

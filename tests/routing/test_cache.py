@@ -54,3 +54,10 @@ class TestRoutingCache:
         cache.warm()
         assert cache.stats().cached == top.graph.n
         assert not cache.pending_runs()
+
+    def test_warm_is_incremental(self):
+        top = generate_topology(n=60, seed=19)
+        cache = RoutingCache(top.graph)
+        first = cache.dest_routing(5)
+        cache.warm()
+        assert cache.dest_routing(5) is first  # not recomputed

@@ -27,7 +27,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 import repro.routing.tree as tree_module
-from repro.parallel.engine import parallel_warm_cache
 from repro.routing import backends as kb
 from repro.routing.arena import ARENA_FIELDS, RoutingArena
 from repro.routing.cache import RoutingCache
@@ -458,7 +457,7 @@ class TestChunkAccounting:
             cache = RoutingCache(graph)
             rows = len(next(destination_chunks(cache.compiled, cache.destinations)))
             assert 1 < rows < graph.n  # several chunks, none of one row
-            parallel_warm_cache(cache, workers=1)
+            cache.warm()
             cache.ensure_arena()
             snap = registry.snapshot()
         counters = snap["counters"]
@@ -493,7 +492,7 @@ class TestChunkAccounting:
         # one tick at construction, one per check: the third check expires
         guard = RuntimeGuard(deadline=Deadline(2.5, clock=lambda: next(ticks)))
         with use_guard(guard), pytest.raises(DeadlineExceeded, match="cache warm"):
-            parallel_warm_cache(cache, workers=1)
+            cache.warm()
         assert cache.stats().cached == 32
         assert cache.pending_runs() == [(32, small_graph.n)]
         cache.warm()  # resumes where it stopped

@@ -1,36 +1,29 @@
-"""Chaos suite: combined faults, deadlines, and the degradation ladder.
+"""Chaos suite: deadlines, memory budgets, and the degradation ladder.
 
 The acceptance tests for the runtime guard as a whole:
 
-- a sweep whose structures were built under combined kill + hang +
-  slow faults, then cut off by a deadline mid-grid, must journal-resume
-  to a grid bit-identical to an unfaulted run;
+- a sweep cut off by a deadline mid-grid must journal-resume to a grid
+  bit-identical to an uninterrupted run;
 - a run given an artificially small memory budget must complete by
   chunking its kernel batches — the rung visible as a
-  ``runtime.guard.degraded`` counter — with unchanged results, and
-  warm in one process whatever worker count it was handed;
+  ``runtime.guard.degraded`` counter — with unchanged results;
 - preflight repair must be a no-op on clean dumps (hypothesis
   round-trip properties: ``repair(dump(g)) == g``).
 """
 
 from __future__ import annotations
 
-import multiprocessing
-
 import pytest
 from hypothesis import given, settings
 
 from repro.experiments.setup import build_environment
 from repro.experiments.sweeps import run_sweep
-from repro.parallel.engine import ProcessEngine, parallel_warm_cache
 from repro.routing import backends as kernel_backends
 from repro.routing.arena import RoutingArena
 from repro.routing.errors import BackendUnavailable
 from repro.runtime.errors import DeadlineExceeded
-from repro.runtime.faults import FaultInjector
 from repro.runtime.guard import Deadline, MemoryBudget, RuntimeGuard, use_guard
 from repro.runtime.journal import RunJournal
-from repro.runtime.retry import RetryPolicy
 from repro.telemetry.metrics import MetricsRegistry, use_registry
 from repro.topology.graph import ASGraph
 from repro.topology.preflight import preflight_as_rel_text
@@ -38,18 +31,7 @@ from repro.topology.serialization import dumps_as_rel
 
 from tests.strategies import as_graphs
 
-fork_only = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="chaos tests target the fork start method",
-)
-
 THETAS = (0.0, 0.05)
-FAST_RETRY = RetryPolicy(max_attempts=5, backoff_base=0.01, backoff_max=0.05)
-ITEMS = list(range(40))
-
-
-def square(x: int) -> int:
-    return x * x
 
 
 def adopter_sets(env):
@@ -64,7 +46,7 @@ def clean_env():
 
 @pytest.fixture(scope="module")
 def clean_cells(clean_env):
-    """The unfaulted, unguarded grid every chaos run must reproduce."""
+    """The unguarded grid every interrupted run must reproduce."""
     return run_sweep(clean_env, thetas=THETAS, adopter_sets=adopter_sets(clean_env))
 
 
@@ -83,60 +65,13 @@ class _ClockAdvancingJournal(RunJournal):
             self.clock["now"] += 10_000.0
 
 
-class _RunBuilder:
-    """Map function: a run ``(start, stop)`` of the cache's destinations
-    -> their structures, built through the cache's own builder."""
-
-    def __init__(self, cache):
-        self.cache = cache
-
-    def __call__(self, run: tuple[int, int]):
-        start, stop = run
-        return self.cache.build_pools(self.cache.destinations[start:stop])
-
-
-def _warm_under_faults(cache, state_root) -> ProcessEngine:
-    """Build every chunk through an engine injecting kill+hang+slow.
-
-    The injectors chain around the cache's own builder, so the engine is
-    mapping real structure builds; their pools come back over the pipes
-    and the cache adopts the arena they concatenate to through its
-    public ``install_arena`` API.
-    """
-    rows = cache.rows_per_chunk
-    runs = [
-        (at, min(at + rows, stop))
-        for start, stop in cache.pending_runs() for at in range(start, stop, rows)
-    ]
-    assert len(runs) >= 12
-    for sub in ("hang", "kill"):
-        (state_root / sub).mkdir(exist_ok=True)
-    slow = FaultInjector(
-        {runs[1], runs[7]}, mode="slow", slow_seconds=0.05, fn=_RunBuilder(cache)
-    )
-    hung = FaultInjector(
-        {runs[4]}, mode="hang", fail_times=1, state_dir=state_root / "hang",
-        hang_seconds=60.0, fn=slow,
-    )
-    chaos = FaultInjector(
-        {runs[10]}, mode="kill", fail_times=1, state_dir=state_root / "kill", fn=hung,
-    )
-    engine = ProcessEngine(workers=2, retry=FAST_RETRY, partition_timeout=0.5)
-    cache.install_arena(cache.arena_of(engine.map(chaos, runs)))
-    assert not cache.pending_runs()
-    return engine
-
-
-@fork_only
 class TestDeadlineResumeUnderFaults:
-    def test_faulted_sweep_resumes_bit_identically(
-        self, clean_cells, tmp_path, small_chunks
-    ):
-        """Acceptance: kill+hang+slow warm, deadline mid-grid, resume."""
+    def test_faulted_sweep_resumes_bit_identically(self, clean_cells, tmp_path):
+        """Acceptance: a deadline expires mid-grid, then the journal
+        resumes it."""
         env = build_environment(n=120, seed=11, x=0.10, warm=False)
-        engine = _warm_under_faults(env.cache, tmp_path)
-        assert engine.last_stats.worker_deaths >= 1  # the kill fired
-        assert engine.last_stats.timeouts >= 1       # the hang was reaped
+        env.cache.warm()
+        assert not env.cache.pending_runs()
 
         clock = {"now": 0.0}
         guard = RuntimeGuard(deadline=Deadline(60.0, clock=lambda: clock["now"]))
@@ -157,16 +92,15 @@ class TestDeadlineResumeUnderFaults:
             env, thetas=THETAS, adopter_sets=adopter_sets(env),
             journal=RunJournal(path),
         )
-        assert resumed == clean_cells  # bit-identical to the unfaulted run
+        assert resumed == clean_cells  # bit-identical to the uninterrupted run
         assert path.read_text().startswith(before)  # replayed, not redone
 
 
-@fork_only
 class TestDegradationLadderEndToEnd:
     def test_small_budget_only_chunks_kernels(self, clean_cells):
         """Acceptance: a budget that fits the arena but not a full round
         batch chunks the kernels — one visible rung — with results
-        unchanged; eight requested workers fork nothing."""
+        unchanged."""
         env = build_environment(n=120, seed=11, x=0.10, warm=False)
         num_dests = len(env.cache.destinations)
         total = RoutingArena.estimate_bytes(
@@ -177,14 +111,13 @@ class TestDegradationLadderEndToEnd:
         guard = RuntimeGuard(memory=MemoryBudget(total + 20 * (total // num_dests)))
 
         with use_registry(MetricsRegistry()) as registry, use_guard(guard):
-            parallel_warm_cache(env.cache, workers=8)
+            env.cache.warm()
             stats = env.cache.stats()
             assert (stats.builds, stats.installs) == (num_dests, 0)
             env.cache.ensure_arena()
             cells = run_sweep(env, thetas=THETAS, adopter_sets=adopter_sets(env))
 
         counters = registry.snapshot()["counters"]
-        assert "engine.maps" not in counters  # the warm forked nothing
         assert counters["runtime.guard.degraded.chunked_batches"] >= 1
         assert guard.ladder.rungs_taken().keys() == {"chunked_batches"}
         assert cells == clean_cells  # the rung taken, results unchanged
@@ -197,22 +130,6 @@ class TestDegradationLadderEndToEnd:
             env = build_environment(n=60, seed=11, x=0.10, warm=True)
         assert guard.ladder.taken("lazy_warm") == 1
         assert env.cache.pending_runs() == [(0, 60)]  # nothing built eagerly
-
-
-@fork_only
-class TestNewFaultModes:
-    def test_slow_mode_delays_but_completes(self):
-        injector = FaultInjector({2}, mode="slow", slow_seconds=0.01, fn=square)
-        assert injector(2) == 4
-
-    def test_oom_mode_retried_to_success(self, tmp_path):
-        injector = FaultInjector(
-            {5}, mode="oom", fail_times=1, state_dir=tmp_path,
-            oom_bytes=2**20, fn=square,
-        )
-        engine = ProcessEngine(workers=2, retry=FAST_RETRY)
-        assert engine.map(injector, ITEMS) == [x * x for x in ITEMS]
-        assert engine.last_stats.worker_errors >= 1
 
 
 def canonical(graph: ASGraph) -> tuple:

@@ -1,4 +1,4 @@
-"""Snapshot merge, Prometheus rendering, and file round-trips."""
+"""Prometheus rendering, file round-trips and summary tables."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.telemetry.export import (
     load_metrics,
-    merge_snapshots,
     render_prometheus,
     summary_rows,
     write_metrics,
@@ -21,40 +20,6 @@ def _snap(counter=0.0, obs=()):
     for v in obs:
         reg.histogram("work.seconds", bounds=(1.0, 10.0)).observe(v)
     return reg.snapshot()
-
-
-class TestMerge:
-    def test_counters_sum(self):
-        merged = merge_snapshots([_snap(counter=2), _snap(counter=3)])
-        assert merged["counters"]["work.items"] == 5
-
-    def test_histograms_add_bucketwise(self):
-        merged = merge_snapshots([_snap(obs=(0.5, 5.0)), _snap(obs=(0.5, 99.0))])
-        hist = merged["histograms"]["work.seconds"]
-        assert hist["counts"] == [2, 1, 1]
-        assert hist["count"] == 4
-        assert hist["sum"] == pytest.approx(105.0)
-
-    def test_multi_worker_merge_matches_registry_merge(self):
-        # The parent-side registry fold and the pure-dict fold agree.
-        workers = [_snap(counter=i, obs=(float(i),)) for i in (1, 2, 3)]
-        merged = merge_snapshots(workers)
-        parent = MetricsRegistry()
-        for snap in workers:
-            parent.merge_snapshot(snap)
-        assert parent.snapshot() == merged
-
-    def test_mismatched_bounds_rejected(self):
-        a = _snap(obs=(0.5,))
-        b = _snap(obs=(0.5,))
-        b["histograms"]["work.seconds"]["bounds"] = [2.0, 20.0]
-        with pytest.raises(ValueError, match="bounds differ"):
-            merge_snapshots([a, b])
-
-    def test_gauges_last_write_wins(self):
-        a = {"gauges": {"depth": 3}}
-        b = {"gauges": {"depth": 7}}
-        assert merge_snapshots([a, b])["gauges"]["depth"] == 7
 
 
 class TestPrometheus:

@@ -92,16 +92,6 @@ class TestRegistry:
             "bounds": [1.0], "counts": [1, 0], "sum": 0.5, "count": 1,
         }
 
-    def test_merge_snapshot_sums_counters_and_buckets(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        for reg, n in ((a, 1), (b, 5)):
-            reg.counter("c").inc(n)
-            reg.histogram("h", bounds=(1.0,)).observe(n)
-        a.merge_snapshot(b.snapshot())
-        assert a.counter("c").value == 6
-        assert a.histogram("h", bounds=(1.0,)).counts == [1, 1]
-        assert a.histogram("h", bounds=(1.0,)).count == 2
-
 
 class TestActiveRegistry:
     def test_default_is_noop(self):

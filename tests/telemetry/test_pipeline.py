@@ -1,4 +1,4 @@
-"""Telemetry threaded through the pipeline: sim, sweep, cache, engine."""
+"""Telemetry threaded through the pipeline: sim, sweep, cache."""
 
 from __future__ import annotations
 
@@ -7,9 +7,8 @@ import pytest
 from repro.core.config import SimulationConfig
 from repro.core.dynamics import DeploymentSimulation
 from repro.experiments.sweeps import run_sweep
-from repro.parallel.engine import ProcessEngine, parallel_warm_cache
 from repro.routing.cache import RoutingCache
-from repro.telemetry.metrics import MetricsRegistry, get_registry, use_registry
+from repro.telemetry.metrics import MetricsRegistry, use_registry
 from repro.telemetry.spans import Tracer, use_tracer
 
 
@@ -142,42 +141,10 @@ class TestCacheStats:
         assert stats.total == small_graph.n
         assert stats.cached_fraction == pytest.approx(2 * rows / small_graph.n)
 
-    def test_warm_with_workers_builds_in_process(self, small_graph, registry):
+    def test_warm_builds_in_process(self, small_graph, registry):
         cache = RoutingCache(small_graph, destinations=list(range(6)))
-        parallel_warm_cache(cache, workers=2)
+        cache.warm()
         stats = cache.stats()
         assert (stats.builds, stats.installs) == (6, 0)
         assert stats.cached_fraction == 1.0
         assert stats.warm_seconds > 0
-        assert "engine.maps" not in registry.snapshot()["counters"]
-
-
-def _count_run(run: tuple[int, int]) -> int:
-    """Map function: one counter increment and one histogram
-    observation per item of ``run``, recorded in the worker."""
-    start, stop = run
-    get_registry().counter("test.items").inc(stop - start)
-    hist = get_registry().histogram("test.item_seconds")
-    for _ in range(start, stop):
-        hist.observe(0.001)
-    return stop - start
-
-
-class TestCrossProcessMerge:
-    def test_worker_counters_merge_into_parent(self, registry):
-        runs = [(at, at + 10) for at in range(0, 120, 10)]
-        assert ProcessEngine(workers=2).map(_count_run, runs) == [10] * 12
-        snap = registry.snapshot()
-        # every item was counted in a worker, yet the parent registry has them
-        assert snap["counters"]["test.items"] == 120
-        assert snap["histograms"]["test.item_seconds"]["count"] == 120
-        assert snap["counters"]["engine.maps"] == 1
-        assert snap["counters"]["engine.dispatched"] >= 1
-        assert "engine.partition_queue_wait_seconds" in snap["histograms"]
-
-    def test_disabled_parent_ships_no_snapshots(self):
-        # without an active registry the engine must not fabricate metrics
-        engine = ProcessEngine(workers=2)
-        assert engine.map(lambda x: x * 2, list(range(8))) == [
-            0, 2, 4, 6, 8, 10, 12, 14,
-        ]

@@ -62,13 +62,6 @@ class TestTracer:
         lines = [json.loads(ln) for ln in jsonl_path.read_text().splitlines()]
         assert [ln["name"] for ln in lines] == ["a", "b"]
 
-    def test_add_events_adopts_foreign_spans(self):
-        a, b = Tracer(), Tracer()
-        with b.span("shipped"):
-            pass
-        a.add_events(b.events())
-        assert [e.name for e in a.events()] == ["shipped"]
-
 
 class TestNullTracer:
     def test_default_is_noop(self):
