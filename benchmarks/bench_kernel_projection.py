@@ -154,7 +154,7 @@ def test_kernel_projection_mirror_build(benchmark, recorded_round):
     numpy_tier = kernel_backends.load_backend("numpy")
     pools = [getattr(arena, name) for name in (
         "order_ptr", "order_pool", "level_ptr", "level_pool", "indptr_ptr",
-        "indptr_pool", "cand_ptr", "cands_pool", "keys_pool",
+        "indptr_pool", "cand_ptr", "cands_pool",
     )]
     nbytes = benchmark(lambda: numpy_tier.build_level_major(arena.graph_n, *pools))
     benchmark.extra_info["mirror_mib"] = round(nbytes / 2**20, 2)

@@ -65,7 +65,7 @@ from repro.routing.arena import RoutingArena, compute_trees_batched, subtree_wei
 from repro.routing.cache import RoutingCache
 from repro.routing.compiled import segment_index
 from repro.routing.policy import RouteClass
-from repro.routing.tree import DestRouting
+from repro.routing.tree import DestRouting, compute_tie_keys
 from repro.runtime.guard import current_guard
 from repro.telemetry.metrics import get_registry
 
@@ -507,9 +507,8 @@ def _recompute_node(
     usec = bool(node_secure_new[u])
     use_sec = usec and bool(breaks_new[u]) and bool(csec.any())
 
-    row = int(dr.row_of[u])
-    lo, hi = int(dr.indptr[row]), int(dr.indptr[row + 1])
-    keys = dr.tie_keys()[lo:hi]  # state-independent, precomputed
+    # the keys of this row alone: nothing keeps a destination's keys
+    keys = compute_tie_keys(np.array([u]), np.array([0, len(cands)]), cands)
     if use_sec:
         keys = np.where(csec, keys, _BLOCKED)
     best = int(np.argmin(keys))

@@ -10,12 +10,15 @@ n_levels`` kernel launches:
   the CSR structures of every destination, concatenated, with
   ``*_ptr`` offset tables (``order_ptr[k]:order_ptr[k+1]`` is slot
   ``k``'s slice);
-- ``keys_pool``: the state-independent tie-break keys (hash high bits |
-  row-position low bits) for every tiebreak candidate.  These do not
-  depend on the deployment state, so they are computed once, with the
-  chunk that holds them, instead of on every tree resolution;
 - ``cls`` / ``lengths`` / ``row_of``: dense ``[num_dests, n]`` matrices
   (``cls`` doubles as the projection engine's class matrix).
+
+The state-independent tie-break keys (hash high bits | row-position low
+bits) are not stored: a key is a pure function of a row's node, the
+candidate and its place in the row, so the tree kernels derive it for
+the rows with several candidates (about a fifth: Fig 10) as they read
+them, and :func:`~repro.routing.tree.compute_tie_keys` does for anyone
+else.
 
 That layout is :class:`~repro.routing.tree.StructurePools`, what the
 structure builder emits per destination chunk; the arena is a cache's
@@ -359,7 +362,6 @@ def compute_trees_batched(
         slots, n,
         arena.order_ptr, arena.order_pool, arena.level_ptr, arena.level_pool,
         arena.indptr_ptr, arena.indptr_pool, arena.cand_ptr, arena.cands_pool,
-        arena.keys_pool,
         secure_rows, secp_rows,
         choice.reshape(-1), secure.reshape(-1), any_secure.reshape(-1),
     )

@@ -20,9 +20,11 @@ Calling convention (all backends):
   ``level_starts`` (where each path length starts among those rows, the
   last entry closing them); ``indptr_pool[indptr_ptr[k]:]`` is its
   tiebreak CSR, one entry per row plus a closing one, relative to
-  ``cand_ptr[k]`` in ``cands_pool`` and ``keys_pool``.  Pools: ``*_ptr``
-  / ``indptr_pool`` int64, ``order_pool`` / ``level_pool`` /
-  ``cands_pool`` int32, ``keys_pool`` uint64.  Batch row ``b`` resolves
+  ``cand_ptr[k]`` in ``cands_pool``.  Pools: ``*_ptr`` / ``indptr_pool``
+  int64, ``order_pool`` / ``level_pool`` / ``cands_pool`` int32.  No
+  pool holds tie-break keys: a row with several candidates derives each
+  candidate's key (``repro.routing.tree.compute_tie_keys``) as it reads
+  it.  Batch row ``b`` resolves
   slot ``slots[b]`` into row ``b`` of the C-contiguous ``[batch, n]``
   outputs ``choice`` (int32), ``secure`` / ``any_secure`` (bool) and
   ``w`` (float64), taken flat; ``secure_rows`` / ``secp_rows`` are
@@ -39,7 +41,7 @@ Calling convention (all backends):
 - the structure build takes the ``CompiledGraph`` (its three CSRs,
   int64 ``*_indptr`` and int32 ``*_idx``) and a chunk of destinations
   (int64, any order, repeats allowed).  ``build_structures`` returns
-  the chunk's 13 ``ARENA_FIELDS``, each allocated exactly once its
+  the chunk's 12 ``ARENA_FIELDS``, each allocated exactly once its
   size is known.  Its two halves are kernels of their own, so the
   arena's assembly can place a chunk before any pool exists:
   ``structure_labels`` writes the chunk's ``[rows, n]`` labels and
@@ -53,7 +55,8 @@ Bit-identity with the numpy backend is structural, not accidental:
 - trees: a row with one candidate takes it; a row with several takes
   the *minimum* key over its secure candidates where SecP applies and
   there are any, and otherwise the minimum key over all of them (the
-  numpy mirror's precomputed ``pick``) — minima are order-independent,
+  numpy mirror's precomputed ``pick``) — the same keys, derived the
+  same way on every tier, and minima are order-independent,
   and every candidate sits one level below its row, so walking a slot's
   rows level by level in pool order (a level's several-candidate rows
   settled after its other rows took their first candidate, which no row
@@ -128,11 +131,11 @@ _UNREACHABLE = int(RouteClass.UNREACHABLE)
 
 
 def trees_stacked(slots, n, order_ptr, order_pool, level_ptr, level_pool,
-                  indptr_ptr, indptr_pool, cand_ptr, cands_pool, keys_pool,
+                  indptr_ptr, indptr_pool, cand_ptr, cands_pool,
                   secure_rows, secp_rows, choice, secure, any_secure):
     """Resolve each batch row's tree over its slot's rows, level by level
     in pool order: every row of a level takes its first candidate, then
-    the rows with several are settled."""
+    the rows with several are settled on their candidates' tie keys."""
     multi = np.empty(int(np.diff(order_ptr)[slots].max(initial=1)), dtype=np.int32)
     for b in range(slots.shape[0]):
         k = slots[b]
@@ -161,22 +164,29 @@ def trees_stacked(slots, n, order_ptr, order_pool, level_ptr, level_pool,
                 r = multi[i]
                 lo = c0 + indptr_pool[ip + r]
                 end = c0 + indptr_pool[ip + r + 1]
-                f = base + order_pool[o + r]
+                u = order_pool[o + r]
+                f = base + u
                 any_sec = False
                 min_all = _BLOCKED
                 min_sec = _BLOCKED
                 for e in range(lo, end):
-                    if keys_pool[e] < min_all:
-                        min_all = keys_pool[e]
+                    key = _tie_key(u, cands_pool[e], e - lo)
+                    if key < min_all:
+                        min_all = key
                     if secure[base + cands_pool[e]]:
                         any_sec = True
-                        if keys_pool[e] < min_sec:
-                            min_sec = keys_pool[e]
+                        if key < min_sec:
+                            min_sec = key
                 key = min_sec if secp_rows[f] and any_sec else min_all
                 c = cands_pool[lo + np.int64(key & _POS_MASK)]
                 choice[f] = c
                 any_secure[f] = any_sec
                 secure[f] = secure_rows[f] and secure[base + c]
+
+
+def _tie_key(u, c, position):
+    """The tie-break key of candidate ``c`` at ``position`` in ``u``'s row."""
+    return (np.uint64(tie_hash(int(u), int(c))) & _HASH_MASK) | np.uint64(position)
 
 
 def weights_stacked(slots, n, order_ptr, order_pool, level_ptr, level_pool,
@@ -436,9 +446,9 @@ def _offer_key(e, row, att_row, leak, v, lp_field, edge_flags, shifts,
 
 
 def build_structures(cg, dests):
-    """The 13 pooled fields of the destination chunk ``dests``, in two
+    """The 12 pooled fields of the destination chunk ``dests``, in two
     walks per destination: the labels, which size its pools, then the
-    pools and their tie-break keys."""
+    pools."""
     return PoolsAssembly.labelled(cg, dests, sys.modules[__name__])
 
 
@@ -452,8 +462,8 @@ def structure_labels(cg, dests, cls, length, sizes):
 
 
 def structure_pools(cg, arrays):
-    """Every slot's pools and tie-break keys from its labels, into
-    ``arrays`` (the chunk's 13 fields, its offset tables starting at 0)."""
+    """Every slot's pools from its labels, into ``arrays`` (the chunk's
+    12 fields, its offset tables starting at 0)."""
     for row in range(len(arrays["order_ptr"]) - 1):
         _pool_row(cg, arrays, row)
 
@@ -531,7 +541,7 @@ def _route_labels(cg, dest, cls, length, seq, size):
 
 def _pool_row(cg, arrays, row):
     """Slot ``row`` of the pools: its rows by ``(length, node)``, its
-    level_starts, and per row the sorted tiebreak set with its keys."""
+    level_starts, and per row the sorted tiebreak set."""
     n = cg.n
     cls = arrays["cls"][row]
     length = arrays["lengths"][row]
@@ -540,7 +550,6 @@ def _pool_row(cg, arrays, row):
     starts = arrays["level_pool"][arrays["level_ptr"][row]:arrays["level_ptr"][row + 1]]
     indptr = arrays["indptr_pool"][arrays["indptr_ptr"][row]:arrays["indptr_ptr"][row + 1]]
     cands = arrays["cands_pool"][arrays["cand_ptr"][row]:arrays["cand_ptr"][row + 1]]
-    keys = arrays["keys_pool"][arrays["cand_ptr"][row]:arrays["cand_ptr"][row + 1]]
     # a counting sort by length: count, sum, place in node order (which
     # leaves each entry where the next length starts), shift back
     levels = starts.shape[0]
@@ -565,7 +574,7 @@ def _pool_row(cg, arrays, row):
     # a row pulls its candidates from the one CSR its class allows:
     # customers or peers whose route they export to it (a customer
     # route, or the destination's own), providers with any route — one
-    # hop shorter all; then sorts and keys them
+    # hop shorter all; then sorts them
     pos = 0
     indptr[0] = 0
     for r in range(order.shape[0]):
@@ -593,6 +602,4 @@ def _pool_row(cg, arrays, row):
                     cands[j] = cands[j - 1]
                     j -= 1
                 cands[j] = x
-            for e in range(lo, pos):
-                keys[e] = (np.uint64(tie_hash(int(u), int(cands[e]))) & _HASH_MASK) | np.uint64(e - lo)
         indptr[r + 1] = pos

@@ -66,24 +66,38 @@ _C_SOURCE = "#include <stdint.h>\n#include <stdlib.h>\n\n" + "".join(
 ) + r"""
 #define INVALID_KEY 0xFFFFFFFFu
 
+/* Tie-break hash H(node, candidate): policy.tie_hash, splitmix64-style. */
+static inline uint64_t sbgp_tie_hash(uint64_t node, uint64_t cand)
+{
+    uint64_t x = node * MIX_1 + cand * MIX_3;
+    x ^= x >> 30;
+    x *= MIX_2;
+    x ^= x >> 27;
+    x *= MIX_3;
+    x ^= x >> 31;
+    return x;
+}
+
 /* The tree kernels read the arena's pools in place.  Slot k's rows are
  * order_pool[order_ptr[k]..order_ptr[k+1]), reachable nodes sorted by
  * (path length, node), row 0 its destination; level_pool[level_ptr[k]..
  * level_ptr[k+1]) are its level_starts, where each path length starts
  * among those rows (the last entry closes them); indptr_pool from
  * indptr_ptr[k] is its tiebreak CSR, one entry per row plus a closing
- * one, relative to cand_ptr[k] in cands_pool / keys_pool.  Batch row b
+ * one, relative to cand_ptr[k] in cands_pool.  Batch row b
  * resolves slot slots[b] (any order, repeats allowed) into row b of the
  * C-contiguous [batch, n] outputs choice / secure / any_secure / w;
  * secure_rows / secp_rows are node_secure and node_secure & breaks_ties
- * per batch row, laid out the same way. */
+ * per batch row, laid out the same way.  No pool holds tie-break keys: a
+ * row with several candidates derives each one's key as it reads it,
+ * the hash of (node, candidate) above the candidate's place in the row
+ * (tree.compute_tie_keys). */
 int sbgp_trees_stacked(
     int64_t batch, int64_t n, const int64_t *slots,
     const int64_t *order_ptr, const int32_t *order_pool,
     const int64_t *level_ptr, const int32_t *level_pool,
     const int64_t *indptr_ptr, const int64_t *indptr_pool,
     const int64_t *cand_ptr, const int32_t *cands_pool,
-    const uint64_t *keys_pool,
     const uint8_t *secure_rows, const uint8_t *secp_rows,
     int32_t *choice, uint8_t *secure, uint8_t *any_secure)
 {
@@ -105,7 +119,6 @@ int sbgp_trees_stacked(
         const int64_t last = level_ptr[k + 1] - level_ptr[k] - 1;
         const int64_t *indptr = indptr_pool + indptr_ptr[k];
         const int32_t *cands = cands_pool + cand_ptr[k];
-        const uint64_t *keys = keys_pool + cand_ptr[k];
         const uint8_t *sec_in = secure_rows + b * n;
         const uint8_t *secp_in = secp_rows + b * n;
         int32_t *restrict ch = choice + b * n;
@@ -143,7 +156,8 @@ int sbgp_trees_stacked(
                 uint64_t min_all = UINT64_MAX, min_sec = UINT64_MAX;
                 int any_sec = 0;
                 for (int64_t e = lo; e < end; e++) {
-                    const uint64_t key = keys[e];
+                    const uint64_t key = (sbgp_tie_hash((uint64_t)u, (uint64_t)cands[e]) &
+                                          ~(uint64_t)POS_MASK) | (uint64_t)(e - lo);
                     if (key < min_all)
                         min_all = key;
                     if (sec[cands[e]]) {
@@ -429,18 +443,6 @@ int sbgp_jacobi_converge(
     return 0;
 }
 
-/* Tie-break hash H(node, candidate): policy.tie_hash, splitmix64-style. */
-static inline uint64_t sbgp_tie_hash(uint64_t node, uint64_t cand)
-{
-    uint64_t x = node * MIX_1 + cand * MIX_3;
-    x ^= x >> 30;
-    x *= MIX_2;
-    x ^= x >> 27;
-    x *= MIX_3;
-    x ^= x >> 31;
-    return x;
-}
-
 /* Offer u a route of class rc and length at: a node without a route
  * takes it (returns 1: u is settled), a node holding exactly that route
  * ties with it.  Either way it is one more tiebreak candidate. */
@@ -563,7 +565,7 @@ static void sbgp_sort_nodes(int32_t *a, int64_t m)
  * k).  Per row: its rows by (length, node) -- counted by length, placed
  * in node order, which leaves each level_starts entry where the next
  * length starts, then shifted back -- and each row's tiebreak set,
- * pulled from the one CSR its class allows, sorted and keyed. */
+ * pulled from the one CSR its class allows, and sorted. */
 void sbgp_structure_pools(
     int64_t rows, int64_t n,
     const int64_t *cust_ptr, const int32_t *cust_idx,
@@ -572,7 +574,7 @@ void sbgp_structure_pools(
     const int8_t *cls, const int32_t *len,
     const int64_t *order_ptr, const int64_t *level_ptr, const int64_t *cand_ptr,
     int32_t *row_of, int32_t *order_pool, int32_t *level_pool,
-    int64_t *indptr_pool, int32_t *cands_pool, uint64_t *keys_pool)
+    int64_t *indptr_pool, int32_t *cands_pool)
 {
     for (int64_t row = 0; row < rows; row++) {
         const int8_t *c = cls + row * n;
@@ -584,7 +586,6 @@ void sbgp_structure_pools(
         const int64_t levels = level_ptr[row + 1] - level_ptr[row];
         int64_t *indptr = indptr_pool + order_ptr[row] + row;
         int32_t *cands = cands_pool + cand_ptr[row];
-        uint64_t *keys = keys_pool + cand_ptr[row];
         for (int64_t i = 0; i < levels; i++)
             starts[i] = 0;
         for (int64_t u = 0; u < n; u++)
@@ -626,9 +627,6 @@ void sbgp_structure_pools(
                         cands[pos++] = v;
                 }
                 sbgp_sort_nodes(cands + lo, pos - lo);
-                for (int64_t e = lo; e < pos; e++)
-                    keys[e] = (sbgp_tie_hash((uint64_t)u, (uint64_t)cands[e]) &
-                               ~(uint64_t)POS_MASK) | (uint64_t)(e - lo);
             }
             indptr[r + 1] = pos;
         }
@@ -682,7 +680,7 @@ def _load_library() -> ctypes.CDLL:
     except OSError as exc:  # dlopen failure
         raise BackendUnavailable(f"cannot load compiled kernels: {exc}") from exc
     # (batch, n) then pointers: the slots, the pools, the per-row arrays
-    lib.sbgp_trees_stacked.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 15
+    lib.sbgp_trees_stacked.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 14
     lib.sbgp_trees_stacked.restype = ctypes.c_int   # -1: no scratch memory
     lib.sbgp_weights_stacked.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 8
     lib.sbgp_weights_stacked.restype = None
@@ -697,7 +695,7 @@ def _load_library() -> ctypes.CDLL:
     lib.sbgp_structure_labels.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 10
     lib.sbgp_structure_labels.restype = ctypes.c_int  # -1: no scratch memory
     # (rows, n), the three CSRs, the labels, the offset tables, the pools
-    lib.sbgp_structure_pools.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 17
+    lib.sbgp_structure_pools.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 16
     lib.sbgp_structure_pools.restype = None
     return lib
 
@@ -734,13 +732,13 @@ def _check_pools(slots: np.ndarray, n: int, ptrs: tuple, pools: tuple,
 
 
 def trees_stacked(slots, n, order_ptr, order_pool, level_ptr, level_pool,
-                  indptr_ptr, indptr_pool, cand_ptr, cands_pool, keys_pool,
+                  indptr_ptr, indptr_pool, cand_ptr, cands_pool,
                   secure_rows, secp_rows, choice, secure, any_secure):
     """Resolve each batch row's tree over its slot's pools, in place."""
     _check_pools(
         slots, n,
-        (order_ptr, level_ptr, indptr_ptr, cand_ptr, cand_ptr),
-        (order_pool, level_pool, indptr_pool, cands_pool, keys_pool),
+        (order_ptr, level_ptr, indptr_ptr, cand_ptr),
+        (order_pool, level_pool, indptr_pool, cands_pool),
         secure_rows, secp_rows, choice, secure, any_secure,
     )
     status = _LIB.sbgp_trees_stacked(
@@ -749,7 +747,6 @@ def trees_stacked(slots, n, order_ptr, order_pool, level_ptr, level_pool,
         _ptr(level_ptr, np.int64), _ptr(level_pool, np.int32),
         _ptr(indptr_ptr, np.int64), _ptr(indptr_pool, np.int64),
         _ptr(cand_ptr, np.int64), _ptr(cands_pool, np.int32),
-        _ptr(keys_pool, np.uint64),
         _ptr(secure_rows, np.bool_), _ptr(secp_rows, np.bool_),
         _ptr(choice, np.int32), _ptr(secure, np.bool_),
         _ptr(any_secure, np.bool_),
@@ -851,9 +848,8 @@ def structure_labels(cg, dests, cls, length, sizes):
 
 
 def structure_pools(cg, arrays):
-    """A chunk's pools and their keys from its labels, into ``arrays``
-    (its 13 fields, the offset tables its own, starting at 0), in one C
-    call."""
+    """A chunk's pools from its labels, into ``arrays`` (its 12 fields,
+    the offset tables its own, starting at 0), in one C call."""
     n = cg.n
     graph = _csr_ptrs(cg)
     order_ptr = arrays["order_ptr"]
@@ -862,8 +858,8 @@ def structure_pools(cg, arrays):
         raise ValueError("cext kernel: labels are not [rows, n]")
     _check_pools(
         np.empty(0, dtype=np.int64), n,
-        (order_ptr, arrays["level_ptr"], arrays["cand_ptr"], arrays["cand_ptr"]),
-        (arrays["order_pool"], arrays["level_pool"], arrays["cands_pool"], arrays["keys_pool"]),
+        (order_ptr, arrays["level_ptr"], arrays["cand_ptr"]),
+        (arrays["order_pool"], arrays["level_pool"], arrays["cands_pool"]),
     )
     if len(arrays["indptr_pool"]) != order_ptr[-1] + rows:
         raise ValueError("cext kernel: pools out of step")
@@ -873,12 +869,12 @@ def structure_pools(cg, arrays):
         *(_ptr(arrays[name], np.int64) for name in ("order_ptr", "level_ptr", "cand_ptr")),
         _ptr(arrays["row_of"], np.int32), _ptr(arrays["order_pool"], np.int32),
         _ptr(arrays["level_pool"], np.int32), _ptr(arrays["indptr_pool"], np.int64),
-        _ptr(arrays["cands_pool"], np.int32), _ptr(arrays["keys_pool"], np.uint64),
+        _ptr(arrays["cands_pool"], np.int32),
     )
 
 
 def build_structures(cg, dests):
-    """The 13 pooled fields of the chunk ``dests``, in two C calls: the
-    labels, which size every pool, then the pools and their keys
+    """The 12 pooled fields of the chunk ``dests``, in two C calls: the
+    labels, which size every pool, then the pools
     (``_loops.build_structures`` is the spec)."""
     return PoolsAssembly.labelled(cg, dests, sys.modules[__name__])

@@ -62,7 +62,7 @@ from repro.routing.fixpoint import (
     ROW_REVISITS,
 )
 from repro.routing.policy import POSITION_BITS, RouteClass
-from repro.routing.tree import _three_passes, assemble_pools
+from repro.routing.tree import _three_passes, assemble_pools, compute_tie_keys
 from repro.telemetry.metrics import get_registry
 
 _POS_MASK = np.uint64((1 << POSITION_BITS) - 1)
@@ -102,9 +102,10 @@ class _TreeStacks:
     ``i`` in the ``one_*`` arrays, ``ptr[1]`` the same in the ``multi_*``
     arrays.  ``starts`` is one CSR index over *all* multi-candidate rows
     into the ``edge_*`` / ``keys`` arrays (absolute offsets, closing
-    entry included); ``pick`` is the absolute edge index of each row's
-    hash-minimal candidate — what TB selects whenever SecP does not
-    apply, known without the state.
+    entry included); ``keys`` are their candidates' tie keys, which no
+    pool holds, hashed once when the mirror is built; ``pick`` is the
+    absolute edge index of each row's hash-minimal candidate — what TB
+    selects whenever SecP does not apply, known without the state.
     """
 
     ptr: np.ndarray         # int64[2, num_levels, num_dests + 1]
@@ -217,8 +218,7 @@ def _build_weight_stack(n, order_ptr, order_pool, level_ptr, level_pool) -> _Wei
 
 
 def _build_tree_stacks(
-    weights: _WeightStack, level_ptr, level_pool, indptr_pool, cand_ptr,
-    cands_pool, keys_pool,
+    weights: _WeightStack, level_ptr, level_pool, indptr_pool, cand_ptr, cands_pool,
 ) -> _TreeStacks:
     # Per stacked row, in stack order: tiebreak-set size and where its
     # candidates start in cands_pool (a slot's indptr run is relative to
@@ -255,14 +255,18 @@ def _build_tree_stacks(
     del one
     one_cflat += one_cands              # ... plus the candidate
     multi_flat = flat[multi]
-    base = multi_flat - nodes[multi]
+    multi_nodes = nodes[multi]
+    base = multi_flat - multi_nodes
     del multi
     sizes = np.diff(starts)
     edges = segment_index(edge_lo, sizes)
     del edge_lo
     edge_cands = cands_pool[edges]
-    keys = keys_pool[edges]
     del edges
+    # the pools hold no tie keys: the multi-candidate rows' are hashed
+    # here, once per mirror
+    keys = compute_tie_keys(multi_nodes, starts, edge_cands)
+    del multi_nodes
     edge_cflat = np.repeat(base, sizes)
     del base, sizes
     edge_cflat += edge_cands
@@ -282,14 +286,14 @@ def _weight_stack(n, order_ptr, order_pool, level_ptr, level_pool) -> _WeightSta
 
 
 def _tree_stacks(n, order_ptr, order_pool, level_ptr, level_pool, indptr_ptr,
-                 indptr_pool, cand_ptr, cands_pool, keys_pool) -> _TreeStacks:
+                 indptr_pool, cand_ptr, cands_pool) -> _TreeStacks:
     pools = (order_ptr, order_pool, level_ptr, level_pool, indptr_ptr,
-             indptr_pool, cand_ptr, cands_pool, keys_pool)
+             indptr_pool, cand_ptr, cands_pool)
 
     def build() -> _TreeStacks:
         weights = _weight_stack(n, *pools[:4])
         trees = _build_tree_stacks(
-            weights, level_ptr, level_pool, indptr_pool, cand_ptr, cands_pool, keys_pool
+            weights, level_ptr, level_pool, indptr_pool, cand_ptr, cands_pool
         )
         get_registry().gauge("routing.arena.level_major_bytes").set(
             _nbytes(weights) + _nbytes(trees)
@@ -309,20 +313,19 @@ def build_level_major(
     indptr_pool: np.ndarray,
     cand_ptr: np.ndarray,
     cands_pool: np.ndarray,
-    keys_pool: np.ndarray,
 ) -> int:
     """Build the whole level-major mirror of the pools afresh, bypassing
     the cache; returns its bytes (the cost the compiled tiers do not
     pay: they read the pools in place)."""
     weights = _build_weight_stack(n, order_ptr, order_pool, level_ptr, level_pool)
     trees = _build_tree_stacks(
-        weights, level_ptr, level_pool, indptr_pool, cand_ptr, cands_pool, keys_pool
+        weights, level_ptr, level_pool, indptr_pool, cand_ptr, cands_pool
     )
     return _nbytes(weights) + _nbytes(trees)
 
 
 def build_structures(cg: CompiledGraph, dests: np.ndarray) -> dict[str, np.ndarray]:
-    """The 13 pooled fields of the destination chunk ``dests``: passes
+    """The 12 pooled fields of the destination chunk ``dests``: passes
     1-3 stacked over the chunk, then the assembler."""
     return assemble_pools(dests, *_three_passes(cg, dests)).arrays()
 
@@ -367,7 +370,6 @@ def trees_stacked(
     indptr_pool: np.ndarray,
     cand_ptr: np.ndarray,
     cands_pool: np.ndarray,
-    keys_pool: np.ndarray,
     secure_rows: np.ndarray,
     secp_rows: np.ndarray,
     choice: np.ndarray,
@@ -378,7 +380,7 @@ def trees_stacked(
     off the pools' mirror (a subset batch is cut out of it first, in one
     pass over both kinds and all levels)."""
     st = _tree_stacks(n, order_ptr, order_pool, level_ptr, level_pool, indptr_ptr,
-                      indptr_pool, cand_ptr, cands_pool, keys_pool)
+                      indptr_pool, cand_ptr, cands_pool)
     ptr, one_flat, one_cflat, one_cands = st.ptr, st.one_flat, st.one_cflat, st.one_cands
     multi_flat, starts, pick = st.multi_flat, st.starts, st.pick
     edge_cflat, edge_cands, keys = st.edge_cflat, st.edge_cands, st.keys

@@ -13,7 +13,7 @@ destinations per kernel call (:func:`chunk_pools`, through the kernel
 backends of :mod:`repro.routing.backends`).  Every chunk comes out as
 :class:`StructurePools` — the pooled CSR form of the routing arena,
 ordered by path length for the level-synchronous routing trees of
-Appendix C.2, tie-break keys included.  The numpy tier's build, the
+Appendix C.2.  The numpy tier's build, the
 ground truth, lives here: the passes stacked across the chunk on flat
 ``row * n + node`` frontiers (:func:`_three_passes`) and one assembler
 (:func:`assemble_pools`) that turns labels plus candidate edges into
@@ -193,13 +193,6 @@ class DestRouting:
     _rev: tuple[np.ndarray, np.ndarray] | None = dataclasses.field(
         default=None, repr=False, compare=False
     )
-    #: uint64[nnz] state-independent tie-break keys, aligned with
-    #: ``cands``: hash high bits | within-row position low bits.  The
-    #: keys do not depend on the deployment state, so they are computed
-    #: once (lazily here; an arena view carries its slice).
-    _tie_keys: np.ndarray | None = dataclasses.field(
-        default=None, repr=False, compare=False
-    )
     #: registry name of the :class:`~repro.routing.policy.RoutingPolicy`
     #: this structure was built under.  Metadata only (the arrays fully
     #: describe routing), so it never participates in equality.
@@ -242,10 +235,11 @@ class DestRouting:
         return rev_nodes[rev_indptr[node]:rev_indptr[node + 1]]
 
     def tie_keys(self) -> np.ndarray:
-        """State-independent tie-break keys per CSR entry (see field doc)."""
-        if self._tie_keys is None:
-            self._tie_keys = compute_tie_keys(self.order, self.indptr, self.cands)
-        return self._tie_keys
+        """uint64 tie-break key per CSR entry, aligned with ``cands``
+        (:func:`compute_tie_keys`).  Derived on every call and not kept:
+        a view that held them would grow 8 bytes per candidate back
+        beside the pools they were dropped from."""
+        return compute_tie_keys(self.order, self.indptr, self.cands)
 
 
 def compute_tie_keys(
@@ -253,16 +247,19 @@ def compute_tie_keys(
 ) -> np.ndarray:
     """Tie-break key per tiebreak-CSR entry: hash high bits | position.
 
-    The ``minimum.reduceat`` in the tree kernels extracts both the
-    winning candidate's hash rank and its row position from one uint64,
-    so the low :data:`~repro.routing.policy.POSITION_BITS` bits carry
+    A row's least key names both the candidate TB picks and where it
+    sits: the low :data:`~repro.routing.policy.POSITION_BITS` bits carry
     the candidate's index within its row (also disambiguating hash
-    collisions deterministically).
+    collisions deterministically).  A key is a pure function of the
+    row's node, the candidate and that index, so no pool holds keys:
+    the tree kernels derive them for the rows with several candidates,
+    and every other reader calls this.
     """
     sizes = np.diff(indptr)
-    rel = np.arange(len(cands)) - np.repeat(indptr[:-1], sizes)
     keys = tie_hash_array(np.repeat(order, sizes), cands)
-    return (keys & _HASH_MASK) | rel.astype(np.uint64)
+    keys &= _HASH_MASK
+    keys |= (np.arange(len(cands)) - np.repeat(indptr[:-1], sizes)).astype(np.uint64)
+    return keys
 
 
 #: (field name, dtype) of every pooled array, in serialisation order.
@@ -281,11 +278,10 @@ ARENA_FIELDS: tuple[tuple[str, str], ...] = (
     ("indptr_pool", "int64"),
     ("cand_ptr", "int64"),
     ("cands_pool", "int32"),
-    ("keys_pool", "uint64"),
 )
 
-#: each ``*_ptr`` table with the flat pool it indexes (keys follow ``cand_ptr``)
-_POOL_OF_PTR = (
+#: each ``*_ptr`` table with the flat pool it indexes
+_POOLS = (
     ("order_ptr", "order_pool"),
     ("level_ptr", "level_pool"),
     ("indptr_ptr", "indptr_pool"),
@@ -297,11 +293,12 @@ class StructurePools:
     """The structures of a run of destinations ("slots"), pooled.
 
     One array per :data:`ARENA_FIELDS` entry: a slot's ``order`` /
-    ``level_starts`` / ``indptr`` / ``cands`` / tie-break keys are the
-    ``*_ptr[k]:*_ptr[k + 1]`` slice of the matching pool, its ``cls`` /
-    ``lengths`` / ``row_of`` row ``k`` of the dense matrices.  Every
-    builder emits them keys included, and nothing writes them after
-    construction: views are handed out, and the routing arena is a
+    ``level_starts`` / ``indptr`` / ``cands`` are the ``*_ptr[k]:*_ptr[k
+    + 1]`` slice of the matching pool, its ``cls`` / ``lengths`` /
+    ``row_of`` row ``k`` of the dense matrices.  Tie-break keys are not
+    a field: whoever needs them derives them (:func:`compute_tie_keys`).
+    Nothing writes the fields after construction: views are handed
+    out, and the routing arena is a
     :class:`PoolsAssembly` of a cache's chunks, each written straight
     into the arena's arrays or copied there from pools like these.
     """
@@ -322,7 +319,7 @@ class StructurePools:
         return len(self.dest_ids)
 
     def arrays(self) -> dict[str, np.ndarray]:
-        """The 13 fields by name: the arrays themselves, not copies."""
+        """The 12 fields by name: the arrays themselves, not copies."""
         return {name: getattr(self, name) for name, _ in ARENA_FIELDS}
 
     def row_sizes(self, lo: int, hi: int) -> np.ndarray:
@@ -358,7 +355,6 @@ class StructurePools:
                 level_starts=self.level_pool[l_lo:l_hi],
                 indptr=self.indptr_pool[i_lo:i_hi],
                 cands=self.cands_pool[c_lo:c_hi],
-                _tie_keys=self.keys_pool[c_lo:c_hi],
                 policy=self.policy,
             )
         return view
@@ -376,28 +372,26 @@ class StructurePools:
         ``self`` is left as it was; untouched arrays are shared."""
         sizes = self.row_sizes(0, self.num_dests)
         starts = offsets(sizes)
-        some = np.flatnonzero(sizes)
-        collapse = (sticky[self.order_pool] & (sizes > 1))[some]
-        least = np.minimum.reduceat(self.keys_pool, starts[some])
-        rows = some[collapse]
+        rows = np.flatnonzero(sticky[self.order_pool] & (sizes > 1))
+        # the tie keys of the rows that collapse, and no others
+        edges = segment_index(starts[rows], sizes[rows])
+        first = offsets(sizes[rows])
         keep = np.ones(len(self.cands_pool), dtype=bool)
-        keep[segment_index(starts[rows], sizes[rows])] = False
-        keep[starts[rows] + (least[collapse] & _POS_MASK).astype(np.int64)] = True
+        keep[edges] = False
+        if len(rows):
+            keys = compute_tie_keys(self.order_pool[rows], first, self.cands_pool[edges])
+            least = np.minimum.reduceat(keys, first[:-1])
+            keep[starts[rows] + (least & _POS_MASK).astype(np.int64)] = True
         sizes[rows] = 1
-        cum = offsets(sizes)
-        keys = self.keys_pool[keep]
-        keys[cum[rows]] &= _HASH_MASK  # a primary is its row's first candidate
-        indptr_ptr, indptr_pool, cand_ptr = _local_indptr(cum, self.order_ptr)
+        indptr_ptr, indptr_pool, cand_ptr = _local_indptr(offsets(sizes), self.order_ptr)
         arrays = self.arrays()
         arrays.update(
             indptr_ptr=indptr_ptr, indptr_pool=indptr_pool, cand_ptr=cand_ptr,
-            cands_pool=self.cands_pool[keep], keys_pool=keys,
+            cands_pool=self.cands_pool[keep],
         )
         return StructurePools(arrays, self.policy)
 
 
-#: every flat pool with the ``*_ptr`` table that cuts it into slots
-_POOLS = _POOL_OF_PTR + (("cand_ptr", "keys_pool"),)
 _DENSE = ("cls", "lengths", "row_of")
 _DTYPES = dict(ARENA_FIELDS)
 
@@ -464,7 +458,7 @@ class PoolsAssembly:
 
     @classmethod
     def labelled(cls, cg: CompiledGraph, dests: np.ndarray, kernels) -> dict[str, np.ndarray]:
-        """The 13 fields of the one chunk ``dests`` (int64), labelled
+        """The 12 fields of the one chunk ``dests`` (int64), labelled
         and pooled by ``kernels``: a compiled tier's chunk build."""
         assembly = cls(cg.n, dests)
         assembly.label(0, dests, cg, kernels)
@@ -585,7 +579,7 @@ def assemble_pools(
     ``dst[i]``; candidates arrive in any order, without duplicates, and
     every reachable node but the destination has at least one.  Rows
     come out by ``(length, node)``, candidates by ``(row, candidate)``
-    — the order the tie-break positions are defined on — and keyed.
+    — the order the tie-break positions are defined on.
     """
     rows, n = cls.shape
     reachable = cls != _UNREACHABLE
@@ -637,7 +631,6 @@ def assemble_pools(
         "indptr_pool": indptr_pool,
         "cand_ptr": cand_ptr,
         "cands_pool": cands,
-        "keys_pool": compute_tie_keys(order_pool, cum, cands),
     })
 
 

@@ -281,7 +281,7 @@ def _pools(arena: RoutingArena) -> list[np.ndarray]:
     """The pools, in the order the tree kernels take them."""
     return [getattr(arena, name) for name in (
         "order_ptr", "order_pool", "level_ptr", "level_pool", "indptr_ptr",
-        "indptr_pool", "cand_ptr", "cands_pool", "keys_pool",
+        "indptr_pool", "cand_ptr", "cands_pool",
     )]
 
 
@@ -309,14 +309,20 @@ class TestArenaStructure:
         with pytest.raises(ValueError, match="another graph"):
             RoutingArena.build(small_graph.n + 1, list(chunk_pools(cg, [0, 1])))
 
-    def test_tie_keys_precomputed_once(self, small_graph):
-        dr = compute_dest_routing(small_graph, 3)
-        keys = dr.tie_keys()
-        assert keys is dr.tie_keys()  # cached
-        np.testing.assert_array_equal(
-            keys, compute_tie_keys(dr.order, dr.indptr, dr.cands)
-        )
-        assert keys.dtype == np.uint64
+    def test_views_hold_no_tie_keys(self, small_cache):
+        """A view derives its keys on every call and keeps none, so the
+        views a consumer collects grow nothing back beside the pools."""
+        arena = small_cache.ensure_arena()
+        for slot in (0, 3, arena.num_dests - 1):
+            view = arena.view(slot)
+            keys = view.tie_keys()
+            assert keys.dtype == np.uint64
+            assert keys.tobytes() == compute_tie_keys(
+                view.order, view.indptr, view.cands
+            ).tobytes()
+            held = [v for v in vars(view).values() if isinstance(v, np.ndarray)]
+            assert all(v.dtype != np.uint64 for v in held)
+            assert view.tie_keys() is not keys
 
 
 def _subtree_weights_add_at(

@@ -639,7 +639,7 @@ class TestCextArgumentChecks:
 
     @pytest.mark.parametrize("slots", [None, [2, 0, 2]], ids=["full", "subset"])
     @pytest.mark.parametrize(
-        "name, num_arrays", [("trees_stacked", 15), ("weights_stacked", 8)]
+        "name, num_arrays", [("trees_stacked", 14), ("weights_stacked", 8)]
     )
     def test_every_stack_array_is_checked(
         self, small_graph, monkeypatch, name, num_arrays, slots
@@ -680,8 +680,8 @@ class TestCextArgumentChecks:
     @pytest.mark.parametrize(
         "name, pools",
         [
-            # order_pool, level_pool, indptr_pool, cands_pool, keys_pool
-            ("trees_stacked", (3, 5, 7, 9, 10)),
+            # order_pool, level_pool, indptr_pool, cands_pool
+            ("trees_stacked", (3, 5, 7, 9)),
             ("weights_stacked", (3, 5)),
         ],
     )

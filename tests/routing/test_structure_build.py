@@ -8,8 +8,8 @@ one-destination passes and packaging of ``repro.routing.tree``),
 ``RoutingArena.build``) and ``_reference_assemble`` (``_assemble`` of
 ``repro.routing.fixpoint``), with the ``gather_neighbors`` helper only
 they called.  Everything the batched path produces must
-equal them bit for bit: dtype, shape and bytes of all 13 pooled fields,
-the tie-break keys of every chunk included — whichever way a cache came
+equal them bit for bit: dtype, shape and bytes of all 12 pooled fields
+— whichever way a cache came
 by its pools (a warm, a resumed warm, lazy misses in any order, worker
 processes).  The chunk build is a kernel of every backend tier, so each
 class that builds runs on numpy (its own name) and again on the python
@@ -43,7 +43,6 @@ from repro.routing.tree import (
     DestRouting,
     chunk_pools,
     compute_dest_routing,
-    compute_tie_keys,
     destination_chunks,
     route_classes_and_lengths,
     route_labels,
@@ -195,7 +194,7 @@ def _reference_assemble(table, dest, cls, length, tied) -> DestRouting:
 
 
 def _reference_arrays(n: int, routings: list[DestRouting]) -> dict[str, np.ndarray]:
-    """The 13 pooled fields, one destination at a time."""
+    """The 12 pooled fields, one destination at a time."""
 
     def pool(parts, dtype):
         flat = np.concatenate(parts).astype(dtype) if parts else np.empty(0, dtype)
@@ -207,9 +206,6 @@ def _reference_arrays(n: int, routings: list[DestRouting]) -> dict[str, np.ndarr
     level_pool, level_ptr = pool([r.level_starts for r in routings], np.int32)
     indptr_pool, indptr_ptr = pool([r.indptr for r in routings], np.int64)
     cands_pool, cand_ptr = pool([r.cands for r in routings], np.int32)
-    keys_pool, _ = pool(
-        [compute_tie_keys(r.order, r.indptr, r.cands) for r in routings], np.uint64
-    )
 
     def dense(name, dtype):
         out = np.empty((len(routings), n), dtype=dtype)
@@ -226,7 +222,6 @@ def _reference_arrays(n: int, routings: list[DestRouting]) -> dict[str, np.ndarr
         "level_ptr": level_ptr, "level_pool": level_pool,
         "indptr_ptr": indptr_ptr, "indptr_pool": indptr_pool,
         "cand_ptr": cand_ptr, "cands_pool": cands_pool,
-        "keys_pool": keys_pool,
     }
 
 
@@ -239,7 +234,6 @@ def _assert_fields_equal(got, want: dict[str, np.ndarray]) -> None:
 
 
 def _pool_bytes(pools) -> dict[str, bytes]:
-    assert pools.keys_pool is not None  # every chunk carries its keys
     return {name: getattr(pools, name).tobytes() for name, _ in ARENA_FIELDS}
 
 
@@ -313,7 +307,7 @@ def _check_against_references(graph: ASGraph, dests: list[int]) -> None:
     want = [_reference_routing(cg, d) for d in dests]
     parts = list(chunk_pools(cg, dests))
     at = 0
-    for part in parts:   # each chunk as built, keys included
+    for part in parts:   # each chunk as built
         _assert_fields_equal(part, _reference_arrays(graph.n, want[at:at + part.num_dests]))
         at += part.num_dests
     arena = RoutingArena.build(graph.n, parts)
@@ -527,7 +521,7 @@ def _mixed_state(graph: ASGraph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _reference_for(policy_name: str, graph: ASGraph, dests: list[int]) -> dict[str, np.ndarray]:
-    """The 13 fields of ``dests`` under a registered policy, one
+    """The 12 fields of ``dests`` under a registered policy, one
     destination at a time (state-dependent ones under ``_mixed_state``)."""
     cg = CompiledGraph.from_graph(graph)
     policy = get_policy(policy_name)
@@ -661,8 +655,6 @@ def _assert_slot_equal(view: DestRouting, want: dict[str, np.ndarray], slot: int
     ):
         lo, hi = want[ptr][slot], want[ptr][slot + 1]
         assert getattr(view, name).tobytes() == want[pool][lo:hi].tobytes(), name
-    lo, hi = want["cand_ptr"][slot], want["cand_ptr"][slot + 1]
-    assert view.tie_keys().tobytes() == want["keys_pool"][lo:hi].tobytes()
 
 
 class TestViewsLeaveThePoolsAlone:
@@ -674,13 +666,13 @@ class TestViewsLeaveThePoolsAlone:
         assert len(restricted.cands_pool) < len(pools.cands_pool)
         assert _pool_bytes(pools) == before
 
-        # ... and the arena that joins chunks copies them in, keys
-        # included, and writes none of them
+        # ... and the arena that joins chunks copies them in and writes
+        # none of them
         parts = (restricted, pools)
         had = [_pool_bytes(part) for part in parts]
         arena = RoutingArena.build(small_graph.n, list(parts))
         assert arena.num_dests == 48 and not np.shares_memory(arena.cls, pools.cls)
-        assert arena.keys_pool.tobytes() == b"".join(h["keys_pool"] for h in had)
+        assert arena.cands_pool.tobytes() == b"".join(h["cands_pool"] for h in had)
         for part, before in zip(parts, had):
             assert _pool_bytes(part) == before
 

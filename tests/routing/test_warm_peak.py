@@ -26,7 +26,7 @@ from repro.routing.tree import destination_chunks
 
 _POOLS = {
     "order_pool": "order_ptr", "level_pool": "level_ptr", "indptr_pool": "indptr_ptr",
-    "cands_pool": "cand_ptr", "keys_pool": "cand_ptr",
+    "cands_pool": "cand_ptr",
 }
 
 

@@ -213,7 +213,7 @@ class TestPaperScaleForecast:
         if backend == "numpy":
             pools = [getattr(arena, name) for name in (
                 "order_ptr", "order_pool", "level_ptr", "level_pool", "indptr_ptr",
-                "indptr_pool", "cand_ptr", "cands_pool", "keys_pool",
+                "indptr_pool", "cand_ptr", "cands_pool",
             )]
             mirror = kernel_backends.load_backend("numpy").build_level_major(
                 arena.graph_n, *pools
