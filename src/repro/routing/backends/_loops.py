@@ -20,8 +20,9 @@ Calling convention (all backends):
   ``level_starts`` (where each path length starts among those rows, the
   last entry closing them); ``indptr_pool[indptr_ptr[k]:]`` is its
   tiebreak CSR, one entry per row plus a closing one, relative to
-  ``cand_ptr[k]`` in ``cands_pool``.  Pools: ``*_ptr`` / ``indptr_pool``
-  int64, ``order_pool`` / ``level_pool`` / ``cands_pool`` int32.  No
+  ``cand_ptr[k]`` in ``cands_pool``.  Pools: ``*_ptr`` int64,
+  ``order_pool`` / ``level_pool`` / ``indptr_pool`` / ``cands_pool``
+  int32 (an ``indptr`` run counts one slot's candidates).  No
   pool holds tie-break keys: a row with several candidates derives each
   candidate's key (``repro.routing.tree.compute_tie_keys``) as it reads
   it.  Batch row ``b`` resolves

@@ -96,7 +96,7 @@ int sbgp_trees_stacked(
     int64_t batch, int64_t n, const int64_t *slots,
     const int64_t *order_ptr, const int32_t *order_pool,
     const int64_t *level_ptr, const int32_t *level_pool,
-    const int64_t *indptr_ptr, const int64_t *indptr_pool,
+    const int64_t *indptr_ptr, const int32_t *indptr_pool,
     const int64_t *cand_ptr, const int32_t *cands_pool,
     const uint8_t *secure_rows, const uint8_t *secp_rows,
     int32_t *choice, uint8_t *secure, uint8_t *any_secure)
@@ -117,7 +117,7 @@ int sbgp_trees_stacked(
         const int32_t *order = order_pool + order_ptr[k];
         const int32_t *starts = level_pool + level_ptr[k];
         const int64_t last = level_ptr[k + 1] - level_ptr[k] - 1;
-        const int64_t *indptr = indptr_pool + indptr_ptr[k];
+        const int32_t *indptr = indptr_pool + indptr_ptr[k];
         const int32_t *cands = cands_pool + cand_ptr[k];
         const uint8_t *sec_in = secure_rows + b * n;
         const uint8_t *secp_in = secp_rows + b * n;
@@ -574,7 +574,7 @@ void sbgp_structure_pools(
     const int8_t *cls, const int32_t *len,
     const int64_t *order_ptr, const int64_t *level_ptr, const int64_t *cand_ptr,
     int32_t *row_of, int32_t *order_pool, int32_t *level_pool,
-    int64_t *indptr_pool, int32_t *cands_pool)
+    int32_t *indptr_pool, int32_t *cands_pool)
 {
     for (int64_t row = 0; row < rows; row++) {
         const int8_t *c = cls + row * n;
@@ -584,7 +584,7 @@ void sbgp_structure_pools(
         const int64_t reach = order_ptr[row + 1] - order_ptr[row];
         int32_t *starts = level_pool + level_ptr[row];
         const int64_t levels = level_ptr[row + 1] - level_ptr[row];
-        int64_t *indptr = indptr_pool + order_ptr[row] + row;
+        int32_t *indptr = indptr_pool + order_ptr[row] + row;
         int32_t *cands = cands_pool + cand_ptr[row];
         for (int64_t i = 0; i < levels; i++)
             starts[i] = 0;
@@ -628,7 +628,7 @@ void sbgp_structure_pools(
                 }
                 sbgp_sort_nodes(cands + lo, pos - lo);
             }
-            indptr[r + 1] = pos;
+            indptr[r + 1] = (int32_t)pos;
         }
     }
 }
@@ -745,7 +745,7 @@ def trees_stacked(slots, n, order_ptr, order_pool, level_ptr, level_pool,
         _I64(len(slots)), _I64(n), _ptr(slots, np.int64),
         _ptr(order_ptr, np.int64), _ptr(order_pool, np.int32),
         _ptr(level_ptr, np.int64), _ptr(level_pool, np.int32),
-        _ptr(indptr_ptr, np.int64), _ptr(indptr_pool, np.int64),
+        _ptr(indptr_ptr, np.int64), _ptr(indptr_pool, np.int32),
         _ptr(cand_ptr, np.int64), _ptr(cands_pool, np.int32),
         _ptr(secure_rows, np.bool_), _ptr(secp_rows, np.bool_),
         _ptr(choice, np.int32), _ptr(secure, np.bool_),
@@ -868,7 +868,7 @@ def structure_pools(cg, arrays):
         _ptr(arrays["cls"], np.int8), _ptr(arrays["lengths"], np.int32),
         *(_ptr(arrays[name], np.int64) for name in ("order_ptr", "level_ptr", "cand_ptr")),
         _ptr(arrays["row_of"], np.int32), _ptr(arrays["order_pool"], np.int32),
-        _ptr(arrays["level_pool"], np.int32), _ptr(arrays["indptr_pool"], np.int64),
+        _ptr(arrays["level_pool"], np.int32), _ptr(arrays["indptr_pool"], np.int32),
         _ptr(arrays["cands_pool"], np.int32),
     )
 

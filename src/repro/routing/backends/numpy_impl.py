@@ -228,7 +228,9 @@ def _build_tree_stacks(
     # it has served.
     _, rows, slot = _stacked_rows(level_ptr, level_pool)
     rows += slot
-    edge_lo = indptr_pool[rows]
+    # int64 before cand_ptr goes in: a run is relative to its slot
+    # (int32), the offset absolute
+    edge_lo = indptr_pool[rows].astype(np.int64)
     rows += 1
     # (a set's size fits POSITION_BITS; narrow, the array is short-lived)
     size = (indptr_pool[rows] - edge_lo).astype(np.int32)

@@ -188,7 +188,7 @@ class DestRouting:
     order: np.ndarray         # int32[num_reachable]
     row_of: np.ndarray        # int32[n], row in `order`, -1 if unreachable
     level_starts: np.ndarray  # int32[num_levels + 1]
-    indptr: np.ndarray        # int64[num_reachable + 1]
+    indptr: np.ndarray        # int32[num_reachable + 1]
     cands: np.ndarray         # int32[nnz], candidate next hops (node indices)
     _rev: tuple[np.ndarray, np.ndarray] | None = dataclasses.field(
         default=None, repr=False, compare=False
@@ -275,7 +275,7 @@ ARENA_FIELDS: tuple[tuple[str, str], ...] = (
     ("level_ptr", "int64"),
     ("level_pool", "int32"),
     ("indptr_ptr", "int64"),
-    ("indptr_pool", "int64"),
+    ("indptr_pool", "int32"),
     ("cand_ptr", "int64"),
     ("cands_pool", "int32"),
 )
@@ -334,7 +334,7 @@ class StructurePools:
         destination has no entry)."""
         row = self.row_of[slots, node]
         at = (self.indptr_ptr[slots] + row)[row >= 0]
-        return self.indptr_pool[at + 1] - self.indptr_pool[at]
+        return np.subtract(self.indptr_pool[at + 1], self.indptr_pool[at], dtype=np.int64)
 
     def view(self, slot: int) -> DestRouting:
         """Zero-copy :class:`DestRouting` of destination slot ``slot``:
@@ -555,12 +555,13 @@ def _local_indptr(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cut one CSR index over all pooled rows (``cum``) into per-slot
     ``indptr`` runs, each from 0 to its own closing entry: returns
-    ``(indptr_ptr, indptr_pool, cand_ptr)``."""
+    ``(indptr_ptr, indptr_pool, cand_ptr)``.  A run counts one slot's
+    candidates, at most one per directed edge, so it fits int32."""
     spans = np.diff(order_ptr) + 1
     cand_ptr = cum[order_ptr]
     indptr_pool = cum[segment_index(order_ptr[:-1], spans)]
     indptr_pool -= np.repeat(cand_ptr[:-1], spans)
-    return order_ptr + np.arange(len(order_ptr)), indptr_pool, cand_ptr
+    return order_ptr + np.arange(len(order_ptr)), indptr_pool.astype(np.int32), cand_ptr
 
 
 def assemble_pools(

@@ -152,7 +152,7 @@ def _package(n, dest, cls, lengths, srcs, dsts) -> DestRouting:
     rows = row_of[srcs]
     sort = np.argsort(rows.astype(np.int64) * n + dsts, kind="stable")
     rows, cands = rows[sort], dsts[sort].astype(np.int32)
-    indptr = np.zeros(len(order) + 1, dtype=np.int64)
+    indptr = np.zeros(len(order) + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=len(order)), out=indptr[1:])
     return DestRouting(
         dest=dest, cls=cls.astype(np.int8), lengths=lengths.astype(np.int32),
@@ -204,7 +204,7 @@ def _reference_arrays(n: int, routings: list[DestRouting]) -> dict[str, np.ndarr
 
     order_pool, order_ptr = pool([r.order for r in routings], np.int32)
     level_pool, level_ptr = pool([r.level_starts for r in routings], np.int32)
-    indptr_pool, indptr_ptr = pool([r.indptr for r in routings], np.int64)
+    indptr_pool, indptr_ptr = pool([r.indptr for r in routings], np.int32)
     cands_pool, cand_ptr = pool([r.cands for r in routings], np.int32)
 
     def dense(name, dtype):

@@ -136,7 +136,7 @@ def restrict_to_primary_reference(dr: DestRouting, sticky: np.ndarray) -> DestRo
     each sticky node with several candidates keeps the hash-minimal one."""
     order, indptr, cands = dr.order, dr.indptr, dr.cands
     new_cands: list[int] = []
-    new_indptr = np.zeros(len(order) + 1, dtype=np.int64)
+    new_indptr = np.zeros(len(order) + 1, dtype=np.int32)
     for row, node in enumerate(order):
         node = int(node)
         cs = cands[indptr[row]:indptr[row + 1]]
