@@ -45,9 +45,11 @@ Calling convention (all backends):
   the chunk's 12 ``ARENA_FIELDS``, each allocated exactly once its
   size is known.  Its two halves are kernels of their own, so the
   arena's assembly can place a chunk before any pool exists:
-  ``structure_labels`` writes the chunk's ``[rows, n]`` labels and
-  ``sizes`` int64[rows, 3] (reachable nodes, level_starts entries,
-  candidates per row) in place, and ``structure_pools`` fills the rest
+  ``structure_labels`` writes the chunk's ``[rows, n]`` labels (``cls``
+  and ``lengths``, both int8: a route longer than ``MAX_ROUTE_LENGTH``
+  hops raises ``RouteTooLongError``) and ``sizes`` int64[rows, 3]
+  (reachable nodes, level_starts entries, candidates per row) in
+  place, and ``structure_pools`` fills the rest
   of the chunk's fields, handed over as a dict whose ``*_ptr`` tables
   start at 0 — its own arrays, or its slices of the arena's.
 
@@ -113,7 +115,7 @@ from repro.routing.fixpoint import (
     ROW_REVISITS,
 )
 from repro.routing.policy import POSITION_BITS, RouteClass, tie_hash
-from repro.routing.tree import PoolsAssembly
+from repro.routing.tree import MAX_ROUTE_LENGTH, PoolsAssembly, route_too_long
 
 _BLOCKED = np.uint64(2**64 - 1)
 _POS_MASK = np.uint64((1 << POSITION_BITS) - 1)
@@ -459,7 +461,8 @@ def structure_labels(cg, dests, cls, length, sizes):
     sizes[...] = 0
     seq = np.empty(max(cg.n, 1), dtype=np.int32)
     for row in range(len(dests)):
-        _route_labels(cg, dests[row], cls[row], length[row], seq, sizes[row])
+        if not _route_labels(cg, dests[row], cls[row], length[row], seq, sizes[row]):
+            raise route_too_long(int(dests[row]))
 
 
 def structure_pools(cg, arrays):
@@ -471,16 +474,20 @@ def structure_pools(cg, arrays):
 
 def _offer(u, route_cls, at, cls, length, size):
     """Offer ``u`` a route of ``route_cls`` and length ``at``: a node
-    without a route takes it (True: ``u`` is settled), a node holding
-    exactly that route ties with it.  Either way it is a candidate."""
+    without a route takes it (1: ``u`` is settled), a node holding
+    exactly that route ties with it.  Either way it is a candidate.  A
+    route longer than the int8 lengths hold settles nothing (-1): a
+    wrapped length would misorder the walk before any later check."""
     if cls[u] == _UNREACHABLE:
+        if at > MAX_ROUTE_LENGTH:
+            return -1
         cls[u] = route_cls
         length[u] = at
         size[2] += 1
-        return True
+        return 1
     if cls[u] == route_cls and length[u] == at:
         size[2] += 1
-    return False
+    return 0
 
 
 def _route_labels(cg, dest, cls, length, seq, size):
@@ -488,7 +495,8 @@ def _route_labels(cg, dest, cls, length, seq, size):
     the nodes as they are settled — the customer cone breadth first,
     then the peer routes, then the provider routes — each run in length
     order.  ``size`` gets the row's reachable nodes, level_starts
-    entries and tiebreak candidates."""
+    entries and tiebreak candidates.  Returns False when a route is
+    longer than :data:`~repro.routing.tree.MAX_ROUTE_LENGTH` hops."""
     for u in range(cg.n):
         cls[u] = _UNREACHABLE
         length[u] = -1
@@ -496,23 +504,28 @@ def _route_labels(cg, dest, cls, length, seq, size):
     length[dest] = 0
     seq[0] = dest
     end = 1
+    over = False
     # pass 1: customer routes, breadth first up provider edges
     i = 0
     while i < end:
         v = seq[i]
         i += 1
         for e in range(cg.prov_indptr[v], cg.prov_indptr[v + 1]):
-            if _offer(cg.prov_idx[e], _CUSTOMER, length[v] + 1, cls, length, size):
+            got = _offer(cg.prov_idx[e], _CUSTOMER, int(length[v]) + 1, cls, length, size)
+            if got > 0:
                 seq[end] = cg.prov_idx[e]
                 end += 1
+            over |= got < 0
     cone = end
     # pass 2: one peer hop off the cone, nearest level first
     for i in range(cone):
         v = seq[i]
         for e in range(cg.peer_indptr[v], cg.peer_indptr[v + 1]):
-            if _offer(cg.peer_idx[e], _PEER, length[v] + 1, cls, length, size):
+            got = _offer(cg.peer_idx[e], _PEER, int(length[v]) + 1, cls, length, size)
+            if got > 0:
                 seq[end] = cg.peer_idx[e]
                 end += 1
+            over |= got < 0
     peers = end
     # pass 3: provider routes down customer edges by increasing length,
     # the three runs of seq (the last one growing) merged
@@ -531,13 +544,18 @@ def _route_labels(cg, dest, cls, length, seq, size):
         else:
             v = seq[c]
             c += 1
-        deepest = length[v]
+        deepest = int(length[v])
         for e in range(cg.cust_indptr[v], cg.cust_indptr[v + 1]):
-            if _offer(cg.cust_idx[e], _PROVIDER, deepest + 1, cls, length, size):
+            got = _offer(cg.cust_idx[e], _PROVIDER, deepest + 1, cls, length, size)
+            if got > 0:
                 seq[end] = cg.cust_idx[e]
                 end += 1
+            over |= got < 0
+    if over:
+        return False
     size[0] = end
     size[1] = deepest + 2
+    return True
 
 
 def _pool_row(cg, arrays, row):
@@ -558,7 +576,7 @@ def _pool_row(cg, arrays, row):
         starts[i] = 0
     for u in range(n):
         if length[u] >= 0:
-            starts[length[u] + 1] += 1
+            starts[int(length[u]) + 1] += 1
     for i in range(1, levels):
         starts[i] += starts[i - 1]
     for u in range(n):
@@ -591,7 +609,7 @@ def _pool_row(cg, arrays, row):
             lo = pos
             for e in range(ptr[u], ptr[u + 1]):
                 v = idx[e]
-                if length[v] == length[u] - 1 and (
+                if length[v] == int(length[u]) - 1 and (
                     cu == _PROVIDER or cls[v] == _CUSTOMER or cls[v] == _SELF
                 ):
                     cands[pos] = v

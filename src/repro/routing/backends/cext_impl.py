@@ -37,13 +37,14 @@ import numpy as np
 from repro.routing import fixpoint, policy
 from repro.routing.backends import BackendUnavailable, find_compiler
 from repro.routing.policy import POSITION_BITS, RouteClass
-from repro.routing.tree import PoolsAssembly
+from repro.routing.tree import MAX_ROUTE_LENGTH, PoolsAssembly, route_too_long
 from repro.runtime.atomic import atomic_write_text
 
 #: What the C code shares with the other tiers, formatted from where it
 #: is defined: no value is mirrored by hand.
 _DEFINES = {
     "POS_MASK": f"{(1 << POSITION_BITS) - 1}u",   # a tie key's position bits
+    "MAX_ROUTE_LENGTH": MAX_ROUTE_LENGTH,          # what int8 lengths hold
     "CLS_UNREACHABLE": int(RouteClass.UNREACHABLE),
     "CLS_PROVIDER": int(RouteClass.PROVIDER),
     "CLS_PEER": int(RouteClass.PEER),
@@ -445,13 +446,17 @@ int sbgp_jacobi_converge(
 
 /* Offer u a route of class rc and length at: a node without a route
  * takes it (returns 1: u is settled), a node holding exactly that route
- * ties with it.  Either way it is one more tiebreak candidate. */
+ * ties with it.  Either way it is one more tiebreak candidate.  A route
+ * longer than the int8 lengths hold settles nothing and returns -1: a
+ * wrapped length would misorder the walk before any later check. */
 static inline int sbgp_offer(int32_t u, int8_t rc, int32_t at, int8_t *c,
-                             int32_t *l, int64_t *cands)
+                             int8_t *l, int64_t *cands)
 {
     if (c[u] == CLS_UNREACHABLE) {
+        if (at > MAX_ROUTE_LENGTH)
+            return -1;
         c[u] = rc;
-        l[u] = at;
+        l[u] = (int8_t)at;
         ++*cands;
         return 1;
     }
@@ -467,21 +472,23 @@ static inline int sbgp_offer(int32_t u, int8_t rc, int32_t at, int8_t *c,
  * growing) to take every node by increasing length.  sizes[row] =
  * (reachable nodes, level_starts entries, tiebreak candidates): what the
  * row's slot of the pools holds.  Returns -1 when there is no scratch
- * memory. */
+ * memory, and 1 + row when a route toward dests[row] is longer than
+ * MAX_ROUTE_LENGTH hops (that row's labels are not whole). */
 int sbgp_structure_labels(
     int64_t rows, int64_t n, const int64_t *dests,
     const int64_t *cust_ptr, const int32_t *cust_idx,
     const int64_t *peer_ptr, const int32_t *peer_idx,
     const int64_t *prov_ptr, const int32_t *prov_idx,
-    int8_t *cls, int32_t *len, int64_t *sizes)
+    int8_t *cls, int8_t *len, int64_t *sizes)
 {
     int32_t *seq = malloc((size_t)(n > 0 ? n : 1) * sizeof(int32_t));
     if (!seq)
         return -1;
     for (int64_t row = 0; row < rows; row++) {
         int8_t *c = cls + row * n;
-        int32_t *l = len + row * n;
+        int8_t *l = len + row * n;
         int64_t cands = 0;
+        int got, over = 0;
         for (int64_t u = 0; u < n; u++) {
             c[u] = CLS_UNREACHABLE;
             l[u] = -1;
@@ -494,17 +501,21 @@ int sbgp_structure_labels(
         /* pass 1: customer routes, breadth first up provider edges */
         for (int64_t i = 0; i < end; i++) {
             const int32_t v = seq[i];
-            for (int64_t e = prov_ptr[v]; e < prov_ptr[v + 1]; e++)
-                if (sbgp_offer(prov_idx[e], CLS_CUSTOMER, l[v] + 1, c, l, &cands))
+            for (int64_t e = prov_ptr[v]; e < prov_ptr[v + 1]; e++) {
+                if ((got = sbgp_offer(prov_idx[e], CLS_CUSTOMER, l[v] + 1, c, l, &cands)) > 0)
                     seq[end++] = prov_idx[e];
+                over |= got < 0;
+            }
         }
         const int64_t cone = end;
         /* pass 2: one peer hop off the cone, nearest level first */
         for (int64_t i = 0; i < cone; i++) {
             const int32_t v = seq[i];
-            for (int64_t e = peer_ptr[v]; e < peer_ptr[v + 1]; e++)
-                if (sbgp_offer(peer_idx[e], CLS_PEER, l[v] + 1, c, l, &cands))
+            for (int64_t e = peer_ptr[v]; e < peer_ptr[v + 1]; e++) {
+                if ((got = sbgp_offer(peer_idx[e], CLS_PEER, l[v] + 1, c, l, &cands)) > 0)
                     seq[end++] = peer_idx[e];
+                over |= got < 0;
+            }
         }
         const int64_t peers = end;
         /* pass 3: provider routes down customer edges, by increasing
@@ -523,9 +534,15 @@ int sbgp_structure_labels(
             else
                 v = seq[p++];
             deepest = l[v];
-            for (int64_t e = cust_ptr[v]; e < cust_ptr[v + 1]; e++)
-                if (sbgp_offer(cust_idx[e], CLS_PROVIDER, deepest + 1, c, l, &cands))
+            for (int64_t e = cust_ptr[v]; e < cust_ptr[v + 1]; e++) {
+                if ((got = sbgp_offer(cust_idx[e], CLS_PROVIDER, deepest + 1, c, l, &cands)) > 0)
                     seq[end++] = cust_idx[e];
+                over |= got < 0;
+            }
+        }
+        if (over) {
+            free(seq);
+            return (int)(row + 1);
         }
         sizes[row * 3] = end;
         sizes[row * 3 + 1] = deepest + 2;
@@ -571,14 +588,14 @@ void sbgp_structure_pools(
     const int64_t *cust_ptr, const int32_t *cust_idx,
     const int64_t *peer_ptr, const int32_t *peer_idx,
     const int64_t *prov_ptr, const int32_t *prov_idx,
-    const int8_t *cls, const int32_t *len,
+    const int8_t *cls, const int8_t *len,
     const int64_t *order_ptr, const int64_t *level_ptr, const int64_t *cand_ptr,
     int32_t *row_of, int32_t *order_pool, int32_t *level_pool,
     int32_t *indptr_pool, int32_t *cands_pool)
 {
     for (int64_t row = 0; row < rows; row++) {
         const int8_t *c = cls + row * n;
-        const int32_t *l = len + row * n;
+        const int8_t *l = len + row * n;
         int32_t *ro = row_of + row * n;
         int32_t *order = order_pool + order_ptr[row];
         const int64_t reach = order_ptr[row + 1] - order_ptr[row];
@@ -693,7 +710,9 @@ def _load_library() -> ctypes.CDLL:
     lib.sbgp_jacobi_converge.restype = ctypes.c_int   # -1: no scratch memory
     # (rows, n), the destinations, the three CSRs, the labels and sizes
     lib.sbgp_structure_labels.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 10
-    lib.sbgp_structure_labels.restype = ctypes.c_int  # -1: no scratch memory
+    # -1: no scratch memory; 1 + row: a route toward that row's
+    # destination is too long for the int8 lengths
+    lib.sbgp_structure_labels.restype = ctypes.c_int
     # (rows, n), the three CSRs, the labels, the offset tables, the pools
     lib.sbgp_structure_pools.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 16
     lib.sbgp_structure_pools.restype = None
@@ -841,8 +860,10 @@ def structure_labels(cg, dests, cls, length, sizes):
         raise ValueError("cext kernel: labels are not [rows, n]")
     status = _LIB.sbgp_structure_labels(
         _I64(rows), _I64(n), chunk, *graph,
-        _ptr(cls, np.int8), _ptr(length, np.int32), _ptr(sizes, np.int64),
+        _ptr(cls, np.int8), _ptr(length, np.int8), _ptr(sizes, np.int64),
     )
+    if status > 0:
+        raise route_too_long(int(dests[status - 1]))
     if status:
         raise MemoryError(f"cext kernel: no scratch for a walk over {n} nodes")
 
@@ -865,7 +886,7 @@ def structure_pools(cg, arrays):
         raise ValueError("cext kernel: pools out of step")
     _LIB.sbgp_structure_pools(
         _I64(rows), _I64(n), *graph,
-        _ptr(arrays["cls"], np.int8), _ptr(arrays["lengths"], np.int32),
+        _ptr(arrays["cls"], np.int8), _ptr(arrays["lengths"], np.int8),
         *(_ptr(arrays[name], np.int64) for name in ("order_ptr", "level_ptr", "cand_ptr")),
         _ptr(arrays["row_of"], np.int32), _ptr(arrays["order_pool"], np.int32),
         _ptr(arrays["level_pool"], np.int32), _ptr(arrays["indptr_pool"], np.int32),

@@ -13,3 +13,13 @@ class BackendUnavailable(RuntimeError):
     propagating, so only a direct ``load_backend`` call — or numpy
     itself failing — surfaces the error.
     """
+
+
+class RouteTooLongError(ValueError):
+    """A selected route takes more hops than the routing arena can hold.
+
+    The arena stores path lengths as int8, so no route may be longer
+    than :data:`repro.routing.tree.MAX_ROUTE_LENGTH` (127) hops; the
+    paper's routes take 2-5.  Every structure builder raises this
+    before it would store such a length, instead of letting it wrap.
+    """

@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.routing import backends as kernel_backends
 from repro.routing.compiled import CompiledGraph, offsets, segment_index
+from repro.routing.errors import RouteTooLongError
 from repro.routing.policy import POSITION_BITS, RouteClass, tie_hash_array
 from repro.telemetry.metrics import get_registry
 from repro.topology.graph import ASGraph
@@ -184,7 +185,7 @@ class DestRouting:
 
     dest: int
     cls: np.ndarray           # int8[n]
-    lengths: np.ndarray       # int32[n]
+    lengths: np.ndarray       # int8[n], -1 where unreachable
     order: np.ndarray         # int32[num_reachable]
     row_of: np.ndarray        # int32[n], row in `order`, -1 if unreachable
     level_starts: np.ndarray  # int32[num_levels + 1]
@@ -268,7 +269,7 @@ def compute_tie_keys(
 ARENA_FIELDS: tuple[tuple[str, str], ...] = (
     ("dest_ids", "int32"),
     ("cls", "int8"),
-    ("lengths", "int32"),
+    ("lengths", "int8"),
     ("row_of", "int32"),
     ("order_ptr", "int64"),
     ("order_pool", "int32"),
@@ -394,6 +395,18 @@ class StructurePools:
 
 _DENSE = ("cls", "lengths", "row_of")
 _DTYPES = dict(ARENA_FIELDS)
+
+#: the longest route, in hops, the arena's ``lengths`` hold
+MAX_ROUTE_LENGTH = int(np.iinfo(_DTYPES["lengths"]).max)
+
+
+def route_too_long(dest: int) -> RouteTooLongError:
+    """The error for a route toward ``dest`` (a dense index) longer
+    than :data:`MAX_ROUTE_LENGTH`."""
+    return RouteTooLongError(
+        f"a route toward destination {dest} takes more than {MAX_ROUTE_LENGTH} "
+        f"hops, the most the routing arena's int8 path lengths hold"
+    )
 
 
 def _ptr_tables(sizes: np.ndarray) -> dict[str, np.ndarray]:
@@ -580,15 +593,20 @@ def assemble_pools(
     ``dst[i]``; candidates arrive in any order, without duplicates, and
     every reachable node but the destination has at least one.  Rows
     come out by ``(length, node)``, candidates by ``(row, candidate)``
-    — the order the tie-break positions are defined on.
+    — the order the tie-break positions are defined on.  ``lengths``
+    may come in any integer dtype and goes out int8; a length above
+    :data:`MAX_ROUTE_LENGTH` raises :class:`RouteTooLongError`.
     """
     rows, n = cls.shape
+    longest = lengths.max(axis=1, initial=0).astype(np.int64)
+    if rows and longest.max() > MAX_ROUTE_LENGTH:
+        raise route_too_long(int(dests[int(longest.argmax())]))
     reachable = cls != _UNREACHABLE
     counts = np.count_nonzero(reachable, axis=1)
     order_ptr = offsets(counts)
     reach = np.flatnonzero(reachable.reshape(-1))          # by (row, node)
     row = np.repeat(np.arange(rows, dtype=np.int64), counts)
-    depth = int(lengths.max(initial=0)) + 2
+    depth = int(longest.max(initial=0)) + 2
     key = row * depth + lengths.reshape(-1)[reach]
     # stable, so ties keep node order; a narrow key gets the radix sort
     by_len = np.argsort(key.astype(np.min_scalar_type(rows * depth)), kind="stable")
@@ -599,7 +617,7 @@ def assemble_pools(
 
     # level_starts of a row: how many of its nodes are closer than L,
     # for L up to one past its own longest route
-    levels = lengths.max(axis=1, initial=0).astype(np.int64) + 2
+    levels = longest + 2
     level_pool = np.searchsorted(
         key[by_len], segment_index(np.arange(rows, dtype=np.int64) * depth, levels)
     ) - np.repeat(order_ptr[:-1], levels)
@@ -622,7 +640,7 @@ def assemble_pools(
     return StructurePools({
         "dest_ids": np.asarray(dests, dtype=np.int32),
         "cls": cls,
-        "lengths": lengths,
+        "lengths": lengths.astype(_DTYPES["lengths"], copy=False),
         "row_of": row_of,
         "order_ptr": order_ptr,
         "order_pool": order_pool,

@@ -31,7 +31,7 @@ from repro.routing import backends as kb
 from repro.routing.arena import ARENA_FIELDS, RoutingArena
 from repro.routing.cache import RoutingCache
 from repro.routing.compiled import CompiledGraph, segment_index
-from repro.routing.errors import BackendUnavailable
+from repro.routing.errors import BackendUnavailable, RouteTooLongError
 from repro.routing.fixpoint import PIN_ROUTE, JacobiDriver, fixpoint_pools, pin_table
 from repro.routing.policy import (
     RouteClass,
@@ -43,6 +43,7 @@ from repro.routing.tree import (
     DestRouting,
     chunk_pools,
     compute_dest_routing,
+    MAX_ROUTE_LENGTH,
     destination_chunks,
     route_classes_and_lengths,
     route_labels,
@@ -155,7 +156,7 @@ def _package(n, dest, cls, lengths, srcs, dsts) -> DestRouting:
     indptr = np.zeros(len(order) + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=len(order)), out=indptr[1:])
     return DestRouting(
-        dest=dest, cls=cls.astype(np.int8), lengths=lengths.astype(np.int32),
+        dest=dest, cls=cls.astype(np.int8), lengths=lengths.astype(np.int8),
         order=order, row_of=row_of, level_starts=level_starts,
         indptr=indptr, cands=cands,
     )
@@ -216,7 +217,7 @@ def _reference_arrays(n: int, routings: list[DestRouting]) -> dict[str, np.ndarr
     return {
         "dest_ids": np.asarray([r.dest for r in routings], dtype=np.int32),
         "cls": dense("cls", np.int8),
-        "lengths": dense("lengths", np.int32),
+        "lengths": dense("lengths", np.int8),
         "row_of": dense("row_of", np.int32),
         "order_ptr": order_ptr, "order_pool": order_pool,
         "level_ptr": level_ptr, "level_pool": level_pool,
@@ -387,7 +388,8 @@ class TestBatchedBuildBitIdentity:
             info = route_classes_and_lengths(graph, dest)
             assert info.dest == dest
             assert info.cls.tobytes() == want.cls.tobytes()
-            assert info.lengths.tobytes() == want.lengths.tobytes()
+            # the passes' own labels, before the arena narrows them
+            assert info.lengths.tolist() == want.lengths.tolist()
 
 
 class TestBatchedBuildBitIdentityOnPython(TestBatchedBuildBitIdentity):
@@ -395,6 +397,66 @@ class TestBatchedBuildBitIdentityOnPython(TestBatchedBuildBitIdentity):
 
 
 class TestBatchedBuildBitIdentityOnCext(TestBatchedBuildBitIdentity):
+    BACKEND = "cext"
+
+
+def _chain(n: int) -> ASGraph:
+    """ASes ``1..n``, each the provider of the next."""
+    return _graph(n, cp=[(k, k + 1) for k in range(1, n)])
+
+
+class TestRoutesPastTheInt8Lengths:
+    """The arena keeps path lengths as int8: a route of
+    ``MAX_ROUTE_LENGTH`` (127) hops is the longest it stores, and every
+    builder fails typed before it would store a longer one — the
+    compiled labels walk included, where a wrapped length would
+    misorder the walk itself."""
+
+    BACKEND = "numpy"
+
+    def test_the_limit_is_what_int8_holds(self):
+        assert MAX_ROUTE_LENGTH == 127 and issubclass(RouteTooLongError, ValueError)
+
+    @pytest.mark.parametrize("policy_name", available_policies())
+    def test_a_130_as_chain_fails_typed_under_every_policy(self, policy_name):
+        graph = _chain(130)
+        policy = get_policy(policy_name)
+        # toward the top AS every route is a provider route (pass 3),
+        # toward the bottom one a customer route (pass 1)
+        for dest in (0, graph.n - 1):
+            with pytest.raises(RouteTooLongError, match=f"destination {dest} takes more than 127"):
+                policy.build_pools(graph, [dest])
+        # a chunk that holds a short-route destination too fails as a
+        # whole, through a cache's warm as through a one-off build
+        cache = RoutingCache(graph, destinations=[graph.n - 1, 64, 0], policy=policy_name)
+        with pytest.raises(RouteTooLongError):
+            cache.warm()
+
+    def test_a_peer_hop_past_the_limit_fails_typed(self):
+        # a customer route of 127 hops reaches AS 1 from AS 128; AS
+        # 129, its peer, would take it at 128 (pass 2)
+        graph = _graph(129, cp=[(k, k + 1) for k in range(1, 128)], peer=[(1, 129)])
+        cg = CompiledGraph.from_graph(graph)
+        with pytest.raises(RouteTooLongError, match="destination 127 "):
+            list(chunk_pools(cg, [5, 127]))
+        (pools,) = chunk_pools(cg, [0])   # toward the top AS: 127 hops at most
+        assert pools.lengths.max() == MAX_ROUTE_LENGTH
+
+    def test_a_127_hop_route_is_stored_exactly(self):
+        graph = _chain(128)
+        dests = [0, graph.n - 1, 64]
+        _check_against_references(graph, dests)
+        arena = RoutingArena.build(graph.n, list(chunk_pools(CompiledGraph.from_graph(graph), dests)))
+        assert arena.lengths.dtype == np.int8
+        assert arena.lengths[0].max() == arena.lengths[1].max() == MAX_ROUTE_LENGTH
+        assert arena.level_ptr[1] - arena.level_ptr[0] == MAX_ROUTE_LENGTH + 2
+
+
+class TestRoutesPastTheInt8LengthsOnPython(TestRoutesPastTheInt8Lengths):
+    BACKEND = "python"
+
+
+class TestRoutesPastTheInt8LengthsOnCext(TestRoutesPastTheInt8Lengths):
     BACKEND = "cext"
 
 
