@@ -180,6 +180,7 @@ class RoutingArena(StructurePools):
         registry = get_registry()
         registry.counter("routing.arena.builds").inc()
         registry.gauge("routing.arena.bytes").set(arena.nbytes)
+        registry.gauge("routing.arena.bytes_per_entry").set(arena.bytes_per_entry)
         return arena
 
     # -- basic accessors -----------------------------------------------
@@ -188,6 +189,12 @@ class RoutingArena(StructurePools):
     def nbytes(self) -> int:
         """Total bytes of the pooled arrays (telemetry: arena bytes)."""
         return sum(getattr(self, name).nbytes for name, _ in ARENA_FIELDS)
+
+    @property
+    def bytes_per_entry(self) -> float:
+        """:attr:`nbytes` per ``(destination, node)`` cell: the figure
+        the arena grows by as N^2 (about 19 on the synthetic graphs)."""
+        return self.nbytes / max(self.num_dests * self.graph_n, 1)
 
     @classmethod
     def estimate_bytes(
@@ -204,14 +211,20 @@ class RoutingArena(StructurePools):
         warm eagerly, so it deliberately over- rather than
         under-estimates.  Derived from :data:`ARENA_FIELDS`:
 
-        - dense matrices (``cls`` int8 + ``lengths``/``row_of`` int32):
-          9 bytes per ``(dest, node)`` cell;
-        - CSR pools: ``order_pool`` (int32) + ``indptr_pool`` (int64)
-          cost 12 bytes per *reachable* node; ``cands_pool`` (int32) +
-          ``keys_pool`` (uint64) cost 12 bytes per tie-break candidate
-          (``avg_cands_per_node`` per reachable node — measured ~1.1-1.3
-          on CAIDA-like graphs, 1.5 is the safe default);
-        - offset tables: five int64 ``*_ptr`` arrays of ``num_dests+1``.
+        - dense matrices (``cls`` / ``lengths`` int8 + ``row_of``
+          int32): 6 bytes per ``(dest, node)`` cell;
+        - CSR pools: ``order_pool`` + ``indptr_pool`` (int32 each) cost
+          8 bytes per *reachable* node; ``cands_pool`` (int32) costs 4
+          bytes per tie-break candidate (``avg_cands_per_node`` per
+          reachable node — measured ~1.1-1.3 on CAIDA-like graphs, 1.5
+          is the safe default).  No pool holds tie-break keys: the
+          kernels derive them;
+        - offset tables: four int64 ``*_ptr`` arrays of
+          ``num_dests+1`` and the int32 ``dest_ids``.
+
+        So a connected graph's arena costs 20 bytes per ``(dest,
+        node)`` at the default 1.5 candidates a node, ~19 at the
+        measured 1.2 (:attr:`bytes_per_entry`).
 
         ``avg_reach_fraction`` scales the per-destination reach (1.0 =
         every node reaches every destination, the connected-graph
@@ -221,7 +234,8 @@ class RoutingArena(StructurePools):
         level-major mirror (``numpy_impl._TreeStacks`` /
         ``_WeightStack``), resident during every round: 12 bytes per row
         for the weights stack, 20 per one-candidate row, 24 per
-        multi-candidate row plus 20 per candidate of such a row.  The
+        multi-candidate row plus 20 per candidate of such a row (its
+        ``keys``, which the pools do not hold, are hashed into it).  The
         forecast only knows the totals, so it assumes the fewest
         one-candidate rows they allow (every other row holding two
         candidates), which is the costliest split.
@@ -230,11 +244,11 @@ class RoutingArena(StructurePools):
             raise ValueError("num_dests and n must be >= 0")
         reach = num_dests * n * avg_reach_fraction
         cands = reach * avg_cands_per_node
-        dense = num_dests * n * 9          # cls int8 + lengths/row_of int32
-        csr_pools = reach * (4 + 8)        # order_pool int32 + indptr_pool int64
-        cand_pools = cands * (4 + 8)       # cands_pool int32 + keys_pool uint64
-        tables = 5 * 8 * (num_dests + 1) + 4 * num_dests
-        level_pool = 4 * num_dests * 24    # level_starts: one int32 per level
+        dense = num_dests * n * (1 + 1 + 4)  # cls/lengths int8 + row_of int32
+        csr_pools = reach * (4 + 4)          # order_pool + indptr_pool int32
+        cand_pools = cands * 4               # cands_pool int32
+        tables = 4 * 8 * (num_dests + 1) + 4 * num_dests
+        level_pool = 4 * num_dests * 24      # level_starts: one int32 per level
         total = dense + csr_pools + cand_pools + tables + level_pool
         if backend == kernel_backends.DEFAULT_BACKEND:
             one_rows = max(0.0, 2 * reach - cands)

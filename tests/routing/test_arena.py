@@ -325,6 +325,39 @@ class TestArenaStructure:
             assert view.tie_keys() is not keys
 
 
+class TestArenaLayout:
+    """The arena's layout and what it costs per ``(destination, node)``,
+    pinned on every loadable tier: 12 fields, tie keys derived rather
+    than stored, int32 ``indptr`` runs and int8 path lengths."""
+
+    LAYOUT = {
+        "dest_ids": "int32", "cls": "int8", "lengths": "int8", "row_of": "int32",
+        "order_ptr": "int64", "order_pool": "int32", "level_ptr": "int64",
+        "level_pool": "int32", "indptr_ptr": "int64", "indptr_pool": "int32",
+        "cand_ptr": "int64", "cands_pool": "int32",
+    }
+
+    @pytest.mark.parametrize("backend", ["numpy", "cext", "python"])
+    def test_at_most_20_bytes_per_entry_at_n1000(self, backend):
+        if not _loadable(backend):
+            pytest.skip(f"kernel backend {backend!r} does not load here")
+        assert dict(ARENA_FIELDS) == self.LAYOUT
+        # the python spec is slow: it builds a sample of destinations
+        # (bytes per entry is a per-destination figure)
+        sample = 24 if backend == "python" else None
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            env = build_environment(n=1000, backend=backend, sample_destinations=sample)
+            arena = env.cache.ensure_arena()
+        assert arena.num_dests == (sample or 1000)
+        assert {name: str(getattr(arena, name).dtype) for name in self.LAYOUT} == self.LAYOUT
+        assert arena.bytes_per_entry == arena.nbytes / (arena.num_dests * env.graph.n)
+        assert arena.bytes_per_entry <= 20
+        gauges = registry.snapshot()["gauges"]
+        assert gauges["routing.arena.bytes"] == arena.nbytes
+        assert gauges["routing.arena.bytes_per_entry"] == arena.bytes_per_entry
+
+
 def _subtree_weights_add_at(
     dr: DestRouting, tree: RoutingTree, weights: np.ndarray
 ) -> np.ndarray:

@@ -151,8 +151,9 @@ def canonical(graph: ASGraph) -> tuple:
 class TestPaperScaleForecast:
     """36K-shaped synthetics: the guard must plan, not discover, OOM.
 
-    A full 36,964 x 36,964 arena forecasts in the hundreds of GiB —
-    these tests assert the forecast says so *without allocating*, that a
+    A full 36,964 x 36,964 arena forecasts at ~94 GiB on numpy, the
+    pools alone at ~25 GiB — these tests assert the forecast says so
+    *without allocating*, that a
     budgeted run defers the warm on the forecast alone, and that the
     forecast stays an over-estimate of real packed arenas (the property
     the 36K plan depends on, checked at a size the suite can afford).
@@ -162,7 +163,18 @@ class TestPaperScaleForecast:
 
     def test_full_grid_forecast_is_hundreds_of_gib(self):
         total = RoutingArena.estimate_bytes(self.N_PAPER, self.N_PAPER)
-        assert total > 100 * 2**30  # dense alone is 9 * 36964^2 ~ 11 GiB
+        cells = self.N_PAPER ** 2
+        # the pools alone, field by field: cls + lengths (int8) and
+        # row_of (int32) per cell, order_pool + indptr_pool (int32) per
+        # reachable node, cands_pool (int32) per candidate at 1.5 a
+        # node — 20 bytes a cell, ~25 GiB, three times the 8 GiB budget
+        # the next test plans against
+        pools_only = RoutingArena.estimate_bytes(self.N_PAPER, self.N_PAPER, backend="cext")
+        assert pools_only > 20 * cells > 3 * 8 * 2**30
+        # numpy's mirror adds 54 more at that split: the weights stack
+        # (12 a row), half the rows with one candidate (20 each), half
+        # with two (24 a row, 20 a candidate) — ~94 GiB in all
+        assert total > (20 + 54) * cells > 11 * 8 * 2**30
         # sampling destinations is what makes paper scale feasible:
         sampled = RoutingArena.estimate_bytes(256, self.N_PAPER)
         assert sampled < 2 * 2**30
