@@ -238,8 +238,8 @@ class DestRouting:
     def tie_keys(self) -> np.ndarray:
         """uint64 tie-break key per CSR entry, aligned with ``cands``
         (:func:`compute_tie_keys`).  Derived on every call and not kept:
-        a view that held them would grow 8 bytes per candidate back
-        beside the pools they were dropped from."""
+        views are kept, and keys cached on them would cost 8 bytes per
+        candidate beside the pools."""
         return compute_tie_keys(self.order, self.indptr, self.cands)
 
 

@@ -39,7 +39,7 @@ from repro.runtime.guard import RuntimeGuard, use_guard
 from repro.telemetry.metrics import MetricsRegistry, use_registry
 from repro.topology.graph import ASGraph
 
-from tests.references import compute_tree_scalar, subtree_weights
+from tests.references import compute_tree, compute_tree_scalar, subtree_weights
 from tests.strategies import graphs_with_security
 
 POLICIES = available_policies()
@@ -438,7 +438,9 @@ class TestSplitStackParity:
     scalar code, not numpy) walks the one-candidate and the
     multi-candidate sub-stack of each level; full-set and subset batches
     must equal ``compute_tree_scalar`` / ``subtree_weights`` row for row
-    — weights as ``uint64``, so a reordered float sum cannot hide.
+    — weights as ``uint64``, so a reordered float sum cannot hide — and
+    ``compute_tree``, which selects on ``compute_tie_keys``: no pool
+    holds tie keys, so each tier's own derivation answers to both.
     """
 
     @staticmethod
@@ -458,11 +460,14 @@ class TestSplitStackParity:
         assert bt.choice.shape == w2d.shape == (len(slots), graph.n)
         for i, slot in enumerate(slots.tolist()):
             dr = routings[slot]
-            ref = compute_tree_scalar(
-                dr, secure[i] if secure.ndim == 2 else secure,
+            state = (
+                secure[i] if secure.ndim == 2 else secure,
                 breaks[i] if breaks.ndim == 2 else breaks,
             )
+            ref = compute_tree_scalar(dr, *state)
+            keyed = compute_tree(dr, *state)
             where = (backend, dests[slot], i)
+            assert keyed.choice.tolist() == ref.choice.tolist(), where
             assert bt.dest_ids[i] == dests[slot], where
             assert bt.choice[i].tolist() == ref.choice.tolist(), where
             assert bt.secure[i].tolist() == ref.secure.tolist(), where

@@ -414,9 +414,6 @@ class TestRoutesPastTheInt8Lengths:
 
     BACKEND = "numpy"
 
-    def test_the_limit_is_what_int8_holds(self):
-        assert MAX_ROUTE_LENGTH == 127 and issubclass(RouteTooLongError, ValueError)
-
     @pytest.mark.parametrize("policy_name", available_policies())
     def test_a_130_as_chain_fails_typed_under_every_policy(self, policy_name):
         graph = _chain(130)
@@ -443,6 +440,7 @@ class TestRoutesPastTheInt8Lengths:
         assert pools.lengths.max() == MAX_ROUTE_LENGTH
 
     def test_a_127_hop_route_is_stored_exactly(self):
+        assert MAX_ROUTE_LENGTH == 127
         graph = _chain(128)
         dests = [0, graph.n - 1, 64]
         _check_against_references(graph, dests)
