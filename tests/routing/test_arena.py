@@ -350,7 +350,6 @@ class TestArenaLayout:
             env = build_environment(n=1000, backend=backend, sample_destinations=sample)
             arena = env.cache.ensure_arena()
         assert arena.num_dests == (sample or 1000)
-        assert {name: str(getattr(arena, name).dtype) for name in self.LAYOUT} == self.LAYOUT
         assert arena.bytes_per_entry == arena.nbytes / (arena.num_dests * env.graph.n)
         assert arena.bytes_per_entry <= 20
         gauges = registry.snapshot()["gauges"]

@@ -444,7 +444,8 @@ class TestRoutesPastTheInt8Lengths:
         graph = _chain(128)
         dests = [0, graph.n - 1, 64]
         _check_against_references(graph, dests)
-        arena = RoutingArena.build(graph.n, list(chunk_pools(CompiledGraph.from_graph(graph), dests)))
+        cg = CompiledGraph.from_graph(graph)
+        arena = RoutingArena.build(graph.n, list(chunk_pools(cg, dests)))
         assert arena.lengths.dtype == np.int8
         assert arena.lengths[0].max() == arena.lengths[1].max() == MAX_ROUTE_LENGTH
         assert arena.level_ptr[1] - arena.level_ptr[0] == MAX_ROUTE_LENGTH + 2
