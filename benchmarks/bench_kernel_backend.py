@@ -102,6 +102,21 @@ def test_kernel_backend_weights(benchmark, bench_env, bench_state, backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
+def test_kernel_backend_trees_and_weights(benchmark, bench_env, bench_state, backend):
+    """Trees and subtree weights in one kernel call, as a round runs
+    them; against ``..._trees`` plus ``..._weights``, the split."""
+    arena = bench_env.cache.ensure_arena()
+    arena.backend = backend
+    slots = arena.all_slots()
+    weights = bench_env.graph.weights
+    compute_trees_batched(arena, slots, bench_state, bench_state, node_weights=weights)
+    bt = benchmark(lambda: compute_trees_batched(
+        arena, slots, bench_state, bench_state, node_weights=weights
+    ))
+    assert bt.weights.shape == (len(slots), bench_env.graph.n)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_kernel_backend_structures(benchmark, bench_env, backend):
     """Every destination's structures built and packed into an arena:
     the warm plus pack a fresh cache pays before its first round."""

@@ -2,7 +2,10 @@
 
 One structure build, and the two stacked kernels that resolve a whole
 destination set (the paper's own C# kernel ran in ~2 ms per destination
-at 36K ASes after optimisation).  The per-destination twins these were
+at 36K ASes after optimisation).  A round resolves the trees and sums
+their subtree weights in one kernel call; the one-call and the
+two-call path are timed side by side on every loadable tier, so the
+split stays on record.  The per-destination twins these were
 once compared with are references in ``tests/references.py`` now, and a
 reference is not timed; their ids (``kernel_fast_tree_vectorised``,
 ``kernel_fast_tree_scalar``, ``kernel_subtree_weights``,
@@ -15,8 +18,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.routing.arena import compute_trees_batched, subtree_weights_batched
-from repro.routing.tree import compute_dest_routing
+from repro.routing import backends as kernel_backends
+from repro.routing.arena import RoutingArena, compute_trees_batched, subtree_weights_batched
+from repro.routing.tree import ARENA_FIELDS, compute_dest_routing
+
+#: the user-facing tiers this machine can run
+TIERS = kernel_backends.usable_backends()
 
 
 @pytest.fixture(scope="module")
@@ -49,4 +56,42 @@ def test_kernel_batched_subtree_weights(benchmark, env, secure_state):
     w2d = benchmark(
         lambda: subtree_weights_batched(arena, slots, bt.choice, env.graph.weights)
     )
+    assert w2d.shape == (arena.num_dests, env.graph.n)
+
+
+def _on(env, backend: str) -> RoutingArena:
+    """``env``'s arena on ``backend``: the same pools, no copy."""
+    arena = env.cache.ensure_arena()
+    arrays = {name: getattr(arena, name) for name, _ in ARENA_FIELDS}
+    return RoutingArena(env.graph.n, arrays, policy=arena.policy, backend=backend)
+
+
+@pytest.mark.parametrize("backend", TIERS)
+def test_kernel_batched_trees_and_weights_one_call(benchmark, env, secure_state, backend):
+    """Trees and subtree weights of every destination in one kernel
+    call, as a round runs them."""
+    arena = _on(env, backend)
+    slots = arena.all_slots()
+    weights = env.graph.weights
+    # outside the timer: numpy's first call builds its level-major mirror
+    compute_trees_batched(arena, slots, secure_state, secure_state, node_weights=weights)
+    bt = benchmark(lambda: compute_trees_batched(
+        arena, slots, secure_state, secure_state, node_weights=weights
+    ))
+    assert bt.weights.shape == (arena.num_dests, env.graph.n)
+
+
+@pytest.mark.parametrize("backend", TIERS)
+def test_kernel_batched_trees_then_weights(benchmark, env, secure_state, backend):
+    """The same outputs in two kernel calls: the trees, then the weights."""
+    arena = _on(env, backend)
+    slots = arena.all_slots()
+    weights = env.graph.weights
+
+    def two_calls():
+        bt = compute_trees_batched(arena, slots, secure_state, secure_state)
+        return subtree_weights_batched(arena, slots, bt.choice, weights)
+
+    two_calls()
+    w2d = benchmark(two_calls)
     assert w2d.shape == (arena.num_dests, env.graph.n)

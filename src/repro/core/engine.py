@@ -24,12 +24,7 @@ import numpy as np
 
 from repro.core.config import UtilityModel
 from repro.core.state import DeploymentState, StateDeriver
-from repro.routing.arena import (
-    RoutingArena,
-    TreeBuffers,
-    compute_trees_batched,
-    subtree_weights_batched,
-)
+from repro.routing.arena import RoutingArena, TreeBuffers, compute_trees_batched
 from repro.routing.cache import RoutingCache
 from repro.routing.paths import RoutingTree
 from repro.routing.policy import RouteClass
@@ -39,12 +34,18 @@ from repro.runtime.guard import current_guard
 _CUSTOMER = int(RouteClass.CUSTOMER)
 _PROVIDER = int(RouteClass.PROVIDER)
 
-#: Per-``(dest, node)`` bytes of the batched kernels' working set, on
-#: every backend: ``choice`` int32 + ``secure``/``any_secure`` bool
-#: outputs, the float64 subtree weights, the two per-row bool masks the
-#: tree kernel looks up by flat index, and a margin for the per-level
+#: Per-``(dest, node)`` bytes of a round pass's working set, on every
+#: backend: its outputs, ``choice`` int32 + ``secure``/``any_secure``
+#: bool + the float64 subtree weights (14), and 2 for what the numpy
+#: tier adds per call: the round's ``[n]`` state masks tiled to the pass
+#: (the compiled tiers read them in place) and its per-level
 #: temporaries (they scale with one level's rows, not with the matrix).
-_KERNEL_ROW_BYTES_PER_NODE = 18
+_KERNEL_ROW_BYTES_PER_NODE = 16
+
+#: What a pass with a state per row (a round's stacked projections)
+#: holds on top: the ``[B, n]`` bool ``node_secure``, ``breaks_ties``
+#: and their conjunction, the SecP mask the kernels read.
+_STATE_ROW_BYTES_PER_NODE = 3
 
 
 @dataclasses.dataclass
@@ -173,26 +174,26 @@ class RoundData:
 
 
 class RoundBuffers:
-    """The round kernels' ``[num_dests, n]`` arrays, held by a caller
+    """The round kernels' ``[num_dests, n]`` outputs, held by a caller
     that resolves round after round (a :class:`~repro.core.dynamics.
     DeploymentSimulation`): allocated on first use and again only when
-    the arena's shape or the guard's pass size changes, overwritten by
-    every :func:`compute_round_data` that gets them.  Holding them keeps
-    each round from faulting in megabytes of fresh pages."""
+    the arena's shape changes, overwritten by every
+    :func:`compute_round_data` that gets them.  Holding them keeps each
+    round from faulting in megabytes of fresh pages."""
 
     def __init__(self) -> None:
-        self._shape: tuple[int, int, int] | None = None
+        self._shape: tuple[int, int] | None = None
         self.trees: TreeBuffers | None = None
         self.weights: np.ndarray | None = None
 
-    def take(self, rows: int, n: int, pass_rows: int) -> tuple[TreeBuffers, np.ndarray]:
+    def take(self, rows: int, n: int) -> tuple[TreeBuffers, np.ndarray]:
         """Tree buffers and subtree weights for ``rows`` destinations of
-        ``n`` nodes, resolved ``pass_rows`` at a time."""
-        if self._shape != (rows, n, pass_rows):
+        ``n`` nodes."""
+        if self._shape != (rows, n):
             self.trees = self.weights = None  # the old ones go first
-            self.trees = TreeBuffers.empty(rows, n, pass_rows)
+            self.trees = TreeBuffers.empty(rows, n)
             self.weights = np.empty((rows, n), dtype=np.float64)
-            self._shape = (rows, n, pass_rows)
+            self._shape = (rows, n)
         return self.trees, self.weights
 
 
@@ -207,12 +208,13 @@ def compute_round_data(
     """Resolve all routing trees and utilities for ``state``.
 
     Runs on the pooled :class:`~repro.routing.arena.RoutingArena`
-    (built on first use): every destination's tree is resolved by the
-    batched level-synchronous kernel in one stacked pass, and the
-    security/candidate matrices are the kernel's output buffers —
-    no per-destination copies.  With ``buffers`` those matrices are the
-    caller's, and the :class:`RoundData` is only good until the next
-    call that gets them; without, they are allocated here.
+    (built on first use): every destination's tree and subtree weights
+    are resolved by the batched kernel in one stacked pass, under the
+    round's one state, and the security/candidate/weight matrices are
+    the kernel's output buffers — no per-destination copies.  With
+    ``buffers`` those matrices are the caller's, and the
+    :class:`RoundData` is only good until the next call that gets them;
+    without, they are allocated here.
 
     When the guard plans fewer rows per pass than the arena has (the
     ``chunked_batches`` ladder rung), the kernels run over that many
@@ -234,13 +236,13 @@ def compute_round_data(
     pass_rows = max(1, min(num, current_guard().plan_batch_rows(
         num, _KERNEL_ROW_BYTES_PER_NODE * graph.n, what="round kernel",
     )))
-    trees, w2d = (buffers or RoundBuffers()).take(num, graph.n, pass_rows)
+    trees, w2d = (buffers or RoundBuffers()).take(num, graph.n)
     for lo in range(0, num, pass_rows):
         hi = min(lo + pass_rows, num)
-        part = compute_trees_batched(
-            arena, slots[lo:hi], node_secure, breaks, out=trees.rows(lo, hi)
+        compute_trees_batched(
+            arena, slots[lo:hi], node_secure, breaks, out=trees.rows(lo, hi),
+            node_weights=w, weights_out=w2d[lo:hi],
         )
-        subtree_weights_batched(arena, slots[lo:hi], part.choice, w, out=w2d[lo:hi])
     utilities = _batched_utilities(arena, trees.choice, w2d, w, model)
 
     secure_positions = np.flatnonzero(

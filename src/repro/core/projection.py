@@ -56,12 +56,13 @@ import numpy as np
 from repro.core.config import ProjectionEngine, UtilityModel
 from repro.core.engine import (
     _KERNEL_ROW_BYTES_PER_NODE,
+    _STATE_ROW_BYTES_PER_NODE,
     DestState,
     RoundData,
     contributions,
 )
 from repro.core.state import StateDeriver
-from repro.routing.arena import RoutingArena, compute_trees_batched, subtree_weights_batched
+from repro.routing.arena import RoutingArena, compute_trees_batched
 from repro.routing.cache import RoutingCache
 from repro.routing.compiled import segment_index
 from repro.routing.policy import RouteClass
@@ -262,7 +263,8 @@ def _pass_rows(n: int) -> int:
     memory budget cannot hold that many rows' kernel working set."""
     rows = max(1, _PASS_ENTRIES // n)
     return current_guard().plan_batch_rows(
-        rows, _KERNEL_ROW_BYTES_PER_NODE * n, what="projection pass"
+        rows, (_KERNEL_ROW_BYTES_PER_NODE + _STATE_ROW_BYTES_PER_NODE) * n,
+        what="projection pass",
     )
 
 
@@ -367,14 +369,16 @@ def _resolved_deltas(
     ``nodes[i]``'s utility at destination ``positions[i]`` of the round
     (``nodes``: one node per row, or one for all).
 
-    The trees of ``slots`` (``arena``'s structures of those
-    destinations: the round's own, or a rebuild under the flipped state)
-    resolved in one stacked pass under the rows' states — ``[n]`` for one
-    state, ``[B, n]`` for a state per row — against the round's rows.
+    The trees and subtree weights of ``slots`` (``arena``'s structures
+    of those destinations: the round's own, or a rebuild under the
+    flipped state) resolved in one kernel call under the rows' states —
+    ``[n]`` for one state, ``[B, n]`` for a state per row — against the
+    round's rows.
     """
-    bt = compute_trees_batched(arena, slots, node_secure, breaks_ties)
-    w2d = subtree_weights_batched(arena, slots, bt.choice, node_weights)
-    new = contributions(arena.cls[slots], bt.choice, w2d, nodes, node_weights, model)
+    bt = compute_trees_batched(
+        arena, slots, node_secure, breaks_ties, node_weights=node_weights
+    )
+    new = contributions(arena.cls[slots], bt.choice, bt.weights, nodes, node_weights, model)
     old = contributions(
         rd.arena.cls, rd.choice, rd.weights, nodes, node_weights, model, rows=positions
     )

@@ -28,14 +28,15 @@ chunks assembled into arrays allocated once, at their final size
 consumers that work one destination at a time.
 
 On top of the pools, :func:`compute_trees_batched` resolves *many*
-destinations in one call, and :func:`subtree_weights_batched` sums their
-subtrees.  Every tier is handed the pools themselves plus the batch's
-slots.  A slot's rows are sorted by ``(path length, node)`` and every
-tiebreak candidate sits one level below its row, so the compiled tiers
-resolve a batch row by walking its slot's rows in pool order, level by
-level, in place.  Only the numpy tier, whose level body is a
-whole-level gather across destinations, stacks the pools level-major;
-that mirror is its own, built and cached in
+destinations in one call and, given the node weights, sums their
+subtrees in the same call; :func:`subtree_weights_batched` sums them
+on their own.  Every tier is handed the pools themselves plus the
+batch's slots.  A slot's rows are sorted by ``(path length, node)``
+and every tiebreak candidate sits one level below its row, so the
+compiled tiers resolve a batch row by walking its slot's rows in pool
+order, level by level, in place.  Only the numpy tier, whose level body
+is a whole-level gather across destinations, stacks the pools
+level-major; that mirror is its own, built and cached in
 :mod:`repro.routing.backends.numpy_impl`, and no other tier holds a
 second copy of the arena.
 """
@@ -67,6 +68,8 @@ class BatchedTrees:
     choice: np.ndarray        # int32[B, n]
     secure: np.ndarray        # bool[B, n]
     any_secure: np.ndarray    # bool[B, n]
+    #: float64[B, n] subtree weights, when the call was given node weights
+    weights: np.ndarray | None = None
 
     def tree(self, i: int) -> RoutingTree:
         """The :class:`RoutingTree` of batch row ``i`` (views, no copy)."""
@@ -82,35 +85,25 @@ class BatchedTrees:
 class TreeBuffers:
     """What :func:`compute_trees_batched` writes for a batch of ``B``
     rows of ``n`` nodes, allocated by the caller that reuses them: the
-    three ``[B, n]`` outputs, and the two per-row state masks the tree
-    kernels index by flat ``(batch row, node)`` — scratch, at least
-    ``B * n`` long."""
+    three ``[B, n]`` outputs.  The kernels write every entry, so they
+    hold whatever the last call left until the next one."""
 
     choice: np.ndarray       # int32[B, n]
     secure: np.ndarray       # bool[B, n]
     any_secure: np.ndarray   # bool[B, n]
-    secure_rows: np.ndarray  # bool[>= B * n]: node_secure per batch row
-    secp_rows: np.ndarray    # bool[>= B * n]: node_secure & breaks_ties
 
     @classmethod
-    def empty(cls, rows: int, n: int, mask_rows: int | None = None) -> "TreeBuffers":
-        """Buffers for ``rows`` batch rows, masks for ``mask_rows`` of
-        them at a time (default: all)."""
-        masks = (rows if mask_rows is None else mask_rows) * n
+    def empty(cls, rows: int, n: int) -> "TreeBuffers":
+        """Buffers for ``rows`` batch rows."""
         return cls(
             choice=np.empty((rows, n), dtype=np.int32),
             secure=np.empty((rows, n), dtype=bool),
             any_secure=np.empty((rows, n), dtype=bool),
-            secure_rows=np.empty(masks, dtype=bool),
-            secp_rows=np.empty(masks, dtype=bool),
         )
 
     def rows(self, lo: int, hi: int) -> "TreeBuffers":
-        """Output rows ``lo:hi`` (views), with the same mask scratch."""
-        return dataclasses.replace(
-            self, choice=self.choice[lo:hi], secure=self.secure[lo:hi],
-            any_secure=self.any_secure[lo:hi],
-        )
+        """Output rows ``lo:hi`` (views)."""
+        return TreeBuffers(self.choice[lo:hi], self.secure[lo:hi], self.any_secure[lo:hi])
 
 
 class RoutingArena(StructurePools):
@@ -293,16 +286,14 @@ class RoutingArena(StructurePools):
         return self._full_slots
 
 
-def _per_row(out: np.ndarray, mask: np.ndarray, B: int, n: int) -> np.ndarray:
-    """``mask`` (``[n]``, the same for every batch row, or ``[B, n]``)
-    written into the first ``B * n`` entries of ``out``: the flat
-    ``bool[B * n]`` the tree kernels index."""
+def _state_mask(mask: np.ndarray, B: int, n: int) -> np.ndarray:
+    """``mask`` (``[n]``, one state for every batch row, or ``[B, n]``)
+    as the flat contiguous bool array the tree kernels read: ``[n]``
+    with stride 0, or ``[B * n]`` with stride ``n``."""
     mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 1 and mask.shape != (B, n):
-        raise ValueError(f"per-row mask must be [{B}, {n}], got {list(mask.shape)}")
-    rows = out[:B * n]
-    np.copyto(rows.reshape(B, n), mask)
-    return rows
+    if mask.shape not in ((n,), (B, n)):
+        raise ValueError(f"per-row mask must be [{n}] or [{B}, {n}], got {list(mask.shape)}")
+    return np.ascontiguousarray(mask).reshape(-1)
 
 
 def compute_trees_batched(
@@ -312,6 +303,8 @@ def compute_trees_batched(
     breaks_ties: np.ndarray,
     *,
     out: TreeBuffers | None = None,
+    node_weights: np.ndarray | None = None,
+    weights_out: np.ndarray | None = None,
 ) -> BatchedTrees:
     """Resolve the routing trees of many destinations in one pass.
 
@@ -330,35 +323,37 @@ def compute_trees_batched(
     are bit-identical (asserted by ``tests/routing/test_backends.py``).
 
     ``node_secure`` and ``breaks_ties`` are each ``[n]``, one deployment
-    state for the whole batch, or ``[B, n]``, row ``i`` resolved under
-    its own state — the kernels look both up per ``(batch row, node)``
-    either way, so rows of different states share a pass (and a slot may
-    repeat under different states).
+    state for the whole batch, which the kernels read in place for
+    every row, or ``[B, n]``, row ``i`` resolved under its own state —
+    so rows of different states share a pass (and a slot may repeat
+    under different states).
 
-    ``out`` takes buffers the caller reuses across calls
-    (:class:`TreeBuffers` for ``len(slots)`` rows): the returned trees'
-    matrices are its arrays, overwritten by the next call that gets
-    them.  Without it every array is allocated here.
+    With ``node_weights`` the same call also sums every tree's subtree
+    weights (:func:`subtree_weights_batched`'s ``W``, bit for bit) into
+    the returned ``weights``: the compiled tiers weigh each batch row
+    right after resolving it, while it is still in cache.  ``out`` takes
+    tree buffers and ``weights_out`` a float64 ``[B, n]`` the caller
+    reuses across calls: the returned matrices are those arrays,
+    overwritten by the next call that gets them.  Without them every
+    array is allocated here.
     """
     slots = np.ascontiguousarray(slots, dtype=np.int64)
     B = len(slots)
     n = arena.graph_n
     buffers = TreeBuffers.empty(B, n) if out is None else out
-    if buffers.choice.shape != (B, n) or len(buffers.secure_rows) < B * n or not all(
+    if buffers.choice.shape != (B, n) or not all(
         a.flags.c_contiguous for a in (buffers.choice, buffers.secure, buffers.any_secure)
     ):
         raise ValueError(f"tree buffers do not hold a contiguous batch of [{B}, {n}]")
-    # flat, one entry per (batch row, node): one kind of index serves
-    # every lookup in the kernels
-    secure_rows = _per_row(buffers.secure_rows, node_secure, B, n)
-    secp_rows = _per_row(buffers.secp_rows, np.logical_and(node_secure, breaks_ties), B, n)
+    w = None
+    if node_weights is not None:
+        node_weights = np.ascontiguousarray(node_weights, dtype=np.float64)
+        w = _weights_buffer(weights_out, B, n)
+    elif weights_out is not None:
+        raise ValueError("weights_out needs node_weights")
+    secure_rows = _state_mask(node_secure, B, n)
+    secp_rows = _state_mask(np.logical_and(node_secure, breaks_ties), B, n)
     choice, secure, any_secure = buffers.choice, buffers.secure, buffers.any_secure
-    choice.fill(-1)
-    secure.fill(False)
-    any_secure.fill(False)
-    dest_ids = arena.dest_ids[slots]
-    at_dest = np.arange(B) * n + dest_ids
-    secure.reshape(-1)[at_dest] = secure_rows[at_dest]
 
     backend, kernels = kernel_backends.kernels_for(arena.backend)
     registry = get_registry()
@@ -378,15 +373,26 @@ def compute_trees_batched(
         arena.indptr_ptr, arena.indptr_pool, arena.cand_ptr, arena.cands_pool,
         secure_rows, secp_rows,
         choice.reshape(-1), secure.reshape(-1), any_secure.reshape(-1),
+        *(() if w is None else (node_weights, w.reshape(-1))),
     )
 
     return BatchedTrees(
-        dest_ids=dest_ids,
+        dest_ids=arena.dest_ids[slots],
         slots=slots,
         choice=choice,
         secure=secure,
         any_secure=any_secure,
+        weights=w,
     )
+
+
+def _weights_buffer(out: np.ndarray | None, B: int, n: int) -> np.ndarray:
+    """``out`` checked to be a contiguous float64 ``[B, n]``, or a new one."""
+    if out is None:
+        return np.empty((B, n), dtype=np.float64)
+    if out.shape != (B, n) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"weights buffer is not a contiguous float64 [{B}, {n}]")
+    return out
 
 
 def subtree_weights_batched(
@@ -406,20 +412,17 @@ def subtree_weights_batched(
     :func:`compute_trees_batched`; returns the matching ``[B, n]``
     float64 matrix: ``out``, a buffer the caller reuses, when given.
     Levels dispatch through the arena's kernel backend, like
-    :func:`compute_trees_batched`.
+    :func:`compute_trees_batched`, which computes the same matrix in its
+    own call when given ``node_weights`` — what a caller that resolves
+    the trees anyway wants.
     """
     slots = np.ascontiguousarray(slots, dtype=np.int64)
     B = len(slots)
     n = arena.graph_n
     weights = np.ascontiguousarray(weights, dtype=np.float64)
     choice = np.ascontiguousarray(choice, dtype=np.int32)
-    if out is None:
-        w = np.zeros((B, n), dtype=np.float64)
-    elif out.shape != (B, n) or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError(f"weights buffer is not a contiguous float64 [{B}, {n}]")
-    else:
-        w = out
-        w.fill(0.0)
+    w = _weights_buffer(out, B, n)
+    w.fill(0.0)
     backend, kernels = kernel_backends.kernels_for(arena.backend)
     registry = get_registry()
     if registry.enabled:

@@ -1,10 +1,12 @@
 """Kernel backend registry: one namespace, three implementation tiers.
 
-The four hot kernels — the batched tree resolver (``trees_stacked``),
-the batched subtree weights (``weights_stacked``), the synchronous-
-Jacobi iteration that converges a chunk of rows (``jacobi_converge``,
-single- and multi-origin alike: a row without an adversary carries
-``attacker = -1``) and the structure build of a destination chunk
+The four hot kernels — the batched tree resolver (``trees_stacked``,
+which given the node weights also sums each tree's subtree weights in
+the same call), the batched subtree weights on their own
+(``weights_stacked``), the synchronous-Jacobi iteration that
+converges a chunk of rows (``jacobi_converge``, single- and
+multi-origin alike: a row without an adversary carries ``attacker =
+-1``) and the structure build of a destination chunk
 (``build_structures``: the three passes, the pooled rows and the
 tie-break keys) — exist in three implementations ("backends") behind
 this registry:
@@ -21,10 +23,14 @@ this registry:
   unit, compiled once per source digest with the system C compiler and
   bound through ``ctypes`` (:mod:`repro.routing.backends.cext_impl`).
   No build-time dependency beyond ``cc``; the shared object is cached
-  on disk.  Its tree kernels walk each batch row's slot of the arena's
-  pools in place and hold no second copy of them; its Jacobi iteration
-  converges one row at a time and, after the first sweep, re-decides
-  only the nodes that read a node the sweep before changed (on the
+  on disk.  Its tree kernel takes one batch row at a time through its
+  slot of the arena's pools, in place: it clears the row, resolves it
+  level by level and, when asked, pushes its subtree weights up, while
+  the row is still in cache; it holds no second copy of the pools and
+  reads a deployment state shared by the batch in place (stride 0), not
+  tiled per row.  Its Jacobi iteration converges one row at a time
+  and, after the first sweep, re-decides only the nodes that read a
+  node the sweep before changed (on the
   first sweep of a row that starts blank, only its pins and their
   readers); its structure build walks one destination at a time, first
   to size the chunk's pools, then to fill them — two kernels of their
@@ -84,6 +90,7 @@ __all__ = [
     "get_backend",
     "kernels_for",
     "load_backend",
+    "mask_stride",
     "probe",
     "register_backend",
     "resolve_backend",
@@ -252,6 +259,22 @@ def load_backend(name: str) -> Any:
             )
         _IMPLS[name] = impl
         return impl
+
+
+def mask_stride(mask, batch: int, n: int) -> int:
+    """Where batch row ``b``'s entries of a tree kernel's state mask
+    start, over ``b``: 0 for one ``[n]`` mask the whole batch shares,
+    ``n`` for a flat ``[batch, n]`` mask of its own per row.  Any other
+    length raises ``ValueError`` — in the compiled tier, before C reads
+    past the mask."""
+    if len(mask) == batch * n:
+        return n
+    if len(mask) == n:
+        return 0
+    raise ValueError(
+        f"per-row mask out of step: {len(mask)} entries for a batch of "
+        f"{batch} rows of {n} nodes"
+    )
 
 
 def _note_active(name: str) -> None:

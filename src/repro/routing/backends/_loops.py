@@ -28,9 +28,14 @@ Calling convention (all backends):
   it.  Batch row ``b`` resolves
   slot ``slots[b]`` into row ``b`` of the C-contiguous ``[batch, n]``
   outputs ``choice`` (int32), ``secure`` / ``any_secure`` (bool) and
-  ``w`` (float64), taken flat; ``secure_rows`` / ``secp_rows`` are
-  ``node_secure`` and ``node_secure & breaks_ties`` per batch row, taken
-  the same way;
+  ``w`` (float64), taken flat.  ``trees_stacked`` writes its rows
+  whole (cleared, then resolved) and, given ``node_weights`` (float64
+  ``[n]``) and ``w``, their subtree weights too; ``weights_stacked``
+  adds into a ``w`` its caller zeroed.  ``secure_rows`` / ``secp_rows``
+  are ``node_secure`` and ``node_secure & breaks_ties``, each ``[n]``
+  when the whole batch shares it (read with stride 0) or a flat
+  ``[batch, n]`` with a row per batch row (stride ``n``:
+  ``repro.routing.backends.mask_stride``);
 - the Jacobi iteration takes the edge table of
   ``repro.routing.fixpoint`` (``v`` int32, ``route_cls`` int8,
   ``node_ptr`` / ``rev_ptr`` / ``rank_edge`` int64, ``tie_rank`` /
@@ -71,7 +76,8 @@ Bit-identity with the numpy backend is structural, not accidental:
   child — levels deepest first, a level's rows in pool order —
   reproduces ``np.add.at``'s sequential sum over the mirror's stack
   order bit for bit (batch rows write disjoint rows of ``w``, so which
-  batch row goes first does not matter);
+  batch row goes first does not matter, nor whether a row's weights
+  follow its own tree at once or every row's tree first);
 - the Jacobi iteration takes the minimum of ``rank_key << 32 |
   tie_rank`` over a segment in one pass, the word the numpy step gathers
   per edge; minima are order-independent.  Only the tie mask needs the
@@ -100,6 +106,7 @@ import sys
 
 import numpy as np
 
+from repro.routing.backends import mask_stride
 from repro.routing.fixpoint import (
     EDGE_APPLIES,
     EDGE_DROPS,
@@ -135,19 +142,39 @@ _UNREACHABLE = int(RouteClass.UNREACHABLE)
 
 def trees_stacked(slots, n, order_ptr, order_pool, level_ptr, level_pool,
                   indptr_ptr, indptr_pool, cand_ptr, cands_pool,
-                  secure_rows, secp_rows, choice, secure, any_secure):
-    """Resolve each batch row's tree over its slot's rows, level by level
-    in pool order: every row of a level takes its first candidate, then
-    the rows with several are settled on their candidates' tie keys."""
+                  secure_rows, secp_rows, choice, secure, any_secure,
+                  node_weights=None, w=None):
+    """Resolve each batch row's tree over its slot's rows, one batch row
+    at a time: clear the row's outputs, seed its destination's
+    security, then level by level in pool order every row takes its
+    first candidate and the rows with several are settled on their
+    candidates' tie keys.  Given ``node_weights`` and ``w``, the row's
+    subtree weights follow at once (:func:`weights_stacked`'s loop), so
+    the row is walked while it is still in cache.
+
+    A state mask is ``[n]``, one state for the whole batch (stride 0),
+    or a flat ``[batch, n]`` (stride ``n``); the selection takes no
+    branch on a candidate's security: the minimum over the secure
+    candidates runs over keys set all-ones where a candidate is not
+    secure, and SecP picks between the two minima by a mask."""
+    sec_stride = mask_stride(secure_rows, len(slots), n)
+    secp_stride = mask_stride(secp_rows, len(slots), n)
     multi = np.empty(int(np.diff(order_ptr)[slots].max(initial=1)), dtype=np.int32)
     for b in range(slots.shape[0]):
         k = slots[b]
         base = b * n
+        sec_in = b * sec_stride
+        secp_in = b * secp_stride
         o = order_ptr[k]
         starts = level_ptr[k]
         last = level_ptr[k + 1] - starts - 1
         ip = indptr_ptr[k]
         c0 = cand_ptr[k]
+        choice[base:base + n] = -1
+        secure[base:base + n] = False
+        any_secure[base:base + n] = False
+        dest = order_pool[o]   # row 0
+        secure[base + dest] = secure_rows[sec_in + dest]
         s = indptr_pool[ip + level_pool[starts + 1]]
         for level in range(1, last):
             m = 0
@@ -155,11 +182,11 @@ def trees_stacked(slots, n, order_ptr, order_pool, level_ptr, level_pool,
                 end = indptr_pool[ip + r + 1]
                 if end == s:
                     continue   # the builders never leave a row without one
-                f = base + order_pool[o + r]
+                u = order_pool[o + r]
                 c = cands_pool[c0 + s]
-                choice[f] = c
-                any_secure[f] = secure[base + c]
-                secure[f] = secure_rows[f] and secure[base + c]
+                choice[base + u] = c
+                any_secure[base + u] = secure[base + c]
+                secure[base + u] = secure_rows[sec_in + u] & secure[base + c]
                 multi[m] = r
                 m += end - s > 1
                 s = end
@@ -168,23 +195,27 @@ def trees_stacked(slots, n, order_ptr, order_pool, level_ptr, level_pool,
                 lo = c0 + indptr_pool[ip + r]
                 end = c0 + indptr_pool[ip + r + 1]
                 u = order_pool[o + r]
-                f = base + u
                 any_sec = False
                 min_all = _BLOCKED
                 min_sec = _BLOCKED
                 for e in range(lo, end):
                     key = _tie_key(u, cands_pool[e], e - lo)
-                    if key < min_all:
-                        min_all = key
-                    if secure[base + cands_pool[e]]:
-                        any_sec = True
-                        if key < min_sec:
-                            min_sec = key
-                key = min_sec if secp_rows[f] and any_sec else min_all
+                    sec_c = secure[base + cands_pool[e]]
+                    any_sec |= sec_c
+                    # C: key | (sec_c - 1), all-ones unless secure
+                    key_sec = key if sec_c else _BLOCKED
+                    min_all = min(min_all, key)
+                    min_sec = min(min_sec, key_sec)
+                # C: a mask of secp & any_sec picks one of the minima
+                key = min_sec if secp_rows[secp_in + u] & any_sec else min_all
                 c = cands_pool[lo + np.int64(key & _POS_MASK)]
-                choice[f] = c
-                any_secure[f] = any_sec
-                secure[f] = secure_rows[f] and secure[base + c]
+                choice[base + u] = c
+                any_secure[base + u] = any_sec
+                secure[base + u] = secure_rows[sec_in + u] & secure[base + c]
+        if w is not None:
+            w[base:base + n] = 0.0
+            _weigh_row(order_pool, o, level_pool, starts, last, choice, base,
+                       node_weights, w)
 
 
 def _tie_key(u, c, position):
@@ -195,18 +226,25 @@ def _tie_key(u, c, position):
 def weights_stacked(slots, n, order_ptr, order_pool, level_ptr, level_pool,
                     choice, node_weights, w):
     """Push subtree weights up to the chosen parents: per batch row,
-    levels deepest first, a level's rows in pool order."""
+    levels deepest first, a level's rows in pool order.  ``w`` starts
+    zeroed (the caller's)."""
     for b in range(slots.shape[0]):
         k = slots[b]
-        base = b * n
-        o = order_ptr[k]
         starts = level_ptr[k]
-        for level in range(level_ptr[k + 1] - starts - 2, 0, -1):
-            for r in range(level_pool[starts + level], level_pool[starts + level + 1]):
-                u = order_pool[o + r]
-                p = choice[base + u]
-                if p >= 0:
-                    w[base + p] += w[base + u] + node_weights[u]
+        _weigh_row(order_pool, order_ptr[k], level_pool, starts,
+                   level_ptr[k + 1] - starts - 1, choice, b * n, node_weights, w)
+
+
+def _weigh_row(order_pool, o, level_pool, starts, last, choice, base,
+               node_weights, w):
+    """One batch row's subtree weights, from its levels ``last - 1`` up
+    to 1: each row adds its own to its chosen parent's."""
+    for level in range(last - 1, 0, -1):
+        for r in range(level_pool[starts + level], level_pool[starts + level + 1]):
+            u = order_pool[o + r]
+            p = choice[base + u]
+            if p >= 0:
+                w[base + p] += w[base + u] + node_weights[u]
 
 
 def jacobi_converge(v, route_cls, node_ptr, tie_rank, rank_edge, lp_field,

@@ -16,7 +16,13 @@ Why ctypes and not a real extension module: the kernels take flat typed
 buffers and return at most a status code, so the FFI surface is five
 pointer-and-stride signatures — not worth a build system (the structure
 build is two of them: one sizes the chunk's pools, so Python allocates
-each exactly, and one fills them).  The
+each exactly, and one fills them).  The tree kernel is the round's one
+call per batch: per batch row it clears the row's outputs, resolves the
+tree and, when it gets node weights and ``w`` (NULL-able: trees only),
+sums the subtree weights, all before the next row; a state mask comes
+with a stride, 0 for one ``[n]`` state the batch shares, so it is never
+tiled per row.  Its selection takes no data-dependent branch on a
+candidate's security.  The
 Python-side wrappers enforce dtype, contiguity and lengths *loudly* (a
 silent mismatch would corrupt memory), which the parity suite
 exercises.
@@ -35,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.routing import fixpoint, policy
-from repro.routing.backends import BackendUnavailable, find_compiler
+from repro.routing.backends import BackendUnavailable, find_compiler, mask_stride
 from repro.routing.policy import POSITION_BITS, RouteClass
 from repro.routing.tree import MAX_ROUTE_LENGTH, PoolsAssembly, route_too_long
 from repro.runtime.atomic import atomic_write_text
@@ -62,7 +68,7 @@ _DEFINES = {
     },
 }
 
-_C_SOURCE = "#include <stdint.h>\n#include <stdlib.h>\n\n" + "".join(
+_C_SOURCE = "#include <stdint.h>\n#include <stdlib.h>\n#include <string.h>\n\n" + "".join(
     f"#define {name} ({value})\n" for name, value in _DEFINES.items()
 ) + r"""
 #define INVALID_KEY 0xFFFFFFFFu
@@ -79,6 +85,26 @@ static inline uint64_t sbgp_tie_hash(uint64_t node, uint64_t cand)
     return x;
 }
 
+/* One batch row's subtree weights: levels deepest first, a level's rows
+ * in pool order.  Parents sit one level up, so wb[p] is only *written*
+ * here and only *read* when its own level runs; with 0.0 + x == x
+ * exactly, child-by-child accumulation in this order matches numpy's
+ * np.add.at over the mirror's stack order bit for bit. */
+static inline void sbgp_weigh_row(
+    const int32_t *order, const int32_t *starts, int64_t last,
+    const int32_t *ch, const double *node_weights, double *restrict wb)
+{
+    for (int64_t level = last - 1; level >= 1; level--) {
+        const int64_t hi = starts[level + 1];
+        for (int64_t r = starts[level]; r < hi; r++) {
+            const int32_t u = order[r];
+            const int32_t p = ch[u];
+            if (p >= 0)
+                wb[p] += wb[u] + node_weights[u];
+        }
+    }
+}
+
 /* The tree kernels read the arena's pools in place.  Slot k's rows are
  * order_pool[order_ptr[k]..order_ptr[k+1]), reachable nodes sorted by
  * (path length, node), row 0 its destination; level_pool[level_ptr[k]..
@@ -88,19 +114,27 @@ static inline uint64_t sbgp_tie_hash(uint64_t node, uint64_t cand)
  * one, relative to cand_ptr[k] in cands_pool.  Batch row b
  * resolves slot slots[b] (any order, repeats allowed) into row b of the
  * C-contiguous [batch, n] outputs choice / secure / any_secure / w;
- * secure_rows / secp_rows are node_secure and node_secure & breaks_ties
- * per batch row, laid out the same way.  No pool holds tie-break keys: a
- * row with several candidates derives each one's key as it reads it,
- * the hash of (node, candidate) above the candidate's place in the row
- * (tree.compute_tie_keys). */
+ * secure_rows / secp_rows are node_secure and node_secure & breaks_ties,
+ * batch row b's starting b * sec_stride / b * secp_stride entries in:
+ * stride 0 when the batch shares one [n] state, n for a row each.  No
+ * pool holds tie-break keys: a row with several candidates derives each
+ * one's key as it reads it, the hash of (node, candidate) above the
+ * candidate's place in the row (tree.compute_tie_keys).
+ *
+ * A batch row is written whole, start to end, before the next: cleared,
+ * its destination's security seeded, resolved, and -- when node_weights
+ * and w are not NULL -- its subtree weights pushed up, while its ~14
+ * bytes a node are still in cache. */
 int sbgp_trees_stacked(
     int64_t batch, int64_t n, const int64_t *slots,
     const int64_t *order_ptr, const int32_t *order_pool,
     const int64_t *level_ptr, const int32_t *level_pool,
     const int64_t *indptr_ptr, const int32_t *indptr_pool,
     const int64_t *cand_ptr, const int32_t *cands_pool,
-    const uint8_t *secure_rows, const uint8_t *secp_rows,
-    int32_t *choice, uint8_t *secure, uint8_t *any_secure)
+    const uint8_t *secure_rows, int64_t sec_stride,
+    const uint8_t *secp_rows, int64_t secp_stride,
+    int32_t *choice, uint8_t *secure, uint8_t *any_secure,
+    const double *node_weights, double *w)
 {
     /* scratch: a level's multi-candidate rows, as many as the batch's
      * longest slot has rows */
@@ -120,11 +154,15 @@ int sbgp_trees_stacked(
         const int64_t last = level_ptr[k + 1] - level_ptr[k] - 1;
         const int32_t *indptr = indptr_pool + indptr_ptr[k];
         const int32_t *cands = cands_pool + cand_ptr[k];
-        const uint8_t *sec_in = secure_rows + b * n;
-        const uint8_t *secp_in = secp_rows + b * n;
+        const uint8_t *sec_in = secure_rows + b * sec_stride;
+        const uint8_t *secp_in = secp_rows + b * secp_stride;
         int32_t *restrict ch = choice + b * n;
         uint8_t *restrict sec = secure + b * n;
         uint8_t *restrict any = any_secure + b * n;
+        memset(ch, 0xFF, (size_t)n * sizeof(int32_t));   /* -1: no next hop */
+        memset(sec, 0, (size_t)n);
+        memset(any, 0, (size_t)n);
+        sec[order[0]] = sec_in[order[0]];
         /* Rows run by path length and every candidate is one level
          * shorter than its row, so a slot resolves level by level in pool
          * order, each candidate's sec[] written before it is read.  In a
@@ -145,40 +183,49 @@ int sbgp_trees_stacked(
                 const int32_t c = cands[s];
                 ch[u] = c;
                 any[u] = sec[c];
-                sec[u] = (uint8_t)(sec_in[u] && sec[c]);
+                sec[u] = sec_in[u] & sec[c];
                 multi[m] = (int32_t)r;
                 m += end - s > 1;
                 s = end;
             }
+            /* No branch on a candidate's security either (about a third
+             * of nodes are secure, at random): a key is kept all-ones
+             * for the secure minimum unless its candidate is secure, and
+             * SecP takes that minimum by a mask. */
             for (int64_t i = 0; i < m; i++) {
                 const int64_t r = multi[i];
                 const int64_t lo = indptr[r], end = indptr[r + 1];
                 const int32_t u = order[r];
                 uint64_t min_all = UINT64_MAX, min_sec = UINT64_MAX;
-                int any_sec = 0;
+                uint8_t any_sec = 0;
                 for (int64_t e = lo; e < end; e++) {
                     const uint64_t key = (sbgp_tie_hash((uint64_t)u, (uint64_t)cands[e]) &
                                           ~(uint64_t)POS_MASK) | (uint64_t)(e - lo);
-                    if (key < min_all)
-                        min_all = key;
-                    if (sec[cands[e]]) {
-                        any_sec = 1;
-                        if (key < min_sec)
-                            min_sec = key;
-                    }
+                    const uint8_t sc = sec[cands[e]];
+                    const uint64_t key_sec = key | ((uint64_t)sc - 1u);
+                    any_sec |= sc;
+                    min_all = key < min_all ? key : min_all;
+                    min_sec = key_sec < min_sec ? key_sec : min_sec;
                 }
-                const uint64_t key = (secp_in[u] && any_sec) ? min_sec : min_all;
+                const uint64_t use_sec = -(uint64_t)(secp_in[u] & any_sec);
+                const uint64_t key = (min_sec & use_sec) | (min_all & ~use_sec);
                 const int32_t c = cands[lo + (int64_t)(key & POS_MASK)];
                 ch[u] = c;
-                any[u] = (uint8_t)any_sec;
-                sec[u] = (uint8_t)(sec_in[u] && sec[c]);
+                any[u] = any_sec;
+                sec[u] = sec_in[u] & sec[c];
             }
+        }
+        if (w) {
+            double *restrict wb = w + b * n;
+            memset(wb, 0, (size_t)n * sizeof(double));   /* 0.0 */
+            sbgp_weigh_row(order, starts, last, ch, node_weights, wb);
         }
     }
     free(multi);
     return 0;
 }
 
+/* Subtree weights alone, into a w the caller zeroed. */
 void sbgp_weights_stacked(
     int64_t batch, int64_t n, const int64_t *slots,
     const int64_t *order_ptr, const int32_t *order_pool,
@@ -187,24 +234,9 @@ void sbgp_weights_stacked(
 {
     for (int64_t b = 0; b < batch; b++) {
         const int64_t k = slots[b];
-        const int32_t *order = order_pool + order_ptr[k];
-        const int32_t *starts = level_pool + level_ptr[k];
-        const int32_t *ch = choice + b * n;
-        double *restrict wb = w + b * n;
-        /* Levels deepest first, a level's rows in pool order.  Parents
-         * sit one level up, so wb[p] is only *written* here and only
-         * *read* when its own level runs; with 0.0 + x == x exactly,
-         * child-by-child accumulation in this order matches numpy's
-         * np.add.at over the mirror's stack order bit for bit. */
-        for (int64_t level = level_ptr[k + 1] - level_ptr[k] - 2; level >= 1; level--) {
-            const int64_t hi = starts[level + 1];
-            for (int64_t r = starts[level]; r < hi; r++) {
-                const int32_t u = order[r];
-                const int32_t p = ch[u];
-                if (p >= 0)
-                    wb[p] += wb[u] + node_weights[u];
-            }
-        }
+        sbgp_weigh_row(order_pool + order_ptr[k], level_pool + level_ptr[k],
+                       level_ptr[k + 1] - level_ptr[k] - 1, choice + b * n,
+                       node_weights, w + b * n);
     }
 }
 
@@ -696,8 +728,12 @@ def _load_library() -> ctypes.CDLL:
         lib = ctypes.CDLL(str(_build_shared_object()))
     except OSError as exc:  # dlopen failure
         raise BackendUnavailable(f"cannot load compiled kernels: {exc}") from exc
-    # (batch, n) then pointers: the slots, the pools, the per-row arrays
-    lib.sbgp_trees_stacked.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 14
+    # (batch, n) then pointers: the slots, the pools, each state mask
+    # with its stride, the outputs, the node weights and w (NULL-able)
+    lib.sbgp_trees_stacked.argtypes = (
+        [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 9
+        + [ctypes.c_void_p, ctypes.c_int64] * 2 + [ctypes.c_void_p] * 5
+    )
     lib.sbgp_trees_stacked.restype = ctypes.c_int   # -1: no scratch memory
     lib.sbgp_weights_stacked.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 8
     lib.sbgp_weights_stacked.restype = None
@@ -752,23 +788,34 @@ def _check_pools(slots: np.ndarray, n: int, ptrs: tuple, pools: tuple,
 
 def trees_stacked(slots, n, order_ptr, order_pool, level_ptr, level_pool,
                   indptr_ptr, indptr_pool, cand_ptr, cands_pool,
-                  secure_rows, secp_rows, choice, secure, any_secure):
-    """Resolve each batch row's tree over its slot's pools, in place."""
+                  secure_rows, secp_rows, choice, secure, any_secure,
+                  node_weights=None, w=None):
+    """Resolve each batch row's tree over its slot's pools, in place, and
+    with ``node_weights`` and ``w`` its subtree weights, in one C call."""
     _check_pools(
         slots, n,
         (order_ptr, level_ptr, indptr_ptr, cand_ptr),
         (order_pool, level_pool, indptr_pool, cands_pool),
-        secure_rows, secp_rows, choice, secure, any_secure,
+        choice, secure, any_secure,
     )
+    strides = [mask_stride(mask, len(slots), n) for mask in (secure_rows, secp_rows)]
+    if (node_weights is None) != (w is None):
+        raise ValueError("cext kernel: node_weights and w come together")
+    weights = (None, None)
+    if w is not None:
+        if len(w) != len(slots) * n or len(node_weights) != n:
+            raise ValueError("cext kernel: weights out of step")
+        weights = (_ptr(node_weights, np.float64), _ptr(w, np.float64))
     status = _LIB.sbgp_trees_stacked(
         _I64(len(slots)), _I64(n), _ptr(slots, np.int64),
         _ptr(order_ptr, np.int64), _ptr(order_pool, np.int32),
         _ptr(level_ptr, np.int64), _ptr(level_pool, np.int32),
         _ptr(indptr_ptr, np.int64), _ptr(indptr_pool, np.int32),
         _ptr(cand_ptr, np.int64), _ptr(cands_pool, np.int32),
-        _ptr(secure_rows, np.bool_), _ptr(secp_rows, np.bool_),
+        _ptr(secure_rows, np.bool_), _I64(strides[0]),
+        _ptr(secp_rows, np.bool_), _I64(strides[1]),
         _ptr(choice, np.int32), _ptr(secure, np.bool_),
-        _ptr(any_secure, np.bool_),
+        _ptr(any_secure, np.bool_), *weights,
     )
     if status:
         raise MemoryError(f"cext kernel: no scratch for a level of {n} rows")

@@ -47,6 +47,7 @@ import weakref
 
 import numpy as np
 
+from repro.routing.backends import mask_stride
 from repro.routing.compiled import CompiledGraph, offsets, segment_index
 from repro.routing.fixpoint import (
     EDGE_APPLIES,
@@ -377,12 +378,44 @@ def trees_stacked(
     choice: np.ndarray,
     secure: np.ndarray,
     any_secure: np.ndarray,
+    node_weights: np.ndarray | None = None,
+    w: np.ndarray | None = None,
 ) -> None:
     """Resolve every stacked path-length level of the batch ``slots``
     off the pools' mirror (a subset batch is cut out of it first, in one
-    pass over both kinds and all levels)."""
-    st = _tree_stacks(n, order_ptr, order_pool, level_ptr, level_pool, indptr_ptr,
-                      indptr_pool, cand_ptr, cands_pool)
+    pass over both kinds and all levels), into outputs cleared here;
+    given ``node_weights`` and ``w``, then the weights pass over them.
+
+    The level bodies look the state masks up by flat ``(batch row,
+    node)``, so a mask the batch shares is tiled to ``[batch, n]`` here,
+    for this call."""
+    batch = len(slots)
+    secure_rows, secp_rows = (
+        np.tile(mask, batch) if mask_stride(mask, batch, n) == 0 else mask
+        for mask in (secure_rows, secp_rows)
+    )
+    choice.fill(-1)
+    secure.fill(False)
+    any_secure.fill(False)
+    at_dest = np.arange(batch, dtype=np.int64) * n + order_pool[order_ptr[slots]]
+    secure[at_dest] = secure_rows[at_dest]
+    _resolve_levels(
+        slots, n,
+        _tree_stacks(n, order_ptr, order_pool, level_ptr, level_pool, indptr_ptr,
+                     indptr_pool, cand_ptr, cands_pool),
+        secure_rows, secp_rows, choice, secure, any_secure,
+    )
+    if w is not None:
+        w.fill(0.0)
+        weights_stacked(slots, n, order_ptr, order_pool, level_ptr, level_pool,
+                        choice, node_weights, w)
+
+
+def _resolve_levels(slots, n, st: _TreeStacks, secure_rows, secp_rows,
+                    choice, secure, any_secure) -> None:
+    """The levels of the batch ``slots``, shallowest first, off the
+    mirror ``st``: each one's one-candidate rows, then its rows with
+    several."""
     ptr, one_flat, one_cflat, one_cands = st.ptr, st.one_flat, st.one_cflat, st.one_cands
     multi_flat, starts, pick = st.multi_flat, st.starts, st.pick
     edge_cflat, edge_cands, keys = st.edge_cflat, st.edge_cands, st.keys
@@ -456,7 +489,7 @@ def weights_stacked(
 ) -> None:
     """Push subtree weights up to the chosen parents, deepest level first
     (a subset batch is cut out of the mirror first, in stack order:
-    level, batch row, BFS row)."""
+    level, batch row, BFS row), into a ``w`` the caller zeroed."""
     st = _weight_stack(n, order_ptr, order_pool, level_ptr, level_pool)
     ptr, flat, nodes = st.ptr, st.flat, st.nodes
     if _full_batch(ptr, slots):

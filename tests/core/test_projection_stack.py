@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import projection
+from repro.core import engine, projection
 from repro.core.config import ProjectionEngine, UtilityModel
 from repro.core.engine import compute_round_data
 from repro.core.projection import project_flip, project_flips
@@ -175,7 +175,11 @@ class TestPassSize:
         deriver, rd, jobs = round_of_jobs
         free, counters = _counted(small_cache, deriver, rd, jobs)
         # an eighth of the budget holds the kernel working set of 3 rows
-        guard = RuntimeGuard(memory=MemoryBudget(limit_bytes=8 * 3 * 18 * small_cache.graph.n))
+        # under a state per row
+        row_bytes = engine._KERNEL_ROW_BYTES_PER_NODE + engine._STATE_ROW_BYTES_PER_NODE
+        guard = RuntimeGuard(
+            memory=MemoryBudget(limit_bytes=8 * 3 * row_bytes * small_cache.graph.n)
+        )
         with use_guard(guard):
             tight, tight_counters = _counted(small_cache, deriver, rd, jobs)
         assert tight == free
@@ -213,9 +217,9 @@ class TestSharedSlot:
 
         batches = []
 
-        def spy(arena, slots, node_secure, breaks_ties):
+        def spy(arena, slots, node_secure, breaks_ties, **kwargs):
             batches.append((np.array(slots), np.array(node_secure)))
-            return compute_trees_batched(arena, slots, node_secure, breaks_ties)
+            return compute_trees_batched(arena, slots, node_secure, breaks_ties, **kwargs)
 
         monkeypatch.setattr(projection, "compute_trees_batched", spy)
         stacked = project_flips(cache, deriver, rd, jobs, model)

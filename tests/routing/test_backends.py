@@ -626,15 +626,17 @@ class TestCextArgumentChecks:
         assert calls == []
 
     @staticmethod
-    def _pool_call(graph, monkeypatch, name: str, slots) -> tuple:
+    def _pool_call(graph, monkeypatch, name: str, slots, weighed: bool = False) -> tuple:
         """``(kernel, args, arena)`` of a genuine cext ``name`` call on a
-        three-destination arena."""
+        three-destination arena; ``weighed``: trees and weights in one
+        ``trees_stacked`` call."""
         secure, breaks = _security_state(graph.n)
         arena = _arena_for(graph, "security_3rd", "cext", [0, 1, 5])
         batch = arena.all_slots() if slots is None else np.array(slots)
+        node_weights = graph.weights if weighed else None
 
         def run():
-            bt = compute_trees_batched(arena, batch, secure, breaks)
+            bt = compute_trees_batched(arena, batch, secure, breaks, node_weights=node_weights)
             subtree_weights_batched(arena, batch, bt.choice, graph.weights)
 
         kernel, args = TestCextArgumentChecks._record(
@@ -644,15 +646,20 @@ class TestCextArgumentChecks:
 
     @pytest.mark.parametrize("slots", [None, [2, 0, 2]], ids=["full", "subset"])
     @pytest.mark.parametrize(
-        "name, num_arrays", [("trees_stacked", 14), ("weights_stacked", 8)]
+        "name, num_arrays",
+        # trees alone, then trees with the node weights and w
+        [("trees_stacked", 14), ("weights_stacked", 8), ("trees_stacked", 16)],
     )
     def test_every_stack_array_is_checked(
         self, small_graph, monkeypatch, name, num_arrays, slots
     ):
-        kernel, args, arena = self._pool_call(small_graph, monkeypatch, name, slots)
+        kernel, args, arena = self._pool_call(
+            small_graph, monkeypatch, name, slots, weighed=num_arrays == 16
+        )
         kernel(*args)
         # the slots, ``n``, then arrays only: the pools, then the
-        # per-row inputs and outputs
+        # per-row inputs and outputs (trees: the two state masks, the
+        # three outputs, and with the weights the node weights and w)
         assert args[1] == small_graph.n and len(args) == num_arrays + 1
         arrays = [i for i, arg in enumerate(args) if isinstance(arg, np.ndarray)]
         assert len(arrays) == num_arrays
@@ -681,6 +688,37 @@ class TestCextArgumentChecks:
         assert calls == []
         kernel(*args)   # the stub does see a valid call
         assert calls == [f"sbgp_{name}"]
+
+    def test_masks_and_weights_out_of_step_raise_before_the_c_call(
+        self, small_graph, monkeypatch
+    ):
+        kernel, args, _ = self._pool_call(
+            small_graph, monkeypatch, "trees_stacked", [2, 0, 2], weighed=True
+        )
+        n, batch = small_graph.n, len(args[0])
+        calls = _stub_library(monkeypatch)
+        masks, node_weights, w = (10, 11), 15, 16
+        assert all(len(args[i]) == n for i in masks)   # the round's state, shared
+        bad = []
+        for i in masks:
+            # neither one [n] state nor one per batch row
+            for length in (n - 1, 2 * n, batch * n + 1):
+                bad.append({i: np.zeros(length, dtype=bool)})
+        bad += [
+            {w: args[w][:n].copy()},                         # w not [batch * n]
+            {node_weights: np.resize(args[node_weights], batch * n)},   # not [n]
+            {w: None},                                       # one without the other
+            {node_weights: None},
+        ]
+        for swap in bad:
+            with pytest.raises(ValueError, match="out of step|come together"):
+                kernel(*(swap.get(i, arg) for i, arg in enumerate(args)))
+        assert calls == []
+        # a state per row, and trees alone, do reach C
+        per_row = {i: np.tile(args[i], batch) for i in masks}
+        kernel(*(per_row.get(i, arg) for i, arg in enumerate(args)))
+        kernel(*args[:-2])
+        assert calls == ["sbgp_trees_stacked"] * 2
 
     @pytest.mark.parametrize(
         "name, pools",
