@@ -36,12 +36,11 @@ from repro.telemetry.metrics import MetricsRegistry, use_registry
 TIERS = ["numpy", "python", "cext"]
 
 
-def _tier(name: str) -> str:
+def _tier(name: str) -> None:
     try:
         kernel_backends.load_backend(name)
     except BackendUnavailable:
         pytest.skip(f"{name} backend not loadable here")
-    return name
 
 
 def _dests(graph) -> list[int]:
