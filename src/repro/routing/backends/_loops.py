@@ -38,8 +38,8 @@ Calling convention (all backends):
   ``repro.routing.backends.mask_stride``);
 - the Jacobi iteration takes the edge table of
   ``repro.routing.fixpoint`` (``v`` int32, ``route_cls`` int8,
-  ``node_ptr`` / ``rev_ptr`` / ``rank_edge`` int64, ``tie_rank`` /
-  ``lp_field`` uint32, ``rev_seg`` int32), ``edge_flags`` uint8,
+  ``node_ptr`` / ``rev_ptr`` / ``rank_edge`` / ``rev_edge`` int64,
+  ``tie_rank`` / ``lp_field`` uint32, ``rev_seg`` int32), ``edge_flags`` uint8,
   ``rank_shifts`` int64[3], ``attacker`` int64[chunk], ``pins``
   int64[chunk, MAX_PINS, 6], the labels int8/int32/bool as C-contiguous
   ``[chunk, n]`` matrices (updated in place), ``stats`` int64[chunk, 3]
@@ -248,9 +248,9 @@ def _weigh_row(order_pool, o, level_pool, starts, last, choice, base,
 
 
 def jacobi_converge(v, route_cls, node_ptr, tie_rank, rank_edge, lp_field,
-                    rev_ptr, rev_seg, edge_flags, rank_shifts, node_secure,
-                    attacker, leak, pins, cap, cls, length, sec, att, stats,
-                    tied=None):
+                    rev_ptr, rev_seg, rev_edge, edge_flags, rank_shifts,
+                    node_secure, attacker, leak, pins, cap, cls, length, sec,
+                    att, stats, tied=None):
     """Converge every row of the chunk to its fixed point, in place.
 
     Every row carries its own adversary (``attacker[row]``, ``-1`` for
@@ -279,18 +279,30 @@ def jacobi_converge(v, route_cls, node_ptr, tie_rank, rank_edge, lp_field,
     A row at a time, with three label buffers: the labels themselves,
     the frontier's new labels (staged, so every decision of a sweep
     reads the labels before it), and each node's labels before its last
-    change.  Sweep 1 decides every node; after that only the nodes that
-    read a node the sweep before changed (``rev_seg``), since every
-    other node would decide from the same neighbours' labels as last
-    time.  A row that starts blank (every label unreachable, as a
-    structure build's and an attack's do) seeds sweep 1 with its pins
-    and their readers alone: every other node reads only unreachable
-    neighbours, so it would decide the blank labels it holds, and its
-    part of ``tied`` is all false.  A node changed by the sweep before
-    that has changed back if its new labels are its before-labels; when
-    every change of a sweep is such a return, and the sweep before
-    changed as many nodes, the row is back at the labels of two sweeps
-    before.
+    change.  Every node keeps its least selection word, ``best[u]``, and
+    its decision is a function of that word and of the labels of the
+    word's source alone.  Sweep 1 scans the segment of every node.
+    After a sweep, each node ``x`` it changed is *pushed*: along its
+    reverse slots (``rev_seg`` names the reader ``u``, ``rev_edge`` the
+    edge) ``x``'s new word is offered, and ``u`` is queued for the next
+    sweep only if the word undercuts ``cand[u]`` — ``best[u]``, or the
+    least word pushed to ``u`` since — or if ``x`` is the source of
+    ``u``'s best edge (the edge whose ``tie_rank`` is ``best[u]``'s low
+    half), whose labels ``u`` copies even when its word stays.  No other
+    node can move: its least word and that word's source are as before.
+    A queued node scans its segment again only if its best source's
+    word got worse (or barred), since then an offer that was not the
+    least may be now; otherwise its least word is ``cand[u]``.  A row
+    that starts blank (every label unreachable, as a structure build's
+    and an attack's do) seeds sweep 1 with its pins and their readers
+    alone: every other node reads only unreachable neighbours, so it
+    would decide the blank labels it holds, and its least word is the
+    all-ones of no offer.  ``tied`` is written once per row, after its
+    last sweep, from ``best``: a converged row's least words are those
+    of its final labels.  A node changed by the sweep before that has
+    changed back if its new labels are its before-labels; when every
+    change of a sweep is such a return, and the sweep before changed as
+    many nodes, the row is back at the labels of two sweeps before.
     """
     chunk, n = cls.shape
     shifts = rank_shifts.astype(np.uint32)
@@ -306,6 +318,9 @@ def jacobi_converge(v, route_cls, node_ptr, tie_rank, rank_edge, lp_field,
     old_att = np.empty(n, dtype=np.bool_)
     last = np.zeros(n, dtype=np.int64)      # stamp of the last change
     mark = np.zeros(n, dtype=np.int64)      # stamp of the last frontier
+    best = np.empty(n, dtype=np.uint64)     # each node's least word
+    cand = np.empty(n, dtype=np.uint64)     # ... and the least pushed since
+    worse = np.empty(n, dtype=np.bool_)     # its best source got worse
     stamp = 0                               # sweeps run, over all rows
     limit = cap
     for row in range(chunk):
@@ -322,6 +337,10 @@ def jacobi_converge(v, route_cls, node_ptr, tie_rank, rank_edge, lp_field,
                 cls[row, u], length[row, u], sec[row, u], att[row, u] = _pinned(
                     pins[row, k], cls[row, u], length[row, u], sec[row, u], att[row, u]
                 )
+        # a node sweep 1 leaves out is offered nothing
+        best[:] = _BLOCKED
+        cand[:] = _BLOCKED
+        worse[:] = False
         nf = 0
         if blank:
             # every node but the pins and their readers reads only
@@ -342,12 +361,12 @@ def jacobi_converge(v, route_cls, node_ptr, tie_rank, rank_edge, lp_field,
                         mark[u] = stamp
                         front[nf] = u
                         nf += 1
-            if tied is not None:
-                tied[row, :] = False
         else:
             for i in range(n):
                 front[i] = i
             nf = n
+        for i in range(nf):
+            worse[front[i]] = True   # sweep 1 scans its whole frontier
         prev_changed = -1
         status = ROW_MOVING
         sweep = 0
@@ -357,9 +376,19 @@ def jacobi_converge(v, route_cls, node_ptr, tie_rank, rank_edge, lp_field,
             stamp += 1
             for i in range(nf):
                 u = front[i]
-                label = _decide(u, row, att_row, leak, v, route_cls, node_ptr,
-                                tie_rank, rank_edge, lp_field, edge_flags,
-                                shifts, node_secure, cls, length, sec, att, tied)
+                word = cand[u]
+                if worse[u]:
+                    word = _BLOCKED
+                    for e in range(node_ptr[u], node_ptr[u + 1]):
+                        word = min(word, _offer_word(
+                            e, row, att_row, leak, v, tie_rank, lp_field,
+                            edge_flags, shifts, cls, length, sec, att,
+                        ))
+                    worse[u] = False
+                best[u] = cand[u] = word
+                label = _decide(u, word, row, att_row, v, route_cls, node_ptr,
+                                rank_edge, edge_flags, node_secure, length,
+                                sec, att)
                 for k in range(MAX_PINS):
                     if pins[row, k, 0] == u:
                         label = _pinned(pins[row, k], *label)
@@ -392,16 +421,34 @@ def jacobi_converge(v, route_cls, node_ptr, tie_rank, rank_edge, lp_field,
                 limit = sweep - 1
                 break
             prev_changed = changed
-            # the next frontier: every reader of a changed node, once
+            # the next frontier: push each changed node's new offers to
+            # its readers, and queue those they can move, once
             nf = 0
             for i in range(changed):
                 x = moved[i]
                 for j in range(rev_ptr[x], rev_ptr[x + 1]):
                     u = rev_seg[j]
+                    e = rev_edge[j]
+                    word = _offer_word(e, row, att_row, leak, v, tie_rank,
+                                       lp_field, edge_flags, shifts, cls,
+                                       length, sec, att)
+                    if (best[u] & _RANK_MASK) == tie_rank[e]:
+                        worse[u] |= word > best[u]   # its best source
+                    elif word >= cand[u]:
+                        continue
+                    cand[u] = min(cand[u], word)
                     if mark[u] != stamp:
                         mark[u] = stamp
                         front[nf] = u
                         nf += 1
+        if tied is not None:
+            for u in range(n):
+                for e in range(node_ptr[u], node_ptr[u + 1]):
+                    k = _offer_key(e, row, att_row, leak, v, lp_field,
+                                   edge_flags, shifts, cls, length, sec, att)
+                    tied[row, e] = (
+                        k != _INVALID_KEY and np.uint64(k) == best[u] >> _KEY_SHIFT
+                    )
         stats[row, 0] = status
         stats[row, 1] = sweep
         stats[row, 2] = decisions
@@ -421,36 +468,30 @@ def _pinned(pin, c, ln, s, a):
     return c, ln, s, a
 
 
-def _decide(u, row, att_row, leak, v, route_cls, node_ptr, tie_rank,
-            rank_edge, lp_field, edge_flags, shifts, node_secure, cls,
-            length, sec, att, tied):
-    """Node ``u``'s new ``(cls, length, sec, att)``: the offer of its
-    segment with the least selection word, rank key above, tie rank
-    below."""
-    lo = node_ptr[u]
-    hi = node_ptr[u + 1]
-    best = _BLOCKED
-    for e in range(lo, hi):
-        k = _offer_key(e, row, att_row, leak, v, lp_field, edge_flags,
-                       shifts, cls, length, sec, att)
-        if k != _INVALID_KEY:
-            word = (np.uint64(k) << _KEY_SHIFT) | np.uint64(tie_rank[e])
-            if word < best:
-                best = word
-    if tied is not None:
-        # the tie mask is the one thing that needs the keys twice
-        for e in range(lo, hi):
-            k = _offer_key(e, row, att_row, leak, v, lp_field, edge_flags,
-                           shifts, cls, length, sec, att)
-            tied[row, e] = k != _INVALID_KEY and np.uint64(k) == best >> _KEY_SHIFT
-    if best == _BLOCKED:
+def _decide(u, word, row, att_row, v, route_cls, node_ptr, rank_edge,
+            edge_flags, node_secure, length, sec, att):
+    """Node ``u``'s new ``(cls, length, sec, att)`` from its least
+    selection word ``word``: the offer of the edge holding the word's
+    tie rank, or no route if every offer is barred."""
+    if word == _BLOCKED:
         return _UNREACHABLE, -1, False, False
-    eidx = rank_edge[lo + np.int64(best & _RANK_MASK)]
+    eidx = rank_edge[node_ptr[u] + np.int64(word & _RANK_MASK)]
     vv = v[eidx]
     seen = sec[row, vv] or (
         edge_flags[eidx] & EDGE_GULLIBLE and vv == att_row and att[row, vv]
     )
     return route_cls[eidx], length[row, vv] + 1, node_secure[u] and seen, att[row, vv]
+
+
+def _offer_word(e, row, att_row, leak, v, tie_rank, lp_field, edge_flags,
+                shifts, cls, length, sec, att):
+    """Selection word ``rank_key << 32 | tie_rank`` of one offer;
+    ``_BLOCKED`` if barred."""
+    k = _offer_key(e, row, att_row, leak, v, lp_field, edge_flags, shifts,
+                   cls, length, sec, att)
+    if k == _INVALID_KEY:
+        return _BLOCKED
+    return (np.uint64(k) << _KEY_SHIFT) | np.uint64(tie_rank[e])
 
 
 def _offer_key(e, row, att_row, leak, v, lp_field, edge_flags, shifts,

@@ -243,6 +243,7 @@ void sbgp_weights_stacked(
 typedef struct {
     const int32_t *v;
     const uint32_t *lp_field;
+    const uint32_t *tie_rank;
     const uint8_t *edge_flags;
     uint32_t lp_shift, sp_shift, secp_shift;
     int64_t att_row;   /* -1 (no adversary) equals no node id */
@@ -280,6 +281,14 @@ static inline uint32_t sbgp_offer_key(const sbgp_offers *o, int64_t e)
         ((uint32_t)(lv + 1) << o->sp_shift) | (secp << o->secp_shift);
 }
 
+/* The selection word of offer e, rank key << 32 | tie rank: all ones
+ * when the offer is barred. */
+static inline uint64_t sbgp_offer_word(const sbgp_offers *o, int64_t e)
+{
+    const uint32_t k = sbgp_offer_key(o, e);
+    return k == INVALID_KEY ? UINT64_MAX : ((uint64_t)k << 32) | o->tie_rank[e];
+}
+
 /* Labels (c, l, s, a) with the fields pin holds put in. */
 static inline void sbgp_pinned(const int64_t *pin, int8_t *c, int32_t *l,
                                uint8_t *s, uint8_t *a)
@@ -297,50 +306,58 @@ static inline void sbgp_pinned(const int64_t *pin, int8_t *c, int32_t *l,
 
 /* The Jacobi iteration of a chunk, a row at a time, in place: see
  * _loops.jacobi_converge, which this transliterates.  Every node takes
- * the offer with the least selection word rank_key << 32 | tie_rank;
- * rank_edge[node_ptr[u] + r] is the edge of u's segment that holds tie
- * rank r.  Sweep 1 decides every node -- only the pins and their
- * readers when the row starts blank -- a later sweep only the readers
- * (rev_seg) of the nodes the sweep before changed.  tied may be NULL:
- * only structure building asks for the tie mask, the one thing that
- * needs the keys twice.  stats[row] = (status, sweeps, decisions).
- * Returns -1 when there is no scratch memory. */
+ * the offer with the least selection word rank_key << 32 | tie_rank
+ * (rank_edge[node_ptr[u] + r] is the edge of u's segment that holds tie
+ * rank r) and keeps that word, best[u].  Sweep 1 scans the segment of
+ * every node -- of only the pins and their readers when the row starts
+ * blank.  After a sweep each changed node x is pushed along its reverse
+ * slots (rev_seg, rev_edge): a reader u is queued when x's new word
+ * undercuts cand[u] -- best[u], or the least word pushed to u since --
+ * or when x is the source of u's best edge, the edge whose tie rank is
+ * best[u]'s low half.  u's decision is a function of its least word and
+ * of that word's source labels, so no other node can move.  A queued
+ * node scans its segment again only when its best source's word got
+ * worse or barred; else its least word is cand[u].  tied may be NULL:
+ * only structure building asks for the tie mask, written from best[]
+ * over the whole row after its last sweep.  stats[row] = (status,
+ * sweeps, decisions).  Returns -1 when there is no scratch memory. */
 int sbgp_jacobi_converge(
     int64_t chunk, int64_t n,
     const int32_t *v, const int8_t *route_cls, const int64_t *node_ptr,
     const uint32_t *tie_rank, const int64_t *rank_edge,
     const uint32_t *lp_field, const int64_t *rev_ptr, const int32_t *rev_seg,
-    const uint8_t *edge_flags, const int64_t *rank_shifts,
-    const uint8_t *node_secure, const int64_t *attacker, int64_t leak,
-    const int64_t *pins, int64_t cap,
+    const int64_t *rev_edge, const uint8_t *edge_flags,
+    const int64_t *rank_shifts, const uint8_t *node_secure,
+    const int64_t *attacker, int64_t leak, const int64_t *pins, int64_t cap,
     int8_t *cls, int32_t *len, uint8_t *sec, uint8_t *att,
     int64_t *stats, uint8_t *tied)
 {
-    const int64_t num_edges = node_ptr[n];
     /* scratch, n entries each: the frontier, the nodes a sweep changed,
-     * the stamps of each node's last change and last frontier, then the
-     * staged labels (by frontier place) and each node's labels before
-     * its last change */
+     * the stamps of each node's last change and last frontier, each
+     * node's least word and the least word pushed to it, the staged
+     * labels (by frontier place), each node's labels before its last
+     * change, and whether its best source got worse */
     const size_t m = n > 0 ? (size_t)n : 1;
-    char *block = calloc(m, 4 * sizeof(int64_t) + 2 * (sizeof(int8_t) +
-                         sizeof(int32_t) + 2 * sizeof(uint8_t)));
+    char *block = calloc(m, 6 * sizeof(int64_t) + 2 * (sizeof(int8_t) +
+                         sizeof(int32_t) + 2 * sizeof(uint8_t)) + 1);
     if (!block)
         return -1;
     int64_t *front = (int64_t *)block, *moved = front + m;
     int64_t *last = moved + m, *mark = last + m;
-    int32_t *new_len = (int32_t *)(mark + m), *old_len = new_len + m;
+    uint64_t *best = (uint64_t *)(mark + m), *cand = best + m;
+    int32_t *new_len = (int32_t *)(cand + m), *old_len = new_len + m;
     int8_t *new_cls = (int8_t *)(old_len + m), *old_cls = new_cls + m;
     uint8_t *new_sec = (uint8_t *)(old_cls + m), *new_att = new_sec + m;
     uint8_t *old_sec = new_att + m, *old_att = old_sec + m;
+    uint8_t *worse = old_att + m;
     int64_t stamp = 0, limit = cap;
     for (int64_t row = 0; row < chunk; row++) {
         int8_t *c = cls + row * n;
         int32_t *l = len + row * n;
         uint8_t *s = sec + row * n, *a = att + row * n;
-        uint8_t *t = tied ? tied + row * num_edges : 0;
         const int64_t *rp = pins + row * MAX_PINS * 6;
         const sbgp_offers o = {
-            v, lp_field, edge_flags, (uint32_t)rank_shifts[0],
+            v, lp_field, tie_rank, edge_flags, (uint32_t)rank_shifts[0],
             (uint32_t)rank_shifts[1], (uint32_t)rank_shifts[2],
             attacker[row], (int)leak, c, l, s, a};
         int blank = 1;
@@ -350,6 +367,12 @@ int sbgp_jacobi_converge(
             const int64_t u = rp[k * 6];
             if (u >= 0)
                 sbgp_pinned(rp + k * 6, c + u, l + u, s + u, a + u);
+        }
+        /* a node sweep 1 leaves out is offered nothing: its least word
+         * is all ones */
+        for (int64_t i = 0; i < n; i++) {
+            best[i] = cand[i] = UINT64_MAX;
+            worse[i] = 0;
         }
         int64_t nf = 0;
         if (blank) {
@@ -373,14 +396,13 @@ int sbgp_jacobi_converge(
                     }
                 }
             }
-            if (t)
-                for (int64_t e = 0; e < num_edges; e++)
-                    t[e] = 0;
         } else {
             for (int64_t i = 0; i < n; i++)
                 front[i] = i;
             nf = n;
         }
+        for (int64_t i = 0; i < nf; i++)
+            worse[front[i]] = 1;   /* sweep 1 scans its whole frontier */
         int64_t prev_changed = -1, status = ROW_MOVING;
         int64_t sweep = 0, decisions = 0;
         while (sweep < limit) {
@@ -388,29 +410,23 @@ int sbgp_jacobi_converge(
             stamp++;
             for (int64_t i = 0; i < nf; i++) {
                 const int64_t u = front[i];
-                const int64_t lo = node_ptr[u], hi = node_ptr[u + 1];
-                uint64_t best = UINT64_MAX;
-                for (int64_t e = lo; e < hi; e++) {
-                    const uint32_t k = sbgp_offer_key(&o, e);
-                    if (k != INVALID_KEY) {
-                        const uint64_t word = ((uint64_t)k << 32) | tie_rank[e];
-                        if (word < best)
-                            best = word;
+                uint64_t word = cand[u];
+                if (worse[u]) {
+                    word = UINT64_MAX;
+                    for (int64_t e = node_ptr[u]; e < node_ptr[u + 1]; e++) {
+                        const uint64_t w = sbgp_offer_word(&o, e);
+                        word = w < word ? w : word;
                     }
+                    worse[u] = 0;
                 }
-                if (t) {
-                    for (int64_t e = lo; e < hi; e++) {
-                        const uint32_t k = sbgp_offer_key(&o, e);
-                        t[e] = (uint8_t)(k != INVALID_KEY && (uint64_t)k == best >> 32);
-                    }
-                }
-                if (best == UINT64_MAX) {
+                best[u] = cand[u] = word;
+                if (word == UINT64_MAX) {
                     new_cls[i] = CLS_UNREACHABLE;
                     new_len[i] = -1;
                     new_sec[i] = 0;
                     new_att[i] = 0;
                 } else {
-                    const int64_t eidx = rank_edge[lo + (int64_t)(best & 0xFFFFFFFFu)];
+                    const int64_t eidx = rank_edge[node_ptr[u] + (int64_t)(word & 0xFFFFFFFFu)];
                     const int32_t vv = v[eidx];
                     const int seen = s[vv] ||
                         ((edge_flags[eidx] & EDGE_GULLIBLE) && vv == o.att_row && a[vv]);
@@ -455,18 +471,34 @@ int sbgp_jacobi_converge(
                 break;
             }
             prev_changed = changed;
-            /* the next frontier: every reader of a changed node, once */
+            /* the next frontier: push each changed node's new offers to
+             * its readers, and queue those they can move, once */
             nf = 0;
             for (int64_t i = 0; i < changed; i++) {
                 const int64_t x = moved[i];
                 for (int64_t j = rev_ptr[x]; j < rev_ptr[x + 1]; j++) {
                     const int32_t u = rev_seg[j];
+                    const int64_t e = rev_edge[j];
+                    const uint64_t word = sbgp_offer_word(&o, e);
+                    if ((uint32_t)best[u] == tie_rank[e])
+                        worse[u] |= word > best[u];   /* its best source */
+                    else if (word >= cand[u])
+                        continue;
+                    cand[u] = word < cand[u] ? word : cand[u];
                     if (mark[u] != stamp) {
                         mark[u] = stamp;
                         front[nf++] = u;
                     }
                 }
             }
+        }
+        if (tied) {
+            uint8_t *t = tied + row * node_ptr[n];
+            for (int64_t u = 0; u < n; u++)
+                for (int64_t e = node_ptr[u]; e < node_ptr[u + 1]; e++) {
+                    const uint32_t k = sbgp_offer_key(&o, e);
+                    t[e] = (uint8_t)(k != INVALID_KEY && (uint64_t)k == best[u] >> 32);
+                }
         }
         stats[row * 3] = status;
         stats[row * 3 + 1] = sweep;
@@ -740,7 +772,7 @@ def _load_library() -> ctypes.CDLL:
     # (chunk, n), the edge table ... attacker, leak, pins, cap, the
     # labels, stats and tied
     lib.sbgp_jacobi_converge.argtypes = (
-        [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 12
+        [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 13
         + [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 6
     )
     lib.sbgp_jacobi_converge.restype = ctypes.c_int   # -1: no scratch memory
@@ -839,15 +871,17 @@ def weights_stacked(slots, n, order_ptr, order_pool, level_ptr, level_pool,
 
 
 def jacobi_converge(v, route_cls, node_ptr, tie_rank, rank_edge, lp_field,
-                    rev_ptr, rev_seg, edge_flags, rank_shifts, node_secure,
-                    attacker, leak, pins, cap, cls, length, sec, att, stats,
-                    tied=None):
+                    rev_ptr, rev_seg, rev_edge, edge_flags, rank_shifts,
+                    node_secure, attacker, leak, pins, cap, cls, length, sec,
+                    att, stats, tied=None):
     """Converge every row of the chunk in place, each in one pass of C
     over its frontier sweeps (``_loops.jacobi_converge`` is the spec)."""
     num_edges = len(v)
     n = len(node_ptr) - 1
     chunk = len(attacker)
-    per_edge = (route_cls, tie_rank, rank_edge, lp_field, rev_seg, edge_flags)
+    per_edge = (
+        route_cls, tie_rank, rank_edge, lp_field, rev_seg, rev_edge, edge_flags,
+    )
     if (
         n < 0 or len(rev_ptr) != n + 1
         or node_ptr[-1] != num_edges or rev_ptr[-1] != num_edges
@@ -855,6 +889,10 @@ def jacobi_converge(v, route_cls, node_ptr, tie_rank, rank_edge, lp_field,
         or len(node_secure) != n or len(rank_shifts) != 3
     ):
         raise ValueError("cext kernel: edge table out of step")
+    # the C code indexes with these: an edge outside the table reads
+    # (and a reverse slot queues) memory it does not own
+    if num_edges and (rev_edge.min() < 0 or rev_edge.max() >= num_edges):
+        raise ValueError("cext kernel: reverse edge outside the table")
     rows = [(x, (chunk, n)) for x in (cls, length, sec, att)]
     rows += [(stats, (chunk, 3)), (pins, (chunk, fixpoint.MAX_PINS, 6))]
     if tied is not None:
@@ -869,7 +907,8 @@ def jacobi_converge(v, route_cls, node_ptr, tie_rank, rank_edge, lp_field,
         _ptr(v, np.int32), _ptr(route_cls, np.int8), _ptr(node_ptr, np.int64),
         _ptr(tie_rank, np.uint32), _ptr(rank_edge, np.int64),
         _ptr(lp_field, np.uint32), _ptr(rev_ptr, np.int64),
-        _ptr(rev_seg, np.int32), _ptr(edge_flags, np.uint8),
+        _ptr(rev_seg, np.int32), _ptr(rev_edge, np.int64),
+        _ptr(edge_flags, np.uint8),
         _ptr(rank_shifts, np.int64), _ptr(node_secure, np.bool_),
         _ptr(attacker, np.int64), int(leak), _ptr(pins, np.int64), int(cap),
         _ptr(cls, np.int8), _ptr(length, np.int32), _ptr(sec, np.bool_),

@@ -735,6 +735,7 @@ def jacobi_converge(
     lp_field: np.ndarray,
     rev_ptr: np.ndarray,
     rev_seg: np.ndarray,
+    rev_edge: np.ndarray,
     edge_flags: np.ndarray,
     rank_shifts: np.ndarray,
     node_secure: np.ndarray,
@@ -753,7 +754,8 @@ def jacobi_converge(
     across the rows still moving at a time (see
     ``_loops.jacobi_converge`` for the contract).
 
-    Every sweep re-decides every node, so the reverse index goes unused.
+    Every sweep re-decides every node, so the reverse index
+    (``rev_ptr`` / ``rev_seg`` / ``rev_edge``) goes unused.
     A row that a sweep left unchanged retires, its labels (and its part
     of ``tied``) final, and the rest are compacted into smaller arrays.
     Label sets ping-pong: a sweep writes every node that has a segment

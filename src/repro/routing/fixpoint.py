@@ -40,12 +40,16 @@ after how many sweeps.  Rows never interact and the step is
 deterministic, so a row that a sweep left unchanged is at its fixed
 point, and a moving row that is back at the labels it held two sweeps
 earlier is in a 2-cycle and will never converge.  A node's next label
-depends only on its neighbours' labels and its fixed pins, so after the
-first sweep only the nodes that read a node the previous sweep changed
-can move: the compiled tiers re-decide just those (the *frontier*,
-found through the edge table's reverse index), one row at a time; numpy
-re-decides every node of every row still moving, one sweep across the
-chunk at a time.
+is a function of its least selection word, of the labels of that
+word's source and of its fixed pins alone, so after the first sweep a
+node can move only if a neighbour the previous sweep changed now offers
+it a word below that least, or is that source.  The compiled tiers
+keep each node's least word, push every changed node's new offers
+along the edge table's reverse index, and re-decide just the nodes so
+reached (the *frontier*) — scanning a node's segment again only when
+its best source's word got worse — one row at a time; numpy re-decides
+every node of every row still moving, one sweep across the chunk at a
+time.
 
 Convergence: rankings with LP first (``security_2nd``, and the default)
 admit no dispute wheel under GR1 topologies, so the iteration reaches
@@ -135,10 +139,11 @@ class _EdgeTable:
     segment by ascending key, and ``rank_edge[node_ptr[u] + r]`` is the
     edge that holds place ``r``.
 
-    ``rev_ptr`` / ``rev_seg`` index the edges the other way round:
-    ``rev_seg[rev_ptr[v]:rev_ptr[v + 1]]`` are the segments, named by
-    their node, that read ``v`` — the nodes a change to ``v``'s label
-    can move.
+    ``rev_ptr`` / ``rev_seg`` / ``rev_edge`` index the edges the other
+    way round: ``rev_seg[rev_ptr[v]:rev_ptr[v + 1]]`` are the segments,
+    named by their node, that read ``v`` — the nodes a change to ``v``'s
+    label can move — and ``rev_edge`` the edges they read it over
+    (``rev_seg == u[rev_edge]``).
 
     It depends on the graph alone; :func:`_edge_table` builds it once
     per :class:`CompiledGraph`.
@@ -176,7 +181,8 @@ class _EdgeTable:
         self.lp_field = (2 - self.route_cls).astype(np.uint32)
         self.is_provider_edge = self.route_cls == _PROVIDER
         self.rev_ptr = offsets(np.bincount(self.v, minlength=n))
-        self.rev_seg = self.u[np.argsort(self.v, kind="stable")]
+        self.rev_edge = np.argsort(self.v, kind="stable")
+        self.rev_seg = self.u[self.rev_edge]
 
 
 def _edge_table(cg: CompiledGraph) -> _EdgeTable:
@@ -309,7 +315,7 @@ class JacobiDriver:
         self._kernels.jacobi_converge(
             table.v, table.route_cls, table.node_ptr, table.tie_rank,
             table.rank_edge, table.lp_field, table.rev_ptr, table.rev_seg,
-            self._edge_flags, self._rank_shifts, self._node_secure,
+            table.rev_edge, self._edge_flags, self._rank_shifts, self._node_secure,
             attackers, leak, pins, self.cap, *labels, stats, tied,
         )
         status, sweeps, decisions = stats.T

@@ -31,7 +31,8 @@ to read, as what the differential suites compare against:
   sweep that brings a moving row back to the labels of two sweeps
   before — each sweep scalar, by the two-stage rule (least rank key,
   then least tie-break key among the tied) with the rank key packed
-  field by field.
+  field by field; :func:`jacobi_labels_after` follows the same sweeps
+  for a fixed count, to show where a chunk is on the way.
 """
 
 from __future__ import annotations
@@ -457,3 +458,27 @@ def jacobi_converge_reference(
         prev = tuple(x[moved] for x in cur)
         cur = tuple(x[moved] for x in new)
     raise ConvergenceError(f"{what} did not converge within {driver.cap} sweeps")
+
+
+def jacobi_labels_after(
+    driver, ranking, labels, pins, sweeps, attackers=None, leak=False
+):
+    """The labels :func:`jacobi_converge_reference` steps ``labels``
+    to in ``sweeps`` sweeps (pinned first and after each), every row
+    stepped whether it still moves or not; ``labels`` are left alone."""
+    table = driver.table
+    chunk, n = labels[0].shape
+    if attackers is None:
+        attackers = np.full(chunk, -1, dtype=np.int64)
+    tie_keys = compute_tie_keys(np.arange(n), table.node_ptr, table.v)
+    pin = pin_callback(pins)
+    rows = np.arange(chunk)
+    cur = tuple(x.copy() for x in labels)
+    pin(*cur, rows)
+    for _ in range(sweeps):
+        cur, _ = _sweep_reference(
+            table, tie_keys, driver._edge_flags, ranking, driver._node_secure,
+            attackers, leak, cur,
+        )
+        pin(*cur, rows)
+    return cur

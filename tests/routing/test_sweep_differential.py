@@ -258,10 +258,15 @@ class TestTelemetry:
         return graph.n, driver.converge(driver.blank(len(dests)), pins, "telemetry")
 
     @classmethod
-    def _first_sweep_decisions(cls, tier):
+    def _decisions(cls, tier, max_sweeps=None):
+        """``routing.jacobi.decisions`` of one converge on ``tier``, or,
+        given ``max_sweeps``, of its first sweeps."""
         with use_registry(MetricsRegistry()) as registry:
-            with pytest.raises(ConvergenceError, match="within 1 sweeps"):
-                cls._converge(tier, max_sweeps=1)
+            if max_sweeps is None:
+                cls._converge(tier)
+            else:
+                with pytest.raises(ConvergenceError, match=f"within {max_sweeps} sweeps"):
+                    cls._converge(tier, max_sweeps=max_sweeps)
             return registry.snapshot()["counters"]["routing.jacobi.decisions"]
 
     def test_sweeps_and_decisions(self, tier):
@@ -274,8 +279,10 @@ class TestTelemetry:
         decisions = snapshot["counters"]["routing.jacobi.decisions"]
         # numpy re-decides every node on every sweep.  The frontier
         # tiers decide, on a blank row's first sweep, its pinned
-        # destination and the nodes that read it, and after that only
-        # the readers of the nodes the sweep before changed
+        # destination and the nodes that read it; after that every node
+        # a sweep changed pushes its new offers to its readers, and a
+        # reader is decided again only if an offer undercuts the least
+        # it has been pushed, or comes from the source of its best offer
         if tier == "numpy":
             assert decisions == n * sweeps.sum()
             return
@@ -288,10 +295,11 @@ class TestTelemetry:
             for d in self.DESTS
         )
         assert seeded < n * len(sweeps)
-        assert self._first_sweep_decisions(tier) == seeded
+        assert self._decisions(tier, max_sweeps=1) == seeded
         assert seeded < decisions < n * sweeps.sum()
         for other in TIERS[1:]:   # the frontier tiers agree node for node
-            assert self._first_sweep_decisions(other) == seeded, other
+            assert self._decisions(other, max_sweeps=1) == seeded, other
+            assert self._decisions(other) == decisions, other
 
     def test_nothing_is_asked_of_a_disabled_registry(self, tier, monkeypatch):
         def asked(*args, **kwargs):
