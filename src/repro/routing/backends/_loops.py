@@ -338,9 +338,9 @@ def jacobi_converge(v, route_cls, node_ptr, tie_rank, rank_edge, lp_field,
                     pins[row, k], cls[row, u], length[row, u], sec[row, u], att[row, u]
                 )
         # a node sweep 1 leaves out is offered nothing
-        best[:] = _BLOCKED
-        cand[:] = _BLOCKED
-        worse[:] = False
+        for i in range(n):
+            best[i] = cand[i] = _BLOCKED
+            worse[i] = False
         nf = 0
         if blank:
             # every node but the pins and their readers reads only
