@@ -320,7 +320,7 @@ def jacobi_converge(v, route_cls, node_ptr, tie_rank, rank_edge, lp_field,
     mark = np.zeros(n, dtype=np.int64)      # stamp of the last frontier
     best = np.empty(n, dtype=np.uint64)     # each node's least word
     cand = np.empty(n, dtype=np.uint64)     # ... and the least pushed since
-    worse = np.empty(n, dtype=np.bool_)     # its best source got worse
+    scan = np.empty(n, dtype=np.bool_)      # its next decision scans
     stamp = 0                               # sweeps run, over all rows
     limit = cap
     for row in range(chunk):
@@ -340,7 +340,7 @@ def jacobi_converge(v, route_cls, node_ptr, tie_rank, rank_edge, lp_field,
         # a node sweep 1 leaves out is offered nothing
         for i in range(n):
             best[i] = cand[i] = _BLOCKED
-            worse[i] = False
+            scan[i] = False
         nf = 0
         if blank:
             # every node but the pins and their readers reads only
@@ -366,7 +366,7 @@ def jacobi_converge(v, route_cls, node_ptr, tie_rank, rank_edge, lp_field,
                 front[i] = i
             nf = n
         for i in range(nf):
-            worse[front[i]] = True   # sweep 1 scans its whole frontier
+            scan[front[i]] = True   # sweep 1 scans its whole frontier
         prev_changed = -1
         status = ROW_MOVING
         sweep = 0
@@ -377,14 +377,14 @@ def jacobi_converge(v, route_cls, node_ptr, tie_rank, rank_edge, lp_field,
             for i in range(nf):
                 u = front[i]
                 word = cand[u]
-                if worse[u]:
+                if scan[u]:
                     word = _BLOCKED
                     for e in range(node_ptr[u], node_ptr[u + 1]):
                         word = min(word, _offer_word(
                             e, row, att_row, leak, v, tie_rank, lp_field,
                             edge_flags, shifts, cls, length, sec, att,
                         ))
-                    worse[u] = False
+                    scan[u] = False
                 best[u] = cand[u] = word
                 label = _decide(u, word, row, att_row, v, route_cls, node_ptr,
                                 rank_edge, edge_flags, node_secure, length,
@@ -433,7 +433,7 @@ def jacobi_converge(v, route_cls, node_ptr, tie_rank, rank_edge, lp_field,
                                        lp_field, edge_flags, shifts, cls,
                                        length, sec, att)
                     if (best[u] & _RANK_MASK) == tie_rank[e]:
-                        worse[u] |= word > best[u]   # its best source
+                        scan[u] |= word > best[u]   # its best source: scan if worse
                     elif word >= cand[u]:
                         continue
                     cand[u] = min(cand[u], word)

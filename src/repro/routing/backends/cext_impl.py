@@ -336,10 +336,10 @@ int sbgp_jacobi_converge(
      * the stamps of each node's last change and last frontier, each
      * node's least word and the least word pushed to it, the staged
      * labels (by frontier place), each node's labels before its last
-     * change, and whether its best source got worse */
+     * change, and whether its next decision must scan its segment */
     const size_t m = n > 0 ? (size_t)n : 1;
     char *block = calloc(m, 6 * sizeof(int64_t) + 2 * (sizeof(int8_t) +
-                         sizeof(int32_t) + 2 * sizeof(uint8_t)) + 1);
+                         sizeof(int32_t) + 2 * sizeof(uint8_t)) + sizeof(uint8_t));
     if (!block)
         return -1;
     int64_t *front = (int64_t *)block, *moved = front + m;
@@ -349,7 +349,7 @@ int sbgp_jacobi_converge(
     int8_t *new_cls = (int8_t *)(old_len + m), *old_cls = new_cls + m;
     uint8_t *new_sec = (uint8_t *)(old_cls + m), *new_att = new_sec + m;
     uint8_t *old_sec = new_att + m, *old_att = old_sec + m;
-    uint8_t *worse = old_att + m;
+    uint8_t *scan = old_att + m;
     int64_t stamp = 0, limit = cap;
     for (int64_t row = 0; row < chunk; row++) {
         int8_t *c = cls + row * n;
@@ -372,7 +372,7 @@ int sbgp_jacobi_converge(
          * is all ones */
         for (int64_t i = 0; i < n; i++) {
             best[i] = cand[i] = UINT64_MAX;
-            worse[i] = 0;
+            scan[i] = 0;
         }
         int64_t nf = 0;
         if (blank) {
@@ -402,7 +402,7 @@ int sbgp_jacobi_converge(
             nf = n;
         }
         for (int64_t i = 0; i < nf; i++)
-            worse[front[i]] = 1;   /* sweep 1 scans its whole frontier */
+            scan[front[i]] = 1;   /* sweep 1 scans its whole frontier */
         int64_t prev_changed = -1, status = ROW_MOVING;
         int64_t sweep = 0, decisions = 0;
         while (sweep < limit) {
@@ -411,13 +411,13 @@ int sbgp_jacobi_converge(
             for (int64_t i = 0; i < nf; i++) {
                 const int64_t u = front[i];
                 uint64_t word = cand[u];
-                if (worse[u]) {
+                if (scan[u]) {
                     word = UINT64_MAX;
                     for (int64_t e = node_ptr[u]; e < node_ptr[u + 1]; e++) {
                         const uint64_t w = sbgp_offer_word(&o, e);
                         word = w < word ? w : word;
                     }
-                    worse[u] = 0;
+                    scan[u] = 0;
                 }
                 best[u] = cand[u] = word;
                 if (word == UINT64_MAX) {
@@ -481,7 +481,7 @@ int sbgp_jacobi_converge(
                     const int64_t e = rev_edge[j];
                     const uint64_t word = sbgp_offer_word(&o, e);
                     if ((uint32_t)best[u] == tie_rank[e])
-                        worse[u] |= word > best[u];   /* its best source */
+                        scan[u] |= word > best[u];   /* its best source: scan if worse */
                     else if (word >= cand[u])
                         continue;
                     cand[u] = word < cand[u] ? word : cand[u];
