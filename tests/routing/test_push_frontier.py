@@ -70,13 +70,16 @@ def _graph(names, providers, peerings=()):
 
 class _Case:
     """One chunk to converge: a graph, its policy and deployment state,
-    the starting labels, pins, adversaries and leak flag."""
+    the pins, the starting labels (blank by default), adversaries and
+    leak flag."""
 
-    def __init__(self, graph, policy, secure, labels, pins, attackers=None, leak=False):
+    def __init__(self, graph, policy, secure, pins, labels=None, attackers=None,
+                 leak=False):
         self.cg = CompiledGraph.from_graph(graph)
         self.policy = get_policy(policy)
         self.secure = secure
-        self.labels, self.pins = labels, pins
+        self.pins = pins
+        self.labels = self.driver("numpy").blank(len(pins)) if labels is None else labels
         self.attackers, self.leak = attackers, leak
 
     def driver(self, tier: str) -> JacobiDriver:
@@ -129,11 +132,7 @@ def _toward(graph, at, policy, secure_names):
     secure = np.zeros(graph.n, dtype=bool)
     secure[[at[name] for name in secure_names]] = True
     d = at["d"]
-    labels = JacobiDriver(
-        CompiledGraph.from_graph(graph), get_policy(policy), secure, secure,
-    ).blank(1)
-    pins = pin_table(1, (d, PIN_ROUTE, _SELF, 0, secure[d], 0))
-    return _Case(graph, policy, secure, labels, pins)
+    return _Case(graph, policy, secure, pin_table(1, (d, PIN_ROUTE, _SELF, 0, secure[d], 0)))
 
 
 @pytest.mark.skipif(not FRONTIER_TIERS, reason="no frontier tier loads")
@@ -197,7 +196,7 @@ class TestPushBranches:
             (leaker, PIN_ALL, route[0], route[1], route[2], True),
         )
         case = _Case(
-            graph, "security_3rd", honest.secure, labels, pins,
+            graph, "security_3rd", honest.secure, pins, labels,
             attackers=np.array([leaker], dtype=np.int64), leak=True,
         )
         before = _label(labels, x)
