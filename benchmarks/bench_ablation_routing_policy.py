@@ -45,7 +45,7 @@ def test_ablation_routing_policy(benchmark, env, capsys):
         }
         rows = []
         for name, cache in caches.items():
-            stats = collect_tiebreak_stats(graph, dest_routing=cache.dest_routing)
+            stats = collect_tiebreak_stats(graph, cache=cache)
             result = run_deployment(
                 graph, adopters, SimulationConfig(theta=THETA), cache
             )

@@ -14,7 +14,7 @@ from repro.routing.tiebreak import collect_tiebreak_stats
 
 def test_fig10_tiebreak_distribution(benchmark, env, capsys):
     stats = benchmark.pedantic(
-        lambda: collect_tiebreak_stats(env.graph, dest_routing=env.cache.dest_routing),
+        lambda: collect_tiebreak_stats(env.graph, cache=env.cache),
         rounds=1, iterations=1,
     )
     rows = [[size, count] for size, count in sorted(stats.histogram.items())][:12]

@@ -15,9 +15,7 @@ from repro.routing.tiebreak import (
 
 def test_sec67_security_sensitive_fraction(benchmark, env, capsys):
     def measure():
-        stats = collect_tiebreak_stats(
-            env.graph, dest_routing=env.cache.dest_routing
-        )
+        stats = collect_tiebreak_stats(env.graph, cache=env.cache)
         return stats, security_sensitive_decision_fraction(env.graph, stats)
 
     stats, fraction = benchmark.pedantic(measure, rounds=1, iterations=1)

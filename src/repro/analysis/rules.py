@@ -136,8 +136,8 @@ class PrivateRoutingAccess(Rule):
     code = "RPR003"
     name = "private-cache-access"
     message = (
-        "private RoutingCache state (._parts/._arena) touched outside "
-        "repro.routing; use the public API (dest_routing/pools_for/build_pools/"
+        "private RoutingCache state (._assembly/._arena) touched outside "
+        "repro.routing; use the public API (pools_for/build_pools/"
         "install_arena/ensure_arena/stats/pending_runs)"
     )
     rationale = (
@@ -146,7 +146,7 @@ class PrivateRoutingAccess(Rule):
         "Outside access bypasses state-digest keying and corrupts cache provenance."
     )
 
-    _PRIVATE = frozenset({"_parts", "_arena"})
+    _PRIVATE = frozenset({"_assembly", "_arena"})
 
     def visit_attribute(self, ctx: FileContext, node: ast.Attribute) -> None:
         if node.attr in self._PRIVATE and not ctx.in_package("repro.routing"):

@@ -386,7 +386,7 @@ def _cmd_sweep(env, args) -> None:
 
 
 def _cmd_tiebreak(env, args) -> None:
-    stats = collect_tiebreak_stats(env.graph, dest_routing=env.cache.dest_routing)
+    stats = collect_tiebreak_stats(env.graph, cache=env.cache)
     print(f"mean tiebreak set: {stats.mean:.2f} (ISPs {stats.mean_isp:.2f}, "
           f"stubs {stats.mean_stub:.2f})")
     print(f"multi-path pairs: {stats.multi_path_fraction:.1%} "
@@ -554,9 +554,9 @@ def _cmd_graph_stats(env, args) -> None:
     print("top-5 by degree:", top_by_degree(env.graph, 5))
     cs = env.cache.stats()
     print(format_table(
-        ["policy", "backend", "hits", "misses", "builds", "installs", "warm s",
+        ["policy", "backend", "builds", "installs", "warm s",
          "cached", "fraction", "arena MiB", "state rebuilds"],
-        [[cs.policy, cs.backend, cs.hits, cs.misses, cs.builds, cs.installs,
+        [[cs.policy, cs.backend, cs.builds, cs.installs,
           f"{cs.warm_seconds:.2f}", f"{cs.cached}/{cs.total}",
           f"{cs.cached_fraction:.1%}", f"{cs.arena_bytes / 2**20:.1f}",
           cs.state_rebuilds]],

@@ -630,43 +630,32 @@ def per_destination_turn_off_gains(
     still runs S*BGP; it just downgrades announcements for one
     destination), so only the ISP's own flag flips here.
     """
-    flips = {isp: False}
     node_secure_new = rd.node_secure.copy()
     node_secure_new[isp] = False
     breaks_new = deriver.breaks_ties(node_secure_new)
-    w = cache.graph.weights
-
-    gains: dict[int, float] = {}
     secure_pos = rd.secure_dest_positions
     if not len(secure_pos):
-        return gains
+        return {}
     # only destinations where isp currently has a secure chosen path can
     # react to the downgrade (valid under every policy: with no secure
     # chosen path, isp's selection and its announcements' security are
     # already what the downgrade would make them)
     has_secure = rd.sec_matrix[secure_pos, isp]
-    candidates = [
-        int(pos) for pos in secure_pos[has_secure]
-        if cache.destinations[pos] != isp
-    ]
-    if not candidates:
-        return gains
+    cands = secure_pos[has_secure]
+    cands = cands[rd.arena.dest_ids[cands] != isp]
+    if not len(cands):
+        return {}
     if cache.policy.state_dependent:
-        # incremental propagation is tiebreak-only
+        # the structures move with the state: rebuilt under the flip
         deltas = _rebuilt_deltas(
-            cache, rd, np.asarray(candidates, dtype=np.int64), isp,
-            node_secure_new, breaks_new, UtilityModel.INCOMING,
+            cache, rd, cands, isp, node_secure_new, breaks_new, UtilityModel.INCOMING,
         )
-        return {
-            cache.destinations[pos]: delta
-            for pos, delta in zip(candidates, deltas.tolist()) if delta > 0
-        }
-    for pos in candidates:
-        dest = cache.destinations[pos]
-        delta = _incremental_delta(
-            rd.dest_state(pos), node_secure_new, breaks_new, flips, isp,
-            UtilityModel.INCOMING, w,
+    else:
+        deltas = _resolved_deltas(
+            rd.arena, cands, rd, cands, isp, node_secure_new, breaks_new,
+            cache.graph.weights, UtilityModel.INCOMING,
         )
-        if delta > 0:
-            gains[dest] = delta
-    return gains
+    return {
+        cache.destinations[pos]: delta
+        for pos, delta in zip(cands.tolist(), deltas.tolist()) if delta > 0
+    }

@@ -74,7 +74,7 @@ def _fig8(env: ExperimentEnv) -> str:
 
 
 def _fig10(env: ExperimentEnv) -> str:
-    stats = collect_tiebreak_stats(env.graph, dest_routing=env.cache.dest_routing)
+    stats = collect_tiebreak_stats(env.graph, cache=env.cache)
     frac = security_sensitive_decision_fraction(env.graph, stats)
     return (
         f"Fig 10 / sec 6.6-6.7: mean tiebreak {stats.mean:.2f} "

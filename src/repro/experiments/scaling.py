@@ -49,9 +49,7 @@ def run_scaling_study(
         env = build_environment(n=n, seed=seed, x=x)
         summary = summarize(env.graph)
         sample = list(range(0, env.graph.n, max(1, env.graph.n // tiebreak_sample)))
-        stats = collect_tiebreak_stats(
-            env.graph, destinations=sample, dest_routing=env.cache.dest_routing
-        )
+        stats = collect_tiebreak_stats(env.graph, destinations=sample, cache=env.cache)
         result = run_deployment(
             env.graph,
             env.case_study_adopters(),

@@ -125,13 +125,12 @@ def build_environment(
             len(cache.destinations), graph.n, backend=cache.backend_name
         )
         if not guard.fits_memory(estimate):
-            # last ladder rung: skip the eager warm + arena entirely and
-            # let trees build lazily per destination as rounds touch them
+            # last ladder rung: skip the eager warm + arena entirely; the
+            # first use (a round's ensure_arena()) runs the warm instead
             guard.degrade(
                 "lazy_warm",
                 f"eager warm needs ~{estimate} bytes for the pooled arena, "
-                "over the memory budget; deferring to lazy per-destination "
-                "builds",
+                "over the memory budget; deferring the warm to the first use",
             )
         else:
             cache.warm()

@@ -3,14 +3,12 @@
 Under state-independent policies (Observation C.1: SecP ranked last)
 the structures are reusable across deployment states, so a simulation
 computes them once and keeps them for every round and every projected
-state.  What the cache stores is pooled: while it fills, the
-destination chunks a warm built, in the
-:class:`~repro.routing.tree.PoolsAssembly` that becomes the
-:class:`~repro.routing.arena.RoutingArena` once a round needs them all
-(plus :class:`~repro.routing.tree.StructurePools` of the chunks a
-per-destination consumer asked for first).  A
-:class:`~repro.routing.tree.DestRouting` is a view, made when a
-per-destination consumer asks :meth:`RoutingCache.dest_routing` for one.
+state.  The cache fills one way: a warm builds destination chunks into
+the :class:`~repro.routing.tree.PoolsAssembly` that becomes the
+:class:`~repro.routing.arena.RoutingArena` once a round needs them all.
+Consumers read ``(pools, slots)`` pairs (:meth:`RoutingCache.pools_for`);
+one that works a destination at a time takes the arena's
+:class:`~repro.routing.tree.DestRouting` view of its slot.
 
 The cache is bound to one :class:`~repro.routing.policy.RoutingPolicy`
 for its lifetime; the policy name travels with every structure it hands
@@ -37,7 +35,6 @@ from repro.routing.arena import RoutingArena
 from repro.routing.compiled import CompiledGraph
 from repro.routing.policy import RoutingPolicy, get_policy
 from repro.routing.tree import (
-    DestRouting,
     PoolsAssembly,
     StructurePools,
     chunk_rows,
@@ -60,20 +57,17 @@ def state_digest(node_secure: np.ndarray, breaks_ties: np.ndarray) -> str:
 class CacheStats:
     """Public accounting for one :class:`RoutingCache` instance.
 
-    ``hits`` and ``misses`` count :meth:`RoutingCache.dest_routing`
-    lookups and the destinations a build had to cover; nothing on the
-    warm, arena or round path looks a destination up.  ``warm_seconds``
-    sums build time; ``installs`` counts destinations of arenas adopted
-    ready-made through :meth:`RoutingCache.install_arena` (the service
-    shares one across jobs), which cost this cache no build.
-    ``state_rebuilds`` counts
+    ``builds`` counts the destinations a build had to cover, whether a
+    warm kept them or :meth:`RoutingCache.pools_for` answered them;
+    ``warm_seconds`` sums build time; ``installs`` counts destinations
+    of arenas adopted ready-made through
+    :meth:`RoutingCache.install_arena` (the service shares one across
+    jobs), which cost this cache no build.  ``state_rebuilds`` counts
     full drop-and-rebuild cycles triggered by deployment-state changes
     (always 0 for state-independent policies); ``arena_bytes`` is the
     pooled arena's footprint (0 until one is built).
     """
 
-    hits: int
-    misses: int
     builds: int
     installs: int
     warm_seconds: float
@@ -88,12 +82,6 @@ class CacheStats:
     def cached_fraction(self) -> float:
         """Fraction of this cache's destinations already computed."""
         return self.cached / self.total if self.total else 1.0
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over all lookups (NaN-free: 0.0 before any lookup)."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
 
 
 class RoutingCache:
@@ -138,15 +126,8 @@ class RoutingCache:
         self._dest_pos = {d: k for k, d in enumerate(self.destinations)}
         #: destinations per chunk: the cache builds runs of
         #: ``destinations`` cut where :func:`destination_chunks` cuts
-        #: them, so a miss builds its chunk once and the arena is
-        #: assembled from the chunks
+        #: them, and the arena is assembled from the chunks
         self.rows_per_chunk = chunk_rows(self.compiled)
-        #: per chunk, pools a per-destination consumer was handed (a
-        #: lazy miss builds them); all None again once the arena holds
-        #: them
-        self._parts: list[StructurePools | None] = [None] * len(
-            range(0, len(self.destinations), self.rows_per_chunk)
-        )
         #: the arena under construction: the chunks a warm built
         self._assembly: PoolsAssembly | None = None
         self._arena: RoutingArena | None = None
@@ -161,8 +142,6 @@ class RoutingCache:
             # pre-warmed simulation is not a spurious rebuild
             empty = np.zeros(graph.n, dtype=bool)
             self._state_key = state_digest(empty, empty)
-        self._hits = 0
-        self._misses = 0
         self._builds = 0
         self._installs = 0
         self._state_rebuilds = 0
@@ -208,10 +187,8 @@ class RoutingCache:
     def _account(self, dests: int, elapsed: float) -> None:
         """Count a build of ``dests`` destinations that took ``elapsed``."""
         registry = get_registry()
-        self._misses += dests
         self._builds += dests
         self._warm_seconds += elapsed
-        registry.counter("routing.cache.misses").inc(dests)
         registry.counter("routing.tree_builds").inc(dests)
         hist = registry.histogram("routing.tree_build_seconds")
         for _ in range(dests):  # one observation per tree, whatever built it
@@ -229,10 +206,11 @@ class RoutingCache:
             "backend": self.backend_name,
         }
 
-    def _chunk(self, index: int) -> range:
-        """Positions in ``destinations`` of chunk ``index``."""
-        start = index * self.rows_per_chunk
-        return range(start, min(start + self.rows_per_chunk, len(self.destinations)))
+    def _chunks(self) -> Iterator[range]:
+        """Positions in ``destinations`` of each chunk, in order."""
+        total = len(self.destinations)
+        for start in range(0, total, self.rows_per_chunk):
+            yield range(start, min(start + self.rows_per_chunk, total))
 
     def pools_for(self, dests: Iterable[int]) -> Iterator[tuple[StructurePools, np.ndarray]]:
         """``(pools, slots)`` pairs that together hold the structures of
@@ -247,37 +225,9 @@ class RoutingCache:
         for chunk in destination_chunks(self.compiled, others):
             yield self.build_pools(chunk), np.arange(len(chunk))
 
-    def dest_routing(self, dest: int) -> DestRouting:
-        """The :class:`DestRouting` view for ``dest``, for consumers
-        that work one destination at a time (its chunk is built on
-        first use)."""
-        pos = self._dest_pos.get(dest)
-        if pos is None:
-            return self.build_pools([dest]).view(0)
-        if self._arena is not None:
-            self._hit()
-            return self._arena.view(pos)
-        index, offset = divmod(pos, self.rows_per_chunk)
-        if self._parts[index] is not None:
-            self._hit()
-        elif self._assembled(index):
-            self._hit()
-            self._parts[index] = self._assembly.pools_of(self._chunk(index).start)
-        else:
-            chunk = self._chunk(index)
-            self._parts[index] = self.build_pools(self.destinations[chunk.start:chunk.stop])
-        return self._parts[index].view(offset)
-
-    def _hit(self) -> None:
-        self._hits += 1
-        get_registry().counter("routing.cache.hits").inc()
-
-    def _assembled(self, index: int) -> bool:
-        """Whether a warm built chunk ``index`` into the assembly."""
-        return self._assembly is not None and self._assembly.has(self._chunk(index).start)
-
-    def _built(self, index: int) -> bool:
-        return self._parts[index] is not None or self._assembled(index)
+    def _assembled(self, chunk: range) -> bool:
+        """Whether a warm built ``chunk`` into the assembly."""
+        return self._assembly is not None and self._assembly.has(chunk.start)
 
     def warm(self) -> None:
         """Build every chunk of ``destinations`` not built yet, into the
@@ -293,10 +243,9 @@ class RoutingCache:
             return
         if self._assembly is None:
             self._assembly = PoolsAssembly(self.graph.n, self.destinations)
-        for index in range(len(self._parts)):
-            if not self._built(index):
+        for chunk in self._chunks():
+            if not self._assembled(chunk):
                 current_guard().check_deadline("cache warm")
-                chunk = self._chunk(index)
                 dests = np.asarray(self.destinations[chunk.start:chunk.stop], dtype=np.int64)
                 start = time.perf_counter()
                 self.policy.build_into(
@@ -312,7 +261,7 @@ class RoutingCache:
 
         No-op (returns False) for state-independent policies and when
         the state matches what is already cached.  Otherwise every
-        structure — chunk pools and the arena — is dropped and rebuilt
+        structure — the warm's chunks and the arena — is dropped and rebuilt
         under the new state; returns True.  Callers on the round loop
         invoke this before :meth:`ensure_arena`.
         """
@@ -325,10 +274,10 @@ class RoutingCache:
         self._breaks_ties = np.array(breaks_ties, dtype=bool)
         self._state_key = key
         had_arena = self._arena is not None
-        if had_arena or any(map(self._built, range(len(self._parts)))):
+        if had_arena or any(map(self._assembled, self._chunks())):
             self._state_rebuilds += 1
             get_registry().counter("routing.cache.state_rebuilds").inc()
-        self._drop_chunks()
+        self._assembly = None
         self._arena = None
         if had_arena:
             self.ensure_arena()
@@ -344,16 +293,12 @@ class RoutingCache:
 
         The warm leaves the chunks in an assembly whose dense fields
         are already the arena's; the pools are allocated once, at their
-        final size, each chunk's slices filled (or copied in from pools
-        a lazy miss built), and the chunks released.  Idempotent after
-        the first call; a shared arena installed via
+        final size, each chunk's slices filled, and the chunks released.
+        Idempotent after the first call; a shared arena installed via
         :meth:`install_arena` is reused as-is.
         """
         if self._arena is None:
             self.warm()
-            for index, part in enumerate(self._parts):
-                if part is not None and not self._assembled(index):
-                    self._assembly.take(self._chunk(index).start, part)
             start = time.perf_counter()
             arena = RoutingArena.assembled(self._assembly, **self._arena_args())
             self._warm_seconds += time.perf_counter() - start
@@ -389,12 +334,8 @@ class RoutingCache:
 
     def _adopt_arena(self, arena: RoutingArena) -> None:
         self._arena = arena
-        self._drop_chunks()
-        get_registry().gauge("routing.arena.bytes").set(arena.nbytes)
-
-    def _drop_chunks(self) -> None:
-        self._parts = [None] * len(self._parts)
         self._assembly = None
+        get_registry().gauge("routing.arena.bytes").set(arena.nbytes)
 
     def pending_runs(self) -> list[tuple[int, int]]:
         """Maximal ``(start, stop)`` runs of positions in
@@ -402,9 +343,8 @@ class RoutingCache:
         if self._arena is not None:
             return []
         runs: list[tuple[int, int]] = []
-        for index in range(len(self._parts)):
-            if not self._built(index):
-                chunk = self._chunk(index)
+        for chunk in self._chunks():
+            if not self._assembled(chunk):
                 if runs and runs[-1][1] == chunk.start:
                     runs[-1] = (runs[-1][0], chunk.stop)
                 else:
@@ -412,11 +352,9 @@ class RoutingCache:
         return runs
 
     def stats(self) -> CacheStats:
-        """Current :class:`CacheStats` (hits, misses, warm time, fill)."""
+        """Current :class:`CacheStats` (builds, warm time, fill)."""
         total = len(self.destinations)
         return CacheStats(
-            hits=self._hits,
-            misses=self._misses,
             builds=self._builds,
             installs=self._installs,
             warm_seconds=self._warm_seconds,

@@ -11,12 +11,13 @@ suffices to drive deployment.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
-from repro.routing.compiled import CompiledGraph
-from repro.routing.tree import DestRouting, chunk_pools, route_labels
+from repro.routing.cache import RoutingCache
+from repro.routing.compiled import CompiledGraph, segment_index
+from repro.routing.tree import destination_chunks, route_labels
 from repro.topology.graph import ASGraph
 from repro.topology.relationships import ASRole
 
@@ -49,41 +50,39 @@ class TiebreakStats:
 def collect_tiebreak_stats(
     graph: ASGraph,
     destinations: Iterable[int] | None = None,
-    dest_routing: Callable[[int], DestRouting] | None = None,
+    cache: RoutingCache | None = None,
 ) -> TiebreakStats:
     """Tiebreak-set statistics over all sources and the given destinations.
 
     ``destinations`` defaults to every node; pass a sample for speed.
-    ``dest_routing`` lets callers supply cached :class:`DestRouting`
-    structures (:meth:`repro.routing.cache.RoutingCache.dest_routing`,
-    which keeps nothing for a destination outside its list).
+    Tiebreak-set sizes are read from pooled structures a chunk of slots
+    at a time: ``cache``'s arena for the destinations on its list, pools
+    built and dropped for the others (the default policy without a
+    cache).
     """
+    cache = cache or RoutingCache(graph, destinations=[])
     if destinations is None:
         destinations = range(graph.n)
-    # (node, tiebreak-set size) per routed row, a batch at a time
-    if dest_routing is None:  # built as the loop gets there, a chunk at a time
-        batches = (
-            (pools.order_pool, pools.row_sizes(0, pools.num_dests))
-            for pools in chunk_pools(CompiledGraph.from_graph(graph), destinations)
-        )
-    else:
-        batches = (
-            (dr.order, dr.tiebreak_sizes()) for dr in map(dest_routing, destinations)
-        )
 
     # pairs[size, role]: how many (source, destination) pairs have a
     # tiebreak set of that size at a source of that role (a set cannot
-    # outgrow the graph); one flat bincount per batch.  Only a
+    # outgrow the graph); one flat bincount per chunk of slots, over the
+    # (node, tiebreak-set size) of each slot's rows.  Only a
     # destination's own row holds no candidate, and it is no source.
     num_roles = len(ASRole)
     roles = np.asarray(graph.roles, dtype=np.int64)
     pairs = np.zeros((graph.n + 1, num_roles), dtype=np.int64)
-    for nodes, sizes in batches:
-        sources = sizes > 0
-        pairs += np.bincount(
-            sizes[sources] * num_roles + roles[nodes[sources]],
-            minlength=pairs.size,
-        ).reshape(pairs.shape)
+    for pools, slots in cache.pools_for(destinations):
+        for part in destination_chunks(cache.compiled, slots):
+            counts = pools.order_ptr[part + 1] - pools.order_ptr[part]
+            nodes = pools.order_pool[segment_index(pools.order_ptr[part], counts)]
+            rows = segment_index(pools.indptr_ptr[part], counts)
+            sizes = pools.indptr_pool[rows + 1] - pools.indptr_pool[rows]
+            sources = sizes > 0
+            pairs += np.bincount(
+                sizes[sources] * num_roles + roles[nodes[sources]],
+                minlength=pairs.size,
+            ).reshape(pairs.shape)
     by_size = pairs.sum(axis=1)
 
     def totals(sizes: np.ndarray) -> tuple[int, int, int]:

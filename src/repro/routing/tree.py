@@ -517,25 +517,6 @@ class PoolsAssembly:
             dense[name][lo:hi] = getattr(pools, name)
         self._chunks[lo] = (hi, {pool: getattr(pools, pool) for _, pool in _POOLS})
 
-    def pools_of(self, lo: int) -> StructurePools:
-        """The chunk that starts at slot ``lo`` as pools of its own, for
-        a consumer that cannot wait for :meth:`finish`: the chunk's
-        dense rows (views) with its built pools, or, for a labelled
-        chunk, pools filled into arrays of their own."""
-        hi, source = self._chunks[lo]
-        if isinstance(source, StructurePools):
-            return source
-        dense = self._dense_fields()
-        arrays = {name: dense[name][lo:hi] for name in ("dest_ids", *_DENSE)}
-        arrays |= _ptr_tables(self.sizes[lo:hi])
-        if isinstance(source, dict):
-            return StructurePools(arrays | source)
-        arrays["row_of"] = np.empty((hi - lo, self.n), dtype=np.int32)
-        arrays |= {pool: _pool(arrays, ptr, pool) for ptr, pool in _POOLS}
-        kernels, cg = source
-        kernels.structure_pools(cg, arrays)
-        return StructurePools(arrays)
-
     def finish(self) -> dict[str, np.ndarray]:
         """Every field of every slot.  The pools are allocated from the
         sizes a field at a time, each built chunk's share copied in and

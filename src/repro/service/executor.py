@@ -93,7 +93,7 @@ def _build_env(spec: JobSpec, cache: ResultCache) -> ExperimentEnv:
         guard.degrade(
             "lazy_warm",
             f"eager warm needs ~{estimate} bytes for the pooled arena, over "
-            "the job's memory budget; deferring to lazy per-destination builds",
+            "the job's memory budget; deferring the warm to the first use",
         )
         return env
     cache.put_arena(key, env.cache.ensure_arena())

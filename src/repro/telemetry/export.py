@@ -41,7 +41,7 @@ def render_prometheus(snapshot: dict, prefix: str = "repro") -> str:
     """Render a snapshot in the Prometheus text exposition format.
 
     Dotted metric names become underscore-separated
-    (``routing.cache.hits`` -> ``repro_routing_cache_hits``); histogram
+    (``routing.tree_builds`` -> ``repro_routing_tree_builds``); histogram
     buckets render cumulatively with the standard ``le`` label.
     """
     lines: list[str] = []

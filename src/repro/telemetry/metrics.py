@@ -12,7 +12,7 @@ The registry model is deliberately two-tier:
   real and snapshots to plain dicts (rendered and written by
   :mod:`repro.telemetry.export`).
 
-Instruments are identified by dotted names (``routing.cache.hits``);
+Instruments are identified by dotted names (``routing.tree_builds``);
 asking a registry twice for the same name returns the same instrument,
 so call sites may re-resolve freely or cache handles, whichever reads
 better.

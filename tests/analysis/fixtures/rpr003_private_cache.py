@@ -6,8 +6,8 @@ by module-override tests in test_rules.py.
 """
 
 
-def bad_peek_parts(cache) -> int:
-    return len(cache._parts)  # expect: RPR003
+def bad_peek_assembly(cache) -> int:
+    return len(cache._assembly)  # expect: RPR003
 
 
 def bad_grab_arena(cache) -> object:
@@ -15,11 +15,11 @@ def bad_grab_arena(cache) -> object:
 
 
 def bad_clobber(cache) -> None:
-    cache._parts = []  # expect: RPR003
+    cache._assembly = []  # expect: RPR003
 
 
 def waived_peek(cache) -> int:
-    return len(cache._parts)  # repro-lint: disable=RPR003 -- fixture waiver
+    return len(cache._assembly)  # repro-lint: disable=RPR003 -- fixture waiver
 
 
 def clean_public_api(cache) -> int:

@@ -68,8 +68,8 @@ def small_chunks(monkeypatch) -> None:
     """Destination chunks of a few rows on the small test topologies
     (one chunk holds hundreds of their destinations otherwise), for
     tests about what happens *between* chunks: a warm checks its
-    deadline there, a lazy miss builds one, a map over runs of chunks
-    has several to hand out.  Forked workers inherit the patched
+    deadline there, a map over runs of chunks has several to hand
+    out.  Forked workers inherit the patched
     size."""
     monkeypatch.setattr(tree_module, "_CHUNK_CELLS", 1 << 12)
 

@@ -105,20 +105,39 @@ class TestNoPerDestinationObjects:
         from repro.experiments.setup import build_environment
 
         env = build_environment(n=300)
-        hits = env.cache.stats().hits
         result = run_deployment(
             env.graph, env.case_study_adopters(), SimulationConfig(theta=0.05),
             cache=env.cache,
         )
         assert result.num_rounds >= 2
         assert constructed == {"DestRouting": 0, "DestState": 0, "RoutingTree": 0}
-        assert env.cache.stats().hits == hits
         report = run_case_study(env)  # the census reads pools
         assert report.table1.total_contested > 0
         assert constructed == {"DestRouting": 0, "DestState": 0, "RoutingTree": 0}
-        assert env.cache.stats().hits == hits
         # the counters count: a per-destination consumer makes one view
-        env.cache.dest_routing(5)
-        env.cache.dest_routing(5)
+        arena = env.cache.ensure_arena()
+        arena.view(env.cache.dest_pos(5))
+        arena.view(env.cache.dest_pos(5))
         assert constructed["DestRouting"] == 1
-        assert env.cache.stats().hits == hits + 2
+
+    def test_per_destination_turn_off_census_constructs_none(self, constructed):
+        """§7.3's gains resolve every candidate destination of an ISP as
+        one stack, and Fig 10's statistics read pooled chunks."""
+        from repro.core.config import SimulationConfig
+        from repro.core.dynamics import run_deployment
+        from repro.experiments.setup import build_environment
+        from repro.experiments.turnoff import per_destination_turn_off_census
+        from repro.routing.tiebreak import collect_tiebreak_stats
+
+        env = build_environment(n=300)
+        result = run_deployment(
+            env.graph, env.case_study_adopters(), SimulationConfig(theta=0.05),
+            cache=env.cache,
+        )
+        for stub_breaks_ties in (False, True):
+            census = per_destination_turn_off_census(
+                env, result.final_state, stub_breaks_ties=stub_breaks_ties
+            )
+            assert census.num_secure_isps > 0
+        assert collect_tiebreak_stats(env.graph, cache=env.cache).mean > 1.0
+        assert constructed == {"DestRouting": 0, "DestState": 0, "RoutingTree": 0}

@@ -43,8 +43,9 @@ class TestBuildEnvironment:
     def test_unwarmed_cache_lazy(self):
         env = build_environment(n=100, seed=9, warm=False)
         assert env.cache.stats().cached == 0
-        env.cache.dest_routing(3)
-        assert env.cache.stats().cached == min(env.cache.rows_per_chunk, 100)
+        assert env.cache.arena is None
+        env.cache.ensure_arena()  # the first use runs the warm
+        assert env.cache.stats().cached == 100
 
 
 class TestDestinationSampling:

@@ -71,7 +71,7 @@ class TestFig1:
         from repro.routing.policy import RouteClass
 
         n = g.index(8866)
-        cls_31420 = cache.dest_routing(g.index(31420)).cls[n]
-        cls_22822 = cache.dest_routing(g.index(22822)).cls[n]
+        cls_31420 = cache.ensure_arena().view(cache.dest_pos(g.index(31420))).cls[n]
+        cls_22822 = cache.ensure_arena().view(cache.dest_pos(g.index(22822))).cls[n]
         assert cls_31420 == int(RouteClass.CUSTOMER)
         assert cls_22822 != int(RouteClass.CUSTOMER)

@@ -31,7 +31,8 @@ class TestCacheWarming:
         parallel_warm_cache(parallel, workers=2)
         assert serial.stats().builds == parallel.stats().builds == 120
         for dest in (0, 13, 77):
-            a, b = serial.dest_routing(dest), parallel.dest_routing(dest)
+            a = serial.ensure_arena().view(serial.dest_pos(dest))
+            b = parallel.ensure_arena().view(parallel.dest_pos(dest))
             assert (a.order == b.order).all()
             assert (a.indptr == b.indptr).all()
             assert (a.cands == b.cands).all()

@@ -391,7 +391,7 @@ class TestSubtreeWeightsBincount:
             )
 
     def test_bincount_matches_add_at_on_cache(self, small_graph, small_cache):
-        dr = small_cache.dest_routing(5)
+        dr = small_cache.ensure_arena().view(small_cache.dest_pos(5))
         none = np.zeros(small_graph.n, dtype=bool)
         tree = compute_tree(dr, none, none)
         np.testing.assert_array_equal(

@@ -29,8 +29,8 @@ class TestCompiledGraph:
 class TestRoutingCache:
     def test_lazy_and_stable(self, small_graph):
         cache = RoutingCache(small_graph)
-        a = cache.dest_routing(4)
-        b = cache.dest_routing(4)
+        a = cache.ensure_arena().view(cache.dest_pos(4))
+        b = cache.ensure_arena().view(cache.dest_pos(4))
         assert a is b
 
     def test_destination_subset(self, small_graph):
@@ -58,6 +58,9 @@ class TestRoutingCache:
     def test_warm_is_incremental(self):
         top = generate_topology(n=60, seed=19)
         cache = RoutingCache(top.graph)
-        first = cache.dest_routing(5)
         cache.warm()
-        assert cache.dest_routing(5) is first  # not recomputed
+        cache.warm()
+        first = cache.ensure_arena().view(cache.dest_pos(5))
+        cache.warm()
+        assert cache.ensure_arena().view(cache.dest_pos(5)) is first  # not recomputed
+        assert cache.stats().builds == top.graph.n

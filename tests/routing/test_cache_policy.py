@@ -75,7 +75,7 @@ class TestStateKeying:
     def test_state_dependent_rebuilds_on_flip(self, small_graph):
         cache = RoutingCache(small_graph, policy="security_2nd")
         cache.warm()
-        before = cache.dest_routing(3)
+        before = cache.ensure_arena().view(cache.dest_pos(3))
         empty = np.zeros(small_graph.n, dtype=bool)
         # round 0 of a pre-warmed simulation: all-insecure is what the
         # structures were built under, so nothing should rebuild
@@ -87,7 +87,7 @@ class TestStateKeying:
         assert cache.ensure_state(secure, secure) is True
         assert cache.stats().state_rebuilds == 1
         assert cache.state_key == state_digest(secure, secure)
-        after = cache.dest_routing(3)
+        after = cache.ensure_arena().view(cache.dest_pos(3))
         assert after is not before
         assert after.policy == "security_2nd"
         # same state again: a no-op
@@ -108,13 +108,13 @@ class TestStateKeying:
         """The point of state keying: under security_2nd a deployment
         flip changes selected classes/lengths for some destination."""
         cache = RoutingCache(small_graph, policy="security_2nd")
-        insecure = {d: cache.dest_routing(d).lengths.copy()
+        insecure = {d: cache.ensure_arena().view(cache.dest_pos(d)).lengths.copy()
                     for d in range(0, small_graph.n, 7)}
         secure = np.zeros(small_graph.n, dtype=bool)
         secure[::2] = True
         cache.ensure_state(secure, secure)
         changed = any(
-            (cache.dest_routing(d).lengths != lengths).any()
+            (cache.ensure_arena().view(cache.dest_pos(d)).lengths != lengths).any()
             for d, lengths in insecure.items()
         )
         assert changed

@@ -127,7 +127,7 @@ class TestSubtreeWeights:
         assert w[g.index(4)] == pytest.approx(5.0 + 1.0 + 1.0)
 
     def test_weights_exclude_self(self, small_graph, small_cache):
-        dr = small_cache.dest_routing(11)
+        dr = small_cache.ensure_arena().view(small_cache.dest_pos(11))
         none = np.zeros(small_graph.n, dtype=bool)
         tree = compute_tree(dr, none, none)
         w = subtree_weights(dr, tree, small_graph.weights)

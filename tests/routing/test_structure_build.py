@@ -10,7 +10,7 @@ one-destination passes and packaging of ``repro.routing.tree``),
 they called.  Everything the batched path produces must
 equal them bit for bit: dtype, shape and bytes of all 12 pooled fields
 — whichever way a cache came
-by its pools (a warm, a resumed warm, lazy misses in any order, worker
+by its pools (a warm, a resumed warm, a first ask out of order, worker
 processes).  The chunk build is a kernel of every backend tier, so each
 class that builds runs on numpy (its own name) and again on the python
 spec and on cext (``...OnPython`` / ``...OnCext``, which skip when the
@@ -522,23 +522,8 @@ class TestChunkAccounting:
         assert counters["routing.tree_builds"] == graph.n
         assert snap["histograms"]["routing.tree_build_seconds"]["count"] == graph.n
         stats = cache.stats()
-        assert (stats.builds, stats.misses, stats.installs) == (graph.n, graph.n, 0)
+        assert (stats.builds, stats.installs) == (graph.n, 0)
         assert stats.warm_seconds > 0
-
-    def test_lazy_miss_builds_its_chunk_once(self, small_graph, monkeypatch):
-        with use_registry(MetricsRegistry()) as registry:
-            cache = RoutingCache(small_graph)
-            _force_rows(monkeypatch, cache.compiled, 16)
-            cache = RoutingCache(small_graph)
-            first = cache.dest_routing(35)
-            assert cache.dest_routing(35) is first
-            assert cache.dest_routing(47).dest == 47  # same chunk
-            counters = registry.snapshot()["counters"]
-        assert counters["routing.structure.chunks"] == 1
-        assert counters["routing.tree_builds"] == 16
-        stats = cache.stats()
-        assert (stats.cached, stats.misses, stats.hits) == (16, 16, 2)
-        assert cache.pending_runs() == [(0, 32), (48, small_graph.n)]
 
     def test_deadline_between_chunks_keeps_finished_chunks(self, small_graph, monkeypatch):
         _force_rows(monkeypatch, CompiledGraph.from_graph(small_graph), 16)
@@ -556,12 +541,15 @@ class TestChunkAccounting:
     def test_a_destination_outside_the_list_is_answered_and_not_kept(self, small_graph):
         cache = RoutingCache(small_graph, destinations=[4, 9])
         cache.ensure_arena()
-        outside = cache.dest_routing(7)
+        ((pools, slots),) = cache.pools_for([7])
+        outside = pools.view(int(slots[0]))
         want = compute_dest_routing(small_graph, 7, cache.compiled)
         assert outside.dest == 7 and outside.cands.tobytes() == want.cands.tobytes()
-        assert cache.dest_routing(7) is not outside
+        ((again, _),) = cache.pools_for([7])
+        assert again is not pools
         stats = cache.stats()
-        assert (stats.cached, stats.total, stats.hits) == (2, 2, 0)
+        # both answers counted as builds, neither kept
+        assert (stats.cached, stats.total, stats.builds) == (2, 2, 4)
 
 
 class TestChunkAccountingOnPython(TestChunkAccounting):
@@ -649,10 +637,15 @@ class TestCachePoolsParity:
         assert cache.stats().builds == len(self.DESTS)  # nothing built twice
 
     def test_out_of_order_lazy_misses(self, policy_name, monkeypatch):
+        """An unwarmed cache asked for destinations out of order warms
+        on the first ask and hands out their slots in the order asked."""
         cache = self._cache(policy_name, monkeypatch)
-        for dest in (self.DESTS[40], self.DESTS[3], self.DESTS[46], self.DESTS[17]):
-            assert cache.dest_routing(dest).dest == dest
-        assert cache.pending_runs() == [(8, 16), (24, 40)]
+        want = _reference_for(policy_name, self.GRAPH, self.DESTS)
+        picks = [40, 3, 46, 17]
+        ((pools, slots),) = cache.pools_for([self.DESTS[pos] for pos in picks])
+        assert slots.tolist() == picks
+        for pos in picks:
+            _assert_slot_equal(pools.view(pos), want, pos)
         self._check(cache)
         assert cache.stats().builds == len(self.DESTS)
 
@@ -669,9 +662,8 @@ class TestCachePoolsParityOnCext(TestCachePoolsParity):
 class TestStoppedWarmHandsOutItsChunks:
     """A warm stopped by a deadline holds its chunks in the arena's
     assembly — labelled in place on the compiled tiers, built whole
-    everywhere else.  A per-destination consumer gets such a chunk's
-    views without a second build, and the arena assembled afterwards is
-    still the references', byte for byte."""
+    everywhere else.  The arena assembled afterwards builds only the
+    chunks still missing, and it is the references', byte for byte."""
 
     BACKEND = "numpy"
     GRAPH = TestCachePoolsParity.GRAPH
@@ -683,18 +675,9 @@ class TestStoppedWarmHandsOutItsChunks:
         guard = RuntimeGuard(deadline=Deadline(3.5, clock=lambda: next(ticks)))
         with use_guard(guard), pytest.raises(DeadlineExceeded):
             cache.warm()
-        stats = cache.stats()
-        assert 16 <= stats.cached < len(self.DESTS)
-        want = _reference_for(policy_name, self.GRAPH, self.DESTS)
-        views = {}
-        for pos in (0, 7, 9):   # the first two chunks, both warmed
-            views[pos] = view = cache.dest_routing(self.DESTS[pos])
-            _assert_slot_equal(view, want, pos)
-        assert cache.dest_routing(self.DESTS[7]) is views[7]
-        after = cache.stats()
-        assert (after.builds, after.hits) == (stats.builds, stats.hits + 4)
+        assert 16 <= cache.stats().cached < len(self.DESTS)
         TestCachePoolsParity._check(self, cache)
-        assert cache.stats().builds == len(self.DESTS)
+        assert cache.stats().builds == len(self.DESTS)  # each chunk built once
 
 
 class TestStoppedWarmHandsOutItsChunksOnPython(TestStoppedWarmHandsOutItsChunks):

@@ -104,16 +104,24 @@ class TestBincountMatchesLoop:
         assert collect_tiebreak_stats(graph) == _collect_tiebreak_stats_loop(graph)
 
 
-    def test_through_a_sampled_cache(self, small_graph):
-        """Views for the cache's own destinations, one-row builds for
-        the others — the same integers, and nothing kept for those."""
-        cache = RoutingCache(small_graph, destinations=list(range(0, small_graph.n, 9)))
-        sample = list(range(0, small_graph.n, 4))
-        assert collect_tiebreak_stats(
-            small_graph, sample, dest_routing=cache.dest_routing
-        ) == collect_tiebreak_stats(small_graph, sample)
-        stats = cache.stats()
-        assert stats.cached == stats.total == len(cache.destinations)
+    def test_through_a_sampled_cache(self, small_graph, small_chunks):
+        """The arena's slots for the cache's own destinations, transient
+        chunks for the others — the same integers whoever covers a
+        destination, and nothing kept for the ones off the list."""
+        n = small_graph.n
+        sampled = RoutingCache(small_graph, destinations=list(range(0, n, 9)))
+        full = RoutingCache(small_graph)
+        for dests in (
+            list(range(0, n, 4)),        # partly on the sampled list
+            [5, 3, 5, n - 1, 0, 9, 3],   # unsorted and repeated
+            list(range(1, n, 9)),        # all off the sampled list
+            None,
+        ):
+            want = _collect_tiebreak_stats_loop(small_graph, dests)
+            for cache in (None, full, sampled):
+                assert collect_tiebreak_stats(small_graph, dests, cache=cache) == want
+        stats = sampled.stats()
+        assert stats.cached == stats.total == len(sampled.destinations)
 
 
 class TestSmallGraph:
@@ -154,9 +162,7 @@ class TestPaperStatistics:
 
     @pytest.fixture(scope="class")
     def stats(self, small_graph, small_cache):
-        return collect_tiebreak_stats(
-            small_graph, dest_routing=small_cache.dest_routing
-        )
+        return collect_tiebreak_stats(small_graph, cache=small_cache)
 
     def test_mean_is_small(self, stats):
         # paper: mean 1.18 across pairs; generous bounds for synthetic

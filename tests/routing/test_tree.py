@@ -112,29 +112,29 @@ class TestRouteClasses:
 
 class TestDestRouting:
     def test_order_sorted_by_length(self, small_graph, small_cache):
-        dr = small_cache.dest_routing(0)
+        dr = small_cache.ensure_arena().view(small_cache.dest_pos(0))
         lengths = dr.lengths[dr.order]
         assert (np.diff(lengths) >= 0).all()
         assert dr.order[0] == 0
 
     def test_row_of_inverts_order(self, small_graph, small_cache):
-        dr = small_cache.dest_routing(5)
+        dr = small_cache.ensure_arena().view(small_cache.dest_pos(5))
         for row, node in enumerate(dr.order):
             assert dr.row_of[node] == row
 
     def test_tiebreak_candidates_one_level_down(self, small_cache):
-        dr = small_cache.dest_routing(17)
+        dr = small_cache.ensure_arena().view(small_cache.dest_pos(17))
         for node in dr.order[1:]:
             for cand in dr.tiebreak_set(int(node)):
                 assert dr.lengths[cand] == dr.lengths[node] - 1
 
     def test_every_reachable_node_has_candidates(self, small_cache):
-        dr = small_cache.dest_routing(3)
+        dr = small_cache.ensure_arena().view(small_cache.dest_pos(3))
         sizes = dr.tiebreak_sizes()
         assert (sizes[1:] >= 1).all()
 
     def test_reverse_tiebreak_is_inverse(self, small_cache):
-        dr = small_cache.dest_routing(29)
+        dr = small_cache.ensure_arena().view(small_cache.dest_pos(29))
         for node in dr.order[1:]:
             for cand in dr.tiebreak_set(int(node)):
                 assert int(node) in dr.dependents_of(int(cand))

@@ -102,7 +102,7 @@ class TestSpFirst:
     def test_policy_registry(self, small_graph):
         cache = RoutingCache(small_graph, policy="sp-first")
         assert cache.policy_name == "sp_first"
-        assert cache.dest_routing(0).dest == 0
+        assert cache.ensure_arena().view(cache.dest_pos(0)).dest == 0
         with pytest.raises(ValueError):
             RoutingCache(small_graph, policy="nonsense")
         assert set(available_policies()) >= {
@@ -176,7 +176,7 @@ class TestStickyPrimaries:
     def test_matches_row_by_row_reference(self, small_graph, small_cache, fraction):
         sticky = np.random.default_rng(5).random(small_graph.n) < fraction
         for dest in (0, 7, 11, 60, 199):
-            dr = small_cache.dest_routing(dest)
+            dr = small_cache.ensure_arena().view(small_cache.dest_pos(dest))
             before = (dr.indptr.tobytes(), dr.cands.tobytes(), dr.tie_keys().tobytes())
             _assert_same_structure(
                 restrict_to_primary(small_graph, dest, sticky),
@@ -205,7 +205,7 @@ class TestStickyPrimaries:
     def test_primary_matches_insecure_choice(self, small_graph, small_cache):
         """The surviving candidate is the security-free hash choice, so
         insecure routing is unchanged."""
-        dr = small_cache.dest_routing(11)
+        dr = small_cache.ensure_arena().view(small_cache.dest_pos(11))
         none = np.zeros(small_graph.n, dtype=bool)
         before = compute_tree(dr, none, none)
         sticky = np.ones(small_graph.n, dtype=bool)
@@ -213,7 +213,7 @@ class TestStickyPrimaries:
         assert (before.choice == after.choice).all()
 
     def test_non_sticky_untouched(self, small_graph, small_cache):
-        dr = small_cache.dest_routing(5)
+        dr = small_cache.ensure_arena().view(small_cache.dest_pos(5))
         sticky = np.zeros(small_graph.n, dtype=bool)
         restricted = restrict_to_primary(small_graph, 5, sticky)
         assert (restricted.indptr == dr.indptr).all()
@@ -223,9 +223,10 @@ class TestStickyPrimaries:
         assert all_sticky.sticky_mask(small_graph.n).all()
         cache = RoutingCache(small_graph, policy="all_sticky")
         for dest in (9, 60):
-            got = cache.dest_routing(dest)
+            got = cache.ensure_arena().view(cache.dest_pos(dest))
             assert got.policy == "all_sticky"
             assert (got.tiebreak_sizes()[1:] == 1).all()
+            plain = small_cache.ensure_arena().view(small_cache.dest_pos(dest))
             _assert_same_structure(got, restrict_to_primary_reference(
-                small_cache.dest_routing(dest), np.ones(small_graph.n, dtype=bool)
+                plain, np.ones(small_graph.n, dtype=bool)
             ))

@@ -124,7 +124,7 @@ class TestDegradationLadderEndToEnd:
 
     def test_tiny_budget_defers_the_warm_entirely(self):
         """The last rung: a budget below the arena estimate skips the
-        eager warm and leaves trees to build lazily per destination."""
+        eager warm and defers it to the first use."""
         guard = RuntimeGuard(memory=MemoryBudget(1024))
         with use_guard(guard):
             env = build_environment(n=60, seed=11, x=0.10, warm=True)

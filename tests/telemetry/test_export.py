@@ -25,12 +25,12 @@ def _snap(counter=0.0, obs=()):
 class TestPrometheus:
     def test_rendering(self):
         reg = MetricsRegistry()
-        reg.counter("routing.cache.hits").inc(4)
+        reg.counter("routing.tree_builds").inc(4)
         reg.gauge("engine.live_workers").set(2)
         reg.histogram("sim.round_seconds", bounds=(1.0,)).observe(0.5)
         text = render_prometheus(reg.snapshot())
-        assert "# TYPE repro_routing_cache_hits counter" in text
-        assert "repro_routing_cache_hits_total 4" in text
+        assert "# TYPE repro_routing_tree_builds counter" in text
+        assert "repro_routing_tree_builds_total 4" in text
         assert "repro_engine_live_workers 2" in text
         assert 'repro_sim_round_seconds_bucket{le="1"} 1' in text
         assert 'repro_sim_round_seconds_bucket{le="+Inf"} 1' in text

@@ -8,6 +8,8 @@ from repro.core.config import SimulationConfig
 from repro.core.dynamics import DeploymentSimulation
 from repro.experiments.sweeps import run_sweep
 from repro.routing.cache import RoutingCache
+from repro.runtime.errors import DeadlineExceeded
+from repro.runtime.guard import Deadline, RuntimeGuard, use_guard
 from repro.telemetry.metrics import MetricsRegistry, use_registry
 from repro.telemetry.spans import Tracer, use_tracer
 
@@ -87,22 +89,6 @@ class TestSimulationInstrumentation:
         assert snap["histograms"]["sim.projection_seconds"]["count"] == first.num_rounds
         assert snap["counters"]["sim.rounds"] == 2 * first.num_rounds
 
-    def test_cache_hit_counters_flow(self, medium_env, registry):
-        """From per-destination consumers only: nothing on the round or
-        projection path looks a destination up, so a game leaves the
-        hit count where it was."""
-        cache = medium_env.cache
-        before = cache.stats().hits
-        config = SimulationConfig(theta=0.05, max_rounds=5)
-        DeploymentSimulation(
-            medium_env.graph, medium_env.case_study_adopters(), config, cache,
-        ).run()
-        assert cache.stats().hits == before
-        assert "routing.cache.hits" not in registry.snapshot()["counters"]
-        cache.dest_routing(3)
-        assert cache.stats().hits == before + 1
-        assert registry.snapshot()["counters"]["routing.cache.hits"] == 1
-
 
 class TestSweepInstrumentation:
     def test_sweep_cell_round_span_nesting(self, medium_env, registry, tracer):
@@ -124,18 +110,17 @@ class TestSweepInstrumentation:
 
 
 class TestCacheStats:
-    def test_stats_counts_hits_misses_and_builds(self, small_graph, small_chunks):
+    def test_stats_count_builds_and_fill(self, small_graph, small_chunks):
         cache = RoutingCache(small_graph)
         rows = cache.rows_per_chunk
         assert 1 < rows < 10
-        cache.dest_routing(0)  # a miss builds its chunk ...
-        cache.dest_routing(0)
-        cache.dest_routing(1)  # ... so its neighbour is a hit
-        cache.dest_routing(rows)
+        ticks = iter(range(10 ** 6))
+        # one tick at construction, one per check: the third check expires
+        guard = RuntimeGuard(deadline=Deadline(2.5, clock=lambda: next(ticks)))
+        with use_guard(guard), pytest.raises(DeadlineExceeded):
+            cache.warm()  # stops after two chunks
         stats = cache.stats()
-        assert stats.misses == stats.builds == 2 * rows
-        assert stats.hits == 2
-        assert stats.hit_rate == pytest.approx(2 / (2 + 2 * rows))
+        assert stats.builds == 2 * rows
         assert stats.warm_seconds > 0
         assert stats.cached == 2 * rows
         assert stats.total == small_graph.n
