@@ -66,13 +66,12 @@ from repro.routing.arena import RoutingArena, compute_trees_batched
 from repro.routing.cache import RoutingCache
 from repro.routing.compiled import segment_index
 from repro.routing.policy import RouteClass
-from repro.routing.tree import DestRouting, compute_tie_keys
+from repro.routing.tree import DestRouting
 from repro.runtime.guard import current_guard
 from repro.telemetry.metrics import get_registry
 
 _CUSTOMER = int(RouteClass.CUSTOMER)
 _PROVIDER = int(RouteClass.PROVIDER)
-_BLOCKED = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 #: ``rows x n`` entries per pass of the row phase (and per candidate
 #: gather of the job phase).  Like ``numpy_impl._BLOCK_ROWS``, it keeps
@@ -510,12 +509,9 @@ def _recompute_node(
             csec[k] = override
     usec = bool(node_secure_new[u])
     use_sec = usec and bool(breaks_new[u]) and bool(csec.any())
-
-    # the keys of this row alone: nothing keeps a destination's keys
-    keys = compute_tie_keys(np.array([u]), np.array([0, len(cands)]), cands)
-    if use_sec:
-        keys = np.where(csec, keys, _BLOCKED)
-    best = int(np.argmin(keys))
+    # the set is in tie-break order: TB's pick is its first candidate,
+    # SecP's its first secure one
+    best = int(np.argmax(csec)) if use_sec else 0
     return int(cands[best]), usec and bool(csec[best])
 
 

@@ -13,12 +13,12 @@ n_levels`` kernel launches:
 - ``cls`` / ``lengths`` / ``row_of``: dense ``[num_dests, n]`` matrices
   (``cls`` doubles as the projection engine's class matrix).
 
-The state-independent tie-break keys (hash high bits | row-position low
-bits) are not stored: a key is a pure function of a row's node, the
-candidate and its place in the row, so the tree kernels derive it for
-the rows with several candidates (about a fifth: Fig 10) as they read
-them, and :func:`~repro.routing.tree.compute_tie_keys` does for anyone
-else.
+Every tiebreak set is stored in tie-break order, ascending ``(
+tie_hash(u, v) & ~POS_MASK, v)`` (:func:`~repro.routing.tree.tie_order`):
+the hash depends on neither the destination nor the deployment state,
+so the order is fixed when the set is built.  TB's pick is a row's
+first candidate and SecP's its first secure one; no pool holds
+tie-break keys and no tree kernel hashes.
 
 That layout is :class:`~repro.routing.tree.StructurePools`, what the
 structure builder emits per destination chunk; the arena is a cache's
@@ -210,8 +210,8 @@ class RoutingArena(StructurePools):
           8 bytes per *reachable* node; ``cands_pool`` (int32) costs 4
           bytes per tie-break candidate (``avg_cands_per_node`` per
           reachable node — measured ~1.1-1.3 on CAIDA-like graphs, 1.5
-          is the safe default).  No pool holds tie-break keys: the
-          kernels derive them;
+          is the safe default).  No pool holds tie-break keys: every
+          set is in tie-break order;
         - offset tables: four int64 ``*_ptr`` arrays of
           ``num_dests+1`` and the int32 ``dest_ids``.
 
@@ -226,9 +226,8 @@ class RoutingArena(StructurePools):
         the whole forecast.  On ``numpy`` it also counts the tier's own
         level-major mirror (``numpy_impl._TreeStacks`` /
         ``_WeightStack``), resident during every round: 12 bytes per row
-        for the weights stack, 20 per one-candidate row, 24 per
-        multi-candidate row plus 20 per candidate of such a row (its
-        ``keys``, which the pools do not hold, are hashed into it).  The
+        for the weights stack, 20 per one-candidate row, 16 per
+        multi-candidate row plus 12 per candidate of such a row.  The
         forecast only knows the totals, so it assumes the fewest
         one-candidate rows they allow (every other row holding two
         candidates), which is the costliest split.
@@ -249,8 +248,8 @@ class RoutingArena(StructurePools):
             multi_cands = cands - one_rows
             total += reach * (8 + 4)                # flat + nodes
             total += one_rows * (8 + 8 + 4)         # one_flat/one_cflat/one_cands
-            total += multi_rows * (8 + 8 + 8)       # multi_flat/starts/pick
-            total += multi_cands * (8 + 4 + 8)      # edge_cflat/edge_cands/keys
+            total += multi_rows * (8 + 8)           # multi_flat/starts
+            total += multi_cands * (8 + 4)          # edge_cflat/edge_cands
             # the segment tables (three int64[num_dests+1] per level: one
             # per sub-stack and their sum for the weights stack; 24
             # levels matches the level_pool allowance above).  They are

@@ -7,8 +7,8 @@ the same call), the batched subtree weights on their own
 converges a chunk of rows (``jacobi_converge``, single- and
 multi-origin alike: a row without an adversary carries ``attacker =
 -1``) and the structure build of a destination chunk
-(``build_structures``: the three passes, the pooled rows and the
-tie-break keys) — exist in three implementations ("backends") behind
+(``build_structures``: the three passes and the pooled rows, each
+tiebreak set in tie-break order) — exist in three implementations ("backends") behind
 this registry:
 
 - ``numpy``: the vectorised code in

@@ -22,10 +22,9 @@ Calling convention (all backends):
   tiebreak CSR, one entry per row plus a closing one, relative to
   ``cand_ptr[k]`` in ``cands_pool``.  Pools: ``*_ptr`` int64,
   ``order_pool`` / ``level_pool`` / ``indptr_pool`` / ``cands_pool``
-  int32 (an ``indptr`` run counts one slot's candidates).  No
-  pool holds tie-break keys: a row with several candidates derives each
-  candidate's key (``repro.routing.tree.compute_tie_keys``) as it reads
-  it.  Batch row ``b`` resolves
+  int32 (an ``indptr`` run counts one slot's candidates).  A row's
+  candidates are in tie-break order (``repro.routing.tree.tie_order``):
+  TB takes the first, SecP the first secure one.  Batch row ``b`` resolves
   slot ``slots[b]`` into row ``b`` of the C-contiguous ``[batch, n]``
   outputs ``choice`` (int32), ``secure`` / ``any_secure`` (bool) and
   ``w`` (float64), taken flat.  ``trees_stacked`` writes its rows
@@ -60,12 +59,10 @@ Calling convention (all backends):
 
 Bit-identity with the numpy backend is structural, not accidental:
 
-- trees: a row with one candidate takes it; a row with several takes
-  the *minimum* key over its secure candidates where SecP applies and
-  there are any, and otherwise the minimum key over all of them (the
-  numpy mirror's precomputed ``pick``) — the same keys, derived the
-  same way on every tier, and minima are order-independent,
-  and every candidate sits one level below its row, so walking a slot's
+- trees: a row takes its first secure candidate where SecP applies and
+  there are any, and otherwise its first candidate — positions in the
+  same pools on every tier, and every candidate sits one level below its
+  row, so walking a slot's
   rows level by level in pool order (a level's several-candidate rows
   settled after its other rows took their first candidate, which no row
   of the same level reads) sees the same already-resolved state the
@@ -96,8 +93,10 @@ Bit-identity with the numpy backend is structural, not accidental:
   class allows, that holds a route it may export to the node and is one
   hop shorter: exactly the offers that reached the node at the level it
   was settled.  Rows are counted by length and placed in node order,
-  i.e. by ``(length, node)``, and each row's candidates are sorted: the
-  orders the numpy assembler sorts into.
+  i.e. by ``(length, node)``, and each row's candidates are pulled in
+  segment order from CSRs whose segments are in tie-break order
+  (``repro.routing.tree.tie_ordered``): the orders the numpy assembler
+  sorts into.
 """
 
 from __future__ import annotations
@@ -121,12 +120,10 @@ from repro.routing.fixpoint import (
     ROW_MOVING,
     ROW_REVISITS,
 )
-from repro.routing.policy import POSITION_BITS, RouteClass, tie_hash
-from repro.routing.tree import MAX_ROUTE_LENGTH, PoolsAssembly, route_too_long
+from repro.routing.policy import RouteClass
+from repro.routing.tree import MAX_ROUTE_LENGTH, PoolsAssembly, route_too_long, tie_ordered
 
 _BLOCKED = np.uint64(2**64 - 1)
-_POS_MASK = np.uint64((1 << POSITION_BITS) - 1)
-_HASH_MASK = ~_POS_MASK
 _INVALID_KEY = np.uint32(0xFFFFFFFF)
 
 # The sweep's selection word: rank key above, tie rank below.
@@ -147,16 +144,16 @@ def trees_stacked(slots, n, order_ptr, order_pool, level_ptr, level_pool,
     """Resolve each batch row's tree over its slot's rows, one batch row
     at a time: clear the row's outputs, seed its destination's
     security, then level by level in pool order every row takes its
-    first candidate and the rows with several are settled on their
-    candidates' tie keys.  Given ``node_weights`` and ``w``, the row's
-    subtree weights follow at once (:func:`weights_stacked`'s loop), so
-    the row is walked while it is still in cache.
+    first candidate, TB's pick, and the rows with several are settled:
+    SecP's pick is the first secure candidate.  Given ``node_weights``
+    and ``w``, the row's subtree weights follow at once
+    (:func:`weights_stacked`'s loop), so the row is walked while it is
+    still in cache.
 
     A state mask is ``[n]``, one state for the whole batch (stride 0),
     or a flat ``[batch, n]`` (stride ``n``); the selection takes no
-    branch on a candidate's security: the minimum over the secure
-    candidates runs over keys set all-ones where a candidate is not
-    secure, and SecP picks between the two minima by a mask."""
+    branch on a candidate's security: the first secure candidate is
+    found walking the row back to front."""
     sec_stride = mask_stride(secure_rows, len(slots), n)
     secp_stride = mask_stride(secp_rows, len(slots), n)
     multi = np.empty(int(np.diff(order_ptr)[slots].max(initial=1)), dtype=np.int32)
@@ -195,20 +192,11 @@ def trees_stacked(slots, n, order_ptr, order_pool, level_ptr, level_pool,
                 lo = c0 + indptr_pool[ip + r]
                 end = c0 + indptr_pool[ip + r + 1]
                 u = order_pool[o + r]
-                any_sec = False
-                min_all = _BLOCKED
-                min_sec = _BLOCKED
-                for e in range(lo, end):
-                    key = _tie_key(u, cands_pool[e], e - lo)
-                    sec_c = secure[base + cands_pool[e]]
-                    any_sec |= sec_c
-                    # C: key | (sec_c - 1), all-ones unless secure
-                    key_sec = key if sec_c else _BLOCKED
-                    min_all = min(min_all, key)
-                    min_sec = min(min_sec, key_sec)
-                # C: a mask of secp & any_sec picks one of the minima
-                key = min_sec if secp_rows[secp_in + u] & any_sec else min_all
-                c = cands_pool[lo + np.int64(key & _POS_MASK)]
+                first = end
+                for e in range(end - 1, lo - 1, -1):
+                    first = e if secure[base + cands_pool[e]] else first
+                any_sec = first < end
+                c = cands_pool[first if secp_rows[secp_in + u] & any_sec else lo]
                 choice[base + u] = c
                 any_secure[base + u] = any_sec
                 secure[base + u] = secure_rows[sec_in + u] & secure[base + c]
@@ -216,11 +204,6 @@ def trees_stacked(slots, n, order_ptr, order_pool, level_ptr, level_pool,
             w[base:base + n] = 0.0
             _weigh_row(order_pool, o, level_pool, starts, last, choice, base,
                        node_weights, w)
-
-
-def _tie_key(u, c, position):
-    """The tie-break key of candidate ``c`` at ``position`` in ``u``'s row."""
-    return (np.uint64(tie_hash(int(u), int(c))) & _HASH_MASK) | np.uint64(position)
 
 
 def weights_stacked(slots, n, order_ptr, order_pool, level_ptr, level_pool,
@@ -546,9 +529,11 @@ def structure_labels(cg, dests, cls, length, sizes):
 
 def structure_pools(cg, arrays):
     """Every slot's pools from its labels, into ``arrays`` (the chunk's
-    12 fields, its offset tables starting at 0)."""
+    12 fields, its offset tables starting at 0), over the graph's
+    tie-ordered CSRs."""
+    ordered = tie_ordered(cg)
     for row in range(len(arrays["order_ptr"]) - 1):
-        _pool_row(cg, arrays, row)
+        _pool_row(cg, ordered, arrays, row)
 
 
 def _offer(u, route_cls, at, cls, length, size):
@@ -637,9 +622,10 @@ def _route_labels(cg, dest, cls, length, seq, size):
     return True
 
 
-def _pool_row(cg, arrays, row):
+def _pool_row(cg, ordered, arrays, row):
     """Slot ``row`` of the pools: its rows by ``(length, node)``, its
-    level_starts, and per row the sorted tiebreak set."""
+    level_starts, and per row the tiebreak set, pulled in segment order
+    from ``ordered``, the CSR index arrays in tie-break order."""
     n = cg.n
     cls = arrays["cls"][row]
     length = arrays["lengths"][row]
@@ -672,7 +658,8 @@ def _pool_row(cg, arrays, row):
     # a row pulls its candidates from the one CSR its class allows:
     # customers or peers whose route they export to it (a customer
     # route, or the destination's own), providers with any route — one
-    # hop shorter all; then sorts them
+    # hop shorter all
+    cust_idx, peer_idx, prov_idx = ordered
     pos = 0
     indptr[0] = 0
     for r in range(order.shape[0]):
@@ -680,12 +667,11 @@ def _pool_row(cg, arrays, row):
         cu = cls[u]
         if cu != _SELF:
             if cu == _CUSTOMER:
-                ptr, idx = cg.cust_indptr, cg.cust_idx
+                ptr, idx = cg.cust_indptr, cust_idx
             elif cu == _PEER:
-                ptr, idx = cg.peer_indptr, cg.peer_idx
+                ptr, idx = cg.peer_indptr, peer_idx
             else:
-                ptr, idx = cg.prov_indptr, cg.prov_idx
-            lo = pos
+                ptr, idx = cg.prov_indptr, prov_idx
             for e in range(ptr[u], ptr[u + 1]):
                 v = idx[e]
                 if length[v] == int(length[u]) - 1 and (
@@ -693,11 +679,4 @@ def _pool_row(cg, arrays, row):
                 ):
                     cands[pos] = v
                     pos += 1
-            for i in range(lo + 1, pos):   # insertion sort
-                x = cands[i]
-                j = i
-                while j > lo and cands[j - 1] > x:
-                    cands[j] = cands[j - 1]
-                    j -= 1
-                cands[j] = x
         indptr[r + 1] = pos

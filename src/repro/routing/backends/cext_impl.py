@@ -40,24 +40,21 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.routing import fixpoint, policy
+from repro.routing import fixpoint
 from repro.routing.backends import BackendUnavailable, find_compiler, mask_stride
-from repro.routing.policy import POSITION_BITS, RouteClass
-from repro.routing.tree import MAX_ROUTE_LENGTH, PoolsAssembly, route_too_long
+from repro.routing.policy import RouteClass
+from repro.routing.tree import MAX_ROUTE_LENGTH, PoolsAssembly, route_too_long, tie_ordered
 from repro.runtime.atomic import atomic_write_text
 
 #: What the C code shares with the other tiers, formatted from where it
 #: is defined: no value is mirrored by hand.
 _DEFINES = {
-    "POS_MASK": f"{(1 << POSITION_BITS) - 1}u",   # a tie key's position bits
     "MAX_ROUTE_LENGTH": MAX_ROUTE_LENGTH,          # what int8 lengths hold
     "CLS_UNREACHABLE": int(RouteClass.UNREACHABLE),
     "CLS_PROVIDER": int(RouteClass.PROVIDER),
     "CLS_PEER": int(RouteClass.PEER),
     "CLS_CUSTOMER": int(RouteClass.CUSTOMER),
     "CLS_SELF": int(RouteClass.SELF),
-    # the tie-break hash's multipliers (policy.tie_hash)
-    **{f"MIX_{k}": f"{int(getattr(policy, f'_MIX_{k}')):#x}ull" for k in (1, 2, 3)},
     **{
         name: getattr(fixpoint, name)
         for name in (
@@ -72,18 +69,6 @@ _C_SOURCE = "#include <stdint.h>\n#include <stdlib.h>\n#include <string.h>\n\n" 
     f"#define {name} ({value})\n" for name, value in _DEFINES.items()
 ) + r"""
 #define INVALID_KEY 0xFFFFFFFFu
-
-/* Tie-break hash H(node, candidate): policy.tie_hash, splitmix64-style. */
-static inline uint64_t sbgp_tie_hash(uint64_t node, uint64_t cand)
-{
-    uint64_t x = node * MIX_1 + cand * MIX_3;
-    x ^= x >> 30;
-    x *= MIX_2;
-    x ^= x >> 27;
-    x *= MIX_3;
-    x ^= x >> 31;
-    return x;
-}
 
 /* One batch row's subtree weights: levels deepest first, a level's rows
  * in pool order.  Parents sit one level up, so wb[p] is only *written*
@@ -116,10 +101,9 @@ static inline void sbgp_weigh_row(
  * C-contiguous [batch, n] outputs choice / secure / any_secure / w;
  * secure_rows / secp_rows are node_secure and node_secure & breaks_ties,
  * batch row b's starting b * sec_stride / b * secp_stride entries in:
- * stride 0 when the batch shares one [n] state, n for a row each.  No
- * pool holds tie-break keys: a row with several candidates derives each
- * one's key as it reads it, the hash of (node, candidate) above the
- * candidate's place in the row (tree.compute_tie_keys).
+ * stride 0 when the batch shares one [n] state, n for a row each.  A
+ * row's candidates are in tie-break order (tree.tie_order): TB takes the
+ * first, SecP the first secure one.
  *
  * A batch row is written whole, start to end, before the next: cleared,
  * its destination's security seeded, resolved, and -- when node_weights
@@ -188,28 +172,19 @@ int sbgp_trees_stacked(
                 m += end - s > 1;
                 s = end;
             }
-            /* No branch on a candidate's security either (about a third
-             * of nodes are secure, at random): a key is kept all-ones
-             * for the secure minimum unless its candidate is secure, and
-             * SecP takes that minimum by a mask. */
+            /* Those rows already took TB's pick, their first candidate;
+             * SecP's is the first secure one, found walking the row back
+             * to front without a branch on a candidate's security
+             * (about a third of nodes are secure, at random). */
             for (int64_t i = 0; i < m; i++) {
                 const int64_t r = multi[i];
                 const int64_t lo = indptr[r], end = indptr[r + 1];
                 const int32_t u = order[r];
-                uint64_t min_all = UINT64_MAX, min_sec = UINT64_MAX;
-                uint8_t any_sec = 0;
-                for (int64_t e = lo; e < end; e++) {
-                    const uint64_t key = (sbgp_tie_hash((uint64_t)u, (uint64_t)cands[e]) &
-                                          ~(uint64_t)POS_MASK) | (uint64_t)(e - lo);
-                    const uint8_t sc = sec[cands[e]];
-                    const uint64_t key_sec = key | ((uint64_t)sc - 1u);
-                    any_sec |= sc;
-                    min_all = key < min_all ? key : min_all;
-                    min_sec = key_sec < min_sec ? key_sec : min_sec;
-                }
-                const uint64_t use_sec = -(uint64_t)(secp_in[u] & any_sec);
-                const uint64_t key = (min_sec & use_sec) | (min_all & ~use_sec);
-                const int32_t c = cands[lo + (int64_t)(key & POS_MASK)];
+                int64_t first = end;
+                for (int64_t e = end - 1; e >= lo; e--)
+                    first = sec[cands[e]] ? e : first;
+                const uint8_t any_sec = first < end;
+                const int32_t c = cands[secp_in[u] & any_sec ? first : lo];
                 ch[u] = c;
                 any[u] = any_sec;
                 sec[u] = sec_in[u] & sec[c];
@@ -616,37 +591,15 @@ int sbgp_structure_labels(
     return 0;
 }
 
-static int sbgp_cmp_node(const void *x, const void *y)
-{
-    const int32_t a = *(const int32_t *)x, b = *(const int32_t *)y;
-    return (a > b) - (a < b);
-}
-
-/* A tiebreak set in node order: insertion sort, qsort when long. */
-static void sbgp_sort_nodes(int32_t *a, int64_t m)
-{
-    if (m > 32) {
-        qsort(a, (size_t)m, sizeof(int32_t), sbgp_cmp_node);
-        return;
-    }
-    for (int64_t i = 1; i < m; i++) {
-        const int32_t x = a[i];
-        int64_t j = i;
-        while (j > 0 && a[j - 1] > x) {
-            a[j] = a[j - 1];
-            j--;
-        }
-        a[j] = x;
-    }
-}
-
 /* The pools of a destination chunk, from its labels, into pools sized
  * exactly by sbgp_structure_labels (order_ptr / level_ptr / cand_ptr are
  * the offsets of its sizes; row k's indptr run starts at order_ptr[k] +
  * k).  Per row: its rows by (length, node) -- counted by length, placed
  * in node order, which leaves each level_starts entry where the next
  * length starts, then shifted back -- and each row's tiebreak set,
- * pulled from the one CSR its class allows, and sorted. */
+ * pulled in segment order from the one CSR its class allows: the
+ * graph's CSRs with every segment in tie-break order (tree.tie_ordered),
+ * so each set comes out in it. */
 void sbgp_structure_pools(
     int64_t rows, int64_t n,
     const int64_t *cust_ptr, const int32_t *cust_idx,
@@ -700,14 +653,12 @@ void sbgp_structure_pools(
                 const int32_t *idx = cu == CLS_CUSTOMER ? cust_idx
                     : cu == CLS_PEER ? peer_idx : prov_idx;
                 const int32_t want = l[u] - 1;
-                const int64_t lo = pos;
                 for (int64_t e = ptr[u]; e < ptr[u + 1]; e++) {
                     const int32_t v = idx[e];
                     if (l[v] == want && (cu == CLS_PROVIDER ||
                                          c[v] == CLS_CUSTOMER || c[v] == CLS_SELF))
                         cands[pos++] = v;
                 }
-                sbgp_sort_nodes(cands + lo, pos - lo);
             }
             indptr[r + 1] = (int32_t)pos;
         }
@@ -919,13 +870,15 @@ def jacobi_converge(v, route_cls, node_ptr, tie_rank, rank_edge, lp_field,
         raise MemoryError(f"cext kernel: no scratch for a sweep over {n} nodes")
 
 
-def _csr_ptrs(cg) -> list[ctypes.c_void_p]:
-    """The graph's three CSRs as pointers, checked against each other."""
+def _csr_ptrs(cg, idx=None) -> list[ctypes.c_void_p]:
+    """The graph's three CSRs as pointers, checked against each other:
+    its ``*_indptr`` tables over its own index arrays or over ``idx``
+    (customer, peer, provider)."""
     n = cg.n
-    csr = (
-        (cg.cust_indptr, cg.cust_idx), (cg.peer_indptr, cg.peer_idx),
-        (cg.prov_indptr, cg.prov_idx),
-    )
+    csr = tuple(zip(
+        (cg.cust_indptr, cg.peer_indptr, cg.prov_indptr),
+        idx or (cg.cust_idx, cg.peer_idx, cg.prov_idx),
+    ))
     ptrs = [p for indptr, idx in csr for p in (_ptr(indptr, np.int64), _ptr(idx, np.int32))]
     if any(len(indptr) != n + 1 or indptr[0] != 0 or indptr[-1] != len(idx)
            for indptr, idx in csr):
@@ -956,9 +909,10 @@ def structure_labels(cg, dests, cls, length, sizes):
 
 def structure_pools(cg, arrays):
     """A chunk's pools from its labels, into ``arrays`` (its 12 fields,
-    the offset tables its own, starting at 0), in one C call."""
+    the offset tables its own, starting at 0), in one C call over the
+    graph's tie-ordered CSRs."""
     n = cg.n
-    graph = _csr_ptrs(cg)
+    graph = _csr_ptrs(cg, tie_ordered(cg))
     order_ptr = arrays["order_ptr"]
     rows = len(order_ptr) - 1
     if rows < 0 or any(arrays[name].shape != (rows, n) for name in ("cls", "lengths", "row_of")):

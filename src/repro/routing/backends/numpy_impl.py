@@ -62,12 +62,13 @@ from repro.routing.fixpoint import (
     ROW_MOVING,
     ROW_REVISITS,
 )
-from repro.routing.policy import POSITION_BITS, RouteClass
-from repro.routing.tree import _three_passes, assemble_pools, compute_tie_keys
+from repro.routing.policy import RouteClass
+from repro.routing.tree import _three_passes, assemble_pools
 from repro.telemetry.metrics import get_registry
 
-_POS_MASK = np.uint64((1 << POSITION_BITS) - 1)
 _BLOCKED = np.uint64(2**64 - 1)
+#: no secure candidate: above every place in the mirror
+_NONE = np.iinfo(np.int64).max
 
 # The sweep's selection word: rank key above, tie rank below.
 _KEY_SHIFT = np.uint64(32)
@@ -102,11 +103,9 @@ class _TreeStacks:
     ``ptr[0, i, k]:ptr[0, i, k + 1]`` is slot ``k``'s segment of level
     ``i`` in the ``one_*`` arrays, ``ptr[1]`` the same in the ``multi_*``
     arrays.  ``starts`` is one CSR index over *all* multi-candidate rows
-    into the ``edge_*`` / ``keys`` arrays (absolute offsets, closing
-    entry included); ``keys`` are their candidates' tie keys, which no
-    pool holds, hashed once when the mirror is built; ``pick`` is the
-    absolute edge index of each row's hash-minimal candidate — what TB
-    selects whenever SecP does not apply, known without the state.
+    into the ``edge_*`` arrays (absolute offsets, closing entry
+    included).  A row's candidates keep the pools' tie-break order, so
+    ``starts[:-1]`` is where TB's pick sits, whatever the state.
     """
 
     ptr: np.ndarray         # int64[2, num_levels, num_dests + 1]
@@ -115,10 +114,8 @@ class _TreeStacks:
     one_cands: np.ndarray   # int32; the one candidate
     multi_flat: np.ndarray  # int64
     starts: np.ndarray      # int64[len(multi_flat) + 1]
-    pick: np.ndarray        # int64
     edge_cflat: np.ndarray  # int64
     edge_cands: np.ndarray  # int32
-    keys: np.ndarray        # uint64
 
 
 @dataclasses.dataclass
@@ -258,28 +255,20 @@ def _build_tree_stacks(
     del one
     one_cflat += one_cands              # ... plus the candidate
     multi_flat = flat[multi]
-    multi_nodes = nodes[multi]
-    base = multi_flat - multi_nodes
+    base = multi_flat - nodes[multi]
     del multi
     sizes = np.diff(starts)
     edges = segment_index(edge_lo, sizes)
     del edge_lo
     edge_cands = cands_pool[edges]
     del edges
-    # the pools hold no tie keys: the multi-candidate rows' are hashed
-    # here, once per mirror
-    keys = compute_tie_keys(multi_nodes, starts, edge_cands)
-    del multi_nodes
     edge_cflat = np.repeat(base, sizes)
     del base, sizes
     edge_cflat += edge_cands
-    pick = starts[:-1].copy()
-    if len(pick):
-        pick += (np.minimum.reduceat(keys, pick) & _POS_MASK).astype(np.int64)
     return _TreeStacks(
         ptr=ptr, one_flat=one_flat, one_cflat=one_cflat, one_cands=one_cands,
-        multi_flat=multi_flat, starts=starts, pick=pick, edge_cflat=edge_cflat,
-        edge_cands=edge_cands, keys=keys,
+        multi_flat=multi_flat, starts=starts, edge_cflat=edge_cflat,
+        edge_cands=edge_cands,
     )
 
 
@@ -417,8 +406,8 @@ def _resolve_levels(slots, n, st: _TreeStacks, secure_rows, secp_rows,
     mirror ``st``: each one's one-candidate rows, then its rows with
     several."""
     ptr, one_flat, one_cflat, one_cands = st.ptr, st.one_flat, st.one_cflat, st.one_cands
-    multi_flat, starts, pick = st.multi_flat, st.starts, st.pick
-    edge_cflat, edge_cands, keys = st.edge_cflat, st.edge_cands, st.keys
+    multi_flat, starts = st.multi_flat, st.starts
+    edge_cflat, edge_cands = st.edge_cflat, st.edge_cands
     if _full_batch(ptr, slots):
         one_off = [*ptr[0, :, 0].tolist(), len(one_flat)]
         multi_off = [*ptr[1, :, 0].tolist(), len(multi_flat)]
@@ -437,10 +426,8 @@ def _resolve_levels(slots, n, st: _TreeStacks, secure_rows, secp_rows,
         one_cflat = _shifted(one_cflat, one, one_shift)
         one_cands = one_cands[one]
         multi_flat = _shifted(multi_flat, multi, multi_shift)
-        pick = _shifted(pick, multi, starts[:-1] - edge_lo)
         edge_cflat = _shifted(edge_cflat, edges, np.repeat(multi_shift, sizes))
         edge_cands = edge_cands[edges]
-        keys = keys[edges]
 
     for level in range(len(one_off) - 1):
         a, b = one_off[level], one_off[level + 1]
@@ -456,22 +443,16 @@ def _resolve_levels(slots, n, st: _TreeStacks, secure_rows, secp_rows,
             f = multi_flat[a:b]
             begin = starts[a:b]
             lo, hi = begin[0], starts[b]
-            # the hash-minimal *secure* candidate per row; all-blocked
-            # means no candidate is secure (a real key never has every
-            # position bit set: the row would need 2**POSITION_BITS
-            # candidates)
-            ksec = np.where(secure[edge_cflat[lo:hi]], keys[lo:hi], _BLOCKED)
-            kmin = np.minimum.reduceat(ksec, begin - lo)
-            any_sec = kmin != _BLOCKED
+            # the first secure candidate per row: the least place of
+            # one, _NONE where no candidate is secure
+            at = np.where(secure[edge_cflat[lo:hi]], np.arange(lo, hi), _NONE)
+            first = np.minimum.reduceat(at, begin - lo)
+            any_sec = first != _NONE
             any_secure[f] = any_sec
             # SecP narrows the set to its secure candidates where it
-            # applies and there are any; everywhere else TB's pick is
-            # static
-            chosen = np.where(
-                secp_rows[f] & any_sec,
-                begin + (kmin & _POS_MASK).astype(np.int64),
-                pick[a:b],
-            )
+            # applies and there are any; everywhere else TB picks the
+            # first
+            chosen = np.where(secp_rows[f] & any_sec, first, begin)
             choice[f] = edge_cands[chosen]
             secure[f] = secure_rows[f] & secure[edge_cflat[chosen]]
 

@@ -14,11 +14,12 @@ to ``u`` if GR2 allows the export, and ``u`` takes the offer with the
 smallest **selection word** ``rank_key << 32 | tie_rank``.  ``rank_key``
 is a packed ``uint32`` whose fields follow the policy ranking (first
 criterion in the highest bits); edges equal on it form the tiebreak
-set.  ``tie_rank`` is the edge's place, within ``u``'s segment, in the
-order of the static tie-break key ``hash(u, v) | position`` — the key
-the tree kernels minimise — so one minimum over the word picks the
-offer the two-stage rule (best rank key, then least tie-break key among
-the tied) picks, and a converged structure resolved by
+set.  ``tie_rank`` is the edge's place, within ``u``'s segment, in
+tie-break order (:func:`~repro.routing.tree.tie_order`) — the order the
+pools keep every tiebreak set in, whose first candidate TB picks — so
+one minimum over the word picks the offer the two-stage rule (best rank
+key, then least tie-break key among the tied) picks, and a converged
+structure resolved by
 :func:`~repro.routing.arena.compute_trees_batched` under the same
 deployment state reproduces the fixpoint's choices exactly: tied
 candidates always share one length (SP is in every ranking), tie sets
@@ -72,8 +73,8 @@ from repro.routing.reference import ConvergenceError
 from repro.routing.tree import (
     StructurePools,
     assemble_pools,
-    compute_tie_keys,
     destination_chunks,
+    tie_order,
 )
 from repro.telemetry.metrics import get_registry
 
@@ -127,16 +128,12 @@ class _EdgeTable:
     """The directed offer graph ``u <- v`` in segment-sorted flat form.
 
     Edges are concatenated class-by-class (customer, peer, provider)
-    and stable-sorted by ``(u, v)`` — the order the structure
-    assembler gives candidates — so ``node_ptr[u]:node_ptr[u + 1]`` is
-    ``u``'s *segment*, the offers it chooses among (empty for a node
-    without neighbours), and the position of an edge within it orders
-    candidates exactly like the rows of the tiebreak CSR:
-    :func:`~repro.routing.tree.compute_tie_keys` over the segments is
-    the tie-break key the tree kernels minimise over any tie set.  The
-    keys of a segment are distinct and never change, so the table keeps
-    their *order* instead: ``tie_rank[e]`` is edge ``e``'s place in its
-    segment by ascending key, and ``rank_edge[node_ptr[u] + r]`` is the
+    and stable-sorted by ``(u, v)``, so ``node_ptr[u]:node_ptr[u + 1]``
+    is ``u``'s *segment*, the offers it chooses among (empty for a node
+    without neighbours).  The table keeps each segment's tie-break order
+    (:func:`~repro.routing.tree.tie_order`, the order of every tiebreak
+    set in the pools): ``tie_rank[e]`` is edge ``e``'s place in its
+    segment in that order, and ``rank_edge[node_ptr[u] + r]`` is the
     edge that holds place ``r``.
 
     ``rev_ptr`` / ``rev_seg`` / ``rev_edge`` index the edges the other
@@ -170,9 +167,7 @@ class _EdgeTable:
         self.route_cls = route_cls[sort]
         self.num_edges = len(self.u)
         self.node_ptr = offsets(np.bincount(self.u, minlength=n))
-        tie_key = compute_tie_keys(np.arange(n), self.node_ptr, self.v)
-        # u is sorted, so this orders each segment's edges by tie key
-        self.rank_edge = np.lexsort((tie_key, self.u)).astype(np.int64)
+        self.rank_edge = tie_order(self.node_ptr, self.v).astype(np.int64)
         self.tie_rank = np.empty(self.num_edges, dtype=np.uint32)
         self.tie_rank[self.rank_edge] = np.arange(
             self.num_edges, dtype=np.int64

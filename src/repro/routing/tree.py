@@ -40,8 +40,6 @@ from repro.telemetry.metrics import get_registry
 from repro.topology.graph import ASGraph
 
 _UNSET = -1
-_POS_MASK = np.uint64((1 << POSITION_BITS) - 1)
-_HASH_MASK = ~_POS_MASK
 
 _SELF = int(RouteClass.SELF)
 _CUSTOMER = int(RouteClass.CUSTOMER)
@@ -179,8 +177,10 @@ class DestRouting:
 
     Rows of the tiebreak CSR (``indptr`` / ``cands``) are aligned with
     ``order``, which lists reachable nodes by ascending selected-route
-    length (``order[0]`` is the destination).  ``level_starts[L]``
-    delimits nodes of length ``L`` within ``order``.
+    length (``order[0]`` is the destination); a row's candidates are in
+    tie-break order (:func:`tie_order`), so TB picks the first and SecP
+    the first secure one.  ``level_starts[L]`` delimits nodes of length
+    ``L`` within ``order``.
     """
 
     dest: int
@@ -235,32 +235,48 @@ class DestRouting:
         rev_indptr, rev_nodes = self.reverse_tiebreak()
         return rev_nodes[rev_indptr[node]:rev_indptr[node + 1]]
 
-    def tie_keys(self) -> np.ndarray:
-        """uint64 tie-break key per CSR entry, aligned with ``cands``
-        (:func:`compute_tie_keys`).  Derived on every call and not kept:
-        views are kept, and keys cached on them would cost 8 bytes per
-        candidate beside the pools."""
-        return compute_tie_keys(self.order, self.indptr, self.cands)
 
-
-def compute_tie_keys(
-    order: np.ndarray, indptr: np.ndarray, cands: np.ndarray
+def tie_order(
+    ptr: np.ndarray, nbrs: np.ndarray, nodes: np.ndarray | None = None
 ) -> np.ndarray:
-    """Tie-break key per tiebreak-CSR entry: hash high bits | position.
+    """The permutation that puts each segment ``nbrs[ptr[s]:ptr[s + 1]]``
+    of a CSR in tie-break order: ascending ``(tie_hash(u, v) & ~POS_MASK,
+    v)`` for the segment's node ``u = nodes[s]`` (``s`` itself when
+    ``nodes`` is None), the order TB prefers ``u``'s next hops in."""
+    sizes = np.diff(ptr)
+    seg = np.repeat(np.arange(len(sizes), dtype=np.uint64), sizes)
+    owner = seg if nodes is None else np.repeat(nodes.astype(np.uint64), sizes)
+    high = tie_hash_array(owner, nbrs) >> np.uint64(POSITION_BITS)
+    # the segment above as many of the hash's high bits as fit: one value
+    # sort, which is the order unless two of a segment's hashes agree in
+    # those bits
+    bits = max(int(len(sizes) - 1).bit_length(), 1)
+    packed = seg << np.uint64(64 - bits)
+    packed |= high >> np.uint64(max(bits - POSITION_BITS, 0))
+    perm = np.argsort(packed)
+    packed = packed[perm]
+    if (packed[1:] == packed[:-1]).any():
+        return np.lexsort((nbrs, high, seg))
+    return perm
 
-    A row's least key names both the candidate TB picks and where it
-    sits: the low :data:`~repro.routing.policy.POSITION_BITS` bits carry
-    the candidate's index within its row (also disambiguating hash
-    collisions deterministically).  A key is a pure function of the
-    row's node, the candidate and that index, so no pool holds keys:
-    the tree kernels derive them for the rows with several candidates,
-    and every other reader calls this.
-    """
-    sizes = np.diff(indptr)
-    keys = tie_hash_array(np.repeat(order, sizes), cands)
-    keys &= _HASH_MASK
-    keys |= (np.arange(len(cands)) - np.repeat(indptr[:-1], sizes)).astype(np.uint64)
-    return keys
+
+def tie_ordered(cg: CompiledGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``cg``'s customer, peer and provider ``*_idx`` arrays with every
+    node's segment in tie-break order (:func:`tie_order`; the
+    ``*_indptr`` tables stay ``cg``'s): a tiebreak set pulled from one of
+    them in segment order is in the pools' order.  Built on first use
+    and kept on ``cg``."""
+    csr = cg.__dict__.get("_tie_ordered")
+    if csr is None:
+        # a frozen dataclass refuses setattr, not a write to its __dict__
+        csr = cg.__dict__["_tie_ordered"] = tuple(
+            idx[tie_order(ptr, idx)]
+            for ptr, idx in (
+                (cg.cust_indptr, cg.cust_idx), (cg.peer_indptr, cg.peer_idx),
+                (cg.prov_indptr, cg.prov_idx),
+            )
+        )
+    return csr
 
 
 #: (field name, dtype) of every pooled array, in serialisation order.
@@ -296,8 +312,10 @@ class StructurePools:
     One array per :data:`ARENA_FIELDS` entry: a slot's ``order`` /
     ``level_starts`` / ``indptr`` / ``cands`` are the ``*_ptr[k]:*_ptr[k
     + 1]`` slice of the matching pool, its ``cls`` / ``lengths`` /
-    ``row_of`` row ``k`` of the dense matrices.  Tie-break keys are not
-    a field: whoever needs them derives them (:func:`compute_tie_keys`).
+    ``row_of`` row ``k`` of the dense matrices.  Each row's candidates
+    are in tie-break order (:func:`tie_order`): TB's pick is a row's
+    first candidate and SecP's its first secure one, so no field holds
+    tie-break keys and no kernel hashes.
     Nothing writes the fields after construction: views are handed
     out, and the routing arena is a
     :class:`PoolsAssembly` of a cache's chunks, each written straight
@@ -366,23 +384,16 @@ class StructurePools:
 
     def restrict_to_primary(self, sticky: np.ndarray) -> "StructurePools":
         """New pools in which every ``sticky`` (bool[n]) node with
-        several candidates keeps only its primary: the minimum of the
-        row's tie keys, what TB picks in a security-free world (§8.3),
-        so the restriction never changes insecure routing — it only
+        several candidates keeps only its primary: the row's first
+        candidate, what TB picks in a security-free world (§8.3), so
+        the restriction never changes insecure routing — it only
         removes the competition SecP could have exploited.
         ``self`` is left as it was; untouched arrays are shared."""
         sizes = self.row_sizes(0, self.num_dests)
         starts = offsets(sizes)
         rows = np.flatnonzero(sticky[self.order_pool] & (sizes > 1))
-        # the tie keys of the rows that collapse, and no others
-        edges = segment_index(starts[rows], sizes[rows])
-        first = offsets(sizes[rows])
         keep = np.ones(len(self.cands_pool), dtype=bool)
-        keep[edges] = False
-        if len(rows):
-            keys = compute_tie_keys(self.order_pool[rows], first, self.cands_pool[edges])
-            least = np.minimum.reduceat(keys, first[:-1])
-            keep[starts[rows] + (least & _POS_MASK).astype(np.int64)] = True
+        keep[segment_index(starts[rows] + 1, sizes[rows] - 1)] = False
         sizes[rows] = 1
         indptr_ptr, indptr_pool, cand_ptr = _local_indptr(offsets(sizes), self.order_ptr)
         arrays = self.arrays()
@@ -498,6 +509,7 @@ class PoolsAssembly:
         kernels.structure_labels(
             cg, dests, dense["cls"][lo:hi], dense["lengths"][lo:hi], self.sizes[lo:hi]
         )
+        tie_ordered(cg)   # what the pools pass reads: derived before any pool
         self._chunks[lo] = (hi, (kernels, cg))
 
     def take(self, lo: int, pools: StructurePools) -> None:
@@ -573,8 +585,8 @@ def assemble_pools(
     in row ``src_flat[i] // n`` node ``src_flat[i] % n`` may route via
     ``dst[i]``; candidates arrive in any order, without duplicates, and
     every reachable node but the destination has at least one.  Rows
-    come out by ``(length, node)``, candidates by ``(row, candidate)``
-    — the order the tie-break positions are defined on.  ``lengths``
+    come out by ``(length, node)``, candidates by row, each row's in
+    tie-break order (:func:`tie_order`).  ``lengths``
     may come in any integer dtype and goes out int8; a length above
     :data:`MAX_ROUTE_LENGTH` raises :class:`RouteTooLongError`.
     """
@@ -614,8 +626,14 @@ def assemble_pools(
     packed.sort()
     cands = (packed & ((1 << bits) - 1)).astype(np.int32)
     packed >>= bits
-    cum = offsets(np.bincount(packed, minlength=total))
+    sizes = np.bincount(packed, minlength=total)
     del packed
+    cum = offsets(sizes)
+    # then the rows with several into tie-break order
+    multi = np.flatnonzero(sizes > 1)
+    edges = segment_index(cum[multi], sizes[multi])
+    cands[edges] = cands[edges[tie_order(offsets(sizes[multi]), cands[edges], order_pool[multi])]]
+    del multi, edges
     indptr_ptr, indptr_pool, cand_ptr = _local_indptr(cum, order_ptr)
 
     return StructurePools({

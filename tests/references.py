@@ -57,7 +57,7 @@ from repro.routing.fixpoint import (
 from repro.routing.paths import RoutingTree
 from repro.routing.policy import POSITION_BITS, Criterion, RouteClass, tie_hash_array
 from repro.routing.reference import ConvergenceError
-from repro.routing.tree import DestRouting, RouteInfo, compute_tie_keys
+from repro.routing.tree import DestRouting, RouteInfo
 from repro.topology.graph import ASGraph
 
 _POS_MASK = np.uint64((1 << POSITION_BITS) - 1)
@@ -69,6 +69,28 @@ _CUSTOMER = int(RouteClass.CUSTOMER)
 _PEER = int(RouteClass.PEER)
 _PROVIDER = int(RouteClass.PROVIDER)
 _UNREACHABLE = int(RouteClass.UNREACHABLE)
+
+
+def compute_tie_keys(
+    order: np.ndarray, indptr: np.ndarray, cands: np.ndarray
+) -> np.ndarray:
+    """Tie-break key per tiebreak-CSR entry: ``tie_hash(node, candidate)``
+    with its low :data:`~repro.routing.policy.POSITION_BITS` bits replaced
+    by the candidate's index within its row.  A row's keys are distinct
+    and its least one names the candidate TB picks: over a row in node
+    order they ascend in tie-break order, over a row in tie-break order
+    (the pools' own) along the row.  The references select on these keys,
+    not on the order the pools keep."""
+    sizes = np.diff(indptr)
+    keys = tie_hash_array(np.repeat(order, sizes), cands)
+    keys &= ~_POS_MASK
+    keys |= (np.arange(len(cands)) - np.repeat(indptr[:-1], sizes)).astype(np.uint64)
+    return keys
+
+
+def tie_keys(dr: DestRouting) -> np.ndarray:
+    """:func:`compute_tie_keys` over one destination's tiebreak CSR."""
+    return compute_tie_keys(dr.order, dr.indptr, dr.cands)
 
 
 def compute_tree(
@@ -96,7 +118,7 @@ def compute_tree(
     any_secure = np.zeros(n, dtype=bool)
     order, indptr, cands = dr.order, dr.indptr, dr.cands
     levels = dr.level_starts
-    tie_keys = dr.tie_keys()  # state-independent, computed once per dest
+    keys = tie_keys(dr)  # state-independent, computed once per dest
 
     secure[dr.dest] = node_secure[dr.dest]
 
@@ -118,7 +140,7 @@ def compute_tree(
         row_of_edge = np.repeat(np.arange(hi - lo, dtype=np.int64), sizes)
 
         allowed = csec | ~use_sec[row_of_edge]
-        key = np.where(allowed, tie_keys[seg_lo:seg_hi], _BLOCKED)
+        key = np.where(allowed, keys[seg_lo:seg_hi], _BLOCKED)
 
         kmin = np.minimum.reduceat(key, starts)
         chosen_rel = starts + (kmin & _POS_MASK).astype(np.int64)

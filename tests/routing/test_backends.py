@@ -439,8 +439,8 @@ class TestSplitStackParity:
     multi-candidate sub-stack of each level; full-set and subset batches
     must equal ``compute_tree_scalar`` / ``subtree_weights`` row for row
     — weights as ``uint64``, so a reordered float sum cannot hide — and
-    ``compute_tree``, which selects on ``compute_tie_keys``: no pool
-    holds tie keys, so each tier's own derivation answers to both.
+    ``compute_tree``, which selects on hashed tie keys: no pool holds
+    keys, so each tier's first-candidate picks answer to both.
     """
 
     @staticmethod

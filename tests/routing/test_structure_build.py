@@ -7,7 +7,10 @@ one-destination passes and packaging of ``repro.routing.tree``),
 ``_reference_arrays`` (the per-destination pack of
 ``RoutingArena.build``) and ``_reference_assemble`` (``_assemble`` of
 ``repro.routing.fixpoint``), with the ``gather_neighbors`` helper only
-they called.  Everything the batched path produces must
+they called, plus one step of their packaging that came later: each
+tiebreak set put in tie-break order, ascending ``(tie_hash(u, v) &
+~POS_MASK, v)`` by the scalar ``policy.tie_hash``, the order the pools
+keep.  Everything the batched path produces must
 equal them bit for bit: dtype, shape and bytes of all 12 pooled fields
 — whichever way a cache came
 by its pools (a warm, a resumed warm, a first ask out of order, worker
@@ -34,10 +37,12 @@ from repro.routing.compiled import CompiledGraph, segment_index
 from repro.routing.errors import BackendUnavailable, RouteTooLongError
 from repro.routing.fixpoint import PIN_ROUTE, JacobiDriver, fixpoint_pools, pin_table
 from repro.routing.policy import (
+    POSITION_BITS,
     RouteClass,
     available_policies,
     compute_dest_routing_sp_first,
     get_policy,
+    tie_hash,
 )
 from repro.routing.tree import (
     DestRouting,
@@ -54,11 +59,12 @@ from repro.telemetry.metrics import MetricsRegistry, use_registry
 from repro.topology.generator import generate_topology
 from repro.topology.graph import ASGraph
 
-from tests.references import route_classes_and_lengths_scalar
+from tests.references import route_classes_and_lengths_scalar, tie_keys
 from tests.routing.test_variants import restrict_to_primary_reference
 from tests.strategies import as_graphs
 
 _UNSET = -1
+_HASH_MASK = ~((1 << POSITION_BITS) - 1)
 _SELF = int(RouteClass.SELF)
 _CUSTOMER = int(RouteClass.CUSTOMER)
 _PEER = int(RouteClass.PEER)
@@ -155,6 +161,12 @@ def _package(n, dest, cls, lengths, srcs, dsts) -> DestRouting:
     rows, cands = rows[sort], dsts[sort].astype(np.int32)
     indptr = np.zeros(len(order) + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=len(order)), out=indptr[1:])
+    # each row's set in tie-break order, by the scalar hash
+    for row, u in enumerate(order.tolist()):
+        lo, hi = indptr[row], indptr[row + 1]
+        cands[lo:hi] = sorted(
+            cands[lo:hi].tolist(), key=lambda v: (tie_hash(u, v) & _HASH_MASK, v)
+        )
     return DestRouting(
         dest=dest, cls=cls.astype(np.int8), lengths=lengths.astype(np.int8),
         order=order, row_of=row_of, level_starts=level_starts,
@@ -384,7 +396,7 @@ class TestBatchedBuildBitIdentity:
                 for name in ("cls", "lengths", "order", "row_of", "level_starts", "indptr", "cands"):
                     a, b = getattr(got, name), getattr(want, name)
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-                assert got.tie_keys().tobytes() == want.tie_keys().tobytes()
+                assert tie_keys(got).tobytes() == tie_keys(want).tobytes()
             info = route_classes_and_lengths(graph, dest)
             assert info.dest == dest
             assert info.cls.tobytes() == want.cls.tobytes()
@@ -727,4 +739,4 @@ class TestViewsLeaveThePoolsAlone:
         shipped = pickle.loads(pickle.dumps(pools.view(7)))
         assert len(pickle.dumps(pools.view(7))) < 2 * len(pickle.dumps(alone))
         assert shipped.cands.tobytes() == alone.cands.tobytes()
-        assert shipped.tie_keys().tobytes() == alone.tie_keys().tobytes()
+        assert tie_keys(shipped).tobytes() == tie_keys(alone).tobytes()

@@ -43,12 +43,11 @@ from repro.routing.fixpoint import (
 )
 from repro.routing.policy import RouteClass, available_policies, get_policy
 from repro.routing.reference import ConvergenceError
-from repro.routing.tree import compute_tie_keys
 from repro.telemetry.metrics import NULL_REGISTRY, MetricsRegistry, use_registry
 from repro.topology.generator import generate_topology
 from repro.topology.relationships import ASRole
 
-from tests.references import jacobi_converge_reference
+from tests.references import compute_tie_keys, jacobi_converge_reference
 from tests.strategies import graphs_with_security
 
 POLICIES = available_policies()

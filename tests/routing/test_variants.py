@@ -18,10 +18,10 @@ from repro.routing.policy import (
     register_policy,
     tie_hash_array,
 )
-from repro.routing.tree import DestRouting, compute_tie_keys
+from repro.routing.tree import DestRouting
 from repro.topology.graph import ASGraph
 
-from tests.references import compute_tree, subtree_weights
+from tests.references import compute_tree, subtree_weights, tie_keys
 
 
 def valley_graph() -> ASGraph:
@@ -166,9 +166,7 @@ def _assert_same_structure(got: DestRouting, want: DestRouting) -> None:
     for name in ("cls", "lengths", "order", "row_of", "level_starts", "indptr", "cands"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    assert got.tie_keys().tobytes() == compute_tie_keys(
-        want.order, want.indptr, want.cands
-    ).tobytes()
+    assert tie_keys(got).tobytes() == tie_keys(want).tobytes()
 
 
 class TestStickyPrimaries:
@@ -177,12 +175,12 @@ class TestStickyPrimaries:
         sticky = np.random.default_rng(5).random(small_graph.n) < fraction
         for dest in (0, 7, 11, 60, 199):
             dr = small_cache.ensure_arena().view(small_cache.dest_pos(dest))
-            before = (dr.indptr.tobytes(), dr.cands.tobytes(), dr.tie_keys().tobytes())
+            before = (dr.indptr.tobytes(), dr.cands.tobytes(), tie_keys(dr).tobytes())
             _assert_same_structure(
                 restrict_to_primary(small_graph, dest, sticky),
                 restrict_to_primary_reference(dr, sticky),
             )
-            assert before == (dr.indptr.tobytes(), dr.cands.tobytes(), dr.tie_keys().tobytes())
+            assert before == (dr.indptr.tobytes(), dr.cands.tobytes(), tie_keys(dr).tobytes())
 
     def test_registered_policy_matches_reference_per_chunk(self, small_graph):
         """``sticky_primaries`` restricts a whole chunk at once; every

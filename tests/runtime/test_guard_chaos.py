@@ -171,10 +171,10 @@ class TestPaperScaleForecast:
         # the next test plans against
         pools_only = RoutingArena.estimate_bytes(self.N_PAPER, self.N_PAPER, backend="cext")
         assert pools_only > 20 * cells > 3 * 8 * 2**30
-        # numpy's mirror adds 54 more at that split: the weights stack
+        # numpy's mirror adds 42 more at that split: the weights stack
         # (12 a row), half the rows with one candidate (20 each), half
-        # with two (24 a row, 20 a candidate) — ~94 GiB in all
-        assert total > (20 + 54) * cells > 11 * 8 * 2**30
+        # with two (16 a row, 12 a candidate) — ~78 GiB in all
+        assert total > (20 + 42) * cells > 9 * 8 * 2**30
         # sampling destinations is what makes paper scale feasible:
         sampled = RoutingArena.estimate_bytes(256, self.N_PAPER)
         assert sampled < 2 * 2**30
