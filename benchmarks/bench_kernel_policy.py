@@ -6,7 +6,9 @@ policy keeps the state-independent arena fast path, so its numbers must
 track the pre-policy-layer kernels.  The state-dependent rankings
 (``security_2nd`` / ``security_1st``) pay a Jacobi fixpoint rebuild per
 deployment state — deliberately more expensive; these benches make that
-cost visible instead of anecdotal.
+cost visible instead of anecdotal.  ``sp_first`` is built by the same
+fixpoint, once and with nobody secure (its structure does not move with
+the state), so its build tracks theirs.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ from repro.routing.policy import (
     RouteClass,
     RoutingPolicy,
     available_policies,
-    compute_dest_routing_sp_first,
     exportable_to,
     get_policy,
     policy_table,
@@ -58,7 +57,6 @@ __all__ = [
     "available_policies",
     "collect_tiebreak_stats",
     "compute_dest_routing",
-    "compute_dest_routing_sp_first",
     "deployment_traffic_shift",
     "exportable_to",
     "fixpoint_pools",

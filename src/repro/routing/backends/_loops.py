@@ -37,8 +37,8 @@ Calling convention (all backends):
   ``repro.routing.backends.mask_stride``);
 - the Jacobi iteration takes the edge table of
   ``repro.routing.fixpoint`` (``v`` int32, ``route_cls`` int8,
-  ``node_ptr`` / ``rev_ptr`` / ``rank_edge`` / ``rev_edge`` int64,
-  ``tie_rank`` / ``lp_field`` uint32, ``rev_seg`` int32), ``edge_flags`` uint8,
+  ``node_ptr`` / ``rev_ptr`` / ``rev_edge`` int64, ``lp_field`` uint32,
+  ``rev_seg`` int32; each segment in tie-break order), ``edge_flags`` uint8,
   ``rank_shifts`` int64[3], ``attacker`` int64[chunk], ``pins``
   int64[chunk, MAX_PINS, 6], the labels int8/int32/bool as C-contiguous
   ``[chunk, n]`` matrices (updated in place), ``stats`` int64[chunk, 3]
@@ -75,11 +75,11 @@ Bit-identity with the numpy backend is structural, not accidental:
   order bit for bit (batch rows write disjoint rows of ``w``, so which
   batch row goes first does not matter, nor whether a row's weights
   follow its own tree at once or every row's tree first);
-- the Jacobi iteration takes the minimum of ``rank_key << 32 |
-  tie_rank`` over a segment in one pass, the word the numpy step gathers
-  per edge; minima are order-independent.  Only the tie mask needs the
-  keys again (the key is a pure function of the labels, so both passes
-  agree), and only structure building asks for it.  Which nodes a sweep
+- the Jacobi iteration takes the minimum of ``rank_key << 32 | e``
+  over a segment in one pass, the word the numpy step gathers per edge;
+  minima are order-independent.  Only the tie mask needs the keys again
+  (the key is a pure function of the labels, so both passes agree), and
+  only structure building asks for it.  Which nodes a sweep
   re-decides changes no label: a node not on the frontier would decide
   from the same neighbours' labels, and the same pins, as it did the
   last time it was decided — so it would decide the same, and its part
@@ -126,9 +126,9 @@ from repro.routing.tree import MAX_ROUTE_LENGTH, PoolsAssembly, route_too_long, 
 _BLOCKED = np.uint64(2**64 - 1)
 _INVALID_KEY = np.uint32(0xFFFFFFFF)
 
-# The sweep's selection word: rank key above, tie rank below.
+# The sweep's selection word: rank key above, edge index below.
 _KEY_SHIFT = np.uint64(32)
-_RANK_MASK = np.uint64(0xFFFFFFFF)
+_EDGE_MASK = np.uint64(0xFFFFFFFF)
 
 _SELF = int(RouteClass.SELF)
 _CUSTOMER = int(RouteClass.CUSTOMER)
@@ -230,10 +230,9 @@ def _weigh_row(order_pool, o, level_pool, starts, last, choice, base,
                 w[base + p] += w[base + u] + node_weights[u]
 
 
-def jacobi_converge(v, route_cls, node_ptr, tie_rank, rank_edge, lp_field,
-                    rev_ptr, rev_seg, rev_edge, edge_flags, rank_shifts,
-                    node_secure, attacker, leak, pins, cap, cls, length, sec,
-                    att, stats, tied=None):
+def jacobi_converge(v, route_cls, node_ptr, lp_field, rev_ptr, rev_seg,
+                    rev_edge, edge_flags, rank_shifts, node_secure, attacker,
+                    leak, pins, cap, cls, length, sec, att, stats, tied=None):
     """Converge every row of the chunk to its fixed point, in place.
 
     Every row carries its own adversary (``attacker[row]``, ``-1`` for
@@ -270,9 +269,9 @@ def jacobi_converge(v, route_cls, node_ptr, tie_rank, rank_edge, lp_field,
     edge) ``x``'s new word is offered, and ``u`` is queued for the next
     sweep only if the word undercuts ``cand[u]`` — ``best[u]``, or the
     least word pushed to ``u`` since — or if ``x`` is the source of
-    ``u``'s best edge (the edge whose ``tie_rank`` is ``best[u]``'s low
-    half), whose labels ``u`` copies even when its word stays.  No other
-    node can move: its least word and that word's source are as before.
+    ``u``'s best edge (the edge ``best[u]``'s low half names), whose
+    labels ``u`` copies even when its word stays.  No other node can
+    move: its least word and that word's source are as before.
     A queued node scans its segment again only if its best source's
     word got worse (or barred), since then an offer that was not the
     least may be now; otherwise its least word is ``cand[u]``.  A row
@@ -364,14 +363,13 @@ def jacobi_converge(v, route_cls, node_ptr, tie_rank, rank_edge, lp_field,
                     word = _BLOCKED
                     for e in range(node_ptr[u], node_ptr[u + 1]):
                         word = min(word, _offer_word(
-                            e, row, att_row, leak, v, tie_rank, lp_field,
-                            edge_flags, shifts, cls, length, sec, att,
+                            e, row, att_row, leak, v, lp_field, edge_flags,
+                            shifts, cls, length, sec, att,
                         ))
                     scan[u] = False
                 best[u] = cand[u] = word
-                label = _decide(u, word, row, att_row, v, route_cls, node_ptr,
-                                rank_edge, edge_flags, node_secure, length,
-                                sec, att)
+                label = _decide(u, word, row, att_row, v, route_cls,
+                                edge_flags, node_secure, length, sec, att)
                 for k in range(MAX_PINS):
                     if pins[row, k, 0] == u:
                         label = _pinned(pins[row, k], *label)
@@ -412,10 +410,10 @@ def jacobi_converge(v, route_cls, node_ptr, tie_rank, rank_edge, lp_field,
                 for j in range(rev_ptr[x], rev_ptr[x + 1]):
                     u = rev_seg[j]
                     e = rev_edge[j]
-                    word = _offer_word(e, row, att_row, leak, v, tie_rank,
-                                       lp_field, edge_flags, shifts, cls,
-                                       length, sec, att)
-                    if (best[u] & _RANK_MASK) == tie_rank[e]:
+                    word = _offer_word(e, row, att_row, leak, v, lp_field,
+                                       edge_flags, shifts, cls, length, sec,
+                                       att)
+                    if (best[u] & _EDGE_MASK) == e:
                         scan[u] |= word > best[u]   # its best source: scan if worse
                     elif word >= cand[u]:
                         continue
@@ -451,14 +449,14 @@ def _pinned(pin, c, ln, s, a):
     return c, ln, s, a
 
 
-def _decide(u, word, row, att_row, v, route_cls, node_ptr, rank_edge,
-            edge_flags, node_secure, length, sec, att):
+def _decide(u, word, row, att_row, v, route_cls, edge_flags, node_secure,
+            length, sec, att):
     """Node ``u``'s new ``(cls, length, sec, att)`` from its least
-    selection word ``word``: the offer of the edge holding the word's
-    tie rank, or no route if every offer is barred."""
+    selection word ``word``: the offer of the edge the word's low half
+    names, or no route if every offer is barred."""
     if word == _BLOCKED:
         return _UNREACHABLE, -1, False, False
-    eidx = rank_edge[node_ptr[u] + np.int64(word & _RANK_MASK)]
+    eidx = np.int64(word & _EDGE_MASK)
     vv = v[eidx]
     seen = sec[row, vv] or (
         edge_flags[eidx] & EDGE_GULLIBLE and vv == att_row and att[row, vv]
@@ -466,15 +464,15 @@ def _decide(u, word, row, att_row, v, route_cls, node_ptr, rank_edge,
     return route_cls[eidx], length[row, vv] + 1, node_secure[u] and seen, att[row, vv]
 
 
-def _offer_word(e, row, att_row, leak, v, tie_rank, lp_field, edge_flags,
-                shifts, cls, length, sec, att):
-    """Selection word ``rank_key << 32 | tie_rank`` of one offer;
-    ``_BLOCKED`` if barred."""
+def _offer_word(e, row, att_row, leak, v, lp_field, edge_flags, shifts,
+                cls, length, sec, att):
+    """Selection word ``rank_key << 32 | e`` of one offer; ``_BLOCKED``
+    if barred."""
     k = _offer_key(e, row, att_row, leak, v, lp_field, edge_flags, shifts,
                    cls, length, sec, att)
     if k == _INVALID_KEY:
         return _BLOCKED
-    return (np.uint64(k) << _KEY_SHIFT) | np.uint64(tie_rank[e])
+    return (np.uint64(k) << _KEY_SHIFT) | np.uint64(e)
 
 
 def _offer_key(e, row, att_row, leak, v, lp_field, edge_flags, shifts,

@@ -218,7 +218,6 @@ void sbgp_weights_stacked(
 typedef struct {
     const int32_t *v;
     const uint32_t *lp_field;
-    const uint32_t *tie_rank;
     const uint8_t *edge_flags;
     uint32_t lp_shift, sp_shift, secp_shift;
     int64_t att_row;   /* -1 (no adversary) equals no node id */
@@ -256,12 +255,12 @@ static inline uint32_t sbgp_offer_key(const sbgp_offers *o, int64_t e)
         ((uint32_t)(lv + 1) << o->sp_shift) | (secp << o->secp_shift);
 }
 
-/* The selection word of offer e, rank key << 32 | tie rank: all ones
- * when the offer is barred. */
+/* The selection word of offer e, rank key << 32 | e: all ones when the
+ * offer is barred. */
 static inline uint64_t sbgp_offer_word(const sbgp_offers *o, int64_t e)
 {
     const uint32_t k = sbgp_offer_key(o, e);
-    return k == INVALID_KEY ? UINT64_MAX : ((uint64_t)k << 32) | o->tie_rank[e];
+    return k == INVALID_KEY ? UINT64_MAX : ((uint64_t)k << 32) | (uint64_t)e;
 }
 
 /* Labels (c, l, s, a) with the fields pin holds put in. */
@@ -281,16 +280,16 @@ static inline void sbgp_pinned(const int64_t *pin, int8_t *c, int32_t *l,
 
 /* The Jacobi iteration of a chunk, a row at a time, in place: see
  * _loops.jacobi_converge, which this transliterates.  Every node takes
- * the offer with the least selection word rank_key << 32 | tie_rank
- * (rank_edge[node_ptr[u] + r] is the edge of u's segment that holds tie
- * rank r) and keeps that word, best[u].  Sweep 1 scans the segment of
- * every node -- of only the pins and their readers when the row starts
- * blank.  After a sweep each changed node x is pushed along its reverse
- * slots (rev_seg, rev_edge): a reader u is queued when x's new word
- * undercuts cand[u] -- best[u], or the least word pushed to u since --
- * or when x is the source of u's best edge, the edge whose tie rank is
- * best[u]'s low half.  u's decision is a function of its least word and
- * of that word's source labels, so no other node can move.  A queued
+ * the offer with the least selection word rank_key << 32 | e (each
+ * segment is in tie-break order, so the low half both breaks ties and
+ * names the edge) and keeps that word, best[u].  Sweep 1 scans the
+ * segment of every node -- of only the pins and their readers when the
+ * row starts blank.  After a sweep each changed node x is pushed along
+ * its reverse slots (rev_seg, rev_edge): a reader u is queued when x's
+ * new word undercuts cand[u] -- best[u], or the least word pushed to u
+ * since -- or when x is the source of u's best edge, the edge best[u]'s
+ * low half names.  u's decision is a function of its least word and of
+ * that word's source labels, so no other node can move.  A queued
  * node scans its segment again only when its best source's word got
  * worse or barred; else its least word is cand[u].  tied may be NULL:
  * only structure building asks for the tie mask, written from best[]
@@ -299,7 +298,6 @@ static inline void sbgp_pinned(const int64_t *pin, int8_t *c, int32_t *l,
 int sbgp_jacobi_converge(
     int64_t chunk, int64_t n,
     const int32_t *v, const int8_t *route_cls, const int64_t *node_ptr,
-    const uint32_t *tie_rank, const int64_t *rank_edge,
     const uint32_t *lp_field, const int64_t *rev_ptr, const int32_t *rev_seg,
     const int64_t *rev_edge, const uint8_t *edge_flags,
     const int64_t *rank_shifts, const uint8_t *node_secure,
@@ -332,7 +330,7 @@ int sbgp_jacobi_converge(
         uint8_t *s = sec + row * n, *a = att + row * n;
         const int64_t *rp = pins + row * MAX_PINS * 6;
         const sbgp_offers o = {
-            v, lp_field, tie_rank, edge_flags, (uint32_t)rank_shifts[0],
+            v, lp_field, edge_flags, (uint32_t)rank_shifts[0],
             (uint32_t)rank_shifts[1], (uint32_t)rank_shifts[2],
             attacker[row], (int)leak, c, l, s, a};
         int blank = 1;
@@ -401,7 +399,7 @@ int sbgp_jacobi_converge(
                     new_sec[i] = 0;
                     new_att[i] = 0;
                 } else {
-                    const int64_t eidx = rank_edge[node_ptr[u] + (int64_t)(word & 0xFFFFFFFFu)];
+                    const int64_t eidx = (int64_t)(word & 0xFFFFFFFFu);
                     const int32_t vv = v[eidx];
                     const int seen = s[vv] ||
                         ((edge_flags[eidx] & EDGE_GULLIBLE) && vv == o.att_row && a[vv]);
@@ -455,7 +453,7 @@ int sbgp_jacobi_converge(
                     const int32_t u = rev_seg[j];
                     const int64_t e = rev_edge[j];
                     const uint64_t word = sbgp_offer_word(&o, e);
-                    if ((uint32_t)best[u] == tie_rank[e])
+                    if ((uint32_t)best[u] == (uint32_t)e)
                         scan[u] |= word > best[u];   /* its best source: scan if worse */
                     else if (word >= cand[u])
                         continue;
@@ -723,7 +721,7 @@ def _load_library() -> ctypes.CDLL:
     # (chunk, n), the edge table ... attacker, leak, pins, cap, the
     # labels, stats and tied
     lib.sbgp_jacobi_converge.argtypes = (
-        [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 13
+        [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 11
         + [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 6
     )
     lib.sbgp_jacobi_converge.restype = ctypes.c_int   # -1: no scratch memory
@@ -821,18 +819,15 @@ def weights_stacked(slots, n, order_ptr, order_pool, level_ptr, level_pool,
     )
 
 
-def jacobi_converge(v, route_cls, node_ptr, tie_rank, rank_edge, lp_field,
-                    rev_ptr, rev_seg, rev_edge, edge_flags, rank_shifts,
-                    node_secure, attacker, leak, pins, cap, cls, length, sec,
-                    att, stats, tied=None):
+def jacobi_converge(v, route_cls, node_ptr, lp_field, rev_ptr, rev_seg,
+                    rev_edge, edge_flags, rank_shifts, node_secure, attacker,
+                    leak, pins, cap, cls, length, sec, att, stats, tied=None):
     """Converge every row of the chunk in place, each in one pass of C
     over its frontier sweeps (``_loops.jacobi_converge`` is the spec)."""
     num_edges = len(v)
     n = len(node_ptr) - 1
     chunk = len(attacker)
-    per_edge = (
-        route_cls, tie_rank, rank_edge, lp_field, rev_seg, rev_edge, edge_flags,
-    )
+    per_edge = (route_cls, lp_field, rev_seg, rev_edge, edge_flags)
     if (
         n < 0 or len(rev_ptr) != n + 1
         or node_ptr[-1] != num_edges or rev_ptr[-1] != num_edges
@@ -856,7 +851,6 @@ def jacobi_converge(v, route_cls, node_ptr, tie_rank, rank_edge, lp_field,
     status = _LIB.sbgp_jacobi_converge(
         chunk, n,
         _ptr(v, np.int32), _ptr(route_cls, np.int8), _ptr(node_ptr, np.int64),
-        _ptr(tie_rank, np.uint32), _ptr(rank_edge, np.int64),
         _ptr(lp_field, np.uint32), _ptr(rev_ptr, np.int64),
         _ptr(rev_seg, np.int32), _ptr(rev_edge, np.int64),
         _ptr(edge_flags, np.uint8),

@@ -10,7 +10,7 @@ The contract is the *outputs*, not the instruction sequence: integer
 and boolean results are exact whatever the order of evaluation, so how
 a level is cut up (one-candidate rows apart from multi-candidate rows,
 rows in blocks) is free to change, and so is how the Jacobi step finds
-a node's best offer (one minimum over ``rank_key << 32 | tie_rank``,
+a node's best offer (one minimum over ``rank_key << 32 | e``,
 which is the arg-min of the two-stage rule: least rank key, then least
 tie-break key among the tied) and which nodes a sweep re-decides (here
 all of them; the compiled tiers only those whose neighbours moved).
@@ -70,9 +70,9 @@ _BLOCKED = np.uint64(2**64 - 1)
 #: no secure candidate: above every place in the mirror
 _NONE = np.iinfo(np.int64).max
 
-# The sweep's selection word: rank key above, tie rank below.
+# The sweep's selection word: rank key above, edge index below.
 _KEY_SHIFT = np.uint64(32)
-_RANK_MASK = np.uint64(0xFFFFFFFF)
+_EDGE_MASK = np.uint64(0xFFFFFFFF)
 
 
 #: Rows per block of the weights pass.  The temporaries stay cache-sized
@@ -499,26 +499,28 @@ class _SweepPlan:
     word per flag combination the table holds (its *variants*), and
     every edge then reads its word at ``variant * n + v`` — ``index`` —
     and ORs in ``static``, the bits only the edge knows: the LP field
-    and ``tie_rank``.  A minimum per segment needs the segments that are
-    not empty (``seg_starts`` / ``seg_sizes`` / ``seg_u``); the winner
-    of a segment is decoded by its place ``seg_start + tie rank``, so
-    what a step reads of it is kept by place.  The two ``[chunk, ...]``
-    buffers live here too: successive sweeps reuse them (a fresh
-    megabyte per sweep is a megabyte of page faults per sweep).
+    and its own index.  A minimum per segment needs the segments that
+    are not empty (``seg_starts`` / ``seg_sizes`` / ``seg_u``); the
+    winner of a segment is the edge its word's low half names, and a
+    step reads what it offers from the table's ``v`` / ``route_cls``.
+    The two ``[chunk, ...]`` buffers live here too: successive sweeps
+    reuse them (a fresh megabyte per sweep is a megabyte of page faults
+    per sweep).
 
     A plan is good for as long as the driver that owns ``edge_flags``
-    converges, and no longer: it refers to the static arguments weakly,
+    converges, and no longer: it keys on the static arguments weakly,
     and leaves its thread's ``slot`` when ``edge_flags`` goes — kept
     past that, its buffers would sit under the peak of whatever the
     process builds next.
     """
 
-    def __init__(self, slot, n, v, route_cls, node_ptr, tie_rank, rank_edge,
-                 lp_field, edge_flags, rank_shifts):
+    def __init__(self, slot, n, v, route_cls, node_ptr, lp_field, edge_flags,
+                 rank_shifts):
         self.key = (
             weakref.ref(edge_flags, lambda _: slot.pop("plan", None)),
-            weakref.ref(v), weakref.ref(tie_rank), weakref.ref(rank_shifts),
+            weakref.ref(v), weakref.ref(route_cls), weakref.ref(rank_shifts),
         )
+        self.v, self.route_cls = v, route_cls
         sizes = np.diff(node_ptr)
         self.seg_u = np.flatnonzero(sizes)
         self.seg_starts = node_ptr[self.seg_u]
@@ -527,15 +529,14 @@ class _SweepPlan:
         variant_of = np.zeros(max(self.variants, default=0) + 1, dtype=np.int64)
         variant_of[self.variants] = np.arange(len(self.variants))
         self.index = variant_of[edge_flags] * n + v
-        # the rank key sits above the tie rank in the selection word
+        # the rank key sits above the edge index in the selection word
         lp_shift, sp_shift, secp_shift = (int(s) + 32 for s in rank_shifts)
-        self.static = (lp_field.astype(np.uint64) << np.uint64(lp_shift)) | tie_rank
+        edges = np.arange(len(v), dtype=np.uint64)
+        self.static = (lp_field.astype(np.uint64) << np.uint64(lp_shift)) | edges
         self.sp_shift = np.uint64(sp_shift)
         self.secp_bit = np.uint64(1 << secp_shift)
-        self.place_v = v[rank_edge].astype(np.int64)
-        self.place_cls = route_cls[rank_edge]
-        self.place_gullible = (edge_flags[rank_edge] & EDGE_GULLIBLE) != 0
-        self.gullible = bool(self.place_gullible.any())
+        self.edge_gullible = (edge_flags & EDGE_GULLIBLE) != 0
+        self.gullible = bool(self.edge_gullible.any())
         # every node has a segment on a connected graph: then the
         # segments *are* the columns, in order
         self.columns = slice(None) if len(self.seg_u) == n else self.seg_u
@@ -566,11 +567,10 @@ def _sweep(plan, attacker, leak, cls, length, sec, att, node_secure,
     """One synchronous best-response step of every row, into ``new_*``.
 
     Every node takes the offer with the least selection word
-    ``rank_key << 32 | tie_rank`` (all-ones: the offer is barred), so a
-    step is one gather of a word per edge, one minimum per segment and
-    a decode of the winner's place ``seg_start + tie rank`` (the plan's
-    ``place_*`` read what the edge that holds it offers).  Nodes without
-    a segment are not written.
+    ``rank_key << 32 | e`` (all-ones: the offer is barred), so a step
+    is one gather of a word per edge, one minimum per segment and a read
+    of what the winning edge ``e`` offers.  Nodes without a segment are
+    not written.
     """
     chunk, n = cls.shape
     table, words, row_base = plan.buffers(chunk)
@@ -630,23 +630,22 @@ def _sweep(plan, attacker, leak, cls, length, sec, att, node_secure,
             out=tied,
         )
         tied &= np.repeat(reachable, plan.seg_sizes, axis=1)
-    # an unreachable node's place is past its segment (clipped: past the
-    # table); what it reads there, ``reachable`` masks below
-    place = (best & _RANK_MASK).astype(np.int64)
-    place += plan.seg_starts
-    v_sel = np.take(plan.place_v, place, mode="clip")
+    # an unreachable node's edge is past the table (clipped); what it
+    # reads there, ``reachable`` masks below
+    edge = (best & _EDGE_MASK).astype(np.int64)
+    v_sel = np.take(plan.v, edge, mode="clip")
     at_sel = v_sel + row_base
     att_sel = np.take(att, at_sel)
     seen_sel = np.take(sec, at_sel)
     if plan.gullible:
         seen_sel |= (
-            np.take(plan.place_gullible, place, mode="clip")
+            np.take(plan.edge_gullible, edge, mode="clip")
             & (v_sel == attacker[:, None])
             & att_sel
         )
     cols = plan.columns
     new_cls[:, cols] = np.where(
-        reachable, np.take(plan.place_cls, place, mode="clip"), np.int8(_UNREACHABLE)
+        reachable, np.take(plan.route_cls, edge, mode="clip"), np.int8(_UNREACHABLE)
     )
     new_len[:, cols] = np.where(reachable, np.take(length, at_sel) + 1, -1)
     new_sec[:, cols] = reachable & node_secure[plan.seg_u] & seen_sel
@@ -711,8 +710,6 @@ def jacobi_converge(
     v: np.ndarray,
     route_cls: np.ndarray,
     node_ptr: np.ndarray,
-    tie_rank: np.ndarray,
-    rank_edge: np.ndarray,
     lp_field: np.ndarray,
     rev_ptr: np.ndarray,
     rev_seg: np.ndarray,
@@ -753,11 +750,10 @@ def jacobi_converge(
     plan = slot.get("plan")
     if plan is None or any(
         ref() is not a
-        for ref, a in zip(plan.key, (edge_flags, v, tie_rank, rank_shifts))
+        for ref, a in zip(plan.key, (edge_flags, v, route_cls, rank_shifts))
     ):
         plan = slot["plan"] = _SweepPlan(
-            slot, n, v, route_cls, node_ptr, tie_rank, rank_edge, lp_field,
-            edge_flags, rank_shifts,
+            slot, n, v, route_cls, node_ptr, lp_field, edge_flags, rank_shifts,
         )
     labels = (cls, length, sec, att)
     live = np.arange(chunk)

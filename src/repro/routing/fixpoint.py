@@ -11,15 +11,16 @@ destinations.
 
 Per sweep, every directed edge ``u <- v`` offers ``v``'s current label
 to ``u`` if GR2 allows the export, and ``u`` takes the offer with the
-smallest **selection word** ``rank_key << 32 | tie_rank``.  ``rank_key``
-is a packed ``uint32`` whose fields follow the policy ranking (first
+smallest **selection word** ``rank_key << 32 | e``.  ``rank_key`` is a
+packed ``uint32`` whose fields follow the policy ranking (first
 criterion in the highest bits); edges equal on it form the tiebreak
-set.  ``tie_rank`` is the edge's place, within ``u``'s segment, in
-tie-break order (:func:`~repro.routing.tree.tie_order`) — the order the
-pools keep every tiebreak set in, whose first candidate TB picks — so
-one minimum over the word picks the offer the two-stage rule (best rank
-key, then least tie-break key among the tied) picks, and a converged
-structure resolved by
+set.  ``e`` is the edge's own index: the table keeps each node's
+segment in tie-break order (:func:`~repro.routing.tree.tie_order`) —
+the order the pools keep every tiebreak set in, whose first candidate
+TB picks — so within a segment the index order is the tie order, one
+minimum over the word picks the offer the two-stage rule (best rank
+key, then least tie-break key among the tied) picks, and the word's
+low half names the winning edge.  A converged structure resolved by
 :func:`~repro.routing.arena.compute_trees_batched` under the same
 deployment state reproduces the fixpoint's choices exactly: tied
 candidates always share one length (SP is in every ranking), tie sets
@@ -52,6 +53,12 @@ its best source's word got worse — one row at a time; numpy re-decides
 every node of every row still moving, one sweep across the chunk at a
 time.
 
+The same iteration builds ``sp_first`` (``SP > LP > SecP``): with SecP
+last its structure does not move with the state, and with nobody secure
+any ranking degenerates to its security-free order, so
+:meth:`~repro.routing.policy.RoutingPolicy.build_into` converges it once,
+all-insecure, for every state.
+
 Convergence: rankings with LP first (``security_2nd``, and the default)
 admit no dispute wheel under GR1 topologies, so the iteration reaches
 the unique stable state in about one sweep per path-length level.
@@ -68,7 +75,7 @@ import numpy as np
 
 from repro.routing import backends as kernel_backends
 from repro.routing.compiled import CompiledGraph, offsets
-from repro.routing.policy import POSITION_BITS, Criterion, RouteClass
+from repro.routing.policy import Criterion, RouteClass
 from repro.routing.reference import ConvergenceError
 from repro.routing.tree import (
     StructurePools,
@@ -115,6 +122,10 @@ MAX_PINS = 2
 # A row's status, as a kernel returns it.
 ROW_CONVERGED, ROW_REVISITS, ROW_MOVING = 0, 1, 2
 
+#: the edge table's bound: an edge index is a selection word's low half,
+#: and must differ from the all-ones low half of a barred offer
+_MAX_EDGES = 1 << 32
+
 #: bucket bounds of the ``routing.jacobi.sweeps`` histogram
 _SWEEP_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 1024)
 
@@ -127,14 +138,11 @@ Labels = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 class _EdgeTable:
     """The directed offer graph ``u <- v`` in segment-sorted flat form.
 
-    Edges are concatenated class-by-class (customer, peer, provider)
-    and stable-sorted by ``(u, v)``, so ``node_ptr[u]:node_ptr[u + 1]``
-    is ``u``'s *segment*, the offers it chooses among (empty for a node
-    without neighbours).  The table keeps each segment's tie-break order
-    (:func:`~repro.routing.tree.tie_order`, the order of every tiebreak
-    set in the pools): ``tie_rank[e]`` is edge ``e``'s place in its
-    segment in that order, and ``rank_edge[node_ptr[u] + r]`` is the
-    edge that holds place ``r``.
+    ``node_ptr[u]:node_ptr[u + 1]`` is ``u``'s *segment*, the offers it
+    chooses among (empty for a node without neighbours), stored in
+    tie-break order (:func:`~repro.routing.tree.tie_order`, the order of
+    every tiebreak set in the pools): of two offers in one segment, the
+    one with the lower index is the one TB prefers.
 
     ``rev_ptr`` / ``rev_seg`` / ``rev_edge`` index the edges the other
     way round: ``rev_seg[rev_ptr[v]:rev_ptr[v + 1]]`` are the segments,
@@ -143,15 +151,17 @@ class _EdgeTable:
     (``rev_seg == u[rev_edge]``).
 
     It depends on the graph alone; :func:`_edge_table` builds it once
-    per :class:`CompiledGraph`.
+    per :class:`CompiledGraph`.  An edge's index is the low half of its
+    selection word, so the table holds fewer than ``2**32`` edges.
     """
 
     def __init__(self, cg: CompiledGraph) -> None:
-        if cg.n > (1 << POSITION_BITS):
-            raise ValueError(
-                f"fixpoint tie-break keys need n <= {1 << POSITION_BITS}, got {cg.n}"
-            )
         u = np.concatenate([cg.cust_src, cg.peer_src, cg.prov_src])
+        if len(u) >= _MAX_EDGES:
+            raise ValueError(
+                f"the fixpoint's selection word needs fewer than {_MAX_EDGES} "
+                f"edges, got {len(u)}"
+            )
         v = np.concatenate([cg.cust_idx, cg.peer_idx, cg.prov_idx])
         route_cls = np.concatenate(
             [
@@ -160,18 +170,14 @@ class _EdgeTable:
                 np.full(len(cg.prov_src), _PROVIDER, dtype=np.int8),
             ]
         )
-        sort = np.argsort(u.astype(np.int64) * cg.n + v, kind="stable")
         self.n = n = cg.n
+        self.node_ptr = offsets(np.bincount(u, minlength=n))
+        by_u = np.argsort(u, kind="stable")
+        sort = by_u[tie_order(self.node_ptr, v[by_u])]
         self.u = u[sort].astype(np.int32)
         self.v = v[sort].astype(np.int32)
         self.route_cls = route_cls[sort]
         self.num_edges = len(self.u)
-        self.node_ptr = offsets(np.bincount(self.u, minlength=n))
-        self.rank_edge = tie_order(self.node_ptr, self.v).astype(np.int64)
-        self.tie_rank = np.empty(self.num_edges, dtype=np.uint32)
-        self.tie_rank[self.rank_edge] = np.arange(
-            self.num_edges, dtype=np.int64
-        ) - np.repeat(self.node_ptr[:-1], np.diff(self.node_ptr))
         # static LP field: customer (best) -> 0, peer -> 1, provider -> 2
         self.lp_field = (2 - self.route_cls).astype(np.uint32)
         self.is_provider_edge = self.route_cls == _PROVIDER
@@ -308,9 +314,9 @@ class JacobiDriver:
             attackers = np.full(chunk, -1, dtype=np.int64)
         stats = np.zeros((chunk, 3), dtype=np.int64)
         self._kernels.jacobi_converge(
-            table.v, table.route_cls, table.node_ptr, table.tie_rank,
-            table.rank_edge, table.lp_field, table.rev_ptr, table.rev_seg,
-            table.rev_edge, self._edge_flags, self._rank_shifts, self._node_secure,
+            table.v, table.route_cls, table.node_ptr, table.lp_field,
+            table.rev_ptr, table.rev_seg, table.rev_edge, self._edge_flags,
+            self._rank_shifts, self._node_secure,
             attackers, leak, pins, self.cap, *labels, stats, tied,
         )
         status, sweeps, decisions = stats.T

@@ -47,8 +47,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from collections import defaultdict
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -56,7 +55,7 @@ from repro.routing.compiled import CompiledGraph
 from repro.telemetry.metrics import get_registry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (tree imports policy)
-    from repro.routing.tree import DestRouting, PoolsAssembly, StructurePools
+    from repro.routing.tree import PoolsAssembly, StructurePools
     from repro.topology.graph import ASGraph
 
 
@@ -68,16 +67,6 @@ class RouteClass(enum.IntEnum):
     PEER = 1
     CUSTOMER = 2
     SELF = 3  # the destination's own (empty) route
-
-
-# plain-int views of the classes for the Python-loop builders below:
-# int(RouteClass.X) costs an enum __int__ dispatch, far too slow for
-# per-node inner loops
-_SELF = int(RouteClass.SELF)
-_CUSTOMER = int(RouteClass.CUSTOMER)
-_PEER = int(RouteClass.PEER)
-_PROVIDER = int(RouteClass.PROVIDER)
-_UNREACHABLE = int(RouteClass.UNREACHABLE)
 
 
 class Criterion(enum.Enum):
@@ -145,7 +134,9 @@ class RoutingPolicy:
     ``ranking`` is a permutation of the three :class:`Criterion` values;
     TB is always last.  ``sticky_fraction`` > 0 collapses that fraction
     of nodes' tiebreak sets to their hash-preferred primary (§8.3's
-    sticky-primaries deviation) after the structure is built.
+    sticky-primaries deviation) after the structure is built; it needs
+    a state-independent ranking, whose tiebreak sets do not move with
+    the deployment state.
     """
 
     name: str
@@ -161,6 +152,11 @@ class RoutingPolicy:
         if not 0.0 <= self.sticky_fraction <= 1.0:
             raise ValueError(
                 f"sticky_fraction must be in [0, 1], got {self.sticky_fraction}"
+            )
+        if self.sticky_fraction > 0.0 and self.state_dependent:
+            raise ValueError(
+                f"sticky primaries need a ranking with SecP last, got "
+                f"{self.ranking_str()}"
             )
 
     # -- classification -------------------------------------------------
@@ -274,26 +270,19 @@ class RoutingPolicy:
     ) -> None:
         """Build the structures of ``dests`` (int64) into slots ``lo:``
         of ``assembly``, a destination chunk at a time (arguments as
-        :meth:`build_pools`).  Rankings with SecP last and no sticky
-        nodes label each chunk in place on a tier that can size its
-        pools first (cext, python); every other chunk is built whole and
-        handed over."""
+        :meth:`build_pools`).  Appendix A's ``LP > SP > SecP`` takes the
+        three-pass chunk build, labelled in place on a tier that can size
+        its pools first (cext, python) when no node is sticky.  Every
+        other ranking converges in the Jacobi fixpoint: under the
+        deployment state when its structure moves with it, else
+        (``sp_first``) with nobody secure.  Chunks built whole are
+        handed over, restricted first when nodes are sticky."""
         from repro.routing import backends as kernel_backends
         from repro.routing.tree import chunk_pools, destination_chunks
 
         cg = compiled or CompiledGraph.from_graph(graph)
-        if self.state_dependent:
-            from repro.routing.fixpoint import fixpoint_pools
-
-            parts = fixpoint_pools(
-                graph, dests, self, cg,
-                node_secure=node_secure, breaks_ties=breaks_ties,
-                backend=backend,
-            )
-        elif self.ranking[0] is Criterion.SP:
-            parts = (_sp_first_pools(graph, chunk) for chunk in destination_chunks(cg, dests))
-        else:
-            sticky = self.sticky_mask(graph.n)
+        sticky = self.sticky_mask(graph.n)
+        if self.ranking == (Criterion.LP, Criterion.SP, Criterion.SECP):
             name, kernels = kernel_backends.kernels_for(kernel_backends.resolve_backend(backend))
             if sticky is None and hasattr(kernels, "structure_labels"):
                 for chunk in destination_chunks(cg, dests):
@@ -302,124 +291,39 @@ class RoutingPolicy:
                     lo += len(chunk)
                 return
             parts = chunk_pools(cg, dests, name)
-            if sticky is not None:
-                parts = (part.restrict_to_primary(sticky) for part in parts)
+        else:
+            from repro.routing.fixpoint import fixpoint_pools
+
+            if not self.state_dependent:
+                node_secure = breaks_ties = None
+            parts = fixpoint_pools(
+                graph, dests, self, cg,
+                node_secure=node_secure, breaks_ties=breaks_ties,
+                backend=backend,
+            )
+        if sticky is not None:
+            parts = (part.restrict_to_primary(sticky) for part in parts)
         for part in parts:
             assembly.take(lo, part)
             lo += part.num_dests
 
 
-# -- the §8.3 variant builders ------------------------------------------
+# -- the §8.3 deviations ------------------------------------------------
 #
 # The paper's §8.3 speculates about two deviations from the Appendix-A
-# model; both produce standard DestRouting structures, so the entire
+# model; both produce standard pooled structures, so the entire
 # deployment game runs unchanged on top of them:
 #
 # - shortest-path-first ("we speculate that considering shortest path
 #   routing policy would lead to overly optimistic results"): ranking
-#   SP > LP > SecP > TB, built by compute_dest_routing_sp_first below
-#   and selected by build_pools when SP leads the ranking;
+#   SP > LP > SecP > TB.  SecP ranks last, so the structure does not
+#   move with the state, and build_into converges it once in the Jacobi
+#   fixpoint with nobody secure;
 # - sticky primaries ("if a large fraction of multihomed ASes always
 #   use one provider as primary ... our current analysis is likely to
 #   be overly optimistic"): StructurePools.restrict_to_primary collapses
 #   sticky nodes' tiebreak sets to a single fixed choice after the
-#   structure is built.
-
-
-def compute_dest_routing_sp_first(
-    graph: "ASGraph", dest: int, compiled: "CompiledGraph | None" = None
-) -> "DestRouting":
-    """The :class:`DestRouting` for ``dest`` with ``SP > LP`` ranking."""
-    return _sp_first_pools(graph, [dest]).view(0)
-
-
-def _sp_first_pools(graph: "ASGraph", dests: Sequence[int]) -> "StructurePools":
-    """The structures of ``dests`` with ``SP > LP`` ranking (GR2
-    export), a destination at a time, assembled as one chunk (each
-    destination counts as a chunk of its own)."""
-    from repro.routing.tree import assemble_pools
-
-    n = graph.n
-    cls = np.full((len(dests), n), _UNREACHABLE, dtype=np.int8)
-    dist = np.full((len(dests), n), -1, dtype=np.int32)
-    src: list[int] = []
-    dst: list[int] = []
-    for row, dest in enumerate(dests):
-        for v, u in _sp_first_candidates(graph, int(dest), cls[row], dist[row]):
-            src.append(row * n + v)
-            dst.append(u)
-    get_registry().counter("routing.structure.chunks").inc(len(dests))
-    return assemble_pools(
-        dests, cls, dist, np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
-    )
-
-
-def _sp_first_candidates(
-    graph: "ASGraph", dest: int, cls: np.ndarray, dist: np.ndarray
-) -> list[tuple[int, int]]:
-    """One destination's labels with ``SP > LP`` ranking, into ``cls``
-    and ``dist`` (blank on entry), and its tiebreak candidates as
-    ``(node, next hop)`` pairs.
-
-    Selected routes are found by bucketed Dijkstra over unit weights:
-    when a node is finalised, its selected class determines what it may
-    export (everything to customers; only customer routes across
-    peerings and to providers).  Among the minimum-length candidates a
-    node prefers customer over peer over provider next hops (LP as the
-    second criterion), and its tiebreak set is the candidates matching
-    that (length, class) optimum.
-    """
-    n = graph.n
-    dist[dest] = 0
-    cls[dest] = _SELF
-    # candidates[v] -> list of (next_hop, class_at_v)
-    candidates: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    buckets: dict[int, list[int]] = {0: [dest]}
-    finalized = np.zeros(n, dtype=bool)
-    level = 0
-    max_level = 0
-    while level <= max_level:
-        for u in buckets.pop(level, ()):  # noqa: B909 - buckets mutated below
-            if finalized[u]:
-                continue
-            finalized[u] = True
-            if u != dest:
-                # LP as the second criterion: the selected class is the
-                # best among the minimum-length candidates, fixed now so
-                # export decisions below can use it
-                cls[u] = max(c for _, c in candidates[u])
-            exports_everywhere = cls[u] in (_CUSTOMER, _SELF)
-            du = int(dist[u])
-            for v, class_at_v in _neighbor_views(graph, u):
-                # GR2: u announces to v iff v is u's customer, or u's
-                # selected route is a customer route / its own prefix
-                v_is_customer_of_u = class_at_v == _PROVIDER
-                if not (v_is_customer_of_u or exports_everywhere):
-                    continue
-                if finalized[v]:
-                    continue
-                cand = du + 1
-                if dist[v] == -1 or cand < dist[v]:
-                    dist[v] = cand
-                    candidates[v] = [(u, class_at_v)]
-                    buckets.setdefault(cand, []).append(v)
-                    max_level = max(max_level, cand)
-                elif cand == dist[v]:
-                    candidates[v].append((u, class_at_v))
-        level += 1
-
-    # tiebreak sets: each node's minimum-length candidates of its class
-    return [(v, u) for v, offers in candidates.items() for u, c in offers if c == cls[v]]
-
-
-def _neighbor_views(graph: "ASGraph", u: int):
-    """Yield ``(neighbor, neighbor's class for a route via u)``."""
-    for v in graph.customers[u]:
-        yield v, _PROVIDER   # v reaches u as its provider
-    for v in graph.providers[u]:
-        yield v, _CUSTOMER   # v reaches u as its customer
-    for v in graph.peers[u]:
-        yield v, _PEER
+#   structure is built, under any ranking with SecP last.
 
 
 # -- the registry -------------------------------------------------------

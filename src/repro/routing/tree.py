@@ -461,11 +461,12 @@ class PoolsAssembly:
     fields and records its sizes (:meth:`label`); its pools pass waits
     for :meth:`finish`, which allocates the pools once every size is
     known and fills each chunk's slices.  Every other builder — numpy's
-    passes, the fixpoint, the SP-first Dijkstra, the sticky restriction
-    — cannot size a chunk without building it, so it hands over the
-    chunk it built (:meth:`take`): its dense rows are copied in at once,
-    its pools kept until :meth:`finish` copies them in a field at a
-    time, releasing each chunk's copy of a field as soon as it is in.
+    passes, the fixpoint (every ranking but Appendix A's, SP-first
+    included), the sticky restriction — cannot size a chunk without
+    building it, so it hands over the chunk it built (:meth:`take`): its
+    dense rows are copied in at once, its pools kept until
+    :meth:`finish` copies them in a field at a time, releasing each
+    chunk's copy of a field as soon as it is in.
     A built chunk that covers every slot is adopted, not copied.
     """
 

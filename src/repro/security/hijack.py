@@ -197,10 +197,10 @@ def simulate_hijack(
     )
     leak = scen.attacker_leaks
 
-    # Per-node candidate table, sorted by neighbor index — the same
-    # order as the fixpoint edge table's u-segments (relations are
-    # disjoint, so sorting by (u, v) orders purely by v within a
-    # segment), giving identical position-disambiguated tie keys.
+    # Per-node candidate table, sorted by neighbor index: a tie key of
+    # the hash's high bits above that position orders a node's offers
+    # by (hash, neighbor), the tie-break order the fixpoint edge table
+    # stores each u-segment in (relations are disjoint).
     candidates: list[list[tuple[int, int, int, bool]]] = []
     for i in range(n):
         entries = sorted(

@@ -20,6 +20,9 @@ to read, as what the differential suites compare against:
 - :func:`subtree_weights` — the weight routed through each node;
 - :func:`route_classes_and_lengths_scalar` — passes 1-3 of the
   structure build with queues and a heap;
+- :func:`compute_dest_routing_sp_first` — the §8.3 ``SP > LP > SecP``
+  structure of one destination by bucketed Dijkstra, the oracle for
+  the fixpoint that builds it;
 - :func:`project_flip_per_destination` — the projection delta summed in
   a Python loop over one ``DestState`` per destination, as
   ``repro.core.projection`` did before it read the round's matrices;
@@ -38,7 +41,7 @@ to read, as what the differential suites compare against:
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from collections import defaultdict, deque
 
 import numpy as np
 
@@ -57,7 +60,7 @@ from repro.routing.fixpoint import (
 from repro.routing.paths import RoutingTree
 from repro.routing.policy import POSITION_BITS, Criterion, RouteClass, tie_hash_array
 from repro.routing.reference import ConvergenceError
-from repro.routing.tree import DestRouting, RouteInfo
+from repro.routing.tree import DestRouting, RouteInfo, assemble_pools
 from repro.topology.graph import ASGraph
 
 _POS_MASK = np.uint64((1 << POSITION_BITS) - 1)
@@ -277,6 +280,70 @@ def route_classes_and_lengths_scalar(graph: ASGraph, dest: int) -> RouteInfo:
         elif dist_prov[i] != _UNSET:
             cls[i] = _PROVIDER
     return RouteInfo(dest=dest, cls=cls, lengths=selected_len)
+
+
+def compute_dest_routing_sp_first(graph: ASGraph, dest: int) -> DestRouting:
+    """One destination's structure under ``SP > LP > SecP`` (GR2
+    export), by bucketed Dijkstra over unit weights.
+
+    When a node is finalised, its selected class determines what it may
+    export (everything to customers; only customer routes across
+    peerings and to providers).  Among the minimum-length candidates a
+    node prefers customer over peer over provider next hops (LP as the
+    second criterion), and its tiebreak set is the candidates matching
+    that (length, class) optimum.
+    """
+    n = graph.n
+    cls = np.full((1, n), _UNREACHABLE, dtype=np.int8)
+    dist = np.full((1, n), -1, dtype=np.int32)
+    dist[0, dest] = 0
+    cls[0, dest] = _SELF
+    # candidates[v] -> list of (next_hop, class_at_v)
+    candidates: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    buckets: dict[int, list[int]] = {0: [dest]}
+    finalized = np.zeros(n, dtype=bool)
+    level = 0
+    max_level = 0
+    while level <= max_level:
+        for u in buckets.pop(level, ()):  # noqa: B909 - buckets mutated below
+            if finalized[u]:
+                continue
+            finalized[u] = True
+            if u != dest:
+                # LP as the second criterion: the selected class is the
+                # best among the minimum-length candidates, fixed now so
+                # export decisions below can use it
+                cls[0, u] = max(c for _, c in candidates[u])
+            exports_everywhere = cls[0, u] in (_CUSTOMER, _SELF)
+            du = int(dist[0, u])
+            # (neighbour, its class for a route via u)
+            views = (
+                [(v, _PROVIDER) for v in graph.customers[u]]
+                + [(v, _CUSTOMER) for v in graph.providers[u]]
+                + [(v, _PEER) for v in graph.peers[u]]
+            )
+            for v, class_at_v in views:
+                # GR2: u announces to v iff v is u's customer, or u's
+                # selected route is a customer route / its own prefix
+                if not (class_at_v == _PROVIDER or exports_everywhere):
+                    continue
+                if finalized[v]:
+                    continue
+                cand = du + 1
+                if dist[0, v] == -1 or cand < dist[0, v]:
+                    dist[0, v] = cand
+                    candidates[v] = [(u, class_at_v)]
+                    buckets.setdefault(cand, []).append(v)
+                    max_level = max(max_level, cand)
+                elif cand == dist[0, v]:
+                    candidates[v].append((u, class_at_v))
+        level += 1
+
+    # tiebreak sets: each node's minimum-length candidates of its class
+    pairs = [(v, u) for v, offers in candidates.items() for u, c in offers if c == cls[0, v]]
+    src = np.array([v for v, _ in pairs], dtype=np.int64)
+    dst = np.array([u for _, u in pairs], dtype=np.int64)
+    return assemble_pools([dest], cls, dist, src, dst).view(0)
 
 
 def outgoing_contribution(ds: DestState, node: int) -> float:

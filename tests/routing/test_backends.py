@@ -583,7 +583,7 @@ class TestCextArgumentChecks:
         # every argument but ``leak`` and ``cap`` is an array, and every
         # array reaches C
         checked = [i for i, arg in enumerate(args) if isinstance(arg, np.ndarray)]
-        assert len(args) == 22 and len(checked) == 20
+        assert len(args) == 20 and len(checked) == 18
         assert checked[-1] == len(args) - 1  # tied too
         self._assert_checked(kernel, args, checked)
 
@@ -593,10 +593,10 @@ class TestCextArgumentChecks:
         kernel, args = self._converge_call(small_graph, monkeypatch)
         calls = _stub_library(monkeypatch)
         for bad in (-2, small_graph.n):
-            pins = args[14].copy()
+            pins = args[12].copy()
             pins[-1, 0, 0] = bad
             with pytest.raises(ValueError, match="pin outside the graph"):
-                kernel(*args[:14], pins, *args[15:])
+                kernel(*args[:12], pins, *args[13:])
         assert calls == []
         kernel(*args)   # the stub does see a valid call
         assert calls == ["sbgp_jacobi_converge"]
@@ -606,7 +606,7 @@ class TestCextArgumentChecks:
     ):
         kernel, args = self._converge_call(small_graph, monkeypatch)
         calls = _stub_library(monkeypatch)
-        rev_ptr, rev_seg, rev_edge = args[6:9]
+        rev_ptr, rev_seg, rev_edge = args[4:7]
         short = rev_ptr.copy()
         short[-1] -= 1   # closes one edge short of the table
         for bad in (
@@ -615,7 +615,7 @@ class TestCextArgumentChecks:
             (rev_ptr, rev_seg, rev_edge[:-1].copy()),
         ):
             with pytest.raises(ValueError, match="edge table out of step"):
-                kernel(*args[:6], *bad, *args[9:])
+                kernel(*args[:4], *bad, *args[7:])
         assert calls == []
 
     def test_a_reverse_edge_outside_the_table_raises_before_the_c_call(
@@ -624,10 +624,10 @@ class TestCextArgumentChecks:
         kernel, args = self._converge_call(small_graph, monkeypatch)
         calls = _stub_library(monkeypatch)
         for bad in (-1, len(args[0])):
-            rev_edge = args[8].copy()
+            rev_edge = args[6].copy()
             rev_edge[-1] = bad
             with pytest.raises(ValueError, match="reverse edge outside the table"):
-                kernel(*args[:8], rev_edge, *args[9:])
+                kernel(*args[:6], rev_edge, *args[7:])
         assert calls == []
         kernel(*args)   # the stub does see a valid call
         assert calls == ["sbgp_jacobi_converge"]
@@ -637,7 +637,7 @@ class TestCextArgumentChecks:
     ):
         kernel, args = self._converge_call(small_graph, monkeypatch)
         calls = _stub_library(monkeypatch)
-        for i in range(16, 20):   # cls, length, sec, att
+        for i in range(14, 18):   # cls, length, sec, att
             for bad in (args[i][:, :-1].copy(), args[i][:-1].copy(), args[i].reshape(-1)):
                 with pytest.raises(ValueError, match=r"not \[chunk"):
                     kernel(*args[:i], bad, *args[i + 1:])

@@ -8,6 +8,8 @@ Three tiers of guarantee, by how much convergence theory gives us:
   vectorised and batched-arena kernels must all agree on it;
 - ``security_2nd`` keeps LP first, so the fixpoint is unique and the
   batched fixpoint builder must match the reference simulator exactly;
+  so must ``sp_first``, which the same fixpoint builds with nobody
+  secure (its structure does not move with the state);
 - ``security_1st`` can admit multiple stable states (Lychev et al.,
   PAPERS.md), so its output is checked for *stability* — no node has a
   strictly better GR2-valid offer — rather than for exact equality.
@@ -80,15 +82,14 @@ class TestDefaultPolicyIsPureRefactor:
             assert (bt.secure[k] == tree.secure).all(), dests[k]
 
 
-@given(graphs_with_security(max_nodes=12))
-@settings(max_examples=25, deadline=None)
-def test_security_2nd_matches_reference(graph_and_secure):
-    """LP stays first, so the fixpoint is unique: batched Jacobi builder
-    and the scalar reference simulator must agree on every label."""
+def _assert_matches_simulate_bgp(graph_and_secure, policy_name: str) -> None:
+    """The policy's built structures, resolved under the state, select
+    what the scalar reference simulator selects: every label and every
+    tree choice."""
     graph, secure_list = graph_and_secure
     node_secure = np.zeros(graph.n, dtype=bool)
     node_secure[secure_list] = True
-    pol = get_policy("security_2nd")
+    pol = get_policy(policy_name)
     dests = list(range(graph.n))
     routings = pol.build_pools(
         graph, dests, node_secure=node_secure, breaks_ties=node_secure
@@ -110,6 +111,23 @@ def test_security_2nd_matches_reference(graph_and_secure):
             else:
                 assert dr.lengths[i] == route.length, (dest, i)
                 assert tree.choice[i] == route.path[1], (dest, i, route.path)
+
+
+@given(graphs_with_security(max_nodes=12))
+@settings(max_examples=25, deadline=None)
+def test_security_2nd_matches_reference(graph_and_secure):
+    """LP stays first, so the fixpoint is unique: batched Jacobi builder
+    and the scalar reference simulator must agree on every label."""
+    _assert_matches_simulate_bgp(graph_and_secure, "security_2nd")
+
+
+@given(graphs_with_security(max_nodes=12))
+@settings(max_examples=25, deadline=None)
+def test_sp_first_matches_reference(graph_and_secure):
+    """SP-first is built by the same Jacobi fixpoint, once, with nobody
+    secure; resolved under any state it must still select what the
+    scalar reference simulator selects under that state."""
+    _assert_matches_simulate_bgp(graph_and_secure, "sp_first")
 
 
 @given(graphs_with_security(max_nodes=12))

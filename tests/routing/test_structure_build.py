@@ -40,7 +40,6 @@ from repro.routing.policy import (
     POSITION_BITS,
     RouteClass,
     available_policies,
-    compute_dest_routing_sp_first,
     get_policy,
     tie_hash,
 )
@@ -59,7 +58,11 @@ from repro.telemetry.metrics import MetricsRegistry, use_registry
 from repro.topology.generator import generate_topology
 from repro.topology.graph import ASGraph
 
-from tests.references import route_classes_and_lengths_scalar, tie_keys
+from tests.references import (
+    compute_dest_routing_sp_first,
+    route_classes_and_lengths_scalar,
+    tie_keys,
+)
 from tests.routing.test_variants import restrict_to_primary_reference
 from tests.strategies import as_graphs
 
@@ -513,6 +516,27 @@ class TestFixpointThroughTheAssembler:
             a.cands_pool.tobytes() != b.cands_pool.tobytes()
             for a, b in zip(parts, insecure, strict=True)
         )
+
+
+@pytest.mark.parametrize("tier", ["numpy", "cext"])
+def test_fixpoint_builds_past_65536_nodes(tier):
+    """The fixpoint's edge table is bounded by its edge count alone: a
+    star of one ISP and 69,999 stubs converges, toward the ISP and
+    toward a stub."""
+    if not _loads(tier):
+        pytest.skip(f"kernel backend {tier!r} does not load here")
+    n = 70_000
+    graph = ASGraph()
+    for asn in range(1, n + 1):
+        graph.add_as(asn)
+    for stub in range(2, n + 1):
+        graph.add_customer_provider(provider=1, customer=stub)
+    hub, stub = graph.index(1), graph.index(n)
+    parts = fixpoint_pools(graph, [hub, stub], get_policy("security_2nd"), backend=tier)
+    toward_hub, toward_stub = (view for part in parts for view in part.views())
+    assert (toward_hub.lengths[np.arange(n) != hub] == 1).all()
+    assert toward_stub.lengths[hub] == 1
+    assert (toward_stub.lengths[np.arange(n) != hub] == 2).sum() == n - 2
 
 
 class TestChunkAccounting:

@@ -16,8 +16,9 @@ frontier through trajectories no real run takes (a reachable class with
 length -1, counting to the cap, a 2-cycle beside a row that converges).
 
 ``TestOneWordSelection`` pins the rule all three tiers select by: the
-minimum of ``rank_key << 32 | tie_rank`` is the offer the two-stage rule
-(least rank key, then least tie-break key among the tied) picks.
+edge table keeps each segment in tie-break order, and the minimum of
+``rank_key << 32 | e`` is the offer the two-stage rule (least rank key,
+then least tie-break key among the tied) picks.
 """
 
 from __future__ import annotations
@@ -41,16 +42,23 @@ from repro.routing.fixpoint import (
     JacobiDriver,
     pin_table,
 )
-from repro.routing.policy import RouteClass, available_policies, get_policy
+from repro.routing.policy import (
+    POSITION_BITS,
+    RouteClass,
+    available_policies,
+    get_policy,
+    tie_hash,
+)
 from repro.routing.reference import ConvergenceError
 from repro.telemetry.metrics import NULL_REGISTRY, MetricsRegistry, use_registry
 from repro.topology.generator import generate_topology
 from repro.topology.relationships import ASRole
 
-from tests.references import compute_tie_keys, jacobi_converge_reference
+from tests.references import jacobi_converge_reference
 from tests.strategies import graphs_with_security
 
 POLICIES = available_policies()
+_HASH_MASK = ~((1 << POSITION_BITS) - 1)
 
 
 def _loads(name: str) -> bool:
@@ -183,8 +191,9 @@ class TestSweepTiers:
 
 
 class TestOneWordSelection:
-    """``(rank_key, tie_rank)`` arg-min == the two-stage ``(rank_key,
-    tie_key)`` choice, segment by segment."""
+    """``rank_key << 32 | e`` arg-min == the two-stage ``(rank_key,
+    tie-break key)`` choice, segment by segment: the edge table keeps
+    each segment in tie-break order, so an edge's index breaks ties."""
 
     @pytest.fixture(scope="class")
     def table(self):
@@ -194,8 +203,13 @@ class TestOneWordSelection:
         return JacobiDriver(CompiledGraph.from_graph(graph), policy, none, none).table
 
     @staticmethod
-    def _tie_keys(table) -> np.ndarray:
-        return compute_tie_keys(np.arange(table.n), table.node_ptr, table.v)
+    def _tie_keys(table) -> list[tuple[int, int]]:
+        """Each edge ``u <- v``'s tie-break key by the scalar hash:
+        ``(tie_hash(u, v)`` above the position bits``, v)``."""
+        return [
+            (tie_hash(u, v) & _HASH_MASK, v)
+            for u, v in zip(table.u.tolist(), table.v.tolist())
+        ]
 
     @staticmethod
     def _segments(table) -> list[tuple[int, int]]:
@@ -203,13 +217,27 @@ class TestOneWordSelection:
         starts, sizes = table.node_ptr[:-1], np.diff(table.node_ptr)
         return list(zip(starts[sizes > 0].tolist(), sizes[sizes > 0].tolist()))
 
-    def test_tie_rank_orders_each_segment_by_tie_key(self, table):
+    def test_each_segment_is_in_tie_break_order(self, table):
+        assert (table.u == np.repeat(np.arange(table.n), np.diff(table.node_ptr))).all()
         tie_key = self._tie_keys(table)
         for lo, size in self._segments(table):
-            seg = slice(lo, lo + size)
-            by_key = lo + np.argsort(tie_key[seg], kind="stable")
-            assert table.rank_edge[seg].tolist() == by_key.tolist()
-            assert table.tie_rank[by_key].tolist() == list(range(size))
+            seg = tie_key[lo:lo + size]
+            assert all(a < b for a, b in zip(seg, seg[1:])), lo
+
+    def test_the_table_holds_every_edge_once(self, table):
+        graph = generate_topology(n=200, seed=3).graph
+        want = sorted(
+            (u, v, int(cls))
+            for u in range(graph.n)
+            for cls, nbrs in (
+                (RouteClass.CUSTOMER, graph.customers[u]),
+                (RouteClass.PEER, graph.peers[u]),
+                (RouteClass.PROVIDER, graph.providers[u]),
+            )
+            for v in nbrs
+        )
+        got = sorted(zip(table.u.tolist(), table.v.tolist(), table.route_cls.tolist()))
+        assert got == want
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), distinct=st.integers(1, 4))
@@ -220,20 +248,17 @@ class TestOneWordSelection:
             0, distinct, table.num_edges
         ).astype(np.uint64)
         tie_key = self._tie_keys(table)
-        word = (rank_key << np.uint64(32)) | table.tie_rank
+        word = (rank_key << np.uint64(32)) | np.arange(table.num_edges, dtype=np.uint64)
         segments = self._segments(table)
         seg_starts = np.array([lo for lo, _ in segments], dtype=np.int64)
-        best = np.minimum.reduceat(word, seg_starts)
-        one_word = table.rank_edge[
-            seg_starts + (best & np.uint64(0xFFFFFFFF)).astype(np.int64)
-        ]
+        one_word = np.minimum.reduceat(word, seg_starts) & np.uint64(0xFFFFFFFF)
         # every segment: the degree-1 stubs and the biggest hub included
         sizes = [size for _, size in segments]
         assert min(sizes) == 1 and max(sizes) > 20 * distinct
         for s, (lo, size) in enumerate(segments):
-            seg = slice(lo, lo + size)
-            tied = np.flatnonzero(rank_key[seg] == rank_key[seg].min())
-            two_stage = lo + tied[np.argmin(tie_key[seg][tied])]
+            least = rank_key[lo:lo + size].min()
+            tied = [e for e in range(lo, lo + size) if rank_key[e] == least]
+            two_stage = min(tied, key=tie_key.__getitem__)
             assert one_word[s] == two_stage, (s, size)
 
 

@@ -13,7 +13,6 @@ from repro.routing.policy import (
     POSITION_BITS,
     RouteClass,
     available_policies,
-    compute_dest_routing_sp_first,
     get_policy,
     register_policy,
     tie_hash_array,
@@ -37,12 +36,17 @@ def valley_graph() -> ASGraph:
     return g
 
 
+def sp_first_routing(graph: ASGraph, dest: int) -> DestRouting:
+    """One destination's SP-first structure, as the policy builds it."""
+    return get_policy("sp_first").build_pools(graph, [dest]).view(0)
+
+
 class TestSpFirst:
     def test_sp_beats_lp(self):
         """The defining difference: a shorter peer route now beats a
         longer customer route."""
         g = valley_graph()
-        dr = compute_dest_routing_sp_first(g, g.index(3))
+        dr = sp_first_routing(g, g.index(3))
         i1 = g.index(1)
         assert dr.lengths[i1] == 2
         assert dr.cls[i1] == int(RouteClass.PEER)
@@ -67,7 +71,7 @@ class TestSpFirst:
         g.add_customer_provider(provider=2, customer=3)
         g.add_customer_provider(provider=4, customer=3)
         g.add_peering(1, 4)
-        dr = compute_dest_routing_sp_first(g, g.index(3))
+        dr = sp_first_routing(g, g.index(3))
         i1 = g.index(1)
         assert dr.cls[i1] == int(RouteClass.CUSTOMER)
         assert list(dr.tiebreak_set(i1)) == [g.index(2)]
@@ -79,7 +83,7 @@ class TestSpFirst:
             g.add_as(asn)
         g.add_peering(1, 2)
         g.add_peering(2, 3)
-        dr = compute_dest_routing_sp_first(g, g.index(3))
+        dr = sp_first_routing(g, g.index(3))
         assert dr.lengths[g.index(1)] == -1
 
     def test_paths_never_longer_than_gao_rexford(self, small_graph):
@@ -87,17 +91,31 @@ class TestSpFirst:
 
         for dest in range(0, small_graph.n, 23):
             base = compute_dest_routing(small_graph, dest)
-            sp = compute_dest_routing_sp_first(small_graph, dest)
+            sp = sp_first_routing(small_graph, dest)
             reachable = base.lengths >= 0
             assert (sp.lengths[reachable] <= base.lengths[reachable]).all()
 
     def test_game_engine_runs_on_variant(self, small_graph):
         secure = np.zeros(small_graph.n, dtype=bool)
         secure[::4] = True
-        dr = compute_dest_routing_sp_first(small_graph, 3)
+        dr = sp_first_routing(small_graph, 3)
         tree = compute_tree(dr, secure, secure)
         w = subtree_weights(dr, tree, small_graph.weights)
         assert w.sum() >= 0
+
+    def test_the_state_never_reaches_the_build(self, small_graph):
+        """SecP ranks last, so one security-free structure serves every
+        state: a state handed to the build changes none of its bytes."""
+        secure = np.zeros(small_graph.n, dtype=bool)
+        secure[::2] = True
+        dests = list(range(0, small_graph.n, 9))
+        policy = get_policy("sp_first")
+        plain = policy.build_pools(small_graph, dests).arrays()
+        stated = policy.build_pools(
+            small_graph, dests, node_secure=secure, breaks_ties=secure
+        ).arrays()
+        for name, array in plain.items():
+            assert array.tobytes() == stated[name].tobytes(), name
 
     def test_policy_registry(self, small_graph):
         cache = RoutingCache(small_graph, policy="sp-first")
@@ -216,6 +234,30 @@ class TestStickyPrimaries:
         restricted = restrict_to_primary(small_graph, 5, sticky)
         assert (restricted.indptr == dr.indptr).all()
         assert (restricted.cands == dr.cands).all()
+
+    def test_sp_first_ranking_keeps_its_sticky_restriction(self, small_graph):
+        """Stickiness restricts whichever state-independent structure the
+        ranking builds: under ``SP > LP`` it collapses the SP-first
+        tiebreak sets of the sticky nodes."""
+        policy = dataclasses.replace(
+            get_policy("sp_first"), name="sticky_sp_first", sticky_fraction=0.5
+        )
+        sticky = policy.sticky_mask(small_graph.n)
+        dests = list(range(0, small_graph.n, 5))
+        plain = get_policy("sp_first").build_pools(small_graph, dests).views()
+        collapsed = 0
+        for got, dr in zip(policy.build_pools(small_graph, dests).views(), plain, strict=True):
+            _assert_same_structure(got, restrict_to_primary_reference(dr, sticky))
+            collapsed += int(((dr.tiebreak_sizes() > 1) & sticky[dr.order]).sum())
+        assert collapsed > 0   # the restriction had sets to collapse
+
+    @pytest.mark.parametrize("name", ["security_2nd", "security_1st"])
+    def test_a_state_dependent_ranking_refuses_stickiness(self, name):
+        """Tiebreak sets that move with the deployment state have no
+        fixed primary to pin."""
+        with pytest.raises(ValueError, match="SecP last"):
+            dataclasses.replace(get_policy(name), name="sticky", sticky_fraction=0.5)
+        assert dataclasses.replace(get_policy(name), sticky_fraction=0.0).state_dependent
 
     def test_all_sticky_policy_through_the_cache(self, small_graph, small_cache, all_sticky):
         assert all_sticky.sticky_mask(small_graph.n).all()
