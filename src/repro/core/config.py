@@ -26,12 +26,14 @@ class ProjectionEngine(enum.Enum):
     """How projected utilities are computed.
 
     ``FULL`` recomputes every relevant routing tree in the flipped
-    state (vectorised); ``INCREMENTAL`` propagates security deltas
-    through the tiebreak graph (output-sensitive; exact same results).
+    state (one stacked kernel pass); ``INCREMENTAL`` propagates security
+    deltas through the tiebreak graph (output-sensitive).  Their sums
+    run in different orders, so a few ISPs a round get a utility that
+    differs in the last bit (a game's state memo keys on the engine).
     Both prune with the Appendix-C.4 destination filters.  FULL is the
-    default: the filters leave so few destinations that its vectorised
-    recompute beats per-node Python propagation up to several thousand
-    ASes (see ``benchmarks/bench_kernel_projection.py``).
+    default and the faster at every size measured: 14-24x on cext and
+    about 6x on numpy for a first-round ``project_flips`` of the
+    section-5 game, N=1,000 to 16,000 (ROADMAP item 9).
     """
 
     FULL = "full"

@@ -38,7 +38,7 @@ _PROVIDER = int(RouteClass.PROVIDER)
 #: backend: its outputs, ``choice`` int32 + ``secure``/``any_secure``
 #: bool + the float64 subtree weights (14), and 2 for what the numpy
 #: tier adds per call: the round's ``[n]`` state masks tiled to the pass
-#: (the compiled tiers read them in place) and its per-level
+#: (cext reads them in place) and its per-level
 #: temporaries (they scale with one level's rows, not with the matrix).
 _KERNEL_ROW_BYTES_PER_NODE = 16
 

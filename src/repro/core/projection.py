@@ -26,7 +26,8 @@ round has, which is both the fast and the flat-memory way to run them.
 Each row's delta is read off the resolved matrices against the round's
 rows, and each job's deltas are added left to right.
 
-Two engines with identical outputs share all of the above:
+Two engines share all of the above (their sums run in different orders,
+so a few ISPs a round differ in the last bit: a state memo keys on it):
 
 ``FULL``
     resolves special and candidate rows alike in the stack.

@@ -33,7 +33,7 @@ subtrees in the same call; :func:`subtree_weights_batched` sums them
 on their own.  Every tier is handed the pools themselves plus the
 batch's slots.  A slot's rows are sorted by ``(path length, node)``
 and every tiebreak candidate sits one level below its row, so the
-compiled tiers resolve a batch row by walking its slot's rows in pool
+cext tier resolves a batch row by walking its slot's rows in pool
 order, level by level, in place.  Only the numpy tier, whose level body
 is a whole-level gather across destinations, stacks the pools
 level-major; that mirror is its own, built and cached in
@@ -222,7 +222,7 @@ class RoutingArena(StructurePools):
         ``avg_reach_fraction`` scales the per-destination reach (1.0 =
         every node reaches every destination, the connected-graph
         worst case).  ``backend`` is the resolved kernel tier the arena
-        runs on.  The compiled tiers read the pools in place, so that is
+        runs on.  cext reads the pools in place, so that is
         the whole forecast.  On ``numpy`` it also counts the tier's own
         level-major mirror (``numpy_impl._TreeStacks`` /
         ``_WeightStack``), resident during every round: 12 bytes per row
@@ -314,11 +314,11 @@ def compute_trees_batched(
     the multi-candidate rows only.  Every tier is handed the arena's
     pools and ``slots`` (a full round is ``slots = arange(num_dests)``)
     and dispatches through the arena's kernel backend
-    (:mod:`repro.routing.backends`): the compiled tiers walk each batch
+    (:mod:`repro.routing.backends`): cext walks each batch
     row's slot in place, one linear pass over its rows, which run by
     path length; ``numpy`` stacks the pools level-major once (its own
     mirror), cuts a subset batch's stacks out of it and resolves each
-    global level with a handful of flat numpy operations.  All backends
+    global level with a handful of flat numpy operations.  Both tiers
     are bit-identical (asserted by ``tests/routing/test_backends.py``).
 
     ``node_secure`` and ``breaks_ties`` are each ``[n]``, one deployment
@@ -329,7 +329,7 @@ def compute_trees_batched(
 
     With ``node_weights`` the same call also sums every tree's subtree
     weights (:func:`subtree_weights_batched`'s ``W``, bit for bit) into
-    the returned ``weights``: the compiled tiers weigh each batch row
+    the returned ``weights``: cext weighs each batch row
     right after resolving it, while it is still in cache.  ``out`` takes
     tree buffers and ``weights_out`` a float64 ``[B, n]`` the caller
     reuses across calls: the returned matrices are those arrays,

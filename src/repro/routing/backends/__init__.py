@@ -1,4 +1,4 @@
-"""Kernel backend registry: one namespace, three implementation tiers.
+"""Kernel backend registry: one namespace, two implementation tiers.
 
 The four hot kernels — the batched tree resolver (``trees_stacked``,
 which given the node weights also sums each tree's subtree weights in
@@ -8,41 +8,65 @@ converges a chunk of rows (``jacobi_converge``, single- and
 multi-origin alike: a row without an adversary carries ``attacker =
 -1``) and the structure build of a destination chunk
 (``build_structures``: the three passes and the pooled rows, each
-tiebreak set in tie-break order) — exist in three implementations ("backends") behind
-this registry:
+tiebreak set in tie-break order) — exist in two implementations
+("backends") behind this registry:
 
 - ``numpy``: the vectorised code in
-  :mod:`repro.routing.backends.numpy_impl`.  It is the **differential
-  ground truth**: every other backend must produce bit-identical
-  outputs (asserted by ``tests/routing/test_backends.py``).  Its level
-  bodies gather whole path-length levels across destinations, so it
-  keeps a level-major mirror of each arena's pools, its own: built on
-  its first call, dropped with the arena.  Its Jacobi sweep re-decides
-  every node of every row still moving, all rows at once.
+  :mod:`repro.routing.backends.numpy_impl`, the **differential ground
+  truth**: cext must produce bit-identical outputs (asserted by
+  ``tests/routing/test_backends.py``, which holds both tiers to the
+  scalar references in ``tests/references.py`` too).  It keeps its own
+  level-major mirror of each arena's pools, and its Jacobi sweep
+  re-decides every node of every row still moving.
 - ``cext``: the same kernels as scalar loops in a small C translation
   unit, compiled once per source digest with the system C compiler and
-  bound through ``ctypes`` (:mod:`repro.routing.backends.cext_impl`).
-  No build-time dependency beyond ``cc``; the shared object is cached
-  on disk.  Its tree kernel takes one batch row at a time through its
-  slot of the arena's pools, in place: it clears the row, resolves it
-  level by level and, when asked, pushes its subtree weights up, while
-  the row is still in cache; it holds no second copy of the pools and
-  reads a deployment state shared by the batch in place (stride 0), not
-  tiled per row.  Its Jacobi iteration converges one row at a time
-  and, after the first sweep, re-decides only the nodes that read a
-  node the sweep before changed (on the
-  first sweep of a row that starts blank, only its pins and their
-  readers); its structure build walks one destination at a time, first
-  to size the chunk's pools, then to fill them — two kernels of their
-  own (``structure_labels`` / ``structure_pools``, which the python
-  tier has too), so a warm can label every chunk into the arena's rows
-  before any pool is allocated.  numpy cannot size a chunk without
-  building it and has ``build_structures`` alone.
-- ``python``: the C loops' executable spec in pure Python
-  (:mod:`repro.routing.backends._loops`), registered *hidden* so the
-  parity suite can pin the exact control flow the C code transliterates
-  without a compiler.  Far too slow for real runs; never selected by
-  ``auto``.
+  bound through ``ctypes`` (:mod:`repro.routing.backends.cext_impl`);
+  the shared object is cached on disk.  It reads the arena's pools in
+  place, one batch row at a time, re-decides only the nodes a Jacobi
+  sweep can move, and builds structures in two kernels of its own
+  (``structure_labels`` / ``structure_pools``), so a warm can label
+  every chunk into the arena's rows before any pool is allocated.
+
+Calling convention (both backends):
+
+- outputs are written **in place**; the functions return ``None``;
+- the batched kernels read the arena's pools in place
+  (``repro.routing.tree.StructurePools``), all of them in one call,
+  plus the batch's ``slots`` (int64, any order, repeats allowed).  Slot
+  ``k``'s rows are ``order_pool[order_ptr[k]:order_ptr[k + 1]]``,
+  reachable nodes by ``(path length, node)``, row 0 its destination;
+  ``level_pool[level_ptr[k]:level_ptr[k + 1]]`` are its
+  ``level_starts`` (where each path length starts among those rows, the
+  last entry closing them); ``indptr_pool[indptr_ptr[k]:]`` is its
+  tiebreak CSR, one entry per row plus a closing one, relative to
+  ``cand_ptr[k]`` in ``cands_pool``.  Pools: ``*_ptr`` int64,
+  ``order_pool`` / ``level_pool`` / ``indptr_pool`` / ``cands_pool``
+  int32 (an ``indptr`` run counts one slot's candidates).  A row's
+  candidates are in tie-break order (``repro.routing.tree.tie_order``):
+  TB takes the first, SecP the first secure one.  Batch row ``b``
+  resolves slot ``slots[b]`` into row ``b`` of the C-contiguous
+  ``[batch, n]`` outputs ``choice`` (int32), ``secure`` /
+  ``any_secure`` (bool) and ``w`` (float64), taken flat.
+  ``trees_stacked`` writes its rows whole (cleared, then resolved) and,
+  given ``node_weights`` (float64 ``[n]``) and ``w``, their subtree
+  weights too; ``weights_stacked`` adds into a ``w`` its caller zeroed.
+  ``secure_rows`` / ``secp_rows`` are ``node_secure`` and ``node_secure
+  & breaks_ties``, each ``[n]`` when the whole batch shares it (read
+  with stride 0) or a flat ``[batch, n]`` with a row per batch row
+  (stride ``n``: :func:`mask_stride`);
+- the Jacobi iteration takes the edge table of
+  ``repro.routing.fixpoint`` (``v`` int32, ``route_cls`` int8,
+  ``node_ptr`` / ``rev_ptr`` / ``rev_edge`` int64, ``lp_field`` uint32,
+  ``rev_seg`` int32; each segment in tie-break order), ``edge_flags``
+  uint8, ``rank_shifts`` int64[3], ``attacker`` int64[chunk], ``pins``
+  int64[chunk, MAX_PINS, 6], the labels int8/int32/bool as C-contiguous
+  ``[chunk, n]`` matrices (updated in place), ``stats`` int64[chunk, 3]
+  and the optional ``tied`` bool[chunk, edges];
+- the structure build takes the ``CompiledGraph`` (its three CSRs,
+  int64 ``*_indptr`` and int32 ``*_idx``) and a chunk of destinations
+  (int64, any order, repeats allowed).  ``build_structures`` returns
+  the chunk's 12 ``ARENA_FIELDS``, each allocated exactly once its
+  size is known.
 
 Selection: explicit name > ``SBGP_KERNEL_BACKEND`` env var > ``auto``.
 ``auto`` is ``cext`` when it loads, else ``numpy``; when it falls back
@@ -115,19 +139,15 @@ _COMPILED_BACKEND = "cext"
 class KernelBackend:
     """Registry descriptor for one kernel implementation tier.
 
-    ``module`` is imported lazily on first use; ``needs_cc`` marks
-    backends that want a C compiler on PATH (checked cheaply by
-    :func:`probe`, without triggering compilation).  ``hidden`` keeps
-    test-only backends out of user-facing listings (CLI choices,
-    ``/healthz``) while leaving them resolvable by exact name.
+    ``module`` is imported lazily on first use; ``compiled`` marks a
+    backend built with the C compiler on PATH (checked cheaply by
+    :func:`probe`, without triggering compilation).
     """
 
     name: str
     description: str
     module: str
     compiled: bool = False
-    needs_cc: bool = False
-    hidden: bool = False
 
 
 _REGISTRY: dict[str, KernelBackend] = {}
@@ -163,8 +183,8 @@ def get_backend(name: str) -> KernelBackend:
 
 
 def available_backends() -> list[str]:
-    """Registered, user-facing backend names (sorted; hidden excluded)."""
-    return sorted(n for n, b in _REGISTRY.items() if not b.hidden)
+    """Registered backend names, sorted."""
+    return sorted(_REGISTRY)
 
 
 def find_compiler() -> str | None:
@@ -194,16 +214,16 @@ def probe(name: str) -> bool:
     backend = _REGISTRY.get(name)
     if backend is None:
         return False
-    return not backend.needs_cc or find_compiler() is not None
+    return not backend.compiled or find_compiler() is not None
 
 
 def usable_backends() -> list[str]:
-    """Registered user-facing backends that :func:`probe` accepts."""
+    """Registered backends that :func:`probe` accepts."""
     return [name for name in available_backends() if probe(name)]
 
 
 def backend_status() -> dict[str, str]:
-    """``{name: loaded|available|unavailable}`` for every visible backend."""
+    """``{name: loaded|available|unavailable}`` for every backend."""
     out: dict[str, str] = {}
     for name in available_backends():
         if name in _IMPLS:
@@ -216,7 +236,7 @@ def backend_status() -> dict[str, str]:
 
 
 def load_backend(name: str) -> Any:
-    """Import (and for compiled tiers, compile + warm) backend ``name``.
+    """Import (and for the compiled tier, compile + warm) backend ``name``.
 
     Returns the implementation module exposing ``trees_stacked``,
     ``weights_stacked``, ``jacobi_converge`` and ``build_structures``.
@@ -377,14 +397,5 @@ register_backend(
         description="C translation unit compiled with the system cc, via ctypes",
         module="repro.routing.backends.cext_impl",
         compiled=True,
-        needs_cc=True,
-    )
-)
-register_backend(
-    KernelBackend(
-        name="python",
-        description="pure-Python spec of the C loops (parity tests only)",
-        module="repro.routing.backends._loops",
-        hidden=True,
     )
 )

@@ -1,7 +1,7 @@
 """C-extension backend: the loop bodies as one translation unit.
 
-A line-for-line transliteration of
-:mod:`repro.routing.backends._loops`, compiled at first use with the
+The four kernels as scalar loops over the calling convention of
+:mod:`repro.routing.backends`, compiled at first use with the
 system C compiler (``cc``/``gcc`` — no build-time Python dependency)
 and bound through ``ctypes``.  The shared object is cached under
 ``~/.cache/sbgp-kernels`` (override with ``SBGP_KERNEL_CACHE``) keyed
@@ -22,10 +22,38 @@ tree and, when it gets node weights and ``w`` (NULL-able: trees only),
 sums the subtree weights, all before the next row; a state mask comes
 with a stride, 0 for one ``[n]`` state the batch shares, so it is never
 tiled per row.  Its selection takes no data-dependent branch on a
-candidate's security.  The
-Python-side wrappers enforce dtype, contiguity and lengths *loudly* (a
-silent mismatch would corrupt memory), which the parity suite
-exercises.
+candidate's security.  The Python-side wrappers enforce dtype,
+contiguity and lengths *loudly* (a silent mismatch would corrupt
+memory), which the parity suite exercises.
+
+Bit-identity with numpy, the ground truth, is structural:
+
+- trees: a row takes its first secure candidate where SecP applies and
+  there are any, else its first — positions in the same pools on both
+  tiers — and every candidate sits one level below its row, so walking
+  a slot level by level in pool order (a level's several-candidate rows
+  settled after the others took their first candidate, which no row of
+  the same level reads) sees the state numpy's whole-level gather sees;
+- subtree weights: a parent receives contributions only while its
+  children's level runs and ``0.0 + x == x`` exactly, so adding child
+  by child, levels deepest first and rows in pool order, is
+  ``np.add.at``'s sequential sum over the mirror's stack order (batch
+  rows write disjoint rows of ``w``, so their order does not matter);
+- the Jacobi iteration takes the minimum of ``rank_key << 32 | e`` over
+  a segment, the word numpy gathers per edge, and minima are
+  order-independent.  Which nodes a sweep re-decides changes no label: a
+  node off the frontier would decide from the same neighbours' labels
+  and pins as last time, so it would decide the same, tie mask
+  included; on a row that starts blank, a node that neither is pinned
+  nor reads a pin sees only unreachable neighbours from sweep 1 on;
+- the structure build settles a destination's nodes pass by pass in
+  order of route length, the order the numpy passes relax whole levels,
+  so every node takes the same class and length, and its tiebreak set
+  is every neighbour on the CSR its class allows that may export it a
+  route one hop shorter.  Rows are placed by ``(length, node)`` and
+  each row's candidates pulled in segment order from CSRs in tie-break
+  order (``repro.routing.tree.tie_ordered``): the orders the numpy
+  assembler sorts into.
 """
 
 from __future__ import annotations
@@ -278,8 +306,9 @@ static inline void sbgp_pinned(const int64_t *pin, int8_t *c, int32_t *l,
         *a = pin[5] != 0;
 }
 
-/* The Jacobi iteration of a chunk, a row at a time, in place: see
- * _loops.jacobi_converge, which this transliterates.  Every node takes
+/* The Jacobi iteration of a chunk, a row at a time, in place, to the
+ * contract of numpy_impl.jacobi_converge (its labels and tied; decisions
+ * counts only the frontier's nodes).  Every node takes
  * the offer with the least selection word rank_key << 32 | e (each
  * segment is in tie-break order, so the low half both breaks ties and
  * names the edge) and keeps that word, best[u].  Sweep 1 scans the
@@ -502,7 +531,8 @@ static inline int sbgp_offer(int32_t u, int8_t rc, int32_t at, int8_t *c,
 }
 
 /* Passes 1-3 of a destination chunk into its C-contiguous [rows, n]
- * labels: see _loops.build_structures, which this transliterates.  seq
+ * labels, each node taking the class and length of its route toward
+ * dests[row] (unreachable: -1 and -1), settled in length order.  seq
  * lists the nodes as they are settled -- the customer cone breadth
  * first, then the peer routes, then the provider routes, each run in
  * length order -- so pass 3 merges the three runs (the last one
@@ -823,7 +853,12 @@ def jacobi_converge(v, route_cls, node_ptr, lp_field, rev_ptr, rev_seg,
                     rev_edge, edge_flags, rank_shifts, node_secure, attacker,
                     leak, pins, cap, cls, length, sec, att, stats, tied=None):
     """Converge every row of the chunk in place, each in one pass of C
-    over its frontier sweeps (``_loops.jacobi_converge`` is the spec)."""
+    over its frontier sweeps, to the contract of
+    ``numpy_impl.jacobi_converge``: the same labels and ``tied`` and, on
+    a chunk that converges, the same sweeps per row.  ``decisions``
+    counts the nodes the frontier re-decided: after the first sweep,
+    only the readers of a node the sweep before changed (on a blank
+    row's first sweep, its pins and their readers)."""
     num_edges = len(v)
     n = len(node_ptr) - 1
     chunk = len(attacker)
@@ -881,8 +916,11 @@ def _csr_ptrs(cg, idx=None) -> list[ctypes.c_void_p]:
 
 
 def structure_labels(cg, dests, cls, length, sizes):
-    """Passes 1-3 of the chunk ``dests`` into its ``[rows, n]`` labels,
-    in place, and each row's pool sizes into ``sizes`` (one C call)."""
+    """Passes 1-3 of the chunk ``dests`` into its ``[rows, n]`` labels
+    (int8 ``cls`` and ``lengths``: a route past ``MAX_ROUTE_LENGTH`` hops
+    raises ``RouteTooLongError``), in place, and each row's pool sizes
+    into ``sizes`` (reachable nodes, level_starts entries, candidates),
+    in one C call."""
     n = cg.n
     graph = _csr_ptrs(cg)
     chunk = _ptr(dests, np.int64)
@@ -903,8 +941,9 @@ def structure_labels(cg, dests, cls, length, sizes):
 
 def structure_pools(cg, arrays):
     """A chunk's pools from its labels, into ``arrays`` (its 12 fields,
-    the offset tables its own, starting at 0), in one C call over the
-    graph's tie-ordered CSRs."""
+    the offset tables its own, starting at 0: its own arrays, or its
+    slices of the arena's), in one C call over the graph's tie-ordered
+    CSRs."""
     n = cg.n
     graph = _csr_ptrs(cg, tie_ordered(cg))
     order_ptr = arrays["order_ptr"]
@@ -930,6 +969,6 @@ def structure_pools(cg, arrays):
 
 def build_structures(cg, dests):
     """The 12 pooled fields of the chunk ``dests``, in two C calls: the
-    labels, which size every pool, then the pools
-    (``_loops.build_structures`` is the spec)."""
+    labels, which size every pool, then the pools — byte for byte those
+    of ``numpy_impl.build_structures``."""
     return PoolsAssembly.labelled(cg, dests, sys.modules[__name__])

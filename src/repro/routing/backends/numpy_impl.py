@@ -13,7 +13,7 @@ rows in blocks) is free to change, and so is how the Jacobi step finds
 a node's best offer (one minimum over ``rank_key << 32 | e``,
 which is the arg-min of the two-stage rule: least rank key, then least
 tie-break key among the tied) and which nodes a sweep re-decides (here
-all of them; the compiled tiers only those whose neighbours moved).
+all of them; cext only those whose neighbours moved).
 The one thing that is not free is
 each parent's **summation order** in ``weights_stacked``: its children
 are added in stack order (batch row, then BFS row), one after the other
@@ -23,14 +23,13 @@ the parity suite would move).
 
 The structure build (``build_structures``) is the chunk-stacked passes
 and assembler of :mod:`repro.routing.tree`, the code every structure
-was built with before there were compiled tiers; its outputs are the
+was built with before there was a compiled tier; its outputs are the
 ground truth the compiled build must reproduce byte for byte.
 
 All four kernels share the calling convention documented in
-:mod:`repro.routing.backends._loops` (same signatures, same dtypes,
-outputs written in place where the caller can size them).  The
-compiled tiers walk each batch row's slot of the arena's pools in
-place.  A numpy level body is a
+:mod:`repro.routing.backends` (same signatures, same dtypes, outputs
+written in place where the caller can size them).  cext walks each
+batch row's slot of the arena's pools in place.  A numpy level body is a
 whole-level gather, which wants every destination's rows of one path
 length side by side, so this tier keeps its own **level-major mirror**
 of the pools (:class:`_TreeStacks` / :class:`_WeightStack`), built on
@@ -307,8 +306,8 @@ def build_level_major(
     cands_pool: np.ndarray,
 ) -> int:
     """Build the whole level-major mirror of the pools afresh, bypassing
-    the cache; returns its bytes (the cost the compiled tiers do not
-    pay: they read the pools in place)."""
+    the cache; returns its bytes (the cost cext does not pay: it reads
+    the pools in place)."""
     weights = _build_weight_stack(n, order_ptr, order_pool, level_ptr, level_pool)
     trees = _build_tree_stacks(
         weights, level_ptr, level_pool, indptr_pool, cand_ptr, cands_pool
@@ -729,8 +728,29 @@ def jacobi_converge(
     tied: np.ndarray | None = None,
 ) -> None:
     """Converge every row of the chunk, in place, one vectorised sweep
-    across the rows still moving at a time (see
-    ``_loops.jacobi_converge`` for the contract).
+    across the rows still moving at a time.
+
+    Every row carries its own adversary (``attacker[row]``, ``-1`` for
+    none — no node id equals it, so such a row is plain single-origin
+    BGP): ``att`` tracks which labels descend from the attacker's
+    announcement, and ``leak`` lets offers *from* the attacker bypass
+    GR2 (a route leak).  ``edge_flags`` holds the static bits of an
+    edge ``u <- v`` (``EDGE_*``): ``u`` applies SecP, ``v`` is not
+    ``u``'s provider, ``u`` is a simplex stub that believes the
+    attacker's word over this provider edge (§2.2.1), ``u`` rejects
+    routes it cannot validate.  ``rank_shifts`` places the LP, SP and
+    SecP fields in the rank key.  ``pins[row, k]`` is a ``(node, fields, cls, length, sec, att)``
+    record that holds the ``fields`` labels of ``node`` fixed, on the
+    starting labels and after every sweep (``node = -1``: none).
+    ``tied``, when given, receives the per-edge tiebreak-set mask of the
+    converged labels.
+
+    ``stats[row]`` gets ``(status, sweeps, decisions)``:
+    ``ROW_CONVERGED`` after the sweep that left the row alone,
+    ``ROW_REVISITS`` at the sweep that brought a moving row back to the
+    labels of two sweeps before, ``ROW_MOVING`` if it still moved at the
+    last sweep it was allowed.  ``decisions`` counts the nodes
+    re-decided.
 
     Every sweep re-decides every node, so the reverse index
     (``rev_ptr`` / ``rev_seg`` / ``rev_edge``) goes unused.

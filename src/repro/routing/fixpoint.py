@@ -45,9 +45,9 @@ earlier is in a 2-cycle and will never converge.  A node's next label
 is a function of its least selection word, of the labels of that
 word's source and of its fixed pins alone, so after the first sweep a
 node can move only if a neighbour the previous sweep changed now offers
-it a word below that least, or is that source.  The compiled tiers
-keep each node's least word, push every changed node's new offers
-along the edge table's reverse index, and re-decide just the nodes so
+it a word below that least, or is that source.  cext keeps
+each node's least word, pushes every changed node's new offers along
+the edge table's reverse index, and re-decides just the nodes so
 reached (the *frontier*) — scanning a node's segment again only when
 its best source's word got worse — one row at a time; numpy re-decides
 every node of every row still moving, one sweep across the chunk at a
@@ -103,8 +103,8 @@ _WIDTH = {Criterion.LP: 2, Criterion.SP: 21, Criterion.SECP: 1}
 #: plain arrays, not enums, so they stay C-compatible)
 _RANK_CODE = {Criterion.LP: 0, Criterion.SP: 1, Criterion.SECP: 2}
 
-# The values every kernel tier shares, defined here once: numpy_impl and
-# _loops import them, and cext formats them into its C source.
+# The values both kernel tiers share, defined here once: numpy_impl
+# imports them, and cext formats them into its C source.
 #
 # Bits of the per-edge ``edge_flags``: everything static that decides
 # what ``v`` may offer ``u`` over an edge and how ``u`` ranks it.

@@ -455,7 +455,7 @@ class PoolsAssembly:
     once at its final size and filled a destination chunk at a time.
 
     A chunk comes in one of two ways.  A tier that can size a chunk's
-    pools before it fills them (cext and its python spec: the
+    pools before it fills them (cext: the
     ``structure_labels`` / ``structure_pools`` kernels) writes the
     chunk's labels straight into its rows of the dense ``[D, n]``
     fields and records its sizes (:meth:`label`); its pools pass waits

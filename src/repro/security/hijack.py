@@ -189,6 +189,8 @@ def simulate_hijack(
     scen = get_scenario(scenario)
     pol = get_policy(policy)
     n = graph.n
+    if not (0 <= victim < n and 0 <= attacker < n):
+        raise ValueError("pair indices out of range")
     if victim == attacker:
         raise ValueError("victim and attacker must differ")
     node_secure, applies, validators, is_stub, gullible, drop = _attack_flags(

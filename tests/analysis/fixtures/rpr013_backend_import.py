@@ -5,7 +5,6 @@ import repro.routing.backends.numpy_impl  # expect: RPR013
 from repro.routing import backends
 from repro.routing.backends import cext_impl  # expect: RPR013
 from repro.routing.backends import kernels_for
-from repro.routing.backends._loops import trees_stacked  # expect: RPR013
 from repro.routing.backends.cext_impl import weights_stacked  # expect: RPR013
 from repro.routing.backends.numpy_impl import (  # repro-lint: disable=RPR013 -- fixture waiver
     jacobi_converge,
@@ -26,7 +25,6 @@ def uses_the_pinned_impls():
     return (
         repro.routing.backends.numpy_impl,
         cext_impl,
-        trees_stacked,
         weights_stacked,
         jacobi_converge,
     )

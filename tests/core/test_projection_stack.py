@@ -250,7 +250,7 @@ def _loadable(name: str) -> bool:
 class TestPerRowStateOnEveryTier:
     """Part (d); also collected by the blocking ``backend-matrix`` CI job."""
 
-    @pytest.mark.parametrize("backend", ["numpy", "python", "cext"])
+    @pytest.mark.parametrize("backend", ["numpy", "cext"])
     @pytest.mark.parametrize("policy", ["security_3rd", "sp_first"])
     def test_a_state_per_row_equals_one_row_calls(self, small_graph, backend, policy):
         if not _loadable(backend):

@@ -1,11 +1,9 @@
 """Kernel-backend registry and bit-identity parity suite (PR 8).
 
-The numpy backend is the differential ground truth.  Every other
-backend — the compiled ``cext`` tier and the hidden ``python`` backend
-(the executable spec the C loops transliterate) — must produce
-**bit-identical** outputs on all three hot kernels, across every
-registered policy.  ``tobytes()`` comparisons make "identical" literal:
-same bytes, not just allclose.
+The numpy backend is the differential ground truth.  The compiled
+``cext`` tier must produce **bit-identical** outputs on all three hot
+kernels, across every registered policy.  ``tobytes()`` comparisons
+make "identical" literal: same bytes, not just allclose.
 
 The suite is environment-adaptive: without a C compiler ``cext`` is
 skipped for parity, and the *degradation* path runs everywhere on a
@@ -53,13 +51,9 @@ def _load_ok(name: str) -> bool:
     return True
 
 
-#: every backend that can actually load here, ground truth first;
-#: "python" (hidden) is always loadable and exercises the C loops'
-#: exact control flow without a compiler
+#: every backend that can actually load here, ground truth first
 PARITY_BACKENDS = ["numpy"] + [
-    name
-    for name in [*kb.usable_backends(), "python"]
-    if name != "numpy" and _load_ok(name)
+    name for name in kb.usable_backends() if name != "numpy" and _load_ok(name)
 ]
 
 ALT_BACKENDS = [name for name in PARITY_BACKENDS if name != "numpy"]
@@ -67,14 +61,13 @@ ALT_BACKENDS = [name for name in PARITY_BACKENDS if name != "numpy"]
 
 @pytest.fixture()
 def ghost_backend():
-    """A registered backend whose module does not exist: the missing
-    compiled tier, on every machine (deregistered again afterwards)."""
+    """A registered backend whose module does not exist: a tier that
+    will not load, on every machine (deregistered again afterwards)."""
     spec = kb.register_backend(
         kb.KernelBackend(
             name="ghost",
             description="unloadable on purpose (tests only)",
             module="repro.routing.backends.no_such_impl",
-            compiled=True,
         )
     )
     yield spec.name
@@ -106,8 +99,12 @@ class TestRegistry:
         names = kb.available_backends()
         assert "numpy" in names and "python" not in names
 
-    def test_python_backend_resolvable_by_exact_name(self):
-        assert kb.resolve_backend("python") == "python"
+    def test_retired_python_name_is_unknown(self, monkeypatch):
+        with pytest.raises(ValueError, match="unknown kernel backend 'python'"):
+            kb.resolve_backend("python")
+        monkeypatch.setenv(kb.ENV_VAR, "python")
+        with pytest.raises(ValueError, match="unknown kernel backend 'python'"):
+            kb.resolve_backend(None)
 
     def test_register_conflicting_spec_raises(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -122,9 +119,9 @@ class TestRegistry:
         assert kb.register_backend(spec) is spec
 
     def test_env_var_sets_default(self, monkeypatch):
-        monkeypatch.setenv(kb.ENV_VAR, "python")
-        assert kb.default_backend_name() == "python"
-        assert kb.resolve_backend(None) == "python"
+        monkeypatch.setenv(kb.ENV_VAR, "numpy")
+        assert kb.default_backend_name() == "numpy"
+        assert kb.resolve_backend(None) == "numpy"
         monkeypatch.delenv(kb.ENV_VAR)
         assert kb.default_backend_name() == kb.AUTO
 
@@ -311,7 +308,7 @@ class TestKernelParity:
         ref_w = subtree_weights_batched(ref_arena, ref_arena.all_slots(), ref.choice, w)
         alt_w = subtree_weights_batched(alt_arena, alt_arena.all_slots(), alt.choice, w)
         # float64 bytes, not allclose: the accumulation orders are
-        # provably equivalent under IEEE (see _loops' docstring)
+        # provably equivalent under IEEE (see cext_impl's docstring)
         assert ref_w.tobytes() == alt_w.tobytes()
 
     def test_subset_slots_bit_identical(self, small_graph, policy, backend):
@@ -813,6 +810,6 @@ def _stub_library(monkeypatch) -> list[str]:
 
 class TestArenaBackendPlumbing:
     def test_cache_stats_report_backend(self, small_graph):
-        cache = RoutingCache(small_graph, destinations=[0, 1], backend="python")
-        assert cache.backend_name == "python"
-        assert cache.stats().backend == "python"
+        cache = RoutingCache(small_graph, destinations=[0, 1], backend="numpy")
+        assert cache.backend_name == "numpy"
+        assert cache.stats().backend == "numpy"

@@ -33,7 +33,7 @@ from repro.routing.policy import get_policy
 from repro.runtime.guard import MemoryBudget, RuntimeGuard, use_guard
 from repro.telemetry.metrics import MetricsRegistry, use_registry
 
-TIERS = ["numpy", "python", "cext"]
+TIERS = ["numpy", "cext"]
 
 
 def _tier(name: str) -> None:

@@ -1,9 +1,9 @@
 """The push frontier's branches, one hand-built GR1 fixture each.
 
-After a sweep, the compiled tiers push every node ``x`` it changed to
-the nodes that read it, and queue a reader ``u`` only if ``x``'s new
+After a sweep, the compiled tier pushes every node ``x`` it changed to
+the nodes that read it, and queues a reader ``u`` only if ``x``'s new
 selection word undercuts the least word pushed to ``u`` or ``x`` is the
-source of ``u``'s best edge (``_loops.jacobi_converge``).  What a
+source of ``u``'s best edge (``cext_impl.sbgp_jacobi_converge``).  What a
 queued ``u`` does next depends on how that best offer moved, and each
 fixture below drives one case through a real convergence — its shape
 checked on the oracle's trajectory (``tests/references.py``) — and
@@ -50,7 +50,7 @@ def _loads(name: str) -> bool:
 
 
 #: the tiers with a frontier, held to numpy
-FRONTIER_TIERS = [name for name in ("python", "cext") if _loads(name)]
+FRONTIER_TIERS = ["cext"] if _loads("cext") else []
 
 
 def _graph(names, providers, peerings=()):

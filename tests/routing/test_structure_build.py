@@ -15,9 +15,9 @@ equal them bit for bit: dtype, shape and bytes of all 12 pooled fields
 — whichever way a cache came
 by its pools (a warm, a resumed warm, a first ask out of order, worker
 processes).  The chunk build is a kernel of every backend tier, so each
-class that builds runs on numpy (its own name) and again on the python
-spec and on cext (``...OnPython`` / ``...OnCext``, which skip when the
-tier does not load).  Nothing is timed.
+class that builds runs on numpy (its own name) and again on cext
+(``...OnCext``, which skips when the tier does not load).  Nothing is
+timed.
 """
 
 from __future__ import annotations
@@ -407,10 +407,6 @@ class TestBatchedBuildBitIdentity:
             assert info.lengths.tolist() == want.lengths.tolist()
 
 
-class TestBatchedBuildBitIdentityOnPython(TestBatchedBuildBitIdentity):
-    BACKEND = "python"
-
-
 class TestBatchedBuildBitIdentityOnCext(TestBatchedBuildBitIdentity):
     BACKEND = "cext"
 
@@ -464,10 +460,6 @@ class TestRoutesPastTheInt8Lengths:
         assert arena.lengths.dtype == np.int8
         assert arena.lengths[0].max() == arena.lengths[1].max() == MAX_ROUTE_LENGTH
         assert arena.level_ptr[1] - arena.level_ptr[0] == MAX_ROUTE_LENGTH + 2
-
-
-class TestRoutesPastTheInt8LengthsOnPython(TestRoutesPastTheInt8Lengths):
-    BACKEND = "python"
 
 
 class TestRoutesPastTheInt8LengthsOnCext(TestRoutesPastTheInt8Lengths):
@@ -588,10 +580,6 @@ class TestChunkAccounting:
         assert (stats.cached, stats.total, stats.builds) == (2, 2, 4)
 
 
-class TestChunkAccountingOnPython(TestChunkAccounting):
-    BACKEND = "python"
-
-
 class TestChunkAccountingOnCext(TestChunkAccounting):
     BACKEND = "cext"
 
@@ -686,10 +674,6 @@ class TestCachePoolsParity:
         assert cache.stats().builds == len(self.DESTS)
 
 
-class TestCachePoolsParityOnPython(TestCachePoolsParity):
-    BACKEND = "python"
-
-
 class TestCachePoolsParityOnCext(TestCachePoolsParity):
     BACKEND = "cext"
 
@@ -697,7 +681,7 @@ class TestCachePoolsParityOnCext(TestCachePoolsParity):
 @pytest.mark.parametrize("policy_name", ["security_3rd", "security_2nd"])
 class TestStoppedWarmHandsOutItsChunks:
     """A warm stopped by a deadline holds its chunks in the arena's
-    assembly — labelled in place on the compiled tiers, built whole
+    assembly — labelled in place on cext, built whole
     everywhere else.  The arena assembled afterwards builds only the
     chunks still missing, and it is the references', byte for byte."""
 
@@ -714,10 +698,6 @@ class TestStoppedWarmHandsOutItsChunks:
         assert 16 <= cache.stats().cached < len(self.DESTS)
         TestCachePoolsParity._check(self, cache)
         assert cache.stats().builds == len(self.DESTS)  # each chunk built once
-
-
-class TestStoppedWarmHandsOutItsChunksOnPython(TestStoppedWarmHandsOutItsChunks):
-    BACKEND = "python"
 
 
 class TestStoppedWarmHandsOutItsChunksOnCext(TestStoppedWarmHandsOutItsChunks):

@@ -32,7 +32,7 @@ from tests.references import compute_tree
 from tests.routing.test_structure_build import SHAPES
 from tests.strategies import as_graphs, graphs_with_security
 
-TIERS = ["numpy", "python", "cext"]
+TIERS = ["numpy", "cext"]
 
 #: every builder a routing policy has: the state-independent chunk build
 #: (security_3rd), the fixpoint, SP-first and the sticky restriction

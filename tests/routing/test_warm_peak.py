@@ -3,10 +3,10 @@
 ``build_environment`` admits an eager warm when
 ``RoutingArena.estimate_bytes`` fits the memory budget, so the warm and
 the assembly after it (``cache.warm()`` + ``cache.ensure_arena()``, the
-two calls it makes) must not peak above that forecast.  On the tiers
-that size a chunk's pools before they fill them (cext and its python
-spec) the dense fields are the arena's from the first chunk on and the
-pools are allocated once, so nothing but one chunk's scratch is ever
+two calls it makes) must not peak above that forecast.  On the tier
+that sizes a chunk's pools before it fills them (cext) the dense fields
+are the arena's from the first chunk on and the pools are allocated
+once, so nothing but one chunk's scratch is ever
 held beside the arena.  ``tracemalloc`` sees every numpy allocation and
 none of the C kernels' ``malloc`` scratch (one node list).
 """
@@ -55,7 +55,6 @@ def _slot_bytes(arena: RoutingArena, lo: int, hi: int) -> int:
     "backend, sample, rows",
     [
         ("cext", None, None),      # every destination, the chunks as cut
-        ("python", 48, 8),         # the spec is slow: fewer, smaller chunks
     ],
 )
 def test_warm_peaks_at_the_arena_plus_one_chunk(backend, sample, rows, monkeypatch):

@@ -165,10 +165,6 @@ class TestBackendParity:
             )
 
 
-#: every tier usable here, the hidden executable spec included (a tier
-#: that then fails to load degrades to numpy, as everywhere)
-ALL_BACKENDS = [*kernel_backends.usable_backends(), "python"]
-
 _SELF = int(RouteClass.SELF)
 _UNREACHABLE = int(RouteClass.UNREACHABLE)
 
@@ -353,7 +349,7 @@ def _revisit(exc: pytest.ExceptionInfo) -> int:
     return int(re.search(r"sweep (\d+) revisits", str(exc.value)).group(1))
 
 
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
+@pytest.mark.parametrize("backend", kernel_backends.usable_backends())
 class TestMixedChunk:
     """Single-origin routing is the ``attacker = -1`` row of the attack
     sweep: same kernel, same chunk, no interaction between rows."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.security.hijack import simulate_hijack
+from repro.security.hijack import simulate_attacks_batched, simulate_hijack
 from repro.topology.graph import ASGraph
 
 
@@ -57,6 +57,19 @@ class TestInsecureWorld:
         g = contest_graph
         with pytest.raises(ValueError):
             simulate_hijack(g, g.index(20), g.index(20))
+
+    @pytest.mark.parametrize("bad", [-1, "n"])
+    def test_an_index_outside_the_graph_is_rejected(self, contest_graph, bad):
+        """A negative index must not alias node ``n - 1``: the scalar
+        path refuses what the batched path refuses."""
+        g = contest_graph
+        bad = g.n if bad == "n" else bad
+        other = g.index(30)
+        for pair in ((bad, other), (other, bad)):
+            with pytest.raises(ValueError, match="out of range"):
+                simulate_hijack(g, *pair)
+            with pytest.raises(ValueError, match="out of range"):
+                simulate_attacks_batched(g, [pair])
 
 
 class TestSecureWorld:

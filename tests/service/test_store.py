@@ -124,9 +124,11 @@ class TestRestartRecovery:
         again, created = reborn.submit(spec())
         assert not created and again.id == job.id
 
-    def test_retired_backend_name_replays_on_the_default_backend(self, tmp_path):
-        """A store written while ``numba`` was a registered backend must
-        still open: the name is an execution detail, not job identity."""
+    @pytest.mark.parametrize("retired", ["numba", "python"])
+    def test_retired_backend_name_replays_on_the_default_backend(self, tmp_path, retired):
+        """A store written while ``retired`` was a registered backend
+        must still open: the name is an execution detail, not job
+        identity."""
         journal = RunJournal(tmp_path / "jobs.jsonl")
         journal.ensure_header(JOBS_JOURNAL_KIND, {})
         ids = []
@@ -136,14 +138,14 @@ class TestRestartRecovery:
             ids.append(f"j{seq:06d}-{digest[:8]}")
             journal.append({
                 "type": "submitted", "id": ids[-1], "seq": seq, "digest": digest,
-                "spec": {**spec_to_dict(accepted), "kernel_backend": "numba"},
+                "spec": {**spec_to_dict(accepted), "kernel_backend": retired},
             })
         for state in ("running", "done"):
             journal.append(
                 {"type": "state", "id": ids[0], "state": state, "error": None}
             )
-        with pytest.raises(SpecError, match="unknown kernel backend 'numba'"):
-            spec(kernel_backend="numba")  # new submissions stay strict
+        with pytest.raises(SpecError, match=f"unknown kernel backend '{retired}'"):
+            spec(kernel_backend=retired)  # new submissions stay strict
 
         store = JobStore(tmp_path)
         done, queued = store.jobs()
@@ -153,7 +155,7 @@ class TestRestartRecovery:
             assert job.spec.kernel_backend is None  # i.e. the default backend
             assert job.digest == spec_digest(job.spec)  # identity untouched
             assert any(
-                e["event"] == "recovered" and "'numba'" in e["note"]
+                e["event"] == "recovered" and f"'{retired}'" in e["note"]
                 for e in job.events
             )
 
