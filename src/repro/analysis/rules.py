@@ -478,7 +478,7 @@ class InlineKernelCall(Rule):
             "simulate_attacks_batched",
             "build_environment",
             "DeploymentSimulation",
-            "simulate_bgp",
+            "propagate",
             "compute_round_data",
             "compute_trees_batched",
             "subtree_weights_batched",

@@ -24,10 +24,9 @@ import itertools
 import numpy as np
 
 from repro.core.config import UtilityModel
-from repro.routing.policy import RouteClass, RoutingPolicy, get_policy
+from repro.routing.policy import RouteClass
+from repro.routing.reference import propagate
 from repro.topology.graph import ASGraph
-
-_EXPORT_OK = (RouteClass.CUSTOMER, RouteClass.SELF)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -38,81 +37,33 @@ class _Route:
     next_hop: int
 
 
-def _link_active(
-    disabled: dict[int, set[int]], a: int, b: int, node_secure: np.ndarray
-) -> bool:
-    """Is the hop a-b protected?  Needs both ends secure and enabled."""
-    if not (node_secure[a] and node_secure[b]):
-        return False
-    if b in disabled.get(a, ()) or a in disabled.get(b, ()):
-        return False
-    return True
-
-
 def routes_with_link_security(
     graph: ASGraph,
     dest: int,
     node_secure: np.ndarray,
     breaks_ties: np.ndarray,
     disabled_links: dict[int, set[int]] | None = None,
-    max_sweeps: int = 10_000,
-    policy: "str | RoutingPolicy" = "security_3rd",
 ) -> dict[int, _Route]:
-    """Fixpoint route selection with per-link security semantics.
-
-    ``policy`` selects the preference ranking (SecP placement); the
-    per-link twist is only in what counts as a *secure* offer.
-    """
-    n = graph.n
-    pol = get_policy(policy)
+    """Fixpoint route selection with per-link security semantics, under
+    the default ranking: :func:`~repro.routing.reference.propagate`
+    with the disabled links unprotected.  Raises
+    :class:`~repro.routing.reference.ConvergenceError` if it does not
+    converge."""
     disabled = disabled_links or {}
-    selected: dict[int, _Route] = {
-        dest: _Route(RouteClass.SELF, 0, bool(node_secure[dest]), dest)
-    }
 
-    for _ in range(max_sweeps):
-        changed = False
-        for i in range(n):
-            if i == dest:
-                continue
-            best_key: tuple | None = None
-            best: _Route | None = None
-            for kind, neighbors in (
-                (RouteClass.CUSTOMER, graph.customers[i]),
-                (RouteClass.PEER, graph.peers[i]),
-                (RouteClass.PROVIDER, graph.providers[i]),
-            ):
-                for nbr in neighbors:
-                    route = selected.get(nbr)
-                    if route is None:
-                        continue
-                    if kind is not RouteClass.PROVIDER and route.route_class not in _EXPORT_OK:
-                        continue
-                    secure = bool(
-                        route.secure
-                        and _link_active(disabled, i, nbr, node_secure)
-                    )
-                    key = pol.rank_key(
-                        route_class=int(kind),
-                        length=route.length + 1,
-                        secure=secure,
-                        applies_secp=bool(node_secure[i] and breaks_ties[i]),
-                        node=i,
-                        next_hop=nbr,
-                    )
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best = _Route(kind, route.length + 1, secure, nbr)
-            if best is None:
-                if i in selected:
-                    del selected[i]
-                    changed = True
-            elif selected.get(i) != best:
-                selected[i] = best
-                changed = True
-        if not changed:
-            return selected
-    raise RuntimeError("per-link route selection did not converge")  # pragma: no cover
+    def pin(cls, length, sec, att):
+        cls[dest], length[dest], sec[dest] = RouteClass.SELF, 0, node_secure[dest]
+
+    cls, length, sec, _, hop = propagate(
+        graph, pin, node_secure, node_secure & breaks_ties,
+        protected=lambda a, b: b not in disabled.get(a, ()) and a not in disabled.get(b, ()),
+        what="per-link route selection",
+    )
+    hop[dest] = dest
+    return {
+        i: _Route(RouteClass(cls[i]), int(length[i]), bool(sec[i]), int(hop[i]))
+        for i in np.flatnonzero(cls != RouteClass.UNREACHABLE).tolist()
+    }
 
 
 def utility_with_links(
@@ -122,15 +73,13 @@ def utility_with_links(
     isp: int,
     disabled_links: dict[int, set[int]] | None = None,
     model: UtilityModel = UtilityModel.INCOMING,
-    policy: "str | RoutingPolicy" = "security_3rd",
 ) -> float:
     """Utility of ``isp`` with the given per-link configuration."""
     total = 0.0
     w = graph.weights
     for dest in range(graph.n):
         selection = routes_with_link_security(
-            graph, dest, node_secure, breaks_ties, disabled_links,
-            policy=policy,
+            graph, dest, node_secure, breaks_ties, disabled_links
         )
         for i, route in selection.items():
             if i == dest or i == isp:
@@ -177,7 +126,6 @@ def best_link_deployment(
     isp: int,
     model: UtilityModel = UtilityModel.INCOMING,
     neighbor_limit: int = 12,
-    policy: "str | RoutingPolicy" = "security_3rd",
 ) -> LinkDeploymentResult:
     """Brute-force the utility-maximising set of links to secure.
 
@@ -198,8 +146,7 @@ def best_link_deployment(
             evaluations += 1
             disabled = {isp: set(combo)}
             utility = utility_with_links(
-                graph, node_secure, breaks_ties, isp, disabled, model,
-                policy=policy,
+                graph, node_secure, breaks_ties, isp, disabled, model
             )
             if best is None or utility > best.utility:
                 best = LinkDeploymentResult(

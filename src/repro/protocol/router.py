@@ -22,6 +22,7 @@ from repro.protocol.messages import Announcement
 from repro.protocol.rpki import RPKI, Prefix
 from repro.protocol.sbgp import forward, originate, validated_signers
 from repro.routing.policy import RouteClass, tie_hash
+from repro.routing.reference import ConvergenceError
 from repro.topology.graph import ASGraph
 
 
@@ -117,12 +118,14 @@ class ProtocolNetwork:
 
     # ------------------------------------------------------------------
     def converge(self, max_sweeps: int = 1000) -> None:
-        """Iterate selection sweeps until the RIBs stop changing."""
+        """Iterate selection sweeps until the RIBs stop changing; raises
+        :class:`~repro.routing.reference.ConvergenceError` if a sweep
+        still changes one after ``max_sweeps``."""
         prefixes = set(self._originations) | {a.prefix for _, a in self._injections}
         for _ in range(max_sweeps):
             if not self._sweep(prefixes):
                 return
-        raise RuntimeError(f"protocol network did not converge in {max_sweeps} sweeps")
+        raise ConvergenceError(f"protocol network did not converge in {max_sweeps} sweeps")
 
     def _sweep(self, prefixes: set[Prefix]) -> bool:
         changed = False

@@ -22,12 +22,7 @@ from repro.routing.policy import (
     tie_hash,
     tie_hash_array,
 )
-from repro.routing.reference import (
-    ConvergenceError,
-    SelectedRoute,
-    secure_flags_from_selection,
-    simulate_bgp,
-)
+from repro.routing.reference import ConvergenceError
 from repro.routing.tiebreak import (
     TiebreakStats,
     collect_tiebreak_stats,
@@ -50,7 +45,6 @@ __all__ = [
     "RoutingCache",
     "RoutingPolicy",
     "RoutingTree",
-    "SelectedRoute",
     "TiebreakStats",
     "TrafficShift",
     "as_path",
@@ -67,9 +61,7 @@ __all__ = [
     "mean_path_length",
     "path_is_secure",
     "route_classes_and_lengths",
-    "secure_flags_from_selection",
     "security_sensitive_decision_fraction",
-    "simulate_bgp",
     "tie_hash",
     "tie_hash_array",
     "top_loaded_links",

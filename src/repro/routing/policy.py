@@ -14,8 +14,8 @@ The paper fixes the order ``LP > SP > SecP > TB`` ("security 3rd");
 Lychev, Goldberg & Schapira (PAPERS.md) showed that *where* security
 sits in that ranking qualitatively changes partial-deployment outcomes.
 :class:`RoutingPolicy` makes the ranking a first-class value consumed by
-every route-computation layer (scalar reference, vectorised kernels,
-batched arena, projection, per-link fixpoint), and the registry below
+every route-computation layer (scalar propagation, tree kernels,
+batched arena, projection, Jacobi fixpoint), and the registry below
 names the variants:
 
 ========================  ==============================  =================
@@ -178,23 +178,18 @@ class RoutingPolicy:
         names = {Criterion.LP: "LP", Criterion.SP: "SP", Criterion.SECP: "SecP"}
         return " > ".join(names[c] for c in self.ranking) + " > TB"
 
-    # -- the scalar rank key (reference simulator, per-link fixpoint) ---
+    # -- the scalar rank key (reference.propagate) ---------------------
 
     def rank_key(
-        self,
-        route_class: int,
-        length: int,
-        secure: bool,
-        applies_secp: bool,
-        node: int,
-        next_hop: int,
-    ) -> tuple:
-        """Comparable key for one offered route at ``node`` (lower wins).
+        self, route_class: int, length: int, secure: bool, applies_secp: bool
+    ) -> tuple[int, ...]:
+        """Comparable key for one offered route (lower wins).
 
         ``secure`` is the offered path's security; ``applies_secp`` is
-        whether ``node`` applies the SecP criterion (secure and
-        tie-breaking).  The trailing ``(tie_hash, next_hop)`` pair is
-        the TB step, identical across policies.
+        whether the choosing node applies the SecP criterion (secure and
+        tie-breaking).  TB is not in the key: offers equal on it are
+        ranked by :func:`~repro.routing.tree.tie_order`, which
+        :func:`~repro.routing.reference.propagate` scans them in.
         """
         parts: list[int] = []
         for crit in self.ranking:
@@ -204,8 +199,6 @@ class RoutingPolicy:
                 parts.append(int(length))
             else:
                 parts.append(0 if (applies_secp and secure) else 1)
-        parts.append(tie_hash(node, next_hop))
-        parts.append(int(next_hop))
         return tuple(parts)
 
     def exportable(self, route_class: RouteClass, neighbor_is_customer: bool) -> bool:

@@ -27,15 +27,13 @@ every AS picks a side:
 Selection at each AS couples the two origins, so the single-origin
 analytic passes do not apply; routing is a synchronous (Jacobi)
 fixpoint, exactly the iteration of :mod:`repro.routing.fixpoint` with
-two pinned labels.  Two implementations exist:
-
-- :func:`simulate_hijack` — a per-pair scalar reference in plain
-  Python, the differential ground truth;
-- :func:`simulate_attacks_batched` — the same iteration vectorised
-  over (victim, attacker) pairs: the
-  :class:`~repro.routing.fixpoint.JacobiDriver` that builds routing
-  structures, with an adversary per row.  The parity suite pins it
-  bit-identical to the scalar reference.
+two pinned labels.  :func:`simulate_hijack` runs it for one (victim,
+attacker) pair through :func:`repro.routing.reference.propagate`, the
+scalar propagation every route selector answers to;
+:func:`simulate_attacks_batched` runs it over many pairs at once on the
+:class:`~repro.routing.fixpoint.JacobiDriver` that builds routing
+structures, with an adversary per row.  The parity suite pins the two
+bit-identical.
 """
 
 from __future__ import annotations
@@ -53,27 +51,15 @@ from repro.routing.fixpoint import (
     JacobiDriver,
     pin_table,
 )
-from repro.routing.policy import (
-    POSITION_BITS,
-    Criterion,
-    DEFAULT_POLICY,
-    RouteClass,
-    get_policy,
-    tie_hash,
-)
-from repro.routing.reference import ConvergenceError
+from repro.routing.policy import DEFAULT_POLICY, RouteClass, get_policy
+from repro.routing.reference import propagate
 from repro.security.scenarios import DEFAULT_SCENARIO, get_scenario
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.spans import get_tracer
 from repro.topology.graph import ASGraph
 
 _SELF = int(RouteClass.SELF)
-_CUSTOMER = int(RouteClass.CUSTOMER)
-_PEER = int(RouteClass.PEER)
-_PROVIDER = int(RouteClass.PROVIDER)
 _UNREACHABLE = int(RouteClass.UNREACHABLE)
-
-_HASH_MASK = ~((1 << POSITION_BITS) - 1)
 
 #: (victim, attacker) pairs per Jacobi batch — bounds [chunk, edges]
 _PAIR_CHUNK = 64
@@ -198,99 +184,22 @@ def simulate_hijack(
         attacker_convinces_own_stubs, drop_unvalidated,
     )
     leak = scen.attacker_leaks
+    what = (
+        f"attack scenario {scen.name!r} under policy {pol.name!r} (victim "
+        f"{victim}, attacker {attacker})"
+    )
 
-    # Per-node candidate table, sorted by neighbor index: a tie key of
-    # the hash's high bits above that position orders a node's offers
-    # by (hash, neighbor), the tie-break order the fixpoint edge table
-    # stores each u-segment in (relations are disjoint).
-    candidates: list[list[tuple[int, int, int, bool]]] = []
-    for i in range(n):
-        entries = sorted(
-            [(int(c), _CUSTOMER) for c in graph.customers[i]]
-            + [(int(p), _PEER) for p in graph.peers[i]]
-            + [(int(p), _PROVIDER) for p in graph.providers[i]]
-        )
-        row = []
-        for pos, (nbr, kind) in enumerate(entries):
-            tie = (tie_hash(i, nbr) & _HASH_MASK) | pos
-            gull_edge = (
-                gullible and kind == _PROVIDER
-                and bool(is_stub[i]) and bool(node_secure[i])
-            )
-            row.append((nbr, kind, tie, gull_edge))
-        candidates.append(row)
-
-    cap = max_sweeps if max_sweeps is not None else n + 8
-
-    def iterate(cls, length, sec, att, pin, leaking):
-        for _ in range(cap):
-            new_cls = np.full(n, _UNREACHABLE, dtype=np.int64)
-            new_len = np.full(n, -1, dtype=np.int64)
-            new_sec = np.zeros(n, dtype=bool)
-            new_att = np.zeros(n, dtype=bool)
-            for i in range(n):
-                best: tuple | None = None
-                chosen: tuple | None = None
-                drop_i = drop and validators[i]
-                for nbr, kind, tie, gull_edge in candidates[i]:
-                    cv = cls[nbr]
-                    if cv == _UNREACHABLE:
-                        continue
-                    # GR2 (with the leak escape hatch): a route travels
-                    # up to a provider / across a peering only if it is
-                    # a customer route or the origin's own prefix.
-                    if not (kind == _PROVIDER or cv == _CUSTOMER
-                            or cv == _SELF
-                            or (leaking and nbr == attacker)):
-                        continue
-                    if drop_i and not sec[nbr]:
-                        continue
-                    seen = bool(sec[nbr]) or (gull_edge and nbr == attacker
-                                              and bool(att[nbr]))
-                    parts = []
-                    for crit in pol.ranking:
-                        if crit is Criterion.LP:
-                            parts.append(2 - kind)
-                        elif crit is Criterion.SP:
-                            parts.append(int(length[nbr]) + 1)
-                        else:
-                            parts.append(0 if (applies[i] and seen) else 1)
-                    key = (tuple(parts), tie)
-                    if best is None or key < best:
-                        best = key
-                        chosen = (nbr, kind, seen)
-                if chosen is not None:
-                    nbr, kind, seen = chosen
-                    new_cls[i] = kind
-                    new_len[i] = length[nbr] + 1
-                    new_sec[i] = bool(node_secure[i]) and seen
-                    new_att[i] = att[nbr]
-            pin(new_cls, new_len, new_sec, new_att)
-            if (
-                np.array_equal(new_cls, cls)
-                and np.array_equal(new_len, length)
-                and np.array_equal(new_sec, sec)
-                and np.array_equal(new_att, att)
-            ):
-                return cls, length, sec, att
-            cls, length, sec, att = new_cls, new_len, new_sec, new_att
-        raise ConvergenceError(
-            f"attack scenario {scen.name!r} under policy {pol.name!r} did "
-            f"not converge within {cap} sweeps (victim {victim}, "
-            f"attacker {attacker})"
+    def converge(pin, **phase):
+        return propagate(
+            graph, pin, node_secure, applies, pol, attacker=attacker,
+            gullible=is_stub & node_secure if gullible else None,
+            drop=validators if drop else None, max_sweeps=max_sweeps,
+            what=what, **phase,
         )
 
     def pin_victim(c, ln, s, a):
         if scen.victim_originates:
-            c[victim] = _SELF
-            ln[victim] = 0
-            s[victim] = node_secure[victim]
-            a[victim] = False
-
-    cls = np.full(n, _UNREACHABLE, dtype=np.int64)
-    length = np.full(n, -1, dtype=np.int64)
-    sec = np.zeros(n, dtype=bool)
-    att = np.zeros(n, dtype=bool)
+            c[victim], ln[victim], s[victim], a[victim] = _SELF, 0, node_secure[victim], False
 
     if leak and not scen.attacker_originates:
         # A pure route leak re-announces the route the attacker holds
@@ -301,33 +210,24 @@ def simulate_hijack(
         # the single-origin honest world, then phase 2 pins the
         # attacker's label (signatures and all: path validation cannot
         # reject a leak) and propagates the leak from that state.
-        pin_victim(cls, length, sec, att)
-        cls, length, sec, att = iterate(
-            cls, length, sec, att, pin_victim, leaking=False
-        )
-        a_cls, a_len, a_sec = cls[attacker], length[attacker], sec[attacker]
+        honest = converge(pin_victim)
+        a_cls, a_len, a_sec = (x[attacker] for x in honest[:3])
 
         def pin(c, ln, s, a):
             pin_victim(c, ln, s, a)
-            c[attacker] = a_cls
-            ln[attacker] = a_len
-            s[attacker] = a_sec
-            a[attacker] = True
+            c[attacker], ln[attacker], s[attacker], a[attacker] = a_cls, a_len, a_sec, True
 
-        att = att.copy()
-        att[attacker] = True
-        cls, length, sec, att = iterate(cls, length, sec, att, pin, leaking=True)
+        cls, _, _, att, _ = converge(pin, start=honest, leak=True)
     else:
         def pin(c, ln, s, a):
             pin_victim(c, ln, s, a)
             if scen.attacker_originates:
-                c[attacker] = _SELF
-                ln[attacker] = scen.attacker_path_offset
-                s[attacker] = False
+                c[attacker], ln[attacker], s[attacker] = (
+                    _SELF, scen.attacker_path_offset, False
+                )
             a[attacker] = True
 
-        pin(cls, length, sec, att)
-        cls, length, sec, att = iterate(cls, length, sec, att, pin, leaking=leak)
+        cls, _, _, att, _ = converge(pin, leak=leak)
 
     routes_to_attacker = att.copy()
     routes_to_attacker[victim] = False

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.core.config import UtilityModel
 from repro.core.perlink import (
@@ -13,8 +14,11 @@ from repro.core.perlink import (
 )
 from repro.core.state import DeploymentState, StateDeriver
 from repro.gadgets.dilemma import build_dilemma
-from repro.routing.policy import RouteClass
+from repro.routing.tree import compute_dest_routing
 from repro.topology.graph import ASGraph
+
+from tests.references import compute_tree
+from tests.strategies import graphs_with_security
 
 
 def chain() -> ASGraph:
@@ -58,6 +62,31 @@ class TestLinkSecurity:
         half[g.index(2)] = False
         sel = routes_with_link_security(g, g.index(3), half, half)
         assert not sel[g.index(1)].secure
+
+
+@given(graphs_with_security(max_nodes=12))
+@settings(max_examples=25, deadline=None)
+def test_all_links_on_selects_as_the_trees(graph_and_secure):
+    """With no link disabled, per-link security is node security: every
+    destination's selection is the analytic structure resolved by the
+    routing-tree reference, next hop and secure flag alike."""
+    graph, secure_list = graph_and_secure
+    secure = np.zeros(graph.n, dtype=bool)
+    secure[secure_list] = True
+    breaks = secure.copy()
+    breaks[::3] = False  # some secure ASes do not break ties on security
+    for dest in range(graph.n):
+        tree = compute_tree(compute_dest_routing(graph, dest), secure, breaks)
+        routes = routes_with_link_security(graph, dest, secure, breaks)
+        for i in range(graph.n):
+            if i == dest:
+                continue
+            route = routes.get(i)
+            if route is None:
+                assert tree.choice[i] == -1, (dest, i)
+            else:
+                assert route.next_hop == tree.choice[i], (dest, i)
+                assert route.secure == bool(tree.secure[i]), (dest, i)
 
 
 class TestDilemma:

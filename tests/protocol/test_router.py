@@ -7,6 +7,7 @@ import pytest
 from repro.protocol.attacks import forge_origin_hijack
 from repro.protocol.router import ProtocolNetwork, SecurityLevel, SecurityMode
 from repro.protocol.rpki import Prefix, RPKI
+from repro.routing.reference import ConvergenceError
 from repro.topology.graph import ASGraph
 
 PFX = Prefix("203.0.113.0", 24)
@@ -56,6 +57,22 @@ class TestPropagation:
         net.originate_prefix(3, PFX, issue_roa=False)
         net.converge()
         assert net.path_of(1, PFX) == (2, 3)  # LP beats shorter peer route
+
+    def test_sweep_cap_fails_typed(self):
+        """One sweep cannot confirm a fixpoint: the first always fills a
+        RIB.  Running out of sweeps is the typed non-convergence error
+        (still a ``RuntimeError``)."""
+        g = ASGraph()
+        for asn in (1, 2, 3):
+            g.add_as(asn)
+        g.add_customer_provider(provider=1, customer=2)
+        g.add_customer_provider(provider=2, customer=3)
+        net = ProtocolNetwork(g, RPKI(seed=b"e"))
+        net.originate_prefix(3, PFX, issue_roa=False)
+        with pytest.raises(ConvergenceError, match="1 sweeps"):
+            net.converge(max_sweeps=1)
+        net.converge()
+        assert net.path_of(1, PFX) == (2, 3)
 
 
 class TestValidation:

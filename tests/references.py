@@ -35,7 +35,9 @@ to read, as what the differential suites compare against:
   before — each sweep scalar, by the two-stage rule (least rank key,
   then least tie-break key among the tied) with the rank key packed
   field by field; :func:`jacobi_labels_after` follows the same sweeps
-  for a fixed count, to show where a chunk is on the way.
+  for a fixed count, to show where a chunk is on the way;
+- :func:`propagate_toward` — :func:`repro.routing.reference.propagate`
+  with one destination originating, the scalar selection of plain BGP.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from repro.routing.fixpoint import (
 )
 from repro.routing.paths import RoutingTree
 from repro.routing.policy import POSITION_BITS, Criterion, RouteClass, tie_hash_array
-from repro.routing.reference import ConvergenceError
+from repro.routing.reference import ConvergenceError, propagate
 from repro.routing.tree import DestRouting, RouteInfo, assemble_pools
 from repro.topology.graph import ASGraph
 
@@ -72,6 +74,17 @@ _CUSTOMER = int(RouteClass.CUSTOMER)
 _PEER = int(RouteClass.PEER)
 _PROVIDER = int(RouteClass.PROVIDER)
 _UNREACHABLE = int(RouteClass.UNREACHABLE)
+
+
+def propagate_toward(graph, dest, node_secure, applies, policy="security_3rd", **hooks):
+    """``(cls, length, sec, att, hop)`` of every node toward ``dest``, its
+    one origin (secure as ``node_secure`` says), by the scalar
+    propagation; ``hooks`` as :func:`~repro.routing.reference.propagate`."""
+
+    def pin(cls, length, sec, att):
+        cls[dest], length[dest], sec[dest] = _SELF, 0, node_secure[dest]
+
+    return propagate(graph, pin, node_secure, applies, policy, **hooks)
 
 
 def compute_tie_keys(

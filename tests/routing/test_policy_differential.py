@@ -7,7 +7,7 @@ Three tiers of guarantee, by how much convergence theory gives us:
   bit-identical to the pre-refactor scalar builder, and the scalar,
   vectorised and batched-arena kernels must all agree on it;
 - ``security_2nd`` keeps LP first, so the fixpoint is unique and the
-  batched fixpoint builder must match the reference simulator exactly;
+  batched fixpoint builder must match the scalar propagation exactly;
   so must ``sp_first``, which the same fixpoint builds with nobody
   secure (its structure does not move with the state);
 - ``security_1st`` can admit multiple stable states (Lychev et al.,
@@ -23,10 +23,10 @@ from hypothesis import assume, given, settings
 
 from repro.routing.arena import RoutingArena, compute_trees_batched
 from repro.routing.policy import RouteClass, get_policy
-from repro.routing.reference import ConvergenceError, simulate_bgp
+from repro.routing.reference import ConvergenceError
 from repro.routing.tree import compute_dest_routing
 
-from tests.references import compute_tree
+from tests.references import compute_tree, propagate_toward
 from tests.strategies import graphs_with_security
 
 _CUSTOMER = int(RouteClass.CUSTOMER)
@@ -82,10 +82,10 @@ class TestDefaultPolicyIsPureRefactor:
             assert (bt.secure[k] == tree.secure).all(), dests[k]
 
 
-def _assert_matches_simulate_bgp(graph_and_secure, policy_name: str) -> None:
+def _assert_matches_propagate(graph_and_secure, policy_name: str) -> None:
     """The policy's built structures, resolved under the state, select
-    what the scalar reference simulator selects: every label and every
-    tree choice."""
+    what the scalar propagation selects: every label and every tree
+    choice."""
     graph, secure_list = graph_and_secure
     node_secure = np.zeros(graph.n, dtype=bool)
     node_secure[secure_list] = True
@@ -96,29 +96,27 @@ def _assert_matches_simulate_bgp(graph_and_secure, policy_name: str) -> None:
     ).views()
     for dest, dr in zip(dests, routings):
         try:
-            selection = simulate_bgp(
-                graph, dest, node_secure, node_secure, policy=pol
+            cls, length, sec, _, hop = propagate_toward(
+                graph, dest, node_secure, node_secure, pol
             )
         except ConvergenceError:  # pragma: no cover - LP-first converges
             assume(False)
         tree = compute_tree(dr, node_secure, node_secure)
-        for i in range(graph.n):
-            if i == dest:
-                continue
-            route = selection.get(i)
-            if route is None:
-                assert tree.choice[i] == -1, (dest, i)
-            else:
-                assert dr.lengths[i] == route.length, (dest, i)
-                assert tree.choice[i] == route.path[1], (dest, i, route.path)
+        assert np.array_equal(dr.cls, cls), dest
+        assert np.array_equal(dr.lengths, length), dest
+        reached = cls != int(RouteClass.UNREACHABLE)
+        assert (tree.choice[~reached] == -1).all(), dest
+        reached[dest] = False
+        assert np.array_equal(tree.choice[reached], hop[reached]), dest
+        assert np.array_equal(tree.secure[reached], sec[reached]), dest
 
 
 @given(graphs_with_security(max_nodes=12))
 @settings(max_examples=25, deadline=None)
 def test_security_2nd_matches_reference(graph_and_secure):
     """LP stays first, so the fixpoint is unique: batched Jacobi builder
-    and the scalar reference simulator must agree on every label."""
-    _assert_matches_simulate_bgp(graph_and_secure, "security_2nd")
+    and the scalar propagation must agree on every label."""
+    _assert_matches_propagate(graph_and_secure, "security_2nd")
 
 
 @given(graphs_with_security(max_nodes=12))
@@ -126,8 +124,8 @@ def test_security_2nd_matches_reference(graph_and_secure):
 def test_sp_first_matches_reference(graph_and_secure):
     """SP-first is built by the same Jacobi fixpoint, once, with nobody
     secure; resolved under any state it must still select what the
-    scalar reference simulator selects under that state."""
-    _assert_matches_simulate_bgp(graph_and_secure, "sp_first")
+    scalar propagation selects under that state."""
+    _assert_matches_propagate(graph_and_secure, "sp_first")
 
 
 @given(graphs_with_security(max_nodes=12))
@@ -158,8 +156,7 @@ def test_security_1st_fixpoint_is_stable(graph_and_secure):
                 selected = pol.rank_key(
                     route_class=int(dr.cls[u]), length=int(dr.lengths[u]),
                     secure=bool(tree.secure[chosen]), applies_secp=applies,
-                    node=u, next_hop=chosen,
-                )[:3]
+                )
             else:
                 selected = None
             for v in _neighbors(graph, u):
@@ -174,8 +171,8 @@ def test_security_1st_fixpoint_is_stable(graph_and_secure):
                     length=int(dr.lengths[v]) + 1 if v != dest else 1,
                     secure=bool(node_secure[dest]) if v == dest
                     else bool(tree.secure[v]),
-                    applies_secp=applies, node=u, next_hop=v,
-                )[:3]
+                    applies_secp=applies,
+                )
                 assert selected is not None, (dest, u, v)
                 assert offered >= selected, (dest, u, v, offered, selected)
 

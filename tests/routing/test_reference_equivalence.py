@@ -1,9 +1,10 @@
-"""Property tests: the fast engine must match the fixpoint simulator.
+"""Property tests: the fast engine must match the scalar propagation.
 
-The reference simulator knows nothing about tiebreak sets or
-Observation C.1 — it just runs BGP to convergence with full paths — so
-agreement here validates the entire analytic pipeline (route classes,
-lengths, tiebreak sets, SecP, and path-security propagation).
+:func:`repro.routing.reference.propagate` knows nothing about tiebreak
+sets or Observation C.1 — it just sweeps every node's route labels to
+convergence, one node and one offer at a time — so agreement here
+validates the entire analytic pipeline (route classes, lengths,
+tiebreak sets, SecP, and path-security propagation).
 """
 
 from __future__ import annotations
@@ -11,10 +12,10 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings
 
-from repro.routing.reference import secure_flags_from_selection, simulate_bgp
+from repro.routing.policy import RouteClass
 from repro.routing.tree import compute_dest_routing
 
-from tests.references import compute_tree
+from tests.references import compute_tree, propagate_toward
 from tests.strategies import graphs_with_security
 
 
@@ -28,17 +29,15 @@ def test_fast_tree_matches_reference(graph_and_secure):
     for dest in range(graph.n):
         dr = compute_dest_routing(graph, dest)
         tree = compute_tree(dr, node_secure, node_secure)
-        selection = simulate_bgp(graph, dest, node_secure, node_secure)
-        sec = secure_flags_from_selection(selection, node_secure, graph.n)
+        cls, _, sec, _, hop = propagate_toward(graph, dest, node_secure, node_secure)
 
         for i in range(graph.n):
             if i == dest:
                 continue
-            route = selection.get(i)
-            if route is None:
+            if cls[i] == int(RouteClass.UNREACHABLE):
                 assert tree.choice[i] == -1, (dest, i)
             else:
-                assert tree.choice[i] == route.path[1], (dest, i, route.path)
+                assert tree.choice[i] == hop[i], (dest, i)
                 assert bool(tree.secure[i]) == bool(sec[i]), (dest, i)
 
 
@@ -50,12 +49,6 @@ def test_selected_lengths_match_reference(graph_and_secure):
     node_secure[secure_list] = True
     for dest in range(0, graph.n, 2):
         dr = compute_dest_routing(graph, dest)
-        selection = simulate_bgp(graph, dest, node_secure, node_secure)
-        for i in range(graph.n):
-            if i == dest:
-                continue
-            route = selection.get(i)
-            if route is None:
-                assert dr.lengths[i] == -1
-            else:
-                assert dr.lengths[i] == route.length
+        cls, length, *_ = propagate_toward(graph, dest, node_secure, node_secure)
+        assert np.array_equal(dr.cls, cls), dest
+        assert np.array_equal(dr.lengths, length), dest

@@ -33,17 +33,8 @@ from repro.gadgets.oscillator import build_chicken
 from repro.routing import backends as kernel_backends
 from repro.routing.compiled import CompiledGraph
 from repro.routing.fixpoint import PIN_ALL, PIN_ROUTE, JacobiDriver, pin_table
-from repro.routing.policy import (
-    Criterion,
-    RouteClass,
-    available_policies,
-    get_policy,
-)
-from repro.routing.reference import (
-    ConvergenceError,
-    secure_flags_from_selection,
-    simulate_bgp,
-)
+from repro.routing.policy import RouteClass, available_policies, get_policy
+from repro.routing.reference import ConvergenceError
 from repro.security.hijack import simulate_attacks_batched, simulate_hijack
 from repro.security.metrics import sample_pairs
 from repro.security.scenarios import available_scenarios
@@ -51,7 +42,7 @@ from repro.topology.generator import generate_topology
 from repro.topology.graph import ASGraph
 from repro.topology.relationships import ASRole
 
-from tests.references import jacobi_converge_reference
+from tests.references import jacobi_converge_reference, propagate_toward
 from tests.strategies import graphs_with_security
 
 SCENARIOS = available_scenarios()
@@ -243,7 +234,7 @@ def _assert_rows_independent(graph, node_secure, policy, backend, pairs):
         for with_tied, without in zip(labels, untied):
             assert with_tied.tobytes() == without.tobytes(), context
 
-        cls, length, sec, att = labels
+        cls, _, _, att = labels
         for k, (victim, attacker) in enumerate(zip(victims, attackers)):
             if attacker >= 0:
                 ref = simulate_hijack(
@@ -259,24 +250,15 @@ def _assert_rows_independent(graph, node_secure, policy, backend, pairs):
                 ), (context, k)
                 continue
             # no adversary: nothing descends from one, and (a leak only
-            # frees offers *from* the attacker) the row is plain BGP.
-            # SecP-first rankings admit several stable states, so only
-            # the others are held to the Gauss-Seidel reference's.
+            # frees offers *from* the attacker) the row is plain BGP,
+            # which the scalar propagation steps just as the kernel does
             assert not att[k].any(), (context, k)
-            if drop or pol.ranking[0] is Criterion.SECP:
-                continue
-            selection = simulate_bgp(
-                graph, int(victim), node_secure, applies, policy=pol
+            ref = propagate_toward(
+                graph, int(victim), node_secure, applies, pol,
+                drop=node_secure & ~is_stub if drop else None,
             )
-            reached = np.zeros(graph.n, dtype=bool)
-            reached[list(selection)] = True
-            assert np.array_equal(cls[k] != _UNREACHABLE, reached), (context, k)
-            for node, route in selection.items():
-                assert cls[k, node] == int(route.route_class), (context, k, node)
-                assert length[k, node] == route.length, (context, k, node)
-            assert np.array_equal(
-                sec[k], secure_flags_from_selection(selection, node_secure, graph.n)
-            ), (context, k)
+            for got, want in zip(labels, ref):
+                assert np.array_equal(got[k], want), (context, k)
 
 
 def _wheel_graph():
