@@ -17,7 +17,7 @@ from repro.topology.graph import ASGraph
 
 
 def _csr(adjacency: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    counts = np.fromiter((len(a) for a in adjacency), dtype=np.int64, count=len(adjacency))
+    counts = np.fromiter(map(len, adjacency), dtype=np.int64, count=len(adjacency))
     indptr = np.zeros(len(adjacency) + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     total = int(indptr[-1])

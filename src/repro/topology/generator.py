@@ -31,6 +31,7 @@ import dataclasses
 import random
 from typing import Sequence
 
+from repro.topology.errors import DuplicateEdgeError
 from repro.topology.graph import ASGraph
 
 
@@ -114,52 +115,34 @@ def paper_scale_config(seed: int = 2011) -> TopologyConfig:
     return TopologyConfig(n=PAPER_SCALE_N, seed=seed)
 
 
-def _sample_count(rng: random.Random, dist: Sequence[float]) -> int:
-    """Draw 1, 2 or 3 with the given probabilities."""
-    r = rng.random()
-    if r < dist[0]:
-        return 1
-    if r < dist[0] + dist[1]:
-        return 2
-    return 3
-
-
-def _choose_providers(
-    rng: random.Random,
-    pool: list[int],
-    attach: list[int],
-    count: int,
-) -> list[int]:
-    """Pick ``count`` distinct providers, degree-preferentially.
-
-    ``attach`` is the repeated-node preferential-attachment list; the
-    uniform ``pool`` is mixed in so low-degree providers keep a chance.
-    """
-    chosen: set[int] = set()
-    guard = 0
-    while len(chosen) < min(count, len(pool)):
-        guard += 1
-        source = attach if (attach and rng.random() < 0.75) else pool
-        chosen.add(rng.choice(source))
-        if guard > 50 * count:  # pathological tiny pools
-            for p in pool:
-                chosen.add(p)
-                if len(chosen) >= count:
-                    break
-    return list(chosen)
-
-
 def generate_topology(config: TopologyConfig | None = None, **overrides: object) -> GeneratedTopology:
     """Generate a synthetic Internet-like AS graph.
 
     Either pass a :class:`TopologyConfig` or keyword overrides of its
     fields, e.g. ``generate_topology(n=1500, seed=7)``.
+
+    The graph is a function of the sequence of draws made from one
+    ``random.Random(config.seed)``: the same seed gives the same graph,
+    every adjacency list in the same order, on every CPython whose
+    ``random`` makes the same draws.  ``TestDrawSequence`` in
+    ``tests/topology/test_generator.py`` pins that sequence.
     """
+    if config is not None and not isinstance(config, TopologyConfig):
+        raise TypeError(
+            "generate_topology() takes a TopologyConfig or keyword fields, "
+            f"e.g. generate_topology(n=1500, seed=7); got {config!r} as config"
+        )
     if config is None:
         config = TopologyConfig(**overrides)  # type: ignore[arg-type]
     elif overrides:
         config = dataclasses.replace(config, **overrides)  # type: ignore[arg-type]
     rng = random.Random(config.seed)
+    # The hot loops below inline ``rng.choice`` and ``rng.sample``, draw
+    # for draw.  ``rng.choice(s)`` is ``s[rng._randbelow(len(s))]``, and
+    # ``_randbelow(m)`` draws ``getrandbits(m.bit_length())`` until the
+    # draw is below ``m``.
+    draw = rng.random
+    getrandbits = rng.getrandbits
 
     n_stub = int(round(config.n * config.stub_fraction))
     n_cp = min(config.num_cps, max(0, config.n - n_stub - config.num_tier1))
@@ -183,11 +166,13 @@ def generate_topology(config: TopologyConfig | None = None, **overrides: object)
     graph = ASGraph(cp_asns=cps)
     for asn in tier1 + regional + access + cps + stubs:
         graph.add_as(asn)
+    add_customer_provider = graph.add_customer_provider
+    add_peering = graph.add_peering
 
     # Tier-1 clique (settlement-free peerings).
     for i, a in enumerate(tier1):
         for b in tier1[i + 1:]:
-            graph.add_peering(a, b)
+            add_peering(a, b)
 
     # Preferential-attachment lists: a provider appears once per customer
     # it has already acquired, snapshotted per phase so that degree earned
@@ -195,14 +180,46 @@ def generate_topology(config: TopologyConfig | None = None, **overrides: object)
     attach: list[int] = list(tier1)
 
     def run_phase(customers: list[int], pool: list[int], dist: Sequence[float]) -> None:
+        """Give each customer 1-3 distinct providers, degree-preferentially.
+
+        The provider list ``phase_attach`` (this phase's slice of
+        ``attach``) is drawn from with probability 0.75, the uniform
+        ``pool`` otherwise, so low-degree providers keep a chance.
+        """
         pool_set = set(pool)
         phase_attach = [x for x in attach if x in pool_set]
+        size = len(pool)
+        bits = size.bit_length()
+        one, two = dist[0], dist[0] + dist[1]
         for customer in customers:
-            count = _sample_count(rng, dist)
-            for provider in _choose_providers(rng, pool, phase_attach, count):
-                graph.add_customer_provider(provider, customer)
-                phase_attach.append(provider)
-                attach.append(provider)
+            r = draw()
+            count = 1 if r < one else 2 if r < two else 3
+            want = count if count < size else size
+            chosen: set[int] = set()
+            guard = 0
+            while len(chosen) < want:
+                guard += 1
+                if phase_attach and draw() < 0.75:
+                    m = len(phase_attach)
+                    k = m.bit_length()
+                    j = getrandbits(k)
+                    while j >= m:
+                        j = getrandbits(k)
+                    chosen.add(phase_attach[j])
+                else:
+                    j = getrandbits(bits)
+                    while j >= size:
+                        j = getrandbits(bits)
+                    chosen.add(pool[j])
+                if guard > 50 * count:  # pathological tiny pools
+                    for p in pool:
+                        chosen.add(p)
+                        if len(chosen) >= count:
+                            break
+            for provider in chosen:
+                add_customer_provider(provider, customer)
+            phase_attach.extend(chosen)
+            attach.extend(chosen)
 
     # Regional ISPs buy transit from Tier-1s; access ISPs from regionals
     # and Tier-1s; stubs from any transit ISP, degree-preferentially.
@@ -215,7 +232,7 @@ def generate_topology(config: TopologyConfig | None = None, **overrides: object)
     # Content providers: Tier-1 transit, no customers.
     for asn in cps:
         for provider in rng.sample(tier1, min(config.cp_providers, len(tier1))):
-            graph.add_customer_provider(provider, asn)
+            add_customer_provider(provider, asn)
 
     # IXP pools: members are non-Tier-1 ISPs plus edge networks (stubs
     # join IXPs too — they are the peers CPs connect to in [3]).
@@ -231,39 +248,76 @@ def generate_topology(config: TopologyConfig | None = None, **overrides: object)
     # the target peering/AS ratio is met.
     target_peerings = int(config.n * config.peering_ratio)
 
-    def try_peer(a: int, b: int) -> bool:
-        if a == b or graph.has_edge(a, b):
-            return False
-        graph.add_peering(a, b)
-        return True
-
+    # ``rng.sample(pool, k)`` with k <= 5 takes its list branch on a pool
+    # of at most 21 entries and its set branch above that: each index is
+    # drawn as ``choice`` draws one and redrawn while it repeats an earlier
+    # index.  Both peering loops inline the set branch draw for draw and
+    # keep the library call for small pools.  ``add_peering`` refuses a
+    # self-loop or a second edge between two ASes with DuplicateEdgeError:
+    # a refused pair is skipped, not counted.
     made = graph.num_peering_edges()
     for members in ixp_members:
+        size = len(members)
+        bits = size.bit_length()
+        k = min(3, size)
         for a in members:
             # each IXP member peers with a few co-located members
-            for b in rng.sample(members, min(3, len(members))):
+            if size <= 21:
+                picks = rng.sample(members, k)
+            else:
+                picks = []  # members are distinct: a repeated member is a repeated index
+                while len(picks) < k:
+                    j = getrandbits(bits)
+                    while j >= size or members[j] in picks:
+                        j = getrandbits(bits)
+                    picks.append(members[j])
+            for b in picks:
                 if made >= target_peerings:
                     break
-                if try_peer(a, b):
-                    made += 1
+                try:
+                    add_peering(a, b)
+                except DuplicateEdgeError:
+                    continue
+                made += 1
 
-    pools = [regional + tier1, access, regional + access]
+    pools = [
+        (pool, len(pool), len(pool).bit_length())
+        for pool in (regional + tier1, access, regional + access)
+    ]
     guard = 0
     while made < target_peerings and guard < 50 * target_peerings:
         guard += 1
-        pool = rng.choice(pools)
-        if len(pool) < 2:
+        j = getrandbits(2)  # rng.choice(pools)
+        while j >= 3:
+            j = getrandbits(2)
+        pool, size, bits = pools[j]
+        if size < 2:
             continue
-        a, b = rng.sample(pool, 2)
-        if try_peer(a, b):
-            made += 1
+        if size <= 21:
+            a, b = rng.sample(pool, 2)
+        else:
+            i = getrandbits(bits)
+            while i >= size:
+                i = getrandbits(bits)
+            j = getrandbits(bits)
+            while j >= size or j == i:
+                j = getrandbits(bits)
+            a, b = pool[i], pool[j]
+        try:
+            add_peering(a, b)
+        except DuplicateEdgeError:
+            continue
+        made += 1
 
     # CPs peer with a slice of IXP members even in the base graph.
     all_members = sorted({m for members in ixp_members for m in members})
     for cp in cps:
         k = int(len(all_members) * config.cp_base_peering)
         for b in rng.sample(all_members, min(k, len(all_members))):
-            try_peer(cp, b)
+            try:
+                add_peering(cp, b)
+            except DuplicateEdgeError:
+                pass
 
     graph.validate()
     return GeneratedTopology(

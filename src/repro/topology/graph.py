@@ -50,7 +50,7 @@ class ASGraph:
         self.providers: list[list[int]] = []
         self.peers: list[list[int]] = []
         self._cp_asns: set[int] = set(cp_asns)
-        self._edges: set[tuple[int, int]] = set()
+        self._edges: set[int] = set()  # one packed key per edge, see below
         self._roles: np.ndarray | None = None
         self._weights: np.ndarray | None = None
 
@@ -62,15 +62,15 @@ class ASGraph:
 
         Raises :class:`DuplicateASError` if the AS already exists.
         """
-        if asn in self._index:
+        index = self._index
+        if asn in index:
             raise DuplicateASError(asn)
-        idx = len(self._asns)
-        self._index[asn] = idx
+        idx = index[asn] = len(self._asns)
         self._asns.append(asn)
         self.customers.append([])
         self.providers.append([])
         self.peers.append([])
-        self._invalidate()
+        self._roles = self._weights = None
         return idx
 
     def ensure_as(self, asn: int) -> int:
@@ -80,28 +80,57 @@ class ASGraph:
             idx = self.add_as(asn)
         return idx
 
+    # The mutators below run once per edge of every graph built (the
+    # generator's ~2.7 edges per AS, every line of an as-rel file), so
+    # each looks both endpoints up once and builds the edge key once.
+    # An edge's key packs its two dense indices, lower first, into one
+    # int: no tuple per edge for the cyclic GC to track.
+
     def add_customer_provider(self, provider: int, customer: int) -> None:
         """Add a customer-provider edge (``customer`` pays ``provider``)."""
-        p, c = self._require(provider), self._require(customer)
-        self._claim_edge(provider, customer)
+        index = self._index
+        try:
+            p = index[provider]
+            c = index[customer]
+        except KeyError:
+            raise UnknownASError(provider if provider not in index else customer) from None
+        key = p << 32 | c if p < c else c << 32 | p
+        edges = self._edges
+        if p == c or key in edges:
+            raise DuplicateEdgeError(provider, customer)
+        edges.add(key)
         self.customers[p].append(c)
         self.providers[c].append(p)
-        self._invalidate()
+        self._roles = self._weights = None
 
     def add_peering(self, a: int, b: int) -> None:
         """Add a settlement-free peer-to-peer edge between ``a`` and ``b``."""
-        i, j = self._require(a), self._require(b)
-        self._claim_edge(a, b)
-        self.peers[i].append(j)
-        self.peers[j].append(i)
-        self._invalidate()
+        index = self._index
+        try:
+            i = index[a]
+            j = index[b]
+        except KeyError:
+            raise UnknownASError(a if a not in index else b) from None
+        key = i << 32 | j if i < j else j << 32 | i
+        edges = self._edges
+        if i == j or key in edges:
+            raise DuplicateEdgeError(a, b)
+        edges.add(key)
+        peers = self.peers
+        peers[i].append(j)
+        peers[j].append(i)
+        self._roles = self._weights = None
 
     def remove_edge(self, a: int, b: int) -> None:
-        """Remove whichever edge exists between ``a`` and ``b``."""
+        """Remove whichever edge exists between ``a`` and ``b``.
+
+        Raises :class:`UnknownASError` if either AS is missing and
+        :class:`KeyError` if no edge exists.
+        """
         i, j = self._require(a), self._require(b)
-        key = (min(a, b), max(a, b))
+        key = i << 32 | j if i < j else j << 32 | i
         if key not in self._edges:
-            raise UnknownASError(b if a in self._index else a)
+            raise KeyError(f"no edge between AS {a} and AS {b}")
         self._edges.discard(key)
         for adj in (self.customers, self.providers, self.peers):
             if j in adj[i]:
@@ -109,14 +138,6 @@ class ASGraph:
             if i in adj[j]:
                 adj[j].remove(i)
         self._invalidate()
-
-    def _claim_edge(self, a: int, b: int) -> None:
-        if a == b:
-            raise DuplicateEdgeError(a, b)
-        key = (min(a, b), max(a, b))
-        if key in self._edges:
-            raise DuplicateEdgeError(a, b)
-        self._edges.add(key)
 
     def _require(self, asn: int) -> int:
         try:
@@ -157,7 +178,11 @@ class ASGraph:
 
     def has_edge(self, a: int, b: int) -> bool:
         """True if any edge exists between ASes ``a`` and ``b``."""
-        return (min(a, b), max(a, b)) in self._edges
+        i = self._index.get(a)
+        j = self._index.get(b)
+        if i is None or j is None:
+            return False
+        return (i << 32 | j if i < j else j << 32 | i) in self._edges
 
     def relationship(self, a: int, b: int) -> Relationship:
         """Relationship of ``b`` as seen from ``a``.
@@ -235,14 +260,11 @@ class ASGraph:
     def roles(self) -> np.ndarray:
         """Per-index :class:`ASRole` array (computed lazily, cached)."""
         if self._roles is None:
-            roles = np.empty(self.n, dtype=np.int8)
-            for i in range(self.n):
-                if self._asns[i] in self._cp_asns:
-                    roles[i] = ASRole.CP
-                elif not self.customers[i]:
-                    roles[i] = ASRole.STUB
-                else:
-                    roles[i] = ASRole.ISP
+            # STUB is 0 and ISP is 1: an AS with customers is an ISP
+            roles = np.fromiter(map(bool, self.customers), dtype=np.int8, count=self.n)
+            for asn in self._cp_asns:  # a handful: the paper has five
+                if asn in self._index:
+                    roles[self._index[asn]] = ASRole.CP
             self._roles = roles
         return self._roles
 
@@ -289,7 +311,27 @@ class ASGraph:
         """Check GR1: the customer->provider relation must be acyclic.
 
         Raises :class:`RelationshipCycleError` with an offending cycle.
+        Acyclicity is proven by peeling the hierarchy bottom-up over the
+        provider lists (Kahn's algorithm): an AS is peeled once every
+        customer of it has been.  Only when ASes remain does the
+        depth-first search in index order run, to name the cycle it finds
+        first; ``preflight`` drops that cycle's closing edge.
         """
+        providers = self.providers
+        pending = list(map(len, self.customers))  # customers not yet peeled
+        ready = [i for i, left in enumerate(pending) if not left]
+        peeled = 0
+        while ready:
+            peeled += 1
+            for p in providers[ready.pop()]:
+                pending[p] -= 1
+                if not pending[p]:
+                    ready.append(p)
+        if peeled < self.n:
+            raise RelationshipCycleError(self._first_cycle())
+
+    def _first_cycle(self) -> list[int]:
+        """The first provider cycle a depth-first search in index order meets."""
         white, grey, black = 0, 1, 2
         color = [white] * self.n
         stack_path: list[int] = []
@@ -307,8 +349,7 @@ class ASGraph:
                     nxt = self.providers[node][edge_pos]
                     if color[nxt] == grey:
                         at = stack_path.index(nxt)
-                        cycle = [self._asns[i] for i in stack_path[at:]] + [self._asns[nxt]]
-                        raise RelationshipCycleError(cycle)
+                        return [self._asns[i] for i in stack_path[at:]] + [self._asns[nxt]]
                     if color[nxt] == white:
                         color[nxt] = grey
                         stack_path.append(nxt)
@@ -317,6 +358,7 @@ class ASGraph:
                     color[node] = black
                     stack_path.pop()
                     stack.pop()
+        raise AssertionError("the peel left ASes behind but no provider cycle exists")
 
     def copy(self) -> "ASGraph":
         """Deep copy of the graph (roles/weights recomputed lazily)."""

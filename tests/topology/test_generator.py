@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import types
+
 import pytest
 
+from repro.topology import generator
 from repro.topology.generator import TopologyConfig, generate_topology
 from repro.topology.relationships import ASRole
 from repro.topology.stats import multihomed_stub_fraction, summarize, top_by_degree
@@ -21,6 +25,16 @@ class TestConfigValidation:
     def test_bad_multihoming_rejected(self):
         with pytest.raises(ValueError):
             TopologyConfig(stub_multihoming=(0.5, 0.5, 0.5))
+
+    def test_positional_n_is_a_type_error(self, monkeypatch):
+        def no_rng(*args, **kwargs):
+            raise AssertionError("work started before the argument check")
+
+        monkeypatch.setattr(generator, "random", types.SimpleNamespace(Random=no_rng))
+        with pytest.raises(TypeError, match=r"TopologyConfig.*n="):
+            generate_topology(1000, seed=7)
+        with pytest.raises(TypeError, match=r"TopologyConfig.*n="):
+            generate_topology(1000)
 
     def test_overrides_via_kwargs(self):
         top = generate_topology(n=120, seed=9, num_tier1=4)
@@ -101,3 +115,45 @@ class TestDeterminism:
         a = generate_topology(n=150, seed=4)
         b = generate_topology(n=150, seed=5)
         assert sorted(a.graph.edges()) != sorted(b.graph.edges())
+
+
+#: blake2b digests of every generated graph's adjacency lists, in order,
+#: plus its Tier-1, CP and IXP lists.  The generator's contract is the
+#: draw sequence of its one ``random.Random(seed)``: a change to the
+#: order or the kind of draws (or to CPython's ``random`` internals)
+#: changes the graph and fails this pin.  n <= 40 takes
+#: ``random.sample``'s list branch and the provider picker's tiny pools.
+_DRAW_DIGESTS = {
+    (20, 2011): "ac3dee64bc5a2651a29a1bb94bcb2e99",
+    (20, 7): "0c0e3111d8e6aa5dad76af623df91957",
+    (21, 2011): "c99d7692082bdbd5eeaaf11e554cd9c3",
+    (21, 7): "bc5950fba2a67bf725ab3d618221da43",
+    (25, 2011): "c34a2ef5fa3bc88a6f5748cfeccf5c1d",
+    (25, 7): "91b98b6bf323b367a7b8d9dd89d648f7",
+    (40, 2011): "f68706edece0bbd28ff472f6d3adcee3",
+    (40, 7): "a0b3b9f8ac5fbd384b38d73761e6bff4",
+    (150, 2011): "7cf613b9a00c6038a9a28df11825e281",
+    (150, 7): "d2c8305d8600cabcba7150f09396e470",
+    (1000, 2011): "2fd51edbcfb419224bac9768878bb2f4",
+    (1000, 7): "71c763f988a2439c36502ce8a33bfae4",
+    (8000, 2011): "0afa6758fdad0c92be7af11b99593e01",
+    (8000, 7): "8543ba200af893775e38d09dd90ecb21",
+}
+
+
+def _draw_digest(top) -> str:
+    h = hashlib.blake2b(digest_size=16)
+    g = top.graph
+    for part in (
+        g.customers, g.providers, g.peers,
+        top.tier1_asns, top.cp_asns, top.ixp_members,
+    ):
+        h.update(repr(part).encode())
+    return h.hexdigest()
+
+
+class TestDrawSequence:
+    @pytest.mark.parametrize("n, seed", sorted(_DRAW_DIGESTS))
+    def test_graph_is_pinned(self, n, seed):
+        top = generate_topology(n=n, seed=seed)
+        assert _draw_digest(top) == _DRAW_DIGESTS[n, seed]

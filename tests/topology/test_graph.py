@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.topology.errors import (
     RelationshipCycleError,
     UnknownASError,
 )
+from repro.topology.generator import generate_topology
 from repro.topology.graph import ASGraph
 from repro.topology.relationships import ASRole, Relationship
 
@@ -71,6 +74,21 @@ class TestConstruction:
         g.add_peering(2, 3)  # can re-add after removal
         assert g.has_edge(2, 3)
 
+    def test_remove_missing_edge_is_key_error(self):
+        g = build_triangle()
+        g.add_as(4)
+        with pytest.raises(KeyError, match="no edge between AS 2 and AS 4") as exc:
+            g.remove_edge(2, 4)
+        assert not isinstance(exc.value, UnknownASError)
+        assert g.degree(2) == 2 and g.degree(4) == 0
+
+    def test_remove_edge_of_missing_as_is_unknown_as(self):
+        g = build_triangle()
+        with pytest.raises(UnknownASError, match="AS 9"):
+            g.remove_edge(2, 9)
+        with pytest.raises(UnknownASError, match="AS 9"):
+            g.remove_edge(9, 2)
+
 
 class TestAccessors:
     def test_relationship_views(self):
@@ -106,6 +124,18 @@ class TestAccessors:
 
 
 class TestRolesAndWeights:
+    def test_roles_match_the_per_as_rule(self):
+        top = generate_topology(n=300, seed=3)
+        g = top.graph
+        g.set_content_providers(top.cp_asns + [10**9])  # an absent CP is ignored
+        expected = [
+            ASRole.CP if asn in top.cp_asns
+            else ASRole.ISP if g.customers[i] else ASRole.STUB
+            for i, asn in enumerate(g.asns)
+        ]
+        assert g.roles.dtype == np.int8
+        assert g.roles.tolist() == [int(r) for r in expected]
+
     def test_role_classification(self):
         g = ASGraph(cp_asns=[3])
         for asn in (1, 2, 3):
@@ -167,3 +197,107 @@ class TestValidation:
         assert 99 not in g
         assert g.degree(1) == 2
         assert g2.degree(1) == 3
+
+
+def _graph(asns, provider_customer=()):
+    g = ASGraph()
+    for asn in asns:
+        g.add_as(asn)
+    for provider, customer in provider_customer:
+        g.add_customer_provider(provider=provider, customer=customer)
+    return g
+
+
+def _wire(g: ASGraph, provider: int, customer: int) -> None:
+    """Write a customer->provider link straight into the adjacency lists.
+
+    The edge set refuses a second edge between two ASes and a self-loop,
+    but :meth:`ASGraph.validate` reads the lists, so it must still name
+    such a cycle.
+    """
+    p, c = g.index(provider), g.index(customer)
+    g.customers[p].append(c)
+    g.providers[c].append(p)
+
+
+def _dfs_cycle(g: ASGraph):
+    """The first provider cycle of a recursive search in index order."""
+    state = [0] * g.n  # 0 unseen, 1 on the path, 2 done
+    path: list[int] = []
+
+    def visit(u):
+        state[u] = 1
+        path.append(u)
+        for v in g.providers[u]:
+            if state[v] == 1:
+                return path[path.index(v):] + [v]
+            if state[v] == 0:
+                found = visit(v)
+                if found:
+                    return found
+        state[u] = 2
+        path.pop()
+        return None
+
+    for start in range(g.n):
+        if state[start] == 0:
+            found = visit(start)
+            if found:
+                return [g.asn(i) for i in found]
+    return None
+
+
+class TestCycleReport:
+    """``validate`` names the cycle a depth-first search in index order
+    finds first: ``preflight`` drops that cycle's closing edge, so which
+    cycle is named decides which edge a repair removes."""
+
+    def _cycle(self, g):
+        with pytest.raises(RelationshipCycleError) as exc:
+            g.validate()
+        return exc.value.cycle
+
+    def test_two_cycle(self):
+        g = _graph((1, 2, 3), [(3, 1)])
+        _wire(g, 1, 2)
+        _wire(g, 2, 1)
+        assert self._cycle(g) == [1, 2, 1]
+
+    def test_two_interleaved_cycles(self):
+        g = _graph(range(1, 7), [
+            (3, 1), (5, 3), (1, 5), (4, 2), (6, 4), (2, 6), (4, 3), (1, 6),
+        ])
+        assert self._cycle(g) == [1, 3, 5, 1]
+
+    def test_cycle_closed_through_the_last_index(self):
+        g = _graph(range(1, 8), [
+            (1, 2), (1, 3), (2, 4), (6, 5), (7, 6), (5, 7), (4, 7),
+        ])
+        assert self._cycle(g) == [5, 6, 7, 5]
+
+    def test_cycle_reachable_only_from_the_last_index(self):
+        g = _graph(range(1, 5), [(1, 2), (2, 3)])
+        _wire(g, 4, 4)
+        assert self._cycle(g) == [4, 4]
+
+    def test_peel_agrees_with_a_depth_first_search(self):
+        rng = random.Random(5)
+        cyclic = 0
+        for _ in range(300):
+            n = rng.randrange(2, 9)
+            g = _graph(range(1, n + 1))
+            for _ in range(rng.randrange(0, 2 * n)):
+                _wire(g, rng.randrange(1, n + 1), rng.randrange(1, n + 1))
+            expected = _dfs_cycle(g)
+            if expected is None:
+                g.validate()
+            else:
+                cyclic += 1
+                assert self._cycle(g) == expected
+        assert 50 < cyclic < 250  # both outcomes are exercised
+
+    def test_acyclic_deep_chain_passes(self):
+        g = _graph(range(1, 401), [(a, a + 1) for a in range(1, 400)])
+        g.validate()
+        g.add_customer_provider(provider=400, customer=1)
+        assert self._cycle(g) == [1] + list(range(400, 1, -1)) + [1]

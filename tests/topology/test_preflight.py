@@ -14,7 +14,7 @@ from repro.topology.preflight import (
     preflight_as_rel,
     preflight_as_rel_text,
 )
-from repro.topology.serialization import load_as_rel
+from repro.topology.serialization import dumps_as_rel, load_as_rel
 
 CLEAN = """\
 # cp: 30
@@ -90,6 +90,26 @@ class TestProviderCycles:
         codes = [i.code for i in report.issues]
         assert "provider_cycle" in codes
         graph.validate()  # repaired graph satisfies GR1
+
+    def test_several_cycles_are_broken_in_order(self):
+        text = (
+            "1|2|-1\n2|3|-1\n3|1|-1\n3|4|-1\n4|5|-1\n5|3|-1\n"
+            "6|7|-1\n7|8|-1\n8|6|-1\n2|9|0\n9|6|-1\n"
+        )
+        graph, report = preflight_as_rel_text(text, mode="repair")
+        assert report.dropped_edges == 3
+        assert [i.format() for i in report.issues] == [
+            "line 1: [provider_cycle] customer-provider cycle 1 -> 3 -> 2 -> 1; "
+            "dropped the closing edge 2|1",
+            "line 4: [provider_cycle] customer-provider cycle 3 -> 5 -> 4 -> 3; "
+            "dropped the closing edge 4|3",
+            "line 7: [provider_cycle] customer-provider cycle 6 -> 8 -> 7 -> 6; "
+            "dropped the closing edge 7|6",
+        ]
+        assert dumps_as_rel(graph).splitlines()[1:] == [
+            "2|3|-1", "2|9|0", "3|1|-1", "4|5|-1", "5|3|-1", "7|8|-1",
+            "8|6|-1", "9|6|-1",
+        ]
 
     def test_cycle_fails_strict_mode(self):
         with pytest.raises(GraphValidationError, match="provider_cycle|cycle"):
