@@ -27,7 +27,7 @@ from pathlib import Path
 from repro.core.config import SimulationConfig
 from repro.core.engine import RoundBuffers, RoundData, compute_round_data
 from repro.core.pricing import LINEAR_PRICING, Pricing
-from repro.core.projection import Projection, project_flips
+from repro.core.projection import Projections, project_jobs
 from repro.core.state import DeploymentState, StateDeriver
 from repro.routing.cache import RoutingCache
 from repro.routing.policy import DEFAULT_POLICY
@@ -71,7 +71,7 @@ class StateEvaluation:
     utilities: np.ndarray
     secure_pairs: int  # true entries of ``sec_matrix``: all the snapshot needs
     #: ``isp -> Projection`` in job order, once a round was played here
-    projections: dict[int, Projection] | None = None
+    projections: Projections | None = None
 
 
 class StateMemo(dict[DeploymentState, StateEvaluation]):
@@ -114,7 +114,7 @@ class RoundRecord:
     state: DeploymentState
     node_secure: np.ndarray
     utilities: np.ndarray | None
-    projections: dict[int, Projection]
+    projections: Projections  # the state's, shared with its evaluation
     turned_on: list[int]
     turned_off: list[int]
 
@@ -380,10 +380,7 @@ class DeploymentSimulation:
             )
         if project:
             proj_start = time.perf_counter() if registry.enabled else 0.0
-            jobs = self._jobs(state)
-            evaluation.projections = {
-                isp: proj for (isp, _), proj in zip(jobs, self._project_jobs(rd, jobs))
-            }
+            evaluation.projections = self._project_jobs(rd, *self._jobs(state))
             if registry.enabled:
                 registry.histogram("sim.projection_seconds").observe(
                     time.perf_counter() - proj_start
@@ -414,23 +411,21 @@ class DeploymentSimulation:
             "turned_off": sorted(graph.asn(i) for i in record.turned_off),
         }
 
-    def _theta_of(self, isp: int) -> float:
-        if self.thresholds is not None:
-            return float(self.thresholds[isp])
-        return self.config.theta
-
     def _play_round(self, index: int) -> RoundRecord:
-        """Project the state if nobody has yet, then compare against theta."""
+        """Project the state if nobody has yet, then compare against theta:
+        update rule (3) for every deciding ISP at once."""
         registry = get_registry()
         evaluation = self._evaluate(self.state, project=True)
         projections = evaluation.projections
-        turned_on: list[int] = []
-        turned_off: list[int] = []
-        for isp, proj in projections.items():
-            if self.pricing.improves(
-                float(evaluation.utilities[isp]), proj.utility, self._theta_of(isp)
-            ):
-                (turned_on if proj.turning_on else turned_off).append(isp)
+        isps = projections.isps
+        theta = (
+            self.config.theta if self.thresholds is None
+            else np.asarray(self.thresholds, dtype=np.float64)[isps]
+        )
+        flips = self.pricing.improves(evaluation.utilities[isps], projections.utility, theta)
+        on = projections.turning_on
+        turned_on = isps[flips & on].tolist()
+        turned_off = isps[flips & ~on].tolist()
 
         if registry.enabled:
             registry.counter("sim.rounds").inc()
@@ -443,34 +438,44 @@ class DeploymentSimulation:
             state=evaluation.state,
             node_secure=evaluation.node_secure,
             utilities=evaluation.utilities if self.config.record_utilities else None,
-            projections=dict(projections),
+            projections=projections,
             turned_on=turned_on,
             turned_off=turned_off,
         )
 
-    def _project_jobs(self, rd: RoundData, jobs: list[tuple[int, bool]]) -> list[Projection]:
+    def _project_jobs(
+        self, rd: RoundData, isps: np.ndarray, turning_on: np.ndarray
+    ) -> Projections:
         """Evaluate the round's flip projections as one stacked pass.
 
         ``config.workers`` is not consulted: a round's stack costs a few
         milliseconds, less than forking workers for it (DESIGN.md §10).
         """
         cfg = self.config
-        return project_flips(
-            self.cache, self.deriver, rd, jobs, cfg.utility_model, cfg.projection
+        return project_jobs(
+            self.cache, self.deriver, rd, isps, turning_on, cfg.utility_model,
+            cfg.projection,
         )
 
-    def _jobs(self, state: DeploymentState) -> list[tuple[int, bool]]:
-        """``(isp, turning_on)`` per decision maker of ``state``, turn-ons first."""
-        deployers = state.deployers
-        jobs = [(int(i), True) for i in self._isp_indices if i not in deployers]
+    def _jobs(self, state: DeploymentState) -> tuple[np.ndarray, np.ndarray]:
+        """``(isps, turning_on)`` of the decision makers of ``state``,
+        turn-ons first, each in player order."""
+        players = self._isp_indices
+        deployed = self._member(state.deployers)[players]
+        isps = [players[~deployed]]
         if self.config.turn_off_enabled:
             # Theorem 6.2 is enforced by turn_off_enabled; early adopters
             # are pinned and never reconsider.
-            jobs.extend(
-                (int(i), False) for i in self._isp_indices
-                if i in deployers and i not in state.early_adopters
-            )
-        return jobs
+            isps.append(players[deployed & ~self._member(state.early_adopters)[players]])
+        turning_on = np.zeros(sum(map(len, isps)), dtype=bool)
+        turning_on[:len(isps[0])] = True
+        return np.concatenate(isps).astype(np.int64), turning_on
+
+    def _member(self, nodes: frozenset[int]) -> np.ndarray:
+        """``nodes`` as a bool mask over the graph."""
+        mask = np.zeros(self.graph.n, dtype=bool)
+        mask[np.fromiter(nodes, np.int64, len(nodes))] = True
+        return mask
 
 
 def run_deployment(

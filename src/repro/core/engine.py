@@ -13,12 +13,16 @@ outgoing / incoming utility of every AS (Section 3.3):
 The resolved ``[num_dests, n]`` matrices are retained for the round so
 that the projection engine can compute deltas against them; a
 per-destination :class:`DestState` is a view of one row, made when a
-per-destination consumer asks for it.
+per-destination consumer asks for it.  A game resolves state after
+state into one set of :class:`RoundBuffers`, and only the rows of
+destinations secure in the new state or the last one are resolved
+again: a destination insecure in both routes identically (App. C.4).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import weakref
 
 import numpy as np
 
@@ -177,24 +181,60 @@ class RoundBuffers:
     """The round kernels' ``[num_dests, n]`` outputs, held by a caller
     that resolves round after round (a :class:`~repro.core.dynamics.
     DeploymentSimulation`): allocated on first use and again only when
-    the arena's shape changes, overwritten by every
+    the arena's shape changes, rewritten by every
     :func:`compute_round_data` that gets them.  Holding them keeps each
-    round from faulting in megabytes of fresh pages."""
+    round from faulting in megabytes of fresh pages.
+
+    They also remember what their rows were last resolved under: the
+    arena (weakly, so a rebuilt arena is not kept alive), the node
+    weights and each slot's destination security.  A destination
+    insecure in a state routes over no secure path at all, so its row
+    is the security-free tree of the arena and the weights in every such
+    state (Appendix C.4's observation, which the projections use too).
+    The next state therefore only has to re-resolve the slots whose
+    destination is secure now or was secure then
+    (:meth:`stale_slots`); any other change means all of them."""
 
     def __init__(self) -> None:
         self._shape: tuple[int, int] | None = None
         self.trees: TreeBuffers | None = None
         self.weights: np.ndarray | None = None
+        self._resolved: tuple[weakref.ref, np.ndarray, np.ndarray] | None = None
 
     def take(self, rows: int, n: int) -> tuple[TreeBuffers, np.ndarray]:
         """Tree buffers and subtree weights for ``rows`` destinations of
         ``n`` nodes."""
         if self._shape != (rows, n):
-            self.trees = self.weights = None  # the old ones go first
+            self.trees = self.weights = self._resolved = None  # the old ones go first
             self.trees = TreeBuffers.empty(rows, n)
             self.weights = np.empty((rows, n), dtype=np.float64)
             self._shape = (rows, n)
         return self.trees, self.weights
+
+    def stale_slots(
+        self, arena: RoutingArena, node_weights: np.ndarray, dest_secure: np.ndarray
+    ) -> np.ndarray:
+        """The slots to re-resolve for a state whose destinations are
+        secure where ``dest_secure`` is: those secure now or at the last
+        resolve, or all of them when the rows were resolved on another
+        arena, under other node weights, or not at all.  Forgets the last
+        resolve until :meth:`resolved` records the next."""
+        last, self._resolved = self._resolved, None
+        if last is None:
+            return arena.all_slots()
+        ref, weights, was_secure = last
+        if ref() is not arena or not np.array_equal(
+            weights.view(np.uint64), node_weights.view(np.uint64)
+        ):
+            return arena.all_slots()
+        return np.flatnonzero(dest_secure | was_secure)
+
+    def resolved(
+        self, arena: RoutingArena, node_weights: np.ndarray, dest_secure: np.ndarray
+    ) -> None:
+        """Record that every row now holds ``arena``'s trees under
+        ``node_weights`` and destination security ``dest_secure``."""
+        self._resolved = (weakref.ref(arena), node_weights.copy(), dest_secure)
 
 
 def compute_round_data(
@@ -214,7 +254,11 @@ def compute_round_data(
     the kernel's output buffers — no per-destination copies.  With
     ``buffers`` those matrices are the caller's, and the
     :class:`RoundData` is only good until the next call that gets them;
-    without, they are allocated here.
+    without, they are allocated here.  Buffers that hold an earlier
+    state's rows on the same arena and node weights have only the rows
+    this state can move re-resolved, in place
+    (:meth:`RoundBuffers.stale_slots`); the others already hold this
+    state's trees, bit for bit.
 
     When the guard plans fewer rows per pass than the arena has (the
     ``chunked_batches`` ladder rung), the kernels run over that many
@@ -225,29 +269,31 @@ def compute_round_data(
     graph = cache.graph
     node_secure, deploying_providers = deriver.derive(state)
     breaks = deriver.breaks_ties(node_secure)
-    w = graph.weights
+    w = np.ascontiguousarray(graph.weights, dtype=np.float64)
 
     # no-op for state-independent policies; rebuilds every structure
-    # under (node_secure, breaks) for security_1st / security_2nd
+    # under (node_secure, breaks) for security_1st / security_2nd, on a
+    # new arena, so their rounds resolve every row
     cache.ensure_state(node_secure, breaks)
     arena = cache.ensure_arena()
-    slots = arena.all_slots()
     num = arena.num_dests
-    pass_rows = max(1, min(num, current_guard().plan_batch_rows(
-        num, _KERNEL_ROW_BYTES_PER_NODE * graph.n, what="round kernel",
+    dest_secure = node_secure[np.asarray(cache.destinations, dtype=np.int64)]
+    buffers = buffers or RoundBuffers()
+    trees, w2d = buffers.take(num, graph.n)
+    slots = buffers.stale_slots(arena, w, dest_secure)
+    pass_rows = max(1, min(len(slots), current_guard().plan_batch_rows(
+        len(slots), _KERNEL_ROW_BYTES_PER_NODE * graph.n, what="round kernel",
     )))
-    trees, w2d = (buffers or RoundBuffers()).take(num, graph.n)
-    for lo in range(0, num, pass_rows):
-        hi = min(lo + pass_rows, num)
+    for lo in range(0, len(slots), pass_rows):
+        batch = slots[lo:lo + pass_rows]
         compute_trees_batched(
-            arena, slots[lo:hi], node_secure, breaks, out=trees.rows(lo, hi),
-            node_weights=w, weights_out=w2d[lo:hi],
+            arena, batch, node_secure, breaks, out=trees, rows=batch,
+            node_weights=w, weights_out=w2d,
         )
+    buffers.resolved(arena, w, dest_secure)
     utilities = _batched_utilities(arena, trees.choice, w2d, w, model)
 
-    secure_positions = np.flatnonzero(
-        node_secure[np.asarray(cache.destinations, dtype=np.int64)]
-    )
+    secure_positions = np.flatnonzero(dest_secure)
     return RoundData(
         state=state,
         node_secure=node_secure,

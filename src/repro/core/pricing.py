@@ -23,6 +23,8 @@ import dataclasses
 import enum
 import math
 
+import numpy as np
+
 
 class PricingModel(enum.Enum):
     """How transited traffic converts to ISP revenue."""
@@ -60,10 +62,30 @@ class Pricing:
             return math.ceil(traffic / self.tier) * self.tier
         return traffic ** self.alpha
 
-    def improves(self, current: float, projected: float, theta: float) -> bool:
-        """Update rule (3) on revenues: deploy iff the flip's *revenue*
-        beats the threshold."""
-        return self.revenue(projected) > (1.0 + theta) * self.revenue(current)
+    def revenues(self, traffic: np.ndarray) -> np.ndarray:
+        """:meth:`revenue` of every entry of ``traffic``, bit for bit."""
+        traffic = np.asarray(traffic, dtype=np.float64)
+        negative = traffic < 0
+        if negative.any():
+            self.revenue(float(traffic[negative][0]))  # raises
+        if self.model is PricingModel.LINEAR:
+            return traffic
+        if self.model is PricingModel.TIERED:
+            return np.ceil(traffic / self.tier) * self.tier
+        # Python's ``**`` is C's pow(); numpy's SIMD power can round the
+        # last bit differently, and a decision on the margin would flip
+        return np.array(
+            [t ** self.alpha for t in traffic.reshape(-1).tolist()], dtype=np.float64
+        ).reshape(traffic.shape)
+
+    def improves(
+        self, current: np.ndarray, projected: np.ndarray, theta: np.ndarray | float
+    ) -> np.ndarray:
+        """Update rule (3) on revenues, per entry: deploy iff the flip's
+        *revenue* beats the threshold."""
+        return self.revenues(projected) > (1.0 + np.asarray(theta, dtype=np.float64)) * (
+            self.revenues(current)
+        )
 
 
 LINEAR_PRICING = Pricing(model=PricingModel.LINEAR)

@@ -50,7 +50,7 @@ fixpoint builder and resolves them as a stack of its own.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -109,14 +109,13 @@ class _FlipSets:
 
     @classmethod
     def derive(
-        cls, deriver: StateDeriver, rd: RoundData, jobs: Sequence[tuple[int, bool]]
+        cls, deriver: StateDeriver, rd: RoundData, isps: np.ndarray, on: np.ndarray
     ) -> "_FlipSets":
-        isps = np.fromiter((isp for isp, _ in jobs), np.int64, len(jobs))
-        on = np.fromiter((on for _, on in jobs), bool, len(jobs))
+        isps, on = np.array(isps, dtype=np.int64), np.array(on, dtype=bool)
         stub_ptr, stubs = deriver.flipped_stubs(
             isps, on, rd.state, rd.node_secure, rd.deploying_providers
         )
-        ptr = stub_ptr + np.arange(len(jobs) + 1)
+        ptr = stub_ptr + np.arange(len(isps) + 1)
         nodes = np.empty(ptr[-1], dtype=np.int64)
         is_stub = np.ones(len(nodes), dtype=bool)
         is_stub[ptr[:-1]] = False
@@ -151,6 +150,54 @@ class _FlipSets:
         return out
 
 
+class Projections(Mapping[int, Projection]):
+    """One stacked call's projections as arrays, job ``j`` at entry
+    ``j``: what update rule (3) reads of them (``isps``, ``turning_on``,
+    ``utility``), with each job's :class:`Projection`, its ``flips``
+    included, made from them on access (:meth:`projection`).
+
+    As a mapping it is ``isp -> Projection`` in job order, for a round's
+    jobs, which name each deciding ISP once.  The arrays are read-only:
+    a state memo shares them between games.
+    """
+
+    def __init__(
+        self, flips: _FlipSets, utility: np.ndarray, recomputed: np.ndarray,
+        touched: np.ndarray,
+    ):
+        self.isps = flips.isps
+        self.turning_on = flips.on
+        self.utility = utility
+        self._recomputed, self._touched = recomputed, touched
+        self._ptr, self._nodes = flips.ptr, flips.nodes
+        for array in (self.isps, self.turning_on, utility, recomputed, touched,
+                      self._ptr, self._nodes):
+            array.setflags(write=False)
+        self._job = dict(zip(self.isps.tolist(), range(len(self.isps))))
+
+    def projection(self, job: int) -> Projection:
+        """Job ``job``'s :class:`Projection`."""
+        on = bool(self.turning_on[job])
+        nodes = self._nodes[self._ptr[job]:self._ptr[job + 1]]
+        return Projection(
+            isp=int(self.isps[job]),
+            turning_on=on,
+            utility=float(self.utility[job]),
+            flips=dict.fromkeys(nodes.tolist(), on),
+            dests_recomputed=int(self._recomputed[job]),
+            dests_delta=int(self._touched[job]),
+        )
+
+    def __getitem__(self, isp: int) -> Projection:
+        return self.projection(self._job[isp])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._job)
+
+    def __len__(self) -> int:
+        return len(self._job)
+
+
 def project_flip(
     cache: RoutingCache,
     deriver: StateDeriver,
@@ -174,14 +221,35 @@ def project_flips(
 ) -> list[Projection]:
     """One :class:`Projection` per ``(isp, turning_on)`` job: each ISP's
     utility if it alone flipped its action this round."""
-    if not len(jobs):
-        return []
+    stack = project_jobs(
+        cache, deriver, rd,
+        np.fromiter((isp for isp, _ in jobs), np.int64, len(jobs)),
+        np.fromiter((on for _, on in jobs), bool, len(jobs)),
+        model, engine,
+    )
+    return [stack.projection(job) for job in range(len(jobs))]
+
+
+def project_jobs(
+    cache: RoutingCache,
+    deriver: StateDeriver,
+    rd: RoundData,
+    isps: np.ndarray,
+    turning_on: np.ndarray,
+    model: UtilityModel,
+    engine: ProjectionEngine = ProjectionEngine.FULL,
+) -> Projections:
+    """:func:`project_flips` of the jobs ``(isps[j], turning_on[j])``
+    (int64 and bool arrays), as :class:`Projections`."""
     n, w = cache.graph.n, cache.graph.weights
     num_dests = max(1, rd.arena.num_dests)
     rebuilds = cache.policy.state_dependent
     pass_rows = _pass_rows(n)
-    flips = _FlipSets.derive(deriver, rd, jobs)
+    flips = _FlipSets.derive(deriver, rd, isps, turning_on)
     isps, num_jobs = flips.isps, len(flips.isps)
+    if not num_jobs:
+        none = np.zeros(0, dtype=np.int64)
+        return Projections(flips, np.zeros(0), none, none.copy())
 
     rows, is_special = _rows_to_resolve(rd, flips, model, rebuilds, num_dests, pass_rows * n)
     incremental = rows[:0]
@@ -223,9 +291,9 @@ def project_flips(
     delta = np.zeros(num_jobs, dtype=np.float64)
     np.add.at(delta, row_job, deltas)
     moved = (deltas != 0) & ~is_special
-    touched = np.bincount(row_job[moved], minlength=num_jobs).tolist()
-    recomputed = np.bincount(row_job, minlength=num_jobs).tolist()
-    utility = (rd.utilities[isps] + delta).tolist()
+    touched = np.bincount(row_job[moved], minlength=num_jobs)
+    recomputed = np.bincount(row_job, minlength=num_jobs)
+    utility = rd.utilities[isps] + delta
 
     # Remaining candidates: exact deltas via local propagation.
     inc_job, inc_pos = np.divmod(incremental, num_dests)
@@ -244,18 +312,7 @@ def project_flips(
             total += d
         utility[job] = float(rd.utilities[isps[job]]) + total
 
-    nodes, ends = flips.nodes.tolist(), flips.ptr.tolist()
-    return [
-        Projection(
-            isp=int(isp),
-            turning_on=bool(turning_on),
-            utility=utility[job],
-            flips=dict.fromkeys(nodes[ends[job]:ends[job + 1]], bool(turning_on)),
-            dests_recomputed=recomputed[job],
-            dests_delta=touched[job],
-        )
-        for job, (isp, turning_on) in enumerate(jobs)
-    ]
+    return Projections(flips, utility, recomputed, touched)
 
 
 def _pass_rows(n: int) -> int:

@@ -58,8 +58,9 @@ from repro.telemetry.metrics import get_registry
 class BatchedTrees:
     """Resolved routing trees for a batch of destination slots.
 
-    Row ``i`` of each matrix is the tree for ``slots[i]``; rows are
-    zero-copy views, so :meth:`tree` materialises a per-destination
+    Row ``i`` of each matrix is the tree for ``slots[i]`` (row
+    ``rows[i]`` when the call named output rows); rows are zero-copy
+    views, so :meth:`tree` materialises a per-destination
     :class:`RoutingTree` without allocation.
     """
 
@@ -100,10 +101,6 @@ class TreeBuffers:
             secure=np.empty((rows, n), dtype=bool),
             any_secure=np.empty((rows, n), dtype=bool),
         )
-
-    def rows(self, lo: int, hi: int) -> "TreeBuffers":
-        """Output rows ``lo:hi`` (views)."""
-        return TreeBuffers(self.choice[lo:hi], self.secure[lo:hi], self.any_secure[lo:hi])
 
 
 class RoutingArena(StructurePools):
@@ -302,6 +299,7 @@ def compute_trees_batched(
     breaks_ties: np.ndarray,
     *,
     out: TreeBuffers | None = None,
+    rows: np.ndarray | None = None,
     node_weights: np.ndarray | None = None,
     weights_out: np.ndarray | None = None,
 ) -> BatchedTrees:
@@ -335,19 +333,38 @@ def compute_trees_batched(
     reuses across calls: the returned matrices are those arrays,
     overwritten by the next call that gets them.  Without them every
     array is allocated here.
+
+    ``rows`` (with ``out``) writes batch row ``i`` into row ``rows[i]``
+    of ``out`` and ``weights_out`` instead, one distinct row each, and
+    leaves their other rows as they are: how a round re-resolves only
+    the destinations its state change can move, in place.  The
+    returned matrices are then the whole buffers.
     """
     slots = np.ascontiguousarray(slots, dtype=np.int64)
     B = len(slots)
     n = arena.graph_n
+    if rows is None:
+        rows = np.arange(B, dtype=np.int64)
+        R = B
+    else:
+        if out is None:
+            raise ValueError("rows needs out")
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        R = len(out.choice)
+        if len(rows) != B or B and (
+            rows.min() < 0 or rows.max() >= R or np.bincount(rows).max() > 1
+        ):
+            raise ValueError(f"rows must name {B} distinct rows of the {R} in out")
     buffers = TreeBuffers.empty(B, n) if out is None else out
-    if buffers.choice.shape != (B, n) or not all(
-        a.flags.c_contiguous for a in (buffers.choice, buffers.secure, buffers.any_secure)
+    if not all(
+        a.shape == (R, n) and a.flags.c_contiguous
+        for a in (buffers.choice, buffers.secure, buffers.any_secure)
     ):
-        raise ValueError(f"tree buffers do not hold a contiguous batch of [{B}, {n}]")
+        raise ValueError(f"tree buffers do not hold a contiguous batch of [{R}, {n}]")
     w = None
     if node_weights is not None:
         node_weights = np.ascontiguousarray(node_weights, dtype=np.float64)
-        w = _weights_buffer(weights_out, B, n)
+        w = _weights_buffer(weights_out, R, n)
     elif weights_out is not None:
         raise ValueError("weights_out needs node_weights")
     secure_rows = _state_mask(node_secure, B, n)
@@ -358,11 +375,11 @@ def compute_trees_batched(
     registry = get_registry()
     if registry.enabled:
         # every row but each slot's destination: the work the pools hold
-        rows = arena.order_ptr[slots + 1] - arena.order_ptr[slots] - 1
+        pooled = arena.order_ptr[slots + 1] - arena.order_ptr[slots] - 1
         registry.counter("routing.batched.calls").inc()
         registry.counter("routing.batched.trees").inc(B)
         registry.counter("routing.batched.levels").inc(arena.num_levels)
-        registry.counter("routing.batched.rows").inc(int(rows.sum()))
+        registry.counter("routing.batched.rows").inc(int(pooled.sum()))
         registry.counter("routing.batched.multi_rows").inc(arena._multi_row_count(slots))
         registry.counter(f"routing.backend.calls.{backend}").inc()
 
@@ -370,7 +387,7 @@ def compute_trees_batched(
         slots, n,
         arena.order_ptr, arena.order_pool, arena.level_ptr, arena.level_pool,
         arena.indptr_ptr, arena.indptr_pool, arena.cand_ptr, arena.cands_pool,
-        secure_rows, secp_rows,
+        secure_rows, secp_rows, rows,
         choice.reshape(-1), secure.reshape(-1), any_secure.reshape(-1),
         *(() if w is None else (node_weights, w.reshape(-1))),
     )

@@ -43,13 +43,17 @@ Calling convention (both backends):
   ``order_pool`` / ``level_pool`` / ``indptr_pool`` / ``cands_pool``
   int32 (an ``indptr`` run counts one slot's candidates).  A row's
   candidates are in tie-break order (``repro.routing.tree.tie_order``):
-  TB takes the first, SecP the first secure one.  Batch row ``b``
-  resolves slot ``slots[b]`` into row ``b`` of the C-contiguous
-  ``[batch, n]`` outputs ``choice`` (int32), ``secure`` /
-  ``any_secure`` (bool) and ``w`` (float64), taken flat.
-  ``trees_stacked`` writes its rows whole (cleared, then resolved) and,
-  given ``node_weights`` (float64 ``[n]``) and ``w``, their subtree
-  weights too; ``weights_stacked`` adds into a ``w`` its caller zeroed.
+  TB takes the first, SecP the first secure one.  ``weights_stacked``
+  reads batch row ``b``'s tree from row ``b`` of the C-contiguous
+  ``[batch, n]`` ``choice`` (int32) and adds its subtree weights into
+  the same row of a ``w`` (float64) its caller zeroed, both taken flat.
+  ``trees_stacked`` takes an output row per batch row, ``rows`` (int64,
+  distinct): batch row ``b`` resolves slot ``slots[b]`` into row
+  ``rows[b]`` of the C-contiguous ``[rows, n]`` outputs ``choice``,
+  ``secure`` / ``any_secure`` (bool) and ``w``, taken flat.  It writes
+  those rows whole (cleared, then resolved) and, given ``node_weights``
+  (float64 ``[n]``) and ``w``, their subtree weights too; it leaves the
+  other rows as they are.
   ``secure_rows`` / ``secp_rows`` are ``node_secure`` and ``node_secure
   & breaks_ties``, each ``[n]`` when the whole batch shares it (read
   with stride 0) or a flat ``[batch, n]`` with a row per batch row

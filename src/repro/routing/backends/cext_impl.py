@@ -125,8 +125,9 @@ static inline void sbgp_weigh_row(
  * among those rows (the last entry closes them); indptr_pool from
  * indptr_ptr[k] is its tiebreak CSR, one entry per row plus a closing
  * one, relative to cand_ptr[k] in cands_pool.  Batch row b
- * resolves slot slots[b] (any order, repeats allowed) into row b of the
- * C-contiguous [batch, n] outputs choice / secure / any_secure / w;
+ * resolves slot slots[b] (any order, repeats allowed) into row rows[b]
+ * of the C-contiguous [rows, n] outputs choice / secure / any_secure / w
+ * (distinct rows; the others are left as they are);
  * secure_rows / secp_rows are node_secure and node_secure & breaks_ties,
  * batch row b's starting b * sec_stride / b * secp_stride entries in:
  * stride 0 when the batch shares one [n] state, n for a row each.  A
@@ -144,7 +145,7 @@ int sbgp_trees_stacked(
     const int64_t *indptr_ptr, const int32_t *indptr_pool,
     const int64_t *cand_ptr, const int32_t *cands_pool,
     const uint8_t *secure_rows, int64_t sec_stride,
-    const uint8_t *secp_rows, int64_t secp_stride,
+    const uint8_t *secp_rows, int64_t secp_stride, const int64_t *rows,
     int32_t *choice, uint8_t *secure, uint8_t *any_secure,
     const double *node_weights, double *w)
 {
@@ -168,9 +169,10 @@ int sbgp_trees_stacked(
         const int32_t *cands = cands_pool + cand_ptr[k];
         const uint8_t *sec_in = secure_rows + b * sec_stride;
         const uint8_t *secp_in = secp_rows + b * secp_stride;
-        int32_t *restrict ch = choice + b * n;
-        uint8_t *restrict sec = secure + b * n;
-        uint8_t *restrict any = any_secure + b * n;
+        const int64_t out = rows[b] * n;
+        int32_t *restrict ch = choice + out;
+        uint8_t *restrict sec = secure + out;
+        uint8_t *restrict any = any_secure + out;
         memset(ch, 0xFF, (size_t)n * sizeof(int32_t));   /* -1: no next hop */
         memset(sec, 0, (size_t)n);
         memset(any, 0, (size_t)n);
@@ -219,7 +221,7 @@ int sbgp_trees_stacked(
             }
         }
         if (w) {
-            double *restrict wb = w + b * n;
+            double *restrict wb = w + out;
             memset(wb, 0, (size_t)n * sizeof(double));   /* 0.0 */
             sbgp_weigh_row(order, starts, last, ch, node_weights, wb);
         }
@@ -740,10 +742,11 @@ def _load_library() -> ctypes.CDLL:
     except OSError as exc:  # dlopen failure
         raise BackendUnavailable(f"cannot load compiled kernels: {exc}") from exc
     # (batch, n) then pointers: the slots, the pools, each state mask
-    # with its stride, the outputs, the node weights and w (NULL-able)
+    # with its stride, the output rows, the outputs, the node weights and
+    # w (NULL-able)
     lib.sbgp_trees_stacked.argtypes = (
         [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 9
-        + [ctypes.c_void_p, ctypes.c_int64] * 2 + [ctypes.c_void_p] * 5
+        + [ctypes.c_void_p, ctypes.c_int64] * 2 + [ctypes.c_void_p] * 6
     )
     lib.sbgp_trees_stacked.restype = ctypes.c_int   # -1: no scratch memory
     lib.sbgp_weights_stacked.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 8
@@ -797,24 +800,35 @@ def _check_pools(slots: np.ndarray, n: int, ptrs: tuple, pools: tuple,
         raise ValueError("cext kernel: slot outside the arena")
 
 
+def _check_rows(slots: np.ndarray, rows: np.ndarray, n: int, *outputs: np.ndarray) -> None:
+    """One output row per batch row, inside the ``[rows, n]`` outputs,
+    which must all be that long."""
+    size = len(outputs[0])
+    if len(rows) != len(slots) or (n and size % n) or any(len(a) != size for a in outputs):
+        raise ValueError("cext kernel: output rows out of step")
+    if len(rows) and (rows.min() < 0 or (rows.max() + 1) * n > size):
+        raise ValueError("cext kernel: output row outside the outputs")
+
+
 def trees_stacked(slots, n, order_ptr, order_pool, level_ptr, level_pool,
                   indptr_ptr, indptr_pool, cand_ptr, cands_pool,
-                  secure_rows, secp_rows, choice, secure, any_secure,
+                  secure_rows, secp_rows, rows, choice, secure, any_secure,
                   node_weights=None, w=None):
-    """Resolve each batch row's tree over its slot's pools, in place, and
-    with ``node_weights`` and ``w`` its subtree weights, in one C call."""
+    """Resolve each batch row's tree over its slot's pools into its output
+    row, in place, and with ``node_weights`` and ``w`` its subtree
+    weights, in one C call."""
     _check_pools(
         slots, n,
         (order_ptr, level_ptr, indptr_ptr, cand_ptr),
         (order_pool, level_pool, indptr_pool, cands_pool),
-        choice, secure, any_secure,
     )
+    _check_rows(slots, rows, n, choice, secure, any_secure)
     strides = [mask_stride(mask, len(slots), n) for mask in (secure_rows, secp_rows)]
     if (node_weights is None) != (w is None):
         raise ValueError("cext kernel: node_weights and w come together")
     weights = (None, None)
     if w is not None:
-        if len(w) != len(slots) * n or len(node_weights) != n:
+        if len(w) != len(choice) or len(node_weights) != n:
             raise ValueError("cext kernel: weights out of step")
         weights = (_ptr(node_weights, np.float64), _ptr(w, np.float64))
     status = _LIB.sbgp_trees_stacked(
@@ -824,7 +838,7 @@ def trees_stacked(slots, n, order_ptr, order_pool, level_ptr, level_pool,
         _ptr(indptr_ptr, np.int64), _ptr(indptr_pool, np.int32),
         _ptr(cand_ptr, np.int64), _ptr(cands_pool, np.int32),
         _ptr(secure_rows, np.bool_), _I64(strides[0]),
-        _ptr(secp_rows, np.bool_), _I64(strides[1]),
+        _ptr(secp_rows, np.bool_), _I64(strides[1]), _ptr(rows, np.int64),
         _ptr(choice, np.int32), _ptr(secure, np.bool_),
         _ptr(any_secure, np.bool_), *weights,
     )

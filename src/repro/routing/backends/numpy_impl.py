@@ -321,21 +321,23 @@ def build_structures(cg: CompiledGraph, dests: np.ndarray) -> dict[str, np.ndarr
     return assemble_pools(dests, *_three_passes(cg, dests)).arrays()
 
 
-def _full_batch(ptr: np.ndarray, slots: np.ndarray) -> bool:
+def _full_batch(ptr: np.ndarray, slots: np.ndarray, rows: np.ndarray) -> bool:
+    """Whether the batch is the mirror's own: every slot in order, each
+    into its own row."""
     return len(slots) == ptr.shape[-1] - 1 and bool(
-        (slots == np.arange(len(slots))).all()
+        ((slots == np.arange(len(slots))) & (rows == slots)).all()
     )
 
 
 def _cut(
-    lo: np.ndarray, hi: np.ndarray, slots: np.ndarray, n: int
+    lo: np.ndarray, hi: np.ndarray, slots: np.ndarray, rows: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Select the segments ``lo[..., i]:hi[..., i]`` of batch row ``i``,
     in C order: ``(index, what to add to a flat index to move it from
-    its slot's row to its batch row, segment lengths)``."""
+    its slot's row to its output row, segment lengths)``."""
     counts = hi - lo
     shift = np.empty(counts.shape, dtype=np.int64)
-    shift[...] = (np.arange(len(slots), dtype=np.int64) - slots) * n
+    shift[...] = (rows - slots) * n
     flat_counts = counts.reshape(-1)
     index = segment_index(lo.reshape(-1), flat_counts)
     return index, np.repeat(shift.reshape(-1), flat_counts), counts
@@ -363,6 +365,7 @@ def trees_stacked(
     cands_pool: np.ndarray,
     secure_rows: np.ndarray,
     secp_rows: np.ndarray,
+    rows: np.ndarray,
     choice: np.ndarray,
     secure: np.ndarray,
     any_secure: np.ndarray,
@@ -371,35 +374,58 @@ def trees_stacked(
 ) -> None:
     """Resolve every stacked path-length level of the batch ``slots``
     off the pools' mirror (a subset batch is cut out of it first, in one
-    pass over both kinds and all levels), into outputs cleared here;
-    given ``node_weights`` and ``w``, then the weights pass over them.
+    pass over both kinds and all levels), into output rows ``rows``
+    cleared here; given ``node_weights`` and ``w``, then the weights
+    pass over them.  The outputs' other rows are left as they are.
 
-    The level bodies look the state masks up by flat ``(batch row,
-    node)``, so a mask the batch shares is tiled to ``[batch, n]`` here,
-    for this call."""
+    The level bodies look the state masks up by flat ``(output row,
+    node)``, so the masks are laid out over the outputs' rows here, for
+    this call: a mask the batch shares is tiled, a mask per batch row
+    scattered to its output row.  Only the batch's rows are written, so
+    only their pages are touched."""
     batch = len(slots)
+    size = len(choice)
+    identity = size == batch * n and bool((rows == np.arange(batch)).all())
     secure_rows, secp_rows = (
-        np.tile(mask, batch) if mask_stride(mask, batch, n) == 0 else mask
+        _by_output_row(mask, rows, batch, n, size, identity)
         for mask in (secure_rows, secp_rows)
     )
-    choice.fill(-1)
-    secure.fill(False)
-    any_secure.fill(False)
-    at_dest = np.arange(batch, dtype=np.int64) * n + order_pool[order_ptr[slots]]
+    outputs = [(choice, -1), (secure, False), (any_secure, False)]
+    if w is not None:
+        outputs.append((w, 0.0))
+    for out, blank in outputs:
+        if identity:
+            out.fill(blank)
+        else:
+            out.reshape(-1, n)[rows] = blank
+    at_dest = rows * n + order_pool[order_ptr[slots]]
     secure[at_dest] = secure_rows[at_dest]
     _resolve_levels(
-        slots, n,
+        slots, rows, n,
         _tree_stacks(n, order_ptr, order_pool, level_ptr, level_pool, indptr_ptr,
                      indptr_pool, cand_ptr, cands_pool),
         secure_rows, secp_rows, choice, secure, any_secure,
     )
     if w is not None:
-        w.fill(0.0)
-        weights_stacked(slots, n, order_ptr, order_pool, level_ptr, level_pool,
-                        choice, node_weights, w)
+        _weigh(slots, rows, n, order_ptr, order_pool, level_ptr, level_pool,
+               choice, node_weights, w)
 
 
-def _resolve_levels(slots, n, st: _TreeStacks, secure_rows, secp_rows,
+def _by_output_row(
+    mask: np.ndarray, rows: np.ndarray, batch: int, n: int, size: int, identity: bool
+) -> np.ndarray:
+    """A state mask (``[n]`` or a flat ``[batch, n]``) as a flat mask of
+    the outputs' ``size`` entries, batch row ``b``'s at output row
+    ``rows[b]``."""
+    shared = mask_stride(mask, batch, n) == 0
+    if identity:
+        return np.tile(mask, batch) if shared else mask
+    out = np.empty(size, dtype=bool)
+    out.reshape(-1, n)[rows] = mask.reshape(-1, n)
+    return out
+
+
+def _resolve_levels(slots, rows, n, st: _TreeStacks, secure_rows, secp_rows,
                     choice, secure, any_secure) -> None:
     """The levels of the batch ``slots``, shallowest first, off the
     mirror ``st``: each one's one-candidate rows, then its rows with
@@ -407,11 +433,11 @@ def _resolve_levels(slots, n, st: _TreeStacks, secure_rows, secp_rows,
     ptr, one_flat, one_cflat, one_cands = st.ptr, st.one_flat, st.one_cflat, st.one_cands
     multi_flat, starts = st.multi_flat, st.starts
     edge_cflat, edge_cands = st.edge_cflat, st.edge_cands
-    if _full_batch(ptr, slots):
+    if _full_batch(ptr, slots, rows):
         one_off = [*ptr[0, :, 0].tolist(), len(one_flat)]
         multi_off = [*ptr[1, :, 0].tolist(), len(multi_flat)]
     else:
-        index, shift, counts = _cut(ptr[:, :, slots], ptr[:, :, slots + 1], slots, n)
+        index, shift, counts = _cut(ptr[:, :, slots], ptr[:, :, slots + 1], slots, rows, n)
         one_off = offsets(counts[0].sum(axis=1)).tolist()
         multi_off = offsets(counts[1].sum(axis=1)).tolist()
         num_one = one_off[-1]
@@ -470,15 +496,22 @@ def weights_stacked(
     """Push subtree weights up to the chosen parents, deepest level first
     (a subset batch is cut out of the mirror first, in stack order:
     level, batch row, BFS row), into a ``w`` the caller zeroed."""
+    _weigh(slots, np.arange(len(slots), dtype=np.int64), n, order_ptr, order_pool,
+           level_ptr, level_pool, choice, node_weights, w)
+
+
+def _weigh(slots, rows, n, order_ptr, order_pool, level_ptr, level_pool,
+           choice, node_weights, w) -> None:
+    """:func:`weights_stacked` with batch row ``b`` at output row ``rows[b]``."""
     st = _weight_stack(n, order_ptr, order_pool, level_ptr, level_pool)
     ptr, flat, nodes = st.ptr, st.flat, st.nodes
-    if _full_batch(ptr, slots):
+    if _full_batch(ptr, slots, rows):
         off = [*ptr[:, 0].tolist(), len(flat)]
     else:
-        rows, shift, counts = _cut(ptr[:, slots], ptr[:, slots + 1], slots, n)
+        index, shift, counts = _cut(ptr[:, slots], ptr[:, slots + 1], slots, rows, n)
         off = offsets(counts.sum(axis=1)).tolist()
-        flat = _shifted(flat, rows, shift)
-        nodes = nodes[rows]
+        flat = _shifted(flat, index, shift)
+        nodes = nodes[index]
     for level in range(len(off) - 2, -1, -1):
         for lo in range(off[level], off[level + 1], _BLOCK_ROWS):
             hi = min(lo + _BLOCK_ROWS, off[level + 1])

@@ -82,7 +82,8 @@ def evolve_graph(
     roles = out.roles
     isps = [out.asn(i) for i in range(out.n) if roles[i] == int(ASRole.ISP)]
     stubs = [out.asn(i) for i in range(out.n) if roles[i] == int(ASRole.STUB)]
-    secure_isps = [a for a in secure_provider_asns if a in out and a in set(isps)]
+    isp_set = set(isps)
+    secure_isps = [a for a in secure_provider_asns if a in isp_set]
     if not isps:
         return out
 

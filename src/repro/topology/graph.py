@@ -70,7 +70,10 @@ class ASGraph:
         self.customers.append([])
         self.providers.append([])
         self.peers.append([])
-        self._roles = self._weights = None
+        self._roles = None
+        if self._weights is not None:
+            # assigned weights stay; the new AS weighs one unit
+            self._weights = np.append(self._weights, 1.0)
         return idx
 
     def ensure_as(self, asn: int) -> int:
@@ -84,7 +87,9 @@ class ASGraph:
     # generator's ~2.7 edges per AS, every line of an as-rel file), so
     # each looks both endpoints up once and builds the edge key once.
     # An edge's key packs its two dense indices, lower first, into one
-    # int: no tuple per edge for the cyclic GC to track.
+    # int: no tuple per edge for the cyclic GC to track.  An edge edit
+    # moves roles (an AS with customers is an ISP), never traffic
+    # weights: a traffic model assigned before it stays.
 
     def add_customer_provider(self, provider: int, customer: int) -> None:
         """Add a customer-provider edge (``customer`` pays ``provider``)."""
@@ -101,7 +106,7 @@ class ASGraph:
         edges.add(key)
         self.customers[p].append(c)
         self.providers[c].append(p)
-        self._roles = self._weights = None
+        self._roles = None
 
     def add_peering(self, a: int, b: int) -> None:
         """Add a settlement-free peer-to-peer edge between ``a`` and ``b``."""
@@ -119,7 +124,7 @@ class ASGraph:
         peers = self.peers
         peers[i].append(j)
         peers[j].append(i)
-        self._roles = self._weights = None
+        self._roles = None
 
     def remove_edge(self, a: int, b: int) -> None:
         """Remove whichever edge exists between ``a`` and ``b``.
@@ -137,17 +142,13 @@ class ASGraph:
                 adj[i].remove(j)
             if i in adj[j]:
                 adj[j].remove(i)
-        self._invalidate()
+        self._roles = None
 
     def _require(self, asn: int) -> int:
         try:
             return self._index[asn]
         except KeyError:
             raise UnknownASError(asn) from None
-
-    def _invalidate(self) -> None:
-        self._roles = None
-        self._weights = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -254,7 +255,7 @@ class ASGraph:
     def set_content_providers(self, asns: Iterable[int]) -> None:
         """Replace the set of content-provider ASes."""
         self._cp_asns = set(asns)
-        self._invalidate()
+        self._roles = self._weights = None
 
     @property
     def roles(self) -> np.ndarray:
@@ -332,33 +333,52 @@ class ASGraph:
 
     def _first_cycle(self) -> list[int]:
         """The first provider cycle a depth-first search in index order meets."""
-        white, grey, black = 0, 1, 2
-        color = [white] * self.n
-        stack_path: list[int] = []
+        cycle = next(self.provider_cycles(), None)
+        if cycle is None:
+            raise AssertionError("the peel left ASes behind but no provider cycle exists")
+        return cycle
 
+    def provider_cycles(self) -> Iterator[list[int]]:
+        """Each provider cycle a depth-first search in index order meets,
+        as AS numbers from the first AS on it back to that AS.
+
+        The caller may remove a cycle's closing edge (between its last
+        two ASes) before asking for the next.  The search then resumes
+        where the edge stood in its provider list: where a search of the
+        edited graph from scratch would stand, since nothing it had
+        explored has moved.  So dropping each closing edge as it comes
+        drops the edges that re-running :meth:`validate` after every
+        drop would, in the same order, in one search.
+        """
+        white, grey, black = 0, 1, 2
+        providers, asns = self.providers, self._asns
+        color = [white] * self.n
+        path: list[int] = []
         for start in range(self.n):
             if color[start] != white:
                 continue
-            stack: list[tuple[int, int]] = [(start, 0)]
+            stack: list[list[int]] = [[start, 0]]
             color[start] = grey
-            stack_path.append(start)
+            path.append(start)
             while stack:
-                node, edge_pos = stack[-1]
-                if edge_pos < len(self.providers[node]):
-                    stack[-1] = (node, edge_pos + 1)
-                    nxt = self.providers[node][edge_pos]
+                top = stack[-1]
+                node, pos = top
+                ups = providers[node]
+                if pos < len(ups):
+                    nxt = ups[pos]
+                    top[1] = pos + 1
                     if color[nxt] == grey:
-                        at = stack_path.index(nxt)
-                        return [self._asns[i] for i in stack_path[at:]] + [self._asns[nxt]]
-                    if color[nxt] == white:
+                        yield [asns[i] for i in path[path.index(nxt):]] + [asns[nxt]]
+                        if pos >= len(ups) or ups[pos] != nxt:
+                            top[1] = pos  # dropped: the next provider moved up
+                    elif color[nxt] == white:
                         color[nxt] = grey
-                        stack_path.append(nxt)
-                        stack.append((nxt, 0))
+                        path.append(nxt)
+                        stack.append([nxt, 0])
                 else:
                     color[node] = black
-                    stack_path.pop()
+                    path.pop()
                     stack.pop()
-        raise AssertionError("the peel left ASes behind but no provider cycle exists")
 
     def copy(self) -> "ASGraph":
         """Deep copy of the graph (roles/weights recomputed lazily)."""

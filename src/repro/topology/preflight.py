@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Iterable, TextIO
 
 from repro.telemetry.metrics import get_registry
-from repro.topology.errors import GraphValidationError, RelationshipCycleError
+from repro.topology.errors import GraphValidationError
 from repro.topology.graph import ASGraph
 from repro.topology.relationships import (
     CAIDA_PEER_TO_PEER,
@@ -46,11 +46,6 @@ log = logging.getLogger(__name__)
 
 #: recognised preflight modes
 PREFLIGHT_MODES: tuple[str, ...] = ("strict", "repair", "report")
-
-#: upper bound on cycle-breaking passes (each pass removes one edge, so
-#: this can only trip on a graph that is essentially all cycle edges)
-_MAX_CYCLE_BREAKS = 10_000
-
 
 @dataclasses.dataclass(frozen=True)
 class PreflightIssue:
@@ -279,31 +274,24 @@ def _break_provider_cycles(
 ) -> int:
     """Drop the closing edge of each GR1 cycle until the graph is acyclic.
 
-    Returns the number of edges removed.  Each pass removes exactly one
-    edge, so this terminates; the offending edge's source line is pulled
-    from ``edge_lineno`` for the report.
+    Returns the number of edges removed.  One depth-first search names
+    the cycles (:meth:`ASGraph.provider_cycles`), resuming after each
+    drop; the offending edge's source line is pulled from
+    ``edge_lineno`` for the report.
     """
     removed = 0
-    for _ in range(_MAX_CYCLE_BREAKS):
-        try:
-            graph.validate()
-        except RelationshipCycleError as exc:
-            a, b = exc.cycle[-2], exc.cycle[-1]
-            key = (min(a, b), max(a, b))
-            graph.remove_edge(a, b)
-            removed += 1
-            path = " -> ".join(str(asn) for asn in exc.cycle)
-            issues.append(PreflightIssue(
-                edge_lineno.get(key, 0), "provider_cycle",
-                f"customer-provider cycle {path}; dropped the closing edge "
-                f"{a}|{b}",
-            ))
-        else:
-            return removed
-    raise RuntimeError(
-        f"provider-cycle repair did not converge after {_MAX_CYCLE_BREAKS} "
-        "passes"
-    )
+    for cycle in graph.provider_cycles():
+        a, b = cycle[-2], cycle[-1]
+        key = (min(a, b), max(a, b))
+        graph.remove_edge(a, b)
+        removed += 1
+        path = " -> ".join(str(asn) for asn in cycle)
+        issues.append(PreflightIssue(
+            edge_lineno.get(key, 0), "provider_cycle",
+            f"customer-provider cycle {path}; dropped the closing edge "
+            f"{a}|{b}",
+        ))
+    return removed
 
 
 def _count_components(graph: ASGraph) -> int:

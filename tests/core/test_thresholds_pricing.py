@@ -79,6 +79,37 @@ class TestPricing:
         assert tier.improves(10, 60, theta=0.0)
 
 
+    @pytest.mark.parametrize("pricing", [
+        LINEAR_PRICING,
+        Pricing(model=PricingModel.TIERED, tier=7.0),
+        Pricing(model=PricingModel.CONCAVE, alpha=0.7),
+        Pricing(model=PricingModel.CONCAVE, alpha=0.33),
+    ], ids=["linear", "tiered", "concave-0.7", "concave-0.33"])
+    def test_improves_per_entry_is_the_scalar_rule(self, pricing):
+        """A round decides every ISP in one call: entry by entry the rule
+        on scalar revenues, bit for bit, on the margin too."""
+        rng = np.random.default_rng(11)
+        current = np.concatenate((rng.random(500) * 1e4, [0.0, 1.0, 49.0, 1e15]))
+        theta = rng.choice([0.0, 0.05, 0.3], size=len(current))
+        # projected utilities right on the (1 + theta) line and one ulp
+        # either side of it, and anywhere else
+        line = (1.0 + theta) * current
+        projected = np.concatenate((
+            line, np.nextafter(line, np.inf), np.nextafter(line, -np.inf).clip(0),
+            rng.random(len(current)) * 2e4,
+        ))
+        current, theta = np.tile(current, 4), np.tile(theta, 4)
+        got = pricing.improves(current, projected, theta)
+        want = [
+            pricing.revenue(p) > (1.0 + t) * pricing.revenue(c)
+            for c, p, t in zip(current.tolist(), projected.tolist(), theta.tolist())
+        ]
+        assert got.tolist() == want
+        assert 0 < sum(want) < len(want)
+        with pytest.raises(ValueError, match="traffic must be >= 0"):
+            pricing.improves(current, -projected, theta)
+
+
 class TestDynamicsIntegration:
     def test_uniform_thresholds_match_scalar_theta(self, small_graph, small_cache):
         adopters = cps_plus_top_isps(small_graph, 3)

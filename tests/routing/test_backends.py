@@ -663,18 +663,19 @@ class TestCextArgumentChecks:
     @pytest.mark.parametrize(
         "name, num_arrays",
         # trees alone, then trees with the node weights and w
-        [("trees_stacked", 14), ("weights_stacked", 8), ("trees_stacked", 16)],
+        [("trees_stacked", 15), ("weights_stacked", 8), ("trees_stacked", 17)],
     )
     def test_every_stack_array_is_checked(
         self, small_graph, monkeypatch, name, num_arrays, slots
     ):
         kernel, args, arena = self._pool_call(
-            small_graph, monkeypatch, name, slots, weighed=num_arrays == 16
+            small_graph, monkeypatch, name, slots, weighed=num_arrays == 17
         )
         kernel(*args)
         # the slots, ``n``, then arrays only: the pools, then the
         # per-row inputs and outputs (trees: the two state masks, the
-        # three outputs, and with the weights the node weights and w)
+        # output rows, the three outputs, and with the weights the node
+        # weights and w)
         assert args[1] == small_graph.n and len(args) == num_arrays + 1
         arrays = [i for i, arg in enumerate(args) if isinstance(arg, np.ndarray)]
         assert len(arrays) == num_arrays
@@ -712,7 +713,7 @@ class TestCextArgumentChecks:
         )
         n, batch = small_graph.n, len(args[0])
         calls = _stub_library(monkeypatch)
-        masks, node_weights, w = (10, 11), 15, 16
+        masks, node_weights, w = (10, 11), 16, 17
         assert all(len(args[i]) == n for i in masks)   # the round's state, shared
         bad = []
         for i in masks:

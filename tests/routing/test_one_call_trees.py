@@ -6,9 +6,10 @@ every loadable tier that must equal the two-call path — the trees, then
 ``weights_stacked`` over them — bit for bit, weights as ``uint64``:
 into buffers that hold garbage (so the kernels are shown to clear each
 row themselves), under one ``[n]`` state and under a state per row, on
-full, subset, repeated-slot and empty batches, and through a round cut
-into ``chunked_batches`` passes.  Collected by the blocking
-``backend-matrix`` CI job.
+full, subset, repeated-slot and empty batches, into output rows of
+longer buffers (``rows``: the rows not named stay untouched), and
+through a round cut into ``chunked_batches`` passes.  Collected by the
+blocking ``backend-matrix`` CI job.
 """
 
 from __future__ import annotations
@@ -121,6 +122,70 @@ def test_one_call_equals_two_calls(small_graph, backend):
             bt = compute_trees_batched(arena, slots, node_secure, breaks, out=trees)
             assert bt.weights is None
             _assert_identical([bt.choice, bt.secure, bt.any_secure], want[:3], where)
+
+
+@pytest.mark.parametrize("backend", TIERS)
+def test_output_rows(small_graph, backend):
+    """``rows`` puts batch row ``i`` into row ``rows[i]`` of buffers
+    longer than the batch, bit for bit the batch's own rows, and leaves
+    every row it does not name as it was."""
+    _tier(backend)
+    n, weights = small_graph.n, small_graph.weights
+    arena = _arena(small_graph, backend)
+    truth = _arena(small_graph, "numpy")
+    rng = np.random.default_rng(35)
+    num = arena.num_dests
+    R = num + 4
+    batches = {
+        "each slot its own row": (np.array([0, 3, 7]), np.array([0, 3, 7])),
+        "every slot its own row": (arena.all_slots(), arena.all_slots()),
+        "moved, unsorted": (np.array([7, 0, 3]), np.array([R - 1, 2, 5])),
+        "repeated slot": (np.array([3, num - 1, 3]), np.array([1, 0, num + 2])),
+        "empty": (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)),
+    }
+    for label, (slots, rows) in batches.items():
+        B = len(slots)
+        shared = rng.random(n) < 0.4
+        states = {
+            "[n]": (shared, shared & (rng.random(n) < 0.8)),
+            "[B, n]": (rng.random((B, n)) < 0.4, rng.random((B, n)) < 0.8),
+        }
+        others = np.setdiff1d(np.arange(R), rows)
+        for kind, (node_secure, breaks) in states.items():
+            where = (backend, label, kind)
+            want = _two_calls(truth, slots, node_secure, breaks, weights)
+            for weighed in (True, False):
+                trees, w = _garbage(rng, R, n)
+                before = [a.copy() for a in (trees.choice, trees.secure, trees.any_secure, w)]
+                bt = compute_trees_batched(
+                    arena, slots, node_secure, breaks, out=trees, rows=rows,
+                    **({"node_weights": weights, "weights_out": w} if weighed else {}),
+                )
+                assert bt.choice is trees.choice
+                got = [trees.choice, trees.secure, trees.any_secure, w]
+                count = 4 if weighed else 3
+                _assert_identical([a[rows] for a in got[:count]], want[:count], where)
+                for a, b in zip(got, before):
+                    assert a[others].tobytes() == b[others].tobytes(), where
+                if not weighed:
+                    assert w.view(np.uint64).tobytes() == before[3].view(np.uint64).tobytes()
+
+
+def test_output_rows_are_checked(small_cache):
+    arena = small_cache.ensure_arena()
+    n = arena.graph_n
+    none = np.zeros(n, dtype=bool)
+    trees = TreeBuffers.empty(4, n)
+    with pytest.raises(ValueError, match="rows needs out"):
+        compute_trees_batched(arena, [0, 1], none, none, rows=[0, 1])
+    for bad in ([0, 0], [0, 4], [-1, 2], [0]):
+        with pytest.raises(ValueError, match="distinct rows"):
+            compute_trees_batched(arena, [0, 1], none, none, out=trees, rows=bad)
+    with pytest.raises(ValueError, match="weights buffer"):
+        compute_trees_batched(
+            arena, [0, 1], none, none, out=trees, rows=[2, 3],
+            node_weights=small_cache.graph.weights, weights_out=np.empty((2, n)),
+        )
 
 
 def test_weights_out_needs_node_weights(small_cache):

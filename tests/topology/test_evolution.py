@@ -12,6 +12,7 @@ from repro.topology.evolution import (
 )
 from repro.topology.generator import generate_topology
 from repro.topology.relationships import ASRole
+from repro.topology.traffic import apply_traffic_model
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +25,19 @@ class TestEvolveGraph:
         n_before = base.graph.n
         evolve_graph(base.graph, EvolutionConfig(new_stubs=5), seed=1)
         assert base.graph.n == n_before
+
+    def test_traffic_weights_survive_evolution(self):
+        graph = generate_topology(n=120, seed=41).graph
+        w_cp = apply_traffic_model(graph, 0.10)
+        assert w_cp > 1.0
+        before = dict(zip(graph.asns, graph.weights.tolist()))
+        out = evolve_graph(
+            graph, EvolutionConfig(new_stubs=6, new_peerings=4, rehomed_stubs=4), seed=3
+        )
+        after = dict(zip(out.asns, out.weights.tolist()))
+        assert {asn: after[asn] for asn in before} == before
+        assert {after[asn] for asn in set(after) - set(before)} == {1.0}
+        assert [after[asn] for asn in graph.cp_asns] == [w_cp] * len(graph.cp_asns)
 
     def test_new_stubs_added(self, base):
         out = evolve_graph(base.graph, EvolutionConfig(new_stubs=7), seed=1)

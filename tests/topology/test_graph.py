@@ -163,6 +163,18 @@ class TestRolesAndWeights:
         g.set_weight(2, 5.5)
         assert g.weights[g.index(2)] == 5.5
 
+    def test_edge_edits_keep_assigned_weights(self):
+        g = build_triangle()
+        g.set_weight(2, 5.5)
+        g.add_as(4)
+        assert g.weights.tolist() == [1.0, 5.5, 1.0, 1.0]   # the new AS weighs one
+        g.add_customer_provider(provider=1, customer=4)
+        assert g.role(1) is ASRole.ISP
+        g.add_peering(2, 4)
+        g.remove_edge(1, 4)
+        assert g.weights.tolist() == [1.0, 5.5, 1.0, 1.0]
+        assert g.copy().weights.tolist() == [1.0, 5.5, 1.0, 1.0]
+
     def test_negative_weight_rejected(self):
         g = build_triangle()
         with pytest.raises(ValueError):

@@ -6,9 +6,13 @@ The hypothesis round-trip properties (``repair(dump(g)) == g``) live in
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 
 from repro.topology.errors import GraphValidationError
+from repro.topology.generator import generate_topology
 from repro.topology.preflight import (
     PREFLIGHT_MODES,
     preflight_as_rel,
@@ -82,6 +86,34 @@ class TestQuarantine:
             preflight_as_rel_text(CLEAN, mode="yolo")
 
 
+def _with_cycles(n: int, cycles: int, seed: int) -> str:
+    """The as-rel text of a generated graph plus ``cycles`` lines that
+    each make an AS the provider of one of its providers' providers."""
+    graph = generate_topology(n=n, seed=seed).graph
+    rng = random.Random(seed)
+    lines: list[str] = []
+    added: set[tuple[int, int]] = set()
+    while len(lines) < cycles:
+        u = rng.randrange(graph.n)
+        ups = graph.providers[u]
+        if not ups:
+            continue
+        up = ups[rng.randrange(len(ups))]
+        tops = graph.providers[up]
+        if not tops:
+            continue
+        a, b = graph.asn(u), graph.asn(tops[rng.randrange(len(tops))])
+        if graph.has_edge(a, b) or (min(a, b), max(a, b)) in added:
+            continue
+        added.add((min(a, b), max(a, b)))
+        lines.append(f"{a}|{b}|-1")
+    return dumps_as_rel(graph) + "\n".join(lines) + "\n"
+
+
+def _digest(text: str) -> str:
+    return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
+
+
 class TestProviderCycles:
     CYCLIC = "1|2|-1\n2|3|-1\n3|1|-1\n"
 
@@ -110,6 +142,20 @@ class TestProviderCycles:
             "2|3|-1", "2|9|0", "3|1|-1", "4|5|-1", "5|3|-1", "7|8|-1",
             "8|6|-1", "9|6|-1",
         ]
+        # 200 cycles closed through a generated N=8000 graph: the repair
+        # drops what re-validating after every drop dropped, in order
+        # (digests of the report and of the repaired graph, as that
+        # repair wrote them)
+        graph, report = preflight_as_rel_text(_with_cycles(8000, 200, seed=5), mode="repair")
+        dropped = "\n".join(i.format() for i in report.issues)
+        assert report.dropped_edges == len(report.issues) == 344
+        assert report.issues[0].format() == (
+            "line 137: [provider_cycle] customer-provider cycle 1 -> 3399 -> 617 -> 1; "
+            "dropped the closing edge 617|1"
+        )
+        assert _digest(dropped) == "51485e063f0b00684fbe6da3bae51c44"
+        assert _digest(dumps_as_rel(graph)) == "f7e08122ccf9005f20b336498ea5bf36"
+        graph.validate()
 
     def test_cycle_fails_strict_mode(self):
         with pytest.raises(GraphValidationError, match="provider_cycle|cycle"):
