@@ -159,22 +159,17 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--attack-seed", type=int, default=0,
                            help="seed for the shared (victim, attacker) "
                                 "pair sample")
-            p.add_argument("--journal", default=None, metavar="PATH",
-                           help="checkpoint each finished matrix cell to "
-                                "this JSONL journal (repro.run-journal/1)")
-            p.add_argument("--resume", action="store_true",
-                           help="replay completed cells from an existing "
-                                "--journal instead of recomputing them")
         if name == "experiment":
             p.add_argument("--id", default=None,
                            help="experiment id (omit to list all)")
-        if name == "sweep":
+        if name in ("sweep", "attack-impact"):
             p.add_argument("--journal", default=None, metavar="PATH",
                            help="checkpoint each finished cell to this "
                                 "JSONL journal (repro.run-journal/1)")
             p.add_argument("--resume", action="store_true",
                            help="replay completed cells from an existing "
                                 "--journal instead of recomputing them")
+        if name == "sweep":
             p.add_argument("--out", default=None, metavar="PATH",
                            help="also write the table to PATH (atomic)")
             p.add_argument("--thetas", default=None, metavar="T1,T2,...",
@@ -339,20 +334,30 @@ def _cmd_case_study(env, args) -> None:
     print(f"kernel backend: {env.cache.backend_name}")
 
 
-def _cmd_sweep(env, args) -> None:
+def _journaled(args, run):
+    """``run(journal)`` under the ``--journal`` / ``--resume`` pair.
+
+    A journal mismatch or corruption, or a policy or scenario-set
+    mismatch, surfaces as a one-line message, not a traceback.
+    """
     from repro.runtime.errors import PersistenceError
     from repro.runtime.journal import RunJournal
 
-    journal = None
     if args.resume and not args.journal:
         raise SystemExit("--resume requires --journal PATH")
-    if args.journal:
-        journal = RunJournal(args.journal)
-        if journal.exists() and not args.resume:
-            raise SystemExit(
-                f"journal {args.journal} already exists; "
-                f"pass --resume to continue it or choose a fresh path"
-            )
+    journal = RunJournal(args.journal) if args.journal else None
+    if journal is not None and journal.exists() and not args.resume:
+        raise SystemExit(
+            f"journal {args.journal} already exists; "
+            f"pass --resume to continue it or choose a fresh path"
+        )
+    try:
+        return run(journal)
+    except PersistenceError as exc:
+        raise SystemExit(str(exc)) from exc
+
+
+def _cmd_sweep(env, args) -> None:
     kwargs = {}
     if args.thetas:
         kwargs["thetas"] = [float(t) for t in args.thetas.split(",") if t]
@@ -366,12 +371,7 @@ def _cmd_sweep(env, args) -> None:
                 f"valid names: {', '.join(menu)}"
             )
         kwargs["adopter_sets"] = {name: menu[name] for name in names}
-    try:
-        cells = run_sweep(env, journal=journal, **kwargs)
-    except PersistenceError as exc:
-        # journal mismatch/corruption and policy-mismatch SchemaError all
-        # surface as one-line messages, not tracebacks
-        raise SystemExit(str(exc)) from exc
+    cells = _journaled(args, lambda journal: run_sweep(env, journal=journal, **kwargs))
     table = format_table(
         ["adopters", "theta", "frac ASes", "frac ISPs", "frac paths", "f^2", "rounds", "outcome"],
         cells_to_rows(cells),
@@ -426,20 +426,8 @@ def _cmd_turnoff(env, args) -> None:
 
 def _cmd_attack_impact(env, args) -> None:
     from repro.experiments.attack_matrix import matrix_to_rows, run_attack_matrix
-    from repro.runtime.errors import PersistenceError
-    from repro.runtime.journal import RunJournal
     from repro.security import get_scenario, get_strategy
 
-    journal = None
-    if args.resume and not args.journal:
-        raise SystemExit("--resume requires --journal PATH")
-    if args.journal:
-        journal = RunJournal(args.journal)
-        if journal.exists() and not args.resume:
-            raise SystemExit(
-                f"journal {args.journal} already exists; "
-                f"pass --resume to continue it or choose a fresh path"
-            )
     try:
         scenarios = (
             [get_scenario(s).name for s in args.scenario] if args.scenario else None
@@ -452,21 +440,16 @@ def _cmd_attack_impact(env, args) -> None:
     levels = (0.0, 0.25, 0.5, 0.75, 1.0)
     if args.levels:
         levels = tuple(float(f) for f in args.levels.split(",") if f)
-    try:
-        cells = run_attack_matrix(
-            env,
-            scenarios=scenarios,
-            policies=[env.cache.policy_name],
-            strategies=strategies,
-            levels=levels,
-            samples=args.samples,
-            seed=args.attack_seed,
-            journal=journal,
-        )
-    except PersistenceError as exc:
-        # journal mismatch/corruption and scenario-mismatch SchemaError
-        # all surface as one-line messages, not tracebacks
-        raise SystemExit(str(exc)) from exc
+    cells = _journaled(args, lambda journal: run_attack_matrix(
+        env,
+        scenarios=scenarios,
+        policies=[env.cache.policy_name],
+        strategies=strategies,
+        levels=levels,
+        samples=args.samples,
+        seed=args.attack_seed,
+        journal=journal,
+    ))
     print(format_table(
         ["scenario", "policy", "strategy", "level", "frac secure",
          "mean fooled", "max fooled", "outcome"],

@@ -85,9 +85,17 @@ class StateMemo(dict[DeploymentState, StateEvaluation]):
     configuration's numbers.  Owned by the loop that knows its inputs
     stay fixed (one theta row of a sweep), never by the cache: traffic
     weights may be re-applied under a live cache.
+
+    The memo also holds the round kernels' matrices (:attr:`buffers`)
+    for every state its games evaluate, so a game's first state
+    re-resolves only the rows the previous game's last state left stale.
     """
 
     _scope: dict[str, object] | None = None
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.buffers = RoundBuffers()
 
     def bind(self, scope: dict[str, object]) -> None:
         """Pin ``scope`` at first use; raise if a later one differs."""
@@ -253,9 +261,6 @@ class DeploymentSimulation:
         self.thresholds = thresholds
         self.pricing = pricing or LINEAR_PRICING
         self.memo = memo if memo is not None else StateMemo()
-        #: the round kernels' matrices, allocated once for every state
-        #: this game evaluates
-        self._buffers = RoundBuffers()
         adopters = frozenset(graph.index(asn) for asn in early_adopter_asns)
         self.state = DeploymentState.initial(adopters)
         roles = graph.roles
@@ -356,7 +361,7 @@ class DeploymentSimulation:
         With ``project`` it also carries the flip projection of every
         decision maker.  This is the only place a :class:`RoundData`
         lives: at most one per call, dropped on return.  Its matrices
-        are the game's :class:`RoundBuffers`, which the next call
+        are the memo's :class:`RoundBuffers`, which the next call
         overwrites, so nothing it returns may hold one of them.
         """
         cfg = self.config
@@ -366,7 +371,7 @@ class DeploymentSimulation:
             registry.counter("sim.state_memo_hits").inc()
             return evaluation
         rd = compute_round_data(
-            self.cache, self.deriver, state, cfg.utility_model, buffers=self._buffers
+            self.cache, self.deriver, state, cfg.utility_model, buffers=self.memo.buffers
         )
         registry.counter("sim.states_evaluated").inc()
         if evaluation is None:

@@ -18,11 +18,8 @@ and at 1.0 — share its evaluation (counted as
 ``security.attack.cells_shared``), and each of their cells is still
 journaled and reported as computed.
 
-Like sweeps, matrix runs checkpoint: pass ``journal`` and every
-finished cell is durably appended; a rerun with the same journal
-replays completed cells.  Resuming a journal recorded over a different
-scenario set raises :class:`~repro.runtime.errors.SchemaError` before
-the generic header check, so the error names the two sets.
+Like sweeps, matrix runs checkpoint cell by cell through a
+:class:`~repro.runtime.journal.CellLog`.
 """
 
 from __future__ import annotations
@@ -35,9 +32,7 @@ from repro.core.state import StateDeriver
 from repro.experiments.setup import ExperimentEnv
 from repro.routing.policy import available_policies, get_policy
 from repro.routing.reference import ConvergenceError
-from repro.runtime.errors import SchemaError
-from repro.runtime.guard import current_guard
-from repro.runtime.journal import RunJournal, coerce_journal
+from repro.runtime.journal import CellLog, RunJournal
 from repro.security.metrics import impact_from_outcomes, sample_pairs
 from repro.security.hijack import simulate_attacks_batched
 from repro.security.scenarios import (
@@ -102,10 +97,10 @@ def _matrix_meta(
 ) -> dict:
     """Header metadata identifying one matrix grid.
 
-    Resuming a journal whose metadata differs raises
-    :class:`~repro.runtime.errors.JournalMismatchError`; the scenario
-    set additionally gets its own earlier, named check
-    (:func:`_check_journal_scenarios`).
+    Resuming a journal whose scenario set differs raises
+    :class:`~repro.runtime.errors.SchemaError` naming both sets (cells
+    from different threat models are not comparable); any other
+    difference raises :class:`~repro.runtime.errors.JournalMismatchError`.
     """
     return {
         "num_ases": env.graph.n,
@@ -117,30 +112,6 @@ def _matrix_meta(
         "samples": int(samples),
         "seed": int(seed),
     }
-
-
-def _check_journal_scenarios(journal: RunJournal, scenarios: Sequence[str]) -> None:
-    """Refuse to resume a matrix journal recorded over other scenarios.
-
-    Cells from different threat models are not comparable; replaying
-    them into one grid would silently corrupt the matrix.  Raised
-    *before* the generic header check so the error names the two
-    scenario sets instead of a bag of mismatched metadata keys.
-    """
-    if not journal.exists():
-        return
-    header = journal.header()
-    if header is None or header.get("kind") != MATRIX_JOURNAL_KIND:
-        return  # kind mismatch is ensure_header's to report
-    recorded = (header.get("meta") or {}).get("scenarios", [])
-    if sorted(recorded) != sorted(scenarios):
-        raise SchemaError(
-            f"{journal.path}: attack-matrix journal was recorded over "
-            f"scenarios {sorted(recorded)} but this run spans "
-            f"{sorted(scenarios)}; resuming would mix cells from "
-            "different threat models — use a fresh journal path (or "
-            "rerun with the recorded scenario set)"
-        )
 
 
 def run_attack_matrix(
@@ -183,26 +154,19 @@ def run_attack_matrix(
     ]
     levels = [float(f) for f in levels]
 
-    journal = coerce_journal(journal)
-    done: dict[tuple[str, str, str, float], AttackMatrixCell] = {}
-    if journal is not None:
-        _check_journal_scenarios(journal, scenarios)
-        journal.ensure_header(
-            MATRIX_JOURNAL_KIND,
-            _matrix_meta(env, scenarios, policies, strategies, levels, samples, seed),
-        )
-        for record in journal.iter_records():
-            if record.get("type") == "cell":
-                cell = cell_from_dict(record["cell"])
-                done[cell.key] = cell
-
+    log = CellLog(
+        journal, MATRIX_JOURNAL_KIND,
+        _matrix_meta(env, scenarios, policies, strategies, levels, samples, seed),
+        named="scenarios", legacy=[], key=lambda cell: cell.key,
+        encode=cell_to_dict, decode=cell_from_dict,
+        telemetry="security.attack", on_cell=on_cell,
+    )
     graph = env.graph
     pairs = sample_pairs(graph, samples=samples, seed=seed)
     deriver = StateDeriver(graph, stub_breaks_ties, env.cache.compiled)
 
     registry = get_registry()
     tracer = get_tracer()
-    guard = current_guard()
     cell_timer = registry.histogram("security.attack.cell_seconds")
     total = len(scenarios) * len(policies) * len(strategies) * len(levels)
     cells: list[AttackMatrixCell] = []
@@ -223,48 +187,34 @@ def run_attack_matrix(
                 for scenario_name in scenarios:
                     for policy_name in policies:
                         key = (scenario_name, policy_name, strategy_name, level)
-                        replayed = done.get(key)
-                        if replayed is not None:
-                            registry.counter("security.attack.cells_replayed").inc()
-                            cells.append(replayed)
-                            if on_cell is not None:
-                                on_cell(replayed, "replayed")
-                            continue
-                        # cell boundary: everything finished is journaled,
-                        # so DeadlineExceeded here resumes losslessly
-                        guard.check_deadline(
-                            f"attack-matrix cell {key}"
-                        )
-                        state = (
-                            node_secure.tobytes(), breaks.tobytes(),
-                            scenario_name, policy_name,
-                        )
-                        with tracer.span(
-                            "attack.cell", scenario=scenario_name,
-                            policy=policy_name, strategy=strategy_name,
-                            level=level,
-                        ), cell_timer.time():
-                            shared = attacked.get(state)
-                            if shared is None:
-                                cell = attacked[state] = _run_cell(
-                                    graph, pairs, node_secure, breaks,
-                                    scenario_name, policy_name, strategy_name,
-                                    level, fraction_secure, backend,
-                                    env.cache.compiled,
-                                )
-                            else:
-                                registry.counter("security.attack.cells_shared").inc()
-                                cell = dataclasses.replace(
-                                    shared, strategy=strategy_name, level=level
-                                )
-                        registry.counter("security.attack.cells").inc()
-                        if journal is not None:
-                            journal.append(
-                                {"type": "cell", "cell": cell_to_dict(cell)}
+                        cell = log.lookup(key)
+                        if cell is None:
+                            evaluated = (
+                                node_secure.tobytes(), breaks.tobytes(),
+                                scenario_name, policy_name,
                             )
+                            with tracer.span(
+                                "attack.cell", scenario=scenario_name,
+                                policy=policy_name, strategy=strategy_name,
+                                level=level,
+                            ), cell_timer.time():
+                                shared = attacked.get(evaluated)
+                                if shared is None:
+                                    cell = attacked[evaluated] = _run_cell(
+                                        graph, pairs, node_secure, breaks,
+                                        scenario_name, policy_name, strategy_name,
+                                        level, fraction_secure, backend,
+                                        env.cache.compiled,
+                                    )
+                                else:
+                                    registry.counter(
+                                        "security.attack.cells_shared"
+                                    ).inc()
+                                    cell = dataclasses.replace(
+                                        shared, strategy=strategy_name, level=level
+                                    )
+                            log.record(key, cell)
                         cells.append(cell)
-                        if on_cell is not None:
-                            on_cell(cell, "computed")
     return cells
 
 

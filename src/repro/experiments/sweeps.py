@@ -8,12 +8,9 @@ the games of one adopter set share their theta-free state evaluations
 the states no earlier theta of its row has visited.
 
 Sweeps are the repo's longest computations (the paper reran this grid
-for every parameterisation, hours per run), so they checkpoint: pass a
-:class:`~repro.runtime.journal.RunJournal` (or a path) as ``journal``
-and every finished cell is durably appended; a rerun with the same
-journal — ``sbgp-sim sweep --journal runs/fig8.jsonl --resume`` —
-replays completed cells instead of recomputing them, yielding the same
-cell list an uninterrupted run would have produced.
+for every parameterisation, hours per run), so they checkpoint cell by
+cell through a :class:`~repro.runtime.journal.CellLog` (``sbgp-sim
+sweep --journal runs/fig8.jsonl --resume``).
 """
 
 from __future__ import annotations
@@ -30,9 +27,7 @@ from repro.core.metrics import (
     snapshot_from_counts,
 )
 from repro.experiments.setup import ExperimentEnv
-from repro.runtime.errors import SchemaError
-from repro.runtime.guard import current_guard
-from repro.runtime.journal import RunJournal, coerce_journal
+from repro.runtime.journal import CellLog, RunJournal
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.spans import get_tracer
 
@@ -210,30 +205,6 @@ def _run_cell(
     )
 
 
-def _check_journal_policy(journal: RunJournal, policy: str) -> None:
-    """Refuse to resume a sweep journal recorded under another policy.
-
-    Cells computed under different routing policies are not comparable;
-    replaying them into one grid would silently corrupt every figure.
-    Raised *before* the generic header check so the error names the two
-    policies instead of a bag of mismatched metadata keys.
-    """
-    if not journal.exists():
-        return
-    header = journal.header()
-    if header is None or header.get("kind") != SWEEP_JOURNAL_KIND:
-        return  # kind mismatch is ensure_header's to report
-    recorded = (header.get("meta") or {}).get("policy", "security_3rd")
-    if recorded != policy:
-        raise SchemaError(
-            f"{journal.path}: sweep journal was recorded under routing "
-            f"policy {recorded!r} but this run uses {policy!r}; resuming "
-            "would mix cells from incompatible rankings — use a fresh "
-            "journal path (or rebuild the environment with the recorded "
-            "policy)"
-        )
-
-
 def run_sweep(
     env: ExperimentEnv,
     thetas: Sequence[float] = DEFAULT_THETAS,
@@ -251,15 +222,10 @@ def run_sweep(
 ) -> list[SweepCell]:
     """Run the full (adopter set x theta) grid and return its cells.
 
-    With a ``journal``, each completed cell is durably appended as it
-    finishes, and cells already present (from an interrupted earlier
-    run) are replayed instead of recomputed — the returned list is
-    identical to an uninterrupted run's.
-
-    A ``cell_cache`` (see :class:`CellCache`) is consulted before each
-    computation: hits are adopted verbatim (and still journaled, so
-    resume stays complete) and misses are published after computing.
-    ``on_cell`` observes every finished cell with its provenance.
+    ``journal``, ``cell_cache`` and ``on_cell`` are the grid's
+    :class:`~repro.runtime.journal.CellLog`: a resumed run returns the
+    cells an uninterrupted one would have, and resuming under another
+    routing policy raises :class:`~repro.runtime.errors.SchemaError`.
 
     ``attack_scenarios`` turns on the sweep's attack axis: each cell's
     final state is additionally attacked under every named scenario
@@ -273,27 +239,20 @@ def run_sweep(
 
         attack_scenarios = [get_scenario(s).name for s in attack_scenarios]
     adopter_sets = adopter_sets or env.adopter_sets()
-    journal = coerce_journal(journal)
-    done: dict[tuple[str, float], SweepCell] = {}
-    if journal is not None:
-        _check_journal_policy(journal, env.cache.policy_name)
-        journal.ensure_header(
-            SWEEP_JOURNAL_KIND,
-            _sweep_meta(
-                env, thetas, adopter_sets, stub_breaks_ties,
-                utility_model, collect_projection_accuracy, max_rounds,
-                attack_scenarios, attack_samples, attack_seed,
-            ),
-        )
-        for record in journal.iter_records():
-            if record.get("type") == "cell":
-                cell = cell_from_dict(record["cell"])
-                done[(cell.adopters, cell.theta)] = cell
-
-    registry = get_registry()
+    log = CellLog(
+        journal, SWEEP_JOURNAL_KIND,
+        _sweep_meta(
+            env, thetas, adopter_sets, stub_breaks_ties,
+            utility_model, collect_projection_accuracy, max_rounds,
+            attack_scenarios, attack_samples, attack_seed,
+        ),
+        named="policy", legacy="security_3rd",
+        key=lambda cell: (cell.adopters, cell.theta),
+        encode=cell_to_dict, decode=cell_from_dict,
+        telemetry="sweep", store=cell_cache, on_cell=on_cell,
+    )
     tracer = get_tracer()
-    guard = current_guard()
-    cell_timer = registry.histogram("sweep.cell_seconds")
+    cell_timer = get_registry().histogram("sweep.cell_seconds")
     cells: list[SweepCell] = []
     # nothing but theta changes along a row, so its games share their
     # state evaluations; across rows only the empty state's carries over
@@ -302,45 +261,18 @@ def run_sweep(
         for name, adopters in adopter_sets.items():
             memo.discard_trajectories()
             for theta in thetas:
-                replayed = done.get((name, float(theta)))
-                if replayed is not None:
-                    registry.counter("sweep.cells_replayed").inc()
-                    cells.append(replayed)
-                    if on_cell is not None:
-                        on_cell(replayed, "replayed")
-                    continue
-                # cell boundary: everything finished so far is in the
-                # journal, so DeadlineExceeded here resumes losslessly
-                guard.check_deadline(f"sweep cell ({name}, theta={float(theta):g})")
-                shared = (
-                    cell_cache.get(name, float(theta))
-                    if cell_cache is not None else None
-                )
-                if shared is not None:
-                    # a cross-run hit is journaled like a computed cell,
-                    # so this run's journal stays a complete resume record
-                    registry.counter("sweep.cells_from_cache").inc()
-                    if journal is not None:
-                        journal.append({"type": "cell", "cell": cell_to_dict(shared)})
-                    cells.append(shared)
-                    if on_cell is not None:
-                        on_cell(shared, "cache")
-                    continue
-                with tracer.span("cell", adopters=name, theta=float(theta)), \
-                        cell_timer.time():
-                    cell = _run_cell(
-                        env, name, adopters, theta, stub_breaks_ties,
-                        utility_model, collect_projection_accuracy, max_rounds,
-                        attack_scenarios, attack_samples, attack_seed, memo,
-                    )
-                registry.counter("sweep.cells").inc()
-                if journal is not None:
-                    journal.append({"type": "cell", "cell": cell_to_dict(cell)})
-                if cell_cache is not None:
-                    cell_cache.put(name, float(theta), cell)
+                key = (name, float(theta))
+                cell = log.lookup(key)
+                if cell is None:
+                    with tracer.span("cell", adopters=name, theta=float(theta)), \
+                            cell_timer.time():
+                        cell = _run_cell(
+                            env, name, adopters, theta, stub_breaks_ties,
+                            utility_model, collect_projection_accuracy, max_rounds,
+                            attack_scenarios, attack_samples, attack_seed, memo,
+                        )
+                    log.record(key, cell)
                 cells.append(cell)
-                if on_cell is not None:
-                    on_cell(cell, "computed")
     return cells
 
 

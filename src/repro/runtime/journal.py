@@ -16,6 +16,10 @@ Each record line carries a SHA-256 of its canonical record JSON.  A
 torn *final* line (the crash happened mid-append) is dropped silently
 on replay; damage anywhere else raises
 :class:`~repro.runtime.errors.JournalCorruptError`.
+
+A grid of cells (a sweep, the attack matrix) checkpoints through one
+:class:`CellLog` over its journal: ``{"type": "cell", "cell": {...}}``
+records, replayed by key on resume.
 """
 
 from __future__ import annotations
@@ -26,13 +30,16 @@ import logging
 import os
 import time
 from pathlib import Path
-from typing import IO, Any, Iterator
+from typing import IO, Any, Callable, Generic, Iterator, TypeVar
 
 from repro.runtime.errors import (
     JournalCorruptError,
     JournalLockedError,
     JournalMismatchError,
+    SchemaError,
 )
+from repro.runtime.guard import current_guard
+from repro.telemetry.metrics import get_registry
 
 try:  # pragma: no cover - present on every POSIX CPython
     import fcntl as _fcntl
@@ -255,3 +262,103 @@ def coerce_journal(journal: "RunJournal | str | Path | None") -> RunJournal | No
     if journal is None or isinstance(journal, RunJournal):
         return journal
     return RunJournal(journal)
+
+
+_C = TypeVar("_C")
+
+
+class CellLog(Generic[_C]):
+    """Where each cell of one grid run comes from, and where it goes.
+
+    A cell is replayed from ``journal`` when an earlier run recorded it,
+    else taken from the shared ``store`` (anything with ``get(*key)`` /
+    ``put(*key, cell)``; only sweeps pass one), else computed by the
+    caller: :meth:`lookup` answers the first two, :meth:`record` takes
+    the third.  Every cell is then reported once under its source
+    (``"replayed"``, ``"cache"`` or ``"computed"``): the counter
+    ``<telemetry>.cells_replayed`` / ``.cells_from_cache`` / ``.cells``,
+    a journal record unless it was replayed (so the journal stays a
+    complete resume record), the store for a computed one, then
+    ``on_cell(cell, source)``.  Raising from ``on_cell`` stops the run
+    at a cell boundary with everything finished journaled.
+
+    Opening validates the journal's header against ``kind`` and
+    ``meta``.  The ``named`` meta key is checked first, so that a run
+    under another value of it (``legacy`` stands in for journals older
+    than the key) raises :class:`~repro.runtime.errors.SchemaError`
+    naming both values: cells under another policy or threat model are
+    not comparable.  Any other difference raises
+    :class:`~repro.runtime.errors.JournalMismatchError`.
+    """
+
+    def __init__(
+        self,
+        journal: RunJournal | str | Path | None,
+        kind: str,
+        meta: dict[str, Any],
+        *,
+        named: str,
+        legacy: Any,
+        key: Callable[[_C], tuple[Any, ...]],
+        encode: Callable[[_C], dict[str, Any]],
+        decode: Callable[[dict[str, Any]], _C],
+        telemetry: str,
+        store: Any = None,
+        on_cell: Callable[[_C, str], None] | None = None,
+    ) -> None:
+        self._journal = coerce_journal(journal)
+        self._kind = kind
+        self._encode = encode
+        self._store = store
+        self._on_cell = on_cell
+        self._counters = {
+            "replayed": f"{telemetry}.cells_replayed",
+            "cache": f"{telemetry}.cells_from_cache",
+            "computed": f"{telemetry}.cells",
+        }
+        self._done: dict[tuple[Any, ...], _C] = {}
+        if self._journal is None:
+            return
+        header = self._journal.header()
+        if header is not None and header.get("kind") == kind:
+            recorded = (header.get("meta") or {}).get(named, legacy)
+            if recorded != meta[named]:
+                raise SchemaError(
+                    f"{self._journal.path}: {kind} journal was recorded with "
+                    f"{named} {recorded!r} but this run has {meta[named]!r}; "
+                    "resuming would mix cells that are not comparable — use "
+                    "a fresh journal path"
+                )
+        self._journal.ensure_header(kind, meta)
+        for record in self._journal.iter_records():
+            if record.get("type") == "cell":
+                cell = decode(record["cell"])
+                self._done[key(cell)] = cell
+
+    def lookup(self, key: tuple[Any, ...]) -> _C | None:
+        """The cell at ``key`` from the journal or the store, reported,
+        or None when the caller must compute it.
+
+        A cell not replayed is a cell boundary: everything finished so
+        far is journaled, so an expired deadline raises here and the run
+        resumes losslessly."""
+        cell = self._done.get(key)
+        if cell is not None:
+            return self._report(key, cell, "replayed")
+        current_guard().check_deadline(f"{self._kind} cell {key}")
+        cell = self._store.get(*key) if self._store is not None else None
+        return None if cell is None else self._report(key, cell, "cache")
+
+    def record(self, key: tuple[Any, ...], cell: _C) -> None:
+        """Report the cell the caller computed at ``key``."""
+        self._report(key, cell, "computed")
+
+    def _report(self, key: tuple[Any, ...], cell: _C, source: str) -> _C:
+        get_registry().counter(self._counters[source]).inc()
+        if source != "replayed" and self._journal is not None:
+            self._journal.append({"type": "cell", "cell": self._encode(cell)})
+        if source == "computed" and self._store is not None:
+            self._store.put(*key, cell)
+        if self._on_cell is not None:
+            self._on_cell(cell, source)
+        return cell

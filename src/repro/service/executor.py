@@ -29,22 +29,18 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any
+from typing import Any, Callable
 
-from repro.experiments.attack_matrix import (
-    AttackMatrixCell,
-    run_attack_matrix,
-)
 from repro.experiments.attack_matrix import cell_to_dict as matrix_cell_to_dict
+from repro.experiments.attack_matrix import run_attack_matrix
 from repro.experiments.case_study import run_case_study
 from repro.experiments.setup import ExperimentEnv, build_environment
-from repro.experiments.sweeps import SweepCell, cell_to_dict, run_sweep
-from repro.routing.arena import RoutingArena
+from repro.experiments.sweeps import cell_to_dict, run_sweep
+from repro.routing.policy import available_policies, get_policy
 from repro.runtime.guard import (
     Deadline,
     MemoryBudget,
     RuntimeGuard,
-    current_guard,
     use_guard,
 )
 from repro.service.cache import ResultCache
@@ -73,32 +69,21 @@ def _build_env(spec: JobSpec, cache: ResultCache) -> ExperimentEnv:
     fetched from the result cache when an earlier job on the same
     environment digest already built it.
     """
+    # state-dependent arenas are only valid for one deployment state;
+    # the simulation rebuilds them per round, so there is nothing
+    # reusable to share — warm lazily as rounds touch trees
+    shareable = not get_policy(spec.policy).state_dependent
+    key = env_digest(spec)
+    shared = cache.get_arena(key) if shareable else None
     env = build_environment(
         n=spec.n, seed=spec.seed, x=spec.x, augmented=spec.augmented,
-        warm=False, policy=spec.policy, backend=spec.kernel_backend,
+        warm=shareable and shared is None, policy=spec.policy,
+        backend=spec.kernel_backend,
     )
-    if env.cache.policy.state_dependent:
-        # state-dependent arenas are only valid for one deployment
-        # state; the simulation rebuilds them per round, so there is
-        # nothing reusable to share — warm lazily as rounds touch trees
-        return env
-    key = env_digest(spec)
-    shared = cache.get_arena(key)
     if shared is not None:
         env.cache.install_arena(shared)
-        return env
-    guard = current_guard()
-    estimate = RoutingArena.estimate_bytes(
-        len(env.cache.destinations), env.graph.n, backend=env.cache.backend_name
-    )
-    if not guard.fits_memory(estimate):
-        guard.degrade(
-            "lazy_warm",
-            f"eager warm needs ~{estimate} bytes for the pooled arena, over "
-            "the job's memory budget; deferring the warm to the first use",
-        )
-        return env
-    cache.put_arena(key, env.cache.ensure_arena())
+    elif env.cache.arena is not None:  # unless the memory budget deferred the warm
+        cache.put_arena(key, env.cache.arena)
     return env
 
 
@@ -148,6 +133,25 @@ def execute_job(
     return result
 
 
+def _progress(
+    job: Job, store: JobStore, total: int, cancel: threading.Event
+) -> Callable[[object, str], None]:
+    """A grid's ``on_cell``: record each finished cell's progress, then
+    stop at this cell boundary if the job was cancelled."""
+    done = 0
+
+    def on_cell(cell: object, source: str) -> None:
+        nonlocal done
+        done += 1
+        store.record_progress(job.id, done, total, source)
+        if cancel.is_set():
+            # every finished cell is already in the journal; raising
+            # here is the lossless cancellation point
+            raise JobCancelled(job.id)
+
+    return on_cell
+
+
 def _execute_sweep(
     job: Job,
     env: ExperimentEnv,
@@ -157,17 +161,6 @@ def _execute_sweep(
 ) -> dict[str, Any]:
     spec = job.spec
     adopter_sets = _select_adopter_sets(env, spec)
-    total = len(adopter_sets) * len(spec.thetas)
-    done = {"count": 0}
-
-    def on_cell(cell: SweepCell, source: str) -> None:
-        done["count"] += 1
-        store.record_progress(job.id, done["count"], total, source)
-        if cancel.is_set():
-            # every finished cell is already in the journal; raising
-            # here is the lossless cancellation point
-            raise JobCancelled(job.id)
-
     cells = run_sweep(
         env,
         thetas=spec.thetas,
@@ -176,7 +169,7 @@ def _execute_sweep(
         max_rounds=spec.max_rounds,
         journal=store.sweep_journal_path(job),
         cell_cache=cache.cell_view(cell_scope_digest(spec)),
-        on_cell=on_cell,
+        on_cell=_progress(job, store, len(adopter_sets) * len(spec.thetas), cancel),
     )
     return {
         "kind": "sweep",
@@ -203,7 +196,6 @@ def _execute_attack_matrix(
     scenarios = list(spec.scenarios) or None
     strategies = list(spec.strategies) or None
     policies = list(spec.policies) or None
-    from repro.routing.policy import available_policies
     from repro.security.scenarios import available_scenarios, available_strategies
 
     total = (
@@ -212,14 +204,6 @@ def _execute_attack_matrix(
         * len(strategies or available_strategies())
         * len(spec.levels)
     )
-    done = {"count": 0}
-
-    def on_cell(cell: AttackMatrixCell, source: str) -> None:
-        done["count"] += 1
-        store.record_progress(job.id, done["count"], total, source)
-        if cancel.is_set():
-            raise JobCancelled(job.id)
-
     cells = run_attack_matrix(
         env,
         scenarios=scenarios,
@@ -230,7 +214,7 @@ def _execute_attack_matrix(
         seed=spec.attack_seed,
         stub_breaks_ties=spec.stub_breaks_ties,
         journal=store.sweep_journal_path(job),
-        on_cell=on_cell,
+        on_cell=_progress(job, store, total, cancel),
         backend=spec.kernel_backend,
     )
     return {

@@ -24,7 +24,7 @@ import pytest
 
 from repro.core import dynamics
 from repro.core.config import SimulationConfig, UtilityModel
-from repro.core.dynamics import DeploymentSimulation, SimulationResult
+from repro.core.dynamics import DeploymentSimulation, SimulationResult, StateMemo
 from repro.core.engine import RoundBuffers, RoundData, compute_round_data
 from repro.core.state import DeploymentState, StateDeriver
 from repro.experiments.setup import build_environment
@@ -252,3 +252,47 @@ def test_reapplied_weights_resolve_every_row():
         compute_round_data(cache, deriver, first, model, buffers=buffers)
     secure = rd.node_secure[np.asarray(cache.destinations)]
     assert registry.snapshot()["counters"]["routing.batched.trees"] < len(secure)
+
+
+def test_games_sharing_a_memo_share_its_buffers(env):
+    """Two games of one theta row: with one memo the second starts from
+    the rows the first left, and plays exactly the game it plays beside
+    a fresh memo, resolving fewer rows (counted through
+    ``routing.batched.trees``).  On a state-independent arena the rows
+    it saves are the buffers', not only the memo's evaluations: it
+    resolves fewer than beside the first game's evaluations with fresh
+    buffers."""
+    graph = env.graph
+    adopters = [graph.asn(int(i)) for i in graph.isp_indices[:3]]
+
+    def play(theta: float, memo: StateMemo) -> tuple[SimulationResult, float]:
+        config = SimulationConfig(
+            theta=theta, utility_model=UtilityModel.OUTGOING,
+            record_utilities=True, policy=env.cache.policy_name,
+        )
+        with use_registry(MetricsRegistry()) as registry:
+            result = DeploymentSimulation(
+                graph, adopters, config, env.cache, memo=memo
+            ).run()
+        counters = registry.snapshot()["counters"]
+        assert counters.get("sim.states_evaluated", 0) > 0
+        return result, counters["routing.batched.trees"]
+
+    shared = StateMemo()
+    play(0.0, shared)
+    second, rows = play(0.1, shared)
+    alone, rows_alone = play(0.1, StateMemo())
+    assert rows < rows_alone
+    assert second.outcome == alone.outcome
+    assert second.final_state == alone.final_state
+    assert second.final_utilities.tobytes() == alone.final_utilities.tobytes()
+    assert second.final_secure_pairs == alone.final_secure_pairs
+    assert [r.utilities.tobytes() for r in second.rounds] == [
+        r.utilities.tobytes() for r in alone.rounds
+    ]
+    assert _projection_bytes(second) == _projection_bytes(alone)
+    if not env.cache.policy.state_dependent:
+        kept = StateMemo()
+        play(0.0, kept)
+        kept.buffers = RoundBuffers()
+        assert rows < play(0.1, kept)[1]

@@ -14,7 +14,7 @@ from repro.core.config import SimulationConfig
 from repro.core.dynamics import DeploymentSimulation
 from repro.experiments.setup import build_environment
 from repro.experiments.sweeps import SWEEP_JOURNAL_KIND, run_sweep
-from repro.runtime.errors import SchemaError
+from repro.runtime.errors import JournalMismatchError, SchemaError
 from repro.runtime.journal import RunJournal
 
 THETAS = (0.05,)
@@ -61,14 +61,23 @@ class TestSweepJournalPolicy:
         """Journals written before the policy field are default-policy
         journals; resuming them under the default must not raise the
         policy error (the generic metadata check still applies)."""
-        from repro.experiments.sweeps import _check_journal_policy
-
         path = tmp_path / "legacy.jsonl"
-        journal = RunJournal(path)
-        journal.ensure_header(SWEEP_JOURNAL_KIND, {"num_ases": 5})
-        _check_journal_policy(journal, "security_3rd")  # no raise
-        with pytest.raises(SchemaError):
-            _check_journal_policy(journal, "security_2nd")
+        RunJournal(path).ensure_header(SWEEP_JOURNAL_KIND, {"num_ases": 5})
+        with pytest.raises(JournalMismatchError) as excinfo:
+            run_sweep(
+                tiny_env, thetas=THETAS, adopter_sets=adopter_sets(tiny_env),
+                journal=path,
+            )
+        assert not isinstance(excinfo.value, SchemaError)
+
+        second = build_environment(n=120, seed=11, warm=False, policy="security_2nd")
+        with pytest.raises(SchemaError) as excinfo:
+            run_sweep(
+                second, thetas=THETAS, adopter_sets=adopter_sets(second),
+                journal=path,
+            )
+        message = str(excinfo.value)
+        assert "security_3rd" in message and "security_2nd" in message
 
 
 class TestSimulationJournalPolicy:

@@ -9,6 +9,7 @@ import pytest
 from repro import telemetry
 from repro.experiments.sweeps import SweepCell
 from repro.service.cache import _CELL_BYTES, CellView, ResultCache
+from repro.service.specs import env_digest, parse_spec
 from repro.telemetry.metrics import set_registry
 
 
@@ -147,3 +148,43 @@ class TestTelemetryAndConcurrency:
         stats = cache.stats()
         assert stats.cell_hits + stats.cell_misses == 4 * 200
         assert stats.bytes_used <= cache.budget_bytes
+
+
+class TestJobEnvironments:
+    """A job's environment warms through ``build_environment`` and
+    shares its arena through the result cache."""
+
+    SPEC = {"kind": "case-study", "n": 60, "seed": 11}
+
+    def test_the_first_job_publishes_its_arena_and_the_next_installs_it(self):
+        from repro.service.executor import _build_env
+
+        cache = ResultCache()
+        first = _build_env(parse_spec(self.SPEC), cache)
+        assert first.cache.arena is not None
+        second = _build_env(parse_spec(self.SPEC), cache)
+        assert second.cache.arena is first.cache.arena
+        stats = cache.stats()
+        assert (stats.arena_hits, stats.arena_misses) == (1, 1)
+
+    def test_a_budget_below_the_arena_defers_the_warm_and_shares_nothing(self):
+        from repro.runtime.guard import MemoryBudget, RuntimeGuard, use_guard
+        from repro.service.executor import _build_env
+
+        cache = ResultCache()
+        guard = RuntimeGuard(memory=MemoryBudget(1024))
+        with use_guard(guard):
+            env = _build_env(parse_spec(self.SPEC), cache)
+        assert guard.ladder.taken("lazy_warm") == 1
+        assert env.cache.arena is None
+        assert env.cache.pending_runs() == [(0, 60)]  # nothing built eagerly
+        assert cache.get_arena(env_digest(parse_spec(self.SPEC))) is None
+
+    def test_a_state_dependent_policy_shares_nothing(self):
+        from repro.service.executor import _build_env
+
+        cache = ResultCache()
+        env = _build_env(parse_spec({**self.SPEC, "policy": "security_2nd"}), cache)
+        assert env.cache.arena is None
+        stats = cache.stats()
+        assert (stats.arena_hits, stats.arena_misses) == (0, 0)

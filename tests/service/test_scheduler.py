@@ -119,6 +119,12 @@ class TestSharing:
         counters = live_telemetry.snapshot()["counters"]
         assert counters["service.cache.cell_hits"] >= 4
         assert counters["sweep.cells_from_cache"] >= 4
+        # the job's progress names where each cell came from, in grid order
+        sources = [e["source"] for e in second.events if e["event"] == "progress"]
+        assert sources == ["cache", "cache", "computed"] * 2
+        assert [e["done"] for e in second.events if e["event"] == "progress"] == [
+            1, 2, 3, 4, 5, 6,
+        ]
 
         # shared cells are value-identical to computed ones
         first_cells = {
