@@ -95,9 +95,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--x", type=float, default=0.10, help="CP traffic fraction")
     parser.add_argument("--theta", type=float, default=0.05, help="deployment threshold")
     parser.add_argument("--augmented", action="store_true", help="use the augmented graph")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="ignored: the cache warm runs in one process "
-                             "(accepted so existing command lines parse)")
     parser.add_argument("--policy", default="security_3rd",
                         metavar="NAME",
                         help="routing policy driving route selection "
@@ -278,7 +275,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 config = paper_scale_config(seed=args.seed)
             env = build_environment(
                 n=args.n, seed=args.seed, x=args.x, augmented=args.augmented,
-                workers=args.workers, policy=args.policy, config=config,
+                policy=args.policy, config=config,
                 sample_destinations=args.destinations,
                 backend=args.kernel_backend,
             )

@@ -59,14 +59,9 @@ class SimulationConfig:
     #: / "security_1st" promote SecP (Lychev et al.); "sp_first" /
     #: "sticky_primaries" are the §8.3 deviations
     policy: str = "security_3rd"
-    #: secure ISPs may turn S*BGP off (only meaningful under INCOMING;
-    #: Theorem 6.2 rules it out under OUTGOING, where it is ignored)
-    allow_turn_off: bool = True
     #: accepted and ignored: a game plays in one process whatever the
     #: count (DESIGN.md §10); kept so existing configs still construct
     workers: int = 1
-    #: record per-round utilities of every AS in the history (memory!)
-    record_utilities: bool = True
 
     def __post_init__(self) -> None:
         if self.theta < 0:
@@ -83,5 +78,6 @@ class SimulationConfig:
 
     @property
     def turn_off_enabled(self) -> bool:
-        """Whether this run ever evaluates disabling S*BGP."""
-        return self.allow_turn_off and self.utility_model is UtilityModel.INCOMING
+        """Whether secure ISPs may turn S*BGP off: only under INCOMING
+        (Theorem 6.2 rules it out under OUTGOING)."""
+        return self.utility_model is UtilityModel.INCOMING

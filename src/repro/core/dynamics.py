@@ -22,8 +22,6 @@ from typing import Iterable
 
 import numpy as np
 
-from pathlib import Path
-
 from repro.core.config import SimulationConfig
 from repro.core.engine import RoundBuffers, RoundData, compute_round_data
 from repro.core.pricing import LINEAR_PRICING, Pricing
@@ -33,14 +31,10 @@ from repro.routing.cache import RoutingCache
 from repro.routing.policy import DEFAULT_POLICY
 from repro.runtime.errors import StateMemoScopeError
 from repro.runtime.guard import current_guard
-from repro.runtime.journal import RunJournal, coerce_journal
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.spans import get_tracer
 from repro.topology.graph import ASGraph
 from repro.topology.relationships import ASRole
-
-#: journal ``kind`` for single-simulation round traces
-SIMULATION_JOURNAL_KIND = "simulation"
 
 
 class Outcome(enum.Enum):
@@ -121,7 +115,7 @@ class RoundRecord:
     index: int
     state: DeploymentState
     node_secure: np.ndarray
-    utilities: np.ndarray | None
+    utilities: np.ndarray  # the state's, shared with its evaluation
     projections: Projections  # the state's, shared with its evaluation
     turned_on: list[int]
     turned_off: list[int]
@@ -171,12 +165,8 @@ class SimulationResult:
         return [len(r.turned_on) for r in self.rounds]
 
     def utility_history(self, node: int) -> list[float]:
-        """Per-round utility of ``node`` (requires record_utilities)."""
-        out = []
-        for r in self.rounds:
-            if r.utilities is None:
-                raise ValueError("utilities were not recorded; set record_utilities")
-            out.append(float(r.utilities[node]))
+        """Per-round utility of ``node``, then its final one."""
+        out = [float(r.utilities[node]) for r in self.rounds]
         out.append(float(self.final_utilities[node]))
         return out
 
@@ -271,22 +261,11 @@ class DeploymentSimulation:
                 [i for i in self._isp_indices if i in players], dtype=np.int64
             )
 
-    def run(self, journal: RunJournal | str | Path | None = None) -> SimulationResult:
-        """Run rounds until stability, oscillation, or the round cap.
-
-        A single long simulation (hours at paper scale) can journal its
-        progress: pass a :class:`~repro.runtime.journal.RunJournal` (or
-        path) and a compact summary of every completed round — plus a
-        final outcome record — is durably appended, so a crash leaves a
-        readable trace of how far the game got (Fig-3-style per-round
-        series are recoverable from it).
-        """
+    def run(self) -> SimulationResult:
+        """Run rounds until stability, oscillation, or the round cap."""
         cfg = self.config
         registry = get_registry()
         tracer = get_tracer()
-        journal = coerce_journal(journal)
-        if journal is not None:
-            journal.ensure_header(SIMULATION_JOURNAL_KIND, self._journal_meta())
         self.memo.bind(self._memo_scope())
         # utilities before the process began (nobody secure, §5.5)
         starting = self._evaluate(_EMPTY_STATE).utilities
@@ -297,14 +276,11 @@ class DeploymentSimulation:
         guard = current_guard()
         with tracer.span("simulation", n=self.graph.n, theta=cfg.theta):
             for index in range(1, cfg.max_rounds + 1):
-                # round boundary: every completed round is already
-                # journaled, so an expired budget loses no work
+                # round boundary: an expired budget stops between rounds
                 guard.check_deadline(f"simulation round {index}")
                 with tracer.span("round", index=index), round_timer.time():
                     record = self._play_round(index)
                     rounds.append(record)
-                    if journal is not None:
-                        journal.append(self._round_summary(record))
                     if not record.turned_on and not record.turned_off:
                         outcome = Outcome.STABLE
                         break
@@ -318,14 +294,6 @@ class DeploymentSimulation:
                     seen_states[key] = index
             # already in the memo unless the round cap cut the game short
             final = self._evaluate(self.state)
-
-        if journal is not None:
-            journal.append({
-                "type": "final",
-                "outcome": outcome.value,
-                "num_rounds": len(rounds),
-                "final_secure_ases": int(final.node_secure.sum()),
-            })
         return SimulationResult(
             graph=self.graph,
             config=cfg,
@@ -350,7 +318,6 @@ class DeploymentSimulation:
             "utility model": cfg.utility_model,
             "stub_breaks_ties": cfg.stub_breaks_ties,
             "projection engine": cfg.projection,
-            "allow_turn_off": cfg.allow_turn_off,
             "player set": self._isp_indices.tobytes(),
             "graph weights": hashlib.blake2b(weights.tobytes()).digest(),
         }
@@ -392,30 +359,6 @@ class DeploymentSimulation:
                 )
         return evaluation
 
-    def _journal_meta(self) -> dict:
-        graph = self.graph
-        return {
-            "num_ases": graph.n,
-            "theta": self.config.theta,
-            "utility_model": self.config.utility_model.value,
-            "stub_breaks_ties": self.config.stub_breaks_ties,
-            "policy": self.cache.policy_name,
-            "max_rounds": self.config.max_rounds,
-            "early_adopters": sorted(
-                graph.asn(i) for i in self.state.early_adopters
-            ),
-        }
-
-    def _round_summary(self, record: RoundRecord) -> dict:
-        graph = self.graph
-        return {
-            "type": "round",
-            "index": record.index,
-            "secure_ases": record.num_secure_ases,
-            "turned_on": sorted(graph.asn(i) for i in record.turned_on),
-            "turned_off": sorted(graph.asn(i) for i in record.turned_off),
-        }
-
     def _play_round(self, index: int) -> RoundRecord:
         """Project the state if nobody has yet, then compare against theta:
         update rule (3) for every deciding ISP at once."""
@@ -442,7 +385,7 @@ class DeploymentSimulation:
             index=index,
             state=evaluation.state,
             node_secure=evaluation.node_secure,
-            utilities=evaluation.utilities if self.config.record_utilities else None,
+            utilities=evaluation.utilities,
             projections=projections,
             turned_on=turned_on,
             turned_off=turned_off,
@@ -491,11 +434,10 @@ def run_deployment(
     player_asns: Iterable[int] | None = None,
     thresholds: np.ndarray | None = None,
     pricing: Pricing | None = None,
-    journal: RunJournal | str | Path | None = None,
     memo: StateMemo | None = None,
 ) -> SimulationResult:
     """One-call wrapper around :class:`DeploymentSimulation`."""
     sim = DeploymentSimulation(
         graph, early_adopter_asns, config, cache, player_asns, thresholds, pricing, memo
     )
-    return sim.run(journal=journal)
+    return sim.run()

@@ -110,9 +110,7 @@ def _sec83(env: ExperimentEnv) -> str:
     for name in available_policies():
         pol = get_policy(name)
         cache = RoutingCache(env.graph, destinations=dests, policy=name)
-        config = SimulationConfig(
-            theta=0.05, max_rounds=12, policy=name, record_utilities=False
-        )
+        config = SimulationConfig(theta=0.05, max_rounds=12, policy=name)
         sim = DeploymentSimulation(env.graph, adopters, config, cache)
         try:
             result = sim.run()

@@ -40,7 +40,7 @@ class ExperimentEnv:
     def cp_asns(self) -> list[int]:
         return self.topology.cp_asns
 
-    def adopter_sets(self, random_seed: int = 7) -> dict[str, list[int]]:
+    def adopter_sets(self) -> dict[str, list[int]]:
         """The Fig-8 menu of early-adopter sets, scaled to the graph.
 
         The paper uses {none, top 5..200 by degree, 5 CPs, CPs+top5,
@@ -59,7 +59,7 @@ class ExperimentEnv:
             f"top-{big}": ranked,
             "5-cps": cps,
             "cps+top-5": cps + ranked[:5],
-            f"random-{big}": random_isps(graph, big, seed=random_seed),
+            f"random-{big}": random_isps(graph, big, seed=7),
         }
 
     def case_study_adopters(self) -> list[int]:

@@ -19,7 +19,7 @@ import dataclasses
 from pathlib import Path
 from typing import Callable, Iterable, Protocol, Sequence
 
-from repro.core.config import SimulationConfig, UtilityModel
+from repro.core.config import SimulationConfig
 from repro.core.dynamics import DeploymentSimulation, StateMemo
 from repro.core.metrics import (
     deployment_outcome,
@@ -77,29 +77,21 @@ class SweepCell:
     num_rounds: int
     outcome: str
     projection_ratios: tuple[float, ...] = ()  # Fig. 14 (theta = 0 runs)
-    #: attack impact at the final state, one ``(scenario, mean fooled,
-    #: max fooled)`` triple per requested scenario (empty when the
-    #: sweep's attack axis is off)
-    attack: tuple[tuple[str, float, float], ...] = ()
 
 
 def cell_to_dict(cell: SweepCell) -> dict:
     """JSON-serialisable form of a cell (for the sweep journal)."""
     payload = dataclasses.asdict(cell)
     payload["projection_ratios"] = list(cell.projection_ratios)
-    payload["attack"] = [list(t) for t in cell.attack]
     return payload
 
 
 def cell_from_dict(payload: dict) -> SweepCell:
-    """Inverse of :func:`cell_to_dict`."""
+    """Inverse of :func:`cell_to_dict`; keys a cell no longer has (the
+    empty ``attack`` list of older journals) are ignored."""
     fields = {f.name for f in dataclasses.fields(SweepCell)}
     kwargs = {k: v for k, v in payload.items() if k in fields}
     kwargs["projection_ratios"] = tuple(kwargs.get("projection_ratios", ()))
-    kwargs["attack"] = tuple(
-        (str(s), float(mean), float(peak))
-        for s, mean, peak in kwargs.get("attack", ())
-    )
     return SweepCell(**kwargs)
 
 
@@ -108,22 +100,18 @@ def _sweep_meta(
     thetas: Sequence[float],
     adopter_sets: dict[str, list[int]],
     stub_breaks_ties: bool,
-    utility_model: UtilityModel,
     collect_projection_accuracy: bool,
     max_rounds: int,
-    attack_scenarios: Sequence[str] = (),
-    attack_samples: int = 0,
-    attack_seed: int = 0,
 ) -> dict:
     """Header metadata identifying one sweep grid.
 
     Resuming a journal whose metadata differs raises
     :class:`~repro.runtime.errors.JournalMismatchError` — mixing cells
-    from different grids would silently corrupt figures.  The attack
-    keys appear only when the attack axis is on, so journals from
-    before the axis existed still resume byte-identically.
+    from different grids would silently corrupt figures.  A sweep
+    always plays the outgoing model; the key stays so that the
+    journals of earlier sweeps still resume.
     """
-    meta = {
+    return {
         "num_ases": env.graph.n,
         "policy": env.cache.policy_name,
         "thetas": [float(t) for t in thetas],
@@ -131,15 +119,10 @@ def _sweep_meta(
             name: sorted(asns) for name, asns in sorted(adopter_sets.items())
         },
         "stub_breaks_ties": stub_breaks_ties,
-        "utility_model": utility_model.value,
+        "utility_model": "outgoing",
         "collect_projection_accuracy": collect_projection_accuracy,
         "max_rounds": max_rounds,
     }
-    if attack_scenarios:
-        meta["attack_scenarios"] = sorted(attack_scenarios)
-        meta["attack_samples"] = int(attack_samples)
-        meta["attack_seed"] = int(attack_seed)
-    return meta
 
 
 def _run_cell(
@@ -148,18 +131,13 @@ def _run_cell(
     adopters: list[int],
     theta: float,
     stub_breaks_ties: bool,
-    utility_model: UtilityModel,
     collect_projection_accuracy: bool,
     max_rounds: int,
-    attack_scenarios: Sequence[str] = (),
-    attack_samples: int = 8,
-    attack_seed: int = 0,
-    memo: StateMemo | None = None,
+    memo: StateMemo,
 ) -> SweepCell:
     """Simulate one (adopter set, theta) pair to termination."""
     config = SimulationConfig(
         theta=theta,
-        utility_model=utility_model,
         stub_breaks_ties=stub_breaks_ties,
         max_rounds=max_rounds,
         policy=env.cache.policy_name,
@@ -174,21 +152,6 @@ def _run_cell(
     ratios: tuple[float, ...] = ()
     if collect_projection_accuracy:
         ratios = tuple(projection_accuracy(result))
-    attack: tuple[tuple[str, float, float], ...] = ()
-    if attack_scenarios:
-        from repro.security.metrics import impact_for_state
-
-        impacts = []
-        for scenario in attack_scenarios:
-            impact = impact_for_state(
-                env.graph, sim.deriver, result.final_state,
-                samples=attack_samples, seed=attack_seed,
-                scenario=scenario, policy=env.cache.policy_name,
-            )
-            impacts.append(
-                (scenario, impact.mean_fraction_fooled, impact.max_fraction_fooled)
-            )
-        attack = tuple(impacts)
     return SweepCell(
         adopters=name,
         theta=theta,
@@ -201,7 +164,6 @@ def _run_cell(
         num_rounds=outcome.num_rounds,
         outcome=outcome.outcome,
         projection_ratios=ratios,
-        attack=attack,
     )
 
 
@@ -210,15 +172,11 @@ def run_sweep(
     thetas: Sequence[float] = DEFAULT_THETAS,
     adopter_sets: dict[str, list[int]] | None = None,
     stub_breaks_ties: bool = True,
-    utility_model: UtilityModel = UtilityModel.OUTGOING,
     collect_projection_accuracy: bool = False,
     max_rounds: int = 100,
     journal: RunJournal | str | Path | None = None,
     cell_cache: CellCache | None = None,
     on_cell: CellCallback | None = None,
-    attack_scenarios: Sequence[str] = (),
-    attack_samples: int = 8,
-    attack_seed: int = 0,
 ) -> list[SweepCell]:
     """Run the full (adopter set x theta) grid and return its cells.
 
@@ -226,25 +184,14 @@ def run_sweep(
     :class:`~repro.runtime.journal.CellLog`: a resumed run returns the
     cells an uninterrupted one would have, and resuming under another
     routing policy raises :class:`~repro.runtime.errors.SchemaError`.
-
-    ``attack_scenarios`` turns on the sweep's attack axis: each cell's
-    final state is additionally attacked under every named scenario
-    (``attack_samples`` seeded pairs, batched kernel) and the impacts
-    land in :attr:`SweepCell.attack`.  The axis participates in the
-    journal header, so a journal recorded with a different axis refuses
-    to resume.
+    Every game plays the outgoing utility model (Eq. 1).
     """
-    if attack_scenarios:
-        from repro.security.scenarios import get_scenario
-
-        attack_scenarios = [get_scenario(s).name for s in attack_scenarios]
     adopter_sets = adopter_sets or env.adopter_sets()
     log = CellLog(
         journal, SWEEP_JOURNAL_KIND,
         _sweep_meta(
             env, thetas, adopter_sets, stub_breaks_ties,
-            utility_model, collect_projection_accuracy, max_rounds,
-            attack_scenarios, attack_samples, attack_seed,
+            collect_projection_accuracy, max_rounds,
         ),
         named="policy", legacy="security_3rd",
         key=lambda cell: (cell.adopters, cell.theta),
@@ -268,8 +215,7 @@ def run_sweep(
                             cell_timer.time():
                         cell = _run_cell(
                             env, name, adopters, theta, stub_breaks_ties,
-                            utility_model, collect_projection_accuracy, max_rounds,
-                            attack_scenarios, attack_samples, attack_seed, memo,
+                            collect_projection_accuracy, max_rounds, memo,
                         )
                     log.record(key, cell)
                 cells.append(cell)

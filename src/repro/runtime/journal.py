@@ -1,8 +1,8 @@
 """Append-only run journals for checkpoint/resume.
 
 A :class:`RunJournal` is a JSONL file: one header line identifying the
-run, then one record per completed unit of work (a sweep cell, a
-simulation round).  Appends are flushed and fsynced before returning,
+run, then one record per completed unit of work (a grid cell, a
+service job event).  Appends are flushed and fsynced before returning,
 so after a crash — including SIGKILL — the journal holds every unit
 that finished, and a restarted run replays it instead of recomputing.
 
@@ -30,7 +30,7 @@ import logging
 import os
 import time
 from pathlib import Path
-from typing import IO, Any, Callable, Generic, Iterator, TypeVar
+from typing import IO, Any, Callable, Generic, TypeVar
 
 from repro.runtime.errors import (
     JournalCorruptError,
@@ -106,18 +106,54 @@ class RunJournal:
 
     # -- writing ------------------------------------------------------
 
-    def ensure_header(self, kind: str, meta: dict[str, Any] | None = None) -> None:
-        """Create the header, or validate an existing one.
+    def ensure_header(self, kind: str, meta: dict[str, Any] | None = None) -> list[dict[str, Any]]:
+        """Create the header, or validate an existing one; return the records.
 
         A fresh (or empty) journal gets a header line with ``kind`` and
         ``meta``.  An existing journal must match both exactly —
         resuming a sweep into a journal from a different grid raises
         :class:`~repro.runtime.errors.JournalMismatchError` instead of
-        silently mixing cells.
+        silently mixing cells.  The file is read once (:meth:`_load`).
         """
-        meta = meta or {}
-        self.repair()
-        header = self.header()
+        header, records = self._load()
+        self._check_header(header, kind, meta or {})
+        return records
+
+    def append(self, record: dict[str, Any]) -> None:
+        """Durably append one record (flushed + fsynced before return)."""
+        line = json.dumps(
+            {"record": record, "sha256": _record_checksum(record)},
+            sort_keys=True,
+        )
+        self._append_line(line)
+
+    def _load(self) -> tuple[dict[str, Any] | None, list[dict[str, Any]]]:
+        """Read and verify the file once; drop a torn final line from it.
+
+        A crash mid-append leaves a partial last line, and appending
+        after it would weld two records together, so it is cut (a torn
+        first-ever header empties the file).  Corruption anywhere but
+        the tail raises :class:`~repro.runtime.errors.JournalCorruptError`.
+        """
+        from repro.runtime.atomic import atomic_write_text
+
+        lines = self._read_lines()
+        try:
+            header, records = self._parse(lines)
+        except JournalCorruptError:
+            if len(lines) != 1:
+                raise
+            atomic_write_text(self.path, "")
+            return None, []
+        kept = len(records) + 1  # records + header
+        if kept < len(lines):
+            atomic_write_text(self.path, "\n".join(lines[:kept]) + "\n")
+        return header, records
+
+    def _check_header(
+        self, header: dict[str, Any] | None, kind: str, meta: dict[str, Any]
+    ) -> None:
+        """Write the header of a fresh journal, or hold ``header`` to it."""
         if header is None:
             line = json.dumps(
                 {"format": JOURNAL_FORMAT, "kind": kind, "meta": meta},
@@ -141,43 +177,10 @@ class RunJournal:
                 f"(mismatched keys: {keys}); use a fresh journal path"
             )
 
-    def append(self, record: dict[str, Any]) -> None:
-        """Durably append one record (flushed + fsynced before return)."""
-        line = json.dumps(
-            {"record": record, "sha256": _record_checksum(record)},
-            sort_keys=True,
-        )
-        self._append_line(line)
-
-    def repair(self) -> int:
-        """Drop a torn final line so later appends stay parseable.
-
-        A crash mid-append leaves a partial last line; appending after
-        it would weld two records together.  Returns the number of
-        lines dropped (0 or 1); corruption anywhere but the tail still
-        raises :class:`~repro.runtime.errors.JournalCorruptError`.
-        """
-        from repro.runtime.atomic import atomic_write_text
-
-        lines = self._read_lines()
-        if not lines:
-            return 0
-        try:
-            kept = len(list(self.iter_records())) + 1  # records + header
-        except JournalCorruptError:
-            if len(lines) == 1:  # torn header from the first-ever append
-                atomic_write_text(self.path, "")
-                return 1
-            raise
-        if kept >= len(lines):
-            return 0
-        atomic_write_text(self.path, "\n".join(lines[:kept]) + "\n")
-        return len(lines) - kept
-
     def _append_line(self, line: str) -> None:
         # The journal is the one sanctioned non-atomic writer: an
         # fsynced append is the point (atomic replace would rewrite the
-        # whole file per record), and repair() handles the torn tail.
+        # whole file per record), and _load() handles the torn tail.
         # The advisory flock (released with the handle) keeps two
         # writers — daemon worker threads, or two processes sharing a
         # store directory — from interleaving halves of a line.
@@ -198,9 +201,24 @@ class RunJournal:
 
     def header(self) -> dict[str, Any] | None:
         """The header payload, or None for a missing/empty journal."""
-        lines = self._read_lines()
+        return self._parse(self._read_lines()[:1])[0]
+
+    def records(self) -> list[dict[str, Any]]:
+        """All validated records, in append order."""
+        return self._parse(self._read_lines())[1]
+
+    def __len__(self) -> int:
+        return len(self.records())
+
+    def _parse(self, lines: list[str]) -> tuple[dict[str, Any] | None, list[dict[str, Any]]]:
+        """The header and records of ``lines``, each checksum verified once.
+
+        The final line is allowed to be torn (dropped with a warning);
+        any earlier damage raises
+        :class:`~repro.runtime.errors.JournalCorruptError`.
+        """
         if not lines:
-            return None
+            return None, []
         try:
             header = json.loads(lines[0])
         except json.JSONDecodeError as exc:
@@ -209,24 +227,7 @@ class RunJournal:
             raise JournalCorruptError(
                 self.path, 1, f"not a {JOURNAL_FORMAT} journal"
             )
-        return header
-
-    def records(self) -> list[dict[str, Any]]:
-        """All validated records, in append order."""
-        return list(self.iter_records())
-
-    def iter_records(self) -> Iterator[dict[str, Any]]:
-        """Yield records, verifying per-line checksums.
-
-        The final line is allowed to be torn (dropped with a warning);
-        any earlier damage raises
-        :class:`~repro.runtime.errors.JournalCorruptError`.
-        """
-        lines = self._read_lines()
-        if not lines:
-            return
-        self.header()  # validates line 1
-        last = len(lines)
+        records = []
         for lineno, line in enumerate(lines[1:], start=2):
             try:
                 entry = json.loads(line)
@@ -237,17 +238,15 @@ class RunJournal:
                 ):
                     raise ValueError("record/checksum mismatch")
             except ValueError as exc:
-                if lineno == last:
+                if lineno == len(lines):
                     log.warning(
                         "%s:%d: dropping torn final journal line (%s)",
                         self.path, lineno, exc,
                     )
-                    return
+                    break
                 raise JournalCorruptError(self.path, lineno, str(exc)) from exc
-            yield entry["record"]
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.iter_records())
+            records.append(entry["record"])
+        return header, records
 
     def _read_lines(self) -> list[str]:
         try:
@@ -319,7 +318,7 @@ class CellLog(Generic[_C]):
         self._done: dict[tuple[Any, ...], _C] = {}
         if self._journal is None:
             return
-        header = self._journal.header()
+        header, records = self._journal._load()
         if header is not None and header.get("kind") == kind:
             recorded = (header.get("meta") or {}).get(named, legacy)
             if recorded != meta[named]:
@@ -329,8 +328,8 @@ class CellLog(Generic[_C]):
                     "resuming would mix cells that are not comparable — use "
                     "a fresh journal path"
                 )
-        self._journal.ensure_header(kind, meta)
-        for record in self._journal.iter_records():
+        self._journal._check_header(header, kind, meta)
+        for record in records:
             if record.get("type") == "cell":
                 cell = decode(record["cell"])
                 self._done[key(cell)] = cell

@@ -132,14 +132,13 @@ class JobStore:
         self._by_digest: dict[str, str] = {}   # digest -> active job id
         self._next_seq = 1
         self._journal = RunJournal(self.root / "jobs.jsonl")
-        self._journal.ensure_header(JOBS_JOURNAL_KIND, {})
-        self._replay()
+        self._replay(self._journal.ensure_header(JOBS_JOURNAL_KIND, {}))
 
     # -- startup recovery ---------------------------------------------
 
-    def _replay(self) -> None:
+    def _replay(self, records: list[dict]) -> None:
         recovered = 0
-        for record in self._journal.iter_records():
+        for record in records:
             kind = record.get("type")
             if kind == "submitted":
                 spec, retired = _journaled_spec(record["spec"])

@@ -37,29 +37,18 @@ def source_origin(source: str | Path | TextIO) -> str:
     return str(getattr(source, "name", "<stream>"))
 
 
-def load_as_rel(
-    source: str | Path | TextIO,
-    cp_asns: Iterable[int] = (),
-    preflight: str | None = None,
-) -> ASGraph:
+def load_as_rel(source: str | Path | TextIO, cp_asns: Iterable[int] = ()) -> ASGraph:
     """Load an AS graph from an ``as-rel`` file, path, or file object.
 
     ``# cp: <asn>`` comment lines mark content providers; explicit
     ``cp_asns`` are unioned with any found in the file.
 
     Parse errors raise :class:`~repro.topology.errors.GraphFormatError`
-    naming the source and line (``<file>:<line>: ...``).  With
-    ``preflight`` set to a :mod:`repro.topology.preflight` mode
-    (``"strict"``, ``"repair"``, or ``"report"``), the source is instead
-    run through full validation — duplicate/conflicting edges,
-    self-loops, provider cycles, disconnected components — before the
-    graph is returned.
+    naming the source and line (``<file>:<line>: ...``).  Full
+    validation (duplicate/conflicting edges, self-loops, provider
+    cycles, disconnected components) is
+    :func:`repro.topology.preflight.preflight_as_rel`.
     """
-    if preflight is not None:
-        from repro.topology.preflight import preflight_as_rel
-
-        graph, _report = preflight_as_rel(source, cp_asns, mode=preflight)
-        return graph
     close = False
     if isinstance(source, (str, Path)):
         fh: TextIO = open(source, "r", encoding="utf-8")
@@ -73,11 +62,9 @@ def load_as_rel(
             fh.close()
 
 
-def loads_as_rel(
-    text: str, cp_asns: Iterable[int] = (), preflight: str | None = None
-) -> ASGraph:
+def loads_as_rel(text: str, cp_asns: Iterable[int] = ()) -> ASGraph:
     """Load an AS graph from an ``as-rel`` string."""
-    return load_as_rel(io.StringIO(text), cp_asns, preflight=preflight)
+    return load_as_rel(io.StringIO(text), cp_asns)
 
 
 def _parse(fh: TextIO, cps: set[int], origin: str = "<stream>") -> ASGraph:

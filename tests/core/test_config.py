@@ -32,9 +32,6 @@ def test_bad_workers_rejected():
 def test_turn_off_only_under_incoming():
     assert not SimulationConfig(utility_model=UtilityModel.OUTGOING).turn_off_enabled
     assert SimulationConfig(utility_model=UtilityModel.INCOMING).turn_off_enabled
-    assert not SimulationConfig(
-        utility_model=UtilityModel.INCOMING, allow_turn_off=False
-    ).turn_off_enabled
 
 
 def test_frozen():

@@ -127,17 +127,6 @@ class TestHistory:
         if never:
             assert result.adoption_round(never[0]) is None
 
-    def test_record_utilities_off(self, sim_graph):
-        from repro.core.adopters import top_degree_isps
-
-        result = run_deployment(
-            sim_graph.graph,
-            top_degree_isps(sim_graph.graph, 2),
-            SimulationConfig(theta=0.05, record_utilities=False, max_rounds=3),
-        )
-        with pytest.raises(ValueError):
-            result.utility_history(0)
-
 
 class TestPlayers:
     def test_player_restriction(self):

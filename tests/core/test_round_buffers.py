@@ -56,7 +56,7 @@ def _game(env) -> SimulationResult:
     graph = env.graph
     adopters = [graph.asn(int(i)) for i in graph.isp_indices[:3]]
     config = SimulationConfig(
-        theta=0.0, utility_model=UtilityModel.OUTGOING, record_utilities=True,
+        theta=0.0, utility_model=UtilityModel.OUTGOING,
         policy=env.cache.policy_name,
     )
     return DeploymentSimulation(graph, adopters, config, cache=env.cache).run()
@@ -268,7 +268,7 @@ def test_games_sharing_a_memo_share_its_buffers(env):
     def play(theta: float, memo: StateMemo) -> tuple[SimulationResult, float]:
         config = SimulationConfig(
             theta=theta, utility_model=UtilityModel.OUTGOING,
-            record_utilities=True, policy=env.cache.policy_name,
+            policy=env.cache.policy_name,
         )
         with use_registry(MetricsRegistry()) as registry:
             result = DeploymentSimulation(

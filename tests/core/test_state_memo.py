@@ -190,7 +190,7 @@ class TestScope:
         graph, cache, adopters = env
         before = len(filled)
         run_deployment(
-            graph, adopters, self.replace(theta=0.2, max_rounds=7, record_utilities=False),
+            graph, adopters, self.replace(theta=0.2, max_rounds=7),
             cache, thresholds=np.full(graph.n, 0.1),
             pricing=Pricing(model=PricingModel.CONCAVE), memo=filled,
         )
@@ -200,7 +200,6 @@ class TestScope:
         ("utility model", {"utility_model": UtilityModel.OUTGOING}),
         ("stub_breaks_ties", {"stub_breaks_ties": False}),
         ("projection engine", {"projection": ProjectionEngine.INCREMENTAL}),
-        ("allow_turn_off", {"allow_turn_off": False}),
     ])
     def test_other_config_raises(self, env, filled, field, changes):
         graph, cache, adopters = env

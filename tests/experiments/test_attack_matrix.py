@@ -189,7 +189,7 @@ class TestSharedStates:
             on_cell=lambda cell, source: sources.append(source), **self.KW,
         )
         assert sources == ["computed"] * len(first)
-        records = [r for r in journal.iter_records() if r.get("type") == "cell"]
+        records = [r for r in journal.records() if r.get("type") == "cell"]
         assert len(records) == len(first)
         sources.clear()
         again = run_attack_matrix(

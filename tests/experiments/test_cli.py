@@ -93,7 +93,7 @@ class TestTelemetryFlags:
         trace = tmp_path / "t.json"
         jsonl = tmp_path / "t.jsonl"
         assert main([
-            "sweep", "--n", "60", "--workers", "2",
+            "sweep", "--n", "60",
             "--metrics-out", str(metrics),
             "--trace-out", str(trace),
             "--trace-jsonl", str(jsonl),
@@ -103,7 +103,6 @@ class TestTelemetryFlags:
         from repro.telemetry.export import load_metrics
 
         snap = load_metrics(metrics)
-        # --workers is accepted; the warm builds every tree in-process
         assert snap["counters"]["routing.tree_builds"] == 60
         assert snap["counters"]["sweep.cells"] > 0
 

@@ -28,7 +28,6 @@ SWEEP_META = [
     "adopter_sets", "collect_projection_accuracy", "max_rounds", "num_ases",
     "policy", "stub_breaks_ties", "thetas", "utility_model",
 ]
-ATTACK_META = ["attack_samples", "attack_scenarios", "attack_seed"]
 MATRIX_META = [
     "env_policy", "levels", "num_ases", "policies", "samples", "scenarios",
     "seed", "strategies",
@@ -40,13 +39,6 @@ def _sweep(env, **kw):
     return sweeps.run_sweep(
         env, thetas=(0.0, 0.3), adopter_sets={k: sets[k] for k in ("top-5", "5-cps")},
         **kw,
-    )
-
-
-def _sweep_attack(env, **kw):
-    return _sweep(
-        env, attack_scenarios=("hijack", "route_leak"), attack_samples=3,
-        attack_seed=4, **kw,
     )
 
 
@@ -62,8 +54,6 @@ def _matrix(env, **kw):
 #: prefix, the cell span's argument names)``
 GRIDS = [
     ("sweep", _sweep, sweeps, SWEEP_META, "sweep", ["adopters", "theta"]),
-    ("sweep+attack", _sweep_attack, sweeps, sorted(SWEEP_META + ATTACK_META), "sweep",
-     ["adopters", "theta"]),
     ("matrix", _matrix, attack_matrix, MATRIX_META, "security.attack",
      ["level", "policy", "scenario", "strategy"]),
 ]

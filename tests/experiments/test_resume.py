@@ -88,7 +88,7 @@ class TestInProcessResume:
         run_sweep(tiny_env, thetas=thetas, adopter_sets=sets, journal=journal)
         header = journal.header()
         first = [
-            record for record in journal.iter_records()
+            record for record in journal.records()
             if record.get("type") == "cell" and record["cell"]["theta"] == thetas[0]
         ]
         assert len(first) == len(sets)
@@ -179,7 +179,7 @@ class TestSigkillResume:
         )
         final = [
             cell_from_dict(r["cell"])
-            for r in RunJournal(path).iter_records()
+            for r in RunJournal(path).records()
             if r.get("type") == "cell"
         ]
         assert sorted(final, key=lambda c: (c.adopters, c.theta)) == sorted(

@@ -81,17 +81,6 @@ class TestSweepJournalPolicy:
 
 
 class TestSimulationJournalPolicy:
-    def test_round_journal_records_policy(self, tiny_env, tmp_path):
-        path = tmp_path / "sim.jsonl"
-        config = SimulationConfig(theta=0.05, max_rounds=3)
-        sim = DeploymentSimulation(
-            tiny_env.graph, tiny_env.case_study_adopters(), config,
-            tiny_env.cache,
-        )
-        sim.run(journal=path)
-        header = RunJournal(path).header()
-        assert header["meta"]["policy"] == "security_3rd"
-
     def test_cache_policy_is_authoritative(self, tiny_env):
         """A shared cache fills in a default config's policy; an explicit
         conflicting config is rejected."""

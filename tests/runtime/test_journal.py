@@ -6,8 +6,9 @@ import json
 
 import pytest
 
+from repro.runtime import journal as journal_module
 from repro.runtime.errors import JournalCorruptError, JournalMismatchError
-from repro.runtime.journal import JOURNAL_FORMAT, RunJournal
+from repro.runtime.journal import JOURNAL_FORMAT, CellLog, RunJournal
 
 
 @pytest.fixture
@@ -98,3 +99,52 @@ class TestCorruption:
         path.write_text(json.dumps({"format": "something/9"}) + "\n" * 2)
         with pytest.raises(JournalCorruptError, match="not a"):
             RunJournal(path).records()
+
+
+class TestOneReadPerOpen:
+    """Opening a journal reads the file once and verifies each record once."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = {"reads": 0, "checksums": 0}
+        read, checksum = RunJournal._read_lines, journal_module._record_checksum
+
+        def counting_read(self):
+            calls["reads"] += 1
+            return read(self)
+
+        def counting_checksum(record):
+            calls["checksums"] += 1
+            return checksum(record)
+
+        monkeypatch.setattr(RunJournal, "_read_lines", counting_read)
+        monkeypatch.setattr(journal_module, "_record_checksum", counting_checksum)
+        return calls
+
+    @pytest.fixture
+    def hundred(self, tmp_path):
+        j = RunJournal(tmp_path / "grid.jsonl")
+        j.ensure_header("grid", {"n": 1, "policy": "p"})
+        for i in range(100):
+            j.append({"type": "cell", "cell": {"i": i}})
+        return j.path
+
+    def test_a_cell_log_reads_once(self, hundred, counted):
+        log = CellLog(
+            hundred, "grid", {"n": 1, "policy": "p"}, named="policy", legacy="p",
+            key=lambda cell: (cell["i"],), encode=dict, decode=dict, telemetry="t",
+        )
+        assert counted == {"reads": 1, "checksums": 100}
+        assert log.lookup((99,)) == {"i": 99}
+
+    def test_ensure_header_reads_once_and_returns_the_records(self, hundred, counted):
+        records = RunJournal(hundred).ensure_header("grid", {"n": 1, "policy": "p"})
+        assert counted == {"reads": 1, "checksums": 100}
+        assert [r["cell"]["i"] for r in records] == list(range(100))
+
+    def test_a_torn_tail_is_cut_in_the_same_read(self, hundred, counted):
+        hundred.write_text(hundred.read_text() + '{"rec')
+        records = RunJournal(hundred).ensure_header("grid", {"n": 1, "policy": "p"})
+        assert counted == {"reads": 1, "checksums": 100}
+        assert len(records) == 100
+        assert len(hundred.read_text().splitlines()) == 101

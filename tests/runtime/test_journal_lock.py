@@ -38,7 +38,7 @@ class TestContention:
             fcntl.flock(holder.fileno(), fcntl.LOCK_EX)
             fcntl.flock(holder.fileno(), fcntl.LOCK_UN)
             journal.append({"type": "cell", "i": 1})
-        assert [r["i"] for r in journal.iter_records()] == [1]
+        assert [r["i"] for r in journal.records()] == [1]
 
     def test_append_waits_out_short_contention(self, tmp_path):
         journal = RunJournal(tmp_path / "run.jsonl", lock_timeout=5.0)
@@ -56,7 +56,7 @@ class TestContention:
             journal.append({"type": "cell", "i": 1})  # waits, then wins
         finally:
             releaser.join(timeout=10)
-        assert [r["i"] for r in journal.iter_records()] == [1]
+        assert [r["i"] for r in journal.records()] == [1]
 
     def test_failed_append_leaves_no_torn_line(self, journal):
         journal.append({"type": "cell", "i": 1})
@@ -67,7 +67,7 @@ class TestContention:
                 journal.append({"type": "cell", "i": 2})
         assert journal.path.read_bytes() == before
         journal.append({"type": "cell", "i": 2})  # and the journal still works
-        assert [r["i"] for r in journal.iter_records()] == [1, 2]
+        assert [r["i"] for r in journal.records()] == [1, 2]
 
 
 class TestConcurrentWriters:
@@ -89,7 +89,7 @@ class TestConcurrentWriters:
         for t in threads:
             t.join(timeout=120)
         assert not errors
-        records = list(journal.iter_records())
+        records = journal.records()
         assert len(records) == 4 * 25
         for worker in range(4):
             mine = [r["i"] for r in records if r["worker"] == worker]

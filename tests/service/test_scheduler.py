@@ -190,7 +190,7 @@ class TestGracefulStop:
         from repro.runtime.journal import RunJournal
 
         journal = RunJournal(store.sweep_journal_path(job))
-        finished = [r for r in journal.iter_records() if r.get("type") == "cell"]
+        finished = [r for r in journal.records() if r.get("type") == "cell"]
         assert len(finished) >= 2
 
         # a fresh scheduler (the restarted daemon) resumes and finishes

@@ -18,7 +18,7 @@ from repro.topology.preflight import (
     preflight_as_rel,
     preflight_as_rel_text,
 )
-from repro.topology.serialization import dumps_as_rel, load_as_rel
+from repro.topology.serialization import dumps_as_rel
 
 CLEAN = """\
 # cp: 30
@@ -171,17 +171,17 @@ class TestComponents:
 
 
 class TestLoadAsRelIntegration:
-    def test_load_as_rel_with_preflight_repairs(self, tmp_path):
+    def test_preflight_of_a_path_repairs(self, tmp_path):
         path = tmp_path / "dirty.as-rel"
         path.write_text(DIRTY)
-        graph = load_as_rel(path, preflight="repair")
+        graph, _report = preflight_as_rel(path, mode="repair")
         assert graph.n == 3
 
-    def test_load_as_rel_with_strict_preflight_raises(self, tmp_path):
+    def test_strict_preflight_of_a_path_raises(self, tmp_path):
         path = tmp_path / "dirty.as-rel"
         path.write_text(DIRTY)
         with pytest.raises(GraphValidationError) as info:
-            load_as_rel(path, preflight="strict")
+            preflight_as_rel(path, mode="strict")
         assert str(path) in str(info.value)
 
     def test_path_source_names_file_in_report(self, tmp_path):
