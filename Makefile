@@ -40,6 +40,9 @@ serve:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
 		python -m repro.cli serve --store $(SERVE_STORE) --port $(SERVE_PORT)
 
+# Every kernel timing plus one timed run of each experiment-registry
+# artefact (benchmarks/bench_paper.py: the paper's figures, tables and
+# extensions, each held to its shape claims).
 bench:
 	pytest benchmarks/ --benchmark-only
 

@@ -1,4 +1,4 @@
-"""Shared environment for the figure/table benchmarks.
+"""Shared environment for the benchmarks.
 
 Scale: the paper ran a 200-node DryadLINQ cluster over 36,964 ASes; the
 benchmarks default to ``REPRO_BENCH_N`` (default 500) ASes so the whole
@@ -14,57 +14,13 @@ import os
 
 import pytest
 
-from repro.experiments.case_study import CaseStudyReport, run_case_study
 from repro.experiments.setup import ExperimentEnv, build_environment
-from repro.experiments.sweeps import SweepCell, run_sweep
 
 BENCH_N = int(os.environ.get("REPRO_BENCH_N", "500"))
 BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "2011"))
-
-_cache: dict[str, object] = {}
 
 
 @pytest.fixture(scope="session")
 def env() -> ExperimentEnv:
     """The base benchmark topology (x = 10%, original graph)."""
-    key = "env"
-    if key not in _cache:
-        _cache[key] = build_environment(n=BENCH_N, seed=BENCH_SEED, x=0.10)
-    return _cache[key]  # type: ignore[return-value]
-
-
-@pytest.fixture(scope="session")
-def env_augmented() -> ExperimentEnv:
-    """The Appendix-D augmented topology (same seed)."""
-    key = "env_augmented"
-    if key not in _cache:
-        _cache[key] = build_environment(
-            n=BENCH_N, seed=BENCH_SEED, x=0.10, augmented=True
-        )
-    return _cache[key]  # type: ignore[return-value]
-
-
-def case_study_report(env: ExperimentEnv) -> CaseStudyReport:
-    """The §5 case-study run, computed once and shared by Figs 3-7 etc."""
-    key = "case_study"
-    if key not in _cache:
-        _cache[key] = run_case_study(env, theta=0.05)
-    return _cache[key]  # type: ignore[return-value]
-
-
-def sweep_cells(env: ExperimentEnv) -> list[SweepCell]:
-    """The Fig-8/9 grid, computed once and shared."""
-    key = "sweep"
-    if key not in _cache:
-        sets = env.adopter_sets()
-        chosen = {
-            name: sets[name]
-            for name in ("none", "top-5", "cps+top-5", *(k for k in sets if k.startswith("top-") and k not in ("top-5",)))
-            if name in sets
-        }
-        _cache[key] = run_sweep(
-            env,
-            thetas=(0.0, 0.05, 0.10, 0.30, 0.50),
-            adopter_sets=chosen,
-        )
-    return _cache[key]  # type: ignore[return-value]
+    return build_environment(n=BENCH_N, seed=BENCH_SEED, x=0.10)

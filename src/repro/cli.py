@@ -34,16 +34,11 @@ from repro.experiments import (
     format_table,
     per_destination_turn_off_census,
     run_case_study,
-    run_cp_vs_tier1,
     run_sweep,
 )
 from repro.routing import backends as kernel_backends
 from repro.routing.backends import available_backends
 from repro.routing.policy import available_policies, policy_table
-from repro.routing.tiebreak import (
-    collect_tiebreak_stats,
-    security_sensitive_decision_fraction,
-)
 from repro.runtime.errors import DeadlineExceeded
 from repro.runtime.guard import (
     Deadline,
@@ -53,7 +48,7 @@ from repro.runtime.guard import (
     use_guard,
 )
 from repro.topology.preflight import PREFLIGHT_MODES
-from repro.topology.stats import summarize, top_by_degree
+from repro.topology.stats import top_by_degree
 
 #: exit code for an expired ``--deadline`` (the run is resumable, which
 #: distinguishes it from argparse's 2 and generic failures' 1)
@@ -249,7 +244,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         if args.id is None:
             for e in list_experiments():
-                print(f"{e.id:8s} {e.title}  ({e.paper_ref})")
+                print(f"{e.id:13s} {e.title}  ({e.paper_ref})")
             return 0
         # Validate before the (expensive) environment build: a typo'd id
         # should fail in milliseconds, not after warming the cache.
@@ -382,27 +377,19 @@ def _cmd_sweep(env, args) -> None:
         write_report(args.out, table)
 
 
+def _registry_text(experiment_id: str, env) -> str:
+    """The registry's rendering of one experiment (claims dropped)."""
+    from repro.experiments.registry import run_experiment
+
+    return run_experiment(experiment_id, env)[0]
+
+
 def _cmd_tiebreak(env, args) -> None:
-    stats = collect_tiebreak_stats(env.graph, cache=env.cache)
-    print(f"mean tiebreak set: {stats.mean:.2f} (ISPs {stats.mean_isp:.2f}, "
-          f"stubs {stats.mean_stub:.2f})")
-    print(f"multi-path pairs: {stats.multi_path_fraction:.1%} "
-          f"(ISP sources: {stats.multi_path_fraction_isp:.1%})")
-    frac = security_sensitive_decision_fraction(env.graph, stats)
-    print(f"security-sensitive routing decisions (sec 6.7): {frac:.2%}")
+    print(_registry_text("fig10", env))
 
 
 def _cmd_cp_vs_tier1(env, args) -> None:
-    cells = run_cp_vs_tier1(env)
-    rows = [
-        [f"{c.x:.2f}", c.adopters, f"{c.theta:.2f}",
-         f"{c.fraction_secure_ases:.3f}", f"{c.fraction_secure_isps:.3f}"]
-        for c in cells
-    ]
-    print(format_table(
-        ["x", "adopters", "theta", "frac ASes", "frac ISPs"],
-        rows, title="Fig 12: CPs vs Tier-1s",
-    ))
+    print(_registry_text("fig12", env))
 
 
 def _cmd_turnoff(env, args) -> None:
@@ -520,17 +507,16 @@ def _cmd_validate_graph(args) -> int:
 def _cmd_experiment(env, args) -> None:
     from repro.experiments.registry import run_experiment
 
-    print(run_experiment(args.id, env))
+    text, claims = run_experiment(args.id, env)
+    print(text)
+    print()
+    print(f"claims ({sum(claims.values())} of {len(claims)} held):")
+    for name, held in claims.items():
+        print(f"  {'held' if held else 'FAILED':6s}  {name}")
 
 
 def _cmd_graph_stats(env, args) -> None:
-    s = summarize(env.graph)
-    print(format_table(
-        ["ASes", "stubs", "ISPs", "CPs", "cust-prov edges", "peerings"],
-        [[s.num_ases, s.num_stubs, s.num_isps, s.num_cps,
-          s.num_customer_provider_edges, s.num_peering_edges]],
-        title="Table 2: graph summary",
-    ))
+    print(_registry_text("table2", env))
     print("top-5 by degree:", top_by_degree(env.graph, 5))
     cs = env.cache.stats()
     print(format_table(

@@ -1,4 +1,9 @@
-"""Experiment harness: environments, case study, sweeps, reports."""
+"""Experiment harness: environments, case study, sweeps, reports.
+
+The named experiment registry (:mod:`repro.experiments.registry`) and
+the scaling study are not re-exported: the registry reaches every
+gadget and extension module, so it is imported where it is used.
+"""
 
 from repro.experiments.case_study import (
     CaseStudyReport,
@@ -16,19 +21,12 @@ from repro.experiments.persistence import (
     result_to_dict,
     save_result,
 )
-from repro.experiments.registry import (
-    EXPERIMENTS,
-    Experiment,
-    list_experiments,
-    run_experiment,
-)
 from repro.experiments.report import (
     format_percent,
     format_series,
     format_table,
     write_report,
 )
-from repro.experiments.scaling import ScalePoint, run_scaling_study
 from repro.experiments.setup import ExperimentEnv, build_environment
 from repro.experiments.sweeps import (
     DEFAULT_THETAS,
@@ -50,12 +48,9 @@ __all__ = [
     "CaseStudyReport",
     "CpVsTier1Cell",
     "DEFAULT_THETAS",
-    "EXPERIMENTS",
-    "Experiment",
     "ExperimentEnv",
     "RESULT_FORMAT",
     "SWEEP_JOURNAL_KIND",
-    "ScalePoint",
     "SweepCell",
     "TurnOffCensus",
     "build_environment",
@@ -66,14 +61,11 @@ __all__ = [
     "format_percent",
     "format_series",
     "format_table",
-    "list_experiments",
     "load_result_summary",
     "per_destination_turn_off_census",
     "run_case_study",
     "run_cp_vs_tier1",
-    "run_experiment",
     "run_graph_comparison",
-    "run_scaling_study",
     "result_to_dict",
     "run_sweep",
     "save_result",

@@ -71,17 +71,27 @@ def test_program_findings_carry_location_and_rule_name():
         assert finding.code in {"RPR015"}
 
 
-def test_repo_is_program_clean():
+@pytest.fixture(scope="module")
+def repo_pass(tmp_path_factory):
+    """One whole-program pass over the roots ``make lint`` and ``make
+    import-graph`` read: its result and the import graph it rendered."""
+    dot = tmp_path_factory.mktemp("graph") / "import_graph.dot"
+    result = lint_paths(
+        [REPO / "src", REPO / "scripts", REPO / "benchmarks"],
+        rules=[],
+        program=True,
+        graph_out=dot,
+    )
+    return result, dot.read_text(encoding="utf-8")
+
+
+def test_repo_is_program_clean(repo_pass):
     """The repository's own tree carries zero whole-program findings.
 
     This is the self-application gate: ``make lint`` and CI run the same
     command, so a regression here is a regression there.
     """
-    result = lint_paths(
-        [REPO / "src", REPO / "scripts", REPO / "benchmarks"],
-        rules=[],
-        program=True,
-    )
+    result, _ = repo_pass
     assert result.findings == (), "\n".join(
         f.format_text() for f in result.findings
     )
@@ -95,6 +105,14 @@ def test_repo_is_program_clean():
     assert summary.reachable_functions > 100
     assert summary.public_symbols > 300
     assert summary.manifest_source is not None
+
+
+def test_committed_import_graph_is_current(repo_pass):
+    """docs/import_graph.dot is what ``make import-graph`` renders today:
+    a change that moves an edge between packages regenerates it."""
+    _, rendered = repo_pass
+    committed = (REPO / "docs" / "import_graph.dot").read_text(encoding="utf-8")
+    assert rendered == committed, "docs/import_graph.dot is stale; run `make import-graph`"
 
 
 def test_graph_out_writes_dot(tmp_path: Path):

@@ -84,6 +84,20 @@ class TestExperimentValidation:
         assert main(["experiment", "--id", "table2", "--n", "60"]) == 0
         assert "Table 2" in capsys.readouterr().out
 
+    def test_no_id_lists_every_id(self, capsys):
+        from repro.experiments.registry import EXPERIMENTS
+
+        assert main(["experiment"]) == 0
+        listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert listed == sorted(EXPERIMENTS)
+
+    def test_known_id_prints_its_claims(self, capsys):
+        assert main(["experiment", "--id", "table2", "--n", "60"]) == 0
+        out = capsys.readouterr().out
+        assert "claims (" in out
+        assert "table2.augmentation_adds_peerings" in out
+        assert "table4.cps_provide_no_transit" in out
+
 
 class TestTelemetryFlags:
     def test_sweep_writes_metrics_and_trace(self, capsys, tmp_path):
