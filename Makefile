@@ -4,13 +4,11 @@
 	bench-json bench-compare bench-large perf perf-check examples lint \
 	lint-fix typecheck import-graph
 
-# Compare the two newest BENCH_*.json snapshots (override with
-# BENCH_OLD=... BENCH_NEW=...); fails on >10% kernel regressions.
-# Adjacent snapshots share machine conditions, so the diff isolates the
-# latest change instead of cumulative day-to-day container drift.
-BENCH_ALL := $(sort $(wildcard BENCH_*.json))
-BENCH_NEW ?= $(lastword $(BENCH_ALL))
-BENCH_OLD ?= $(lastword $(filter-out $(BENCH_NEW),$(BENCH_ALL)))
+# Compare the two newest BENCH_*.json snapshots, newest by the datetime
+# each records (override with BENCH_OLD=... BENCH_NEW=...; an omitted
+# one is picked by scripts/bench_compare.py); fails on >10% kernel
+# regressions.  Adjacent snapshots share machine conditions, so the diff
+# isolates the latest change instead of cumulative day-to-day drift.
 
 install:
 	pip install -e .

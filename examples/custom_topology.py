@@ -17,7 +17,7 @@ from __future__ import annotations
 import io
 
 from repro import ASGraph, SimulationConfig, run_deployment
-from repro.topology import dumps_as_rel, loads_as_rel
+from repro.topology.serialization import dumps_as_rel, loads_as_rel
 
 AS_REL_SNIPPET = """\
 # a miniature internet in CAIDA as-rel format

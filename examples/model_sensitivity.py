@@ -30,8 +30,9 @@ from repro.core import (
     run_deployment,
 )
 from repro.experiments.report import format_table
-from repro.routing import RoutingCache, get_policy, register_policy
-from repro.topology import EvolutionConfig, EvolvingDeployment
+from repro.routing.cache import RoutingCache
+from repro.routing.policy import get_policy, register_policy
+from repro.topology.evolution import EvolutionConfig, EvolvingDeployment
 
 THETA = 0.05
 

@@ -3,7 +3,13 @@
 
 Usage::
 
-    python scripts/bench_compare.py BASELINE.json CURRENT.json [--threshold 0.10]
+    python scripts/bench_compare.py [[BASELINE.json] CURRENT.json] [--threshold 0.10]
+
+With one file it is compared against the newest committed
+``BENCH_*.json`` snapshot; with none, the newest snapshot against the
+one before it.  "Newest" is by the ``datetime`` each snapshot records,
+not by file name: a ``_parent`` / ``_change`` pair sorts the parent
+last by name.
 
 Prints a per-benchmark table of runtimes and flags every benchmark that
 regressed by more than ``--threshold`` (default 10%).  Exits non-zero
@@ -38,6 +44,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def load_stats(path: str, stat: str = "mean") -> dict[str, float]:
@@ -48,6 +57,18 @@ def load_stats(path: str, stat: str = "mean") -> dict[str, float]:
     for bench in data.get("benchmarks", []):
         out[bench["name"]] = float(bench["stats"][stat])
     return out
+
+
+def snapshots_by_age(exclude: list[str]) -> list[str]:
+    """The committed ``BENCH_*.json`` snapshots, oldest first by the
+    ``datetime`` pytest-benchmark recorded in each (name breaks ties)."""
+    skip = {Path(p).resolve() for p in exclude}
+    dated = []
+    for path in REPO_ROOT.glob("BENCH_*.json"):
+        if path.resolve() not in skip:
+            with open(path) as fh:
+                dated.append((json.load(fh)["datetime"], path.name, str(path)))
+    return [path for _, _, path in sorted(dated)]
 
 
 def fmt_seconds(seconds: float) -> str:
@@ -132,8 +153,11 @@ def check_speedups(stats: dict[str, float], specs: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("baseline", help="older BENCH_*.json")
-    parser.add_argument("current", help="newer BENCH_*.json")
+    parser.add_argument(
+        "files", nargs="*", metavar="SNAPSHOT",
+        help="[BASELINE] CURRENT: the newer file last; an omitted one is "
+             "the newest committed BENCH_*.json not given",
+    )
     parser.add_argument(
         "--threshold", type=float, default=0.10,
         help="fractional slowdown that counts as a regression (default 0.10)",
@@ -158,6 +182,15 @@ def main(argv: list[str] | None = None) -> int:
              "RATIO times faster than the one containing SLOW (repeatable)",
     )
     args = parser.parse_args(argv)
+    if len(args.files) > 2:
+        parser.error("at most two snapshots: [BASELINE] CURRENT")
+    pair = args.files
+    if len(pair) < 2:
+        pair = (snapshots_by_age(pair) + pair)[-2:]
+    if len(pair) < 2:
+        parser.error("fewer than two snapshots to compare")
+    args.baseline, args.current = pair
+    print(f"baseline {args.baseline}\ncurrent  {args.current}\n")
     current = load_stats(args.current, args.stat)
     speedup_failures = check_speedups(current, args.speedup)
     if speedup_failures:

@@ -18,6 +18,10 @@ Every simulation subcommand accepts ``--deadline SECONDS`` and
 :class:`~repro.runtime.guard.RuntimeGuard` is installed for the whole
 run.  An expired deadline exits with code 3 after journaling completed
 work, so ``sweep --journal ... --resume`` continues where it stopped.
+
+Building the parser loads no simulation code (no numpy): each command
+imports what it runs inside its handler, so ``serve`` binds and
+answers before the simulation stack loads.
 """
 
 from __future__ import annotations
@@ -27,18 +31,8 @@ import math
 import sys
 from typing import Sequence
 
-from repro.experiments import (
-    build_environment,
-    cells_to_rows,
-    format_series,
-    format_table,
-    per_destination_turn_off_census,
-    run_case_study,
-    run_sweep,
-)
 from repro.routing import backends as kernel_backends
 from repro.routing.backends import available_backends
-from repro.routing.policy import available_policies, policy_table
 from repro.runtime.errors import DeadlineExceeded
 from repro.runtime.guard import (
     Deadline,
@@ -47,8 +41,7 @@ from repro.runtime.guard import (
     parse_size,
     use_guard,
 )
-from repro.topology.preflight import PREFLIGHT_MODES
-from repro.topology.stats import top_by_degree
+from repro.topology.errors import PREFLIGHT_MODES
 
 #: exit code for an expired ``--deadline`` (the run is resumable, which
 #: distinguishes it from argparse's 2 and generic failures' 1)
@@ -93,7 +86,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--policy", default="security_3rd",
                         metavar="NAME",
                         help="routing policy driving route selection "
-                             f"(one of: {', '.join(available_policies())}; "
+                             "('sbgp-sim list-policies' prints the catalogue; "
                              "aliases like 'gao-rexford' also work)")
     parser.add_argument("--kernel-backend", default=None, metavar="NAME",
                         choices=[*available_backends(), kernel_backends.AUTO],
@@ -229,6 +222,8 @@ def _build_guard(args: argparse.Namespace) -> RuntimeGuard:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list-policies":
+        from repro.routing.policy import policy_table
+
         for name, ranking, description in policy_table():
             print(f"{name:18s} {ranking:20s} {description}")
         return 0
@@ -260,6 +255,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         from repro import telemetry
 
         registry, tracer = telemetry.enable()
+    from repro.experiments.setup import build_environment
+
     exit_code = 0
     try:
         with use_guard(_build_guard(args)):
@@ -294,6 +291,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def _write_telemetry(args, registry, tracer) -> None:
     """Write the requested telemetry files and print the summary table."""
+    from repro.experiments.report import format_table
     from repro.telemetry.export import summary_rows, write_metrics
 
     snapshot = registry.snapshot()
@@ -313,6 +311,9 @@ def _write_telemetry(args, registry, tracer) -> None:
 
 
 def _cmd_case_study(env, args) -> None:
+    from repro.experiments.case_study import run_case_study
+    from repro.experiments.report import format_series
+
     report = run_case_study(env, theta=args.theta)
     print(f"early adopters: {report.early_adopter_asns}")
     print(format_series("new secure ASes/round", report.fig3_new_ases, "{:d}"))
@@ -350,6 +351,9 @@ def _journaled(args, run):
 
 
 def _cmd_sweep(env, args) -> None:
+    from repro.experiments.report import format_table, write_report
+    from repro.experiments.sweeps import cells_to_rows, run_sweep
+
     kwargs = {}
     if args.thetas:
         kwargs["thetas"] = [float(t) for t in args.thetas.split(",") if t]
@@ -372,8 +376,6 @@ def _cmd_sweep(env, args) -> None:
     print(table)
     print(f"kernel backend: {env.cache.backend_name}")
     if args.out:
-        from repro.experiments.report import write_report
-
         write_report(args.out, table)
 
 
@@ -395,6 +397,7 @@ def _cmd_cp_vs_tier1(env, args) -> None:
 def _cmd_turnoff(env, args) -> None:
     from repro.core.config import SimulationConfig, UtilityModel
     from repro.core.dynamics import DeploymentSimulation
+    from repro.experiments.turnoff import per_destination_turn_off_census
 
     config = SimulationConfig(
         theta=args.theta, utility_model=UtilityModel.INCOMING, max_rounds=40
@@ -410,6 +413,7 @@ def _cmd_turnoff(env, args) -> None:
 
 def _cmd_attack_impact(env, args) -> None:
     from repro.experiments.attack_matrix import matrix_to_rows, run_attack_matrix
+    from repro.experiments.report import format_table
     from repro.security import get_scenario, get_strategy
 
     try:
@@ -516,6 +520,9 @@ def _cmd_experiment(env, args) -> None:
 
 
 def _cmd_graph_stats(env, args) -> None:
+    from repro.experiments.report import format_table
+    from repro.topology.stats import top_by_degree
+
     print(_registry_text("table2", env))
     print("top-5 by degree:", top_by_degree(env.graph, 5))
     cs = env.cache.stats()

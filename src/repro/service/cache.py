@@ -30,10 +30,13 @@ import dataclasses
 import logging
 import threading
 from collections import OrderedDict
+from typing import TYPE_CHECKING
 
-from repro.experiments.sweeps import SweepCell
-from repro.routing.arena import RoutingArena
 from repro.telemetry.metrics import get_registry
+
+if TYPE_CHECKING:
+    from repro.experiments.sweeps import SweepCell
+    from repro.routing.arena import RoutingArena
 
 log = logging.getLogger(__name__)
 

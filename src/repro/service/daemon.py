@@ -23,6 +23,11 @@ uniform: :class:`~repro.service.errors.SpecError` -> 400,
 Binding port 0 picks a free port; the daemon writes the actual endpoint
 to ``<store>/endpoint.json`` (atomically) so scripts — the CI smoke
 test included — can discover it without parsing logs.
+
+Nothing here imports the simulation stack (numpy, ``repro.core``,
+``repro.experiments``): the daemon answers ``/healthz`` first and loads
+the stack after (:meth:`SimulationService.start`), so ``POST /v1/jobs``
+waits on :attr:`SimulationService.ready` while every GET answers at once.
 """
 
 from __future__ import annotations
@@ -55,6 +60,10 @@ MAX_BODY_BYTES = 1 << 20
 
 #: ``format`` marker of ``endpoint.json``
 ENDPOINT_FORMAT = "repro.service-endpoint/1"
+
+#: how long a submission waits for the simulation stack to load (a
+#: fraction of a second in practice; a load that fails ends the process)
+_READY_TIMEOUT_SECONDS = 60.0
 
 
 class _ServiceHTTPServer(ThreadingHTTPServer):
@@ -172,7 +181,12 @@ class ServiceHandler(BaseHTTPRequestHandler):
     # -- endpoints -----------------------------------------------------
 
     def _post_job(self) -> bool:
-        spec = parse_spec(self._read_json_body())
+        body = self._read_json_body()
+        # parse_spec loads the policy and scenario registries, which only
+        # SimulationService.start may import first
+        if not self.service.ready.wait(timeout=_READY_TIMEOUT_SECONDS):
+            raise ServiceError("the simulation stack is still loading; retry")
+        spec = parse_spec(body)
         job, created = self.service.scheduler.submit(spec)
         payload = job.to_dict()
         payload["created"] = created
@@ -246,6 +260,8 @@ class SimulationService:
         self._httpd.service = self
         self._serve_thread: threading.Thread | None = None
         self._stopped = threading.Event()
+        #: set once the simulation stack is loaded and the workers run
+        self.ready = threading.Event()
 
     @property
     def address(self) -> tuple[str, int]:
@@ -258,8 +274,22 @@ class SimulationService:
         return str(self.store.root / "endpoint.json")
 
     def start(self) -> None:
-        """Start workers + HTTP serving; publish the bound endpoint."""
-        self.scheduler.start()
+        """Publish the endpoint and serve, then load the stack and run jobs.
+
+        In order: publish ``endpoint.json`` for the socket bound in
+        ``__init__``, start the HTTP thread (``/healthz`` answers from
+        here on), start the scheduler — which imports the simulation
+        stack on this thread before it spawns a worker — and set
+        :attr:`ready`.  The stack loads on the calling (main) thread
+        because its import-time allocations then land in glibc's main
+        heap; loaded from another thread they go to a per-thread arena
+        and raise the daemon's peak RSS.  Submissions wait on
+        :attr:`ready` because ``parse_spec`` imports the policy and
+        scenario registries, and two threads importing one of the
+        package ↔ submodule cycles (``repro.security`` ↔
+        ``repro.security.metrics``) for the first time at once can
+        raise importlib's ``_DeadlockError``.
+        """
         host, port = self.address
         atomic_write_json(self.endpoint_path, {
             "format": ENDPOINT_FORMAT, "host": host, "port": port,
@@ -273,6 +303,8 @@ class SimulationService:
         )
         self._serve_thread.start()
         log.info("sbgp-sim service listening on http://%s:%d", host, port)
+        self.scheduler.start()
+        self.ready.set()
 
     def wait_until_shutdown(self, poll_seconds: float = 0.5) -> None:
         """Block the calling thread until :meth:`request_shutdown`.

@@ -23,13 +23,13 @@ Stopping distinguishes two intents:
 from __future__ import annotations
 
 import heapq
+import importlib
 import logging
 import threading
 
 from repro.runtime.errors import DeadlineExceeded, MemoryBudgetExceeded
 from repro.service.cache import ResultCache
 from repro.service.errors import JobCancelled, JobStateError, SpecError
-from repro.service.executor import execute_job
 from repro.service.specs import JobSpec
 from repro.service.store import TERMINAL_STATES, Job, JobStore
 from repro.telemetry.metrics import get_registry
@@ -63,7 +63,14 @@ class Scheduler:
     # -- lifecycle -----------------------------------------------------
 
     def start(self) -> None:
-        """Spawn workers and re-queue jobs recovered from the journal."""
+        """Load the executor, re-queue recovered jobs, spawn workers.
+
+        The executor — and with it the whole simulation stack — is
+        imported here, on the calling thread, before any worker exists
+        (a worker's own import of it is then a lookup), so no two
+        threads ever import the stack for the first time at once.
+        """
+        importlib.import_module("repro.service.executor")
         for job in self.store.resumable():
             self._enqueue(job)
         for i in range(self.workers):
@@ -154,6 +161,8 @@ class Scheduler:
             self._run_one(job)
 
     def _run_one(self, job: Job) -> None:
+        from repro.service.executor import execute_job  # loaded by start()
+
         cancel = self._cancel_event(job.id)
         self.store.set_state(job.id, "running")
         if self._stopping.is_set():

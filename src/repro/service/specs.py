@@ -31,8 +31,6 @@ import json
 from typing import Any, Mapping
 
 from repro.routing import backends as kernel_backends
-from repro.routing.policy import available_policies, get_policy
-from repro.security import scenarios as scenario_registry
 from repro.service.errors import SpecError
 
 #: spec kinds the executor knows how to run
@@ -116,7 +114,12 @@ def parse_spec(payload: object) -> JobSpec:
     Raises :class:`~repro.service.errors.SpecError` (HTTP 400) on any
     unknown field, bad type, out-of-range value, or oversized grid —
     the submit path is the only place bad input can be rejected cheaply.
+    The policy and scenario registries load here, on first use, not when
+    the daemon starts.
     """
+    from repro.routing.policy import available_policies, get_policy
+    from repro.security import scenarios as scenario_registry
+
     _require(isinstance(payload, Mapping), "job spec must be a JSON object")
     assert isinstance(payload, Mapping)  # for the type-checker
     known = {f.name for f in dataclasses.fields(JobSpec)}

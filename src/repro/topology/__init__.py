@@ -1,81 +1,6 @@
-"""AS-level topology substrate: graph, generator, augmentation, I/O."""
+"""AS-level topology substrate: graph, generator, augmentation, I/O.
 
-from repro.topology.augment import AugmentationReport, augment_cp_peering, mean_cp_path_length
-from repro.topology.evolution import (
-    EpochRecord,
-    EvolutionConfig,
-    EvolvingDeployment,
-    evolve_graph,
-)
-from repro.topology.errors import (
-    DuplicateASError,
-    DuplicateEdgeError,
-    GraphFormatError,
-    GraphValidationError,
-    RelationshipCycleError,
-    TopologyError,
-    UnknownASError,
-)
-from repro.topology.generator import GeneratedTopology, TopologyConfig, generate_topology
-from repro.topology.preflight import (
-    PREFLIGHT_MODES,
-    PreflightIssue,
-    PreflightReport,
-    preflight_as_rel,
-    preflight_as_rel_text,
-)
-from repro.topology.graph import ASGraph
-from repro.topology.relationships import ASRole, Relationship
-from repro.topology.serialization import dump_as_rel, dumps_as_rel, load_as_rel, loads_as_rel
-from repro.topology.stats import (
-    GraphSummary,
-    degree_array,
-    degree_distribution,
-    multihomed_stub_fraction,
-    stub_customer_counts,
-    summarize,
-    top_by_degree,
-)
-from repro.topology.traffic import apply_traffic_model, content_provider_weight, traffic_fraction_of
-
-__all__ = [
-    "ASGraph",
-    "ASRole",
-    "AugmentationReport",
-    "DuplicateASError",
-    "DuplicateEdgeError",
-    "EpochRecord",
-    "EvolutionConfig",
-    "EvolvingDeployment",
-    "GeneratedTopology",
-    "GraphFormatError",
-    "GraphSummary",
-    "GraphValidationError",
-    "PREFLIGHT_MODES",
-    "PreflightIssue",
-    "PreflightReport",
-    "Relationship",
-    "RelationshipCycleError",
-    "TopologyConfig",
-    "TopologyError",
-    "UnknownASError",
-    "apply_traffic_model",
-    "augment_cp_peering",
-    "content_provider_weight",
-    "degree_array",
-    "degree_distribution",
-    "dump_as_rel",
-    "dumps_as_rel",
-    "evolve_graph",
-    "generate_topology",
-    "load_as_rel",
-    "loads_as_rel",
-    "mean_cp_path_length",
-    "multihomed_stub_fraction",
-    "preflight_as_rel",
-    "preflight_as_rel_text",
-    "stub_customer_counts",
-    "summarize",
-    "top_by_degree",
-    "traffic_fraction_of",
-]
+Import from the submodules (``repro.topology.graph``, ``.generator``,
+``.serialization``, ...): the package itself loads nothing, so the
+numpy-free ones (``errors``, ``relationships``) stay numpy-free.
+"""

@@ -9,6 +9,12 @@ from repro.runtime.errors import SchemaError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.topology.preflight import PreflightIssue
 
+#: recognised as-rel preflight modes: ``strict`` raises
+#: :class:`GraphValidationError` on any issue, ``repair`` quarantines
+#: and fixes, ``report`` repairs and warns.  Defined here, numpy-free,
+#: so the CLI's parser can offer them without loading the graph stack.
+PREFLIGHT_MODES: tuple[str, ...] = ("strict", "repair", "report")
+
 
 class TopologyError(Exception):
     """Base class for all topology errors."""

@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Iterable, TextIO
 
 from repro.telemetry.metrics import get_registry
-from repro.topology.errors import GraphValidationError
+from repro.topology.errors import PREFLIGHT_MODES, GraphValidationError
 from repro.topology.graph import ASGraph
 from repro.topology.relationships import (
     CAIDA_PEER_TO_PEER,
@@ -44,8 +44,6 @@ from repro.topology.serialization import source_origin
 
 log = logging.getLogger(__name__)
 
-#: recognised preflight modes
-PREFLIGHT_MODES: tuple[str, ...] = ("strict", "repair", "report")
 
 @dataclasses.dataclass(frozen=True)
 class PreflightIssue:

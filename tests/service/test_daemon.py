@@ -225,35 +225,66 @@ class TestAcceptance:
         assert served == cold
 
 
+def serve(store: Path) -> tuple[subprocess.Popen, str]:
+    """Start ``sbgp-sim serve`` on ``store``; return it and its URL as
+    soon as ``endpoint.json`` appears."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    endpoint = store / "endpoint.json"
+    endpoint.unlink(missing_ok=True)  # a stale one survives SIGKILL
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--store", str(store), "--port", "0"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline:
+        if proc.poll() is not None:
+            raise AssertionError(
+                f"daemon died on startup: {proc.stderr.read().decode()}"
+            )
+        if endpoint.exists():
+            try:
+                doc = json.loads(endpoint.read_text())
+                return proc, doc["url"]
+            except (json.JSONDecodeError, KeyError):
+                pass  # mid-write; retry
+        time.sleep(0.1)
+    raise AssertionError("daemon never published endpoint.json")
+
+
+class TestStartSequence:
+    def test_submission_at_first_endpoint_waits_for_the_stack(self, tmp_path):
+        """A sweep posted the moment ``endpoint.json`` appears (before the
+        daemon has loaded the simulation stack) runs to ``done`` with the
+        cells of a direct ``run_sweep``."""
+        proc, base = serve(tmp_path / "store")
+        try:
+            status, job = request(base, "/v1/jobs", "POST", SPEC)
+            assert status == 202, job
+            final = poll_until(base, job["id"])
+            assert final["state"] == "done", final.get("error")
+            _, result = request(base, f"/v1/jobs/{job['id']}/result")
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            try:
+                proc.wait(timeout=60)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                raise
+        env = build_environment(**ENV, warm=True)
+        sets = env.adopter_sets()
+        direct = run_sweep(env, thetas=tuple(SPEC["thetas"]),
+                           adopter_sets={name: sets[name] for name in SPEC["adopter_sets"]})
+        key = lambda c: (c.adopters, c.theta)
+        served = [cell_from_dict(c) for c in result["cells"]]
+        assert sorted(served, key=key) == sorted(direct, key=key)
+
+
 @pytest.mark.slow
 class TestCrashResume:
     """ISSUE acceptance: SIGKILL mid-job, restart, resume, complete."""
-
-    def serve(self, store: Path) -> tuple[subprocess.Popen, str]:
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src") + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        endpoint = store / "endpoint.json"
-        endpoint.unlink(missing_ok=True)  # a stale one survives SIGKILL
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "serve", "--store", str(store), "--port", "0"],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        )
-        deadline = time.monotonic() + 60
-        while time.monotonic() < deadline:
-            if proc.poll() is not None:
-                raise AssertionError(
-                    f"daemon died on startup: {proc.stderr.read().decode()}"
-                )
-            if endpoint.exists():
-                try:
-                    doc = json.loads(endpoint.read_text())
-                    return proc, doc["url"]
-                except (json.JSONDecodeError, KeyError):
-                    pass  # mid-write; retry
-            time.sleep(0.1)
-        raise AssertionError("daemon never published endpoint.json")
 
     def test_sigkill_midjob_then_restart_resumes_and_completes(self, tmp_path):
         store = tmp_path / "store"
@@ -267,7 +298,7 @@ class TestCrashResume:
             "thetas": [0.0, 0.02, 0.05, 0.10, 0.20, 0.30, 0.40, 0.50],
             "adopter_sets": names,  # 32 cells
         }
-        proc, base = self.serve(store)
+        proc, base = serve(store)
         try:
             status, job = request(base, "/v1/jobs", "POST", wide)
             assert status == 202
@@ -288,7 +319,7 @@ class TestCrashResume:
         pre_kill = journal.read_bytes()
         assert pre_kill, "sweep journal missing after kill"
 
-        proc2, base2 = self.serve(store)
+        proc2, base2 = serve(store)
         try:
             resumed = poll_until(base2, job["id"], timeout=300)
             assert resumed["state"] == "done", resumed.get("error")
