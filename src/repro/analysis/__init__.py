@@ -1,10 +1,9 @@
 """Project-invariant static analysis (``sbgp-lint``).
 
-PRs 1-4 established cross-cutting invariants that ordinary tests cannot
+The project keeps cross-cutting invariants that ordinary tests cannot
 see — every result file goes through :mod:`repro.runtime.atomic`,
 routing structures are reached only via the :class:`RoutingCache` /
-policy-registry APIs, ``DestRouting`` trees never cross a process
-boundary by pickle, randomness always flows from a seeded
+policy-registry APIs, randomness always flows from a seeded
 ``numpy.random.Generator``.  This package machine-checks them, the same
 way the bench gate machine-checks kernel performance.
 
@@ -22,7 +21,7 @@ script; ``make lint`` and the CI ``lint`` job run it blocking.
 from __future__ import annotations
 
 from repro.analysis.base import FileContext, Rule
-from repro.analysis.engine import LintResult, lint_file, lint_paths, lint_source
+from repro.analysis.engine import LintResult, lint_paths
 from repro.analysis.findings import PARSE_ERROR, UNUSED_SUPPRESSION, Finding
 from repro.analysis.rules import ALL_RULES, get_rules
 
@@ -35,7 +34,5 @@ __all__ = [
     "Rule",
     "UNUSED_SUPPRESSION",
     "get_rules",
-    "lint_file",
     "lint_paths",
-    "lint_source",
 ]

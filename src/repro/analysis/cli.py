@@ -22,7 +22,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sbgp-lint",
         description=(
             "AST linter for repro project invariants (atomic writes, seeded "
-            "RNG, cache/registry encapsulation, no-pickle routing trees, ...)"
+            "RNG, cache/registry encapsulation, ...)"
         ),
     )
     parser.add_argument("paths", nargs="*", help="files or directories to lint")
@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "extra root whose references count as API use for RPR017 but "
             "which is not itself linted (repeatable; a linted src/ root "
-            "auto-adds sibling tests/ and examples/)"
+            "auto-adds sibling examples/ and perf/)"
         ),
     )
     parser.add_argument(

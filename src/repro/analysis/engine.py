@@ -72,49 +72,6 @@ def module_for_path(path: str | Path) -> str | None:
     return ".".join(mod_parts)
 
 
-def lint_source(
-    source: str,
-    path: str | Path = "<string>",
-    rules: list[Rule] | None = None,
-    module: str | None = None,
-) -> list[Finding]:
-    """Lint one source string (the unit the golden fixture tests drive).
-
-    ``module`` overrides the path-derived module identity so fixtures
-    can exercise package-scoped exemptions from arbitrary locations.
-    """
-    active = list(ALL_RULES) if rules is None else rules
-    ctx = FileContext(path, source, module)
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except (SyntaxError, ValueError) as exc:
-        return [_parse_error_finding(path, exc)]
-    Walker(ctx, active).run(tree)
-
-    active_codes = frozenset(r.code for r in active)
-    for line, code in ctx.suppressions.unused(active_codes):
-        ctx.findings.append(
-            Finding(
-                path=str(path),
-                line=line,
-                col=1,
-                code=UNUSED_SUPPRESSION,
-                message=(
-                    f"unused suppression: {code} does not fire on this line; "
-                    "remove the waiver so it cannot mask a future violation"
-                ),
-                rule="unused-suppression",
-            )
-        )
-    return sorted(ctx.findings)
-
-
-def lint_file(path: str | Path, rules: list[Rule] | None = None) -> list[Finding]:
-    """Lint one file from disk (module identity derived from its path)."""
-    text = Path(path).read_text(encoding="utf-8")
-    return lint_source(text, path=path, rules=rules, module=module_for_path(path))
-
-
 def _parse_error_finding(path: str | Path, exc: SyntaxError | ValueError) -> Finding:
     line = getattr(exc, "lineno", None) or 1
     col = (getattr(exc, "offset", None) or 0) + 1

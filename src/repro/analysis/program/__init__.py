@@ -12,7 +12,8 @@ built from the per-file linter's already-parsed ASTs:
   mutable state in functions reachable from pool ``.map`` targets or
   worker threads (:mod:`repro.analysis.program.forksafety`);
 * **RPR017** — dead public API: every public top-level symbol must be
-  referenced somewhere in src/tests/scripts/benchmarks/examples
+  referenced somewhere in src/scripts/benchmarks/examples/perf — the
+  program and its callers, not its tests
   (:mod:`repro.analysis.program.api`).
 
 Findings plug into the ordinary waiver machinery: a
@@ -145,18 +146,19 @@ def _parse_reference_files(roots: Sequence[str | Path]) -> list[tuple[str, str |
 
 
 def default_reference_roots(paths: Sequence[str | Path]) -> list[Path]:
-    """tests/ and examples/ siblings of a linted ``src`` root, if present.
+    """examples/ and perf/ siblings of a linted ``src`` root, if present.
 
     The acceptance command is ``sbgp-lint --program src scripts
-    benchmarks`` — tests and examples are not *linted*, but a public
-    symbol they exercise is not dead, so they join the use universe
-    automatically.
+    benchmarks`` — examples and the perf harness are not *linted*, but
+    they are programs that call the library, so a public symbol they use
+    is not dead.  tests/ is deliberately not a caller: a symbol only
+    tests exercise is surface the program does not need.
     """
     out: list[Path] = []
     for raw in paths:
         path = Path(raw).resolve()
         if path.name == "src" and path.is_dir():
-            for sibling in ("tests", "examples"):
+            for sibling in ("examples", "perf"):
                 cand = path.parent / sibling
                 if cand.is_dir():
                     out.append(cand)

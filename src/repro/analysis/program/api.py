@@ -4,11 +4,12 @@
 project module is *dead* when its name is referenced nowhere else in
 the program — not imported, not attribute-accessed, not mentioned as a
 bare name — across the linted tree **plus** the reference-only roots
-(tests/, examples/) that use the library without being linted
-themselves.  Same-file references count (a base class of exported
-subclasses, an annotation the module itself uses) because definitions
-register as *stores*, never as uses — a symbol nothing loads anywhere
-stays dead.  One reference shape deliberately does NOT count as use:
+(examples/, perf/) that call the library without being linted
+themselves.  tests/ is not a caller: a symbol only tests use is surface
+the program does not need, so it is reported like any other.
+Same-file references count (a base class of exported subclasses, an
+annotation the module itself uses) because definitions register as
+*stores*, never as uses — a symbol nothing loads anywhere stays dead.  One reference shape deliberately does NOT count as use:
 pure re-export imports in ``__init__.py`` files of the symbol's own
 package tree (a package that exports a name nobody consumes is exactly
 the drift this rule exists to catch).
@@ -90,8 +91,9 @@ def check_dead_api(index: ProgramIndex) -> tuple[list[DeadApiViolation], int]:
                     col=sym.col,
                     message=(
                         f"public {sym.kind} `{sym.module}.{sym.name}` is referenced "
-                        "nowhere in src/tests/scripts/benchmarks/examples; delete it, "
-                        "underscore it, or waive with the reason it must stay public"
+                        "nowhere in src/scripts/benchmarks/examples/perf (tests do not "
+                        "count); delete it, underscore it, or waive with the reason it "
+                        "must stay public"
                     ),
                 )
             )

@@ -10,10 +10,10 @@ that deserves an explicit waiver naming why it is safe.
 
 The analysis is a conservative static approximation:
 
-* **entry points** — the first argument of any ``.map(...)`` /
-  ``.map_reduce(...)`` attribute call that resolves to a project
-  function, and any ``target=`` / ``func=`` / ``fn=`` keyword on a
-  ``Thread`` / ``Process`` constructor call that resolves to one;
+* **entry points** — the first argument of any ``.map(...)``
+  attribute call that resolves to a project function, and any
+  ``target=`` / ``func=`` / ``fn=`` keyword on a ``Thread`` /
+  ``Process`` constructor call that resolves to one;
 * **call graph** — edges resolve through import aliases to module
   functions, through ``self.``/``cls.`` to methods of the enclosing
   class (and its project base classes), to nested closures by local
@@ -38,7 +38,7 @@ from collections import deque
 from repro.analysis.program.index import FunctionInfo, ProgramIndex
 
 #: Attribute names whose calls dispatch work onto pool workers.
-_MAP_ATTRS = frozenset({"map", "map_reduce"})
+_MAP_ATTRS = frozenset({"map"})
 
 #: Constructor tails that take a ``target=`` worker callable.
 _THREAD_CTORS = ("Thread", "Process", "Timer")

@@ -565,7 +565,7 @@ class ProgramIndex:
         self.files: dict[str, FileIndex] = {}  # path -> FileIndex
         self.modules: dict[str, FileIndex] = {}  # module -> FileIndex
         self.edges: list[ImportEdge] = []
-        #: reference-only use universes (tests/, examples/ files that are
+        #: reference-only use universes (examples/, perf/ files that are
         #: scanned for symbol uses but not linted).
         self.extra_uses: list[FileIndex] = []
 
@@ -656,10 +656,3 @@ class ProgramIndex:
                 if sym.public:
                     out.append(sym)
         return sorted(out, key=lambda s: (s.module, s.name))
-
-    def use_universe(self) -> dict[str, set[str]]:
-        """path -> referenced identifier set, across linted + reference files."""
-        out = {fi.path: fi.uses for fi in self.files.values()}
-        for fi in self.extra_uses:
-            out[fi.path] = fi.uses
-        return out

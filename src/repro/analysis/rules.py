@@ -1,12 +1,12 @@
 """The rule catalogue: one rule per project invariant (``RPR001``…).
 
-Each rule encodes an invariant established by an earlier PR (atomic
-persistence, seeded RNG, cache/registry encapsulation, no-pickle trees,
-…) as AST checks.  Rules are heuristic where static analysis cannot see
-types (RPR005); the heuristics are documented on the rule and tuned so
-the repo lints clean — a waiver (``# repro-lint: disable=CODE``) with a
-reason is the escape hatch for deliberate exceptions, and stale waivers
-are themselves findings (RPR010).
+Each rule encodes one project invariant (atomic persistence, seeded
+RNG, cache/registry encapsulation, …) as AST checks.  Rules are
+heuristic where static analysis cannot see types; the heuristics are
+documented on the rule and tuned so the repo lints clean — a waiver
+(``# repro-lint: disable=CODE``) with a reason is the escape hatch for
+deliberate exceptions, and stale waivers are themselves findings
+(RPR010).
 """
 
 from __future__ import annotations
@@ -37,17 +37,6 @@ def _call_mode_argument(node: ast.Call, position: int = 1) -> str | None:
     if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
         return mode.value
     return None
-
-
-def _identifiers(node: ast.AST) -> list[str]:
-    """All Name ids and Attribute attrs inside ``node``, lowercased."""
-    out: list[str] = []
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            out.append(sub.id.lower())
-        elif isinstance(sub, ast.Attribute):
-            out.append(sub.attr.lower())
-    return out
 
 
 class NonAtomicWrite(Rule):
@@ -191,92 +180,6 @@ class PolicyRegistryBypass(Rule):
                 node,
                 "direct _REGISTRY access; use available_policies()/get_policy()",
             )
-
-
-class TreePickle(Rule):
-    code = "RPR005"
-    name = "tree-pickle"
-    message = (
-        "pickle/deepcopy of a routing tree or arena; routing structures stay "
-        "in the process that built them (forked workers read them copy-on-write)"
-    )
-    rationale = (
-        "Pickling a DestRouting rebuilds megabytes of per-destination arrays "
-        "per pipe message — PR 3 exists to avoid exactly that.  Heuristic: a "
-        "pickle.dump(s)/copy.deepcopy call whose argument names mention "
-        "tree/arena/routing/dest is assumed to target routing structures."
-    )
-
-    _FUNCS = frozenset(
-        {
-            "pickle.dump",
-            "pickle.dumps",
-            "copy.deepcopy",
-            "dill.dump",
-            "dill.dumps",
-            "cloudpickle.dump",
-            "cloudpickle.dumps",
-        }
-    )
-    _HINTS = ("tree", "arena", "routing", "dest")
-
-    def visit_call(self, ctx: FileContext, node: ast.Call) -> None:
-        resolved = ctx.resolve(node.func)
-        if resolved not in self._FUNCS:
-            return
-        for arg in [*node.args, *(kw.value for kw in node.keywords)]:
-            names = _identifiers(arg)
-            if any(hint in name for hint in self._HINTS for name in names):
-                ctx.report(self, node)
-                return
-
-
-class ImportTimeMultiprocessing(Rule):
-    code = "RPR006"
-    name = "mp-import-time"
-    message = (
-        "multiprocessing primitive created at import time; build it inside "
-        "the function/engine that owns it so import stays side-effect-free "
-        "and start-method selection still applies"
-    )
-    rationale = (
-        "A process pool picks its start method at call time and its code must "
-        "be importable in workers; module-level Locks/Queues/Pools bind to the "
-        "default context at import, break spawn pickling, and leak fds."
-    )
-
-    _PRIMITIVES = frozenset(
-        {
-            "Lock",
-            "RLock",
-            "Semaphore",
-            "BoundedSemaphore",
-            "Condition",
-            "Event",
-            "Barrier",
-            "Queue",
-            "SimpleQueue",
-            "JoinableQueue",
-            "Pipe",
-            "Pool",
-            "Process",
-            "Manager",
-            "Value",
-            "Array",
-            "SharedMemory",
-        }
-    )
-
-    def visit_call(self, ctx: FileContext, node: ast.Call) -> None:
-        if not ctx.at_import_time():
-            return
-        resolved = ctx.resolve(node.func)
-        if (
-            resolved is not None
-            and resolved.startswith("multiprocessing")
-            and resolved.rpartition(".")[2] in self._PRIMITIVES
-        ):
-            ctx.report(self, node)
 
 
 class BroadExcept(Rule):
@@ -604,8 +507,6 @@ ALL_RULES: tuple[Rule, ...] = (
     UnseededRandom(),
     PrivateRoutingAccess(),
     PolicyRegistryBypass(),
-    TreePickle(),
-    ImportTimeMultiprocessing(),
     BroadExcept(),
     AdHocException(),
     ImportTimeStateMutation(),

@@ -1,11 +1,8 @@
 """The deployment game: states, utilities, projections, dynamics."""
 
 from repro.core.adopters import (
-    STRATEGIES,
     content_providers,
     cps_plus_top_isps,
-    greedy_early_adopters,
-    no_early_adopters,
     random_isps,
     top_degree_isps,
 )
@@ -25,7 +22,6 @@ from repro.core.engine import (
     RoundData,
     compute_round_data,
     contributions,
-    utilities_for_state,
 )
 from repro.core.metrics import (
     DeploymentOutcome,
@@ -72,7 +68,6 @@ __all__ = [
     "ProjectionEngine",
     "RoundData",
     "RoundRecord",
-    "STRATEGIES",
     "SecuritySnapshot",
     "SimulationConfig",
     "SimulationResult",
@@ -89,10 +84,8 @@ __all__ = [
     "deployment_outcome",
     "diamond_census",
     "forecast_error_study",
-    "greedy_early_adopters",
     "local_project_flip",
     "lognormal_thresholds",
-    "no_early_adopters",
     "project_flip",
     "project_flips",
     "projection_accuracy",
@@ -102,7 +95,6 @@ __all__ = [
     "snapshot_from_counts",
     "top_degree_isps",
     "uniform_thresholds",
-    "utilities_for_state",
     "utility_with_links",
     "zero_sum_analysis",
     "best_link_deployment",

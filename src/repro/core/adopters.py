@@ -4,26 +4,16 @@ Choosing the optimal early-adopter set is NP-hard — even to approximate
 (Theorem 6.1; the set-cover reduction lives in
 :mod:`repro.gadgets.hardness`) — so the paper evaluates heuristics:
 top-degree ISPs (Tier-1s), the content providers, their union, and
-random sets.  A greedy simulation-driven heuristic is included for
-small graphs.
+random sets.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, Sequence
 
-from repro.core.config import SimulationConfig
-from repro.core.dynamics import DeploymentSimulation
-from repro.routing.cache import RoutingCache
 from repro.topology.graph import ASGraph
 from repro.topology.relationships import ASRole
 from repro.topology.stats import top_by_degree
-
-
-def no_early_adopters(graph: ASGraph) -> list[int]:
-    """The empty seed set (baseline in Fig. 8)."""
-    return []
 
 
 def top_degree_isps(graph: ASGraph, k: int) -> list[int]:
@@ -47,54 +37,3 @@ def random_isps(graph: ASGraph, k: int, seed: int = 0) -> list[int]:
     isps = [graph.asn(i) for i in graph.isp_indices]
     return sorted(rng.sample(isps, min(k, len(isps))))
 
-
-def greedy_early_adopters(
-    graph: ASGraph,
-    k: int,
-    config: SimulationConfig | None = None,
-    candidate_asns: Sequence[int] | None = None,
-    cache: RoutingCache | None = None,
-    score: Callable[[int], float] | None = None,
-) -> list[int]:
-    """Greedy seed selection by simulated final adoption.
-
-    Repeatedly adds the candidate that maximises the number of secure
-    ASes at termination.  Exponentially cheaper than the (NP-hard)
-    optimum but still runs a full simulation per candidate per slot —
-    restrict ``candidate_asns`` on anything but small graphs.
-    """
-    config = config or SimulationConfig()
-    cache = cache or RoutingCache(graph)
-    if candidate_asns is None:
-        candidate_asns = top_degree_isps(graph, max(4 * k, 16))
-    chosen: list[int] = []
-
-    def final_secure_count(seed_set: Iterable[int]) -> float:
-        sim = DeploymentSimulation(graph, seed_set, config, cache)
-        result = sim.run()
-        return float(result.final_node_secure.sum())
-
-    for _ in range(k):
-        best_asn = None
-        best_score = -1.0
-        for asn in candidate_asns:
-            if asn in chosen:
-                continue
-            value = final_secure_count(chosen + [asn])
-            if value > best_score:
-                best_score, best_asn = value, asn
-        if best_asn is None:
-            break
-        chosen.append(best_asn)
-    return chosen
-
-
-#: Registry used by the experiment harness / CLI to look sets up by name.
-STRATEGIES: dict[str, Callable[..., list[int]]] = {
-    "none": no_early_adopters,
-    "top-degree": top_degree_isps,
-    "content-providers": content_providers,
-    "cps+top": cps_plus_top_isps,
-    "random": random_isps,
-    "greedy": greedy_early_adopters,
-}

@@ -333,12 +333,3 @@ def _batched_utilities(
         minlength=n,
     )
 
-
-def utilities_for_state(
-    cache: RoutingCache,
-    deriver: StateDeriver,
-    state: DeploymentState,
-    model: UtilityModel,
-) -> np.ndarray:
-    """Convenience wrapper: utilities of every AS in ``state``."""
-    return compute_round_data(cache, deriver, state, model).utilities

@@ -31,11 +31,6 @@ class SecuritySnapshot:
     fraction_secure_paths: float
     f_squared: float  # the Fig. 9 reference curve
 
-    @property
-    def path_gap_vs_f2(self) -> float:
-        """How far secure-path coverage falls below the ``f^2`` bound."""
-        return self.f_squared - self.fraction_secure_paths
-
 
 def security_snapshot(graph: ASGraph, rd: RoundData) -> SecuritySnapshot:
     """Compute a :class:`SecuritySnapshot` from resolved round data."""

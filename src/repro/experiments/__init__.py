@@ -13,16 +13,13 @@ from repro.experiments.case_study import (
 from repro.experiments.cp_vs_tier1 import (
     CpVsTier1Cell,
     run_cp_vs_tier1,
-    run_graph_comparison,
 )
 from repro.experiments.persistence import (
     RESULT_FORMAT,
-    load_result_summary,
     result_to_dict,
     save_result,
 )
 from repro.experiments.report import (
-    format_percent,
     format_series,
     format_table,
     write_report,
@@ -58,14 +55,11 @@ __all__ = [
     "cell_from_dict",
     "cell_to_dict",
     "cells_to_rows",
-    "format_percent",
     "format_series",
     "format_table",
-    "load_result_summary",
     "per_destination_turn_off_census",
     "run_case_study",
     "run_cp_vs_tier1",
-    "run_graph_comparison",
     "result_to_dict",
     "run_sweep",
     "save_result",

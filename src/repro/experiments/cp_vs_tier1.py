@@ -18,7 +18,7 @@ from repro.core.adopters import content_providers, top_degree_isps
 from repro.core.config import SimulationConfig, UtilityModel
 from repro.core.dynamics import DeploymentSimulation, StateMemo
 from repro.core.metrics import deployment_outcome
-from repro.experiments.setup import ExperimentEnv, build_environment
+from repro.experiments.setup import ExperimentEnv
 from repro.topology.traffic import apply_traffic_model
 
 DEFAULT_X_VALUES: tuple[float, ...] = (0.10, 0.20, 0.33, 0.50)
@@ -75,16 +75,3 @@ def run_cp_vs_tier1(
     apply_traffic_model(graph, env.x)  # restore the env's traffic model
     return cells
 
-
-def run_graph_comparison(
-    n: int = 800,
-    seed: int = 2011,
-    x: float = 0.10,
-    thetas: Sequence[float] = (0.0, 0.05, 0.10, 0.30),
-) -> dict[bool, list[CpVsTier1Cell]]:
-    """Fig. 12b: the same comparison on the original vs augmented graph."""
-    out: dict[bool, list[CpVsTier1Cell]] = {}
-    for augmented in (False, True):
-        env = build_environment(n=n, seed=seed, x=x, augmented=augmented)
-        out[augmented] = run_cp_vs_tier1(env, thetas=thetas, x_values=(x,))
-    return out

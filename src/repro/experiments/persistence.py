@@ -8,9 +8,10 @@ trees are not persisted (they are recomputable from the graph + state).
 
 Writes are atomic (temp + fsync + ``os.replace``) and checksummed via
 :mod:`repro.runtime.atomic`; an interrupt mid-save can no longer leave
-a truncated file shadowing a previous good result, and loaders raise
-the typed errors of :mod:`repro.runtime.errors` (never a raw
-``json.JSONDecodeError``) on damaged input.
+a truncated file shadowing a previous good result, and
+:func:`repro.runtime.atomic.load_checked_json` with
+``expected_format=RESULT_FORMAT`` reads one back, raising the typed
+errors of :mod:`repro.runtime.errors` on damaged input.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 from typing import Any, TextIO
 
 from repro.core.dynamics import SimulationResult
-from repro.runtime.atomic import atomic_write_json, parse_checked_json
+from repro.runtime.atomic import atomic_write_json
 
 #: schema marker embedded in every saved result
 RESULT_FORMAT = "repro.simulation-result/1"
@@ -92,20 +93,3 @@ def save_result(
     else:
         json.dump(payload, target, indent=1)
 
-
-def load_result_summary(source: str | Path | TextIO) -> dict[str, Any]:
-    """Load a previously saved result summary, validated.
-
-    Raises :class:`~repro.runtime.errors.CorruptFileError` on truncated
-    or checksum-failing input and
-    :class:`~repro.runtime.errors.SchemaError` (a ``ValueError``) on an
-    unrecognised format.  The checksum field, when present, is verified
-    and stripped, so the returned payload equals :func:`result_to_dict`.
-    """
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-        where: str | Path = source
-    else:
-        text = source.read()
-        where = "<stream>"
-    return parse_checked_json(text, source=where, expected_format=RESULT_FORMAT)

@@ -47,11 +47,6 @@ def _fmt(cell: object) -> str:
     return str(cell)
 
 
-def format_percent(value: float, digits: int = 1) -> str:
-    """``0.853`` -> ``"85.3%"``."""
-    return f"{value * 100:.{digits}f}%"
-
-
 def format_series(label: str, values: Sequence[float], fmt: str = "{:.3g}") -> str:
     """One-line labelled series, e.g. for per-round counts."""
     return f"{label}: " + " ".join(fmt.format(v) for v in values)

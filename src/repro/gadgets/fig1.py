@@ -37,7 +37,7 @@ class Fig1Network:
         return (self.isp_8866, self.cp_limelight)
 
 
-def build_fig1(w_cp: float = 821.0) -> Fig1Network:
+def build_fig1(w_cp: float = 821.0) -> Fig1Network:  # repro-lint: disable=RPR017 -- Fig 1, checked by its tests
     """Construct the Figure-1 topology.
 
     ``w_cp`` is the CP weight (821 matches x = 10% at paper scale).

@@ -108,9 +108,6 @@ class SetCoverNetwork:
     carriers: tuple[int, ...]      # s_i2 per subset
     elements: dict[int, int]       # universe element -> stub AS number
 
-    def gate_for(self, subset_idx: int) -> int:
-        return self.gates[subset_idx]
-
     def expected_secure_count(self, chosen_subsets: Sequence[int]) -> int:
         """The reduction's arithmetic: ``1 + 2k + covered``."""
         return 1 + 2 * len(set(chosen_subsets)) + self.instance.coverage(chosen_subsets)

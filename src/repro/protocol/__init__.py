@@ -5,8 +5,6 @@ from repro.protocol.attacks import (
     evaluate_attack,
     forge_origin_hijack,
     forge_path_announcement,
-    forge_signed_false_path,
-    sign_attacker_hop,
 )
 from repro.protocol.messages import Announcement, RouteAttestation
 from repro.protocol.router import ProtocolNetwork, RibEntry, SecurityLevel, SecurityMode
@@ -38,10 +36,8 @@ __all__ = [
     "evaluate_attack",
     "forge_origin_hijack",
     "forge_path_announcement",
-    "forge_signed_false_path",
     "forward",
     "originate",
-    "sign_attacker_hop",
     "sign_hop",
     "validate_path",
     "validated_signers",

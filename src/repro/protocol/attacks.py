@@ -22,7 +22,6 @@ import dataclasses
 from repro.protocol.messages import Announcement
 from repro.protocol.router import ProtocolNetwork, SecurityLevel
 from repro.protocol.rpki import Prefix
-from repro.protocol.sbgp import sign_hop
 
 
 def forge_origin_hijack(attacker: int, prefix: Prefix) -> Announcement:
@@ -41,23 +40,6 @@ def forge_path_announcement(
     if fake_path[0] != attacker:
         raise ValueError("fake path must start with the attacker")
     return Announcement(prefix=prefix, path=fake_path)
-
-
-def forge_signed_false_path(
-    network: ProtocolNetwork, attacker: int, fake_path: tuple[int, ...], prefix: Prefix
-) -> Announcement:
-    """Like :func:`forge_path_announcement` but the attacker signs *its
-    own* hop, producing the partially-attested announcement Appendix B
-    exploits (the attacker cannot forge the other hops' signatures)."""
-    ann = forge_path_announcement(attacker, fake_path, prefix)
-    network.rpki.register_as(attacker)
-    # The attacker can sign for itself only; the chain stays broken at
-    # the spoofed hops.  (next_as is filled per receiver during
-    # propagation in real S-BGP; the simulator validates the first hop
-    # against the actual receiver, so this lone signature verifies only
-    # when addressed correctly — which is exactly what the attacker
-    # wants for the neighbor it targets.)
-    return ann
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,24 +69,3 @@ def evaluate_attack(
         security_level=entry.level if entry else None,
     )
 
-
-def sign_attacker_hop(
-    network: ProtocolNetwork,
-    attacker: int,
-    announcement: Announcement,
-    receiver: int,
-) -> Announcement:
-    """Attach the attacker's own (genuine) signature for ``receiver``.
-
-    Used to show that a single genuine signature on a false path is
-    enough to out-rank honest insecure routes under the rejected
-    partial-security preference.
-    """
-    att = sign_hop(
-        network.rpki, attacker, announcement.prefix, announcement.path, receiver
-    )
-    return Announcement(
-        prefix=announcement.prefix,
-        path=announcement.path,
-        attestations=announcement.attestations + (att,),
-    )

@@ -21,7 +21,7 @@ import enum
 from repro.protocol.messages import Announcement
 from repro.protocol.rpki import RPKI, Prefix
 from repro.protocol.sbgp import forward, originate, validated_signers
-from repro.routing.policy import RouteClass, tie_hash
+from repro.routing.policy import RouteClass, exportable_to, tie_hash
 from repro.routing.reference import ConvergenceError
 from repro.topology.graph import ASGraph
 
@@ -192,11 +192,13 @@ class ProtocolNetwork:
         entry = self.ribs[nbr].get(prefix)
         if entry is None:
             return None
-        # GR2: to a peer or provider, only customer routes are exported —
-        # unless the neighbor is misconfigured and leaks everything.
-        if kind is not RouteClass.PROVIDER and nbr not in self.leakers:
-            if entry.route_class is not RouteClass.CUSTOMER:
-                return None
+        # GR2 — unless the neighbor is misconfigured and leaks everything.
+        # ``kind`` is how ``receiver`` hears ``nbr``: from a provider
+        # means ``receiver`` is ``nbr``'s customer.
+        if nbr not in self.leakers and not exportable_to(
+            entry.route_class, neighbor_is_customer=kind is RouteClass.PROVIDER
+        ):
+            return None
         # SIMPLEX ASes sign only their own prefixes, never transit.
         signs = self.mode_of(nbr) is SecurityMode.FULL
         return forward(self.rpki, nbr, entry.announcement, receiver, sign=signs)

@@ -113,10 +113,3 @@ def deployment_traffic_shift(
         link_loads(rd_before, weights), link_loads(rd_after, weights)
     )
 
-
-def top_loaded_links(
-    loads: dict[tuple[int, int], float], graph, k: int = 10
-) -> list[tuple[int, int, float]]:
-    """The ``k`` heaviest links as ``(asn_from, asn_to, load)``."""
-    ranked = sorted(loads.items(), key=lambda item: -item[1])[:k]
-    return [(graph.asn(a), graph.asn(b), load) for (a, b), load in ranked]

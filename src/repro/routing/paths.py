@@ -14,8 +14,6 @@ import dataclasses
 
 import numpy as np
 
-from repro.topology.graph import ASGraph
-
 
 @dataclasses.dataclass
 class RoutingTree:
@@ -42,22 +40,3 @@ class RoutingTree:
                 raise RuntimeError("routing tree contains a cycle")
         return path
 
-
-def as_path(graph: ASGraph, tree: RoutingTree, source_asn: int) -> list[int]:
-    """AS-number path from ``source_asn`` to the tree's destination.
-
-    Returns an empty list when the source has no route.
-    """
-    idx_path = tree.path_from(graph.index(source_asn))
-    return [graph.asn(i) for i in idx_path]
-
-
-def path_is_secure(tree: RoutingTree, source: int) -> bool:
-    """True iff ``source``'s full chosen path is secure (dense index)."""
-    return bool(tree.secure[source])
-
-
-def transit_nodes(tree: RoutingTree, source: int, dest: int) -> list[int]:
-    """Intermediate nodes (dense indices) strictly between source and dest."""
-    path = tree.path_from(source)
-    return path[1:-1] if len(path) >= 2 else []

@@ -129,7 +129,8 @@ _STICKY_SALT = 0x5F1CC
 
 @dataclasses.dataclass(frozen=True)
 class RoutingPolicy:
-    """A complete route-selection policy: ranking + GR2 export.
+    """A complete route-selection policy: its ranking (export is always
+    GR2, :func:`exportable_to`).
 
     ``ranking`` is a permutation of the three :class:`Criterion` values;
     TB is always last.  ``sticky_fraction`` > 0 collapses that fraction
@@ -200,10 +201,6 @@ class RoutingPolicy:
             else:
                 parts.append(0 if (applies_secp and secure) else 1)
         return tuple(parts)
-
-    def exportable(self, route_class: RouteClass, neighbor_is_customer: bool) -> bool:
-        """GR2 export rule (shared by every registered policy)."""
-        return exportable_to(route_class, neighbor_is_customer)
 
     # -- sticky primaries ----------------------------------------------
 

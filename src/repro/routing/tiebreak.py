@@ -16,8 +16,8 @@ from typing import Iterable
 import numpy as np
 
 from repro.routing.cache import RoutingCache
-from repro.routing.compiled import CompiledGraph, segment_index
-from repro.routing.tree import destination_chunks, route_labels
+from repro.routing.compiled import segment_index
+from repro.routing.tree import destination_chunks
 from repro.topology.graph import ASGraph
 from repro.topology.relationships import ASRole
 
@@ -122,13 +122,3 @@ def security_sensitive_decision_fraction(graph: ASGraph, stats: TiebreakStats) -
     isp_fraction = len(graph.isp_indices) / graph.n if graph.n else 0.0
     return isp_fraction * stats.multi_path_fraction_isp
 
-
-def mean_path_length(graph: ASGraph, destinations: Iterable[int] | None = None) -> float:
-    """Mean selected-route length over all reachable (src, dest) pairs."""
-    dests = list(range(graph.n) if destinations is None else destinations)
-    total = count = 0
-    for _, _, lengths in route_labels(CompiledGraph.from_graph(graph), dests):
-        routed = lengths > 0  # reachable, and not the destination itself
-        total += int(lengths[routed].sum())
-        count += int(routed.sum())
-    return total / count if count else 0.0

@@ -55,15 +55,6 @@ _UNREACHABLE = int(RouteClass.UNREACHABLE)
 _CHUNK_CELLS = 1 << 18
 
 
-@dataclasses.dataclass(frozen=True)
-class RouteInfo:
-    """Selected-route class and length per node for one destination."""
-
-    dest: int
-    cls: np.ndarray      # int8, RouteClass values
-    lengths: np.ndarray  # int32, -1 where unreachable
-
-
 def chunk_rows(cg: CompiledGraph) -> int:
     """Destinations per chunk on this graph: ``_CHUNK_CELLS`` over nodes
     plus directed edges, so the transient working set of a build is
@@ -160,15 +151,6 @@ def route_labels(
     for chunk in destination_chunks(cg, dests):
         cls, lengths, _, _ = _three_passes(cg, chunk)
         yield np.asarray(chunk, dtype=np.int64), cls, lengths
-
-
-def route_classes_and_lengths(
-    graph: ASGraph, dest: int, compiled: CompiledGraph | None = None
-) -> RouteInfo:
-    """Each node's selected-route class and length to ``dest`` (a dense
-    node index): the one-row chunk of :func:`_three_passes`."""
-    cls, lengths, _, _ = _three_passes(compiled or CompiledGraph.from_graph(graph), [dest])
-    return RouteInfo(dest=dest, cls=cls[0], lengths=lengths[0])
 
 
 @dataclasses.dataclass

@@ -71,11 +71,6 @@ class Deadline:
         self._clock = clock
         self._started = clock()
 
-    @classmethod
-    def after(cls, seconds: float, clock: Clock = time.monotonic) -> "Deadline":
-        """A deadline ``seconds`` from now (alias for the constructor)."""
-        return cls(seconds, clock=clock)
-
     def elapsed(self) -> float:
         """Seconds since the deadline started."""
         return self._clock() - self._started
@@ -142,10 +137,6 @@ class MemoryBudget:
     def fits(self, nbytes: int) -> bool:
         """True when an allocation of ``nbytes`` fits the budget."""
         return nbytes <= self.limit_bytes
-
-    def headroom(self) -> int:
-        """The full budget (the budget tracks limits, not live usage)."""
-        return self.limit_bytes
 
     def require(self, nbytes: int, what: str) -> None:
         """Raise :class:`MemoryBudgetExceeded` unless ``nbytes`` fits."""

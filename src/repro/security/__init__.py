@@ -20,8 +20,6 @@ from repro.security.scenarios import (
     available_strategies,
     get_scenario,
     get_strategy,
-    scenario_table,
-    strategy_table,
 )
 
 __all__ = [
@@ -38,8 +36,6 @@ __all__ = [
     "impact_from_outcomes",
     "sample_attack_impact",
     "sample_pairs",
-    "scenario_table",
     "simulate_attacks_batched",
     "simulate_hijack",
-    "strategy_table",
 ]

@@ -165,15 +165,7 @@ def available_scenarios() -> list[str]:
     return sorted(_SCENARIOS)
 
 
-def scenario_table() -> list[tuple[str, str, str]]:
-    """``(name, paper_ref, description)`` rows for docs and ``--help``."""
-    return [
-        (s.name, s.paper_ref, s.description)
-        for s in (_SCENARIOS[k] for k in available_scenarios())
-    ]
-
-
-ORIGIN_HIJACK = register_scenario(
+register_scenario(
     AttackScenario(
         name="origin_hijack",
         description="attacker originates the victim's exact prefix",
@@ -266,9 +258,6 @@ class DeploymentStrategy:
 
 _STRATEGIES: dict[str, DeploymentStrategy] = {}
 
-#: canonical name of the paper's Tier-1-first heuristic
-DEFAULT_STRATEGY = "top_isp_first"
-
 
 def register_strategy(strategy: DeploymentStrategy) -> DeploymentStrategy:
     """Add ``strategy`` to the registry (idempotent for equal metadata)."""
@@ -297,14 +286,6 @@ def get_strategy(strategy: "str | DeploymentStrategy") -> DeploymentStrategy:
 def available_strategies() -> list[str]:
     """Canonical names of every registered strategy, sorted."""
     return sorted(_STRATEGIES)
-
-
-def strategy_table() -> list[tuple[str, str, str]]:
-    """``(name, paper_ref, description)`` rows for docs and ``--help``."""
-    return [
-        (s.name, s.paper_ref, s.description)
-        for s in (_STRATEGIES[k] for k in available_strategies())
-    ]
 
 
 def _states_from_order(

@@ -63,11 +63,6 @@ class ResultCacheStats:
     bytes_used: int
     budget_bytes: int
 
-    @property
-    def hit_rate(self) -> float:
-        lookups = self.cell_hits + self.cell_misses
-        return self.cell_hits / lookups if lookups else 0.0
-
 
 class _Entry:
     __slots__ = ("value", "nbytes")

@@ -68,9 +68,11 @@ class Scheduler:
         The executor — and with it the whole simulation stack — is
         imported here, on the calling thread, before any worker exists
         (a worker's own import of it is then a lookup), so no two
-        threads ever import the stack for the first time at once.
+        threads ever import the stack for the first time at once; the
+        store's replayed specs are parsed here too, for the same reason.
         """
         importlib.import_module("repro.service.executor")
+        self.store.parse_specs()
         for job in self.store.resumable():
             self._enqueue(job)
         for i in range(self.workers):

@@ -78,12 +78,18 @@ def _journaled_spec(payload: dict[str, Any]) -> tuple[JobSpec, str | None]:
 
 
 class Job:
-    """One submitted job: spec + lifecycle + progress + event ring."""
+    """One submitted job: spec + lifecycle + progress + event ring.
 
-    def __init__(self, job_id: str, seq: int, spec: JobSpec, digest: str):
+    A job replayed from the journal holds its spec in journaled (JSON)
+    form until :attr:`spec` is first read: parsing imports the policy
+    and scenario registries, which a restarted daemon loads only after
+    it answers ``/healthz`` (:meth:`JobStore.parse_specs`).
+    """
+
+    def __init__(self, job_id: str, seq: int, spec: JobSpec | dict[str, Any], digest: str):
         self.id = job_id
         self.seq = seq
-        self.spec = spec
+        self._spec = spec
         self.digest = digest
         self.state = "queued"
         self.error: str | None = None
@@ -92,6 +98,18 @@ class Job:
         self.coalesced = 0          # extra submissions folded onto this job
         self.events: list[dict[str, Any]] = []
         self._event_seq = 0
+
+    @property
+    def spec(self) -> JobSpec:
+        if isinstance(self._spec, dict):
+            self._spec, retired = _journaled_spec(self._spec)
+            if retired is not None:
+                self.add_event(
+                    "recovered",
+                    note=f"kernel backend {retired!r} is no longer "
+                    "registered; using the default backend",
+                )
+        return self._spec
 
     def add_event(self, kind: str, **fields: Any) -> None:
         self._event_seq += 1
@@ -105,14 +123,16 @@ class Job:
         return [e for e in self.events if e["seq"] > since]
 
     def to_dict(self) -> dict[str, Any]:
-        """The JSON form ``GET /v1/jobs/{id}`` returns."""
+        """The JSON form ``GET /v1/jobs/{id}`` returns (an unparsed spec
+        is shown as journaled, so a GET never loads the registries)."""
+        spec = self._spec if isinstance(self._spec, dict) else spec_to_dict(self._spec)
         return {
             "id": self.id,
             "state": self.state,
             "digest": self.digest,
-            "kind": self.spec.kind,
-            "priority": self.spec.priority,
-            "spec": spec_to_dict(self.spec),
+            "kind": spec["kind"],
+            "priority": spec["priority"],
+            "spec": spec,
             "error": self.error,
             "progress": {"done": self.progress_done, "total": self.progress_total},
             "coalesced": self.coalesced,
@@ -141,14 +161,7 @@ class JobStore:
         for record in records:
             kind = record.get("type")
             if kind == "submitted":
-                spec, retired = _journaled_spec(record["spec"])
-                job = Job(record["id"], int(record["seq"]), spec, record["digest"])
-                if retired is not None:
-                    job.add_event(
-                        "recovered",
-                        note=f"kernel backend {retired!r} is no longer "
-                        "registered; using the default backend",
-                    )
+                job = Job(record["id"], int(record["seq"]), record["spec"], record["digest"])
                 self._jobs[job.id] = job
                 self._next_seq = max(self._next_seq, job.seq + 1)
             elif kind == "state":
@@ -168,6 +181,11 @@ class JobStore:
         if recovered:
             log.warning("recovered %d in-flight job(s) from a previous daemon run", recovered)
             get_registry().counter("service.store.recovered_jobs").inc(recovered)
+
+    def parse_specs(self) -> None:
+        """Parse every replayed job's journaled spec (see :class:`Job`)."""
+        for job in self.jobs():
+            job.spec  # the first read parses
 
     # -- submission ----------------------------------------------------
 

@@ -19,7 +19,6 @@ everything stays a no-op otherwise.
 from __future__ import annotations
 
 from repro.telemetry.export import (
-    load_metrics,
     render_prometheus,
     summary_rows,
     write_metrics,
@@ -66,7 +65,6 @@ __all__ = [
     "use_tracer",
     "render_prometheus",
     "write_metrics",
-    "load_metrics",
     "summary_rows",
     "enable",
     "disable",

@@ -13,13 +13,12 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from repro.runtime.atomic import atomic_write_json, load_checked_json
+from repro.runtime.atomic import atomic_write_json
 
 __all__ = [
     "METRICS_FORMAT",
     "render_prometheus",
     "write_metrics",
-    "load_metrics",
     "summary_rows",
 ]
 
@@ -70,16 +69,6 @@ def render_prometheus(snapshot: dict, prefix: str = "repro") -> str:
 def write_metrics(path: str | Path, snapshot: dict) -> None:
     """Atomically write a snapshot as checksummed JSON (loadable back)."""
     atomic_write_json(path, {"format": METRICS_FORMAT, **snapshot})
-
-
-def load_metrics(path: str | Path) -> dict:
-    """Load a :func:`write_metrics` file back into snapshot form."""
-    payload = load_checked_json(path, expected_format=METRICS_FORMAT)
-    return {
-        "counters": payload.get("counters", {}),
-        "gauges": payload.get("gauges", {}),
-        "histograms": payload.get("histograms", {}),
-    }
 
 
 def summary_rows(snapshot: dict) -> list[list[object]]:

@@ -250,7 +250,9 @@ def set_registry(registry: MetricsRegistry | None) -> MetricsRegistry:
 
 
 @contextlib.contextmanager
-def use_registry(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
+def use_registry(  # repro-lint: disable=RPR017 -- how tests swap in a registry to read
+    registry: MetricsRegistry,
+) -> Iterator[MetricsRegistry]:
     """Scoped :func:`set_registry` for tests and embedded callers."""
     previous = set_registry(registry)
     try:

@@ -185,7 +185,7 @@ def set_tracer(tracer: Tracer | None) -> Tracer:
 
 
 @contextlib.contextmanager
-def use_tracer(tracer: Tracer) -> Iterator[Tracer]:
+def use_tracer(tracer: Tracer) -> Iterator[Tracer]:  # repro-lint: disable=RPR017 -- how tests swap in a tracer to read
     """Scoped :func:`set_tracer` for tests and embedded callers."""
     previous = set_tracer(tracer)
     try:

@@ -27,7 +27,6 @@ Three modes:
 from __future__ import annotations
 
 import dataclasses
-import io
 import logging
 from collections import deque
 from pathlib import Path
@@ -145,13 +144,6 @@ def preflight_as_rel(
         for issue in report.issues:
             log.warning("preflight %s: %s", origin, issue.format())
     return graph, report
-
-
-def preflight_as_rel_text(
-    text: str, cp_asns: Iterable[int] = (), mode: str = "report"
-) -> tuple[ASGraph, PreflightReport]:
-    """String-input convenience wrapper around :func:`preflight_as_rel`."""
-    return preflight_as_rel(io.StringIO(text), cp_asns, mode=mode)
 
 
 def _preflight(

@@ -65,7 +65,7 @@ def top_by_degree(graph: ASGraph, k: int, role: ASRole | None = ASRole.ISP) -> l
     return [graph.asn(i) for i in ranked[:k]]
 
 
-def stub_customer_counts(graph: ASGraph) -> dict[int, int]:
+def stub_customer_counts(graph: ASGraph) -> dict[int, int]:  # repro-lint: disable=RPR017 -- §2.2.1's statistic, checked by its tests
     """Per-ISP count of *stub* customers.
 
     §2.2.1 argues simplex S*BGP is safe because 80% of ISPs have < 7
@@ -76,21 +76,3 @@ def stub_customer_counts(graph: ASGraph) -> dict[int, int]:
     for i in graph.isp_indices:
         out[graph.asn(i)] = sum(1 for c in graph.customers[i] if roles[c] == ASRole.STUB)
     return out
-
-
-def degree_distribution(graph: ASGraph) -> dict[int, int]:
-    """Histogram {degree: number of ASes with that degree}."""
-    return dict(Counter(graph.degree_of_index(i) for i in range(graph.n)))
-
-
-def multihomed_stub_fraction(graph: ASGraph) -> float:
-    """Fraction of stubs with more than one provider.
-
-    Multihomed stubs are where provider competition (DIAMONDs, Fig. 2)
-    happens, so this is a key structural statistic for the model.
-    """
-    stubs = graph.stub_indices
-    if not stubs:
-        return 0.0
-    multi = sum(1 for i in stubs if len(graph.providers[i]) > 1)
-    return multi / len(stubs)

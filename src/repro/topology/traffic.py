@@ -57,10 +57,3 @@ def apply_traffic_model(graph: ASGraph, x: float) -> float:
         weights[i] = w_cp
     return w_cp
 
-
-def traffic_fraction_of(graph: ASGraph, indices: list[int]) -> float:
-    """Fraction of total originated traffic sourced by ``indices``."""
-    total = float(graph.weights.sum())
-    if total == 0:
-        return 0.0
-    return float(graph.weights[indices].sum()) / total

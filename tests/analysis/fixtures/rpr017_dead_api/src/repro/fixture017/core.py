@@ -15,6 +15,15 @@ def dead_export() -> int:  # expect: RPR017 -- re-exported by __init__ but consu
     return 1
 
 
+def tested_only() -> int:  # expect: RPR017 -- a sibling tests/ file is no caller
+    return 4
+
+
+def perf_only() -> int:
+    # the sibling perf/ harness calls it: alive
+    return 5
+
+
 class DeadClass:  # expect: RPR017
     def method(self) -> None:
         return None

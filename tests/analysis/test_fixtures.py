@@ -14,7 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import lint_source
+from repro.analysis import ALL_RULES
+from repro.analysis.program import program_codes
+
+from tests.analysis.linting import lint_text
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 FIXTURES = sorted(FIXTURE_DIR.glob("*.py"))
@@ -48,11 +51,7 @@ def test_fixture_suite_is_complete():
     """
     covered = {f.name[:6].upper() for f in FIXTURES}
     covered |= {d.name[:6].upper() for d in FIXTURE_DIR.iterdir() if d.is_dir()}
-    expected = (
-        {f"RPR00{i}" for i in range(1, 10)}
-        | {"RPR010", "RPR011", "RPR012", "RPR013", "RPR014"}
-        | {"RPR015", "RPR016", "RPR017"}
-    )
+    expected = {rule.code for rule in ALL_RULES} | {"RPR010"} | program_codes()
     assert covered >= expected
 
 
@@ -61,15 +60,15 @@ def test_fixture_findings_match_markers(fixture: Path):
     text = fixture.read_text(encoding="utf-8")
     expected = expected_findings(text)
     assert expected, f"{fixture.name} has no expect markers — not a golden fixture"
-    findings = lint_source(text, path=fixture.name, module=fixture_module(text))
+    findings = lint_text(text, module=fixture_module(text), path=fixture.name)
     got = sorted((f.line, f.code) for f in findings)
     assert got == expected
 
 
 @pytest.mark.parametrize("fixture", FIXTURES, ids=lambda p: p.stem)
 def test_fixture_findings_carry_location_and_rule_name(fixture: Path):
-    findings = lint_source(fixture.read_text(encoding="utf-8"), path=fixture.name)
+    findings = lint_text(fixture.read_text(encoding="utf-8"), path=fixture.name)
     for finding in findings:
-        assert finding.path == fixture.name
+        assert Path(finding.path).name == fixture.name
         assert finding.line >= 1 and finding.col >= 1
         assert finding.rule and finding.message

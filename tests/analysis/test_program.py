@@ -15,21 +15,24 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import lint_file, lint_paths
+from repro.analysis import lint_paths
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 REPO = Path(__file__).resolve().parents[2]
 
 _EXPECT = re.compile(r"expect:\s*(RPR\d{3})")
 
-#: fixture package -> program rules selected for it.  Narrowing to one
-#: code per package keeps each fixture focused: the fork-safety package
-#: is free to contain dead helpers, the layering package need not map
-#: every module in the repo-root manifest, and so on.
+#: fixture package -> (linted root, program rules selected for it).
+#: Narrowing to one code per package keeps each fixture focused: the
+#: fork-safety package is free to contain dead helpers, the layering
+#: package need not map every module in the repo-root manifest, and so
+#: on.  The dead-API package is linted from a ``src`` root, so its
+#: sibling ``tests/`` and ``perf/`` trees are judged as callers the way
+#: the repository's own are.
 PACKAGES = {
-    "rpr015_layering": frozenset({"RPR015"}),
-    "rpr016_forksafety": frozenset({"RPR016"}),
-    "rpr017_dead_api": frozenset({"RPR017"}),
+    "rpr015_layering": ("repro", frozenset({"RPR015"})),
+    "rpr016_forksafety": ("repro", frozenset({"RPR016"})),
+    "rpr017_dead_api": ("src", frozenset({"RPR017"})),
 }
 
 
@@ -48,14 +51,10 @@ def expected_package_findings(pkg: Path) -> list[tuple[str, int, str]]:
 @pytest.mark.parametrize("name", sorted(PACKAGES), ids=str)
 def test_fixture_package_findings_match_markers(name: str):
     pkg = FIXTURE_DIR / name
+    root, select = PACKAGES[name]
     expected = expected_package_findings(pkg)
     assert expected, f"{name} has no expect markers — not a golden fixture"
-    result = lint_paths(
-        [pkg / "repro"],
-        rules=[],
-        program=True,
-        program_select=PACKAGES[name],
-    )
+    result = lint_paths([pkg / root], rules=[], program=True, program_select=select)
     got = sorted((f.path, f.line, f.code) for f in result.findings)
     assert got == expected
 
@@ -141,7 +140,7 @@ def test_program_waivers_stay_quiet_in_per_file_runs():
     people to delete load-bearing waivers.
     """
     worker = FIXTURE_DIR / "rpr016_forksafety" / "repro" / "fixture016" / "worker.py"
-    findings = lint_file(worker)
+    findings = lint_paths([worker]).findings
     assert not any(f.code in {"RPR010", "RPR016"} for f in findings), "\n".join(
         f.format_text() for f in findings
     )

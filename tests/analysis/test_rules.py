@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-from repro.analysis import get_rules, lint_source
+from repro.analysis import get_rules
 from repro.analysis.engine import module_for_path
 from repro.analysis.rules import ALL_RULES
 
+from tests.analysis.linting import lint_text
+
 
 def codes(source: str, module: str | None = None, path: str = "fixture.py") -> list[str]:
-    return [f.code for f in lint_source(source, path=path, module=module)]
+    return [f.code for f in lint_text(source, module=module, path=path)]
 
 
 class TestAtomicWriteScoping:
@@ -74,15 +76,15 @@ class TestErrorsModuleExemption:
 
 class TestImportTimeScoping:
     def test_module_level_flagged(self):
-        assert codes("import multiprocessing\nL = multiprocessing.Lock()\n") == ["RPR006"]
+        assert codes("import sys\nsys.path.append('x')\n") == ["RPR009"]
 
     def test_function_level_allowed(self):
-        source = "import multiprocessing\ndef f():\n    return multiprocessing.Lock()\n"
+        source = "import sys\ndef f():\n    sys.path.append('x')\n"
         assert codes(source) == []
 
     def test_class_body_counts_as_import_time(self):
-        source = "import multiprocessing\nclass C:\n    lock = multiprocessing.Lock()\n"
-        assert codes(source) == ["RPR006"]
+        source = "import sys\nclass C:\n    sys.path.append('x')\n"
+        assert codes(source) == ["RPR009"]
 
 
 class TestUnboundedBlockingScoping:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from repro.analysis import get_rules, lint_source
+from repro.analysis import get_rules
 from repro.analysis.findings import UNUSED_SUPPRESSION
 from repro.analysis.suppressions import SuppressionTable
+
+from tests.analysis.linting import lint_text
 
 
 class TestDirectiveParsing:
@@ -37,21 +39,21 @@ class TestDirectiveParsing:
 class TestSuppressionEndToEnd:
     def test_waived_violation_produces_no_findings(self):
         source = 'fh = open("f", "w")  # repro-lint: disable=RPR001\n'
-        assert lint_source(source) == []
+        assert lint_text(source) == []
 
     def test_unused_suppression_is_itself_a_finding(self):
         source = "x = 1  # repro-lint: disable=RPR003\n"
-        findings = lint_source(source)
+        findings = lint_text(source)
         assert [f.code for f in findings] == [UNUSED_SUPPRESSION]
         assert findings[0].line == 1
         assert "RPR003" in findings[0].message
 
     def test_wrong_code_does_not_waive(self):
         source = 'fh = open("f", "w")  # repro-lint: disable=RPR002\n'
-        assert sorted(f.code for f in lint_source(source)) == ["RPR001", UNUSED_SUPPRESSION]
+        assert sorted(f.code for f in lint_text(source)) == ["RPR001", UNUSED_SUPPRESSION]
 
     def test_select_subset_does_not_misreport_other_waivers(self):
         # Running only RPR002 must not call RPR001's waiver stale.
         source = 'fh = open("f", "w")  # repro-lint: disable=RPR001\n'
         rules = get_rules(select=frozenset({"RPR002"}))
-        assert lint_source(source, rules=rules) == []
+        assert lint_text(source, rules=rules) == []

@@ -2,26 +2,16 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.adopters import (
-    STRATEGIES,
     content_providers,
     cps_plus_top_isps,
-    greedy_early_adopters,
-    no_early_adopters,
     random_isps,
     top_degree_isps,
 )
-from repro.core.config import SimulationConfig
-from repro.gadgets.hardness import SetCoverInstance, build_set_cover_network
 from repro.topology.relationships import ASRole
 
 
 class TestBasicStrategies:
-    def test_none(self, small_graph):
-        assert no_early_adopters(small_graph) == []
-
     def test_top_degree_sorted_and_isps(self, small_graph):
         top = top_degree_isps(small_graph, 5)
         assert len(top) == 5
@@ -54,35 +44,3 @@ class TestBasicStrategies:
         isps = [small_graph.asn(i) for i in small_graph.isp_indices]
         assert len(random_isps(small_graph, 10 ** 6)) == len(isps)
 
-    def test_registry_complete(self):
-        assert set(STRATEGIES) == {
-            "none", "top-degree", "content-providers", "cps+top", "random", "greedy",
-        }
-
-
-class TestGreedy:
-    def test_greedy_picks_best_gate(self):
-        """On the set-cover gadget, greedy must find the best cover."""
-        inst = SetCoverInstance(
-            universe=(1, 2, 3, 4, 5),
-            subsets=(frozenset({1, 2, 3}), frozenset({4, 5}), frozenset({5})),
-            k=2,
-        )
-        net = build_set_cover_network(inst)
-        chosen = greedy_early_adopters(
-            net.graph,
-            k=2,
-            config=SimulationConfig(theta=0.0, max_rounds=10),
-            candidate_asns=list(net.gates),
-        )
-        assert set(chosen) == {net.gates[0], net.gates[1]}
-
-    def test_greedy_respects_k(self, small_graph, small_cache):
-        chosen = greedy_early_adopters(
-            small_graph,
-            k=1,
-            config=SimulationConfig(theta=0.10, max_rounds=5),
-            candidate_asns=top_degree_isps(small_graph, 3),
-            cache=small_cache,
-        )
-        assert len(chosen) == 1

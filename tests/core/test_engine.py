@@ -10,7 +10,6 @@ from repro.core.engine import (
     _batched_utilities,
     compute_round_data,
     contributions,
-    utilities_for_state,
 )
 from repro.core.state import DeploymentState, StateDeriver
 from repro.routing.cache import RoutingCache
@@ -171,9 +170,3 @@ class TestRoundData:
         derived = deriver.node_secure(state)
         expected = {d for d in small_cache.destinations if derived[d]}
         assert secure_dests == expected
-
-    def test_utilities_for_state_wrapper(self, small_graph, small_cache):
-        deriver = StateDeriver(small_graph)
-        u = utilities_for_state(small_cache, deriver, empty_state(), UtilityModel.OUTGOING)
-        rd = compute_round_data(small_cache, deriver, empty_state(), UtilityModel.OUTGOING)
-        assert np.allclose(u, rd.utilities)

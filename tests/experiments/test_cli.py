@@ -114,9 +114,10 @@ class TestTelemetryFlags:
         ]) == 0
         assert "telemetry summary" in capsys.readouterr().out
 
-        from repro.telemetry.export import load_metrics
+        from repro.runtime.atomic import load_checked_json
+        from repro.telemetry.export import METRICS_FORMAT
 
-        snap = load_metrics(metrics)
+        snap = load_checked_json(metrics, expected_format=METRICS_FORMAT)
         assert snap["counters"]["routing.tree_builds"] == 60
         assert snap["counters"]["sweep.cells"] > 0
 

@@ -6,16 +6,16 @@ import pytest
 
 from repro.core.config import SimulationConfig
 from repro.core.dynamics import StateMemo, run_deployment
-from repro.experiments.cp_vs_tier1 import run_cp_vs_tier1, run_graph_comparison
+from repro.experiments.cp_vs_tier1 import run_cp_vs_tier1
 from repro.experiments.setup import build_environment
 from repro.runtime.errors import StateMemoScopeError
 from repro.topology.traffic import apply_traffic_model
 
 
 def test_graph_comparison_covers_both_graphs():
-    out = run_graph_comparison(n=60, seed=7, thetas=(0.0,))
-    assert set(out) == {False, True}
-    for augmented, cells in out.items():
+    for augmented in (False, True):
+        env = build_environment(n=60, seed=7, augmented=augmented)
+        cells = run_cp_vs_tier1(env, thetas=(0.0,), x_values=(0.10,))
         assert cells, "comparison produced no cells"
         assert all(c.augmented is augmented for c in cells)
         assert all(0.0 <= c.fraction_secure_ases <= 1.0 for c in cells)

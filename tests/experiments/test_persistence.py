@@ -10,11 +10,8 @@ import pytest
 from repro.core.adopters import top_degree_isps
 from repro.core.config import SimulationConfig
 from repro.core.dynamics import run_deployment
-from repro.experiments.persistence import (
-    load_result_summary,
-    result_to_dict,
-    save_result,
-)
+from repro.experiments.persistence import RESULT_FORMAT, result_to_dict, save_result
+from repro.runtime.atomic import load_checked_json
 
 
 @pytest.fixture(scope="module")
@@ -52,17 +49,17 @@ class TestSerialisation:
         buf = io.StringIO()
         save_result(result, buf)
         buf.seek(0)
-        loaded = load_result_summary(buf)
+        loaded = json.load(buf)
         assert loaded == result_to_dict(result)
 
     def test_file_roundtrip(self, result, tmp_path):
         path = tmp_path / "run.json"
         save_result(result, path)
-        loaded = load_result_summary(path)
+        loaded = load_checked_json(path, expected_format=RESULT_FORMAT)
         assert loaded["num_ases"] == result.graph.n
 
     def test_format_check(self, tmp_path):
         path = tmp_path / "bogus.json"
         path.write_text(json.dumps({"format": "other"}))
         with pytest.raises(ValueError, match="unrecognised"):
-            load_result_summary(path)
+            load_checked_json(path, expected_format=RESULT_FORMAT)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.experiments.report import format_percent, format_series, format_table
+from repro.experiments.report import format_series, format_table
 
 
 class TestFormatTable:
@@ -24,11 +24,6 @@ class TestFormatTable:
     def test_empty_rows(self):
         out = format_table(["h"], [])
         assert "h" in out
-
-
-def test_format_percent():
-    assert format_percent(0.853) == "85.3%"
-    assert format_percent(0.5, digits=0) == "50%"
 
 
 def test_format_series():

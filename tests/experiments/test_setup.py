@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.setup import build_environment
-from repro.topology.traffic import traffic_fraction_of
 
 
 class TestBuildEnvironment:
@@ -15,8 +14,9 @@ class TestBuildEnvironment:
         assert medium_env.x == 0.10
 
     def test_traffic_applied(self, medium_env):
+        weights = medium_env.graph.weights
         cps = medium_env.graph.cp_indices
-        assert traffic_fraction_of(medium_env.graph, cps) == pytest.approx(0.10)
+        assert weights[cps].sum() / weights.sum() == pytest.approx(0.10)
 
     def test_adopter_sets_menu(self, medium_env):
         sets = medium_env.adopter_sets()

@@ -9,12 +9,11 @@ from repro.protocol.attacks import (
     evaluate_attack,
     forge_origin_hijack,
     forge_path_announcement,
-    forge_signed_false_path,
-    sign_attacker_hop,
 )
+from repro.protocol.messages import Announcement
 from repro.protocol.router import SecurityLevel
 from repro.protocol.rpki import Prefix
-from repro.protocol.sbgp import validate_path, validated_signers
+from repro.protocol.sbgp import sign_hop, validate_path, validated_signers
 
 PFX = Prefix("198.18.0.0", 15)
 
@@ -34,6 +33,12 @@ class TestForgeries:
         assert ann.origin == 42
 
 
+def _sign_own_hop(net, attacker, ann, receiver):
+    """``ann`` with the attacker's one genuine signature for ``receiver``."""
+    att = sign_hop(net.rpki, attacker, ann.prefix, ann.path, receiver)
+    return Announcement(prefix=ann.prefix, path=ann.path, attestations=(att,))
+
+
 class TestSignedForgeries:
     """A lone genuine signature on a false path: verifies for the
     attacker's hop, never for the spoofed ones (Appendix B's lever)."""
@@ -41,12 +46,10 @@ class TestSignedForgeries:
     def test_signed_false_path_attacker_hop_only(self):
         gadget = build_attack_network()
         net = gadget.build_protocol_network(p_prefers_partial=False)
-        ann = forge_signed_false_path(
-            net, gadget.m, (gadget.m, gadget.v), gadget.prefix
-        )
+        ann = forge_path_announcement(gadget.m, (gadget.m, gadget.v), gadget.prefix)
         assert ann.attestations == ()  # nothing signed yet
 
-        signed = sign_attacker_hop(net, gadget.m, ann, receiver=gadget.p)
+        signed = _sign_own_hop(net, gadget.m, ann, receiver=gadget.p)
         assert len(signed.attestations) == 1
         assert validated_signers(net.rpki, signed, gadget.p) == {gadget.m}
         # the chain stays broken at the spoofed hop: never fully secure
@@ -55,10 +58,8 @@ class TestSignedForgeries:
     def test_signature_is_receiver_specific(self):
         gadget = build_attack_network()
         net = gadget.build_protocol_network(p_prefers_partial=False)
-        ann = forge_signed_false_path(
-            net, gadget.m, (gadget.m, gadget.v), gadget.prefix
-        )
-        signed = sign_attacker_hop(net, gadget.m, ann, receiver=gadget.p)
+        ann = forge_path_announcement(gadget.m, (gadget.m, gadget.v), gadget.prefix)
+        signed = _sign_own_hop(net, gadget.m, ann, receiver=gadget.p)
         # addressed to p: verifying from r must reject even the
         # attacker's own genuine hop
         assert validated_signers(net.rpki, signed, gadget.r) == set()

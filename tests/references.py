@@ -18,8 +18,8 @@ to read, as what the differential suites compare against:
 
 - :func:`compute_tree_scalar` — the same, one node at a time;
 - :func:`subtree_weights` — the weight routed through each node;
-- :func:`route_classes_and_lengths_scalar` — passes 1-3 of the
-  structure build with queues and a heap;
+- :func:`route_labels_scalar` — passes 1-3 of the structure build
+  with queues and a heap;
 - :func:`compute_dest_routing_sp_first` — the §8.3 ``SP > LP > SecP``
   structure of one destination by bucketed Dijkstra, the oracle for
   the fixpoint that builds it;
@@ -62,7 +62,7 @@ from repro.routing.fixpoint import (
 from repro.routing.paths import RoutingTree
 from repro.routing.policy import POSITION_BITS, Criterion, RouteClass, tie_hash_array
 from repro.routing.reference import ConvergenceError, propagate
-from repro.routing.tree import DestRouting, RouteInfo, assemble_pools
+from repro.routing.tree import DestRouting, assemble_pools
 from repro.topology.graph import ASGraph
 
 _POS_MASK = np.uint64((1 << POSITION_BITS) - 1)
@@ -230,8 +230,10 @@ def subtree_weights(dr: DestRouting, tree: RoutingTree, weights: np.ndarray) -> 
     return w
 
 
-def route_classes_and_lengths_scalar(graph: ASGraph, dest: int) -> RouteInfo:
-    """Scalar reference implementation of :func:`route_classes_and_lengths`."""
+def route_labels_scalar(graph: ASGraph, dest: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scalar reference for one row of :func:`repro.routing.tree.route_labels`:
+    each node's selected-route class (int8) and length (int32, -1 where
+    unreachable) toward ``dest``."""
     n = graph.n
     dist_cust = np.full(n, _UNSET, dtype=np.int32)
     dist_peer = np.full(n, _UNSET, dtype=np.int32)
@@ -292,7 +294,7 @@ def route_classes_and_lengths_scalar(graph: ASGraph, dest: int) -> RouteInfo:
             cls[i] = _PEER
         elif dist_prov[i] != _UNSET:
             cls[i] = _PROVIDER
-    return RouteInfo(dest=dest, cls=cls, lengths=selected_len)
+    return cls, selected_len
 
 
 def compute_dest_routing_sp_first(graph: ASGraph, dest: int) -> DestRouting:

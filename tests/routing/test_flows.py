@@ -14,7 +14,6 @@ from repro.routing.cache import RoutingCache
 from repro.routing.flows import (
     deployment_traffic_shift,
     link_loads,
-    top_loaded_links,
     traffic_shift,
 )
 from repro.topology.graph import ASGraph
@@ -83,18 +82,6 @@ class TestLinkLoads:
         assert got.keys() == want.keys() and len(got) > small_graph.n
         assert all(got[link].hex() == want[link].hex() for link in want)
         assert all(type(a) is int and type(b) is int for a, b in got)
-
-    def test_top_loaded_links(self, small_graph, small_cache):
-        deriver = StateDeriver(small_graph)
-        rd = compute_round_data(
-            small_cache, deriver, DeploymentState(frozenset(), frozenset()),
-            UtilityModel.OUTGOING,
-        )
-        loads = link_loads(rd, small_graph.weights)
-        top = top_loaded_links(loads, small_graph, k=5)
-        assert len(top) == 5
-        values = [load for _, _, load in top]
-        assert values == sorted(values, reverse=True)
 
 
 class TestTrafficShift:

@@ -1,10 +1,9 @@
-"""Tests for path reconstruction helpers."""
+"""Tests for path reconstruction from a resolved routing tree."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.routing.paths import as_path, path_is_secure, transit_nodes
 from repro.routing.tree import compute_dest_routing
 from repro.topology.graph import ASGraph
 
@@ -25,7 +24,7 @@ def test_as_path_returns_asns():
     dr = compute_dest_routing(g, g.index(30))
     none = np.zeros(g.n, dtype=bool)
     tree = compute_tree(dr, none, none)
-    assert as_path(g, tree, 10) == [10, 20, 30]
+    assert [g.asn(i) for i in tree.path_from(g.index(10))] == [10, 20, 30]
 
 
 def test_as_path_unreachable():
@@ -34,7 +33,7 @@ def test_as_path_unreachable():
     dr = compute_dest_routing(g, g.index(30))
     none = np.zeros(g.n, dtype=bool)
     tree = compute_tree(dr, none, none)
-    assert as_path(g, tree, 99) == []
+    assert tree.path_from(g.index(99)) == []
 
 
 def test_transit_nodes_strictly_between():
@@ -42,8 +41,8 @@ def test_transit_nodes_strictly_between():
     dr = compute_dest_routing(g, g.index(30))
     none = np.zeros(g.n, dtype=bool)
     tree = compute_tree(dr, none, none)
-    assert transit_nodes(tree, g.index(10), g.index(30)) == [g.index(20)]
-    assert transit_nodes(tree, g.index(20), g.index(30)) == []
+    assert tree.path_from(g.index(10))[1:-1] == [g.index(20)]
+    assert tree.path_from(g.index(20))[1:-1] == []
 
 
 def test_path_is_secure_flag():
@@ -51,7 +50,7 @@ def test_path_is_secure_flag():
     dr = compute_dest_routing(g, g.index(30))
     all_secure = np.ones(g.n, dtype=bool)
     tree = compute_tree(dr, all_secure, all_secure)
-    assert path_is_secure(tree, g.index(10))
+    assert tree.secure[g.index(10)]
     none = np.zeros(g.n, dtype=bool)
     tree2 = compute_tree(dr, none, none)
-    assert not path_is_secure(tree2, g.index(10))
+    assert not tree2.secure[g.index(10)]

@@ -49,7 +49,6 @@ from repro.routing.tree import (
     compute_dest_routing,
     MAX_ROUTE_LENGTH,
     destination_chunks,
-    route_classes_and_lengths,
     route_labels,
 )
 from repro.runtime.errors import DeadlineExceeded
@@ -60,7 +59,7 @@ from repro.topology.graph import ASGraph
 
 from tests.references import (
     compute_dest_routing_sp_first,
-    route_classes_and_lengths_scalar,
+    route_labels_scalar,
     tie_keys,
 )
 from tests.routing.test_variants import restrict_to_primary_reference
@@ -333,9 +332,9 @@ def _check_against_references(graph: ASGraph, dests: list[int]) -> None:
     assert np.concatenate([chunk for chunk, _, _ in chunks]).tolist() == dests
     labels = [row for _, cls, lengths in chunks for row in zip(cls, lengths)]
     for dest, (cls, lengths) in zip(dests, labels, strict=True):
-        scalar = route_classes_and_lengths_scalar(graph, dest)
-        assert cls.tobytes() == scalar.cls.tobytes()
-        assert lengths.tobytes() == scalar.lengths.tobytes()
+        scalar_cls, scalar_lengths = route_labels_scalar(graph, dest)
+        assert cls.tobytes() == scalar_cls.tobytes()
+        assert lengths.tobytes() == scalar_lengths.tobytes()
 
 
 #: the tier subclasses run the same hypothesis tests, which hypothesis
@@ -400,11 +399,11 @@ class TestBatchedBuildBitIdentity:
                     a, b = getattr(got, name), getattr(want, name)
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
                 assert tie_keys(got).tobytes() == tie_keys(want).tobytes()
-            info = route_classes_and_lengths(graph, dest)
-            assert info.dest == dest
-            assert info.cls.tobytes() == want.cls.tobytes()
+            ((chunk, cls, lengths),) = route_labels(cg, [dest])
+            assert chunk.tolist() == [dest]
+            assert cls[0].tobytes() == want.cls.tobytes()
             # the passes' own labels, before the arena narrows them
-            assert info.lengths.tolist() == want.lengths.tolist()
+            assert lengths[0].tolist() == want.lengths.tolist()
 
 
 class TestBatchedBuildBitIdentityOnCext(TestBatchedBuildBitIdentity):

@@ -11,10 +11,10 @@ from repro.routing.cache import RoutingCache
 from repro.routing.tiebreak import (
     TiebreakStats,
     collect_tiebreak_stats,
-    mean_path_length,
     security_sensitive_decision_fraction,
 )
 from repro.routing.tree import compute_dest_routing
+from repro.topology.augment import mean_cp_path_length
 from repro.topology.graph import ASGraph
 from repro.topology.relationships import ASRole
 
@@ -153,8 +153,10 @@ class TestSmallGraph:
 
     def test_mean_path_length(self, diamond):
         # per destination the three other nodes sum to 4 hops (1+1+2),
-        # e.g. dest 4: 2->4 and 3->4 direct, 1->4 two hops; 12 pairs total
-        assert mean_path_length(diamond) == pytest.approx(16 / 12)
+        # e.g. dest 4: 2->4 and 3->4 direct, 1->4 two hops; 12 pairs total,
+        # three per source, so the mean of the per-source means is 16/12
+        means = [mean_cp_path_length(diamond, asn) for asn in diamond.asns]
+        assert sum(means) / len(means) == pytest.approx(16 / 12)
 
 
 class TestPaperStatistics:

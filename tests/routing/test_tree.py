@@ -8,10 +8,10 @@ from hypothesis import given, settings
 
 from repro.routing.compiled import CompiledGraph
 from repro.routing.policy import RouteClass
-from repro.routing.tree import compute_dest_routing, route_classes_and_lengths
+from repro.routing.tree import compute_dest_routing, route_labels
 from repro.topology.graph import ASGraph
 
-from tests.references import route_classes_and_lengths_scalar
+from tests.references import route_labels_scalar
 from tests.strategies import as_graphs
 
 
@@ -26,40 +26,46 @@ def chain_graph() -> ASGraph:
     return g
 
 
+def route_of(graph: ASGraph, dest: int, compiled: CompiledGraph | None = None):
+    """``(cls, lengths)`` of every node toward ``dest``: a one-row chunk."""
+    ((_, cls, lengths),) = route_labels(compiled or CompiledGraph.from_graph(graph), [dest])
+    return cls[0], lengths[0]
+
+
 class TestRouteClasses:
     def test_customer_routes_ascend(self):
         g = chain_graph()
-        info = route_classes_and_lengths(g, g.index(3))
-        assert info.cls[g.index(2)] == int(RouteClass.CUSTOMER)
-        assert info.lengths[g.index(2)] == 1
-        assert info.cls[g.index(1)] == int(RouteClass.CUSTOMER)
-        assert info.lengths[g.index(1)] == 2
+        cls, lengths = route_of(g, g.index(3))
+        assert cls[g.index(2)] == int(RouteClass.CUSTOMER)
+        assert lengths[g.index(2)] == 1
+        assert cls[g.index(1)] == int(RouteClass.CUSTOMER)
+        assert lengths[g.index(1)] == 2
 
     def test_peer_route_single_hop(self):
         g = chain_graph()
-        info = route_classes_and_lengths(g, g.index(3))
+        cls, lengths = route_of(g, g.index(3))
         # 4 reaches 3 via peer 2 (which has a customer route)
-        assert info.cls[g.index(4)] == int(RouteClass.PEER)
-        assert info.lengths[g.index(4)] == 2
+        assert cls[g.index(4)] == int(RouteClass.PEER)
+        assert lengths[g.index(4)] == 2
 
     def test_provider_routes_descend(self):
         g = chain_graph()
-        info = route_classes_and_lengths(g, g.index(1))
-        assert info.cls[g.index(2)] == int(RouteClass.PROVIDER)
-        assert info.cls[g.index(3)] == int(RouteClass.PROVIDER)
-        assert info.lengths[g.index(3)] == 2
+        cls, lengths = route_of(g, g.index(1))
+        assert cls[g.index(2)] == int(RouteClass.PROVIDER)
+        assert cls[g.index(3)] == int(RouteClass.PROVIDER)
+        assert lengths[g.index(3)] == 2
 
     def test_unreachable(self):
         g = chain_graph()
-        info = route_classes_and_lengths(g, g.index(3))
-        assert info.cls[g.index(5)] == int(RouteClass.UNREACHABLE)
-        assert info.lengths[g.index(5)] == -1
+        cls, lengths = route_of(g, g.index(3))
+        assert cls[g.index(5)] == int(RouteClass.UNREACHABLE)
+        assert lengths[g.index(5)] == -1
 
     def test_self(self):
         g = chain_graph()
-        info = route_classes_and_lengths(g, g.index(3))
-        assert info.cls[g.index(3)] == int(RouteClass.SELF)
-        assert info.lengths[g.index(3)] == 0
+        cls, lengths = route_of(g, g.index(3))
+        assert cls[g.index(3)] == int(RouteClass.SELF)
+        assert lengths[g.index(3)] == 0
 
     def test_no_peer_route_via_peer_route(self):
         """GR2: a peer exports only customer routes to peers."""
@@ -68,9 +74,9 @@ class TestRouteClasses:
             g.add_as(asn)
         g.add_peering(1, 2)
         g.add_peering(2, 3)
-        info = route_classes_and_lengths(g, g.index(3))
+        cls, lengths = route_of(g, g.index(3))
         # 2 has a peer route; 1 must NOT learn it over the 1-2 peering
-        assert info.cls[g.index(1)] == int(RouteClass.UNREACHABLE)
+        assert cls[g.index(1)] == int(RouteClass.UNREACHABLE)
 
     def test_valley_free_no_route_down_then_up(self):
         """A provider route may not be re-exported to a provider."""
@@ -80,9 +86,9 @@ class TestRouteClasses:
         # 2 is customer of both 1 and 3 (a valley between two providers)
         g.add_customer_provider(provider=1, customer=2)
         g.add_customer_provider(provider=3, customer=2)
-        info = route_classes_and_lengths(g, g.index(3))
+        cls, lengths = route_of(g, g.index(3))
         # 1 cannot reach 3 through its customer 2 (2's route is provider)
-        assert info.cls[g.index(1)] == int(RouteClass.UNREACHABLE)
+        assert cls[g.index(1)] == int(RouteClass.UNREACHABLE)
 
     def test_lp_beats_path_length(self):
         """A longer customer route beats a shorter peer/provider route."""
@@ -96,18 +102,18 @@ class TestRouteClasses:
         g.add_customer_provider(provider=2, customer=3)
         g.add_customer_provider(provider=4, customer=3)
         g.add_peering(1, 4)
-        info = route_classes_and_lengths(g, g.index(3))
-        assert info.cls[g.index(1)] == int(RouteClass.CUSTOMER)
+        cls, lengths = route_of(g, g.index(3))
+        assert cls[g.index(1)] == int(RouteClass.CUSTOMER)
 
     @given(as_graphs())
     @settings(max_examples=60, deadline=None)
     def test_vectorised_matches_scalar(self, graph):
         cg = CompiledGraph.from_graph(graph)
         for dest in range(0, graph.n, max(1, graph.n // 5)):
-            a = route_classes_and_lengths(graph, dest, cg)
-            b = route_classes_and_lengths_scalar(graph, dest)
-            assert (a.cls == b.cls).all()
-            assert (a.lengths == b.lengths).all()
+            cls, lengths = route_of(graph, dest, cg)
+            want_cls, want_lengths = route_labels_scalar(graph, dest)
+            assert (cls == want_cls).all()
+            assert (lengths == want_lengths).all()
 
 
 class TestDestRouting:

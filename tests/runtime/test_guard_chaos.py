@@ -13,6 +13,8 @@ The acceptance tests for the runtime guard as a whole:
 
 from __future__ import annotations
 
+import io
+
 import pytest
 from hypothesis import given, settings
 
@@ -26,7 +28,7 @@ from repro.runtime.guard import Deadline, MemoryBudget, RuntimeGuard, use_guard
 from repro.runtime.journal import RunJournal
 from repro.telemetry.metrics import MetricsRegistry, use_registry
 from repro.topology.graph import ASGraph
-from repro.topology.preflight import preflight_as_rel_text
+from repro.topology.preflight import preflight_as_rel
 from repro.topology.serialization import dumps_as_rel
 
 from tests.strategies import as_graphs
@@ -247,7 +249,7 @@ class TestRoundTripProperties:
     @given(as_graphs(with_cps=True))
     def test_repair_of_clean_dump_is_identity(self, graph):
         """repair(dump(g)) == g: preflight never mangles a clean graph."""
-        repaired, report = preflight_as_rel_text(dumps_as_rel(graph), mode="repair")
+        repaired, report = preflight_as_rel(io.StringIO(dumps_as_rel(graph)), mode="repair")
         assert report.dropped_edges == 0
         assert not [i for i in report.issues if i.code != "disconnected"]
         assert canonical(repaired) == canonical(graph)
@@ -261,7 +263,7 @@ class TestRoundTripProperties:
             line for line in text.splitlines() if line and not line.startswith("#")
         ]
         doubled = text + "\n".join(edge_lines) + "\n"
-        repaired, report = preflight_as_rel_text(doubled, mode="repair")
+        repaired, report = preflight_as_rel(io.StringIO(doubled), mode="repair")
         assert canonical(repaired) == canonical(graph)
         dup_issues = [i for i in report.issues if i.code == "duplicate_edge"]
         assert len(dup_issues) == len(edge_lines)

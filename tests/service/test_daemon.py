@@ -282,6 +282,52 @@ class TestStartSequence:
         assert sorted(served, key=key) == sorted(direct, key=key)
 
 
+_RESTART_SCRIPT = """
+import json, sys, urllib.request
+from repro.service.daemon import SimulationService
+
+store, job_id = sys.argv[1:]
+svc = SimulationService(store, port=0, workers=1)
+shown = svc.store.get(job_id).to_dict()["state"]
+loaded = "numpy" in sys.modules
+svc.start()
+try:
+    host, port = svc.address
+    url = f"http://{host}:{port}/v1/jobs/{job_id}/result"
+    with urllib.request.urlopen(url, timeout=30) as resp:
+        result = json.load(resp)
+finally:
+    svc.shutdown()
+print(json.dumps({"shown": shown, "numpy": loaded, "result": result}))
+"""
+
+
+def test_restart_on_a_finished_job_answers_before_the_stack_loads(tmp_path):
+    """A daemon reopening a store that holds a job loads no numpy until
+    ``start()``: the journaled spec is parsed after ``/healthz``
+    answers, and the job's result is served once it has started."""
+    from repro.service.specs import parse_spec
+    from repro.service.store import JobStore
+
+    store = JobStore(tmp_path / "store")
+    job, _ = store.submit(parse_spec(SPEC))
+    store.set_state(job.id, "running")
+    store.write_result(job, {"cells": []})
+    store.set_state(job.id, "done")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _RESTART_SCRIPT, str(tmp_path / "store"), job.id],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["shown"] == "done"
+    assert not out["numpy"]
+    assert out["result"] == {"format": "repro.service-result/1", "id": job.id, "cells": []}
+
+
 @pytest.mark.slow
 class TestCrashResume:
     """ISSUE acceptance: SIGKILL mid-job, restart, resume, complete."""

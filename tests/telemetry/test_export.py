@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.runtime.atomic import load_checked_json
 from repro.telemetry.export import (
-    load_metrics,
+    METRICS_FORMAT,
     render_prometheus,
     summary_rows,
     write_metrics,
@@ -43,7 +44,8 @@ class TestFiles:
         snap = _snap(counter=5, obs=(0.5,))
         path = tmp_path / "metrics.json"
         write_metrics(path, snap)
-        assert load_metrics(path) == snap
+        loaded = load_checked_json(path, expected_format=METRICS_FORMAT)
+        assert loaded == {"format": METRICS_FORMAT, **snap}
 
     def test_load_rejects_wrong_format(self, tmp_path):
         from repro.runtime.atomic import atomic_write_json
@@ -52,7 +54,7 @@ class TestFiles:
         path = tmp_path / "bad.json"
         atomic_write_json(path, {"format": "something-else"})
         with pytest.raises(SchemaError):
-            load_metrics(path)
+            load_checked_json(path, expected_format=METRICS_FORMAT)
 
 
 class TestSummary:

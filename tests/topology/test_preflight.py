@@ -7,6 +7,7 @@ The hypothesis round-trip properties (``repair(dump(g)) == g``) live in
 from __future__ import annotations
 
 import hashlib
+import io
 import random
 
 import pytest
@@ -16,7 +17,6 @@ from repro.topology.generator import generate_topology
 from repro.topology.preflight import (
     PREFLIGHT_MODES,
     preflight_as_rel,
-    preflight_as_rel_text,
 )
 from repro.topology.serialization import dumps_as_rel
 
@@ -42,7 +42,7 @@ not a line at all
 class TestCleanInput:
     @pytest.mark.parametrize("mode", PREFLIGHT_MODES)
     def test_clean_file_has_no_issues(self, mode):
-        graph, report = preflight_as_rel_text(CLEAN, mode=mode)
+        graph, report = preflight_as_rel(io.StringIO(CLEAN), mode=mode)
         assert report.ok
         assert report.dropped_edges == 0
         assert report.num_components == 1
@@ -52,7 +52,7 @@ class TestCleanInput:
 
 class TestQuarantine:
     def test_issues_carry_line_numbers_and_codes(self):
-        _graph, report = preflight_as_rel_text(DIRTY, mode="repair")
+        _graph, report = preflight_as_rel(io.StringIO(DIRTY), mode="repair")
         by_code = {}
         for issue in report.issues:
             by_code.setdefault(issue.code, []).append(issue.lineno)
@@ -62,7 +62,7 @@ class TestQuarantine:
         assert by_code["self_loop"] == [5]
 
     def test_repair_keeps_first_declaration(self):
-        graph, report = preflight_as_rel_text(DIRTY, mode="repair")
+        graph, report = preflight_as_rel(io.StringIO(DIRTY), mode="repair")
         # 1|2|-1 kept once (1 provider of 2); 2|1|-1 conflict dropped
         assert graph.customers_of(1) == [2, 3]
         assert graph.providers_of(2) == [1]
@@ -70,20 +70,20 @@ class TestQuarantine:
 
     def test_strict_raises_with_every_issue(self):
         with pytest.raises(GraphValidationError) as info:
-            preflight_as_rel_text(DIRTY, mode="strict")
+            preflight_as_rel(io.StringIO(DIRTY), mode="strict")
         assert len(info.value.issues) == 5
         assert "line 2" in str(info.value) or ":2:" in str(info.value)
 
     def test_report_mode_warns_and_repairs(self, caplog):
         with caplog.at_level("WARNING", logger="repro.topology.preflight"):
-            graph, report = preflight_as_rel_text(DIRTY, mode="report")
+            graph, report = preflight_as_rel(io.StringIO(DIRTY), mode="report")
         assert not report.ok
         assert len(caplog.records) == len(report.issues)
         assert graph.n == 3
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown preflight mode"):
-            preflight_as_rel_text(CLEAN, mode="yolo")
+            preflight_as_rel(io.StringIO(CLEAN), mode="yolo")
 
 
 def _with_cycles(n: int, cycles: int, seed: int) -> str:
@@ -118,7 +118,7 @@ class TestProviderCycles:
     CYCLIC = "1|2|-1\n2|3|-1\n3|1|-1\n"
 
     def test_cycle_broken_in_repair_mode(self):
-        graph, report = preflight_as_rel_text(self.CYCLIC, mode="repair")
+        graph, report = preflight_as_rel(io.StringIO(self.CYCLIC), mode="repair")
         codes = [i.code for i in report.issues]
         assert "provider_cycle" in codes
         graph.validate()  # repaired graph satisfies GR1
@@ -128,7 +128,7 @@ class TestProviderCycles:
             "1|2|-1\n2|3|-1\n3|1|-1\n3|4|-1\n4|5|-1\n5|3|-1\n"
             "6|7|-1\n7|8|-1\n8|6|-1\n2|9|0\n9|6|-1\n"
         )
-        graph, report = preflight_as_rel_text(text, mode="repair")
+        graph, report = preflight_as_rel(io.StringIO(text), mode="repair")
         assert report.dropped_edges == 3
         assert [i.format() for i in report.issues] == [
             "line 1: [provider_cycle] customer-provider cycle 1 -> 3 -> 2 -> 1; "
@@ -146,7 +146,8 @@ class TestProviderCycles:
         # drops what re-validating after every drop dropped, in order
         # (digests of the report and of the repaired graph, as that
         # repair wrote them)
-        graph, report = preflight_as_rel_text(_with_cycles(8000, 200, seed=5), mode="repair")
+        text = _with_cycles(8000, 200, seed=5)
+        graph, report = preflight_as_rel(io.StringIO(text), mode="repair")
         dropped = "\n".join(i.format() for i in report.issues)
         assert report.dropped_edges == len(report.issues) == 344
         assert report.issues[0].format() == (
@@ -159,12 +160,12 @@ class TestProviderCycles:
 
     def test_cycle_fails_strict_mode(self):
         with pytest.raises(GraphValidationError, match="provider_cycle|cycle"):
-            preflight_as_rel_text(self.CYCLIC, mode="strict")
+            preflight_as_rel(io.StringIO(self.CYCLIC), mode="strict")
 
 
 class TestComponents:
     def test_disconnected_components_reported(self):
-        graph, report = preflight_as_rel_text("1|2|-1\n8|9|0\n", mode="repair")
+        graph, report = preflight_as_rel(io.StringIO("1|2|-1\n8|9|0\n"), mode="repair")
         assert report.num_components == 2
         assert any(i.code == "disconnected" for i in report.issues)
         assert graph.n == 4
@@ -195,13 +196,13 @@ class TestReportSerialization:
     def test_to_dict_is_json_ready(self):
         import json
 
-        _graph, report = preflight_as_rel_text(DIRTY, mode="repair")
+        _graph, report = preflight_as_rel(io.StringIO(DIRTY), mode="repair")
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["num_issues"] == len(report.issues)
         assert payload["issues"][0]["lineno"] == report.issues[0].lineno
 
     def test_format_text_lists_findings(self):
-        _graph, report = preflight_as_rel_text(DIRTY, mode="repair")
+        _graph, report = preflight_as_rel(io.StringIO(DIRTY), mode="repair")
         text = report.format_text()
         assert "5 issue(s)" in text
         assert "[malformed]" in text

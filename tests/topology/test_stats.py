@@ -7,8 +7,6 @@ from repro.topology.graph import ASGraph
 from repro.topology.relationships import ASRole
 from repro.topology.stats import (
     degree_array,
-    degree_distribution,
-    multihomed_stub_fraction,
     stub_customer_counts,
     summarize,
     top_by_degree,
@@ -65,19 +63,12 @@ class TestDegrees:
         g = simple_graph()
         assert len(top_by_degree(g, 100)) == 2
 
-    def test_degree_distribution_sums_to_n(self):
-        g = simple_graph()
-        assert sum(degree_distribution(g).values()) == g.n
-
 
 class TestStubStats:
     def test_stub_customer_counts(self):
         counts = stub_customer_counts(simple_graph())
         assert counts[1] == 2  # stubs 3 and 4 (9 is a CP)
         assert counts[2] == 1
-
-    def test_multihomed_fraction(self):
-        assert multihomed_stub_fraction(simple_graph()) == 0.5
 
     def test_paper_stub_claim_shape(self):
         """§2.2.1: most ISPs have few stub customers, a few have many."""
