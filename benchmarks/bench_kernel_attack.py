@@ -73,6 +73,20 @@ def bench_state(bench_env):
     return secure
 
 
+def _scalar_fooled(env, pairs, state, scenario: str) -> list[int]:
+    """Per pair, the ASes the scalar reference has the attacker fool;
+    computed once per scenario."""
+    key = ("fooled", scenario)
+    if key not in _cache:
+        _cache[key] = [
+            int(simulate_hijack(
+                env.graph, victim, attacker, state, state, scenario=scenario,
+            ).routes_to_attacker.sum())
+            for victim, attacker in pairs
+        ]
+    return _cache[key]
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("scenario", ["origin_hijack", "route_leak"])
 def test_kernel_attack_batched(
@@ -92,6 +106,11 @@ def test_kernel_attack_batched(
         )
     )
     assert len(outcomes) == len(bench_pairs)
+    # outside the timer: the counts the attack matrix folds are the
+    # scalar reference's, pair for pair
+    assert outcomes.num_fooled.tolist() == _scalar_fooled(
+        bench_env, bench_pairs, bench_state, scenario
+    )
 
 
 @pytest.mark.parametrize("scenario", ["origin_hijack"])

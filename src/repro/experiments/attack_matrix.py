@@ -12,11 +12,16 @@ One seeded (victim, attacker) pair sample is drawn up front and shared
 by *every* cell, so per-cell differences are pure scenario / policy /
 deployment effects, never sampling noise.  Cells run on the batched
 multi-origin kernel (:func:`repro.security.hijack.simulate_attacks_batched`),
-once per distinct ``(deployment state, scenario, policy)`` of a run:
-strategies that reach the same state — the static orderings at level 0
-and at 1.0 — share its evaluation (counted as
-``security.attack.cells_shared``), and each of their cells is still
-journaled and reported as computed.
+once per distinct routing problem of a run — what the kernel is handed:
+the scenario, the deployment state, the nodes that apply SecP and the
+ranking as the kernel can tell it apart
+(:func:`repro.routing.fixpoint.ranking_key`).  Strategies that reach the
+same state — the static orderings at level 0 and at 1.0 — share its
+problems, and so do policies that differ only where SecP sits when
+nobody applies it; a shared evaluation is counted as
+``security.attack.cells_shared``, and each of its cells is still
+journaled and reported as computed, under its own policy, strategy and
+level.
 
 Like sweeps, matrix runs checkpoint cell by cell through a
 :class:`~repro.runtime.journal.CellLog`.
@@ -30,6 +35,7 @@ from typing import Callable, Iterable, Sequence
 
 from repro.core.state import StateDeriver
 from repro.experiments.setup import ExperimentEnv
+from repro.routing.fixpoint import ranking_key
 from repro.routing.policy import available_policies, get_policy
 from repro.routing.reference import ConvergenceError
 from repro.runtime.journal import CellLog, RunJournal
@@ -137,6 +143,17 @@ def run_attack_matrix(
     scenario yields an ``outcome="no-convergence"`` cell, never an
     exception — matching the §8.3 ablation's treatment of
     ``security_1st``.
+
+    Cells that hand the kernel the same problem — same scenario,
+    deployment state and SecP-applying nodes (``node_secure &
+    breaks_ties``, less the policy's sticky nodes), and a ranking the
+    kernel cannot tell apart (:func:`~repro.routing.fixpoint.ranking_key`:
+    where SecP sits does not matter when nobody applies it) — are
+    attacked once and share the outcome, which is bit-identical to
+    attacking each: at level 0 every ranking that keeps LP above SP
+    shares one problem per scenario.  A shared cell is counted as
+    ``security.attack.cells_shared``, and journaled and reported as
+    computed under its own policy, strategy and level.
     """
     # canonicalise up front: cells, journal metadata and telemetry all
     # key on names, so an alias ("hijack") must never leak into them
@@ -170,10 +187,10 @@ def run_attack_matrix(
     cell_timer = registry.histogram("security.attack.cell_seconds")
     total = len(scenarios) * len(policies) * len(strategies) * len(levels)
     cells: list[AttackMatrixCell] = []
-    # a cell's outcome is a function of the deployment state, scenario
-    # and policy alone, and strategies share states: each distinct one
-    # is attacked once per run
-    attacked: dict[tuple[bytes, bytes, str, str], AttackMatrixCell] = {}
+    # a cell's outcome is a function of the problem the kernel is
+    # handed alone, which strategies (one state) and policies (one
+    # ranking key) share: each distinct one is attacked once per run
+    attacked: dict[tuple, AttackMatrixCell] = {}
     with tracer.span("attack.matrix", cells=total):
         for strategy_name in strategies:
             strategy = get_strategy(strategy_name)
@@ -184,15 +201,20 @@ def run_attack_matrix(
                 node_secure = deriver.node_secure(state)
                 breaks = deriver.breaks_ties(node_secure)
                 fraction_secure = float(node_secure.sum()) / max(1, graph.n)
+                secure = node_secure.tobytes()
+                problems = {}
+                for policy_name in policies:
+                    policy = get_policy(policy_name)
+                    applies = policy.secp_applies(node_secure, breaks)
+                    problems[policy_name] = (
+                        secure, applies.tobytes(), ranking_key(policy.ranking, applies),
+                    )
                 for scenario_name in scenarios:
                     for policy_name in policies:
                         key = (scenario_name, policy_name, strategy_name, level)
                         cell = log.lookup(key)
                         if cell is None:
-                            evaluated = (
-                                node_secure.tobytes(), breaks.tobytes(),
-                                scenario_name, policy_name,
-                            )
+                            evaluated = (scenario_name, *problems[policy_name])
                             with tracer.span(
                                 "attack.cell", scenario=scenario_name,
                                 policy=policy_name, strategy=strategy_name,
@@ -211,7 +233,8 @@ def run_attack_matrix(
                                         "security.attack.cells_shared"
                                     ).inc()
                                     cell = dataclasses.replace(
-                                        shared, strategy=strategy_name, level=level
+                                        shared, policy=policy_name,
+                                        strategy=strategy_name, level=level,
                                     )
                             log.record(key, cell)
                         cells.append(cell)

@@ -96,7 +96,8 @@ import os
 import shutil
 import threading
 import time
-from typing import Any
+import weakref
+from typing import Any, Callable, Hashable, Sequence
 
 from repro.routing.errors import BackendUnavailable
 from repro.runtime.guard import current_guard
@@ -299,6 +300,40 @@ def mask_stride(mask, batch: int, n: int) -> int:
         f"per-row mask out of step: {len(mask)} entries for a batch of "
         f"{batch} rows of {n} nodes"
     )
+
+
+class _PoolMemo:
+    """What a tier derives from arrays that are never written once built
+    (an arena's pools, a graph's edge table), kept for as long as every
+    one of them lives.
+
+    The same array objects mean the same derivation, so an entry keys on
+    their identities (plus ``tag``, for what else it depends on), holds
+    them weakly and leaves with the first of them to go: nothing derived
+    outlives what it was derived from.
+    """
+
+    def __init__(self) -> None:
+        self._entries: dict[tuple, tuple[object, tuple, object]] = {}
+        # reentrant: an array freed while the lock is held runs ``drop``
+        self._lock = threading.RLock()
+
+    def get(self, arrays: Sequence[Any], build: Callable[[], Any], tag: Hashable = None):
+        key = (tag, *map(id, arrays))
+        entry = self._entries.get(key)
+        if entry is not None and all(ref() is a for ref, a in zip(entry[1], arrays)):
+            return entry[2]
+        value = build()
+        token = object()
+
+        def drop(_, key=key, token=token):
+            with self._lock:
+                if self._entries.get(key, (None,))[0] is token:
+                    del self._entries[key]
+
+        with self._lock:
+            self._entries[key] = (token, tuple(weakref.ref(a, drop) for a in arrays), value)
+        return value
 
 
 def _note_active(name: str) -> None:

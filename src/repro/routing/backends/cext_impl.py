@@ -69,7 +69,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.routing import fixpoint
-from repro.routing.backends import BackendUnavailable, find_compiler, mask_stride
+from repro.routing.backends import BackendUnavailable, _PoolMemo, find_compiler, mask_stride
 from repro.routing.policy import RouteClass
 from repro.routing.tree import MAX_ROUTE_LENGTH, PoolsAssembly, route_too_long, tie_ordered
 from repro.runtime.atomic import atomic_write_text
@@ -784,17 +784,42 @@ def _ptr(array: np.ndarray, dtype: type) -> ctypes.c_void_p:
     return ctypes.c_void_p(array.ctypes.data)
 
 
-def _check_pools(slots: np.ndarray, n: int, ptrs: tuple, pools: tuple,
-                 *per_row: np.ndarray) -> None:
+def _check_pools(ptrs: tuple, pools: tuple) -> int:
     """Every offset table must be ``num_dests + 1`` long and close where
-    its pool ends, the batch must name slots of the arena, and every
-    per-``(batch row, node)`` array must hold ``len(slots) * n``
-    entries."""
+    its pool ends; returns ``num_dests``."""
     num_dests = len(ptrs[0]) - 1
     if num_dests < 0 or any(
         len(ptr) != num_dests + 1 or ptr[-1] != len(pool)
         for ptr, pool in zip(ptrs, pools)
-    ) or any(len(a) != len(slots) * n for a in per_row):
+    ):
+        raise ValueError("cext kernel: pools out of step")
+    return num_dests
+
+
+#: Checked pointers into what is never written once built — an arena's
+#: pools, a graph's edge table — bound on first use and kept while those
+#: arrays live: a call then checks and binds only its own arguments.
+_BOUND = _PoolMemo()
+
+
+def _bound_pools(ptrs: tuple, pools: tuple) -> tuple[int, list[ctypes.c_void_p]]:
+    """``(num_dests, pointers)`` of an arena's offset tables (int64) and
+    pools (int32), checked once per arena; the pointers interleave them,
+    ``ptrs[0], pools[0], ptrs[1], ...``, as the kernels take them."""
+    def bind():
+        num_dests = _check_pools(ptrs, pools)
+        return num_dests, [
+            p for ptr, pool in zip(ptrs, pools)
+            for p in (_ptr(ptr, np.int64), _ptr(pool, np.int32))
+        ]
+
+    return _BOUND.get((*ptrs, *pools), bind, "pools")
+
+
+def _check_batch(slots: np.ndarray, n: int, num_dests: int, *per_row: np.ndarray) -> None:
+    """The batch must name slots of the arena, and every per-``(batch
+    row, node)`` array must hold ``len(slots) * n`` entries."""
+    if any(len(a) != len(slots) * n for a in per_row):
         raise ValueError("cext kernel: pools out of step")
     if len(slots) and (slots.min() < 0 or slots.max() >= num_dests):
         raise ValueError("cext kernel: slot outside the arena")
@@ -817,11 +842,11 @@ def trees_stacked(slots, n, order_ptr, order_pool, level_ptr, level_pool,
     """Resolve each batch row's tree over its slot's pools into its output
     row, in place, and with ``node_weights`` and ``w`` its subtree
     weights, in one C call."""
-    _check_pools(
-        slots, n,
+    num_dests, pools = _bound_pools(
         (order_ptr, level_ptr, indptr_ptr, cand_ptr),
         (order_pool, level_pool, indptr_pool, cands_pool),
     )
+    _check_batch(slots, n, num_dests)
     _check_rows(slots, rows, n, choice, secure, any_secure)
     strides = [mask_stride(mask, len(slots), n) for mask in (secure_rows, secp_rows)]
     if (node_weights is None) != (w is None):
@@ -832,11 +857,7 @@ def trees_stacked(slots, n, order_ptr, order_pool, level_ptr, level_pool,
             raise ValueError("cext kernel: weights out of step")
         weights = (_ptr(node_weights, np.float64), _ptr(w, np.float64))
     status = _LIB.sbgp_trees_stacked(
-        _I64(len(slots)), _I64(n), _ptr(slots, np.int64),
-        _ptr(order_ptr, np.int64), _ptr(order_pool, np.int32),
-        _ptr(level_ptr, np.int64), _ptr(level_pool, np.int32),
-        _ptr(indptr_ptr, np.int64), _ptr(indptr_pool, np.int32),
-        _ptr(cand_ptr, np.int64), _ptr(cands_pool, np.int32),
+        _I64(len(slots)), _I64(n), _ptr(slots, np.int64), *pools,
         _ptr(secure_rows, np.bool_), _I64(strides[0]),
         _ptr(secp_rows, np.bool_), _I64(strides[1]), _ptr(rows, np.int64),
         _ptr(choice, np.int32), _ptr(secure, np.bool_),
@@ -849,18 +870,42 @@ def trees_stacked(slots, n, order_ptr, order_pool, level_ptr, level_pool,
 def weights_stacked(slots, n, order_ptr, order_pool, level_ptr, level_pool,
                     choice, node_weights, w):
     """Push subtree weights up to the chosen parents, deepest level first."""
-    _check_pools(
-        slots, n, (order_ptr, level_ptr), (order_pool, level_pool), choice, w
-    )
+    num_dests, pools = _bound_pools((order_ptr, level_ptr), (order_pool, level_pool))
+    _check_batch(slots, n, num_dests, choice, w)
     if len(node_weights) != n:
         raise ValueError("cext kernel: pools out of step")
     _LIB.sbgp_weights_stacked(
-        _I64(len(slots)), _I64(n), _ptr(slots, np.int64),
-        _ptr(order_ptr, np.int64), _ptr(order_pool, np.int32),
-        _ptr(level_ptr, np.int64), _ptr(level_pool, np.int32),
+        _I64(len(slots)), _I64(n), _ptr(slots, np.int64), *pools,
         _ptr(choice, np.int32), _ptr(node_weights, np.float64),
         _ptr(w, np.float64),
     )
+
+
+def _bound_table(v, route_cls, node_ptr, lp_field, rev_ptr, rev_seg, rev_edge):
+    """``(n, num_edges, pointers)`` of a graph's edge table, checked once
+    per table: its offsets must close where its per-edge arrays end, and
+    ``rev_edge`` must name its edges — the C code indexes with it, so an
+    edge outside the table reads (and a reverse slot queues) memory it
+    does not own."""
+    def bind():
+        num_edges = len(v)
+        n = len(node_ptr) - 1
+        if (
+            n < 0 or len(rev_ptr) != n + 1
+            or node_ptr[-1] != num_edges or rev_ptr[-1] != num_edges
+            or any(len(a) != num_edges for a in (route_cls, lp_field, rev_seg, rev_edge))
+        ):
+            raise ValueError("cext kernel: edge table out of step")
+        if num_edges and (rev_edge.min() < 0 or rev_edge.max() >= num_edges):
+            raise ValueError("cext kernel: reverse edge outside the table")
+        return n, num_edges, (
+            _ptr(v, np.int32), _ptr(route_cls, np.int8), _ptr(node_ptr, np.int64),
+            _ptr(lp_field, np.uint32), _ptr(rev_ptr, np.int64),
+            _ptr(rev_seg, np.int32), _ptr(rev_edge, np.int64),
+        )
+
+    table = (v, route_cls, node_ptr, lp_field, rev_ptr, rev_seg, rev_edge)
+    return _BOUND.get(table, bind, "edges")
 
 
 def jacobi_converge(v, route_cls, node_ptr, lp_field, rev_ptr, rev_seg,
@@ -873,21 +918,12 @@ def jacobi_converge(v, route_cls, node_ptr, lp_field, rev_ptr, rev_seg,
     counts the nodes the frontier re-decided: after the first sweep,
     only the readers of a node the sweep before changed (on a blank
     row's first sweep, its pins and their readers)."""
-    num_edges = len(v)
-    n = len(node_ptr) - 1
+    n, num_edges, table = _bound_table(
+        v, route_cls, node_ptr, lp_field, rev_ptr, rev_seg, rev_edge
+    )
     chunk = len(attacker)
-    per_edge = (route_cls, lp_field, rev_seg, rev_edge, edge_flags)
-    if (
-        n < 0 or len(rev_ptr) != n + 1
-        or node_ptr[-1] != num_edges or rev_ptr[-1] != num_edges
-        or any(len(a) != num_edges for a in per_edge)
-        or len(node_secure) != n or len(rank_shifts) != 3
-    ):
+    if len(edge_flags) != num_edges or len(node_secure) != n or len(rank_shifts) != 3:
         raise ValueError("cext kernel: edge table out of step")
-    # the C code indexes with these: an edge outside the table reads
-    # (and a reverse slot queues) memory it does not own
-    if num_edges and (rev_edge.min() < 0 or rev_edge.max() >= num_edges):
-        raise ValueError("cext kernel: reverse edge outside the table")
     rows = [(x, (chunk, n)) for x in (cls, length, sec, att)]
     rows += [(stats, (chunk, 3)), (pins, (chunk, fixpoint.MAX_PINS, 6))]
     if tied is not None:
@@ -898,11 +934,7 @@ def jacobi_converge(v, route_cls, node_ptr, lp_field, rev_ptr, rev_seg,
     if nodes.size and (nodes.min() < -1 or nodes.max() >= n):
         raise ValueError("cext kernel: pin outside the graph")
     status = _LIB.sbgp_jacobi_converge(
-        chunk, n,
-        _ptr(v, np.int32), _ptr(route_cls, np.int8), _ptr(node_ptr, np.int64),
-        _ptr(lp_field, np.uint32), _ptr(rev_ptr, np.int64),
-        _ptr(rev_seg, np.int32), _ptr(rev_edge, np.int64),
-        _ptr(edge_flags, np.uint8),
+        chunk, n, *table, _ptr(edge_flags, np.uint8),
         _ptr(rank_shifts, np.int64), _ptr(node_secure, np.bool_),
         _ptr(attacker, np.int64), int(leak), _ptr(pins, np.int64), int(cap),
         _ptr(cls, np.int8), _ptr(length, np.int32), _ptr(sec, np.bool_),
@@ -965,7 +997,6 @@ def structure_pools(cg, arrays):
     if rows < 0 or any(arrays[name].shape != (rows, n) for name in ("cls", "lengths", "row_of")):
         raise ValueError("cext kernel: labels are not [rows, n]")
     _check_pools(
-        np.empty(0, dtype=np.int64), n,
         (order_ptr, arrays["level_ptr"], arrays["cand_ptr"]),
         (arrays["order_pool"], arrays["level_pool"], arrays["cands_pool"]),
     )

@@ -46,7 +46,7 @@ import weakref
 
 import numpy as np
 
-from repro.routing.backends import mask_stride
+from repro.routing.backends import _PoolMemo, mask_stride
 from repro.routing.compiled import CompiledGraph, offsets, segment_index
 from repro.routing.fixpoint import (
     EDGE_APPLIES,
@@ -136,38 +136,7 @@ def _nbytes(stacks) -> int:
     return sum(v.nbytes for v in vars(stacks).values() if isinstance(v, np.ndarray))
 
 
-class _PoolMemo:
-    """What this tier derives from an arena's pools, kept for as long as
-    every pool it was derived from lives.
-
-    Pools are never written once built, so the same array objects mean
-    the same mirror; the entry holds them weakly and leaves with the
-    first of them to go, so a mirror never outlives its arena.
-    """
-
-    def __init__(self):
-        self._entries: dict[tuple[int, ...], tuple[object, tuple, object]] = {}
-        # reentrant: a pool freed while the lock is held runs ``drop``
-        self._lock = threading.RLock()
-
-    def get(self, n: int, pools: tuple[np.ndarray, ...], build):
-        key = (n, *map(id, pools))
-        entry = self._entries.get(key)
-        if entry is not None and all(ref() is p for ref, p in zip(entry[1], pools)):
-            return entry[2]
-        value = build()
-        token = object()
-
-        def drop(_, key=key, token=token):
-            with self._lock:
-                if self._entries.get(key, (None,))[0] is token:
-                    del self._entries[key]
-
-        with self._lock:
-            self._entries[key] = (token, tuple(weakref.ref(p, drop) for p in pools), value)
-        return value
-
-
+#: the mirrors, each kept for as long as the pools it mirrors live
 _WEIGHT_STACKS = _PoolMemo()
 _TREE_STACKS = _PoolMemo()
 
@@ -273,7 +242,7 @@ def _build_tree_stacks(
 
 def _weight_stack(n, order_ptr, order_pool, level_ptr, level_pool) -> _WeightStack:
     pools = (order_ptr, order_pool, level_ptr, level_pool)
-    return _WEIGHT_STACKS.get(n, pools, lambda: _build_weight_stack(n, *pools))
+    return _WEIGHT_STACKS.get(pools, lambda: _build_weight_stack(n, *pools), n)
 
 
 def _tree_stacks(n, order_ptr, order_pool, level_ptr, level_pool, indptr_ptr,
@@ -291,7 +260,7 @@ def _tree_stacks(n, order_ptr, order_pool, level_ptr, level_pool, indptr_ptr,
         )
         return trees
 
-    return _TREE_STACKS.get(n, pools, build)
+    return _TREE_STACKS.get(pools, build, n)
 
 
 def build_level_major(

@@ -69,6 +69,7 @@ the 2-cycle test and, for longer cycles, the sweep cap turn that into a
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -184,6 +185,37 @@ class _EdgeTable:
         self.rev_ptr = offsets(np.bincount(self.v, minlength=n))
         self.rev_edge = np.argsort(self.v, kind="stable")
         self.rev_seg = self.u[self.rev_edge]
+        self._last_flags: tuple[tuple, np.ndarray] | None = None
+
+    def edge_flags(
+        self,
+        applies: np.ndarray,
+        gullible: np.ndarray | None = None,
+        drops: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Every edge's ``EDGE_*`` bits, read-only, for the nodes that
+        apply SecP, believe an attacking provider and drop what they
+        cannot validate (``None``: nobody).
+
+        They depend on the deployment state and the scenario alone, not
+        on the ranking, so the last ones built are kept: an attack grid
+        asks for the same flags under each policy in a row.  (On the
+        numpy tier they also keep its last sweep plan, which lives as
+        long as the flags it was derived from.)
+        """
+        key = tuple(None if m is None else m.tobytes() for m in (applies, gullible, drops))
+        last = self._last_flags
+        if last is not None and last[0] == key:
+            return last[1]
+        flags = np.where(self.is_provider_edge, 0, EDGE_NONPROVIDER).astype(np.uint8)
+        flags[applies[self.u]] |= EDGE_APPLIES
+        if gullible is not None:
+            flags[self.is_provider_edge & gullible[self.u]] |= EDGE_GULLIBLE
+        if drops is not None:
+            flags[drops[self.u]] |= EDGE_DROPS
+        flags.flags.writeable = False
+        self._last_flags = (key, flags)
+        return flags
 
 
 def _edge_table(cg: CompiledGraph) -> _EdgeTable:
@@ -195,16 +227,35 @@ def _edge_table(cg: CompiledGraph) -> _EdgeTable:
     return table
 
 
-def _rank_shifts(ranking: Sequence[Criterion]) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _rank_shifts(ranking: tuple[Criterion, ...]) -> np.ndarray:
     """Where each criterion's field sits in the packed rank key, by its
     :data:`_RANK_CODE`: the ranking's first criterion in the highest
-    bits."""
+    bits.  One read-only array per ranking."""
     shifts = np.zeros(len(_RANK_CODE), dtype=np.int64)
     at = 0
     for crit in reversed(ranking):
         shifts[_RANK_CODE[crit]] = at
         at += _WIDTH[crit]
+    shifts.flags.writeable = False
     return shifts
+
+
+def ranking_key(ranking: Sequence[Criterion], applies: np.ndarray) -> tuple[Criterion, ...]:
+    """What of ``ranking`` the kernel can tell apart when the nodes in
+    ``applies`` exercise SecP: all of it, or without SecP when nobody
+    does.
+
+    With no ``EDGE_APPLIES`` bit set, every offer's SecP field is the
+    constant 1, which moves neither the least ``rank_key << 32 | e`` of
+    a segment nor its ties, wherever the ranking puts the field: the
+    labels and tie masks are those of the ranking without it.  So two
+    problems equal on this key, the deployment state, ``applies`` and
+    the adversary's terms converge to the same labels on every tier.
+    """
+    if applies.any():
+        return tuple(ranking)
+    return tuple(crit for crit in ranking if crit is not Criterion.SECP)
 
 
 def pin_table(chunk: int, *pins) -> np.ndarray:
@@ -269,13 +320,9 @@ class JacobiDriver:
             registry.counter(f"routing.backend.calls.{backend_name}").inc()
         self._rank_shifts = _rank_shifts(policy.ranking)
         self._node_secure = node_secure
-        flags = np.where(table.is_provider_edge, 0, EDGE_NONPROVIDER).astype(np.uint8)
-        flags[applies[table.u]] |= EDGE_APPLIES
-        if gullible is not None:
-            flags[table.is_provider_edge & gullible[table.u]] |= EDGE_GULLIBLE
-        if drop and validators is not None:
-            flags[validators[table.u]] |= EDGE_DROPS
-        self._edge_flags = flags
+        self._edge_flags = table.edge_flags(
+            applies, gullible, validators if drop else None
+        )
 
     def blank(self, chunk: int) -> Labels:
         """All-unreachable ``(cls, length, sec, att)`` for ``chunk`` rows."""

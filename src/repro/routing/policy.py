@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -127,6 +128,17 @@ def exportable_to(route_class: RouteClass, neighbor_is_customer: bool) -> bool:
 _STICKY_SALT = 0x5F1CC
 
 
+@functools.lru_cache(maxsize=16)
+def _sticky_mask(fraction: float, n: int) -> np.ndarray:
+    """The nodes whose salted hash falls below ``fraction``, read-only."""
+    nodes = np.arange(n, dtype=np.uint64)
+    salt = np.full(n, _STICKY_SALT, dtype=np.uint64)
+    frac = tie_hash_array(salt, nodes).astype(np.float64) / float(2**64)
+    mask = frac < fraction
+    mask.flags.writeable = False
+    return mask
+
+
 @dataclasses.dataclass(frozen=True)
 class RoutingPolicy:
     """A complete route-selection policy: its ranking (export is always
@@ -205,18 +217,25 @@ class RoutingPolicy:
     # -- sticky primaries ----------------------------------------------
 
     def sticky_mask(self, n: int) -> np.ndarray | None:
-        """Deterministic bool[n] mask of sticky nodes (None when 0.0).
+        """Deterministic bool[n] mask of sticky nodes (None when 0.0),
+        read-only.
 
         A node is sticky iff its salted hash falls below
         ``sticky_fraction`` — stable across runs, no RNG state to ship
-        between processes.
+        between processes, and computed once per ``(fraction, n)``.
         """
         if self.sticky_fraction <= 0.0:
             return None
-        nodes = np.arange(n, dtype=np.uint64)
-        salt = np.full(n, _STICKY_SALT, dtype=np.uint64)
-        frac = tie_hash_array(salt, nodes).astype(np.float64) / float(2**64)
-        return frac < self.sticky_fraction
+        return _sticky_mask(self.sticky_fraction, n)
+
+    def secp_applies(self, node_secure: np.ndarray, breaks_ties: np.ndarray) -> np.ndarray:
+        """The nodes that exercise SecP under this policy: secure,
+        breaking ties on security, and not sticky (a sticky node never
+        exercises alternatives, so SecP has nothing to pick from; the
+        hash-minimum the kernels then take *is* its fixed primary)."""
+        applies = node_secure & breaks_ties
+        sticky = self.sticky_mask(len(applies))
+        return applies if sticky is None else applies & ~sticky
 
     # -- structure builders --------------------------------------------
 

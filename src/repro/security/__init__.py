@@ -2,6 +2,7 @@
 
 from repro.security.hijack import (
     HijackOutcome,
+    HijackOutcomes,
     simulate_attacks_batched,
     simulate_hijack,
 )
@@ -27,6 +28,7 @@ __all__ = [
     "AttackScenario",
     "DeploymentStrategy",
     "HijackOutcome",
+    "HijackOutcomes",
     "available_scenarios",
     "available_strategies",
     "end_state_everyone_secure",

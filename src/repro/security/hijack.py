@@ -76,16 +76,36 @@ class HijackOutcome:
     scenario: str = DEFAULT_SCENARIO
     policy: str = DEFAULT_POLICY
 
-    @property
-    def num_fooled(self) -> int:
-        """ASes whose traffic the attacker captured."""
-        return int(self.routes_to_attacker.sum())
 
-    def fraction_fooled(self, total: int | None = None) -> float:
-        """Fooled ASes over the population (default: all other ASes)."""
-        n = len(self.routes_to_attacker)
-        denominator = total if total is not None else max(1, n - 2)
-        return self.num_fooled / denominator
+@dataclasses.dataclass(frozen=True, eq=False)
+class HijackOutcomes(Sequence[HijackOutcome]):
+    """The outcomes of many (victim, attacker) pairs, as arrays over the
+    pairs: what :func:`simulate_attacks_batched` returns.
+
+    Item ``k`` is pair ``k``'s :class:`HijackOutcome`, whose masks are
+    views of row ``k``.
+    """
+
+    victims: np.ndarray             # int64[P]
+    attackers: np.ndarray           # int64[P]
+    routes_to_attacker: np.ndarray  # bool[P, n], False for the principals
+    reachable: np.ndarray           # bool[P, n]
+    num_fooled: np.ndarray          # int64[P], ASes the attacker captured
+    scenario: str = DEFAULT_SCENARIO
+    policy: str = DEFAULT_POLICY
+
+    def __len__(self) -> int:
+        return len(self.victims)
+
+    def __getitem__(self, k: int) -> HijackOutcome:  # type: ignore[override]
+        return HijackOutcome(
+            victim=int(self.victims[k]),
+            attacker=int(self.attackers[k]),
+            routes_to_attacker=self.routes_to_attacker[k],
+            reachable=self.reachable[k],
+            scenario=self.scenario,
+            policy=self.policy,
+        )
 
 
 def _attack_flags(
@@ -100,10 +120,8 @@ def _attack_flags(
     """Shared state derivation for the scalar and batched simulators.
 
     Returns ``(node_secure, applies, validators, is_stub, gullible,
-    drop)`` — ``applies`` already excludes the policy's sticky nodes
-    (a sticky node never exercises alternatives, so SecP has nothing
-    to pick from; the hash-minimum the kernels then take *is* its
-    fixed primary).
+    drop)``, ``applies`` as
+    :meth:`~repro.routing.policy.RoutingPolicy.secp_applies` gives it.
     """
     from repro.topology.relationships import ASRole
 
@@ -113,10 +131,7 @@ def _attack_flags(
     if breaks_ties is None:
         breaks_ties = np.zeros(n, dtype=bool)
     node_secure = np.asarray(node_secure, dtype=bool)
-    applies = node_secure & np.asarray(breaks_ties, dtype=bool)
-    sticky = policy.sticky_mask(n)
-    if sticky is not None:
-        applies = applies & ~sticky
+    applies = policy.secp_applies(node_secure, np.asarray(breaks_ties, dtype=bool))
     is_stub = graph.roles == int(ASRole.STUB)
     validators = node_secure & ~is_stub
     gullible = (
@@ -254,7 +269,7 @@ def simulate_attacks_batched(
     scenario: str = DEFAULT_SCENARIO,
     compiled: CompiledGraph | None = None,
     backend: str | None = None,
-) -> list[HijackOutcome]:
+) -> HijackOutcomes:
     """Batched :func:`simulate_hijack` over (victim, attacker) pairs.
 
     The multi-origin Jacobi iteration in chunks of pairs, on the
@@ -262,7 +277,8 @@ def simulate_attacks_batched(
     :func:`repro.routing.fixpoint.fixpoint_pools`).  One
     deployment state, one scenario, one policy, many pairs — the inner
     loop of every attack-matrix cell.  Bit-identical to the scalar
-    reference, outcome for outcome.
+    reference, outcome for outcome: item ``k`` of the returned
+    :class:`HijackOutcomes` is what ``simulate_hijack`` gives pair ``k``.
     """
     scen = get_scenario(scenario)
     pol = get_policy(policy)
@@ -289,9 +305,12 @@ def simulate_attacks_batched(
         backend=backend, max_sweeps=max_sweeps,
     )
 
-    outcomes: list[HijackOutcome] = []
     tracer = get_tracer()
     leak_replay = scen.attacker_leaks and not scen.attacker_originates
+    # each chunk converges in place into its rows of the outcome: ``att``
+    # is ``routes_to_attacker`` before the principals are cleared
+    routes_to_attacker = np.zeros((len(pair_arr), graph.n), dtype=bool)
+    reachable = np.empty((len(pair_arr), graph.n), dtype=bool)
     for start in range(0, len(pair_arr), _PAIR_CHUNK):
         batch = pair_arr[start:start + _PAIR_CHUNK]
         victims = batch[:, 0]
@@ -305,7 +324,8 @@ def simulate_attacks_batched(
             [(victims, PIN_ALL, _SELF, 0, node_secure[victims], False)]
             if scen.victim_originates else []
         )
-        labels = driver.blank(chunk)
+        cls, length, sec, _ = driver.blank(chunk)
+        labels = (cls, length, sec, routes_to_attacker[start:start + chunk])
 
         with tracer.span("attack.batch", pairs=chunk):
             if leak_replay:
@@ -332,20 +352,15 @@ def simulate_attacks_batched(
                     labels, pin_table(chunk, *victim, attacker), what,
                     attackers=attackers, leak=scen.attacker_leaks,
                 )
-        cls, _, _, att = labels
+        np.not_equal(cls, _UNREACHABLE, out=reachable[start:start + chunk])
 
-        for k in range(chunk):
-            routes_to_attacker = att[k].copy()
-            routes_to_attacker[victims[k]] = False
-            routes_to_attacker[attackers[k]] = False
-            outcomes.append(
-                HijackOutcome(
-                    victim=int(victims[k]),
-                    attacker=int(attackers[k]),
-                    routes_to_attacker=routes_to_attacker,
-                    reachable=cls[k] != _UNREACHABLE,
-                    scenario=scen.name,
-                    policy=pol.name,
-                )
-            )
-    return outcomes
+    routes_to_attacker[np.arange(len(pair_arr))[:, None], pair_arr] = False
+    return HijackOutcomes(
+        victims=pair_arr[:, 0],
+        attackers=pair_arr[:, 1],
+        routes_to_attacker=routes_to_attacker,
+        reachable=reachable,
+        num_fooled=np.count_nonzero(routes_to_attacker, axis=1),
+        scenario=scen.name,
+        policy=pol.name,
+    )

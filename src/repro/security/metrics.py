@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from repro.core.state import DeploymentState, StateDeriver
 from repro.routing.policy import DEFAULT_POLICY
-from repro.security.hijack import HijackOutcome, simulate_attacks_batched
+from repro.security.hijack import HijackOutcomes, simulate_attacks_batched
 from repro.security.scenarios import DEFAULT_SCENARIO
 from repro.topology.graph import ASGraph
 
@@ -38,7 +38,6 @@ class AttackImpact:
     samples: int
     mean_fraction_fooled: float
     max_fraction_fooled: float
-    per_pair: tuple[tuple[int, int, float], ...]  # (attacker, victim, fraction)
 
 
 def sample_pairs(
@@ -74,17 +73,15 @@ def sample_pairs(
     return pairs
 
 
-def impact_from_outcomes(outcomes: Sequence[HijackOutcome]) -> AttackImpact:
-    """Fold per-pair outcomes into the summary statistics."""
-    results = [
-        (o.attacker, o.victim, o.fraction_fooled()) for o in outcomes
-    ]
-    fractions = [f for _, _, f in results]
+def impact_from_outcomes(outcomes: HijackOutcomes) -> AttackImpact:
+    """Fold the pairs' outcomes into the summary statistics: the fooled
+    ASes of each pair over all the other ASes, averaged and maximised."""
+    n = outcomes.routes_to_attacker.shape[1]
+    fractions = outcomes.num_fooled / max(1, n - 2)
     return AttackImpact(
-        samples=len(results),
-        mean_fraction_fooled=float(np.mean(fractions)) if fractions else 0.0,
-        max_fraction_fooled=float(np.max(fractions)) if fractions else 0.0,
-        per_pair=tuple(results),
+        samples=len(fractions),
+        mean_fraction_fooled=float(np.mean(fractions)) if len(fractions) else 0.0,
+        max_fraction_fooled=float(np.max(fractions)) if len(fractions) else 0.0,
     )
 
 

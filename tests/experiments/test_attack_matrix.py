@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.attack_matrix import (
@@ -11,8 +14,12 @@ from repro.experiments.attack_matrix import (
     matrix_to_rows,
     run_attack_matrix,
 )
+from repro.experiments.setup import build_environment
 from repro.runtime.errors import JournalMismatchError, SchemaError
 from repro.runtime.journal import RunJournal
+from repro.telemetry.metrics import MetricsRegistry, use_registry
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +159,9 @@ class TestTelemetry:
 
 
 class TestSharedStates:
-    """Strategies that reach one deployment state share its attacks."""
+    """Cells that hand the kernel one problem share its attacks:
+    strategies that reach one deployment state, and rankings that differ
+    only in where SecP sits when nobody applies it."""
 
     KW = dict(
         scenarios=["origin_hijack", "route_leak"],
@@ -168,9 +177,9 @@ class TestSharedStates:
         with use_registry(MetricsRegistry()) as registry:
             cells = run_attack_matrix(medium_env, **self.KW)
             counters = registry.snapshot()["counters"]
-        # everybody's level 0 is nobody deployed: the second strategy's
-        # four cells there are the first's
-        assert counters["security.attack.cells_shared"] == 4
+        # everybody's level 0 is nobody deployed, where SecP decides
+        # nothing: of its eight cells, one per scenario is attacked
+        assert counters["security.attack.cells_shared"] == 6
         assert counters["security.attack.cells"] == len(cells) == 16
         for cell in cells:
             alone = run_attack_matrix(
@@ -198,3 +207,100 @@ class TestSharedStates:
         )
         assert again == first
         assert sources == ["replayed"] * len(first)
+
+
+class TestWorkloadGrid:
+    """The benchmark's attack grid (N=1000, seed 2011, 120 cells, 16
+    pairs): one attack per distinct kernel problem."""
+
+    KW = dict(
+        scenarios=["origin_hijack", "subprefix_hijack", "route_leak", "forged_origin"],
+        policies=[
+            "security_3rd", "security_2nd", "security_1st", "sp_first", "sticky_primaries",
+        ],
+        strategies=["top_isp_first", "random"],
+        levels=(0.0, 0.25, 0.5),
+        samples=16,
+        seed=2011,
+    )
+
+    @pytest.fixture(scope="class")
+    def env(self):
+        return build_environment(n=1000, seed=2011)
+
+    @pytest.fixture(scope="class")
+    def grid(self, env):
+        with use_registry(MetricsRegistry()) as registry:
+            cells = run_attack_matrix(env, **self.KW)
+            return cells, registry.snapshot()["counters"]
+
+    def test_one_attack_per_kernel_problem(self, grid):
+        cells, counters = grid
+        assert counters["security.attack.cells"] == len(cells) == 120
+        # level 0 of either strategy is nobody deployed: its 40 cells
+        # are one problem per scenario under the four rankings with LP
+        # above SP, and one under sp_first
+        assert counters["security.attack.cells_shared"] == 32
+        assert counters["security.attack.batches"] == 88
+
+    def test_every_cell_names_its_own_coordinates(self, grid):
+        cells, _ = grid
+        kw = self.KW
+        assert [c.key for c in cells] == [
+            (scenario, policy, strategy, level)
+            for strategy in kw["strategies"] for level in kw["levels"]
+            for scenario in kw["scenarios"] for policy in kw["policies"]
+        ]
+        first = {c.key: c for c in cells}
+        for cell in cells:
+            if cell.level == 0.0 and cell.policy != "sp_first":
+                # a shared cell: the first one attacked, under its own name
+                base = first[(cell.scenario, "security_3rd", "top_isp_first", 0.0)]
+                assert cell == dataclasses.replace(
+                    base, policy=cell.policy, strategy=cell.strategy
+                )
+
+    def test_equals_each_policy_run_on_its_own(self, env, grid):
+        cells, _ = grid
+        for policy in self.KW["policies"]:
+            alone = run_attack_matrix(env, **dict(self.KW, policies=[policy]))
+            assert alone == [c for c in cells if c.policy == policy], policy
+
+
+class TestJournalFromPerPolicyAttacks:
+    """``data/attack_matrix_parent.jsonl`` was written when the grid
+    attacked every ``(deployment state, scenario, policy)`` on its own:
+    the ``medium_env`` grid of ``KW``, 32 cells."""
+
+    KW = dict(
+        scenarios=["origin_hijack", "route_leak"],
+        policies=["security_3rd", "security_1st", "sp_first", "sticky_primaries"],
+        strategies=["top_isp_first", "random"],
+        levels=(0.0, 0.5),
+        samples=3,
+    )
+    NAME = "attack_matrix_parent.jsonl"
+
+    def _resume(self, env, path):
+        sources: list[str] = []
+        cells = run_attack_matrix(
+            env, journal=RunJournal(path),
+            on_cell=lambda cell, source: sources.append(source), **self.KW,
+        )
+        return cells, sources
+
+    def test_every_cell_replays_as_computed_now(self, medium_env, tmp_path):
+        path = tmp_path / self.NAME
+        path.write_bytes((DATA / self.NAME).read_bytes())
+        cells, sources = self._resume(medium_env, path)
+        assert sources == ["replayed"] * 32
+        assert cells == run_attack_matrix(medium_env, **self.KW)
+        assert path.read_bytes() == (DATA / self.NAME).read_bytes()
+
+    def test_a_cut_journal_is_completed_byte_for_byte(self, medium_env, tmp_path):
+        lines = (DATA / self.NAME).read_text().splitlines(keepends=True)
+        path = tmp_path / self.NAME
+        path.write_text("".join(lines[:11]))   # the header and 10 cells
+        _, sources = self._resume(medium_env, path)
+        assert sources == ["replayed"] * 10 + ["computed"] * 22
+        assert path.read_bytes() == (DATA / self.NAME).read_bytes()

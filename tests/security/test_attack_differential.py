@@ -32,8 +32,14 @@ from repro.gadgets.hardness import SetCoverInstance, build_set_cover_network
 from repro.gadgets.oscillator import build_chicken
 from repro.routing import backends as kernel_backends
 from repro.routing.compiled import CompiledGraph
-from repro.routing.fixpoint import PIN_ALL, PIN_ROUTE, JacobiDriver, pin_table
-from repro.routing.policy import RouteClass, available_policies, get_policy
+from repro.routing.fixpoint import (
+    PIN_ALL,
+    PIN_ROUTE,
+    JacobiDriver,
+    pin_table,
+    ranking_key,
+)
+from repro.routing.policy import Criterion, RouteClass, available_policies, get_policy
 from repro.routing.reference import ConvergenceError
 from repro.security.hijack import simulate_attacks_batched, simulate_hijack
 from repro.security.metrics import sample_pairs
@@ -154,6 +160,76 @@ class TestBackendParity:
                 seeded_graph, pairs, secure, secure.copy(),
                 scenario, "security_3rd", backend=backend,
             )
+
+
+#: the rankings that keep LP above SP, sticky primaries among them
+SECP_INERT = ("security_1st", "security_2nd", "security_3rd", "sticky_primaries")
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@pytest.mark.parametrize("backend", kernel_backends.usable_backends())
+class TestSecpInert:
+    """Where nobody applies SecP, where the ranking puts it decides
+    nothing: the attack grid hands such cells to the kernel once."""
+
+    @staticmethod
+    def _attack(graph, secure, breaks, scenario, policy, backend):
+        outcomes = simulate_attacks_batched(
+            graph, sample_pairs(graph, samples=4, seed=3), secure, breaks,
+            scenario=scenario, policy=policy, backend=backend,
+        )
+        return outcomes.routes_to_attacker.tobytes(), outcomes.reachable.tobytes()
+
+    def _assert_one_problem(self, graph, states, scenario, backend):
+        """Every ``(policy, node_secure, breaks_ties)`` of ``states`` has
+        an empty SecP-applying set, one ranking key, and byte-equal
+        outcomes."""
+        keys, outcomes = set(), set()
+        for policy, secure, breaks in states:
+            pol = get_policy(policy)
+            applies = pol.secp_applies(secure, breaks)
+            assert not applies.any()
+            keys.add((secure.tobytes(), ranking_key(pol.ranking, applies)))
+            outcomes.add(self._attack(graph, secure, breaks, scenario, policy, backend))
+        assert len(keys) == 1
+        assert len(outcomes) == 1, (scenario, backend)
+
+    def test_all_insecure(self, seeded_graph, scenario, backend):
+        none = np.zeros(seeded_graph.n, dtype=bool)
+        self._assert_one_problem(
+            seeded_graph, [(p, none, none) for p in SECP_INERT], scenario, backend,
+        )
+
+    def test_secure_nodes_that_break_no_ties(self, seeded_graph, scenario, backend):
+        secure = _mask(seeded_graph.n, 0.5, seed=17)
+        none = np.zeros(seeded_graph.n, dtype=bool)
+        self._assert_one_problem(
+            seeded_graph, [(p, secure, none) for p in SECP_INERT], scenario, backend,
+        )
+
+    def test_secure_nodes_that_are_all_sticky(self, seeded_graph, scenario, backend):
+        """Sticky primaries on sticky secure nodes that break ties is the
+        problem of every other ranking on nodes that break none."""
+        sticky = get_policy("sticky_primaries").sticky_mask(seeded_graph.n)
+        secure = sticky & _mask(seeded_graph.n, 0.7, seed=19)
+        assert secure.any()
+        none = np.zeros(seeded_graph.n, dtype=bool)
+        self._assert_one_problem(
+            seeded_graph,
+            [("sticky_primaries", secure, secure)]
+            + [(p, secure, none) for p in SECP_INERT],
+            scenario, backend,
+        )
+
+
+def test_the_ranking_key_keeps_secp_once_someone_applies_it():
+    applies = np.zeros(5, dtype=bool)
+    rankings = [get_policy(p).ranking for p in SECP_INERT]
+    assert {ranking_key(r, applies) for r in rankings} == {(Criterion.LP, Criterion.SP)}
+    applies[3] = True
+    # sticky primaries ranks as security_3rd
+    assert {ranking_key(r, applies) for r in rankings} == set(rankings)
+    assert len(set(rankings)) == 3
 
 
 _SELF = int(RouteClass.SELF)
@@ -428,7 +504,10 @@ class TestBatchedValidation:
             simulate_attacks_batched(seeded_graph, [(0, seeded_graph.n)])
 
     def test_empty_batch(self, seeded_graph):
-        assert simulate_attacks_batched(seeded_graph, []) == []
+        outcomes = simulate_attacks_batched(seeded_graph, [])
+        assert len(outcomes) == 0 and list(outcomes) == []
+        assert outcomes.routes_to_attacker.shape == (0, seeded_graph.n)
+        assert outcomes.num_fooled.shape == (0,)
 
     def test_chunking_is_invisible(self, seeded_graph):
         """Results do not depend on where the pair-chunk boundary falls."""

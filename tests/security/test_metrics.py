@@ -10,6 +10,7 @@ from repro.security.metrics import (
     end_state_everyone_secure,
     impact_for_state,
     sample_attack_impact,
+    sample_pairs,
 )
 from repro.topology.generator import generate_topology
 from repro.topology.relationships import ASRole
@@ -28,14 +29,15 @@ class TestSampling:
         none = np.zeros(g.n, dtype=bool)
         a = sample_attack_impact(g, none, none, samples=5, seed=7)
         b = sample_attack_impact(g, none, none, samples=5, seed=7)
-        assert a.per_pair == b.per_pair
+        assert a == b
+        assert sample_pairs(g, samples=5, seed=7) == sample_pairs(g, samples=5, seed=7)
 
     def test_sample_count(self, world):
         g, _ = world
         none = np.zeros(g.n, dtype=bool)
         imp = sample_attack_impact(g, none, none, samples=6, seed=1)
         assert imp.samples == 6
-        assert len(imp.per_pair) == 6
+        assert len(sample_pairs(g, samples=6, seed=1)) == 6
 
     def test_insecure_world_impact_is_large(self, world):
         """§2.2.1: a random attacker fools about half the Internet."""
@@ -51,7 +53,9 @@ class TestSampling:
             g, none, none, samples=4, seed=2,
             attacker_pool=[0], victim_pool=[5, 6],
         )
-        for attacker, victim, _ in imp.per_pair:
+        assert imp.samples == 4
+        pairs = sample_pairs(g, samples=4, seed=2, attacker_pool=[0], victim_pool=[5, 6])
+        for victim, attacker in pairs:
             assert attacker == 0
             assert victim in (5, 6)
 
