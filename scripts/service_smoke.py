@@ -5,7 +5,8 @@ Launches the real daemon as a subprocess on a throwaway store, drives
 the full client lifecycle over HTTP — submit, poll, stream events,
 fetch the result — then submits an overlapping second job and verifies
 the result cache actually served it (``service.cache.*`` counters in
-``/metrics``), and shuts the daemon down with SIGTERM.
+``/metrics``) and that its games read states the first job evaluated
+(``sim.*`` counters), and shuts the daemon down with SIGTERM.
 
 Exit code 0 on success; any failure prints the reason and exits 1.
 Used by the non-blocking ``service-smoke`` CI job and runnable locally::
@@ -108,6 +109,10 @@ def main() -> int:
             assert status == 200, f"result: {status}"
             n_cells = len(json.loads(body)["cells"])
             assert n_cells == 4, f"expected 4 cells, got {n_cells}"
+            status, text = request(base, "/metrics")
+            assert status == 200
+            rounds = metric(text, "repro_sim_rounds_total")
+            evaluated = metric(text, "repro_sim_states_evaluated_total")
 
             # overlapping second job: the whole point of the service
             status, body = request(base, "/v1/jobs", "POST", SPEC_SECOND)
@@ -124,6 +129,21 @@ def main() -> int:
             assert arena_hits >= 1, f"expected >=1 arena-cache hit, got {arena_hits}"
             print(f"cache served the overlap: cell_hits={cell_hits:g} "
                   f"arena_hits={arena_hits:g}")
+
+            # the second job computes only its theta=0.30 cells, one game
+            # per adopter set, each from a state the first job's games
+            # started from.  On an empty memo every round evaluates the
+            # state it is played in (the empty state twice), so fewer
+            # evaluations than rounds means a round read an evaluation
+            # the first job left in the kept environment's memo
+            rounds = metric(text, "repro_sim_rounds_total") - rounds
+            evaluated = metric(text, "repro_sim_states_evaluated_total") - evaluated
+            assert evaluated < rounds, (
+                f"second job evaluated {evaluated:g} states in {rounds:g} rounds; "
+                "expected it to reuse the first job's evaluations"
+            )
+            print(f"second job reused evaluations: {evaluated:g} states "
+                  f"evaluated in {rounds:g} rounds")
         finally:
             proc.send_signal(signal.SIGTERM)
             try:

@@ -14,10 +14,11 @@ The analysis is a conservative static approximation:
   attribute call that resolves to a project function, and any
   ``target=`` / ``func=`` / ``fn=`` keyword on a ``Thread`` /
   ``Process`` constructor call that resolves to one;
-* **call graph** — edges resolve through import aliases to module
-  functions, through ``self.``/``cls.`` to methods of the enclosing
-  class (and its project base classes), to nested closures by local
-  name, and to ``__init__`` for project-class instantiation.  Plain
+* **call graph** — every call, those in a ``with`` header included;
+  edges resolve through import aliases to module functions, through
+  ``self.``/``cls.`` to methods of the enclosing class (and its
+  project base classes), to nested closures by local name, and to
+  ``__init__`` for project-class instantiation.  Plain
   ``obj.method()`` calls, where the receiver's type is unknown, resolve
   by method name **only when at most two project classes define that
   method** — wider ambiguity is treated as unresolvable rather than

@@ -351,7 +351,7 @@ class _FileVisitor(ast.NodeVisitor):
     def visit_With(self, node: ast.With) -> None:
         locked = False
         for item in node.items:
-            self._track_use_expr(item.context_expr)
+            self.visit(item.context_expr)  # its calls run before any lock is held
             text = " ".join(
                 part.lower()
                 for sub in ast.walk(item.context_expr)

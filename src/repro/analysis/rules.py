@@ -127,7 +127,7 @@ class PrivateRoutingAccess(Rule):
     message = (
         "private RoutingCache state (._assembly/._arena) touched outside "
         "repro.routing; use the public API (pools_for/build_pools/"
-        "install_arena/ensure_arena/stats/pending_runs)"
+        "ensure_arena/stats/pending_runs)"
     )
     rationale = (
         "PR 1 replaced ad-hoc poking at the cache's store with a public "

@@ -527,9 +527,9 @@ def _cmd_graph_stats(env, args) -> None:
     print("top-5 by degree:", top_by_degree(env.graph, 5))
     cs = env.cache.stats()
     print(format_table(
-        ["policy", "backend", "builds", "installs", "warm s",
+        ["policy", "backend", "builds", "warm s",
          "cached", "fraction", "arena MiB", "state rebuilds"],
-        [[cs.policy, cs.backend, cs.builds, cs.installs,
+        [[cs.policy, cs.backend, cs.builds,
           f"{cs.warm_seconds:.2f}", f"{cs.cached}/{cs.total}",
           f"{cs.cached_fraction:.1%}", f"{cs.arena_bytes / 2**20:.1f}",
           cs.state_rebuilds]],

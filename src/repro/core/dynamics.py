@@ -67,6 +67,12 @@ class StateEvaluation:
     #: ``isp -> Projection`` in job order, once a round was played here
     projections: Projections | None = None
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the evaluation's arrays."""
+        projected = self.projections.nbytes if self.projections is not None else 0
+        return self.node_secure.nbytes + self.utilities.nbytes + projected
+
 
 class StateMemo(dict[DeploymentState, StateEvaluation]):
     """``state -> StateEvaluation`` for games that differ only in theta.
@@ -76,9 +82,10 @@ class StateMemo(dict[DeploymentState, StateEvaluation]):
     evaluation depends on is pinned as the memo's *scope* by the first
     simulation that uses it; a later simulation with another scope
     raises :class:`StateMemoScopeError` instead of reading another
-    configuration's numbers.  Owned by the loop that knows its inputs
-    stay fixed (one theta row of a sweep), never by the cache: traffic
-    weights may be re-applied under a live cache.
+    configuration's numbers.  Owned by whoever knows its inputs stay
+    fixed (one theta row of a sweep, or an environment the service keeps
+    between jobs), never by the cache: traffic weights may be re-applied
+    under a live cache.
 
     The memo also holds the round kernels' matrices (:attr:`buffers`)
     for every state its games evaluate, so a game's first state
@@ -99,6 +106,16 @@ class StateMemo(dict[DeploymentState, StateEvaluation]):
         differing = sorted(k for k, v in scope.items() if self._scope[k] != v)
         if differing:
             raise StateMemoScopeError(differing)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the evaluations' arrays; the round buffers are not counted."""
+        return sum(evaluation.nbytes for evaluation in self.values())
+
+    def release_buffers(self) -> None:
+        """Drop the round buffers: the next state evaluated allocates new
+        ones and resolves every row."""
+        self.buffers = RoundBuffers()
 
     def discard_trajectories(self) -> None:
         """Drop everything but the empty state, which every game starts from."""

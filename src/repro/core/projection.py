@@ -175,6 +175,16 @@ class Projections(Mapping[int, Projection]):
             array.setflags(write=False)
         self._job = dict(zip(self.isps.tolist(), range(len(self.isps))))
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the stack's arrays."""
+        return sum(
+            array.nbytes for array in (
+                self.isps, self.turning_on, self.utility, self._recomputed,
+                self._touched, self._ptr, self._nodes,
+            )
+        )
+
     def projection(self, job: int) -> Projection:
         """Job ``job``'s :class:`Projection`."""
         on = bool(self.turning_on[job])

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core.config import SimulationConfig, UtilityModel
 from repro.core.diamonds import DiamondCensus, diamond_census
-from repro.core.dynamics import DeploymentSimulation, SimulationResult
+from repro.core.dynamics import DeploymentSimulation, SimulationResult, StateMemo
 from repro.core.metrics import ZeroSumAnalysis, zero_sum_analysis
 from repro.experiments.setup import ExperimentEnv
 from repro.topology.relationships import ASRole
@@ -54,11 +54,16 @@ def run_case_study(
     env: ExperimentEnv,
     theta: float = 0.05,
     config: SimulationConfig | None = None,
+    memo: StateMemo | None = None,
 ) -> CaseStudyReport:
-    """Run the case study on ``env`` and extract every figure series."""
+    """Run the case study on ``env`` and extract every figure series.
+
+    ``memo`` is a caller-owned :class:`~repro.core.dynamics.StateMemo`
+    the game reads and fills (a private one without it).
+    """
     adopters = env.case_study_adopters()
     config = config or SimulationConfig(theta=theta, utility_model=UtilityModel.OUTGOING)
-    sim = DeploymentSimulation(env.graph, adopters, config, env.cache)
+    sim = DeploymentSimulation(env.graph, adopters, config, env.cache, memo=memo)
     result = sim.run()
     return build_report(env, result, adopters)
 

@@ -177,6 +177,7 @@ def run_sweep(
     journal: RunJournal | str | Path | None = None,
     cell_cache: CellCache | None = None,
     on_cell: CellCallback | None = None,
+    memo: StateMemo | None = None,
 ) -> list[SweepCell]:
     """Run the full (adopter set x theta) grid and return its cells.
 
@@ -185,6 +186,11 @@ def run_sweep(
     cells an uninterrupted one would have, and resuming under another
     routing policy raises :class:`~repro.runtime.errors.SchemaError`.
     Every game plays the outgoing utility model (Eq. 1).
+
+    Every game evaluates its states into ``memo``, which the sweep
+    keeps whole: its owner decides what it holds.  Without one the
+    sweep keeps a private memo and drops each row's trajectories when
+    the next row starts.
     """
     adopter_sets = adopter_sets or env.adopter_sets()
     log = CellLog(
@@ -202,11 +208,14 @@ def run_sweep(
     cell_timer = get_registry().histogram("sweep.cell_seconds")
     cells: list[SweepCell] = []
     # nothing but theta changes along a row, so its games share their
-    # state evaluations; across rows only the empty state's carries over
-    memo = StateMemo()
+    # state evaluations; across rows of a private memo only the empty
+    # state's carries over
+    private = memo is None
+    memo = StateMemo() if private else memo
     with tracer.span("sweep", cells=len(adopter_sets) * len(thetas)):
         for name, adopters in adopter_sets.items():
-            memo.discard_trajectories()
+            if private:
+                memo.discard_trajectories()
             for theta in thetas:
                 key = (name, float(theta))
                 cell = log.lookup(key)

@@ -114,7 +114,7 @@ class RoutingArena(StructurePools):
         state_key: str | None = None,
         backend: str = "numpy",
     ):
-        super().__init__(arrays, policy)  # install_arena refuses another policy
+        super().__init__(arrays, policy)
         self.graph_n = graph_n
         #: deployment-state digest for state-dependent policies (None
         #: for state-independent structures, which serve every state)

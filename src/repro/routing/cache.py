@@ -11,10 +11,9 @@ one that works a destination at a time takes the arena's
 :class:`~repro.routing.tree.DestRouting` view of its slot.
 
 The cache is bound to one :class:`~repro.routing.policy.RoutingPolicy`
-for its lifetime; the policy name travels with every structure it hands
-out (``StructurePools.policy``, ``DestRouting.policy``), and installing
-structures built under a different policy raises — mixed-policy reuse is
-a silent-wrong-results bug, not a recoverable condition.  For
+for its lifetime, and builds every structure it holds itself; the
+policy name travels with every structure it hands out
+(``StructurePools.policy``, ``DestRouting.policy``).  For
 *state-dependent* policies (``security_1st`` / ``security_2nd``) the
 structures are additionally keyed by the deployment state:
 :meth:`RoutingCache.ensure_state` drops and rebuilds everything when
@@ -59,17 +58,13 @@ class CacheStats:
 
     ``builds`` counts the destinations a build had to cover, whether a
     warm kept them or :meth:`RoutingCache.pools_for` answered them;
-    ``warm_seconds`` sums build time; ``installs`` counts destinations
-    of arenas adopted ready-made through
-    :meth:`RoutingCache.install_arena` (the service shares one across
-    jobs), which cost this cache no build.  ``state_rebuilds`` counts
+    ``warm_seconds`` sums build time.  ``state_rebuilds`` counts
     full drop-and-rebuild cycles triggered by deployment-state changes
     (always 0 for state-independent policies); ``arena_bytes`` is the
     pooled arena's footprint (0 until one is built).
     """
 
     builds: int
-    installs: int
     warm_seconds: float
     cached: int
     total: int
@@ -143,7 +138,6 @@ class RoutingCache:
             empty = np.zeros(graph.n, dtype=bool)
             self._state_key = state_digest(empty, empty)
         self._builds = 0
-        self._installs = 0
         self._state_rebuilds = 0
         self._warm_seconds = 0.0
         get_registry().gauge(f"routing.policy.active.{self.policy.name}").set(1)
@@ -193,11 +187,6 @@ class RoutingCache:
         hist = registry.histogram("routing.tree_build_seconds")
         for _ in range(dests):  # one observation per tree, whatever built it
             hist.observe(elapsed / dests)
-
-    def arena_of(self, parts: Sequence[StructurePools]) -> RoutingArena:
-        """``parts`` joined, in order, into an arena that carries this
-        cache's policy, deployment state and backend."""
-        return RoutingArena.build(self.graph.n, parts, **self._arena_args())
 
     def _arena_args(self) -> dict:
         return {
@@ -294,48 +283,16 @@ class RoutingCache:
         The warm leaves the chunks in an assembly whose dense fields
         are already the arena's; the pools are allocated once, at their
         final size, each chunk's slices filled, and the chunks released.
-        Idempotent after the first call; a shared arena installed via
-        :meth:`install_arena` is reused as-is.
+        Idempotent after the first call.
         """
         if self._arena is None:
             self.warm()
             start = time.perf_counter()
             arena = RoutingArena.assembled(self._assembly, **self._arena_args())
             self._warm_seconds += time.perf_counter() - start
-            self._adopt_arena(arena)
+            self._arena, self._assembly = arena, None
+            get_registry().gauge("routing.arena.bytes").set(arena.nbytes)
         return self._arena
-
-    def install_arena(self, arena: RoutingArena) -> None:
-        """Adopt a pre-built arena (e.g. one another cache built).
-
-        The arena's slot order must match this cache's ``destinations``
-        and it must have been built under the same policy (and, for
-        state-dependent policies, the same deployment state); every
-        destination is then considered cached (counted as installs).
-        """
-        if arena.dest_ids.tolist() != self.destinations:
-            raise ValueError("arena destinations do not match this cache")
-        if arena.policy != self.policy.name:
-            raise ValueError(
-                f"arena was built under policy {arena.policy!r}; this cache "
-                f"uses {self.policy.name!r} (mixed-policy reuse is invalid)"
-            )
-        if arena.state_key != self._state_key:
-            raise ValueError(
-                f"arena was built for deployment state {arena.state_key!r}; "
-                f"this cache is at {self._state_key!r}"
-            )
-        # The backend tag is execution metadata, not structure: kernels
-        # are bit-identical across backends, so an arena shipped from a
-        # peer simply runs on *this* cache's resolved backend.
-        arena.backend = self.backend_name
-        self._installs += arena.num_dests
-        self._adopt_arena(arena)
-
-    def _adopt_arena(self, arena: RoutingArena) -> None:
-        self._arena = arena
-        self._assembly = None
-        get_registry().gauge("routing.arena.bytes").set(arena.nbytes)
 
     def pending_runs(self) -> list[tuple[int, int]]:
         """Maximal ``(start, stop)`` runs of positions in
@@ -356,7 +313,6 @@ class RoutingCache:
         total = len(self.destinations)
         return CacheStats(
             builds=self._builds,
-            installs=self._installs,
             warm_seconds=self._warm_seconds,
             cached=total - sum(stop - start for start, stop in self.pending_runs()),
             total=total,

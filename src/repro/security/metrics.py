@@ -25,6 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.core.state import DeploymentState, StateDeriver
+from repro.routing.compiled import CompiledGraph
 from repro.routing.policy import DEFAULT_POLICY
 from repro.security.hijack import HijackOutcomes, simulate_attacks_batched
 from repro.security.scenarios import DEFAULT_SCENARIO
@@ -98,12 +99,15 @@ def sample_attack_impact(
     scenario: str = DEFAULT_SCENARIO,
     policy: str = DEFAULT_POLICY,
     backend: str | None = None,
+    compiled: CompiledGraph | None = None,
 ) -> AttackImpact:
     """Mean fraction of ASes fooled across random attacker/victim pairs.
 
     Runs on the batched multi-origin kernel (`simulate_attacks_batched`)
     — the scalar reference in :mod:`repro.security.hijack` exists for
-    the differential suite, not for sampling at scale.
+    the differential suite, not for sampling at scale.  ``compiled`` is
+    ``graph``'s :class:`~repro.routing.compiled.CompiledGraph` when the
+    caller holds one (built here otherwise).
     """
     pairs = sample_pairs(
         graph, samples=samples, seed=seed,
@@ -113,7 +117,7 @@ def sample_attack_impact(
         graph, pairs, node_secure, breaks_ties,
         attacker_convinces_own_stubs=attacker_convinces_own_stubs,
         drop_unvalidated=drop_unvalidated,
-        scenario=scenario, policy=policy, backend=backend,
+        scenario=scenario, policy=policy, backend=backend, compiled=compiled,
     )
     return impact_from_outcomes(outcomes)
 
@@ -126,11 +130,12 @@ def impact_for_state(
     seed: int = 0,
     **kwargs,
 ) -> AttackImpact:
-    """:func:`sample_attack_impact` with flags derived from a game state."""
+    """:func:`sample_attack_impact` with flags derived from a game state,
+    on the deriver's compiled graph."""
     node_secure = deriver.node_secure(state)
     return sample_attack_impact(
         graph, node_secure, deriver.breaks_ties(node_secure),
-        samples=samples, seed=seed, **kwargs,
+        samples=samples, seed=seed, compiled=deriver.compiled, **kwargs,
     )
 
 

@@ -5,14 +5,15 @@ JSON job API (submit / poll / events / cancel), a journal-backed
 :class:`~repro.service.store.JobStore` that survives SIGKILL and
 resumes in-flight sweeps, a fair priority+FIFO
 :class:`~repro.service.scheduler.Scheduler`, and a
-:class:`~repro.service.cache.ResultCache` that shares warmed routing
-arenas and finished sweep cells across overlapping requests.
+:class:`~repro.service.cache.ResultCache` that keeps built
+environments (with their state evaluations) and finished sweep cells
+across overlapping requests.
 
 Layer map (lint rule RPR012 enforces the kernel boundary)::
 
     daemon (HTTP)  ->  scheduler (threads)  ->  executor (kernels)
           \\              |                        |
-           +--------->  store (journals)   cache (arenas + cells)
+           +--------->  store (journals)   cache (environments + cells)
 """
 
 from repro.service.cache import ResultCache, ResultCacheStats

@@ -1,4 +1,4 @@
-"""Cross-request result cache: sweep cells and warmed routing arenas.
+"""Cross-request result cache: sweep cells and kept environments.
 
 The daemon's whole value proposition over ``sbgp-sim sweep`` in a cron
 job is amortisation: two users sweeping overlapping grids on the same
@@ -11,37 +11,46 @@ happen:
   pins everything else that affects a cell's value.  The executor binds
   a :class:`CellView` over this store as the sweep's
   :class:`~repro.experiments.sweeps.CellCache`;
-- **arenas** — warmed read-only :class:`~repro.routing.arena.RoutingArena`
-  pools keyed by environment digest, so the second job on a topology
-  skips the (dominant) tree-build cost.  Only state-independent
-  policies participate: their arenas are immutable after build, which
-  is what makes sharing across scheduler threads safe.
+- **environments** — a built :class:`~repro.experiments.setup.ExperimentEnv`
+  (graph, traffic, warmed routing arena) and its state evaluations
+  (:class:`~repro.core.dynamics.StateMemo`), keyed by environment
+  digest and kernel backend (:class:`KeptEnv`), so the next job on a
+  topology skips the build and every state an earlier job evaluated.
+  A job holds the entry's lock while it runs: jobs on one environment
+  run one at a time, jobs on different environments in parallel.  Only
+  state-independent policies participate: a state-dependent arena is
+  valid for one deployment state only.
 
-Eviction is LRU under a byte budget.  Arenas dwarf cells (MiB vs a few
+Eviction is LRU under a byte budget.  An environment is charged at its
+arena's bytes plus its evaluations' and charged again after each job,
+so a growing memo moves it; environments dwarf cells (MiB vs a few
 hundred bytes), so the budget is effectively "how many warm topologies
 to keep"; cells ride along almost for free.  Every lookup lands in the
 ``service.cache.*`` telemetry counters — the acceptance criterion for
-the whole subsystem is literally "the second job shows hits here".
+the whole subsystem is literally "the second job shows hits here"
+(``arena_hits`` / ``arena_misses`` count environment lookups).
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import logging
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from repro.telemetry.metrics import get_registry
 
 if TYPE_CHECKING:
+    from repro.core.dynamics import StateMemo
+    from repro.experiments.setup import ExperimentEnv
     from repro.experiments.sweeps import SweepCell
-    from repro.routing.arena import RoutingArena
 
 log = logging.getLogger(__name__)
 
-#: default byte budget (256 MiB): a handful of tiny-topology arenas or
-#: one production-scale one, plus effectively unlimited cells
+#: default byte budget (256 MiB): a handful of tiny-topology environments
+#: or one production-scale one, plus effectively unlimited cells
 DEFAULT_BUDGET_BYTES = 256 * 2**20
 
 #: accounting estimate for one cached cell (the dataclass plus key;
@@ -56,7 +65,7 @@ class ResultCacheStats:
 
     cell_hits: int
     cell_misses: int
-    arena_hits: int
+    arena_hits: int  # lookups of a kept environment
     arena_misses: int
     evictions: int
     entries: int
@@ -72,13 +81,64 @@ class _Entry:
         self.nbytes = nbytes
 
 
+class KeptEnv:
+    """One environment kept between the jobs on its digest.
+
+    ``env`` stays None until a job keeps the environment it built
+    (:meth:`keep`).  ``lock`` is held by the job running on it.  The
+    state memos are the environment's, one per ``stub_breaks_ties``
+    (the one memo-scope field a spec varies); ``StateMemo.bind`` checks
+    the rest.  Between jobs only the memos' round buffers are released.
+    """
+
+    def __init__(self) -> None:
+        self.env: ExperimentEnv | None = None
+        self.lock = threading.Lock()
+        self._memos: dict[bool, StateMemo] = {}
+
+    def keep(self, env: ExperimentEnv) -> None:
+        """Keep ``env`` for later jobs: only with a warmed arena that no
+        deployment state owns, which no job then changes."""
+        arena = env.cache.arena
+        if arena is None or arena.state_key is not None:
+            raise ValueError(
+                "refusing to keep an environment whose arena is not warmed "
+                "or is state-dependent; only state-independent policies "
+                "share environments across jobs"
+            )
+        self.env = env
+
+    def memo(self, stub_breaks_ties: bool) -> StateMemo:
+        """The environment's state memo for games with ``stub_breaks_ties``."""
+        memo = self._memos.get(stub_breaks_ties)
+        if memo is None:
+            # imported here: the daemon answers before the stack loads
+            from repro.core.dynamics import StateMemo
+
+            memo = self._memos[stub_breaks_ties] = StateMemo()
+        return memo
+
+    def release_rounds(self) -> None:
+        """Drop every memo's ``[dests, n]`` round buffers, keeping the
+        evaluations."""
+        for memo in self._memos.values():
+            memo.release_buffers()
+
+    @property
+    def nbytes(self) -> int:
+        """The arena's bytes plus the evaluations'."""
+        arena = self.env.cache.arena if self.env is not None else None
+        held = sum(memo.nbytes for memo in self._memos.values())
+        return (arena.nbytes if arena is not None else 0) + held
+
+
 class ResultCache:
-    """LRU byte-budgeted store of sweep cells and warmed arenas.
+    """LRU byte-budgeted store of sweep cells and kept environments.
 
     Thread-safe: every operation holds one lock for its (short, pure
-    in-memory) duration.  Arena *contents* need no locking — they are
-    read-only after build by :class:`~repro.routing.arena.RoutingArena`
-    contract, so handing the same arena to two concurrent jobs is safe.
+    in-memory) duration.  An environment's *contents* are guarded by its
+    entry's own lock instead (:meth:`environment`), taken after and
+    never inside the cache's.
     """
 
     def __init__(self, budget_bytes: int = DEFAULT_BUDGET_BYTES):
@@ -142,36 +202,41 @@ class ResultCache:
         """A :class:`~repro.experiments.sweeps.CellCache` bound to ``scope``."""
         return CellView(self, scope)
 
-    # -- arenas --------------------------------------------------------
+    # -- environments --------------------------------------------------
 
-    def get_arena(self, env_key: str) -> RoutingArena | None:
-        """The warmed arena for environment ``env_key``, or None."""
-        with self._lock:
-            value = self._get(("arena", env_key))
-            if value is None:
-                self._arena_misses += 1
-                get_registry().counter("service.cache.arena_misses").inc()
-                return None
-            self._arena_hits += 1
-            get_registry().counter("service.cache.arena_hits").inc()
-            return value  # type: ignore[return-value]
+    @contextlib.contextmanager
+    def environment(self, digest: str, backend: str | None) -> Iterator[KeptEnv]:
+        """Hold the environment kept for ``(digest, backend)`` for one job.
 
-    def put_arena(self, env_key: str, arena: RoutingArena) -> None:
-        """Publish a warmed arena (charged at its real ``nbytes``).
-
-        Callers must only publish arenas for state-*independent*
-        policies (``arena.state_key is None``); a state-dependent arena
-        is only valid for one deployment state and sharing it would be
-        a silent-wrong-results bug, so it is refused loudly.
+        Yields its :class:`KeptEnv` with the entry's lock held; the
+        lookup is a hit when an earlier job kept an environment there.
+        On exit the memos' round buffers are released and the entry is
+        charged again at its current :attr:`KeptEnv.nbytes` (unless the
+        key was evicted and taken by a newer entry meanwhile).
         """
-        if arena.state_key is not None:
-            raise ValueError(
-                "refusing to cache a state-dependent arena "
-                f"(state_key={arena.state_key!r}); only state-independent "
-                "policies share arenas across jobs"
-            )
+        key = ("env", digest, backend)
         with self._lock:
-            self._put(("arena", env_key), arena, max(arena.nbytes, 1))
+            entry = self._get(key)
+            if not isinstance(entry, KeptEnv):
+                entry = KeptEnv()
+                self._put(key, entry, 1)
+        with entry.lock:
+            hit = entry.env is not None
+            with self._lock:
+                if hit:
+                    self._arena_hits += 1
+                    get_registry().counter("service.cache.arena_hits").inc()
+                else:
+                    self._arena_misses += 1
+                    get_registry().counter("service.cache.arena_misses").inc()
+            try:
+                yield entry
+            finally:
+                entry.release_rounds()
+                with self._lock:
+                    current = self._entries.get(key)
+                    if current is None or current.value is entry:
+                        self._put(key, entry, max(entry.nbytes, 1))
 
     # -- accounting ----------------------------------------------------
 

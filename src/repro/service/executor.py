@@ -10,11 +10,15 @@ two jobs' deadlines never interfere).
 Cross-request sharing happens at two levels, both through the
 :class:`~repro.service.cache.ResultCache`:
 
-- the warmed :class:`~repro.routing.arena.RoutingArena` for an
-  environment digest is installed into the job's fresh
-  :class:`~repro.routing.cache.RoutingCache` instead of being rebuilt
-  (state-independent policies only — arenas are read-only after build,
-  which is what makes handing one to concurrent jobs safe);
+- jobs on one environment (digest and kernel backend) share one built
+  :class:`~repro.experiments.setup.ExperimentEnv` — graph, traffic,
+  warmed routing arena — and its state memos, so a state one job
+  evaluated is not evaluated again by the next; a job holds the kept
+  environment's lock while it runs, so jobs on one environment run one
+  at a time and jobs on different environments in parallel.  Between
+  jobs only the memos' ``[dests, n]`` round buffers are released
+  (state-independent policies only: a state-dependent arena is valid
+  for one deployment state, so those jobs build their own);
 - finished sweep cells are consulted before each computation via a
   scope-bound :class:`~repro.service.cache.CellView`, and published
   after, so overlapping grids pay for their intersection once.
@@ -27,10 +31,12 @@ job resumes exactly where it stopped when the daemon restarts.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
+from repro.core.dynamics import StateMemo
 from repro.experiments.attack_matrix import cell_to_dict as matrix_cell_to_dict
 from repro.experiments.attack_matrix import run_attack_matrix
 from repro.experiments.case_study import run_case_study
@@ -43,7 +49,7 @@ from repro.runtime.guard import (
     RuntimeGuard,
     use_guard,
 )
-from repro.service.cache import ResultCache
+from repro.service.cache import KeptEnv, ResultCache
 from repro.service.errors import JobCancelled, SpecError
 from repro.service.specs import JobSpec, cell_scope_digest, env_digest
 from repro.service.store import Job, JobStore
@@ -58,33 +64,42 @@ def _job_guard(spec: JobSpec) -> RuntimeGuard:
     )
 
 
-def _build_env(spec: JobSpec, cache: ResultCache) -> ExperimentEnv:
-    """Build the job's environment, sharing warmed arenas across jobs.
-
-    The environment itself (graph, traffic, routing cache) is rebuilt
-    per job, and mutating it per job keeps jobs isolated.  It is cheap:
-    ``build_environment(n=500, warm=False)`` measured 4.0 ms median
-    (2.4 ms best) per job on a 2-vCPU Xeon, most of it the generator.
-    The arena (the expensive part: every routing tree, pooled) is
-    fetched from the result cache when an earlier job on the same
-    environment digest already built it.
-    """
-    # state-dependent arenas are only valid for one deployment state;
-    # the simulation rebuilds them per round, so there is nothing
-    # reusable to share — warm lazily as rounds touch trees
-    shareable = not get_policy(spec.policy).state_dependent
-    key = env_digest(spec)
-    shared = cache.get_arena(key) if shareable else None
-    env = build_environment(
+def _new_env(spec: JobSpec, warm: bool) -> ExperimentEnv:
+    return build_environment(
         n=spec.n, seed=spec.seed, x=spec.x, augmented=spec.augmented,
-        warm=shareable and shared is None, policy=spec.policy,
-        backend=spec.kernel_backend,
+        warm=warm, policy=spec.policy, backend=spec.kernel_backend,
     )
-    if shared is not None:
-        env.cache.install_arena(shared)
-    elif env.cache.arena is not None:  # unless the memory budget deferred the warm
-        cache.put_arena(key, env.cache.arena)
-    return env
+
+
+@contextlib.contextmanager
+def _build_env(
+    spec: JobSpec, cache: ResultCache
+) -> Iterator[tuple[ExperimentEnv, KeptEnv | None]]:
+    """The job's environment, and the kept entry it is (None: the job's own).
+
+    The first job on an environment digest builds and warms it, and
+    keeps it; later jobs get that environment, its arena and its state
+    memos, and hold its lock until they leave this block.
+    """
+    if get_policy(spec.policy).state_dependent:
+        # state-dependent arenas are only valid for one deployment state;
+        # the simulation rebuilds them per round, so there is nothing
+        # reusable to share — warm lazily as rounds touch trees
+        yield _new_env(spec, warm=False), None
+        return
+    with cache.environment(env_digest(spec), spec.kernel_backend) as kept:
+        if kept.env is None:
+            env = _new_env(spec, warm=True)
+            if env.cache.arena is None:  # the memory budget deferred the warm
+                yield env, None
+                return
+            kept.keep(env)
+        yield kept.env, kept
+
+
+def _memo(kept: KeptEnv | None, stub_breaks_ties: bool) -> StateMemo | None:
+    """The kept environment's memo for these games (None: a private one)."""
+    return kept.memo(stub_breaks_ties) if kept is not None else None
 
 
 def _select_adopter_sets(env: ExperimentEnv, spec: JobSpec) -> dict[str, list[int]]:
@@ -119,13 +134,15 @@ def execute_job(
     with use_guard(_job_guard(job.spec)):
         if cancel.is_set():
             raise JobCancelled(job.id)
-        env = _build_env(job.spec, cache)
-        if job.spec.kind == "sweep":
-            result = _execute_sweep(job, env, store, cache, cancel)
-        elif job.spec.kind == "attack-matrix":
-            result = _execute_attack_matrix(job, env, store, cancel)
-        else:
-            result = _execute_case_study(job, env)
+        with _build_env(job.spec, cache) as (env, kept):
+            if cancel.is_set():  # while it waited for the environment
+                raise JobCancelled(job.id)
+            if job.spec.kind == "sweep":
+                result = _execute_sweep(job, env, kept, store, cache, cancel)
+            elif job.spec.kind == "attack-matrix":
+                result = _execute_attack_matrix(job, env, store, cancel)
+            else:
+                result = _execute_case_study(job, env, kept)
     registry.counter("service.executor.jobs").inc()
     registry.histogram("service.executor.job_seconds").observe(
         time.perf_counter() - start
@@ -155,6 +172,7 @@ def _progress(
 def _execute_sweep(
     job: Job,
     env: ExperimentEnv,
+    kept: KeptEnv | None,
     store: JobStore,
     cache: ResultCache,
     cancel: threading.Event,
@@ -170,6 +188,7 @@ def _execute_sweep(
         journal=store.sweep_journal_path(job),
         cell_cache=cache.cell_view(cell_scope_digest(spec)),
         on_cell=_progress(job, store, len(adopter_sets) * len(spec.thetas), cancel),
+        memo=_memo(kept, spec.stub_breaks_ties),
     )
     return {
         "kind": "sweep",
@@ -230,8 +249,9 @@ def _execute_attack_matrix(
     }
 
 
-def _execute_case_study(job: Job, env: ExperimentEnv) -> dict[str, Any]:
-    report = run_case_study(env, theta=job.spec.theta)
+def _execute_case_study(job: Job, env: ExperimentEnv, kept: KeptEnv | None) -> dict[str, Any]:
+    # run_case_study plays §5's game, in which stubs break ties
+    report = run_case_study(env, theta=job.spec.theta, memo=_memo(kept, stub_breaks_ties=True))
     zs = report.zero_sum
     return {
         "kind": "case-study",

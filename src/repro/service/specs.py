@@ -15,8 +15,8 @@ Digests are the service's identity scheme:
   one execution and the store keys the job's sweep journal by it (a
   resubmitted job resumes its predecessor's cells after a restart);
 - :func:`env_digest` identifies the *environment* (graph + traffic +
-  policy) — the :class:`~repro.service.cache.ResultCache` scopes warmed
-  arenas by it;
+  policy) — the :class:`~repro.service.cache.ResultCache` keeps built
+  environments by it (and the kernel backend);
 - :func:`cell_scope_digest` identifies everything that pins a sweep
   cell's value except ``(adopter set, theta)`` — the cache scopes
   shared cells by it, so overlapping grids share cells only when they

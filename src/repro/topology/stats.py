@@ -61,8 +61,10 @@ def top_by_degree(graph: ASGraph, k: int, role: ASRole | None = ASRole.ISP) -> l
     in terms of degree", §5).
     """
     candidates = range(graph.n) if role is None else graph.indices_with_role(role)
-    ranked = sorted(candidates, key=lambda i: (-graph.degree_of_index(i), graph.asn(i)))
-    return [graph.asn(i) for i in ranked[:k]]
+    count = len(candidates)
+    asns = np.fromiter(map(graph.asn, candidates), dtype=np.int64, count=count)
+    degrees = np.fromiter(map(graph.degree_of_index, candidates), dtype=np.int64, count=count)
+    return asns[np.lexsort((asns, -degrees))[:k]].tolist()
 
 
 def stub_customer_counts(graph: ASGraph) -> dict[int, int]:  # repro-lint: disable=RPR017 -- §2.2.1's statistic, checked by its tests

@@ -1,8 +1,10 @@
 """Worker functions whose writes the fork-safety pass must classify."""
 
+import contextlib
 import threading
 
 COUNTER: dict[str, int] = {}
+OPENED: dict[str, int] = {}
 TOTALS: dict[str, int] = {}
 STATS: dict[str, int] = {}
 _LOCK = threading.Lock()
@@ -14,7 +16,14 @@ def record(key: str) -> None:
     record_locked(key)
     record_threadlocal(key)
     record_waived(key)
-    helper_pure(key)
+    with opened(key):  # a with-header's call runs on the worker too
+        helper_pure(key)
+
+
+@contextlib.contextmanager
+def opened(key: str):
+    OPENED[key] = 1  # expect: RPR016
+    yield
 
 
 def record_locked(key: str) -> None:

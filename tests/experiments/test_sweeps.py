@@ -156,3 +156,22 @@ class TestStateSharing:
         ])
         assert row == alone
         assert 0 < shared < unshared
+
+    def test_a_caller_memo_keeps_every_row(self, medium_env):
+        """A caller-owned memo keeps each row's trajectories, so the same
+        grid played again evaluates nothing and reads the same cells."""
+        from repro.core.dynamics import StateMemo
+        from repro.core.state import DeploymentState
+
+        memo = StateMemo()
+        sets = self.sets(medium_env)
+        cells = run_sweep(medium_env, thetas=self.THETAS, adopter_sets=sets, memo=memo)
+        for adopters in sets.values():
+            start = frozenset(medium_env.graph.index(asn) for asn in adopters)
+            assert DeploymentState.initial(start) in memo
+        held = dict(memo)
+        assert run_sweep(
+            medium_env, thetas=self.THETAS, adopter_sets=sets, memo=memo
+        ) == cells
+        assert memo.keys() == held.keys()
+        assert all(memo[state] is held[state] for state in held)

@@ -3,55 +3,11 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.routing.arena import RoutingArena
 from repro.routing.cache import RoutingCache, state_digest
-from repro.routing.policy import get_policy
 
 
 class TestPolicyBinding:
-    def test_mixed_policy_install_rejected(self, small_graph):
-        cache = RoutingCache(small_graph, policy="security_3rd")
-        foreign = RoutingCache(small_graph, policy="sp_first")
-        dests = cache.destinations
-        with pytest.raises(ValueError, match="sp_first"):
-            cache.install_arena(foreign.arena_of([foreign.build_pools(dests)]))
-        assert cache.stats().installs == 0
-        # the cache's own policy, but not its destination list
-        with pytest.raises(ValueError, match="do not match"):
-            cache.install_arena(cache.arena_of([cache.build_pools(dests[1:])]))
-        with pytest.raises(ValueError, match="do not match"):
-            cache.install_arena(cache.arena_of([cache.build_pools(dests[::-1])]))
-        assert cache.stats().installs == 0
-
-    def test_mixed_policy_arena_rejected(self, small_graph):
-        cache = RoutingCache(small_graph, policy="security_3rd")
-        pools = get_policy("sp_first").build_pools(small_graph, cache.destinations)
-        arena = RoutingArena.build(small_graph.n, [pools], policy="sp_first")
-        with pytest.raises(ValueError, match="mixed-policy"):
-            cache.install_arena(arena)
-
-    def test_wrong_state_arena_rejected(self, small_graph):
-        secure = np.zeros(small_graph.n, dtype=bool)
-        secure[::2] = True
-        cache = RoutingCache(small_graph, policy="security_2nd")
-        pol = get_policy("security_2nd")
-        pools = pol.build_pools(
-            small_graph, cache.destinations,
-            node_secure=secure, breaks_ties=secure,
-        )
-        arena = RoutingArena.build(
-            small_graph.n, [pools],
-            policy="security_2nd", state_key=state_digest(secure, secure),
-        )
-        # the cache is still at the all-insecure default state
-        with pytest.raises(ValueError, match="deployment state"):
-            cache.install_arena(arena)
-        cache.ensure_state(secure, secure)
-        cache.install_arena(arena)  # now the keys agree
-        assert cache.stats().installs == len(cache.destinations)
-
     def test_stats_report_policy_and_arena(self, small_graph):
         cache = RoutingCache(small_graph, policy="gao-rexford")
         assert cache.policy_name == "security_3rd"

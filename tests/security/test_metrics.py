@@ -80,6 +80,17 @@ class TestEndState:
         )
         assert imp.mean_fraction_fooled < 0.05
 
+    def test_a_compiled_graph_passed_in_changes_no_impact(self, world):
+        g, deriver = world
+        for state in (DeploymentState(frozenset(), frozenset()), end_state_everyone_secure(g)):
+            secure = deriver.node_secure(state)
+            breaks = deriver.breaks_ties(secure)
+            built = sample_attack_impact(g, secure, breaks, samples=10, seed=5)
+            assert sample_attack_impact(
+                g, secure, breaks, samples=10, seed=5, compiled=deriver.compiled
+            ) == built
+            assert impact_for_state(g, deriver, state, samples=10, seed=5) == built
+
     def test_deployment_reduces_impact(self, world):
         """More deployment, less attack surface (tie-break mode)."""
         g, deriver = world

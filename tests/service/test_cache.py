@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import threading
+import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro import telemetry
 from repro.experiments.sweeps import SweepCell
-from repro.service.cache import _CELL_BYTES, CellView, ResultCache
+from repro.service.cache import _CELL_BYTES, CellView, KeptEnv, ResultCache
 from repro.service.specs import env_digest, parse_spec
 from repro.telemetry.metrics import set_registry
 
@@ -28,6 +30,24 @@ class _FakeArena:
     def __init__(self, nbytes: int, state_key: str | None = None):
         self.nbytes = nbytes
         self.state_key = state_key
+
+
+def fake_env(nbytes: int, state_key: str | None = None) -> SimpleNamespace:
+    """An environment as far as :class:`KeptEnv` looks at one."""
+    return SimpleNamespace(cache=SimpleNamespace(arena=_FakeArena(nbytes, state_key)))
+
+
+def keep(cache: ResultCache, digest: str, nbytes: int, backend: str | None = None) -> None:
+    """One job on ``digest`` that keeps a fake environment of ``nbytes``."""
+    with cache.environment(digest, backend) as kept:
+        if kept.env is None:
+            kept.keep(fake_env(nbytes))
+
+
+def kept_env(cache: ResultCache, digest: str, backend: str | None = None):
+    """The environment a job on ``digest`` would find (None: it builds one)."""
+    with cache.environment(digest, backend) as kept:
+        return kept.env
 
 
 class TestCells:
@@ -78,10 +98,10 @@ class TestEviction:
 
     def test_arena_eviction_charges_real_bytes(self):
         cache = ResultCache(budget_bytes=1000)
-        cache.put_arena("env-a", _FakeArena(nbytes=600))
-        cache.put_arena("env-b", _FakeArena(nbytes=600))
-        assert cache.get_arena("env-a") is None      # evicted by env-b
-        assert cache.get_arena("env-b") is not None
+        keep(cache, "env-a", 600)
+        keep(cache, "env-b", 600)
+        assert kept_env(cache, "env-a") is None      # evicted by env-b
+        assert kept_env(cache, "env-b") is not None
         assert cache.stats().bytes_used <= 1000
 
     def test_single_oversized_entry_is_kept(self):
@@ -89,23 +109,63 @@ class TestEviction:
         # than the whole budget still caches (it is strictly better
         # than recomputing it every request)
         cache = ResultCache(budget_bytes=100)
-        cache.put_arena("env", _FakeArena(nbytes=10_000))
-        assert cache.get_arena("env") is not None
+        keep(cache, "env", 10_000)
+        assert kept_env(cache, "env") is not None
 
 
 class TestArenas:
     def test_state_dependent_arena_refused(self):
-        cache = ResultCache()
         with pytest.raises(ValueError, match="state-dependent"):
-            cache.put_arena("env", _FakeArena(nbytes=10, state_key="abc123"))
+            KeptEnv().keep(fake_env(10, state_key="abc123"))
+
+    def test_an_unwarmed_environment_is_refused(self):
+        with pytest.raises(ValueError, match="not warmed"):
+            KeptEnv().keep(SimpleNamespace(cache=SimpleNamespace(arena=None)))
 
     def test_arena_hit_miss_accounting(self):
         cache = ResultCache()
-        assert cache.get_arena("env") is None
-        cache.put_arena("env", _FakeArena(nbytes=10))
-        assert cache.get_arena("env") is not None
+        keep(cache, "env", 10)
+        assert kept_env(cache, "env") is not None
         stats = cache.stats()
         assert (stats.arena_hits, stats.arena_misses) == (1, 1)
+
+    def test_the_kernel_backend_is_part_of_the_key(self):
+        cache = ResultCache()
+        keep(cache, "env", 10, backend="numpy")
+        assert kept_env(cache, "env", backend="cext") is None
+        assert kept_env(cache, "env", backend=None) is None
+        assert kept_env(cache, "env", backend="numpy") is not None
+
+    def test_jobs_on_one_environment_take_turns(self):
+        cache = ResultCache()
+        keep(cache, "env", 10)
+        spans: list[tuple[float, float]] = []
+
+        def job() -> None:
+            with cache.environment("env", None):
+                start = time.monotonic()
+                time.sleep(0.05)
+                spans.append((start, time.monotonic()))
+
+        threads = [threading.Thread(target=job) for _ in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        spans.sort()
+        assert len(spans) == 3
+        assert all(a_end <= b_start for (_, a_end), (b_start, _) in zip(spans, spans[1:]))
+
+    def test_other_environments_run_meanwhile(self):
+        cache = ResultCache()
+        keep(cache, "env-a", 10)
+        keep(cache, "env-b", 10)
+        with cache.environment("env-a", None):
+            got: list[object] = []
+            other = threading.Thread(target=lambda: got.append(kept_env(cache, "env-b")))
+            other.start()
+            other.join(timeout=30)
+            assert got and got[0] is not None
 
 
 class TestTelemetryAndConcurrency:
@@ -151,8 +211,8 @@ class TestTelemetryAndConcurrency:
 
 
 class TestJobEnvironments:
-    """A job's environment warms through ``build_environment`` and
-    shares its arena through the result cache."""
+    """A job's environment warms through ``build_environment`` and is
+    kept, with its state memos, for the next job on its digest."""
 
     SPEC = {"kind": "case-study", "n": 60, "seed": 11}
 
@@ -160,10 +220,11 @@ class TestJobEnvironments:
         from repro.service.executor import _build_env
 
         cache = ResultCache()
-        first = _build_env(parse_spec(self.SPEC), cache)
-        assert first.cache.arena is not None
-        second = _build_env(parse_spec(self.SPEC), cache)
-        assert second.cache.arena is first.cache.arena
+        with _build_env(parse_spec(self.SPEC), cache) as (first, kept):
+            assert kept is not None and kept.env is first
+            assert first.cache.arena is not None
+        with _build_env(parse_spec(self.SPEC), cache) as (second, _):
+            assert second is first
         stats = cache.stats()
         assert (stats.arena_hits, stats.arena_misses) == (1, 1)
 
@@ -173,18 +234,33 @@ class TestJobEnvironments:
 
         cache = ResultCache()
         guard = RuntimeGuard(memory=MemoryBudget(1024))
-        with use_guard(guard):
-            env = _build_env(parse_spec(self.SPEC), cache)
+        with use_guard(guard), _build_env(parse_spec(self.SPEC), cache) as (env, kept):
+            assert kept is None
         assert guard.ladder.taken("lazy_warm") == 1
         assert env.cache.arena is None
         assert env.cache.pending_runs() == [(0, 60)]  # nothing built eagerly
-        assert cache.get_arena(env_digest(parse_spec(self.SPEC))) is None
+        assert kept_env(cache, env_digest(parse_spec(self.SPEC))) is None
 
     def test_a_state_dependent_policy_shares_nothing(self):
         from repro.service.executor import _build_env
 
         cache = ResultCache()
-        env = _build_env(parse_spec({**self.SPEC, "policy": "security_2nd"}), cache)
+        spec = parse_spec({**self.SPEC, "policy": "security_2nd"})
+        with _build_env(spec, cache) as (env, kept):
+            assert kept is None
         assert env.cache.arena is None
         stats = cache.stats()
-        assert (stats.arena_hits, stats.arena_misses) == (0, 0)
+        assert (stats.arena_hits, stats.arena_misses, stats.entries) == (0, 0, 0)
+
+    def test_a_kept_environment_is_charged_for_its_evaluations_and_not_its_rounds(self):
+        from repro.experiments.case_study import run_case_study
+        from repro.service.executor import _build_env
+
+        cache = ResultCache()
+        with _build_env(parse_spec(self.SPEC), cache) as (env, kept):
+            memo = kept.memo(True)
+            run_case_study(env, memo=memo)
+            assert memo.buffers.weights is not None  # the game's round matrices
+        assert memo and memo.nbytes > 0
+        assert memo.buffers.weights is None  # released when the job left
+        assert cache.stats().bytes_used == env.cache.arena.nbytes + memo.nbytes

@@ -63,6 +63,26 @@ class TestDegrees:
         g = simple_graph()
         assert len(top_by_degree(g, 100)) == 2
 
+    def test_ties_rank_by_as_number_as_the_sorted_reference_does(self):
+        def reference(graph, role):
+            candidates = range(graph.n) if role is None else graph.indices_with_role(role)
+            ranked = sorted(candidates, key=lambda i: (-graph.degree_of_index(i), graph.asn(i)))
+            return [graph.asn(i) for i in ranked]
+
+        # equal degrees everywhere, AS numbers out of index order
+        ring = ASGraph()
+        for asn in (50, 7, 300, 12, 9, 41):
+            ring.add_as(asn)
+        for a, b in ((50, 7), (7, 300), (300, 12), (12, 9), (9, 41), (41, 50)):
+            ring.add_peering(a, b)
+        assert top_by_degree(ring, 6, role=None) == [7, 9, 12, 41, 50, 300]
+        for seed in (1, 2011):
+            g = generate_topology(n=300, seed=seed).graph
+            degrees = degree_array(g)[g.isp_indices]
+            assert len(set(degrees.tolist())) < len(degrees)  # ISPs tie on degree
+            for role in (ASRole.ISP, ASRole.STUB, None):
+                assert top_by_degree(g, g.n, role=role) == reference(g, role)
+
 
 class TestStubStats:
     def test_stub_customer_counts(self):
