@@ -413,8 +413,9 @@ class DeploymentSimulation:
     ) -> Projections:
         """Evaluate the round's flip projections as one stacked pass.
 
-        ``config.workers`` is not consulted: a round's stack costs a few
-        milliseconds, less than forking workers for it (DESIGN.md §10).
+        ``config.workers`` is not consulted and nothing forks: the
+        compiled kernels run each pass's independent rows on the CPUs
+        the process may use themselves (DESIGN.md §15, "Row threads").
         """
         cfg = self.config
         return project_jobs(

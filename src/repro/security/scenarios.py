@@ -300,14 +300,12 @@ def _states_from_order(
 
 
 def _degree_ranked_isps(graph: "ASGraph", descending: bool) -> list[int]:
-    from repro.topology.stats import degree_array
-
-    degrees = degree_array(graph)
-    sign = -1 if descending else 1
-    return sorted(
-        (int(i) for i in graph.isp_indices),
-        key=lambda i: (sign * int(degrees[i]), i),
-    )
+    """ISP indices by degree (highest first when ``descending``), ties
+    by index."""
+    isps = graph.isp_indices
+    degrees = np.fromiter(map(graph.degree_of_index, isps), dtype=np.int64, count=len(isps))
+    order = np.asarray(isps, dtype=np.int64)
+    return order[np.lexsort((order, -degrees if descending else degrees))].tolist()
 
 
 def _top_isp_first(graph, levels, *, seed, **_):

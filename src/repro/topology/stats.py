@@ -48,7 +48,7 @@ def summarize(graph: ASGraph) -> GraphSummary:
     )
 
 
-def degree_array(graph: ASGraph) -> np.ndarray:
+def degree_array(graph: ASGraph) -> np.ndarray:  # repro-lint: disable=RPR017 -- the per-AS degree vector the degree rankings' tests check against
     """Total degree of every AS, by dense index."""
     return np.array([graph.degree_of_index(i) for i in range(graph.n)], dtype=np.int64)
 

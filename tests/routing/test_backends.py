@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import os
 import sys
 
 import numpy as np
@@ -25,14 +26,23 @@ from hypothesis import given, settings
 from repro.routing import backends as kb
 from repro.routing.arena import (
     RoutingArena,
+    TreeBuffers,
     compute_trees_batched,
     subtree_weights_batched,
 )
 from repro.routing.cache import RoutingCache
 from repro.routing.compiled import CompiledGraph
-from repro.routing.errors import BackendUnavailable
-from repro.routing.policy import available_policies, get_policy
-from repro.routing.tree import chunk_pools, compute_dest_routing
+from repro.routing.errors import BackendUnavailable, RouteTooLongError
+from repro.routing.fixpoint import (
+    PIN_ATT,
+    PIN_ROUTE,
+    ROW_CONVERGED,
+    JacobiDriver,
+    pin_table,
+)
+from repro.routing.policy import RouteClass, available_policies, get_policy
+from repro.routing.reference import ConvergenceError
+from repro.routing.tree import ARENA_FIELDS, chunk_pools, compute_dest_routing
 from repro.runtime.guard import RuntimeGuard, use_guard
 from repro.telemetry.metrics import MetricsRegistry, use_registry
 from repro.topology.graph import ASGraph
@@ -794,6 +804,162 @@ class TestCextArgumentChecks:
         assert calls == []
         kernel(cg, dests)   # the stub does see a valid call
         assert calls == ["sbgp_structure_labels", "sbgp_structure_pools"]
+
+
+class TestRowThreads:
+    """The compiled kernels run a call's rows on as many threads as the
+    process may use CPUs.  Rows write disjoint outputs, so every output
+    must be byte-equal to the one-thread call's; where rows meet — the
+    sweep limit a revisit lowers, the lowest too-long row — the error
+    must be the one the one-thread call raises.  The work floor is
+    lowered to one entry so the small fixtures start threads (two and
+    three; three on a two-CPU box too)."""
+
+    COUNTS = (1, 2, 3)
+
+    @pytest.fixture()
+    def cext(self, monkeypatch):
+        if not _load_ok("cext"):
+            pytest.skip("cext backend not loadable here")
+        cext = kb.load_backend("cext")
+        monkeypatch.setattr(cext, "_ROW_FLOOR", 1)
+        return cext
+
+    def _per_count(self, cext, monkeypatch, run) -> list:
+        """``run()`` under each CPU count."""
+        outcomes = []
+        for cpus in self.COUNTS:
+            monkeypatch.setattr(cext, "_CPUS", cpus)
+            assert cext._threads(3, 1).value == min(cpus, 3)
+            outcomes.append(run())
+        return outcomes
+
+    @staticmethod
+    def _assert_bytes_equal(outcomes: list) -> None:
+        first, *others = outcomes
+        for cpus, other in zip(TestRowThreads.COUNTS[1:], others):
+            assert len(other) == len(first)
+            for k, (a, b) in enumerate(zip(first, other)):
+                assert a.dtype == b.dtype and a.shape == b.shape, (cpus, k)
+                assert a.tobytes() == b.tobytes(), (cpus, k)
+
+    def test_no_more_threads_than_the_affinity_allows(self):
+        if not _load_ok("cext"):
+            pytest.skip("cext backend not loadable here")
+        cext = kb.load_backend("cext")
+        if hasattr(os, "sched_getaffinity"):
+            assert cext._CPUS == len(os.sched_getaffinity(0))
+        assert cext._threads(1 << 30, 1 << 20).value == cext._CPUS
+        assert cext._threads(1, cext._ROW_FLOOR - 1).value == 1
+
+    def test_trees_and_weights(self, small_graph, cext, monkeypatch):
+        n = small_graph.n
+        dests = list(range(0, n, 5))
+        arena = _arena_for(small_graph, "security_3rd", "cext", dests)
+        num, R = arena.num_dests, arena.num_dests + 5
+        rng = np.random.default_rng(51)
+        shared = rng.random(n) < 0.4
+        batches = [
+            (arena.all_slots(), arena.all_slots(), shared, shared),
+            (np.array([7, 0, 3, 3, num - 1]), np.array([R - 1, 2, 5, 0, num]),
+             rng.random((5, n)) < 0.4, rng.random((5, n)) < 0.8),
+            (np.array([num // 2]), np.array([1]), shared, shared),
+        ]
+        garbage = (
+            rng.integers(-3, n, size=(R, n), dtype=np.int32),
+            rng.random((R, n)) < 0.5, rng.random((R, n)) < 0.5,
+            np.full((R, n), np.nan),
+        )
+
+        def run():
+            got = []
+            for slots, rows, node_secure, breaks in batches:
+                choice, secure, any_secure, w = (a.copy() for a in garbage)
+                compute_trees_batched(
+                    arena, slots, node_secure, breaks,
+                    out=TreeBuffers(choice=choice, secure=secure, any_secure=any_secure),
+                    rows=rows, node_weights=small_graph.weights, weights_out=w,
+                )
+                alone = subtree_weights_batched(arena, slots, choice[rows], small_graph.weights)
+                got += [choice, secure, any_secure, w.view(np.uint64), alone.view(np.uint64)]
+            return got
+
+        self._assert_bytes_equal(self._per_count(cext, monkeypatch, run))
+
+    @pytest.mark.parametrize("policy", ["security_3rd", "security_2nd"])
+    def test_attacked_chunks_converge_alike(self, small_graph, cext, monkeypatch, policy):
+        n = small_graph.n
+        secure, breaks = _security_state(n)
+        driver = JacobiDriver(
+            CompiledGraph.from_graph(small_graph), get_policy(policy), secure, breaks,
+            backend="cext",
+        )
+        table = driver.table
+        victims = np.arange(0, n, 9, dtype=np.int64)
+        attackers = (victims * 7 + 3) % n
+        attackers[::3] = -1   # honest rows beside attacked ones
+        chunk = len(victims)
+        pins = pin_table(
+            chunk, (victims, PIN_ROUTE, int(RouteClass.SELF), 0, secure[victims], False),
+            (attackers, PIN_ROUTE | PIN_ATT, int(RouteClass.SELF), 0, False, True),
+        )
+
+        def run():
+            labels = driver.blank(chunk)
+            stats = np.zeros((chunk, 3), dtype=np.int64)
+            tied = np.zeros((chunk, table.num_edges), dtype=bool)
+            cext.jacobi_converge(
+                table.v, table.route_cls, table.node_ptr, table.lp_field,
+                table.rev_ptr, table.rev_seg, table.rev_edge, driver._edge_flags,
+                driver._rank_shifts, secure, attackers, False, pins, driver.cap,
+                *labels, stats, tied,
+            )
+            assert (stats[:, 0] == ROW_CONVERGED).all()
+            return [*labels, tied, stats]
+
+        self._assert_bytes_equal(self._per_count(cext, monkeypatch, run))
+
+    def test_structure_build(self, small_graph, cext, monkeypatch):
+        cg = CompiledGraph.from_graph(small_graph)
+        dests = np.array([*range(0, small_graph.n, 3), 5, 0, 5], dtype=np.int64)
+
+        def run():
+            pools = cext.build_structures(cg, dests)
+            assert sorted(name for name, _ in ARENA_FIELDS) == sorted(pools)
+            return [pools[name] for name, _ in ARENA_FIELDS]
+
+        self._assert_bytes_equal(self._per_count(cext, monkeypatch, run))
+
+    def test_a_too_long_route_names_the_same_destination(self, cext, monkeypatch):
+        # a 130-AS provider chain: toward either end the other end is 129
+        # hops away, toward the middle at most 65; rows 1 and 3 fail
+        chain = _graph(130, {c: [c - 1] for c in range(2, 131)})
+        cg = CompiledGraph.from_graph(chain)
+        dests = np.array([64, 129, 65, 0, 64, 65], dtype=np.int64)
+
+        def run():
+            with pytest.raises(RouteTooLongError) as error:
+                cext.build_structures(cg, dests)
+            return str(error.value)
+
+        messages = self._per_count(cext, monkeypatch, run)
+        assert "destination 129 " in messages[0]
+        assert messages == [messages[0]] * len(self.COUNTS)
+
+    def test_a_dispute_wheel_raises_the_same_error(self, cext, monkeypatch):
+        from tests.security.test_attack_differential import _wheel_graph, _wheel_rows
+
+        *_, (quick, slow, wheel, later) = _wheel_graph()
+        for dests in ([quick, wheel, slow], [wheel, quick], [later, wheel],
+                      [slow, later, quick, wheel, quick]):
+            for max_sweeps in (1000, 5):
+                def run():
+                    with pytest.raises(ConvergenceError) as error:
+                        _wheel_rows("cext", dests, max_sweeps=max_sweeps)
+                    return str(error.value)
+
+                messages = self._per_count(cext, monkeypatch, run)
+                assert messages == [messages[0]] * len(self.COUNTS), (dests, max_sweeps)
 
 
 def _stub_library(monkeypatch) -> list[str]:

@@ -117,6 +117,21 @@ class TestStaticOrderings:
         # ISPs only: every registered deployer is an ISP index
         assert first <= {int(i) for i in small_graph.isp_indices}
 
+    @pytest.mark.parametrize("n", [1000, 8000])
+    def test_degree_ranking_is_the_sorted_order(self, n):
+        """One lexsort over the ISPs ranks as a ``sorted`` over (signed
+        degree, index) does, both ways."""
+        from repro.security.scenarios import _degree_ranked_isps
+        from repro.topology.generator import generate_topology
+        from repro.topology.stats import degree_array
+
+        graph = generate_topology(n=n, seed=2011).graph
+        degrees = degree_array(graph)
+        for descending, sign in ((True, -1), (False, 1)):
+            want = sorted(graph.isp_indices, key=lambda i: (sign * int(degrees[i]), i))
+            got = _degree_ranked_isps(graph, descending)
+            assert got == want and all(type(i) is int for i in got)
+
     def test_stub_first_deploys_stubs_before_isps(self, small_graph):
         from repro.topology.relationships import ASRole
 
